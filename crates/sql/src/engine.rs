@@ -8,7 +8,7 @@ use blend_storage::FactTable;
 
 use crate::exec::{execute_plan_path, QueryReport, ResultSet, ServingStats};
 use crate::parser::parse;
-use crate::plan::{plan_query, Catalog};
+use crate::plan::{plan_query, Catalog, CatalogSnapshot};
 
 /// Engine-level metric cells (`blend_sql_*`), labeled by the executor
 /// path that actually ran — a two-value closed set.
@@ -51,9 +51,13 @@ pub enum ExecPath {
 /// rebuilt `AllTables` via [`SqlEngine::replace_table`] while queries are
 /// in flight. A query planned against the old table keeps its `Arc` and
 /// finishes against the snapshot it started with.
+///
+/// The table map is copy-on-write behind the lock: [`register`](Self::register)
+/// publishes a new map, and [`snapshot`](Self::snapshot) hands a planner the
+/// whole current one, so one query never sees two versions of the catalog.
 #[derive(Default)]
 pub struct Database {
-    tables: RwLock<FxHashMap<String, Arc<dyn FactTable>>>,
+    tables: RwLock<CatalogSnapshot>,
 }
 
 impl Database {
@@ -72,19 +76,25 @@ impl Database {
     /// Register a table under a (case-insensitive) name, replacing any
     /// previous table of that name.
     pub fn register(&self, name: &str, table: Arc<dyn FactTable>) {
+        // Every update leaves a complete map behind, so a poisoned lock
+        // still guards a valid catalog.
+        let mut current = self.tables.write().unwrap_or_else(|e| e.into_inner());
+        let mut next = FxHashMap::clone(&current);
+        next.insert(name.to_lowercase(), table);
+        *current = Arc::new(next);
+    }
+
+    /// The tables registered right now, as one immutable map.
+    pub fn snapshot(&self) -> CatalogSnapshot {
         self.tables
-            .write()
+            .read()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(name.to_lowercase(), table);
+            .clone()
     }
 
     /// Fetch a registered table.
     pub fn get(&self, name: &str) -> Option<Arc<dyn FactTable>> {
-        self.tables
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&name.to_lowercase())
-            .cloned()
+        self.snapshot().get(&name.to_lowercase()).cloned()
     }
 
     /// The `AllTables` handle, if registered.
@@ -94,8 +104,8 @@ impl Database {
 }
 
 impl Catalog for Database {
-    fn table(&self, name: &str) -> Option<Arc<dyn FactTable>> {
-        self.get(name)
+    fn snapshot(&self) -> CatalogSnapshot {
+        Database::snapshot(self)
     }
 }
 

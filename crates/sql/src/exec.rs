@@ -4,8 +4,15 @@
 //! which keeps the engine simple and is appropriate for the highly selective
 //! index workloads BLEND generates: access paths cut candidate sets down
 //! before anything is materialized.
+//!
+//! `ORDER BY … LIMIT` has one implementation, [`select_top`], a bounded
+//! selection over row ordinals. This executor reaches it through
+//! [`finish_decorated`]; the positional executor's GROUP BY calls it over
+//! flat group columns, before it materializes a row.
 
-use blend_common::{FxHashMap, FxHashSet, Result};
+use std::cmp::Ordering;
+
+use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
 use blend_parallel::ParallelCtx;
 
 use blend_storage::ScanScratch;
@@ -41,7 +48,8 @@ pub struct ScanReport {
 /// concurrent load — leaves no entry here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelPhase {
-    /// Phase label: `scan:<alias>`, `join-build`, `join-probe`, `group`.
+    /// Phase label: `scan:<alias>`, `join-build`, `join-probe`, `group`,
+    /// `sort` (the partitions' local top-k under a LIMIT).
     pub phase: String,
     /// Number of work partitions (morsels or contiguous chunks).
     pub partitions: usize,
@@ -121,8 +129,8 @@ pub struct QueryReport {
     /// End-to-end serving telemetry (queue wait is 0 for direct calls).
     pub serving: Option<ServingStats>,
     /// The unified `EXPLAIN ANALYZE` span tree for this query: scan, join
-    /// build/probe, group, and global-agg phases with wall nanos and
-    /// attributes, rooted at the engine's `query` span. `None` when
+    /// build/probe, group, global-agg, sort and materialize phases with wall
+    /// nanos and attributes, rooted at the engine's `query` span. `None` when
     /// instrumentation is disabled ([`blend_obs::set_enabled`]).
     pub profile: Option<blend_obs::Profile>,
 }
@@ -290,58 +298,111 @@ fn execute_tuple(
     }
 
     par.check_interrupt()?;
-    Ok(project_sort_limit(plan, &tuples, report))
+    project_sort_limit(plan, &tuples, report)
 }
 
-/// Shared query tail: evaluate the projection and order keys over input
-/// tuples, sort, apply LIMIT, and label the result. Used by both executors
-/// for aggregated queries (the positional path projects non-aggregated
-/// queries straight from positions instead).
+/// The tuple executor's query tail: evaluate the projection and order keys
+/// over every input tuple, then hand the decorated rows to
+/// [`finish_decorated`]. The positional executor selects before it
+/// materializes instead (see `exec_positional`), and uses this only for the
+/// single row of a global aggregate.
 pub(crate) fn project_sort_limit(
     plan: &QueryPlan,
     tuples: &[Tuple],
     report: &mut QueryReport,
-) -> ResultSet {
+) -> Result<ResultSet> {
+    let span = blend_obs::span("materialize");
+    span.attr_u64("rows", tuples.len() as u64);
     let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(tuples.len());
     for t in tuples {
         let out: Tuple = plan.projection.iter().map(|(_, e)| e.eval(t)).collect();
         let keys: Vec<SqlValue> = plan.order_by.iter().map(|(e, _)| e.eval(t)).collect();
         decorated.push((keys, out));
     }
+    drop(span);
     finish_decorated(plan, decorated, report)
 }
 
-/// Sort decorated rows by their order keys, truncate to LIMIT, and build
-/// the final [`ResultSet`].
+/// The one `ORDER BY … LIMIT` implementation, shared by both executors and
+/// every path through them: the ordinals in `0..n` of the rows that survive,
+/// in output order. With a LIMIT below `n` it is a bounded selection
+/// (`select_nth_unstable_by`, then a sort of the `k` survivors only);
+/// without one it is a full sort. `None` keeps input order.
+///
+/// `cmp` must be a **total** order: callers end it with a key that is unique
+/// per row and ascends in input order (the ordinal itself, or a group's
+/// first-seen row). `SqlValue::order_cmp` alone is not total — `Int(1)` and
+/// `Float(1.0)` compare equal — and the unique last key settles such ties
+/// exactly the way a stable sort of the input would, so the unstable
+/// algorithms used here cannot be observed.
+pub(crate) fn select_top(
+    n: usize,
+    limit: Option<usize>,
+    cmp: Option<impl Fn(u32, u32) -> Ordering>,
+) -> Result<Vec<u32>> {
+    let n = u32::try_from(n)
+        .map_err(|_| BlendError::SqlExec(format!("{n} rows exceed the 2^32 ORDER BY bound")))?;
+    let k = limit.map_or(n, |k| k.min(n as usize) as u32);
+    let Some(cmp) = cmp else {
+        return Ok((0..k).collect());
+    };
+    if k == 0 {
+        return Ok(Vec::new());
+    }
+    let mut ords: Vec<u32> = (0..n).collect();
+    if k < n {
+        ords.select_nth_unstable_by(k as usize - 1, |a, b| cmp(*a, *b));
+        ords.truncate(k as usize);
+    }
+    ords.sort_unstable_by(|a, b| cmp(*a, *b));
+    Ok(ords)
+}
+
+/// Order decorated rows (`(order keys, projected tuple)`, in input order) by
+/// their keys, then by the projected tuple, then by input position; keep
+/// LIMIT of them; and build the final [`ResultSet`]. The tail of the tuple
+/// executor and of the positional executor's non-grouped projection; the
+/// positional GROUP BY runs the same [`select_top`] over flat group columns
+/// before it materializes anything.
 pub(crate) fn finish_decorated(
     plan: &QueryPlan,
     mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
     report: &mut QueryReport,
-) -> ResultSet {
-    if !plan.order_by.is_empty() {
-        decorated.sort_by(|a, b| {
-            for (i, (_, desc)) in plan.order_by.iter().enumerate() {
-                let ord = a.0[i].order_cmp(&b.0[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            // Deterministic tiebreak on the projected tuple.
-            for (x, y) in a.1.iter().zip(&b.1) {
-                let ord = x.order_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(k) = plan.limit {
-        decorated.truncate(k);
-    }
+) -> Result<ResultSet> {
+    let span = blend_obs::span("sort");
+    span.attr_u64("rows_in", decorated.len() as u64);
+    span.attr_u64("k", plan.limit.unwrap_or(decorated.len()) as u64);
+    // Order keys, then the projected tuple as a deterministic tiebreak,
+    // then input position.
+    let cmp = |a: u32, b: u32| {
+        let (ra, rb) = (&decorated[a as usize], &decorated[b as usize]);
+        let keys = ra.0.iter().zip(&rb.0).zip(&plan.order_by);
+        keys.map(|((x, y), (_, desc))| match desc {
+            true => x.order_cmp(y).reverse(),
+            false => x.order_cmp(y),
+        })
+        .chain(ra.1.iter().zip(&rb.1).map(|(x, y)| x.order_cmp(y)))
+        .find(|ord| ord.is_ne())
+        .unwrap_or_else(|| a.cmp(&b))
+    };
+    let ordered = !plan.order_by.is_empty();
+    let ords = select_top(decorated.len(), plan.limit, ordered.then_some(cmp))?;
+    span.attr_u64("selected", ords.len() as u64);
+    drop(span);
 
-    let rows: Vec<Tuple> = decorated.into_iter().map(|(_, t)| t).collect();
+    let rows: Vec<Tuple> = ords
+        .iter()
+        .map(|&o| std::mem::take(&mut decorated[o as usize].1))
+        .collect();
+    Ok(finish_rows(plan, rows, report))
+}
+
+/// Label materialized output rows as the query's [`ResultSet`].
+pub(crate) fn finish_rows(
+    plan: &QueryPlan,
+    rows: Vec<Tuple>,
+    report: &mut QueryReport,
+) -> ResultSet {
     report.result_rows = rows.len();
     ResultSet {
         columns: plan.output_labels(),
@@ -758,6 +819,96 @@ fn exec_group(group: &GroupPlan, tuples: Vec<Tuple>, par: &ParallelCtx) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tail this module had before [`select_top`]: stable-sort every
+    /// decorated row, then truncate. Kept as the selection's oracle.
+    fn sort_all_then_truncate(
+        plan: &QueryPlan,
+        mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
+    ) -> Vec<Tuple> {
+        if !plan.order_by.is_empty() {
+            decorated.sort_by(|a, b| {
+                for (i, (_, desc)) in plan.order_by.iter().enumerate() {
+                    let ord = a.0[i].order_cmp(&b.0[i]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                for (x, y) in a.1.iter().zip(&b.1) {
+                    let ord = x.order_cmp(y);
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                Ordering::Equal
+            });
+        }
+        if let Some(k) = plan.limit {
+            decorated.truncate(k);
+        }
+        decorated.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn selection_is_byte_identical_to_sort_all_then_truncate() {
+        use crate::engine::Database;
+        use blend_storage::{build_engine, EngineKind, FactRow};
+
+        let db = Database::with_alltables(build_engine(
+            EngineKind::Column,
+            vec![FactRow::new("x", 0, 0, 0, 0, None)],
+        ));
+        // Values that tie under `order_cmp` yet differ in their bytes:
+        // the numerics 1 / 1.0 / TRUE, and two NULLs next to them.
+        let pool = [
+            SqlValue::Null,
+            SqlValue::Int(0),
+            SqlValue::Int(1),
+            SqlValue::Float(1.0),
+            SqlValue::Bool(true),
+            SqlValue::Float(0.5),
+            SqlValue::from("a"),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for n in [0usize, 1, 2, 7, 64, 300] {
+            let decorated: Vec<(Vec<SqlValue>, Tuple)> = (0..n)
+                .map(|_| {
+                    let keys = vec![pool[next() % 7].clone(), pool[next() % 7].clone()];
+                    let out = vec![pool[next() % 7].clone(), pool[next() % 5].clone()];
+                    (keys, out)
+                })
+                .collect();
+            for order in [
+                "",
+                "ORDER BY TableId, RowId",
+                "ORDER BY TableId DESC, RowId",
+            ] {
+                for limit in [None, Some(0), Some(1), Some(n / 2), Some(n), Some(n + 5)] {
+                    let limit = limit.map_or(String::new(), |k| format!("LIMIT {k}"));
+                    let sql = format!("SELECT TableId, RowId FROM AllTables {order} {limit}");
+                    let plan =
+                        crate::plan::plan_query(&crate::parser::parse(&sql).unwrap(), &db).unwrap();
+                    let want = sort_all_then_truncate(&plan, decorated.clone());
+                    let got =
+                        finish_decorated(&plan, decorated.clone(), &mut QueryReport::default())
+                            .unwrap();
+                    // `SqlValue: PartialEq` equates 1 and 1.0; compare bytes.
+                    assert_eq!(
+                        format!("{:?}", got.rows),
+                        format!("{want:?}"),
+                        "n={n}: {sql}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn result_set_accessors() {

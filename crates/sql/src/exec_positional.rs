@@ -27,7 +27,10 @@
 //!   per-group sort-unique over gathered dictionary codes (column store)
 //!   or dense string ids (row store) — never an owned `SqlValue`, never a
 //!   per-group hash set;
-//! * only the final projection materializes `SqlValue` rows.
+//! * `ORDER BY … LIMIT k` runs over the **flat group columns** before any
+//!   row exists (see *Top-k before materialization* below);
+//! * only the final projection materializes `SqlValue` rows — of a grouped
+//!   query, only the rows that survive the LIMIT.
 //!
 //! [`plan_positional`] recognizes eligible plans; anything it cannot prove
 //! safe falls back to the tuple executor, so the two paths always agree
@@ -76,6 +79,24 @@
 //! Each build records [`HashTableStats`] (build nanos, bucket count, max
 //! chain, radix partition count) in [`QueryReport::hash_tables`].
 //!
+//! ## Top-k before materialization
+//!
+//! The SC and KW seekers are `GROUP BY … ORDER BY score DESC LIMIT k` over
+//! tens of thousands of groups. The grouping phase's output is
+//! `GroupCols`: first-seen rows, key columns (`Vec<u32>`) and aggregate
+//! columns (`Vec<i64>` for counts, distinct counts and fact-column
+//! MIN/MAX; `Vec<SqlValue>` only for generic aggregates) — no tuple per
+//! group. `finish_groups` orders group *ordinals* with the one selection
+//! routine both executors share ([`exec::select_top`]: `select_nth_unstable`
+//! then a sort of the k survivors; a full sort without LIMIT), comparing
+//! plain key and aggregate references as integers straight off the
+//! columns, and evaluates the projection for the survivors only. The
+//! comparator is the tuple tail's (order keys, then projected values) and
+//! ends with the group's first-seen row, which makes it total: the result
+//! is what a stable sort of all groups followed by a truncate returned,
+//! byte for byte (`tests/topk_parity.rs`). Spans: `group` is grouping plus
+//! aggregation, `sort` the selection, `materialize` the surviving rows.
+//!
 //! ## Parallel execution
 //!
 //! All three phases ride the **persistent shared worker pool** through
@@ -95,8 +116,10 @@
 //! * GROUP BY radix-partitions rows by group-key hash, so each worker owns
 //!   its groups outright: every group's aggregate state sees **exactly the
 //!   sequential update sequence** (which is why even float SUM/AVG group in
-//!   parallel bit-identically), and sorting the finished groups by their
-//!   first-seen row reproduces the sequential output order. Only *global*
+//!   parallel bit-identically). Under a LIMIT every partition then selects
+//!   its own top-k on the pool, so at most k groups per partition reach the
+//!   merge; the first-seen row as last sort key reproduces the sequential
+//!   order among them (without a LIMIT, among all groups). Only *global*
 //!   (ungrouped) aggregation still chunk-merges, gated on exactly-merging
 //!   aggregates (see `PosAggSpec::merge_exact`).
 //!
@@ -129,18 +152,20 @@
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
-//!   aggregate columns) and outputs are reserved post-sizing; a failed
+//!   aggregate columns) and outputs — of a GROUP BY, the flat group columns
+//!   plus the k materialized rows — are reserved post-sizing; a failed
 //!   reservation propagates `BlendError::MemoryExceeded` through the same
 //!   typed-error channel as cancellation, and the no-partial-results
 //!   machinery discards partials via `Drop`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use blend_common::{FxHashMap, FxHashSet};
 use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
-    Interrupt, MemoryReservation, Morsel, ParallelCtx, RadixPartitions,
+    Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, RadixPartitions,
 };
 use blend_storage::{FactTable, ScanScratch, ValueProbe};
 
@@ -155,7 +180,7 @@ use crate::expr::{
 };
 use crate::plan::{identity_scan, AccessPath, AggPlan, QueryPlan, ScanPlan, Tree};
 use crate::value::SqlValue;
-use blend_common::Result;
+use blend_common::{BlendError, Result};
 
 /// Width of the canonical fact tuple.
 const FACT_WIDTH: usize = 6;
@@ -381,22 +406,25 @@ enum PosNode {
 }
 
 /// One aggregate of the positional GROUP BY.
-enum PosAggSpec {
+enum PosAggSpec<'p> {
     /// `COUNT(*)` — a plain counter.
     CountStar,
     /// `COUNT(DISTINCT CellValue)` over a leaf — sort-uniques dictionary
     /// codes (column store) or dense string ids (row store).
     DistinctValue { leaf: usize },
-    /// `MIN(<integer fact column>)` — folds into a flat `Vec<u32>`.
+    /// `MIN(<integer fact column>)` — folds into a flat integer vector.
     MinCol { leaf: usize, col: IntCol },
-    /// `MAX(<integer fact column>)` — folds into a flat `Vec<u32>`.
+    /// `MAX(<integer fact column>)` — folds into a flat integer vector.
     MaxCol { leaf: usize, col: IntCol },
     /// Anything else: evaluate the argument positionally and fold it into
     /// the tuple executor's [`AggState`].
-    Generic { agg: usize, arg: Option<PExpr> },
+    Generic {
+        plan: &'p AggPlan,
+        arg: Option<PExpr>,
+    },
 }
 
-impl PosAggSpec {
+impl PosAggSpec<'_> {
     /// True when per-chunk accumulation followed by a chunk-order merge is
     /// bit-identical to sequential accumulation: counting, distinct, and
     /// min/max states always are; SUM/AVG only when the argument is
@@ -404,13 +432,13 @@ impl PosAggSpec {
     /// the *global* (ungrouped) parallel path needs this — keyed grouping
     /// radix-partitions rows by key, so every group's state sees the exact
     /// sequential update sequence and no merge happens at all.
-    fn merge_exact(&self, agg_plans: &[AggPlan]) -> bool {
+    fn merge_exact(&self) -> bool {
         match self {
             PosAggSpec::CountStar
             | PosAggSpec::DistinctValue { .. }
             | PosAggSpec::MinCol { .. }
             | PosAggSpec::MaxCol { .. } => true,
-            PosAggSpec::Generic { agg, arg } => match agg_plans[*agg].func {
+            PosAggSpec::Generic { plan, arg } => match plan.func {
                 AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
                 AggFunc::Sum | AggFunc::Avg => arg.as_ref().is_some_and(PExpr::integer_valued),
             },
@@ -419,9 +447,9 @@ impl PosAggSpec {
 }
 
 /// Grouping stage shape.
-struct PosGroup {
+struct PosGroup<'p> {
     keys: Vec<PosCol>,
-    aggs: Vec<PosAggSpec>,
+    aggs: Vec<PosAggSpec<'p>>,
 }
 
 /// Projection stage shape for non-aggregated queries.
@@ -430,13 +458,18 @@ struct PosProject {
     order: Vec<PExpr>,
 }
 
+/// What runs over the join tree's output: exactly one of the two.
+enum PosTail<'p> {
+    Group(PosGroup<'p>),
+    Project(PosProject),
+}
+
 /// A plan admitted to the positional path.
 pub(crate) struct PosPlan<'p> {
     leaves: Vec<&'p ScanPlan>,
     root: PosNode,
     post_filter: Option<PExpr>,
-    group: Option<PosGroup>,
-    project: Option<PosProject>,
+    tail: PosTail<'p>,
 }
 
 /// Recognize a plan the positional executor can run: every leaf is a base
@@ -453,7 +486,7 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
         None => None,
     };
 
-    let group = match &plan.group {
+    let tail = match &plan.group {
         Some(g) => {
             let mut keys = Vec::with_capacity(g.group_exprs.len());
             for e in &g.group_exprs {
@@ -467,38 +500,33 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
                 return None;
             }
             let mut aggs = Vec::with_capacity(g.aggs.len());
-            for (i, a) in g.aggs.iter().enumerate() {
-                aggs.push(agg_spec(i, a, &leaves)?);
+            for a in &g.aggs {
+                aggs.push(agg_spec(a, &leaves)?);
             }
-            Some(PosGroup { keys, aggs })
+            PosTail::Group(PosGroup { keys, aggs })
         }
-        None => None,
-    };
-
-    let project = if group.is_none() {
-        let mut exprs = Vec::with_capacity(plan.projection.len());
-        for (_, e) in &plan.projection {
-            exprs.push(compile_pexpr(e, 0, &leaves)?);
+        None => {
+            let mut exprs = Vec::with_capacity(plan.projection.len());
+            for (_, e) in &plan.projection {
+                exprs.push(compile_pexpr(e, 0, &leaves)?);
+            }
+            let mut order = Vec::with_capacity(plan.order_by.len());
+            for (e, _) in &plan.order_by {
+                order.push(compile_pexpr(e, 0, &leaves)?);
+            }
+            PosTail::Project(PosProject { exprs, order })
         }
-        let mut order = Vec::with_capacity(plan.order_by.len());
-        for (e, _) in &plan.order_by {
-            order.push(compile_pexpr(e, 0, &leaves)?);
-        }
-        Some(PosProject { exprs, order })
-    } else {
-        None
     };
 
     Some(PosPlan {
         leaves,
         root,
         post_filter,
-        group,
-        project,
+        tail,
     })
 }
 
-fn agg_spec(idx: usize, plan: &AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec> {
+fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec<'p>> {
     match (plan.func, plan.distinct, &plan.arg) {
         (AggFunc::Count, false, None) => Some(PosAggSpec::CountStar),
         (AggFunc::Count, true, Some(CExpr::Col(i)))
@@ -508,14 +536,14 @@ fn agg_spec(idx: usize, plan: &AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSp
                 leaf: i / FACT_WIDTH,
             })
         }
-        // MIN/MAX straight over an integer fact column fold into flat u32
-        // vectors (DISTINCT is irrelevant to min/max but kept on the
+        // MIN/MAX straight over an integer fact column fold into flat
+        // integer vectors (DISTINCT is irrelevant to min/max but kept on the
         // generic path for byte-identical state handling).
         (AggFunc::Min | AggFunc::Max, false, Some(e)) => Some(match compile_pexpr(e, 0, leaves)? {
             PExpr::Int(leaf, col) if plan.func == AggFunc::Min => PosAggSpec::MinCol { leaf, col },
             PExpr::Int(leaf, col) => PosAggSpec::MaxCol { leaf, col },
             other => PosAggSpec::Generic {
-                agg: idx,
+                plan,
                 arg: Some(other),
             },
         }),
@@ -524,7 +552,7 @@ fn agg_spec(idx: usize, plan: &AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSp
                 Some(e) => Some(compile_pexpr(e, 0, leaves)?),
                 None => None,
             };
-            Some(PosAggSpec::Generic { agg: idx, arg })
+            Some(PosAggSpec::Generic { plan, arg })
         }
     }
 }
@@ -676,16 +704,9 @@ pub(crate) fn execute(
         };
     }
 
-    match (&pos.group, &plan.group) {
-        (Some(shape), Some(gplan)) => {
-            let tuples = exec_group(shape, &gplan.aggs, &batch, &tables, report, par)?;
-            Ok(exec::project_sort_limit(plan, &tuples, report))
-        }
-        _ => {
-            let project = pos
-                .project
-                .as_ref()
-                .expect("non-grouped positional plan carries a projection");
+    match &pos.tail {
+        PosTail::Group(shape) => exec_group(plan, shape, &batch, &tables, report, par),
+        PosTail::Project(project) => {
             // Late materialization: SqlValue rows exist only here.
             // Superkey and Quadrant output columns are pre-gathered in bulk
             // through the fact tables' `gather_*` kernels (one virtual
@@ -696,6 +717,8 @@ pub(crate) fn execute(
                 Superkeys(Vec<u128>),
                 Quadrants(Vec<Option<bool>>),
             }
+            let span = blend_obs::span("materialize");
+            span.attr_u64("rows", batch.len() as u64);
             let mut cache = ColCache::new(&batch);
             let mut pre_gather = |e: &PExpr| -> Option<PreCol> {
                 match e {
@@ -745,7 +768,8 @@ pub(crate) fn execute(
                     .collect();
                 decorated.push((keys, out));
             }
-            Ok(exec::finish_decorated(plan, decorated, report))
+            drop(span);
+            exec::finish_decorated(plan, decorated, report)
         }
     }
 }
@@ -1401,107 +1425,337 @@ enum SpecData {
     Ints(Vec<u32>),
 }
 
+/// One flat column of the GROUP BY output: a value per group.
+#[derive(Clone)]
+enum GroupCol {
+    /// A group key (an integer fact column).
+    Key(Vec<u32>),
+    /// `COUNT(*)`, `COUNT(DISTINCT CellValue)`, `MIN`/`MAX` of an integer
+    /// fact column: row counts and u32 values, all far below 2^53, so
+    /// integer comparison agrees with [`SqlValue::order_cmp`] (which
+    /// compares numerics as `f64`).
+    Int(Vec<i64>),
+    /// A [`PosAggSpec::Generic`] aggregate, or a computed sort key.
+    Val(Vec<SqlValue>),
+}
+
+impl GroupCol {
+    fn value(&self, g: usize) -> SqlValue {
+        match self {
+            GroupCol::Key(c) => SqlValue::Int(c[g] as i64),
+            GroupCol::Int(c) => SqlValue::Int(c[g]),
+            GroupCol::Val(c) => c[g].clone(),
+        }
+    }
+
+    #[inline]
+    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            GroupCol::Key(c) => c[a].cmp(&c[b]),
+            GroupCol::Int(c) => c[a].cmp(&c[b]),
+            GroupCol::Val(c) => c[a].order_cmp(&c[b]),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            GroupCol::Key(c) => c.len() * 4,
+            GroupCol::Int(c) => c.len() * 8,
+            GroupCol::Val(c) => c.len() * std::mem::size_of::<SqlValue>(),
+        }
+    }
+
+    /// The entries at `ords`, in that order.
+    fn gather(&self, ords: &[u32]) -> GroupCol {
+        fn pick<T: Clone>(col: &[T], ords: &[u32]) -> Vec<T> {
+            ords.iter().map(|&g| col[g as usize].clone()).collect()
+        }
+        match self {
+            GroupCol::Key(c) => GroupCol::Key(pick(c, ords)),
+            GroupCol::Int(c) => GroupCol::Int(pick(c, ords)),
+            GroupCol::Val(c) => GroupCol::Val(pick(c, ords)),
+        }
+    }
+
+    fn append(&mut self, other: GroupCol) {
+        match (self, other) {
+            (GroupCol::Key(d), GroupCol::Key(s)) => d.extend(s),
+            (GroupCol::Int(d), GroupCol::Int(s)) => d.extend(s),
+            (GroupCol::Val(d), GroupCol::Val(s)) => d.extend(s),
+            // Partitions run one plan; their columns agree.
+            _ => {}
+        }
+    }
+}
+
+/// GROUP BY output as flat columns, one entry per group: the batch row that
+/// first produced the group, then the key and aggregate columns in the
+/// order of the post-aggregation tuple the plan's projection and ORDER BY
+/// are compiled against. No `SqlValue` tuple exists per group;
+/// [`finish_groups`] builds them for the groups that survive
+/// `ORDER BY … LIMIT` only.
+///
+/// A group's first-seen row is unique, and ascending first-seen rows are
+/// the sequential (and tuple-executor) group order, so it is the last sort
+/// key wherever groups meet — which also merges radix partitions.
+#[derive(Default)]
+struct GroupCols {
+    first_rows: Vec<u32>,
+    cols: Vec<GroupCol>,
+}
+
+impl GroupCols {
+    fn len(&self) -> usize {
+        self.first_rows.len()
+    }
+
+    fn bytes(&self) -> usize {
+        self.len() * 4 + self.cols.iter().map(GroupCol::bytes).sum::<usize>()
+    }
+
+    fn gather(&self, ords: &[u32]) -> GroupCols {
+        GroupCols {
+            first_rows: ords.iter().map(|&g| self.first_rows[g as usize]).collect(),
+            cols: self.cols.iter().map(|c| c.gather(ords)).collect(),
+        }
+    }
+
+    fn append(&mut self, other: GroupCols) {
+        self.first_rows.extend(other.first_rows);
+        for (dst, src) in self.cols.iter_mut().zip(other.cols) {
+            dst.append(src);
+        }
+    }
+
+    /// Group `g` as the post-aggregation tuple.
+    fn fill_tuple(&self, g: usize, out: &mut Tuple) {
+        out.clear();
+        out.extend(self.cols.iter().map(|c| c.value(g)));
+    }
+
+    /// The values of `e` over all groups. A plain key or aggregate
+    /// reference borrows its flat column; anything else is evaluated once
+    /// per group.
+    fn sort_col(&self, e: &CExpr) -> Cow<'_, GroupCol> {
+        if let CExpr::Col(i) = e {
+            if let Some(col) = self.cols.get(*i) {
+                return Cow::Borrowed(col);
+            }
+        }
+        let mut tuple = Tuple::new();
+        let vals = (0..self.len()).map(|g| {
+            self.fill_tuple(g, &mut tuple);
+            e.eval(&tuple)
+        });
+        Cow::Owned(GroupCol::Val(vals.collect()))
+    }
+
+    /// Ordinals of the groups that survive the plan's `ORDER BY … LIMIT`,
+    /// in output order, through the shared [`exec::select_top`]. The
+    /// comparator is the tuple tail's — order keys, then the projected
+    /// values — read off the flat columns, and ends with the first-seen
+    /// row; with no ORDER BY that last key alone restores first-seen order.
+    fn top(&self, plan: &QueryPlan) -> Result<Vec<u32>> {
+        let projected = plan.projection.iter().map(|(_, e)| (e, false));
+        let keys: Vec<(Cow<'_, GroupCol>, bool)> = plan
+            .order_by
+            .iter()
+            .map(|(e, desc)| (e, *desc))
+            .chain(projected.filter(|_| !plan.order_by.is_empty()))
+            .map(|(e, desc)| (self.sort_col(e), desc))
+            .collect();
+        let cmp = |a: u32, b: u32| {
+            let (a, b) = (a as usize, b as usize);
+            keys.iter()
+                .map(|(col, desc)| match desc {
+                    true => col.cmp(a, b).reverse(),
+                    false => col.cmp(a, b),
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or_else(|| self.first_rows[a].cmp(&self.first_rows[b]))
+        };
+        exec::select_top(self.len(), plan.limit, Some(cmp))
+    }
+}
+
+/// The grouped query tail: select the surviving groups, then materialize
+/// `SqlValue` rows for those alone. `parts` holds one [`GroupCols`] per
+/// radix partition; under a LIMIT and a `grant`, every partition first
+/// selects its own top-k on the pool, so the merge sees at most k groups
+/// per partition instead of all of them.
+fn finish_groups(
+    plan: &QueryPlan,
+    mut parts: Vec<GroupCols>,
+    grant: Option<&PhaseGrant>,
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<ResultSet> {
+    let span = blend_obs::span("sort");
+    let rows_in: usize = parts.iter().map(GroupCols::len).sum();
+    span.attr_u64("rows_in", rows_in as u64);
+    span.attr_u64("k", plan.limit.unwrap_or(rows_in) as u64);
+    let _cols_mem = par
+        .memory()
+        .try_reserve("group_out", parts.iter().map(GroupCols::bytes).sum())?;
+    // A pool round only where some partition has groups to drop.
+    let prune = plan.limit.filter(|k| parts.iter().any(|p| p.len() > *k));
+    if let (Some(grant), Some(_)) = (grant, prune) {
+        let run = grant
+            .pool()
+            .run(parts.len(), |p| Ok(parts[p].gather(&parts[p].top(plan)?)));
+        report.parallel.push(ParallelPhase {
+            phase: "sort".to_string(),
+            partitions: parts.len(),
+            granted: grant.pool().threads(),
+            worker_nanos: run.worker_nanos,
+        });
+        par.check_interrupt()?;
+        parts = run.results.into_iter().collect::<Result<_>>()?;
+    }
+    let mut parts = parts.into_iter();
+    let mut groups = parts.next().unwrap_or_default();
+    parts.for_each(|part| groups.append(part));
+    let ords = groups.top(plan)?;
+    span.attr_u64("selected", ords.len() as u64);
+    drop(span);
+
+    let span = blend_obs::span("materialize");
+    span.attr_u64("rows", ords.len() as u64);
+    let row_bytes =
+        std::mem::size_of::<Tuple>() + plan.projection.len() * std::mem::size_of::<SqlValue>();
+    let _rows_mem = par
+        .memory()
+        .try_reserve("group_rows", ords.len() * row_bytes)?;
+    let mut tuple = Tuple::new();
+    let project = |&g: &u32| {
+        groups.fill_tuple(g as usize, &mut tuple);
+        plan.projection
+            .iter()
+            .map(|(_, e)| e.eval(&tuple))
+            .collect()
+    };
+    Ok(exec::finish_rows(
+        plan,
+        ords.iter().map(project).collect(),
+        report,
+    ))
+}
+
+/// What the grouping functions read: the GROUP BY shape, the batch, and
+/// the key and aggregate input columns gathered from it.
+struct GroupInput<'a> {
+    shape: &'a PosGroup<'a>,
+    batch: &'a PosBatch,
+    tables: &'a [&'a dyn FactTable],
+    key_cols: Vec<Vec<u32>>,
+    spec_data: Vec<SpecData>,
+}
+
 /// Positional GROUP BY: group keys pack into a `u64` (≤2 columns, the
 /// SC/KW shape) or a `u128` (3–4 columns, the C shape); a flat
 /// [`GroupIndex`] assigns dense group ids in first-seen order and
-/// aggregates accumulate column-at-a-time into struct-of-arrays state.
-/// Group output order is first-seen, matching the tuple executor.
+/// aggregates accumulate column-at-a-time into struct-of-arrays state,
+/// which is also the phase's output ([`GroupCols`]). [`finish_groups`]
+/// then orders, limits and materializes.
 ///
 /// Large keyed inputs radix-partition rows by key hash so each pool worker
 /// owns its groups outright — per-group update order is exactly the
 /// sequential ascending row order (no merge, no exactness gate), and
-/// sorting finished groups by first-seen row recovers the sequential
+/// ordering finished groups by first-seen row recovers the sequential
 /// output order. Global (ungrouped) aggregation chunk-merges instead,
 /// gated on exactly-merging aggregates ([`PosAggSpec::merge_exact`]).
-fn exec_group<'a>(
-    shape: &PosGroup,
-    agg_plans: &[AggPlan],
+fn exec_group(
+    plan: &QueryPlan,
+    shape: &PosGroup<'_>,
     batch: &PosBatch,
-    tables: &'a [&'a dyn FactTable],
+    tables: &[&dyn FactTable],
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<Vec<Tuple>> {
+) -> Result<ResultSet> {
     par.check_interrupt()?;
     let n_rows = batch.len();
-    let mut cache = ColCache::new(batch);
+    // The gathered input columns (and their reservation) live for the
+    // grouping phase only; selection and materialization run without them.
+    let (parts, grant) = {
+        let mut cache = ColCache::new(batch);
 
-    // Gather key columns in bulk (positions extracted once per leaf).
-    let key_cols: Vec<Vec<u32>> = shape
-        .keys
-        .iter()
-        .map(|&(leaf, col)| {
-            let mut vals = Vec::with_capacity(n_rows);
-            col.gather(tables[leaf], cache.positions(leaf), &mut vals);
-            vals
-        })
-        .collect();
-
-    // Pre-gather per-spec argument columns.
-    let spec_data: Vec<SpecData> = shape
-        .aggs
-        .iter()
-        .map(|spec| match spec {
-            PosAggSpec::DistinctValue { leaf } if tables[*leaf].has_value_codes() => {
-                let mut codes = Vec::with_capacity(n_rows);
-                let ok = tables[*leaf].gather_value_codes(cache.positions(*leaf), &mut codes);
-                debug_assert!(ok);
-                SpecData::Codes(codes)
-            }
-            PosAggSpec::DistinctValue { leaf } => {
-                SpecData::Positions(cache.positions(*leaf).to_vec())
-            }
-            PosAggSpec::MinCol { leaf, col } | PosAggSpec::MaxCol { leaf, col } => {
-                let mut vals = Vec::with_capacity(n_rows);
-                col.gather(tables[*leaf], cache.positions(*leaf), &mut vals);
-                SpecData::Ints(vals)
-            }
-            _ => SpecData::None,
-        })
-        .collect();
-
-    // Account for the gathered key/argument columns for the duration of
-    // the grouping phase.
-    let gather_bytes = key_cols.iter().map(|c| c.len() * 4).sum::<usize>()
-        + spec_data
+        // Gather key columns in bulk (positions extracted once per leaf).
+        let key_cols: Vec<Vec<u32>> = shape
+            .keys
             .iter()
-            .map(|d| match d {
-                SpecData::None => 0,
-                SpecData::Codes(v) | SpecData::Positions(v) | SpecData::Ints(v) => v.len() * 4,
+            .map(|&(leaf, col)| {
+                let mut vals = Vec::with_capacity(n_rows);
+                col.gather(tables[leaf], cache.positions(leaf), &mut vals);
+                vals
             })
-            .sum::<usize>();
-    let _gather_mem = par.memory().try_reserve("group_gather", gather_bytes)?;
+            .collect();
 
-    if shape.keys.is_empty() {
-        return group_global(shape, agg_plans, &spec_data, batch, tables, report, par);
-    }
+        // Pre-gather per-spec argument columns.
+        let spec_data: Vec<SpecData> = shape
+            .aggs
+            .iter()
+            .map(|spec| match spec {
+                PosAggSpec::DistinctValue { leaf } if tables[*leaf].has_value_codes() => {
+                    let mut codes = Vec::with_capacity(n_rows);
+                    let ok = tables[*leaf].gather_value_codes(cache.positions(*leaf), &mut codes);
+                    debug_assert!(ok);
+                    SpecData::Codes(codes)
+                }
+                PosAggSpec::DistinctValue { leaf } => {
+                    SpecData::Positions(cache.positions(*leaf).to_vec())
+                }
+                PosAggSpec::MinCol { leaf, col } | PosAggSpec::MaxCol { leaf, col } => {
+                    let mut vals = Vec::with_capacity(n_rows);
+                    col.gather(tables[*leaf], cache.positions(*leaf), &mut vals);
+                    SpecData::Ints(vals)
+                }
+                _ => SpecData::None,
+            })
+            .collect();
 
-    // Monomorphize on packed key width.
-    if shape.keys.len() <= 2 {
-        let packed = pack_rows64(&key_cols, n_rows);
-        group_keyed(
-            &packed, shape, agg_plans, &spec_data, &key_cols, batch, tables, report, par,
-        )
-    } else {
-        let packed = pack_rows128(&key_cols, n_rows);
-        group_keyed(
-            &packed, shape, agg_plans, &spec_data, &key_cols, batch, tables, report, par,
-        )
-    }
+        // Account for the gathered key/argument columns for the duration of
+        // the grouping phase.
+        let gather_bytes = key_cols.iter().map(|c| c.len() * 4).sum::<usize>()
+            + spec_data
+                .iter()
+                .map(|d| match d {
+                    SpecData::None => 0,
+                    SpecData::Codes(v) | SpecData::Positions(v) | SpecData::Ints(v) => v.len() * 4,
+                })
+                .sum::<usize>();
+        let _gather_mem = par.memory().try_reserve("group_gather", gather_bytes)?;
+        let input = GroupInput {
+            shape,
+            batch,
+            tables,
+            key_cols,
+            spec_data,
+        };
+
+        if shape.keys.is_empty() {
+            let row = group_global(&input, report, par)?;
+            return exec::project_sort_limit(plan, &[row], report);
+        }
+
+        // Monomorphize on packed key width.
+        if shape.keys.len() <= 2 {
+            group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
+        } else {
+            group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
+        }
+    };
+    finish_groups(plan, parts, grant.as_ref(), report, par)
 }
 
-/// The key-width-generic core of the keyed GROUP BY.
-#[allow(clippy::too_many_arguments)]
-fn group_keyed<'a, K: JoinKey>(
+/// The key-width-generic core of the keyed GROUP BY: one [`GroupCols`] per
+/// radix partition (one in all on the sequential path), plus the phase
+/// grant the partitions ran under, for the selection that follows.
+fn group_keyed<K: JoinKey>(
     packed: &[K],
-    shape: &PosGroup,
-    agg_plans: &[AggPlan],
-    spec_data: &[SpecData],
-    key_cols: &[Vec<u32>],
-    batch: &PosBatch,
-    tables: &'a [&'a dyn FactTable],
+    input: &GroupInput<'_>,
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<Vec<Tuple>> {
+) -> Result<(Vec<GroupCols>, Option<PhaseGrant>)> {
     let intr = par.interrupt();
     let n_rows = packed.len();
     let span = blend_obs::span("group");
@@ -1527,110 +1781,84 @@ fn group_keyed<'a, K: JoinKey>(
             }
             bytes
         })?;
+    let n_parts = partition_count(group_width, n_rows);
+    // The grant survives only where the phase really fans out.
     let grant = grant
-        .filter(|_| group_width > 1)
+        .filter(|_| group_width > 1 && n_parts > 1)
         .map(|g| g.narrowed(group_width));
-    let n_parts = grant
-        .as_ref()
-        .map_or(1, |_| partition_count(group_width, n_rows));
 
-    if n_parts == 1 {
-        let (groups, slots, max_probe) = group_partition(
-            packed, None, None, shape, agg_plans, spec_data, key_cols, batch, tables, intr,
-        )?;
-        par.check_interrupt()?;
-        span.attr_u64("groups", groups.len() as u64);
-        span.attr_u64("partitions", 1);
-        report.hash_tables.push(HashTableStats {
-            phase: "group".to_string(),
-            build_nanos: t0.elapsed().as_nanos() as u64,
-            buckets: slots,
-            max_chain: max_probe,
-            partitions: 1,
-        });
-        // A single partition's groups are already in first-seen order.
-        return Ok(groups.into_iter().map(|(_, t)| t).collect());
-    }
-
-    // Radix-partition rows by key hash (low bits): each worker owns its
-    // groups outright, and within a partition rows keep ascending global
-    // order, so every group's aggregates see the exact sequential update
-    // sequence.
-    let grant = grant.expect("n_parts > 1 only under a grant");
-    let pmask = (n_parts - 1) as u64;
-    let hashes: Vec<u64> = K::hash_all(packed, "group_hashes")?;
-    let parts: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
-    let rp = radix_partition(&parts, n_parts)?;
-    let run = grant.pool().run(n_parts, |p| {
-        group_partition(
-            packed,
-            Some(&hashes),
-            Some(rp.part(p)),
-            shape,
-            agg_plans,
-            spec_data,
-            key_cols,
-            batch,
-            tables,
-            intr,
-        )
-    });
-    report.parallel.push(ParallelPhase {
-        phase: "group".to_string(),
-        partitions: n_parts,
-        granted: group_width,
-        worker_nanos: run.worker_nanos,
-    });
+    let partitions: Vec<Result<GroupedPartition>> = match &grant {
+        None => vec![group_partition(packed, None, None, input, intr)],
+        Some(grant) => {
+            // Radix-partition rows by key hash (low bits): each worker owns
+            // its groups outright, and within a partition rows keep
+            // ascending global order, so every group's aggregates see the
+            // exact sequential update sequence.
+            let pmask = (n_parts - 1) as u64;
+            let hashes: Vec<u64> = K::hash_all(packed, "group_hashes")?;
+            let part_of: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
+            let rp = radix_partition(&part_of, n_parts)?;
+            let run = grant.pool().run(n_parts, |p| {
+                group_partition(packed, Some(&hashes), Some(rp.part(p)), input, intr)
+            });
+            report.parallel.push(ParallelPhase {
+                phase: "group".to_string(),
+                partitions: n_parts,
+                granted: group_width,
+                worker_nanos: run.worker_nanos,
+            });
+            run.results
+        }
+    };
     par.check_interrupt()?;
-
     let mut slots = 0usize;
     let mut max_probe = 0usize;
-    let mut all: Vec<(u32, Tuple)> = Vec::new();
-    for part in run.results {
+    let mut parts = Vec::with_capacity(partitions.len());
+    for part in partitions {
         // A partition whose index growth failed its allocation surfaces
         // the typed error here; every other partial is discarded with it.
-        let (groups, part_slots, part_probe) = part?;
+        let (cols, part_slots, part_probe) = part?;
         slots += part_slots;
         max_probe = max_probe.max(part_probe);
-        all.extend(groups);
+        parts.push(cols);
     }
-    // Keys are disjoint across partitions, so first-seen rows are globally
-    // unique per group; sorting by them reproduces the sequential
-    // first-seen output order exactly.
-    all.sort_unstable_by_key(|&(first_row, _)| first_row);
-    span.attr_u64("groups", all.len() as u64);
-    span.attr_u64("partitions", n_parts as u64);
+    span.attr_u64(
+        "groups",
+        parts.iter().map(GroupCols::len).sum::<usize>() as u64,
+    );
+    span.attr_u64("partitions", parts.len() as u64);
     report.hash_tables.push(HashTableStats {
         phase: "group".to_string(),
         build_nanos: t0.elapsed().as_nanos() as u64,
         buckets: slots,
         max_chain: max_probe,
-        partitions: n_parts,
+        partitions: parts.len(),
     });
-    Ok(all.into_iter().map(|(_, t)| t).collect())
+    Ok((parts, grant))
 }
 
-/// One partition's grouped output: `(first-seen row, output tuple)` pairs
-/// plus the group index's slot count and max probe length (telemetry).
-type GroupedPartition = (Vec<(u32, Tuple)>, usize, usize);
+/// One partition's grouped output plus the group index's slot count and
+/// max probe length (telemetry).
+type GroupedPartition = (GroupCols, usize, usize);
 
 /// Group one partition's rows (`None` = all rows): assign dense group ids
 /// through a flat [`GroupIndex`], then run one column-at-a-time
 /// accumulation pass per aggregate into struct-of-arrays state. Returns
 /// one [`GroupedPartition`] in first-seen order.
-#[allow(clippy::too_many_arguments)]
-fn group_partition<'a, K: JoinKey>(
+fn group_partition<K: JoinKey>(
     packed: &[K],
     hashes: Option<&[u64]>,
     rows: Option<&[u32]>,
-    shape: &PosGroup,
-    agg_plans: &[AggPlan],
-    spec_data: &[SpecData],
-    key_cols: &[Vec<u32>],
-    batch: &PosBatch,
-    tables: &'a [&'a dyn FactTable],
+    input: &GroupInput<'_>,
     intr: &Interrupt,
 ) -> Result<GroupedPartition> {
+    let GroupInput {
+        shape,
+        batch,
+        tables,
+        key_cols,
+        spec_data,
+    } = input;
     let part_n = rows.map_or(packed.len(), <[u32]>::len);
     let row_at = |idx: usize| -> usize {
         match rows {
@@ -1686,7 +1914,7 @@ fn group_partition<'a, K: JoinKey>(
             // Cooperative bail: an interrupted partition returns no groups;
             // the caller's post-run check discards every partial.
             if poll_every(idx) && intr.is_set() {
-                return Ok((Vec::new(), 0, 0));
+                return Ok((GroupCols::default(), 0, 0));
             }
             let i = row_at(idx);
             let before = index.len();
@@ -1711,29 +1939,33 @@ fn group_partition<'a, K: JoinKey>(
     }
     let n_groups = index.len();
     if intr.is_set() {
-        return Ok((Vec::new(), 0, 0));
+        return Ok((GroupCols::default(), 0, 0));
     }
 
-    // Pass 2: accumulate each aggregate column-at-a-time into flat
-    // vectors indexed by group id, finishing straight to output values.
-    // Distinct specs share one gid-grouping CSR.
+    // Pass 2: accumulate each aggregate column-at-a-time into a flat
+    // vector indexed by group id — the output column itself for the
+    // integer aggregates. Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
-    let mut finished: Vec<std::vec::IntoIter<SqlValue>> = Vec::with_capacity(shape.aggs.len());
+    // Key values read at each group's first-seen row, then the aggregates.
+    let mut cols: Vec<GroupCol> = key_cols
+        .iter()
+        .map(|col| GroupCol::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
+        .collect();
     for (spec, data) in shape.aggs.iter().zip(spec_data) {
-        let vals: Vec<SqlValue> = match (spec, data) {
+        cols.push(match (spec, data) {
             (PosAggSpec::CountStar, _) => {
                 let mut counts = vec![0i64; n_groups];
                 for &g in &row_gids {
                     counts[g as usize] += 1;
                 }
-                counts.into_iter().map(SqlValue::Int).collect()
+                GroupCol::Int(counts)
             }
             (PosAggSpec::DistinctValue { .. }, SpecData::Codes(codes)) => {
                 let csr = match &mut gid_csr {
                     Some(c) => c,
                     none => none.insert(radix_partition(&row_gids, n_groups)?),
                 };
-                distinct_counts(csr, n_groups, |idx| codes[row_at(idx)])
+                GroupCol::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
             }
             (PosAggSpec::DistinctValue { leaf }, SpecData::Positions(positions)) => {
                 // Dense string ids: one map per partition, never per group.
@@ -1751,64 +1983,45 @@ fn group_partition<'a, K: JoinKey>(
                     Some(c) => c,
                     none => none.insert(radix_partition(&row_gids, n_groups)?),
                 };
-                distinct_counts(csr, n_groups, |idx| str_ids[idx])
+                GroupCol::Int(distinct_counts(csr, n_groups, |idx| str_ids[idx]))
             }
+            // Every group holds at least one row, so the MIN/MAX seeds
+            // never survive.
             (PosAggSpec::MinCol { .. }, SpecData::Ints(col)) => {
-                let mut mins = vec![u32::MAX; n_groups];
+                let mut mins = vec![i64::MAX; n_groups];
                 for (idx, &g) in row_gids.iter().enumerate() {
-                    let v = col[row_at(idx)];
                     let m = &mut mins[g as usize];
-                    if v < *m {
-                        *m = v;
-                    }
+                    *m = (*m).min(col[row_at(idx)] as i64);
                 }
-                mins.into_iter().map(|v| SqlValue::Int(v as i64)).collect()
+                GroupCol::Int(mins)
             }
             (PosAggSpec::MaxCol { .. }, SpecData::Ints(col)) => {
-                let mut maxs = vec![0u32; n_groups];
+                let mut maxs = vec![0i64; n_groups];
                 for (idx, &g) in row_gids.iter().enumerate() {
-                    let v = col[row_at(idx)];
                     let m = &mut maxs[g as usize];
-                    if v > *m {
-                        *m = v;
-                    }
+                    *m = (*m).max(col[row_at(idx)] as i64);
                 }
-                maxs.into_iter().map(|v| SqlValue::Int(v as i64)).collect()
+                GroupCol::Int(maxs)
             }
-            (PosAggSpec::Generic { agg, arg }, _) => {
-                let mut states: Vec<AggState> = (0..n_groups)
-                    .map(|_| AggState::new(&agg_plans[*agg]))
-                    .collect();
+            (PosAggSpec::Generic { plan, arg }, _) => {
+                let mut states: Vec<AggState> =
+                    (0..n_groups).map(|_| AggState::new(plan)).collect();
                 for (idx, &g) in row_gids.iter().enumerate() {
                     let row = batch.row(row_at(idx));
                     states[g as usize].update_value(arg.as_ref().map(|e| e.eval(tables, 0, row)));
                 }
-                states.into_iter().map(AggState::finish).collect()
+                GroupCol::Val(states.into_iter().map(AggState::finish).collect())
             }
-            _ => unreachable!("spec/data built in lockstep"),
-        };
-        finished.push(vals.into_iter());
+            _ => {
+                return Err(BlendError::SqlExec(
+                    "positional GROUP BY: aggregate and its gathered input column disagree".into(),
+                ))
+            }
+        });
     }
 
-    // Assemble output tuples: key values read at the group's first-seen
-    // row, then one value per aggregate — the tuple executor's layout.
-    let nk = shape.keys.len();
-    let out = first_rows
-        .iter()
-        .map(|&first_row| {
-            let mut row: Tuple = Vec::with_capacity(nk + finished.len());
-            for col in key_cols {
-                row.push(SqlValue::Int(col[first_row as usize] as i64));
-            }
-            row.extend(
-                finished
-                    .iter_mut()
-                    .map(|it| it.next().expect("one value per group")),
-            );
-            (first_row, row)
-        })
-        .collect();
-    Ok((out, index.slot_count(), index.max_probe()))
+    let groups = GroupCols { first_rows, cols };
+    Ok((groups, index.slot_count(), index.max_probe()))
 }
 
 /// `COUNT(DISTINCT ...)` over pre-gathered u32 codes: the code column is
@@ -1819,7 +2032,7 @@ fn distinct_counts(
     csr: &RadixPartitions,
     n_groups: usize,
     code_of: impl Fn(usize) -> u32,
-) -> Vec<SqlValue> {
+) -> Vec<i64> {
     let mut codes: Vec<u32> = csr.items().iter().map(|&it| code_of(it as usize)).collect();
     let offsets = csr.offsets();
     (0..n_groups)
@@ -1834,7 +2047,7 @@ fn distinct_counts(
                     prev = Some(c);
                 }
             }
-            SqlValue::Int(distinct)
+            distinct
         })
         .collect()
 }
@@ -1904,14 +2117,17 @@ impl<'a> GlobalAccum<'a> {
 /// input rows. Parallelizes by contiguous row chunks merged in chunk order
 /// when every aggregate merges exactly (see [`PosAggSpec::merge_exact`]).
 fn group_global<'a>(
-    shape: &PosGroup,
-    agg_plans: &[AggPlan],
-    spec_data: &[SpecData],
-    batch: &PosBatch,
-    tables: &'a [&'a dyn FactTable],
+    input: &GroupInput<'a>,
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<Vec<Tuple>> {
+) -> Result<Tuple> {
+    let GroupInput {
+        shape,
+        batch,
+        tables,
+        spec_data,
+        ..
+    } = input;
     let intr = par.interrupt();
     let n_rows = batch.len();
     let span = blend_obs::span("group.global");
@@ -1929,9 +2145,7 @@ fn group_global<'a>(
                 (PosAggSpec::DistinctValue { .. }, _) => GlobalAccum::Strs(FxHashSet::default()),
                 (PosAggSpec::MinCol { .. }, _) => GlobalAccum::Min(None),
                 (PosAggSpec::MaxCol { .. }, _) => GlobalAccum::Max(None),
-                (PosAggSpec::Generic { agg, .. }, _) => {
-                    GlobalAccum::State(AggState::new(&agg_plans[*agg]))
-                }
+                (PosAggSpec::Generic { plan, .. }, _) => GlobalAccum::State(AggState::new(plan)),
             })
             .collect();
         for i in range {
@@ -1976,7 +2190,7 @@ fn group_global<'a>(
     let grant = shape
         .aggs
         .iter()
-        .all(|s| s.merge_exact(agg_plans))
+        .all(PosAggSpec::merge_exact)
         .then(|| par.admit(n_rows))
         .flatten();
     let acc: Vec<GlobalAccum<'a>> = if let Some(grant) = grant {
@@ -2007,7 +2221,7 @@ fn group_global<'a>(
     };
     par.check_interrupt()?;
 
-    Ok(vec![acc.into_iter().map(GlobalAccum::finish).collect()])
+    Ok(acc.into_iter().map(GlobalAccum::finish).collect())
 }
 
 #[cfg(test)]

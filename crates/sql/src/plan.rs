@@ -17,17 +17,24 @@
 
 use std::sync::Arc;
 
-use blend_common::{BlendError, FxHashSet, Result};
+use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
 use blend_storage::{FactTable, FilterKernel, IdSet, ValuePred, ValueProbe};
 
 use crate::ast::*;
 use crate::expr::{compile, CExpr, ColInfo, Schema};
 use crate::value::SqlValue;
 
+/// One immutable view of a catalog: every registered fact table by
+/// lowercase name.
+pub type CatalogSnapshot = Arc<FxHashMap<String, Arc<dyn FactTable>>>;
+
 /// Catalog interface the planner needs (implemented by `engine::Database`).
 pub trait Catalog {
-    /// Look up a fact table by lowercase name.
-    fn table(&self, name: &str) -> Option<Arc<dyn FactTable>>;
+    /// The tables registered right now. [`plan_query`] takes exactly one
+    /// snapshot per call and resolves every FROM item — subqueries
+    /// included — against it, so a self-join can never pair the table from
+    /// before a concurrent `SqlEngine::replace_table` with the one after.
+    fn snapshot(&self) -> CatalogSnapshot;
 }
 
 /// How a scan reaches its rows.
@@ -264,8 +271,13 @@ pub const FACT_COLUMNS: [&str; 6] = [
     "quadrant",
 ];
 
-/// Plan a parsed query against a catalog.
+/// Plan a parsed query against one snapshot of a catalog.
 pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
+    plan_on(q, &catalog.snapshot())
+}
+
+/// [`plan_query`] against an already-taken snapshot.
+fn plan_on(q: &Query, catalog: &CatalogSnapshot) -> Result<QueryPlan> {
     // 1. Distribute top-level WHERE conjuncts: single-input conjuncts are
     //    pushed to their input, the rest stays as a post-filter.
     let mut from_items: Vec<&FromItem> = vec![&q.from];
@@ -600,14 +612,14 @@ fn strip_qualifier(e: &Expr, alias: &str) -> Expr {
 }
 
 /// Plan one FROM item, ANDing `extra` into its predicate.
-fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &dyn Catalog) -> Result<InputPlan> {
+fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> Result<InputPlan> {
     let alias = item_alias(f);
     match &f.source {
         TableSource::Named(name) => {
             let table = catalog
-                .table(name)
+                .get(&name.to_lowercase())
                 .ok_or_else(|| BlendError::SqlPlan(format!("unknown table `{name}` in catalog")))?;
-            plan_scan(table, &alias, extra).map(|s| InputPlan::Scan(Box::new(s)))
+            plan_scan(table.clone(), &alias, extra).map(|s| InputPlan::Scan(Box::new(s)))
         }
         TableSource::Subquery(sub) => {
             // Push the extra predicate inside the subquery when that is
@@ -633,7 +645,7 @@ fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &dyn Catalog) -> Resul
                     ));
                 }
             }
-            let mut plan = plan_query(&sub, catalog)?;
+            let mut plan = plan_on(&sub, catalog)?;
             // Re-qualify output columns with the outer alias.
             plan.requalified_schema = Schema::new(
                 plan.output_schema

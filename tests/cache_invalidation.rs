@@ -188,3 +188,86 @@ fn rebuild_mid_storm_never_serves_stale_results() {
         "post-swap steady state should memoize again, got `{outcome}`"
     );
 }
+
+/// A table whose every cell carries `marker`, with the text and the numeric
+/// column laid out so an MC self-join finds rows in both versions.
+fn mc_fact(marker: &str) -> Arc<dyn FactTable> {
+    let mut rows = Vec::new();
+    for t in 0..6u32 {
+        for r in 0..40u32 {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new(
+                &format!("{marker}-k{}", r % 4),
+                t,
+                0,
+                r,
+                sk,
+                None,
+            ));
+            rows.push(FactRow::new(
+                &format!("{marker}-v{}", r % 3),
+                t,
+                1,
+                r,
+                sk,
+                None,
+            ));
+        }
+    }
+    build_engine(EngineKind::Column, rows)
+}
+
+/// One query plans against one catalog: an MC self-join that runs beside a
+/// loop of bare `replace_table` calls, with no serving tier and no lock in
+/// between, returns version A's rows or version B's, never a join of A's
+/// `q0` with B's `q1`. (Planning used to look every FROM item up on its
+/// own, so a swap between the two lookups mixed the versions.)
+///
+/// The IN lists name both versions' values, so a mixed plan is not empty:
+/// it pairs `a-k1` cells with `b-v2` cells and matches neither reference.
+#[test]
+fn self_join_plans_against_one_catalog_snapshot() {
+    const QUERIES: usize = 400;
+    let sql = "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.CellValue AS v0, \
+               q1.CellValue AS v1 FROM \
+               (SELECT * FROM AllTables WHERE CellValue IN ('a-k1','b-k1')) AS q0 \
+               INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('a-v2','b-v2')) AS q1 \
+               ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId";
+
+    let (fact_a, fact_b) = (mc_fact("a"), mc_fact("b"));
+    let reference = |fact: &Arc<dyn FactTable>| {
+        SqlEngine::with_alltables(fact.clone())
+            .execute(sql)
+            .expect("reference run")
+    };
+    let (want_a, want_b) = (reference(&fact_a), reference(&fact_b));
+    assert!(!want_a.is_empty() && want_a != want_b);
+
+    let engine = SqlEngine::with_alltables(fact_a.clone());
+    let start = std::sync::Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let neither = std::thread::scope(|s| {
+        // The swapper is bounded by the querying thread's iterations.
+        s.spawn(|| {
+            start.wait();
+            let mut versions = [&fact_b, &fact_a].into_iter().cycle();
+            while !done.load(Ordering::Acquire) {
+                let next = versions.next().expect("cycle never ends");
+                engine.replace_table("alltables", next.clone());
+            }
+        });
+        start.wait();
+        let neither = (0..QUERIES)
+            .filter(|_| {
+                let rs = engine.execute(sql).expect("query beside swaps");
+                rs != want_a && rs != want_b
+            })
+            .count();
+        done.store(true, Ordering::Release);
+        neither
+    });
+    assert_eq!(
+        neither, 0,
+        "{neither} of {QUERIES} self-joins mixed two catalog versions"
+    );
+}

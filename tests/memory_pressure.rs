@@ -197,7 +197,10 @@ fn budget_sweep_degrades_gracefully_with_parity() {
 fn storm_under_memory_budget_resolves_typed_with_conservation() {
     const DEPTH: usize = 4;
     const WAVES: usize = 4;
-    const BUDGET: usize = 12 * 1024;
+    // Below the sequential-rung footprint of the widest query in the mix
+    // (the two-key GROUP BY needs ~12 KiB even at width 1), above what
+    // every other query needs alone: the storm must both shed and serve.
+    const BUDGET: usize = 8 * 1024;
 
     let fact = storm_fact();
     let queries = queries(6);
@@ -408,4 +411,118 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
 
     drop(queue);
     assert_eq!(gov.reserved_bytes(), 0, "reserved bytes drain to zero");
+}
+
+/// Top-k pushdown in the accounting: an SC query (paper Listing 1) with
+/// LIMIT 48 over 52 000 groups reserves its flat group columns plus 48
+/// rows, never a row per group, and still walks the ladder with results
+/// byte-identical to the unbudgeted run.
+///
+/// "Less than before" has two readings, and both are asserted. The old
+/// executor built one `(u32, Vec<SqlValue>)` per group before it sorted —
+/// and never reserved them — so its group output *alone* outweighed
+/// everything this query reserves now. And the same query without LIMIT,
+/// which still has to materialize every group, peaks higher.
+#[test]
+fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
+    use blend_sql::SqlValue;
+    use std::mem::size_of;
+
+    const TABLES: u32 = 26_000;
+    let mut rows = Vec::new();
+    for t in 0..TABLES {
+        for r in 0..2u32 {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new(
+                &format!("w{}", (t + r) % 6),
+                t,
+                0,
+                r,
+                sk,
+                None,
+            ));
+            rows.push(FactRow::new(
+                &((t * 7 + r) % 10).to_string(),
+                t,
+                1,
+                r,
+                sk,
+                None,
+            ));
+        }
+    }
+    let fact = build_engine(EngineKind::Column, rows);
+    let in_list: Vec<String> = (0..6)
+        .map(|i| format!("'w{i}'"))
+        .chain((0..10).map(|i| format!("'{i}'")))
+        .collect();
+    let unlimited = format!(
+        "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+         WHERE CellValue IN ({}) GROUP BY TableId, ColumnId ORDER BY score DESC",
+        in_list.join(",")
+    );
+    let limited = format!("{unlimited} LIMIT 48");
+    let n_groups = 2 * TABLES as usize;
+
+    let peak_of = |sql: &str| -> (ResultSet, usize) {
+        let gov = Arc::new(MemoryGovernor::unbounded());
+        let (rs, report) = budgeted_engine(&fact, &gov)
+            .execute_with_report(sql)
+            .expect("unbudgeted run");
+        let profile = report.profile.expect("profile (BLEND_OBS must be on)");
+        match profile.root.attr("mem_peak_bytes") {
+            Some(blend_obs::AttrValue::U64(peak)) => (rs, *peak as usize),
+            other => panic!("no mem_peak_bytes on the profile root: {other:?}"),
+        }
+    };
+    let (all, peak_unlimited) = peak_of(&unlimited);
+    let (want, peak_limited) = peak_of(&limited);
+    assert_eq!(all.len(), n_groups);
+    assert_eq!(
+        want.rows[..],
+        all.rows[..48],
+        "LIMIT 48 is the sorted prefix"
+    );
+
+    // keys (t, c) + one aggregate per group in the old tuple layout.
+    let old_group_output =
+        n_groups * (size_of::<(u32, Vec<SqlValue>)>() + 3 * size_of::<SqlValue>());
+    assert!(
+        peak_limited < old_group_output,
+        "LIMIT-48 peak {peak_limited} B; the old per-group tuples alone were {old_group_output} B"
+    );
+    assert!(
+        peak_limited < peak_unlimited,
+        "LIMIT-48 peak {peak_limited} B; materializing all groups peaks at {peak_unlimited} B"
+    );
+
+    // The ladder: from the full-width footprint down to nothing.
+    let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
+    for percent in [100usize, 90, 80, 70, 60, 50, 25, 5] {
+        let budget = peak_limited / 100 * percent;
+        let gov = Arc::new(MemoryGovernor::with_budget(budget));
+        match budgeted_engine(&fact, &gov).execute(&limited) {
+            Ok(rs) => {
+                ok += 1;
+                assert_eq!(
+                    rs, want,
+                    "budget {budget}: diverged from the unbudgeted run"
+                );
+            }
+            Err(BlendError::MemoryExceeded(_)) => exceeded += 1,
+            Err(other) => panic!("budget {budget}: untyped outcome {other}"),
+        }
+        assert_eq!(
+            gov.reserved_bytes(),
+            0,
+            "budget {budget}: reservations must drain"
+        );
+        let stats = gov.stats();
+        degraded |= stats.narrowed > 0 || stats.sequential_fallbacks > 0;
+    }
+    assert!(ok > 0 && exceeded > 0, "ok {ok}, exceeded {exceeded}");
+    assert!(
+        degraded,
+        "no budget exercised the narrowed/sequential rungs"
+    );
 }

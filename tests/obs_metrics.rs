@@ -189,3 +189,55 @@ fn sc_query_profile_has_full_span_tree() {
         "exec time measured from the root span"
     );
 }
+
+/// The sort/top-k and materialize layers are spans of their own, direct
+/// children of `query`, whichever executor ran — and on the positional
+/// GROUP BY they show the pushdown: `sort` sees every group, `materialize`
+/// only the LIMIT's rows. `group` stays grouping plus aggregation.
+#[test]
+fn sort_and_materialize_are_query_level_spans_on_both_executors() {
+    use blend_obs::AttrValue;
+    use blend_sql::ExecPath;
+
+    let engine = sc_engine();
+    let sql = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+               WHERE CellValue IN ('w0','w1','w2','w3') GROUP BY TableId, ColumnId \
+               ORDER BY score DESC LIMIT 4";
+    for (path, name) in [
+        (ExecPath::Auto, "positional"),
+        (ExecPath::TupleOnly, "tuple"),
+    ] {
+        let (rs, report) = engine
+            .execute_with_report_path(sql, path)
+            .expect("SC query");
+        assert_eq!((report.path.as_str(), rs.len()), (name, 4));
+        let profile = report.profile.expect("profile collected");
+        let child = |span: &str| {
+            profile
+                .root
+                .children
+                .iter()
+                .find(|c| c.name == span)
+                .unwrap_or_else(|| panic!("{name}: no `{span}` under query:\n{}", profile.render()))
+        };
+        let u64_attr = |span: &str, key: &str| match child(span).attr(key) {
+            Some(AttrValue::U64(v)) => *v,
+            other => panic!("{name}: {span}.{key} = {other:?}"),
+        };
+        // Six tables hold a 'w' value in column 0 only: six groups.
+        assert_eq!(u64_attr("sort", "rows_in"), 6);
+        assert_eq!(u64_attr("sort", "k"), 4);
+        assert_eq!(u64_attr("sort", "selected"), 4);
+        let materialized = if name == "positional" { 4 } else { 6 };
+        assert_eq!(u64_attr("materialize", "rows"), materialized, "{name}");
+        // Selection is not part of `group`: it is a sibling, after it.
+        let names: Vec<&str> = profile
+            .root
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        let at = |span: &str| names.iter().position(|n| *n == span);
+        assert!(at("group") < at("sort"), "{name}: {names:?}");
+    }
+}

@@ -1,0 +1,269 @@
+//! `ORDER BY … LIMIT k` as a bounded selection must be invisible: every
+//! engine, executor, thread count and SIMD dispatch returns, byte for byte,
+//! what sorting *all* rows stably and truncating returned before.
+//!
+//! The oracle lives here and shares no code with the engine's selection. It
+//! runs each query once more with ORDER BY and LIMIT removed and the ORDER
+//! BY expressions appended to the select list — so it sees every row, in
+//! the engine's unordered (first-seen) order, together with its sort keys —
+//! and then does what the old query tail did: a **stable** sort on (order
+//! keys, projected values), a truncate, and nothing else. A stable sort is
+//! what decides between rows that compare equal, and the generated lakes
+//! tie heavily (tiny vocabularies, equal table shapes), so any selection
+//! that is not total over (keys, projection, first-seen order) shows up.
+
+use std::cmp::Ordering;
+use std::sync::{Arc, Mutex};
+
+use blend_parallel::ParallelCtx;
+use blend_simd as simd;
+use blend_sql::{ExecPath, ResultSet, SqlEngine, SqlValue};
+use blend_storage::{build_engine, EngineKind, FactRow};
+use proptest::prelude::*;
+
+/// `blend_simd::force` is process-global.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+struct ForceScope(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+impl Drop for ForceScope {
+    fn drop(&mut self) {
+        simd::force(None);
+    }
+}
+
+/// Three columns per table: a text key from a tiny vocabulary, a number
+/// with a quadrant bit, and a second text key. Small vocabularies and
+/// equal table shapes make distinct counts, row counts and sums tie.
+fn tie_heavy_rows(n_tables: u32, rows_per: u32, vocab: u64, seed: u64) -> Vec<FactRow> {
+    let mut rows = Vec::new();
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    for t in 0..n_tables {
+        for r in 0..rows_per {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new(
+                &format!("w{}", next() % vocab),
+                t,
+                0,
+                r,
+                sk,
+                None,
+            ));
+            let num = next() % 4;
+            rows.push(FactRow::new(&num.to_string(), t, 1, r, sk, Some(num >= 2)));
+            rows.push(FactRow::new(
+                &format!("w{}", next() % vocab),
+                t,
+                2,
+                r,
+                sk,
+                None,
+            ));
+        }
+    }
+    rows
+}
+
+/// A query in pieces: the select list, the ORDER BY expressions spelled
+/// out in full (no aliases, so they can move into a select list), and
+/// everything between the select list and ORDER BY.
+struct Shape {
+    label: &'static str,
+    select: &'static [&'static str],
+    order: &'static [&'static str],
+    from: &'static str,
+}
+
+const SHAPES: &[Shape] = &[
+    // The SC seeker (paper Listing 1): one flat integer key.
+    Shape {
+        label: "sc",
+        select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: "FROM AllTables WHERE CellValue IN ('w0','w1','w2') GROUP BY TableId, ColumnId",
+    },
+    // Two keys, the first of them absent from the projection.
+    Shape {
+        label: "multi-key",
+        select: &["TableId", "ColumnId", "COUNT(*) AS n"],
+        order: &["COUNT(DISTINCT CellValue)", "COUNT(*)"],
+        from: "FROM AllTables GROUP BY TableId, ColumnId",
+    },
+    // NULL keys: text columns have no quadrant, so their SUM is NULL.
+    Shape {
+        label: "null-key",
+        select: &["TableId AS t", "ColumnId AS c", "SUM(Quadrant) AS q"],
+        order: &["SUM(Quadrant)", "COUNT(*)"],
+        from: "FROM AllTables GROUP BY TableId, ColumnId",
+    },
+    // MIN/MAX of fact columns: the other flat integer aggregates.
+    Shape {
+        label: "min-max",
+        select: &["ColumnId AS c", "MIN(RowId) AS lo", "MAX(TableId) AS hi"],
+        order: &["MAX(TableId)", "MIN(RowId)"],
+        from: "FROM AllTables WHERE RowId > 0 GROUP BY ColumnId, TableId",
+    },
+    // Keys that differ in their bytes and still compare equal: ORDER BY
+    // compares numerics as f64, and above 2^53 neighbouring integers share
+    // one. (The SQL subset types an expression the same in every row, so
+    // `Int(1)` beside `Float(1.0)` in one column is reachable only at the
+    // unit level — `exec::tests` covers it against the same oracle.)
+    Shape {
+        label: "equal-not-identical",
+        select: &[
+            "TableId AS t",
+            "COUNT(DISTINCT CellValue) + 9007199254740992 AS big",
+        ],
+        order: &["COUNT(DISTINCT CellValue) + 9007199254740992"],
+        from: "FROM AllTables GROUP BY TableId, ColumnId",
+    },
+    // A computed float key (the C seeker's score shape), 3 group keys.
+    Shape {
+        label: "computed-float",
+        select: &[
+            "TableId AS t",
+            "ABS((2 * SUM((Quadrant = 1)::int) - COUNT(*)) / COUNT(*)) AS score",
+        ],
+        order: &["ABS((2 * SUM((Quadrant = 1)::int) - COUNT(*)) / COUNT(*))"],
+        from: "FROM AllTables WHERE Quadrant IS NOT NULL GROUP BY TableId, ColumnId, RowId",
+    },
+    // No GROUP BY: the decorated-row tail of both executors.
+    Shape {
+        label: "ungrouped",
+        select: &["CellValue", "TableId"],
+        order: &["CellValue", "RowId"],
+        from: "FROM AllTables WHERE ColumnId = 0",
+    },
+];
+
+/// The old tail, on the unordered rows of `base` (`width` projected
+/// columns, then one column per ORDER BY key).
+fn sort_all_then_truncate(
+    base: &ResultSet,
+    width: usize,
+    desc: &[bool],
+    limit: Option<usize>,
+) -> Vec<Vec<SqlValue>> {
+    let mut rows = base.rows.clone();
+    if !desc.is_empty() {
+        rows.sort_by(|a, b| {
+            for (i, d) in desc.iter().enumerate() {
+                let ord = a[width + i].order_cmp(&b[width + i]);
+                let ord = if *d { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            for (x, y) in a[..width].iter().zip(&b[..width]) {
+                let ord = x.order_cmp(y);
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+    }
+    if let Some(k) = limit {
+        rows.truncate(k);
+    }
+    rows.into_iter()
+        .map(|mut r| {
+            r.truncate(width);
+            r
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn bounded_selection_matches_sort_all_then_truncate(
+        n_tables in 1u32..9,
+        rows_per in 1u32..7,
+        vocab in 1u64..4,
+        seed in any::<u64>(),
+        dirs in any::<u64>(),
+    ) {
+        let _scope = ForceScope(FORCE_LOCK.lock().unwrap_or_else(|p| p.into_inner()));
+        let rows = tie_heavy_rows(n_tables, rows_per, vocab, seed);
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let fact = build_engine(kind, rows.clone());
+            simd::force(Some(false));
+            let reference = SqlEngine::with_alltables(fact.clone())
+                .with_parallel(Arc::new(ParallelCtx::sequential()));
+            for (si, shape) in SHAPES.iter().enumerate() {
+                let width = shape.select.len();
+                // ASC/DESC per key from the generated bits; one variant in
+                // four drops ORDER BY and keeps only the LIMIT.
+                let ordered = (dirs >> (4 * si)) & 3 != 3;
+                let desc: Vec<bool> = shape
+                    .order
+                    .iter()
+                    .enumerate()
+                    .filter(|_| ordered)
+                    .map(|(i, _)| (dirs >> (4 * si + 2 + i)) & 1 == 1)
+                    .collect();
+                let order_sql = if desc.is_empty() {
+                    String::new()
+                } else {
+                    let keys: Vec<String> = shape
+                        .order
+                        .iter()
+                        .zip(&desc)
+                        .map(|(e, d)| format!("{e} {}", if *d { "DESC" } else { "ASC" }))
+                        .collect();
+                    format!("ORDER BY {}", keys.join(", "))
+                };
+
+                let mut base_items: Vec<&str> = shape.select.to_vec();
+                base_items.extend(&shape.order[..desc.len()]);
+                let base_sql = format!("SELECT {} {}", base_items.join(", "), shape.from);
+                simd::force(Some(false));
+                let base = reference
+                    .execute_with_report_path(&base_sql, ExecPath::TupleOnly)
+                    .unwrap_or_else(|e| panic!("{}: {e}: {base_sql}", shape.label))
+                    .0;
+                let n = base.len();
+
+                for limit in [None, Some(0), Some(1), Some(n / 2), Some(n), Some(n + 3)] {
+                    let want = sort_all_then_truncate(&base, width, &desc, limit);
+                    let sql = format!(
+                        "SELECT {} {} {order_sql} {}",
+                        shape.select.join(", "),
+                        shape.from,
+                        limit.map_or(String::new(), |k| format!("LIMIT {k}")),
+                    );
+                    for vector in [false, true] {
+                        simd::force(Some(vector));
+                        for threads in [1usize, 2, 4, 8] {
+                            // min_parallel 1, morsels of 5 rows: every phase
+                            // of even these small inputs fans out.
+                            let eng = SqlEngine::with_alltables(fact.clone())
+                                .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                            for path in [ExecPath::Auto, ExecPath::TupleOnly] {
+                                let (got, _) = eng
+                                    .execute_with_report_path(&sql, path)
+                                    .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                                // `SqlValue: PartialEq` equates 2^53 with
+                                // 2^53 + 1; compare the bytes.
+                                prop_assert_eq!(
+                                    format!("{:?}", got.rows),
+                                    format!("{:?}", want),
+                                    "{:?}/{:?}/{}t/vector={}: {}",
+                                    kind, path, threads, vector, sql
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
