@@ -1,10 +1,18 @@
 //! Seeker implementations (paper Section VI): SQL generation over
 //! `AllTables` plus the application-level phases of MC and C.
+//!
+//! Every seeker reads its SQL result as flat columns
+//! (`SqlEngine::execute_columns_interruptible`); no `SqlValue` row is built
+//! for any of them. The MC application phase runs in *code space*: table,
+//! row and column ids are `u32` slices, super keys a `u128` slice, and each
+//! `v{c}` cell value is its id in the column's dictionary, so the super-key
+//! filter is one mask test per query row and exact validation is id-tuple
+//! equality — no string is hashed, compared or allocated per joined row.
 
 use blend_common::{stats::mean, text, FxHashMap, FxHashSet, Result, TableId};
-use blend_index::Xash;
+use blend_index::xash_value;
 use blend_parallel::Interrupt;
-use blend_sql::{ExecPath, ResultSet, SqlValue};
+use blend_sql::{ExecPath, ResultColumn, ResultColumns, TextColumn};
 
 use crate::combiners::TableHit;
 use crate::plan::Seeker;
@@ -152,11 +160,12 @@ fn sc_sql(values: &[String], k: usize, table_wide: bool) -> String {
 /// application phase can read values/columns/super keys by label.
 fn mc_sql(rows: &[Vec<String>]) -> String {
     let arity = rows.first().map_or(0, Vec::len);
-    // Per-column value lists.
+    // Per-column value lists. The first row sets the arity; `run` rejects
+    // anything else (`Seeker::validate`), and rendering it must not panic.
     let mut col_values: Vec<Vec<String>> = vec![Vec::new(); arity];
     for row in rows {
-        for (c, v) in row.iter().enumerate() {
-            col_values[c].push(v.clone());
+        for (vals, v) in col_values.iter_mut().zip(row) {
+            vals.push(v.clone());
         }
     }
     let mut proj = vec![
@@ -168,10 +177,11 @@ fn mc_sql(rows: &[Vec<String>]) -> String {
         proj.push(format!("q{c}.CellValue AS v{c}"));
         proj.push(format!("q{c}.ColumnId AS c{c}"));
     }
+    let q0_values = col_values.first().map(|v| join_values(v));
     let mut sql = format!(
         "SELECT {} FROM (SELECT * FROM AllTables WHERE CellValue IN ({}) {TID_PLACEHOLDER}) AS q0",
         proj.join(", "),
-        join_values(&col_values[0]),
+        q0_values.unwrap_or_default(),
     );
     for (c, vals) in col_values.iter().enumerate().skip(1) {
         sql.push_str(&format!(
@@ -222,6 +232,7 @@ pub fn run(
     injected: Option<&Injected>,
     interrupt: &Interrupt,
 ) -> Result<SeekerRun> {
+    seeker.validate()?;
     // Short-circuit: an empty intersection filter can never match.
     if let Some(Injected::In(ids)) = injected {
         if ids.is_empty() {
@@ -236,20 +247,23 @@ pub fn run(
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
     let sql = template.replace(TID_PLACEHOLDER, &fragment);
 
-    let rs = blend
-        .engine()
-        .execute_interruptible(&sql, ExecPath::Auto, interrupt.clone())
-        .map(|(rs, _)| rs)?;
+    let (cols, _) =
+        blend
+            .engine()
+            .execute_columns_interruptible(&sql, ExecPath::Auto, interrupt.clone())?;
     let (hits, mc_stats) = match seeker {
-        Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(&rs, k), None),
+        Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(&cols, k), None),
         Seeker::Mc { rows } => {
-            let (hits, stats) = mc_postprocess(&rs, rows, k);
+            let (hits, stats) = postprocess(&cols, || mc_postprocess(&cols, rows, k));
             (hits, Some(stats))
         }
-        Seeker::C { .. } => (
-            c_postprocess(&rs, k, blend.options().corr_min_matches),
-            None,
-        ),
+        Seeker::C { .. } => {
+            let min_matches = blend.options().corr_min_matches;
+            (
+                postprocess(&cols, || c_postprocess(&cols, k, min_matches)).0,
+                None,
+            )
+        }
     };
     Ok(SeekerRun {
         sql,
@@ -258,15 +272,29 @@ pub fn run(
     })
 }
 
+/// Run an application phase under its `postprocess` span: the SQL rows it
+/// read, the candidates its filter kept, and those that validated.
+fn postprocess(
+    cols: &ResultColumns,
+    phase: impl FnOnce() -> (Vec<TableHit>, McStats),
+) -> (Vec<TableHit>, McStats) {
+    let span = blend_obs::span("postprocess");
+    span.attr_u64("rows_in", cols.len() as u64);
+    let (hits, stats) = phase();
+    span.attr_u64("candidates", stats.candidates as u64);
+    span.attr_u64("validated", stats.validated as u64);
+    (hits, stats)
+}
+
 /// Keep the best score per table, preserving descending order; cut to `k`.
-fn dedup_table_scores(rs: &ResultSet, k: usize) -> Vec<TableHit> {
-    let (Some(t), Some(s)) = (rs.col("t"), rs.col("score")) else {
+fn dedup_table_scores(cols: &ResultColumns, k: usize) -> Vec<TableHit> {
+    let (Some(t), Some(s)) = (cols.col("t"), cols.col("score")) else {
         return Vec::new();
     };
     let mut seen: FxHashSet<u32> = FxHashSet::default();
     let mut out = Vec::new();
-    for row in &rs.rows {
-        let (Some(table), Some(score)) = (row[t].as_i64(), row[s].as_f64()) else {
+    for i in 0..t.len().min(s.len()) {
+        let (Some(table), Some(score)) = (t.value(i).as_i64(), s.value(i).as_f64()) else {
             continue;
         };
         if seen.insert(table as u32) {
@@ -287,100 +315,101 @@ fn dedup_table_scores(rs: &ResultSet, k: usize) -> Vec<TableHit> {
 /// (bloom subset test, no value comparisons); (2) exact match validation
 /// checks that a matched value combination is an actual query row
 /// (alignment). TP/FP are counted per candidate row (Table V).
-fn mc_postprocess(rs: &ResultSet, rows: &[Vec<String>], k: usize) -> (Vec<TableHit>, McStats) {
+///
+/// Both steps run on integers. A query row becomes one xash mask (the OR
+/// of its values' hashes: a super key may hold the row iff it has every
+/// bit) and the tuple of its values' ids in the `v{c}` columns'
+/// dictionaries; one pass over the result's flat columns then tests ids
+/// only. A malformed result (a missing label, a column of another type or
+/// length) yields no hits rather than a panic.
+fn mc_postprocess(
+    cols: &ResultColumns,
+    rows: &[Vec<String>],
+    k: usize,
+) -> (Vec<TableHit>, McStats) {
     let arity = rows.first().map_or(0, Vec::len);
-    // Normalized query rows for the super-key filter and exact validation.
-    let query_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.iter().map(|v| text::normalize(v)).collect())
-        .collect();
-    let query_row_set: FxHashSet<&[String]> = query_rows.iter().map(Vec::as_slice).collect();
-
-    let tid = rs.col("tid");
-    let rid = rs.col("rid");
-    let sk = rs.col("sk");
-    let (Some(tid), Some(rid), Some(sk)) = (tid, rid, sk) else {
-        return (Vec::new(), McStats::default());
+    let n = cols.len();
+    let ids = |label: &str| {
+        let col = cols.col(label).and_then(ResultColumn::as_u32s);
+        col.filter(|c| c.len() == n)
     };
-    // A malformed result set (missing value/column projections) yields an
-    // empty hit list rather than crashing the engine.
-    let vcols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("v{c}"))).collect();
-    let ccols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("c{c}"))).collect();
-    let (Some(vcols), Some(ccols)) = (vcols, ccols) else {
+    let texts = |c: usize| -> Option<&TextColumn> {
+        let col = cols.col(&format!("v{c}")).and_then(ResultColumn::as_text);
+        col.filter(|t| t.ids().len() == n)
+    };
+    let sk = cols.col("sk").and_then(ResultColumn::as_u128s);
+    let sk = sk.filter(|s| s.len() == n);
+    let ccols: Option<Vec<_>> = (0..arity).map(|c| ids(&format!("c{c}"))).collect();
+    let vcols: Option<Vec<&TextColumn>> = (0..arity).map(texts).collect();
+    let (Some(tid), Some(rid), Some(sk), Some(ccols), Some(vcols)) =
+        (ids("tid"), ids("rid"), sk, ccols, vcols)
+    else {
         return (Vec::new(), McStats::default());
     };
 
-    // Gather per candidate row: its super key and the matched combinations.
-    struct Candidate {
-        superkey: u128,
-        combos: Vec<Vec<String>>,
+    // Per query row: its mask, and its id tuple unless some value is in no
+    // row of its column — such a row can never validate.
+    let mut masks: Vec<u128> = Vec::with_capacity(rows.len());
+    let mut query_ids: FxHashSet<Vec<u32>> = FxHashSet::default();
+    for row in rows.iter().filter(|r| r.len() == arity) {
+        let norm: Vec<String> = row.iter().map(|v| text::normalize(v)).collect();
+        masks.push(norm.iter().fold(0, |m, v| m | xash_value(v)));
+        let tuple: Option<Vec<u32>> = norm
+            .iter()
+            .zip(&vcols)
+            .map(|(v, col)| col.id_of(v))
+            .collect();
+        query_ids.extend(tuple);
     }
-    let mut candidates: FxHashMap<(u32, u32), Candidate> = FxHashMap::default();
-    'tuples: for row in &rs.rows {
-        let (Some(t), Some(r)) = (row[tid].as_i64(), row[rid].as_i64()) else {
-            continue;
-        };
+
+    // One pass over the joined rows, keyed by (TableId, RowId): the candidate
+    // row's first joined row (its super key is read there), and whether any
+    // of its matched value combinations is a query row. The key stays a
+    // pair: `FxHasher` has no final mix, so one packed `u64` would pick its
+    // bucket from the low bits of `RowId` alone (measured 3x slower here).
+    let mut candidates: FxHashMap<(u32, u32), (u32, bool)> = FxHashMap::default();
+    let ccols: Vec<&[u32]> = ccols.iter().map(|c| &**c).collect();
+    let vids: Vec<&[u32]> = vcols.iter().map(|v| v.ids()).collect();
+    let mut combo = vec![0u32; arity];
+    'rows: for i in 0..n {
         // Alignment needs the values to come from distinct columns.
-        let mut cset = FxHashSet::default();
-        for &c in &ccols {
-            let Some(cid) = row[c].as_i64() else {
-                continue 'tuples;
-            };
-            if !cset.insert(cid) {
-                continue 'tuples;
+        for (a, ca) in ccols.iter().enumerate() {
+            if ccols[..a].iter().any(|cb| cb[i] == ca[i]) {
+                continue 'rows;
             }
         }
-        let values: Vec<String> = vcols
-            .iter()
-            .map(|&c| match &row[c] {
-                SqlValue::Text(s) => s.to_string(),
-                other => other.to_string(),
-            })
-            .collect();
-        let superkey = match row[sk] {
-            SqlValue::U128(v) => v,
-            _ => continue,
-        };
-        candidates
-            .entry((t as u32, r as u32))
-            .or_insert_with(|| Candidate {
-                superkey,
-                combos: Vec::new(),
-            })
-            .combos
-            .push(values);
+        let key = (tid[i], rid[i]);
+        let (_, valid) = candidates.entry(key).or_insert((i as u32, false));
+        if !*valid {
+            combo.iter_mut().zip(&vids).for_each(|(id, v)| *id = v[i]);
+            *valid = query_ids.contains(combo.as_slice());
+        }
     }
 
     let mut stats = McStats::default();
-    let mut joinable: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-    for ((t, r), cand) in candidates {
+    let mut joinable: FxHashMap<u32, usize> = FxHashMap::default();
+    for ((table, _), (first, valid)) in candidates {
         // Super-key bloom filter: some full query row may be present.
-        let passes = query_rows
-            .iter()
-            .any(|qr| Xash::may_contain_all(cand.superkey, qr.iter().map(String::as_str)));
-        if !passes {
+        let superkey = sk[first as usize];
+        if !masks.iter().any(|m| superkey & m == *m) {
             continue;
         }
         stats.candidates += 1;
         // Exact match validation on the aligned combinations.
-        if cand
-            .combos
-            .iter()
-            .any(|combo| query_row_set.contains(combo.as_slice()))
-        {
+        if valid {
             stats.validated += 1;
-            joinable.entry(t).or_default().insert(r);
+            *joinable.entry(table).or_default() += 1;
         }
     }
 
     let mut topk = blend_common::topk::TopK::new(k);
     for (t, rows) in joinable {
         topk.push(
-            rows.len() as f64,
+            rows as f64,
             t as u64,
             TableHit {
                 table: TableId(t),
-                score: rows.len() as f64,
+                score: rows as f64,
             },
         );
     }
@@ -391,26 +420,32 @@ fn mc_postprocess(rs: &ResultSet, rows: &[Vec<String>], k: usize) -> (Vec<TableH
 }
 
 /// C application phase: drop under-supported triplets, keep the best
-/// |QCR| per table, cut to `k`.
-fn c_postprocess(rs: &ResultSet, k: usize, min_matches: usize) -> Vec<TableHit> {
-    let (Some(t), Some(s), Some(n)) = (rs.col("t"), rs.col("score"), rs.col("n")) else {
-        return Vec::new();
+/// |QCR| per table, cut to `k`. The stats count the supported triplets
+/// (candidates) and the tables they leave (validated).
+fn c_postprocess(cols: &ResultColumns, k: usize, min_matches: usize) -> (Vec<TableHit>, McStats) {
+    let (Some(t), Some(s), Some(n)) = (cols.col("t"), cols.col("score"), cols.col("n")) else {
+        return (Vec::new(), McStats::default());
     };
+    let mut stats = McStats::default();
     let mut best: FxHashMap<u32, f64> = FxHashMap::default();
-    for row in &rs.rows {
-        let (Some(table), Some(score), Some(support)) =
-            (row[t].as_i64(), row[s].as_f64(), row[n].as_i64())
-        else {
+    for i in 0..t.len().min(s.len()).min(n.len()) {
+        let (Some(table), Some(score), Some(support)) = (
+            t.value(i).as_i64(),
+            s.value(i).as_f64(),
+            n.value(i).as_i64(),
+        ) else {
             continue;
         };
         if (support as usize) < min_matches {
             continue;
         }
+        stats.candidates += 1;
         let e = best.entry(table as u32).or_insert(f64::MIN);
         if score > *e {
             *e = score;
         }
     }
+    stats.validated = best.len();
     let mut topk = blend_common::topk::TopK::new(k);
     for (table, score) in best {
         topk.push(
@@ -422,12 +457,20 @@ fn c_postprocess(rs: &ResultSet, k: usize, min_matches: usize) -> Vec<TableHit> 
             },
         );
     }
-    topk.into_sorted().into_iter().map(|(_, h)| h).collect()
+    (
+        topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
+        stats,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blend_index::Xash;
+    use blend_lake::web::{generate, WebLakeConfig};
+    use blend_lake::DataLake;
+    use blend_sql::{ResultSet, SqlValue};
+    use blend_storage::EngineKind;
 
     #[test]
     fn sql_templates_contain_placeholder() {
@@ -460,31 +503,248 @@ mod tests {
         assert_eq!(Injected::In(vec![]).fragment(), "AND 1 = 0");
     }
 
-    #[test]
-    fn mc_postprocess_tolerates_malformed_result_sets() {
-        use blend_sql::ResultSet;
-        let rows = vec![vec!["a".to_string(), "b".to_string()]];
-        // Missing the v0/c0 projections entirely.
-        let rs = ResultSet {
-            columns: vec!["tid".into(), "rid".into(), "sk".into()],
-            rows: vec![vec![
-                SqlValue::Int(1),
-                SqlValue::Int(0),
-                SqlValue::U128(0xFF),
-            ]],
+    /// The row-based MC application phase this module had before the
+    /// columnar one, kept as its oracle: per joined row a column set, a
+    /// `Vec<String>` of values and a hash-map entry; per candidate a
+    /// re-hash of every query value.
+    fn mc_postprocess_rows(
+        rs: &ResultSet,
+        rows: &[Vec<String>],
+        k: usize,
+    ) -> (Vec<TableHit>, McStats) {
+        let arity = rows.first().map_or(0, Vec::len);
+        let query_rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| r.iter().map(|v| text::normalize(v)).collect())
+            .collect();
+        let query_row_set: FxHashSet<&[String]> = query_rows.iter().map(Vec::as_slice).collect();
+        let (Some(tid), Some(rid), Some(sk)) = (rs.col("tid"), rs.col("rid"), rs.col("sk")) else {
+            return (Vec::new(), McStats::default());
         };
-        let (hits, stats) = mc_postprocess(&rs, &rows, 10);
-        assert!(hits.is_empty());
-        assert_eq!(stats, McStats::default());
+        let vcols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("v{c}"))).collect();
+        let ccols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("c{c}"))).collect();
+        let (Some(vcols), Some(ccols)) = (vcols, ccols) else {
+            return (Vec::new(), McStats::default());
+        };
+        struct Candidate {
+            superkey: u128,
+            combos: Vec<Vec<String>>,
+        }
+        let mut candidates: FxHashMap<(u32, u32), Candidate> = FxHashMap::default();
+        'tuples: for row in &rs.rows {
+            let (Some(t), Some(r)) = (row[tid].as_i64(), row[rid].as_i64()) else {
+                continue;
+            };
+            let mut cset = FxHashSet::default();
+            for &c in &ccols {
+                let Some(cid) = row[c].as_i64() else {
+                    continue 'tuples;
+                };
+                if !cset.insert(cid) {
+                    continue 'tuples;
+                }
+            }
+            let values: Vec<String> = vcols.iter().map(|&c| row[c].to_string()).collect();
+            let SqlValue::U128(superkey) = row[sk] else {
+                continue;
+            };
+            candidates
+                .entry((t as u32, r as u32))
+                .or_insert_with(|| Candidate {
+                    superkey,
+                    combos: Vec::new(),
+                })
+                .combos
+                .push(values);
+        }
+        let mut stats = McStats::default();
+        let mut joinable: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
+        for ((t, r), cand) in candidates {
+            let passes = query_rows
+                .iter()
+                .any(|qr| Xash::may_contain_all(cand.superkey, qr.iter().map(String::as_str)));
+            if !passes {
+                continue;
+            }
+            stats.candidates += 1;
+            if cand
+                .combos
+                .iter()
+                .any(|combo| query_row_set.contains(combo.as_slice()))
+            {
+                stats.validated += 1;
+                joinable.entry(t).or_default().insert(r);
+            }
+        }
+        let mut topk = blend_common::topk::TopK::new(k);
+        for (t, rows) in joinable {
+            let hit = TableHit {
+                table: TableId(t),
+                score: rows.len() as f64,
+            };
+            topk.push(hit.score, t as u64, hit);
+        }
+        (
+            topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
+            stats,
+        )
+    }
 
-        // Missing the id columns.
-        let rs = ResultSet {
-            columns: vec!["v0".into()],
-            rows: vec![vec![SqlValue::from("a")]],
+    /// Lakes with a small vocabulary, so values repeat across the columns
+    /// of a row and across tables.
+    fn repetitive_lake(seed: u64) -> DataLake {
+        generate(&WebLakeConfig {
+            name: "mc-oracle".into(),
+            n_tables: 24,
+            rows: (4, 12),
+            cols: (2, 4),
+            vocab: 14,
+            zipf_s: 0.8,
+            numeric_col_ratio: 0.2,
+            null_ratio: 0.05,
+            seed,
+        })
+    }
+
+    /// Query rows of `arity` read off the lake's own rows (planted
+    /// overlaps), one row that repeats a value (only the distinct-column
+    /// check keeps a cell from matching itself) and one no table holds.
+    fn planted_rows(lake: &DataLake, arity: usize, seed: u64) -> Vec<Vec<String>> {
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        for t in lake.tables.iter().skip(seed as usize % 3).step_by(3) {
+            let cells: Vec<String> = t
+                .row(seed as usize % t.n_rows().max(1))
+                .filter_map(|v| v.normalized().map(|n| n.into_owned()))
+                .collect();
+            if cells.len() >= arity {
+                rows.push(cells[..arity].to_vec());
+            }
+        }
+        if let Some(first) = rows.first().cloned() {
+            rows.push(vec![first[0].clone(); arity]);
+        }
+        rows.push((0..arity).map(|c| format!("absent-{c}")).collect());
+        rows
+    }
+
+    #[test]
+    fn columnar_mc_phase_matches_the_row_oracle_on_every_path() {
+        for seed in 0..6u64 {
+            let lake = repetitive_lake(seed);
+            for kind in [EngineKind::Row, EngineKind::Column] {
+                let blend = Blend::from_lake(&lake, kind);
+                for arity in [2usize, 3] {
+                    let rows = planted_rows(&lake, arity, seed);
+                    let sql = mc_sql(&rows).replace(TID_PLACEHOLDER, "");
+                    let mut seen = Vec::new();
+                    for path in [ExecPath::Auto, ExecPath::TupleOnly] {
+                        let (cols, _) = blend
+                            .engine()
+                            .execute_columns_interruptible(&sql, path, Interrupt::never())
+                            .unwrap();
+                        let got = mc_postprocess(&cols, &rows, 10);
+                        let want = mc_postprocess_rows(&cols.into_result_set(), &rows, 10);
+                        assert_eq!(got, want, "seed {seed} {kind:?} arity {arity} {path:?}");
+                        seen.push(got);
+                    }
+                    assert_eq!(seen[0], seen[1], "seed {seed} {kind:?} arity {arity}");
+                    assert!(
+                        arity > 2 || seen[0].1.validated > 0,
+                        "seed {seed}: planted rows must validate"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mc_postprocess_tolerates_malformed_results() {
+        let rows = vec![vec!["a".to_string(), "b".to_string()]];
+        let ids = || ResultColumn::Key(vec![1]);
+        // A one-row text column, typed the way the tuple executor's are.
+        let text = |s: &str| {
+            let rows = vec![vec![SqlValue::Text(s.into())]];
+            let columns = vec!["v".to_string()];
+            ResultColumns::from(ResultSet { columns, rows })
+                .columns
+                .remove(0)
         };
-        let (hits, stats) = mc_postprocess(&rs, &rows, 10);
-        assert!(hits.is_empty());
-        assert_eq!(stats, McStats::default());
+        let labels = ["tid", "rid", "sk", "v0", "c0", "v1", "c1"];
+        let well_formed = || {
+            vec![
+                ids(),
+                ids(),
+                ResultColumn::U128(vec![u128::MAX]),
+                text("a"),
+                ResultColumn::Key(vec![0]),
+                text("b"),
+                ids(),
+            ]
+        };
+        let run = |labels: &[&str], columns: Vec<ResultColumn>| {
+            let cols = ResultColumns {
+                labels: labels.iter().map(|l| l.to_string()).collect(),
+                columns,
+            };
+            mc_postprocess(&cols, &rows, 10)
+        };
+        let (hits, stats) = run(&labels, well_formed());
+        assert_eq!((hits.len(), stats.validated), (1, 1));
+
+        let empty = (Vec::new(), McStats::default());
+        // Missing the v/c projections, then missing the id columns.
+        assert_eq!(run(&labels[..3], well_formed()[..3].to_vec()), empty);
+        assert_eq!(run(&labels[3..], well_formed()[3..].to_vec()), empty);
+        // A column of the wrong type under each label in turn.
+        for i in 0..labels.len() {
+            let mut columns = well_formed();
+            columns[i] = ResultColumn::Val(vec![SqlValue::Null]);
+            assert_eq!(
+                run(&labels, columns),
+                empty,
+                "wrong type under {}",
+                labels[i]
+            );
+        }
+        // A column of the wrong length.
+        let mut columns = well_formed();
+        columns[4] = ResultColumn::Key(vec![]);
+        assert_eq!(run(&labels, columns), empty);
+    }
+
+    #[test]
+    fn invalid_mc_seekers_are_typed_errors_and_never_panic() {
+        use blend_common::BlendError;
+        let lake = repetitive_lake(1);
+        let blend = Blend::from_lake(&lake, EngineKind::Column);
+        let s = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<String>>();
+        let invalid = [
+            vec![],
+            vec![s(&["a"])],
+            vec![s(&["a", "b"]), s(&["c", "d", "e"])],
+            vec![s(&["a", "b", "c"]), s(&["d", "e"])],
+        ];
+        for rows in invalid {
+            let seeker = Seeker::Mc { rows };
+            // Rendering is total; `run` rejects before it renders.
+            let _ = seeker_sql(&seeker, 10, 64);
+            let err = run(&blend, &seeker, 10, None, &Interrupt::never()).unwrap_err();
+            assert!(
+                matches!(err, BlendError::InvalidInput(_)),
+                "{seeker:?}: {err}"
+            );
+        }
+        for seeker in [
+            Seeker::Sc { values: vec![] },
+            Seeker::Kw { keywords: vec![] },
+        ] {
+            let _ = seeker_sql(&seeker, 10, 64);
+            let err = run(&blend, &seeker, 10, None, &Interrupt::never()).unwrap_err();
+            assert!(
+                matches!(err, BlendError::InvalidInput(_)),
+                "{seeker:?}: {err}"
+            );
+        }
     }
 
     #[test]

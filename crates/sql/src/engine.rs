@@ -6,7 +6,8 @@ use blend_common::{FxHashMap, Result};
 use blend_parallel::{Interrupt, ParallelCtx, QueryMemory};
 use blend_storage::FactTable;
 
-use crate::exec::{execute_plan_path, QueryReport, ResultSet, ServingStats};
+use crate::columns::ResultColumns;
+use crate::exec::{execute_plan_path, Output, QueryReport, ResultSet, ServingStats};
 use crate::parser::parse;
 use crate::plan::{plan_query, Catalog, CatalogSnapshot};
 
@@ -218,14 +219,7 @@ impl SqlEngine {
         path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
-        let ast = match parse(sql) {
-            Ok(ast) => ast,
-            Err(e) => {
-                sql_metrics().errors.inc();
-                return Err(e);
-            }
-        };
-        self.execute_parsed_interruptible(&ast, path, interrupt)
+        self.execute_parsed_interruptible(&parse_counted(sql)?, path, interrupt)
     }
 
     /// Execute an already-parsed query. The serving tier parses once at
@@ -237,6 +231,37 @@ impl SqlEngine {
         path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
+        let (out, report) = self.run(ast, path, interrupt, true)?;
+        Ok((out.into_rows(), report))
+    }
+
+    /// Execute and return the result as flat columns. No `SqlValue` row is
+    /// built for a positional result: the caller reads typed slices
+    /// ([`ResultColumns::col`]) or asks for rows itself
+    /// ([`ResultColumns::into_result_set`]).
+    pub fn execute_columns_interruptible(
+        &self,
+        sql: &str,
+        path: ExecPath,
+        interrupt: Interrupt,
+    ) -> Result<(ResultColumns, QueryReport)> {
+        let (out, report) = self.run(&parse_counted(sql)?, path, interrupt, false)?;
+        Ok((out.into_columns(), report))
+    }
+
+    /// Plan and execute `ast` — the one path under every entry — and turn
+    /// the executor's output into the shape the caller asked for (`rows`, or
+    /// flat columns) under the `materialize` span, the last child of the
+    /// query's root span. Output that already has that shape (the tuple
+    /// executor's rows on a row entry, positional columns on the columnar
+    /// one) passes through untouched.
+    fn run(
+        &self,
+        ast: &crate::ast::Query,
+        path: ExecPath,
+        interrupt: Interrupt,
+        rows: bool,
+    ) -> Result<(Output, QueryReport)> {
         interrupt.check()?;
         // The root span of this query's profile tree: every phase span the
         // executors record below nests under it.
@@ -253,16 +278,30 @@ impl SqlEngine {
                 .with_interrupt(interrupt)
                 .with_query_memory(memory.clone());
             let mut report = QueryReport::default();
-            let rs = execute_plan_path(&plan, &mut report, path == ExecPath::Auto, &par)?;
-            // Charge the materialized result rows; a result too large for
-            // the remaining budget resolves typed like any other site, and
-            // the rows are discarded with the reservation.
-            let result_mem = memory.try_reserve("result_rows", rs.approx_bytes())?;
-            Ok((rs, report, result_mem))
+            let out = execute_plan_path(&plan, &mut report, path == ExecPath::Auto, &par)?;
+            // Charge the result as the executor left it. Rows built from
+            // flat columns are charged once they exist, on top of the
+            // columns; a result too large for the remaining budget resolves
+            // typed like any other site.
+            let mut charged = memory.try_reserve("result_rows", out.approx_bytes())?;
+            let span = blend_obs::span("materialize");
+            let builds_rows = rows && matches!(out, Output::Columns(_));
+            let out = match rows {
+                true => Output::Rows(out.into_rows()),
+                false => Output::Columns(out.into_columns()),
+            };
+            if builds_rows {
+                charged.grow(out.approx_bytes())?;
+            }
+            // The `SqlValue` rows the caller gets, and what `result_rows`
+            // holds for them.
+            span.attr_u64("rows", if rows { report.result_rows as u64 } else { 0 });
+            span.attr_u64("bytes", charged.bytes() as u64);
+            Ok((out, report))
         })();
         let m = sql_metrics();
         match outcome {
-            Ok((rs, mut report, _result_mem)) => {
+            Ok((out, mut report)) => {
                 trace.attr_str("path", report.path.clone());
                 trace.attr_u64("mem_peak_bytes", memory.peak_bytes() as u64);
                 report.profile = trace.finish();
@@ -284,7 +323,7 @@ impl SqlEngine {
                         outcome: "ok".into(),
                     });
                 }
-                Ok((rs, report))
+                Ok((out, report))
             }
             Err(e) => {
                 drop(trace);
@@ -293,6 +332,11 @@ impl SqlEngine {
             }
         }
     }
+}
+
+/// Parse `sql`, counting a failure as a query error.
+fn parse_counted(sql: &str) -> Result<crate::ast::Query> {
+    parse(sql).inspect_err(|_| sql_metrics().errors.inc())
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //!
 //! `ORDER BY … LIMIT` has one implementation, [`select_top`], a bounded
 //! selection over row ordinals. This executor reaches it through
-//! [`finish_decorated`]; the positional executor's GROUP BY calls it over
-//! flat group columns, before it materializes a row.
+//! [`finish_decorated`]; both tails of the positional executor call it over
+//! flat columns, and build no row at all.
 
 use std::cmp::Ordering;
 
@@ -18,6 +18,7 @@ use blend_parallel::ParallelCtx;
 use blend_storage::ScanScratch;
 
 use crate::ast::AggFunc;
+use crate::columns::ResultColumns;
 use crate::expr::CExpr;
 use crate::plan::{
     materialize, AccessPath, AggPlan, GroupPlan, InputPlan, QueryPlan, ScanPlan, Tree,
@@ -129,8 +130,8 @@ pub struct QueryReport {
     /// End-to-end serving telemetry (queue wait is 0 for direct calls).
     pub serving: Option<ServingStats>,
     /// The unified `EXPLAIN ANALYZE` span tree for this query: scan, join
-    /// build/probe, group, global-agg, sort and materialize phases with wall
-    /// nanos and attributes, rooted at the engine's `query` span. `None` when
+    /// build/probe, group, global-agg, sort, project and materialize phases
+    /// with wall nanos and attributes, rooted at the engine's `query` span. `None` when
     /// instrumentation is disabled ([`blend_obs::set_enabled`]).
     pub profile: Option<blend_obs::Profile>,
 }
@@ -234,32 +235,61 @@ impl ResultSet {
     }
 }
 
-/// Execute a plan sequentially, collecting telemetry. Routes recognized
-/// BLEND shapes to the late-materialization positional executor; everything
-/// else runs on the general tuple-at-a-time path.
-pub fn execute_plan(plan: &QueryPlan, report: &mut QueryReport) -> Result<ResultSet> {
-    execute_plan_path(plan, report, true, &ParallelCtx::sequential())
+/// What an executor hands the engine: the positional executor's flat
+/// columns or the tuple executor's rows. Either converts to the shape a
+/// caller asked for, and costs nothing when it already has it.
+pub(crate) enum Output {
+    Columns(ResultColumns),
+    Rows(ResultSet),
 }
 
-/// [`execute_plan`] with explicit executor selection and parallel context.
+impl Output {
+    pub(crate) fn into_rows(self) -> ResultSet {
+        match self {
+            Output::Columns(cols) => cols.into_result_set(),
+            Output::Rows(rs) => rs,
+        }
+    }
+
+    /// Rows wrap column by column, so a caller of the columnar entry sees
+    /// one shape whichever executor ran.
+    pub(crate) fn into_columns(self) -> ResultColumns {
+        match self {
+            Output::Columns(cols) => cols,
+            Output::Rows(rs) => rs.into(),
+        }
+    }
+
+    /// Heap bytes, for the memory governor.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        match self {
+            Output::Columns(cols) => cols.approx_bytes(),
+            Output::Rows(rs) => rs.approx_bytes(),
+        }
+    }
+}
+
+/// Execute a plan, collecting telemetry. Recognized BLEND shapes route to
+/// the late-materialization positional executor, everything else runs on
+/// the general tuple-at-a-time path;
 /// `allow_positional = false` forces the tuple path everywhere (benchmark
 /// baseline and parity tests). `par` is the shared worker-pool context the
 /// positional executor's scan/join/group phases ride; the tuple path is
 /// always sequential (it is the reference implementation).
-pub fn execute_plan_path(
+pub(crate) fn execute_plan_path(
     plan: &QueryPlan,
     report: &mut QueryReport,
     allow_positional: bool,
     par: &ParallelCtx,
-) -> Result<ResultSet> {
+) -> Result<Output> {
     if allow_positional {
         if let Some(pos) = crate::exec_positional::plan_positional(plan) {
             report.path = "positional".to_string();
-            return crate::exec_positional::execute(plan, &pos, report, par);
+            return crate::exec_positional::execute(plan, &pos, report, par).map(Output::Columns);
         }
     }
     report.path = "tuple".to_string();
-    execute_tuple(plan, report, allow_positional, par)
+    execute_tuple(plan, report, allow_positional, par).map(Output::Rows)
 }
 
 /// Subquery dispatch: same routing as the top level, but without touching
@@ -272,7 +302,8 @@ fn execute_sub(
 ) -> Result<ResultSet> {
     if allow_positional {
         if let Some(pos) = crate::exec_positional::plan_positional(plan) {
-            return crate::exec_positional::execute(plan, &pos, report, par);
+            return crate::exec_positional::execute(plan, &pos, report, par)
+                .map(ResultColumns::into_result_set);
         }
     }
     execute_tuple(plan, report, allow_positional, par)
@@ -303,15 +334,15 @@ fn execute_tuple(
 
 /// The tuple executor's query tail: evaluate the projection and order keys
 /// over every input tuple, then hand the decorated rows to
-/// [`finish_decorated`]. The positional executor selects before it
-/// materializes instead (see `exec_positional`), and uses this only for the
-/// single row of a global aggregate.
+/// [`finish_decorated`]. The positional executor selects over flat columns
+/// instead (see `exec_positional`), and uses this only for the single row
+/// of a global aggregate.
 pub(crate) fn project_sort_limit(
     plan: &QueryPlan,
     tuples: &[Tuple],
     report: &mut QueryReport,
 ) -> Result<ResultSet> {
-    let span = blend_obs::span("materialize");
+    let span = blend_obs::span("project");
     span.attr_u64("rows", tuples.len() as u64);
     let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(tuples.len());
     for t in tuples {
@@ -361,9 +392,8 @@ pub(crate) fn select_top(
 /// Order decorated rows (`(order keys, projected tuple)`, in input order) by
 /// their keys, then by the projected tuple, then by input position; keep
 /// LIMIT of them; and build the final [`ResultSet`]. The tail of the tuple
-/// executor and of the positional executor's non-grouped projection; the
-/// positional GROUP BY runs the same [`select_top`] over flat group columns
-/// before it materializes anything.
+/// executor; the positional executor runs the same [`select_top`] over its
+/// flat output columns.
 pub(crate) fn finish_decorated(
     plan: &QueryPlan,
     mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
@@ -394,20 +424,11 @@ pub(crate) fn finish_decorated(
         .iter()
         .map(|&o| std::mem::take(&mut decorated[o as usize].1))
         .collect();
-    Ok(finish_rows(plan, rows, report))
-}
-
-/// Label materialized output rows as the query's [`ResultSet`].
-pub(crate) fn finish_rows(
-    plan: &QueryPlan,
-    rows: Vec<Tuple>,
-    report: &mut QueryReport,
-) -> ResultSet {
     report.result_rows = rows.len();
-    ResultSet {
+    Ok(ResultSet {
         columns: plan.output_labels(),
         rows,
-    }
+    })
 }
 
 fn exec_tree(

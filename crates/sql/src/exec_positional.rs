@@ -27,10 +27,16 @@
 //!   per-group sort-unique over gathered dictionary codes (column store)
 //!   or dense string ids (row store) — never an owned `SqlValue`, never a
 //!   per-group hash set;
-//! * `ORDER BY … LIMIT k` runs over the **flat group columns** before any
-//!   row exists (see *Top-k before materialization* below);
-//! * only the final projection materializes `SqlValue` rows — of a grouped
-//!   query, only the rows that survive the LIMIT.
+//! * `ORDER BY … LIMIT k` runs over **flat columns**, on both tails (see
+//!   *Top-k before materialization* below);
+//! * no tail builds a `SqlValue` row. The output is
+//!   [`ResultColumns`](crate::columns::ResultColumns): integer fact columns
+//!   as `u32`, super keys as `u128`, `CellValue` as dictionary ids (the
+//!   column store's own codes, dense per-result ids on the row store), and
+//!   only computed or NULL-able expressions as `SqlValue`s. Rows are a view
+//!   a caller asks the engine for
+//!   ([`ResultColumns::into_result_set`](crate::columns::ResultColumns::into_result_set),
+//!   the one place that builds them); the seekers never do.
 //!
 //! [`plan_positional`] recognizes eligible plans; anything it cannot prove
 //! safe falls back to the tuple executor, so the two paths always agree
@@ -94,8 +100,13 @@
 //! comparator is the tuple tail's (order keys, then projected values) and
 //! ends with the group's first-seen row, which makes it total: the result
 //! is what a stable sort of all groups followed by a truncate returned,
-//! byte for byte (`tests/topk_parity.rs`). Spans: `group` is grouping plus
-//! aggregation, `sort` the selection, `materialize` the surviving rows.
+//! byte for byte (`tests/topk_parity.rs`). The non-grouped tail
+//! (`exec_project`, the MC seeker's) is the same selection over the
+//! gathered output columns, with the row ordinal as the last key; without
+//! ORDER BY it gathers the first LIMIT rows and nothing else. Spans: `group`
+//! is grouping plus aggregation, `sort` the selection, `project` the output
+//! columns of the survivors; `materialize` is the engine's, around the rows
+//! a caller asked for.
 //!
 //! ## Parallel execution
 //!
@@ -152,8 +163,11 @@
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
-//!   aggregate columns) and outputs — of a GROUP BY, the flat group columns
-//!   plus the k materialized rows — are reserved post-sizing; a failed
+//!   aggregate columns) and outputs — the flat group columns
+//!   (`group_out`) and, beside them, the survivors' output columns
+//!   (`group_project`) here; in the engine (`result_rows`) the result as the
+//!   executor left it and, once a caller asks for them, the rows built from
+//!   its flat columns — are reserved post-sizing; a failed
 //!   reservation propagates `BlendError::MemoryExceeded` through the same
 //!   typed-error channel as cancellation, and the no-partial-results
 //!   machinery discards partials via `Drop`.
@@ -173,7 +187,8 @@ use crate::exec::HashTableStats;
 use crate::hashtable::{GroupIndex, JoinKey, JoinTable, PROBE_BLOCK};
 
 use crate::ast::{AggFunc, BinOp, UnaryOp};
-use crate::exec::{self, AggState, ParallelPhase, QueryReport, ResultSet, ScanReport, Tuple};
+use crate::columns::{ResultColumn, ResultColumns, TextColumn};
+use crate::exec::{self, AggState, ParallelPhase, QueryReport, ScanReport, Tuple};
 use crate::expr::{
     combine_and, combine_or, eval_abs_value, eval_cast_int_value, eval_cmp_arith, eval_unary_value,
     CExpr,
@@ -673,7 +688,7 @@ pub(crate) fn execute(
     pos: &PosPlan<'_>,
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<ResultSet> {
+) -> Result<ResultColumns> {
     par.check_interrupt()?;
     let tables: Vec<&dyn FactTable> = pos.leaves.iter().map(|s| s.table.as_ref()).collect();
 
@@ -706,72 +721,127 @@ pub(crate) fn execute(
 
     match &pos.tail {
         PosTail::Group(shape) => exec_group(plan, shape, &batch, &tables, report, par),
-        PosTail::Project(project) => {
-            // Late materialization: SqlValue rows exist only here.
-            // Superkey and Quadrant output columns are pre-gathered in bulk
-            // through the fact tables' `gather_*` kernels (one virtual
-            // dispatch per column instead of one per row, and the column
-            // stores read their flat arrays sequentially); every other
-            // expression still evaluates row at a time below.
-            enum PreCol {
-                Superkeys(Vec<u128>),
-                Quadrants(Vec<Option<bool>>),
-            }
-            let span = blend_obs::span("materialize");
-            span.attr_u64("rows", batch.len() as u64);
-            let mut cache = ColCache::new(&batch);
-            let mut pre_gather = |e: &PExpr| -> Option<PreCol> {
-                match e {
-                    PExpr::Superkey(leaf) => {
-                        let mut v = Vec::with_capacity(batch.len());
-                        tables[*leaf].gather_superkeys(cache.positions(*leaf), &mut v);
-                        Some(PreCol::Superkeys(v))
-                    }
-                    PExpr::Quadrant(leaf) => {
-                        let mut v = Vec::with_capacity(batch.len());
-                        tables[*leaf].gather_quadrants(cache.positions(*leaf), &mut v);
-                        Some(PreCol::Quadrants(v))
-                    }
-                    _ => None,
-                }
-            };
-            let expr_pre: Vec<Option<PreCol>> = project.exprs.iter().map(&mut pre_gather).collect();
-            let order_pre: Vec<Option<PreCol>> =
-                project.order.iter().map(&mut pre_gather).collect();
-            // Pre-gathered columns must materialize exactly what
-            // `PExpr::eval` would have (see its Superkey/Quadrant arms).
-            let materialize = |pre: &Option<PreCol>, e: &PExpr, i: usize, row: &[u32]| match pre {
-                Some(PreCol::Superkeys(v)) => SqlValue::U128(v[i]),
-                Some(PreCol::Quadrants(v)) => match v[i] {
-                    None => SqlValue::Null,
-                    Some(b) => SqlValue::Int(b as i64),
-                },
-                None => e.eval(&tables, 0, row),
-            };
-            let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(batch.len());
-            for i in 0..batch.len() {
-                if poll_every(i) {
-                    par.check_interrupt()?;
-                }
-                let row = batch.row(i);
-                let out: Tuple = project
-                    .exprs
-                    .iter()
-                    .zip(&expr_pre)
-                    .map(|(e, pre)| materialize(pre, e, i, row))
-                    .collect();
-                let keys: Vec<SqlValue> = project
-                    .order
-                    .iter()
-                    .zip(&order_pre)
-                    .map(|(e, pre)| materialize(pre, e, i, row))
-                    .collect();
-                decorated.push((keys, out));
-            }
-            drop(span);
-            exec::finish_decorated(plan, decorated, report)
-        }
+        PosTail::Project(project) => exec_project(plan, pos, project, &batch, &tables, report, par),
     }
+}
+
+/// Compare rows `a` and `b` on `keys` — (column, descending) pairs, most
+/// significant first. `Equal` leaves the caller's unique last key to decide.
+fn cmp_keys<'c>(
+    keys: impl IntoIterator<Item = (&'c ResultColumn, bool)>,
+    a: usize,
+    b: usize,
+) -> std::cmp::Ordering {
+    keys.into_iter()
+        .map(|(col, desc)| match desc {
+            true => col.cmp(a, b).reverse(),
+            false => col.cmp(a, b),
+        })
+        .find(|ord| ord.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// The non-grouped query tail: gather the select list into flat columns —
+/// fact columns through the tables' bulk `gather_*` kernels (one virtual
+/// dispatch per column, sequential reads on the column store), `CellValue`
+/// as dictionary ids, anything computed row at a time — and run
+/// `ORDER BY … LIMIT` over row ordinals with the shared
+/// [`exec::select_top`], comparing the flat columns. No `SqlValue` row is
+/// built here.
+fn exec_project(
+    plan: &QueryPlan,
+    pos: &PosPlan<'_>,
+    project: &PosProject,
+    batch: &PosBatch,
+    tables: &[&dyn FactTable],
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<ResultColumns> {
+    let ordered = !project.order.is_empty();
+    // Without ORDER BY the first LIMIT rows are the result.
+    let n = match plan.limit {
+        Some(k) if !ordered => k.min(batch.len()),
+        _ => batch.len(),
+    };
+    let span = blend_obs::span("project");
+    span.attr_u64("rows", n as u64);
+    let mut cache = ColCache::new(batch);
+    let mut column = |e: &PExpr| -> Result<ResultColumn> {
+        par.check_interrupt()?;
+        Ok(match e {
+            PExpr::Int(leaf, col) => {
+                let mut v = Vec::with_capacity(n);
+                col.gather(tables[*leaf], &cache.positions(*leaf)[..n], &mut v);
+                ResultColumn::Key(v)
+            }
+            PExpr::Superkey(leaf) => {
+                let mut v = Vec::with_capacity(n);
+                tables[*leaf].gather_superkeys(&cache.positions(*leaf)[..n], &mut v);
+                ResultColumn::U128(v)
+            }
+            PExpr::Value(leaf) => {
+                let positions = &cache.positions(*leaf)[..n];
+                let mut codes = Vec::with_capacity(n);
+                ResultColumn::Text(if tables[*leaf].gather_value_codes(positions, &mut codes) {
+                    TextColumn::store(codes, pos.leaves[*leaf].table.clone())
+                } else {
+                    let strs = positions
+                        .iter()
+                        .map(|&p| tables[*leaf].value_at(p as usize));
+                    TextColumn::dense(strs)
+                })
+            }
+            PExpr::Quadrant(leaf) => {
+                let mut v = Vec::with_capacity(n);
+                tables[*leaf].gather_quadrants(&cache.positions(*leaf)[..n], &mut v);
+                let value = |q: Option<bool>| q.map_or(SqlValue::Null, |b| SqlValue::Int(b as i64));
+                ResultColumn::Val(v.into_iter().map(value).collect())
+            }
+            _ => {
+                let mut v = Vec::with_capacity(n);
+                for i in 0..n {
+                    if poll_every(i) {
+                        par.check_interrupt()?;
+                    }
+                    v.push(e.eval(tables, 0, batch.row(i)));
+                }
+                ResultColumn::Val(v)
+            }
+        })
+    };
+    let mut columns: Vec<ResultColumn> = project
+        .exprs
+        .iter()
+        .map(&mut column)
+        .collect::<Result<_>>()?;
+    let order: Vec<ResultColumn> = project
+        .order
+        .iter()
+        .map(&mut column)
+        .collect::<Result<_>>()?;
+    drop(span);
+
+    if ordered {
+        let span = blend_obs::span("sort");
+        span.attr_u64("rows_in", n as u64);
+        span.attr_u64("k", plan.limit.unwrap_or(n) as u64);
+        // Order keys, then the projected values, then input position.
+        let keys = order
+            .iter()
+            .zip(plan.order_by.iter().map(|(_, desc)| *desc));
+        let cmp = |a: u32, b: u32| {
+            let keys = keys.clone().chain(columns.iter().map(|c| (c, false)));
+            cmp_keys(keys, a as usize, b as usize).then(a.cmp(&b))
+        };
+        let ords = exec::select_top(n, plan.limit, Some(cmp))?;
+        span.attr_u64("selected", ords.len() as u64);
+        columns = columns.iter().map(|c| c.gather(&ords)).collect();
+    }
+    report.result_rows = columns.first().map_or(0, ResultColumn::len);
+    Ok(ResultColumns {
+        labels: plan.output_labels(),
+        columns,
+    })
 }
 
 fn exec_node(
@@ -1425,75 +1495,12 @@ enum SpecData {
     Ints(Vec<u32>),
 }
 
-/// One flat column of the GROUP BY output: a value per group.
-#[derive(Clone)]
-enum GroupCol {
-    /// A group key (an integer fact column).
-    Key(Vec<u32>),
-    /// `COUNT(*)`, `COUNT(DISTINCT CellValue)`, `MIN`/`MAX` of an integer
-    /// fact column: row counts and u32 values, all far below 2^53, so
-    /// integer comparison agrees with [`SqlValue::order_cmp`] (which
-    /// compares numerics as `f64`).
-    Int(Vec<i64>),
-    /// A [`PosAggSpec::Generic`] aggregate, or a computed sort key.
-    Val(Vec<SqlValue>),
-}
-
-impl GroupCol {
-    fn value(&self, g: usize) -> SqlValue {
-        match self {
-            GroupCol::Key(c) => SqlValue::Int(c[g] as i64),
-            GroupCol::Int(c) => SqlValue::Int(c[g]),
-            GroupCol::Val(c) => c[g].clone(),
-        }
-    }
-
-    #[inline]
-    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        match self {
-            GroupCol::Key(c) => c[a].cmp(&c[b]),
-            GroupCol::Int(c) => c[a].cmp(&c[b]),
-            GroupCol::Val(c) => c[a].order_cmp(&c[b]),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            GroupCol::Key(c) => c.len() * 4,
-            GroupCol::Int(c) => c.len() * 8,
-            GroupCol::Val(c) => c.len() * std::mem::size_of::<SqlValue>(),
-        }
-    }
-
-    /// The entries at `ords`, in that order.
-    fn gather(&self, ords: &[u32]) -> GroupCol {
-        fn pick<T: Clone>(col: &[T], ords: &[u32]) -> Vec<T> {
-            ords.iter().map(|&g| col[g as usize].clone()).collect()
-        }
-        match self {
-            GroupCol::Key(c) => GroupCol::Key(pick(c, ords)),
-            GroupCol::Int(c) => GroupCol::Int(pick(c, ords)),
-            GroupCol::Val(c) => GroupCol::Val(pick(c, ords)),
-        }
-    }
-
-    fn append(&mut self, other: GroupCol) {
-        match (self, other) {
-            (GroupCol::Key(d), GroupCol::Key(s)) => d.extend(s),
-            (GroupCol::Int(d), GroupCol::Int(s)) => d.extend(s),
-            (GroupCol::Val(d), GroupCol::Val(s)) => d.extend(s),
-            // Partitions run one plan; their columns agree.
-            _ => {}
-        }
-    }
-}
-
 /// GROUP BY output as flat columns, one entry per group: the batch row that
 /// first produced the group, then the key and aggregate columns in the
 /// order of the post-aggregation tuple the plan's projection and ORDER BY
 /// are compiled against. No `SqlValue` tuple exists per group;
-/// [`finish_groups`] builds them for the groups that survive
-/// `ORDER BY … LIMIT` only.
+/// [`finish_groups`] gathers the output columns of the groups that survive
+/// `ORDER BY … LIMIT`.
 ///
 /// A group's first-seen row is unique, and ascending first-seen rows are
 /// the sequential (and tuple-executor) group order, so it is the last sort
@@ -1501,7 +1508,7 @@ impl GroupCol {
 #[derive(Default)]
 struct GroupCols {
     first_rows: Vec<u32>,
-    cols: Vec<GroupCol>,
+    cols: Vec<ResultColumn>,
 }
 
 impl GroupCols {
@@ -1510,7 +1517,7 @@ impl GroupCols {
     }
 
     fn bytes(&self) -> usize {
-        self.len() * 4 + self.cols.iter().map(GroupCol::bytes).sum::<usize>()
+        self.len() * 4 + self.cols.iter().map(ResultColumn::bytes).sum::<usize>()
     }
 
     fn gather(&self, ords: &[u32]) -> GroupCols {
@@ -1520,11 +1527,10 @@ impl GroupCols {
         }
     }
 
-    fn append(&mut self, other: GroupCols) {
+    fn append(&mut self, other: GroupCols) -> Result<()> {
         self.first_rows.extend(other.first_rows);
-        for (dst, src) in self.cols.iter_mut().zip(other.cols) {
-            dst.append(src);
-        }
+        let mut cols = self.cols.iter_mut().zip(other.cols);
+        cols.try_for_each(|(dst, src)| dst.append(src))
     }
 
     /// Group `g` as the post-aggregation tuple.
@@ -1536,7 +1542,7 @@ impl GroupCols {
     /// The values of `e` over all groups. A plain key or aggregate
     /// reference borrows its flat column; anything else is evaluated once
     /// per group.
-    fn sort_col(&self, e: &CExpr) -> Cow<'_, GroupCol> {
+    fn sort_col(&self, e: &CExpr) -> Cow<'_, ResultColumn> {
         if let CExpr::Col(i) = e {
             if let Some(col) = self.cols.get(*i) {
                 return Cow::Borrowed(col);
@@ -1547,7 +1553,7 @@ impl GroupCols {
             self.fill_tuple(g, &mut tuple);
             e.eval(&tuple)
         });
-        Cow::Owned(GroupCol::Val(vals.collect()))
+        Cow::Owned(ResultColumn::Val(vals.collect()))
     }
 
     /// Ordinals of the groups that survive the plan's `ORDER BY … LIMIT`,
@@ -1557,7 +1563,7 @@ impl GroupCols {
     /// row; with no ORDER BY that last key alone restores first-seen order.
     fn top(&self, plan: &QueryPlan) -> Result<Vec<u32>> {
         let projected = plan.projection.iter().map(|(_, e)| (e, false));
-        let keys: Vec<(Cow<'_, GroupCol>, bool)> = plan
+        let keys: Vec<(Cow<'_, ResultColumn>, bool)> = plan
             .order_by
             .iter()
             .map(|(e, desc)| (e, *desc))
@@ -1566,20 +1572,15 @@ impl GroupCols {
             .collect();
         let cmp = |a: u32, b: u32| {
             let (a, b) = (a as usize, b as usize);
-            keys.iter()
-                .map(|(col, desc)| match desc {
-                    true => col.cmp(a, b).reverse(),
-                    false => col.cmp(a, b),
-                })
-                .find(|ord| ord.is_ne())
-                .unwrap_or_else(|| self.first_rows[a].cmp(&self.first_rows[b]))
+            cmp_keys(keys.iter().map(|(col, desc)| (&**col, *desc)), a, b)
+                .then_with(|| self.first_rows[a].cmp(&self.first_rows[b]))
         };
         exec::select_top(self.len(), plan.limit, Some(cmp))
     }
 }
 
-/// The grouped query tail: select the surviving groups, then materialize
-/// `SqlValue` rows for those alone. `parts` holds one [`GroupCols`] per
+/// The grouped query tail: select the surviving groups, then gather the
+/// select list's flat columns for those alone. `parts` holds one [`GroupCols`] per
 /// radix partition; under a LIMIT and a `grant`, every partition first
 /// selects its own top-k on the pool, so the merge sees at most k groups
 /// per partition instead of all of them.
@@ -1589,7 +1590,7 @@ fn finish_groups(
     grant: Option<&PhaseGrant>,
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<ResultSet> {
+) -> Result<ResultColumns> {
     let span = blend_obs::span("sort");
     let rows_in: usize = parts.iter().map(GroupCols::len).sum();
     span.attr_u64("rows_in", rows_in as u64);
@@ -1614,31 +1615,42 @@ fn finish_groups(
     }
     let mut parts = parts.into_iter();
     let mut groups = parts.next().unwrap_or_default();
-    parts.for_each(|part| groups.append(part));
+    parts.try_for_each(|part| groups.append(part))?;
     let ords = groups.top(plan)?;
     span.attr_u64("selected", ords.len() as u64);
     drop(span);
 
-    let span = blend_obs::span("materialize");
+    // The select list over the survivors: a plain key or aggregate
+    // reference gathers its flat column, anything else evaluates per group.
+    let span = blend_obs::span("project");
     span.attr_u64("rows", ords.len() as u64);
-    let row_bytes =
-        std::mem::size_of::<Tuple>() + plan.projection.len() * std::mem::size_of::<SqlValue>();
-    let _rows_mem = par
-        .memory()
-        .try_reserve("group_rows", ords.len() * row_bytes)?;
     let mut tuple = Tuple::new();
-    let project = |&g: &u32| {
-        groups.fill_tuple(g as usize, &mut tuple);
-        plan.projection
-            .iter()
-            .map(|(_, e)| e.eval(&tuple))
-            .collect()
-    };
-    Ok(exec::finish_rows(
-        plan,
-        ords.iter().map(project).collect(),
-        report,
-    ))
+    let columns: Vec<ResultColumn> = plan
+        .projection
+        .iter()
+        .map(|(_, e)| match e {
+            CExpr::Col(i) if *i < groups.cols.len() => groups.cols[*i].gather(&ords),
+            _ => ResultColumn::Val(
+                ords.iter()
+                    .map(|&g| {
+                        groups.fill_tuple(g as usize, &mut tuple);
+                        e.eval(&tuple)
+                    })
+                    .collect(),
+            ),
+        })
+        .collect();
+    // The survivors' columns stand beside the group columns they were
+    // gathered from until this returns; the engine charges them from there.
+    let _out_mem = par.memory().try_reserve(
+        "group_project",
+        columns.iter().map(ResultColumn::bytes).sum(),
+    )?;
+    report.result_rows = ords.len();
+    Ok(ResultColumns {
+        labels: plan.output_labels(),
+        columns,
+    })
 }
 
 /// What the grouping functions read: the GROUP BY shape, the batch, and
@@ -1656,7 +1668,7 @@ struct GroupInput<'a> {
 /// [`GroupIndex`] assigns dense group ids in first-seen order and
 /// aggregates accumulate column-at-a-time into struct-of-arrays state,
 /// which is also the phase's output ([`GroupCols`]). [`finish_groups`]
-/// then orders, limits and materializes.
+/// then orders, limits and projects.
 ///
 /// Large keyed inputs radix-partition rows by key hash so each pool worker
 /// owns its groups outright — per-group update order is exactly the
@@ -1671,11 +1683,11 @@ fn exec_group(
     tables: &[&dyn FactTable],
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<ResultSet> {
+) -> Result<ResultColumns> {
     par.check_interrupt()?;
     let n_rows = batch.len();
     // The gathered input columns (and their reservation) live for the
-    // grouping phase only; selection and materialization run without them.
+    // grouping phase only; selection and projection run without them.
     let (parts, grant) = {
         let mut cache = ColCache::new(batch);
 
@@ -1734,7 +1746,7 @@ fn exec_group(
 
         if shape.keys.is_empty() {
             let row = group_global(&input, report, par)?;
-            return exec::project_sort_limit(plan, &[row], report);
+            return exec::project_sort_limit(plan, &[row], report).map(ResultColumns::from);
         }
 
         // Monomorphize on packed key width.
@@ -1947,9 +1959,9 @@ fn group_partition<K: JoinKey>(
     // integer aggregates. Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
     // Key values read at each group's first-seen row, then the aggregates.
-    let mut cols: Vec<GroupCol> = key_cols
+    let mut cols: Vec<ResultColumn> = key_cols
         .iter()
-        .map(|col| GroupCol::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
+        .map(|col| ResultColumn::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
         .collect();
     for (spec, data) in shape.aggs.iter().zip(spec_data) {
         cols.push(match (spec, data) {
@@ -1958,14 +1970,14 @@ fn group_partition<K: JoinKey>(
                 for &g in &row_gids {
                     counts[g as usize] += 1;
                 }
-                GroupCol::Int(counts)
+                ResultColumn::Int(counts)
             }
             (PosAggSpec::DistinctValue { .. }, SpecData::Codes(codes)) => {
                 let csr = match &mut gid_csr {
                     Some(c) => c,
                     none => none.insert(radix_partition(&row_gids, n_groups)?),
                 };
-                GroupCol::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
+                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
             }
             (PosAggSpec::DistinctValue { leaf }, SpecData::Positions(positions)) => {
                 // Dense string ids: one map per partition, never per group.
@@ -1983,7 +1995,7 @@ fn group_partition<K: JoinKey>(
                     Some(c) => c,
                     none => none.insert(radix_partition(&row_gids, n_groups)?),
                 };
-                GroupCol::Int(distinct_counts(csr, n_groups, |idx| str_ids[idx]))
+                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| str_ids[idx]))
             }
             // Every group holds at least one row, so the MIN/MAX seeds
             // never survive.
@@ -1993,7 +2005,7 @@ fn group_partition<K: JoinKey>(
                     let m = &mut mins[g as usize];
                     *m = (*m).min(col[row_at(idx)] as i64);
                 }
-                GroupCol::Int(mins)
+                ResultColumn::Int(mins)
             }
             (PosAggSpec::MaxCol { .. }, SpecData::Ints(col)) => {
                 let mut maxs = vec![0i64; n_groups];
@@ -2001,7 +2013,7 @@ fn group_partition<K: JoinKey>(
                     let m = &mut maxs[g as usize];
                     *m = (*m).max(col[row_at(idx)] as i64);
                 }
-                GroupCol::Int(maxs)
+                ResultColumn::Int(maxs)
             }
             (PosAggSpec::Generic { plan, arg }, _) => {
                 let mut states: Vec<AggState> =
@@ -2010,7 +2022,7 @@ fn group_partition<K: JoinKey>(
                     let row = batch.row(row_at(idx));
                     states[g as usize].update_value(arg.as_ref().map(|e| e.eval(tables, 0, row)));
                 }
-                GroupCol::Val(states.into_iter().map(AggState::finish).collect())
+                ResultColumn::Val(states.into_iter().map(AggState::finish).collect())
             }
             _ => {
                 return Err(BlendError::SqlExec(
@@ -2228,6 +2240,7 @@ fn group_global<'a>(
 mod tests {
     use super::*;
     use crate::engine::{ExecPath, SqlEngine};
+    use crate::exec::ResultSet;
     use blend_storage::{build_engine, EngineKind};
 
     fn engine(kind: EngineKind) -> SqlEngine {

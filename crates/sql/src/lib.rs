@@ -27,6 +27,7 @@
 //! speed queries up rather than just shrinking result sets.
 
 pub mod ast;
+pub mod columns;
 pub mod engine;
 pub mod exec;
 pub mod exec_positional;
@@ -39,6 +40,7 @@ pub mod plan;
 pub mod value;
 
 pub use blend_obs::Profile as QueryProfile;
+pub use columns::{ResultColumn, ResultColumns, TextColumn};
 pub use engine::{Database, ExecPath, SqlEngine};
 pub use exec::{HashTableStats, ParallelPhase, QueryReport, ResultSet, ScanReport, ServingStats};
 pub use fingerprint::{fingerprint_query, fingerprint_sql, QueryFingerprint};

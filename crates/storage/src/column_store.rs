@@ -107,11 +107,6 @@ impl ColumnStore {
         }
     }
 
-    /// Dictionary code of a value, if present.
-    pub fn code_of(&self, value: &str) -> Option<u32> {
-        self.dict_index.get(value).copied()
-    }
-
     /// Dictionary size (distinct values).
     pub fn dict_len(&self) -> usize {
         self.dict.len()
@@ -272,6 +267,14 @@ impl FactTable for ColumnStore {
         Some(self.codes[pos])
     }
 
+    fn code_of_value(&self, value: &str) -> Option<u32> {
+        self.dict_index.get(value).copied()
+    }
+
+    fn value_of_code(&self, code: u32) -> Option<&str> {
+        self.dict.get(code as usize).map(|s| &**s)
+    }
+
     fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
         out.extend(positions.iter().map(|&p| self.tables[p as usize]));
     }
@@ -410,8 +413,10 @@ mod tests {
         // "berlin" and "rome" appear twice each but are stored once.
         let n_values = sample_rows().len();
         assert!(s.dict_len() < n_values);
-        assert!(s.code_of("berlin").is_some());
-        assert!(s.code_of("ghost").is_none());
+        let berlin = s.code_of_value("berlin").expect("berlin is indexed");
+        assert_eq!(s.value_of_code(berlin), Some("berlin"));
+        assert!(s.code_of_value("ghost").is_none());
+        assert!(s.value_of_code(s.dict_len() as u32).is_none());
     }
 
     #[test]

@@ -179,6 +179,19 @@ pub trait FactTable: Send + Sync {
         None
     }
 
+    /// Dictionary code of a value — the inverse of
+    /// [`value_of_code`](FactTable::value_of_code). `None` when the value
+    /// is not in the table, and on engines without a dictionary.
+    fn code_of_value(&self, _value: &str) -> Option<u32> {
+        None
+    }
+
+    /// The value a dictionary code stands for (`None` for an unknown code,
+    /// and on engines without a dictionary).
+    fn value_of_code(&self, _code: u32) -> Option<&str> {
+        None
+    }
+
     /// Batch accessor: append `TableId` for each position to `out`. One
     /// virtual dispatch per batch instead of one per position.
     fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {

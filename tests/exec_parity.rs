@@ -1,14 +1,16 @@
 //! Cross-path × cross-engine parity: the positional (late-materialization)
 //! executor must be selected for every seeker SQL shape and must produce
 //! byte-identical `ResultSet`s — and identical scan/join telemetry — to the
-//! tuple executor, on both storage engines.
+//! tuple executor, on both storage engines. The columnar entry
+//! (`execute_columns_interruptible`) turned into rows must be those same
+//! bytes: rows are a view over the flat columns, built in one place.
 
 use blend::plan::Seeker;
 use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend::Blend;
 use blend_lake::web::{generate, WebLakeConfig};
 use blend_lake::DataLake;
-use blend_sql::ExecPath;
+use blend_sql::{ExecPath, ResultSet};
 use blend_storage::EngineKind;
 
 fn lake() -> DataLake {
@@ -171,5 +173,122 @@ fn seeker_runs_match_direct_sql_results() {
             .execute_with_report_path(&run.sql, ExecPath::TupleOnly)
             .unwrap();
         assert_eq!(a, b, "{label}");
+    }
+}
+
+/// Non-grouped shapes for the flat-column tail: (select list and FROM,
+/// ORDER BY variants). Repeated text values, `SuperKey`, NULL `Quadrant`,
+/// computed expressions, ties under every ORDER BY, and empty results.
+const PROJECTIONS: &[(&str, &[&str])] = &[
+    (
+        "SELECT CellValue, TableId, RowId FROM AllTables WHERE ColumnId = 0",
+        &["CellValue ASC, RowId DESC", "CellValue DESC", "RowId"],
+    ),
+    (
+        "SELECT SuperKey, CellValue FROM AllTables WHERE RowId < 3",
+        &["SuperKey DESC, CellValue", "CellValue ASC"],
+    ),
+    (
+        "SELECT Quadrant, CellValue, ColumnId FROM AllTables WHERE TableId IN (1, 2, 3)",
+        &["Quadrant ASC, CellValue DESC", "Quadrant DESC"],
+    ),
+    (
+        "SELECT TableId * 2 + RowId AS x, (Quadrant = 1)::int AS q, CellValue \
+         FROM AllTables WHERE RowId < 2",
+        &["x DESC, q", "q ASC"],
+    ),
+    ("SELECT * FROM AllTables WHERE RowId < 1", &["TableId DESC"]),
+    (
+        "SELECT q0.CellValue AS v0, q1.CellValue AS v1, q0.SuperKey AS sk, q1.Quadrant AS qd \
+         FROM (SELECT * FROM AllTables WHERE RowId < 3) AS q0 \
+         INNER JOIN (SELECT * FROM AllTables WHERE RowId < 3) AS q1 \
+         ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
+        &["v0, v1 DESC", "qd DESC, sk"],
+    ),
+    (
+        "SELECT CellValue, SuperKey, Quadrant FROM AllTables \
+         WHERE CellValue IN ('no-such-value')",
+        &["CellValue DESC"],
+    ),
+];
+
+/// Labels and rows, byte for byte (`SqlValue: PartialEq` equates `1` with
+/// `1.0`), plus the cache-admission cost, which must not move either.
+fn bytes_of(rs: &ResultSet) -> String {
+    format!("{:?} {:?} {}", rs.columns, rs.rows, rs.approx_bytes())
+}
+
+/// `execute_columns(…).into_result_set()` == `execute(…)` == the
+/// `TupleOnly` rows, on both executors and both engines, for the seeker
+/// corpus and for every projection shape × ORDER BY × LIMIT.
+#[test]
+fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
+    let lake = lake();
+    let mut corpus: Vec<String> = Vec::new();
+    for (_, seeker) in seeker_suite(&lake) {
+        let template = seekers::seeker_sql(&seeker, 10, 64);
+        for (_, fragment) in fragments() {
+            corpus.push(template.replace(TID_PLACEHOLDER, &fragment));
+        }
+    }
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let blend = Blend::from_lake(&lake, kind);
+        let engine = blend.engine();
+        let rows = |sql: &str, path| {
+            let (rs, report) = engine
+                .execute_with_report_path(sql, path)
+                .unwrap_or_else(|e| panic!("{kind:?}/{path:?}: {e}: {sql}"));
+            (bytes_of(&rs), report.path, rs.len())
+        };
+        let columns = |sql: &str, path| {
+            let (cols, report) = engine
+                .execute_columns_interruptible(sql, path, blend::Interrupt::never())
+                .unwrap_or_else(|e| panic!("{kind:?}/{path:?}: {e}: {sql}"));
+            assert_eq!(cols.len(), report.result_rows, "{kind:?}/{path:?}: {sql}");
+            bytes_of(&cols.into_result_set())
+        };
+        let check = |sql: &str| {
+            let (want, tuple_path, n) = rows(sql, ExecPath::TupleOnly);
+            let (auto, auto_path, _) = rows(sql, ExecPath::Auto);
+            assert_eq!(
+                (tuple_path.as_str(), auto_path.as_str()),
+                ("tuple", "positional")
+            );
+            assert_eq!(auto, want, "{kind:?}: row entry: {sql}");
+            assert_eq!(
+                columns(sql, ExecPath::Auto),
+                want,
+                "{kind:?}: columns: {sql}"
+            );
+            assert_eq!(
+                columns(sql, ExecPath::TupleOnly),
+                want,
+                "{kind:?}: wrapped rows: {sql}"
+            );
+            n
+        };
+        for sql in &corpus {
+            check(sql);
+        }
+        let mut nonempty = 0;
+        for (base, orders) in PROJECTIONS {
+            let n = check(base);
+            nonempty += (n > 0) as usize;
+            for order in orders
+                .iter()
+                .map(|o| format!("ORDER BY {o}"))
+                .chain([String::new()])
+            {
+                for limit in [0, 1, n, n + 3] {
+                    check(&format!("{base} {order} LIMIT {limit}"));
+                }
+                check(&format!("{base} {order}"));
+            }
+        }
+        assert_eq!(
+            nonempty,
+            PROJECTIONS.len() - 1,
+            "one shape is the empty result"
+        );
     }
 }

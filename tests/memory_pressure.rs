@@ -226,7 +226,7 @@ fn storm_under_memory_budget_resolves_typed_with_conservation() {
     let storm_gov = gov.clone();
     let storm_queries = queries.clone();
     let storm_want = want.clone();
-    std::thread::spawn(move || {
+    let storm = std::thread::spawn(move || {
         let (queries, want) = (storm_queries, storm_want);
         let mut ok = 0usize;
         let mut shed = 0usize;
@@ -267,6 +267,8 @@ fn storm_under_memory_budget_resolves_typed_with_conservation() {
     let (ok, shed, mem_exceeded) = rx
         .recv_timeout(WATCHDOG)
         .expect("memory-pressure storm deadlocked");
+    // The storm thread holds a queue handle until it returns.
+    storm.join().expect("storm thread");
     assert_eq!(
         ok + shed + mem_exceeded,
         WAVES * 2 * DEPTH,
@@ -342,7 +344,7 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
     let storm_queue = queue.clone();
     let storm_queries = queries.clone();
     let storm_want = want.clone();
-    std::thread::spawn(move || {
+    let storm = std::thread::spawn(move || {
         let (queries, want) = (storm_queries, storm_want);
         let mut ok = 0usize;
         let mut shed = 0usize;
@@ -376,6 +378,8 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
     let (ok, shed, mem_exceeded) = rx
         .recv_timeout(WATCHDOG)
         .expect("alloc-fault storm deadlocked");
+    // The storm thread holds a queue handle until it returns.
+    storm.join().expect("storm thread");
     assert_eq!(ok + shed + mem_exceeded, WAVES * DEPTH);
     assert!(
         mem_exceeded > 0,
@@ -422,7 +426,13 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
 /// executor built one `(u32, Vec<SqlValue>)` per group before it sorted —
 /// and never reserved them — so its group output *alone* outweighed
 /// everything this query reserves now. And the same query without LIMIT,
-/// which still has to materialize every group, peaks higher.
+/// which has to build a row per group, is charged strictly more for its
+/// result (`result_rows`: the flat columns plus the rows — the `materialize`
+/// span's `bytes`). Its whole-query peak is strictly higher wherever the
+/// rows outweigh the grouping state, which is asserted with a four-column
+/// select list. With this two-column one they weigh a little less, and they
+/// are built after that state is released, so both queries peak inside the
+/// grouping phase and `<=` is all that holds between them.
 #[test]
 fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
     use blend_sql::SqlValue;
@@ -464,19 +474,24 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
     let limited = format!("{unlimited} LIMIT 48");
     let n_groups = 2 * TABLES as usize;
 
-    let peak_of = |sql: &str| -> (ResultSet, usize) {
+    // Rows, the profile root's peak, and the bytes charged for the result.
+    let peak_of = |sql: &str| -> (ResultSet, usize, usize) {
         let gov = Arc::new(MemoryGovernor::unbounded());
         let (rs, report) = budgeted_engine(&fact, &gov)
             .execute_with_report(sql)
             .expect("unbudgeted run");
         let profile = report.profile.expect("profile (BLEND_OBS must be on)");
-        match profile.root.attr("mem_peak_bytes") {
-            Some(blend_obs::AttrValue::U64(peak)) => (rs, *peak as usize),
-            other => panic!("no mem_peak_bytes on the profile root: {other:?}"),
-        }
+        let bytes = |node: Option<&blend_obs::ProfileNode>, key: &str| match node
+            .and_then(|n| n.attr(key))
+        {
+            Some(blend_obs::AttrValue::U64(bytes)) => *bytes as usize,
+            other => panic!("no {key}: {other:?}\n{}", profile.render()),
+        };
+        let peak = bytes(Some(&profile.root), "mem_peak_bytes");
+        (rs, peak, bytes(profile.find("materialize"), "bytes"))
     };
-    let (all, peak_unlimited) = peak_of(&unlimited);
-    let (want, peak_limited) = peak_of(&limited);
+    let (all, peak_unlimited, result_unlimited) = peak_of(&unlimited);
+    let (want, peak_limited, result_limited) = peak_of(&limited);
     assert_eq!(all.len(), n_groups);
     assert_eq!(
         want.rows[..],
@@ -491,9 +506,26 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
         peak_limited < old_group_output,
         "LIMIT-48 peak {peak_limited} B; the old per-group tuples alone were {old_group_output} B"
     );
+    // 48 rows and their columns against 52 000: what the result holds is
+    // what the caller gets, not what was grouped.
     assert!(
-        peak_limited < peak_unlimited,
+        result_limited < result_unlimited && result_limited < want.approx_bytes() * 2,
+        "LIMIT-48 result charges {result_limited} B, all groups {result_unlimited} B"
+    );
+    assert!(
+        peak_limited <= peak_unlimited,
         "LIMIT-48 peak {peak_limited} B; materializing all groups peaks at {peak_unlimited} B"
+    );
+
+    // Two more values per row and the rows outweigh the grouping state:
+    // there the whole-query peaks differ strictly.
+    let wide = unlimited.replace(" AS t,", " AS t, ColumnId AS c, COUNT(*) AS n,");
+    let (wide_all, peak_wide, _) = peak_of(&wide);
+    let (_, peak_wide_limited, _) = peak_of(&format!("{wide} LIMIT 48"));
+    assert_eq!(wide_all.len(), n_groups);
+    assert!(
+        peak_wide_limited < peak_wide,
+        "four columns: LIMIT-48 peak {peak_wide_limited} B, all groups {peak_wide} B"
     );
 
     // The ladder: from the full-width footprint down to nothing.
@@ -525,4 +557,88 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
         degraded,
         "no budget exercised the narrowed/sequential rungs"
     );
+}
+
+/// The columnar entry in the accounting: an MC join (paper Listing 2) whose
+/// result outweighs its join state reserves the flat result columns only,
+/// so it peaks below the same query through `execute`, which builds — and
+/// reserves — a `SqlValue` row per joined row on top of them. Both entries
+/// walk the ladder with results byte-identical to the unbudgeted run.
+#[test]
+fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
+    use blend_parallel::Interrupt;
+    use blend_sql::ExecPath;
+
+    // Every row of every table holds ('a', 'b'): one joined row per fact row.
+    let mut rows = Vec::new();
+    for t in 0..3_000u32 {
+        for r in 0..8u32 {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new("a", t, 0, r, sk, None));
+            rows.push(FactRow::new("b", t, 1, r, sk, None));
+        }
+    }
+    let fact = build_engine(EngineKind::Column, rows);
+    let sql = "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
+               q0.CellValue AS v0, q0.ColumnId AS c0, q1.CellValue AS v1, q1.ColumnId AS c1 \
+               FROM (SELECT * FROM AllTables WHERE CellValue IN ('a')) AS q0 \
+               INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('b')) AS q1 \
+               ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId";
+
+    // One run through either entry: the rows and the profile root's peak.
+    let run = |gov: &Arc<MemoryGovernor>, columnar: bool| {
+        let engine = budgeted_engine(&fact, gov);
+        let (rs, report) = if columnar {
+            let (cols, report) =
+                engine.execute_columns_interruptible(sql, ExecPath::Auto, Interrupt::never())?;
+            (cols.into_result_set(), report)
+        } else {
+            engine.execute_with_report(sql)?
+        };
+        let peak = match report
+            .profile
+            .and_then(|p| p.root.attr("mem_peak_bytes").cloned())
+        {
+            Some(blend_obs::AttrValue::U64(peak)) => peak as usize,
+            other => panic!("no mem_peak_bytes on the profile root: {other:?}"),
+        };
+        Ok::<_, BlendError>((rs, peak))
+    };
+    let unbounded = Arc::new(MemoryGovernor::unbounded());
+    let (want, peak_rows) = run(&unbounded, false).expect("unbudgeted run");
+    let (columnar, peak_columns) = run(&unbounded, true).expect("unbudgeted run");
+    assert_eq!(want.len(), 24_000);
+    assert_eq!(columnar, want);
+    assert!(
+        peak_columns < peak_rows,
+        "columnar entry peaks at {peak_columns} B, `execute` at {peak_rows} B"
+    );
+
+    for columnar in [false, true] {
+        let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
+        // The row entry's peak is its last reservation, the rows, which no
+        // rung can narrow: it needs its whole peak.
+        for percent in [110usize, 80, 60, 40, 30, 20, 10, 2] {
+            let budget = peak_rows / 100 * percent;
+            let gov = Arc::new(MemoryGovernor::with_budget(budget));
+            match run(&gov, columnar) {
+                Ok((rs, _)) => {
+                    ok += 1;
+                    assert_eq!(
+                        rs, want,
+                        "budget {budget}: diverged from the unbudgeted run"
+                    );
+                }
+                Err(BlendError::MemoryExceeded(_)) => exceeded += 1,
+                Err(other) => panic!("budget {budget}: untyped outcome {other}"),
+            }
+            assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
+            let stats = gov.stats();
+            degraded |= stats.narrowed > 0 || stats.sequential_fallbacks > 0;
+        }
+        assert!(
+            ok > 0 && exceeded > 0 && degraded,
+            "columnar {columnar}: ok {ok}, exceeded {exceeded}, degraded {degraded}"
+        );
+    }
 }

@@ -190,13 +190,16 @@ fn sc_query_profile_has_full_span_tree() {
     );
 }
 
-/// The sort/top-k and materialize layers are spans of their own, direct
-/// children of `query`, whichever executor ran — and on the positional
-/// GROUP BY they show the pushdown: `sort` sees every group, `materialize`
-/// only the LIMIT's rows. `group` stays grouping plus aggregation.
+/// The sort/top-k, project and materialize layers are spans of their own,
+/// direct children of `query`, whichever executor ran — and on the
+/// positional GROUP BY they show the pushdown: `sort` sees every group,
+/// `project` only the LIMIT's rows. `group` stays grouping plus
+/// aggregation. `materialize` counts the `SqlValue` rows actually built:
+/// the result's rows on a row entry, none on the columnar entry.
 #[test]
-fn sort_and_materialize_are_query_level_spans_on_both_executors() {
+fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
     use blend_obs::AttrValue;
+    use blend_parallel::Interrupt;
     use blend_sql::ExecPath;
 
     let engine = sc_engine();
@@ -207,37 +210,111 @@ fn sort_and_materialize_are_query_level_spans_on_both_executors() {
         (ExecPath::Auto, "positional"),
         (ExecPath::TupleOnly, "tuple"),
     ] {
-        let (rs, report) = engine
-            .execute_with_report_path(sql, path)
-            .expect("SC query");
-        assert_eq!((report.path.as_str(), rs.len()), (name, 4));
-        let profile = report.profile.expect("profile collected");
-        let child = |span: &str| {
-            profile
+        for columnar in [false, true] {
+            let (len, report) = if columnar {
+                let (cols, report) = engine
+                    .execute_columns_interruptible(sql, path, Interrupt::never())
+                    .expect("SC query");
+                (cols.len(), report)
+            } else {
+                let (rs, report) = engine
+                    .execute_with_report_path(sql, path)
+                    .expect("SC query");
+                (rs.len(), report)
+            };
+            assert_eq!((report.path.as_str(), len), (name, 4));
+            let profile = report.profile.expect("profile collected");
+            let child = |span: &str| {
+                let found = profile.root.children.iter().find(|c| c.name == span);
+                found.unwrap_or_else(|| {
+                    panic!("{name}: no `{span}` under query:\n{}", profile.render())
+                })
+            };
+            let u64_attr = |span: &str, key: &str| match child(span).attr(key) {
+                Some(AttrValue::U64(v)) => *v,
+                other => panic!("{name}: {span}.{key} = {other:?}"),
+            };
+            // Six tables hold a 'w' value in column 0 only: six groups.
+            assert_eq!(u64_attr("sort", "rows_in"), 6);
+            assert_eq!(u64_attr("sort", "k"), 4);
+            assert_eq!(u64_attr("sort", "selected"), 4);
+            let projected = if name == "positional" { 4 } else { 6 };
+            assert_eq!(u64_attr("project", "rows"), projected, "{name}");
+            let built = if columnar { 0 } else { 4 };
+            assert_eq!(u64_attr("materialize", "rows"), built, "{name}");
+            // Selection is not part of `group`: it is a sibling, after it,
+            // and building rows comes last.
+            let names: Vec<&str> = profile
                 .root
                 .children
                 .iter()
-                .find(|c| c.name == span)
-                .unwrap_or_else(|| panic!("{name}: no `{span}` under query:\n{}", profile.render()))
-        };
-        let u64_attr = |span: &str, key: &str| match child(span).attr(key) {
-            Some(AttrValue::U64(v)) => *v,
-            other => panic!("{name}: {span}.{key} = {other:?}"),
-        };
-        // Six tables hold a 'w' value in column 0 only: six groups.
-        assert_eq!(u64_attr("sort", "rows_in"), 6);
-        assert_eq!(u64_attr("sort", "k"), 4);
-        assert_eq!(u64_attr("sort", "selected"), 4);
-        let materialized = if name == "positional" { 4 } else { 6 };
-        assert_eq!(u64_attr("materialize", "rows"), materialized, "{name}");
-        // Selection is not part of `group`: it is a sibling, after it.
-        let names: Vec<&str> = profile
-            .root
-            .children
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        let at = |span: &str| names.iter().position(|n| *n == span);
-        assert!(at("group") < at("sort"), "{name}: {names:?}");
+                .map(|c| c.name.as_str())
+                .collect();
+            let at = |span: &str| names.iter().position(|n| *n == span);
+            assert!(at("group") < at("sort"), "{name}: {names:?}");
+            assert_eq!(
+                at("materialize"),
+                Some(names.len() - 1),
+                "{name}: {names:?}"
+            );
+        }
     }
+}
+
+/// The application phases of MC and C are a `postprocess` span under their
+/// `seeker:` span, carrying what went in and what the filter and the
+/// validation kept; the MC seeker's SQL builds no row on the way.
+#[test]
+fn mc_and_c_postprocess_are_spans_under_their_seeker() {
+    use blend::{Blend, Plan, Seeker};
+    use blend_obs::AttrValue;
+
+    let mut rows = Vec::new();
+    for t in 0..5u32 {
+        for r in 0..12u32 {
+            let sk = blend_index::xash::row_superkey(["lead", "team"]);
+            rows.push(FactRow::new("lead", t, 0, r, sk, None));
+            rows.push(FactRow::new("team", t, 1, r, sk, None));
+            rows.push(FactRow::new(&r.to_string(), t, 2, r, sk, Some(r >= 6)));
+        }
+    }
+    let blend = Blend::new(build_engine(EngineKind::Column, rows));
+    let mut plan = Plan::new();
+    let mc = Seeker::mc(vec![vec!["lead".into(), "team".into()]]);
+    plan.add_seeker("mc", mc, 10).unwrap();
+    let keys = vec!["lead".to_string(), "team".to_string()];
+    plan.add_seeker("c", Seeker::c(keys, vec![1.0, 9.0]), 10)
+        .unwrap();
+    plan.add_combiner("both", blend::Combiner::Union, 10, &["mc", "c"])
+        .unwrap();
+    let (_, report) = blend.execute_with_report(&plan).expect("plan runs");
+    let profile = report.profile.expect("profile collected");
+
+    let u64_attr = |node: &blend_obs::ProfileNode, key: &str| match node.attr(key) {
+        Some(AttrValue::U64(v)) => *v,
+        other => panic!("{}.{key} = {other:?}\n{}", node.name, profile.render()),
+    };
+    for seeker in ["seeker:MC", "seeker:C"] {
+        let span = profile.find(seeker).expect("seeker span");
+        let post = span
+            .find("postprocess")
+            .expect("postprocess under the seeker");
+        assert!(u64_attr(post, "rows_in") > 0, "{seeker}");
+        assert!(
+            u64_attr(post, "candidates") >= u64_attr(post, "validated"),
+            "{seeker}"
+        );
+        assert_eq!(
+            u64_attr(span.find("materialize").expect("query tail"), "rows"),
+            0
+        );
+    }
+    // 60 lake rows, each holding the query row once in distinct columns.
+    let post = profile
+        .find("seeker:MC")
+        .and_then(|s| s.find("postprocess"))
+        .unwrap();
+    assert_eq!(u64_attr(post, "rows_in"), 60);
+    assert_eq!(u64_attr(post, "candidates"), 60);
+    assert_eq!(u64_attr(post, "validated"), 60);
 }

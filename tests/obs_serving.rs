@@ -80,7 +80,7 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     // and timeout outcomes. Behind a watchdog like the main storm suite.
     let (tx, rx) = mpsc::channel();
     let storm_queue = queue.clone();
-    std::thread::spawn(move || {
+    let storm = std::thread::spawn(move || {
         let mut resolved = 0usize;
         for wave in 0..WAVES {
             let tickets: Vec<_> = (0..2 * DEPTH)
@@ -102,6 +102,8 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
         let _ = tx.send(resolved);
     });
     let resolved = rx.recv_timeout(WATCHDOG).expect("metrics storm deadlocked");
+    // The storm thread holds a queue handle until it returns.
+    storm.join().expect("storm thread");
     assert_eq!(resolved, WAVES * 2 * DEPTH);
 
     // Quiesce: joining the serving threads guarantees every accepted

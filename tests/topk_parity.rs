@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex};
 
-use blend_parallel::ParallelCtx;
+use blend_parallel::{Interrupt, ParallelCtx};
 use blend_simd as simd;
 use blend_sql::{ExecPath, ResultSet, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow};
@@ -133,12 +133,33 @@ const SHAPES: &[Shape] = &[
         order: &["ABS((2 * SUM((Quadrant = 1)::int) - COUNT(*)) / COUNT(*))"],
         from: "FROM AllTables WHERE Quadrant IS NOT NULL GROUP BY TableId, ColumnId, RowId",
     },
-    // No GROUP BY: the decorated-row tail of both executors.
+    // No GROUP BY: the tuple executor's decorated rows against the
+    // positional executor's flat columns — dictionary-coded text first.
     Shape {
         label: "ungrouped",
         select: &["CellValue", "TableId"],
         order: &["CellValue", "RowId"],
         from: "FROM AllTables WHERE ColumnId = 0",
+    },
+    // Typed flat columns as sort keys: a NULL-able quadrant, a super key.
+    Shape {
+        label: "ungrouped-typed",
+        select: &["SuperKey", "Quadrant", "CellValue"],
+        order: &["Quadrant", "SuperKey"],
+        from: "FROM AllTables WHERE RowId < 3",
+    },
+    // A computed key beside text from both sides of the MC self-join.
+    Shape {
+        label: "ungrouped-join",
+        select: &[
+            "q0.CellValue AS v0",
+            "q1.CellValue AS v1",
+            "q0.SuperKey AS sk",
+        ],
+        order: &["q0.TableId + q1.ColumnId", "q1.CellValue"],
+        from: "FROM (SELECT * FROM AllTables WHERE ColumnId = 0) AS q0 \
+               INNER JOIN (SELECT * FROM AllTables WHERE ColumnId = 2) AS q1 \
+               ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
     },
 ];
 
@@ -260,6 +281,16 @@ proptest! {
                                     kind, path, threads, vector, sql
                                 );
                             }
+                            // The columnar entry, asked for rows afterwards.
+                            let (cols, _) = eng
+                                .execute_columns_interruptible(&sql, ExecPath::Auto, Interrupt::never())
+                                .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                            prop_assert_eq!(
+                                format!("{:?}", cols.into_result_set().rows),
+                                format!("{:?}", want),
+                                "{:?}/columns/{}t/vector={}: {}",
+                                kind, threads, vector, sql
+                            );
                         }
                     }
                 }
