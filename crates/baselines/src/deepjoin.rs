@@ -9,9 +9,9 @@
 //! encoder (DESIGN.md §4) and keep the retrieval architecture identical:
 //! one vector per lake column, one HNSW search per query.
 
+use crate::embed::Embedder;
+use crate::hnsw::{CosineDistance, Hnsw};
 use blend_common::TableId;
-use blend_embed::Embedder;
-use blend_hnsw::{CosineDistance, Hnsw};
 use blend_lake::DataLake;
 
 /// Tunables.

@@ -14,7 +14,7 @@
 //!   `ef_search`.
 //!
 //! Distances are abstracted behind [`Metric`]; [`CosineDistance`] works on
-//! ℓ2-normalized vectors as produced by `blend-embed`.
+//! ℓ2-normalized vectors as produced by [`crate::embed`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

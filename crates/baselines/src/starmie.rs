@@ -5,7 +5,7 @@
 //!
 //! 1. **Offline** — encode every lake column into a vector (the original
 //!    uses a contrastively trained encoder; we substitute the deterministic
-//!    hashing encoder of `blend-embed`, see DESIGN.md §4) and insert the
+//!    hashing encoder of [`crate::embed`], see DESIGN.md §4) and insert the
 //!    vectors into an HNSW index.
 //! 2. **Filter** — for each query column, retrieve its nearest lake columns
 //!    from HNSW; tables owning the hits become candidates.
@@ -14,9 +14,9 @@
 //!    (Starmie's bipartite "column alignment" verification), averaged over
 //!    query columns.
 
+use crate::embed::{cosine, Embedder};
+use crate::hnsw::{CosineDistance, Hnsw};
 use blend_common::{FxHashMap, FxHashSet, Table, TableId};
-use blend_embed::{cosine, Embedder};
-use blend_hnsw::{CosineDistance, Hnsw};
 use blend_lake::DataLake;
 
 /// Tunables.

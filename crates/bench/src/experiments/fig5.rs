@@ -2,7 +2,7 @@
 //! families, comparing BLEND on both storage engines against JOSIE.
 
 use blend::{Blend, Plan, Seeker};
-use blend_josie::JosieIndex;
+use blend_baselines::josie::JosieIndex;
 use blend_lake::{web, workloads, WebLakeConfig};
 use blend_storage::EngineKind;
 

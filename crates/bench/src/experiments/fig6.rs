@@ -8,10 +8,10 @@
 //! embeddings recover semantically joinable columns beyond literal overlap.
 
 use blend::{Blend, Plan, Seeker};
+use blend_baselines::deepjoin::{DeepJoinConfig, DeepJoinIndex};
+use blend_baselines::josie::JosieIndex;
 use blend_common::stats::{precision_at_k, recall_at_k};
 use blend_common::TableId;
-use blend_deepjoin::{DeepJoinConfig, DeepJoinIndex};
-use blend_josie::JosieIndex;
 use blend_lake::{union_bench, UnionBenchConfig};
 use blend_storage::EngineKind;
 

@@ -2,8 +2,8 @@
 //! BLEND (Row) vs BLEND (Column).
 
 use blend::{tasks, Blend};
+use blend_baselines::starmie::{StarmieConfig, StarmieIndex};
 use blend_lake::{union_bench, UnionBenchConfig};
-use blend_starmie::{StarmieConfig, StarmieIndex};
 use blend_storage::EngineKind;
 
 use crate::harness::{fmt_duration, TextTable, Timer};

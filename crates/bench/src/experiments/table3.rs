@@ -6,14 +6,14 @@ use std::time::Duration;
 use rand::{Rng, SeedableRng};
 
 use blend::Blend;
-use blend_josie::JosieIndex;
+use blend_baselines::josie::JosieIndex;
+use blend_baselines::mate::MateIndex;
+use blend_baselines::qcr::QcrIndex;
+use blend_baselines::starmie::{StarmieConfig, StarmieIndex};
 use blend_lake::{
     corr_bench, union_bench, web, workloads, CorrBenchConfig, DataLake, UnionBenchConfig,
     WebLakeConfig,
 };
-use blend_mate::MateIndex;
-use blend_qcr::QcrIndex;
-use blend_starmie::{StarmieConfig, StarmieIndex};
 use blend_storage::EngineKind;
 
 use crate::harness::{fmt_duration, TextTable, Timer};

@@ -2,8 +2,8 @@
 //! counting filter-phase true/false positives per candidate row.
 
 use blend::{Blend, Plan, Seeker};
+use blend_baselines::mate::MateIndex;
 use blend_lake::{web, workloads, WebLakeConfig};
-use blend_mate::MateIndex;
 use blend_storage::EngineKind;
 
 use crate::harness::{fmt_duration, pct, TextTable, Timer};

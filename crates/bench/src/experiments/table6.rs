@@ -2,10 +2,10 @@
 //! Starmie-style semantic baseline, at k = 10, 20, 50, 100.
 
 use blend::{tasks, Blend};
+use blend_baselines::starmie::{StarmieConfig, StarmieIndex};
 use blend_common::stats::{average_precision_at_k, precision_at_k, recall_at_k};
 use blend_common::TableId;
 use blend_lake::{union_bench, UnionBenchConfig, UnionBenchmark};
-use blend_starmie::{StarmieConfig, StarmieIndex};
 use blend_storage::EngineKind;
 
 use crate::harness::{pct, TextTable};

@@ -3,10 +3,10 @@
 //! the QCR sketch baseline, with h = 256, k = 10.
 
 use blend::{Blend, BlendOptions, Plan, Seeker};
+use blend_baselines::qcr::QcrIndex;
 use blend_common::stats::{precision_at_k, recall_at_k};
 use blend_common::TableId;
 use blend_lake::{corr_bench, CorrBenchConfig, CorrBenchmark};
-use blend_qcr::QcrIndex;
 use blend_storage::EngineKind;
 
 use crate::harness::{fmt_duration, pct, TextTable, Timer};

@@ -1,13 +1,13 @@
 //! Table VIII — index storage: BLEND's single `AllTables` relation vs the
 //! combined footprint of the state-of-the-art per-task indexes.
 
-use blend_josie::JosieIndex;
+use blend_baselines::josie::JosieIndex;
+use blend_baselines::mate::MateIndex;
+use blend_baselines::qcr::QcrIndex;
+use blend_baselines::starmie::{StarmieConfig, StarmieIndex};
 use blend_lake::{
     corr_bench, union_bench, web, CorrBenchConfig, DataLake, UnionBenchConfig, WebLakeConfig,
 };
-use blend_mate::MateIndex;
-use blend_qcr::QcrIndex;
-use blend_starmie::{StarmieConfig, StarmieIndex};
 use blend_storage::EngineKind;
 
 use crate::harness::TextTable;

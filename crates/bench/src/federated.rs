@@ -8,12 +8,12 @@
 //! baselines are real implementations — their runtimes are measured, their
 //! outputs validated against BLEND's in the integration tests.
 
+use blend_baselines::josie::JosieIndex;
+use blend_baselines::mate::MateIndex;
+use blend_baselines::qcr::QcrIndex;
+use blend_baselines::starmie::StarmieIndex;
 use blend_common::{FxHashSet, TableId};
-use blend_josie::JosieIndex;
 use blend_lake::DataLake;
-use blend_mate::MateIndex;
-use blend_qcr::QcrIndex;
-use blend_starmie::StarmieIndex;
 
 /// Task 1 — data discovery with negative examples: MATE for the positive
 /// composite keys, then application-level row-by-row validation to drop

@@ -14,86 +14,6 @@ pub fn scale_from_env(default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Measure the best-of-`n` wall time of a closure (best-of reduces noise
-/// the way criterion's minimum estimator does, at a fraction of the cost).
-pub fn time_best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    assert!(n > 0);
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        let r = f();
-        let dt = t0.elapsed();
-        if dt < best {
-            best = dt;
-        }
-        out = Some(r);
-    }
-    (best, out.expect("n > 0"))
-}
-
-/// Interleaved A/B medians of one workload with observability collection
-/// enabled vs disabled ([`blend_obs::set_enabled`]). Samples alternate
-/// (on, off, on, off, ...) so drift — thermal, frequency scaling, page
-/// cache — lands on both sides equally; each side's median is returned as
-/// `(enabled_ns, disabled_ns)`. Collection is left enabled on return.
-///
-/// This is the measurement behind the benches' obs-overhead acceptance
-/// bar (enabled must stay within a few percent of disabled on the hot
-/// query shapes).
-pub fn obs_overhead_ns(iters: usize, mut f: impl FnMut()) -> (u64, u64) {
-    let mut sample = |on: bool| -> u64 {
-        blend_obs::set_enabled(on);
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_nanos() as u64
-    };
-    // One unmeasured pair to warm caches and the registry cells.
-    sample(true);
-    sample(false);
-    let mut on_ns: Vec<u64> = Vec::with_capacity(iters);
-    let mut off_ns: Vec<u64> = Vec::with_capacity(iters);
-    for _ in 0..iters.max(1) {
-        on_ns.push(sample(true));
-        off_ns.push(sample(false));
-    }
-    blend_obs::set_enabled(true);
-    on_ns.sort_unstable();
-    off_ns.sort_unstable();
-    (on_ns[on_ns.len() / 2], off_ns[off_ns.len() / 2])
-}
-
-/// Interleaved A/B medians of one workload with the SIMD kernel layer
-/// forced on vs off ([`blend_simd::force`]). Same alternation scheme as
-/// [`obs_overhead_ns`]: samples alternate (on, off, on, off, ...) so
-/// drift lands on both sides equally, one unmeasured warmup pair, each
-/// side's median returned as `(simd_on_ns, simd_off_ns)`. Env-driven
-/// dispatch is restored on return.
-///
-/// This is the measurement behind the benches' SIMD speedup acceptance
-/// bar (the vector kernels must beat their scalar twins on the hot
-/// shapes) and the `simd_on_ns`/`simd_off_ns` fields in the bench JSON.
-pub fn simd_ab_ns(iters: usize, mut f: impl FnMut()) -> (u64, u64) {
-    let mut sample = |on: bool| -> u64 {
-        blend_simd::force(Some(on));
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_nanos() as u64
-    };
-    sample(true);
-    sample(false);
-    let mut on_ns: Vec<u64> = Vec::with_capacity(iters);
-    let mut off_ns: Vec<u64> = Vec::with_capacity(iters);
-    for _ in 0..iters.max(1) {
-        on_ns.push(sample(true));
-        off_ns.push(sample(false));
-    }
-    blend_simd::force(None);
-    on_ns.sort_unstable();
-    off_ns.sort_unstable();
-    (on_ns[on_ns.len() / 2], off_ns[off_ns.len() / 2])
-}
-
 /// Accumulates durations and reports mean/total.
 #[derive(Debug, Default, Clone)]
 pub struct Timer {
@@ -254,13 +174,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_millis(5)), "5.00ms");
         assert_eq!(fmt_duration(Duration::from_micros(7)), "7µs");
         assert_eq!(pct(0.614), "61.4%");
-    }
-
-    #[test]
-    fn best_of_returns_result() {
-        let (d, r) = time_best_of(3, || 40 + 2);
-        assert_eq!(r, 42);
-        assert!(d >= Duration::ZERO);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Experiment harness for the BLEND reproduction.
 //!
 //! One module (and one binary) per table/figure of the paper's evaluation
-//! section; see DESIGN.md §5 for the experiment index and EXPERIMENTS.md
-//! for paper-vs-measured results. Every experiment accepts a scale factor
-//! from the `BLEND_SCALE` environment variable so the same harness runs as
-//! a quick smoke test or a longer, more faithful sweep.
+//! section, plus `repro_all`, which runs them all. Every experiment accepts
+//! a scale factor from the `BLEND_SCALE` environment variable so the same
+//! harness runs as a quick smoke test or a longer, more faithful sweep.
+//! Performance claims about the engine itself come from the repository's
+//! benchmark (`benchmark/`, `BENCHMARK.json`), not from this crate.
 
-pub mod data;
 pub mod federated;
 pub mod harness;
 pub mod loc;
@@ -26,5 +26,4 @@ pub mod experiments {
     pub mod table8;
 }
 
-pub use data::synthetic_rows;
-pub use harness::{obs_overhead_ns, scale_from_env, simd_ab_ns, Timer};
+pub use harness::{scale_from_env, Timer};

@@ -26,14 +26,13 @@ const DEFAULT_MORSEL_LEN: usize = 16 * 1024;
 ///
 /// One `ParallelCtx` (behind an `Arc`) is attached to the SQL engine and
 /// handed down from plan execution to every seeker query. Contexts built
-/// from the environment ([`from_env`](ParallelCtx::from_env) /
-/// [`shared_from_env`](ParallelCtx::shared_from_env) / `Default`) all share
-/// the **process-global persistent pool and admission budget**, so however
-/// many engines a process builds, heavy traffic draws from a single
+/// from the environment ([`shared_from_env`](ParallelCtx::shared_from_env))
+/// share the **process-global persistent pool and admission budget**, so
+/// however many engines a process builds, heavy traffic draws from a single
 /// machine-wide thread allotment. Explicitly-sized contexts
 /// ([`new`](ParallelCtx::new), [`with_tuning`](ParallelCtx::with_tuning),
 /// [`with_admission`](ParallelCtx::with_admission)) get a dedicated pool
-/// and controller — the isolated mode tests and benchmarks rely on.
+/// and controller — the isolated mode tests rely on.
 ///
 /// Every consumer must implement a sequential fallback:
 /// [`admit`](ParallelCtx::admit) returns `None` when `threads == 1`, when
@@ -78,26 +77,9 @@ impl ParallelCtx {
         morsel_len: usize,
         budget: usize,
     ) -> Self {
-        Self::with_pool(
-            WorkerPool::new(threads),
-            min_parallel,
-            morsel_len,
-            Admission::new(budget),
-        )
-    }
-
-    /// Context over an explicit pool handle and admission controller — the
-    /// building block the other constructors (and the scoped-baseline
-    /// benchmark) assemble.
-    pub fn with_pool(
-        pool: WorkerPool,
-        min_parallel: usize,
-        morsel_len: usize,
-        admission: Arc<Admission>,
-    ) -> Self {
         ParallelCtx {
-            pool,
-            admission,
+            pool: WorkerPool::new(threads),
+            admission: Admission::new(budget),
             min_parallel: min_parallel.max(1),
             morsel_len: morsel_len.max(1),
             interrupt: Interrupt::never(),
@@ -123,7 +105,7 @@ impl ParallelCtx {
     /// not the shared token budget — embedders that need a different
     /// budget per context should build isolated ones via
     /// [`with_admission`](ParallelCtx::with_admission).
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         let threads = env_usize(THREADS_ENV)
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1);
@@ -254,12 +236,6 @@ impl ParallelCtx {
     }
 }
 
-impl Default for ParallelCtx {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 /// An admitted phase: a pool handle narrowed to the granted worker count,
 /// plus the RAII token grant. Dropping it (at phase end) returns the
 /// tokens to the machine-wide budget.
@@ -302,7 +278,7 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 /// The process-global admission controller paired with the global pool.
-/// Sized by its first user (see [`ParallelCtx::from_env`]).
+/// Sized by its first user (see [`ParallelCtx::shared_from_env`]).
 fn global_admission(budget: usize) -> Arc<Admission> {
     static GLOBAL: OnceLock<Arc<Admission>> = OnceLock::new();
     GLOBAL.get_or_init(|| Admission::new(budget)).clone()

@@ -14,22 +14,19 @@
 //! ## The persistent pool
 //!
 //! Workers are long-lived OS threads parked on a shared injector queue
-//! ([`WorkerPool`]); spawn-per-run is gone. Each [`run`](WorkerPool::run)
-//! submits one batch, idle workers claim helper slots on it, and the
-//! calling thread always serves its own batch too — so a run can never
-//! deadlock on a busy pool, it just degrades toward running inline. Tasks
-//! may still borrow the caller's stack exactly as under the old scoped
-//! design: the batch is bridged to the workers through a scoped handoff
-//! (`run` returns only after every participating worker has left the
-//! batch), so `run`/`run_with`/`map` keep their signatures and callers
-//! compiled unchanged. A panicking task poisons only its own `run` call —
-//! the panic propagates to that caller after the batch drains, and the
-//! workers survive to serve the next batch.
+//! ([`WorkerPool`]). Each [`run`](WorkerPool::run) submits one batch, idle
+//! workers claim helper slots on it, and the calling thread always serves
+//! its own batch too — so a run can never deadlock on a busy pool, it just
+//! degrades toward running inline. Tasks may borrow the caller's stack:
+//! the batch is bridged to the workers through a scoped handoff (`run`
+//! returns only after every participating worker has left the batch). A
+//! panicking task poisons only its own `run` call — the panic propagates
+//! to that caller after the batch drains, and the workers survive to serve
+//! the next batch.
 //!
 //! Handles are cheap views: [`WorkerPool::shared`] points every engine in
-//! the process at one global core, [`WorkerPool::with_width`] narrows a
-//! handle to an admitted width, and [`WorkerPool::scoped`] retains the old
-//! spawn-per-run design as the measured baseline.
+//! the process at one global core, and [`WorkerPool::with_width`] narrows a
+//! handle to an admitted width.
 //!
 //! ## Admission control
 //!
@@ -118,9 +115,9 @@
 //!
 //! ## Components
 //!
-//! * [`WorkerPool`] — persistent shared worker pool (dedicated, global, or
-//!   scoped-baseline backing) running `n` indexed tasks with dynamic
-//!   claiming; returns results in task order plus per-worker busy times.
+//! * [`WorkerPool`] — persistent shared worker pool (dedicated or global
+//!   core) running `n` indexed tasks with dynamic claiming; returns results
+//!   in task order plus per-worker busy times.
 //! * [`Admission`] / [`AdmissionGrant`] — the machine-wide token budget and
 //!   its RAII grant.
 //! * [`ParallelCtx`] / [`PhaseGrant`] — the shared knob set (thread count,

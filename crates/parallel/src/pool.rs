@@ -8,17 +8,16 @@
 //! deadlock waiting for workers — under load it simply degrades toward
 //! running inline on the caller.
 //!
-//! Tasks may still borrow from the caller's stack (fact tables, compiled
-//! expressions, position batches) exactly as they could under the old
-//! scoped design: the batch is bridged to the long-lived workers through a
-//! lifetime-erased job pointer, and `run` does not return until every
-//! worker that touched the batch has left it (a scoped handoff — see the
-//! safety notes on [`JobRef`]). Call sites are unchanged.
+//! Tasks may borrow from the caller's stack (fact tables, compiled
+//! expressions, position batches): the batch is bridged to the long-lived
+//! workers through a lifetime-erased job pointer, and `run` does not return
+//! until every worker that touched the batch has left it (a scoped handoff
+//! — see the safety notes on [`JobRef`]).
 //!
-//! Scheduling inside a batch is unchanged too: workers claim task indices
-//! dynamically from a shared atomic cursor — morsel-driven scheduling — so
-//! unequal task costs balance themselves instead of serializing behind the
-//! unluckiest worker, and results come back in task order.
+//! Inside a batch, workers claim task indices dynamically from a shared
+//! atomic cursor — morsel-driven scheduling — so unequal task costs balance
+//! themselves instead of serializing behind the unluckiest worker, and
+//! results come back in task order.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -352,7 +351,7 @@ impl Drop for PoolCore {
 }
 
 /// The process-global core shared by every [`WorkerPool::shared`] handle
-/// (and, through `ParallelCtx::from_env`, by every engine in the process).
+/// (and, through `ParallelCtx::shared_from_env`, by every engine in the process).
 /// Sized by its first user and grown on demand; lives for the process.
 fn global_core(workers: usize) -> Arc<PoolCore> {
     static GLOBAL: OnceLock<Arc<PoolCore>> = OnceLock::new();
@@ -491,17 +490,7 @@ where
 
 // ---- the public handle -----------------------------------------------------
 
-#[derive(Clone)]
-enum Backing {
-    /// Long-lived workers on a shared injector (the production mode).
-    Persistent(Arc<PoolCore>),
-    /// Spawn-and-join scoped threads per `run` call — the old design,
-    /// retained as the benchmark baseline (`concurrent_queries` measures
-    /// persistent vs. scoped) and as a zero-state fallback.
-    Scoped,
-}
-
-/// A worker-pool handle: a thread-width budget over a backing pool.
+/// A worker-pool handle: a thread-width budget over a persistent core.
 ///
 /// Handles are cheap to clone and to narrow ([`with_width`]); all handles
 /// onto the same persistent core share its workers, which is how many
@@ -512,19 +501,14 @@ enum Backing {
 /// [`with_width`]: WorkerPool::with_width
 #[derive(Clone)]
 pub struct WorkerPool {
-    backing: Backing,
+    core: Arc<PoolCore>,
     width: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match &self.backing {
-            Backing::Persistent(_) => "persistent",
-            Backing::Scoped => "scoped",
-        };
         f.debug_struct("WorkerPool")
             .field("width", &self.width)
-            .field("mode", &mode)
             .finish()
     }
 }
@@ -536,7 +520,7 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let width = threads.max(1);
         WorkerPool {
-            backing: Backing::Persistent(PoolCore::new(width - 1, false)),
+            core: PoolCore::new(width - 1, false),
             width,
         }
     }
@@ -549,27 +533,17 @@ impl WorkerPool {
     pub fn shared(threads: usize) -> Self {
         let width = threads.max(1);
         WorkerPool {
-            backing: Backing::Persistent(global_core(width - 1)),
+            core: global_core(width - 1),
             width,
         }
     }
 
-    /// Pool that spawns scoped threads per `run` call (the pre-persistent
-    /// design). Kept as the measured baseline and for one-shot contexts
-    /// where keeping threads parked would be wasteful.
-    pub fn scoped(threads: usize) -> Self {
-        WorkerPool {
-            backing: Backing::Scoped,
-            width: threads.max(1),
-        }
-    }
-
-    /// A handle onto the same backing pool with a different width budget
+    /// A handle onto the same core with a different width budget
     /// (clamped to at least 1). This is how an admission grant scopes a
     /// phase down to its granted worker count without touching the pool.
     pub fn with_width(&self, width: usize) -> Self {
         WorkerPool {
-            backing: self.backing.clone(),
+            core: self.core.clone(),
             width: width.max(1),
         }
     }
@@ -579,24 +553,17 @@ impl WorkerPool {
         self.width
     }
 
-    /// Live worker threads on the backing core (0 for scoped backings,
-    /// which only hold threads during a `run`). Lifecycle tests use this to
-    /// prove shutdown leaks nothing.
+    /// Live worker threads on the core. Lifecycle tests use this to prove
+    /// shutdown leaks nothing.
     pub fn live_workers(&self) -> usize {
-        match &self.backing {
-            Backing::Persistent(core) => core.live_workers(),
-            Backing::Scoped => 0,
-        }
+        self.core.live_workers()
     }
 
     /// Handle to the live-worker counter that survives dropping the pool
     /// (the drop test asserts it reaches zero after the join).
     #[cfg(test)]
     fn live_counter(&self) -> Arc<AtomicUsize> {
-        match &self.backing {
-            Backing::Persistent(core) => core.inj.live.clone(),
-            Backing::Scoped => Arc::new(AtomicUsize::new(0)),
-        }
+        self.core.inj.live.clone()
     }
 
     /// Run `n_tasks` independent tasks, `f(i)` computing task `i`.
@@ -639,10 +606,7 @@ impl WorkerPool {
                 worker_nanos: vec![start.elapsed().as_nanos() as u64],
             }
         } else {
-            match &self.backing {
-                Backing::Persistent(core) => self.run_persistent(core, n_tasks, &init, &f),
-                Backing::Scoped => self.run_scoped(n_tasks, &init, &f),
-            }
+            self.run_persistent(n_tasks, &init, &f)
         };
         let m = pool_metrics();
         m.batches.inc();
@@ -653,13 +617,7 @@ impl WorkerPool {
 
     /// Persistent path: enqueue the batch, serve it from the calling
     /// thread, then rendezvous with every helper that joined.
-    fn run_persistent<S, T, FI, F>(
-        &self,
-        core: &Arc<PoolCore>,
-        n_tasks: usize,
-        init: &FI,
-        f: &F,
-    ) -> PoolRun<T>
+    fn run_persistent<S, T, FI, F>(&self, n_tasks: usize, init: &FI, f: &F) -> PoolRun<T>
     where
         FI: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
@@ -675,13 +633,13 @@ impl WorkerPool {
         // helpers still reference the batch.
         let job_ref = unsafe { JobRef::erase(&job) };
         if helpers > 0 {
-            core.submit(job_ref, helpers);
+            self.core.submit(job_ref, helpers);
         }
 
         job.run_slot();
 
         let target = if helpers > 0 {
-            core.retire(job_ref);
+            self.core.retire(job_ref);
             // All `enter`s happened under the injector lock before the
             // retire acquired it, so this read is final.
             job.entered.load(Ordering::Relaxed)
@@ -713,60 +671,6 @@ impl WorkerPool {
         }
     }
 
-    /// Scoped baseline path: spawn-and-join per call (the old design).
-    fn run_scoped<S, T, FI, F>(&self, n_tasks: usize, init: &FI, f: &F) -> PoolRun<T>
-    where
-        FI: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-        T: Send,
-    {
-        let workers = self.width.min(n_tasks);
-        let next = AtomicUsize::new(0);
-
-        // Each worker collects (task index, result) pairs privately; the
-        // merge below re-orders them by task index, so no shared mutable
-        // output buffer (and no locking) is needed.
-        let mut per_worker: Vec<(Vec<(usize, T)>, u64)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let start = Instant::now();
-                        let mut scratch = init();
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_tasks {
-                                break;
-                            }
-                            local.push((i, f(&mut scratch, i)));
-                        }
-                        (local, start.elapsed().as_nanos() as u64)
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_worker.push(h.join().expect("pool worker panicked"));
-            }
-        });
-
-        let mut slots: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
-        let mut worker_nanos = Vec::with_capacity(workers);
-        for (local, nanos) in per_worker {
-            worker_nanos.push(nanos);
-            for (i, v) in local {
-                slots[i] = Some(v);
-            }
-        }
-        PoolRun {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("every task index claimed exactly once"))
-                .collect(),
-            worker_nanos,
-        }
-    }
-
     /// Parallel map over a slice, preserving element order.
     pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
@@ -783,31 +687,23 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn pools(threads: usize) -> Vec<WorkerPool> {
-        vec![WorkerPool::new(threads), WorkerPool::scoped(threads)]
-    }
-
     #[test]
     fn results_come_back_in_task_order() {
         for threads in [1, 2, 4, 8] {
-            for pool in pools(threads) {
-                let run = pool.run(37, |i| i * i);
-                assert_eq!(run.results, (0..37).map(|i| i * i).collect::<Vec<_>>());
-                assert!(!run.worker_nanos.is_empty());
-                assert!(run.worker_nanos.len() <= threads.max(1));
-            }
+            let run = WorkerPool::new(threads).run(37, |i| i * i);
+            assert_eq!(run.results, (0..37).map(|i| i * i).collect::<Vec<_>>());
+            assert!(!run.worker_nanos.is_empty());
+            assert!(run.worker_nanos.len() <= threads.max(1));
         }
     }
 
     #[test]
     fn workers_borrow_caller_state() {
         let data: Vec<u64> = (0..1000).collect();
-        for pool in pools(4) {
-            let sums = pool.map(&[0usize, 250, 500, 750], |&lo| {
-                data[lo..lo + 250].iter().sum::<u64>()
-            });
-            assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
-        }
+        let sums = WorkerPool::new(4).map(&[0usize, 250, 500, 750], |&lo| {
+            data[lo..lo + 250].iter().sum::<u64>()
+        });
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
     #[test]
@@ -819,32 +715,27 @@ mod tests {
     #[test]
     fn run_with_reuses_per_worker_scratch() {
         for threads in [1, 3, 8] {
-            for pool in pools(threads) {
-                // The scratch records how many tasks it has served; with
-                // more tasks than workers, some scratch must serve several
-                // tasks.
-                let run = pool.run_with(32, Vec::<usize>::new, |scratch, i| {
-                    scratch.push(i);
-                    scratch.len()
-                });
-                assert_eq!(run.results.len(), 32);
-                assert!(run.results.iter().any(|&served| served > 1));
-            }
+            // The scratch records how many tasks it has served; with more
+            // tasks than workers, some scratch must serve several tasks.
+            let run = WorkerPool::new(threads).run_with(32, Vec::<usize>::new, |scratch, i| {
+                scratch.push(i);
+                scratch.len()
+            });
+            assert_eq!(run.results.len(), 32);
+            assert!(run.results.iter().any(|&served| served > 1));
         }
     }
 
     #[test]
     fn uneven_tasks_all_complete() {
         // Task cost skew: dynamic claiming must still cover every index.
-        for pool in pools(3) {
-            let run = pool.run(16, |i| {
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                i
-            });
-            assert_eq!(run.results, (0..16).collect::<Vec<_>>());
-        }
+        let run = WorkerPool::new(3).run(16, |i| {
+            if i == 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            i
+        });
+        assert_eq!(run.results, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! serving tier can name a query canonically
 //! ([`blend_sql::fingerprint`]), recomputing a repeated query is pure
 //! waste. This cache memoizes whole [`ResultSet`]s under a
-//! [`CacheKey`] — canonical fingerprint + store generation + executor
-//! path — with a **byte budget** (`BLEND_RESULT_CACHE_BYTES`, default
-//! 32 MiB, `0` disables) enforced per shard by CLOCK (second-chance)
-//! eviction.
+//! [`CacheKey`] — canonical fingerprint + store generation — with a
+//! **byte budget** (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0`
+//! disables) enforced per shard by CLOCK (second-chance) eviction.
 //!
 //! ## Keying and invalidation contract
 //!
@@ -36,7 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use blend_common::FxHashMap;
 use blend_parallel::{MemoryGovernor, MemoryReclaimer};
-use blend_sql::{ExecPath, QueryFingerprint, QueryReport, ResultSet};
+use blend_sql::{QueryFingerprint, QueryReport, ResultSet};
 
 /// Shards: enough to keep lock contention off the serving threads, few
 /// enough that per-shard budgets stay meaningful for small caches.
@@ -84,9 +83,6 @@ pub struct CacheKey {
     pub fp: QueryFingerprint,
     /// Store generation observed before execution began.
     pub generation: u64,
-    /// Executor selection — `Auto` and `TupleOnly` may legitimately order
-    /// rows differently, so they never share bytes.
-    pub path: ExecPath,
 }
 
 impl CacheKey {
@@ -411,7 +407,6 @@ mod tests {
         CacheKey {
             fp: fingerprint_sql(sql).unwrap(),
             generation,
-            path: ExecPath::Auto,
         }
     }
 
@@ -523,17 +518,5 @@ mod tests {
         cache.insert(k.clone(), entry(1000, "big"));
         assert!(cache.get(&k).is_none());
         assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn exec_paths_do_not_share_entries() {
-        let cache = ResultCache::new(1 << 20);
-        let auto = key("SELECT TableId FROM AllTables", 1);
-        let tuple = CacheKey {
-            path: ExecPath::TupleOnly,
-            ..auto.clone()
-        };
-        cache.insert(auto, entry(4, "a"));
-        assert!(cache.get(&tuple).is_none());
     }
 }

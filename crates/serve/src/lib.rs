@@ -70,8 +70,8 @@
 //! parse error as before).
 //!
 //! **Result cache** ([`ResultCache`]): a sharded, CLOCK-evicted map from
-//! [`CacheKey`] — fingerprint + engine catalog generation + executor path
-//! — to a memoized [`blend_sql::ResultSet`], bounded by a byte budget
+//! [`CacheKey`] — fingerprint + engine catalog generation — to a
+//! memoized [`blend_sql::ResultSet`], bounded by a byte budget
 //! (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0` disables; entry cost
 //! is `ResultSet::approx_bytes`). *Invalidation contract*: rebuilding the
 //! index or swapping the catalog

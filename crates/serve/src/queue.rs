@@ -157,7 +157,6 @@ impl OkKind {
 /// One queued request. The ticket and the serving threads share it.
 struct Request {
     sql: String,
-    path: ExecPath,
     /// Parsed query, kept from the submission-time fingerprint parse so
     /// execution never parses the SQL a second time. `None` exactly when
     /// `fp` is `None`.
@@ -234,7 +233,7 @@ struct Core {
     depth: usize,
     faults: FaultPlan,
     stats: StatCells,
-    /// Memoized results keyed on fingerprint + generation + exec path.
+    /// Memoized results keyed on fingerprint + generation.
     /// `Arc` so the engine's memory governor can hold it (weakly) as a
     /// [`blend_parallel::MemoryReclaimer`] — rung 1 of the degradation
     /// ladder evicts from this cache.
@@ -318,11 +317,6 @@ impl ServeQueue {
     /// Submit a SQL request with a deadline. Returns `Err(Overloaded)`
     /// without blocking when the queue is at capacity.
     pub fn submit(&self, sql: &str, deadline: Deadline) -> Result<Ticket> {
-        self.submit_path(sql, ExecPath::Auto, deadline)
-    }
-
-    /// [`submit`](Self::submit) with an explicit executor choice.
-    pub fn submit_path(&self, sql: &str, path: ExecPath, deadline: Deadline) -> Result<Ticket> {
         // Fingerprinting parses the SQL here on the submitting thread; the
         // AST is kept so the serving thread plans it directly instead of
         // parsing a second time. Skipped entirely when neither memoization
@@ -341,7 +335,6 @@ impl ServeQueue {
         };
         let req = Arc::new(Request {
             sql: sql.to_string(),
-            path,
             ast,
             fp,
             interrupt: Interrupt::new(CancellationToken::new(), deadline),
@@ -487,7 +480,6 @@ fn serve_loop(core: &Core) {
         let key = req.fp.clone().map(|fp| CacheKey {
             fp,
             generation: core.engine.generation(),
-            path: req.path,
         });
 
         // Cache probe.
@@ -773,8 +765,10 @@ fn serve_one(core: &Core, req: &Request, poisoned: &mut bool) -> Result<(ResultS
             panic!("injected poison fault");
         }
         match &req.ast {
-            Some(ast) => engine.execute_parsed_interruptible(ast, req.path, req.interrupt.clone()),
-            None => engine.execute_interruptible(&req.sql, req.path, req.interrupt.clone()),
+            Some(ast) => {
+                engine.execute_parsed_interruptible(ast, ExecPath::Auto, req.interrupt.clone())
+            }
+            None => engine.execute_interruptible(&req.sql, ExecPath::Auto, req.interrupt.clone()),
         }
     }));
     match outcome {

@@ -65,8 +65,8 @@
 //!    wrapper `<kernel>` that checks [`enabled`] once.
 //! 3. Extend `tests/simd_parity.rs` with a differential proptest covering
 //!    tails, offsets, and degenerate (empty/full) inputs.
-//! 4. Wire an A/B median (`simd_on_ns`/`simd_off_ns` via [`force`]) into
-//!    whichever bench covers the calling loop.
+//! 4. Read its effect off the benchmark's traced run: `simd.off_on_ratio`
+//!    is a pass with the scalar path [`force`]d over the default dispatch.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -25,13 +25,9 @@
 //! up select the bucket/slot, so partitioning and bucketing stay
 //! independent for tables up to 2³² buckets.
 //!
-//! The [`oracle`] submodule retains the map-based implementations as the
-//! reference semantics: `tests/join_group_parity.rs` pins the flat
-//! operators to them byte-for-byte. The `join_group` bench measures the
-//! speedup against map-based baselines of the same shape (reimplemented
-//! there with the pre-flat executor's exact per-row entry/insert pattern,
-//! since the timed baselines also track counts/first-rows the oracle
-//! functions don't return).
+//! The unit tests below and `tests/join_group_parity.rs` pin the flat
+//! operators byte-for-byte to map-based references that share no code with
+//! them.
 
 use blend_common::{mix128, mix128x8, mix64, mix64x8, MIX_LANES};
 
@@ -125,11 +121,10 @@ fn bucket_of(hash: u64, mask: u64) -> usize {
 }
 
 /// Keys per batched probe/upsert block: hashes land in one stack buffer,
-/// bucket heads get prefetched a block ahead of the probe that reads them.
-/// Sized so a block of independent accesses outlasts a last-level-cache
-/// miss (the pipelined probe's prefetch distance is one full block) while
-/// the per-block stack buffers stay within a few cache lines' worth of
-/// stack.
+/// and the block's bucket heads are prefetched before the first key walks
+/// its chain. Sized so a block of independent accesses outlasts a
+/// last-level-cache miss while the per-block stack buffer stays within a
+/// few cache lines' worth of stack.
 pub const PROBE_BLOCK: usize = 64;
 
 /// Flat hash join table: CSR bucket runs over a power-of-two bucket array.
@@ -264,152 +259,6 @@ impl JoinTable {
     pub fn prefetch_entries(&self, hash: u64) {
         let b = bucket_of(hash, self.mask);
         blend_simd::prefetch_read(&self.entries, self.heads[b] as usize);
-    }
-
-    /// Probe every key of `probe_keys` in row order, invoking
-    /// `on_match(probe_row, build_row)` for each match (ascending build
-    /// rows within a probe row — the executor's output contract).
-    /// Dispatches on `blend_simd::enabled()`; the scalar twin is the plain
-    /// hash-and-probe-per-row loop, and match order and count are
-    /// identical on both paths.
-    ///
-    /// The vector path picks its shape by the table's working set. A
-    /// table resident in the private caches (heads + entries + build keys
-    /// within the L2 budget) uses the **hash-ahead** form: batch-hash
-    /// block `k+1` and prefetch its bucket heads while probing block `k` —
-    /// prefetching buys little when every line already sits in L2, so the
-    /// cheap two-buffer form wins. A table that spills the private caches
-    /// uses a **three-stage software pipeline** over [`PROBE_BLOCK`]-key
-    /// blocks, so every random access has a full block of independent
-    /// work between its prefetch and its use:
-    ///
-    /// 1. **Hash + head prefetch** for block `k+1` (batched mixers, then
-    ///    one bucket-head prefetch per key);
-    /// 2. **Bounds + entry prefetch** for block `k`: its heads arrived a
-    ///    block ago, so reading them is cheap — stash each key's CSR run
-    ///    bounds and prefetch the run's first/last entry lines;
-    /// 3. **Walk** block `k-1`, whose entry runs arrived a block ago: one
-    ///    sweep prefetches the matched build keys, the second compares
-    ///    and emits.
-    pub fn probe_all<K: JoinKey>(
-        &self,
-        build_keys: &[K],
-        probe_keys: &[K],
-        mut on_match: impl FnMut(u32, u32),
-    ) {
-        if !blend_simd::enabled() {
-            for (i, &key) in probe_keys.iter().enumerate() {
-                for b in self.matches(build_keys, key) {
-                    on_match(i as u32, b);
-                }
-            }
-            return;
-        }
-        let n = probe_keys.len();
-        if n == 0 {
-            return;
-        }
-        let n_blocks = n.div_ceil(PROBE_BLOCK);
-        let block = |k: usize| -> std::ops::Range<usize> {
-            k * PROBE_BLOCK..(k * PROBE_BLOCK + PROBE_BLOCK).min(n)
-        };
-        // Bytes the probe's random accesses can touch: CSR arrays plus the
-        // build-key gathers. Below the private-cache budget the deeper
-        // pipeline only adds overhead.
-        let table_bytes =
-            self.heads.len() * 4 + self.entries.len() * 4 + std::mem::size_of_val(build_keys);
-        const PIPELINE_BYTES: usize = 2 << 20;
-        if table_bytes <= PIPELINE_BYTES {
-            let mut hash_cur = [0u64; PROBE_BLOCK];
-            let mut hash_next = [0u64; PROBE_BLOCK];
-            let prime = block(0);
-            K::hash_block(&probe_keys[prime.clone()], &mut hash_cur[..prime.len()]);
-            for &h in &hash_cur[..prime.len()] {
-                self.prefetch(h);
-            }
-            for k in 0..n_blocks {
-                if k + 1 < n_blocks {
-                    let next = block(k + 1);
-                    K::hash_block(&probe_keys[next.clone()], &mut hash_next[..next.len()]);
-                    for &h in &hash_next[..next.len()] {
-                        self.prefetch(h);
-                    }
-                }
-                let cur = block(k);
-                for (j, &h) in hash_cur[..cur.len()].iter().enumerate() {
-                    let key = probe_keys[cur.start + j];
-                    for b in self.matches_hashed(build_keys, key, h) {
-                        on_match((cur.start + j) as u32, b);
-                    }
-                }
-                std::mem::swap(&mut hash_cur, &mut hash_next);
-            }
-            return;
-        }
-        // `hash_cur` holds block k's hashes (stage 2 input, written by
-        // stage 1 last iteration); `bounds_prev` holds block k-1's run
-        // bounds (stage 3 input, written by stage 2 last iteration).
-        let mut hash_cur = [0u64; PROBE_BLOCK];
-        let mut hash_next = [0u64; PROBE_BLOCK];
-        let mut bounds_cur = [(0u32, 0u32); PROBE_BLOCK];
-        let mut bounds_prev = [(0u32, 0u32); PROBE_BLOCK];
-
-        let prime = block(0);
-        K::hash_block(&probe_keys[prime.clone()], &mut hash_cur[..prime.len()]);
-        for &h in &hash_cur[..prime.len()] {
-            self.prefetch(h);
-        }
-        let walk = |range: std::ops::Range<usize>,
-                    bounds: &[(u32, u32)],
-                    on_match: &mut dyn FnMut(u32, u32)| {
-            // Sweep 1: the entry runs are resident; prefetch the build
-            // keys they point at.
-            for &(lo, hi) in &bounds[..range.len()] {
-                for &r in &self.entries[lo as usize..hi as usize] {
-                    blend_simd::prefetch_read(build_keys, r as usize);
-                }
-            }
-            // Sweep 2: compare and emit, in row order.
-            for (j, &(lo, hi)) in bounds[..range.len()].iter().enumerate() {
-                let key = probe_keys[range.start + j];
-                for &r in &self.entries[lo as usize..hi as usize] {
-                    if build_keys[r as usize] == key {
-                        on_match((range.start + j) as u32, r);
-                    }
-                }
-            }
-        };
-        for k in 0..n_blocks {
-            // Stage 1: hash block k+1, prefetch its bucket heads.
-            if k + 1 < n_blocks {
-                let next = block(k + 1);
-                K::hash_block(&probe_keys[next.clone()], &mut hash_next[..next.len()]);
-                for &h in &hash_next[..next.len()] {
-                    self.prefetch(h);
-                }
-            }
-            // Stage 2: block k's heads arrived; stash run bounds and
-            // prefetch the first/last entry line of each run (runs are
-            // short — the load factor keeps chains near one).
-            let cur = block(k);
-            for (j, &h) in hash_cur[..cur.len()].iter().enumerate() {
-                let b = bucket_of(h, self.mask);
-                let (lo, hi) = (self.heads[b], self.heads[b + 1]);
-                bounds_cur[j] = (lo, hi);
-                if lo < hi {
-                    blend_simd::prefetch_read(&self.entries, lo as usize);
-                    blend_simd::prefetch_read(&self.entries, hi as usize - 1);
-                }
-            }
-            // Stage 3: walk block k-1, whose entry runs arrived a block ago.
-            if k > 0 {
-                walk(block(k - 1), &bounds_prev, &mut on_match);
-            }
-            std::mem::swap(&mut hash_cur, &mut hash_next);
-            std::mem::swap(&mut bounds_prev, &mut bounds_cur);
-        }
-        // Drain: the last block's walk.
-        walk(block(n_blocks - 1), &bounds_prev, &mut on_match);
     }
 
     /// Number of build rows in the table.
@@ -582,55 +431,54 @@ impl<K: JoinKey> GroupIndex<K> {
     }
 }
 
-/// The retained map-based reference implementations the flat operators are
-/// parity-tested and benchmarked against. These reproduce the executor's
-/// pre-flat semantics exactly: per-key `Vec` match lists in ascending build
-/// order, dense group ids in first-seen order.
-pub mod oracle {
-    use super::JoinKey;
-    use blend_common::FxHashMap;
-
-    /// Map-based join: `(probe row, build row)` pairs in probe-row order,
-    /// each probe row's matches ascending.
-    pub fn join_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
-        let mut table: FxHashMap<K, Vec<u32>> = FxHashMap::default();
-        for (i, &k) in build.iter().enumerate() {
-            table.entry(k).or_default().push(i as u32);
-        }
-        let mut out = Vec::new();
-        for (i, &k) in probe.iter().enumerate() {
-            if let Some(matches) = table.get(&k) {
-                for &b in matches {
-                    out.push((i as u32, b));
-                }
-            }
-        }
-        out
-    }
-
-    /// Map-based grouping: `(group id per row, first row per group)` with
-    /// ids dense in first-seen order.
-    pub fn group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
-        let mut index: FxHashMap<K, u32> = FxHashMap::default();
-        let mut first_rows: Vec<u32> = Vec::new();
-        let gids = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                *index.entry(k).or_insert_with(|| {
-                    let gid = first_rows.len() as u32;
-                    first_rows.push(i as u32);
-                    gid
-                })
-            })
-            .collect();
-        (gids, first_rows)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Map-based reference implementations the flat operators are pinned to:
+    /// per-key `Vec` match lists in ascending build order, dense group ids in
+    /// first-seen order.
+    mod oracle {
+        use super::JoinKey;
+        use blend_common::FxHashMap;
+
+        /// Map-based join: `(probe row, build row)` pairs in probe-row order,
+        /// each probe row's matches ascending.
+        pub fn join_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+            let mut table: FxHashMap<K, Vec<u32>> = FxHashMap::default();
+            for (i, &k) in build.iter().enumerate() {
+                table.entry(k).or_default().push(i as u32);
+            }
+            let mut out = Vec::new();
+            for (i, &k) in probe.iter().enumerate() {
+                if let Some(matches) = table.get(&k) {
+                    for &b in matches {
+                        out.push((i as u32, b));
+                    }
+                }
+            }
+            out
+        }
+
+        /// Map-based grouping: `(group id per row, first row per group)` with
+        /// ids dense in first-seen order.
+        pub fn group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
+            let mut index: FxHashMap<K, u32> = FxHashMap::default();
+            let mut first_rows: Vec<u32> = Vec::new();
+            let gids = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| {
+                    *index.entry(k).or_insert_with(|| {
+                        let gid = first_rows.len() as u32;
+                        first_rows.push(i as u32);
+                        gid
+                    })
+                })
+                .collect();
+            (gids, first_rows)
+        }
+    }
 
     fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
         let table = JoinTable::build(build, None).unwrap();
@@ -756,8 +604,33 @@ mod tests {
         blend_simd::force(None);
     }
 
+    /// The probe loop `exec_positional::join_flat` runs: hash one
+    /// [`PROBE_BLOCK`] of keys ([`JoinKey::hash_block`] dispatches on the
+    /// forced SIMD path), prefetch the block's buckets, then walk each key
+    /// with `matches_hashed`.
+    fn blocked_pairs<K: JoinKey>(table: &JoinTable, build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        let mut hash_buf = [0u64; PROBE_BLOCK];
+        for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
+            let hashes = &mut hash_buf[..keys.len()];
+            K::hash_block(keys, hashes);
+            for &h in hashes.iter() {
+                table.prefetch(h);
+            }
+            for &h in hashes.iter() {
+                table.prefetch_entries(h);
+            }
+            for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
+                for b in table.matches_hashed(build, key, hash) {
+                    out.push(((blk * PROBE_BLOCK + j) as u32, b));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn probe_all_matches_oracle_on_both_paths() {
+    fn blocked_probe_matches_oracle_on_both_paths() {
         let _g = FORCE_LOCK.lock().unwrap();
         let build: Vec<u64> = (0..500u64).map(|i| i % 91).collect();
         let probe: Vec<u64> = (0..333u64).map(|i| i % 131).collect();
@@ -765,19 +638,17 @@ mod tests {
         let table = JoinTable::build(&build, None).unwrap();
         for forced in [Some(false), Some(true)] {
             blend_simd::force(forced);
-            let mut got = Vec::new();
-            table.probe_all(&build, &probe, |p, b| got.push((p, b)));
+            let got = blocked_pairs(&table, &build, &probe);
             assert_eq!(got, want, "forced={forced:?}");
         }
         blend_simd::force(None);
     }
 
     #[test]
-    fn probe_all_pipeline_path_matches_oracle() {
-        // A build side large enough that the vector dispatch takes the
-        // three-stage pipeline (working set past the private-cache gate),
-        // not the hash-ahead form the small-table tests cover. Probe keys
-        // include misses, multi-match runs, and a non-block-multiple tail.
+    fn blocked_probe_over_a_large_table_matches_oracle() {
+        // A build side past the private caches, so the prefetches land on
+        // lines that are not resident. Probe keys include misses,
+        // multi-match runs, and a non-block-multiple tail.
         let _g = FORCE_LOCK.lock().unwrap();
         let build: Vec<u64> = (0..150_000u64)
             .map(|i| i.wrapping_mul(0x9e37) % 70_001)
@@ -789,8 +660,7 @@ mod tests {
         let table = JoinTable::build(&build, None).unwrap();
         for forced in [Some(false), Some(true)] {
             blend_simd::force(forced);
-            let mut got = Vec::new();
-            table.probe_all(&build, &probe, |p, b| got.push((p, b)));
+            let got = blocked_pairs(&table, &build, &probe);
             assert_eq!(got, want, "forced={forced:?}");
         }
         blend_simd::force(None);

@@ -1177,8 +1177,7 @@ fn substitute_agg(e: &Expr, groups: &[Expr], aggs: &[Expr]) -> Option<Expr> {
 /// [`FilterKernel`] a batch at a time through
 /// [`FactTable::filter_batch`] / [`FactTable::filter_range`] — but it stays
 /// alive as the **test oracle**: the `filter_kernel_parity` proptest suite
-/// pins every engine's batched output to this function byte-for-byte, and
-/// the `filter_kernels` bench uses it as the scalar baseline.
+/// pins every engine's batched output to this function byte-for-byte.
 #[inline]
 pub fn fast_filters_pass(table: &dyn FactTable, pos: usize, fast: &FastFilters) -> bool {
     if let Some(bound) = fast.rowid_lt {

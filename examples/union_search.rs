@@ -12,10 +12,10 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use blend::{tasks, Blend};
+use blend_baselines::starmie::{StarmieConfig, StarmieIndex};
 use blend_common::stats::{precision_at_k, recall_at_k};
 use blend_common::TableId;
 use blend_lake::union_bench::{generate, UnionBenchConfig};
-use blend_starmie::{StarmieConfig, StarmieIndex};
 use blend_storage::EngineKind;
 
 fn main() {

@@ -1,22 +1,23 @@
 //! Umbrella crate for the BLEND reproduction workspace.
 //!
-//! Re-exports every workspace crate under one roof so the runnable examples
-//! (`/examples`) and the cross-crate integration tests (`/tests`) can
-//! import everything through `blend_repro::...`. Library users should
+//! The root package exists to own the runnable examples (`/examples`) and
+//! the cross-crate integration tests (`/tests`). It re-exports the crates
+//! that make up BLEND itself — the discovery system (`blend`), its index,
+//! storage, SQL, parallel and SIMD layers, and the lake generators — so one
+//! `blend_repro::...` path reaches all of them. Library users should
 //! depend on the individual crates (`blend`, `blend-lake`, ...) directly.
+//!
+//! The systems the paper compares against (JOSIE, MATE, QCR, Starmie,
+//! DeepJoin and their embedding/HNSW stack) are not part of BLEND and are
+//! not re-exported: they live in `blend-baselines`, which only the
+//! reproduction bins (`blend-bench`), `tests/baseline_parity.rs` and
+//! `examples/union_search.rs` depend on.
 
 pub use blend;
 pub use blend_common;
-pub use blend_deepjoin;
-pub use blend_embed;
-pub use blend_hnsw;
 pub use blend_index;
-pub use blend_josie;
 pub use blend_lake;
-pub use blend_mate;
 pub use blend_parallel;
-pub use blend_qcr;
 pub use blend_simd;
 pub use blend_sql;
-pub use blend_starmie;
 pub use blend_storage;

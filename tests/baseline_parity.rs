@@ -2,10 +2,10 @@
 //! baselines they subsume (the paper's equivalence claims).
 
 use blend::{Blend, Plan, Seeker};
-use blend_josie::JosieIndex;
+use blend_baselines::josie::JosieIndex;
+use blend_baselines::mate::MateIndex;
 use blend_lake::web::{generate, WebLakeConfig};
 use blend_lake::workloads;
-use blend_mate::MateIndex;
 use blend_storage::EngineKind;
 
 fn lake() -> blend_lake::DataLake {
@@ -108,7 +108,7 @@ fn blend_c_and_qcr_baseline_agree_on_strong_signals() {
         seed: 91,
     });
     let blend = Blend::from_lake(&bench.lake, EngineKind::Column);
-    let qcr = blend_qcr::QcrIndex::build(&bench.lake, 256);
+    let qcr = blend_baselines::qcr::QcrIndex::build(&bench.lake, 256);
 
     for q in &bench.queries {
         let mut plan = Plan::new();
@@ -150,7 +150,7 @@ fn numeric_join_keys_work_in_blend_only() {
         seed: 92,
     });
     let blend = Blend::from_lake(&bench.lake, EngineKind::Column);
-    let qcr = blend_qcr::QcrIndex::build(&bench.lake, 256);
+    let qcr = blend_baselines::qcr::QcrIndex::build(&bench.lake, 256);
 
     for q in &bench.queries {
         let mut plan = Plan::new();

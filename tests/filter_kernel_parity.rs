@@ -1,8 +1,9 @@
 //! Filter-kernel parity: the batched selection-vector kernels
 //! (`FactTable::filter_batch` / `filter_range`) must reproduce the scalar
 //! `fast_filters_pass` oracle **byte-for-byte** — for random `FastFilters`,
-//! on both storage engines, over position lists and contiguous ranges, and
-//! through the morsel-partitioned pool at thread counts {1, 4}.
+//! on both storage engines, over position lists and contiguous ranges,
+//! through the morsel-partitioned pool at thread counts {1, 4}, and, for
+//! the two seeker scan shapes, on both forced SIMD dispatch paths.
 //!
 //! The scalar function stays alive in `blend_sql::plan` precisely to serve
 //! as this suite's oracle; executors only ever run the compiled kernel.
@@ -177,6 +178,46 @@ proptest! {
                 let merged: Vec<u32> = run.results.into_iter().flatten().collect();
                 prop_assert_eq!(&merged, &want, "{:?} pooled {}t", kind, threads);
             }
+        }
+    }
+}
+
+/// The two scan shapes of the seekers at a size where every block kernel
+/// runs whole blocks plus a tail: a selective `CellValue IN` list (~0.5 % of
+/// rows) and a non-selective quadrant + table + rowid mix (~half of them),
+/// on both engines, with the SIMD block kernels and their scalar twins each
+/// forced in turn.
+#[test]
+fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {
+    let rows = fact_rows(40, 250, 997, 0xF117E2);
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let table = build_engine(kind, rows.clone());
+        let n = table.len();
+        let selective = build_filters(table.as_ref(), 997, Some((7, 5)), None, None, None, None);
+        let non_selective = build_filters(
+            table.as_ref(),
+            997,
+            None,
+            None,
+            Some(vec![3, 17, 31]),
+            Some(200),
+            Some(true),
+        );
+        for (label, fast) in [("selective", selective), ("non_selective", non_selective)] {
+            let kernel = fast.compile_kernel();
+            let want = oracle_positions(table.as_ref(), &fast, 0, n);
+            assert!(!want.is_empty() && want.len() < n, "{kind:?}/{label}");
+            let all: Vec<u32> = (0..n as u32).collect();
+            for vector in [false, true] {
+                blend_simd::force(Some(vector));
+                let mut sel = Vec::new();
+                table.filter_range(&kernel, 0, n, &mut sel);
+                assert_eq!(sel, want, "{kind:?}/{label} range, vector={vector}");
+                sel.clear();
+                table.filter_batch(&kernel, &all, &mut sel);
+                assert_eq!(sel, want, "{kind:?}/{label} batch, vector={vector}");
+            }
+            blend_simd::force(None);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Flat join/group parity: the positional executor's flat operators
-//! (`blend_sql::hashtable`) must reproduce the retained map-based oracles
-//! **byte-for-byte** — at the operator level against
-//! `hashtable::oracle::{join_pairs, group_ids}` over random key arrays,
-//! and end-to-end against the tuple executor across both storage engines ×
+//! (`blend_sql::hashtable`) must reproduce map-based references
+//! **byte-for-byte** — at the operator level against this file's
+//! `oracle::{join_pairs, group_ids}` over random key arrays, and
+//! end-to-end against the tuple executor across both storage engines ×
 //! join/group key widths {1, 2, 4} × thread counts {1, 4, 8}.
 //!
 //! The thread sweep is the radix-partitioning contract: workers own
@@ -11,7 +11,7 @@
 //! sorting on first-seen rows — so results (and logical telemetry) must be
 //! identical at every thread count, including for float aggregates.
 
-use blend_sql::hashtable::{oracle, GroupIndex, JoinKey, JoinTable};
+use blend_sql::hashtable::{GroupIndex, JoinKey, JoinTable};
 use blend_sql::{ExecPath, ParallelCtx, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
@@ -20,6 +20,47 @@ use std::sync::Arc;
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
 // ---- operator-level parity -------------------------------------------------
+
+/// Map-based references sharing no code with the flat operators: per-key
+/// `Vec` match lists in ascending build order, dense group ids in
+/// first-seen order.
+mod oracle {
+    use blend_sql::hashtable::JoinKey;
+    use std::collections::HashMap;
+
+    /// `(probe row, build row)` pairs in probe-row order, each probe row's
+    /// matches ascending.
+    pub fn join_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+        for (i, &k) in build.iter().enumerate() {
+            table.entry(k).or_default().push(i as u32);
+        }
+        let mut out = Vec::new();
+        for (i, k) in probe.iter().enumerate() {
+            for &b in table.get(k).into_iter().flatten() {
+                out.push((i as u32, b));
+            }
+        }
+        out
+    }
+
+    /// `(group id per row, first row per group)`.
+    pub fn group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
+        let mut index: HashMap<K, u32> = HashMap::new();
+        let mut first_rows: Vec<u32> = Vec::new();
+        let gids = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                *index.entry(k).or_insert_with(|| {
+                    first_rows.push(i as u32);
+                    first_rows.len() as u32 - 1
+                })
+            })
+            .collect();
+        (gids, first_rows)
+    }
+}
 
 /// Flat-table join: (probe row, build row) pairs in probe order.
 fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {

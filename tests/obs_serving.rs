@@ -106,6 +106,19 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     storm.join().expect("storm thread");
     assert_eq!(resolved, WAVES * 2 * DEPTH);
 
+    // One cold request on the now idle tier. During the storm both serving
+    // threads execute at once and each holds one of the two admission
+    // tokens, so whether any phase was granted a pool worker depended on
+    // how the requests happened to overlap; alone, a request leaves a
+    // token for its own phases.
+    queue
+        .submit(
+            "SELECT TableId, COUNT(*) AS n FROM AllTables GROUP BY TableId ORDER BY TableId",
+            Deadline::none(),
+        )
+        .and_then(|t| t.wait())
+        .expect("a lone request on an idle tier succeeds");
+
     // Quiesce: joining the serving threads guarantees every accepted
     // request's outcome counter was bumped before the snapshot.
     drop(queue);
@@ -114,7 +127,7 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     let submitted = snap.counter("blend_serve_submitted_total");
     assert_eq!(
         submitted,
-        (WAVES * 2 * DEPTH) as u64,
+        (WAVES * 2 * DEPTH + 1) as u64,
         "metrics-level submitted counts every submission attempt"
     );
     let outcomes: u64 = [

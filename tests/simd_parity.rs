@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use blend_common::{mix128, mix128x8, mix64, mix64x8};
 use blend_parallel::ParallelCtx;
 use blend_simd as simd;
+use blend_sql::hashtable::PROBE_BLOCK;
 use blend_sql::{ExecPath, JoinKey, JoinTable, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
@@ -269,10 +270,22 @@ proptest! {
                 }
             }
         }
+        // The loop `join_flat` runs: hash a PROBE_BLOCK of keys, then walk
+        // each key with `matches_hashed` (the prefetches in between touch
+        // no result; `hashtable`'s unit tests run them).
         for mode in [false, true] {
             simd::force(Some(mode));
             let mut got: Vec<(u32, u32)> = Vec::new();
-            table.probe_all(&build, &probe, |p, b| got.push((p, b)));
+            let mut hash_buf = [0u64; PROBE_BLOCK];
+            for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
+                let hashes = &mut hash_buf[..keys.len()];
+                u64::hash_block(keys, hashes);
+                for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
+                    for b in table.matches_hashed(&build, key, hash) {
+                        got.push(((blk * PROBE_BLOCK + j) as u32, b));
+                    }
+                }
+            }
             prop_assert_eq!(&got, &want, "vector={}", mode);
         }
     }
