@@ -643,7 +643,7 @@ mod tests {
                             .execute_columns_interruptible(&sql, path, Interrupt::never())
                             .unwrap();
                         let got = mc_postprocess(&cols, &rows, 10);
-                        let want = mc_postprocess_rows(&cols.into_result_set(), &rows, 10);
+                        let want = mc_postprocess_rows(&cols.to_result_set(), &rows, 10);
                         assert_eq!(got, want, "seed {seed} {kind:?} arity {arity} {path:?}");
                         seen.push(got);
                     }

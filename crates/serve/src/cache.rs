@@ -4,10 +4,25 @@
 //! Seeker workloads repeat a handful of query templates, so once the
 //! serving tier can name a query canonically
 //! ([`blend_sql::fingerprint`]), recomputing a repeated query is pure
-//! waste. This cache memoizes whole [`ResultSet`]s under a
-//! [`CacheKey`] — canonical fingerprint + store generation — with a
-//! **byte budget** (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0`
-//! disables) enforced per shard by CLOCK (second-chance) eviction.
+//! waste. This cache memoizes whole results under a [`CacheKey`] —
+//! canonical fingerprint + store generation — with a **byte budget**
+//! (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0` disables) enforced per
+//! shard by CLOCK (second-chance) eviction.
+//!
+//! ## The entry: shared flat columns
+//!
+//! An entry is an `Arc<`[`CachedResult`]`>` holding the engine's
+//! [`ResultColumns`] as the executor left them — typed flat vectors,
+//! `CellValue` dictionary-coded — never `SqlValue` rows. The queue wraps an
+//! execution's columns once; the cache, every coalesced waiter and the
+//! requester's ticket hold that one allocation, and whoever calls
+//! `Ticket::wait` builds rows from it on their own thread.
+//!
+//! *Detach rule*: the column store codes text with its own dictionary, so a
+//! fresh result's text columns hold the fact table, and stale generations
+//! are purged lazily, per shard: such an entry would keep a replaced index
+//! alive beside its successor. [`CachedResult::new`] re-homes store-coded
+//! text in a dictionary of the result's own before the columns are shared.
 //!
 //! ## Keying and invalidation contract
 //!
@@ -22,20 +37,25 @@
 //!   Each shard also purges entries from superseded generations the first
 //!   time it observes a new one, so stale bytes are reclaimed promptly
 //!   rather than aging out.
-//! * Entry cost comes from [`ResultSet::approx_bytes`] (the
-//!   `memory_breakdown`-style accounting); an entry larger than a whole
-//!   shard's budget is simply not admitted.
+//! * Entry cost is the entry's heap, by capacity: the flat column bytes,
+//!   every dictionary string once with its map slot, the labels, the
+//!   stripped report's vectors and strings, and the `Arc` allocation
+//!   ([`CachedResult::bytes`]); plus, per entry, the slot, the map's key
+//!   and the canonical query text. `tests/cache_entry_cost.rs` holds it
+//!   within a tenth of what a counting allocator sees. An entry larger
+//!   than a whole shard's budget is simply not admitted.
 //!
 //! Observability: `blend_cache_hits_total`, `blend_cache_misses_total`,
 //! `blend_cache_coalesced_total` (incremented by the queue when a request
 //! attaches to an in-flight execution), `blend_cache_evictions_total`,
 //! and the `blend_cache_bytes` gauge.
 
+use std::mem::size_of;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use blend_common::FxHashMap;
 use blend_parallel::{MemoryGovernor, MemoryReclaimer};
-use blend_sql::{QueryFingerprint, QueryReport, ResultSet};
+use blend_sql::{QueryFingerprint, QueryReport, ResultColumns};
 
 /// Shards: enough to keep lock contention off the serving threads, few
 /// enough that per-shard budgets stay meaningful for small caches.
@@ -92,25 +112,35 @@ impl CacheKey {
     }
 }
 
-/// A memoized execution: the result plus the executing request's logical
-/// report (serving/profile stripped — each delivery stamps its own).
+/// A memoized execution: the result's flat columns plus the executing
+/// request's logical report (serving/profile stripped — each delivery
+/// stamps its own).
 #[derive(Debug)]
 pub struct CachedResult {
-    pub rs: ResultSet,
+    pub columns: ResultColumns,
     pub report: QueryReport,
-    /// Admission cost charged against the byte budget.
+    /// Heap bytes of this allocation and everything it owns.
     pub bytes: usize,
 }
 
 impl CachedResult {
-    /// Package a finished execution for the cache: telemetry that is
+    /// Package a finished execution for sharing: telemetry that is
     /// per-delivery (serving stats, profile tree) is stripped here and
-    /// re-stamped on every hit.
-    pub fn new(rs: ResultSet, mut report: QueryReport) -> Self {
+    /// re-stamped on every delivery, and text is detached from the store
+    /// (see the module docs).
+    pub fn new(mut columns: ResultColumns, mut report: QueryReport) -> Self {
         report.serving = None;
         report.profile = None;
-        let bytes = rs.approx_bytes();
-        CachedResult { rs, report, bytes }
+        columns.detach();
+        let bytes = 2 * size_of::<usize>() // the Arc's counts
+            + size_of::<Self>()
+            + columns.approx_bytes()
+            + report.heap_bytes();
+        CachedResult {
+            columns,
+            report,
+            bytes,
+        }
     }
 }
 
@@ -216,11 +246,13 @@ impl ResultCache {
     }
 
     /// Per-entry admission cost: payload bytes plus bookkeeping overhead
-    /// (the slot, the key clone held in it, and the canonical query text).
+    /// (the slot, the map's key and index, and the canonical query text
+    /// behind its `Arc`, which the two key clones share).
     fn entry_cost(key: &CacheKey, value: &CachedResult) -> usize {
         value.bytes
-            + std::mem::size_of::<Slot>()
-            + std::mem::size_of::<CacheKey>()
+            + size_of::<Slot>()
+            + size_of::<(CacheKey, usize)>()
+            + 2 * size_of::<usize>()
             + key.fp.canon().len()
     }
 
@@ -394,8 +426,8 @@ mod tests {
     use super::*;
     use blend_sql::fingerprint_sql;
 
-    fn result_of(n: usize, tag: &str) -> ResultSet {
-        ResultSet {
+    fn result_of(n: usize, tag: &str) -> blend_sql::ResultSet {
+        blend_sql::ResultSet {
             columns: vec!["v".into()],
             rows: (0..n)
                 .map(|i| vec![blend_sql::SqlValue::from(format!("{tag}-{i}").as_str())])
@@ -411,7 +443,10 @@ mod tests {
     }
 
     fn entry(n: usize, tag: &str) -> Arc<CachedResult> {
-        Arc::new(CachedResult::new(result_of(n, tag), QueryReport::default()))
+        Arc::new(CachedResult::new(
+            result_of(n, tag).into(),
+            QueryReport::default(),
+        ))
     }
 
     #[test]
@@ -419,7 +454,8 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let k1 = key("SELECT TableId FROM AllTables", 1);
         cache.insert(k1.clone(), entry(4, "a"));
-        assert_eq!(cache.get(&k1).unwrap().rs, result_of(4, "a"));
+        let hit = cache.get(&k1).unwrap();
+        assert_eq!(hit.columns.to_result_set(), result_of(4, "a"));
 
         // Same query at a newer generation: the old entry must not match,
         // and observing the new generation purges it.

@@ -33,12 +33,14 @@
 //!    past its budget waiting for capacity.
 //! 4. **Execute** — the engine runs the SQL with the request's interrupt
 //!    scoped onto the shared [`ParallelCtx`](blend_parallel::ParallelCtx)
-//!    (`SqlEngine::execute_interruptible`). Executors check at phase
-//!    boundaries and inside morsel/partition loops; see below.
-//! 5. **Resolve** — [`Ticket::wait`] returns the result. Every accepted
-//!    request resolves exactly once: `Ok(result)` or one typed
-//!    `BlendError::{Timeout, Cancelled, Overloaded, ...}`. Requests still
-//!    queued at shutdown resolve `Err(Cancelled)`.
+//!    (`SqlEngine::execute_parsed_interruptible`) and returns flat columns
+//!    ([`blend_sql::ResultColumns`]). Executors check at phase boundaries
+//!    and inside morsel/partition loops; see below.
+//! 5. **Resolve** — every accepted request resolves exactly once: with the
+//!    execution's columns, shared (see *Results stay columnar*), or one
+//!    typed `BlendError::{Timeout, Cancelled, Overloaded, ...}`. Requests
+//!    still queued at shutdown resolve `Err(Cancelled)`. [`Ticket::wait`]
+//!    returns the result as rows, which it builds on the caller's thread.
 //!
 //! Per-request telemetry rides the result: `QueryReport::serving` records
 //! queue wait, execution time, and outcome
@@ -69,11 +71,19 @@
 //! submission; unparseable SQL simply opts out (the engine surfaces the
 //! parse error as before).
 //!
+//! **Results stay columnar**: an execution's [`blend_sql::ResultColumns`]
+//! are wrapped once in an `Arc<`[`CachedResult`]`>`, and that allocation is
+//! what the cache stores, what every coalesced waiter receives and what the
+//! requester's ticket resolves with — never copied. `SqlValue` rows exist
+//! only in [`Ticket::wait`]; a serving thread builds none. ([`cache`]'s docs
+//! have the entry, the detach rule and the cost formula.)
+//!
 //! **Result cache** ([`ResultCache`]): a sharded, CLOCK-evicted map from
-//! [`CacheKey`] — fingerprint + engine catalog generation — to a
-//! memoized [`blend_sql::ResultSet`], bounded by a byte budget
-//! (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0` disables; entry cost
-//! is `ResultSet::approx_bytes`). *Invalidation contract*: rebuilding the
+//! [`CacheKey`] — fingerprint + engine catalog generation — to those shared
+//! columns, bounded by a byte budget (`BLEND_RESULT_CACHE_BYTES`, default
+//! 32 MiB, `0` disables; an entry costs its columnar heap: flat column
+//! bytes, each dictionary string once, labels, report, bookkeeping).
+//! *Invalidation contract*: rebuilding the
 //! index or swapping the catalog
 //! ([`SqlEngine::replace_table`](blend_sql::SqlEngine::replace_table),
 //! `Blend::rebuild_from_lake`) advances the engine generation **after**
@@ -106,9 +116,10 @@
 //!
 //! Cache hits and coalesced deliveries stamp `ServingStats::outcome`
 //! (`"cache_hit"` / `"coalesced_hit"`) and carry a synthesized profile
-//! root with `cache`/`queue_wait_nanos` attributes in place of the
-//! engine's span tree; fresh executions gain a `cache: "miss"` root
-//! attribute.
+//! root with `cache`/`queue_wait_nanos`/`rows`/`result_bytes` attributes
+//! in place of the engine's span tree; fresh executions gain a `cache:
+//! "miss"` root attribute. On every delivery the row build of
+//! `Ticket::wait` is a `materialize` span under that root.
 //!
 //! ## The cancellation protocol (who checks, where)
 //!

@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 use blend_common::{BlendError, FxHashMap, Result};
 use blend_obs::AttrValue;
 use blend_parallel::{CancellationToken, Deadline, Interrupt};
-use blend_sql::{ExecPath, QueryFingerprint, QueryReport, ResultSet, ServingStats, SqlEngine};
+use blend_sql::{
+    ExecPath, QueryFingerprint, QueryReport, ResultColumns, ResultSet, ServingStats, SqlEngine,
+};
 
 use crate::cache::{cache_bytes_from_env, cache_metrics, CacheKey, CachedResult, ResultCache};
 use crate::faults::{FaultAction, FaultPlan, SITE_CACHE, SITE_COALESCE, SITE_DEQUEUE, SITE_EXEC};
@@ -170,12 +172,17 @@ struct Request {
     /// Accept→dequeue wait, stamped by the popping thread so a coalesced
     /// waiter's delivery (on the leader's thread) can report it.
     wait_nanos: AtomicU64,
-    outcome: Mutex<Option<Result<(ResultSet, QueryReport)>>>,
+    outcome: Mutex<Option<Result<Delivery>>>,
     done: Condvar,
 }
 
+/// What a request resolves with: the execution's shared columns — the very
+/// allocation the cache and every other delivery of that execution hold —
+/// and this delivery's own report.
+type Delivery = (Arc<CachedResult>, QueryReport);
+
 impl Request {
-    fn resolve(&self, result: Result<(ResultSet, QueryReport)>) {
+    fn resolve(&self, result: Result<Delivery>) {
         let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         // First resolution wins; a request is resolved exactly once, but be
         // defensive rather than clobbering a delivered result.
@@ -210,14 +217,30 @@ impl Ticket {
     /// Block until the request resolves. Every accepted request resolves:
     /// served requests when execution finishes (or is interrupted), queued
     /// requests at the latest on queue shutdown.
+    ///
+    /// The rows are built here, on the caller's thread, from the columns the
+    /// request resolved with (a `materialize` span under the report's
+    /// profile root): serving threads never build one, and a ticket that is
+    /// dropped unread costs none and gives its share of the columns back.
     pub fn wait(self) -> Result<(ResultSet, QueryReport)> {
-        let mut slot = self.req.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
+        let outcome = {
+            let mut slot = self.req.outcome.lock().unwrap_or_else(|e| e.into_inner());
+            loop {
+                if let Some(outcome) = slot.take() {
+                    break outcome;
+                }
+                slot = self.req.done.wait(slot).unwrap_or_else(|e| e.into_inner());
             }
-            slot = self.req.done.wait(slot).unwrap_or_else(|e| e.into_inner());
+        };
+        let (memo, mut report) = outcome?;
+        let trace = blend_obs::trace_begin("materialize");
+        let rs = memo.columns.to_result_set();
+        trace.attr_u64("rows", rs.len() as u64);
+        if let (Some(profile), Some(built)) = (report.profile.as_mut(), trace.finish()) {
+            profile.root.nanos += built.root.nanos;
+            profile.root.children.push(built.root);
         }
+        Ok((rs, report))
     }
 }
 
@@ -405,6 +428,11 @@ impl ServeQueue {
     pub fn cached_results(&self) -> usize {
         self.core.cache.len()
     }
+
+    /// The memoized result cache itself (tests, diagnostics).
+    pub fn result_cache(&self) -> &ResultCache {
+        &self.core.cache
+    }
 }
 
 impl Drop for ServeQueue {
@@ -536,24 +564,38 @@ fn serve_loop(core: &Core) {
     }
 }
 
+/// Execute a request on the engine, timed. An `Ok` result is wrapped for
+/// sharing — the one `Arc` the cache (under `key`), the requester's ticket
+/// and any coalesced waiter will hold — so it is never copied, and a result
+/// the cache refuses costs nothing beyond its own delivery.
+fn execute_timed(
+    core: &Core,
+    req: &Request,
+    key: Option<&CacheKey>,
+    poisoned: &mut bool,
+) -> (Result<Delivery>, Duration) {
+    let exec_start = Instant::now();
+    let result = serve_one(core, req, poisoned);
+    let exec = exec_start.elapsed();
+    serve_metrics().exec_time.record(exec.as_nanos() as u64);
+    let shared = result.map(|(columns, mut report)| {
+        let profile = report.profile.take();
+        let memo = Arc::new(CachedResult::new(columns, report.clone()));
+        report.profile = profile;
+        if let Some(key) = key {
+            core.cache.insert(key.clone(), Arc::clone(&memo));
+        }
+        (memo, report)
+    });
+    (shared, exec)
+}
+
 /// Execute a request on the engine and resolve it, memoizing an `Ok`
 /// result under `key`.
 fn execute_one(core: &Core, req: &Request, key: Option<&CacheKey>, mut poisoned: bool) {
-    let exec_start = Instant::now();
-    let result = serve_one(core, req, &mut poisoned);
-    let exec = exec_start.elapsed();
-    serve_metrics().exec_time.record(exec.as_nanos() as u64);
-    match result {
-        Ok((rs, report)) => {
-            if let Some(key) = key {
-                core.cache.insert(
-                    key.clone(),
-                    Arc::new(CachedResult::new(rs.clone(), report.clone())),
-                );
-            }
-            finish_ok(core, req, rs, report, exec, OkKind::Fresh);
-        }
-        Err(e) => finish_err(core, req, e, exec),
+    match execute_timed(core, req, key, &mut poisoned) {
+        (Ok((memo, report)), exec) => finish_ok(core, req, memo, report, exec, OkKind::Fresh),
+        (Err(e), exec) => finish_err(core, req, e, exec),
     }
 }
 
@@ -571,11 +613,7 @@ fn lead_group(core: &Core, leader: &Arc<Request>, key: &CacheKey, poisoned: bool
     let mut first_attempt = true;
 
     loop {
-        let mut p = current_poisoned;
-        let exec_start = Instant::now();
-        let result = serve_one(core, &current, &mut p);
-        let exec = exec_start.elapsed();
-        serve_metrics().exec_time.record(exec.as_nanos() as u64);
+        let (result, exec) = execute_timed(core, &current, Some(key), &mut current_poisoned);
 
         if first_attempt {
             // Close the group: removal happens under the inflight lock, the
@@ -589,10 +627,15 @@ fn lead_group(core: &Core, leader: &Arc<Request>, key: &CacheKey, poisoned: bool
         }
 
         match result {
-            Ok((rs, report)) => {
-                let memo = Arc::new(CachedResult::new(rs.clone(), report.clone()));
-                core.cache.insert(key.clone(), Arc::clone(&memo));
-                finish_ok(core, &current, rs, report, exec, OkKind::Fresh);
+            Ok((memo, report)) => {
+                finish_ok(
+                    core,
+                    &current,
+                    Arc::clone(&memo),
+                    report,
+                    exec,
+                    OkKind::Fresh,
+                );
                 for w in waiters {
                     deliver_memoized(core, &w, &memo, OkKind::Coalesced);
                 }
@@ -620,7 +663,8 @@ fn lead_group(core: &Core, leader: &Arc<Request>, key: &CacheKey, poisoned: bool
     }
 }
 
-/// Resolve a request from a memoized result. A *coalesced* waiter re-checks
+/// Resolve a request from a memoized result: one more handle on the shared
+/// columns, no rows built. A *coalesced* waiter re-checks
 /// its interrupt first — real time passed while its leader ran, so a waiter
 /// whose deadline expired still resolves `Err(Timeout)`. A *cache* hit does
 /// not: its interrupt was checked immediately before the probe, and the
@@ -633,21 +677,15 @@ fn deliver_memoized(core: &Core, req: &Request, memo: &Arc<CachedResult>, kind: 
             return;
         }
     }
-    finish_ok(
-        core,
-        req,
-        memo.rs.clone(),
-        memo.report.clone(),
-        Duration::ZERO,
-        kind,
-    );
+    let report = memo.report.clone();
+    finish_ok(core, req, Arc::clone(memo), report, Duration::ZERO, kind);
 }
 
 /// Count, stamp telemetry, and resolve a successful request.
 fn finish_ok(
     core: &Core,
     req: &Request,
-    rs: ResultSet,
+    memo: Arc<CachedResult>,
     mut report: QueryReport,
     exec: Duration,
     kind: OkKind,
@@ -711,10 +749,12 @@ fn finish_ok(
                 },
             );
             trace.attr_u64("queue_wait_nanos", queue_wait_nanos);
+            trace.attr_u64("rows", memo.columns.len() as u64);
+            trace.attr_u64("result_bytes", memo.bytes as u64);
             report.profile = trace.finish();
         }
     }
-    req.resolve(Ok((rs, report)));
+    req.resolve(Ok((memo, report)));
 }
 
 /// Count and resolve a failed request with its typed error.
@@ -744,7 +784,11 @@ fn finish_err(core: &Core, req: &Request, e: BlendError, _exec: Duration) {
 
 /// Run one request to a typed outcome. Never unwinds: a poisoned (or
 /// otherwise panicking) execution is caught and surfaced as `Err(SqlExec)`.
-fn serve_one(core: &Core, req: &Request, poisoned: &mut bool) -> Result<(ResultSet, QueryReport)> {
+fn serve_one(
+    core: &Core,
+    req: &Request,
+    poisoned: &mut bool,
+) -> Result<(ResultColumns, QueryReport)> {
     // A request that expired or was cancelled while queued never executes.
     req.interrupt.check()?;
 
@@ -753,6 +797,20 @@ fn serve_one(core: &Core, req: &Request, poisoned: &mut bool) -> Result<(ResultS
     // where queued requests time out instead of piling onto the pool.
     // Cache hits and coalesced waiters never reach this point — a group of
     // N fingerprint-equal requests costs one admission grant.
+    //
+    // This wait is most of why `serve.exec_ms` read about 2 × `sql.exec_ms`
+    // on `served_zipf`. Measured on traced passes (seed 1; 800 requests, two
+    // clients, two cores, so budget = threads - 1 = one token): with row
+    // entries 281 requests missed and averaged 11.6 ms against 5.6, of which
+    // 4.0 ms were spent here (1.13 s a pass, in the 94 misses that met the
+    // other client's miss) and 2.5 ms were the mix — `sql.exec_ms` is every
+    // template once, the misses are the costly ones (8.1 ms run directly);
+    // the executions themselves ran at direct speed (median ratio 1.06).
+    // With columnar entries 148 miss, 70 of them MC results no 96 KiB shard
+    // holds (11.3 ms directly, 7.4 served: no rows are built), two misses
+    // seldom meet (1.1 ms a miss, 165 ms a pass) and the ratio is 1.27. One
+    // token is right on two cores: a second would run two executions beside
+    // the clients' own row builds.
     let admission = core.engine.parallel_ctx().admission().clone();
     let _slot = admission.acquire_within(1, &req.interrupt)?;
 
@@ -768,7 +826,11 @@ fn serve_one(core: &Core, req: &Request, poisoned: &mut bool) -> Result<(ResultS
             Some(ast) => {
                 engine.execute_parsed_interruptible(ast, ExecPath::Auto, req.interrupt.clone())
             }
-            None => engine.execute_interruptible(&req.sql, ExecPath::Auto, req.interrupt.clone()),
+            None => engine.execute_columns_interruptible(
+                &req.sql,
+                ExecPath::Auto,
+                req.interrupt.clone(),
+            ),
         }
     }));
     match outcome {
@@ -847,28 +909,166 @@ mod tests {
 
     #[test]
     fn repeat_query_is_served_from_cache_byte_identically() {
+        // The row store hands out dense text, the column store its own
+        // codes (detached on the way into the cache): both deliveries are
+        // the direct engine's rows, value for value and label for label.
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let engine = mc_engine(kind);
+            let want = engine.execute(SQL).unwrap();
+            let queue = ServeQueue::new(
+                engine,
+                ServeConfig {
+                    result_cache_bytes: 1 << 20,
+                    ..ServeConfig::default()
+                },
+            );
+            let fresh = queue.submit(SQL, Deadline::none()).unwrap().wait().unwrap();
+            // Different spelling, same fingerprint: must hit.
+            let variant = "select tableid, rowid, cellvalue from alltables \
+                           order by tableid, rowid, cellvalue limit 5";
+            let hit = queue
+                .submit(variant, Deadline::none())
+                .unwrap()
+                .wait()
+                .unwrap();
+            for (how, got) in [("fresh", &fresh.0), ("cache hit", &hit.0)] {
+                assert_eq!(got.columns, want.columns, "{kind:?}: {how} labels");
+                assert_eq!(
+                    got.rows, want.rows,
+                    "{kind:?}: {how} must be byte-identical"
+                );
+            }
+            let serving = hit.1.serving.expect("serving telemetry attached");
+            assert_eq!(serving.outcome, "cache_hit");
+            let stats = queue.stats();
+            assert_eq!((stats.ok, stats.cache_hits), (1, 1));
+            assert_eq!(queue.cached_results(), 1);
+        }
+    }
+
+    /// 60 tables × 40 rows of two text columns over a 12-word vocabulary:
+    /// every word pair meets in many rows, so [`MC_SQL`] joins thousands.
+    fn mc_engine(kind: EngineKind) -> Arc<SqlEngine> {
+        let mut rows = Vec::new();
+        for t in 0..60u32 {
+            for r in 0..40u32 {
+                let sk = ((t as u128) << 64) | r as u128;
+                rows.push(FactRow::new(
+                    &format!("w{}", (t + r) % 12),
+                    t,
+                    0,
+                    r,
+                    sk,
+                    None,
+                ));
+                let other = format!("w{}", (t * 7 + r * 5) % 12);
+                rows.push(FactRow::new(&other, t, 1, r, sk, None));
+            }
+        }
+        let fact = build_engine(kind, rows);
+        Arc::new(SqlEngine::with_alltables(fact).with_parallel(Arc::new(ParallelCtx::sequential())))
+    }
+
+    /// The MC seeker's SQL for a query table of 2 columns × 10 rows.
+    const MC_SQL: &str = "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
+         q0.CellValue AS v0, q0.ColumnId AS c0, q1.CellValue AS v1, q1.ColumnId AS c1 \
+         FROM (SELECT * FROM AllTables WHERE CellValue IN \
+         ('w0','w1','w2','w3','w4','w5','w6','w7','w8','w9')) AS q0 \
+         INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN \
+         ('w1','w3','w5','w7','w9','w11','w0','w2','w4','w6')) AS q1 \
+         ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId";
+
+    /// Block until `ticket` resolves `Ok` and return the shared columns it
+    /// resolved with, leaving the ticket unread.
+    fn resolved_with(ticket: &Ticket) -> Arc<CachedResult> {
+        let mut slot = ticket.req.outcome.lock().unwrap();
+        loop {
+            if let Some(outcome) = slot.as_ref() {
+                return Arc::clone(&outcome.as_ref().expect("request succeeds").0);
+            }
+            slot = ticket.req.done.wait(slot).unwrap();
+        }
+    }
+
+    #[test]
+    fn benchmark_shaped_mc_is_a_cache_hit_on_its_second_submission() {
+        // A shard of 512 KiB: the result fits as columns and would not as
+        // rows, which is what kept the big MC templates executing.
+        const SHARD: usize = 512 << 10;
         let queue = ServeQueue::new(
-            test_engine(),
+            mc_engine(EngineKind::Column),
             ServeConfig {
-                result_cache_bytes: 1 << 20,
+                result_cache_bytes: 8 * SHARD,
                 ..ServeConfig::default()
             },
         );
-        let fresh = queue.submit(SQL, Deadline::none()).unwrap().wait().unwrap();
-        // Different spelling, same fingerprint: must hit.
-        let variant = "select tableid, rowid, cellvalue from alltables \
-                       order by tableid, rowid, cellvalue limit 5";
-        let hit = queue
-            .submit(variant, Deadline::none())
+        let (rows, _) = queue
+            .submit(MC_SQL, Deadline::none())
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(hit.0, fresh.0, "cache hit must be byte-identical");
-        let serving = hit.1.serving.expect("serving telemetry attached");
-        assert_eq!(serving.outcome, "cache_hit");
-        let stats = queue.stats();
-        assert_eq!((stats.ok, stats.cache_hits), (1, 1));
-        assert_eq!(queue.cached_results(), 1);
+        assert!(
+            rows.approx_bytes() > SHARD,
+            "{} B of rows",
+            rows.approx_bytes()
+        );
+        assert!(queue.result_cache().bytes() < SHARD);
+        let (again, report) = queue
+            .submit(MC_SQL, Deadline::none())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(report.serving.unwrap().outcome, "cache_hit");
+        assert_eq!(again, rows);
+    }
+
+    #[test]
+    fn oversized_result_is_served_never_cached_and_never_copied() {
+        const BURST: usize = 12;
+        for coalesce in [true, false] {
+            let queue = ServeQueue::new(
+                mc_engine(EngineKind::Column),
+                ServeConfig {
+                    depth: BURST,
+                    // No shard holds the result's columns.
+                    result_cache_bytes: 8 << 10,
+                    coalesce,
+                    // Hold the first execution until the burst is in.
+                    faults: FaultPlan::none().with(
+                        SITE_EXEC,
+                        FaultAction::Delay(Duration::from_millis(200)),
+                        1_000_000,
+                    ),
+                    ..ServeConfig::default()
+                },
+            );
+            let tickets: Vec<Ticket> = (0..BURST)
+                .map(|_| queue.submit(MC_SQL, Deadline::none()).unwrap())
+                .collect();
+            let shared: Vec<Arc<CachedResult>> = tickets.iter().map(resolved_with).collect();
+            assert!(shared[0].bytes > 8 << 10);
+            let stats = queue.stats();
+            if coalesce {
+                // One execution, one allocation, a handle per ticket.
+                assert_eq!((stats.ok, stats.coalesced_hits), (1, BURST as u64 - 1));
+                assert!(shared.iter().all(|s| Arc::ptr_eq(s, &shared[0])));
+            } else {
+                // Twelve executions; the refused insert left no copy.
+                assert_eq!((stats.ok, stats.coalesced_hits), (BURST as u64, 0));
+                assert!(shared[1..].iter().all(|s| !Arc::ptr_eq(s, &shared[0])));
+            }
+            assert_eq!(queue.cached_results(), 0, "coalesce={coalesce}");
+            let want = shared[0].columns.to_result_set();
+            drop(shared);
+            // The tickets' handles are the only ones: the queue kept none.
+            let handles = |t: &Ticket| Arc::strong_count(&resolved_with(t)) - 1;
+            drop(queue);
+            let per_ticket = if coalesce { BURST } else { 1 };
+            assert!(tickets.iter().all(|t| handles(t) == per_ticket));
+            for ticket in tickets {
+                assert_eq!(ticket.wait().unwrap().0, want);
+            }
+        }
     }
 
     #[test]

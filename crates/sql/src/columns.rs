@@ -6,9 +6,10 @@
 //! `CellValue` is dictionary-coded — a `u32` per row, every distinct string
 //! once — so a caller that works on ids (the MC seeker's application phase)
 //! never sees a `SqlValue`. Callers that want rows ask for them:
-//! [`ResultColumns::into_result_set`] is the one place a positional result
-//! turns into `Vec<Tuple>`. The tuple executor's rows reach a row entry as
-//! they are, and wrap into typed columns only for the columnar one.
+//! [`ResultColumns::to_result_set`] is the one place a positional result
+//! turns into `Vec<Tuple>`, and it borrows, so one set of columns can be
+//! shared and read as rows by many. The tuple executor's rows reach a row
+//! entry as they are, and wrap into typed columns only for the columnar one.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -74,6 +75,14 @@ impl TextColumn {
         TextColumn {
             ids: codes,
             dict: TextDict::Store(table),
+        }
+    }
+
+    /// Re-home store codes in a dense dictionary of the distinct strings, so
+    /// the column holds no handle on the table it was gathered from.
+    fn detach(&mut self) {
+        if let TextDict::Store(_) = self.dict {
+            *self = TextColumn::dense(self.ids.iter().map(|&id| self.str_of(id)));
         }
     }
 
@@ -206,21 +215,37 @@ impl ResultColumn {
         }
     }
 
+    /// Heap bytes, by capacity: what the allocator holds for the column.
     pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
         match self {
-            ResultColumn::Key(c) => c.len() * 4,
-            ResultColumn::Int(c) => c.len() * 8,
-            ResultColumn::U128(c) => c.len() * 16,
+            ResultColumn::Key(c) => c.capacity() * 4,
+            ResultColumn::Int(c) => c.capacity() * 8,
+            ResultColumn::U128(c) => c.capacity() * 16,
             ResultColumn::Text(c) => {
-                // A dense entry is the Arc's two counts and the string, a
-                // fat pointer in `strs` and one with its id in `ids`.
-                let strings = match &c.dict {
+                let dict = match &c.dict {
                     TextDict::Store(_) => 0,
-                    TextDict::Dense { strs, .. } => strs.iter().map(|s| 56 + s.len()).sum(),
+                    // Every string once behind its Arc's two counts, a fat
+                    // pointer in `strs`, and the map's table: 8/7 of its
+                    // capacity in buckets of a (pointer, id) pair and a
+                    // control byte, and one more group of control bytes.
+                    TextDict::Dense { strs, ids } => {
+                        let buckets = match ids.capacity() {
+                            cap if cap < 8 => cap + 1,
+                            cap => cap / 7 * 8,
+                        };
+                        strs.iter().map(|s| 16 + s.len()).sum::<usize>()
+                            + strs.capacity() * size_of::<Arc<str>>()
+                            + buckets * (size_of::<(Arc<str>, u32)>() + 1)
+                            + 16
+                    }
                 };
-                c.ids.len() * 4 + strings
+                c.ids.capacity() * 4 + dict
             }
-            ResultColumn::Val(c) => c.len() * std::mem::size_of::<SqlValue>(),
+            ResultColumn::Val(c) => {
+                let text = c.iter().filter_map(SqlValue::as_str);
+                c.capacity() * size_of::<SqlValue>() + text.map(|s| 16 + s.len()).sum::<usize>()
+            }
         }
     }
 
@@ -312,31 +337,47 @@ impl ResultColumns {
         self.columns.get(i)
     }
 
-    /// Heap bytes of the flat columns: what the memory governor reserves
-    /// for a result nobody has asked rows of.
+    /// Heap bytes of the result: the flat columns, every dictionary string
+    /// once, and the labels. What the memory governor reserves for a result
+    /// nobody has asked rows of, and what a memoized copy costs a cache.
     pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(ResultColumn::bytes).sum()
+        use std::mem::size_of;
+        self.labels.capacity() * size_of::<String>()
+            + self.labels.iter().map(String::capacity).sum::<usize>()
+            + self.columns.capacity() * size_of::<ResultColumn>()
+            + self.columns.iter().map(ResultColumn::bytes).sum::<usize>()
+    }
+
+    /// Re-home store-coded text in dictionaries of the result's own, so the
+    /// columns keep no fact table alive: a result that outlives its query
+    /// (a memoized one) must not pin an index a rebuild has replaced.
+    pub fn detach(&mut self) {
+        for col in &mut self.columns {
+            if let ResultColumn::Text(text) = col {
+                text.detach();
+            }
+        }
     }
 
     /// Build the rows. Text values clone one `Arc<str>` per distinct id, so
     /// a result repeats no string.
-    pub fn into_result_set(self) -> ResultSet {
+    pub fn to_result_set(&self) -> ResultSet {
         let width = self.columns.len();
         let mut rows: Vec<Tuple> = (0..self.len()).map(|_| Vec::with_capacity(width)).collect();
         fn fill(rows: &mut [Tuple], vals: impl Iterator<Item = SqlValue>) {
             rows.iter_mut().zip(vals).for_each(|(row, v)| row.push(v));
         }
-        for col in self.columns {
+        for col in &self.columns {
             match col {
                 ResultColumn::Key(c) => fill(&mut rows, c.iter().map(|&v| SqlValue::Int(v as i64))),
-                ResultColumn::Int(c) => fill(&mut rows, c.into_iter().map(SqlValue::Int)),
-                ResultColumn::U128(c) => fill(&mut rows, c.into_iter().map(SqlValue::U128)),
+                ResultColumn::Int(c) => fill(&mut rows, c.iter().copied().map(SqlValue::Int)),
+                ResultColumn::U128(c) => fill(&mut rows, c.iter().copied().map(SqlValue::U128)),
                 ResultColumn::Text(c) => fill(&mut rows, c.values()),
-                ResultColumn::Val(c) => fill(&mut rows, c.into_iter()),
+                ResultColumn::Val(c) => fill(&mut rows, c.iter().cloned()),
             }
         }
         ResultSet {
-            columns: self.labels,
+            columns: self.labels.clone(),
             rows,
         }
     }

@@ -209,44 +209,46 @@ impl SqlEngine {
         self.execute_interruptible(sql, path, Interrupt::never())
     }
 
-    /// Execute under a cancellation/deadline [`Interrupt`]. The serving tier
-    /// builds one `Interrupt` per request and scopes it onto the shared
-    /// [`ParallelCtx`] here; an interrupted query returns a typed
-    /// `BlendError::{Cancelled, Timeout}` with no partial results.
+    /// Execute under a cancellation/deadline [`Interrupt`], scoped onto the
+    /// shared [`ParallelCtx`] for the query's run; an interrupted query
+    /// returns a typed `BlendError::{Cancelled, Timeout}` with no partial
+    /// results.
     pub fn execute_interruptible(
         &self,
         sql: &str,
         path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
-        self.execute_parsed_interruptible(&parse_counted(sql)?, path, interrupt)
+        let (out, report) = self.run(&parse_counted(sql)?, path, interrupt, true)?;
+        Ok((out.into_rows(), report))
     }
 
-    /// Execute an already-parsed query. The serving tier parses once at
-    /// submission (it needs the AST for fingerprinting anyway) and reuses
-    /// it here, so the cached/coalesced path never parses twice.
+    /// Execute an already-parsed query and return the result as flat
+    /// columns. The serving tier parses once at submission (it needs the
+    /// AST for fingerprinting anyway), builds one `Interrupt` per request,
+    /// and keeps the columns as they are: no `SqlValue` row is built for a
+    /// positional result until a caller reads typed slices
+    /// ([`ResultColumns::col`]) or asks for rows itself
+    /// ([`ResultColumns::to_result_set`]).
     pub fn execute_parsed_interruptible(
         &self,
         ast: &crate::ast::Query,
         path: ExecPath,
         interrupt: Interrupt,
-    ) -> Result<(ResultSet, QueryReport)> {
-        let (out, report) = self.run(ast, path, interrupt, true)?;
-        Ok((out.into_rows(), report))
+    ) -> Result<(ResultColumns, QueryReport)> {
+        let (out, report) = self.run(ast, path, interrupt, false)?;
+        Ok((out.into_columns(), report))
     }
 
-    /// Execute and return the result as flat columns. No `SqlValue` row is
-    /// built for a positional result: the caller reads typed slices
-    /// ([`ResultColumns::col`]) or asks for rows itself
-    /// ([`ResultColumns::into_result_set`]).
+    /// [`execute_parsed_interruptible`](Self::execute_parsed_interruptible)
+    /// of a SQL string.
     pub fn execute_columns_interruptible(
         &self,
         sql: &str,
         path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
-        let (out, report) = self.run(&parse_counted(sql)?, path, interrupt, false)?;
-        Ok((out.into_columns(), report))
+        self.execute_parsed_interruptible(&parse_counted(sql)?, path, interrupt)
     }
 
     /// Plan and execute `ast` — the one path under every entry — and turn

@@ -137,6 +137,24 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
+    /// Heap bytes behind the logical telemetry (the vectors and their
+    /// strings; the profile tree is not counted): what a memoized report
+    /// costs its cache.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let scans = self.scans.iter();
+        let phases = self.parallel.iter();
+        let strings = (scans.map(|s| s.alias.capacity() + s.access.capacity()))
+            .chain(phases.map(|p| p.phase.capacity() + p.worker_nanos.capacity() * 8))
+            .chain(self.hash_tables.iter().map(|h| h.phase.capacity()));
+        self.path.capacity()
+            + strings.sum::<usize>()
+            + self.scans.capacity() * size_of::<ScanReport>()
+            + self.joins.capacity() * size_of::<(usize, usize, usize)>()
+            + self.parallel.capacity() * size_of::<ParallelPhase>()
+            + self.hash_tables.capacity() * size_of::<HashTableStats>()
+    }
+
     /// Logical-telemetry equality: same scans, join cardinalities, result
     /// rows, and executor path. Ignores [`QueryReport::parallel`],
     /// [`QueryReport::hash_tables`], [`QueryReport::serving`], and
@@ -192,14 +210,13 @@ impl ResultSet {
         self.rows.get(row)?.get(self.col(col)?)?.as_str()
     }
 
-    /// Approximate heap footprint in bytes: the admission cost a memoized
-    /// copy of this result charges against a cache's byte budget and the
-    /// bytes the memory governor reserves for a materialized result.
-    /// Counts *capacities*, not lengths — spare `Vec` capacity and string
-    /// over-allocation are resident bytes too — plus the `Arc<str>` heap
-    /// header on text payloads (`Text`/`U128` payloads dominate real
-    /// seeker results). Same per-value accounting style as the storage
-    /// engines' `memory_breakdown`.
+    /// Approximate heap footprint in bytes: what the memory governor
+    /// reserves for a materialized result. Counts *capacities*, not lengths
+    /// — spare `Vec` capacity and string over-allocation are resident bytes
+    /// too — and every `Arc<str>` allocation once, with its header, however
+    /// many values share it (`Text`/`U128` payloads dominate real seeker
+    /// results). Same per-value accounting style as the storage engines'
+    /// `memory_breakdown`.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         // An `Arc<str>` allocation carries strong + weak counts ahead of
@@ -211,10 +228,11 @@ impl ResultSet {
             bytes += c.capacity();
         }
         bytes += self.rows.capacity() * size_of::<Tuple>();
+        let mut seen = blend_common::FxHashSet::default();
         for row in &self.rows {
             bytes += row.capacity() * size_of::<SqlValue>();
-            for v in row {
-                if let SqlValue::Text(s) = v {
+            for s in row.iter().filter_map(SqlValue::as_str) {
+                if seen.insert(s.as_ptr()) {
                     bytes += ARC_HEADER + s.len();
                 }
             }
@@ -246,7 +264,7 @@ pub(crate) enum Output {
 impl Output {
     pub(crate) fn into_rows(self) -> ResultSet {
         match self {
-            Output::Columns(cols) => cols.into_result_set(),
+            Output::Columns(cols) => cols.to_result_set(),
             Output::Rows(rs) => rs,
         }
     }
@@ -303,7 +321,7 @@ fn execute_sub(
     if allow_positional {
         if let Some(pos) = crate::exec_positional::plan_positional(plan) {
             return crate::exec_positional::execute(plan, &pos, report, par)
-                .map(ResultColumns::into_result_set);
+                .map(|cols| cols.to_result_set());
         }
     }
     execute_tuple(plan, report, allow_positional, par)

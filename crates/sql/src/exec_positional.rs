@@ -35,7 +35,7 @@
 //!   column store's own codes, dense per-result ids on the row store), and
 //!   only computed or NULL-able expressions as `SqlValue`s. Rows are a view
 //!   a caller asks the engine for
-//!   ([`ResultColumns::into_result_set`](crate::columns::ResultColumns::into_result_set),
+//!   ([`ResultColumns::to_result_set`](crate::columns::ResultColumns::to_result_set),
 //!   the one place that builds them); the seekers never do.
 //!
 //! [`plan_positional`] recognizes eligible plans; anything it cannot prove

@@ -271,3 +271,49 @@ fn self_join_plans_against_one_catalog_snapshot() {
         "{neither} of {QUERIES} self-joins mixed two catalog versions"
     );
 }
+
+/// A memoized result never pins a replaced index. The column store codes
+/// `CellValue` with its own dictionary, so a fresh result's text columns
+/// hold the fact table; stale generations are purged lazily, shard by
+/// shard, so an entry that kept that handle would keep the whole replaced
+/// table alive beside its successor. Entries are detached on the way in:
+/// once the catalog lets the old table go, nothing holds it — while the old
+/// entries are still resident.
+#[test]
+fn memoized_results_never_pin_a_replaced_table() {
+    let old = mc_fact("old");
+    let replaced = Arc::downgrade(&old);
+    let engine =
+        Arc::new(SqlEngine::with_alltables(old).with_parallel(Arc::new(ParallelCtx::sequential())));
+    let queue = ServeQueue::new(
+        engine.clone(),
+        ServeConfig {
+            result_cache_bytes: 4 << 20,
+            ..ServeConfig::default()
+        },
+    );
+    let text_results = [
+        "SELECT q0.CellValue AS v0, q1.CellValue AS v1, q0.TableId AS tid FROM \
+         (SELECT * FROM AllTables WHERE CellValue IN ('old-k1')) AS q0 \
+         INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('old-v2')) AS q1 \
+         ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
+        "SELECT CellValue, TableId FROM AllTables WHERE RowId < 3 ORDER BY CellValue LIMIT 20",
+    ];
+    for sql in text_results {
+        let (rs, _) = queue
+            .submit(sql, Deadline::none())
+            .and_then(|t| t.wait())
+            .expect("served");
+        assert!(!rs.is_empty(), "{sql}");
+        assert_eq!(provenance(&rs.rows), Ok("old"), "{sql}");
+    }
+    assert_eq!(queue.cached_results(), text_results.len());
+
+    engine.replace_table("alltables", mc_fact("new"));
+    // No request has named the new generation yet, so no shard has purged.
+    assert_eq!(queue.cached_results(), text_results.len());
+    assert!(
+        replaced.upgrade().is_none(),
+        "a memoized result kept the replaced table alive"
+    );
+}

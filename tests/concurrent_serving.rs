@@ -15,6 +15,10 @@
 //!    exceed the token budget and always drain (no lost wakeups, no
 //!    deadlock), every recorded phase stays within its grant, and the
 //!    budget is fully returned once the storm ends.
+//! 3. **One result, however it is delivered** — through the serving tier a
+//!    result is shared flat columns, and the rows a client reads from a
+//!    fresh execution, a cache hit or a coalesced execution are the direct
+//!    engine's, for every seeker class on both storage engines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -22,7 +26,8 @@ use std::time::Duration;
 
 use blend::plan::Seeker;
 use blend::seekers::{self, TID_PLACEHOLDER};
-use blend_parallel::{Admission, ParallelCtx};
+use blend_parallel::{Admission, Deadline, ParallelCtx};
+use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_EXEC};
 use blend_sql::{ExecPath, QueryReport, ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
@@ -326,6 +331,78 @@ fn default_engines_share_one_process_pool_and_serve_consistently() {
             assert!(granted <= budget + 1);
         }
         assert_eq!(engine.parallel_ctx().admission().available(), budget);
+    }
+}
+
+/// The six seeker classes of the served workloads (SC over 10, 100 and
+/// 1000 values, KW, MC, C), on the row store (whose text columns come out
+/// dense) and the column store (store codes, detached for sharing): two
+/// overlapping submissions are one fresh execution and one coalesced
+/// delivery, a third is a cache hit, and all three are `SqlEngine::execute`'s
+/// result value for value and label for label.
+#[test]
+fn every_delivery_kind_reads_the_direct_engines_rows() {
+    let w = |i: u32| format!("w{}", i % 10);
+    let sc = |n: u32| Seeker::sc((0..n).map(w).collect());
+    let classes = [
+        ("sc10", sc(10)),
+        ("sc100", sc(100)),
+        ("sc1000", sc(1000)),
+        ("kw", Seeker::kw((0..6).map(w).collect())),
+        (
+            "mc",
+            Seeker::mc((0..10).map(|r| vec![w(r), w(r + 3)]).collect()),
+        ),
+        (
+            "c",
+            Seeker::c(
+                (0..6).map(w).collect(),
+                vec![3.0, 17.0, 5.0, 29.0, 11.0, 23.0],
+            ),
+        ),
+    ];
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        // A context of its own: the process-wide one is another test's to
+        // count tokens on.
+        let fact = build_engine(kind, fact_rows(8, 60, 10, 0xD15C));
+        let ctx = Arc::new(ParallelCtx::with_admission(4, 1, 5, 2));
+        let engine = Arc::new(SqlEngine::with_alltables(fact).with_parallel(ctx));
+        for (class, seeker) in &classes {
+            let sql = seekers::seeker_sql(seeker, 10, 8).replace(TID_PLACEHOLDER, "");
+            let want = engine.execute(&sql).expect("direct run");
+            assert!(!want.is_empty(), "{kind:?}/{class}: empty reference");
+            // A queue per class: the delay holds its first execution, so
+            // the second submission finds it in flight.
+            let queue = ServeQueue::new(
+                engine.clone(),
+                ServeConfig {
+                    faults: FaultPlan::none().with(
+                        SITE_EXEC,
+                        FaultAction::Delay(Duration::from_millis(60)),
+                        1_000_000,
+                    ),
+                    result_cache_bytes: 4 << 20,
+                    ..ServeConfig::default()
+                },
+            );
+            let submit = || queue.submit(&sql, Deadline::none()).expect("accepted");
+            let read = |ticket: blend_serve::Ticket| {
+                let (rs, report) = ticket.wait().expect("served");
+                let how = report.serving.expect("telemetry").outcome;
+                // Debug text: `SqlValue: PartialEq` would equate `1` with `1.0`.
+                assert_eq!(rs.columns, want.columns, "{kind:?}/{class}/{how}: labels");
+                assert_eq!(
+                    format!("{:?}", rs.rows),
+                    format!("{:?}", want.rows),
+                    "{kind:?}/{class}/{how}: values"
+                );
+                how
+            };
+            let mut overlapping = [submit(), submit()].map(read);
+            overlapping.sort();
+            assert_eq!(overlapping, ["coalesced_hit", "ok"], "{kind:?}/{class}");
+            assert_eq!(read(submit()), "cache_hit", "{kind:?}/{class}");
+        }
     }
 }
 

@@ -591,7 +591,7 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
         let (rs, report) = if columnar {
             let (cols, report) =
                 engine.execute_columns_interruptible(sql, ExecPath::Auto, Interrupt::never())?;
-            (cols.into_result_set(), report)
+            (cols.to_result_set(), report)
         } else {
             engine.execute_with_report(sql)?
         };

@@ -111,13 +111,49 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     // tokens, so whether any phase was granted a pool worker depended on
     // how the requests happened to overlap; alone, a request leaves a
     // token for its own phases.
-    queue
-        .submit(
-            "SELECT TableId, COUNT(*) AS n FROM AllTables GROUP BY TableId ORDER BY TableId",
-            Deadline::none(),
-        )
+    let lone = "SELECT TableId, COUNT(*) AS n FROM AllTables GROUP BY TableId ORDER BY TableId";
+    let (rs, fresh) = queue
+        .submit(lone, Deadline::none())
         .and_then(|t| t.wait())
         .expect("a lone request on an idle tier succeeds");
+
+    // The same request again is a memoized delivery. Its synthesized root
+    // says what was delivered (rows, and the bytes the cache charged for
+    // them), and on either delivery the rows a client reads were built by
+    // `Ticket::wait`, under a `materialize` span like the engine's own.
+    let (_, hit) = queue
+        .submit(lone, Deadline::none())
+        .and_then(|t| t.wait())
+        .expect("the repeat is served");
+    let rows = Some(&blend_obs::AttrValue::U64(rs.len() as u64));
+    let root = &hit.profile.as_ref().expect("hits carry a profile").root;
+    assert_eq!(
+        root.attr("cache"),
+        Some(&blend_obs::AttrValue::Str("hit".into()))
+    );
+    assert_eq!(root.attr("rows"), rows);
+    assert!(
+        matches!(root.attr("result_bytes"), Some(blend_obs::AttrValue::U64(b)) if *b > 0),
+        "memoized root lacks result_bytes: {root:?}"
+    );
+    for (how, report) in [("fresh", &fresh), ("cache hit", &hit)] {
+        let root = &report.profile.as_ref().expect("profiled").root;
+        let built = root.children.iter().filter(|c| c.name == "materialize");
+        assert!(
+            built.clone().any(|c| c.attr("rows") == rows),
+            "{how}: no materialize span for the rows read: {root:?}"
+        );
+        assert!(root.nanos >= built.map(|c| c.nanos).sum());
+    }
+    // The resident-bytes gauge is the cache's own columnar cost.
+    assert_eq!(
+        blend_obs::registry()
+            .snapshot()
+            .gauges
+            .get("blend_cache_bytes"),
+        Some(&(queue.result_cache().bytes() as i64)),
+    );
+    assert!(queue.result_cache().bytes() > 0);
 
     // Quiesce: joining the serving threads guarantees every accepted
     // request's outcome counter was bumped before the snapshot.
@@ -127,7 +163,7 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     let submitted = snap.counter("blend_serve_submitted_total");
     assert_eq!(
         submitted,
-        (WAVES * 2 * DEPTH + 1) as u64,
+        (WAVES * 2 * DEPTH + 2) as u64,
         "metrics-level submitted counts every submission attempt"
     );
     let outcomes: u64 = [

@@ -20,7 +20,9 @@ use std::time::{Duration, Instant};
 
 use blend_common::BlendError;
 use blend_parallel::{Deadline, ParallelCtx};
-use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_DEQUEUE, SITE_EXEC};
+use blend_serve::{
+    CacheKey, FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_DEQUEUE, SITE_EXEC,
+};
 use blend_sql::{ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 
@@ -375,4 +377,76 @@ fn cancelled_coalesced_leader_never_strands_waiters() {
 #[test]
 fn poisoned_coalesced_leader_never_strands_waiters() {
     leader_failure_storm("leader-poison", FaultAction::Poison);
+}
+
+/// Waiters outliving their leader. Four requests coalesce behind a leader
+/// held at the exec site: one is cancelled and one's deadline runs out
+/// while the leader executes, and both still resolve typed — no columns, no
+/// rows — when the leader delivers. The other two resolve `Ok` and are
+/// never read: a ticket's share of the execution's columns is a handle on
+/// the cached entry's allocation, and dropping the ticket gives it back.
+#[test]
+fn unread_and_failed_waiters_hold_no_share_of_the_columns() {
+    let fact = build_engine(EngineKind::Column, fact_rows(5, 40, 6, 0x57012));
+    let sql = queries(6)[2].clone();
+    let engine = Arc::new(
+        SqlEngine::with_alltables(fact)
+            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
+    );
+    let queue = ServeQueue::new(
+        engine.clone(),
+        ServeConfig {
+            depth: 8,
+            workers: 2,
+            faults: FaultPlan::none().with(
+                SITE_EXEC,
+                FaultAction::Delay(Duration::from_millis(300)),
+                1_000_000,
+            ),
+            result_cache_bytes: 1 << 20,
+            coalesce: true,
+        },
+    );
+    let submit = |budget| queue.submit(&sql, Deadline::after(budget)).expect("depth");
+    let long = Duration::from_secs(20);
+    let leader = submit(long);
+    let (unread_a, unread_b, cancelled) = (submit(long), submit(long), submit(long));
+    let timed_out = submit(Duration::from_millis(30));
+    cancelled.cancel();
+
+    let watchdog = Instant::now() + WATCHDOG;
+    let eventually = |what: &str, done: &dyn Fn() -> bool| {
+        while !done() {
+            assert!(Instant::now() < watchdog, "never: {what}");
+            std::thread::yield_now();
+        }
+    };
+    // (Which of the five a serving thread makes the leader is the
+    // scheduler's choice; the counts below hold whichever it is.)
+    let (rs, _) = leader.wait().expect("the first request succeeds");
+    assert!(!rs.is_empty());
+    assert!(matches!(cancelled.wait(), Err(BlendError::Cancelled(_))));
+    assert!(matches!(timed_out.wait(), Err(BlendError::Timeout(_))));
+    eventually("both unread waiters are delivered", &|| {
+        queue.stats().coalesced_hits == 2
+    });
+
+    let entry = {
+        let key = CacheKey {
+            fp: blend_sql::fingerprint_sql(&sql).expect("the SQL parses"),
+            generation: engine.generation(),
+        };
+        let cached = queue.result_cache().get(&key);
+        let cached = cached.expect("the leader's result is memoized");
+        assert_eq!(cached.columns.to_result_set(), rs);
+        Arc::downgrade(&cached)
+    };
+    // The cache's handle and the two unread tickets'.
+    eventually("the leader's thread lets go", &|| entry.strong_count() == 3);
+    drop(unread_a);
+    assert_eq!(entry.strong_count(), 2);
+    // Cancelling a resolved request changes nothing; dropping it does.
+    unread_b.cancel();
+    drop(unread_b);
+    assert_eq!(entry.strong_count(), 1, "only the cache holds the entry");
 }

@@ -286,7 +286,7 @@ proptest! {
                                 .execute_columns_interruptible(&sql, ExecPath::Auto, Interrupt::never())
                                 .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
                             prop_assert_eq!(
-                                format!("{:?}", cols.into_result_set().rows),
+                                format!("{:?}", cols.to_result_set().rows),
                                 format!("{:?}", want),
                                 "{:?}/columns/{}t/vector={}: {}",
                                 kind, threads, vector, sql
