@@ -16,10 +16,14 @@ use std::path::Path;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use blend_common::{BlendError, Result};
-use blend_storage::{decode_quadrant, FactRow};
+use blend_storage::{decode_quadrant, FactRow, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO};
 
 const MAGIC: &[u8; 4] = b"BLND";
 const VERSION: u32 = 1;
+
+/// Bytes of an encoded row besides its value: length prefix, three ids,
+/// super key, quadrant code — also the smallest a row can encode to.
+const MIN_ROW_BYTES: usize = 4 + 4 * 3 + 16 + 1;
 
 /// Serialize fact rows into a byte buffer.
 pub fn encode_rows(rows: &[FactRow]) -> Bytes {
@@ -39,7 +43,10 @@ pub fn encode_rows(rows: &[FactRow]) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialize fact rows from a byte buffer.
+/// Deserialize fact rows from a byte buffer. Corrupt input of any shape —
+/// truncated, oversized counts or lengths, bad UTF-8, unknown quadrant
+/// codes, trailing bytes — is a typed [`BlendError::Index`], never a panic;
+/// whatever decodes re-encodes to exactly the input bytes.
 pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     let err = |m: &str| BlendError::Index(format!("index file corrupt: {m}"));
     if buf.remaining() < 16 {
@@ -56,14 +63,16 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
             "unsupported index version {version} (expected {VERSION})"
         )));
     }
-    let n = buf.get_u64_le() as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 24));
+    let n = buf.get_u64_le();
+    // The count is untrusted: reserve no more rows than the bytes left can
+    // hold, so a header claiming 2^40 rows reserves nothing.
+    let mut rows = Vec::with_capacity((buf.remaining() / MIN_ROW_BYTES).min(n as usize));
     for _ in 0..n {
         if buf.remaining() < 4 {
             return Err(err("truncated value length"));
         }
         let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len + 4 * 3 + 16 + 1 {
+        if buf.remaining() < len.saturating_add(MIN_ROW_BYTES - 4) {
             return Err(err("truncated row"));
         }
         let value_bytes = buf.copy_to_bytes(len);
@@ -74,7 +83,10 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
         let column = buf.get_u32_le();
         let row = buf.get_u32_le();
         let superkey = buf.get_u128_le();
-        let quadrant = decode_quadrant(buf.get_u8());
+        let quadrant = match buf.get_u8() {
+            code @ (QUADRANT_NULL | QUADRANT_ZERO | QUADRANT_ONE) => decode_quadrant(code),
+            code => return Err(err(&format!("invalid quadrant code {code}"))),
+        };
         rows.push(FactRow {
             value: value.into(),
             table,
@@ -174,6 +186,92 @@ mod tests {
         let mut encoded = encode_rows(&sample()).to_vec();
         encoded.push(0);
         assert!(decode_rows(&encoded).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_quadrant_codes() {
+        let rows = vec![FactRow::new("alpha", 0, 0, 0, 7, Some(true))];
+        let mut encoded = encode_rows(&rows).to_vec();
+        let last = encoded.len() - 1;
+        for code in [3u8, 0x80, 0xFF] {
+            encoded[last] = code;
+            let err = decode_rows(&encoded).unwrap_err();
+            assert!(
+                matches!(&err, BlendError::Index(m) if m.contains("quadrant")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_row_count_reserves_nothing_and_fails_typed() {
+        // A bare header claiming 2^40 rows: no row fits in zero bytes.
+        let mut header = encode_rows(&[]).to_vec();
+        header[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(decode_rows(&header), Err(BlendError::Index(_))));
+    }
+
+    /// Rows with ASCII, multi-byte and empty values and every quadrant.
+    fn generated(n: usize, seed: u64) -> Vec<FactRow> {
+        const VALUES: [&str; 4] = ["alpha", "universität", "", "42"];
+        let quadrants = [None, Some(false), Some(true)];
+        (0..n)
+            .map(|i| {
+                let s = seed.wrapping_add(i as u64);
+                FactRow::new(
+                    VALUES[(s % 4) as usize],
+                    (s >> 8) as u32,
+                    (s >> 16) as u32 % 9,
+                    i as u32,
+                    (s as u128) << 64 | i as u128,
+                    quadrants[(s >> 4) as usize % 3],
+                )
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Byte-level corruption never panics: truncation and oversized
+        /// counts or value lengths fail typed, and a flipped byte either
+        /// fails typed or decodes to rows that re-encode to exactly the
+        /// flipped bytes (so an unflipped file decodes to its rows).
+        #[test]
+        fn corrupt_bytes_fail_typed_or_decode_exactly(
+            n in 0usize..6,
+            seed in proptest::prelude::any::<u64>(),
+            at in proptest::prelude::any::<u64>(),
+            flip in 1u32..256,
+            huge in proptest::prelude::any::<u64>(),
+        ) {
+            let rows = generated(n, seed);
+            let encoded = encode_rows(&rows).to_vec();
+            let typed = |r: Result<Vec<FactRow>>| matches!(r, Err(BlendError::Index(_)));
+            proptest::prop_assert_eq!(decode_rows(&encoded).unwrap(), rows);
+
+            let cut = (at % encoded.len() as u64) as usize;
+            proptest::prop_assert!(typed(decode_rows(&encoded[..cut])), "cut at {}", cut);
+
+            let mut flipped = encoded.clone();
+            flipped[cut] ^= flip as u8;
+            match decode_rows(&flipped) {
+                Ok(back) => proptest::prop_assert_eq!(encode_rows(&back).to_vec(), flipped),
+                Err(e) => proptest::prop_assert!(matches!(e, BlendError::Index(_)), "{}", e),
+            }
+
+            let mut counted = encoded.clone();
+            let count = n as u64 + 1 + huge % (1 << 40);
+            counted[8..16].copy_from_slice(&count.to_le_bytes());
+            proptest::prop_assert!(typed(decode_rows(&counted)), "count {}", count);
+
+            if n > 0 {
+                let mut long = encoded;
+                let len = u32::MAX - (huge % 64) as u32;
+                long[16..20].copy_from_slice(&len.to_le_bytes());
+                proptest::prop_assert!(typed(decode_rows(&long)), "value_len {}", len);
+            }
+        }
     }
 
     #[test]

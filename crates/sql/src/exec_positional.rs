@@ -26,7 +26,8 @@
 //!   struct-of-arrays vectors and `COUNT(DISTINCT CellValue)` counted by
 //!   per-group sort-unique over gathered dictionary codes (column store)
 //!   or dense string ids (row store) — never an owned `SqlValue`, never a
-//!   per-group hash set;
+//!   per-group hash set — except where the scan's own structure already
+//!   groups the rows (the SC/KW seekers: see *Segment grouping* below);
 //! * `ORDER BY … LIMIT k` runs over **flat columns**, on both tails (see
 //!   *Top-k before materialization* below);
 //! * no tail builds a `SqlValue` row. The output is
@@ -85,6 +86,47 @@
 //! Each build records [`HashTableStats`] (build nanos, bucket count, max
 //! chain, radix partition count) in [`QueryReport::hash_tables`].
 //!
+//! ## Segment grouping
+//!
+//! The SC and KW seekers (paper Listing 1) are `WHERE CellValue IN (…)
+//! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`, and
+//! their scan already holds the grouping. The planner sorts and
+//! deduplicates the IN list, so a value-index scan emits one *segment* —
+//! one postings list — per distinct value ([`PosBatch::segments`]), and
+//! [`canonical_sort`](blend_storage::fact::canonical_sort) orders positions by
+//! (table, column, row), so inside a segment every `TableId` or (`TableId`,
+//! `ColumnId`) group is one contiguous run. A group's distinct count is
+//! then the number of segments that touch it, and its first-seen row is
+//! the head of its first run. `group_segments` gathers the key columns
+//! once, finds run heads with an adjacent-difference pass per segment, and
+//! per head bumps a dense counter indexed by table id (KW) or by a
+//! per-query (table, column) ordinal (SC: a table's ordinals are assigned
+//! on its first touch, as wide as its last `ColumnId` + 1, read off the
+//! table directory). No hash table, no per-row group id, no per-group sort:
+//! the phase is O(runs) past the gather, sequential on the query's thread.
+//! (A lake whose `ColumnId`s are so sparse that the ordinals would outnumber
+//! the store's cells hands the query to the hash path instead.)
+//!
+//! The check is a plan property, `segment_grouped`: the group input is one
+//! value-index scan (*partitioned by the DISTINCT argument*), the keys are
+//! `{TableId}` or `{TableId, ColumnId}` of that scan in either order
+//! (*key-sorted within a partition*), and every aggregate is `COUNT(DISTINCT
+//! CellValue)` of that scan. At run time the batch must still carry its
+//! segments — a filtered scan rebuilds them from its morsels; the
+//! post-filter and joins drop them. Everything else — C's three-key join
+//! shape, `TableIndex`/`SeqScan` drives, `COUNT(*)` beside the distinct
+//! count, `ColumnId` or `RowId` keys — takes the hash path.
+//!
+//! The output is the hash path's [`GroupCols`]: per group its first-seen
+//! batch row, key values and `Int` counts. Counts and key values are the
+//! same by the argument above, and so is every first-seen row, because the
+//! first head of a group in segment order is its first row in batch order.
+//! `finish_groups` orders groups by (order keys, projection, first-seen
+//! row), so ordering, top-k and tie-breaks — and the result bytes — are
+//! the hash path's. The `group` span's `path` attr says which path ran
+//! (`segments` | `hash`); the segment path adds `runs` and records no
+//! [`HashTableStats`].
+//!
 //! ## Top-k before materialization
 //!
 //! The SC and KW seekers are `GROUP BY … ORDER BY score DESC LIMIT k` over
@@ -124,7 +166,8 @@
 //!   lives in one partition, ascending because partition scatter preserves
 //!   input order. The probe side is chunked in row order and emitted in
 //!   chunk order;
-//! * GROUP BY radix-partitions rows by group-key hash, so each worker owns
+//! * GROUP BY on the hash path radix-partitions rows by group-key hash
+//!   (segment grouping stays on the query's thread), so each worker owns
 //!   its groups outright: every group's aggregate state sees **exactly the
 //!   sequential update sequence** (which is why even float SUM/AVG group in
 //!   parallel bit-identically). Under a LIMIT every partition then selects
@@ -162,6 +205,9 @@
 //!   sequentially, and the chosen width feeds the partition math — the
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
+//! * segment grouping has no width to narrow: it reserves its gathered key
+//!   columns up front and its counters as they double (`group_segments`),
+//!   and a failed reservation resolves `MemoryExceeded` like any other;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
 //!   aggregate columns) and outputs — the flat group columns
 //!   (`group_out`) and, beside them, the survivors' output columns
@@ -465,6 +511,9 @@ impl PosAggSpec<'_> {
 struct PosGroup<'p> {
     keys: Vec<PosCol>,
     aggs: Vec<PosAggSpec<'p>>,
+    /// The plan property of [`segment_grouped`]: the group may count off
+    /// the scan's value segments instead of a hash table.
+    by_segments: bool,
 }
 
 /// Projection stage shape for non-aggregated queries.
@@ -518,7 +567,12 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
             for a in &g.aggs {
                 aggs.push(agg_spec(a, &leaves)?);
             }
-            PosTail::Group(PosGroup { keys, aggs })
+            let by_segments = segment_grouped(&root, &leaves, &keys, &aggs);
+            PosTail::Group(PosGroup {
+                keys,
+                aggs,
+                by_segments,
+            })
         }
         None => {
             let mut exprs = Vec::with_capacity(plan.projection.len());
@@ -539,6 +593,41 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
         post_filter,
         tail,
     })
+}
+
+/// The plan property segment grouping rests on (module docs, *Segment
+/// grouping*): the group input is a single value-index scan, so its output
+/// is partitioned by `CellValue` — the DISTINCT argument, one segment per
+/// deduplicated driving value; the keys are `{TableId}` or `{TableId,
+/// ColumnId}` of that scan, in either order, so canonical (table, column,
+/// row) order makes the output key-sorted within a partition; and every
+/// aggregate is `COUNT(DISTINCT CellValue)` of that scan.
+fn segment_grouped(
+    root: &PosNode,
+    leaves: &[&ScanPlan],
+    keys: &[PosCol],
+    aggs: &[PosAggSpec<'_>],
+) -> bool {
+    let PosNode::Scan { leaf, .. } = root else {
+        return false;
+    };
+    let partitioned = matches!(leaves[*leaf].access, AccessPath::ValueIndex { .. });
+    let key_sorted = match keys {
+        [(a, IntCol::Table)] => a == leaf,
+        [(a, x), (b, y)] => {
+            a == leaf
+                && b == leaf
+                && matches!(
+                    (x, y),
+                    (IntCol::Table, IntCol::Column) | (IntCol::Column, IntCol::Table)
+                )
+        }
+        _ => false,
+    };
+    let distinct_only = aggs
+        .iter()
+        .all(|a| matches!(a, PosAggSpec::DistinctValue { leaf: l } if l == leaf));
+    partitioned && key_sorted && distinct_only
 }
 
 fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec<'p>> {
@@ -645,10 +734,27 @@ fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Option<PosN
 struct PosBatch {
     stride: usize,
     data: Vec<u32>,
+    /// Row offsets of a value-index scan's segments, one per driving value
+    /// (segment `s` is rows `segments[s]..segments[s + 1]`); `None` for
+    /// every other batch. An operator that drops or reorders rows must
+    /// remap these or clear them (see *Segment grouping*).
+    segments: Option<Vec<u32>>,
     mem: Option<MemoryReservation>,
 }
 
 impl PosBatch {
+    /// A scan's output, with its reservation: positions plus segment
+    /// offsets.
+    fn scanned(data: Vec<u32>, segments: Option<Vec<u32>>, par: &ParallelCtx) -> Result<Self> {
+        let held = data.capacity() + segments.as_ref().map_or(0, Vec::capacity);
+        Ok(PosBatch {
+            stride: 1,
+            data,
+            segments,
+            mem: Some(par.memory().try_reserve("scan_out", held * 4)?),
+        })
+    }
+
     fn len(&self) -> usize {
         self.data.len().checked_div(self.stride).unwrap_or(0)
     }
@@ -706,7 +812,8 @@ pub(crate) fn execute(
             }
         }
         // The surviving rows fit under the input batch's reservation;
-        // shrink it to the compacted size instead of re-reserving.
+        // shrink it to the compacted size instead of re-reserving. Dropped
+        // rows would shift segment boundaries, so the segments go too.
         let dropped = batch.data.len() - data.len();
         let mut mem = batch.mem.take();
         if let Some(m) = &mut mem {
@@ -715,6 +822,7 @@ pub(crate) fn execute(
         batch = PosBatch {
             stride: batch.stride,
             data,
+            segments: None,
             mem,
         };
     }
@@ -929,11 +1037,16 @@ fn exec_scan(
     // SC/KW case (no TID injection) never touches per-position logic.
     let unfiltered = residual.is_none() && scan.fast.is_empty();
     if unfiltered {
+        let mut segments = None;
         match &scan.access {
             AccessPath::ValueIndex { .. } => {
+                let mut ends = Vec::with_capacity(scan.driving_values.len() + 1);
+                ends.push(0);
                 for v in &scan.driving_values {
                     out.extend_from_slice(table.postings(v));
+                    ends.push(out.len() as u32);
                 }
+                segments = Some(ends);
             }
             AccessPath::TableIndex { .. } => {
                 for &t in &scan.driving_tables {
@@ -953,12 +1066,7 @@ fn exec_scan(
             scanned: out.len(),
             emitted: out.len(),
         });
-        let mem = Some(par.memory().try_reserve("scan_out", out.capacity() * 4)?);
-        return Ok(PosBatch {
-            stride: 1,
-            data: out,
-            mem,
-        });
+        return PosBatch::scanned(out, segments, par);
     }
 
     // Ordered segments of the driving access path; a sequential pass over
@@ -1034,6 +1142,16 @@ fn exec_scan(
     let _scratch_mem = par
         .memory()
         .try_reserve("scan_scratch", scratch_width * par.morsel_len() * 4)?;
+    // A value-index drive keeps its segment offsets: morsels run in
+    // segment order, so the output length after a segment's last morsel is
+    // where that segment ends (`ends[s + 1]`).
+    let mut ends: Option<Vec<u32>> =
+        matches!(scan.access, AccessPath::ValueIndex { .. }).then(|| vec![0; segs.len() + 1]);
+    let mut end_segment = |m: &Morsel, out_len: usize| {
+        if let Some(ends) = &mut ends {
+            ends[m.segment + 1] = out_len as u32;
+        }
+    };
     match admitted {
         Some((grant, morsels)) => {
             // Per-worker scratch: selection-vector capacity is allocated
@@ -1053,9 +1171,10 @@ fn exec_scan(
                 });
             par.check_interrupt()?;
             out.reserve(run.results.iter().map(|(l, _)| l.len()).sum());
-            for (local, local_scanned) in run.results {
+            for (m, (local, local_scanned)) in morsels.iter().zip(run.results) {
                 out.extend_from_slice(&local);
                 scanned += local_scanned;
+                end_segment(m, out.len());
             }
             report.parallel.push(ParallelPhase {
                 phase: format!("scan:{}", scan.alias),
@@ -1074,9 +1193,20 @@ fn exec_scan(
             for m in morselize(&lens, par.morsel_len()) {
                 par.check_interrupt()?;
                 scanned += scan_morsel(&m, &mut scratch, &mut out);
+                end_segment(&m, out.len());
             }
         }
     }
+    // A segment with no morsel (empty postings) ends where the one before
+    // it did.
+    let segments = ends.map(|mut ends| {
+        let mut at = 0;
+        for end in &mut ends {
+            at = at.max(*end);
+            *end = at;
+        }
+        ends
+    });
 
     span.attr_u64("scanned", scanned as u64);
     span.attr_u64("rows", out.len() as u64);
@@ -1087,12 +1217,7 @@ fn exec_scan(
         scanned,
         emitted: out.len(),
     });
-    let mem = Some(par.memory().try_reserve("scan_out", out.capacity() * 4)?);
-    Ok(PosBatch {
-        stride: 1,
-        data: out,
-        mem,
-    })
+    PosBatch::scanned(out, segments, par)
 }
 
 /// Pack 1–2 u32 key columns into one `u64` per row (shift-fold, so a
@@ -1269,6 +1394,7 @@ fn exec_join(
     Ok(PosBatch {
         stride,
         data: out,
+        segments: None,
         mem,
     })
 }
@@ -1328,34 +1454,32 @@ fn join_flat<K: JoinKey>(
         .map_or(1, |_| partition_count(build_width, n_build));
     let pmask = (n_parts - 1) as u64;
 
-    let flat_tables: Vec<JoinTable> = if n_parts == 1 {
-        vec![JoinTable::build(build_keys, None)?]
-    } else {
-        let grant = build_grant
-            .as_ref()
-            .expect("n_parts > 1 only under a grant");
-        // Radix-partition build rows by the low hash bits; each partition's
-        // row list is ascending, so per-key match runs stay ascending.
-        // `hash_all` runs the batched 8-lane mixers on the vector path and
-        // the per-key loop otherwise — identical values either way.
-        let hashes: Vec<u64> = K::hash_all(build_keys, "join_build_hashes")?;
-        let parts: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
-        let rp = radix_partition(&parts, n_parts)?;
-        // Workers poll the interrupt per partition: an interrupted build
-        // produces empty tables, which the check below throws away. A
-        // worker whose table build fails its allocation surfaces the typed
-        // error here, discarding every partial the same way.
-        let run = grant.pool().run(n_parts, |p| {
-            let part = if intr.is_set() { &[][..] } else { rp.part(p) };
-            JoinTable::build_prehashed(&hashes, Some(part))
-        });
-        report.parallel.push(ParallelPhase {
-            phase: "join-build".to_string(),
-            partitions: n_parts,
-            granted: build_width,
-            worker_nanos: run.worker_nanos,
-        });
-        run.results.into_iter().collect::<Result<Vec<_>>>()?
+    let flat_tables: Vec<JoinTable> = match build_grant.as_ref().filter(|_| n_parts > 1) {
+        None => vec![JoinTable::build(build_keys, None)?],
+        Some(grant) => {
+            // Radix-partition build rows by the low hash bits; each partition's
+            // row list is ascending, so per-key match runs stay ascending.
+            // `hash_all` runs the batched 8-lane mixers on the vector path and
+            // the per-key loop otherwise — identical values either way.
+            let hashes: Vec<u64> = K::hash_all(build_keys, "join_build_hashes")?;
+            let parts: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
+            let rp = radix_partition(&parts, n_parts)?;
+            // Workers poll the interrupt per partition: an interrupted build
+            // produces empty tables, which the check below throws away. A
+            // worker whose table build fails its allocation surfaces the typed
+            // error here, discarding every partial the same way.
+            let run = grant.pool().run(n_parts, |p| {
+                let part = if intr.is_set() { &[][..] } else { rp.part(p) };
+                JoinTable::build_prehashed(&hashes, Some(part))
+            });
+            report.parallel.push(ParallelPhase {
+                phase: "join-build".to_string(),
+                partitions: n_parts,
+                granted: build_width,
+                worker_nanos: run.worker_nanos,
+            });
+            run.results.into_iter().collect::<Result<Vec<_>>>()?
+        }
     };
     drop(build_grant);
     par.check_interrupt()?;
@@ -1654,44 +1778,28 @@ fn finish_groups(
 }
 
 /// What the grouping functions read: the GROUP BY shape, the batch, and
-/// the key and aggregate input columns gathered from it.
+/// the key and aggregate input columns gathered from it, with the
+/// reservation covering them.
 struct GroupInput<'a> {
     shape: &'a PosGroup<'a>,
     batch: &'a PosBatch,
     tables: &'a [&'a dyn FactTable],
     key_cols: Vec<Vec<u32>>,
     spec_data: Vec<SpecData>,
+    _mem: MemoryReservation,
 }
 
-/// Positional GROUP BY: group keys pack into a `u64` (≤2 columns, the
-/// SC/KW shape) or a `u128` (3–4 columns, the C shape); a flat
-/// [`GroupIndex`] assigns dense group ids in first-seen order and
-/// aggregates accumulate column-at-a-time into struct-of-arrays state,
-/// which is also the phase's output ([`GroupCols`]). [`finish_groups`]
-/// then orders, limits and projects.
-///
-/// Large keyed inputs radix-partition rows by key hash so each pool worker
-/// owns its groups outright — per-group update order is exactly the
-/// sequential ascending row order (no merge, no exactness gate), and
-/// ordering finished groups by first-seen row recovers the sequential
-/// output order. Global (ungrouped) aggregation chunk-merges instead,
-/// gated on exactly-merging aggregates ([`PosAggSpec::merge_exact`]).
-fn exec_group(
-    plan: &QueryPlan,
-    shape: &PosGroup<'_>,
-    batch: &PosBatch,
-    tables: &[&dyn FactTable],
-    report: &mut QueryReport,
-    par: &ParallelCtx,
-) -> Result<ResultColumns> {
-    par.check_interrupt()?;
-    let n_rows = batch.len();
-    // The gathered input columns (and their reservation) live for the
-    // grouping phase only; selection and projection run without them.
-    let (parts, grant) = {
+impl<'a> GroupInput<'a> {
+    /// Gather the key columns and the aggregates' argument columns in bulk
+    /// (positions extracted once per leaf).
+    fn gather(
+        shape: &'a PosGroup<'a>,
+        batch: &'a PosBatch,
+        tables: &'a [&'a dyn FactTable],
+        par: &ParallelCtx,
+    ) -> Result<Self> {
+        let n_rows = batch.len();
         let mut cache = ColCache::new(batch);
-
-        // Gather key columns in bulk (positions extracted once per leaf).
         let key_cols: Vec<Vec<u32>> = shape
             .keys
             .iter()
@@ -1701,8 +1809,6 @@ fn exec_group(
                 vals
             })
             .collect();
-
-        // Pre-gather per-spec argument columns.
         let spec_data: Vec<SpecData> = shape
             .aggs
             .iter()
@@ -1724,9 +1830,6 @@ fn exec_group(
                 _ => SpecData::None,
             })
             .collect();
-
-        // Account for the gathered key/argument columns for the duration of
-        // the grouping phase.
         let gather_bytes = key_cols.iter().map(|c| c.len() * 4).sum::<usize>()
             + spec_data
                 .iter()
@@ -1735,28 +1838,206 @@ fn exec_group(
                     SpecData::Codes(v) | SpecData::Positions(v) | SpecData::Ints(v) => v.len() * 4,
                 })
                 .sum::<usize>();
-        let _gather_mem = par.memory().try_reserve("group_gather", gather_bytes)?;
-        let input = GroupInput {
+        Ok(GroupInput {
             shape,
             batch,
             tables,
             key_cols,
             spec_data,
-        };
+            _mem: par.memory().try_reserve("group_gather", gather_bytes)?,
+        })
+    }
+}
 
-        if shape.keys.is_empty() {
-            let row = group_global(&input, report, par)?;
-            return exec::project_sort_limit(plan, &[row], report).map(ResultColumns::from);
+/// Positional GROUP BY. A batch that still carries the segments of a
+/// [`segment_grouped`] plan counts off them ([`group_segments`]). Otherwise
+/// group keys pack into a `u64` (≤2 columns) or a `u128` (3–4 columns, the
+/// C shape); a flat [`GroupIndex`] assigns dense group ids in first-seen
+/// order and aggregates accumulate column-at-a-time into struct-of-arrays
+/// state, which is also the phase's output ([`GroupCols`]).
+/// [`finish_groups`] then orders, limits and projects.
+///
+/// Large keyed inputs on the hash path radix-partition rows by key hash so
+/// each pool worker owns its groups outright — per-group update order is
+/// exactly the sequential ascending row order (no merge, no exactness
+/// gate), and ordering finished groups by first-seen row recovers the
+/// sequential output order. Global (ungrouped) aggregation chunk-merges
+/// instead, gated on exactly-merging aggregates
+/// ([`PosAggSpec::merge_exact`]).
+///
+/// The `group` span covers the whole phase, gathers and key packing
+/// included; its `path` attr says which path ran.
+fn exec_group(
+    plan: &QueryPlan,
+    shape: &PosGroup<'_>,
+    batch: &PosBatch,
+    tables: &[&dyn FactTable],
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<ResultColumns> {
+    par.check_interrupt()?;
+    let n_rows = batch.len();
+    if shape.keys.is_empty() {
+        let span = blend_obs::span("group.global");
+        span.attr_u64("rows", n_rows as u64);
+        let row = group_global(&GroupInput::gather(shape, batch, tables, par)?, report, par)?;
+        drop(span);
+        return exec::project_sort_limit(plan, &[row], report).map(ResultColumns::from);
+    }
+
+    let span = blend_obs::span("group");
+    span.attr_u64("rows", n_rows as u64);
+    let counted = match batch.segments.as_deref().filter(|_| shape.by_segments) {
+        Some(segments) => group_segments(shape, batch, segments, tables[shape.keys[0].0], par)?,
+        None => None,
+    };
+    // The gathered input columns (and their reservations) live for the
+    // grouping phase only; selection and projection run without them.
+    let (parts, grant) = match counted {
+        Some((groups, runs)) => {
+            span.attr_str("path", "segments");
+            span.attr_u64("runs", runs as u64);
+            (vec![groups], None)
         }
-
-        // Monomorphize on packed key width.
-        if shape.keys.len() <= 2 {
-            group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
-        } else {
-            group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
+        None => {
+            span.attr_str("path", "hash");
+            let input = GroupInput::gather(shape, batch, tables, par)?;
+            // Monomorphize on packed key width.
+            if shape.keys.len() <= 2 {
+                group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
+            } else {
+                group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
+            }
         }
     };
+    span.attr_u64(
+        "groups",
+        parts.iter().map(GroupCols::len).sum::<usize>() as u64,
+    );
+    span.attr_u64("partitions", parts.len() as u64);
+    drop(span);
     finish_groups(plan, parts, grant.as_ref(), report, par)
+}
+
+/// Bytes the segment path holds per counter slot: the count itself, plus
+/// a first-seen row and a slot id should the slot become a group.
+const SEGMENT_SLOT_BYTES: usize = 12;
+
+/// Keyed GROUP BY over a value-index scan's segments (module docs, *Segment
+/// grouping*): gather `TableId` (and `ColumnId`) once, find each segment's
+/// run heads by adjacent difference, and per head bump a dense counter —
+/// the group's distinct count — recording the first head of a group as its
+/// first-seen row. Counter slots are per-query ordinals: a table's slots
+/// are assigned on its first touch, one per `ColumnId` up to its last (one
+/// in all when `ColumnId` is not a key). Sequential on the query's thread;
+/// returns the groups and the number of runs — or `None`, to take the hash
+/// path instead, should `ColumnId`s be so sparse that the slots would
+/// outnumber the store's own cells.
+fn group_segments(
+    shape: &PosGroup<'_>,
+    batch: &PosBatch,
+    segments: &[u32],
+    fact: &dyn FactTable,
+    par: &ParallelCtx,
+) -> Result<Option<(GroupCols, usize)>> {
+    let positions = &batch.data;
+    let n_rows = positions.len();
+    let n_tables = fact.n_tables() as usize;
+    let by_column = shape.keys.len() == 2;
+    let mut mem = par
+        .memory()
+        .try_reserve("group_segments", (n_rows * shape.keys.len() + n_tables) * 4)?;
+    let mut tids = Vec::with_capacity(n_rows);
+    fact.gather_tables(positions, &mut tids);
+    let mut cids = Vec::with_capacity(if by_column { n_rows } else { 0 });
+    if by_column {
+        fact.gather_columns(positions, &mut cids);
+    }
+
+    let outside = |t: u32, c: u32| {
+        BlendError::SqlExec(format!(
+            "segment grouping: table {t} column {c} outside the table directory"
+        ))
+    };
+    // Slot of a table's column 0, `u32::MAX` until the table is touched.
+    let mut base = vec![u32::MAX; n_tables];
+    let mut counts: Vec<u32> = Vec::new();
+    // Per group, in first-seen order: its slot and first-seen row.
+    let mut slots: Vec<u32> = Vec::new();
+    let mut first_rows: Vec<u32> = Vec::new();
+    // Slots charged (and allocated) so far; doubled when outgrown, so the
+    // governor sees one charge per doubling, not one per table.
+    let mut charged = 0usize;
+    let mut runs = 0usize;
+    for seg in segments.windows(2) {
+        // A segment's first row starts a run: no key is `u64::MAX`, as table
+        // `u32::MAX` is outside every directory.
+        let mut prev = u64::MAX;
+        for i in seg[0] as usize..seg[1] as usize {
+            if poll_every(i) {
+                par.check_interrupt()?;
+            }
+            let (t, c) = (tids[i], if by_column { cids[i] } else { 0 });
+            let key = (t as u64) << 32 | c as u64;
+            let head = key != prev;
+            prev = key;
+            let table_base = base.get_mut(t as usize).ok_or_else(|| outside(t, c))?;
+            if *table_base == u32::MAX {
+                let width = match by_column {
+                    true => fact
+                        .table_postings(t)
+                        .last()
+                        .map_or(0, |p| fact.column_at(p)),
+                    false => 0,
+                } as usize
+                    + 1;
+                let need = counts.len() + width;
+                if need > fact.len() + n_tables {
+                    return Ok(None);
+                }
+                if need > charged {
+                    let more = need.max(2 * charged) - charged;
+                    mem.grow(more * SEGMENT_SLOT_BYTES)?;
+                    charged += more;
+                    for v in [&mut counts, &mut slots, &mut first_rows] {
+                        let additional = charged - v.len();
+                        blend_common::try_reserve_exact(v, additional, "group_segments")?;
+                    }
+                }
+                *table_base = counts.len() as u32;
+                counts.resize(need, 0);
+            }
+            let slot = *table_base as usize + c as usize;
+            let count = counts.get_mut(slot).ok_or_else(|| outside(t, c))?;
+            // A group's first touch is a run head: inside a run the count
+            // is positive already.
+            if *count == 0 {
+                slots.push(slot as u32);
+                first_rows.push(i as u32);
+            }
+            *count += head as u32;
+            runs += head as usize;
+        }
+    }
+
+    // Key values at each group's first-seen row, then one count column per
+    // aggregate (all of them `COUNT(DISTINCT CellValue)`).
+    let mut cols: Vec<ResultColumn> = shape
+        .keys
+        .iter()
+        .map(|&(_, col)| {
+            let src = if col == IntCol::Table { &tids } else { &cids };
+            ResultColumn::Key(first_rows.iter().map(|&r| src[r as usize]).collect())
+        })
+        .collect();
+    let distinct: Vec<i64> = slots.iter().map(|&s| counts[s as usize] as i64).collect();
+    cols.extend(
+        shape
+            .aggs
+            .iter()
+            .map(|_| ResultColumn::Int(distinct.clone())),
+    );
+    Ok(Some((GroupCols { first_rows, cols }, runs)))
 }
 
 /// The key-width-generic core of the keyed GROUP BY: one [`GroupCols`] per
@@ -1770,8 +2051,6 @@ fn group_keyed<K: JoinKey>(
 ) -> Result<(Vec<GroupCols>, Option<PhaseGrant>)> {
     let intr = par.interrupt();
     let n_rows = packed.len();
-    let span = blend_obs::span("group");
-    span.attr_u64("rows", n_rows as u64);
     let t0 = Instant::now();
     // Admission for the grouping phase: fanout follows the granted worker
     // count; an empty grant takes the single-partition sequential path.
@@ -1834,11 +2113,6 @@ fn group_keyed<K: JoinKey>(
         max_probe = max_probe.max(part_probe);
         parts.push(cols);
     }
-    span.attr_u64(
-        "groups",
-        parts.iter().map(GroupCols::len).sum::<usize>() as u64,
-    );
-    span.attr_u64("partitions", parts.len() as u64);
     report.hash_tables.push(HashTableStats {
         phase: "group".to_string(),
         build_nanos: t0.elapsed().as_nanos() as u64,
@@ -1870,6 +2144,7 @@ fn group_partition<K: JoinKey>(
         tables,
         key_cols,
         spec_data,
+        ..
     } = input;
     let part_n = rows.map_or(packed.len(), <[u32]>::len);
     let row_at = |idx: usize| -> usize {
@@ -2024,11 +2299,7 @@ fn group_partition<K: JoinKey>(
                 }
                 ResultColumn::Val(states.into_iter().map(AggState::finish).collect())
             }
-            _ => {
-                return Err(BlendError::SqlExec(
-                    "positional GROUP BY: aggregate and its gathered input column disagree".into(),
-                ))
-            }
+            _ => return Err(lockstep_error()),
         });
     }
 
@@ -2084,7 +2355,7 @@ enum GlobalAccum<'a> {
 impl<'a> GlobalAccum<'a> {
     /// Fold a later chunk's accumulator into this one. Chunks merge in
     /// chunk order, so `other` always covers strictly later rows.
-    fn merge(&mut self, other: GlobalAccum<'a>) {
+    fn merge(&mut self, other: GlobalAccum<'a>) -> Result<()> {
         match (self, other) {
             (GlobalAccum::Count(a), GlobalAccum::Count(b)) => *a += b,
             (GlobalAccum::Codes(a), GlobalAccum::Codes(b)) => a.extend(b),
@@ -2104,8 +2375,9 @@ impl<'a> GlobalAccum<'a> {
                 }
             }
             (GlobalAccum::State(a), GlobalAccum::State(b)) => a.merge(b),
-            _ => unreachable!("chunk accumulators built in lockstep"),
+            _ => return Err(lockstep_error()),
         }
+        Ok(())
     }
 
     fn finish(self) -> SqlValue {
@@ -2125,6 +2397,15 @@ impl<'a> GlobalAccum<'a> {
     }
 }
 
+/// An aggregate, its accumulator and its gathered input column disagree —
+/// they are built from one spec list, so this is an executor bug, reported
+/// typed instead of panicking.
+fn lockstep_error() -> BlendError {
+    BlendError::SqlExec(
+        "positional GROUP BY: aggregate and its gathered input column disagree".into(),
+    )
+}
+
 /// Global (ungrouped) aggregation: exactly one output row, even over zero
 /// input rows. Parallelizes by contiguous row chunks merged in chunk order
 /// when every aggregate merges exactly (see [`PosAggSpec::merge_exact`]).
@@ -2142,9 +2423,7 @@ fn group_global<'a>(
     } = input;
     let intr = par.interrupt();
     let n_rows = batch.len();
-    let span = blend_obs::span("group.global");
-    span.attr_u64("rows", n_rows as u64);
-    let accum_chunk = |range: std::ops::Range<usize>| -> Vec<GlobalAccum<'a>> {
+    let accum_chunk = |range: std::ops::Range<usize>| -> Result<Vec<GlobalAccum<'a>>> {
         let mut acc: Vec<GlobalAccum<'a>> = shape
             .aggs
             .iter()
@@ -2190,11 +2469,11 @@ fn group_global<'a>(
                     (GlobalAccum::State(state), PosAggSpec::Generic { arg, .. }, _) => {
                         state.update_value(arg.as_ref().map(|e| e.eval(tables, 0, batch.row(i))));
                     }
-                    _ => unreachable!("accumulator/spec built in lockstep"),
+                    _ => return Err(lockstep_error()),
                 }
             }
         }
-        acc
+        Ok(acc)
     };
 
     // Chunk-merging is only exact for the merge-exact aggregate set, so
@@ -2217,19 +2496,24 @@ fn group_global<'a>(
                 granted: grant.granted(),
                 worker_nanos: run.worker_nanos,
             });
-            let mut results = run.results.into_iter();
-            let mut acc = results.next().expect("at least one chunk");
-            for later in results {
-                for (dst, src) in acc.iter_mut().zip(later) {
-                    dst.merge(src);
+            let mut acc: Option<Vec<GlobalAccum<'a>>> = None;
+            for later in run.results {
+                let later = later?;
+                match &mut acc {
+                    None => acc = Some(later),
+                    Some(acc) => {
+                        for (dst, src) in acc.iter_mut().zip(later) {
+                            dst.merge(src)?;
+                        }
+                    }
                 }
             }
-            acc
+            acc.ok_or_else(|| BlendError::SqlExec("global aggregate ran no chunk".into()))?
         } else {
-            accum_chunk(0..n_rows)
+            accum_chunk(0..n_rows)?
         }
     } else {
-        accum_chunk(0..n_rows)
+        accum_chunk(0..n_rows)?
     };
     par.check_interrupt()?;
 
@@ -2371,9 +2655,11 @@ mod tests {
     #[test]
     fn forced_parallel_execution_is_byte_identical() {
         let queries = [
-            // SC shape: parallel scan + parallel group.
+            // SC shape behind a fast filter (as under TID injection):
+            // parallel scan, then the group over the segments its morsels
+            // rebuilt (sequential by design).
             "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
-             WHERE CellValue IN ('k0','k2','k4') GROUP BY TableId, ColumnId \
+             WHERE CellValue IN ('k0','k2','k4') AND RowId < 6 GROUP BY TableId, ColumnId \
              ORDER BY score DESC LIMIT 10",
             // MC shape: parallel scans + parallel join build/probe.
             "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
@@ -2528,7 +2814,8 @@ mod tests {
             assert!(h.max_chain >= 1);
         }
 
-        // Forced-parallel run: radix partition counts land in telemetry.
+        // Forced-parallel run: radix partition counts land in telemetry. A
+        // sequential scan is a hash-path drive, whatever the aggregate.
         let eng = forced_parallel_engine(EngineKind::Column, 4);
         let (_, rep) = eng
             .execute_with_report_path(
@@ -2537,6 +2824,7 @@ mod tests {
                 ExecPath::Auto,
             )
             .unwrap();
+        assert_eq!(group_path(&rep), "hash");
         let group = rep
             .hash_tables
             .iter()
@@ -2544,6 +2832,145 @@ mod tests {
             .expect("group stats recorded");
         assert!(group.partitions > 1);
         assert!(group.partitions.is_power_of_two());
+
+        // The same aggregate over a value-index drive builds no hash table.
+        let (_, rep) = eng
+            .execute_with_report_path(
+                "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
+                 WHERE CellValue IN ('k0','k1') GROUP BY TableId, ColumnId",
+                ExecPath::Auto,
+            )
+            .unwrap();
+        assert_eq!(group_path(&rep), "segments");
+        assert!(rep.hash_tables.is_empty());
+    }
+
+    /// Which grouping path ran. The segment path records no group hash
+    /// table and the hash path one; where profiles are collected, the
+    /// `group` span's `path` attr must say the same.
+    fn group_path(rep: &QueryReport) -> &'static str {
+        let path = match rep.hash_tables.iter().any(|h| h.phase == "group") {
+            true => "hash",
+            false => "segments",
+        };
+        if let Some(span) = rep.profile.as_ref().and_then(|p| p.find("group")) {
+            let attr = span.attr("path").map(ToString::to_string);
+            assert_eq!(attr.as_deref(), Some(path));
+        }
+        path
+    }
+
+    /// Distinct counts over a value-index drive group over its segments —
+    /// with every key order, with a fast filter that keeps the drive, on
+    /// both engines, sequentially and on a forced pool (where filtered
+    /// scans rebuild segments from many morsels each) — and every near miss
+    /// takes the hash path. Both give the tuple executor's bytes at every
+    /// LIMIT.
+    #[test]
+    fn distinct_counts_group_over_segments_and_near_misses_hash() {
+        // Values in both columns, an absent one and a duplicated literal.
+        let values = "WHERE CellValue IN ('k0','k2','k4','0','10','50','absent','k2')";
+        let query = |select: &str, filter: &str, group: &str| {
+            format!(
+                "SELECT {select}, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+                 {filter} GROUP BY {group}"
+            )
+        };
+        let (t, tc) = ("TableId AS t", "TableId, ColumnId");
+        let cases = [
+            (query(t, values, "TableId"), "segments"),
+            (query(t, values, tc), "segments"),
+            (
+                query("ColumnId AS c, TableId AS t", values, "ColumnId, TableId"),
+                "segments",
+            ),
+            (
+                query(t, &format!("{values} AND TableId IN (0, 2, 3)"), tc),
+                "segments",
+            ),
+            (
+                query(
+                    t,
+                    &format!("{values} AND TableId NOT IN (1) AND RowId < 4"),
+                    "TableId",
+                ),
+                "segments",
+            ),
+            // Near misses: a key that is not run-sorted inside a segment,
+            // a second aggregate, a RowId key, a table-index drive, a
+            // sequential drive.
+            (query("ColumnId AS c", values, "ColumnId"), "hash"),
+            (
+                query("TableId AS t, COUNT(*) AS n", values, "TableId"),
+                "hash",
+            ),
+            (query(t, values, "TableId, RowId"), "hash"),
+            (
+                query(t, &format!("{values} AND TableId IN (1)"), tc),
+                "hash",
+            ),
+            (query(t, "", "TableId"), "hash"),
+            (query(t, "WHERE RowId < 3", tc), "hash"),
+        ];
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+                for (sql, want_path) in &cases {
+                    for limit in [
+                        "",
+                        " ORDER BY score DESC LIMIT 0",
+                        " ORDER BY score DESC LIMIT 1",
+                        " ORDER BY score DESC LIMIT 3",
+                        " ORDER BY score DESC LIMIT 40",
+                    ] {
+                        let sql = format!("{sql}{limit}");
+                        let (got, rep) =
+                            eng.execute_with_report_path(&sql, ExecPath::Auto).unwrap();
+                        assert_eq!(rep.path, "positional", "{sql}");
+                        assert_eq!(group_path(&rep), *want_path, "{kind:?}: {sql}");
+                        let (want, _) = eng
+                            .execute_with_report_path(&sql, ExecPath::TupleOnly)
+                            .unwrap();
+                        assert_eq!(
+                            format!("{:?}", got.rows),
+                            format!("{:?}", want.rows),
+                            "{kind:?}: {sql}"
+                        );
+                    }
+                }
+            }
+            // The table-index near miss really is one.
+            let (_, rep) = engine(kind)
+                .execute_with_report_path(&cases[8].0, ExecPath::Auto)
+                .unwrap();
+            assert_eq!(rep.scans[0].access, "table-index");
+        }
+    }
+
+    #[test]
+    fn sparse_column_ids_hand_the_group_to_the_hash_path() {
+        // Table 0's ColumnIds jump to a million: its slot range would
+        // outnumber the store's cells, so the segment path hands the query
+        // to the hash path — with the same bytes. Table-wide (one slot a
+        // table) the same lake still counts over segments.
+        let sc = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+                  WHERE CellValue IN ('a','b') GROUP BY TableId, ColumnId ORDER BY score DESC";
+        let kw = sc.replace(", ColumnId", "");
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let rows = vec![
+                blend_storage::FactRow::new("a", 0, 0, 0, 0, None),
+                blend_storage::FactRow::new("a", 0, 1_000_000, 1, 1, None),
+                blend_storage::FactRow::new("b", 1, 0, 0, 2, None),
+            ];
+            let eng = SqlEngine::with_alltables(build_engine(kind, rows));
+            for (sql, want_path) in [(sc, "hash"), (kw.as_str(), "segments")] {
+                let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+                assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
+                let (want, _) = eng
+                    .execute_with_report_path(sql, ExecPath::TupleOnly)
+                    .unwrap();
+                assert_eq!(got, want, "{kind:?}: {sql}");
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,10 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 }
 
 /// Query mix covering the allocation-heavy phases: scan output, join
-/// build + probe output, and grouped aggregation state.
+/// build + probe output, and grouped aggregation state. The first (KW)
+/// query groups over its scan's segments, which have no ladder; the join
+/// and the two-key `COUNT(*)` group are the hash-path shapes whose builds
+/// walk it.
 fn queries(vocab: u32) -> Vec<String> {
     let in_list: Vec<String> = (0..4).map(|i| format!("'w{}'", i % vocab)).collect();
     vec![
@@ -417,27 +420,9 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
     assert_eq!(gov.reserved_bytes(), 0, "reserved bytes drain to zero");
 }
 
-/// Top-k pushdown in the accounting: an SC query (paper Listing 1) with
-/// LIMIT 48 over 52 000 groups reserves its flat group columns plus 48
-/// rows, never a row per group, and still walks the ladder with results
-/// byte-identical to the unbudgeted run.
-///
-/// "Less than before" has two readings, and both are asserted. The old
-/// executor built one `(u32, Vec<SqlValue>)` per group before it sorted —
-/// and never reserved them — so its group output *alone* outweighed
-/// everything this query reserves now. And the same query without LIMIT,
-/// which has to build a row per group, is charged strictly more for its
-/// result (`result_rows`: the flat columns plus the rows — the `materialize`
-/// span's `bytes`). Its whole-query peak is strictly higher wherever the
-/// rows outweigh the grouping state, which is asserted with a four-column
-/// select list. With this two-column one they weigh a little less, and they
-/// are built after that state is released, so both queries peak inside the
-/// grouping phase and `<=` is all that holds between them.
-#[test]
-fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
-    use blend_sql::SqlValue;
-    use std::mem::size_of;
-
+/// 26 000 two-row tables, each value in column 0 or 1, and the SC query
+/// (paper Listing 1) over all of them: 52 000 groups.
+fn sc_lake() -> (Arc<dyn FactTable>, String) {
     const TABLES: u32 = 26_000;
     let mut rows = Vec::new();
     for t in 0..TABLES {
@@ -461,37 +446,69 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
             ));
         }
     }
-    let fact = build_engine(EngineKind::Column, rows);
     let in_list: Vec<String> = (0..6)
         .map(|i| format!("'w{i}'"))
         .chain((0..10).map(|i| format!("'{i}'")))
         .collect();
-    let unlimited = format!(
+    let sql = format!(
         "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
          WHERE CellValue IN ({}) GROUP BY TableId, ColumnId ORDER BY score DESC",
         in_list.join(",")
     );
-    let limited = format!("{unlimited} LIMIT 48");
-    let n_groups = 2 * TABLES as usize;
+    (build_engine(EngineKind::Column, rows), sql)
+}
 
-    // Rows, the profile root's peak, and the bytes charged for the result.
-    let peak_of = |sql: &str| -> (ResultSet, usize, usize) {
-        let gov = Arc::new(MemoryGovernor::unbounded());
-        let (rs, report) = budgeted_engine(&fact, &gov)
-            .execute_with_report(sql)
-            .expect("unbudgeted run");
-        let profile = report.profile.expect("profile (BLEND_OBS must be on)");
-        let bytes = |node: Option<&blend_obs::ProfileNode>, key: &str| match node
-            .and_then(|n| n.attr(key))
-        {
+/// Rows, the profile root's peak, and the bytes charged for the result of
+/// an unbudgeted run, checking which grouping path ran.
+fn peak_of(fact: &Arc<dyn FactTable>, sql: &str, group_path: &str) -> (ResultSet, usize, usize) {
+    let gov = Arc::new(MemoryGovernor::unbounded());
+    let (rs, report) = budgeted_engine(fact, &gov)
+        .execute_with_report(sql)
+        .expect("unbudgeted run");
+    let profile = report.profile.expect("profile (BLEND_OBS must be on)");
+    let attr =
+        |node: Option<&blend_obs::ProfileNode>, key: &str| match node.and_then(|n| n.attr(key)) {
             Some(blend_obs::AttrValue::U64(bytes)) => *bytes as usize,
             other => panic!("no {key}: {other:?}\n{}", profile.render()),
         };
-        let peak = bytes(Some(&profile.root), "mem_peak_bytes");
-        (rs, peak, bytes(profile.find("materialize"), "bytes"))
-    };
-    let (all, peak_unlimited, result_unlimited) = peak_of(&unlimited);
-    let (want, peak_limited, result_limited) = peak_of(&limited);
+    let path = profile.find("group").and_then(|g| g.attr("path"));
+    assert_eq!(
+        path.map(ToString::to_string).as_deref(),
+        Some(group_path),
+        "{sql}"
+    );
+    let peak = attr(Some(&profile.root), "mem_peak_bytes");
+    (rs, peak, attr(profile.find("materialize"), "bytes"))
+}
+
+/// Top-k pushdown in the accounting: an SC query (paper Listing 1) with
+/// LIMIT 48 over 52 000 groups reserves its flat group columns plus 48
+/// rows, never a row per group, and the same query with `COUNT(*)` beside
+/// the distinct count — a hash-path shape — still walks the ladder with
+/// results byte-identical to the unbudgeted run.
+///
+/// "Less than before" has two readings, and both are asserted. The old
+/// executor built one `(u32, Vec<SqlValue>)` per group before it sorted —
+/// and never reserved them — so its group output *alone* outweighed
+/// everything this query reserves now. And the same query without LIMIT,
+/// which has to build a row per group, is charged strictly more for its
+/// result (`result_rows`: the flat columns plus the rows — the `materialize`
+/// span's `bytes`). Its whole-query peak is strictly higher wherever the
+/// rows outweigh the grouping state, which is asserted with a four-column
+/// select list. With this two-column one they weigh a little less, and they
+/// are built after that state is released, so both queries peak inside the
+/// grouping phase and `<=` is all that holds between them.
+#[test]
+fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
+    use blend_sql::SqlValue;
+    use std::mem::size_of;
+
+    let (fact, unlimited) = sc_lake();
+    let limited = format!("{unlimited} LIMIT 48");
+    let n_groups = 52_000;
+
+    let (all, peak_unlimited, result_unlimited) = peak_of(&fact, &unlimited, "segments");
+    let (want, peak_limited, result_limited) = peak_of(&fact, &limited, "segments");
     assert_eq!(all.len(), n_groups);
     assert_eq!(
         want.rows[..],
@@ -519,25 +536,30 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
 
     // Two more values per row and the rows outweigh the grouping state:
     // there the whole-query peaks differ strictly.
+    // `COUNT(*)` beside the distinct count keeps this shape on the hash
+    // path.
     let wide = unlimited.replace(" AS t,", " AS t, ColumnId AS c, COUNT(*) AS n,");
-    let (wide_all, peak_wide, _) = peak_of(&wide);
-    let (_, peak_wide_limited, _) = peak_of(&format!("{wide} LIMIT 48"));
+    let wide_limited = format!("{wide} LIMIT 48");
+    let (wide_all, peak_wide, _) = peak_of(&fact, &wide, "hash");
+    let (want_wide, peak_wide_limited, _) = peak_of(&fact, &wide_limited, "hash");
     assert_eq!(wide_all.len(), n_groups);
     assert!(
         peak_wide_limited < peak_wide,
         "four columns: LIMIT-48 peak {peak_wide_limited} B, all groups {peak_wide} B"
     );
 
-    // The ladder: from the full-width footprint down to nothing.
+    // The ladder, on the hash path (the segment path has no rung to walk:
+    // `segment_grouping_fails_typed_with_no_partial_result`): from the
+    // full-width footprint down to nothing.
     let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
     for percent in [100usize, 90, 80, 70, 60, 50, 25, 5] {
-        let budget = peak_limited / 100 * percent;
+        let budget = peak_wide_limited / 100 * percent;
         let gov = Arc::new(MemoryGovernor::with_budget(budget));
-        match budgeted_engine(&fact, &gov).execute(&limited) {
+        match budgeted_engine(&fact, &gov).execute(&wide_limited) {
             Ok(rs) => {
                 ok += 1;
                 assert_eq!(
-                    rs, want,
+                    rs, want_wide,
                     "budget {budget}: diverged from the unbudgeted run"
                 );
             }
@@ -556,6 +578,48 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
     assert!(
         degraded,
         "no budget exercised the narrowed/sequential rungs"
+    );
+}
+
+/// The segment path (SC distinct counts over a value-index drive) runs
+/// sequentially and has no ladder: under a budget sweep it either completes
+/// byte-identical to the unbudgeted run or fails `MemoryExceeded` — at its
+/// own reservation somewhere in the sweep — with no partial result and
+/// nothing left charged.
+#[test]
+fn segment_grouping_fails_typed_with_no_partial_result() {
+    let (fact, sql) = sc_lake();
+    let sql = format!("{sql} LIMIT 48");
+    let (want, peak, _) = peak_of(&fact, &sql, "segments");
+    let (mut ok, mut at_segments) = (0usize, 0usize);
+    for percent in [100usize, 90, 80, 70, 60, 50, 40, 25, 5] {
+        let budget = peak / 100 * percent;
+        let gov = Arc::new(MemoryGovernor::with_budget(budget));
+        match budgeted_engine(&fact, &gov).execute(&sql) {
+            Ok(rs) => {
+                ok += 1;
+                assert_eq!(
+                    rs, want,
+                    "budget {budget}: diverged from the unbudgeted run"
+                );
+            }
+            Err(BlendError::MemoryExceeded(msg)) => {
+                at_segments += usize::from(msg.contains("group_segments"));
+            }
+            Err(other) => panic!("budget {budget}: untyped outcome {other}"),
+        }
+        assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
+        let stats = gov.stats();
+        assert_eq!(
+            stats.narrowed + stats.sequential_fallbacks,
+            0,
+            "no rung to walk"
+        );
+    }
+    assert!(ok > 0, "the unbudgeted peak must suffice");
+    assert!(
+        at_segments > 0,
+        "no budget failed at the segment path's own reservation"
     );
 }
 

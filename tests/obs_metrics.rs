@@ -12,7 +12,9 @@
 //! 3. **Profile tree** — an SC-shaped query (scan → join build/probe →
 //!    group) executed directly through [`SqlEngine`] carries a
 //!    [`QueryProfile`] with the full span tree and non-zero timings, and
-//!    direct calls get exec-time telemetry with zero queue wait.
+//!    direct calls get exec-time telemetry with zero queue wait. The
+//!    `group` span names the grouping path that ran (`segments` | `hash`)
+//!    and covers the whole phase.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -259,6 +261,64 @@ fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
             );
         }
     }
+}
+
+/// The `group` span says which grouping path ran. The SC shape counts over
+/// its scan's segments: `path=segments`, one run per (value, table) here
+/// (each value sits in column 0 of every table), one group per table, and
+/// no hash table recorded. A `COUNT(*)` group takes the hash path, and its
+/// key gathers and packing run inside the `group` span, not as the query's
+/// own time.
+#[test]
+fn group_span_names_its_path_runs_and_groups() {
+    use blend_obs::AttrValue;
+
+    let engine = sc_engine();
+    let attr = |node: &blend_obs::ProfileNode, key: &str| match node.attr(key) {
+        Some(AttrValue::U64(v)) => v.to_string(),
+        Some(AttrValue::Str(s)) => s.clone(),
+        other => panic!("group.{key} = {other:?}"),
+    };
+    let sc = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+              WHERE CellValue IN ('w0','w1','w2','w3') GROUP BY TableId, ColumnId \
+              ORDER BY score DESC LIMIT 4";
+    let (_, report) = engine.execute_with_report(sc).expect("SC query");
+    let profile = report.profile.expect("profile collected");
+    let group = profile.find("group").expect("group span");
+    assert_eq!(attr(group, "path"), "segments");
+    assert_eq!(attr(group, "runs"), "24");
+    assert_eq!(attr(group, "groups"), "6");
+    assert!(report.hash_tables.is_empty(), "{:?}", report.hash_tables);
+
+    // 240 000 rows through the hash path: the query's own time (planning,
+    // dispatch) stays a sliver of the group span once the gathers and the
+    // key packing are inside it. Best of three runs against a 10x margin.
+    let mut rows = Vec::new();
+    for t in 0..6u32 {
+        for r in 0..20_000u32 {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new(&format!("w{}", r % 7), t, 0, r, sk, None));
+            rows.push(FactRow::new(&(r % 10).to_string(), t, 1, r, sk, None));
+        }
+    }
+    let big = SqlEngine::with_alltables(build_engine(EngineKind::Column, rows))
+        .with_parallel(Arc::new(ParallelCtx::sequential()));
+    let hash = "SELECT TableId, ColumnId, COUNT(*) AS n FROM AllTables GROUP BY TableId, ColumnId";
+    let best = (0..3)
+        .map(|_| {
+            let (_, report) = big.execute_with_report(hash).expect("hash-path group");
+            let profile = report.profile.expect("profile collected");
+            let group = profile.find("group").expect("group span");
+            assert_eq!(attr(group, "path"), "hash");
+            assert_eq!(attr(group, "rows"), "240000");
+            assert_eq!(attr(group, "groups"), "12");
+            assert!(report.hash_tables.iter().any(|h| h.phase == "group"));
+            let children: u64 = profile.root.children.iter().map(|c| c.nanos).sum();
+            let own = profile.root.nanos.saturating_sub(children);
+            own as f64 / group.nanos as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(best < 0.1, "query self time is {best:.3} of the group span");
 }
 
 /// The application phases of MC and C are a `postprocess` span under their

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use blend::plan::Seeker;
-use blend::seekers::{self, TID_PLACEHOLDER};
+use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend_parallel::ParallelCtx;
 use blend_sql::{ExecPath, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
@@ -47,23 +47,39 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 }
 
 /// The four seeker templates over a shared vocabulary sample, rendered to
-/// SQL with the rewriter placeholder dropped.
-fn seeker_sqls(vocab: u32) -> Vec<(&'static str, String)> {
+/// SQL with the rewriter placeholder dropped — and SC/KW once more with an
+/// injected `TableId NOT IN` filter, which keeps the value-index drive but
+/// filters it morsel by morsel on the pool. Each comes with whether a
+/// multi-thread pool must run some phase of it: an unfiltered SC/KW query
+/// is a wholesale postings copy and a group over its segments, both
+/// sequential by design.
+fn seeker_sqls(vocab: u32) -> Vec<(&'static str, String, bool)> {
     let w = |i: u32| format!("w{}", i % vocab);
     let vals: Vec<String> = (0..6).map(w).collect();
+    let not_t0 = Injected::NotIn(vec![0]).fragment();
     let shapes = vec![
-        ("sc", Seeker::sc(vals.clone())),
-        ("kw", Seeker::kw(vals.clone())),
-        ("mc", Seeker::mc(vec![vec![w(0), w(1)], vec![w(2), w(3)]])),
-        ("c", Seeker::c(vals, vec![3.0, 17.0, 5.0, 29.0, 11.0, 23.0])),
+        ("sc", Seeker::sc(vals.clone()), "", false),
+        ("kw", Seeker::kw(vals.clone()), "", false),
+        ("sc+tid", Seeker::sc(vals.clone()), not_t0.as_str(), true),
+        ("kw+tid", Seeker::kw(vals.clone()), not_t0.as_str(), true),
+        (
+            "mc",
+            Seeker::mc(vec![vec![w(0), w(1)], vec![w(2), w(3)]]),
+            "",
+            true,
+        ),
+        (
+            "c",
+            Seeker::c(vals, vec![3.0, 17.0, 5.0, 29.0, 11.0, 23.0]),
+            "",
+            true,
+        ),
     ];
     shapes
         .into_iter()
-        .map(|(label, s)| {
-            (
-                label,
-                seekers::seeker_sql(&s, 10, 8).replace(TID_PLACEHOLDER, ""),
-            )
+        .map(|(label, s, tid, pooled)| {
+            let sql = seekers::seeker_sql(&s, 10, 8).replace(TID_PLACEHOLDER, tid);
+            (label, sql, pooled)
         })
         .collect()
 }
@@ -81,7 +97,7 @@ proptest! {
         let rows = fact_rows(n_tables, rows_per, vocab, seed);
         for kind in [EngineKind::Row, EngineKind::Column] {
             let fact = build_engine(kind, rows.clone());
-            for (label, sql) in seeker_sqls(vocab) {
+            for (label, sql, pooled) in seeker_sqls(vocab) {
                 // Reference: sequential positional execution.
                 let reference = SqlEngine::with_alltables(fact.clone())
                     .with_parallel(Arc::new(ParallelCtx::sequential()));
@@ -115,7 +131,7 @@ proptest! {
                         rep.logical_eq(&want_rep),
                         "{}/{:?}/{}t: logical telemetry must match", label, kind, threads
                     );
-                    if threads > 1 {
+                    if threads > 1 && pooled {
                         // The pool really ran: phases recorded with a
                         // bounded worker count.
                         prop_assert!(!rep.parallel.is_empty(), "{}/{}t", label, threads);

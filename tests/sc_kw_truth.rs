@@ -1,0 +1,134 @@
+//! SC and KW seeker truth: the hits `Blend::execute` returns for a
+//! single-column join (paper Listing 1) and for a keyword search (the same
+//! query grouped by table) are what a brute-force reading of the lake gives
+//! (`blend_lake::ground_truth::{exact_sc_topk, exact_kw_topk}`), on every
+//! engine, thread count and SIMD dispatch.
+//!
+//! Both seekers count distinct query values per group straight off the
+//! value index's postings (`exec_positional`'s *Segment grouping*), so the
+//! lakes are built to make that count matter: a small vocabulary repeats
+//! values across the rows and columns of a table (a value is counted once
+//! per group however often it occurs), and every query carries values no
+//! table holds and a duplicated literal (neither may count).
+//!
+//! Truth breaks score ties by table id, BLEND by first-seen row, so the
+//! comparison is the score list plus every returned table's exact overlap
+//! — which pins the ranking without pinning the tie order.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use blend::{Blend, Plan, Seeker};
+use blend_common::TableId;
+use blend_lake::ground_truth::{exact_kw_topk, exact_sc_topk};
+use blend_lake::web::{generate, WebLakeConfig};
+use blend_lake::DataLake;
+use blend_parallel::ParallelCtx;
+use blend_storage::EngineKind;
+use proptest::prelude::*;
+
+/// Resets the process-global SIMD override when a case ends, pass or fail.
+struct ForceScope;
+
+impl Drop for ForceScope {
+    fn drop(&mut self) {
+        blend_simd::force(None);
+    }
+}
+
+/// Up to `n` distinct values read off the lake's cells, starting at table
+/// `pick` and walking its columns; then two values no table holds and the
+/// first value again.
+fn query_values(lake: &DataLake, n: usize, pick: usize) -> Vec<String> {
+    let mut values: Vec<String> = Vec::new();
+    let tables = lake.tables.len();
+    let cells = (0..tables)
+        .map(|i| &lake.tables[(pick + i) % tables])
+        .flat_map(|t| t.columns.iter())
+        .flat_map(|c| c.values.iter().skip(pick % 3).step_by(2))
+        .filter_map(|v| v.normalized());
+    for v in cells {
+        if values.len() == n {
+            break;
+        }
+        if !values.iter().any(|have| *have == *v) {
+            values.push(v.into_owned());
+        }
+    }
+    let duplicate = values.first().cloned();
+    values.extend(["absent-0".to_string(), "absent-1".to_string()]);
+    values.extend(duplicate);
+    values
+}
+
+/// Every table's exact overlap: the truth ranking with no cut.
+fn overlaps(ranked: Vec<(TableId, usize)>) -> HashMap<TableId, usize> {
+    ranked.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn sc_and_kw_hits_equal_the_brute_force_overlaps(
+        seed in any::<u64>(),
+        n_tables in 6usize..24,
+        vocab in 5usize..20,
+        n_values in 1usize..24,
+        k in 1usize..12,
+        pick in 0usize..64,
+    ) {
+        let _scope = ForceScope;
+        // At most four columns a table: SC over-fetches 4k + 8 (table,
+        // column) groups, which then always span more than k tables.
+        let lake = generate(&WebLakeConfig {
+            name: "sc-kw-truth".into(),
+            n_tables,
+            rows: (3, 14),
+            cols: (2, 4),
+            vocab,
+            zipf_s: 0.7,
+            numeric_col_ratio: 0.15,
+            null_ratio: 0.05,
+            seed,
+        });
+        let values = query_values(&lake, n_values, pick);
+        let all = lake.tables.len();
+        let cases = [
+            ("sc", Seeker::sc(values.clone()), exact_sc_topk(&lake, &values, all)),
+            ("kw", Seeker::kw(values.clone()), exact_kw_topk(&lake, &values, all)),
+        ];
+        for (label, seeker, truth) in cases {
+            prop_assert!(!truth.is_empty(), "{}: query values come from the lake", label);
+            let want: Vec<usize> = truth.iter().take(k).map(|&(_, o)| o).collect();
+            let exact = overlaps(truth);
+            let mut plan = Plan::new();
+            plan.add_seeker(label, seeker, k).unwrap();
+            for kind in [EngineKind::Row, EngineKind::Column] {
+                let mut blend = Blend::from_lake(&lake, kind);
+                for vector in [false, true] {
+                    blend_simd::force(Some(vector));
+                    for threads in [1usize, 2, 4, 8] {
+                        // min_parallel 1, morsels of 5 rows: every pooled
+                        // phase fans out.
+                        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                        let hits = blend.execute(&plan).unwrap();
+                        let got: Vec<usize> = hits.iter().map(|h| h.score as usize).collect();
+                        prop_assert_eq!(
+                            &got, &want,
+                            "{}/{:?}/{}t/vector={}: {:?}", label, kind, threads, vector, values
+                        );
+                        for h in &hits {
+                            prop_assert_eq!(
+                                exact.get(&h.table).copied(),
+                                Some(h.score as usize),
+                                "{}/{:?}/{}t/vector={}: overlap of {:?}",
+                                label, kind, threads, vector, h.table
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use blend_parallel::{Interrupt, ParallelCtx};
 use blend_simd as simd;
-use blend_sql::{ExecPath, ResultSet, SqlEngine, SqlValue};
+use blend_sql::{ExecPath, QueryReport, ResultSet, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -72,12 +72,34 @@ fn tie_heavy_rows(n_tables: u32, rows_per: u32, vocab: u64, seed: u64) -> Vec<Fa
 
 /// A query in pieces: the select list, the ORDER BY expressions spelled
 /// out in full (no aliases, so they can move into a select list), and
-/// everything between the select list and ORDER BY.
+/// everything between the select list and ORDER BY — plus the grouping
+/// path the positional executor must take for it.
 struct Shape {
     label: &'static str,
     select: &'static [&'static str],
     order: &'static [&'static str],
     from: &'static str,
+    group: Group,
+}
+
+/// The grouping path a shape takes (`exec_positional`'s *Segment
+/// grouping*): observable as the `group` hash table the hash path records
+/// and the segment path does not.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Group {
+    /// No GROUP BY at all.
+    Ungrouped,
+    Segments,
+    Hash,
+    /// Segments exactly when the planner chose the value-index drive.
+    ByDrive,
+}
+
+/// The IN list of the SC/KW shapes: three words and two numbers.
+macro_rules! sc_values {
+    () => {
+        "CellValue IN ('w0','w1','w2','0','3')"
+    };
 }
 
 const SHAPES: &[Shape] = &[
@@ -87,6 +109,99 @@ const SHAPES: &[Shape] = &[
         select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
         order: &["COUNT(DISTINCT CellValue)"],
         from: "FROM AllTables WHERE CellValue IN ('w0','w1','w2') GROUP BY TableId, ColumnId",
+        group: Group::Segments,
+    },
+    // The KW seeker: the same count per table, over text and numbers.
+    Shape {
+        label: "kw",
+        select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!("FROM AllTables WHERE ", sc_values!(), " GROUP BY TableId"),
+        group: Group::Segments,
+    },
+    // SC with its keys the other way round, both projected.
+    Shape {
+        label: "sc-column-first",
+        select: &[
+            "ColumnId AS c",
+            "TableId AS t",
+            "COUNT(DISTINCT CellValue) AS score",
+        ],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!(
+            "FROM AllTables WHERE ",
+            sc_values!(),
+            " GROUP BY ColumnId, TableId",
+        ),
+        group: Group::Segments,
+    },
+    // SC behind injected table filters: `NOT IN` never drives, `IN` drives
+    // only where it is the smaller side.
+    Shape {
+        label: "sc-not-in",
+        select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!(
+            "FROM AllTables WHERE ",
+            sc_values!(),
+            " AND TableId NOT IN (1, 4) GROUP BY TableId, ColumnId",
+        ),
+        group: Group::Segments,
+    },
+    Shape {
+        label: "sc-table-in",
+        select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!(
+            "FROM AllTables WHERE ",
+            sc_values!(),
+            " AND TableId IN (0, 2, 3, 5, 7) GROUP BY TableId, ColumnId",
+        ),
+        group: Group::ByDrive,
+    },
+    // Near misses of the segment path, on the hash path with the same
+    // bytes: a key not run-sorted inside a segment, a second aggregate, a
+    // RowId key, and (mostly) a table-index drive.
+    Shape {
+        label: "column-key",
+        select: &["ColumnId AS c", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!("FROM AllTables WHERE ", sc_values!(), " GROUP BY ColumnId"),
+        group: Group::Hash,
+    },
+    Shape {
+        label: "distinct-and-count",
+        select: &[
+            "TableId AS t",
+            "COUNT(DISTINCT CellValue) AS score",
+            "COUNT(*) AS n",
+        ],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!("FROM AllTables WHERE ", sc_values!(), " GROUP BY TableId"),
+        group: Group::Hash,
+    },
+    Shape {
+        label: "row-key",
+        select: &[
+            "TableId AS t",
+            "RowId AS r",
+            "COUNT(DISTINCT CellValue) AS score",
+        ],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: concat!(
+            "FROM AllTables WHERE ",
+            sc_values!(),
+            " GROUP BY TableId, RowId",
+        ),
+        group: Group::Hash,
+    },
+    Shape {
+        label: "table-drive",
+        select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
+        order: &["COUNT(DISTINCT CellValue)"],
+        from: "FROM AllTables WHERE CellValue IN ('w0','w1','w2','w3','0','1','2','3') \
+               AND TableId = 0 GROUP BY TableId, ColumnId",
+        group: Group::ByDrive,
     },
     // Two keys, the first of them absent from the projection.
     Shape {
@@ -94,6 +209,7 @@ const SHAPES: &[Shape] = &[
         select: &["TableId", "ColumnId", "COUNT(*) AS n"],
         order: &["COUNT(DISTINCT CellValue)", "COUNT(*)"],
         from: "FROM AllTables GROUP BY TableId, ColumnId",
+        group: Group::Hash,
     },
     // NULL keys: text columns have no quadrant, so their SUM is NULL.
     Shape {
@@ -101,6 +217,7 @@ const SHAPES: &[Shape] = &[
         select: &["TableId AS t", "ColumnId AS c", "SUM(Quadrant) AS q"],
         order: &["SUM(Quadrant)", "COUNT(*)"],
         from: "FROM AllTables GROUP BY TableId, ColumnId",
+        group: Group::Hash,
     },
     // MIN/MAX of fact columns: the other flat integer aggregates.
     Shape {
@@ -108,6 +225,7 @@ const SHAPES: &[Shape] = &[
         select: &["ColumnId AS c", "MIN(RowId) AS lo", "MAX(TableId) AS hi"],
         order: &["MAX(TableId)", "MIN(RowId)"],
         from: "FROM AllTables WHERE RowId > 0 GROUP BY ColumnId, TableId",
+        group: Group::Hash,
     },
     // Keys that differ in their bytes and still compare equal: ORDER BY
     // compares numerics as f64, and above 2^53 neighbouring integers share
@@ -122,6 +240,7 @@ const SHAPES: &[Shape] = &[
         ],
         order: &["COUNT(DISTINCT CellValue) + 9007199254740992"],
         from: "FROM AllTables GROUP BY TableId, ColumnId",
+        group: Group::Hash,
     },
     // A computed float key (the C seeker's score shape), 3 group keys.
     Shape {
@@ -132,6 +251,7 @@ const SHAPES: &[Shape] = &[
         ],
         order: &["ABS((2 * SUM((Quadrant = 1)::int) - COUNT(*)) / COUNT(*))"],
         from: "FROM AllTables WHERE Quadrant IS NOT NULL GROUP BY TableId, ColumnId, RowId",
+        group: Group::Hash,
     },
     // No GROUP BY: the tuple executor's decorated rows against the
     // positional executor's flat columns — dictionary-coded text first.
@@ -140,6 +260,7 @@ const SHAPES: &[Shape] = &[
         select: &["CellValue", "TableId"],
         order: &["CellValue", "RowId"],
         from: "FROM AllTables WHERE ColumnId = 0",
+        group: Group::Ungrouped,
     },
     // Typed flat columns as sort keys: a NULL-able quadrant, a super key.
     Shape {
@@ -147,6 +268,7 @@ const SHAPES: &[Shape] = &[
         select: &["SuperKey", "Quadrant", "CellValue"],
         order: &["Quadrant", "SuperKey"],
         from: "FROM AllTables WHERE RowId < 3",
+        group: Group::Ungrouped,
     },
     // A computed key beside text from both sides of the MC self-join.
     Shape {
@@ -160,8 +282,39 @@ const SHAPES: &[Shape] = &[
         from: "FROM (SELECT * FROM AllTables WHERE ColumnId = 0) AS q0 \
                INNER JOIN (SELECT * FROM AllTables WHERE ColumnId = 2) AS q1 \
                ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
+        group: Group::Ungrouped,
     },
 ];
+
+impl Group {
+    /// The path a run of this shape must have taken, given its report.
+    fn expected(self, report: &QueryReport) -> Group {
+        match self {
+            Group::ByDrive if report.scans[0].access == "value-index" => Group::Segments,
+            Group::ByDrive => Group::Hash,
+            other => other,
+        }
+    }
+}
+
+/// The grouping path a positional run took, read off its profile (`None`
+/// where profiles are not collected): the `group` span's `path` attr, which
+/// must agree with the hash tables recorded — one for the hash path, none
+/// for the segment path.
+fn group_path(report: &QueryReport) -> Option<Group> {
+    let profile = report.profile.as_ref()?;
+    let Some(span) = profile.find("group") else {
+        return Some(Group::Ungrouped);
+    };
+    let hashed = report.hash_tables.iter().any(|h| h.phase == "group");
+    Some(
+        match span.attr("path").map(ToString::to_string).as_deref() {
+            Some("segments") if !hashed => Group::Segments,
+            Some("hash") if hashed => Group::Hash,
+            other => panic!("group span path {other:?}, hash table recorded: {hashed}"),
+        },
+    )
+}
 
 /// The old tail, on the unordered rows of `base` (`width` projected
 /// columns, then one column per ORDER BY key).
@@ -221,15 +374,17 @@ proptest! {
                 .with_parallel(Arc::new(ParallelCtx::sequential()));
             for (si, shape) in SHAPES.iter().enumerate() {
                 let width = shape.select.len();
-                // ASC/DESC per key from the generated bits; one variant in
-                // four drops ORDER BY and keeps only the LIMIT.
-                let ordered = (dirs >> (4 * si)) & 3 != 3;
+                // ASC/DESC per key from the generated bits (four a shape,
+                // wrapping round); one variant in four drops ORDER BY and
+                // keeps only the LIMIT.
+                let bits = dirs.rotate_right(4 * si as u32);
+                let ordered = bits & 3 != 3;
                 let desc: Vec<bool> = shape
                     .order
                     .iter()
                     .enumerate()
                     .filter(|_| ordered)
-                    .map(|(i, _)| (dirs >> (4 * si + 2 + i)) & 1 == 1)
+                    .map(|(i, _)| (bits >> (2 + i)) & 1 == 1)
                     .collect();
                 let order_sql = if desc.is_empty() {
                     String::new()
@@ -269,9 +424,19 @@ proptest! {
                             let eng = SqlEngine::with_alltables(fact.clone())
                                 .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
                             for path in [ExecPath::Auto, ExecPath::TupleOnly] {
-                                let (got, _) = eng
+                                let (got, report) = eng
                                     .execute_with_report_path(&sql, path)
                                     .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                                if path == ExecPath::Auto {
+                                    prop_assert_eq!(&report.path, "positional", "{}", shape.label);
+                                    if let Some(group) = group_path(&report) {
+                                        prop_assert_eq!(
+                                            group,
+                                            shape.group.expected(&report),
+                                            "{}: {}", shape.label, sql
+                                        );
+                                    }
+                                }
                                 // `SqlValue: PartialEq` equates 2^53 with
                                 // 2^53 + 1; compare the bytes.
                                 prop_assert_eq!(
