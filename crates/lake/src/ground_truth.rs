@@ -4,7 +4,7 @@
 //! the sketches, HNSW retrieval) is scored against these exact, slow
 //! implementations.
 
-use blend_common::{FxHashMap, FxHashSet, TableId};
+use blend_common::{text, ColumnType, FxHashMap, FxHashSet, TableId};
 
 use crate::lake::DataLake;
 
@@ -87,6 +87,78 @@ pub fn exact_mc_join_counts(
     out
 }
 
+/// Exact correlation ground truth, following Listing 3 cell by cell: the
+/// keys split at the target mean (`k0` below it, `k1` at or above); per
+/// table, every (key column, numeric column) pair over the rows with
+/// `RowId < h` whose key cell holds a query key and whose numeric cell has
+/// a quadrant bit (≥ its column's mean) counts `n` rows, of which a row is
+/// concordant when its key is in `k0` and its bit is 0, or in `k1` and 1.
+/// The pair scores the QCR `|2·concordant − n| / n` if `n ≥ min_matches`;
+/// a table scores its best pair. Returns the top-k tables by score (desc,
+/// ties by id).
+pub fn exact_c_topk(
+    lake: &DataLake,
+    keys: &[String],
+    target: &[f64],
+    h: usize,
+    min_matches: usize,
+    k: usize,
+) -> Vec<(TableId, f64)> {
+    let split = blend_common::stats::mean(target).unwrap_or(0.0);
+    let all: FxHashSet<String> = keys.iter().map(|key| text::normalize(key)).collect();
+    let (mut k0, mut k1) = (FxHashSet::default(), FxHashSet::default());
+    for (key, &t) in keys.iter().zip(target) {
+        if t < split { &mut k0 } else { &mut k1 }.insert(text::normalize(key));
+    }
+    let mut topk = blend_common::topk::TopK::new(k);
+    for t in &lake.tables {
+        let rows = t.n_rows().min(h);
+        // Quadrant bits of the numeric columns: NULL elsewhere.
+        let bits: Vec<Option<Vec<Option<bool>>>> = (t.columns.iter())
+            .map(|c| {
+                let mean = (c.column_type() == ColumnType::Numeric)
+                    .then(|| c.numeric_mean())
+                    .flatten()?;
+                Some(
+                    c.values
+                        .iter()
+                        .map(|v| v.as_f64().map(|f| f >= mean))
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut best: Option<f64> = None;
+        for (kc, key_col) in t.columns.iter().enumerate() {
+            let key_cells: Vec<Option<String>> = key_col.values[..rows]
+                .iter()
+                .map(|v| v.normalized().map(|n| n.into_owned()))
+                .collect();
+            for (nc, bits) in bits.iter().enumerate() {
+                let Some(bits) = bits.as_ref().filter(|_| nc != kc) else {
+                    continue;
+                };
+                let (mut n, mut concordant) = (0i64, 0i64);
+                for (key, &bit) in key_cells.iter().zip(&bits[..rows]) {
+                    let (Some(key), Some(bit)) = (key.as_deref().filter(|v| all.contains(*v)), bit)
+                    else {
+                        continue;
+                    };
+                    n += 1;
+                    concordant += ((!bit && k0.contains(key)) || (bit && k1.contains(key))) as i64;
+                }
+                if n > 0 && n as usize >= min_matches {
+                    let score = ((2 * concordant - n) as f64 / n as f64).abs();
+                    best = Some(best.map_or(score, |b: f64| b.max(score)));
+                }
+            }
+        }
+        if let Some(score) = best {
+            topk.push(score, t.id.0 as u64, (t.id, score));
+        }
+    }
+    topk.into_sorted().into_iter().map(|(_, x)| x).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +230,42 @@ mod tests {
         assert_eq!(counts.get(&TableId(0)), Some(&1));
         // t1 has x but no p.
         assert_eq!(counts.get(&TableId(1)), None);
+    }
+
+    #[test]
+    fn c_ground_truth_scores_quadrant_concordance_per_column_pair() {
+        // Keys a, b sit below the target mean and c, d above it. In t0 the
+        // numeric column follows the split exactly on rows 0..4 (QCR 1),
+        // row 4 (a key below the mean, a value at it) is excluded by h = 4;
+        // in t1 half the rows disagree (QCR 0).
+        let num = |v: [&str; 5]| Column::new("n", v.to_vec());
+        let t0 = Table::new(
+            TableId(0),
+            "t0",
+            vec![
+                Column::new("k", vec!["a", "b", "c", "d", "a"]),
+                num(["1", "2", "9", "8", "5"]),
+            ],
+        )
+        .unwrap();
+        let t1 = Table::new(
+            TableId(1),
+            "t1",
+            vec![
+                Column::new("k", vec!["a", "b", "c", "d", "x"]),
+                num(["1", "9", "2", "8", "5"]),
+            ],
+        )
+        .unwrap();
+        let lake = DataLake::new("c", vec![t0, t1]);
+        let keys: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
+        let target = [1.0, 2.0, 10.0, 20.0];
+        assert_eq!(
+            exact_c_topk(&lake, &keys, &target, 4, 3, 5),
+            vec![(TableId(0), 1.0), (TableId(1), 0.0)]
+        );
+        // Too little support: five rows are needed, four fall below h.
+        assert!(exact_c_topk(&lake, &keys, &target, 4, 5, 5).is_empty());
     }
 
     #[test]

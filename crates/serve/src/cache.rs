@@ -23,6 +23,7 @@
 //! are purged lazily, per shard: such an entry would keep a replaced index
 //! alive beside its successor. [`CachedResult::new`] re-homes store-coded
 //! text in a dictionary of the result's own before the columns are shared.
+//! Every execution pays it: a `u32` hash a row, a copy per distinct string.
 //!
 //! ## Keying and invalidation contract
 //!

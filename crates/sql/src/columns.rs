@@ -6,15 +6,21 @@
 //! `CellValue` is dictionary-coded — a `u32` per row, every distinct string
 //! once — so a caller that works on ids (the MC seeker's application phase)
 //! never sees a `SqlValue`. Callers that want rows ask for them:
-//! [`ResultColumns::to_result_set`] is the one place a positional result
-//! turns into `Vec<Tuple>`, and it borrows, so one set of columns can be
-//! shared and read as rows by many. The tuple executor's rows reach a row
-//! entry as they are, and wrap into typed columns only for the columnar one.
+//! [`ResultColumns::to_result_set`] is the one builder — a row at a time at
+//! exact width, one `Arc<str>` per distinct text id — and it borrows, so
+//! one set of columns can be shared and read as rows by many;
+//! [`ResultColumns::rows_bytes`] prices the rows before they exist:
+//! `ResultSet` + labels + `len × (Tuple + width × SqlValue)` + an `Arc`
+//! header and the bytes of each distinct string. The tuple executor's rows
+//! reach a row entry as they are, and wrap into typed columns only for the
+//! columnar one.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::mem::size_of;
 use std::sync::Arc;
 
-use blend_common::{BlendError, FxHashMap, Result};
+use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
 use blend_storage::FactTable;
 
 use crate::exec::{ResultSet, Tuple};
@@ -79,11 +85,36 @@ impl TextColumn {
     }
 
     /// Re-home store codes in a dense dictionary of the distinct strings, so
-    /// the column holds no handle on the table it was gathered from.
+    /// the column holds no handle on the table it was gathered from: a
+    /// `u32` hash a row, one copy and string hash per distinct code.
     fn detach(&mut self) {
         if let TextDict::Store(_) = self.dict {
-            *self = TextColumn::dense(self.ids.iter().map(|&id| self.str_of(id)));
+            let (ids, strs) = self.shared();
+            let (ids, strs) = (ids.into_owned(), strs.into_owned());
+            self.dict = TextDict::Dense {
+                ids: strs.iter().cloned().zip(0..).collect(),
+                strs,
+            };
+            self.ids = ids;
         }
+    }
+
+    /// The rows as indexes into one `Arc<str>` per distinct id: dense ids
+    /// index `strs`; store codes are remapped once, in first-seen order.
+    fn shared(&self) -> (Cow<'_, [u32]>, Cow<'_, [Arc<str>]>) {
+        let table = match &self.dict {
+            TextDict::Dense { strs, .. } => return (self.ids[..].into(), strs[..].into()),
+            TextDict::Store(table) => table,
+        };
+        let (mut local, mut strs) = (FxHashMap::default(), Vec::new());
+        let mut remap = |code| {
+            *local.entry(code).or_insert_with(|| {
+                strs.push(Arc::from(table.value_of_code(code).unwrap_or_default()));
+                strs.len() as u32 - 1
+            })
+        };
+        let ids: Vec<u32> = self.ids.iter().map(|&code| remap(code)).collect();
+        (ids.into(), strs.into())
     }
 
     /// One id per row.
@@ -106,21 +137,6 @@ impl TextColumn {
             TextDict::Store(table) => table.code_of_value(s),
             TextDict::Dense { ids, .. } => ids.get(s).copied(),
         }
-    }
-
-    /// One `SqlValue::Text` per row; rows that share an id share one
-    /// `Arc<str>`.
-    fn values(&self) -> impl Iterator<Item = SqlValue> + '_ {
-        let mut shared: FxHashMap<u32, Arc<str>> = FxHashMap::default();
-        self.ids.iter().map(move |&id| {
-            SqlValue::Text(match &self.dict {
-                TextDict::Dense { strs, .. } => strs[id as usize].clone(),
-                TextDict::Store(_) => shared
-                    .entry(id)
-                    .or_insert_with(|| Arc::from(self.str_of(id)))
-                    .clone(),
-            })
-        })
     }
 }
 
@@ -217,7 +233,6 @@ impl ResultColumn {
 
     /// Heap bytes, by capacity: what the allocator holds for the column.
     pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of;
         match self {
             ResultColumn::Key(c) => c.capacity() * 4,
             ResultColumn::Int(c) => c.capacity() * 8,
@@ -341,7 +356,6 @@ impl ResultColumns {
     /// once, and the labels. What the memory governor reserves for a result
     /// nobody has asked rows of, and what a memoized copy costs a cache.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.labels.capacity() * size_of::<String>()
             + self.labels.iter().map(String::capacity).sum::<usize>()
             + self.columns.capacity() * size_of::<ResultColumn>()
@@ -359,27 +373,53 @@ impl ResultColumns {
         }
     }
 
-    /// Build the rows. Text values clone one `Arc<str>` per distinct id, so
-    /// a result repeats no string.
+    /// Build the rows. Rows that share a text id share one `Arc<str>`, so
+    /// [`ResultSet::approx_bytes`] counts each string once, as the cache does.
     pub fn to_result_set(&self) -> ResultSet {
-        let width = self.columns.len();
-        let mut rows: Vec<Tuple> = (0..self.len()).map(|_| Vec::with_capacity(width)).collect();
-        fn fill(rows: &mut [Tuple], vals: impl Iterator<Item = SqlValue>) {
-            rows.iter_mut().zip(vals).for_each(|(row, v)| row.push(v));
-        }
-        for col in &self.columns {
-            match col {
-                ResultColumn::Key(c) => fill(&mut rows, c.iter().map(|&v| SqlValue::Int(v as i64))),
-                ResultColumn::Int(c) => fill(&mut rows, c.iter().copied().map(SqlValue::Int)),
-                ResultColumn::U128(c) => fill(&mut rows, c.iter().copied().map(SqlValue::U128)),
-                ResultColumn::Text(c) => fill(&mut rows, c.values()),
-                ResultColumn::Val(c) => fill(&mut rows, c.iter().cloned()),
-            }
-        }
+        let texts: Vec<_> = (self.columns.iter())
+            .map(|col| col.as_text().map(TextColumn::shared).unwrap_or_default())
+            .collect();
+        let rows = (0..self.len())
+            .map(|i| {
+                let row = self.columns.iter().zip(&texts);
+                row.map(|(col, (ids, strs))| match col {
+                    ResultColumn::Text(_) => SqlValue::Text(strs[ids[i] as usize].clone()),
+                    col => col.value(i),
+                })
+                .collect()
+            })
+            .collect();
         ResultSet {
             columns: self.labels.clone(),
             rows,
         }
+    }
+
+    /// `self.to_result_set().approx_bytes()` without building the rows: dense
+    /// and `Val` text may share `Arc`s, store text is copied per column.
+    pub fn rows_bytes(&self) -> usize {
+        let mut seen: FxHashSet<*const u8> = FxHashSet::default();
+        let mut count = |s: &str, shared: bool| {
+            (!shared || seen.insert(s.as_ptr())) as usize * (2 * size_of::<usize>() + s.len())
+        };
+        let mut bytes = size_of::<ResultSet>() + self.labels.len() * size_of::<String>();
+        bytes += self.labels.iter().map(String::len).sum::<usize>();
+        bytes += self.len() * (size_of::<Tuple>() + self.columns.len() * size_of::<SqlValue>());
+        for col in &self.columns {
+            bytes += match col {
+                ResultColumn::Text(c) => (c.ids.iter().copied().collect::<FxHashSet<u32>>())
+                    .into_iter()
+                    .map(|id| count(c.str_of(id), matches!(c.dict, TextDict::Dense { .. })))
+                    .sum(),
+                ResultColumn::Val(c) => c
+                    .iter()
+                    .filter_map(SqlValue::as_str)
+                    .map(|s| count(s, true))
+                    .sum(),
+                _ => 0,
+            };
+        }
+        bytes
     }
 }
 
@@ -405,6 +445,159 @@ impl From<ResultSet> for ResultColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blend_storage::{build_engine, EngineKind, FactRow};
+    use proptest::prelude::*;
+
+    /// Strings of several lengths, the empty one and a multi-byte one.
+    const WORDS: [&str; 7] = ["", "a", "bb", "ccc", "héllo", "a longer cell value", "z"];
+
+    /// A column store whose dictionary holds `WORDS`.
+    fn store() -> Arc<dyn FactTable> {
+        let rows = (0..WORDS.len() as u32)
+            .map(|r| FactRow::new(WORDS[r as usize], 0, 0, r, 0, None))
+            .collect();
+        build_engine(EngineKind::Column, rows)
+    }
+
+    /// `n` store codes of `WORDS`, drawn from `pick`.
+    fn store_text(table: &Arc<dyn FactTable>, pick: &[u32], n: usize) -> TextColumn {
+        let code = |i: usize| table.code_of_value(WORDS[pick[i] as usize % WORDS.len()]);
+        TextColumn::store((0..n).map(|i| code(i).unwrap()).collect(), table.clone())
+    }
+
+    /// What a case's columns are cut from: `n` rows drawn from `pick`, one
+    /// store-coded and one dense text column, and one `Arc` per word.
+    /// Columns of a kind clone the same source, so dense `Arc`s, `Val` text
+    /// and store codes repeat across columns as well as rows.
+    struct Source {
+        n: usize,
+        pick: Vec<u32>,
+        store: TextColumn,
+        dense: TextColumn,
+        shared: Vec<Arc<str>>,
+    }
+
+    impl Source {
+        fn new(n: usize, pick: &[u32], table: &Arc<dyn FactTable>) -> Source {
+            let word = |i: usize| WORDS[pick[i] as usize % WORDS.len()];
+            Source {
+                n,
+                pick: pick[..n].to_vec(),
+                store: store_text(table, pick, n),
+                dense: TextColumn::dense((0..n).map(word)),
+                shared: WORDS.iter().map(|&w| Arc::from(w)).collect(),
+            }
+        }
+
+        /// One column of `kind`. Kinds 6 and 7 gather a text column in
+        /// reverse: same dictionary, other row order.
+        fn column(&self, kind: u32) -> ResultColumn {
+            let (n, pick) = (self.n, &self.pick);
+            let reversed: Vec<u32> = (0..n as u32).rev().collect();
+            let word = |i: usize| WORDS[pick[i] as usize % WORDS.len()];
+            match kind {
+                0 => ResultColumn::Key(pick.clone()),
+                1 => ResultColumn::Int(pick.iter().map(|&p| p as i64 - 3).collect()),
+                2 => ResultColumn::U128(pick.iter().map(|&p| (p as u128) << 70).collect()),
+                3 => ResultColumn::Text(self.store.clone()),
+                4 => ResultColumn::Text(self.dense.clone()),
+                5 => ResultColumn::Val(
+                    (0..n)
+                        .map(|i| match pick[i] % 5 {
+                            0 => SqlValue::Null,
+                            1 => SqlValue::Float(pick[i] as f64 / 7.0),
+                            2 => {
+                                SqlValue::Text(self.shared[pick[i] as usize % WORDS.len()].clone())
+                            }
+                            3 => SqlValue::Text(Arc::from(word(i))),
+                            _ => SqlValue::Int(pick[i] as i64),
+                        })
+                        .collect(),
+                ),
+                6 => self.column(3).gather(&reversed),
+                _ => self.column(4).gather(&reversed),
+            }
+        }
+    }
+
+    /// Every cell is `ResultColumn::value`, every row is exactly `width`
+    /// wide, rows that share an id in a text column share its `Arc`, and
+    /// `rows_bytes` is the built rows' `approx_bytes` to the byte.
+    fn check_rows(cols: &ResultColumns) {
+        let rs = cols.to_result_set();
+        assert_eq!(rs.columns, cols.labels);
+        assert_eq!(rs.rows.len(), cols.len());
+        for (i, row) in rs.rows.iter().enumerate() {
+            assert_eq!(row.capacity(), cols.columns.len());
+            for (c, col) in cols.columns.iter().enumerate() {
+                assert_eq!(row[c], col.value(i), "row {i}, column {c}");
+            }
+        }
+        for (c, col) in cols.columns.iter().enumerate() {
+            let Some(text) = col.as_text() else { continue };
+            for (i, j) in (0..rs.len()).flat_map(|i| (0..rs.len()).map(move |j| (i, j))) {
+                let (SqlValue::Text(a), SqlValue::Text(b)) = (&rs.rows[i][c], &rs.rows[j][c])
+                else {
+                    panic!("text column {c} built a non-text value");
+                };
+                assert_eq!(
+                    Arc::ptr_eq(a, b),
+                    text.ids()[i] == text.ids()[j],
+                    "rows {i}, {j}"
+                );
+            }
+        }
+        assert_eq!(cols.rows_bytes(), rs.approx_bytes());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn rows_are_the_columns_cells_sharing_strings_and_priced_exactly(
+            kinds in proptest::collection::vec(0u32..8, 0..7),
+            pick in proptest::collection::vec(0u32..64, 40),
+            many in 2usize..40,
+        ) {
+            let table = store();
+            for n in [0, 1, many] {
+                let source = Source::new(n, &pick, &table);
+                let columns: Vec<ResultColumn> = kinds.iter().map(|&k| source.column(k)).collect();
+                let labels = (0..columns.len()).map(|c| format!("c{c}")).collect();
+                let mut cols = ResultColumns { labels, columns };
+                check_rows(&cols);
+                // Detached, the columns build the same rows.
+                let before = cols.to_result_set();
+                cols.detach();
+                prop_assert_eq!(&cols.to_result_set(), &before);
+                check_rows(&cols);
+            }
+        }
+
+        #[test]
+        fn detached_text_resolves_every_row_and_string_as_before(
+            pick in proptest::collection::vec(0u32..64, 40),
+            n in 0usize..40,
+        ) {
+            let table = store();
+            let col = store_text(&table, &pick, n);
+            let mut detached = ResultColumns {
+                labels: vec!["v".into()],
+                columns: vec![ResultColumn::Text(col.clone())],
+            };
+            detached.detach();
+            let Some(d) = detached.columns[0].as_text() else { panic!("detach keeps text") };
+            prop_assert!(matches!(d.dict, TextDict::Dense { .. }));
+            // Dense ids in first-seen order, as `dense` assigns them.
+            let strs: Vec<&str> = col.ids().iter().map(|&id| col.str_of(id)).collect();
+            prop_assert_eq!(d.ids(), TextColumn::dense(strs.iter().copied()).ids());
+            for (i, s) in strs.iter().enumerate() {
+                prop_assert_eq!(d.str_of(d.ids()[i]), *s);
+                prop_assert_eq!(d.id_of(s), Some(d.ids()[i]));
+            }
+            prop_assert_eq!(d.id_of("no such string"), None);
+        }
+    }
 
     #[test]
     fn dense_dictionary_looks_ids_up_by_string() {

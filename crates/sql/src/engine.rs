@@ -282,19 +282,18 @@ impl SqlEngine {
             let mut report = QueryReport::default();
             let out = execute_plan_path(&plan, &mut report, path == ExecPath::Auto, &par)?;
             // Charge the result as the executor left it. Rows built from
-            // flat columns are charged once they exist, on top of the
-            // columns; a result too large for the remaining budget resolves
-            // typed like any other site.
+            // flat columns are priced from them (`rows_bytes`) and charged
+            // on top before they are built; a result too large for the
+            // remaining budget resolves typed like any other site.
             let mut charged = memory.try_reserve("result_rows", out.approx_bytes())?;
             let span = blend_obs::span("materialize");
-            let builds_rows = rows && matches!(out, Output::Columns(_));
+            if let (true, Output::Columns(cols)) = (rows, &out) {
+                charged.grow(cols.rows_bytes())?;
+            }
             let out = match rows {
                 true => Output::Rows(out.into_rows()),
                 false => Output::Columns(out.into_columns()),
             };
-            if builds_rows {
-                charged.grow(out.approx_bytes())?;
-            }
             // The `SqlValue` rows the caller gets, and what `result_rows`
             // holds for them.
             span.attr_u64("rows", if rows { report.result_rows as u64 } else { 0 });

@@ -5,13 +5,16 @@
 //! (`execute_columns_interruptible`) turned into rows must be those same
 //! bytes: rows are a view over the flat columns, built in one place.
 
+use std::sync::{Arc, OnceLock};
+
 use blend::plan::Seeker;
 use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend::Blend;
 use blend_lake::web::{generate, WebLakeConfig};
 use blend_lake::DataLake;
-use blend_sql::{ExecPath, ResultSet};
+use blend_sql::{ExecPath, ResultSet, SqlValue};
 use blend_storage::EngineKind;
+use proptest::prelude::*;
 
 fn lake() -> DataLake {
     generate(&WebLakeConfig {
@@ -292,5 +295,91 @@ fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
             PROJECTIONS.len() - 1,
             "one shape is the empty result"
         );
+    }
+}
+
+/// Select-list items over one `AllTables` leaf: every result column kind
+/// the positional executor hands out (`Key`, `U128`, store- or dense-coded
+/// `Text`, NULL-able `Quadrant` and computed `Val`s).
+const ITEMS: &[&str] = &[
+    "TableId",
+    "ColumnId",
+    "RowId",
+    "SuperKey",
+    "CellValue",
+    "Quadrant",
+    "TableId * 2 + RowId",
+    "CellValue AS again",
+];
+
+/// Both engines over the parity lake, built once for every case.
+fn engines() -> &'static [Blend] {
+    static ENGINES: OnceLock<Vec<Blend>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        let lake = lake();
+        [EngineKind::Row, EngineKind::Column]
+            .into_iter()
+            .map(|kind| Blend::from_lake(&lake, kind))
+            .collect()
+    })
+}
+
+/// Rows built from the columns hold each column's cells
+/// (`ResultColumn::value`), share one `Arc<str>` per distinct id of a text
+/// column, and cost exactly what `ResultColumns::rows_bytes` said before
+/// they existed — the row entry's rows too — over random select lists, both
+/// executors and both engines, with 0, 1 and many rows.
+fn check_built_rows(sql: &str) {
+    for blend in engines() {
+        let engine = blend.engine();
+        for path in [ExecPath::Auto, ExecPath::TupleOnly] {
+            let (cols, _) = engine
+                .execute_columns_interruptible(sql, path, blend::Interrupt::never())
+                .unwrap_or_else(|e| panic!("{path:?}: {e}: {sql}"));
+            let rs = cols.to_result_set();
+            let (direct, _) = engine.execute_with_report_path(sql, path).unwrap();
+            assert_eq!(bytes_of(&rs), bytes_of(&direct), "{path:?}: {sql}");
+            assert_eq!(cols.rows_bytes(), rs.approx_bytes(), "{path:?}: {sql}");
+            for (c, col) in cols.columns.iter().enumerate() {
+                for (i, row) in rs.rows.iter().enumerate() {
+                    assert_eq!(row[c], col.value(i), "{path:?}: {sql}");
+                }
+                let Some(ids) = col.as_text().map(|t| t.ids()) else {
+                    continue;
+                };
+                let text = |i: usize| match &rs.rows[i][c] {
+                    SqlValue::Text(s) => s.clone(),
+                    v => panic!("{path:?}: text column {c} built {v:?}: {sql}"),
+                };
+                for i in 0..rs.len() {
+                    for j in 0..rs.len() {
+                        assert_eq!(
+                            Arc::ptr_eq(&text(i), &text(j)),
+                            ids[i] == ids[j],
+                            "{path:?}: rows {i}, {j} of column {c}: {sql}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn rows_built_from_random_column_mixes_share_strings_and_are_priced_exactly(
+        picked in proptest::collection::vec(0usize..ITEMS.len(), 1..7),
+        rows_below in 1u32..6,
+    ) {
+        let select: Vec<&str> = picked.iter().map(|&i| ITEMS[i]).collect();
+        let base = format!(
+            "SELECT {} FROM AllTables WHERE RowId < {rows_below}",
+            select.join(", ")
+        );
+        for limit in [" LIMIT 0", " LIMIT 1", ""] {
+            check_built_rows(&format!("{base}{limit}"));
+        }
     }
 }
