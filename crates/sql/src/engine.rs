@@ -447,10 +447,7 @@ mod tests {
     fn reports_expose_access_paths() {
         for eng in engines() {
             let (_, report) = eng
-                .execute_with_report(
-                    "SELECT TableId FROM AllTables WHERE CellValue IN ('firenze') \
-                     GROUP BY TableId",
-                )
+                .execute_with_report("SELECT TableId FROM AllTables WHERE CellValue IN ('firenze')")
                 .unwrap();
             assert_eq!(report.scans.len(), 1);
             assert_eq!(report.scans[0].access, "value-index");

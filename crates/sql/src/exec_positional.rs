@@ -26,8 +26,9 @@
 //!   struct-of-arrays vectors and `COUNT(DISTINCT CellValue)` counted by
 //!   per-group sort-unique over gathered dictionary codes (column store)
 //!   or dense string ids (row store) — never an owned `SqlValue`, never a
-//!   per-group hash set — except where the scan's own structure already
-//!   groups the rows (the SC/KW seekers: see *Segment grouping* below);
+//!   per-group hash set — except where the store's value → column index
+//!   already answers the query (the SC/KW seekers: see *Column-index
+//!   grouping* below);
 //! * `ORDER BY … LIMIT k` runs over **flat columns**, on both tails (see
 //!   *Top-k before materialization* below);
 //! * no tail builds a `SqlValue` row. The output is
@@ -86,46 +87,45 @@
 //! Each build records [`HashTableStats`] (build nanos, bucket count, max
 //! chain, radix partition count) in [`QueryReport::hash_tables`].
 //!
-//! ## Segment grouping
+//! ## Column-index grouping
 //!
 //! The SC and KW seekers (paper Listing 1) are `WHERE CellValue IN (…)
-//! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`, and
-//! their scan already holds the grouping. The planner sorts and
-//! deduplicates the IN list, so a value-index scan emits one *segment* —
-//! one postings list — per distinct value ([`PosBatch::segments`]), and
-//! [`canonical_sort`](blend_storage::fact::canonical_sort) orders positions by
-//! (table, column, row), so inside a segment every `TableId` or (`TableId`,
-//! `ColumnId`) group is one contiguous run. A group's distinct count is
-//! then the number of segments that touch it, and its first-seen row is
-//! the head of its first run. `group_segments` gathers the key columns
-//! once, finds run heads with an adjacent-difference pass per segment, and
-//! per head bumps a dense counter indexed by table id (KW) or by a
-//! per-query (table, column) ordinal (SC: a table's ordinals are assigned
-//! on its first touch, as wide as its last `ColumnId` + 1, read off the
-//! table directory). No hash table, no per-row group id, no per-group sort:
-//! the phase is O(runs) past the gather, sequential on the query's thread.
-//! (A lake whose `ColumnId`s are so sparse that the ordinals would outnumber
-//! the store's cells hands the query to the hash path instead.)
+//! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`: how many
+//! query values each column (KW: each table) holds — a set-overlap question
+//! whose natural index is value → columns. The column store keeps exactly
+//! that ([`FactTable::column_index`]): the (`TableId`, `ColumnId`) runs of
+//! canonical order numbered `0..R`, and per value the ascending ordinals of
+//! the runs holding it. `group_columns` answers from it without a scan:
+//! it walks each driving value's ordinals in the scan's driving order
+//! (sorted, deduplicated literals), skips tables the kernel's `TableId IN`
+//! / `NOT IN` sets reject, and bumps a dense counter per ordinal (SC) or
+//! per table at each table change inside a value's list (KW: a table's
+//! ordinals are contiguous) — each (value, column) pair once, however often
+//! the value repeats in the column. No cell is visited, no key gathered, no
+//! hash table built; the phase is O(entries), sequential on the query's
+//! thread.
 //!
-//! The check is a plan property, `segment_grouped`: the group input is one
-//! value-index scan (*partitioned by the DISTINCT argument*), the keys are
-//! `{TableId}` or `{TableId, ColumnId}` of that scan in either order
-//! (*key-sorted within a partition*), and every aggregate is `COUNT(DISTINCT
-//! CellValue)` of that scan. At run time the batch must still carry its
-//! segments — a filtered scan rebuilds them from its morsels; the
-//! post-filter and joins drop them. Everything else — C's three-key join
-//! shape, `TableIndex`/`SeqScan` drives, `COUNT(*)` beside the distinct
-//! count, `ColumnId` or `RowId` keys — takes the hash path.
+//! The check is a plan property, `column_grouped`: the group input is one
+//! value-index scan with no residual, no post-filter and no kernel
+//! predicate but the `TableId` sets; the keys are `{TableId}` or `{TableId,
+//! ColumnId}` of that scan in either order; every aggregate is
+//! `COUNT(DISTINCT CellValue)` of that scan; and its table has a column
+//! index. Everything else — the row store, `RowId`/`Quadrant` filters,
+//! residuals, C's three-key join shape, `TableIndex`/`SeqScan` drives,
+//! `COUNT(*)` beside the distinct count, `ColumnId` or `RowId` keys — takes
+//! the hash path.
 //!
-//! The output is the hash path's [`GroupCols`]: per group its first-seen
-//! batch row, key values and `Int` counts. Counts and key values are the
-//! same by the argument above, and so is every first-seen row, because the
-//! first head of a group in segment order is its first row in batch order.
-//! `finish_groups` orders groups by (order keys, projection, first-seen
-//! row), so ordering, top-k and tie-breaks — and the result bytes — are
-//! the hash path's. The `group` span's `path` attr says which path ran
-//! (`segments` | `hash`); the segment path adds `runs` and records no
-//! [`HashTableStats`].
+//! The output is the hash path's [`GroupCols`], with a group's first touch
+//! as a running ordinal of the entries kept. Each kept entry stands for
+//! the contiguous postings of one value in one run, in the order the
+//! value-index scan would have emitted them, so that ordinal is monotone
+//! with the group's first-seen batch row on the hash path: `finish_groups`
+//! orders groups by (order keys, projection, first-seen row), so ordering,
+//! top-k and tie-breaks — and the result bytes — are the hash path's. The
+//! `group` span's `path` attr says which path ran (`columns` | `hash`); the
+//! column path records no [`HashTableStats`], and in place of the scan that
+//! never ran a [`ScanReport`] with access `column-index`, scanned = entries
+//! visited and emitted = entries kept.
 //!
 //! ## Top-k before materialization
 //!
@@ -167,7 +167,7 @@
 //!   input order. The probe side is chunked in row order and emitted in
 //!   chunk order;
 //! * GROUP BY on the hash path radix-partitions rows by group-key hash
-//!   (segment grouping stays on the query's thread), so each worker owns
+//!   (column-index grouping stays on the query's thread), so each worker owns
 //!   its groups outright: every group's aggregate state sees **exactly the
 //!   sequential update sequence** (which is why even float SUM/AVG group in
 //!   parallel bit-identically). Under a LIMIT every partition then selects
@@ -205,9 +205,9 @@
 //!   sequentially, and the chosen width feeds the partition math — the
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
-//! * segment grouping has no width to narrow: it reserves its gathered key
-//!   columns up front and its counters as they double (`group_segments`),
-//!   and a failed reservation resolves `MemoryExceeded` like any other;
+//! * column-index grouping has no width to narrow: it reserves its
+//!   counters and its group slots up front (`group_columns`), and a failed
+//!   reservation resolves `MemoryExceeded` like any other;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
 //!   aggregate columns) and outputs — the flat group columns
 //!   (`group_out`) and, beside them, the survivors' output columns
@@ -227,7 +227,7 @@ use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
     Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, RadixPartitions,
 };
-use blend_storage::{FactTable, ScanScratch, ValueProbe};
+use blend_storage::{FactTable, FilterKernel, ScanScratch, ValueProbe};
 
 use crate::exec::HashTableStats;
 use crate::hashtable::{GroupIndex, JoinKey, JoinTable, PROBE_BLOCK};
@@ -511,9 +511,9 @@ impl PosAggSpec<'_> {
 struct PosGroup<'p> {
     keys: Vec<PosCol>,
     aggs: Vec<PosAggSpec<'p>>,
-    /// The plan property of [`segment_grouped`]: the group may count off
-    /// the scan's value segments instead of a hash table.
-    by_segments: bool,
+    /// The plan property of [`column_grouped`]: the group counts off the
+    /// table's column index instead of scanning.
+    by_columns: bool,
 }
 
 /// Projection stage shape for non-aggregated queries.
@@ -567,11 +567,11 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
             for a in &g.aggs {
                 aggs.push(agg_spec(a, &leaves)?);
             }
-            let by_segments = segment_grouped(&root, &leaves, &keys, &aggs);
+            let by_columns = post_filter.is_none() && column_grouped(&root, &leaves, &keys, &aggs);
             PosTail::Group(PosGroup {
                 keys,
                 aggs,
-                by_segments,
+                by_columns,
             })
         }
         None => {
@@ -595,23 +595,38 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
     })
 }
 
-/// The plan property segment grouping rests on (module docs, *Segment
-/// grouping*): the group input is a single value-index scan, so its output
-/// is partitioned by `CellValue` — the DISTINCT argument, one segment per
-/// deduplicated driving value; the keys are `{TableId}` or `{TableId,
-/// ColumnId}` of that scan, in either order, so canonical (table, column,
-/// row) order makes the output key-sorted within a partition; and every
-/// aggregate is `COUNT(DISTINCT CellValue)` of that scan.
-fn segment_grouped(
+/// The plan property column-index grouping rests on (module docs,
+/// *Column-index grouping*), past the absent post-filter the caller checks:
+/// the group input is a single value-index scan with no residual and no
+/// kernel predicate but the `TableId IN` / `NOT IN` sets; the keys are
+/// `{TableId}` or `{TableId, ColumnId}` of that scan, in either order;
+/// every aggregate is `COUNT(DISTINCT CellValue)` of that scan; and the
+/// scan's table has a column index.
+fn column_grouped(
     root: &PosNode,
     leaves: &[&ScanPlan],
     keys: &[PosCol],
     aggs: &[PosAggSpec<'_>],
 ) -> bool {
-    let PosNode::Scan { leaf, .. } = root else {
+    let PosNode::Scan {
+        leaf,
+        residual: None,
+    } = root
+    else {
         return false;
     };
-    let partitioned = matches!(leaves[*leaf].access, AccessPath::ValueIndex { .. });
+    let scan = leaves[*leaf];
+    let FilterKernel {
+        value,
+        table_in: _,
+        table_not_in: _,
+        rowid_lt,
+        quadrant_null,
+    } = &scan.kernel;
+    let value_drive = matches!(scan.access, AccessPath::ValueIndex { .. })
+        && value.is_none()
+        && rowid_lt.is_none()
+        && quadrant_null.is_none();
     let key_sorted = match keys {
         [(a, IntCol::Table)] => a == leaf,
         [(a, x), (b, y)] => {
@@ -627,7 +642,7 @@ fn segment_grouped(
     let distinct_only = aggs
         .iter()
         .all(|a| matches!(a, PosAggSpec::DistinctValue { leaf: l } if l == leaf));
-    partitioned && key_sorted && distinct_only
+    value_drive && key_sorted && distinct_only && scan.table.column_index().is_some()
 }
 
 fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec<'p>> {
@@ -734,24 +749,17 @@ fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Option<PosN
 struct PosBatch {
     stride: usize,
     data: Vec<u32>,
-    /// Row offsets of a value-index scan's segments, one per driving value
-    /// (segment `s` is rows `segments[s]..segments[s + 1]`); `None` for
-    /// every other batch. An operator that drops or reorders rows must
-    /// remap these or clear them (see *Segment grouping*).
-    segments: Option<Vec<u32>>,
     mem: Option<MemoryReservation>,
 }
 
 impl PosBatch {
-    /// A scan's output, with its reservation: positions plus segment
-    /// offsets.
-    fn scanned(data: Vec<u32>, segments: Option<Vec<u32>>, par: &ParallelCtx) -> Result<Self> {
-        let held = data.capacity() + segments.as_ref().map_or(0, Vec::capacity);
+    /// A scan's output, with its reservation.
+    fn scanned(data: Vec<u32>, par: &ParallelCtx) -> Result<Self> {
+        let mem = par.memory().try_reserve("scan_out", data.capacity() * 4)?;
         Ok(PosBatch {
             stride: 1,
             data,
-            segments,
-            mem: Some(par.memory().try_reserve("scan_out", held * 4)?),
+            mem: Some(mem),
         })
     }
 
@@ -796,6 +804,11 @@ pub(crate) fn execute(
     par: &ParallelCtx,
 ) -> Result<ResultColumns> {
     par.check_interrupt()?;
+    if let (PosTail::Group(shape), PosNode::Scan { leaf, .. }) = (&pos.tail, &pos.root) {
+        if shape.by_columns {
+            return group_columns(plan, pos.leaves[*leaf], shape, report, par);
+        }
+    }
     let tables: Vec<&dyn FactTable> = pos.leaves.iter().map(|s| s.table.as_ref()).collect();
 
     let mut batch = exec_node(&pos.root, pos, &tables, report, par)?;
@@ -812,8 +825,7 @@ pub(crate) fn execute(
             }
         }
         // The surviving rows fit under the input batch's reservation;
-        // shrink it to the compacted size instead of re-reserving. Dropped
-        // rows would shift segment boundaries, so the segments go too.
+        // shrink it to the compacted size instead of re-reserving.
         let dropped = batch.data.len() - data.len();
         let mut mem = batch.mem.take();
         if let Some(m) = &mut mem {
@@ -822,7 +834,6 @@ pub(crate) fn execute(
         batch = PosBatch {
             stride: batch.stride,
             data,
-            segments: None,
             mem,
         };
     }
@@ -1037,16 +1048,11 @@ fn exec_scan(
     // SC/KW case (no TID injection) never touches per-position logic.
     let unfiltered = residual.is_none() && scan.fast.is_empty();
     if unfiltered {
-        let mut segments = None;
         match &scan.access {
             AccessPath::ValueIndex { .. } => {
-                let mut ends = Vec::with_capacity(scan.driving_values.len() + 1);
-                ends.push(0);
                 for v in &scan.driving_values {
                     out.extend_from_slice(table.postings(v));
-                    ends.push(out.len() as u32);
                 }
-                segments = Some(ends);
             }
             AccessPath::TableIndex { .. } => {
                 for &t in &scan.driving_tables {
@@ -1066,7 +1072,7 @@ fn exec_scan(
             scanned: out.len(),
             emitted: out.len(),
         });
-        return PosBatch::scanned(out, segments, par);
+        return PosBatch::scanned(out, par);
     }
 
     // Ordered segments of the driving access path; a sequential pass over
@@ -1142,16 +1148,6 @@ fn exec_scan(
     let _scratch_mem = par
         .memory()
         .try_reserve("scan_scratch", scratch_width * par.morsel_len() * 4)?;
-    // A value-index drive keeps its segment offsets: morsels run in
-    // segment order, so the output length after a segment's last morsel is
-    // where that segment ends (`ends[s + 1]`).
-    let mut ends: Option<Vec<u32>> =
-        matches!(scan.access, AccessPath::ValueIndex { .. }).then(|| vec![0; segs.len() + 1]);
-    let mut end_segment = |m: &Morsel, out_len: usize| {
-        if let Some(ends) = &mut ends {
-            ends[m.segment + 1] = out_len as u32;
-        }
-    };
     match admitted {
         Some((grant, morsels)) => {
             // Per-worker scratch: selection-vector capacity is allocated
@@ -1171,10 +1167,9 @@ fn exec_scan(
                 });
             par.check_interrupt()?;
             out.reserve(run.results.iter().map(|(l, _)| l.len()).sum());
-            for (m, (local, local_scanned)) in morsels.iter().zip(run.results) {
+            for (local, local_scanned) in run.results {
                 out.extend_from_slice(&local);
                 scanned += local_scanned;
-                end_segment(m, out.len());
             }
             report.parallel.push(ParallelPhase {
                 phase: format!("scan:{}", scan.alias),
@@ -1193,20 +1188,9 @@ fn exec_scan(
             for m in morselize(&lens, par.morsel_len()) {
                 par.check_interrupt()?;
                 scanned += scan_morsel(&m, &mut scratch, &mut out);
-                end_segment(&m, out.len());
             }
         }
     }
-    // A segment with no morsel (empty postings) ends where the one before
-    // it did.
-    let segments = ends.map(|mut ends| {
-        let mut at = 0;
-        for end in &mut ends {
-            at = at.max(*end);
-            *end = at;
-        }
-        ends
-    });
 
     span.attr_u64("scanned", scanned as u64);
     span.attr_u64("rows", out.len() as u64);
@@ -1217,7 +1201,7 @@ fn exec_scan(
         scanned,
         emitted: out.len(),
     });
-    PosBatch::scanned(out, segments, par)
+    PosBatch::scanned(out, par)
 }
 
 /// Pack 1–2 u32 key columns into one `u64` per row (shift-fold, so a
@@ -1394,7 +1378,6 @@ fn exec_join(
     Ok(PosBatch {
         stride,
         data: out,
-        segments: None,
         mem,
     })
 }
@@ -1849,13 +1832,13 @@ impl<'a> GroupInput<'a> {
     }
 }
 
-/// Positional GROUP BY. A batch that still carries the segments of a
-/// [`segment_grouped`] plan counts off them ([`group_segments`]). Otherwise
-/// group keys pack into a `u64` (≤2 columns) or a `u128` (3–4 columns, the
-/// C shape); a flat [`GroupIndex`] assigns dense group ids in first-seen
-/// order and aggregates accumulate column-at-a-time into struct-of-arrays
-/// state, which is also the phase's output ([`GroupCols`]).
-/// [`finish_groups`] then orders, limits and projects.
+/// Positional GROUP BY on the hash path (a [`column_grouped`] plan never
+/// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns) or
+/// a `u128` (3–4 columns, the C shape); a flat [`GroupIndex`] assigns dense
+/// group ids in first-seen order and aggregates accumulate
+/// column-at-a-time into struct-of-arrays state, which is also the phase's
+/// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
+/// projects.
 ///
 /// Large keyed inputs on the hash path radix-partition rows by key hash so
 /// each pool worker owns its groups outright — per-group update order is
@@ -1866,7 +1849,7 @@ impl<'a> GroupInput<'a> {
 /// ([`PosAggSpec::merge_exact`]).
 ///
 /// The `group` span covers the whole phase, gathers and key packing
-/// included; its `path` attr says which path ran.
+/// included; its `path` attr says `hash`.
 fn exec_group(
     plan: &QueryPlan,
     shape: &PosGroup<'_>,
@@ -1887,29 +1870,17 @@ fn exec_group(
 
     let span = blend_obs::span("group");
     span.attr_u64("rows", n_rows as u64);
-    let counted = match batch.segments.as_deref().filter(|_| shape.by_segments) {
-        Some(segments) => group_segments(shape, batch, segments, tables[shape.keys[0].0], par)?,
-        None => None,
-    };
+    span.attr_str("path", "hash");
     // The gathered input columns (and their reservations) live for the
     // grouping phase only; selection and projection run without them.
-    let (parts, grant) = match counted {
-        Some((groups, runs)) => {
-            span.attr_str("path", "segments");
-            span.attr_u64("runs", runs as u64);
-            (vec![groups], None)
-        }
-        None => {
-            span.attr_str("path", "hash");
-            let input = GroupInput::gather(shape, batch, tables, par)?;
-            // Monomorphize on packed key width.
-            if shape.keys.len() <= 2 {
-                group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
-            } else {
-                group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
-            }
-        }
+    let input = GroupInput::gather(shape, batch, tables, par)?;
+    // Monomorphize on packed key width.
+    let (parts, grant) = if shape.keys.len() <= 2 {
+        group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
+    } else {
+        group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
     };
+    drop(input);
     span.attr_u64(
         "groups",
         parts.iter().map(GroupCols::len).sum::<usize>() as u64,
@@ -1919,125 +1890,114 @@ fn exec_group(
     finish_groups(plan, parts, grant.as_ref(), report, par)
 }
 
-/// Bytes the segment path holds per counter slot: the count itself, plus
-/// a first-seen row and a slot id should the slot become a group.
-const SEGMENT_SLOT_BYTES: usize = 12;
-
-/// Keyed GROUP BY over a value-index scan's segments (module docs, *Segment
-/// grouping*): gather `TableId` (and `ColumnId`) once, find each segment's
-/// run heads by adjacent difference, and per head bump a dense counter —
-/// the group's distinct count — recording the first head of a group as its
-/// first-seen row. Counter slots are per-query ordinals: a table's slots
-/// are assigned on its first touch, one per `ColumnId` up to its last (one
-/// in all when `ColumnId` is not a key). Sequential on the query's thread;
-/// returns the groups and the number of runs — or `None`, to take the hash
-/// path instead, should `ColumnId`s be so sparse that the slots would
-/// outnumber the store's own cells.
-fn group_segments(
+/// `COUNT(DISTINCT CellValue) GROUP BY TableId[, ColumnId]` off the scan
+/// table's column index (module docs, *Column-index grouping*), the scan
+/// itself never run: walk each driving value's run ordinals in driving
+/// order, skip tables the kernel rejects, and bump a dense counter per
+/// ordinal (`ColumnId` a key) or per table at each table change. A group's
+/// first touch records the running count of entries kept as its first-seen
+/// row. Sequential on the query's thread, with counters and group slots
+/// reserved up front.
+fn group_columns(
+    plan: &QueryPlan,
+    scan: &ScanPlan,
     shape: &PosGroup<'_>,
-    batch: &PosBatch,
-    segments: &[u32],
-    fact: &dyn FactTable,
+    report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<Option<(GroupCols, usize)>> {
-    let positions = &batch.data;
-    let n_rows = positions.len();
-    let n_tables = fact.n_tables() as usize;
+) -> Result<ResultColumns> {
+    let table = scan.table.as_ref();
+    let index = table.column_index().ok_or_else(|| {
+        BlendError::SqlExec("column-index grouping over a table without a column index".into())
+    })?;
+    let span = blend_obs::span("group");
+    span.attr_str("path", "columns");
     let by_column = shape.keys.len() == 2;
-    let mut mem = par
-        .memory()
-        .try_reserve("group_segments", (n_rows * shape.keys.len() + n_tables) * 4)?;
-    let mut tids = Vec::with_capacity(n_rows);
-    fact.gather_tables(positions, &mut tids);
-    let mut cids = Vec::with_capacity(if by_column { n_rows } else { 0 });
-    if by_column {
-        fact.gather_columns(positions, &mut cids);
-    }
-
-    let outside = |t: u32, c: u32| {
-        BlendError::SqlExec(format!(
-            "segment grouping: table {t} column {c} outside the table directory"
-        ))
-    };
-    // Slot of a table's column 0, `u32::MAX` until the table is touched.
-    let mut base = vec![u32::MAX; n_tables];
-    let mut counts: Vec<u32> = Vec::new();
-    // Per group, in first-seen order: its slot and first-seen row.
-    let mut slots: Vec<u32> = Vec::new();
-    let mut first_rows: Vec<u32> = Vec::new();
-    // Slots charged (and allocated) so far; doubled when outgrown, so the
-    // governor sees one charge per doubling, not one per table.
-    let mut charged = 0usize;
-    let mut runs = 0usize;
-    for seg in segments.windows(2) {
-        // A segment's first row starts a run: no key is `u64::MAX`, as table
-        // `u32::MAX` is outside every directory.
-        let mut prev = u64::MAX;
-        for i in seg[0] as usize..seg[1] as usize {
-            if poll_every(i) {
-                par.check_interrupt()?;
-            }
-            let (t, c) = (tids[i], if by_column { cids[i] } else { 0 });
-            let key = (t as u64) << 32 | c as u64;
-            let head = key != prev;
-            prev = key;
-            let table_base = base.get_mut(t as usize).ok_or_else(|| outside(t, c))?;
-            if *table_base == u32::MAX {
-                let width = match by_column {
-                    true => fact
-                        .table_postings(t)
-                        .last()
-                        .map_or(0, |p| fact.column_at(p)),
-                    false => 0,
-                } as usize
-                    + 1;
-                let need = counts.len() + width;
-                if need > fact.len() + n_tables {
-                    return Ok(None);
-                }
-                if need > charged {
-                    let more = need.max(2 * charged) - charged;
-                    mem.grow(more * SEGMENT_SLOT_BYTES)?;
-                    charged += more;
-                    for v in [&mut counts, &mut slots, &mut first_rows] {
-                        let additional = charged - v.len();
-                        blend_common::try_reserve_exact(v, additional, "group_segments")?;
-                    }
-                }
-                *table_base = counts.len() as u32;
-                counts.resize(need, 0);
-            }
-            let slot = *table_base as usize + c as usize;
-            let count = counts.get_mut(slot).ok_or_else(|| outside(t, c))?;
-            // A group's first touch is a run head: inside a run the count
-            // is positive already.
-            if *count == 0 {
-                slots.push(slot as u32);
-                first_rows.push(i as u32);
-            }
-            *count += head as u32;
-            runs += head as usize;
-        }
-    }
-
-    // Key values at each group's first-seen row, then one count column per
-    // aggregate (all of them `COUNT(DISTINCT CellValue)`).
-    let mut cols: Vec<ResultColumn> = shape
-        .keys
+    let lists: Vec<&[u32]> = scan
+        .driving_values
         .iter()
-        .map(|&(_, col)| {
-            let src = if col == IntCol::Table { &tids } else { &cids };
-            ResultColumn::Key(first_rows.iter().map(|&r| src[r as usize]).collect())
-        })
+        .filter_map(|v| table.code_of_value(v).map(|code| index.ordinals(code)))
         .collect();
-    let distinct: Vec<i64> = slots.iter().map(|&s| counts[s as usize] as i64).collect();
-    cols.extend(
-        shape
-            .aggs
+    let visited: usize = lists.iter().map(|l| l.len()).sum();
+    let n_slots = if by_column {
+        index.runs()
+    } else {
+        table.n_tables() as usize
+    };
+    let outside =
+        |slot: u32| BlendError::SqlExec(format!("column index: slot {slot} of {n_slots}"));
+    let (table_in, table_not_in) = (&scan.kernel.table_in, &scan.kernel.table_not_in);
+    let keep = |t: u32| {
+        table_in.as_ref().is_none_or(|s| s.contains(t))
+            && !table_not_in.as_ref().is_some_and(|s| s.contains(t))
+    };
+    let (groups, kept) = {
+        let max_groups = visited.min(n_slots);
+        let _mem = par
+            .memory()
+            .try_reserve("group_columns", n_slots * 4 + max_groups * 8)?;
+        let mut counts: Vec<u32> = blend_common::try_zeroed_vec(n_slots, "group_columns")?;
+        // Per group, in first-touch order: its counter slot and first-seen
+        // entry.
+        let mut slots: Vec<u32> = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
+        let mut first_rows = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
+        let (mut walked, mut kept) = (0usize, 0u32);
+        for ordinals in &lists {
+            let mut prev_table = u32::MAX;
+            for &ordinal in *ordinals {
+                if poll_every(walked) {
+                    par.check_interrupt()?;
+                }
+                walked += 1;
+                let (t, _) = index.key(ordinal);
+                if !keep(t) {
+                    continue;
+                }
+                if by_column || t != prev_table {
+                    let slot = if by_column { ordinal } else { t };
+                    let count = counts.get_mut(slot as usize).ok_or_else(|| outside(slot))?;
+                    if *count == 0 {
+                        slots.push(slot);
+                        first_rows.push(kept);
+                    }
+                    *count += 1;
+                }
+                prev_table = t;
+                kept += 1;
+            }
+        }
+        // Key values of each group's slot, then one count column per
+        // aggregate (all of them `COUNT(DISTINCT CellValue)`).
+        let key = |slot: u32, col: IntCol| match (by_column, col) {
+            (false, _) => slot,
+            (true, IntCol::Table) => index.key(slot).0,
+            (true, _) => index.key(slot).1,
+        };
+        let mut cols: Vec<ResultColumn> = shape
+            .keys
             .iter()
-            .map(|_| ResultColumn::Int(distinct.clone())),
-    );
-    Ok(Some((GroupCols { first_rows, cols }, runs)))
+            .map(|&(_, col)| ResultColumn::Key(slots.iter().map(|&s| key(s, col)).collect()))
+            .collect();
+        let distinct: Vec<i64> = slots.iter().map(|&s| counts[s as usize] as i64).collect();
+        cols.extend(
+            shape
+                .aggs
+                .iter()
+                .map(|_| ResultColumn::Int(distinct.clone())),
+        );
+        (GroupCols { first_rows, cols }, kept as usize)
+    };
+    span.attr_u64("rows", kept as u64);
+    span.attr_u64("groups", groups.len() as u64);
+    span.attr_u64("partitions", 1);
+    drop(span);
+    report.scans.push(ScanReport {
+        alias: scan.alias.clone(),
+        access: "column-index".to_string(),
+        estimated: scan.access.estimated(),
+        scanned: visited,
+        emitted: kept,
+    });
+    finish_groups(plan, vec![groups], None, report, par)
 }
 
 /// The key-width-generic core of the keyed GROUP BY: one [`GroupCols`] per
@@ -2655,9 +2615,8 @@ mod tests {
     #[test]
     fn forced_parallel_execution_is_byte_identical() {
         let queries = [
-            // SC shape behind a fast filter (as under TID injection):
-            // parallel scan, then the group over the segments its morsels
-            // rebuilt (sequential by design).
+            // SC shape behind a RowId filter: parallel scan, then the
+            // hash-path group.
             "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
              WHERE CellValue IN ('k0','k2','k4') AND RowId < 6 GROUP BY TableId, ColumnId \
              ORDER BY score DESC LIMIT 10",
@@ -2841,18 +2800,21 @@ mod tests {
                 ExecPath::Auto,
             )
             .unwrap();
-        assert_eq!(group_path(&rep), "segments");
+        assert_eq!(group_path(&rep), "columns");
         assert!(rep.hash_tables.is_empty());
     }
 
-    /// Which grouping path ran. The segment path records no group hash
-    /// table and the hash path one; where profiles are collected, the
-    /// `group` span's `path` attr must say the same.
+    /// Which grouping path ran. The column path records no group hash
+    /// table and a `column-index` scan report, the hash path a group hash
+    /// table; where profiles are collected, the `group` span's `path` attr
+    /// must say the same.
     fn group_path(rep: &QueryReport) -> &'static str {
         let path = match rep.hash_tables.iter().any(|h| h.phase == "group") {
             true => "hash",
-            false => "segments",
+            false => "columns",
         };
+        let column_index = rep.scans.iter().any(|s| s.access == "column-index");
+        assert_eq!(column_index, path == "columns", "{:?}", rep.scans);
         if let Some(span) = rep.profile.as_ref().and_then(|p| p.find("group")) {
             let attr = span.attr("path").map(ToString::to_string);
             assert_eq!(attr.as_deref(), Some(path));
@@ -2860,14 +2822,13 @@ mod tests {
         path
     }
 
-    /// Distinct counts over a value-index drive group over its segments —
-    /// with every key order, with a fast filter that keeps the drive, on
-    /// both engines, sequentially and on a forced pool (where filtered
-    /// scans rebuild segments from many morsels each) — and every near miss
-    /// takes the hash path. Both give the tuple executor's bytes at every
-    /// LIMIT.
+    /// Distinct counts over a value-index drive count off the column
+    /// store's column index — with every key order, behind `TableId IN` /
+    /// `NOT IN` sets, sequentially and on a forced pool — and every near
+    /// miss, and every shape on the row store, takes the hash path. Both
+    /// give the tuple executor's bytes at every LIMIT.
     #[test]
-    fn distinct_counts_group_over_segments_and_near_misses_hash() {
+    fn distinct_counts_group_over_the_column_index_and_near_misses_hash() {
         // Values in both columns, an absent one and a duplicated literal.
         let values = "WHERE CellValue IN ('k0','k2','k4','0','10','50','absent','k2')";
         let query = |select: &str, filter: &str, group: &str| {
@@ -2877,44 +2838,44 @@ mod tests {
             )
         };
         let (t, tc) = ("TableId AS t", "TableId, ColumnId");
+        let filtered = |filter: &str| format!("{values} AND {filter}");
         let cases = [
-            (query(t, values, "TableId"), "segments"),
-            (query(t, values, tc), "segments"),
+            (query(t, values, "TableId"), "columns"),
+            (query(t, values, tc), "columns"),
             (
                 query("ColumnId AS c, TableId AS t", values, "ColumnId, TableId"),
-                "segments",
+                "columns",
             ),
+            (query(t, &filtered("TableId IN (0, 2, 3)"), tc), "columns"),
             (
-                query(t, &format!("{values} AND TableId IN (0, 2, 3)"), tc),
-                "segments",
+                query(t, &filtered("TableId NOT IN (1)"), "TableId"),
+                "columns",
             ),
-            (
-                query(
-                    t,
-                    &format!("{values} AND TableId NOT IN (1) AND RowId < 4"),
-                    "TableId",
-                ),
-                "segments",
-            ),
-            // Near misses: a key that is not run-sorted inside a segment,
-            // a second aggregate, a RowId key, a table-index drive, a
-            // sequential drive.
+            // Near misses: a table-index drive, a key that is not a table's
+            // run, a second aggregate, a RowId key, a sequential drive, and
+            // a value drive behind a RowId bound, a Quadrant test and a
+            // residual.
+            (query(t, &filtered("TableId IN (1)"), tc), "hash"),
             (query("ColumnId AS c", values, "ColumnId"), "hash"),
             (
                 query("TableId AS t, COUNT(*) AS n", values, "TableId"),
                 "hash",
             ),
             (query(t, values, "TableId, RowId"), "hash"),
-            (
-                query(t, &format!("{values} AND TableId IN (1)"), tc),
-                "hash",
-            ),
             (query(t, "", "TableId"), "hash"),
             (query(t, "WHERE RowId < 3", tc), "hash"),
+            (query(t, &filtered("RowId < 4"), "TableId"), "hash"),
+            (query(t, &filtered("Quadrant IS NULL"), tc), "hash"),
+            (query(t, &filtered("ColumnId = 0"), tc), "hash"),
         ];
         for kind in [EngineKind::Row, EngineKind::Column] {
             for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
                 for (sql, want_path) in &cases {
+                    let want_path = if kind == EngineKind::Column {
+                        want_path
+                    } else {
+                        "hash"
+                    };
                     for limit in [
                         "",
                         " ORDER BY score DESC LIMIT 0",
@@ -2926,7 +2887,7 @@ mod tests {
                         let (got, rep) =
                             eng.execute_with_report_path(&sql, ExecPath::Auto).unwrap();
                         assert_eq!(rep.path, "positional", "{sql}");
-                        assert_eq!(group_path(&rep), *want_path, "{kind:?}: {sql}");
+                        assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
                         let (want, _) = eng
                             .execute_with_report_path(&sql, ExecPath::TupleOnly)
                             .unwrap();
@@ -2940,18 +2901,17 @@ mod tests {
             }
             // The table-index near miss really is one.
             let (_, rep) = engine(kind)
-                .execute_with_report_path(&cases[8].0, ExecPath::Auto)
+                .execute_with_report_path(&cases[5].0, ExecPath::Auto)
                 .unwrap();
             assert_eq!(rep.scans[0].access, "table-index");
         }
     }
 
     #[test]
-    fn sparse_column_ids_hand_the_group_to_the_hash_path() {
-        // Table 0's ColumnIds jump to a million: its slot range would
-        // outnumber the store's cells, so the segment path hands the query
-        // to the hash path — with the same bytes. Table-wide (one slot a
-        // table) the same lake still counts over segments.
+    fn sparse_column_ids_stay_on_the_column_index() {
+        // Table 0's ColumnIds jump to a million: the column index numbers
+        // runs, not ColumnIds, so SC and KW both count off it — with the
+        // tuple executor's bytes — and the row store groups by hash.
         let sc = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
                   WHERE CellValue IN ('a','b') GROUP BY TableId, ColumnId ORDER BY score DESC";
         let kw = sc.replace(", ColumnId", "");
@@ -2962,7 +2922,12 @@ mod tests {
                 blend_storage::FactRow::new("b", 1, 0, 0, 2, None),
             ];
             let eng = SqlEngine::with_alltables(build_engine(kind, rows));
-            for (sql, want_path) in [(sc, "hash"), (kw.as_str(), "segments")] {
+            let want_path = if kind == EngineKind::Column {
+                "columns"
+            } else {
+                "hash"
+            };
+            for sql in [sc, kw.as_str()] {
                 let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
                 assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
                 let (want, _) = eng

@@ -1,6 +1,7 @@
 //! Dictionary-encoded columnar engine — the commercial column store
 //! analogue.
 
+use blend_common::hash::hash_str;
 use blend_common::{FxHashMap, FxHashSet};
 
 use crate::fact::{
@@ -23,11 +24,28 @@ use crate::stats::FactStats;
 ///
 /// which together produce the column store's consistent win in the paper's
 /// runtime figures.
+///
+/// Layout, as [`memory_breakdown`](FactTable::memory_breakdown) charges it
+/// — `n` cells, `d` distinct values, `R` (`TableId`, `ColumnId`) runs of
+/// canonical order, `E` distinct (value, run) pairs, `T` table ids; every
+/// vector is held at exact capacity:
+///
+/// | component      | contents                                              | bytes                  |
+/// |----------------|-------------------------------------------------------|------------------------|
+/// | `dict-strings` | `dict`: one `Box<str>` per distinct value              | `16 d + Σ len`         |
+/// | `dict-index`   | `dict_index`: `u32` codes by string hash, ≤ half full | `4 · (2d)↑2`           |
+/// | `columns`      | codes, tables, columns, rows (`u32`), super keys (`u128`), quadrants (`u8`) | `33 n` |
+/// | `postings`     | per code, its ascending positions (CSR)               | `4 (d + 1) + 4 n`      |
+/// | `column-index` | per run its key; per code, its ascending runs ([`ColumnIndex`]) | `8 R + 4 (d + 1) + 4 E` |
+/// | `table-ranges` | per table id, its position range                      | `8 T`                  |
+///
+/// (`(2d)↑2` is the next power of two at or above `2d`, at least 2.) Plus
+/// the per-worker `scan-scratch` estimate both engines charge.
 pub struct ColumnStore {
     /// Distinct values; index = dictionary code.
     dict: Vec<Box<str>>,
-    /// Value lookup: string → code.
-    dict_index: FxHashMap<Box<str>, u32>,
+    /// Value lookup: string → code, comparing against `dict`.
+    dict_index: CodeTable,
     /// Per-position dictionary codes.
     codes: Vec<u32>,
     tables: Vec<u32>,
@@ -35,21 +53,28 @@ pub struct ColumnStore {
     rows: Vec<u32>,
     superkeys: Vec<u128>,
     quadrants: Vec<u8>,
-    /// Inverted index keyed by dictionary code (dense).
-    postings_by_code: Vec<Vec<u32>>,
+    /// Inverted index keyed by dictionary code: ascending positions.
+    postings: Csr,
+    /// Value → (`TableId`, `ColumnId`) runs.
+    column_index: ColumnIndex,
     ranges: Vec<(u32, u32)>,
     stats: FactStats,
 }
 
 impl ColumnStore {
-    /// Build the store: canonical sort, dictionary, postings, statistics.
+    /// Build the store: canonical sort, dictionary, then postings and the
+    /// column index in two passes over canonical order, then statistics.
+    ///
+    /// The fact rows and the string → code map that borrows from them are
+    /// dropped before the postings passes, so the build's high-water mark
+    /// is the rows plus the plain columns, never the rows beside the
+    /// indexes.
     pub fn build(mut fact_rows: Vec<FactRow>) -> Self {
         canonical_sort(&mut fact_rows);
         let ranges = table_ranges(&fact_rows);
         let n = fact_rows.len();
 
         let mut dict: Vec<Box<str>> = Vec::new();
-        let mut dict_index: FxHashMap<Box<str>, u32> = FxHashMap::default();
         let mut codes = Vec::with_capacity(n);
         let mut tables = Vec::with_capacity(n);
         let mut columns = Vec::with_capacity(n);
@@ -58,16 +83,12 @@ impl ColumnStore {
         let mut quadrants = Vec::with_capacity(n);
         let mut numeric_rows = 0usize;
 
+        let mut code_of: FxHashMap<&str, u32> = FxHashMap::default();
         for r in &fact_rows {
-            let code = match dict_index.get(&r.value) {
-                Some(&c) => c,
-                None => {
-                    let c = dict.len() as u32;
-                    dict.push(r.value.clone());
-                    dict_index.insert(r.value.clone(), c);
-                    c
-                }
-            };
+            let code = *code_of.entry(&r.value).or_insert_with(|| {
+                dict.push(r.value.clone());
+                dict.len() as u32 - 1
+            });
             codes.push(code);
             tables.push(r.table);
             columns.push(r.column);
@@ -78,17 +99,17 @@ impl ColumnStore {
                 numeric_rows += 1;
             }
         }
-
-        let mut postings_by_code: Vec<Vec<u32>> = vec![Vec::new(); dict.len()];
-        for (pos, &code) in codes.iter().enumerate() {
-            postings_by_code[code as usize].push(pos as u32);
-        }
+        drop(code_of);
+        drop(fact_rows);
+        dict.shrink_to_fit();
+        let dict_index = CodeTable::build(&dict);
+        let (postings, column_index) = index_codes(&codes, &tables, &columns, dict.len());
 
         let n_tables = ranges.iter().filter(|(s, e)| e > s).count();
         let stats = FactStats::compute(
             n,
             n_tables,
-            postings_by_code.iter().map(Vec::len),
+            (0..dict.len()).map(|c| postings.list(c as u32).len()),
             numeric_rows,
         );
 
@@ -101,7 +122,8 @@ impl ColumnStore {
             rows,
             superkeys,
             quadrants,
-            postings_by_code,
+            postings,
+            column_index,
             ranges,
             stats,
         }
@@ -171,6 +193,231 @@ impl ColumnStore {
     }
 }
 
+/// Compressed sparse rows over `u32` items: list `k` is
+/// `items[offsets[k]..offsets[k + 1]]`. Built by [`CsrBuilder`] in two
+/// passes, so both vectors are allocated once, at exact capacity.
+#[derive(Debug)]
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// List `k` (empty past the last list).
+    #[inline]
+    fn list(&self, k: u32) -> &[u32] {
+        match (
+            self.offsets.get(k as usize),
+            self.offsets.get(k as usize + 1),
+        ) {
+            (Some(&s), Some(&e)) => &self.items[s as usize..e as usize],
+            _ => &[],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.items.capacity()) * 4
+    }
+}
+
+/// Two-pass [`Csr`] construction: [`count`](Self::count) every item's list,
+/// [`start_placing`](Self::start_placing), then [`place`](Self::place) the
+/// same items in the same order. During placing `offsets[k]` is list `k`'s
+/// write cursor, so no cursor array is allocated.
+struct CsrBuilder {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl CsrBuilder {
+    fn new(n_lists: usize) -> Self {
+        CsrBuilder {
+            offsets: vec![0; n_lists + 1],
+            items: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn count(&mut self, list: u32) {
+        self.offsets[list as usize + 1] += 1;
+    }
+
+    /// Counts become list starts, and the item vector is allocated.
+    fn start_placing(&mut self) {
+        for k in 1..self.offsets.len() {
+            self.offsets[k] += self.offsets[k - 1];
+        }
+        self.items = vec![0; self.offsets.last().map_or(0, |&n| n as usize)];
+    }
+
+    #[inline]
+    fn place(&mut self, list: u32, item: u32) {
+        let at = &mut self.offsets[list as usize];
+        self.items[*at as usize] = item;
+        *at += 1;
+    }
+
+    /// Every cursor now sits at its list's end, i.e. the next list's start:
+    /// shift them up one to restore the starts.
+    fn finish(mut self) -> Csr {
+        let n_lists = self.offsets.len() - 1;
+        self.offsets.copy_within(..n_lists, 1);
+        self.offsets[0] = 0;
+        Csr {
+            offsets: self.offsets,
+            items: self.items,
+        }
+    }
+}
+
+/// Value → column index of the column store: the set-overlap index the SC
+/// and KW seekers ask (how many query values does each column, or table,
+/// hold).
+///
+/// The (`TableId`, `ColumnId`) runs of canonical order — maximal stretches
+/// of positions sharing both — are numbered `0..R` in order, so ordinals
+/// ascend with (table, column) and a table's ordinals are contiguous. Per
+/// dictionary code the index lists, ascending, the ordinals of the runs
+/// that hold the value: each (value, column) pair once, however often the
+/// value repeats inside the column.
+#[derive(Debug)]
+pub struct ColumnIndex {
+    /// (`TableId`, `ColumnId`) per run ordinal.
+    keys: Vec<(u32, u32)>,
+    /// Per dictionary code, its ascending run ordinals.
+    runs_of: Csr,
+}
+
+impl ColumnIndex {
+    /// Number of (`TableId`, `ColumnId`) runs, `R`.
+    pub fn runs(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// (`TableId`, `ColumnId`) of run `ordinal` (`ordinal < runs()`).
+    #[inline]
+    pub fn key(&self, ordinal: u32) -> (u32, u32) {
+        self.keys[ordinal as usize]
+    }
+
+    /// Ascending ordinals of the runs holding dictionary code `code`
+    /// (empty for an unknown code).
+    #[inline]
+    pub fn ordinals(&self, code: u32) -> &[u32] {
+        self.runs_of.list(code)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * 8 + self.runs_of.heap_bytes()
+    }
+}
+
+/// Postings and the column index, both keyed by dictionary code, in two
+/// sequential passes over canonical order: the first counts each code's
+/// positions and distinct runs (a per-code "last run" marks the first cell
+/// of a value in a run), the second places them.
+fn index_codes(
+    codes: &[u32],
+    tables: &[u32],
+    columns: &[u32],
+    n_codes: usize,
+) -> (Csr, ColumnIndex) {
+    /// Visit every position with its run ordinal and whether it heads its
+    /// run.
+    fn walk(tables: &[u32], columns: &[u32], mut f: impl FnMut(usize, u32, bool)) {
+        let mut run = 0u32;
+        for p in 0..tables.len() {
+            let head = p == 0 || (tables[p], columns[p]) != (tables[p - 1], columns[p - 1]);
+            run += (head && p > 0) as u32;
+            f(p, run, head);
+        }
+    }
+    let mut postings = CsrBuilder::new(n_codes);
+    let mut runs_of = CsrBuilder::new(n_codes);
+    let mut last_run = vec![u32::MAX; n_codes];
+    let mut n_runs = 0usize;
+    walk(tables, columns, |p, run, head| {
+        let code = codes[p];
+        postings.count(code);
+        if std::mem::replace(&mut last_run[code as usize], run) != run {
+            runs_of.count(code);
+        }
+        n_runs += head as usize;
+    });
+    postings.start_placing();
+    runs_of.start_placing();
+    last_run.fill(u32::MAX);
+    let mut keys = Vec::with_capacity(n_runs);
+    walk(tables, columns, |p, run, head| {
+        let code = codes[p];
+        postings.place(code, p as u32);
+        if std::mem::replace(&mut last_run[code as usize], run) != run {
+            runs_of.place(code, run);
+        }
+        if head {
+            keys.push((tables[p], columns[p]));
+        }
+    });
+    let index = ColumnIndex {
+        keys,
+        runs_of: runs_of.finish(),
+    };
+    (postings.finish(), index)
+}
+
+/// The dictionary's string → code lookup without a second copy of the
+/// strings: an open-addressing table of codes, at most half full, probed
+/// linearly from the high bits of a multiplicative mix of the string's Fx
+/// hash (`FxHasher::finish` returns the raw state, whose low bits are
+/// weak), each occupied slot compared against `dict`.
+struct CodeTable {
+    slots: Vec<u32>,
+    shift: u32,
+}
+
+impl CodeTable {
+    const EMPTY: u32 = u32::MAX;
+
+    fn build(dict: &[Box<str>]) -> Self {
+        let n_slots = (dict.len() * 2).next_power_of_two().max(2);
+        let mut table = CodeTable {
+            slots: vec![Self::EMPTY; n_slots],
+            shift: 64 - n_slots.trailing_zeros(),
+        };
+        let mask = n_slots - 1;
+        for (code, s) in dict.iter().enumerate() {
+            let mut i = table.home(s);
+            while table.slots[i] != Self::EMPTY {
+                i = (i + 1) & mask;
+            }
+            table.slots[i] = code as u32;
+        }
+        table
+    }
+
+    #[inline]
+    fn home(&self, s: &str) -> usize {
+        (hash_str(s).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Code of `s`: a table at most half full always holds an empty slot,
+    /// so the probe ends.
+    fn get(&self, dict: &[Box<str>], s: &str) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(s);
+        loop {
+            let code = self.slots[i];
+            if code == Self::EMPTY {
+                return None;
+            }
+            if *dict[code as usize] == *s {
+                return Some(code);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
 /// Which predicate a range pass already evaluated (so the compaction
 /// cascade skips it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,8 +474,8 @@ impl FactTable for ColumnStore {
     }
 
     fn postings(&self, value: &str) -> &[u32] {
-        match self.dict_index.get(value) {
-            Some(&code) => &self.postings_by_code[code as usize],
+        match self.code_of_value(value) {
+            Some(code) => self.postings.list(code),
             None => &[],
         }
     }
@@ -245,7 +492,7 @@ impl FactTable for ColumnStore {
         // vanish (they can never match).
         let set: FxHashSet<u32> = values
             .iter()
-            .filter_map(|v| self.dict_index.get(*v).copied())
+            .filter_map(|v| self.code_of_value(v))
             .collect();
         ValueProbe::Codes(set)
     }
@@ -268,11 +515,15 @@ impl FactTable for ColumnStore {
     }
 
     fn code_of_value(&self, value: &str) -> Option<u32> {
-        self.dict_index.get(value).copied()
+        self.dict_index.get(&self.dict, value)
     }
 
     fn value_of_code(&self, code: u32) -> Option<&str> {
         self.dict.get(code as usize).map(|s| &**s)
+    }
+
+    fn column_index(&self) -> Option<&ColumnIndex> {
+        Some(&self.column_index)
     }
 
     fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
@@ -369,33 +620,27 @@ impl FactTable for ColumnStore {
         &self.stats
     }
 
+    /// The capacities held, per component of the layout table on
+    /// [`ColumnStore`].
     fn memory_breakdown(&self) -> MemoryBreakdown {
-        let box_str = std::mem::size_of::<Box<str>>();
-        let dict_strings: usize = self.dict.iter().map(|s| s.len() + box_str).sum();
-        // The dictionary index owns a *second* copy of every distinct
-        // string (keys are cloned on insert) plus hash-bucket overhead —
-        // the payload the pre-kernel estimate missed.
-        let dict_index: usize = self.dict_index.keys().map(|k| k.len() + box_str + 16).sum();
-        let columns = self.codes.len() * (4 + 4 + 4 + 4 + 16 + 1);
-        // Posting vectors are push-grown: their spare capacity is resident
-        // memory too, so charge capacity, not length (the pre-governor
-        // accounting undercounted by the growth slack). The outer Vec's
-        // own slack is charged the same way.
-        let postings: usize = self
-            .postings_by_code
-            .iter()
-            .map(|v| v.capacity() * 4 + std::mem::size_of::<Vec<u32>>())
-            .sum::<usize>()
-            + (self.postings_by_code.capacity() - self.postings_by_code.len())
-                * std::mem::size_of::<Vec<u32>>();
+        let dict_strings = self.dict.capacity() * std::mem::size_of::<Box<str>>()
+            + self.dict.iter().map(|s| s.len()).sum::<usize>();
+        let columns = (self.codes.capacity()
+            + self.tables.capacity()
+            + self.columns.capacity()
+            + self.rows.capacity())
+            * 4
+            + self.superkeys.capacity() * 16
+            + self.quadrants.capacity();
         MemoryBreakdown {
             engine: "Column",
             components: vec![
                 ("dict-strings", dict_strings),
-                ("dict-index", dict_index),
+                ("dict-index", self.dict_index.slots.capacity() * 4),
                 ("columns", columns),
-                ("postings", postings),
-                ("table-ranges", self.ranges.len() * 8),
+                ("postings", self.postings.heap_bytes()),
+                ("column-index", self.column_index.heap_bytes()),
+                ("table-ranges", self.ranges.capacity() * 8),
                 scratch_component(self.len()),
             ],
         }
@@ -406,6 +651,7 @@ impl FactTable for ColumnStore {
 mod tests {
     use super::*;
     use crate::test_support::sample_rows;
+    use proptest::prelude::*;
 
     #[test]
     fn dictionary_deduplicates() {
@@ -488,6 +734,105 @@ mod tests {
         s.filter_range(&kernel, 0, s.len(), &mut sel);
         assert_eq!(&sel[..2], &[7, 8]);
         assert_eq!(sel.len(), 2 + s.len());
+    }
+
+    /// Fact rows over table ids with gaps (`3t`: two ids in three hold no
+    /// cell, and a generated table may have none either), sparse
+    /// `ColumnId`s, and values from a vocabulary of `vocab` — repeated
+    /// inside a column and across columns, and, at the larger sizes, far
+    /// more distinct values than a small code table holds without its
+    /// probes colliding.
+    fn sparse_rows(seed: u64, n_tables: u32, vocab: u64) -> Vec<FactRow> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let mut rows = Vec::new();
+        for t in 0..n_tables {
+            for c in 0..next() % 4 {
+                let column = c as u32 * 1_000 + (next() % 1_000) as u32;
+                for r in 0..next() % 6 {
+                    let value = format!("v{}", next() % vocab);
+                    let quadrant = (next() % 3 == 0).then_some(r % 2 == 0);
+                    rows.push(FactRow::new(&value, 3 * t, column, r as u32, 0, quadrant));
+                }
+            }
+        }
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// CSR postings, the column index and the code table against a
+        /// brute-force reading of the store's own columns, and the memory
+        /// breakdown against the capacities the store holds.
+        #[test]
+        fn indexes_match_brute_force_and_are_charged_exactly(
+            seed in any::<u64>(),
+            n_tables in 0u32..12,
+            vocab in 1u64..300,
+        ) {
+            let s = ColumnStore::build(sparse_rows(seed, n_tables, vocab));
+            let keys: Vec<(u32, u32)> = (0..s.len()).map(|p| (s.table_at(p), s.column_at(p))).collect();
+            // Run ordinal of every position: canonical order, numbered at
+            // each key change.
+            let mut run_of = Vec::with_capacity(keys.len());
+            for p in 0..keys.len() {
+                let run = run_of.last().copied().unwrap_or(0);
+                run_of.push(if p > 0 && keys[p] != keys[p - 1] { run + 1 } else { run });
+            }
+            let index = s.column_index().expect("the column store has a column index");
+            prop_assert_eq!(index.runs(), run_of.last().map_or(0, |&r| r as usize + 1));
+            for code in 0..s.dict_len() as u32 {
+                let value = s.value_of_code(code).expect("dictionary code");
+                prop_assert_eq!(s.code_of_value(value), Some(code));
+                let want: Vec<u32> = (0..s.len() as u32)
+                    .filter(|&p| s.value_at(p as usize) == value)
+                    .collect();
+                prop_assert_eq!(s.postings(value), &want[..]);
+                let mut runs: Vec<u32> = want.iter().map(|&p| run_of[p as usize]).collect();
+                runs.dedup();
+                prop_assert_eq!(index.ordinals(code), &runs[..]);
+                for &p in &want {
+                    prop_assert_eq!(index.key(run_of[p as usize]), keys[p as usize]);
+                }
+            }
+            for absent in ["", "v", "absent", "v-1", &format!("v{vocab}")] {
+                prop_assert_eq!(s.code_of_value(absent), None);
+                prop_assert!(s.postings(absent).is_empty());
+            }
+            prop_assert!(index.ordinals(s.dict_len() as u32).is_empty());
+
+            // Exact capacity: the build leaves no growth slack behind.
+            for (len, cap) in [
+                (s.postings.offsets.len(), s.postings.offsets.capacity()),
+                (s.postings.items.len(), s.postings.items.capacity()),
+                (index.runs_of.offsets.len(), index.runs_of.offsets.capacity()),
+                (index.runs_of.items.len(), index.runs_of.items.capacity()),
+                (index.keys.len(), index.keys.capacity()),
+                (s.dict.len(), s.dict.capacity()),
+            ] {
+                prop_assert_eq!(len, cap);
+            }
+            let (d, n) = (s.dict_len(), s.len());
+            let pairs: usize = (0..d as u32).map(|c| index.ordinals(c).len()).sum();
+            let strings: usize = (0..d as u32).map(|c| s.value_of_code(c).map_or(0, str::len)).sum();
+            let breakdown = s.memory_breakdown();
+            let charged = |name: &str| breakdown.get(name).expect("component");
+            prop_assert_eq!(charged("dict-strings"), 16 * d + strings);
+            prop_assert_eq!(charged("dict-index"), 4 * (2 * d).next_power_of_two().max(2));
+            prop_assert_eq!(charged("columns"), 33 * n);
+            prop_assert_eq!(charged("postings"), 4 * (d + 1) + 4 * n);
+            prop_assert_eq!(
+                charged("column-index"),
+                8 * index.runs() + 4 * (d + 1) + 4 * pairs
+            );
+            prop_assert_eq!(charged("table-ranges"), 8 * s.ranges.len());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `AllTables` fact-table schema and the engine-neutral [`FactTable`]
 //! trait.
 
+use crate::column_store::ColumnIndex;
 use crate::filter::{FilterKernel, ScanScratch, ValuePred};
 use crate::stats::FactStats;
 
@@ -189,6 +190,17 @@ pub trait FactTable: Send + Sync {
     /// The value a dictionary code stands for (`None` for an unknown code,
     /// and on engines without a dictionary).
     fn value_of_code(&self, _code: u32) -> Option<&str> {
+        None
+    }
+
+    /// The value → column index, keyed by the dictionary codes of
+    /// [`code_of_value`](FactTable::code_of_value): per value, the
+    /// (`TableId`, `ColumnId`) runs of canonical order that hold it. It
+    /// answers `COUNT(DISTINCT CellValue) … GROUP BY TableId[, ColumnId]`
+    /// over a value list (the SC and KW seekers) without visiting a cell.
+    /// `None` on engines without one — the row store stays the literal
+    /// relation.
+    fn column_index(&self) -> Option<&ColumnIndex> {
         None
     }
 

@@ -22,6 +22,8 @@
 //! Both engines maintain the two *in-database indexes* the paper creates on
 //! `AllTables` (Section V): an inverted index on `CellValue` (value →
 //! positions) and an index on `TableId` (table → contiguous position range).
+//! The column store adds a value → column index ([`ColumnIndex`]) that the
+//! SC/KW seekers' distinct counts read instead of scanning.
 //! They also expose exact cardinality statistics, which the SQL layer's
 //! access-path chooser uses the way a DBMS optimizer uses its catalog.
 //!
@@ -38,7 +40,7 @@ pub mod filter;
 pub mod row_store;
 pub mod stats;
 
-pub use column_store::ColumnStore;
+pub use column_store::{ColumnIndex, ColumnStore};
 pub use fact::{
     decode_quadrant, FactRow, FactTable, MemoryBreakdown, ValueProbe, QUADRANT_NULL, QUADRANT_ONE,
     QUADRANT_ZERO,

@@ -1,10 +1,13 @@
 //! Cross-path × cross-engine parity: the positional (late-materialization)
 //! executor must be selected for every seeker SQL shape and must produce
 //! byte-identical `ResultSet`s — and identical scan/join telemetry — to the
-//! tuple executor, on both storage engines. The columnar entry
-//! (`execute_columns_interruptible`) turned into rows must be those same
-//! bytes: rows are a view over the flat columns, built in one place.
+//! tuple executor, on both storage engines (SC and KW on the column store
+//! count off its column index and report that instead of a scan). The
+//! columnar entry (`execute_columns_interruptible`) turned into rows must be
+//! those same bytes: rows are a view over the flat columns, built in one
+//! place.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use blend::plan::Seeker;
@@ -12,7 +15,7 @@ use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend::Blend;
 use blend_lake::web::{generate, WebLakeConfig};
 use blend_lake::DataLake;
-use blend_sql::{ExecPath, ResultSet, SqlValue};
+use blend_sql::{ExecPath, ResultSet, ScanReport, SqlValue};
 use blend_storage::EngineKind;
 use proptest::prelude::*;
 
@@ -63,13 +66,61 @@ fn seeker_suite(lake: &DataLake) -> Vec<(&'static str, Seeker)> {
 }
 
 /// The injected-fragment variants the optimizer's rewriter produces.
-fn fragments() -> Vec<(&'static str, String)> {
+fn fragments() -> Vec<(&'static str, Option<Injected>)> {
     vec![
-        ("plain", String::new()),
-        ("in", Injected::In(vec![1, 3, 5, 7, 11, 13]).fragment()),
-        ("not-in", Injected::NotIn(vec![2, 4]).fragment()),
-        ("in-empty", Injected::In(vec![]).fragment()),
+        ("plain", None),
+        ("in", Some(Injected::In(vec![1, 3, 5, 7, 11, 13]))),
+        ("not-in", Some(Injected::NotIn(vec![2, 4]))),
+        ("in-empty", Some(Injected::In(vec![]))),
     ]
+}
+
+fn render(template: &str, injected: &Option<Injected>) -> String {
+    template.replace(
+        TID_PLACEHOLDER,
+        &injected.as_ref().map_or(String::new(), Injected::fragment),
+    )
+}
+
+/// The scan report of the column-index path (`exec_positional`'s
+/// *Column-index grouping*) for an SC/KW query over `values` on the column
+/// store, read off the store by brute force — or `None` where the query
+/// must take the hash path: a table-index drive, or the never-true
+/// fragment of an empty intersection (a residual). Every (value,
+/// (`TableId`, `ColumnId`) run) its postings touch is an entry visited;
+/// the entries whose table the injected set keeps are the entries kept.
+fn column_index_report(
+    blend: &Blend,
+    values: &[String],
+    injected: &Option<Injected>,
+    tuple_scan: &ScanReport,
+) -> Option<ScanReport> {
+    if tuple_scan.access != "value-index" || injected == &Some(Injected::In(vec![])) {
+        return None;
+    }
+    let keeps = |t: u32| match injected {
+        None => true,
+        Some(Injected::In(ids)) => ids.contains(&t),
+        Some(Injected::NotIn(ids)) => !ids.contains(&t),
+    };
+    let fact = blend.fact_table();
+    let (mut scanned, mut emitted) = (0, 0);
+    for v in values.iter().collect::<BTreeSet<_>>() {
+        let mut runs: Vec<(u32, u32)> = fact
+            .postings(v)
+            .iter()
+            .map(|&p| (fact.table_at(p as usize), fact.column_at(p as usize)))
+            .collect();
+        runs.dedup();
+        scanned += runs.len();
+        emitted += runs.iter().filter(|(t, _)| keeps(*t)).count();
+    }
+    Some(ScanReport {
+        access: "column-index".to_string(),
+        scanned,
+        emitted,
+        ..tuple_scan.clone()
+    })
 }
 
 #[test]
@@ -79,8 +130,14 @@ fn positional_path_is_selected_and_identical_for_all_seeker_shapes() {
         let blend = Blend::from_lake(&lake, kind);
         for (label, seeker) in seeker_suite(&lake) {
             let template = seekers::seeker_sql(&seeker, 10, 64);
-            for (frag_label, fragment) in fragments() {
-                let sql = template.replace(TID_PLACEHOLDER, &fragment);
+            let sc_kw_values = match (&seeker, kind) {
+                (Seeker::Sc { values } | Seeker::Kw { keywords: values }, EngineKind::Column) => {
+                    Some(values)
+                }
+                _ => None,
+            };
+            for (frag_label, injected) in fragments() {
+                let sql = render(&template, &injected);
                 let (rs_auto, rep_auto) = blend
                     .engine()
                     .execute_with_report_path(&sql, ExecPath::Auto)
@@ -100,11 +157,19 @@ fn positional_path_is_selected_and_identical_for_all_seeker_shapes() {
                     "{kind:?}/{label}/{frag_label}: executors disagree"
                 );
                 // Telemetry parity: same access paths, visit counts, and
-                // join cardinalities.
-                assert_eq!(
-                    rep_auto.scans, rep_tuple.scans,
-                    "{kind:?}/{label}/{frag_label}"
-                );
+                // join cardinalities — except where SC/KW count off the
+                // column index, whose report is exactly its own.
+                let column = sc_kw_values.and_then(|values| {
+                    column_index_report(&blend, values, &injected, &rep_tuple.scans[0])
+                });
+                // `NOT IN` never drives, so these two always count off it.
+                let drives_by_value = matches!(frag_label, "plain" | "not-in");
+                assert!(column.is_some() || sc_kw_values.is_none() || !drives_by_value);
+                let want_scans = match column {
+                    Some(report) => vec![report],
+                    None => rep_tuple.scans.clone(),
+                };
+                assert_eq!(rep_auto.scans, want_scans, "{kind:?}/{label}/{frag_label}");
                 assert_eq!(
                     rep_auto.joins, rep_tuple.joins,
                     "{kind:?}/{label}/{frag_label}"
@@ -232,8 +297,8 @@ fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
     let mut corpus: Vec<String> = Vec::new();
     for (_, seeker) in seeker_suite(&lake) {
         let template = seekers::seeker_sql(&seeker, 10, 64);
-        for (_, fragment) in fragments() {
-            corpus.push(template.replace(TID_PLACEHOLDER, &fragment));
+        for (_, injected) in fragments() {
+            corpus.push(render(&template, &injected));
         }
     }
     for kind in [EngineKind::Row, EngineKind::Column] {

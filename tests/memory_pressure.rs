@@ -57,7 +57,7 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 
 /// Query mix covering the allocation-heavy phases: scan output, join
 /// build + probe output, and grouped aggregation state. The first (KW)
-/// query groups over its scan's segments, which have no ladder; the join
+/// query counts off the column index, which has no ladder; the join
 /// and the two-key `COUNT(*)` group are the hash-path shapes whose builds
 /// walk it.
 fn queries(vocab: u32) -> Vec<String> {
@@ -507,8 +507,8 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
     let limited = format!("{unlimited} LIMIT 48");
     let n_groups = 52_000;
 
-    let (all, peak_unlimited, result_unlimited) = peak_of(&fact, &unlimited, "segments");
-    let (want, peak_limited, result_limited) = peak_of(&fact, &limited, "segments");
+    let (all, peak_unlimited, result_unlimited) = peak_of(&fact, &unlimited, "columns");
+    let (want, peak_limited, result_limited) = peak_of(&fact, &limited, "columns");
     assert_eq!(all.len(), n_groups);
     assert_eq!(
         want.rows[..],
@@ -548,8 +548,8 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
         "four columns: LIMIT-48 peak {peak_wide_limited} B, all groups {peak_wide} B"
     );
 
-    // The ladder, on the hash path (the segment path has no rung to walk:
-    // `segment_grouping_fails_typed_with_no_partial_result`): from the
+    // The ladder, on the hash path (the column path has no rung to walk:
+    // `column_grouping_fails_typed_with_no_partial_result`): from the
     // full-width footprint down to nothing.
     let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
     for percent in [100usize, 90, 80, 70, 60, 50, 25, 5] {
@@ -581,19 +581,19 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
     );
 }
 
-/// The segment path (SC distinct counts over a value-index drive) runs
-/// sequentially and has no ladder: under a budget sweep it either completes
-/// byte-identical to the unbudgeted run or fails `MemoryExceeded` — at its
-/// own reservation somewhere in the sweep — with no partial result and
-/// nothing left charged.
+/// The column path (SC distinct counts off the column store's column
+/// index) runs sequentially and has no ladder: under a budget sweep it
+/// either completes byte-identical to the unbudgeted run or fails
+/// `MemoryExceeded` — at its own reservation somewhere in the sweep — with
+/// no partial result and nothing left charged.
 #[test]
-fn segment_grouping_fails_typed_with_no_partial_result() {
+fn column_grouping_fails_typed_with_no_partial_result() {
     let (fact, sql) = sc_lake();
     let sql = format!("{sql} LIMIT 48");
-    let (want, peak, _) = peak_of(&fact, &sql, "segments");
-    let (mut ok, mut at_segments) = (0usize, 0usize);
+    let (want, peak, _) = peak_of(&fact, &sql, "columns");
+    let (mut ok, mut at_columns) = (0usize, 0usize);
     for percent in [100usize, 90, 80, 70, 60, 50, 40, 25, 5] {
-        let budget = peak / 100 * percent;
+        let budget = peak * percent / 100;
         let gov = Arc::new(MemoryGovernor::with_budget(budget));
         match budgeted_engine(&fact, &gov).execute(&sql) {
             Ok(rs) => {
@@ -604,7 +604,7 @@ fn segment_grouping_fails_typed_with_no_partial_result() {
                 );
             }
             Err(BlendError::MemoryExceeded(msg)) => {
-                at_segments += usize::from(msg.contains("group_segments"));
+                at_columns += usize::from(msg.contains("group_columns"));
             }
             Err(other) => panic!("budget {budget}: untyped outcome {other}"),
         }
@@ -618,8 +618,8 @@ fn segment_grouping_fails_typed_with_no_partial_result() {
     }
     assert!(ok > 0, "the unbudgeted peak must suffice");
     assert!(
-        at_segments > 0,
-        "no budget failed at the segment path's own reservation"
+        at_columns > 0,
+        "no budget failed at the column path's own reservation"
     );
 }
 

@@ -13,7 +13,7 @@
 //!    group) executed directly through [`SqlEngine`] carries a
 //!    [`QueryProfile`] with the full span tree and non-zero timings, and
 //!    direct calls get exec-time telemetry with zero queue wait. The
-//!    `group` span names the grouping path that ran (`segments` | `hash`)
+//!    `group` span names the grouping path that ran (`columns` | `hash`)
 //!    and covers the whole phase.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -263,10 +263,10 @@ fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
     }
 }
 
-/// The `group` span says which grouping path ran. The SC shape counts over
-/// its scan's segments: `path=segments`, one run per (value, table) here
-/// (each value sits in column 0 of every table), one group per table, and
-/// no hash table recorded. A `COUNT(*)` group takes the hash path, and its
+/// The `group` span says which grouping path ran. The SC shape counts off
+/// the column index: `path=columns`, one entry per (value, table) here
+/// (each value sits in column 0 of every table), one group per table, no
+/// hash table and no scan span. A `COUNT(*)` group takes the hash path, and its
 /// key gathers and packing run inside the `group` span, not as the query's
 /// own time.
 #[test]
@@ -285,10 +285,15 @@ fn group_span_names_its_path_runs_and_groups() {
     let (_, report) = engine.execute_with_report(sc).expect("SC query");
     let profile = report.profile.expect("profile collected");
     let group = profile.find("group").expect("group span");
-    assert_eq!(attr(group, "path"), "segments");
-    assert_eq!(attr(group, "runs"), "24");
+    assert_eq!(attr(group, "path"), "columns");
+    assert_eq!(attr(group, "rows"), "24");
     assert_eq!(attr(group, "groups"), "6");
     assert!(report.hash_tables.is_empty(), "{:?}", report.hash_tables);
+    assert!(
+        profile.find_prefix("scan:").is_none(),
+        "{}",
+        profile.render()
+    );
 
     // 240 000 rows through the hash path: the query's own time (planning,
     // dispatch) stays a sliver of the group span once the gathers and the

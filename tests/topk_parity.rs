@@ -82,16 +82,18 @@ struct Shape {
     group: Group,
 }
 
-/// The grouping path a shape takes (`exec_positional`'s *Segment
+/// The grouping path a shape takes (`exec_positional`'s *Column-index
 /// grouping*): observable as the `group` hash table the hash path records
-/// and the segment path does not.
+/// and the column path does not.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Group {
     /// No GROUP BY at all.
     Ungrouped,
-    Segments,
+    /// The column store's column index; the hash path on the row store.
+    Columns,
     Hash,
-    /// Segments exactly when the planner chose the value-index drive.
+    /// As `Columns` where the planner chose the value-index drive, `Hash`
+    /// where it chose the table index.
     ByDrive,
 }
 
@@ -109,7 +111,7 @@ const SHAPES: &[Shape] = &[
         select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
         order: &["COUNT(DISTINCT CellValue)"],
         from: "FROM AllTables WHERE CellValue IN ('w0','w1','w2') GROUP BY TableId, ColumnId",
-        group: Group::Segments,
+        group: Group::Columns,
     },
     // The KW seeker: the same count per table, over text and numbers.
     Shape {
@@ -117,7 +119,7 @@ const SHAPES: &[Shape] = &[
         select: &["TableId AS t", "COUNT(DISTINCT CellValue) AS score"],
         order: &["COUNT(DISTINCT CellValue)"],
         from: concat!("FROM AllTables WHERE ", sc_values!(), " GROUP BY TableId"),
-        group: Group::Segments,
+        group: Group::Columns,
     },
     // SC with its keys the other way round, both projected.
     Shape {
@@ -133,7 +135,7 @@ const SHAPES: &[Shape] = &[
             sc_values!(),
             " GROUP BY ColumnId, TableId",
         ),
-        group: Group::Segments,
+        group: Group::Columns,
     },
     // SC behind injected table filters: `NOT IN` never drives, `IN` drives
     // only where it is the smaller side.
@@ -146,7 +148,7 @@ const SHAPES: &[Shape] = &[
             sc_values!(),
             " AND TableId NOT IN (1, 4) GROUP BY TableId, ColumnId",
         ),
-        group: Group::Segments,
+        group: Group::Columns,
     },
     Shape {
         label: "sc-table-in",
@@ -159,9 +161,9 @@ const SHAPES: &[Shape] = &[
         ),
         group: Group::ByDrive,
     },
-    // Near misses of the segment path, on the hash path with the same
-    // bytes: a key not run-sorted inside a segment, a second aggregate, a
-    // RowId key, and (mostly) a table-index drive.
+    // Near misses of the column path, on the hash path with the same
+    // bytes: a key that is not a table's run, a second aggregate, a RowId
+    // key, and (mostly) a table-index drive.
     Shape {
         label: "column-key",
         select: &["ColumnId AS c", "COUNT(DISTINCT CellValue) AS score"],
@@ -287,11 +289,13 @@ const SHAPES: &[Shape] = &[
 ];
 
 impl Group {
-    /// The path a run of this shape must have taken, given its report.
-    fn expected(self, report: &QueryReport) -> Group {
+    /// The path a run of this shape must have taken on `kind`, given its
+    /// report.
+    fn expected(self, kind: EngineKind, report: &QueryReport) -> Group {
         match self {
-            Group::ByDrive if report.scans[0].access == "value-index" => Group::Segments,
-            Group::ByDrive => Group::Hash,
+            Group::Columns | Group::ByDrive if kind == EngineKind::Row => Group::Hash,
+            Group::ByDrive if report.scans[0].access == "table-index" => Group::Hash,
+            Group::ByDrive => Group::Columns,
             other => other,
         }
     }
@@ -300,7 +304,7 @@ impl Group {
 /// The grouping path a positional run took, read off its profile (`None`
 /// where profiles are not collected): the `group` span's `path` attr, which
 /// must agree with the hash tables recorded — one for the hash path, none
-/// for the segment path.
+/// for the column path.
 fn group_path(report: &QueryReport) -> Option<Group> {
     let profile = report.profile.as_ref()?;
     let Some(span) = profile.find("group") else {
@@ -309,7 +313,7 @@ fn group_path(report: &QueryReport) -> Option<Group> {
     let hashed = report.hash_tables.iter().any(|h| h.phase == "group");
     Some(
         match span.attr("path").map(ToString::to_string).as_deref() {
-            Some("segments") if !hashed => Group::Segments,
+            Some("columns") if !hashed => Group::Columns,
             Some("hash") if hashed => Group::Hash,
             other => panic!("group span path {other:?}, hash table recorded: {hashed}"),
         },
@@ -432,7 +436,7 @@ proptest! {
                                     if let Some(group) = group_path(&report) {
                                         prop_assert_eq!(
                                             group,
-                                            shape.group.expected(&report),
+                                            shape.group.expected(kind, &report),
                                             "{}: {}", shape.label, sql
                                         );
                                     }
