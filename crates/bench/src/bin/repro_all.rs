@@ -1,5 +1,5 @@
 //! Run every experiment in sequence — the one-shot reproduction driver.
-//! Each section is also available as its own binary (table2..table9,
+//! Each section is also available as its own binary (table2..table8,
 //! fig5..fig7). Scale via BLEND_SCALE.
 fn main() {
     use blend_bench::experiments as e;
@@ -12,7 +12,6 @@ fn main() {
         ("Table VI", e::table6::run(s(0.25))),
         ("Table VII", e::table7::run(s(0.3))),
         ("Table VIII", e::table8::run(s(0.08))),
-        ("Table IX", blend_bench::user_study::render()),
         ("Fig. 5", e::fig5::run(s(0.15), 4)),
         ("Fig. 6", e::fig6::run(s(0.3))),
         ("Fig. 7", e::fig7::run(s(0.15))),

@@ -10,7 +10,6 @@
 pub mod federated;
 pub mod harness;
 pub mod loc;
-pub mod user_study;
 
 pub mod experiments {
     //! One submodule per paper table/figure.

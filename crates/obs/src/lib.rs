@@ -67,7 +67,7 @@
 //! | `BLEND_OBS` | `0`/`off` disables all instrumentation at startup (same as [`set_enabled`]`(false)`). |
 //!
 //! (`BLEND_THREADS`, `BLEND_MAX_CONCURRENT_GRANTS` are read by
-//! `blend-parallel`; `BLEND_FAULTS` by `blend-serve`.)
+//! `blend-parallel`.)
 
 pub mod log;
 pub mod metrics;

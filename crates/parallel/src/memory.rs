@@ -68,8 +68,8 @@
 //!
 //! ## Fault injection
 //!
-//! `BLEND_FAULTS=alloc:fail[@every]` (or
-//! [`MemoryGovernor::set_alloc_fail_every`]) makes every `every`-th
+//! [`MemoryGovernor::set_alloc_fail_every`] (which the serving tier calls
+//! for an `alloc:fail[@every]` fault rule) makes every `every`-th
 //! reservation attempt fail synthetically — reclaim cannot rescue it, so
 //! the storm suite can prove each ladder rung fires without needing a
 //! precisely tuned real budget.
@@ -190,10 +190,9 @@ impl MemoryGovernor {
         MemoryGovernor::with_budget(0)
     }
 
-    /// The process-global governor: budget from `BLEND_MEMORY_BUDGET`,
-    /// alloc-fault rate from any `alloc:fail[@every]` rule in
-    /// `BLEND_FAULTS`. Read once; every `ParallelCtx` built without an
-    /// explicit governor shares this instance.
+    /// The process-global governor, with its budget from
+    /// `BLEND_MEMORY_BUDGET`. Read once; every `ParallelCtx` built without
+    /// an explicit governor shares this instance.
     pub fn global() -> &'static Arc<MemoryGovernor> {
         static GLOBAL: OnceLock<Arc<MemoryGovernor>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -201,11 +200,7 @@ impl MemoryGovernor {
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .unwrap_or(0);
-            let gov = MemoryGovernor::with_budget(budget);
-            if let Some(every) = alloc_fail_every_from_env() {
-                gov.set_alloc_fail_every(every);
-            }
-            Arc::new(gov)
+            Arc::new(MemoryGovernor::with_budget(budget))
         })
     }
 
@@ -527,30 +522,6 @@ pub fn reserve_laddered(
     }))
 }
 
-/// Parse an `alloc:fail[@every]` rule out of `BLEND_FAULTS`, if present.
-/// The full grammar lives in the serving tier's `FaultPlan`; the governor
-/// only recognizes its own site so engine-level tests (no serving tier)
-/// still get injection.
-pub fn alloc_fail_every_from_env() -> Option<usize> {
-    let spec = std::env::var("BLEND_FAULTS").ok()?;
-    alloc_fail_every(&spec)
-}
-
-/// Parse an `alloc:fail[@every]` rule out of a `BLEND_FAULTS`-grammar
-/// spec. Returns the rate (`1` for a bare `alloc:fail`).
-pub fn alloc_fail_every(spec: &str) -> Option<usize> {
-    for rule in spec.split(',').map(str::trim) {
-        if let Some(rest) = rule.strip_prefix("alloc:fail") {
-            return match rest.strip_prefix('@') {
-                Some(n) => n.parse::<usize>().ok().map(|n| n.max(1)),
-                None if rest.is_empty() => Some(1),
-                None => None,
-            };
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,17 +639,5 @@ mod tests {
         assert_eq!(outcomes.iter().filter(|ok| !**ok).count(), 3);
         qm.governor().set_alloc_fail_every(0);
         assert!(qm.try_reserve("scan", 64).is_ok());
-    }
-
-    #[test]
-    fn alloc_fault_grammar_parses() {
-        assert_eq!(alloc_fail_every("alloc:fail"), Some(1));
-        assert_eq!(alloc_fail_every("alloc:fail@7"), Some(7));
-        assert_eq!(
-            alloc_fail_every("dequeue:delay:20@2, alloc:fail@3"),
-            Some(3)
-        );
-        assert_eq!(alloc_fail_every("exec:poison@5"), None);
-        assert_eq!(alloc_fail_every("alloc:fail@x"), None);
     }
 }

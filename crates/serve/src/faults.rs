@@ -28,17 +28,17 @@
 //! (panic at the site; the serving thread catches it and resolves the
 //! ticket with an `Internal` error).
 //!
-//! Plans come from code ([`FaultPlan::with`]) or from the environment
-//! ([`FaultPlan::from_env`], variable `BLEND_FAULTS`). The spec grammar is
-//! comma-separated rules:
+//! Plans are built in code, rule by rule ([`FaultPlan::with`]) or from a
+//! spec string ([`FaultPlan::parse`]). The spec grammar is comma-separated
+//! rules:
 //!
 //! ```text
 //! site:action[:millis][@every]
 //! ```
 //!
-//! e.g. `BLEND_FAULTS="dequeue:delay:20@2,exec:cancel@5,exec:poison@7"`
-//! delays every 2nd dequeue by 20 ms, cancels every 5th request at the
-//! exec site, and poisons every 7th. `@every` defaults to 1 (always).
+//! e.g. `"dequeue:delay:20@2,exec:cancel@5,exec:poison@7"` delays every
+//! 2nd dequeue by 20 ms, cancels every 5th request at the exec site, and
+//! poisons every 7th. `@every` defaults to 1 (always).
 //! The special rule `alloc:fail[@every]` (site [`SITE_ALLOC`]) takes no
 //! millis and injects synthetic memory-reservation failures via the
 //! engine's memory governor instead of firing at a pipeline site.
@@ -127,17 +127,9 @@ impl FaultPlan {
         self
     }
 
-    /// Build a plan from the `BLEND_FAULTS` environment variable. Unset or
-    /// empty means no faults; a malformed spec is an error so typos in CI
-    /// configs fail loudly instead of silently disabling the storm.
-    pub fn from_env() -> Result<FaultPlan> {
-        match std::env::var("BLEND_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec),
-            _ => Ok(FaultPlan::none()),
-        }
-    }
-
-    /// Parse a comma-separated spec: `site:action[:millis][@every]`.
+    /// Parse a comma-separated spec: `site:action[:millis][@every]`. A
+    /// malformed rule is an error, so a typo fails loudly instead of
+    /// silently disabling the faults.
     pub fn parse(spec: &str) -> Result<FaultPlan> {
         let mut plan = FaultPlan::none();
         for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {

@@ -166,8 +166,8 @@
 //! ## Fault injection
 //!
 //! [`faults::FaultPlan`] injects delays, cancellations, and poisoned
-//! (panicking) requests at named serving sites, driven programmatically or
-//! by `BLEND_FAULTS`. Serving threads wrap execution in `catch_unwind`, so
+//! (panicking) requests at named serving sites, built in code or parsed
+//! from a spec string. Serving threads wrap execution in `catch_unwind`, so
 //! a poisoned request resolves its own ticket with `Err(SqlExec)` and the
 //! thread lives on. An `alloc:fail[@every]` rule ([`SITE_ALLOC`]) arms the
 //! memory governor with synthetic reservation failures instead of firing

@@ -41,10 +41,12 @@
 //! [`enabled`] reads `BLEND_SIMD` (`0`/`false`/`off` disable; anything
 //! else, or unset, enables) and caches the verdict. Benches and tests flip
 //! paths in-process via [`force`], which overrides the environment without
-//! touching it — mirroring `blend_obs::set_enabled`. Kernels never
-//! dispatch per element: callers check once per batch (the wrappers here
-//! do exactly that), so the scalar path costs one predictable branch per
-//! batch, not per row.
+//! touching it — mirroring `blend_obs::set_enabled`. Only kernels read
+//! [`enabled`] — the wrappers here and the batched hash of
+//! `blend_sql::hashtable::JoinKey::hash_block`; executors never branch on
+//! it, so both paths run the same operator loops and differ only inside a
+//! kernel. Kernels never dispatch per element: they check once per batch,
+//! so the scalar path costs one predictable branch per batch, not per row.
 //!
 //! # Scalar-oracle contract
 //!

@@ -147,9 +147,8 @@ pub enum ResultColumn {
     /// An integer fact column (`TableId`, `ColumnId`, `RowId`), or a group
     /// key over one.
     Key(Vec<u32>),
-    /// `COUNT(*)`, `COUNT(DISTINCT CellValue)`, `MIN`/`MAX` of an integer
-    /// fact column: row counts and u32 values, all far below 2^53, so
-    /// integer comparison agrees with [`SqlValue::order_cmp`] (which
+    /// `COUNT(*)`, `COUNT(DISTINCT CellValue)`: row counts, far below 2^53,
+    /// so integer comparison agrees with [`SqlValue::order_cmp`] (which
     /// compares numerics as `f64`). Also an all-integer column of the tuple
     /// executor.
     Int(Vec<i64>),

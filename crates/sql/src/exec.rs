@@ -130,9 +130,10 @@ pub struct QueryReport {
     /// End-to-end serving telemetry (queue wait is 0 for direct calls).
     pub serving: Option<ServingStats>,
     /// The unified `EXPLAIN ANALYZE` span tree for this query: scan, join
-    /// build/probe, group, global-agg, sort, project and materialize phases
-    /// with wall nanos and attributes, rooted at the engine's `query` span. `None` when
-    /// instrumentation is disabled ([`blend_obs::set_enabled`]).
+    /// build/probe, group (`group.global` without keys), sort, project and
+    /// materialize phases with wall nanos and attributes, rooted at the
+    /// engine's `query` span. `None` when instrumentation is disabled
+    /// ([`blend_obs::set_enabled`]).
     pub profile: Option<blend_obs::Profile>,
 }
 
@@ -353,9 +354,8 @@ fn execute_tuple(
 /// The tuple executor's query tail: evaluate the projection and order keys
 /// over every input tuple, then hand the decorated rows to
 /// [`finish_decorated`]. The positional executor selects over flat columns
-/// instead (see `exec_positional`), and uses this only for the single row
-/// of a global aggregate.
-pub(crate) fn project_sort_limit(
+/// instead (see `exec_positional`).
+fn project_sort_limit(
     plan: &QueryPlan,
     tuples: &[Tuple],
     report: &mut QueryReport,
@@ -719,63 +719,6 @@ impl AggState {
                     *n += 1;
                 }
             }
-        }
-    }
-
-    /// Fold the state of a later input chunk into this one. Chunk merging
-    /// is exact for counting, distinct, and min/max states and for
-    /// integer-valued sums (integer partial sums are exact in f64, so
-    /// regrouping additions cannot change the result); the positional
-    /// executor's *global* (ungrouped) aggregation is its only remaining
-    /// chunk-merge path and takes it only when every aggregate satisfies
-    /// one of those (see `PosAggSpec::merge_exact`) — keyed grouping
-    /// radix-partitions by key instead, which needs no merge at all.
-    ///
-    /// Tie semantics for MIN/MAX match sequential first-seen: `other` holds
-    /// strictly later rows, so it replaces `self` only on a strict win.
-    pub(crate) fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
-            (
-                AggState::Sum { acc, all_int, seen },
-                AggState::Sum {
-                    acc: acc2,
-                    all_int: all_int2,
-                    seen: seen2,
-                },
-            ) => {
-                *acc += acc2;
-                *all_int &= all_int2;
-                *seen |= seen2;
-            }
-            (AggState::Min(cur), AggState::Min(other)) => {
-                if let Some(v) = other {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.order_cmp(c).is_lt(),
-                    };
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(cur), AggState::Max(other)) => {
-                if let Some(v) = other {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.order_cmp(c).is_gt(),
-                    };
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Avg { sum, n }, AggState::Avg { sum: sum2, n: n2 }) => {
-                *sum += sum2;
-                *n += n2;
-            }
-            _ => unreachable!("partition states built from the same plan"),
         }
     }
 

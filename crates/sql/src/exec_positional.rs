@@ -80,9 +80,16 @@
 //!   (open addressing, linear probing) assigns dense group ids in
 //!   first-seen order; aggregates then run column-at-a-time over
 //!   `(row, group id)` pairs into flat vectors — counts in `Vec<i64>`,
-//!   min/max in `Vec<u32>`, and `COUNT(DISTINCT ...)` by radix-grouping
-//!   the gathered code column by group id and sort-uniquing each group's
-//!   contiguous run.
+//!   `COUNT(DISTINCT ...)` by radix-grouping the gathered code column by
+//!   group id and sort-uniquing each group's contiguous run, and every
+//!   other aggregate (SUM, AVG, MIN, MAX) in the tuple executor's
+//!   [`AggState`]. A global (ungrouped) aggregate is the zero-key case:
+//!   one group, which exists even over zero input rows.
+//!
+//! Both loops hash a [`PROBE_BLOCK`] of keys at a time through
+//! [`JoinKey::hash_block`] and prefetch the block's destinations before
+//! walking them. Only the hash kernel looks at SIMD dispatch; the loops
+//! run the same way on either path.
 //!
 //! Each build records [`HashTableStats`] (build nanos, bucket count, max
 //! chain, radix partition count) in [`QueryReport::hash_tables`].
@@ -132,13 +139,14 @@
 //! The SC and KW seekers are `GROUP BY … ORDER BY score DESC LIMIT k` over
 //! tens of thousands of groups. The grouping phase's output is
 //! `GroupCols`: first-seen rows, key columns (`Vec<u32>`) and aggregate
-//! columns (`Vec<i64>` for counts, distinct counts and fact-column
-//! MIN/MAX; `Vec<SqlValue>` only for generic aggregates) — no tuple per
-//! group. `finish_groups` orders group *ordinals* with the one selection
-//! routine both executors share ([`exec::select_top`]: `select_nth_unstable`
-//! then a sort of the k survivors; a full sort without LIMIT), comparing
-//! plain key and aggregate references as integers straight off the
-//! columns, and evaluates the projection for the survivors only. The
+//! columns (`Vec<i64>` for counts and distinct counts, `Vec<SqlValue>` for
+//! the rest) — no tuple per group. `finish_groups` orders group *ordinals*
+//! with the one selection routine both executors share
+//! ([`exec::select_top`]: `select_nth_unstable` then a sort of the k
+//! survivors; a full sort without LIMIT), comparing plain key and
+//! aggregate references straight off the columns (as integers where they
+//! are counts or keys), and evaluates the projection for the survivors
+//! only. The
 //! comparator is the tuple tail's (order keys, then projected values) and
 //! ends with the group's first-seen row, which makes it total: the result
 //! is what a stable sort of all groups followed by a truncate returned,
@@ -173,9 +181,9 @@
 //!   parallel bit-identically). Under a LIMIT every partition then selects
 //!   its own top-k on the pool, so at most k groups per partition reach the
 //!   merge; the first-seen row as last sort key reproduces the sequential
-//!   order among them (without a LIMIT, among all groups). Only *global*
-//!   (ungrouped) aggregation still chunk-merges, gated on exactly-merging
-//!   aggregates (see `PosAggSpec::merge_exact`).
+//!   order among them (without a LIMIT, among all groups). A global
+//!   (zero-key) aggregate has one group to own, so it groups on the
+//!   query's thread and nothing ever merges aggregate state.
 //!
 //! With `threads == 1` (`BLEND_THREADS=1`), inputs under the morsel
 //! threshold, or the machine-wide admission budget exhausted by other
@@ -379,20 +387,6 @@ impl PExpr {
     fn eval_predicate(&self, tables: &[&dyn FactTable], base: usize, row: &[u32]) -> bool {
         self.eval(tables, base, row).truthy()
     }
-
-    /// Conservatively true when evaluation can only yield `Int` or `Null`.
-    /// This is the condition under which partitioned f64 summation is
-    /// exact: integer-valued partial sums (below 2^53) are exact in f64
-    /// and their addition is associative, so regrouping across workers
-    /// cannot change a SUM/AVG result.
-    fn integer_valued(&self) -> bool {
-        match self {
-            PExpr::Int(..) | PExpr::Quadrant(_) | PExpr::CastInt(_) => true,
-            PExpr::Const(v) => matches!(v, SqlValue::Int(_) | SqlValue::Null),
-            PExpr::Abs(e) => e.integer_valued(),
-            _ => false,
-        }
-    }
 }
 
 /// Compile a tuple expression into a positional one. `base` is the global
@@ -473,38 +467,13 @@ enum PosAggSpec<'p> {
     /// `COUNT(DISTINCT CellValue)` over a leaf — sort-uniques dictionary
     /// codes (column store) or dense string ids (row store).
     DistinctValue { leaf: usize },
-    /// `MIN(<integer fact column>)` — folds into a flat integer vector.
-    MinCol { leaf: usize, col: IntCol },
-    /// `MAX(<integer fact column>)` — folds into a flat integer vector.
-    MaxCol { leaf: usize, col: IntCol },
-    /// Anything else: evaluate the argument positionally and fold it into
-    /// the tuple executor's [`AggState`].
+    /// Anything else (SUM, AVG, MIN, MAX, `COUNT(x)`): evaluate the
+    /// argument positionally and fold it into the tuple executor's
+    /// [`AggState`].
     Generic {
         plan: &'p AggPlan,
         arg: Option<PExpr>,
     },
-}
-
-impl PosAggSpec<'_> {
-    /// True when per-chunk accumulation followed by a chunk-order merge is
-    /// bit-identical to sequential accumulation: counting, distinct, and
-    /// min/max states always are; SUM/AVG only when the argument is
-    /// provably integer-valued (float addition is not associative). Only
-    /// the *global* (ungrouped) parallel path needs this — keyed grouping
-    /// radix-partitions rows by key, so every group's state sees the exact
-    /// sequential update sequence and no merge happens at all.
-    fn merge_exact(&self) -> bool {
-        match self {
-            PosAggSpec::CountStar
-            | PosAggSpec::DistinctValue { .. }
-            | PosAggSpec::MinCol { .. }
-            | PosAggSpec::MaxCol { .. } => true,
-            PosAggSpec::Generic { plan, arg } => match plan.func {
-                AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
-                AggFunc::Sum | AggFunc::Avg => arg.as_ref().is_some_and(PExpr::integer_valued),
-            },
-        }
-    }
 }
 
 /// Grouping stage shape.
@@ -655,17 +624,6 @@ fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec<'p
                 leaf: i / FACT_WIDTH,
             })
         }
-        // MIN/MAX straight over an integer fact column fold into flat
-        // integer vectors (DISTINCT is irrelevant to min/max but kept on the
-        // generic path for byte-identical state handling).
-        (AggFunc::Min | AggFunc::Max, false, Some(e)) => Some(match compile_pexpr(e, 0, leaves)? {
-            PExpr::Int(leaf, col) if plan.func == AggFunc::Min => PosAggSpec::MinCol { leaf, col },
-            PExpr::Int(leaf, col) => PosAggSpec::MaxCol { leaf, col },
-            other => PosAggSpec::Generic {
-                plan,
-                arg: Some(other),
-            },
-        }),
         (_, _, arg) => {
             let arg = match arg {
                 Some(e) => Some(compile_pexpr(e, 0, leaves)?),
@@ -1442,8 +1400,6 @@ fn join_flat<K: JoinKey>(
         Some(grant) => {
             // Radix-partition build rows by the low hash bits; each partition's
             // row list is ascending, so per-key match runs stay ascending.
-            // `hash_all` runs the batched 8-lane mixers on the vector path and
-            // the per-key loop otherwise — identical values either way.
             let hashes: Vec<u64> = K::hash_all(build_keys, "join_build_hashes")?;
             let parts: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
             let rp = radix_partition(&parts, n_parts)?;
@@ -1485,45 +1441,36 @@ fn join_flat<K: JoinKey>(
     });
 
     let stride = build.stride + probe.stride;
-    // Probe rows are consumed in [`PROBE_BLOCK`]-row blocks. On the vector
-    // path each block's keys go through the batched 8-lane mixers and the
-    // destination buckets are prefetched (heads first, then the entry runs
-    // the heads name) before any row walks its chain, so `matches_hashed`
-    // mostly hits cache. The scalar path hashes the same block one key at a
-    // time and skips the prefetch — the oracle shape. Blocking never
-    // reorders anything: rows are still probed front to back, so the output
-    // runs are byte-identical on both paths.
+    // Probe rows are consumed in [`PROBE_BLOCK`]-row blocks: each block's
+    // keys are hashed by [`JoinKey::hash_block`] and the destination
+    // buckets are prefetched (heads first, then the entry runs the heads
+    // name) before any row walks its chain, so `matches_hashed` mostly hits
+    // cache. Blocking never reorders anything: rows are still probed front
+    // to back.
     let probe_chunk = |range: std::ops::Range<usize>| -> (Vec<u32>, usize) {
         let mut out: Vec<u32> = Vec::new();
         let mut joined: Vec<u32> = vec![0; stride];
         let mut n_out = 0usize;
-        let vector = blend_simd::enabled();
         let mut hash_buf = [0u64; PROBE_BLOCK];
         let mut start = range.start;
         'blocks: while start < range.end {
             let end = (start + PROBE_BLOCK).min(range.end);
             let keys = &probe_keys[start..end];
             let hashes = &mut hash_buf[..keys.len()];
-            if vector {
-                K::hash_block(keys, hashes);
-                if n_parts == 1 {
-                    let flat = &flat_tables[0];
-                    for &h in hashes.iter() {
-                        flat.prefetch(h);
-                    }
-                    for &h in hashes.iter() {
-                        flat.prefetch_entries(h);
-                    }
-                } else {
-                    // Partitioned tables are small; pulling just the bucket
-                    // heads ahead of the walk is the win here.
-                    for &h in hashes.iter() {
-                        flat_tables[(h & pmask) as usize].prefetch(h);
-                    }
+            K::hash_block(keys, hashes);
+            if n_parts == 1 {
+                let flat = &flat_tables[0];
+                for &h in hashes.iter() {
+                    flat.prefetch(h);
+                }
+                for &h in hashes.iter() {
+                    flat.prefetch_entries(h);
                 }
             } else {
-                for (o, k) in hashes.iter_mut().zip(keys) {
-                    *o = k.hash64();
+                // Partitioned tables are small; pulling just the bucket
+                // heads ahead of the walk is the win here.
+                for &h in hashes.iter() {
+                    flat_tables[(h & pmask) as usize].prefetch(h);
                 }
             }
             for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
@@ -1598,8 +1545,6 @@ enum SpecData {
     /// Distinct via strings (row store): the leaf's storage positions per
     /// batch row; dense string ids are assigned per partition.
     Positions(Vec<u32>),
-    /// `MinCol`/`MaxCol` argument column, indexed by batch row.
-    Ints(Vec<u32>),
 }
 
 /// GROUP BY output as flat columns, one entry per group: the batch row that
@@ -1805,11 +1750,6 @@ impl<'a> GroupInput<'a> {
                 PosAggSpec::DistinctValue { leaf } => {
                     SpecData::Positions(cache.positions(*leaf).to_vec())
                 }
-                PosAggSpec::MinCol { leaf, col } | PosAggSpec::MaxCol { leaf, col } => {
-                    let mut vals = Vec::with_capacity(n_rows);
-                    col.gather(tables[*leaf], cache.positions(*leaf), &mut vals);
-                    SpecData::Ints(vals)
-                }
                 _ => SpecData::None,
             })
             .collect();
@@ -1818,7 +1758,7 @@ impl<'a> GroupInput<'a> {
                 .iter()
                 .map(|d| match d {
                     SpecData::None => 0,
-                    SpecData::Codes(v) | SpecData::Positions(v) | SpecData::Ints(v) => v.len() * 4,
+                    SpecData::Codes(v) | SpecData::Positions(v) => v.len() * 4,
                 })
                 .sum::<usize>();
         Ok(GroupInput {
@@ -1835,18 +1775,21 @@ impl<'a> GroupInput<'a> {
 /// Positional GROUP BY on the hash path (a [`column_grouped`] plan never
 /// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns) or
 /// a `u128` (3–4 columns, the C shape); a flat [`GroupIndex`] assigns dense
-/// group ids in first-seen order and aggregates accumulate
+/// group ids in first-seen order and [`aggregate`] accumulates
 /// column-at-a-time into struct-of-arrays state, which is also the phase's
 /// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
 /// projects.
 ///
-/// Large keyed inputs on the hash path radix-partition rows by key hash so
-/// each pool worker owns its groups outright — per-group update order is
-/// exactly the sequential ascending row order (no merge, no exactness
-/// gate), and ordering finished groups by first-seen row recovers the
-/// sequential output order. Global (ungrouped) aggregation chunk-merges
-/// instead, gated on exactly-merging aggregates
-/// ([`PosAggSpec::merge_exact`]).
+/// Large keyed inputs radix-partition rows by key hash so each pool worker
+/// owns its groups outright — per-group update order is exactly the
+/// sequential ascending row order (no merge), and ordering finished groups
+/// by first-seen row recovers the sequential output order.
+///
+/// A global (ungrouped) aggregate is the zero-key case: one group, which
+/// exists even over zero input rows, and group id 0 for every row. It needs
+/// no index, so it groups on the query's thread without an admission
+/// request and records no [`HashTableStats`]; its span is `group.global`,
+/// as on the tuple executor.
 ///
 /// The `group` span covers the whole phase, gathers and key packing
 /// included; its `path` attr says `hash`.
@@ -1860,25 +1803,27 @@ fn exec_group(
 ) -> Result<ResultColumns> {
     par.check_interrupt()?;
     let n_rows = batch.len();
-    if shape.keys.is_empty() {
-        let span = blend_obs::span("group.global");
-        span.attr_u64("rows", n_rows as u64);
-        let row = group_global(&GroupInput::gather(shape, batch, tables, par)?, report, par)?;
-        drop(span);
-        return exec::project_sort_limit(plan, &[row], report).map(ResultColumns::from);
-    }
-
-    let span = blend_obs::span("group");
+    let global = shape.keys.is_empty();
+    let span = blend_obs::span(if global { "group.global" } else { "group" });
     span.attr_u64("rows", n_rows as u64);
-    span.attr_str("path", "hash");
+    if !global {
+        span.attr_str("path", "hash");
+    }
     // The gathered input columns (and their reservations) live for the
     // grouping phase only; selection and projection run without them.
     let input = GroupInput::gather(shape, batch, tables, par)?;
     // Monomorphize on packed key width.
-    let (parts, grant) = if shape.keys.len() <= 2 {
-        group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?
-    } else {
-        group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?
+    let (parts, grant) = match shape.keys.len() {
+        0 => {
+            // The gid column, reserved like the keyed path's.
+            let _gid_mem = par.memory().try_reserve("group_build", n_rows * 4)?;
+            let row_gids = blend_common::try_zeroed_vec(n_rows, "group_row_gids")?;
+            let groups = aggregate(&input, None, vec![0], &row_gids)?;
+            par.check_interrupt()?;
+            (vec![groups], None)
+        }
+        1 | 2 => group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?,
+        _ => group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?,
     };
     drop(input);
     span.attr_u64(
@@ -2039,7 +1984,7 @@ fn group_keyed<K: JoinKey>(
         .map(|g| g.narrowed(group_width));
 
     let partitions: Vec<Result<GroupedPartition>> = match &grant {
-        None => vec![group_partition(packed, None, None, input, intr)],
+        None => vec![group_partition(packed, None, input, intr)],
         Some(grant) => {
             // Radix-partition rows by key hash (low bits): each worker owns
             // its groups outright, and within a partition rows keep
@@ -2050,7 +1995,7 @@ fn group_keyed<K: JoinKey>(
             let part_of: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
             let rp = radix_partition(&part_of, n_parts)?;
             let run = grant.pool().run(n_parts, |p| {
-                group_partition(packed, Some(&hashes), Some(rp.part(p)), input, intr)
+                group_partition(packed, Some((&hashes, rp.part(p))), input, intr)
             });
             report.parallel.push(ParallelPhase {
                 phase: "group".to_string(),
@@ -2087,17 +2032,82 @@ fn group_keyed<K: JoinKey>(
 /// max probe length (telemetry).
 type GroupedPartition = (GroupCols, usize, usize);
 
-/// Group one partition's rows (`None` = all rows): assign dense group ids
-/// through a flat [`GroupIndex`], then run one column-at-a-time
-/// accumulation pass per aggregate into struct-of-arrays state. Returns
-/// one [`GroupedPartition`] in first-seen order.
+/// Group one partition's rows: assign dense group ids through a flat
+/// [`GroupIndex`], then [`aggregate`]. `part` is the radix pass's per-row
+/// hashes and this partition's ascending rows; `None` groups every row and
+/// hashes them here. Returns one [`GroupedPartition`] in first-seen order.
 fn group_partition<K: JoinKey>(
     packed: &[K],
-    hashes: Option<&[u64]>,
-    rows: Option<&[u32]>,
+    part: Option<(&[u64], &[u32])>,
     input: &GroupInput<'_>,
     intr: &Interrupt,
 ) -> Result<GroupedPartition> {
+    let rows = part.map(|(_, rows)| rows);
+    let part_n = rows.map_or(packed.len(), <[u32]>::len);
+
+    // Dense group ids in first-seen order + first row per group. Rows
+    // upsert in [`PROBE_BLOCK`]-row blocks: each block's hashes come from
+    // [`JoinKey::hash_block`] (or the radix pass, which already hashed
+    // every key to pick partitions), and the destination slots are
+    // prefetched before any upsert runs, so the open-addressing walk mostly
+    // hits cache. Insert order — and with it gid assignment and first-seen
+    // rows — is untouched: rows still upsert front to back.
+    let mut index: GroupIndex<K> = GroupIndex::with_capacity((part_n / 4).min(1 << 16))?;
+    let mut first_rows: Vec<u32> = Vec::new();
+    let mut row_gids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "group_row_gids")?;
+    let mut hash_buf = [0u64; PROBE_BLOCK];
+    for start in (0..part_n).step_by(PROBE_BLOCK) {
+        let end = (start + PROBE_BLOCK).min(part_n);
+        let hashes = &mut hash_buf[..end - start];
+        match part {
+            Some((all, rows)) => {
+                for (h, &r) in hashes.iter_mut().zip(&rows[start..end]) {
+                    *h = all[r as usize];
+                }
+            }
+            None => K::hash_block(&packed[start..end], hashes),
+        }
+        // Only worth priming once the table has outgrown cache. An upsert
+        // below may grow the table mid-block, turning the rest of the
+        // block's prefetches stale — merely useless, never wrong.
+        if index.slot_count() >= PREFETCH_MIN_SLOTS {
+            for &h in hashes.iter() {
+                index.prefetch_slot(h);
+            }
+        }
+        for (idx, &h) in (start..end).zip(hashes.iter()) {
+            // Cooperative bail: an interrupted partition returns no groups;
+            // the caller's post-run check discards every partial.
+            if poll_every(idx) && intr.is_set() {
+                return Ok((GroupCols::default(), 0, 0));
+            }
+            let i = rows.map_or(idx, |r| r[idx] as usize);
+            let before = index.len();
+            let gid = index.insert_or_get_hashed(packed[i], h)?;
+            if index.len() != before {
+                first_rows.push(i as u32);
+            }
+            row_gids.push(gid);
+        }
+    }
+    if intr.is_set() {
+        return Ok((GroupCols::default(), 0, 0));
+    }
+    let groups = aggregate(input, rows, first_rows, &row_gids)?;
+    Ok((groups, index.slot_count(), index.max_probe()))
+}
+
+/// Accumulate each aggregate column-at-a-time into a flat vector indexed
+/// by group id — the output column itself for the counts — behind the key
+/// columns read at each group's first-seen row. `row_gids[idx]` is the
+/// group id of batch row `rows[idx]` (`rows` = `None`: of row `idx`);
+/// `first_rows[g]` is the batch row that opened group `g`.
+fn aggregate(
+    input: &GroupInput<'_>,
+    rows: Option<&[u32]>,
+    first_rows: Vec<u32>,
+    row_gids: &[u32],
+) -> Result<GroupCols> {
     let GroupInput {
         shape,
         batch,
@@ -2106,92 +2116,9 @@ fn group_partition<K: JoinKey>(
         spec_data,
         ..
     } = input;
-    let part_n = rows.map_or(packed.len(), <[u32]>::len);
-    let row_at = |idx: usize| -> usize {
-        match rows {
-            Some(r) => r[idx] as usize,
-            None => idx,
-        }
-    };
-
-    // Pass 1: dense group ids in first-seen order + first row per group.
-    // Rows upsert in [`PROBE_BLOCK`]-row blocks: the vector path hashes
-    // each block through the batched mixers (or gathers the radix pass's
-    // precomputed hashes) and prefetches the destination slots before any
-    // upsert runs, so the open-addressing walk mostly hits cache. Insert
-    // order — and with it gid assignment and first-seen rows — is
-    // untouched: rows still upsert front to back.
-    let mut index: GroupIndex<K> = GroupIndex::with_capacity((part_n / 4).min(1 << 16))?;
-    let mut first_rows: Vec<u32> = Vec::new();
-    let mut row_gids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "group_row_gids")?;
-    let vector = blend_simd::enabled();
-    let mut hash_buf = [0u64; PROBE_BLOCK];
-    let mut key_buf: Vec<K> = Vec::with_capacity(if vector { PROBE_BLOCK } else { 0 });
-    let mut start = 0usize;
-    while start < part_n {
-        let end = (start + PROBE_BLOCK).min(part_n);
-        let bl = end - start;
-        if vector {
-            // The radix path already hashed every key to pick partitions;
-            // gather those instead of paying a second hash per row.
-            match hashes {
-                Some(h) => {
-                    for (j, hb) in hash_buf[..bl].iter_mut().enumerate() {
-                        *hb = h[row_at(start + j)];
-                    }
-                }
-                None => {
-                    key_buf.clear();
-                    key_buf.extend((start..end).map(|idx| packed[row_at(idx)]));
-                    K::hash_block(&key_buf, &mut hash_buf[..bl]);
-                }
-            }
-            // Only worth priming once the table has outgrown cache. An
-            // upsert below may grow the table mid-block, turning the rest
-            // of the block's prefetches stale — merely useless, never
-            // wrong.
-            if index.slot_count() >= PREFETCH_MIN_SLOTS {
-                for &h in &hash_buf[..bl] {
-                    index.prefetch_slot(h);
-                }
-            }
-        }
-        for (j, &hb) in hash_buf[..bl].iter().enumerate() {
-            let idx = start + j;
-            // Cooperative bail: an interrupted partition returns no groups;
-            // the caller's post-run check discards every partial.
-            if poll_every(idx) && intr.is_set() {
-                return Ok((GroupCols::default(), 0, 0));
-            }
-            let i = row_at(idx);
-            let before = index.len();
-            // Three hash sources, same values: the block buffer (vector,
-            // where stage 1 above filled it), the radix pass's precomputed
-            // array, or `insert_or_get`'s own per-key hash (scalar
-            // sequential).
-            let gid = if vector {
-                index.insert_or_get_hashed(packed[i], hb)?
-            } else {
-                match hashes {
-                    Some(h) => index.insert_or_get_hashed(packed[i], h[i])?,
-                    None => index.insert_or_get(packed[i])?,
-                }
-            };
-            if index.len() != before {
-                first_rows.push(i as u32);
-            }
-            row_gids.push(gid);
-        }
-        start = end;
-    }
-    let n_groups = index.len();
-    if intr.is_set() {
-        return Ok((GroupCols::default(), 0, 0));
-    }
-
-    // Pass 2: accumulate each aggregate column-at-a-time into a flat
-    // vector indexed by group id — the output column itself for the
-    // integer aggregates. Distinct specs share one gid-grouping CSR.
+    let n_groups = first_rows.len();
+    let row_at = |idx: usize| rows.map_or(idx, |r| r[idx] as usize);
+    // Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
     // Key values read at each group's first-seen row, then the aggregates.
     let mut cols: Vec<ResultColumn> = key_cols
@@ -2202,7 +2129,7 @@ fn group_partition<K: JoinKey>(
         cols.push(match (spec, data) {
             (PosAggSpec::CountStar, _) => {
                 let mut counts = vec![0i64; n_groups];
-                for &g in &row_gids {
+                for &g in row_gids {
                     counts[g as usize] += 1;
                 }
                 ResultColumn::Int(counts)
@@ -2210,7 +2137,7 @@ fn group_partition<K: JoinKey>(
             (PosAggSpec::DistinctValue { .. }, SpecData::Codes(codes)) => {
                 let csr = match &mut gid_csr {
                     Some(c) => c,
-                    none => none.insert(radix_partition(&row_gids, n_groups)?),
+                    none => none.insert(radix_partition(row_gids, n_groups)?),
                 };
                 ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
             }
@@ -2219,7 +2146,7 @@ fn group_partition<K: JoinKey>(
                 // Ids are bijective with distinct strings within the
                 // partition, so sort-unique over ids counts strings.
                 let mut ids: FxHashMap<&str, u32> = FxHashMap::default();
-                let str_ids: Vec<u32> = (0..part_n)
+                let str_ids: Vec<u32> = (0..row_gids.len())
                     .map(|idx| {
                         let s = tables[*leaf].value_at(positions[row_at(idx)] as usize);
                         let next = ids.len() as u32;
@@ -2228,27 +2155,9 @@ fn group_partition<K: JoinKey>(
                     .collect();
                 let csr = match &mut gid_csr {
                     Some(c) => c,
-                    none => none.insert(radix_partition(&row_gids, n_groups)?),
+                    none => none.insert(radix_partition(row_gids, n_groups)?),
                 };
                 ResultColumn::Int(distinct_counts(csr, n_groups, |idx| str_ids[idx]))
-            }
-            // Every group holds at least one row, so the MIN/MAX seeds
-            // never survive.
-            (PosAggSpec::MinCol { .. }, SpecData::Ints(col)) => {
-                let mut mins = vec![i64::MAX; n_groups];
-                for (idx, &g) in row_gids.iter().enumerate() {
-                    let m = &mut mins[g as usize];
-                    *m = (*m).min(col[row_at(idx)] as i64);
-                }
-                ResultColumn::Int(mins)
-            }
-            (PosAggSpec::MaxCol { .. }, SpecData::Ints(col)) => {
-                let mut maxs = vec![0i64; n_groups];
-                for (idx, &g) in row_gids.iter().enumerate() {
-                    let m = &mut maxs[g as usize];
-                    *m = (*m).max(col[row_at(idx)] as i64);
-                }
-                ResultColumn::Int(maxs)
             }
             (PosAggSpec::Generic { plan, arg }, _) => {
                 let mut states: Vec<AggState> =
@@ -2262,9 +2171,7 @@ fn group_partition<K: JoinKey>(
             _ => return Err(lockstep_error()),
         });
     }
-
-    let groups = GroupCols { first_rows, cols };
-    Ok((groups, index.slot_count(), index.max_probe()))
+    Ok(GroupCols { first_rows, cols })
 }
 
 /// `COUNT(DISTINCT ...)` over pre-gathered u32 codes: the code column is
@@ -2295,189 +2202,13 @@ fn distinct_counts(
         .collect()
 }
 
-/// Per-chunk accumulator of the global (ungrouped) aggregation path — flat
-/// scalars instead of per-group maps. Distinct codes collect raw u32s and
-/// sort-dedup once at finish (cheap, cache-friendly); distinct strings
-/// keep an incremental set so duplicate-heavy row-store data never buffers
-/// one `&str` per row. Both merge exactly in any chunk order (count-only,
-/// order-free).
-enum GlobalAccum<'a> {
-    Count(i64),
-    /// Raw dictionary codes, deduplicated at finish.
-    Codes(Vec<u32>),
-    /// Distinct borrowed cell values.
-    Strs(FxHashSet<&'a str>),
-    Min(Option<u32>),
-    Max(Option<u32>),
-    State(AggState),
-}
-
-impl<'a> GlobalAccum<'a> {
-    /// Fold a later chunk's accumulator into this one. Chunks merge in
-    /// chunk order, so `other` always covers strictly later rows.
-    fn merge(&mut self, other: GlobalAccum<'a>) -> Result<()> {
-        match (self, other) {
-            (GlobalAccum::Count(a), GlobalAccum::Count(b)) => *a += b,
-            (GlobalAccum::Codes(a), GlobalAccum::Codes(b)) => a.extend(b),
-            (GlobalAccum::Strs(a), GlobalAccum::Strs(b)) => a.extend(b),
-            (GlobalAccum::Min(a), GlobalAccum::Min(b)) => {
-                if let Some(v) = b {
-                    if a.is_none_or(|cur| v < cur) {
-                        *a = Some(v);
-                    }
-                }
-            }
-            (GlobalAccum::Max(a), GlobalAccum::Max(b)) => {
-                if let Some(v) = b {
-                    if a.is_none_or(|cur| v > cur) {
-                        *a = Some(v);
-                    }
-                }
-            }
-            (GlobalAccum::State(a), GlobalAccum::State(b)) => a.merge(b),
-            _ => return Err(lockstep_error()),
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> SqlValue {
-        match self {
-            GlobalAccum::Count(n) => SqlValue::Int(n),
-            GlobalAccum::Codes(mut codes) => {
-                codes.sort_unstable();
-                codes.dedup();
-                SqlValue::Int(codes.len() as i64)
-            }
-            GlobalAccum::Strs(strs) => SqlValue::Int(strs.len() as i64),
-            GlobalAccum::Min(v) | GlobalAccum::Max(v) => {
-                v.map_or(SqlValue::Null, |x| SqlValue::Int(x as i64))
-            }
-            GlobalAccum::State(state) => state.finish(),
-        }
-    }
-}
-
-/// An aggregate, its accumulator and its gathered input column disagree —
-/// they are built from one spec list, so this is an executor bug, reported
-/// typed instead of panicking.
+/// An aggregate and its gathered input column disagree — both are built
+/// from one spec list, so this is an executor bug, reported typed instead
+/// of panicking.
 fn lockstep_error() -> BlendError {
     BlendError::SqlExec(
         "positional GROUP BY: aggregate and its gathered input column disagree".into(),
     )
-}
-
-/// Global (ungrouped) aggregation: exactly one output row, even over zero
-/// input rows. Parallelizes by contiguous row chunks merged in chunk order
-/// when every aggregate merges exactly (see [`PosAggSpec::merge_exact`]).
-fn group_global<'a>(
-    input: &GroupInput<'a>,
-    report: &mut QueryReport,
-    par: &ParallelCtx,
-) -> Result<Tuple> {
-    let GroupInput {
-        shape,
-        batch,
-        tables,
-        spec_data,
-        ..
-    } = input;
-    let intr = par.interrupt();
-    let n_rows = batch.len();
-    let accum_chunk = |range: std::ops::Range<usize>| -> Result<Vec<GlobalAccum<'a>>> {
-        let mut acc: Vec<GlobalAccum<'a>> = shape
-            .aggs
-            .iter()
-            .zip(spec_data)
-            .map(|(spec, data)| match (spec, data) {
-                (PosAggSpec::CountStar, _) => GlobalAccum::Count(0),
-                (PosAggSpec::DistinctValue { .. }, SpecData::Codes(_)) => {
-                    GlobalAccum::Codes(Vec::new())
-                }
-                (PosAggSpec::DistinctValue { .. }, _) => GlobalAccum::Strs(FxHashSet::default()),
-                (PosAggSpec::MinCol { .. }, _) => GlobalAccum::Min(None),
-                (PosAggSpec::MaxCol { .. }, _) => GlobalAccum::Max(None),
-                (PosAggSpec::Generic { plan, .. }, _) => GlobalAccum::State(AggState::new(plan)),
-            })
-            .collect();
-        for i in range {
-            if poll_every(i) && intr.is_set() {
-                break;
-            }
-            for ((a, spec), data) in acc.iter_mut().zip(&shape.aggs).zip(spec_data) {
-                match (a, spec, data) {
-                    (GlobalAccum::Count(n), ..) => *n += 1,
-                    (GlobalAccum::Codes(codes), _, SpecData::Codes(col)) => codes.push(col[i]),
-                    (
-                        GlobalAccum::Strs(strs),
-                        PosAggSpec::DistinctValue { leaf },
-                        SpecData::Positions(positions),
-                    ) => {
-                        strs.insert(tables[*leaf].value_at(positions[i] as usize));
-                    }
-                    (GlobalAccum::Min(m), _, SpecData::Ints(col)) => {
-                        let v = col[i];
-                        if m.is_none_or(|cur| v < cur) {
-                            *m = Some(v);
-                        }
-                    }
-                    (GlobalAccum::Max(m), _, SpecData::Ints(col)) => {
-                        let v = col[i];
-                        if m.is_none_or(|cur| v > cur) {
-                            *m = Some(v);
-                        }
-                    }
-                    (GlobalAccum::State(state), PosAggSpec::Generic { arg, .. }, _) => {
-                        state.update_value(arg.as_ref().map(|e| e.eval(tables, 0, batch.row(i))));
-                    }
-                    _ => return Err(lockstep_error()),
-                }
-            }
-        }
-        Ok(acc)
-    };
-
-    // Chunk-merging is only exact for the merge-exact aggregate set, so
-    // admission is consulted only when the result cannot depend on it.
-    let grant = shape
-        .aggs
-        .iter()
-        .all(PosAggSpec::merge_exact)
-        .then(|| par.admit(n_rows))
-        .flatten();
-    let acc: Vec<GlobalAccum<'a>> = if let Some(grant) = grant {
-        let chunks = split_even(n_rows, grant.granted());
-        if chunks.len() > 1 {
-            let run = grant
-                .pool()
-                .run(chunks.len(), |ci| accum_chunk(chunks[ci].clone()));
-            report.parallel.push(ParallelPhase {
-                phase: "group".to_string(),
-                partitions: chunks.len(),
-                granted: grant.granted(),
-                worker_nanos: run.worker_nanos,
-            });
-            let mut acc: Option<Vec<GlobalAccum<'a>>> = None;
-            for later in run.results {
-                let later = later?;
-                match &mut acc {
-                    None => acc = Some(later),
-                    Some(acc) => {
-                        for (dst, src) in acc.iter_mut().zip(later) {
-                            dst.merge(src)?;
-                        }
-                    }
-                }
-            }
-            acc.ok_or_else(|| BlendError::SqlExec("global aggregate ran no chunk".into()))?
-        } else {
-            accum_chunk(0..n_rows)?
-        }
-    } else {
-        accum_chunk(0..n_rows)?
-    };
-    par.check_interrupt()?;
-
-    Ok(acc.into_iter().map(GlobalAccum::finish).collect())
 }
 
 #[cfg(test)]
@@ -2579,6 +2310,11 @@ mod tests {
         }
     }
 
+    /// A global aggregate is the zero-key GROUP BY: one group, which exists
+    /// even over an empty drive, grouped on the query's thread with no
+    /// group hash table — on both engines, sequentially and on a forced
+    /// pool, with the tuple executor's bytes (NULL for SUM, AVG, MIN and
+    /// MAX over nothing).
     #[test]
     fn global_aggregate_emits_one_row_even_when_empty() {
         let eng = engine(EngineKind::Column);
@@ -2589,6 +2325,44 @@ mod tests {
         assert_eq!(path, "positional");
         assert_eq!(a, b);
         assert_eq!(a.i64(0, "n"), Some(0));
+
+        let select = "SELECT COUNT(*) AS n, COUNT(DISTINCT CellValue) AS d, SUM(RowId) AS s, \
+                      SUM(RowId / 2) AS h, AVG(RowId) AS a, MIN(RowId) AS lo, \
+                      MAX(TableId) AS hi FROM AllTables";
+        let empty = format!("{select} WHERE CellValue IN ('no-such-value')");
+        let cases = [
+            (empty.clone(), 1),
+            (format!("{select} WHERE CellValue IN ('k0','k2','10')"), 1),
+            (
+                format!("{select} WHERE CellValue IN ('k0','k2') ORDER BY n DESC LIMIT 0"),
+                0,
+            ),
+        ];
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+                for (sql, rows) in &cases {
+                    let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+                    assert_eq!(rep.path, "positional", "{kind:?}: {sql}");
+                    assert_eq!(got.len(), *rows, "{kind:?}: {sql}");
+                    assert!(rep.hash_tables.is_empty(), "{kind:?}: {sql}");
+                    assert!(rep.parallel.iter().all(|p| p.phase != "group"));
+                    let (want, _) = eng
+                        .execute_with_report_path(sql, ExecPath::TupleOnly)
+                        .unwrap();
+                    assert_eq!(
+                        format!("{:?}", got.rows),
+                        format!("{:?}", want.rows),
+                        "{kind:?}: {sql}"
+                    );
+                }
+            }
+            let (rs, _) = engine(kind)
+                .execute_with_report_path(&empty, ExecPath::Auto)
+                .unwrap();
+            assert_eq!(rs.i64(0, "n"), Some(0));
+            assert_eq!(rs.i64(0, "d"), Some(0));
+            assert!(rs.rows[0][2..].iter().all(SqlValue::is_null), "{kind:?}");
+        }
     }
 
     #[test]
@@ -2706,9 +2480,9 @@ mod tests {
 
     #[test]
     fn global_float_sums_fall_back_to_sequential_grouping() {
-        // The *global* path still chunk-merges, where float addition order
-        // would change — it must refuse non-integer SUMs (results still
-        // correct via the sequential loop).
+        // A global aggregate has a single group, so there is nothing to
+        // partition: it groups on the query's thread, and its one f64 sum
+        // accumulates in sequential row order.
         let eng = forced_parallel_engine(EngineKind::Column, 4);
         let sql = "SELECT SUM(RowId / 2) AS s FROM AllTables";
         let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();

@@ -15,8 +15,8 @@
 //! * [`GroupIndex`] — an open-addressing table mapping packed keys to
 //!   **dense group ids** (assigned in first-seen order), so aggregate
 //!   state lives in plain struct-of-arrays vectors indexed by group id —
-//!   counts in `Vec<i64>`, min/max in `Vec<u32>`, distinct counts via
-//!   per-group sort-unique — instead of one boxed state per map entry.
+//!   counts in `Vec<i64>`, distinct counts via per-group sort-unique —
+//!   instead of one boxed state per map entry.
 //!
 //! Keys are 1–2 u32 columns packed into a `u64` or 3–4 columns packed into
 //! a `u128`; the [`JoinKey`] trait abstracts the per-width hash
@@ -40,11 +40,14 @@ pub trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
     /// must be uniform.
     fn hash64(self) -> u64;
 
-    /// Hash a block of keys into `out` (`out.len() == keys.len()`). The
-    /// per-width impls run [`MIX_LANES`] keys per call through the batched
-    /// mixers on the vector path; the default (and the scalar path) is the
-    /// per-key loop. Values are identical either way — the batched mixers
-    /// are exact stage-by-stage restatements of `hash64`.
+    /// Hash a block of keys into `out` (`out.len() == keys.len()`): the one
+    /// hash source of the executor's join probe and group upsert loops,
+    /// which call it on either SIMD dispatch path. This kernel is where
+    /// dispatch is decided: the per-width impls run [`MIX_LANES`] keys per
+    /// call through the batched mixers on the vector path; the default (and
+    /// the scalar path) is the per-key loop. Values are identical either
+    /// way — the batched mixers are exact stage-by-stage restatements of
+    /// `hash64`.
     fn hash_block(keys: &[Self], out: &mut [u64]) {
         debug_assert_eq!(keys.len(), out.len());
         for (o, &k) in out.iter_mut().zip(keys) {

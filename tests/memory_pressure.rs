@@ -328,8 +328,7 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
 
     let gov = Arc::new(MemoryGovernor::unbounded());
     let engine = budgeted_engine(&fact, &gov);
-    // The env grammar round-trips: CI arms the same storm with
-    // BLEND_FAULTS=alloc:fail@7.
+    // The spec grammar and the rate the queue arms the governor with agree.
     let faults = FaultPlan::parse("alloc:fail@7").unwrap();
     assert_eq!(faults.alloc_fail_every(), Some(7));
     let queue = Arc::new(ServeQueue::new(

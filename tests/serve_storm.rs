@@ -261,8 +261,8 @@ fn storm_with_injected_faults_stays_live() {
     storm_once("faults", faults, true);
 }
 
-/// The fault plan itself round-trips through the env grammar, so the CI
-/// storm (`BLEND_FAULTS=...`) runs exactly what this test runs.
+/// The fault plan parsed from its spec grammar drives the same storm as
+/// the plan built rule by rule above.
 #[test]
 fn fault_plan_env_grammar_matches_programmatic_plan() {
     let parsed = FaultPlan::parse("dequeue:delay:5@3,exec:cancel@7,exec:poison@11").unwrap();
