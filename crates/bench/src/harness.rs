@@ -1,17 +1,61 @@
-//! Shared experiment plumbing: scaling, timing, and text-table rendering.
+//! Shared experiment plumbing: the section list and its arguments, timing,
+//! and text-table rendering.
 
 use std::time::{Duration, Instant};
 
-/// Experiment scale factor from `BLEND_SCALE` (default `default`).
-///
-/// 1.0 approximates the paper's scaled-down laptop setting; the defaults
-/// per experiment are chosen so `repro_all` finishes in minutes.
-pub fn scale_from_env(default: f64) -> f64 {
-    std::env::var("BLEND_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
-        .unwrap_or(default)
+use crate::experiments as e;
+
+/// One section of the paper's evaluation: (command-line name, heading,
+/// default scale, experiment). 1.0 approximates the paper's scaled-down
+/// laptop setting; the defaults are chosen so all ten finish in minutes.
+pub type Section = (&'static str, &'static str, f64, fn(f64) -> String);
+
+/// The ten sections, in the paper's order. Table IV evaluates 25 plans per
+/// seeker family, Table V 40 queries, and Fig. 5 four queries per size.
+pub static SECTIONS: [Section; 10] = [
+    ("table2", "Table II", 0.1, e::table2::run),
+    ("table3", "Table III", 0.1, e::table3::run),
+    ("table4", "Table IV", 0.08, |s| e::table4::run(s, 25)),
+    ("table5", "Table V", 0.05, |s| e::table5::run(s, 40)),
+    ("table6", "Table VI", 0.25, e::table6::run),
+    ("table7", "Table VII", 0.3, e::table7::run),
+    ("table8", "Table VIII", 0.08, e::table8::run),
+    ("fig5", "Fig. 5", 0.15, |s| e::fig5::run(s, 4)),
+    ("fig6", "Fig. 6", 0.3, e::fig6::run),
+    ("fig7", "Fig. 7", 0.15, e::fig7::run),
+];
+
+/// Parse `repro_all [--scale S] [SECTION…]` into the sections to run, in
+/// the paper's order, each with its scale: `S` when given, its default
+/// otherwise. Naming no section runs all ten.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<Vec<(&'static Section, f64)>, String> {
+    let mut scale = None;
+    let mut chosen: Vec<&str> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--scale" {
+            let v = args.next().ok_or("--scale needs a value")?;
+            match v.parse::<f64>() {
+                Ok(s) if s.is_finite() && s > 0.0 => scale = Some(s),
+                _ => return Err(format!("--scale must be a positive number, not `{v}`")),
+            }
+        } else if let Some(section) = SECTIONS.iter().find(|s| s.0 == arg) {
+            chosen.push(section.0);
+        } else {
+            let valid: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
+            return Err(format!(
+                "unknown section `{arg}`; valid: {}",
+                valid.join(", ")
+            ));
+        }
+    }
+    Ok(SECTIONS
+        .iter()
+        .filter(|s| chosen.is_empty() || chosen.contains(&s.0))
+        .map(|s| (s, scale.unwrap_or(s.2)))
+        .collect())
 }
 
 /// Accumulates durations and reports mean/total.
@@ -176,9 +220,39 @@ mod tests {
         assert_eq!(pct(0.614), "61.4%");
     }
 
+    fn parse(args: &[&str]) -> Result<Vec<(&'static str, f64)>, String> {
+        let picked = parse_args(args.iter().map(|a| a.to_string()))?;
+        Ok(picked.into_iter().map(|(s, scale)| (s.0, scale)).collect())
+    }
+
     #[test]
-    fn scale_default_when_unset() {
-        std::env::remove_var("BLEND_SCALE");
-        assert_eq!(scale_from_env(0.25), 0.25);
+    fn no_arguments_run_every_section_at_its_default() {
+        let want: Vec<(&str, f64)> = SECTIONS.iter().map(|s| (s.0, s.2)).collect();
+        assert_eq!(want.len(), 10);
+        assert_eq!(parse(&[]).unwrap(), want);
+    }
+
+    #[test]
+    fn scale_applies_to_the_named_sections_in_paper_order() {
+        let picked = parse(&["--scale", "0.02", "fig5", "table4"]).unwrap();
+        assert_eq!(picked, vec![("table4", 0.02), ("fig5", 0.02)]);
+    }
+
+    #[test]
+    fn unknown_section_lists_the_valid_names() {
+        let err = parse(&["table9"]).unwrap_err();
+        assert!(err.contains("table9"), "{err}");
+        for (name, ..) in &SECTIONS {
+            assert!(err.contains(name), "{err} lacks {name}");
+        }
+    }
+
+    #[test]
+    fn scale_must_be_a_positive_number() {
+        for bad in ["0", "-1", "abc"] {
+            let err = parse(&["--scale", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        assert!(parse(&["--scale"]).is_err());
     }
 }

@@ -1,11 +1,12 @@
 //! Experiment harness for the BLEND reproduction.
 //!
-//! One module (and one binary) per table/figure of the paper's evaluation
-//! section, plus `repro_all`, which runs them all. Every experiment accepts
-//! a scale factor from the `BLEND_SCALE` environment variable so the same
-//! harness runs as a quick smoke test or a longer, more faithful sweep.
-//! Performance claims about the engine itself come from the repository's
-//! benchmark (`benchmark/`, `BENCHMARK.json`), not from this crate.
+//! One module per table/figure of the paper's evaluation section, run by
+//! the one binary `repro_all [--scale S] [SECTION…]`: every section, or
+//! only the named ones (`table2` … `table8`, `fig5` … `fig7`), each at its
+//! default scale or at `S`, so the same harness runs as a quick smoke test
+//! or a longer, more faithful sweep. Performance claims about the engine
+//! itself come from the repository's benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not from this crate.
 
 pub mod federated;
 pub mod harness;
@@ -25,4 +26,4 @@ pub mod experiments {
     pub mod table8;
 }
 
-pub use harness::{scale_from_env, Timer};
+pub use harness::{parse_args, Section, Timer, SECTIONS};

@@ -21,8 +21,8 @@
 //! * [`ground_truth`] — brute-force oracles shared by the quality
 //!   experiments.
 //!
-//! Everything is deterministic under a seed; experiment binaries expose the
-//! seed and a scale factor (`BLEND_SCALE`).
+//! Everything is deterministic under a seed and a scale factor (`repro_all
+//! --scale`).
 
 pub mod corr_bench;
 pub mod ground_truth;

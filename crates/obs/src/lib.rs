@@ -12,8 +12,7 @@
 //!   The record path is lock-free (sharded atomics; no allocation, no
 //!   mutex); locks exist only at registration and snapshot time.
 //!   Snapshots export as Prometheus text ([`MetricsRegistry::render_prometheus`])
-//!   or JSON ([`MetricsRegistry::render_json`]), and [`dump_if_enabled`]
-//!   writes one to stderr when `BLEND_METRICS` is set.
+//!   or JSON ([`MetricsRegistry::render_json`]).
 //! * **Spans** ([`span`](mod@span)) — RAII wall-clock spans
 //!   (`obs::span("join.build")`) collected per thread into a tree while a
 //!   trace is active. The SQL engine opens a trace per query; executors
@@ -21,9 +20,8 @@
 //! * **Profiles** ([`profile`]) — the span tree of one query rendered as
 //!   an `EXPLAIN ANALYZE`-style [`Profile`] that rides
 //!   `QueryReport::profile`, with a human-readable tree printer.
-//! * **Logging** ([`log`](mod@log)) — `blend_obs::warn!`/`info!` macros,
-//!   filtered by `BLEND_LOG` (`error|warn|info|debug`, default `warn`),
-//!   replacing bare `eprintln!` diagnostics.
+//! * **Logging** ([`log`](mod@log)) — the `blend_obs::warn!` macro, one
+//!   tagged line to stderr, replacing bare `eprintln!` diagnostics.
 //!
 //! ## Naming conventions
 //!
@@ -46,6 +44,7 @@
 //!
 //! Instrumentation must never become the bottleneck it is meant to find:
 //!
+//! * Enabled is the default; [`set_enabled`] switches it at runtime.
 //! * Disabled ([`set_enabled`]`(false)`): every record path is one
 //!   relaxed atomic load and a branch; spans return an inert guard.
 //! * Enabled: counters/histograms are one relaxed `fetch_add` on a
@@ -57,17 +56,6 @@
 //! traced run and reports the enabled/disabled ratio as
 //! `obs.overhead_ratio`, so a regression in this contract shows up there
 //! rather than silently taxing every query.
-//!
-//! ## Environment variables
-//!
-//! | Variable | Effect |
-//! |---|---|
-//! | `BLEND_METRICS` | unset/`0`/`off`: no dump. `json`: [`dump_if_enabled`] writes the JSON snapshot to stderr. Any other value: Prometheus text. |
-//! | `BLEND_LOG` | Max log level for the facade: `error`, `warn` (default), `info`, `debug`, or `off`. |
-//! | `BLEND_OBS` | `0`/`off` disables all instrumentation at startup (same as [`set_enabled`]`(false)`). |
-//!
-//! (`BLEND_THREADS`, `BLEND_MAX_CONCURRENT_GRANTS` are read by
-//! `blend-parallel`.)
 
 pub mod log;
 pub mod metrics;
@@ -81,28 +69,14 @@ pub use profile::{AttrValue, Profile, ProfileNode};
 pub use span::{span, span_owned, trace_begin, SpanGuard, Trace};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: OnceLock<()> = OnceLock::new();
-
-fn init_from_env() {
-    ENV_INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var("BLEND_OBS") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "false" {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-    });
-}
 
 /// Whether instrumentation (metrics + spans) records anything.
 ///
 /// One relaxed atomic load — this is the whole disabled-mode cost.
 #[inline]
 pub fn enabled() -> bool {
-    init_from_env();
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -111,30 +85,7 @@ pub fn enabled() -> bool {
 /// Used by the bench harness to A/B the overhead contract; production
 /// code leaves it enabled (the default).
 pub fn set_enabled(on: bool) {
-    init_from_env();
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Dump a metrics snapshot to stderr if `BLEND_METRICS` asks for one.
-///
-/// `json` selects [`MetricsRegistry::render_json`]; any other non-off
-/// value selects [`MetricsRegistry::render_prometheus`]. Called by the
-/// bench harness mains after their workload completes; tests and
-/// long-running servers can call it at any quiesce point.
-pub fn dump_if_enabled() {
-    let Ok(v) = std::env::var("BLEND_METRICS") else {
-        return;
-    };
-    let v = v.trim().to_ascii_lowercase();
-    if v.is_empty() || v == "0" || v == "off" || v == "false" {
-        return;
-    }
-    let out = if v == "json" {
-        registry().render_json()
-    } else {
-        registry().render_prometheus()
-    };
-    eprintln!("{out}");
 }
 
 #[cfg(test)]

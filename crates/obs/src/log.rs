@@ -1,140 +1,14 @@
-//! Leveled logging facade replacing bare `eprintln!` diagnostics.
+//! The workspace's one log macro, replacing bare `eprintln!` diagnostics.
 //!
-//! Usage: `blend_obs::warn!("worker {} exited early", id)`. The max
-//! level comes from `BLEND_LOG` (`off`, `error`, `warn`, `info`,
-//! `debug`; default `warn`), parsed once per process. The macros check
-//! the level *before* formatting, so a filtered-out call costs one
-//! atomic load.
+//! `blend_obs::warn!("worker {} exited early", id)` writes one line,
+//! `[WARN module::path] message`, to stderr. It has no level filter: the
+//! workspace logs only conditions someone should read (a worker pool that
+//! did not shut down cleanly, a malformed setting).
 
-use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Log severity, ordered from most to least severe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Level {
-    Error = 1,
-    Warn = 2,
-    Info = 3,
-    Debug = 4,
-}
-
-impl Level {
-    fn tag(self) -> &'static str {
-        match self {
-            Level::Error => "ERROR",
-            Level::Warn => "WARN",
-            Level::Info => "INFO",
-            Level::Debug => "DEBUG",
-        }
-    }
-}
-
-/// 0 = off; otherwise the numeric value of the max enabled [`Level`].
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
-static LEVEL_INIT: OnceLock<()> = OnceLock::new();
-
-fn parse_level(s: &str) -> u8 {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "off" | "none" | "0" => 0,
-        "error" => Level::Error as u8,
-        "info" => Level::Info as u8,
-        "debug" | "trace" => Level::Debug as u8,
-        _ => Level::Warn as u8,
-    }
-}
-
-fn init_level() {
-    LEVEL_INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var("BLEND_LOG") {
-            MAX_LEVEL.store(parse_level(&v), Ordering::Relaxed);
-        }
-    });
-}
-
-/// Whether `level` would currently be emitted.
-#[inline]
-pub fn log_enabled(level: Level) -> bool {
-    init_level();
-    level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
-}
-
-/// Override the max level at runtime (tests; normally `BLEND_LOG`).
-pub fn set_max_level(level: Option<Level>) {
-    init_level();
-    MAX_LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
-}
-
-/// Emit one line to stderr: `[WARN module::path] message`. Called by the
-/// macros after their level check.
-pub fn log_emit(level: Level, module: &str, args: fmt::Arguments<'_>) {
-    eprintln!("[{} {}] {}", level.tag(), module, args);
-}
-
-/// Log at [`Level::Error`].
-#[macro_export]
-macro_rules! error {
-    ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::log::Level::Error) {
-            $crate::log::log_emit($crate::log::Level::Error, module_path!(), format_args!($($arg)*));
-        }
-    };
-}
-
-/// Log at [`Level::Warn`].
+/// Write a warning line to stderr, tagged with the calling module.
 #[macro_export]
 macro_rules! warn {
     ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::log::Level::Warn) {
-            $crate::log::log_emit($crate::log::Level::Warn, module_path!(), format_args!($($arg)*));
-        }
+        eprintln!("[WARN {}] {}", module_path!(), format_args!($($arg)*))
     };
-}
-
-/// Log at [`Level::Info`].
-#[macro_export]
-macro_rules! info {
-    ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::log::Level::Info) {
-            $crate::log::log_emit($crate::log::Level::Info, module_path!(), format_args!($($arg)*));
-        }
-    };
-}
-
-/// Log at [`Level::Debug`].
-#[macro_export]
-macro_rules! debug {
-    ($($arg:tt)*) => {
-        if $crate::log::log_enabled($crate::log::Level::Debug) {
-            $crate::log::log_emit($crate::log::Level::Debug, module_path!(), format_args!($($arg)*));
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn level_grammar() {
-        assert_eq!(parse_level("off"), 0);
-        assert_eq!(parse_level("ERROR"), Level::Error as u8);
-        assert_eq!(parse_level("warn"), Level::Warn as u8);
-        assert_eq!(parse_level("Info"), Level::Info as u8);
-        assert_eq!(parse_level("debug"), Level::Debug as u8);
-        assert_eq!(parse_level("garbage"), Level::Warn as u8);
-    }
-
-    #[test]
-    fn filtering_respects_max_level() {
-        set_max_level(Some(Level::Warn));
-        assert!(log_enabled(Level::Error));
-        assert!(log_enabled(Level::Warn));
-        assert!(!log_enabled(Level::Info));
-        set_max_level(None);
-        assert!(!log_enabled(Level::Error));
-        set_max_level(Some(Level::Warn));
-        crate::warn!("macro compiles and formats {} args", 1);
-    }
 }

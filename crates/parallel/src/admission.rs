@@ -53,14 +53,9 @@ fn admission_metrics() -> &'static AdmissionMetrics {
     })
 }
 
-/// Environment variable overriding the process-wide admission budget (the
-/// maximum number of concurrently granted helper-worker tokens). Defaults
-/// to `threads - 1` of the shared context, i.e. the whole pool.
-pub const GRANTS_ENV: &str = "BLEND_MAX_CONCURRENT_GRANTS";
-
 /// A token-bucket admission controller. Cheap to share (`Arc`); one
-/// instance per thread budget — the process-shared context owns one sized
-/// from the environment, tests build their own to force contention.
+/// instance per thread budget — the process-shared context owns one of
+/// `threads - 1` tokens, tests build their own to force contention.
 #[derive(Debug)]
 pub struct Admission {
     budget: usize,

@@ -4,14 +4,11 @@ use std::sync::{Arc, OnceLock};
 
 use blend_common::Result;
 
-use crate::admission::{Admission, AdmissionGrant, GRANTS_ENV};
+use crate::admission::{Admission, AdmissionGrant};
 use crate::cancel::Interrupt;
 use crate::memory::{MemoryGovernor, QueryMemory};
 use crate::pool::WorkerPool;
-
-/// Environment variable overriding the worker thread count (`1` forces the
-/// sequential fallback everywhere).
-pub const THREADS_ENV: &str = "BLEND_THREADS";
+use crate::settings;
 
 /// Default minimum number of input items before a phase goes parallel.
 /// Below this, fan-out bookkeeping dwarfs the work.
@@ -93,26 +90,17 @@ impl ParallelCtx {
     }
 
     /// Context from the environment, backed by the **process-global**
-    /// persistent pool: thread budget from `BLEND_THREADS` (clamped to at
-    /// least 1) or the machine's available parallelism, admission budget
-    /// from `BLEND_MAX_CONCURRENT_GRANTS` or `threads - 1`. Calling this
-    /// many times never spawns more than one pool.
-    ///
-    /// The process-global **admission budget is fixed by the first call**
-    /// (while the global pool itself grows to the widest handle that asks):
-    /// set the environment variables before constructing any engine.
-    /// Changing them mid-process affects new handles' thread *widths* but
-    /// not the shared token budget — embedders that need a different
-    /// budget per context should build isolated ones via
+    /// persistent pool: thread budget from `BLEND_THREADS` (see
+    /// [`settings`], read once per process) and an
+    /// admission budget of `threads - 1`, the whole pool. Calling this many
+    /// times never spawns more than one pool. Embedders that need a
+    /// different budget build isolated contexts via
     /// [`with_admission`](ParallelCtx::with_admission).
     fn from_env() -> Self {
-        let threads = env_usize(THREADS_ENV)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1);
-        let budget = env_usize(GRANTS_ENV).unwrap_or(threads - 1);
+        let (threads, _) = settings::from_env();
         ParallelCtx {
             pool: WorkerPool::shared(threads),
-            admission: global_admission(budget),
+            admission: global_admission(threads - 1),
             min_parallel: DEFAULT_MIN_PARALLEL,
             morsel_len: DEFAULT_MORSEL_LEN,
             interrupt: Interrupt::never(),
@@ -269,12 +257,6 @@ impl PhaseGrant {
             grant: self.grant,
         }
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
 }
 
 /// The process-global admission controller paired with the global pool.

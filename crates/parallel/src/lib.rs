@@ -32,9 +32,9 @@
 //!
 //! With one pool serving N concurrent queries, the scarce resource is
 //! worker time. [`Admission`] holds a machine-wide budget of helper-worker
-//! tokens (`BLEND_MAX_CONCURRENT_GRANTS`, default `threads - 1`); every
-//! parallel phase asks [`ParallelCtx::admit`] for a [`PhaseGrant`] before
-//! fanning out and releases it when the phase ends. Under load a phase
+//! tokens (`threads - 1` on the shared context); every parallel phase asks
+//! [`ParallelCtx::admit`] for a [`PhaseGrant`] before fanning out and
+//! releases it when the phase ends. Under load a phase
 //! receives fewer workers than it wanted — down to `None`, the sequential
 //! fallback on the query's own thread — so heavy traffic *degrades
 //! gracefully* instead of oversubscribing: total thread pressure is
@@ -72,8 +72,9 @@
 //! ## Memory governance
 //!
 //! The same graceful-degradation posture applies to bytes: a process-wide
-//! [`MemoryGovernor`] (`BLEND_MEMORY_BUDGET`, unset = unbounded) hands out
-//! hierarchical RAII [`MemoryReservation`]s — query scope
+//! [`MemoryGovernor`] (`BLEND_MEMORY_BUDGET` from [`settings`], unset =
+//! unbounded) hands out hierarchical RAII [`MemoryReservation`]s — query
+//! scope
 //! ([`QueryMemory`], threaded through [`ParallelCtx::with_query_memory`]
 //! exactly like interrupts) → operator reservations at every
 //! allocation-heavy site. On reservation failure the system walks a
@@ -138,6 +139,8 @@
 //!   partition) and [`partition_count`](radix::partition_count) (the
 //!   worker-count → radix-fanout policy), used by the flat join/group
 //!   operators.
+//! * [`settings`] — `BLEND_THREADS` and `BLEND_MEMORY_BUDGET`, the only
+//!   environment the workspace reads, parsed in one function.
 
 pub mod admission;
 pub mod cancel;
@@ -146,14 +149,16 @@ pub mod memory;
 pub mod morsel;
 pub mod pool;
 pub mod radix;
+pub mod settings;
 
-pub use admission::{Admission, AdmissionGrant, GRANTS_ENV};
+pub use admission::{Admission, AdmissionGrant};
 pub use cancel::{CancellationToken, Deadline, Interrupt};
-pub use ctx::{ParallelCtx, PhaseGrant, THREADS_ENV};
+pub use ctx::{ParallelCtx, PhaseGrant};
 pub use memory::{
     reserve_laddered, GovernorStats, LadderRung, MemoryGovernor, MemoryReclaimer,
-    MemoryReservation, QueryMemory, MEMORY_ENV,
+    MemoryReservation, QueryMemory,
 };
 pub use morsel::{balanced_chunks, morselize, split_even, Morsel};
 pub use pool::{PoolRun, WorkerPool};
 pub use radix::{partition_count, radix_partition, radix_scratch_bytes, RadixPartitions};
+pub use settings::{MEMORY_ENV, THREADS_ENV};

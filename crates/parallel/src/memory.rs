@@ -6,9 +6,10 @@
 //! every in-flight request, defeating the typed-outcome guarantees of the
 //! serving tier. This module is the missing robustness rung: a
 //! process-global [`MemoryGovernor`] holds a byte budget
-//! (`BLEND_MEMORY_BUDGET`, unset/0 = unbounded) and hands out hierarchical
-//! RAII reservations, so memory pressure degrades queries *gracefully* —
-//! shrink, serialize, shed; never crash.
+//! (`BLEND_MEMORY_BUDGET`, see [`settings`]; unset/0 =
+//! unbounded) and hands out hierarchical RAII reservations, so memory
+//! pressure degrades queries *gracefully* — shrink, serialize, shed; never
+//! crash.
 //!
 //! ## The reservation protocol (who reserves, where it's checked)
 //!
@@ -35,7 +36,7 @@
 //!
 //! 1. **Reclaim** — the governor invokes registered
 //!    [`MemoryReclaimer`]s (the serving result cache registers itself; its
-//!    `BLEND_RESULT_CACHE_BYTES` pool is a *child* of this budget) to
+//!    byte pool is a *child* of this budget) to
 //!    evict reclaimable bytes, then retries. This happens inside
 //!    [`QueryMemory::try_reserve`], so every call site benefits.
 //! 2. **Narrow** — parallel operators retry their reservation at half the
@@ -79,10 +80,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use blend_common::{BlendError, Result};
 
-/// Environment variable naming the process-wide byte budget. Unset, empty,
-/// unparseable, or `0` all mean *unbounded* (the governor stays off the
-/// hot path entirely).
-pub const MEMORY_ENV: &str = "BLEND_MEMORY_BUDGET";
+use crate::settings;
 
 /// A pool that can give bytes back under pressure (rung 1 of the ladder).
 /// The serving result cache is the canonical implementor.
@@ -191,17 +189,13 @@ impl MemoryGovernor {
     }
 
     /// The process-global governor, with its budget from
-    /// `BLEND_MEMORY_BUDGET`. Read once; every `ParallelCtx` built without
-    /// an explicit governor shares this instance.
+    /// `BLEND_MEMORY_BUDGET` ([`settings`]; unset or `0`
+    /// is unbounded, and the governor stays off the hot path entirely).
+    /// Every `ParallelCtx` built without an explicit governor shares this
+    /// instance.
     pub fn global() -> &'static Arc<MemoryGovernor> {
         static GLOBAL: OnceLock<Arc<MemoryGovernor>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let budget = std::env::var(MEMORY_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            Arc::new(MemoryGovernor::with_budget(budget))
-        })
+        GLOBAL.get_or_init(|| Arc::new(MemoryGovernor::with_budget(settings::from_env().1)))
     }
 
     /// The byte budget; `usize::MAX` when unbounded.

@@ -6,8 +6,8 @@
 //! ([`blend_sql::fingerprint`]), recomputing a repeated query is pure
 //! waste. This cache memoizes whole results under a [`CacheKey`] —
 //! canonical fingerprint + store generation — with a **byte budget**
-//! (`BLEND_RESULT_CACHE_BYTES`, default 32 MiB, `0` disables) enforced per
-//! shard by CLOCK (second-chance) eviction.
+//! (`ServeConfig::result_cache_bytes`, default [`DEFAULT_CACHE_BYTES`],
+//! `0` disables) enforced per shard by CLOCK (second-chance) eviction.
 //!
 //! ## The entry: shared flat columns
 //!
@@ -62,17 +62,8 @@ use blend_sql::{QueryFingerprint, QueryReport, ResultColumns};
 /// enough that per-shard budgets stay meaningful for small caches.
 const NUM_SHARDS: usize = 8;
 
-/// Default byte budget when `BLEND_RESULT_CACHE_BYTES` is unset.
+/// The byte budget of `ServeConfig::default()`: 32 MiB.
 pub const DEFAULT_CACHE_BYTES: usize = 32 << 20;
-
-/// Resolve the cache budget from `BLEND_RESULT_CACHE_BYTES` (`0`
-/// disables caching entirely).
-pub fn cache_bytes_from_env() -> usize {
-    match std::env::var("BLEND_RESULT_CACHE_BYTES") {
-        Ok(v) => v.trim().parse().unwrap_or(DEFAULT_CACHE_BYTES),
-        Err(_) => DEFAULT_CACHE_BYTES,
-    }
-}
 
 /// Cache metric cells (`blend_cache_*`), process-global across queues.
 pub(crate) struct CacheMetrics {

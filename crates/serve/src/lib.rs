@@ -80,9 +80,10 @@
 //!
 //! **Result cache** ([`ResultCache`]): a sharded, CLOCK-evicted map from
 //! [`CacheKey`] — fingerprint + engine catalog generation — to those shared
-//! columns, bounded by a byte budget (`BLEND_RESULT_CACHE_BYTES`, default
-//! 32 MiB, `0` disables; an entry costs its columnar heap: flat column
-//! bytes, each dictionary string once, labels, report, bookkeeping).
+//! columns, bounded by a byte budget ([`ServeConfig::result_cache_bytes`],
+//! default 32 MiB, `0` disables; an entry costs its columnar heap: flat
+//! column bytes, each dictionary string once, labels, report,
+//! bookkeeping).
 //! *Invalidation contract*: rebuilding the
 //! index or swapping the catalog
 //! ([`SqlEngine::replace_table`](blend_sql::SqlEngine::replace_table),
@@ -142,8 +143,8 @@
 //! ## Memory pressure
 //!
 //! The engine's [`blend_parallel::MemoryGovernor`] bounds what queries may
-//! allocate (`BLEND_MEMORY_BUDGET`); the serving tier participates on
-//! three fronts:
+//! allocate (the process-wide one, or a private one the engine's context
+//! carries); the serving tier participates on three fronts:
 //!
 //! * **The result cache is a child pool of the budget.** Every admitted
 //!   entry is charged against the governor (payload + per-entry
@@ -181,7 +182,7 @@ pub mod cache;
 pub mod faults;
 pub mod queue;
 
-pub use cache::{cache_bytes_from_env, CacheKey, CachedResult, ResultCache, DEFAULT_CACHE_BYTES};
+pub use cache::{CacheKey, CachedResult, ResultCache, DEFAULT_CACHE_BYTES};
 pub use faults::{
     FaultAction, FaultPlan, SITE_ALLOC, SITE_CACHE, SITE_COALESCE, SITE_DEQUEUE, SITE_EXEC,
 };

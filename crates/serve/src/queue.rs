@@ -18,7 +18,7 @@ use blend_sql::{
     ExecPath, QueryFingerprint, QueryReport, ResultColumns, ResultSet, ServingStats, SqlEngine,
 };
 
-use crate::cache::{cache_bytes_from_env, cache_metrics, CacheKey, CachedResult, ResultCache};
+use crate::cache::{cache_metrics, CacheKey, CachedResult, ResultCache, DEFAULT_CACHE_BYTES};
 use crate::faults::{FaultAction, FaultPlan, SITE_CACHE, SITE_COALESCE, SITE_DEQUEUE, SITE_EXEC};
 
 /// Serving-tier metric cells (`blend_serve_*`), process-global across
@@ -76,8 +76,7 @@ pub struct ServeConfig {
     /// for deterministic shedding tests); they resolve on shutdown.
     pub workers: usize,
     /// Total byte budget of the memoized result cache. `0` disables
-    /// caching. The default reads `BLEND_RESULT_CACHE_BYTES` (32 MiB when
-    /// unset).
+    /// caching; the default is [`DEFAULT_CACHE_BYTES`].
     pub result_cache_bytes: usize,
     /// Coalesce fingerprint-equal requests onto one in-flight execution.
     pub coalesce: bool,
@@ -90,7 +89,7 @@ impl Default for ServeConfig {
         ServeConfig {
             depth: 32,
             workers: 2,
-            result_cache_bytes: cache_bytes_from_env(),
+            result_cache_bytes: DEFAULT_CACHE_BYTES,
             coalesce: true,
             faults: FaultPlan::none(),
         }
@@ -296,7 +295,7 @@ pub struct ServeQueue {
 impl ServeQueue {
     /// Spawn the serving threads for `engine` with the given config. The
     /// result cache charges the engine's memory governor (its byte pool is
-    /// a child of `BLEND_MEMORY_BUDGET`) and registers as that governor's
+    /// a child of that governor's budget) and registers as its
     /// reclaimer; an `alloc:fail` rule in the fault plan arms the governor
     /// with synthetic reservation failures.
     pub fn new(engine: Arc<SqlEngine>, config: ServeConfig) -> ServeQueue {

@@ -37,11 +37,9 @@
 //!
 //! # Dispatch rules
 //!
-//! The vector path is selected **once per process**: the first call to
-//! [`enabled`] reads `BLEND_SIMD` (`0`/`false`/`off` disable; anything
-//! else, or unset, enables) and caches the verdict. Benches and tests flip
-//! paths in-process via [`force`], which overrides the environment without
-//! touching it — mirroring `blend_obs::set_enabled`. Only kernels read
+//! Unforced dispatch is the vector path. Benches and tests flip paths
+//! in-process via [`force`] — mirroring `blend_obs::set_enabled` — and
+//! `force(None)` returns to the vector path. Only kernels read
 //! [`enabled`] — the wrappers here and the batched hash of
 //! `blend_sql::hashtable::JoinKey::hash_block`; executors never branch on
 //! it, so both paths run the same operator loops and differ only inside a
@@ -55,9 +53,9 @@
 //! order, same counts, same scatter layout — for every input, including
 //! non-multiple-of-64 tails, `start` offsets landing mid-word, and
 //! all-keep/all-drop masks. `tests/simd_parity.rs` fuzzes each pair
-//! differentially, and the SQL-level parity suites pin end-to-end results
-//! across `BLEND_SIMD={0,1}`; perf work may change *how* a kernel computes,
-//! never *what*.
+//! differentially, and the SQL-level parity suites (`tests/config_matrix.rs`
+//! among them) pin end-to-end results under both forced paths; perf work
+//! may change *how* a kernel computes, never *what*.
 //!
 //! # Adding a kernel
 //!
@@ -71,7 +69,6 @@
 //!    is a pass with the scalar path [`force`]d over the default dispatch.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 pub mod hist;
 pub mod sel;
@@ -84,33 +81,21 @@ pub use sel::{
     extend_range_over_scalar, extend_range_scalar, keep_mask_in8, keep_mask_in8_swar,
 };
 
-/// Process-wide override: 0 = follow the environment, 1 = force scalar,
-/// 2 = force vector.
+/// Process-wide override: 0 = unforced, 1 = force scalar, 2 = force vector.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
-/// Cached verdict of the `BLEND_SIMD` environment variable.
-static FROM_ENV: OnceLock<bool> = OnceLock::new();
-
-/// True when the vector kernels are selected. The environment is read once
-/// (first call) and cached; [`force`] overrides it without re-reading.
+/// True when the vector kernels are selected: always, unless [`force`]
+/// chose the scalar path.
 #[inline]
 pub fn enabled() -> bool {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *FROM_ENV.get_or_init(|| {
-            !matches!(
-                std::env::var("BLEND_SIMD").as_deref(),
-                Ok("0") | Ok("false") | Ok("off")
-            )
-        }),
-    }
+    FORCED.load(Ordering::Relaxed) != 1
 }
 
 /// Force the dispatch verdict in-process: `Some(true)` selects the vector
-/// path, `Some(false)` the scalar path, `None` restores the environment's
-/// verdict. For A/B benches and differential tests; not thread-isolated,
-/// so flip it only around single-threaded measurement/assert sections.
+/// path, `Some(false)` the scalar path, `None` restores the unforced
+/// default (vector). For A/B benches and differential tests; not
+/// thread-isolated, so flip it only around single-threaded
+/// measurement/assert sections.
 pub fn force(mode: Option<bool>) {
     let v = match mode {
         None => 0,
@@ -146,13 +131,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn force_overrides_environment_both_ways() {
+    fn force_overrides_dispatch_both_ways() {
         force(Some(false));
         assert!(!enabled());
         force(Some(true));
         assert!(enabled());
         force(None);
-        let _ = enabled(); // whatever the env says; just must not panic
+        assert!(enabled(), "unforced dispatch is the vector path");
     }
 
     #[test]

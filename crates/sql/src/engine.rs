@@ -120,12 +120,11 @@ pub struct SqlEngine {
     /// results (and so tests sharing a process stay independent).
     generation: std::sync::atomic::AtomicU64,
     /// Shared worker-pool context the positional executor rides. Defaults
-    /// to [`ParallelCtx::shared_from_env`] (`BLEND_THREADS` /
-    /// `BLEND_MAX_CONCURRENT_GRANTS` overrides): every engine in the
-    /// process shares **one** persistent pool and admission budget, so
-    /// concurrent queries — across engines and, through
-    /// [`Blend`](https://docs.rs/blend), across every seeker of a plan —
-    /// draw from a single machine-wide thread allotment.
+    /// to [`ParallelCtx::shared_from_env`] (width from `BLEND_THREADS`):
+    /// every engine in the process shares **one** persistent pool and
+    /// admission budget, so concurrent queries — across engines and,
+    /// through [`Blend`](https://docs.rs/blend), across every seeker of a
+    /// plan — draw from a single machine-wide thread allotment.
     parallel: Arc<ParallelCtx>,
 }
 

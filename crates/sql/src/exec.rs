@@ -45,7 +45,7 @@ pub struct ScanReport {
 
 /// Parallel-execution telemetry for one positional-executor phase that ran
 /// on the worker pool. Sequential fallbacks record nothing, so a
-/// `BLEND_THREADS=1` run — or a phase denied by admission control under
+/// single-threaded context — or a phase denied by admission control under
 /// concurrent load — leaves no entry here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelPhase {

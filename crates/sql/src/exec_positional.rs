@@ -185,9 +185,8 @@
 //!   (zero-key) aggregate has one group to own, so it groups on the
 //!   query's thread and nothing ever merges aggregate state.
 //!
-//! With `threads == 1` (`BLEND_THREADS=1`), inputs under the morsel
-//! threshold, or the machine-wide admission budget exhausted by other
-//! in-flight queries (`BLEND_MAX_CONCURRENT_GRANTS`), every phase takes
+//! With `threads == 1`, inputs under the morsel threshold, or the
+//! admission budget exhausted by other in-flight queries, every phase takes
 //! its plain sequential loop on the query's own thread — concurrent load
 //! degrades worker counts gracefully instead of oversubscribing, and
 //! partitioning follows the *granted* width, which the order-preserving
@@ -1004,7 +1003,7 @@ fn exec_scan(
 
     // Unfiltered index scans copy postings/ranges wholesale — the common
     // SC/KW case (no TID injection) never touches per-position logic.
-    let unfiltered = residual.is_none() && scan.fast.is_empty();
+    let unfiltered = residual.is_none() && scan.kernel.is_empty();
     if unfiltered {
         match &scan.access {
             AccessPath::ValueIndex { .. } => {

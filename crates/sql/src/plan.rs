@@ -93,25 +93,6 @@ impl FastFilters {
         }
     }
 
-    /// True when no filter is set, i.e. [`fast_filters_pass`] accepts every
-    /// position. Kept next to the struct so adding a field forces this (and
-    /// the positional executor's bulk-scan fast path that relies on it) to
-    /// be updated in the same place.
-    pub fn is_empty(&self) -> bool {
-        let FastFilters {
-            value_probe,
-            table_set,
-            table_not_set,
-            rowid_lt,
-            quadrant_null,
-        } = self;
-        value_probe.is_none()
-            && table_set.is_none()
-            && table_not_set.is_none()
-            && rowid_lt.is_none()
-            && quadrant_null.is_none()
-    }
-
     /// Lower the filters into the batched [`FilterKernel`] both executors
     /// evaluate through [`FactTable::filter_batch`] /
     /// [`FactTable::filter_range`]. Compiled once per scan at plan time:
@@ -150,16 +131,10 @@ pub struct ScanPlan {
     pub driving_values: Vec<String>,
     /// Driving table ids (for `TableIndex`).
     pub driving_tables: Vec<u32>,
-    pub fast: FastFilters,
-    /// Batched compilation of `fast`, built once at plan time and evaluated
-    /// by both executors' scan loops via the engine's
-    /// [`FactTable::filter_batch`] / [`FactTable::filter_range`].
-    ///
-    /// **Invariant:** executors read only this, never `fast` — any plan
-    /// rewrite that mutates `fast` after construction must recompile via
-    /// [`FastFilters::compile_kernel`] or the scan silently drops filters.
-    /// (Today's only post-plan rewrite, `sideways_pushdown`, touches just
-    /// `access`/`driving_tables`.)
+    /// The scan's cheap per-position predicates, compiled once at plan time
+    /// ([`FastFilters::compile_kernel`]) and evaluated by both executors'
+    /// scan loops via the engine's [`FactTable::filter_batch`] /
+    /// [`FactTable::filter_range`].
     pub kernel: FilterKernel,
     /// Residual predicate over the materialized 6-column tuple.
     pub residual: Option<CExpr>,
@@ -779,15 +754,13 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
         None => None,
     };
 
-    let kernel = fast.compile_kernel();
     Ok(ScanPlan {
         table,
         alias: alias.to_string(),
         access,
         driving_values,
         driving_tables,
-        fast,
-        kernel,
+        kernel: fast.compile_kernel(),
         residual,
         schema,
     })
@@ -1033,7 +1006,7 @@ fn identity_scan_mut(tree: &mut Tree) -> Option<&mut ScanPlan> {
 }
 
 /// Distinct table ids a scan's driving access can produce (a safe
-/// over-approximation: fast residuals other than the table filters are
+/// over-approximation: kernel predicates other than the table filters are
 /// ignored).
 fn scan_table_ids(scan: &ScanPlan) -> Vec<u32> {
     let mut ids: FxHashSet<u32> = FxHashSet::default();
@@ -1052,11 +1025,11 @@ fn scan_table_ids(scan: &ScanPlan) -> Vec<u32> {
             return Vec::new();
         }
     }
-    if let Some(set) = &scan.fast.table_set {
-        ids.retain(|t| set.contains(t));
+    if let Some(set) = &scan.kernel.table_in {
+        ids.retain(|&t| set.contains(t));
     }
-    if let Some(set) = &scan.fast.table_not_set {
-        ids.retain(|t| !set.contains(t));
+    if let Some(set) = &scan.kernel.table_not_in {
+        ids.retain(|&t| !set.contains(t));
     }
     let mut out: Vec<u32> = ids.into_iter().collect();
     out.sort_unstable();

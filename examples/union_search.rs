@@ -91,5 +91,7 @@ fn main() {
         starmie_r / n,
         starmie_time
     );
-    println!("\n(see `cargo run -p blend-bench --release --bin table6` for the full sweep)");
+    println!(
+        "\n(see `cargo run -p blend-bench --release --bin repro_all -- table6` for the full sweep)"
+    );
 }

@@ -298,15 +298,14 @@ fn concurrent_end_to_end_seeker_runs_match_sequential() {
 }
 
 /// Engines built with default configuration share **one** process-wide
-/// context (pool + admission budget), and serving through it concurrently
-/// stays byte-identical to sequential runs. Under CI this runs with
-/// `BLEND_THREADS=4` and `BLEND_MAX_CONCURRENT_GRANTS=2` — forced
-/// contention on the real shared pool; without those variables it
-/// exercises the sequential default on a 1-core container.
+/// context (pool + admission budget of `threads - 1`), and serving through
+/// it concurrently stays byte-identical to sequential runs. The width is
+/// the machine's (or `BLEND_THREADS`); forced contention — 4 threads, 2
+/// tokens — runs on private contexts above and in `config_matrix`.
 #[test]
 fn default_engines_share_one_process_pool_and_serve_consistently() {
     // Larger lake so default thresholds (min_parallel = 4096) still let
-    // grouped phases reach the pool when the env enables threads.
+    // grouped phases reach the pool on a multi-core machine.
     let rows = fact_rows(8, 450, 10, 0x5EED);
     for kind in [EngineKind::Row, EngineKind::Column] {
         let fact = build_engine(kind, rows.clone());

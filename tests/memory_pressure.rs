@@ -86,8 +86,8 @@ fn storm_fact() -> Arc<dyn FactTable> {
 }
 
 /// Unbudgeted sequential references: the parity oracle for `Ok` results.
-/// Pinned to an explicitly unbounded governor so a `BLEND_MEMORY_BUDGET`
-/// in the environment (as in CI's constrained steps) cannot starve the
+/// Pinned to an explicitly unbounded governor so a deployment's
+/// `BLEND_MEMORY_BUDGET` on the process-wide governor cannot starve the
 /// oracle itself.
 fn references(fact: &Arc<dyn FactTable>, queries: &[String]) -> Vec<ResultSet> {
     let ctx = ParallelCtx::sequential().with_governor(Arc::new(MemoryGovernor::unbounded()));
@@ -98,8 +98,8 @@ fn references(fact: &Arc<dyn FactTable>, queries: &[String]) -> Vec<ResultSet> {
         .collect()
 }
 
-/// Engine charging a private governor (the env-configured global governor
-/// is process-wide, so budgets under test must be private).
+/// Engine charging a private governor (the global governor is shared by
+/// every test in the process, so budgets under test must be private).
 fn budgeted_engine(fact: &Arc<dyn FactTable>, gov: &Arc<MemoryGovernor>) -> Arc<SqlEngine> {
     let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
     Arc::new(SqlEngine::with_alltables(fact.clone()).with_parallel(Arc::new(ctx)))
@@ -464,7 +464,7 @@ fn peak_of(fact: &Arc<dyn FactTable>, sql: &str, group_path: &str) -> (ResultSet
     let (rs, report) = budgeted_engine(fact, &gov)
         .execute_with_report(sql)
         .expect("unbudgeted run");
-    let profile = report.profile.expect("profile (BLEND_OBS must be on)");
+    let profile = report.profile.expect("profile (instrumentation is on)");
     let attr =
         |node: Option<&blend_obs::ProfileNode>, key: &str| match node.and_then(|n| n.attr(key)) {
             Some(blend_obs::AttrValue::U64(bytes)) => *bytes as usize,

@@ -259,8 +259,4 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     ] {
         assert!(rendered.contains(family), "rendering lost `{family}`");
     }
-
-    // With `BLEND_METRICS` set (as in CI) this prints the snapshot to
-    // stderr, exercising the env-gated dump path end to end.
-    blend_obs::dump_if_enabled();
 }

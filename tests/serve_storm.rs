@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use blend_common::BlendError;
-use blend_parallel::{Deadline, ParallelCtx};
+use blend_parallel::{Deadline, MemoryGovernor, ParallelCtx};
 use blend_serve::{
     CacheKey, FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_DEQUEUE, SITE_EXEC,
 };
@@ -95,19 +95,19 @@ fn storm_once(context: &str, faults: FaultPlan, tiny_deadlines: bool) {
         .collect();
 
     // Undersized serving tier: 4-deep queue, 2 serving threads, 4 pool
-    // threads with an admission budget of 2 — far less than offered load.
-    let engine = Arc::new(
-        SqlEngine::with_alltables(fact)
-            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
-    );
+    // threads with an admission budget of 2 — far less than offered load —
+    // charging a private 64 MiB governor, in front of a 64 KiB result
+    // cache so CLOCK eviction churns mid-storm.
+    let ctx = ParallelCtx::with_admission(4, 1, 32, 2)
+        .with_governor(Arc::new(MemoryGovernor::with_budget(64 << 20)));
+    let engine = Arc::new(SqlEngine::with_alltables(fact).with_parallel(Arc::new(ctx)));
     let queue = Arc::new(ServeQueue::new(
         engine,
         ServeConfig {
             depth: DEPTH,
             workers: 2,
             faults,
-            // Cache budget honors BLEND_RESULT_CACHE_BYTES (the CI storm
-            // runs with a deliberately tiny budget to force evictions).
+            result_cache_bytes: 64 << 10,
             ..ServeConfig::default()
         },
     ));
@@ -173,8 +173,7 @@ fn storm_once(context: &str, faults: FaultPlan, tiny_deadlines: bool) {
                     }
                     Err(BlendError::Cancelled(_)) => cancelled += 1,
                     Err(BlendError::Overloaded(_)) => overloaded += 1,
-                    // Under a constrained BLEND_MEMORY_BUDGET (the CI
-                    // storm) the governor may shed requests typed.
+                    // The bounded governor may shed requests, typed.
                     Err(BlendError::MemoryExceeded(_)) => mem_exceeded += 1,
                     Err(BlendError::SqlExec(m)) if m.contains("panicked") => poisoned += 1,
                     Err(other) => panic!("untyped storm outcome: {other}"),
