@@ -728,10 +728,22 @@ mod tests {
 
     #[test]
     fn uneven_tasks_all_complete() {
-        // Task cost skew: dynamic claiming must still cover every index.
+        // Task 0 cannot finish before the other 15 have: the batch
+        // completes only if the workers not holding task 0 claim every
+        // other index, which static chunking could not do.
+        let others_done = AtomicUsize::new(0);
         let run = WorkerPool::new(3).run(16, |i| {
             if i == 0 {
-                std::thread::sleep(Duration::from_millis(5));
+                let start = Instant::now();
+                while others_done.load(Ordering::Acquire) < 15 {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(30),
+                        "task 0 waited 30 s for the other 15: tasks are not claimed dynamically"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::Release);
             }
             i
         });

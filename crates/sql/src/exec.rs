@@ -376,7 +376,10 @@ fn project_sort_limit(
 /// every path through them: the ordinals in `0..n` of the rows that survive,
 /// in output order. With a LIMIT below `n` it is a bounded selection
 /// (`select_nth_unstable_by`, then a sort of the `k` survivors only);
-/// without one it is a full sort. `None` keeps input order.
+/// without one it is a full sort. `None` keeps input order. The positional
+/// executor's grouped tail may first narrow the rows to a count
+/// threshold's tie band and run this over the band alone
+/// (`exec_positional`'s `threshold_band`); the order is still this one's.
 ///
 /// `cmp` must be a **total** order: callers end it with a key that is unique
 /// per row and ascends in input order (the ordinal itself, or a group's

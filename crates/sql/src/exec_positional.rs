@@ -110,7 +110,10 @@
 //! ordinals are contiguous) — each (value, column) pair once, however often
 //! the value repeats in the column. No cell is visited, no key gathered, no
 //! hash table built; the phase is O(entries), sequential on the query's
-//! thread.
+//! thread. A run's (`TableId`, `ColumnId`) key is read per entry only where
+//! the walk needs the table: KW, which counts per table, and SC behind a
+//! `TableId IN` / `NOT IN` set. SC without one counts the ordinal itself
+//! and reads keys once per group, for its output columns.
 //!
 //! The check is a plan property, `column_grouped`: the group input is one
 //! value-index scan with no residual, no post-filter and no kernel
@@ -150,13 +153,35 @@
 //! comparator is the tuple tail's (order keys, then projected values) and
 //! ends with the group's first-seen row, which makes it total: the result
 //! is what a stable sort of all groups followed by a truncate returned,
-//! byte for byte (`tests/topk_parity.rs`). The non-grouped tail
+//! byte for byte (`tests/topk_parity.rs`).
+//!
+//! SC and KW scores are counts between 0 and |Q|, so the grouped tail
+//! counts before it compares (`threshold_band`). Where the plan has
+//! `LIMIT k` with `0 < k < n` groups, the leading ORDER BY key is a flat
+//! integer column (a count or a group key) and that column's spread
+//! `max − min` is at most `n`, a histogram of the key (`spread + 1`
+//! buckets, walked from the best end) finds the k-th best value `T`, and
+//! only the groups at or beyond `T` — the tie band and everything ahead of
+//! it — go to the comparator; `select_top` then runs over those alone. The
+//! bytes cannot change: at least k groups score `T` or better and the
+//! comparator orders by that key first, so no group outside the band is
+//! among the k survivors, and the comparator still decides every order
+//! among the rest. Ties do *not* break on first touch alone — SC projects
+//! `TableId`, which ranks before the first-seen row — which is why the band
+//! is compared rather than collected in order. Every other shape (a float
+//! or computed key such as C's score, no LIMIT, `k ≥ n`, a wider spread)
+//! ranks all groups. The histogram and the band are reserved under
+//! `sort_scratch`.
+//!
+//! The non-grouped tail
 //! (`exec_project`, the MC seeker's) is the same selection over the
 //! gathered output columns, with the row ordinal as the last key; without
 //! ORDER BY it gathers the first LIMIT rows and nothing else. Spans: `group`
-//! is grouping plus aggregation, `sort` the selection, `project` the output
-//! columns of the survivors; `materialize` is the engine's, around the rows
-//! a caller asked for.
+//! is grouping plus aggregation, `sort` the selection — `rows_in`, `k`,
+//! `selected`, and on this executor `path` (`threshold` where the count
+//! histogram narrowed it, else `compare`) and `candidates`, the rows the
+//! comparator ranked — `project` the output columns of the survivors;
+//! `materialize` is the engine's, around the rows a caller asked for.
 //!
 //! ## Parallel execution
 //!
@@ -216,7 +241,8 @@
 //!   counters and its group slots up front (`group_columns`), and a failed
 //!   reservation resolves `MemoryExceeded` like any other;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
-//!   aggregate columns) and outputs — the flat group columns
+//!   aggregate columns, the top-k histogram and tie band: `sort_scratch`)
+//!   and outputs — the flat group columns
 //!   (`group_out`) and, beside them, the survivors' output columns
 //!   (`group_project`) here; in the engine (`result_rows`) the result as the
 //!   executor left it and, once a caller asks for them, the rows built from
@@ -232,7 +258,7 @@ use std::time::Instant;
 use blend_common::{FxHashMap, FxHashSet};
 use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
-    Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, RadixPartitions,
+    Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
 };
 use blend_storage::{FactTable, FilterKernel, ScanScratch, ValueProbe};
 
@@ -901,6 +927,8 @@ fn exec_project(
         let span = blend_obs::span("sort");
         span.attr_u64("rows_in", n as u64);
         span.attr_u64("k", plan.limit.unwrap_or(n) as u64);
+        span.attr_str("path", "compare");
+        span.attr_u64("candidates", n as u64);
         // Order keys, then the projected values, then input position.
         let keys = order
             .iter()
@@ -1607,12 +1635,17 @@ impl GroupCols {
         Cow::Owned(ResultColumn::Val(vals.collect()))
     }
 
-    /// Ordinals of the groups that survive the plan's `ORDER BY … LIMIT`,
-    /// in output order, through the shared [`exec::select_top`]. The
-    /// comparator is the tuple tail's — order keys, then the projected
-    /// values — read off the flat columns, and ends with the first-seen
-    /// row; with no ORDER BY that last key alone restores first-seen order.
-    fn top(&self, plan: &QueryPlan) -> Result<Vec<u32>> {
+    /// The groups that survive the plan's `ORDER BY … LIMIT`, in output
+    /// order, through the shared [`exec::select_top`]. The comparator is
+    /// the tuple tail's — order keys, then the projected values — read off
+    /// the flat columns, and ends with the first-seen row; with no ORDER BY
+    /// that last key alone restores first-seen order.
+    ///
+    /// Under a LIMIT led by a flat integer key, [`threshold_band`] first
+    /// counts that key and hands the comparator only the groups at or
+    /// beyond the k-th best value (module docs, *Top-k before
+    /// materialization*); every other shape ranks all groups.
+    fn top(&self, plan: &QueryPlan, mem: &Arc<QueryMemory>) -> Result<Top> {
         let projected = plan.projection.iter().map(|(_, e)| (e, false));
         let keys: Vec<(Cow<'_, ResultColumn>, bool)> = plan
             .order_by
@@ -1626,8 +1659,100 @@ impl GroupCols {
             cmp_keys(keys.iter().map(|(col, desc)| (&**col, *desc)), a, b)
                 .then_with(|| self.first_rows[a].cmp(&self.first_rows[b]))
         };
-        exec::select_top(self.len(), plan.limit, Some(cmp))
+        let band = match (plan.limit, keys.first()) {
+            (Some(k), Some((col, desc))) => match &**col {
+                ResultColumn::Int(scores) => threshold_band(scores, k, *desc, mem)?,
+                ResultColumn::Key(scores) => threshold_band(scores, k, *desc, mem)?,
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some((band, _scratch)) = band else {
+            return Ok(Top {
+                ords: exec::select_top(self.len(), plan.limit, Some(cmp))?,
+                candidates: self.len(),
+                counted: false,
+            });
+        };
+        // The band ascends in group ordinal, and the comparator is total,
+        // so ranking band positions ranks the groups behind them.
+        let in_band = |a: u32, b: u32| cmp(band[a as usize], band[b as usize]);
+        let ords = exec::select_top(band.len(), plan.limit, Some(in_band))?;
+        Ok(Top {
+            ords: ords.iter().map(|&i| band[i as usize]).collect(),
+            candidates: band.len(),
+            counted: true,
+        })
     }
+}
+
+/// What [`GroupCols::top`] selected, and how.
+struct Top {
+    /// The surviving groups' ordinals, in output order.
+    ords: Vec<u32>,
+    /// The groups the comparator ranked.
+    candidates: usize,
+    /// Whether a counting threshold chose those candidates.
+    counted: bool,
+}
+
+/// The counting threshold in front of the comparator: for `LIMIT k` over
+/// `scores` — the leading ORDER BY key of every group, descending if
+/// `desc` — the ordinals, ascending, of the groups scoring at least the
+/// k-th best score `T` (at most `T` ascending), with the reservation
+/// covering them. At least k groups score `T` or better and the comparator
+/// orders by the score first, so no group outside the band can be among
+/// the k survivors.
+///
+/// `None` where counting does not apply: `k` outside `1..n`, or a spread
+/// `max − min` wider than `n` (also where it overflows `i64`), whose
+/// histogram could outweigh the groups it counts. The histogram
+/// (`spread + 1` counters) and then the band are reserved under
+/// `sort_scratch` before they are allocated.
+fn threshold_band<S: Copy + Into<i64>>(
+    scores: &[S],
+    k: usize,
+    desc: bool,
+    mem: &Arc<QueryMemory>,
+) -> Result<Option<(Vec<u32>, MemoryReservation)>> {
+    let n = scores.len();
+    if k == 0 || k >= n {
+        return Ok(None);
+    }
+    let (min, max) = scores.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &s| {
+        let s = s.into();
+        (lo.min(s), hi.max(s))
+    });
+    let spread = max.checked_sub(min).and_then(|d| usize::try_from(d).ok());
+    let Some(spread) = spread.filter(|&d| d <= n) else {
+        return Ok(None);
+    };
+    let (threshold, kept) = {
+        let _hist_mem = mem.try_reserve("sort_scratch", (spread + 1) * 4)?;
+        let mut hist: Vec<u32> = blend_common::try_zeroed_vec(spread + 1, "sort_scratch")?;
+        for &s in scores {
+            hist[(s.into() - min) as usize] += 1;
+        }
+        // Walk from the best end until k groups are covered; the buckets
+        // hold all n > k of them, so the walk stops inside the histogram.
+        let (mut bucket, mut kept) = (0, 0usize);
+        for step in 0..=spread {
+            bucket = if desc { spread - step } else { step };
+            kept += hist[bucket] as usize;
+            if kept >= k {
+                break;
+            }
+        }
+        (min + bucket as i64, kept)
+    };
+    let band_mem = mem.try_reserve("sort_scratch", kept * 4)?;
+    let mut band: Vec<u32> = blend_common::try_vec_with_capacity(kept, "sort_scratch")?;
+    let in_band = |s: i64| match desc {
+        true => s >= threshold,
+        false => s <= threshold,
+    };
+    band.extend((0..n as u32).filter(|&g| in_band(scores[g as usize].into())));
+    Ok(Some((band, band_mem)))
 }
 
 /// The grouped query tail: select the surviving groups, then gather the
@@ -1635,6 +1760,12 @@ impl GroupCols {
 /// radix partition; under a LIMIT and a `grant`, every partition first
 /// selects its own top-k on the pool, so the merge sees at most k groups
 /// per partition instead of all of them.
+///
+/// The `sort` span's `path` says whether a counting threshold narrowed any
+/// selection (`threshold`) or the comparator ranked every group it saw
+/// (`compare`); `candidates` counts the groups that reached the comparator
+/// — in the partitions' own selections where they ran, since the merge
+/// ranks only their survivors.
 fn finish_groups(
     plan: &QueryPlan,
     mut parts: Vec<GroupCols>,
@@ -1646,15 +1777,16 @@ fn finish_groups(
     let rows_in: usize = parts.iter().map(GroupCols::len).sum();
     span.attr_u64("rows_in", rows_in as u64);
     span.attr_u64("k", plan.limit.unwrap_or(rows_in) as u64);
-    let _cols_mem = par
-        .memory()
-        .try_reserve("group_out", parts.iter().map(GroupCols::bytes).sum())?;
+    let mem = par.memory();
+    let _cols_mem = mem.try_reserve("group_out", parts.iter().map(GroupCols::bytes).sum())?;
     // A pool round only where some partition has groups to drop.
     let prune = plan.limit.filter(|k| parts.iter().any(|p| p.len() > *k));
+    let (mut candidates, mut counted) = (None, false);
     if let (Some(grant), Some(_)) = (grant, prune) {
-        let run = grant
-            .pool()
-            .run(parts.len(), |p| Ok(parts[p].gather(&parts[p].top(plan)?)));
+        let run = grant.pool().run(parts.len(), |p| -> Result<_> {
+            let top = parts[p].top(plan, mem)?;
+            Ok((parts[p].gather(&top.ords), top.candidates, top.counted))
+        });
         report.parallel.push(ParallelPhase {
             phase: "sort".to_string(),
             partitions: parts.len(),
@@ -1662,12 +1794,28 @@ fn finish_groups(
             worker_nanos: run.worker_nanos,
         });
         par.check_interrupt()?;
-        parts = run.results.into_iter().collect::<Result<_>>()?;
+        let mut ranked = 0;
+        parts = Vec::with_capacity(run.results.len());
+        for result in run.results {
+            let (part, part_candidates, part_counted) = result?;
+            parts.push(part);
+            ranked += part_candidates;
+            counted |= part_counted;
+        }
+        candidates = Some(ranked);
     }
     let mut parts = parts.into_iter();
     let mut groups = parts.next().unwrap_or_default();
     parts.try_for_each(|part| groups.append(part))?;
-    let ords = groups.top(plan)?;
+    let top = groups.top(plan, mem)?;
+    let ords = top.ords;
+    let path = if counted || top.counted {
+        "threshold"
+    } else {
+        "compare"
+    };
+    span.attr_str("path", path);
+    span.attr_u64("candidates", candidates.unwrap_or(top.candidates) as u64);
     span.attr_u64("selected", ords.len() as u64);
     drop(span);
 
@@ -1838,9 +1986,11 @@ fn exec_group(
 /// table's column index (module docs, *Column-index grouping*), the scan
 /// itself never run: walk each driving value's run ordinals in driving
 /// order, skip tables the kernel rejects, and bump a dense counter per
-/// ordinal (`ColumnId` a key) or per table at each table change. A group's
-/// first touch records the running count of entries kept as its first-seen
-/// row. Sequential on the query's thread, with counters and group slots
+/// ordinal (`ColumnId` a key) or per table at each table change. A run's
+/// key is read only where the walk needs its table — KW, or a `TableId`
+/// set to test; SC without one counts ordinals alone. A group's first
+/// touch records the running count of entries kept as its first-seen row.
+/// Sequential on the query's thread, with counters and group slots
 /// reserved up front.
 fn group_columns(
     plan: &QueryPlan,
@@ -1874,6 +2024,9 @@ fn group_columns(
         table_in.as_ref().is_none_or(|s| s.contains(t))
             && !table_not_in.as_ref().is_some_and(|s| s.contains(t))
     };
+    // SC with no table set counts per ordinal and never asks which table a
+    // run belongs to.
+    let keys_unread = by_column && table_in.is_none() && table_not_in.is_none();
     let (groups, kept) = {
         let max_groups = visited.min(n_slots);
         let _mem = par
@@ -1885,6 +2038,15 @@ fn group_columns(
         let mut slots: Vec<u32> = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
         let mut first_rows = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
         let (mut walked, mut kept) = (0usize, 0u32);
+        let mut bump = |slot: u32, kept: u32| -> Result<()> {
+            let count = counts.get_mut(slot as usize).ok_or_else(|| outside(slot))?;
+            if *count == 0 {
+                slots.push(slot);
+                first_rows.push(kept);
+            }
+            *count += 1;
+            Ok(())
+        };
         for ordinals in &lists {
             let mut prev_table = u32::MAX;
             for &ordinal in *ordinals {
@@ -1892,18 +2054,17 @@ fn group_columns(
                     par.check_interrupt()?;
                 }
                 walked += 1;
+                if keys_unread {
+                    bump(ordinal, kept)?;
+                    kept += 1;
+                    continue;
+                }
                 let (t, _) = index.key(ordinal);
                 if !keep(t) {
                     continue;
                 }
                 if by_column || t != prev_table {
-                    let slot = if by_column { ordinal } else { t };
-                    let count = counts.get_mut(slot as usize).ok_or_else(|| outside(slot))?;
-                    if *count == 0 {
-                        slots.push(slot);
-                        first_rows.push(kept);
-                    }
-                    *count += 1;
+                    bump(if by_column { ordinal } else { t }, kept)?;
                 }
                 prev_table = t;
                 kept += 1;
@@ -2707,6 +2868,67 @@ mod tests {
                     .execute_with_report_path(sql, ExecPath::TupleOnly)
                     .unwrap();
                 assert_eq!(got, want, "{kind:?}: {sql}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The counting threshold against brute force: heavily tied scores
+        /// around zero, `i64::MIN` and `i64::MAX`, spreads below, at and
+        /// far above the group count (and past `i64`, with an outlier at
+        /// either limit), both directions, and `k` around both ends of
+        /// `1..n`. Where it applies it keeps exactly the groups at or
+        /// beyond the k-th best score; elsewhere it declines; either way it
+        /// leaves nothing reserved.
+        #[test]
+        fn threshold_band_keeps_every_group_at_or_beyond_the_kth_score(
+            offsets in proptest::collection::vec(0i64..8, 1..40),
+            base in 0usize..4,
+            scale in 0usize..3,
+            outlier in proptest::option::of((0usize..40, proptest::any::<bool>())),
+        ) {
+            let base = [0, -50, i64::MIN, i64::MAX - 7][base];
+            let scale = [1i64, 6, 1 << 40][scale];
+            let mut scores: Vec<i64> = offsets
+                .iter()
+                .map(|&o| base.saturating_add(o * scale))
+                .collect();
+            let n = scores.len();
+            if let Some((at, high)) = outlier {
+                scores[at % n] = if high { i64::MAX } else { i64::MIN };
+            }
+            let (min, max) = (scores.iter().min().unwrap(), scores.iter().max().unwrap());
+            let spread = *max as i128 - *min as i128;
+            let mem = Arc::new(QueryMemory::new(Arc::new(
+                blend_parallel::MemoryGovernor::unbounded(),
+            )));
+            for desc in [false, true] {
+                let mut ranked = scores.clone();
+                ranked.sort_unstable();
+                if desc {
+                    ranked.reverse();
+                }
+                for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                    let got = threshold_band(&scores, k, desc, &mem).unwrap();
+                    let applies = 0 < k && k < n && spread <= n as i128;
+                    match got {
+                        None => proptest::prop_assert!(!applies, "declined k={} {:?}", k, scores),
+                        Some((band, _mem)) => {
+                            proptest::prop_assert!(applies, "k={} {:?}", k, scores);
+                            let t = ranked[k - 1];
+                            let want: Vec<u32> = (0..n as u32)
+                                .filter(|&g| match desc {
+                                    true => scores[g as usize] >= t,
+                                    false => scores[g as usize] <= t,
+                                })
+                                .collect();
+                            proptest::prop_assert_eq!(band, want, "k={} desc={}", k, desc);
+                        }
+                    }
+                    proptest::prop_assert_eq!(mem.current_bytes(), 0);
+                }
             }
         }
     }

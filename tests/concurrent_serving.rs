@@ -22,7 +22,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blend::plan::Seeker;
 use blend::seekers::{self, TID_PLACEHOLDER};
@@ -502,12 +502,13 @@ proptest! {
                 })
             });
 
-            let interrupt = Interrupt::new(
-                CancellationToken::new(),
-                Deadline::after(Duration::from_micros(expiry_micros)),
-            );
-            // Let sub-millisecond deadlines actually expire.
-            std::thread::sleep(Duration::from_micros(expiry_micros + 1));
+            // A deadline that expired `expiry_micros` ago (now, where the
+            // clock cannot go back that far): no sleep needed to pass it.
+            let now = Instant::now();
+            let expired_at = now
+                .checked_sub(Duration::from_micros(expiry_micros))
+                .unwrap_or(now);
+            let interrupt = Interrupt::new(CancellationToken::new(), Deadline::at(expired_at));
             let result = admission.acquire_within(desired, &interrupt);
 
             if let Some(r) = releaser {

@@ -622,6 +622,49 @@ fn column_grouping_fails_typed_with_no_partial_result() {
     );
 }
 
+/// The top-k scratch in the accounting: SC with LIMIT 48 over 52 000 groups
+/// that all score 2 selects through a count threshold whose histogram and
+/// tie band (here every group) are reserved under `sort_scratch` beside the
+/// flat group columns, which is where the query peaks. Under a budget sweep
+/// every run ends `Ok` with the unbudgeted bytes or in a typed
+/// `MemoryExceeded`, nothing stays reserved, and one byte short of the peak
+/// fails at the scratch itself.
+#[test]
+fn top_k_scratch_is_reserved_and_fails_typed() {
+    let (fact, sql) = sc_lake();
+    let sql = format!("{sql} LIMIT 48");
+    let (want, peak, _) = peak_of(&fact, &sql, "columns");
+    let budgets = [
+        peak,
+        peak - 1,
+        peak * 9 / 10,
+        peak * 3 / 4,
+        peak / 2,
+        peak / 20,
+    ];
+    let mut outcomes = Vec::new();
+    for budget in budgets {
+        let gov = Arc::new(MemoryGovernor::with_budget(budget));
+        match budgeted_engine(&fact, &gov).execute(&sql) {
+            Ok(rs) => {
+                assert_eq!(
+                    rs, want,
+                    "budget {budget}: diverged from the unbudgeted run"
+                );
+                outcomes.push((budget, "ok".to_string()));
+            }
+            Err(BlendError::MemoryExceeded(msg)) => outcomes.push((budget, msg)),
+            Err(other) => panic!("budget {budget}: untyped outcome {other}"),
+        }
+        assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
+    }
+    assert_eq!(outcomes[0].1, "ok", "the unbudgeted peak must suffice");
+    assert!(
+        outcomes[1].1.starts_with("sort_scratch"),
+        "one byte short of the peak: {outcomes:?}"
+    );
+}
+
 /// The columnar entry in the accounting: an MC join (paper Listing 2) whose
 /// result outweighs its join state reserves the flat result columns only,
 /// so it peaks below the same query through `execute`, which builds — and

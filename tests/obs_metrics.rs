@@ -197,7 +197,11 @@ fn sc_query_profile_has_full_span_tree() {
 /// positional GROUP BY they show the pushdown: `sort` sees every group,
 /// `project` only the LIMIT's rows. `group` stays grouping plus
 /// aggregation. `materialize` counts the `SqlValue` rows actually built:
-/// the result's rows on a row entry, none on the columnar entry.
+/// the result's rows on a row entry, none on the columnar entry. On the
+/// positional executor `sort` also says how it selected: `path=threshold`
+/// where a count histogram chose the `candidates` the comparator ranked,
+/// `path=compare` with every group a candidate where the counts spread
+/// wider than the groups.
 #[test]
 fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
     use blend_obs::AttrValue;
@@ -240,6 +244,14 @@ fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
             assert_eq!(u64_attr("sort", "rows_in"), 6);
             assert_eq!(u64_attr("sort", "k"), 4);
             assert_eq!(u64_attr("sort", "selected"), 4);
+            if name == "positional" {
+                // The score leads ORDER BY: a counting threshold picks the
+                // groups the comparator ranks.
+                let path = child("sort").attr("path").map(ToString::to_string);
+                assert_eq!(path.as_deref(), Some("threshold"));
+                let candidates = u64_attr("sort", "candidates");
+                assert!((4..=6).contains(&candidates), "candidates {candidates}");
+            }
             let projected = if name == "positional" { 4 } else { 6 };
             assert_eq!(u64_attr("project", "rows"), projected, "{name}");
             let built = if columnar { 0 } else { 4 };
@@ -261,6 +273,22 @@ fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
             );
         }
     }
+
+    // A hash-path `COUNT(*)` whose counts spread wider (34 against 72) than
+    // its two groups: no histogram, the comparator ranks every group.
+    let wide = "SELECT ColumnId AS c, COUNT(*) AS n FROM AllTables \
+                WHERE CellValue IN ('w0','0','1','2') GROUP BY ColumnId \
+                ORDER BY n DESC LIMIT 1";
+    let (rs, report) = engine.execute_with_report(wide).expect("hash-path group");
+    assert_eq!(rs.i64(0, "n"), Some(72));
+    let profile = report.profile.expect("profile collected");
+    let group = profile.find("group").and_then(|g| g.attr("path"));
+    assert_eq!(group.map(ToString::to_string).as_deref(), Some("hash"));
+    let sort = profile.find("sort").expect("sort span");
+    let attr = |key: &str| sort.attr(key).map(ToString::to_string);
+    assert_eq!(attr("path").as_deref(), Some("compare"));
+    assert_eq!(attr("rows_in").as_deref(), Some("2"));
+    assert_eq!(attr("candidates"), attr("rows_in"));
 }
 
 /// The `group` span says which grouping path ran. The SC shape counts off

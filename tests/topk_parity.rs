@@ -171,6 +171,23 @@ const SHAPES: &[Shape] = &[
         from: concat!("FROM AllTables WHERE ", sc_values!(), " GROUP BY ColumnId"),
         group: Group::Hash,
     },
+    // ORDER BY led by a group key, not a count: the key column is what
+    // the counting threshold reads, ties broken by the score after it.
+    Shape {
+        label: "key-led",
+        select: &[
+            "TableId AS t",
+            "RowId AS r",
+            "COUNT(DISTINCT CellValue) AS score",
+        ],
+        order: &["TableId", "COUNT(DISTINCT CellValue)"],
+        from: concat!(
+            "FROM AllTables WHERE ",
+            sc_values!(),
+            " GROUP BY TableId, RowId",
+        ),
+        group: Group::Hash,
+    },
     Shape {
         label: "distinct-and-count",
         select: &[
@@ -358,6 +375,54 @@ fn sort_all_then_truncate(
         .collect()
 }
 
+/// LIMITs at the edges of the leading ORDER BY key's tie band around the
+/// middle row, where a counting selection's threshold moves: with `T` that
+/// row's key, the number of rows whose key ranks strictly before `T` and
+/// the number ranking at or before it, each of them ±1.
+fn tie_band_limits(base: &ResultSet, width: usize, desc: &[bool]) -> Vec<usize> {
+    let Some(&desc) = desc.first() else {
+        return Vec::new();
+    };
+    let cmp = |a: &SqlValue, b: &SqlValue| match desc {
+        true => a.order_cmp(b).reverse(),
+        false => a.order_cmp(b),
+    };
+    let mut keys: Vec<&SqlValue> = base.rows.iter().map(|r| &r[width]).collect();
+    keys.sort_by(|a, b| cmp(a, b));
+    let Some(t) = keys.get(keys.len() / 2) else {
+        return Vec::new();
+    };
+    let before = keys.iter().filter(|k| cmp(k, t).is_lt()).count();
+    let through = keys.iter().filter(|k| cmp(k, t).is_le()).count();
+    [before, through]
+        .into_iter()
+        .flat_map(|c| [c.saturating_sub(1), c, c + 1])
+        .collect()
+}
+
+/// Where a LIMIT runs: (SIMD dispatch, pool width) pairs, and executors.
+type Runs = (&'static [(bool, usize)], &'static [ExecPath]);
+
+/// The fixed LIMITs run every pair on both executors.
+const EVERY_RUN: Runs = (
+    &[
+        (false, 1),
+        (false, 2),
+        (false, 4),
+        (false, 8),
+        (true, 1),
+        (true, 2),
+        (true, 4),
+        (true, 8),
+    ],
+    &[ExecPath::Auto, ExecPath::TupleOnly],
+);
+
+/// The tie-band LIMITs aim at the positional executor's counting
+/// selection — the tuple executor never counts — sequentially (the
+/// merge-only selection) and partitioned (per-partition selections).
+const TIE_BAND_RUNS: Runs = (&[(false, 1), (true, 4)], &[ExecPath::Auto]);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -411,8 +476,20 @@ proptest! {
                     .unwrap_or_else(|e| panic!("{}: {e}: {base_sql}", shape.label))
                     .0;
                 let n = base.len();
+                let fixed = [None, Some(0), Some(1), Some(n / 2), Some(n), Some(n + 3)];
+                let mut tie_band: Vec<Option<usize>> = tie_band_limits(&base, width, &desc)
+                    .into_iter()
+                    .map(Some)
+                    .filter(|limit| !fixed.contains(limit))
+                    .collect();
+                tie_band.sort_unstable();
+                tie_band.dedup();
+                let limits = fixed
+                    .iter()
+                    .map(|&limit| (limit, EVERY_RUN))
+                    .chain(tie_band.into_iter().map(|limit| (limit, TIE_BAND_RUNS)));
 
-                for limit in [None, Some(0), Some(1), Some(n / 2), Some(n), Some(n + 3)] {
+                for (limit, (configs, paths)) in limits {
                     let want = sort_all_then_truncate(&base, width, &desc, limit);
                     let sql = format!(
                         "SELECT {} {} {order_sql} {}",
@@ -420,47 +497,45 @@ proptest! {
                         shape.from,
                         limit.map_or(String::new(), |k| format!("LIMIT {k}")),
                     );
-                    for vector in [false, true] {
+                    for &(vector, threads) in configs {
                         simd::force(Some(vector));
-                        for threads in [1usize, 2, 4, 8] {
-                            // min_parallel 1, morsels of 5 rows: every phase
-                            // of even these small inputs fans out.
-                            let eng = SqlEngine::with_alltables(fact.clone())
-                                .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-                            for path in [ExecPath::Auto, ExecPath::TupleOnly] {
-                                let (got, report) = eng
-                                    .execute_with_report_path(&sql, path)
-                                    .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
-                                if path == ExecPath::Auto {
-                                    prop_assert_eq!(&report.path, "positional", "{}", shape.label);
-                                    if let Some(group) = group_path(&report) {
-                                        prop_assert_eq!(
-                                            group,
-                                            shape.group.expected(kind, &report),
-                                            "{}: {}", shape.label, sql
-                                        );
-                                    }
-                                }
-                                // `SqlValue: PartialEq` equates 2^53 with
-                                // 2^53 + 1; compare the bytes.
-                                prop_assert_eq!(
-                                    format!("{:?}", got.rows),
-                                    format!("{:?}", want),
-                                    "{:?}/{:?}/{}t/vector={}: {}",
-                                    kind, path, threads, vector, sql
-                                );
-                            }
-                            // The columnar entry, asked for rows afterwards.
-                            let (cols, _) = eng
-                                .execute_columns_interruptible(&sql, ExecPath::Auto, Interrupt::never())
+                        // min_parallel 1, morsels of 5 rows: every phase
+                        // of even these small inputs fans out.
+                        let eng = SqlEngine::with_alltables(fact.clone())
+                            .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                        for &path in paths {
+                            let (got, report) = eng
+                                .execute_with_report_path(&sql, path)
                                 .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                            if path == ExecPath::Auto {
+                                prop_assert_eq!(&report.path, "positional", "{}", shape.label);
+                                if let Some(group) = group_path(&report) {
+                                    prop_assert_eq!(
+                                        group,
+                                        shape.group.expected(kind, &report),
+                                        "{}: {}", shape.label, sql
+                                    );
+                                }
+                            }
+                            // `SqlValue: PartialEq` equates 2^53 with
+                            // 2^53 + 1; compare the bytes.
                             prop_assert_eq!(
-                                format!("{:?}", cols.to_result_set().rows),
+                                format!("{:?}", got.rows),
                                 format!("{:?}", want),
-                                "{:?}/columns/{}t/vector={}: {}",
-                                kind, threads, vector, sql
+                                "{:?}/{:?}/{}t/vector={}: {}",
+                                kind, path, threads, vector, sql
                             );
                         }
+                        // The columnar entry, asked for rows afterwards.
+                        let (cols, _) = eng
+                            .execute_columns_interruptible(&sql, ExecPath::Auto, Interrupt::never())
+                            .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                        prop_assert_eq!(
+                            format!("{:?}", cols.to_result_set().rows),
+                            format!("{:?}", want),
+                            "{:?}/columns/{}t/vector={}: {}",
+                            kind, threads, vector, sql
+                        );
                     }
                 }
             }
