@@ -13,16 +13,12 @@
 use std::cmp::Ordering;
 
 use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
-use blend_parallel::ParallelCtx;
-
-use blend_storage::ScanScratch;
+use blend_parallel::{morselize, ParallelCtx};
 
 use crate::ast::AggFunc;
 use crate::columns::ResultColumns;
 use crate::expr::CExpr;
-use crate::plan::{
-    materialize, AccessPath, AggPlan, GroupPlan, InputPlan, QueryPlan, ScanPlan, Tree,
-};
+use crate::plan::{materialize, AggPlan, GroupPlan, InputPlan, QueryPlan, ScanPlan, Seg, Tree};
 use crate::value::SqlValue;
 
 /// One tuple.
@@ -41,6 +37,20 @@ pub struct ScanReport {
     pub scanned: usize,
     /// Tuples surviving all scan predicates.
     pub emitted: usize,
+}
+
+impl ScanReport {
+    /// The report of `scan` after visiting `scanned` positions and emitting
+    /// `emitted` of them.
+    pub(crate) fn new(scan: &ScanPlan, scanned: usize, emitted: usize) -> Self {
+        ScanReport {
+            alias: scan.alias.clone(),
+            access: scan.access.label().to_string(),
+            estimated: scan.access.estimated(),
+            scanned,
+            emitted,
+        }
+    }
 }
 
 /// Parallel-execution telemetry for one positional-executor phase that ran
@@ -484,59 +494,24 @@ fn exec_scan(scan: &ScanPlan, report: &mut QueryReport, par: &ParallelCtx) -> Re
     let table = scan.table.as_ref();
     let mut out = Vec::new();
     let mut scanned = 0usize;
-    let mut scratch = ScanScratch::default();
+    let mut sel = Vec::new();
 
-    // Fast filters run through the same compiled kernel as the positional
-    // executor — one batched `filter_batch`/`filter_range` call per
-    // candidate segment into the reusable selection vector. Only the
-    // survivors materialize tuples (the residual still needs them).
-    let emit = |sel: &[u32], out: &mut Vec<Tuple>| {
-        for &pos in sel {
+    // The plan's segments in morsel-sized pieces, each one batched kernel
+    // pass into the reusable selection vector, so a deadline is observed
+    // mid-segment. Only the survivors materialize tuples (the residual
+    // still needs them).
+    let segs = scan.segments();
+    let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
+    let residual = scan.residual.as_ref();
+    for m in morselize(&lens, par.morsel_len()) {
+        par.check_interrupt()?;
+        scanned += m.len();
+        sel.clear();
+        scan.filter(segs[m.segment], m.start, m.end, &mut sel);
+        for &pos in &sel {
             let tuple = materialize(table, pos as usize);
-            if let Some(res) = &scan.residual {
-                if !res.eval_predicate(&tuple) {
-                    continue;
-                }
-            }
-            out.push(tuple);
-        }
-    };
-
-    match &scan.access {
-        AccessPath::ValueIndex { .. } => {
-            for v in &scan.driving_values {
-                par.check_interrupt()?;
-                let postings = table.postings(v);
-                scanned += postings.len();
-                scratch.sel.clear();
-                table.filter_batch(&scan.kernel, postings, &mut scratch.sel);
-                emit(&scratch.sel, &mut out);
-            }
-        }
-        AccessPath::TableIndex { .. } => {
-            for &t in &scan.driving_tables {
-                par.check_interrupt()?;
-                let range = table.table_postings(t);
-                scanned += range.len();
-                scratch.sel.clear();
-                table.filter_range(&scan.kernel, range.start, range.end, &mut scratch.sel);
-                emit(&scratch.sel, &mut out);
-            }
-        }
-        AccessPath::SeqScan { .. } => {
-            // One batched kernel pass per morsel-sized range so a deadline
-            // is observed mid-table (survivors concatenate identically to
-            // a single whole-table call).
-            let n = table.len();
-            let mut lo = 0usize;
-            while lo < n {
-                par.check_interrupt()?;
-                let hi = (lo + par.morsel_len()).min(n);
-                scanned += hi - lo;
-                scratch.sel.clear();
-                table.filter_range(&scan.kernel, lo, hi, &mut scratch.sel);
-                emit(&scratch.sel, &mut out);
-                lo = hi;
+            if residual.is_none_or(|r| r.eval_predicate(&tuple)) {
+                out.push(tuple);
             }
         }
     }
@@ -544,13 +519,7 @@ fn exec_scan(scan: &ScanPlan, report: &mut QueryReport, par: &ParallelCtx) -> Re
     span.attr_str("access", scan.access.label());
     span.attr_u64("scanned", scanned as u64);
     span.attr_u64("rows", out.len() as u64);
-    report.scans.push(ScanReport {
-        alias: scan.alias.clone(),
-        access: scan.access.label().to_string(),
-        estimated: scan.access.estimated(),
-        scanned,
-        emitted: out.len(),
-    });
+    report.scans.push(ScanReport::new(scan, scanned, out.len()));
     Ok(out)
 }
 

@@ -47,22 +47,23 @@
 //!
 //! ## Selection-vector scans
 //!
-//! A scan's cheap predicates are compiled **once per scan** into a
-//! [`FilterKernel`](blend_storage::FilterKernel) (`ScanPlan::kernel`):
-//! `CellValue IN` probes become dictionary-code sets on the column store,
-//! and `TableId IN / NOT IN` hash sets lower into sorted slices or dense
-//! bitmaps. The scan then evaluates whole candidate batches through the
-//! engine's [`FactTable::filter_batch`] / [`FactTable::filter_range`]
-//! entry points, which write survivors into a **selection vector** with
+//! The planner hands every scan two things, and both executors use them
+//! as they are: the scan's cheap predicates as one
+//! [`FilterKernel`](blend_storage::FilterKernel) (`ScanPlan::kernel`:
+//! `CellValue IN` as dictionary codes on the column store, `TableId IN /
+//! NOT IN` as sorted slices or dense bitmaps), and its visit order as
+//! `ScanPlan::segments` — the driving values' postings, the driving tables'
+//! ranges, or the whole table. The scan cuts the segments into morsels and
+//! filters each through `ScanPlan::filter`, i.e. the engine's
+//! [`FactTable::filter_batch`] (postings) or [`FactTable::filter_range`]
+//! (ranges), which write survivors into a **selection vector** with
 //! branch-free compaction passes — the column store indexes its contiguous
-//! `tables`/`rows`/`codes` arrays directly and evaluates [`Seg::Range`]
-//! segments straight off the column slices, never materializing the
-//! candidate position list; the row store runs one fused check per tuple.
-//! Per-worker [`ScanScratch`] buffers ride the morsel path via
-//! `WorkerPool::run_with`, so parallel scans reuse selection-vector
-//! capacity across every morsel a worker claims instead of allocating per
-//! morsel. The scalar `fast_filters_pass` survives only as the parity
-//! oracle (`tests/filter_kernel_parity.rs`).
+//! `tables`/`rows`/`codes` arrays directly and evaluates range segments
+//! straight off the column slices, never materializing the candidate
+//! position list; the row store runs one fused check per tuple. Per-worker
+//! [`ScanScratch`] buffers ride the morsel path via `WorkerPool::run_with`,
+//! so parallel scans reuse selection-vector capacity across every morsel a
+//! worker claims instead of allocating per morsel.
 //!
 //! ## Flat join/group tables
 //!
@@ -260,7 +261,7 @@ use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
     Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
 };
-use blend_storage::{FactTable, FilterKernel, ScanScratch, ValueProbe};
+use blend_storage::{FactTable, FilterKernel, ScanScratch, ValuePred};
 
 use crate::exec::HashTableStats;
 use crate::hashtable::{GroupIndex, JoinKey, JoinTable, PROBE_BLOCK};
@@ -272,7 +273,7 @@ use crate::expr::{
     combine_and, combine_or, eval_abs_value, eval_cast_int_value, eval_cmp_arith, eval_unary_value,
     CExpr,
 };
-use crate::plan::{identity_scan, AccessPath, AggPlan, QueryPlan, ScanPlan, Tree};
+use crate::plan::{identity_scan, AccessPath, AggPlan, QueryPlan, ScanPlan, Seg, Tree};
 use crate::value::SqlValue;
 use blend_common::{BlendError, Result};
 
@@ -323,7 +324,7 @@ impl IntCol {
 /// A compiled positional expression: like [`CExpr`], but column references
 /// fetch directly from a leaf's storage position instead of a materialized
 /// tuple, and constant `CellValue IN (...)` lists are specialized into
-/// engine [`ValueProbe`]s (dictionary-code comparisons on the column store).
+/// engine [`ValuePred`]s (dictionary-code comparisons on the column store).
 enum PExpr {
     Const(SqlValue),
     /// `CellValue` of a leaf — the only variant that allocates.
@@ -335,7 +336,7 @@ enum PExpr {
     /// `CellValue IN (constant strings)`, pre-compiled as an engine probe.
     InProbe {
         leaf: usize,
-        probe: ValueProbe,
+        probe: ValuePred,
         negated: bool,
     },
     InSet(Box<PExpr>, Arc<FxHashSet<SqlValue>>, bool),
@@ -989,31 +990,11 @@ fn exec_node(
     }
 }
 
-/// One ordered input segment of a filtered scan: a postings list or a
-/// contiguous position range. Segments in access-path order, positions in
-/// segment order, reproduce the sequential visit order exactly — which is
-/// what makes the morsel-order merge byte-identical.
-enum Seg<'a> {
-    /// Inverted-index postings of one driving value.
-    Postings(&'a [u32]),
-    /// Physical positions `[lo, hi)` (a table range or the whole table).
-    Range(usize, usize),
-}
-
-impl Seg<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Seg::Postings(p) => p.len(),
-            Seg::Range(lo, hi) => hi - lo,
-        }
-    }
-}
-
 /// Positional scan: emit surviving positions; no tuple is materialized.
-/// Mirrors the tuple executor's visit order and telemetry exactly. Large
-/// filtered scans are morsel-partitioned across the pool; per-morsel
-/// position lists concatenate in morsel order, so the emitted batch is
-/// identical at every thread count.
+/// Visits the plan's segments in the tuple executor's order and reports
+/// the same telemetry. Large filtered scans are morsel-partitioned across
+/// the pool; per-morsel position lists concatenate in morsel order, so the
+/// emitted batch is identical at every thread count.
 fn exec_scan(
     scan: &ScanPlan,
     leaf: usize,
@@ -1025,85 +1006,48 @@ fn exec_scan(
     par.check_interrupt()?;
     let span = blend_obs::span_owned(format!("scan:{}", scan.alias));
     span.attr_str("access", scan.access.label());
-    let table = scan.table.as_ref();
-    let mut out: Vec<u32> = Vec::new();
-    let mut scanned = 0usize;
-
-    // Unfiltered index scans copy postings/ranges wholesale — the common
-    // SC/KW case (no TID injection) never touches per-position logic.
-    let unfiltered = residual.is_none() && scan.kernel.is_empty();
-    if unfiltered {
-        match &scan.access {
-            AccessPath::ValueIndex { .. } => {
-                for v in &scan.driving_values {
-                    out.extend_from_slice(table.postings(v));
-                }
-            }
-            AccessPath::TableIndex { .. } => {
-                for &t in &scan.driving_tables {
-                    out.extend(table.table_postings(t).map(|p| p as u32));
-                }
-            }
-            AccessPath::SeqScan { .. } => {
-                out.extend(0..table.len() as u32);
-            }
+    let segs = scan.segments();
+    let scanned: usize = segs.iter().map(Seg::len).sum();
+    let out = if residual.is_none() && scan.kernel.is_empty() {
+        // Unfiltered scans copy their segments wholesale — the common
+        // SC/KW case (no TID injection) never touches per-position logic.
+        let mut out = Vec::new();
+        for seg in &segs {
+            scan.filter(*seg, 0, seg.len(), &mut out);
         }
-        span.attr_u64("scanned", out.len() as u64);
-        span.attr_u64("rows", out.len() as u64);
-        report.scans.push(ScanReport {
-            alias: scan.alias.clone(),
-            access: scan.access.label().to_string(),
-            estimated: scan.access.estimated(),
-            scanned: out.len(),
-            emitted: out.len(),
-        });
-        return PosBatch::scanned(out, par);
-    }
-
-    // Ordered segments of the driving access path; a sequential pass over
-    // them is exactly the original per-position loop.
-    let segs: Vec<Seg<'_>> = match &scan.access {
-        AccessPath::ValueIndex { .. } => scan
-            .driving_values
-            .iter()
-            .map(|v| Seg::Postings(table.postings(v)))
-            .collect(),
-        AccessPath::TableIndex { .. } => scan
-            .driving_tables
-            .iter()
-            .map(|&t| {
-                let r = table.table_postings(t);
-                Seg::Range(r.start, r.end)
-            })
-            .collect(),
-        AccessPath::SeqScan { .. } => vec![Seg::Range(0, table.len())],
+        out
+    } else {
+        scan_morsels(scan, &segs, leaf, residual, tables, report, par)?
     };
+    span.attr_u64("scanned", scanned as u64);
+    span.attr_u64("rows", out.len() as u64);
+    report.scans.push(ScanReport::new(scan, scanned, out.len()));
+    PosBatch::scanned(out, par)
+}
 
-    // One morsel = one batched kernel evaluation. Kernel survivors land
-    // either straight in `out` (no residual — the common case) or in the
-    // worker's reusable selection-vector scratch for the scalar residual
-    // pass. Returns the number of candidate positions visited.
-    let kernel = &scan.kernel;
-    let scan_morsel = |m: &Morsel, scratch: &mut ScanScratch, out: &mut Vec<u32>| -> usize {
+/// The filtered scan: the segments cut into morsels, each one batched
+/// kernel evaluation ([`ScanPlan::filter`]) plus the residual, on the pool
+/// when admission grants workers and inline otherwise.
+fn scan_morsels(
+    scan: &ScanPlan,
+    segs: &[Seg<'_>],
+    leaf: usize,
+    residual: Option<&PExpr>,
+    tables: &[&dyn FactTable],
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<Vec<u32>> {
+    // Kernel survivors land either straight in `out` (no residual — the
+    // common case) or in the worker's reusable selection-vector scratch for
+    // the scalar residual pass.
+    let scan_morsel = |m: &Morsel, scratch: &mut ScanScratch, out: &mut Vec<u32>| {
         scratch.sel.clear();
         let dst: &mut Vec<u32> = if residual.is_some() {
             &mut scratch.sel
         } else {
             &mut *out
         };
-        let visited = match segs[m.segment] {
-            Seg::Postings(p) => {
-                let candidates = &p[m.start..m.end];
-                table.filter_batch(kernel, candidates, dst);
-                candidates.len()
-            }
-            // Ranges evaluate straight off the engine's column slices; the
-            // candidate position list is never materialized.
-            Seg::Range(lo, _) => {
-                table.filter_range(kernel, lo + m.start, lo + m.end, dst);
-                m.len()
-            }
-        };
+        scan.filter(segs[m.segment], m.start, m.end, dst);
         if let Some(res) = residual {
             for &pos in &scratch.sel {
                 if res.eval_predicate(tables, leaf, std::slice::from_ref(&pos)) {
@@ -1111,30 +1055,27 @@ fn exec_scan(
                 }
             }
         }
-        visited
     };
 
-    let total: usize = segs.iter().map(Seg::len).sum();
+    let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
+    let morsels = morselize(&lens, par.morsel_len());
     // Admission: a multi-morsel scan asks the controller for workers; an
     // empty grant (threads == 1, tiny input, or the budget held by other
     // in-flight queries) means the scan runs inline on the calling thread.
     // A single morsel would run inline anyway, so its grant is returned
     // immediately.
-    let admitted = par.admit(total).and_then(|grant| {
-        let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
-        let morsels = morselize(&lens, par.morsel_len());
-        (morsels.len() > 1).then_some((grant, morsels))
-    });
+    let admitted = par.admit(lens.iter().sum()).filter(|_| morsels.len() > 1);
     let intr = par.interrupt();
     // Selection-vector scratch: one morsel-sized vector per participating
     // worker (or one total on the sequential path). Held only for the
     // duration of the scan.
-    let scratch_width = admitted.as_ref().map_or(1, |(g, _)| g.granted());
+    let scratch_width = admitted.as_ref().map_or(1, PhaseGrant::granted);
     let _scratch_mem = par
         .memory()
         .try_reserve("scan_scratch", scratch_width * par.morsel_len() * 4)?;
+    let mut out = Vec::new();
     match admitted {
-        Some((grant, morsels)) => {
+        Some(grant) => {
             // Per-worker scratch: selection-vector capacity is allocated
             // once per worker, not once per morsel. Workers poll the
             // interrupt per morsel and bail with an empty partial; the
@@ -1143,18 +1084,16 @@ fn exec_scan(
             let run = grant
                 .pool()
                 .run_with(morsels.len(), ScanScratch::default, |scratch, i| {
-                    if intr.is_set() {
-                        return (Vec::new(), 0);
-                    }
                     let mut local = Vec::new();
-                    let local_scanned = scan_morsel(&morsels[i], scratch, &mut local);
-                    (local, local_scanned)
+                    if !intr.is_set() {
+                        scan_morsel(&morsels[i], scratch, &mut local);
+                    }
+                    local
                 });
             par.check_interrupt()?;
-            out.reserve(run.results.iter().map(|(l, _)| l.len()).sum());
-            for (local, local_scanned) in run.results {
+            out.reserve(run.results.iter().map(Vec::len).sum());
+            for local in run.results {
                 out.extend_from_slice(&local);
-                scanned += local_scanned;
             }
             report.parallel.push(ParallelPhase {
                 phase: format!("scan:{}", scan.alias),
@@ -1163,30 +1102,18 @@ fn exec_scan(
                 worker_nanos: run.worker_nanos,
             });
         }
-        _ => {
-            // The sequential loop visits morsel-sized sub-ranges (kernel
-            // survivors concatenate identically to whole-segment calls) so
-            // a deadline is observed mid-segment, not only between
-            // segments.
+        None => {
+            // The sequential loop visits the same morsels (kernel survivors
+            // concatenate identically to whole-segment calls) so a deadline
+            // is observed mid-segment, not only between segments.
             let mut scratch = ScanScratch::default();
-            let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
-            for m in morselize(&lens, par.morsel_len()) {
+            for m in &morsels {
                 par.check_interrupt()?;
-                scanned += scan_morsel(&m, &mut scratch, &mut out);
+                scan_morsel(m, &mut scratch, &mut out);
             }
         }
     }
-
-    span.attr_u64("scanned", scanned as u64);
-    span.attr_u64("rows", out.len() as u64);
-    report.scans.push(ScanReport {
-        alias: scan.alias.clone(),
-        access: scan.access.label().to_string(),
-        estimated: scan.access.estimated(),
-        scanned,
-        emitted: out.len(),
-    });
-    PosBatch::scanned(out, par)
+    Ok(out)
 }
 
 /// Pack 1–2 u32 key columns into one `u64` per row (shift-fold, so a
@@ -1888,14 +1815,13 @@ impl<'a> GroupInput<'a> {
             .aggs
             .iter()
             .map(|spec| match spec {
-                PosAggSpec::DistinctValue { leaf } if tables[*leaf].has_value_codes() => {
-                    let mut codes = Vec::with_capacity(n_rows);
-                    let ok = tables[*leaf].gather_value_codes(cache.positions(*leaf), &mut codes);
-                    debug_assert!(ok);
-                    SpecData::Codes(codes)
-                }
                 PosAggSpec::DistinctValue { leaf } => {
-                    SpecData::Positions(cache.positions(*leaf).to_vec())
+                    let positions = cache.positions(*leaf);
+                    let mut codes = Vec::new();
+                    match tables[*leaf].gather_value_codes(positions, &mut codes) {
+                        true => SpecData::Codes(codes),
+                        false => SpecData::Positions(positions.to_vec()),
+                    }
                 }
                 _ => SpecData::None,
             })
@@ -2096,11 +2022,8 @@ fn group_columns(
     span.attr_u64("partitions", 1);
     drop(span);
     report.scans.push(ScanReport {
-        alias: scan.alias.clone(),
         access: "column-index".to_string(),
-        estimated: scan.access.estimated(),
-        scanned: visited,
-        emitted: kept,
+        ..ScanReport::new(scan, visited, kept)
     });
     finish_groups(plan, vec![groups], None, report, par)
 }

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
-use blend_storage::{FactTable, FilterKernel, IdSet, ValuePred, ValueProbe};
+use blend_storage::{FactTable, FilterKernel, IdSet};
 
 use crate::ast::*;
 use crate::expr::{compile, CExpr, ColInfo, Schema};
@@ -68,59 +68,6 @@ impl AccessPath {
     }
 }
 
-/// Cheap per-position predicates evaluated before tuple materialization.
-pub struct FastFilters {
-    /// `CellValue IN (...)` probe (when not the driving access).
-    pub value_probe: Option<ValueProbe>,
-    /// `TableId IN (...)` set (when not the driving access).
-    pub table_set: Option<FxHashSet<u32>>,
-    /// `TableId NOT IN (...)` set.
-    pub table_not_set: Option<FxHashSet<u32>>,
-    /// `RowId < n` bound (exclusive).
-    pub rowid_lt: Option<u32>,
-    /// `Quadrant IS NOT NULL` (true) / `IS NULL` (false) requirement.
-    pub quadrant_null: Option<bool>,
-}
-
-impl FastFilters {
-    fn empty() -> Self {
-        FastFilters {
-            value_probe: None,
-            table_set: None,
-            table_not_set: None,
-            rowid_lt: None,
-            quadrant_null: None,
-        }
-    }
-
-    /// Lower the filters into the batched [`FilterKernel`] both executors
-    /// evaluate through [`FactTable::filter_batch`] /
-    /// [`FactTable::filter_range`]. Compiled once per scan at plan time:
-    /// the value probe keeps its engine lowering (dictionary codes on the
-    /// column store — u32 compares instead of `probe_at` string compares),
-    /// and the table hash sets lower into [`IdSet`]s (sorted slice or dense
-    /// bitmap, chosen by cardinality). Field-for-field equivalent to the
-    /// scalar [`fast_filters_pass`] oracle.
-    pub fn compile_kernel(&self) -> FilterKernel {
-        FilterKernel {
-            value: self.value_probe.as_ref().map(|p| match p {
-                ValueProbe::Codes(set) => ValuePred::Codes(IdSet::build(set.iter().copied())),
-                ValueProbe::Strings(set) => ValuePred::Strings(set.clone()),
-            }),
-            table_in: self
-                .table_set
-                .as_ref()
-                .map(|s| IdSet::build(s.iter().copied())),
-            table_not_in: self
-                .table_not_set
-                .as_ref()
-                .map(|s| IdSet::build(s.iter().copied())),
-            rowid_lt: self.rowid_lt,
-            quadrant_null: self.quadrant_null,
-        }
-    }
-}
-
 /// A physical scan of the fact table.
 pub struct ScanPlan {
     pub table: Arc<dyn FactTable>,
@@ -131,14 +78,74 @@ pub struct ScanPlan {
     pub driving_values: Vec<String>,
     /// Driving table ids (for `TableIndex`).
     pub driving_tables: Vec<u32>,
-    /// The scan's cheap per-position predicates, compiled once at plan time
-    /// ([`FastFilters::compile_kernel`]) and evaluated by both executors'
-    /// scan loops via the engine's [`FactTable::filter_batch`] /
-    /// [`FactTable::filter_range`].
+    /// The scan's cheap per-position predicates, built once by the planner
+    /// (`TableId` lists as [`IdSet`]s, `CellValue IN` as the engine's
+    /// [`make_probe`](FactTable::make_probe)) and evaluated by both
+    /// executors through `ScanPlan::filter`.
     pub kernel: FilterKernel,
     /// Residual predicate over the materialized 6-column tuple.
     pub residual: Option<CExpr>,
     pub schema: Schema,
+}
+
+/// One ordered input segment of a scan: a postings list or a contiguous
+/// position range. Segments in [`ScanPlan::segments`] order, positions in
+/// segment order, are the scan's visit order — which is what makes both
+/// executors' scans, and the parallel scan's morsel-order merge, agree
+/// byte for byte.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seg<'a> {
+    /// Inverted-index postings of one driving value.
+    Postings(&'a [u32]),
+    /// Physical positions `[lo, hi)` (a table range or the whole table).
+    Range(usize, usize),
+}
+
+impl Seg<'_> {
+    /// Number of candidate positions in the segment.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Seg::Postings(p) => p.len(),
+            Seg::Range(lo, hi) => hi - lo,
+        }
+    }
+}
+
+impl ScanPlan {
+    /// The access path's segments in visit order: the driving values'
+    /// postings, the driving tables' ranges, or the whole table.
+    pub(crate) fn segments(&self) -> Vec<Seg<'_>> {
+        let table = self.table.as_ref();
+        match &self.access {
+            AccessPath::ValueIndex { .. } => self
+                .driving_values
+                .iter()
+                .map(|v| Seg::Postings(table.postings(v)))
+                .collect(),
+            AccessPath::TableIndex { .. } => self
+                .driving_tables
+                .iter()
+                .map(|&t| {
+                    let r = table.table_postings(t);
+                    Seg::Range(r.start, r.end)
+                })
+                .collect(),
+            AccessPath::SeqScan { .. } => vec![Seg::Range(0, table.len())],
+        }
+    }
+
+    /// Append the positions of `seg[start..end]` that pass the kernel to
+    /// `sel`, in order: postings through [`FactTable::filter_batch`], ranges
+    /// straight off the engine's columns through [`FactTable::filter_range`].
+    /// Filtering consecutive sub-ranges appends what one call over the
+    /// whole segment would.
+    pub(crate) fn filter(&self, seg: Seg<'_>, start: usize, end: usize, sel: &mut Vec<u32>) {
+        let (table, kernel) = (self.table.as_ref(), &self.kernel);
+        match seg {
+            Seg::Postings(p) => table.filter_batch(kernel, &p[start..end], sel),
+            Seg::Range(lo, _) => table.filter_range(kernel, lo + start, lo + end, sel),
+        }
+    }
 }
 
 /// A leaf input: a scan or a nested query.
@@ -644,9 +651,10 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
             .collect(),
     );
 
-    let mut fast = FastFilters::empty();
+    let mut kernel = FilterKernel::empty();
     let mut value_list: Option<Vec<String>> = None;
     let mut table_list: Option<Vec<u32>> = None;
+    let mut table_not_list: Option<Vec<u32>> = None;
     let mut generic: Vec<Expr> = Vec::new();
 
     if let Some(pred) = &predicate {
@@ -655,25 +663,25 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
                 Classified::ValueIn(vs) => merge_value_list(&mut value_list, vs),
                 Classified::TableIn(ts) => merge_table_list(&mut table_list, ts),
                 Classified::TableNotIn(ts) => {
-                    let set = fast.table_not_set.get_or_insert_with(FxHashSet::default);
-                    set.extend(ts);
+                    table_not_list.get_or_insert_with(Vec::new).extend(ts)
                 }
                 Classified::RowIdLt(n) => {
-                    let bound = fast.rowid_lt.get_or_insert(n);
+                    let bound = kernel.rowid_lt.get_or_insert(n);
                     *bound = (*bound).min(n);
                 }
-                Classified::QuadrantNull(want_null) => match fast.quadrant_null {
+                Classified::QuadrantNull(want_null) => match kernel.quadrant_null {
                     // `Quadrant IS NULL AND Quadrant IS NOT NULL` is
                     // unsatisfiable; an impossible row-id bound makes the
                     // scan match nothing (last-conjunct-wins would silently
                     // drop one side and depend on predicate order).
-                    Some(prev) if prev != want_null => fast.rowid_lt = Some(0),
-                    _ => fast.quadrant_null = Some(want_null),
+                    Some(prev) if prev != want_null => kernel.rowid_lt = Some(0),
+                    _ => kernel.quadrant_null = Some(want_null),
                 },
                 Classified::Other => generic.push(c.clone()),
             }
         }
     }
+    kernel.table_not_in = table_not_list.map(IdSet::build);
 
     // Canonical driving order: postings are visited in sorted, deduplicated
     // literal order, so the chosen plan and the emitted row order do not
@@ -721,31 +729,25 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
         (None, None) => AccessPath::SeqScan { estimated: n_rows },
     };
 
-    // Whichever candidate is not driving becomes a fast residual.
+    // Whichever candidate is not driving becomes a kernel predicate.
     let mut driving_values = Vec::new();
     let mut driving_tables = Vec::new();
+    let value_pred = |vs: Vec<String>| {
+        let refs: Vec<&str> = vs.iter().map(String::as_str).collect();
+        table.make_probe(&refs)
+    };
     match &access {
         AccessPath::ValueIndex { .. } => {
             driving_values = value_list.unwrap_or_default();
-            if let Some(ts) = table_list {
-                fast.table_set = Some(ts.into_iter().collect());
-            }
+            kernel.table_in = table_list.map(IdSet::build);
         }
         AccessPath::TableIndex { .. } => {
             driving_tables = table_list.unwrap_or_default();
-            if let Some(vs) = value_list {
-                let refs: Vec<&str> = vs.iter().map(String::as_str).collect();
-                fast.value_probe = Some(table.make_probe(&refs));
-            }
+            kernel.value = value_list.map(value_pred);
         }
         AccessPath::SeqScan { .. } => {
-            if let Some(vs) = value_list {
-                let refs: Vec<&str> = vs.iter().map(String::as_str).collect();
-                fast.value_probe = Some(table.make_probe(&refs));
-            }
-            if let Some(ts) = table_list {
-                fast.table_set = Some(ts.into_iter().collect());
-            }
+            kernel.value = value_list.map(value_pred);
+            kernel.table_in = table_list.map(IdSet::build);
         }
     }
 
@@ -760,7 +762,7 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
         access,
         driving_values,
         driving_tables,
-        kernel: fast.compile_kernel(),
+        kernel,
         residual,
         schema,
     })
@@ -784,11 +786,12 @@ fn classify_conjunct(e: &Expr) -> Classified {
         } => match unqualified_fact_col(expr) {
             Some("cellvalue") if !negated => {
                 let mut vs = Vec::with_capacity(list.len());
+                // Only string literals: a number never equals a text cell
+                // (`CellValue IN (1)` matches nothing), so a list holding
+                // one stays a residual.
                 for item in list {
                     match item {
                         Expr::Str(s) => vs.push(s.clone()),
-                        Expr::Int(i) => vs.push(i.to_string()),
-                        Expr::Float(f) => vs.push(f.to_string()),
                         _ => return Classified::Other,
                     }
                 }
@@ -949,7 +952,7 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
     if new_est >= dst.access.estimated() {
         return;
     }
-    // A previously chosen value probe (if any) stays as a fast residual.
+    // A previously chosen value probe (if any) stays a kernel predicate.
     dst.access = AccessPath::TableIndex {
         n_tables: ids.len(),
         estimated: new_est,
@@ -961,26 +964,13 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
 const FACT_TABLEID_OFFSET: usize = 1;
 
 /// The base scan behind a tree, provided every intermediate query is an
-/// identity projection (no grouping/limit/filter/ordering), so tuple
-/// offsets line up with the physical fact columns. Also used by the
-/// positional executor to unwrap the identity subqueries the MC/C seeker
-/// templates generate.
+/// identity projection ([`is_identity`]), so tuple offsets line up with the
+/// physical fact columns. Also used by the positional executor to unwrap
+/// the identity subqueries the MC/C seeker templates generate.
 pub(crate) fn identity_scan(tree: &Tree) -> Option<&ScanPlan> {
     match tree {
         Tree::Leaf(InputPlan::Scan(s)) => Some(s),
-        Tree::Leaf(InputPlan::Query(qp, _))
-            if qp.group.is_none()
-                && qp.limit.is_none()
-                && qp.post_filter.is_none()
-                && qp.order_by.is_empty()
-                && qp
-                    .projection
-                    .iter()
-                    .enumerate()
-                    .all(|(i, (_, e))| matches!(e, CExpr::Col(j) if *j == i)) =>
-        {
-            identity_scan(&qp.tree)
-        }
+        Tree::Leaf(InputPlan::Query(qp, _)) if is_identity(qp) => identity_scan(&qp.tree),
         _ => None,
     }
 }
@@ -988,21 +978,23 @@ pub(crate) fn identity_scan(tree: &Tree) -> Option<&ScanPlan> {
 fn identity_scan_mut(tree: &mut Tree) -> Option<&mut ScanPlan> {
     match tree {
         Tree::Leaf(InputPlan::Scan(s)) => Some(s),
-        Tree::Leaf(InputPlan::Query(qp, _))
-            if qp.group.is_none()
-                && qp.limit.is_none()
-                && qp.post_filter.is_none()
-                && qp.order_by.is_empty()
-                && qp
-                    .projection
-                    .iter()
-                    .enumerate()
-                    .all(|(i, (_, e))| matches!(e, CExpr::Col(j) if *j == i)) =>
-        {
-            identity_scan_mut(&mut qp.tree)
-        }
+        Tree::Leaf(InputPlan::Query(qp, _)) if is_identity(qp) => identity_scan_mut(&mut qp.tree),
         _ => None,
     }
+}
+
+/// A subquery that passes its input through unchanged: no grouping, limit,
+/// filter or ordering, and column `i` projects input column `i`.
+fn is_identity(qp: &QueryPlan) -> bool {
+    qp.group.is_none()
+        && qp.limit.is_none()
+        && qp.post_filter.is_none()
+        && qp.order_by.is_empty()
+        && qp
+            .projection
+            .iter()
+            .enumerate()
+            .all(|(i, (_, e))| matches!(e, CExpr::Col(j) if *j == i))
 }
 
 /// Distinct table ids a scan's driving access can produce (a safe
@@ -1142,43 +1134,6 @@ fn substitute_agg(e: &Expr, groups: &[Expr], aggs: &[Expr]) -> Option<Expr> {
         Expr::CastInt(inner) => Expr::CastInt(Box::new(substitute_agg(inner, groups, aggs)?)),
         leaf => leaf.clone(),
     })
-}
-
-/// Scalar evaluation of the fast filters for one physical position.
-///
-/// No executor runs this anymore — scans evaluate the compiled
-/// [`FilterKernel`] a batch at a time through
-/// [`FactTable::filter_batch`] / [`FactTable::filter_range`] — but it stays
-/// alive as the **test oracle**: the `filter_kernel_parity` proptest suite
-/// pins every engine's batched output to this function byte-for-byte.
-#[inline]
-pub fn fast_filters_pass(table: &dyn FactTable, pos: usize, fast: &FastFilters) -> bool {
-    if let Some(bound) = fast.rowid_lt {
-        if table.row_at(pos) >= bound {
-            return false;
-        }
-    }
-    if let Some(set) = &fast.table_set {
-        if !set.contains(&table.table_at(pos)) {
-            return false;
-        }
-    }
-    if let Some(set) = &fast.table_not_set {
-        if set.contains(&table.table_at(pos)) {
-            return false;
-        }
-    }
-    if let Some(want_null) = fast.quadrant_null {
-        if table.quadrant_at(pos).is_none() != want_null {
-            return false;
-        }
-    }
-    if let Some(probe) = &fast.value_probe {
-        if !table.probe_at(pos, probe) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Materialize the 6-column tuple for a physical position.

@@ -2,11 +2,11 @@
 //! analogue.
 
 use blend_common::hash::hash_str;
-use blend_common::{FxHashMap, FxHashSet};
+use blend_common::FxHashMap;
 
 use crate::fact::{
     canonical_sort, decode_quadrant, scratch_component, table_ranges, FactRow, FactTable,
-    MemoryBreakdown, ValueProbe, QUADRANT_NULL,
+    MemoryBreakdown, QUADRANT_NULL,
 };
 use crate::filter::{compact_by, extend_filtered_range, FilterKernel, IdSet, ValuePred};
 use crate::stats::FactStats;
@@ -487,31 +487,18 @@ impl FactTable for ColumnStore {
         }
     }
 
-    fn make_probe(&self, values: &[&str]) -> ValueProbe {
-        // Translate the IN-list to dictionary codes once; unknown values
-        // vanish (they can never match).
-        let set: FxHashSet<u32> = values
-            .iter()
-            .filter_map(|v| self.code_of_value(v))
-            .collect();
-        ValueProbe::Codes(set)
+    fn make_probe(&self, values: &[&str]) -> ValuePred {
+        ValuePred::Codes(IdSet::build(
+            values.iter().filter_map(|v| self.code_of_value(v)),
+        ))
     }
 
     #[inline]
-    fn probe_at(&self, pos: usize, probe: &ValueProbe) -> bool {
+    fn probe_at(&self, pos: usize, probe: &ValuePred) -> bool {
         match probe {
-            ValueProbe::Codes(set) => set.contains(&self.codes[pos]),
-            ValueProbe::Strings(set) => set.contains(self.value_at(pos)),
+            ValuePred::Codes(set) => set.contains(self.codes[pos]),
+            ValuePred::Strings(set) => set.contains(self.value_at(pos)),
         }
-    }
-
-    fn has_value_codes(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn value_code_at(&self, pos: usize) -> Option<u32> {
-        Some(self.codes[pos])
     }
 
     fn code_of_value(&self, value: &str) -> Option<u32> {
@@ -678,7 +665,7 @@ mod tests {
     fn codes_probe_filters() {
         let s = ColumnStore::build(sample_rows());
         let probe = s.make_probe(&["100", "200", "missing"]);
-        assert_eq!(probe.len(), 2);
+        assert!(matches!(&probe, ValuePred::Codes(set) if set.len() == 2));
         let hits = (0..s.len()).filter(|&p| s.probe_at(p, &probe)).count();
         assert_eq!(hits, 2);
     }
@@ -692,7 +679,7 @@ mod tests {
         let mut set: blend_common::FxHashSet<Box<str>> = Default::default();
         set.insert("berlin".into());
         let hits = (0..s.len())
-            .filter(|&p| s.probe_at(p, &ValueProbe::Strings(set.clone())))
+            .filter(|&p| s.probe_at(p, &ValuePred::Strings(set.clone())))
             .count();
         assert_eq!(hits, 2);
     }

@@ -75,37 +75,6 @@ pub fn decode_quadrant(code: u8) -> Option<bool> {
     }
 }
 
-/// An engine-specific pre-compiled probe for `CellValue IN (...)`
-/// predicates.
-///
-/// The column store translates the IN-list once into dictionary codes and
-/// then compares 4-byte integers per position; the row store falls back to a
-/// hashed string set. This asymmetry is the main reason the column store
-/// wins the paper's scan-heavy experiments.
-#[derive(Debug, Clone)]
-pub enum ValueProbe {
-    /// Dictionary codes (column store). Values absent from the dictionary
-    /// are simply not present.
-    Codes(blend_common::FxHashSet<u32>),
-    /// Owned string set (row store).
-    Strings(blend_common::FxHashSet<Box<str>>),
-}
-
-impl ValueProbe {
-    /// Number of distinct probe values that exist in the table.
-    pub fn len(&self) -> usize {
-        match self {
-            ValueProbe::Codes(s) => s.len(),
-            ValueProbe::Strings(s) => s.len(),
-        }
-    }
-
-    /// True if no probe value exists in the table.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Engine-neutral interface to the `AllTables` fact table.
 ///
 /// Positions (`pos`) are dense `0..len()` physical offsets. Rows are
@@ -158,27 +127,14 @@ pub trait FactTable: Send + Sync {
     /// returned as positions for uniformity.
     fn table_postings(&self, table: u32) -> std::ops::Range<usize>;
 
-    /// Build an engine-specific probe for an IN-list.
-    fn make_probe(&self, values: &[&str]) -> ValueProbe;
+    /// Compile an IN-list into this engine's value predicate: dictionary
+    /// codes on the column store, owned strings on the row store. Values
+    /// absent from the table vanish (they can never match).
+    fn make_probe(&self, values: &[&str]) -> ValuePred;
 
-    /// Test `CellValue[pos] IN probe`.
-    fn probe_at(&self, pos: usize, probe: &ValueProbe) -> bool;
-
-    /// True when [`FactTable::value_code_at`] yields dictionary codes.
-    ///
-    /// The positional executor uses codes for `COUNT(DISTINCT CellValue)`
-    /// so distinct counting hashes 4-byte integers instead of strings.
-    fn has_value_codes(&self) -> bool {
-        false
-    }
-
-    /// Dictionary code of `CellValue` at a position, when the engine is
-    /// dictionary-encoded (`None` on the row store). Codes are bijective
-    /// with distinct values, so `COUNT(DISTINCT code) = COUNT(DISTINCT
-    /// CellValue)`.
-    fn value_code_at(&self, _pos: usize) -> Option<u32> {
-        None
-    }
+    /// Test `CellValue[pos] IN probe` for a predicate from
+    /// [`make_probe`](FactTable::make_probe).
+    fn probe_at(&self, pos: usize, probe: &ValuePred) -> bool;
 
     /// Dictionary code of a value — the inverse of
     /// [`value_of_code`](FactTable::value_of_code). `None` when the value
@@ -240,89 +196,16 @@ pub trait FactTable: Send + Sync {
         out.extend(positions.iter().map(|&p| self.quadrant_at(p as usize)));
     }
 
-    /// Split the physical position space `0..len()` into at most `parts`
-    /// contiguous ranges whose lengths differ by at most one — the
-    /// row-count-balanced partitions a parallel scan hands its workers.
-    /// Returns fewer (never empty) ranges when the table is smaller than
-    /// `parts`, and none for an empty table. Because rows are clustered in
-    /// canonical order (see [`canonical_sort`]), each range is itself a
-    /// run of whole-or-partial table clusters, so per-partition scans keep
-    /// the locality of the sequential scan.
-    fn partitions(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        blend_parallel::split_even(self.len(), parts)
-    }
-
-    /// Scalar check of a compiled [`FilterKernel`] at one position — the
-    /// reference semantics every batched entry point must reproduce (and
-    /// the fallback the default batch implementations loop over). Engines
-    /// should not override this; they override the batch entry points.
-    #[inline]
-    fn kernel_matches(&self, kernel: &FilterKernel, pos: usize) -> bool {
-        if let Some(bound) = kernel.rowid_lt {
-            if self.row_at(pos) >= bound {
-                return false;
-            }
-        }
-        if let Some(set) = &kernel.table_in {
-            if !set.contains(self.table_at(pos)) {
-                return false;
-            }
-        }
-        if let Some(set) = &kernel.table_not_in {
-            if set.contains(self.table_at(pos)) {
-                return false;
-            }
-        }
-        if let Some(want_null) = kernel.quadrant_null {
-            if self.quadrant_at(pos).is_none() != want_null {
-                return false;
-            }
-        }
-        match &kernel.value {
-            None => true,
-            Some(ValuePred::Strings(set)) => set.contains(self.value_at(pos)),
-            Some(ValuePred::Codes(set)) => match self.value_code_at(pos) {
-                Some(code) => set.contains(code),
-                // A codes predicate can only come from a dictionary engine;
-                // mirror `probe_at`'s contract on mismatched engines.
-                None => {
-                    debug_assert!(false, "codes predicate against an engine without codes");
-                    false
-                }
-            },
-        }
-    }
-
     /// Batched filter: append the subset of `positions` passing `kernel` to
     /// the selection vector `sel`, preserving input order. One virtual
-    /// dispatch per batch; engines specialize this into per-predicate
-    /// passes over their contiguous column arrays.
-    fn filter_batch(&self, kernel: &FilterKernel, positions: &[u32], sel: &mut Vec<u32>) {
-        if kernel.never_matches() {
-            return;
-        }
-        sel.extend(
-            positions
-                .iter()
-                .copied()
-                .filter(|&p| self.kernel_matches(kernel, p as usize)),
-        );
-    }
+    /// dispatch per batch; each engine evaluates it as per-predicate passes
+    /// over its own layout.
+    fn filter_batch(&self, kernel: &FilterKernel, positions: &[u32], sel: &mut Vec<u32>);
 
     /// Batched filter over the contiguous position range `lo..hi`
     /// (a table-index range or a whole-table scan), appending survivors to
-    /// `sel` in position order. Engines evaluate this straight off their
-    /// column slices without materializing the candidate list.
-    fn filter_range(&self, kernel: &FilterKernel, lo: usize, hi: usize, sel: &mut Vec<u32>) {
-        if kernel.never_matches() {
-            return;
-        }
-        sel.extend(
-            (lo..hi)
-                .filter(|&pos| self.kernel_matches(kernel, pos))
-                .map(|pos| pos as u32),
-        );
-    }
+    /// `sel` in position order without materializing the candidate list.
+    fn filter_range(&self, kernel: &FilterKernel, lo: usize, hi: usize, sel: &mut Vec<u32>);
 
     /// Exact catalog statistics.
     fn stats(&self) -> &FactStats;
@@ -483,18 +366,5 @@ mod tests {
             FactRow::new("a", 0, 0, 0, 0, None),
         ];
         let _ = table_ranges(&rows);
-    }
-
-    #[test]
-    fn fact_table_partitions_cover_the_position_space() {
-        let rows = crate::test_support::sample_rows();
-        let table = crate::build_engine(crate::EngineKind::Column, rows);
-        let parts = table.partitions(4);
-        assert_eq!(
-            parts.iter().map(ExactSizeIterator::len).sum::<usize>(),
-            table.len()
-        );
-        assert_eq!(parts.first().map(|r| r.start), Some(0));
-        assert_eq!(parts.last().map(|r| r.end), Some(table.len()));
     }
 }

@@ -8,22 +8,22 @@
 //! row. A [`FilterKernel`] is the batched compilation of those predicates,
 //! built **once per scan**:
 //!
-//! * `CellValue IN (...)` keeps its engine lowering: dictionary codes on
-//!   the column store (a u32 membership test instead of a string compare),
-//!   a hashed string set on the row store;
-//! * `TableId IN / NOT IN` hash sets lower into an [`IdSet`] — a sorted
+//! * `CellValue IN (...)` is the engine's [`ValuePred`]
+//!   ([`FactTable::make_probe`]): dictionary codes on the column store (a
+//!   u32 membership test instead of a string compare), a hashed string set
+//!   on the row store;
+//! * `TableId IN / NOT IN` id lists compile into an [`IdSet`] — a sorted
 //!   slice or a dense bitmap, chosen by cardinality vs. id domain;
 //! * engines evaluate the kernel over whole position batches via
 //!   [`FactTable::filter_batch`] / [`FactTable::filter_range`], writing
 //!   survivors through a reusable selection vector instead of returning a
-//!   verdict per call.
-//!
-//! The scalar oracle (`fast_filters_pass` in the SQL crate) stays alive as
-//! the reference semantics; the `filter_kernel_parity` proptest suite pins
-//! every engine's batched output to it byte-for-byte.
+//!   verdict per call. These two are the only evaluators; the
+//!   `filter_kernel_parity` suite pins both engines' output to a brute
+//!   force over the raw predicate inputs.
 //!
 //! [`FactTable::filter_batch`]: crate::FactTable::filter_batch
 //! [`FactTable::filter_range`]: crate::FactTable::filter_range
+//! [`FactTable::make_probe`]: crate::FactTable::make_probe
 
 use blend_common::FxHashSet;
 
@@ -155,9 +155,10 @@ impl IdSet {
     }
 }
 
-/// The value predicate of a kernel, lowered per engine at probe-build time
-/// (mirrors [`crate::ValueProbe`], but with the code set compiled into an
-/// [`IdSet`] for branch-free batch probes).
+/// A compiled `CellValue IN (...)` list, lowered per engine by
+/// [`FactTable::make_probe`](crate::FactTable::make_probe): the scan
+/// kernel's value predicate and the positional executor's `CellValue IN`
+/// probe.
 #[derive(Debug, Clone)]
 pub enum ValuePred {
     /// Dictionary codes (column store). IN-list values absent from the
@@ -182,8 +183,8 @@ impl ValuePred {
 
 /// The batched compilation of a scan's cheap per-position predicates.
 ///
-/// Compiled once per scan (see `FastFilters::compile_kernel` in the SQL
-/// crate) and evaluated by the storage engines over whole position batches:
+/// Built once per scan by the SQL planner (`ScanPlan::kernel`) and
+/// evaluated by the storage engines over whole position batches:
 /// [`FactTable::filter_batch`] for position lists,
 /// [`FactTable::filter_range`] for contiguous ranges. A field set to `None`
 /// means that predicate is absent; an all-`None` kernel accepts everything.
@@ -240,7 +241,7 @@ impl FilterKernel {
     /// dictionary/index), an empty `TableId IN` set, or `RowId < 0`.
     /// Engines check this once per batch and skip the pass cascade
     /// entirely; callers' visit telemetry is unaffected (candidates still
-    /// count as scanned, matching the scalar oracle's behavior).
+    /// count as scanned).
     pub fn never_matches(&self) -> bool {
         self.rowid_lt == Some(0)
             || self.table_in.as_ref().is_some_and(IdSet::is_empty)
@@ -304,6 +305,8 @@ impl ScanScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn idset_picks_bitmap_for_dense_small_domains() {
@@ -346,6 +349,54 @@ mod tests {
         for &id in &ids {
             assert!(set.contains(id));
             assert!(!set.contains(id + 1));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `contains`, `len` and `small_needles` against a `HashSet` over
+        /// lists that hold 0, `u32::MAX`, duplicates or nothing, with sizes
+        /// on both sides of `LINEAR_PROBE_MAX` and ids dense enough for the
+        /// bitmap or sparse enough for the sorted slice.
+        #[test]
+        fn idset_membership_matches_a_hash_set(
+            raw in proptest::collection::vec((0u32..5, any::<u32>()), 0..150),
+            small in proptest::option::of(0usize..12),
+            dup in any::<bool>(),
+        ) {
+            let mut ids: Vec<u32> = raw
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0,
+                    1 => u32::MAX,
+                    2 => x % 64,
+                    3 => x % 20_000,
+                    _ => x,
+                })
+                .take(small.unwrap_or(usize::MAX))
+                .collect();
+            if dup {
+                ids.extend(ids.clone());
+            }
+            let set = IdSet::build(ids.iter().copied());
+            let want: HashSet<u32> = ids.iter().copied().collect();
+            prop_assert_eq!(set.len(), want.len());
+            prop_assert_eq!(set.is_empty(), want.is_empty());
+            for id in ids.iter().flat_map(|&i| [i.wrapping_sub(1), i, i.wrapping_add(1)]) {
+                prop_assert_eq!(set.contains(id), want.contains(&id), "id {}", id);
+            }
+            for id in [0, 1, 63, 64, 65, 4095, 4096, u32::MAX - 1, u32::MAX] {
+                prop_assert_eq!(set.contains(id), want.contains(&id), "id {}", id);
+            }
+            let needles = set.small_needles();
+            prop_assert_eq!(needles.is_some(), (1..=8).contains(&want.len()));
+            if let Some(lanes) = needles {
+                for id in ids.iter().flat_map(|&i| [i.wrapping_sub(1), i, i.wrapping_add(1)]) {
+                    let hit = lanes.iter().fold(false, |acc, &lane| acc | (lane == id));
+                    prop_assert_eq!(hit, want.contains(&id), "lanes {:?} id {}", lanes, id);
+                }
+            }
         }
     }
 

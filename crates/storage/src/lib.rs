@@ -28,11 +28,12 @@
 //! access-path chooser uses the way a DBMS optimizer uses its catalog.
 //!
 //! Scan predicates evaluate through compiled [`FilterKernel`]s (see
-//! [`filter`]): the SQL layer lowers its cheap per-position filters once
-//! per scan, and the engines run them a batch at a time over selection
-//! vectors — dictionary-code probes on the column store, fused tuple
-//! checks on the row store — via [`FactTable::filter_batch`] /
-//! [`FactTable::filter_range`].
+//! [`filter`]): the SQL planner builds one per scan — `TableId` lists as
+//! [`IdSet`]s, `CellValue IN` as the engine's [`ValuePred`] — and the
+//! engines run it a batch at a time over selection vectors —
+//! dictionary-code probes on the column store, fused tuple checks on the
+//! row store — through their only two evaluators,
+//! [`FactTable::filter_batch`] and [`FactTable::filter_range`].
 
 pub mod column_store;
 pub mod fact;
@@ -42,7 +43,7 @@ pub mod stats;
 
 pub use column_store::{ColumnIndex, ColumnStore};
 pub use fact::{
-    decode_quadrant, FactRow, FactTable, MemoryBreakdown, ValueProbe, QUADRANT_NULL, QUADRANT_ONE,
+    decode_quadrant, FactRow, FactTable, MemoryBreakdown, QUADRANT_NULL, QUADRANT_ONE,
     QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
@@ -207,17 +208,16 @@ mod tests {
         let rows = test_support::sample_rows();
         let row = build_engine(EngineKind::Row, rows.clone());
         let col = build_engine(EngineKind::Column, rows);
-        assert!(!row.has_value_codes());
-        assert!(col.has_value_codes());
-        for pos in 0..col.len() {
-            assert!(row.value_code_at(pos).is_none());
-            let code = col.value_code_at(pos).expect("column store has codes");
-            // Codes are bijective with values: equal code <=> equal value.
-            for other in 0..col.len() {
-                assert_eq!(
-                    col.value_code_at(other) == Some(code),
-                    col.value_at(other) == col.value_at(pos),
-                );
+        let all: Vec<u32> = (0..col.len() as u32).collect();
+        let mut codes = Vec::new();
+        assert!(!row.gather_value_codes(&all, &mut codes));
+        assert!(codes.is_empty());
+        assert!(col.gather_value_codes(&all, &mut codes));
+        // Codes are bijective with values: equal code <=> equal value.
+        for (pos, &code) in codes.iter().enumerate() {
+            assert_eq!(col.value_of_code(code), Some(col.value_at(pos)));
+            for (other, &other_code) in codes.iter().enumerate() {
+                assert_eq!(other_code == code, col.value_at(other) == col.value_at(pos));
             }
         }
     }
@@ -234,13 +234,13 @@ mod tests {
             t.gather_columns(&positions, &mut columns);
             t.gather_rows(&positions, &mut row_ids);
             let has_codes = t.gather_value_codes(&positions, &mut codes);
-            assert_eq!(has_codes, t.has_value_codes());
+            assert_eq!(has_codes, kind == EngineKind::Column);
             for (i, &p) in positions.iter().enumerate() {
                 assert_eq!(tables[i], t.table_at(p as usize));
                 assert_eq!(columns[i], t.column_at(p as usize));
                 assert_eq!(row_ids[i], t.row_at(p as usize));
                 if has_codes {
-                    assert_eq!(Some(codes[i]), t.value_code_at(p as usize));
+                    assert_eq!(t.value_of_code(codes[i]), Some(t.value_at(p as usize)));
                 }
             }
         }

@@ -1,17 +1,20 @@
 //! Filter-kernel parity: the batched selection-vector kernels
-//! (`FactTable::filter_batch` / `filter_range`) must reproduce the scalar
-//! `fast_filters_pass` oracle **byte-for-byte** — for random `FastFilters`,
-//! on both storage engines, over position lists and contiguous ranges,
-//! through the morsel-partitioned pool at thread counts {1, 4}, and, for
-//! the two seeker scan shapes, on both forced SIMD dispatch paths.
+//! (`FactTable::filter_batch` / `filter_range`) must reproduce a brute
+//! force over the raw predicate inputs **byte-for-byte** — for random
+//! predicate sets, on both storage engines, over position lists and
+//! contiguous ranges, through the morsel-partitioned pool at thread counts
+//! {1, 4}, and, for the two seeker scan shapes, on both forced SIMD
+//! dispatch paths.
 //!
-//! The scalar function stays alive in `blend_sql::plan` precisely to serve
-//! as this suite's oracle; executors only ever run the compiled kernel.
+//! The oracle ([`Preds::keeps`]) reads cells through the point accessors
+//! and compares them with the value strings, id lists, bound and null flag
+//! as written: it shares no set type and no probe with the kernels.
 
 use blend_parallel::{morselize, WorkerPool};
-use blend_sql::plan::{fast_filters_pass, FastFilters};
 use blend_sql::{ExecPath, SqlEngine};
-use blend_storage::{build_engine, EngineKind, FactRow, FactTable, ScanScratch};
+use blend_storage::{
+    build_engine, EngineKind, FactRow, FactTable, FilterKernel, IdSet, ScanScratch,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -54,46 +57,82 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
     rows
 }
 
-/// Random `FastFilters` over a table: every predicate is independently
-/// present/absent, and the id lists deliberately mix hits with misses
-/// (values absent from the dictionary, table ids past the range directory).
-#[allow(clippy::too_many_arguments)]
-fn build_filters(
-    table: &dyn FactTable,
-    vocab: u32,
-    value_sel: Option<(u64, usize)>,
+/// The raw inputs of a scan's cheap predicates; `None` = absent.
+#[derive(Debug)]
+struct Preds {
+    values: Option<Vec<String>>,
     table_in: Option<Vec<u32>>,
     table_not_in: Option<Vec<u32>>,
     rowid_lt: Option<u32>,
     quadrant_null: Option<bool>,
-) -> FastFilters {
-    let value_probe = value_sel.map(|(seed, n)| {
-        let vals: Vec<String> = (0..n as u64)
-            .map(|i| {
-                format!(
-                    "w{}",
-                    (seed.wrapping_mul(31).wrapping_add(i * 7)) % (vocab as u64 + 3)
-                )
-            })
-            .collect();
-        let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
-        table.make_probe(&refs)
-    });
-    FastFilters {
-        value_probe,
-        table_set: table_in.map(|v| v.into_iter().collect()),
-        table_not_set: table_not_in.map(|v| v.into_iter().collect()),
-        rowid_lt,
-        quadrant_null,
-    }
 }
 
-/// Oracle: scalar `fast_filters_pass` over every position in `lo..hi`.
-fn oracle_positions(table: &dyn FactTable, fast: &FastFilters, lo: usize, hi: usize) -> Vec<u32> {
-    (lo..hi)
-        .filter(|&p| fast_filters_pass(table, p, fast))
-        .map(|p| p as u32)
-        .collect()
+impl Preds {
+    /// Random predicates: every one independently present or absent, the
+    /// lists deliberately mixing hits with misses (values absent from the
+    /// dictionary, table ids past the range directory).
+    fn new(
+        vocab: u32,
+        value_sel: Option<(u64, usize)>,
+        table_in: Option<Vec<u32>>,
+        table_not_in: Option<Vec<u32>>,
+        rowid_lt: Option<u32>,
+        quadrant_null: Option<bool>,
+    ) -> Self {
+        let values = value_sel.map(|(seed, n)| {
+            (0..n as u64)
+                .map(|i| {
+                    let w = seed.wrapping_mul(31).wrapping_add(i * 7) % (vocab as u64 + 3);
+                    format!("w{w}")
+                })
+                .collect()
+        });
+        Preds {
+            values,
+            table_in,
+            table_not_in,
+            rowid_lt,
+            quadrant_null,
+        }
+    }
+
+    /// The kernel the planner would build from these inputs.
+    fn kernel(&self, table: &dyn FactTable) -> FilterKernel {
+        let ids = |v: &Vec<u32>| IdSet::build(v.iter().copied());
+        FilterKernel {
+            value: self.values.as_ref().map(|vs| {
+                let refs: Vec<&str> = vs.iter().map(String::as_str).collect();
+                table.make_probe(&refs)
+            }),
+            table_in: self.table_in.as_ref().map(ids),
+            table_not_in: self.table_not_in.as_ref().map(ids),
+            rowid_lt: self.rowid_lt,
+            quadrant_null: self.quadrant_null,
+        }
+    }
+
+    /// Oracle: does position `p` pass every present predicate?
+    fn keeps(&self, table: &dyn FactTable, p: usize) -> bool {
+        let value = table.value_at(p);
+        let t = table.table_at(p);
+        self.values
+            .as_ref()
+            .is_none_or(|vs| vs.iter().any(|v| v == value))
+            && self.table_in.as_ref().is_none_or(|ts| ts.contains(&t))
+            && self.table_not_in.as_ref().is_none_or(|ts| !ts.contains(&t))
+            && self.rowid_lt.is_none_or(|bound| table.row_at(p) < bound)
+            && self
+                .quadrant_null
+                .is_none_or(|null| table.quadrant_at(p).is_none() == null)
+    }
+
+    /// Oracle over every position in `lo..hi`.
+    fn positions(&self, table: &dyn FactTable, lo: usize, hi: usize) -> Vec<u32> {
+        (lo..hi)
+            .filter(|&p| self.keeps(table, p))
+            .map(|p| p as u32)
+            .collect()
+    }
 }
 
 proptest! {
@@ -115,8 +154,7 @@ proptest! {
         let rows = fact_rows(n_tables, rows_per, vocab, seed);
         for kind in [EngineKind::Row, EngineKind::Column] {
             let table = build_engine(kind, rows.clone());
-            let fast = build_filters(
-                table.as_ref(),
+            let preds = Preds::new(
                 vocab,
                 value_sel,
                 table_in.clone(),
@@ -124,9 +162,9 @@ proptest! {
                 rowid_lt,
                 quadrant_null,
             );
-            let kernel = fast.compile_kernel();
+            let kernel = preds.kernel(table.as_ref());
             let n = table.len();
-            let want = oracle_positions(table.as_ref(), &fast, 0, n);
+            let want = preds.positions(table.as_ref(), 0, n);
 
             // Batch over the full position list.
             let all: Vec<u32> = (0..n as u32).collect();
@@ -143,7 +181,7 @@ proptest! {
             // the oracle restricted to that window.
             let (a, b) = (subrange.0 as usize % (n + 1), subrange.1 as usize % (n + 1));
             let (lo, hi) = (a.min(b), a.max(b));
-            let want_window = oracle_positions(table.as_ref(), &fast, lo, hi);
+            let want_window = preds.positions(table.as_ref(), lo, hi);
             sel.clear();
             table.filter_range(&kernel, lo, hi, &mut sel);
             prop_assert_eq!(&sel, &want_window, "{:?} filter_range({}..{})", kind, lo, hi);
@@ -156,7 +194,7 @@ proptest! {
             let want_postings: Vec<u32> = postings
                 .iter()
                 .copied()
-                .filter(|&p| fast_filters_pass(table.as_ref(), p as usize, &fast))
+                .filter(|&p| preds.keeps(table.as_ref(), p as usize))
                 .collect();
             sel.clear();
             table.filter_batch(&kernel, postings, &mut sel);
@@ -193,9 +231,8 @@ fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {
     for kind in [EngineKind::Row, EngineKind::Column] {
         let table = build_engine(kind, rows.clone());
         let n = table.len();
-        let selective = build_filters(table.as_ref(), 997, Some((7, 5)), None, None, None, None);
-        let non_selective = build_filters(
-            table.as_ref(),
+        let selective = Preds::new(997, Some((7, 5)), None, None, None, None);
+        let non_selective = Preds::new(
             997,
             None,
             None,
@@ -203,9 +240,9 @@ fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {
             Some(200),
             Some(true),
         );
-        for (label, fast) in [("selective", selective), ("non_selective", non_selective)] {
-            let kernel = fast.compile_kernel();
-            let want = oracle_positions(table.as_ref(), &fast, 0, n);
+        for (label, preds) in [("selective", selective), ("non_selective", non_selective)] {
+            let kernel = preds.kernel(table.as_ref());
+            let want = preds.positions(table.as_ref(), 0, n);
             assert!(!want.is_empty() && want.len() < n, "{kind:?}/{label}");
             let all: Vec<u32> = (0..n as u32).collect();
             for vector in [false, true] {
@@ -222,7 +259,7 @@ fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {
     }
 }
 
-/// End-to-end: a query exercising every fast-filter predicate at once runs
+/// End-to-end: a query exercising every kernel predicate at once runs
 /// through the kernelized scan on both engines and both executor paths, at
 /// thread counts {1, 4}, with identical results.
 #[test]

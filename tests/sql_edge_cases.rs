@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use blend_sql::{SqlEngine, SqlValue};
+use blend_sql::{ExecPath, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 /// Mini index: two tables. Table 0 has text col 0 and numeric col 1
@@ -268,4 +268,44 @@ fn sideways_pushdown_changes_access_path_but_not_results() {
     // Results: table 0 rows 0 and 1 have both a text key and a numeric cell.
     assert_eq!(rs.i64(0, "t"), Some(0));
     assert_eq!(rs.i64(0, "n"), Some(2));
+}
+
+/// A number never equals a text cell, so `CellValue IN (1)` matches
+/// nothing — like `CellValue = 1`, on every store and executor. Planning it
+/// as an index drive on the string `"1"` would also make `IN (1) OR RowId >
+/// 5` return fewer rows than its first arm.
+#[test]
+fn numeric_literals_never_match_text_cells() {
+    let rows = vec![
+        FactRow::new("1", 0, 0, 0, 0, None),
+        FactRow::new("x", 0, 0, 1, 0, None),
+        FactRow::new("2.5", 0, 0, 2, 0, None),
+    ];
+    let values = |where_clause: &str| -> Vec<Vec<String>> {
+        let sql = format!("SELECT CellValue FROM AllTables WHERE {where_clause} ORDER BY RowId");
+        [EngineKind::Row, EngineKind::Column]
+            .into_iter()
+            .flat_map(|kind| [(kind, ExecPath::Auto), (kind, ExecPath::TupleOnly)])
+            .map(|(kind, path)| {
+                let e = SqlEngine::with_alltables(build_engine(kind, rows.clone()));
+                let (rs, _) = e.execute_with_report_path(&sql, path).unwrap();
+                rs.rows
+                    .iter()
+                    .map(|r| r[0].as_str().unwrap().to_string())
+                    .collect()
+            })
+            .collect()
+    };
+    for (where_clause, want) in [
+        ("CellValue IN (1)", vec![]),
+        ("CellValue IN (2.5)", vec![]),
+        ("CellValue = 1", vec![]),
+        ("CellValue IN (1) OR RowId > 5", vec![]),
+        ("CellValue IN ('1')", vec!["1"]),
+        ("CellValue IN ('x', 1)", vec!["x"]),
+    ] {
+        for got in values(where_clause) {
+            assert_eq!(got, want, "{where_clause}");
+        }
+    }
 }
