@@ -16,7 +16,7 @@
 
 use crate::embed::{cosine, Embedder};
 use crate::hnsw::{CosineDistance, Hnsw};
-use blend_common::{FxHashMap, FxHashSet, Table, TableId};
+use blend_common::{FxHashSet, Table, TableId};
 use blend_lake::DataLake;
 
 /// Tunables.
@@ -172,17 +172,6 @@ impl StarmieIndex {
     pub fn n_columns(&self) -> usize {
         self.meta.len()
     }
-}
-
-/// Convenience: per-query retrieval quality against ground truth, used by
-/// the Table VI harness.
-pub fn retrieved_tables(hits: &[(TableId, f32)]) -> Vec<TableId> {
-    hits.iter().map(|(t, _)| *t).collect()
-}
-
-/// Mean of per-table scores keyed by table id (diagnostic helper).
-pub fn score_map(hits: &[(TableId, f32)]) -> FxHashMap<TableId, f32> {
-    hits.iter().map(|&(t, s)| (t, s)).collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use blend_common::{stats::mean, text, FxHashMap, FxHashSet, Result, TableId};
 use blend_index::xash_value;
 use blend_parallel::Interrupt;
-use blend_sql::{ExecPath, ResultColumn, ResultColumns, TextColumn};
+use blend_sql::{ResultColumn, ResultColumns, TextColumn};
 
 use crate::combiners::TableHit;
 use crate::plan::Seeker;
@@ -247,10 +247,9 @@ pub fn run(
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
     let sql = template.replace(TID_PLACEHOLDER, &fragment);
 
-    let (cols, _) =
-        blend
-            .engine()
-            .execute_columns_interruptible(&sql, ExecPath::Auto, interrupt.clone())?;
+    let (cols, _) = blend
+        .engine()
+        .execute_columns_interruptible(&sql, interrupt.clone())?;
     let (hits, mc_stats) = match seeker {
         Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(&cols, k), None),
         Seeker::Mc { rows } => {
@@ -636,20 +635,18 @@ mod tests {
                 for arity in [2usize, 3] {
                     let rows = planted_rows(&lake, arity, seed);
                     let sql = mc_sql(&rows).replace(TID_PLACEHOLDER, "");
-                    let mut seen = Vec::new();
-                    for path in [ExecPath::Auto, ExecPath::TupleOnly] {
-                        let (cols, _) = blend
-                            .engine()
-                            .execute_columns_interruptible(&sql, path, Interrupt::never())
-                            .unwrap();
-                        let got = mc_postprocess(&cols, &rows, 10);
-                        let want = mc_postprocess_rows(&cols.to_result_set(), &rows, 10);
-                        assert_eq!(got, want, "seed {seed} {kind:?} arity {arity} {path:?}");
-                        seen.push(got);
-                    }
-                    assert_eq!(seen[0], seen[1], "seed {seed} {kind:?} arity {arity}");
+                    let (cols, _) = blend
+                        .engine()
+                        .execute_columns_interruptible(&sql, Interrupt::never())
+                        .unwrap();
+                    let got = mc_postprocess(&cols, &rows, 10);
+                    let want = mc_postprocess_rows(&cols.to_result_set(), &rows, 10);
+                    assert_eq!(got, want, "seed {seed} {kind:?} arity {arity}");
+                    let (reference, _) = blend.engine().execute_reference(&sql).unwrap();
+                    let want = mc_postprocess_rows(&reference, &rows, 10);
+                    assert_eq!(got, want, "seed {seed} {kind:?} arity {arity}: reference");
                     assert!(
-                        arity > 2 || seen[0].1.validated > 0,
+                        arity > 2 || got.1.validated > 0,
                         "seed {seed}: planted rows must validate"
                     );
                 }
@@ -661,13 +658,18 @@ mod tests {
     fn mc_postprocess_tolerates_malformed_results() {
         let rows = vec![vec!["a".to_string(), "b".to_string()]];
         let ids = || ResultColumn::Key(vec![1]);
-        // A one-row text column, typed the way the tuple executor's are.
+        // A one-row text column, as the engine hands one out.
         let text = |s: &str| {
-            let rows = vec![vec![SqlValue::Text(s.into())]];
-            let columns = vec!["v".to_string()];
-            ResultColumns::from(ResultSet { columns, rows })
-                .columns
-                .remove(0)
+            let fact = vec![blend_storage::FactRow::new(s, 0, 0, 0, 0, None)];
+            let engine = blend_sql::SqlEngine::with_alltables(blend_storage::build_engine(
+                EngineKind::Row,
+                fact,
+            ));
+            let sql = "SELECT CellValue FROM AllTables";
+            let (mut cols, _) = engine
+                .execute_columns_interruptible(sql, Interrupt::never())
+                .unwrap();
+            cols.columns.remove(0)
         };
         let labels = ["tid", "rid", "sk", "v0", "c0", "v1", "c1"];
         let well_formed = || {

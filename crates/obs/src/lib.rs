@@ -11,8 +11,8 @@
 //!   [`Counter`]s, [`Gauge`]s, and log₂-bucketed latency [`Histogram`]s.
 //!   The record path is lock-free (sharded atomics; no allocation, no
 //!   mutex); locks exist only at registration and snapshot time.
-//!   Snapshots export as Prometheus text ([`MetricsRegistry::render_prometheus`])
-//!   or JSON ([`MetricsRegistry::render_json`]).
+//!   Snapshots export as Prometheus text
+//!   ([`MetricsRegistry::render_prometheus`]).
 //! * **Spans** ([`span`](mod@span)) — RAII wall-clock spans
 //!   (`obs::span("join.build")`) collected per thread into a tree while a
 //!   trace is active. The SQL engine opens a trace per query; executors

@@ -355,80 +355,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Render the registry as a JSON object (hand-built — the vendored
-    /// serde is a stub, and this crate stays dependency-free anyway).
-    /// Histograms include count/sum, p50/p90/p99, and the non-empty
-    /// `[upper_bound, count]` bucket pairs.
-    pub fn render_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &snap.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {v}", escape_json(name));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (name, v) in &snap.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {v}", escape_json(name));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (name, h) in &snap.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                escape_json(name),
-                h.count,
-                h.sum,
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            );
-            let mut first_b = true;
-            for (i, b) in h.buckets.iter().enumerate() {
-                if *b == 0 {
-                    continue;
-                }
-                if !first_b {
-                    out.push(',');
-                }
-                first_b = false;
-                let _ = write!(out, "[{}, {b}]", bucket_upper_bound(i));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-global registry every subsystem reports into.

@@ -15,7 +15,6 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrValue {
     U64(u64),
-    I64(i64),
     Str(String),
 }
 
@@ -23,7 +22,6 @@ impl std::fmt::Display for AttrValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AttrValue::U64(v) => write!(f, "{v}"),
-            AttrValue::I64(v) => write!(f, "{v}"),
             AttrValue::Str(s) => write!(f, "{s}"),
         }
     }

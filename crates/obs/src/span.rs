@@ -231,11 +231,6 @@ impl SpanGuard {
         add_attr(self.idx, key, AttrValue::U64(v));
     }
 
-    /// Attach a signed integer attribute.
-    pub fn attr_i64(&self, key: &'static str, v: i64) {
-        add_attr(self.idx, key, AttrValue::I64(v));
-    }
-
     /// Attach a string attribute (small closed sets only).
     pub fn attr_str(&self, key: &'static str, v: impl Into<String>) {
         add_attr(self.idx, key, AttrValue::Str(v.into()));

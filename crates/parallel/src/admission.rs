@@ -15,11 +15,12 @@
 //!   an empty grant means "run sequentially on your own thread", which is
 //!   graceful degradation rather than queuing (the calling thread exists
 //!   anyway, so total thread pressure stays bounded by callers + budget).
-//! * [`acquire`](Admission::acquire) — blocks until at least one token is
-//!   free. This is the building block for serving layers that prefer
-//!   queuing over degradation (the ROADMAP's async request queue). The
-//!   concurrency suite's proptest pins its liveness: random grant/release
-//!   sequences never exceed the budget and always drain.
+//! * [`acquire_within`](Admission::acquire_within) — blocks until at least
+//!   one token is free, or the [`Interrupt`] fires (`Interrupt::never()`
+//!   waits for the token). The serving queue uses it: it prefers queuing
+//!   over degradation. The concurrency suite's proptest pins its liveness:
+//!   random grant/release sequences never exceed the budget and always
+//!   drain.
 
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -36,7 +37,7 @@ struct AdmissionMetrics {
     tokens_in_use: Arc<blend_obs::Gauge>,
     /// Non-empty grants handed out.
     grants: Arc<blend_obs::Counter>,
-    /// Time spent blocked in `acquire`/`acquire_within` (the non-blocking
+    /// Time spent blocked in `acquire_within` (the non-blocking
     /// `try_acquire` never waits and is not recorded).
     acquire_wait: Arc<blend_obs::Histogram>,
 }
@@ -105,38 +106,9 @@ impl Admission {
         }
     }
 
-    /// Take up to `desired` tokens, blocking until at least one is free.
-    /// Returns an empty grant immediately when `desired == 0` or the
-    /// budget is zero (so a degenerate controller can never deadlock its
-    /// callers).
-    pub fn acquire(self: &Arc<Self>, desired: usize) -> AdmissionGrant {
-        if desired == 0 || self.budget == 0 {
-            return AdmissionGrant::empty();
-        }
-        let start = Instant::now();
-        let mut available = lock_clean(&self.available);
-        while *available == 0 {
-            available = self
-                .released
-                .wait(available)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        let tokens = (*available).min(desired);
-        *available -= tokens;
-        drop(available);
-        let m = admission_metrics();
-        m.acquire_wait.record(start.elapsed().as_nanos() as u64);
-        m.tokens_in_use.add(tokens as i64);
-        m.grants.inc();
-        AdmissionGrant {
-            admission: Some(self.clone()),
-            tokens,
-        }
-    }
-
-    /// [`acquire`](Admission::acquire) bounded by an [`Interrupt`]: blocks
-    /// until at least one token is free, the deadline expires, or the
-    /// token is cancelled — whichever comes first. Returns the typed
+    /// Take up to `desired` tokens, blocking until at least one is free,
+    /// the deadline expires, or the token is cancelled — whichever comes
+    /// first. Returns the typed
     /// `Err(Timeout)` / `Err(Cancelled)` instead of waiting forever, and
     /// never holds tokens on the error path (the grant is only assembled
     /// after a successful wait, so nothing can leak).
@@ -262,17 +234,23 @@ mod tests {
     fn zero_budget_never_blocks() {
         let adm = Admission::new(0);
         assert!(adm.try_acquire(4).is_empty());
-        assert!(adm.acquire(4).is_empty(), "acquire on zero budget returns");
-        assert!(adm.acquire(0).is_empty());
+        let never = Interrupt::never();
+        let grant = adm.acquire_within(4, &never).unwrap();
+        assert!(grant.is_empty(), "acquire on zero budget returns");
+        assert!(adm.acquire_within(0, &never).unwrap().is_empty());
     }
 
     #[test]
     fn acquire_blocks_until_release() {
         let adm = Admission::new(1);
-        let held = adm.acquire(1);
+        let held = adm.acquire_within(1, &Interrupt::never()).unwrap();
         assert_eq!(held.tokens(), 1);
         let adm2 = adm.clone();
-        let waiter = std::thread::spawn(move || adm2.acquire(1).tokens());
+        let waiter = std::thread::spawn(move || {
+            adm2.acquire_within(1, &Interrupt::never())
+                .unwrap()
+                .tokens()
+        });
         // Give the waiter time to block, then release.
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(held);
@@ -283,7 +261,7 @@ mod tests {
     #[test]
     fn desired_is_capped_by_budget() {
         let adm = Admission::new(2);
-        let g = adm.acquire(100);
+        let g = adm.acquire_within(100, &Interrupt::never()).unwrap();
         assert_eq!(g.tokens(), 2);
     }
 
@@ -291,7 +269,7 @@ mod tests {
     fn acquire_within_times_out_on_full_budget() {
         use crate::cancel::{CancellationToken, Deadline, Interrupt};
         let adm = Admission::new(1);
-        let held = adm.acquire(1);
+        let held = adm.acquire_within(1, &Interrupt::never()).unwrap();
         let i = Interrupt::new(
             CancellationToken::new(),
             Deadline::after(std::time::Duration::from_millis(5)),
@@ -308,7 +286,7 @@ mod tests {
     fn acquire_within_observes_cancel_while_blocked() {
         use crate::cancel::{CancellationToken, Deadline, Interrupt};
         let adm = Admission::new(1);
-        let held = adm.acquire(1);
+        let held = adm.acquire_within(1, &Interrupt::never()).unwrap();
         let token = CancellationToken::new();
         let i = Interrupt::new(token.clone(), Deadline::none());
         let adm2 = adm.clone();

@@ -435,10 +435,12 @@ mod tests {
     }
 
     fn entry(n: usize, tag: &str) -> Arc<CachedResult> {
-        Arc::new(CachedResult::new(
-            result_of(n, tag).into(),
-            QueryReport::default(),
-        ))
+        let values = result_of(n, tag).rows.into_iter().flatten().collect();
+        let columns = ResultColumns {
+            labels: vec!["v".into()],
+            columns: vec![blend_sql::ResultColumn::Val(values)],
+        };
+        Arc::new(CachedResult::new(columns, QueryReport::default()))
     }
 
     #[test]

@@ -14,9 +14,7 @@ use std::time::{Duration, Instant};
 use blend_common::{BlendError, FxHashMap, Result};
 use blend_obs::AttrValue;
 use blend_parallel::{CancellationToken, Deadline, Interrupt};
-use blend_sql::{
-    ExecPath, QueryFingerprint, QueryReport, ResultColumns, ResultSet, ServingStats, SqlEngine,
-};
+use blend_sql::{QueryFingerprint, QueryReport, ResultColumns, ResultSet, ServingStats, SqlEngine};
 
 use crate::cache::{cache_metrics, CacheKey, CachedResult, ResultCache, DEFAULT_CACHE_BYTES};
 use crate::faults::{FaultAction, FaultPlan, SITE_CACHE, SITE_COALESCE, SITE_DEQUEUE, SITE_EXEC};
@@ -822,14 +820,8 @@ fn serve_one(
             panic!("injected poison fault");
         }
         match &req.ast {
-            Some(ast) => {
-                engine.execute_parsed_interruptible(ast, ExecPath::Auto, req.interrupt.clone())
-            }
-            None => engine.execute_columns_interruptible(
-                &req.sql,
-                ExecPath::Auto,
-                req.interrupt.clone(),
-            ),
+            Some(ast) => engine.execute_parsed_interruptible(ast, req.interrupt.clone()),
+            None => engine.execute_columns_interruptible(&req.sql, req.interrupt.clone()),
         }
     }));
     match outcome {

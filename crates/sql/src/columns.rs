@@ -11,9 +11,7 @@
 //! one set of columns can be shared and read as rows by many;
 //! [`ResultColumns::rows_bytes`] prices the rows before they exist:
 //! `ResultSet` + labels + `len × (Tuple + width × SqlValue)` + an `Arc`
-//! header and the bytes of each distinct string. The tuple executor's rows
-//! reach a row entry as they are, and wrap into typed columns only for the
-//! columnar one.
+//! header and the bytes of each distinct string.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -149,8 +147,7 @@ pub enum ResultColumn {
     Key(Vec<u32>),
     /// `COUNT(*)`, `COUNT(DISTINCT CellValue)`: row counts, far below 2^53,
     /// so integer comparison agrees with [`SqlValue::order_cmp`] (which
-    /// compares numerics as `f64`). Also an all-integer column of the tuple
-    /// executor.
+    /// compares numerics as `f64`).
     Int(Vec<i64>),
     /// `SuperKey`.
     U128(Vec<u128>),
@@ -297,32 +294,6 @@ impl ResultColumn {
         }
         Ok(())
     }
-
-    /// A column of the tuple executor, typed where every value agrees.
-    fn typed(vals: Vec<SqlValue>) -> ResultColumn {
-        fn all<'v, T>(
-            vals: &'v [SqlValue],
-            pick: impl Fn(&'v SqlValue) -> Option<T>,
-        ) -> Option<Vec<T>> {
-            vals.iter().map(pick).collect()
-        }
-        let typed = match vals.first() {
-            Some(SqlValue::Int(_)) => all(&vals, |v| match v {
-                SqlValue::Int(i) => Some(*i),
-                _ => None,
-            })
-            .map(ResultColumn::Int),
-            Some(SqlValue::U128(_)) => all(&vals, |v| match v {
-                SqlValue::U128(u) => Some(*u),
-                _ => None,
-            })
-            .map(ResultColumn::U128),
-            Some(SqlValue::Text(_)) => all(&vals, SqlValue::as_str)
-                .map(|strs| ResultColumn::Text(TextColumn::dense(strs.into_iter()))),
-            _ => None,
-        };
-        typed.unwrap_or(ResultColumn::Val(vals))
-    }
 }
 
 /// A query result as flat columns.
@@ -419,25 +390,6 @@ impl ResultColumns {
             };
         }
         bytes
-    }
-}
-
-/// The tuple executor's rows as typed columns, so every caller of the
-/// columnar entry sees one shape whichever executor ran.
-impl From<ResultSet> for ResultColumns {
-    fn from(rs: ResultSet) -> ResultColumns {
-        let mut cols: Vec<Vec<SqlValue>> = rs
-            .columns
-            .iter()
-            .map(|_| Vec::with_capacity(rs.rows.len()))
-            .collect();
-        for row in rs.rows {
-            cols.iter_mut().zip(row).for_each(|(col, v)| col.push(v));
-        }
-        ResultColumns {
-            labels: rs.columns,
-            columns: cols.into_iter().map(ResultColumn::typed).collect(),
-        }
     }
 }
 

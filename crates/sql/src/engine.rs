@@ -7,15 +7,14 @@ use blend_parallel::{Interrupt, ParallelCtx, QueryMemory};
 use blend_storage::FactTable;
 
 use crate::columns::ResultColumns;
-use crate::exec::{execute_plan_path, Output, QueryReport, ResultSet, ServingStats};
+use crate::exec::{QueryReport, ResultSet, ServingStats};
 use crate::parser::parse;
 use crate::plan::{plan_query, Catalog, CatalogSnapshot};
 
-/// Engine-level metric cells (`blend_sql_*`), labeled by the executor
-/// path that actually ran — a two-value closed set.
+/// Engine-level metric cells (`blend_sql_*`). Queries are labeled by the
+/// executor that ran them, which is always the positional one.
 struct SqlMetrics {
-    queries_positional: Arc<blend_obs::Counter>,
-    queries_tuple: Arc<blend_obs::Counter>,
+    queries: Arc<blend_obs::Counter>,
     errors: Arc<blend_obs::Counter>,
     exec_time: Arc<blend_obs::Histogram>,
 }
@@ -25,24 +24,11 @@ fn sql_metrics() -> &'static SqlMetrics {
     METRICS.get_or_init(|| {
         let r = blend_obs::registry();
         SqlMetrics {
-            queries_positional: r.counter("blend_sql_queries_total{path=\"positional\"}"),
-            queries_tuple: r.counter("blend_sql_queries_total{path=\"tuple\"}"),
+            queries: r.counter("blend_sql_queries_total{path=\"positional\"}"),
             errors: r.counter("blend_sql_query_errors_total"),
             exec_time: r.histogram("blend_sql_exec_nanos"),
         }
     })
-}
-
-/// Executor selection for [`SqlEngine::execute_with_report_path`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecPath {
-    /// Route recognized BLEND shapes to the positional executor, fall back
-    /// to the tuple executor otherwise (the production default).
-    #[default]
-    Auto,
-    /// Force the tuple executor everywhere (benchmark baseline / parity
-    /// testing).
-    TupleOnly,
 }
 
 /// A named collection of fact tables (the catalog). BLEND registers a
@@ -195,17 +181,17 @@ impl SqlEngine {
     /// Execute a SQL string and return execution telemetry alongside the
     /// result (used by the optimizer experiments and tests).
     pub fn execute_with_report(&self, sql: &str) -> Result<(ResultSet, QueryReport)> {
-        self.execute_with_report_path(sql, ExecPath::Auto)
+        self.execute_interruptible(sql, Interrupt::never())
     }
 
-    /// Execute with explicit executor selection. `QueryReport::path` records
-    /// which executor actually ran the top-level query.
-    pub fn execute_with_report_path(
-        &self,
-        sql: &str,
-        path: ExecPath,
-    ) -> Result<(ResultSet, QueryReport)> {
-        self.execute_interruptible(sql, path, Interrupt::never())
+    /// The test oracle: parse and plan `sql` like [`execute`](Self::execute),
+    /// then run the plan on the tuple-at-a-time reference interpreter
+    /// (`exec` module docs) — sequentially, with no span, no memory
+    /// reservation and no interrupt. Its report says `path = "reference"`
+    /// and carries the scan, join and result-row telemetry. Parity tests
+    /// compare the production entries against it; nothing else calls it.
+    pub fn execute_reference(&self, sql: &str) -> Result<(ResultSet, QueryReport)> {
+        crate::exec::execute_reference(&plan_query(&parse(sql)?, &self.db)?)
     }
 
     /// Execute under a cancellation/deadline [`Interrupt`], scoped onto the
@@ -215,28 +201,25 @@ impl SqlEngine {
     pub fn execute_interruptible(
         &self,
         sql: &str,
-        path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
-        let (out, report) = self.run(&parse_counted(sql)?, path, interrupt, true)?;
-        Ok((out.into_rows(), report))
+        self.run(&parse_counted(sql)?, interrupt, true, |cols| {
+            cols.to_result_set()
+        })
     }
 
     /// Execute an already-parsed query and return the result as flat
     /// columns. The serving tier parses once at submission (it needs the
     /// AST for fingerprinting anyway), builds one `Interrupt` per request,
-    /// and keeps the columns as they are: no `SqlValue` row is built for a
-    /// positional result until a caller reads typed slices
-    /// ([`ResultColumns::col`]) or asks for rows itself
-    /// ([`ResultColumns::to_result_set`]).
+    /// and keeps the columns as they are: no `SqlValue` row is built until a
+    /// caller reads typed slices ([`ResultColumns::col`]) or asks for rows
+    /// itself ([`ResultColumns::to_result_set`]).
     pub fn execute_parsed_interruptible(
         &self,
         ast: &crate::ast::Query,
-        path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
-        let (out, report) = self.run(ast, path, interrupt, false)?;
-        Ok((out.into_columns(), report))
+        self.run(ast, interrupt, false, |cols| cols)
     }
 
     /// [`execute_parsed_interruptible`](Self::execute_parsed_interruptible)
@@ -244,25 +227,22 @@ impl SqlEngine {
     pub fn execute_columns_interruptible(
         &self,
         sql: &str,
-        path: ExecPath,
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
-        self.execute_parsed_interruptible(&parse_counted(sql)?, path, interrupt)
+        self.execute_parsed_interruptible(&parse_counted(sql)?, interrupt)
     }
 
-    /// Plan and execute `ast` — the one path under every entry — and turn
-    /// the executor's output into the shape the caller asked for (`rows`, or
-    /// flat columns) under the `materialize` span, the last child of the
-    /// query's root span. Output that already has that shape (the tuple
-    /// executor's rows on a row entry, positional columns on the columnar
-    /// one) passes through untouched.
-    fn run(
+    /// Plan `ast` and run it on the positional executor — the one path under
+    /// every entry — then `finish` its flat columns into what the caller
+    /// asked for (rows when `rows`, else the columns as they are) under the
+    /// `materialize` span, the last child of the query's root span.
+    fn run<T>(
         &self,
         ast: &crate::ast::Query,
-        path: ExecPath,
         interrupt: Interrupt,
         rows: bool,
-    ) -> Result<(Output, QueryReport)> {
+        finish: impl FnOnce(ResultColumns) -> T,
+    ) -> Result<(T, QueryReport)> {
         interrupt.check()?;
         // The root span of this query's profile tree: every phase span the
         // executors record below nests under it.
@@ -278,21 +258,22 @@ impl SqlEngine {
                 .parallel
                 .with_interrupt(interrupt)
                 .with_query_memory(memory.clone());
-            let mut report = QueryReport::default();
-            let out = execute_plan_path(&plan, &mut report, path == ExecPath::Auto, &par)?;
-            // Charge the result as the executor left it. Rows built from
-            // flat columns are priced from them (`rows_bytes`) and charged
-            // on top before they are built; a result too large for the
-            // remaining budget resolves typed like any other site.
-            let mut charged = memory.try_reserve("result_rows", out.approx_bytes())?;
+            let mut report = QueryReport {
+                path: "positional".to_string(),
+                ..QueryReport::default()
+            };
+            let pos = crate::exec_positional::plan_positional(&plan)?;
+            let cols = crate::exec_positional::execute(&plan, &pos, &mut report, &par)?;
+            // Charge the result as the executor left it. Rows are priced
+            // from the columns (`rows_bytes`) and charged on top before they
+            // are built; a result too large for the remaining budget
+            // resolves typed like any other site.
+            let mut charged = memory.try_reserve("result_rows", cols.approx_bytes())?;
             let span = blend_obs::span("materialize");
-            if let (true, Output::Columns(cols)) = (rows, &out) {
+            if rows {
                 charged.grow(cols.rows_bytes())?;
             }
-            let out = match rows {
-                true => Output::Rows(out.into_rows()),
-                false => Output::Columns(out.into_columns()),
-            };
+            let out = finish(cols);
             // The `SqlValue` rows the caller gets, and what `result_rows`
             // holds for them.
             span.attr_u64("rows", if rows { report.result_rows as u64 } else { 0 });
@@ -305,11 +286,7 @@ impl SqlEngine {
                 trace.attr_str("path", report.path.clone());
                 trace.attr_u64("mem_peak_bytes", memory.peak_bytes() as u64);
                 report.profile = trace.finish();
-                if report.path == "positional" {
-                    m.queries_positional.inc();
-                } else {
-                    m.queries_tuple.inc();
-                }
+                m.queries.inc();
                 let exec_nanos = report.profile.as_ref().map_or(0, |p| p.root.nanos);
                 m.exec_time.record(exec_nanos);
                 // End-to-end timing for *direct* calls too, sourced from

@@ -1,24 +1,26 @@
-//! Physical execution of planned queries.
+//! Query results and telemetry, and the reference interpreter.
 //!
-//! Execution is materializing (each operator returns a `Vec` of tuples),
-//! which keeps the engine simple and is appropriate for the highly selective
-//! index workloads BLEND generates: access paths cut candidate sets down
-//! before anything is materialized.
+//! Every production entry runs the positional executor
+//! ([`crate::exec_positional`]). What stays here is the tuple-at-a-time
+//! interpreter it is checked against, [`execute_reference`]: it
+//! materializes the six-column tuple of every position a scan keeps, joins
+//! and groups on `Vec<SqlValue>` keys, and sorts decorated rows —
+//! sequentially, with no span, no memory reservation and no interrupt poll.
+//! It is the parity suites' oracle (`SqlEngine::execute_reference`), not a
+//! path a query can take.
 //!
 //! `ORDER BY … LIMIT` has one implementation, [`select_top`], a bounded
-//! selection over row ordinals. This executor reaches it through
+//! selection over row ordinals. The reference reaches it through
 //! [`finish_decorated`]; both tails of the positional executor call it over
 //! flat columns, and build no row at all.
 
 use std::cmp::Ordering;
 
 use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
-use blend_parallel::{morselize, ParallelCtx};
 
 use crate::ast::AggFunc;
-use crate::columns::ResultColumns;
 use crate::expr::CExpr;
-use crate::plan::{materialize, AggPlan, GroupPlan, InputPlan, QueryPlan, ScanPlan, Seg, Tree};
+use crate::plan::{materialize, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree};
 use crate::value::SqlValue;
 
 /// One tuple.
@@ -27,7 +29,9 @@ pub type Tuple = Vec<SqlValue>;
 /// Per-scan execution telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanReport {
-    /// Scan alias (`keys`, `nums`, `alltables`, ...).
+    /// Alias of the FROM item that names the scanned table. An inlined
+    /// `(SELECT * FROM t …) q` reports `t`'s, not `q` — `alltables` in every
+    /// seeker template.
     pub alias: String,
     /// Chosen access path label.
     pub access: String,
@@ -129,9 +133,8 @@ pub struct QueryReport {
     /// (build side rows, probe side rows, output rows) per join.
     pub joins: Vec<(usize, usize, usize)>,
     pub result_rows: usize,
-    /// Executor that ran the top-level query: `"positional"` (the
-    /// late-materialization path for recognized BLEND shapes) or `"tuple"`
-    /// (the general materializing path).
+    /// Executor that ran the query: `"positional"` on every production
+    /// entry, `"reference"` from `SqlEngine::execute_reference`.
     pub path: String,
     /// Pool-backed phases of the positional executor, in execution order.
     pub parallel: Vec<ParallelPhase>,
@@ -264,121 +267,40 @@ impl ResultSet {
     }
 }
 
-/// What an executor hands the engine: the positional executor's flat
-/// columns or the tuple executor's rows. Either converts to the shape a
-/// caller asked for, and costs nothing when it already has it.
-pub(crate) enum Output {
-    Columns(ResultColumns),
-    Rows(ResultSet),
-}
-
-impl Output {
-    pub(crate) fn into_rows(self) -> ResultSet {
-        match self {
-            Output::Columns(cols) => cols.to_result_set(),
-            Output::Rows(rs) => rs,
-        }
-    }
-
-    /// Rows wrap column by column, so a caller of the columnar entry sees
-    /// one shape whichever executor ran.
-    pub(crate) fn into_columns(self) -> ResultColumns {
-        match self {
-            Output::Columns(cols) => cols,
-            Output::Rows(rs) => rs.into(),
-        }
-    }
-
-    /// Heap bytes, for the memory governor.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            Output::Columns(cols) => cols.approx_bytes(),
-            Output::Rows(rs) => rs.approx_bytes(),
-        }
-    }
-}
-
-/// Execute a plan, collecting telemetry. Recognized BLEND shapes route to
-/// the late-materialization positional executor, everything else runs on
-/// the general tuple-at-a-time path;
-/// `allow_positional = false` forces the tuple path everywhere (benchmark
-/// baseline and parity tests). `par` is the shared worker-pool context the
-/// positional executor's scan/join/group phases ride; the tuple path is
-/// always sequential (it is the reference implementation).
-pub(crate) fn execute_plan_path(
-    plan: &QueryPlan,
-    report: &mut QueryReport,
-    allow_positional: bool,
-    par: &ParallelCtx,
-) -> Result<Output> {
-    if allow_positional {
-        if let Some(pos) = crate::exec_positional::plan_positional(plan) {
-            report.path = "positional".to_string();
-            return crate::exec_positional::execute(plan, &pos, report, par).map(Output::Columns);
-        }
-    }
-    report.path = "tuple".to_string();
-    execute_tuple(plan, report, allow_positional, par).map(Output::Rows)
-}
-
-/// Subquery dispatch: same routing as the top level, but without touching
-/// `QueryReport::path` (which describes the top-level query only).
-fn execute_sub(
-    plan: &QueryPlan,
-    report: &mut QueryReport,
-    allow_positional: bool,
-    par: &ParallelCtx,
-) -> Result<ResultSet> {
-    if allow_positional {
-        if let Some(pos) = crate::exec_positional::plan_positional(plan) {
-            return crate::exec_positional::execute(plan, &pos, report, par)
-                .map(|cols| cols.to_result_set());
-        }
-    }
-    execute_tuple(plan, report, allow_positional, par)
-}
-
-/// The materializing tuple-at-a-time executor.
-fn execute_tuple(
-    plan: &QueryPlan,
-    report: &mut QueryReport,
-    allow_positional: bool,
-    par: &ParallelCtx,
-) -> Result<ResultSet> {
-    par.check_interrupt()?;
-    let mut tuples = exec_tree(&plan.tree, report, allow_positional, par)?;
-
+/// Run `plan` on the reference interpreter (module docs): the result and a
+/// report with `path = "reference"` and the scan, join and result-row
+/// telemetry the parity suites compare.
+pub(crate) fn execute_reference(plan: &QueryPlan) -> Result<(ResultSet, QueryReport)> {
+    let mut report = QueryReport {
+        path: "reference".to_string(),
+        ..QueryReport::default()
+    };
+    let mut tuples = exec_tree(&plan.tree, &mut report);
     if let Some(f) = &plan.post_filter {
-        par.check_interrupt()?;
         tuples.retain(|t| f.eval_predicate(t));
     }
-
     if let Some(group) = &plan.group {
-        tuples = exec_group(group, tuples, par)?;
+        tuples = exec_group(group, tuples);
     }
-
-    par.check_interrupt()?;
-    project_sort_limit(plan, &tuples, report)
+    let rs = project_sort_limit(plan, &tuples, &mut report)?;
+    Ok((rs, report))
 }
 
-/// The tuple executor's query tail: evaluate the projection and order keys
-/// over every input tuple, then hand the decorated rows to
-/// [`finish_decorated`]. The positional executor selects over flat columns
-/// instead (see `exec_positional`).
+/// The reference's query tail: evaluate the projection and order keys over
+/// every input tuple, then hand the decorated rows to [`finish_decorated`].
+/// The positional executor selects over flat columns instead (see
+/// `exec_positional`).
 fn project_sort_limit(
     plan: &QueryPlan,
     tuples: &[Tuple],
     report: &mut QueryReport,
 ) -> Result<ResultSet> {
-    let span = blend_obs::span("project");
-    span.attr_u64("rows", tuples.len() as u64);
     let mut decorated: Vec<(Vec<SqlValue>, Tuple)> = Vec::with_capacity(tuples.len());
     for t in tuples {
         let out: Tuple = plan.projection.iter().map(|(_, e)| e.eval(t)).collect();
         let keys: Vec<SqlValue> = plan.order_by.iter().map(|(e, _)| e.eval(t)).collect();
         decorated.push((keys, out));
     }
-    drop(span);
     finish_decorated(plan, decorated, report)
 }
 
@@ -422,17 +344,14 @@ pub(crate) fn select_top(
 
 /// Order decorated rows (`(order keys, projected tuple)`, in input order) by
 /// their keys, then by the projected tuple, then by input position; keep
-/// LIMIT of them; and build the final [`ResultSet`]. The tail of the tuple
-/// executor; the positional executor runs the same [`select_top`] over its
+/// LIMIT of them; and build the final [`ResultSet`]. The tail of the
+/// reference; the positional executor runs the same [`select_top`] over its
 /// flat output columns.
 pub(crate) fn finish_decorated(
     plan: &QueryPlan,
     mut decorated: Vec<(Vec<SqlValue>, Tuple)>,
     report: &mut QueryReport,
 ) -> Result<ResultSet> {
-    let span = blend_obs::span("sort");
-    span.attr_u64("rows_in", decorated.len() as u64);
-    span.attr_u64("k", plan.limit.unwrap_or(decorated.len()) as u64);
     // Order keys, then the projected tuple as a deterministic tiebreak,
     // then input position.
     let cmp = |a: u32, b: u32| {
@@ -448,9 +367,6 @@ pub(crate) fn finish_decorated(
     };
     let ordered = !plan.order_by.is_empty();
     let ords = select_top(decorated.len(), plan.limit, ordered.then_some(cmp))?;
-    span.attr_u64("selected", ords.len() as u64);
-    drop(span);
-
     let rows: Vec<Tuple> = ords
         .iter()
         .map(|&o| std::mem::take(&mut decorated[o as usize].1))
@@ -462,18 +378,9 @@ pub(crate) fn finish_decorated(
     })
 }
 
-fn exec_tree(
-    tree: &Tree,
-    report: &mut QueryReport,
-    allow_positional: bool,
-    par: &ParallelCtx,
-) -> Result<Vec<Tuple>> {
+fn exec_tree(tree: &Tree, report: &mut QueryReport) -> Vec<Tuple> {
     match tree {
-        Tree::Leaf(InputPlan::Scan(scan)) => exec_scan(scan, report, par),
-        Tree::Leaf(InputPlan::Query(sub, _)) => {
-            let rs = execute_sub(sub, report, allow_positional, par)?;
-            Ok(rs.rows)
-        }
+        Tree::Leaf(scan) => exec_scan(scan, report),
         Tree::Join {
             left,
             right,
@@ -481,33 +388,23 @@ fn exec_tree(
             residual,
             ..
         } => {
-            let lt = exec_tree(left, report, allow_positional, par)?;
-            let rt = exec_tree(right, report, allow_positional, par)?;
-            hash_join(lt, rt, keys, residual.as_ref(), report, par)
+            let lt = exec_tree(left, report);
+            let rt = exec_tree(right, report);
+            hash_join(lt, rt, keys, residual.as_ref(), report)
         }
     }
 }
 
-fn exec_scan(scan: &ScanPlan, report: &mut QueryReport, par: &ParallelCtx) -> Result<Vec<Tuple>> {
-    par.check_interrupt()?;
-    let span = blend_obs::span_owned(format!("scan:{}", scan.alias));
+/// The plan's segments in order, each one batched kernel pass; only the
+/// survivors materialize tuples (the residual still needs them).
+fn exec_scan(scan: &ScanPlan, report: &mut QueryReport) -> Vec<Tuple> {
     let table = scan.table.as_ref();
-    let mut out = Vec::new();
-    let mut scanned = 0usize;
-    let mut sel = Vec::new();
-
-    // The plan's segments in morsel-sized pieces, each one batched kernel
-    // pass into the reusable selection vector, so a deadline is observed
-    // mid-segment. Only the survivors materialize tuples (the residual
-    // still needs them).
-    let segs = scan.segments();
-    let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
+    let (mut out, mut sel, mut scanned) = (Vec::new(), Vec::new(), 0);
     let residual = scan.residual.as_ref();
-    for m in morselize(&lens, par.morsel_len()) {
-        par.check_interrupt()?;
-        scanned += m.len();
+    for seg in scan.segments() {
+        scanned += seg.len();
         sel.clear();
-        scan.filter(segs[m.segment], m.start, m.end, &mut sel);
+        scan.filter(seg, 0, seg.len(), &mut sel);
         for &pos in &sel {
             let tuple = materialize(table, pos as usize);
             if residual.is_none_or(|r| r.eval_predicate(&tuple)) {
@@ -515,12 +412,8 @@ fn exec_scan(scan: &ScanPlan, report: &mut QueryReport, par: &ParallelCtx) -> Re
             }
         }
     }
-
-    span.attr_str("access", scan.access.label());
-    span.attr_u64("scanned", scanned as u64);
-    span.attr_u64("rows", out.len() as u64);
     report.scans.push(ScanReport::new(scan, scanned, out.len()));
-    Ok(out)
+    out
 }
 
 fn hash_join(
@@ -529,9 +422,7 @@ fn hash_join(
     keys: &[(usize, usize)],
     residual: Option<&CExpr>,
     report: &mut QueryReport,
-    par: &ParallelCtx,
-) -> Result<Vec<Tuple>> {
-    par.check_interrupt()?;
+) -> Vec<Tuple> {
     // Build on the smaller side; output column order is always left++right.
     let build_left = left.len() <= right.len();
     let (build, probe) = if build_left {
@@ -539,64 +430,38 @@ fn hash_join(
     } else {
         (&right, &left)
     };
-    let build_key = |t: &Tuple| -> Vec<SqlValue> {
+    let key = |t: &Tuple, on_left: bool| -> Vec<SqlValue> {
         keys.iter()
-            .map(|&(l, r)| t[if build_left { l } else { r }].clone())
-            .collect()
-    };
-    let probe_key = |t: &Tuple| -> Vec<SqlValue> {
-        keys.iter()
-            .map(|&(l, r)| t[if build_left { r } else { l }].clone())
+            .map(|&(l, r)| t[if on_left { l } else { r }].clone())
             .collect()
     };
 
-    let build_span = blend_obs::span("join.build");
     let mut table: FxHashMap<Vec<SqlValue>, Vec<usize>> = FxHashMap::default();
     for (i, t) in build.iter().enumerate() {
-        if i & 0xFFF == 0 {
-            par.check_interrupt()?;
-        }
         // SQL join semantics: NULL keys never match.
-        let k = build_key(t);
-        if k.iter().any(SqlValue::is_null) {
-            continue;
+        let k = key(t, build_left);
+        if !k.iter().any(SqlValue::is_null) {
+            table.entry(k).or_default().push(i);
         }
-        table.entry(k).or_default().push(i);
     }
-    build_span.attr_u64("rows", build.len() as u64);
-    drop(build_span);
 
-    let probe_span = blend_obs::span("join.probe");
     let mut out = Vec::new();
-    for (pi, pt) in probe.iter().enumerate() {
-        if pi & 0xFFF == 0 {
-            par.check_interrupt()?;
-        }
-        let k = probe_key(pt);
-        if k.iter().any(SqlValue::is_null) {
+    for pt in probe {
+        // A probe key holding NULL finds nothing: no built key holds one.
+        let Some(matches) = table.get(&key(pt, !build_left)) else {
             continue;
-        }
-        if let Some(matches) = table.get(&k) {
-            for &bi in matches {
-                let bt = &build[bi];
-                let (lt, rt) = if build_left { (bt, pt) } else { (pt, bt) };
-                let mut joined = Vec::with_capacity(lt.len() + rt.len());
-                joined.extend(lt.iter().cloned());
-                joined.extend(rt.iter().cloned());
-                if let Some(res) = residual {
-                    if !res.eval_predicate(&joined) {
-                        continue;
-                    }
-                }
+        };
+        for &bi in matches {
+            let bt = &build[bi];
+            let (lt, rt) = if build_left { (bt, pt) } else { (pt, bt) };
+            let joined: Tuple = lt.iter().chain(rt).cloned().collect();
+            if residual.is_none_or(|res| res.eval_predicate(&joined)) {
                 out.push(joined);
             }
         }
     }
-    probe_span.attr_u64("rows", probe.len() as u64);
-    probe_span.attr_u64("matched", out.len() as u64);
-    drop(probe_span);
     report.joins.push((build.len(), probe.len(), out.len()));
-    Ok(out)
+    out
 }
 
 // ---- aggregation -----------------------------------------------------------
@@ -719,14 +584,7 @@ impl AggState {
     }
 }
 
-fn exec_group(group: &GroupPlan, tuples: Vec<Tuple>, par: &ParallelCtx) -> Result<Vec<Tuple>> {
-    par.check_interrupt()?;
-    let span = blend_obs::span(if group.group_exprs.is_empty() {
-        "group.global"
-    } else {
-        "group"
-    });
-    span.attr_u64("rows", tuples.len() as u64);
+fn exec_group(group: &GroupPlan, tuples: Vec<Tuple>) -> Vec<Tuple> {
     // Key order must be deterministic for stable results; keep first-seen
     // order via an index map built on top of the hash map.
     let mut index: FxHashMap<Vec<SqlValue>, usize> = FxHashMap::default();
@@ -737,37 +595,29 @@ fn exec_group(group: &GroupPlan, tuples: Vec<Tuple>, par: &ParallelCtx) -> Resul
         groups.push((Vec::new(), group.aggs.iter().map(AggState::new).collect()));
     }
 
-    for (ti, t) in tuples.iter().enumerate() {
-        if ti & 0xFFF == 0 {
-            par.check_interrupt()?;
-        }
+    for t in &tuples {
         let key: Vec<SqlValue> = group.group_exprs.iter().map(|e| e.eval(t)).collect();
         let gi = if global {
             0
         } else {
-            match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = groups.len();
-                    index.insert(key.clone(), i);
-                    groups.push((key.clone(), group.aggs.iter().map(AggState::new).collect()));
-                    i
-                }
-            }
+            *index.entry(key).or_insert_with_key(|key| {
+                groups.push((key.clone(), group.aggs.iter().map(AggState::new).collect()));
+                groups.len() - 1
+            })
         };
         for (state, plan) in groups[gi].1.iter_mut().zip(&group.aggs) {
             state.update(plan, t);
         }
     }
 
-    Ok(groups
+    groups
         .into_iter()
         .map(|(key, states)| {
             let mut row = key;
             row.extend(states.into_iter().map(AggState::finish));
             row
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]

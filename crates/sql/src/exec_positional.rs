@@ -1,13 +1,15 @@
-//! Late-materialization (positional) executor for the BLEND query shapes.
+//! Late-materialization (positional) executor: the one executor every
+//! query runs on.
 //!
-//! The tuple executor in [`crate::exec`] materializes a 6-wide
+//! The reference interpreter in [`crate::exec`] materializes a 6-wide
 //! `Vec<SqlValue>` — including an `Arc<str>` clone of the cell value — for
 //! every position a scan visits, clones whole tuples through joins, and
 //! hashes `Vec<SqlValue>` keys in joins and GROUP BY. For the four seeker
 //! templates (`SC`/`KW`/`MC`/`C`) all of that work is wasted: predicates,
 //! join keys, and grouping keys only ever touch the integer fact columns,
 //! and `COUNT(DISTINCT CellValue)` only needs value *identity*, not value
-//! contents.
+//! contents. Keys that are not integer fact columns are the exception, and
+//! they intern (see *Interned keys* below).
 //!
 //! This module executes those shapes positionally:
 //!
@@ -40,10 +42,29 @@
 //!   ([`ResultColumns::to_result_set`](crate::columns::ResultColumns::to_result_set),
 //!   the one place that builds them); the seekers never do.
 //!
-//! [`plan_positional`] recognizes eligible plans; anything it cannot prove
-//! safe falls back to the tuple executor, so the two paths always agree
-//! (enforced by the `exec_parity` integration tests). Which path ran is
-//! observable via [`QueryReport::path`].
+//! [`plan_positional`] compiles every plan the planner emits; what it
+//! cannot compile is an executor bug and a typed `SqlExec` error. The
+//! parity suites (`exec_parity` and the rest) hold its results to the
+//! reference's, byte for byte; [`QueryReport::path`] says `positional`.
+//!
+//! ## Interned keys
+//!
+//! A join or GROUP BY whose keys are at most four integer fact columns packs
+//! them into one `u64`/`u128` per row. Any other key list — `CellValue`,
+//! `Quadrant`, `SuperKey`, an expression, five keys or more — is compiled as
+//! positional expressions and *interned*: each row's key tuple is evaluated
+//! once and mapped through one `FxHashMap<Vec<SqlValue>, u32>` per operator
+//! to a dense id, and that single id column runs through the same packing,
+//! [`JoinTable`](crate::hashtable::JoinTable) and
+//! [`GroupIndex`](crate::hashtable::GroupIndex) as any packed key. The
+//! semantics are the reference's: the join's build side assigns ids and the
+//! probe side only looks up; a join key tuple holding NULL never matches
+//! (build and probe get two different out-of-range ids); GROUP BY groups by
+//! `SqlValue`'s `Eq` — NULL with NULL, `Int(1)` with `Float(1.0)` — and an
+//! interned key's output is its expressions evaluated at the group's
+//! first-seen row. The map is charged to the `key_intern` site as it grows,
+//! and the loop polls the interrupt every `INTERRUPT_STRIDE` rows. No
+//! workload's SQL has such keys; there is no fast path for them.
 //!
 //! ## Selection-vector scans
 //!
@@ -83,8 +104,8 @@
 //!   `(row, group id)` pairs into flat vectors — counts in `Vec<i64>`,
 //!   `COUNT(DISTINCT ...)` by radix-grouping the gathered code column by
 //!   group id and sort-uniquing each group's contiguous run, and every
-//!   other aggregate (SUM, AVG, MIN, MAX) in the tuple executor's
-//!   [`AggState`]. A global (ungrouped) aggregate is the zero-key case:
+//!   other aggregate (SUM, AVG, MIN, MAX) in the [`AggState`] the reference
+//!   folds with. A global (ungrouped) aggregate is the zero-key case:
 //!   one group, which exists even over zero input rows.
 //!
 //! Both loops hash a [`PROBE_BLOCK`] of keys at a time through
@@ -273,7 +294,7 @@ use crate::expr::{
     combine_and, combine_or, eval_abs_value, eval_cast_int_value, eval_cmp_arith, eval_unary_value,
     CExpr,
 };
-use crate::plan::{identity_scan, AccessPath, AggPlan, QueryPlan, ScanPlan, Seg, Tree};
+use crate::plan::{AccessPath, AggPlan, QueryPlan, ScanPlan, Seg, Tree};
 use crate::value::SqlValue;
 use blend_common::{BlendError, Result};
 
@@ -417,21 +438,20 @@ impl PExpr {
 
 /// Compile a tuple expression into a positional one. `base` is the global
 /// index of the first leaf in the schema the expression was compiled
-/// against. Returns `None` for shapes the positional evaluator does not
-/// handle (triggering tuple-path fallback).
-fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Option<PExpr> {
-    Some(match e {
+/// against.
+fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Result<PExpr> {
+    Ok(match e {
         CExpr::Const(v) => PExpr::Const(v.clone()),
         CExpr::Col(i) => {
             let leaf = base + i / FACT_WIDTH;
             if leaf >= leaves.len() {
-                return None;
+                return Err(executor_bug("a column outside the plan's scans"));
             }
-            match i % FACT_WIDTH {
-                0 => PExpr::Value(leaf),
-                4 => PExpr::Superkey(leaf),
-                5 => PExpr::Quadrant(leaf),
-                off => PExpr::Int(leaf, IntCol::from_offset(off)?),
+            match (i % FACT_WIDTH, IntCol::from_offset(i % FACT_WIDTH)) {
+                (0, _) => PExpr::Value(leaf),
+                (4, _) => PExpr::Superkey(leaf),
+                (5, _) => PExpr::Quadrant(leaf),
+                (_, col) => PExpr::Int(leaf, col.ok_or_else(|| executor_bug("a fact offset"))?),
             }
         }
         CExpr::Unary(op, inner) => PExpr::Unary(*op, Box::new(compile_pexpr(inner, base, leaves)?)),
@@ -446,7 +466,7 @@ fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Option<PExpr> 
                 // Constant IN-list over CellValue: translate once into an
                 // engine probe (dictionary codes on the column store).
                 // Non-text constants can never equal a text cell, so
-                // dropping them preserves the tuple path's semantics.
+                // dropping them preserves the reference's semantics.
                 let texts: Vec<&str> = set.iter().filter_map(SqlValue::as_str).collect();
                 PExpr::InProbe {
                     leaf,
@@ -468,6 +488,34 @@ fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Option<PExpr> 
 /// A positional join/group key column: an integer fact column of a leaf.
 type PosCol = (usize, IntCol);
 
+/// The key list of a join or GROUP BY, in one of two forms (module docs,
+/// *Interned keys*).
+enum Keys<P, E> {
+    /// At most four integer fact columns, packed into one `u64`/`u128`.
+    Packed(Vec<P>),
+    /// Anything else: key expressions whose value tuples map to dense ids.
+    Interned(Vec<E>),
+}
+
+impl<P, E> Keys<P, E> {
+    /// Packed where `packed` maps every key to its columns and there are at
+    /// most four keys; interned otherwise.
+    fn of(keys: Vec<E>, packed: impl Fn(&E) -> Option<P>) -> Self {
+        match keys.iter().map(packed).collect::<Option<Vec<P>>>() {
+            Some(cols) if cols.len() <= 4 => Keys::Packed(cols),
+            _ => Keys::Interned(keys),
+        }
+    }
+}
+
+/// The integer fact column `e` reads, if it is a bare one.
+fn int_col(e: &PExpr) -> Option<PosCol> {
+    match e {
+        PExpr::Int(leaf, col) => Some((*leaf, *col)),
+        _ => None,
+    }
+}
+
 /// Positional operator tree (parallel to [`Tree`], leaves unwrapped).
 enum PosNode {
     Scan {
@@ -480,8 +528,8 @@ enum PosNode {
         /// Global index of the first leaf under this join.
         base: usize,
         n_left: usize,
-        /// Equi-keys as (left column, right column), packed into one `u64`.
-        keys: Vec<(PosCol, PosCol)>,
+        /// Equi-keys as (left, right) pairs.
+        keys: Keys<(PosCol, PosCol), (PExpr, PExpr)>,
         residual: Option<PExpr>,
     },
 }
@@ -494,7 +542,7 @@ enum PosAggSpec<'p> {
     /// codes (column store) or dense string ids (row store).
     DistinctValue { leaf: usize },
     /// Anything else (SUM, AVG, MIN, MAX, `COUNT(x)`): evaluate the
-    /// argument positionally and fold it into the tuple executor's
+    /// argument positionally and fold it into the reference's
     /// [`AggState`].
     Generic {
         plan: &'p AggPlan,
@@ -504,7 +552,7 @@ enum PosAggSpec<'p> {
 
 /// Grouping stage shape.
 struct PosGroup<'p> {
-    keys: Vec<PosCol>,
+    keys: Keys<PosCol, PExpr>,
     aggs: Vec<PosAggSpec<'p>>,
     /// The plan property of [`column_grouped`]: the group counts off the
     /// table's column index instead of scanning.
@@ -531,14 +579,17 @@ pub(crate) struct PosPlan<'p> {
     tail: PosTail<'p>,
 }
 
-/// Recognize a plan the positional executor can run: every leaf is a base
-/// fact-table scan (possibly wrapped in identity subqueries, as the MC/C
-/// templates produce), every join keys on 1–2 integer fact columns, group
-/// keys are integer fact columns, and all residual/filter/projection
-/// expressions compile positionally.
-pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
+/// Compile a plan for the positional executor: the leaves are its scans,
+/// join and group keys are packed or interned (module docs, *Interned
+/// keys*), and every residual, filter, projection and aggregate argument
+/// compiles positionally. The planner emits nothing else, so an error here
+/// is an executor bug.
+pub(crate) fn plan_positional(plan: &QueryPlan) -> Result<PosPlan<'_>> {
     let mut leaves: Vec<&ScanPlan> = Vec::new();
     let root = build_node(&plan.tree, &mut leaves)?;
+    let compile_all = |es: &mut dyn Iterator<Item = &CExpr>| -> Result<Vec<PExpr>> {
+        es.map(|e| compile_pexpr(e, 0, &leaves)).collect()
+    };
 
     let post_filter = match &plan.post_filter {
         Some(f) => Some(compile_pexpr(f, 0, &leaves)?),
@@ -547,42 +598,27 @@ pub(crate) fn plan_positional(plan: &QueryPlan) -> Option<PosPlan<'_>> {
 
     let tail = match &plan.group {
         Some(g) => {
-            let mut keys = Vec::with_capacity(g.group_exprs.len());
-            for e in &g.group_exprs {
-                match compile_pexpr(e, 0, &leaves)? {
-                    PExpr::Int(leaf, col) => keys.push((leaf, col)),
-                    _ => return None,
+            let keys = Keys::of(compile_all(&mut g.group_exprs.iter())?, int_col);
+            let aggs = (g.aggs.iter().map(|a| agg_spec(a, &leaves))).collect::<Result<Vec<_>>>()?;
+            let by_columns = match &keys {
+                Keys::Packed(cols) => {
+                    post_filter.is_none() && column_grouped(&root, &leaves, cols, &aggs)
                 }
-            }
-            // Keys pack into at most 128 bits (32 each).
-            if keys.len() > 4 {
-                return None;
-            }
-            let mut aggs = Vec::with_capacity(g.aggs.len());
-            for a in &g.aggs {
-                aggs.push(agg_spec(a, &leaves)?);
-            }
-            let by_columns = post_filter.is_none() && column_grouped(&root, &leaves, &keys, &aggs);
+                Keys::Interned(_) => false,
+            };
             PosTail::Group(PosGroup {
                 keys,
                 aggs,
                 by_columns,
             })
         }
-        None => {
-            let mut exprs = Vec::with_capacity(plan.projection.len());
-            for (_, e) in &plan.projection {
-                exprs.push(compile_pexpr(e, 0, &leaves)?);
-            }
-            let mut order = Vec::with_capacity(plan.order_by.len());
-            for (e, _) in &plan.order_by {
-                order.push(compile_pexpr(e, 0, &leaves)?);
-            }
-            PosTail::Project(PosProject { exprs, order })
-        }
+        None => PosTail::Project(PosProject {
+            exprs: compile_all(&mut plan.projection.iter().map(|(_, e)| e))?,
+            order: compile_all(&mut plan.order_by.iter().map(|(e, _)| e))?,
+        }),
     };
 
-    Some(PosPlan {
+    Ok(PosPlan {
         leaves,
         root,
         post_filter,
@@ -640,45 +676,36 @@ fn column_grouped(
     value_drive && key_sorted && distinct_only && scan.table.column_index().is_some()
 }
 
-fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Option<PosAggSpec<'p>> {
-    match (plan.func, plan.distinct, &plan.arg) {
-        (AggFunc::Count, false, None) => Some(PosAggSpec::CountStar),
+fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Result<PosAggSpec<'p>> {
+    Ok(match (plan.func, plan.distinct, &plan.arg) {
+        (AggFunc::Count, false, None) => PosAggSpec::CountStar,
         (AggFunc::Count, true, Some(CExpr::Col(i)))
             if i % FACT_WIDTH == 0 && i / FACT_WIDTH < leaves.len() =>
         {
-            Some(PosAggSpec::DistinctValue {
+            PosAggSpec::DistinctValue {
                 leaf: i / FACT_WIDTH,
-            })
+            }
         }
         (_, _, arg) => {
             let arg = match arg {
                 Some(e) => Some(compile_pexpr(e, 0, leaves)?),
                 None => None,
             };
-            Some(PosAggSpec::Generic { plan, arg })
+            PosAggSpec::Generic { plan, arg }
         }
-    }
+    })
 }
 
-fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Option<PosNode> {
+fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Result<PosNode> {
     match tree {
-        Tree::Leaf(input) => {
-            // Unwrap identity subqueries down to the base scan; the scan
-            // must expose the full 6-column fact layout for offset math.
-            let scan = identity_scan(tree)?;
-            if scan.schema.len() != FACT_WIDTH || input.schema().len() != FACT_WIDTH {
-                return None;
-            }
+        Tree::Leaf(scan) => {
             let leaf = leaves.len();
             leaves.push(scan);
             let residual = match &scan.residual {
-                Some(r) => {
-                    let leaf_slice = &leaves[..];
-                    Some(compile_pexpr(r, leaf, leaf_slice)?)
-                }
+                Some(r) => Some(compile_pexpr(r, leaf, leaves)?),
                 None => None,
             };
-            Some(PosNode::Scan { leaf, residual })
+            Ok(PosNode::Scan { leaf, residual })
         }
         Tree::Join {
             left,
@@ -691,31 +718,25 @@ fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Option<PosN
             let l = build_node(left, leaves)?;
             let n_left = leaves.len() - base;
             let r = build_node(right, leaves)?;
-            // 1–2 key columns pack into a u64, 3–4 into a u128.
-            if keys.is_empty() || keys.len() > 4 {
-                return None;
-            }
-            let mut pos_keys = Vec::with_capacity(keys.len());
-            for &(lk, rk) in keys {
-                let lcol = IntCol::from_offset(lk % FACT_WIDTH)?;
-                let rcol = IntCol::from_offset(rk % FACT_WIDTH)?;
-                let lleaf = base + lk / FACT_WIDTH;
-                let rleaf = base + n_left + rk / FACT_WIDTH;
-                if lleaf >= base + n_left || rleaf >= leaves.len() {
-                    return None;
-                }
-                pos_keys.push(((lleaf, lcol), (rleaf, rcol)));
-            }
+            // A key offset is into its own side's tuple.
+            let side = |off: usize, side_base: usize, n: usize| match off / FACT_WIDTH < n {
+                true => compile_pexpr(&CExpr::Col(off), side_base, leaves),
+                false => Err(executor_bug("a join key outside its input")),
+            };
+            let n_right = leaves.len() - base - n_left;
+            let pairs = (keys.iter())
+                .map(|&(lk, rk)| Ok((side(lk, base, n_left)?, side(rk, base + n_left, n_right)?)))
+                .collect::<Result<Vec<_>>>()?;
             let residual = match residual {
                 Some(r) => Some(compile_pexpr(r, base, leaves)?),
                 None => None,
             };
-            Some(PosNode::Join {
+            Ok(PosNode::Join {
                 left: Box::new(l),
                 right: Box::new(r),
                 base,
                 n_left,
-                keys: pos_keys,
+                keys: Keys::of(pairs, |(l, r)| Some((int_col(l)?, int_col(r)?))),
                 residual,
             })
         }
@@ -991,7 +1012,7 @@ fn exec_node(
 }
 
 /// Positional scan: emit surviving positions; no tuple is materialized.
-/// Visits the plan's segments in the tuple executor's order and reports
+/// Visits the plan's segments in the reference's order and reports
 /// the same telemetry. Large filtered scans are morsel-partitioned across
 /// the pool; per-morsel position lists concatenate in morsel order, so the
 /// emitted batch is identical at every thread count.
@@ -1197,9 +1218,100 @@ impl<'b> ColCache<'b> {
     }
 }
 
-/// Positional hash join on packed `u64`/`u128` keys through the flat
-/// [`JoinTable`]. Build/probe side selection and output row order mirror
-/// the tuple executor's `hash_join` so the two paths produce byte-identical
+/// How [`Interner::ids`] maps a row's key tuple.
+#[derive(Clone, Copy)]
+enum Intern {
+    /// GROUP BY: every tuple gets an id; NULL is a value like any other.
+    Group,
+    /// A join's build side: new tuples get ids, one holding NULL gets
+    /// [`BUILD_NULL`].
+    Build,
+    /// A join's probe side: lookups only; a tuple holding NULL, or one the
+    /// build side never saw, gets [`PROBE_MISS`].
+    Probe,
+}
+
+/// Out-of-range ids of join key tuples that match nothing. Build and probe
+/// get different ones, so a NULL key never meets another.
+const BUILD_NULL: u32 = u32::MAX;
+const PROBE_MISS: u32 = u32::MAX - 1;
+
+/// Dense `u32` ids for the key tuples of one join or GROUP BY whose keys do
+/// not pack (module docs, *Interned keys*): one map per operator, which
+/// both join sides share.
+struct Interner<'a> {
+    ids: FxHashMap<Vec<SqlValue>, u32>,
+    /// The map's entries, charged to `key_intern` as they are added.
+    mem: MemoryReservation,
+    tables: &'a [&'a dyn FactTable],
+    par: &'a ParallelCtx,
+}
+
+impl<'a> Interner<'a> {
+    fn new(tables: &'a [&'a dyn FactTable], par: &'a ParallelCtx) -> Result<Self> {
+        Ok(Interner {
+            ids: FxHashMap::default(),
+            mem: par.memory().try_reserve("key_intern", 0)?,
+            tables,
+            par,
+        })
+    }
+
+    /// The id of every row of `batch` (whose first leaf is global leaf
+    /// `base`), keyed on the values of `exprs`. Every [`INTERRUPT_STRIDE`]
+    /// rows the loop polls the interrupt and charges the entries it added.
+    fn ids(
+        &mut self,
+        mode: Intern,
+        exprs: &[&PExpr],
+        batch: &PosBatch,
+        base: usize,
+    ) -> Result<Vec<u32>> {
+        use std::collections::hash_map::Entry;
+        let mut out = blend_common::try_vec_with_capacity(batch.len(), "key_intern")?;
+        let mut added = 0;
+        for i in 0..batch.len() {
+            if poll_every(i) {
+                self.par.check_interrupt()?;
+                self.mem.grow(std::mem::take(&mut added))?;
+            }
+            let row = batch.row(i);
+            let key: Vec<SqlValue> = exprs
+                .iter()
+                .map(|e| e.eval(self.tables, base, row))
+                .collect();
+            let null = key.iter().any(SqlValue::is_null);
+            let next = self.ids.len() as u32;
+            out.push(match mode {
+                Intern::Build if null => BUILD_NULL,
+                Intern::Probe if null => PROBE_MISS,
+                Intern::Probe => self.ids.get(&key).copied().unwrap_or(PROBE_MISS),
+                Intern::Group | Intern::Build => match self.ids.entry(key) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(_) if next >= PROBE_MISS => {
+                        return Err(executor_bug("more distinct keys than ids"))
+                    }
+                    Entry::Vacant(e) => {
+                        // The entry, its control byte, and the key's values
+                        // and strings.
+                        let text = e.key().iter().filter_map(SqlValue::as_str);
+                        added += std::mem::size_of::<(Vec<SqlValue>, u32)>()
+                            + 1
+                            + e.key().capacity() * std::mem::size_of::<SqlValue>()
+                            + text.map(|s| 16 + s.len()).sum::<usize>();
+                        *e.insert(next)
+                    }
+                },
+            });
+        }
+        self.mem.grow(added)?;
+        Ok(out)
+    }
+}
+
+/// Positional hash join on packed `u64`/`u128` keys (or an interned key's
+/// id) through the flat [`JoinTable`]. Build/probe side selection and output row order mirror
+/// the reference's `hash_join` so the two executors produce byte-identical
 /// results.
 ///
 /// On large inputs the build side is **radix-partitioned by key hash** (low
@@ -1214,7 +1326,7 @@ fn exec_join(
     right: PosBatch,
     base: usize,
     n_left: usize,
-    keys: &[(PosCol, PosCol)],
+    keys: &Keys<(PosCol, PosCol), (PExpr, PExpr)>,
     residual: Option<&PExpr>,
     tables: &[&dyn FactTable],
     report: &mut QueryReport,
@@ -1227,35 +1339,44 @@ fn exec_join(
     } else {
         (&right, &left)
     };
-    let right_base = base + n_left;
+    let side_base = |on_left: bool| if on_left { base } else { base + n_left };
+    let (build_base, probe_base) = (side_base(build_left), side_base(!build_left));
 
-    // Key columns for one side, gathered in bulk (one virtual dispatch per
-    // column, not per row; positions extracted once per leaf).
-    let side_keys = |batch: &PosBatch, side_base: usize, pick_left: bool| -> Vec<Vec<u32>> {
-        let mut cache = ColCache::new(batch);
-        keys.iter()
-            .map(|&(lk, rk)| {
-                let (leaf, col) = if pick_left { lk } else { rk };
-                let mut vals = Vec::with_capacity(batch.len());
-                col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
-                vals
-            })
-            .collect()
+    // Key columns for one side: packed keys gathered in bulk (one virtual
+    // dispatch per column, not per row; positions extracted once per leaf),
+    // interned keys as one id column through a map both sides share.
+    let (build_keys, probe_keys) = match keys {
+        Keys::Packed(cols) => {
+            let side_keys = |batch: &PosBatch, side_base: usize, on_left: bool| {
+                let mut cache = ColCache::new(batch);
+                cols.iter()
+                    .map(|&(lk, rk)| {
+                        let (leaf, col) = if on_left { lk } else { rk };
+                        let mut vals = Vec::with_capacity(batch.len());
+                        col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
+                        vals
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let build_keys = side_keys(build, build_base, build_left);
+            (build_keys, side_keys(probe, probe_base, !build_left))
+        }
+        Keys::Interned(exprs) => {
+            let side = |on_left: bool| -> Vec<&PExpr> {
+                (exprs.iter())
+                    .map(|(l, r)| if on_left { l } else { r })
+                    .collect()
+            };
+            let mut ids = Interner::new(tables, par)?;
+            let build_ids = ids.ids(Intern::Build, &side(build_left), build, build_base)?;
+            let probe_ids = ids.ids(Intern::Probe, &side(!build_left), probe, probe_base)?;
+            (vec![build_ids], vec![probe_ids])
+        }
     };
-    let build_keys = side_keys(
-        build,
-        if build_left { base } else { right_base },
-        build_left,
-    );
-    let probe_keys = side_keys(
-        probe,
-        if build_left { right_base } else { base },
-        !build_left,
-    );
 
     // Monomorphize on packed key width: u64 covers 1–2 key columns, u128
     // covers 3–4.
-    let (out, n_out) = if keys.len() <= 2 {
+    let (out, n_out) = if build_keys.len() <= 2 {
         join_flat(
             build,
             probe,
@@ -1509,7 +1630,7 @@ enum SpecData {
 /// `ORDER BY … LIMIT`.
 ///
 /// A group's first-seen row is unique, and ascending first-seen rows are
-/// the sequential (and tuple-executor) group order, so it is the last sort
+/// the sequential (and the reference's) group order, so it is the last sort
 /// key wherever groups meet — which also merges radix partitions.
 #[derive(Default)]
 struct GroupCols {
@@ -1792,8 +1913,9 @@ struct GroupInput<'a> {
 }
 
 impl<'a> GroupInput<'a> {
-    /// Gather the key columns and the aggregates' argument columns in bulk
-    /// (positions extracted once per leaf).
+    /// Gather the key columns — packed keys' columns, or interned keys' one
+    /// id column — and the aggregates' argument columns in bulk (positions
+    /// extracted once per leaf).
     fn gather(
         shape: &'a PosGroup<'a>,
         batch: &'a PosBatch,
@@ -1802,15 +1924,20 @@ impl<'a> GroupInput<'a> {
     ) -> Result<Self> {
         let n_rows = batch.len();
         let mut cache = ColCache::new(batch);
-        let key_cols: Vec<Vec<u32>> = shape
-            .keys
-            .iter()
-            .map(|&(leaf, col)| {
-                let mut vals = Vec::with_capacity(n_rows);
-                col.gather(tables[leaf], cache.positions(leaf), &mut vals);
-                vals
-            })
-            .collect();
+        let key_cols: Vec<Vec<u32>> = match &shape.keys {
+            Keys::Packed(cols) => cols
+                .iter()
+                .map(|&(leaf, col)| {
+                    let mut vals = Vec::with_capacity(n_rows);
+                    col.gather(tables[leaf], cache.positions(leaf), &mut vals);
+                    vals
+                })
+                .collect(),
+            Keys::Interned(exprs) => {
+                let exprs: Vec<&PExpr> = exprs.iter().collect();
+                vec![Interner::new(tables, par)?.ids(Intern::Group, &exprs, batch, 0)?]
+            }
+        };
         let spec_data: Vec<SpecData> = shape
             .aggs
             .iter()
@@ -1846,8 +1973,9 @@ impl<'a> GroupInput<'a> {
 }
 
 /// Positional GROUP BY on the hash path (a [`column_grouped`] plan never
-/// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns) or
-/// a `u128` (3–4 columns, the C shape); a flat [`GroupIndex`] assigns dense
+/// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns, or
+/// an interned key's id) or a `u128` (3–4 columns, the C shape); a flat
+/// [`GroupIndex`] assigns dense
 /// group ids in first-seen order and [`aggregate`] accumulates
 /// column-at-a-time into struct-of-arrays state, which is also the phase's
 /// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
@@ -1861,8 +1989,7 @@ impl<'a> GroupInput<'a> {
 /// A global (ungrouped) aggregate is the zero-key case: one group, which
 /// exists even over zero input rows, and group id 0 for every row. It needs
 /// no index, so it groups on the query's thread without an admission
-/// request and records no [`HashTableStats`]; its span is `group.global`,
-/// as on the tuple executor.
+/// request and records no [`HashTableStats`]; its span is `group.global`.
 ///
 /// The `group` span covers the whole phase, gathers and key packing
 /// included; its `path` attr says `hash`.
@@ -1876,7 +2003,7 @@ fn exec_group(
 ) -> Result<ResultColumns> {
     par.check_interrupt()?;
     let n_rows = batch.len();
-    let global = shape.keys.is_empty();
+    let global = matches!(&shape.keys, Keys::Packed(cols) if cols.is_empty());
     let span = blend_obs::span(if global { "group.global" } else { "group" });
     span.attr_u64("rows", n_rows as u64);
     if !global {
@@ -1886,7 +2013,7 @@ fn exec_group(
     // grouping phase only; selection and projection run without them.
     let input = GroupInput::gather(shape, batch, tables, par)?;
     // Monomorphize on packed key width.
-    let (parts, grant) = match shape.keys.len() {
+    let (parts, grant) = match input.key_cols.len() {
         0 => {
             // The gid column, reserved like the keyed path's.
             let _gid_mem = par.memory().try_reserve("group_build", n_rows * 4)?;
@@ -1926,12 +2053,12 @@ fn group_columns(
     par: &ParallelCtx,
 ) -> Result<ResultColumns> {
     let table = scan.table.as_ref();
-    let index = table.column_index().ok_or_else(|| {
-        BlendError::SqlExec("column-index grouping over a table without a column index".into())
-    })?;
+    let (Some(index), Keys::Packed(keys)) = (table.column_index(), &shape.keys) else {
+        return Err(executor_bug("column-index grouping without a column index"));
+    };
     let span = blend_obs::span("group");
     span.attr_str("path", "columns");
-    let by_column = shape.keys.len() == 2;
+    let by_column = keys.len() == 2;
     let lists: Vec<&[u32]> = scan
         .driving_values
         .iter()
@@ -2003,8 +2130,7 @@ fn group_columns(
             (true, IntCol::Table) => index.key(slot).0,
             (true, _) => index.key(slot).1,
         };
-        let mut cols: Vec<ResultColumn> = shape
-            .keys
+        let mut cols: Vec<ResultColumn> = keys
             .iter()
             .map(|&(_, col)| ResultColumn::Key(slots.iter().map(|&s| key(s, col)).collect()))
             .collect();
@@ -2203,11 +2329,19 @@ fn aggregate(
     let row_at = |idx: usize| rows.map_or(idx, |r| r[idx] as usize);
     // Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
-    // Key values read at each group's first-seen row, then the aggregates.
-    let mut cols: Vec<ResultColumn> = key_cols
-        .iter()
-        .map(|col| ResultColumn::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
-        .collect();
+    // Key values read at each group's first-seen row — interned keys'
+    // expressions evaluated there — then the aggregates.
+    let mut cols: Vec<ResultColumn> = match &shape.keys {
+        Keys::Packed(_) => (key_cols.iter())
+            .map(|col| ResultColumn::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
+            .collect(),
+        Keys::Interned(exprs) => (exprs.iter())
+            .map(|e| {
+                let at = |&r: &u32| e.eval(tables, 0, batch.row(r as usize));
+                ResultColumn::Val(first_rows.iter().map(at).collect())
+            })
+            .collect(),
+    };
     for (spec, data) in shape.aggs.iter().zip(spec_data) {
         cols.push(match (spec, data) {
             (PosAggSpec::CountStar, _) => {
@@ -2251,7 +2385,7 @@ fn aggregate(
                 }
                 ResultColumn::Val(states.into_iter().map(AggState::finish).collect())
             }
-            _ => return Err(lockstep_error()),
+            _ => return Err(executor_bug("aggregate input column")),
         });
     }
     Ok(GroupCols { first_rows, cols })
@@ -2285,19 +2419,16 @@ fn distinct_counts(
         .collect()
 }
 
-/// An aggregate and its gathered input column disagree — both are built
-/// from one spec list, so this is an executor bug, reported typed instead
-/// of panicking.
-fn lockstep_error() -> BlendError {
-    BlendError::SqlExec(
-        "positional GROUP BY: aggregate and its gathered input column disagree".into(),
-    )
+/// A state the planner never produces (`what` names it): an executor bug,
+/// reported typed instead of panicking.
+fn executor_bug(what: &str) -> BlendError {
+    BlendError::SqlExec(format!("positional executor: unexpected {what}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ExecPath, SqlEngine};
+    use crate::engine::SqlEngine;
     use crate::exec::ResultSet;
     use blend_storage::{build_engine, EngineKind};
 
@@ -2327,10 +2458,8 @@ mod tests {
     }
 
     fn both_paths(eng: &SqlEngine, sql: &str) -> (ResultSet, String, ResultSet) {
-        let (a, ra) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
-        let (b, _) = eng
-            .execute_with_report_path(sql, ExecPath::TupleOnly)
-            .unwrap();
+        let (a, ra) = eng.execute_with_report(sql).unwrap();
+        let (b, _) = eng.execute_reference(sql).unwrap();
         (a, ra.path, b)
     }
 
@@ -2396,7 +2525,7 @@ mod tests {
     /// A global aggregate is the zero-key GROUP BY: one group, which exists
     /// even over an empty drive, grouped on the query's thread with no
     /// group hash table — on both engines, sequentially and on a forced
-    /// pool, with the tuple executor's bytes (NULL for SUM, AVG, MIN and
+    /// pool, with the reference's bytes (NULL for SUM, AVG, MIN and
     /// MAX over nothing).
     #[test]
     fn global_aggregate_emits_one_row_even_when_empty() {
@@ -2424,14 +2553,12 @@ mod tests {
         for kind in [EngineKind::Row, EngineKind::Column] {
             for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
                 for (sql, rows) in &cases {
-                    let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+                    let (got, rep) = eng.execute_with_report(sql).unwrap();
                     assert_eq!(rep.path, "positional", "{kind:?}: {sql}");
                     assert_eq!(got.len(), *rows, "{kind:?}: {sql}");
                     assert!(rep.hash_tables.is_empty(), "{kind:?}: {sql}");
                     assert!(rep.parallel.iter().all(|p| p.phase != "group"));
-                    let (want, _) = eng
-                        .execute_with_report_path(sql, ExecPath::TupleOnly)
-                        .unwrap();
+                    let (want, _) = eng.execute_reference(sql).unwrap();
                     assert_eq!(
                         format!("{:?}", got.rows),
                         format!("{:?}", want.rows),
@@ -2439,26 +2566,25 @@ mod tests {
                     );
                 }
             }
-            let (rs, _) = engine(kind)
-                .execute_with_report_path(&empty, ExecPath::Auto)
-                .unwrap();
+            let (rs, _) = engine(kind).execute_with_report(&empty).unwrap();
             assert_eq!(rs.i64(0, "n"), Some(0));
             assert_eq!(rs.i64(0, "d"), Some(0));
             assert!(rs.rows[0][2..].iter().all(SqlValue::is_null), "{kind:?}");
         }
     }
 
+    /// An expression key is interned, and stays on this executor with the
+    /// reference's bytes.
     #[test]
     fn expression_group_keys_fall_back() {
         let eng = engine(EngineKind::Column);
-        let (rs, report) = eng
-            .execute_with_report_path(
-                "SELECT TableId + 1 AS t1, COUNT(*) AS n FROM AllTables GROUP BY TableId + 1",
-                ExecPath::Auto,
-            )
-            .unwrap();
-        assert_eq!(report.path, "tuple");
-        assert!(!rs.is_empty());
+        let (a, path, b) = both_paths(
+            &eng,
+            "SELECT TableId + 1 AS t1, COUNT(*) AS n FROM AllTables GROUP BY TableId + 1",
+        );
+        assert_eq!(path, "positional");
+        assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
+        assert!(!a.is_empty());
     }
 
     /// Engine with parallel tuning forced low enough that every phase of
@@ -2503,13 +2629,11 @@ mod tests {
         for kind in [EngineKind::Row, EngineKind::Column] {
             let reference = engine(kind);
             for sql in queries {
-                let (want, want_rep) = reference
-                    .execute_with_report_path(sql, ExecPath::Auto)
-                    .unwrap();
+                let (want, want_rep) = reference.execute_with_report(sql).unwrap();
                 assert_eq!(want_rep.path, "positional", "{sql}");
                 for threads in [2, 4, 8] {
                     let eng = forced_parallel_engine(kind, threads);
-                    let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+                    let (got, rep) = eng.execute_with_report(sql).unwrap();
                     assert_eq!(got, want, "{kind:?}/{threads}t: {sql}");
                     assert!(
                         rep.logical_eq(&want_rep),
@@ -2533,9 +2657,8 @@ mod tests {
         let mut eng = engine(EngineKind::Column);
         eng.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 1, 3)));
         let (_, rep) = eng
-            .execute_with_report_path(
+            .execute_with_report(
                 "SELECT TableId AS t, COUNT(*) AS n FROM AllTables GROUP BY TableId",
-                ExecPath::Auto,
             )
             .unwrap();
         assert_eq!(rep.path, "positional");
@@ -2550,14 +2673,12 @@ mod tests {
         // exactly sequential and the parallel group phase stays admitted.
         let eng = forced_parallel_engine(EngineKind::Column, 4);
         let sql = "SELECT TableId AS t, SUM(RowId / 2) AS s FROM AllTables GROUP BY TableId";
-        let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+        let (got, rep) = eng.execute_with_report(sql).unwrap();
         assert!(
             rep.parallel.iter().any(|p| p.phase == "group"),
             "keyed float SUM should group in parallel via radix partitions"
         );
-        let (want, _) = eng
-            .execute_with_report_path(sql, ExecPath::TupleOnly)
-            .unwrap();
+        let (want, _) = eng.execute_reference(sql).unwrap();
         assert_eq!(got, want);
     }
 
@@ -2568,14 +2689,12 @@ mod tests {
         // accumulates in sequential row order.
         let eng = forced_parallel_engine(EngineKind::Column, 4);
         let sql = "SELECT SUM(RowId / 2) AS s FROM AllTables";
-        let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+        let (got, rep) = eng.execute_with_report(sql).unwrap();
         assert!(
             rep.parallel.iter().all(|p| p.phase != "group"),
             "global float SUM must not group in parallel"
         );
-        let (want, _) = eng
-            .execute_with_report_path(sql, ExecPath::TupleOnly)
-            .unwrap();
+        let (want, _) = eng.execute_reference(sql).unwrap();
         assert_eq!(got, want);
     }
 
@@ -2583,7 +2702,7 @@ mod tests {
     fn wide_join_keys_take_the_positional_u128_path() {
         // 3 and 4 equi-key columns (4 via a repeated equality) pack into
         // the u128 key path; both must stay on the positional executor and
-        // agree with the tuple oracle.
+        // agree with the reference.
         let on3 = "q0.TableId = q1.TableId AND q0.ColumnId = q1.ColumnId \
                    AND q0.RowId = q1.RowId";
         let on4 = "q0.TableId = q1.TableId AND q0.ColumnId = q1.ColumnId \
@@ -2611,13 +2730,12 @@ mod tests {
         // Join + group: one "join" and one "group" entry, sequential
         // (single partition) at default tuning on this tiny input.
         let (_, rep) = eng
-            .execute_with_report_path(
+            .execute_with_report(
                 "SELECT q0.TableId AS t, COUNT(*) AS n FROM \
                  (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
                  INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
                  ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId \
                  GROUP BY q0.TableId",
-                ExecPath::Auto,
             )
             .unwrap();
         assert_eq!(rep.path, "positional");
@@ -2634,10 +2752,9 @@ mod tests {
         // sequential scan is a hash-path drive, whatever the aggregate.
         let eng = forced_parallel_engine(EngineKind::Column, 4);
         let (_, rep) = eng
-            .execute_with_report_path(
+            .execute_with_report(
                 "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
                  GROUP BY TableId, ColumnId",
-                ExecPath::Auto,
             )
             .unwrap();
         assert_eq!(group_path(&rep), "hash");
@@ -2651,10 +2768,9 @@ mod tests {
 
         // The same aggregate over a value-index drive builds no hash table.
         let (_, rep) = eng
-            .execute_with_report_path(
+            .execute_with_report(
                 "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
                  WHERE CellValue IN ('k0','k1') GROUP BY TableId, ColumnId",
-                ExecPath::Auto,
             )
             .unwrap();
         assert_eq!(group_path(&rep), "columns");
@@ -2683,7 +2799,7 @@ mod tests {
     /// store's column index — with every key order, behind `TableId IN` /
     /// `NOT IN` sets, sequentially and on a forced pool — and every near
     /// miss, and every shape on the row store, takes the hash path. Both
-    /// give the tuple executor's bytes at every LIMIT.
+    /// give the reference's bytes at every LIMIT.
     #[test]
     fn distinct_counts_group_over_the_column_index_and_near_misses_hash() {
         // Values in both columns, an absent one and a duplicated literal.
@@ -2741,13 +2857,10 @@ mod tests {
                         " ORDER BY score DESC LIMIT 40",
                     ] {
                         let sql = format!("{sql}{limit}");
-                        let (got, rep) =
-                            eng.execute_with_report_path(&sql, ExecPath::Auto).unwrap();
+                        let (got, rep) = eng.execute_with_report(&sql).unwrap();
                         assert_eq!(rep.path, "positional", "{sql}");
                         assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
-                        let (want, _) = eng
-                            .execute_with_report_path(&sql, ExecPath::TupleOnly)
-                            .unwrap();
+                        let (want, _) = eng.execute_reference(&sql).unwrap();
                         assert_eq!(
                             format!("{:?}", got.rows),
                             format!("{:?}", want.rows),
@@ -2757,9 +2870,7 @@ mod tests {
                 }
             }
             // The table-index near miss really is one.
-            let (_, rep) = engine(kind)
-                .execute_with_report_path(&cases[5].0, ExecPath::Auto)
-                .unwrap();
+            let (_, rep) = engine(kind).execute_with_report(&cases[5].0).unwrap();
             assert_eq!(rep.scans[0].access, "table-index");
         }
     }
@@ -2768,7 +2879,7 @@ mod tests {
     fn sparse_column_ids_stay_on_the_column_index() {
         // Table 0's ColumnIds jump to a million: the column index numbers
         // runs, not ColumnIds, so SC and KW both count off it — with the
-        // tuple executor's bytes — and the row store groups by hash.
+        // reference's bytes — and the row store groups by hash.
         let sc = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
                   WHERE CellValue IN ('a','b') GROUP BY TableId, ColumnId ORDER BY score DESC";
         let kw = sc.replace(", ColumnId", "");
@@ -2785,11 +2896,9 @@ mod tests {
                 "hash"
             };
             for sql in [sc, kw.as_str()] {
-                let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+                let (got, rep) = eng.execute_with_report(sql).unwrap();
                 assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
-                let (want, _) = eng
-                    .execute_with_report_path(sql, ExecPath::TupleOnly)
-                    .unwrap();
+                let (want, _) = eng.execute_reference(sql).unwrap();
                 assert_eq!(got, want, "{kind:?}: {sql}");
             }
         }

@@ -261,7 +261,7 @@ pub(crate) fn combine_or(lv: SqlValue, rv: SqlValue) -> SqlValue {
 pub(crate) fn eval_unary_value(op: UnaryOp, v: SqlValue) -> SqlValue {
     match op {
         UnaryOp::Neg => match v {
-            SqlValue::Int(i) => SqlValue::Int(-i),
+            SqlValue::Int(i) => SqlValue::Int(i.wrapping_neg()),
             SqlValue::Float(f) => SqlValue::Float(-f),
             _ => SqlValue::Null,
         },
@@ -291,7 +291,7 @@ pub(crate) fn eval_cast_int_value(v: SqlValue) -> SqlValue {
 /// `ABS` on an evaluated operand.
 pub(crate) fn eval_abs_value(v: SqlValue) -> SqlValue {
     match v {
-        SqlValue::Int(i) => SqlValue::Int(i.abs()),
+        SqlValue::Int(i) => SqlValue::Int(i.wrapping_abs()),
         SqlValue::Float(f) => SqlValue::Float(f.abs()),
         _ => SqlValue::Null,
     }
@@ -348,7 +348,7 @@ pub(crate) fn eval_cmp_arith(op: BinOp, lv: SqlValue, rv: SqlValue) -> SqlValue 
             }
         }
         BinOp::Mod => match (lv.as_i64(), rv.as_i64()) {
-            (Some(a), Some(b)) if b != 0 => SqlValue::Int(a.rem_euclid(b)),
+            (Some(a), Some(b)) if b != 0 => SqlValue::Int(a.wrapping_rem_euclid(b)),
             _ => SqlValue::Null,
         },
     }

@@ -79,11 +79,6 @@ impl QueryFingerprint {
     pub fn canon(&self) -> &str {
         &self.canon
     }
-
-    /// Shared handle to the canonical text (cheap to key maps with).
-    pub fn canon_arc(&self) -> Arc<str> {
-        Arc::clone(&self.canon)
-    }
 }
 
 impl PartialEq for QueryFingerprint {

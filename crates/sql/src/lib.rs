@@ -9,7 +9,9 @@
 //! Supported surface:
 //!
 //! * `SELECT` lists with expressions and aliases, `*`
-//! * `FROM` a catalog table or a parenthesized subquery, with alias
+//! * `FROM` a catalog table, with alias, or the listings' subquery form
+//!   `(SELECT * FROM t [WHERE …]) alias`, which the planner inlines into a
+//!   scan of `t` (any other derived table is a planning error)
 //! * `INNER JOIN ... ON` conjunctions of equalities (+ residual predicates)
 //! * `WHERE` with `AND`/`OR`/`NOT`, comparisons, `IN (list)`,
 //!   `IS [NOT] NULL`, arithmetic, `::int` casts
@@ -41,7 +43,7 @@ pub mod value;
 
 pub use blend_obs::Profile as QueryProfile;
 pub use columns::{ResultColumn, ResultColumns, TextColumn};
-pub use engine::{Database, ExecPath, SqlEngine};
+pub use engine::{Database, SqlEngine};
 pub use exec::{HashTableStats, ParallelPhase, QueryReport, ResultSet, ScanReport, ServingStats};
 pub use fingerprint::{fingerprint_query, fingerprint_sql, QueryFingerprint};
 pub use hashtable::{GroupIndex, JoinKey, JoinTable};

@@ -148,26 +148,10 @@ impl ScanPlan {
     }
 }
 
-/// A leaf input: a scan or a nested query.
-pub enum InputPlan {
-    Scan(Box<ScanPlan>),
-    /// Subquery with its outer alias; output columns are re-qualified.
-    Query(Box<QueryPlan>, String),
-}
-
-impl InputPlan {
-    /// Output schema of the input.
-    pub fn schema(&self) -> &Schema {
-        match self {
-            InputPlan::Scan(s) => &s.schema,
-            InputPlan::Query(q, _) => &q.requalified_schema,
-        }
-    }
-}
-
-/// A left-deep join tree.
+/// A left-deep join tree over fact-table scans (a FROM subquery is inlined
+/// into the scan it reads: `plan_input`).
 pub enum Tree {
-    Leaf(InputPlan),
+    Leaf(Box<ScanPlan>),
     Join {
         left: Box<Tree>,
         right: Box<Tree>,
@@ -183,7 +167,7 @@ impl Tree {
     /// Output schema.
     pub fn schema(&self) -> &Schema {
         match self {
-            Tree::Leaf(i) => i.schema(),
+            Tree::Leaf(scan) => &scan.schema,
             Tree::Join { schema, .. } => schema,
         }
     }
@@ -215,10 +199,6 @@ pub struct QueryPlan {
     pub projection: Vec<(ColInfo, CExpr)>,
     pub order_by: Vec<(CExpr, bool)>,
     pub limit: Option<usize>,
-    /// Output schema as seen by an *outer* query (bare names).
-    pub output_schema: Schema,
-    /// Output schema with this subquery's alias applied (set by the parent).
-    pub requalified_schema: Schema,
 }
 
 impl QueryPlan {
@@ -255,11 +235,7 @@ pub const FACT_COLUMNS: [&str; 6] = [
 
 /// Plan a parsed query against one snapshot of a catalog.
 pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
-    plan_on(q, &catalog.snapshot())
-}
-
-/// [`plan_query`] against an already-taken snapshot.
-fn plan_on(q: &Query, catalog: &CatalogSnapshot) -> Result<QueryPlan> {
+    let catalog = &catalog.snapshot();
     // 1. Distribute top-level WHERE conjuncts: single-input conjuncts are
     //    pushed to their input, the rest stays as a post-filter.
     let mut from_items: Vec<&FromItem> = vec![&q.from];
@@ -286,17 +262,13 @@ fn plan_on(q: &Query, catalog: &CatalogSnapshot) -> Result<QueryPlan> {
     }
 
     // 2. Plan inputs left-deep.
-    let mut tree = Tree::Leaf(plan_input(
-        &q.from,
-        Expr::and_all(pushed[0].clone()),
-        catalog,
-    )?);
+    let leaf = |item: &FromItem, i: usize| -> Result<Tree> {
+        let scan = plan_input(item, Expr::and_all(pushed[i].clone()), catalog)?;
+        Ok(Tree::Leaf(Box::new(scan)))
+    };
+    let mut tree = leaf(&q.from, 0)?;
     for (i, join) in q.joins.iter().enumerate() {
-        let right = Tree::Leaf(plan_input(
-            &join.item,
-            Expr::and_all(pushed[i + 1].clone()),
-            catalog,
-        )?);
+        let right = leaf(&join.item, i + 1)?;
         let schema = tree.schema().concat(right.schema());
         // Split ON into equi-keys and residuals.
         let mut keys = Vec::new();
@@ -467,7 +439,6 @@ fn plan_on(q: &Query, catalog: &CatalogSnapshot) -> Result<QueryPlan> {
         order_by.push((compile(&e, &current_schema)?, desc));
     }
 
-    let out_cols: Vec<ColInfo> = out_infos.iter().map(|c| ColInfo::bare(&c.name)).collect();
     Ok(QueryPlan {
         tree,
         post_filter,
@@ -475,8 +446,6 @@ fn plan_on(q: &Query, catalog: &CatalogSnapshot) -> Result<QueryPlan> {
         projection,
         order_by,
         limit: q.limit,
-        output_schema: Schema::new(out_cols.clone()),
-        requalified_schema: Schema::new(out_cols),
     })
 }
 
@@ -593,50 +562,52 @@ fn strip_qualifier(e: &Expr, alias: &str) -> Expr {
     }
 }
 
-/// Plan one FROM item, ANDing `extra` into its predicate.
-fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> Result<InputPlan> {
+/// The fact columns qualified by `alias`.
+fn fact_schema(alias: &str) -> Schema {
+    Schema::new(
+        FACT_COLUMNS
+            .iter()
+            .map(|c| ColInfo::qualified(alias, c))
+            .collect(),
+    )
+}
+
+/// Plan one FROM item as a scan, ANDing `extra` into its predicate.
+///
+/// A FROM subquery is the listings' `SELECT * FROM t [WHERE …]`: it is
+/// inlined into the scan of `t` (recursively, for nested ones), with its own
+/// WHERE ahead of `extra`, and its columns qualified by the outer alias. The
+/// scan keeps `t`'s alias for its reports. Any other derived table is a
+/// planning error.
+fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> Result<ScanPlan> {
     let alias = item_alias(f);
     match &f.source {
         TableSource::Named(name) => {
             let table = catalog
                 .get(&name.to_lowercase())
                 .ok_or_else(|| BlendError::SqlPlan(format!("unknown table `{name}` in catalog")))?;
-            plan_scan(table.clone(), &alias, extra).map(|s| InputPlan::Scan(Box::new(s)))
+            plan_scan(table.clone(), &alias, extra)
         }
         TableSource::Subquery(sub) => {
-            // Push the extra predicate inside the subquery when that is
-            // semantics-preserving (no GROUP BY / LIMIT under it).
-            let mut sub = (**sub).clone();
-            if let Some(extra) = extra {
-                if sub.group_by.is_empty() && sub.limit.is_none() {
-                    let inner_alias = item_alias(&sub.from);
-                    // Only safe with a single input; otherwise keep it at
-                    // subquery level via WHERE.
-                    let rewritten = if sub.joins.is_empty() {
-                        strip_qualifier(&extra, &inner_alias)
-                    } else {
-                        extra
-                    };
-                    sub.where_clause = match sub.where_clause.take() {
-                        Some(w) => Expr::and_all(vec![w, rewritten]),
-                        None => Some(rewritten),
-                    };
-                } else {
-                    return Err(BlendError::SqlPlan(
-                        "cannot push predicate into aggregated subquery".into(),
-                    ));
-                }
+            let plain = sub.select == [SelectItem::Wildcard]
+                && sub.joins.is_empty()
+                && sub.group_by.is_empty()
+                && sub.order_by.is_empty()
+                && sub.limit.is_none();
+            if !plain {
+                return Err(BlendError::SqlPlan(format!(
+                    "FROM subquery `{alias}` must be SELECT * over one input, \
+                     without GROUP BY, ORDER BY, LIMIT or JOIN"
+                )));
             }
-            let mut plan = plan_on(&sub, catalog)?;
-            // Re-qualify output columns with the outer alias.
-            plan.requalified_schema = Schema::new(
-                plan.output_schema
-                    .cols
-                    .iter()
-                    .map(|c| ColInfo::qualified(&alias, &c.name))
-                    .collect(),
-            );
-            Ok(InputPlan::Query(Box::new(plan), alias))
+            let inner_alias = item_alias(&sub.from);
+            let conjuncts = sub.where_clause.iter().chain(&extra);
+            let predicate = (conjuncts.flat_map(Expr::conjuncts))
+                .map(|c| strip_qualifier(c, &inner_alias))
+                .collect();
+            let mut scan = plan_input(&sub.from, Expr::and_all(predicate), catalog)?;
+            scan.schema = fact_schema(&alias);
+            Ok(scan)
         }
     }
 }
@@ -644,12 +615,7 @@ fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> R
 /// Plan a base-table scan: classify predicate conjuncts, choose the access
 /// path by exact cardinality, and compile what remains as residual.
 fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) -> Result<ScanPlan> {
-    let schema = Schema::new(
-        FACT_COLUMNS
-            .iter()
-            .map(|c| ColInfo::qualified(alias, c))
-            .collect(),
-    );
+    let schema = fact_schema(alias);
 
     let mut kernel = FilterKernel::empty();
     let mut value_list: Option<Vec<String>> = None;
@@ -893,9 +859,9 @@ fn merge_table_list(acc: &mut Option<Vec<u32>>, ts: Vec<u32>) {
     }
 }
 
-/// Sideways information passing: when two identity scans of the same fact
-/// table join on `TableId`, and one side is selective (index-driven) while
-/// the other would scan sequentially, derive the selective side's distinct
+/// Sideways information passing: when two scans of the same fact table
+/// join on `TableId`, and one side is selective (index-driven) while the
+/// other would scan sequentially, derive the selective side's distinct
 /// table ids from its postings and drive the other side through the table
 /// index instead.
 ///
@@ -905,36 +871,25 @@ fn merge_table_list(acc: &mut Option<Vec<u32>>, ts: Vec<u32>) {
 /// scan the whole lake index for every query.
 fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)]) {
     // TableId lives at offset 1 in the canonical fact-tuple layout; both
-    // sides must be identity projections over a base scan.
+    // sides must be scans.
     if !keys.contains(&(FACT_TABLEID_OFFSET, FACT_TABLEID_OFFSET)) {
         return;
     }
-    let (Some(l_est), Some(r_est)) = (
-        identity_scan(left).map(|s| s.access.estimated()),
-        identity_scan(right).map(|s| s.access.estimated()),
-    ) else {
+    let (Tree::Leaf(l), Tree::Leaf(r)) = (left, right) else {
         return;
     };
     // Feed the smaller index-driven side into the larger sequential side.
-    let (src_est, dst_est, src_first) = if l_est <= r_est {
-        (l_est, r_est, true)
-    } else {
-        (r_est, l_est, false)
+    let (src, dst) = match l.access.estimated() <= r.access.estimated() {
+        true => (l, r),
+        false => (r, l),
     };
     // Only worthwhile when the destination is a seq scan and the source is
     // meaningfully selective.
     const MAX_SOURCE_POSITIONS: usize = 200_000;
+    let (src_est, dst_est) = (src.access.estimated(), dst.access.estimated());
     if src_est > MAX_SOURCE_POSITIONS || src_est * 2 > dst_est {
         return;
     }
-    let (src_tree, dst_tree) = if src_first {
-        (&mut *left, &mut *right)
-    } else {
-        (&mut *right, &mut *left)
-    };
-    let Some(src) = identity_scan_mut(src_tree) else {
-        return;
-    };
     if !matches!(
         src.access,
         AccessPath::ValueIndex { .. } | AccessPath::TableIndex { .. }
@@ -942,9 +897,6 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
         return;
     }
     let ids = scan_table_ids(src);
-    let Some(dst) = identity_scan_mut(dst_tree) else {
-        return;
-    };
     if !matches!(dst.access, AccessPath::SeqScan { .. }) {
         return;
     }
@@ -962,40 +914,6 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
 
 /// Offset of `TableId` in the canonical fact-tuple layout.
 const FACT_TABLEID_OFFSET: usize = 1;
-
-/// The base scan behind a tree, provided every intermediate query is an
-/// identity projection ([`is_identity`]), so tuple offsets line up with the
-/// physical fact columns. Also used by the positional executor to unwrap
-/// the identity subqueries the MC/C seeker templates generate.
-pub(crate) fn identity_scan(tree: &Tree) -> Option<&ScanPlan> {
-    match tree {
-        Tree::Leaf(InputPlan::Scan(s)) => Some(s),
-        Tree::Leaf(InputPlan::Query(qp, _)) if is_identity(qp) => identity_scan(&qp.tree),
-        _ => None,
-    }
-}
-
-fn identity_scan_mut(tree: &mut Tree) -> Option<&mut ScanPlan> {
-    match tree {
-        Tree::Leaf(InputPlan::Scan(s)) => Some(s),
-        Tree::Leaf(InputPlan::Query(qp, _)) if is_identity(qp) => identity_scan_mut(&mut qp.tree),
-        _ => None,
-    }
-}
-
-/// A subquery that passes its input through unchanged: no grouping, limit,
-/// filter or ordering, and column `i` projects input column `i`.
-fn is_identity(qp: &QueryPlan) -> bool {
-    qp.group.is_none()
-        && qp.limit.is_none()
-        && qp.post_filter.is_none()
-        && qp.order_by.is_empty()
-        && qp
-            .projection
-            .iter()
-            .enumerate()
-            .all(|(i, (_, e))| matches!(e, CExpr::Col(j) if *j == i))
-}
 
 /// Distinct table ids a scan's driving access can produce (a safe
 /// over-approximation: kernel predicates other than the table filters are

@@ -16,7 +16,7 @@ use blend::plan::Seeker;
 use blend::seekers::{seeker_sql, TID_PLACEHOLDER};
 use blend_parallel::{Interrupt, MemoryGovernor, ParallelCtx};
 use blend_serve::{CacheKey, CachedResult, ResultCache};
-use blend_sql::{ExecPath, SqlEngine};
+use blend_sql::SqlEngine;
 use blend_storage::{build_engine, EngineKind, FactRow};
 
 struct Counting;
@@ -99,7 +99,7 @@ fn fill(engine: &SqlEngine, cache: &ResultCache, sqls: &[String]) -> usize {
             generation: engine.generation(),
         };
         let (columns, report) = engine
-            .execute_parsed_interruptible(&ast, ExecPath::Auto, Interrupt::never())
+            .execute_parsed_interruptible(&ast, Interrupt::never())
             .expect("seeker SQL executes");
         rows += columns.len();
         cache.insert(key, Arc::new(CachedResult::new(columns, report)));

@@ -28,7 +28,7 @@ use blend::plan::Seeker;
 use blend::seekers::{self, TID_PLACEHOLDER};
 use blend_parallel::{Admission, Deadline, ParallelCtx};
 use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_EXEC};
-use blend_sql::{ExecPath, QueryReport, ResultSet, SqlEngine};
+use blend_sql::{QueryReport, ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -67,8 +67,8 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 
 /// The mixed query set: all four seeker SQL shapes plus two ad-hoc SQL
 /// queries (a broad grouped scan and a plain ordered selection), so the
-/// storm covers the positional executor's scan/join/group phases *and* the
-/// tuple path at once.
+/// storm covers the positional executor's scan/join/group phases and
+/// shapes beyond the seekers at once.
 fn mixed_queries(vocab: u32) -> Vec<(&'static str, String)> {
     let w = |i: u32| format!("w{}", i % vocab);
     let vals: Vec<String> = (0..6).map(w).collect();
@@ -114,7 +114,7 @@ fn reference_results(
         .iter()
         .map(|(label, sql)| {
             engine
-                .execute_with_report_path(sql, ExecPath::Auto)
+                .execute_with_report(sql)
                 .unwrap_or_else(|e| panic!("{label}: {e}"))
         })
         .collect()
@@ -143,7 +143,7 @@ fn storm(
                             let qi = (qi + worker + round) % queries.len();
                             let (label, sql) = &queries[qi];
                             let (got, rep) = engine
-                                .execute_with_report_path(sql, ExecPath::Auto)
+                                .execute_with_report(sql)
                                 .unwrap_or_else(|e| panic!("{context}/{label}: {e}"));
                             let (want_rs, want_rep) = &want[qi];
                             assert_eq!(
@@ -222,9 +222,7 @@ fn concurrent_mixed_queries_match_sequential_across_thread_counts_and_budgets() 
                     threads - 1,
                     "{context}: parked worker count changed"
                 );
-                let (rs, _) = engine
-                    .execute_with_report_path(&queries[0].1, ExecPath::Auto)
-                    .unwrap();
+                let (rs, _) = engine.execute_with_report(&queries[0].1).unwrap();
                 assert_eq!(rs, want[0].0, "{context}: engine unusable after storm");
             }
         }
@@ -441,7 +439,8 @@ proptest! {
                     for _ in 0..ops {
                         let desired = (next() as usize % (budget + 2)) + 1;
                         let grant = if next() % 2 == 0 {
-                            admission.acquire(desired)
+                            let never = blend::Interrupt::never();
+                            admission.acquire_within(desired, &never).unwrap()
                         } else {
                             admission.try_acquire(desired)
                         };

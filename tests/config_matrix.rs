@@ -4,10 +4,11 @@
 //!
 //! The corpus is `exec_parity`'s — the four seeker shapes under every
 //! injected fragment — plus a zero-key aggregate and a `CellValue`
-//! self-join, which takes the tuple path. Under each configuration every
-//! query must return, byte for byte, what a sequential, unbounded
-//! `ExecPath::TupleOnly` run returns: through the row entry, and through
-//! the columnar entry once its columns are turned into rows. The bounded
+//! self-join, whose key is interned. Under each configuration every query
+//! must run on the positional executor and return, byte for byte, what the
+//! reference (`SqlEngine::execute_reference`) returns: through the row
+//! entry, and through the columnar entry once its columns are turned into
+//! rows. The bounded
 //! governor must hold nothing after each query, and a serving queue with a
 //! 64 KiB result cache on that governor must deliver the same bytes twice
 //! over and give every byte back when it is dropped.
@@ -22,7 +23,7 @@ use blend::seekers;
 use blend::Blend;
 use blend_parallel::{Deadline, Interrupt, MemoryGovernor, ParallelCtx};
 use blend_serve::{ServeConfig, ServeQueue, Ticket};
-use blend_sql::{ExecPath, SqlEngine};
+use blend_sql::SqlEngine;
 use blend_storage::EngineKind;
 
 /// `(threads, admission budget)`: sequential; the whole pool; a budget
@@ -74,17 +75,13 @@ fn every_configuration_returns_the_sequential_tuple_bytes() {
             .iter()
             .map(|(sql, seeker)| {
                 let (rs, report) = reference
-                    .execute_with_report_path(sql, ExecPath::TupleOnly)
+                    .execute_reference(sql)
                     .unwrap_or_else(|e| panic!("{kind:?} reference: {e}: {sql}"));
-                assert_eq!(report.path, "tuple");
+                assert_eq!(report.path, "reference");
                 assert!(*seeker || !rs.is_empty(), "{kind:?}: empty result: {sql}");
                 format!("{rs:?}")
             })
             .collect();
-        let (_, self_join_report) = reference
-            .execute_with_report_path(CELLVALUE_SELF_JOIN, ExecPath::Auto)
-            .unwrap();
-        assert_eq!(self_join_report.path, "tuple", "{kind:?}: self-join path");
 
         for (threads, budget) in POOLS {
             for vector in [false, true] {
@@ -102,16 +99,14 @@ fn every_configuration_returns_the_sequential_tuple_bytes() {
                         ParallelCtx::with_admission(threads, 1, 32, budget)
                             .with_governor(gov.clone()),
                     );
-                    for ((sql, seeker), want) in corpus.iter().zip(&want) {
+                    for ((sql, _), want) in corpus.iter().zip(&want) {
                         let (rs, report) = engine
-                            .execute_with_report_path(sql, ExecPath::Auto)
+                            .execute_with_report(sql)
                             .unwrap_or_else(|e| panic!("{label}: {e}: {sql}"));
                         assert_eq!(&format!("{rs:?}"), want, "{label}: row entry: {sql}");
-                        if *seeker {
-                            assert_eq!(report.path, "positional", "{label}: {sql}");
-                        }
+                        assert_eq!(report.path, "positional", "{label}: {sql}");
                         let (cols, _) = engine
-                            .execute_columns_interruptible(sql, ExecPath::Auto, Interrupt::never())
+                            .execute_columns_interruptible(sql, Interrupt::never())
                             .unwrap_or_else(|e| panic!("{label}: columns: {e}: {sql}"));
                         let rs = cols.to_result_set();
                         assert_eq!(&format!("{rs:?}"), want, "{label}: columns: {sql}");

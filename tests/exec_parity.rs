@@ -1,11 +1,11 @@
-//! Cross-path × cross-engine parity: the positional (late-materialization)
-//! executor must be selected for every seeker SQL shape and must produce
-//! byte-identical `ResultSet`s — and identical scan/join telemetry — to the
-//! tuple executor, on both storage engines (SC and KW on the column store
-//! count off its column index and report that instead of a scan). The
-//! columnar entry (`execute_columns_interruptible`) turned into rows must be
-//! those same bytes: rows are a view over the flat columns, built in one
-//! place.
+//! Executor × engine parity: the positional executor runs every query and
+//! must produce byte-identical `ResultSet`s — and identical scan/join
+//! telemetry — to the tuple-at-a-time reference
+//! (`SqlEngine::execute_reference`), on both storage engines (SC and KW on
+//! the column store count off its column index and report that instead of a
+//! scan). The columnar entry (`execute_columns_interruptible`) turned into
+//! rows must be those same bytes: rows are a view over the flat columns,
+//! built in one place.
 
 mod common;
 
@@ -15,8 +15,9 @@ use std::sync::{Arc, OnceLock};
 use blend::plan::Seeker;
 use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend::Blend;
-use blend_sql::{ExecPath, ResultSet, ScanReport, SqlValue};
+use blend_sql::{BlendError, ParallelCtx, ResultSet, ScanReport, SqlEngine, SqlValue};
 use blend_storage::EngineKind;
+use blend_storage::{build_engine, FactRow};
 use common::{fragments, lake, render, seeker_suite};
 use proptest::prelude::*;
 
@@ -78,18 +79,18 @@ fn positional_path_is_selected_and_identical_for_all_seeker_shapes() {
                 let sql = render(&template, &injected);
                 let (rs_auto, rep_auto) = blend
                     .engine()
-                    .execute_with_report_path(&sql, ExecPath::Auto)
+                    .execute_with_report(&sql)
                     .unwrap_or_else(|e| panic!("{label}/{frag_label} auto: {e}"));
                 let (rs_tuple, rep_tuple) = blend
                     .engine()
-                    .execute_with_report_path(&sql, ExecPath::TupleOnly)
+                    .execute_reference(&sql)
                     .unwrap_or_else(|e| panic!("{label}/{frag_label} tuple: {e}"));
 
                 assert_eq!(
                     rep_auto.path, "positional",
                     "{kind:?}/{label}/{frag_label}: seeker shapes must route positionally"
                 );
-                assert_eq!(rep_tuple.path, "tuple");
+                assert_eq!(rep_tuple.path, "reference");
                 assert_eq!(
                     rs_auto, rs_tuple,
                     "{kind:?}/{label}/{frag_label}: executors disagree"
@@ -125,59 +126,40 @@ fn engines_agree_under_the_positional_path() {
     let col = Blend::from_lake(&lake, EngineKind::Column);
     for (label, seeker) in seeker_suite(&lake) {
         let sql = seekers::seeker_sql(&seeker, 10, 64).replace(TID_PLACEHOLDER, "");
-        let (a, ra) = row
-            .engine()
-            .execute_with_report_path(&sql, ExecPath::Auto)
-            .unwrap();
-        let (b, rb) = col
-            .engine()
-            .execute_with_report_path(&sql, ExecPath::Auto)
-            .unwrap();
+        let (a, ra) = row.engine().execute_with_report(&sql).unwrap();
+        let (b, rb) = col.engine().execute_with_report(&sql).unwrap();
         assert_eq!(ra.path, "positional", "{label}");
         assert_eq!(rb.path, "positional", "{label}");
         assert_eq!(a, b, "{label}: row and column stores disagree");
     }
 }
 
-/// Non-seeker SQL (expressions the positional evaluator cannot prove safe
-/// or shapes with non-fact join keys) must fall back to the tuple path and
-/// still return correct answers.
+/// Non-seeker SQL — grouping on an expression, not a bare fact column —
+/// runs on the positional executor too (its key is interned) and returns
+/// the reference's bytes.
 #[test]
 fn unrecognized_shapes_fall_back_to_tuple() {
     let lake = lake();
     let blend = Blend::from_lake(&lake, EngineKind::Column);
-    // Grouping on an expression (not a bare fact column) is not admitted.
     let sql = "SELECT TableId % 7, COUNT(*) AS n FROM AllTables GROUP BY TableId % 7";
-    let (rs, report) = blend
-        .engine()
-        .execute_with_report_path(sql, ExecPath::Auto)
-        .unwrap();
-    assert_eq!(report.path, "tuple");
+    let (rs, report) = blend.engine().execute_with_report(sql).unwrap();
+    assert_eq!(report.path, "positional");
     assert!(!rs.is_empty());
-    let (rs_forced, _) = blend
-        .engine()
-        .execute_with_report_path(sql, ExecPath::TupleOnly)
-        .unwrap();
-    assert_eq!(rs, rs_forced);
+    let (want, _) = blend.engine().execute_reference(sql).unwrap();
+    assert_eq!(bytes_of(&rs), bytes_of(&want));
 }
 
 /// End-to-end: full seeker plans (including the optimizer's injections)
-/// return the same hits regardless of which executor backs the SQL engine.
+/// return the hits the reference returns for the same SQL.
 #[test]
 fn seeker_runs_match_direct_sql_results() {
     let lake = lake();
     let blend = Blend::from_lake(&lake, EngineKind::Column);
     for (label, seeker) in seeker_suite(&lake) {
         let run = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
-        // The SQL recorded on the run, re-executed on both paths, agrees.
-        let (a, _) = blend
-            .engine()
-            .execute_with_report_path(&run.sql, ExecPath::Auto)
-            .unwrap();
-        let (b, _) = blend
-            .engine()
-            .execute_with_report_path(&run.sql, ExecPath::TupleOnly)
-            .unwrap();
+        // The SQL recorded on the run, re-executed on both executors, agrees.
+        let (a, _) = blend.engine().execute_with_report(&run.sql).unwrap();
+        let (b, _) = blend.engine().execute_reference(&run.sql).unwrap();
         assert_eq!(a, b, "{label}");
     }
 }
@@ -220,15 +202,15 @@ const PROJECTIONS: &[(&str, &[&str])] = &[
 
 /// Labels and rows, byte for byte (`SqlValue: PartialEq` equates `1` with
 /// `1.0`). The heap cost is not part of it: rows built from columns share
-/// one `Arc<str>` per distinct id, the tuple executor's own rows need not,
+/// one `Arc<str>` per distinct id, the reference's own rows need not,
 /// and `approx_bytes` counts each allocation once.
 fn bytes_of(rs: &ResultSet) -> String {
     format!("{:?} {:?}", rs.columns, rs.rows)
 }
 
-/// `execute_columns(…).to_result_set()` == `execute(…)` == the
-/// `TupleOnly` rows, on both executors and both engines, for the seeker
-/// corpus and for every projection shape × ORDER BY × LIMIT.
+/// `execute_columns(…).to_result_set()` == `execute(…)` == the reference's
+/// rows, on both engines, for the seeker corpus and for every projection
+/// shape × ORDER BY × LIMIT.
 #[test]
 fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
     let lake = lake();
@@ -242,38 +224,26 @@ fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
     for kind in [EngineKind::Row, EngineKind::Column] {
         let blend = Blend::from_lake(&lake, kind);
         let engine = blend.engine();
-        let rows = |sql: &str, path| {
-            let (rs, report) = engine
-                .execute_with_report_path(sql, path)
-                .unwrap_or_else(|e| panic!("{kind:?}/{path:?}: {e}: {sql}"));
-            (bytes_of(&rs), report.path, rs.len())
-        };
-        let columns = |sql: &str, path| {
-            let (cols, report) = engine
-                .execute_columns_interruptible(sql, path, blend::Interrupt::never())
-                .unwrap_or_else(|e| panic!("{kind:?}/{path:?}: {e}: {sql}"));
-            assert_eq!(cols.len(), report.result_rows, "{kind:?}/{path:?}: {sql}");
-            bytes_of(&cols.to_result_set())
-        };
         let check = |sql: &str| {
-            let (want, tuple_path, n) = rows(sql, ExecPath::TupleOnly);
-            let (auto, auto_path, _) = rows(sql, ExecPath::Auto);
+            let (want, _) = engine
+                .execute_reference(sql)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}: {sql}"));
+            let (rows, report) = engine
+                .execute_with_report(sql)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}: {sql}"));
+            assert_eq!(report.path, "positional");
             assert_eq!(
-                (tuple_path.as_str(), auto_path.as_str()),
-                ("tuple", "positional")
+                bytes_of(&rows),
+                bytes_of(&want),
+                "{kind:?}: row entry: {sql}"
             );
-            assert_eq!(auto, want, "{kind:?}: row entry: {sql}");
-            assert_eq!(
-                columns(sql, ExecPath::Auto),
-                want,
-                "{kind:?}: columns: {sql}"
-            );
-            assert_eq!(
-                columns(sql, ExecPath::TupleOnly),
-                want,
-                "{kind:?}: wrapped rows: {sql}"
-            );
-            n
+            let (cols, report) = engine
+                .execute_columns_interruptible(sql, blend::Interrupt::never())
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}: {sql}"));
+            assert_eq!(cols.len(), report.result_rows, "{kind:?}: {sql}");
+            let built = bytes_of(&cols.to_result_set());
+            assert_eq!(built, bytes_of(&want), "{kind:?}: columns: {sql}");
+            want.len()
         };
         for sql in &corpus {
             check(sql);
@@ -330,38 +300,38 @@ fn engines() -> &'static [Blend] {
 /// Rows built from the columns hold each column's cells
 /// (`ResultColumn::value`), share one `Arc<str>` per distinct id of a text
 /// column, and cost exactly what `ResultColumns::rows_bytes` said before
-/// they existed — the row entry's rows too — over random select lists, both
-/// executors and both engines, with 0, 1 and many rows.
+/// they existed — the row entry's rows too, and the reference's bytes — over
+/// random select lists and both engines, with 0, 1 and many rows.
 fn check_built_rows(sql: &str) {
     for blend in engines() {
         let engine = blend.engine();
-        for path in [ExecPath::Auto, ExecPath::TupleOnly] {
-            let (cols, _) = engine
-                .execute_columns_interruptible(sql, path, blend::Interrupt::never())
-                .unwrap_or_else(|e| panic!("{path:?}: {e}: {sql}"));
-            let rs = cols.to_result_set();
-            let (direct, _) = engine.execute_with_report_path(sql, path).unwrap();
-            assert_eq!(bytes_of(&rs), bytes_of(&direct), "{path:?}: {sql}");
-            assert_eq!(cols.rows_bytes(), rs.approx_bytes(), "{path:?}: {sql}");
-            for (c, col) in cols.columns.iter().enumerate() {
-                for (i, row) in rs.rows.iter().enumerate() {
-                    assert_eq!(row[c], col.value(i), "{path:?}: {sql}");
-                }
-                let Some(ids) = col.as_text().map(|t| t.ids()) else {
-                    continue;
-                };
-                let text = |i: usize| match &rs.rows[i][c] {
-                    SqlValue::Text(s) => s.clone(),
-                    v => panic!("{path:?}: text column {c} built {v:?}: {sql}"),
-                };
-                for i in 0..rs.len() {
-                    for j in 0..rs.len() {
-                        assert_eq!(
-                            Arc::ptr_eq(&text(i), &text(j)),
-                            ids[i] == ids[j],
-                            "{path:?}: rows {i}, {j} of column {c}: {sql}"
-                        );
-                    }
+        let (cols, _) = engine
+            .execute_columns_interruptible(sql, blend::Interrupt::never())
+            .unwrap_or_else(|e| panic!("{e}: {sql}"));
+        let rs = cols.to_result_set();
+        let (direct, _) = engine.execute_with_report(sql).unwrap();
+        assert_eq!(bytes_of(&rs), bytes_of(&direct), "{sql}");
+        let (reference, _) = engine.execute_reference(sql).unwrap();
+        assert_eq!(bytes_of(&rs), bytes_of(&reference), "{sql}");
+        assert_eq!(cols.rows_bytes(), rs.approx_bytes(), "{sql}");
+        for (c, col) in cols.columns.iter().enumerate() {
+            for (i, row) in rs.rows.iter().enumerate() {
+                assert_eq!(row[c], col.value(i), "{sql}");
+            }
+            let Some(ids) = col.as_text().map(|t| t.ids()) else {
+                continue;
+            };
+            let text = |i: usize| match &rs.rows[i][c] {
+                SqlValue::Text(s) => s.clone(),
+                v => panic!("text column {c} built {v:?}: {sql}"),
+            };
+            for i in 0..rs.len() {
+                for j in 0..rs.len() {
+                    assert_eq!(
+                        Arc::ptr_eq(&text(i), &text(j)),
+                        ids[i] == ids[j],
+                        "rows {i}, {j} of column {c}: {sql}"
+                    );
                 }
             }
         }
@@ -383,6 +353,108 @@ proptest! {
         );
         for limit in [" LIMIT 0", " LIMIT 1", ""] {
             check_built_rows(&format!("{base}{limit}"));
+        }
+    }
+}
+
+/// A small fact table with repeated cell values, numeric cells with and
+/// without a quadrant, and text cells (NULL quadrant) in every table.
+fn interning_engine(kind: EngineKind, threads: usize) -> SqlEngine {
+    let mut rows = Vec::new();
+    for t in 0..4u32 {
+        for r in 0..8u32 {
+            let sk = ((t as u128) << 32) | r as u128;
+            let quadrant = (r % 3 != 0).then_some(r % 2 == 0);
+            rows.push(FactRow::new(
+                &format!("v{}", (t * 3 + r) % 7),
+                t,
+                0,
+                r,
+                sk,
+                None,
+            ));
+            rows.push(FactRow::new(
+                &format!("{}", r * 10 % 40),
+                t,
+                1,
+                r,
+                sk,
+                quadrant,
+            ));
+            rows.push(FactRow::new(&format!("k{}", r % 3), t, 2, r, sk, None));
+        }
+    }
+    let ctx = Arc::new(ParallelCtx::with_tuning(threads, 1, 3));
+    SqlEngine::with_alltables(build_engine(kind, rows)).with_parallel(ctx)
+}
+
+/// Join and GROUP BY keys that do not pack into at most four integer fact
+/// columns are interned and stay on the positional executor — sequentially
+/// and on a forced four-thread pool, on both stores — with the reference's
+/// bytes and telemetry: NULL join keys never match, GROUP BY keeps one NULL
+/// group. Nested `SELECT *` subqueries inline into one scan that keeps the
+/// innermost alias; every other derived table is a planning error on both
+/// executors.
+#[test]
+fn interned_keys_run_positionally_and_derived_tables_are_plan_errors() {
+    let cases = [
+        "SELECT a.TableId AS t, b.TableId AS u, COUNT(*) AS n FROM AllTables a \
+         INNER JOIN AllTables b ON a.CellValue = b.CellValue GROUP BY a.TableId, b.TableId",
+        "SELECT a.Quadrant AS q, a.TableId AS t, b.RowId AS r FROM AllTables a \
+         INNER JOIN AllTables b ON a.Quadrant = b.Quadrant",
+        "SELECT a.CellValue AS v, b.SuperKey AS sk FROM \
+         (SELECT * FROM AllTables WHERE RowId < 5) a INNER JOIN AllTables b \
+         ON a.TableId = b.TableId AND a.RowId = b.RowId AND a.ColumnId = b.ColumnId \
+         AND a.CellValue = b.CellValue AND a.SuperKey = b.SuperKey",
+        "SELECT CellValue, COUNT(*) AS n FROM AllTables GROUP BY CellValue",
+        "SELECT Quadrant, COUNT(*) AS n, SUM(RowId) AS s FROM AllTables GROUP BY Quadrant",
+        "SELECT RowId % 2 AS parity, COUNT(*) AS n FROM AllTables GROUP BY RowId % 2",
+        "SELECT TableId, ColumnId, RowId, CellValue, SuperKey, COUNT(*) AS n FROM AllTables \
+         GROUP BY TableId, ColumnId, RowId, CellValue, SuperKey",
+        "SELECT TableId * 10 + RowId % 3 AS k, COUNT(DISTINCT CellValue) AS d FROM AllTables \
+         GROUP BY TableId * 10 + RowId % 3 ORDER BY d DESC, k LIMIT 3",
+        "SELECT * FROM (SELECT * FROM (SELECT * FROM AllTables WHERE RowId < 3) y \
+         WHERE y.TableId = 1) x WHERE x.ColumnId = 0",
+    ];
+    let derived = [
+        "SELECT * FROM (SELECT CellValue, TableId FROM AllTables) x",
+        "SELECT * FROM (SELECT TableId, COUNT(*) AS n FROM AllTables GROUP BY TableId) x \
+         WHERE x.n > 1",
+        "SELECT * FROM (SELECT * FROM AllTables LIMIT 3) x",
+        "SELECT * FROM (SELECT * FROM AllTables a INNER JOIN AllTables b \
+         ON a.TableId = b.TableId) x",
+    ];
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        for threads in [1, 4] {
+            let engine = interning_engine(kind, threads);
+            for sql in cases {
+                let (got, report) = engine.execute_with_report(sql).unwrap();
+                let (want, reference) = engine.execute_reference(sql).unwrap();
+                assert_eq!(report.path, "positional", "{kind:?}/{threads}t: {sql}");
+                assert_eq!(
+                    bytes_of(&got),
+                    bytes_of(&want),
+                    "{kind:?}/{threads}t: {sql}"
+                );
+                assert_eq!(report.scans, reference.scans, "{kind:?}/{threads}t: {sql}");
+                assert_eq!(report.joins, reference.joins, "{kind:?}/{threads}t: {sql}");
+                assert!(!got.is_empty(), "{kind:?}/{threads}t: {sql}");
+                assert!(report
+                    .scans
+                    .iter()
+                    .all(|s| s.alias != "x" && s.alias != "y"));
+            }
+            // NULL never joins NULL; GROUP BY Quadrant has one NULL group.
+            let (joined, _) = engine.execute_with_report(cases[1]).unwrap();
+            assert!(joined.rows.iter().all(|r| !r[0].is_null()));
+            let (grouped, _) = engine.execute_with_report(cases[4]).unwrap();
+            assert_eq!(grouped.rows.iter().filter(|r| r[0].is_null()).count(), 1);
+            for sql in derived {
+                let err = engine.execute(sql).unwrap_err();
+                assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
+                let err = engine.execute_reference(sql).unwrap_err();
+                assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
+            }
         }
     }
 }

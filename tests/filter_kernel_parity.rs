@@ -11,7 +11,7 @@
 //! as written: it shares no set type and no probe with the kernels.
 
 use blend_parallel::{morselize, WorkerPool};
-use blend_sql::{ExecPath, SqlEngine};
+use blend_sql::SqlEngine;
 use blend_storage::{
     build_engine, EngineKind, FactRow, FactTable, FilterKernel, IdSet, ScanScratch,
 };
@@ -271,18 +271,13 @@ fn kernelized_scans_are_engine_path_and_thread_invariant() {
     for kind in [EngineKind::Row, EngineKind::Column] {
         let reference = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
             .with_parallel(Arc::new(blend_sql::ParallelCtx::with_tuning(1, 1, 3)));
-        let (want, want_rep) = reference
-            .execute_with_report_path(sql, ExecPath::TupleOnly)
-            .unwrap();
+        let (want, want_rep) = reference.execute_reference(sql).unwrap();
         for threads in THREAD_COUNTS {
             let eng = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
                 .with_parallel(Arc::new(blend_sql::ParallelCtx::with_tuning(threads, 1, 3)));
-            let (got, rep) = eng.execute_with_report_path(sql, ExecPath::Auto).unwrap();
+            let (got, rep) = eng.execute_with_report(sql).unwrap();
             assert_eq!(rep.path, "positional", "{kind:?}/{threads}t");
-            assert_eq!(
-                got, want,
-                "{kind:?}/{threads}t diverged from the tuple path"
-            );
+            assert_eq!(got, want, "{kind:?}/{threads}t diverged from the reference");
             assert_eq!(rep.scans, want_rep.scans, "{kind:?}/{threads}t telemetry");
         }
     }

@@ -2,7 +2,7 @@
 //! (`blend_sql::hashtable`) must reproduce map-based references
 //! **byte-for-byte** — at the operator level against this file's
 //! `oracle::{join_pairs, group_ids}` over random key arrays, and
-//! end-to-end against the tuple executor across both storage engines ×
+//! end-to-end against the reference executor across both storage engines ×
 //! join/group key widths {1, 2, 4} × thread counts {1, 4, 8}.
 //!
 //! The thread sweep is the radix-partitioning contract: workers own
@@ -12,7 +12,7 @@
 //! identical at every thread count, including for float aggregates.
 
 use blend_sql::hashtable::{GroupIndex, JoinKey, JoinTable};
-use blend_sql::{ExecPath, ParallelCtx, SqlEngine};
+use blend_sql::{ParallelCtx, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -229,23 +229,21 @@ fn queries() -> Vec<(&'static str, String)> {
 fn flat_executor_is_byte_identical_across_stores_widths_and_threads() {
     let rows = fact_rows(7, 23, 9, 0xF1A7);
     for kind in [EngineKind::Row, EngineKind::Column] {
-        // Reference: the tuple executor (the retained map-based oracle for
-        // whole queries), strictly sequential.
+        // Reference: the tuple-at-a-time reference executor (the retained
+        // map-based oracle for whole queries).
         let reference = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
             .with_parallel(Arc::new(ParallelCtx::sequential()));
         for (label, sql) in queries() {
-            let (want, _) = reference
-                .execute_with_report_path(&sql, ExecPath::TupleOnly)
-                .unwrap();
+            let (want, _) = reference.execute_reference(&sql).unwrap();
             let mut logical_ref = None;
             for threads in THREAD_COUNTS {
                 // Thresholds forced low so every phase takes its parallel
                 // path even on this small lake.
                 let eng = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
                     .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-                let (got, rep) = eng.execute_with_report_path(&sql, ExecPath::Auto).unwrap();
+                let (got, rep) = eng.execute_with_report(&sql).unwrap();
                 assert_eq!(rep.path, "positional", "{kind:?}/{label}/{threads}t");
-                assert_eq!(got, want, "{kind:?}/{label}/{threads}t vs tuple oracle");
+                assert_eq!(got, want, "{kind:?}/{label}/{threads}t vs the reference");
                 // Logical telemetry is thread-invariant.
                 match &logical_ref {
                     None => logical_ref = Some(rep.clone()),
@@ -293,12 +291,11 @@ fn wide_key_self_join_counts_every_row_exactly_once() {
     for kind in [EngineKind::Row, EngineKind::Column] {
         let eng = SqlEngine::with_alltables(build_engine(kind, rows.clone()));
         let (rs, rep) = eng
-            .execute_with_report_path(
+            .execute_with_report(
                 "SELECT COUNT(*) AS n FROM \
                  (SELECT * FROM AllTables) AS q0 INNER JOIN (SELECT * FROM AllTables) AS q1 \
                  ON q0.TableId = q1.TableId AND q0.ColumnId = q1.ColumnId AND \
                  q0.RowId = q1.RowId",
-                ExecPath::Auto,
             )
             .unwrap();
         assert_eq!(rep.path, "positional", "{kind:?}");

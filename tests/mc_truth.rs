@@ -13,9 +13,8 @@
 //!
 //! The ground truth reads a query row as a *set* of values, so query rows
 //! here hold pairwise distinct values; rows that repeat a value, and the
-//! `ExecPath::{Auto, TupleOnly}` dimension, are covered against the
-//! row-based oracle in `crates/core/src/seekers.rs`, next to the private
-//! function they test.
+//! reference executor's rows, are covered against the row-based oracle in
+//! `crates/core/src/seekers.rs`, next to the private function they test.
 
 use std::sync::Arc;
 

@@ -673,7 +673,6 @@ fn top_k_scratch_is_reserved_and_fails_typed() {
 #[test]
 fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     use blend_parallel::Interrupt;
-    use blend_sql::ExecPath;
 
     // Every row of every table holds ('a', 'b'): one joined row per fact row.
     let mut rows = Vec::new();
@@ -695,8 +694,7 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     let run = |gov: &Arc<MemoryGovernor>, columnar: bool| {
         let engine = budgeted_engine(&fact, gov);
         let (rs, report) = if columnar {
-            let (cols, report) =
-                engine.execute_columns_interruptible(sql, ExecPath::Auto, Interrupt::never())?;
+            let (cols, report) = engine.execute_columns_interruptible(sql, Interrupt::never())?;
             (cols.to_result_set(), report)
         } else {
             engine.execute_with_report(sql)?

@@ -193,9 +193,9 @@ fn sc_query_profile_has_full_span_tree() {
 }
 
 /// The sort/top-k, project and materialize layers are spans of their own,
-/// direct children of `query`, whichever executor ran — and on the
-/// positional GROUP BY they show the pushdown: `sort` sees every group,
-/// `project` only the LIMIT's rows. `group` stays grouping plus
+/// direct children of `query`, on the row and the columnar entry (the
+/// reference opens no span) — and on the positional GROUP BY they show the
+/// pushdown: `sort` sees every group, `project` only the LIMIT's rows. `group` stays grouping plus
 /// aggregation. `materialize` counts the `SqlValue` rows actually built:
 /// the result's rows on a row entry, none on the columnar entry. On the
 /// positional executor `sort` also says how it selected: `path=threshold`
@@ -206,72 +206,73 @@ fn sc_query_profile_has_full_span_tree() {
 fn sort_project_and_materialize_are_query_level_spans_on_both_executors() {
     use blend_obs::AttrValue;
     use blend_parallel::Interrupt;
-    use blend_sql::ExecPath;
 
     let engine = sc_engine();
     let sql = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
                WHERE CellValue IN ('w0','w1','w2','w3') GROUP BY TableId, ColumnId \
                ORDER BY score DESC LIMIT 4";
-    for (path, name) in [
-        (ExecPath::Auto, "positional"),
-        (ExecPath::TupleOnly, "tuple"),
-    ] {
-        for columnar in [false, true] {
-            let (len, report) = if columnar {
-                let (cols, report) = engine
-                    .execute_columns_interruptible(sql, path, Interrupt::never())
-                    .expect("SC query");
-                (cols.len(), report)
-            } else {
-                let (rs, report) = engine
-                    .execute_with_report_path(sql, path)
-                    .expect("SC query");
-                (rs.len(), report)
-            };
-            assert_eq!((report.path.as_str(), len), (name, 4));
-            let profile = report.profile.expect("profile collected");
-            let child = |span: &str| {
-                let found = profile.root.children.iter().find(|c| c.name == span);
-                found.unwrap_or_else(|| {
-                    panic!("{name}: no `{span}` under query:\n{}", profile.render())
-                })
-            };
-            let u64_attr = |span: &str, key: &str| match child(span).attr(key) {
-                Some(AttrValue::U64(v)) => *v,
-                other => panic!("{name}: {span}.{key} = {other:?}"),
-            };
-            // Six tables hold a 'w' value in column 0 only: six groups.
-            assert_eq!(u64_attr("sort", "rows_in"), 6);
-            assert_eq!(u64_attr("sort", "k"), 4);
-            assert_eq!(u64_attr("sort", "selected"), 4);
-            if name == "positional" {
-                // The score leads ORDER BY: a counting threshold picks the
-                // groups the comparator ranks.
-                let path = child("sort").attr("path").map(ToString::to_string);
-                assert_eq!(path.as_deref(), Some("threshold"));
-                let candidates = u64_attr("sort", "candidates");
-                assert!((4..=6).contains(&candidates), "candidates {candidates}");
-            }
-            let projected = if name == "positional" { 4 } else { 6 };
-            assert_eq!(u64_attr("project", "rows"), projected, "{name}");
-            let built = if columnar { 0 } else { 4 };
-            assert_eq!(u64_attr("materialize", "rows"), built, "{name}");
-            // Selection is not part of `group`: it is a sibling, after it,
-            // and building rows comes last.
-            let names: Vec<&str> = profile
-                .root
-                .children
-                .iter()
-                .map(|c| c.name.as_str())
-                .collect();
-            let at = |span: &str| names.iter().position(|n| *n == span);
-            assert!(at("group") < at("sort"), "{name}: {names:?}");
-            assert_eq!(
-                at("materialize"),
-                Some(names.len() - 1),
-                "{name}: {names:?}"
-            );
-        }
+    let (want, reference) = engine.execute_reference(sql).expect("SC query");
+    assert!(
+        reference.profile.is_none(),
+        "the reference records no profile"
+    );
+    for columnar in [false, true] {
+        let (rows, report) = if columnar {
+            let (cols, report) = engine
+                .execute_columns_interruptible(sql, Interrupt::never())
+                .expect("SC query");
+            (cols.to_result_set(), report)
+        } else {
+            engine.execute_with_report(sql).expect("SC query")
+        };
+        assert_eq!(rows, want);
+        assert_eq!((report.path.as_str(), rows.len()), ("positional", 4));
+        let profile = report.profile.expect("profile collected");
+        let child = |span: &str| {
+            let found = profile.root.children.iter().find(|c| c.name == span);
+            found.unwrap_or_else(|| {
+                panic!(
+                    "columnar={columnar}: no `{span}` under query:\n{}",
+                    profile.render()
+                )
+            })
+        };
+        let u64_attr = |span: &str, key: &str| match child(span).attr(key) {
+            Some(AttrValue::U64(v)) => *v,
+            other => panic!("columnar={columnar}: {span}.{key} = {other:?}"),
+        };
+        // Six tables hold a 'w' value in column 0 only: six groups.
+        assert_eq!(u64_attr("sort", "rows_in"), 6);
+        assert_eq!(u64_attr("sort", "k"), 4);
+        assert_eq!(u64_attr("sort", "selected"), 4);
+        // The score leads ORDER BY: a counting threshold picks the
+        // groups the comparator ranks.
+        let path = child("sort").attr("path").map(ToString::to_string);
+        assert_eq!(path.as_deref(), Some("threshold"));
+        let candidates = u64_attr("sort", "candidates");
+        assert!((4..=6).contains(&candidates), "candidates {candidates}");
+        assert_eq!(u64_attr("project", "rows"), 4, "columnar={columnar}");
+        let built = if columnar { 0 } else { 4 };
+        assert_eq!(
+            u64_attr("materialize", "rows"),
+            built,
+            "columnar={columnar}"
+        );
+        // Selection is not part of `group`: it is a sibling, after it,
+        // and building rows comes last.
+        let names: Vec<&str> = profile
+            .root
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        let at = |span: &str| names.iter().position(|n| *n == span);
+        assert!(at("group") < at("sort"), "columnar={columnar}: {names:?}");
+        assert_eq!(
+            at("materialize"),
+            Some(names.len() - 1),
+            "columnar={columnar}: {names:?}"
+        );
     }
 
     // A hash-path `COUNT(*)` whose counts spread wider (34 against 72) than

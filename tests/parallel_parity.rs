@@ -13,7 +13,7 @@ use std::sync::Arc;
 use blend::plan::Seeker;
 use blend::seekers::{self, Injected, TID_PLACEHOLDER};
 use blend_parallel::ParallelCtx;
-use blend_sql::{ExecPath, SqlEngine};
+use blend_sql::SqlEngine;
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -102,16 +102,14 @@ proptest! {
                 let reference = SqlEngine::with_alltables(fact.clone())
                     .with_parallel(Arc::new(ParallelCtx::sequential()));
                 let (want, want_rep) = reference
-                    .execute_with_report_path(&sql, ExecPath::Auto)
+                    .execute_with_report(&sql)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 prop_assert_eq!(&want_rep.path, "positional", "{} must route positionally", label);
                 prop_assert!(want_rep.parallel.is_empty());
 
-                // The tuple executor agrees (cross-executor anchor).
-                let (tuple, tuple_rep) = reference
-                    .execute_with_report_path(&sql, ExecPath::TupleOnly)
-                    .unwrap();
-                prop_assert_eq!(&want, &tuple, "{}/{:?}: tuple parity", label, kind);
+                // The reference agrees (cross-executor anchor).
+                let (tuple, tuple_rep) = reference.execute_reference(&sql).unwrap();
+                prop_assert_eq!(&want, &tuple, "{}/{:?}: reference parity", label, kind);
                 if by_columns {
                     prop_assert_eq!(&want_rep.scans[0].access, "column-index");
                 } else {
@@ -125,7 +123,7 @@ proptest! {
                     let eng = SqlEngine::with_alltables(fact.clone())
                         .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
                     let (got, rep) = eng
-                        .execute_with_report_path(&sql, ExecPath::Auto)
+                        .execute_with_report(&sql)
                         .unwrap_or_else(|e| panic!("{label}/{threads}t: {e}"));
                     prop_assert_eq!(
                         &got, &want,

@@ -26,7 +26,7 @@ use blend_common::{mix128, mix128x8, mix64, mix64x8};
 use blend_parallel::ParallelCtx;
 use blend_simd as simd;
 use blend_sql::hashtable::PROBE_BLOCK;
-use blend_sql::{ExecPath, JoinKey, JoinTable, SqlEngine};
+use blend_sql::{JoinKey, JoinTable, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -370,7 +370,7 @@ fn sql_results_are_identical_across_dispatch_and_thread_counts() {
             let reference = SqlEngine::with_alltables(fact.clone())
                 .with_parallel(Arc::new(ParallelCtx::sequential()));
             let (want, _) = reference
-                .execute_with_report_path(sql, ExecPath::Auto)
+                .execute_with_report(sql)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             for vector in [false, true] {
                 simd::force(Some(vector));
@@ -378,7 +378,7 @@ fn sql_results_are_identical_across_dispatch_and_thread_counts() {
                     let eng = SqlEngine::with_alltables(fact.clone())
                         .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
                     let (got, _) = eng
-                        .execute_with_report_path(sql, ExecPath::Auto)
+                        .execute_with_report(sql)
                         .unwrap_or_else(|e| panic!("{label}/{threads}t: {e}"));
                     assert_eq!(
                         got, want,

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use blend_sql::{ExecPath, SqlEngine, SqlValue};
+use blend_sql::{ResultSet, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 /// Mini index: two tables. Table 0 has text col 0 and numeric col 1
@@ -271,7 +271,7 @@ fn sideways_pushdown_changes_access_path_but_not_results() {
 }
 
 /// A number never equals a text cell, so `CellValue IN (1)` matches
-/// nothing — like `CellValue = 1`, on every store and executor. Planning it
+/// nothing — like `CellValue = 1`, on every store, and on the reference. Planning it
 /// as an index drive on the string `"1"` would also make `IN (1) OR RowId >
 /// 5` return fewer rows than its first arm.
 #[test]
@@ -285,10 +285,14 @@ fn numeric_literals_never_match_text_cells() {
         let sql = format!("SELECT CellValue FROM AllTables WHERE {where_clause} ORDER BY RowId");
         [EngineKind::Row, EngineKind::Column]
             .into_iter()
-            .flat_map(|kind| [(kind, ExecPath::Auto), (kind, ExecPath::TupleOnly)])
-            .map(|(kind, path)| {
+            .flat_map(|kind| {
                 let e = SqlEngine::with_alltables(build_engine(kind, rows.clone()));
-                let (rs, _) = e.execute_with_report_path(&sql, path).unwrap();
+                [
+                    e.execute(&sql).unwrap(),
+                    e.execute_reference(&sql).unwrap().0,
+                ]
+            })
+            .map(|rs| {
                 rs.rows
                     .iter()
                     .map(|r| r[0].as_str().unwrap().to_string())
@@ -306,6 +310,38 @@ fn numeric_literals_never_match_text_cells() {
     ] {
         for got in values(where_clause) {
             assert_eq!(got, want, "{where_clause}");
+        }
+    }
+}
+
+/// `i64::MIN % -1`, `-i64::MIN` and `ABS(i64::MIN)` wrap instead of
+/// panicking — in a select list and in a WHERE — on both stores and on the
+/// reference: the remainder is 0, the negation and the absolute value are
+/// `i64::MIN` again.
+#[test]
+fn integer_overflow_never_panics() {
+    let min = "(0 - 9223372036854775807 - 1)";
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let e = SqlEngine::with_alltables(build_engine(
+            kind,
+            vec![
+                FactRow::new("a", 0, 0, 0, 0, None),
+                FactRow::new("b", 0, 0, 1, 0, None),
+            ],
+        ));
+        let run = |sql: &str| -> [ResultSet; 2] {
+            [e.execute(sql).unwrap(), e.execute_reference(sql).unwrap().0]
+        };
+        let select =
+            format!("SELECT {min} % -1 AS r, -{min} AS n, ABS({min}) AS a FROM AllTables LIMIT 1");
+        for rs in run(&select) {
+            assert_eq!(rs.i64(0, "r"), Some(0), "{kind:?}");
+            assert_eq!(rs.i64(0, "n"), Some(i64::MIN), "{kind:?}");
+            assert_eq!(rs.i64(0, "a"), Some(i64::MIN), "{kind:?}");
+        }
+        let filter = format!("SELECT RowId FROM AllTables WHERE {min} % -1 = 0 AND -{min} < 0");
+        for rs in run(&filter) {
+            assert_eq!(rs.len(), 2, "{kind:?}");
         }
     }
 }

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use blend_parallel::{Interrupt, ParallelCtx};
 use blend_simd as simd;
-use blend_sql::{ExecPath, QueryReport, ResultSet, SqlEngine, SqlValue};
+use blend_sql::{QueryReport, ResultSet, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -272,7 +272,7 @@ const SHAPES: &[Shape] = &[
         from: "FROM AllTables WHERE Quadrant IS NOT NULL GROUP BY TableId, ColumnId, RowId",
         group: Group::Hash,
     },
-    // No GROUP BY: the tuple executor's decorated rows against the
+    // No GROUP BY: the reference's decorated rows against the
     // positional executor's flat columns — dictionary-coded text first.
     Shape {
         label: "ungrouped",
@@ -400,10 +400,11 @@ fn tie_band_limits(base: &ResultSet, width: usize, desc: &[bool]) -> Vec<usize> 
         .collect()
 }
 
-/// Where a LIMIT runs: (SIMD dispatch, pool width) pairs, and executors.
-type Runs = (&'static [(bool, usize)], &'static [ExecPath]);
+/// Where a LIMIT runs: (SIMD dispatch, pool width) pairs of the positional
+/// executor, and whether the reference runs it too.
+type Runs = (&'static [(bool, usize)], bool);
 
-/// The fixed LIMITs run every pair on both executors.
+/// The fixed LIMITs run every pair, and the reference.
 const EVERY_RUN: Runs = (
     &[
         (false, 1),
@@ -415,13 +416,13 @@ const EVERY_RUN: Runs = (
         (true, 4),
         (true, 8),
     ],
-    &[ExecPath::Auto, ExecPath::TupleOnly],
+    true,
 );
 
 /// The tie-band LIMITs aim at the positional executor's counting
-/// selection — the tuple executor never counts — sequentially (the
-/// merge-only selection) and partitioned (per-partition selections).
-const TIE_BAND_RUNS: Runs = (&[(false, 1), (true, 4)], &[ExecPath::Auto]);
+/// selection — the reference never counts — sequentially (the merge-only
+/// selection) and partitioned (per-partition selections).
+const TIE_BAND_RUNS: Runs = (&[(false, 1), (true, 4)], false);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -472,7 +473,7 @@ proptest! {
                 let base_sql = format!("SELECT {} {}", base_items.join(", "), shape.from);
                 simd::force(Some(false));
                 let base = reference
-                    .execute_with_report_path(&base_sql, ExecPath::TupleOnly)
+                    .execute_reference(&base_sql)
                     .unwrap_or_else(|e| panic!("{}: {e}: {base_sql}", shape.label))
                     .0;
                 let n = base.len();
@@ -489,7 +490,7 @@ proptest! {
                     .map(|&limit| (limit, EVERY_RUN))
                     .chain(tie_band.into_iter().map(|limit| (limit, TIE_BAND_RUNS)));
 
-                for (limit, (configs, paths)) in limits {
+                for (limit, (configs, with_reference)) in limits {
                     let want = sort_all_then_truncate(&base, width, &desc, limit);
                     let sql = format!(
                         "SELECT {} {} {order_sql} {}",
@@ -497,38 +498,44 @@ proptest! {
                         shape.from,
                         limit.map_or(String::new(), |k| format!("LIMIT {k}")),
                     );
+                    // `SqlValue: PartialEq` equates 2^53 with 2^53 + 1;
+                    // compare the bytes.
+                    if with_reference {
+                        let (got, _) = reference
+                            .execute_reference(&sql)
+                            .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                        prop_assert_eq!(
+                            format!("{:?}", got.rows),
+                            format!("{:?}", want),
+                            "{:?}/reference: {}", kind, sql
+                        );
+                    }
                     for &(vector, threads) in configs {
                         simd::force(Some(vector));
                         // min_parallel 1, morsels of 5 rows: every phase
                         // of even these small inputs fans out.
                         let eng = SqlEngine::with_alltables(fact.clone())
                             .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-                        for &path in paths {
-                            let (got, report) = eng
-                                .execute_with_report_path(&sql, path)
-                                .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
-                            if path == ExecPath::Auto {
-                                prop_assert_eq!(&report.path, "positional", "{}", shape.label);
-                                if let Some(group) = group_path(&report) {
-                                    prop_assert_eq!(
-                                        group,
-                                        shape.group.expected(kind, &report),
-                                        "{}: {}", shape.label, sql
-                                    );
-                                }
-                            }
-                            // `SqlValue: PartialEq` equates 2^53 with
-                            // 2^53 + 1; compare the bytes.
+                        let (got, report) = eng
+                            .execute_with_report(&sql)
+                            .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
+                        prop_assert_eq!(&report.path, "positional", "{}", shape.label);
+                        if let Some(group) = group_path(&report) {
                             prop_assert_eq!(
-                                format!("{:?}", got.rows),
-                                format!("{:?}", want),
-                                "{:?}/{:?}/{}t/vector={}: {}",
-                                kind, path, threads, vector, sql
+                                group,
+                                shape.group.expected(kind, &report),
+                                "{}: {}", shape.label, sql
                             );
                         }
+                        prop_assert_eq!(
+                            format!("{:?}", got.rows),
+                            format!("{:?}", want),
+                            "{:?}/{}t/vector={}: {}",
+                            kind, threads, vector, sql
+                        );
                         // The columnar entry, asked for rows afterwards.
                         let (cols, _) = eng
-                            .execute_columns_interruptible(&sql, ExecPath::Auto, Interrupt::never())
+                            .execute_columns_interruptible(&sql, Interrupt::never())
                             .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
                         prop_assert_eq!(
                             format!("{:?}", cols.to_result_set().rows),
