@@ -95,6 +95,19 @@ impl Seeker {
                         "C seeker needs at least two observations".into(),
                     ));
                 }
+                // QCR splits the keys at the target's mean: a NaN or
+                // infinite value poisons the mean, and a constant target
+                // has no correlation to measure.
+                if let Some(bad) = target.iter().find(|t| !t.is_finite()) {
+                    return Err(BlendError::InvalidInput(format!(
+                        "C seeker: target value {bad} is not finite"
+                    )));
+                }
+                if target.iter().all(|&t| t == target[0]) {
+                    return Err(BlendError::InvalidInput(
+                        "C seeker: a constant target has no correlation to measure".into(),
+                    ));
+                }
                 Ok(())
             }
             _ => Ok(()),

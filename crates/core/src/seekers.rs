@@ -749,6 +749,57 @@ mod tests {
         }
     }
 
+    /// A C target with nothing to correlate — a NaN, an infinity, or one
+    /// value throughout — is a typed error, not a hit with a meaningless
+    /// score. On this three-row lake each of them used to score a table
+    /// (`[5, 5, 5]` and `[NaN, 1, 2]` at 1/3, `[∞, 1, 2]` at 1).
+    #[test]
+    fn c_targets_without_correlation_are_typed_errors() {
+        use blend_common::{BlendError, Column, Table, TableId};
+        let table = Table::new(
+            TableId(0),
+            "t",
+            vec![
+                Column::new("k", vec!["a", "b", "c"]),
+                Column::new("x", vec!["1", "2", "3"]),
+            ],
+        )
+        .unwrap();
+        let blend = Blend::from_lake(
+            &DataLake::new("three-rows", vec![table]),
+            EngineKind::Column,
+        );
+        let keys: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let c = |target: Vec<f64>| Seeker::C {
+            keys: keys.clone(),
+            target,
+        };
+        for target in [
+            vec![5.0, 5.0, 5.0],
+            vec![f64::NAN, 1.0, 2.0],
+            vec![f64::INFINITY, 1.0, 2.0],
+            vec![1.0, f64::NEG_INFINITY, 2.0],
+        ] {
+            let seeker = c(target);
+            let err = run(&blend, &seeker, 10, None, &Interrupt::never()).unwrap_err();
+            assert!(
+                matches!(err, BlendError::InvalidInput(_)),
+                "{seeker:?}: {err}"
+            );
+        }
+        let hits = run(
+            &blend,
+            &c(vec![1.0, 2.0, 3.0]),
+            10,
+            None,
+            &Interrupt::never(),
+        )
+        .unwrap()
+        .hits;
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].score, 1.0);
+    }
+
     #[test]
     fn values_are_normalized_escaped_and_deduped() {
         let sql = sc_sql(

@@ -17,8 +17,11 @@
 //!   **batched filter kernels** straight against the [`FactTable`], no
 //!   tuple is built (see *Selection-vector scans* below);
 //! * the seeker self-joins (`q0.TableId = qN.TableId AND q0.RowId =
-//!   qN.RowId`) become **flat hash joins**: 1–2 integer key columns pack
-//!   into a `u64` (3–4 into a `u128`) and probe a CSR
+//!   qN.RowId`) match **row ordinals** where the column store numbers its
+//!   rows: a bitmap over the ordinal space and a rank-keyed CSR, no hash
+//!   (see *Row-key joins* below);
+//! * every other equi-join is a **flat hash join**: 1–2 integer key
+//!   columns pack into a `u64` (3–4 into a `u128`) and probe a CSR
 //!   [`JoinTable`](crate::hashtable::JoinTable) built with two counting
 //!   passes — zero per-key allocations, one hash per row (see *Flat
 //!   join/group tables* below);
@@ -115,6 +118,47 @@
 //!
 //! Each build records [`HashTableStats`] (build nanos, bucket count, max
 //! chain, radix partition count) in [`QueryReport::hash_tables`].
+//!
+//! ## Row-key joins
+//!
+//! The MC seeker (paper Listing 2) joins its per-column value scans on
+//! `(TableId, RowId)`, and the C seeker (Listing 3) joins its key and
+//! number scans on the same pair, with `keys.ColumnId <> nums.ColumnId` as
+//! a residual. Where the column store keeps a row directory
+//! ([`FactTable::row_ordinals`]: `row_base[TableId] + RowId`, dense over
+//! the lake's rows, its space at most one per cell), two cells share a row
+//! exactly when they share a row ordinal, so the join needs no hash.
+//!
+//! The check is a plan property, `row_keyed`: the join's packed keys are
+//! exactly `{TableId, RowId}` of one leaf per side (repeats allowed, no
+//! `ColumnId`), both leaves scan the same table `Arc`, and that table has
+//! a directory. Every MC arity qualifies (each join keys `q0` against
+//! `qN`), and so does C. The row store, a column store whose space would
+//! exceed its cells (a huge `RowId`), and every other join keep the hash
+//! path.
+//!
+//! `join_rows` keeps the hash path's build-side choice, residual and output
+//! order — probe order, each probe row's build matches ascending — so the
+//! bytes are the reference's:
+//!
+//! * **build** — gather the build leaf's ordinals, set them in a bitmap over
+//!   the space, and keep a per-word rank prefix, which numbers the distinct
+//!   ordinals densely; then place the build rows in a
+//!   [`Csr`](blend_storage::Csr) keyed by rank, in ascending build-row
+//!   order, with the two counting passes of
+//!   [`CsrBuilder`](blend_storage::CsrBuilder). The bitmap, ranks, CSR and
+//!   ordinals are reserved in one piece under `join_build` before any is
+//!   allocated; nothing depends on a width, so there is no ladder rung;
+//! * **probe** — a [`PROBE_BLOCK`] of probe rows at a time, gather the
+//!   block's ordinals, test each one's bit and walk the run at its rank. The
+//!   probe shares `probe_phase` with the hash path: admission, even chunks
+//!   concatenated in order, interrupt polling, the `join-probe`
+//!   [`ParallelPhase`].
+//!
+//! The spans keep their names, `join.build` and `join.probe`, with `path`
+//! (`rows` | `hash`); a row-key build adds `ordinals` (distinct build
+//! ordinals) and its probe `skipped` (probe rows the bitmap rejected). The
+//! row-key path records no [`HashTableStats`].
 //!
 //! ## Column-index grouping
 //!
@@ -215,12 +259,13 @@
 //!
 //! * scans split postings/table ranges into morsels and concatenate the
 //!   per-morsel position lists in morsel order;
-//! * joins **radix-partition the build side by key hash** (low hash bits;
+//! * hash joins **radix-partition the build side by key hash** (low hash bits;
 //!   see `blend_parallel::radix`), so each worker builds a flat table over
 //!   a disjoint key set and no merge is needed — a key's whole match list
 //!   lives in one partition, ascending because partition scatter preserves
-//!   input order. The probe side is chunked in row order and emitted in
-//!   chunk order;
+//!   input order (a row-key join builds on the query's thread). On both
+//!   paths the probe side is chunked in row order and emitted in chunk
+//!   order;
 //! * GROUP BY on the hash path radix-partitions rows by group-key hash
 //!   (column-index grouping stays on the query's thread), so each worker owns
 //!   its groups outright: every group's aggregate state sees **exactly the
@@ -252,16 +297,18 @@
 //!   position data** — consuming a batch (a join input, a filtered
 //!   rebuild) or abandoning it on an error drops the reservation with it,
 //!   so accounting follows batch lifetime with no explicit release;
-//! * the join build and group index reserve through
+//! * the hash join build and group index reserve through
 //!   [`blend_parallel::reserve_laddered`] with a width-parameterized cost
 //!   (`JoinTable::estimate_bytes` / `GroupIndex::estimate_bytes` plus
 //!   radix scratch): on failure the phase retries at half width, then
 //!   sequentially, and the chosen width feeds the partition math — the
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
-//! * column-index grouping has no width to narrow: it reserves its
-//!   counters and its group slots up front (`group_columns`), and a failed
-//!   reservation resolves `MemoryExceeded` like any other;
+//! * column-index grouping and the row-key join build have no width to
+//!   narrow: they reserve their counters and group slots
+//!   (`group_columns`), or bitmap, ranks, CSR and ordinals (`join_rows`),
+//!   up front, and a failed reservation resolves `MemoryExceeded` like any
+//!   other;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
 //!   aggregate columns, the top-k histogram and tie band: `sort_scratch`)
 //!   and outputs — the flat group columns
@@ -282,7 +329,7 @@ use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
     Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
 };
-use blend_storage::{FactTable, FilterKernel, ScanScratch, ValuePred};
+use blend_storage::{CsrBuilder, FactTable, FilterKernel, ScanScratch, ValuePred};
 
 use crate::exec::HashTableStats;
 use crate::hashtable::{GroupIndex, JoinKey, JoinTable, PROBE_BLOCK};
@@ -531,6 +578,10 @@ enum PosNode {
         /// Equi-keys as (left, right) pairs.
         keys: Keys<(PosCol, PosCol), (PExpr, PExpr)>,
         residual: Option<PExpr>,
+        /// The (left, right) leaves whose row ordinals the join matches on,
+        /// when it is row-keyed ([`row_keyed`]; module docs, *Row-key
+        /// joins*).
+        row_key: Option<(usize, usize)>,
     },
 }
 
@@ -731,16 +782,40 @@ fn build_node<'p>(tree: &'p Tree, leaves: &mut Vec<&'p ScanPlan>) -> Result<PosN
                 Some(r) => Some(compile_pexpr(r, base, leaves)?),
                 None => None,
             };
+            let keys = Keys::of(pairs, |(l, r)| Some((int_col(l)?, int_col(r)?)));
             Ok(PosNode::Join {
                 left: Box::new(l),
                 right: Box::new(r),
                 base,
                 n_left,
-                keys: Keys::of(pairs, |(l, r)| Some((int_col(l)?, int_col(r)?))),
+                row_key: row_keyed(&keys, leaves),
+                keys,
                 residual,
             })
         }
     }
+}
+
+/// The (left, right) leaves of a row-keyed join (module docs, *Row-key
+/// joins*): its packed keys are exactly `TableId` and `RowId` of one leaf
+/// per side, both leaves scan the same table, and that table has a row
+/// directory.
+fn row_keyed(
+    keys: &Keys<(PosCol, PosCol), (PExpr, PExpr)>,
+    leaves: &[&ScanPlan],
+) -> Option<(usize, usize)> {
+    let Keys::Packed(cols) = keys else {
+        return None;
+    };
+    let ((l, _), (r, _)) = *cols.first()?;
+    let on = |c: IntCol| cols.iter().any(|&((_, x), (_, y))| x == c && y == c);
+    let same_leaves = (cols.iter()).all(|&((a, x), (b, y))| a == l && b == r && x == y);
+    let table = &leaves[l].table;
+    let shape = same_leaves && on(IntCol::Table) && on(IntCol::Row) && !on(IntCol::Column);
+    (shape
+        && Arc::ptr_eq(table, &leaves[r].table)
+        && table.row_ordinals(&[], &mut Vec::new()).is_some())
+    .then_some((l, r))
 }
 
 // ---- execution -------------------------------------------------------------
@@ -993,6 +1068,7 @@ fn exec_node(
             n_left,
             keys,
             residual,
+            row_key,
         } => {
             let lb = exec_node(left, pos, tables, report, par)?;
             let rb = exec_node(right, pos, tables, report, par)?;
@@ -1002,6 +1078,7 @@ fn exec_node(
                 *base,
                 *n_left,
                 keys,
+                *row_key,
                 residual.as_ref(),
                 tables,
                 report,
@@ -1309,17 +1386,19 @@ impl<'a> Interner<'a> {
     }
 }
 
-/// Positional hash join on packed `u64`/`u128` keys (or an interned key's
-/// id) through the flat [`JoinTable`]. Build/probe side selection and output row order mirror
-/// the reference's `hash_join` so the two executors produce byte-identical
-/// results.
+/// Positional equi-join: a row-keyed join matches row ordinals through
+/// [`join_rows`], any other joins packed `u64`/`u128` keys (or an interned
+/// key's id) through the flat [`JoinTable`] in [`join_flat`]. Build/probe
+/// side selection and output row order mirror the reference's `hash_join`
+/// on both paths, so the two executors produce byte-identical results.
 ///
-/// On large inputs the build side is **radix-partitioned by key hash** (low
-/// hash bits), so each pool worker builds a flat table over a disjoint key
-/// set — no partial-map merge exists; a key's whole match run lives in one
-/// partition and stays ascending because partition scatter preserves input
-/// order. The probe side is chunked in row order with outputs concatenated
-/// in chunk order — the sequential probe order.
+/// On large inputs the hash path's build side is **radix-partitioned by key
+/// hash** (low hash bits), so each pool worker builds a flat table over a
+/// disjoint key set — no partial-map merge exists; a key's whole match run
+/// lives in one partition and stays ascending because partition scatter
+/// preserves input order. On both paths the probe side is chunked in row
+/// order with outputs concatenated in chunk order — the sequential probe
+/// order ([`probe_phase`]).
 #[allow(clippy::too_many_arguments)]
 fn exec_join(
     left: PosBatch,
@@ -1327,6 +1406,7 @@ fn exec_join(
     base: usize,
     n_left: usize,
     keys: &Keys<(PosCol, PosCol), (PExpr, PExpr)>,
+    row_key: Option<(usize, usize)>,
     residual: Option<&PExpr>,
     tables: &[&dyn FactTable],
     report: &mut QueryReport,
@@ -1341,68 +1421,78 @@ fn exec_join(
     };
     let side_base = |on_left: bool| if on_left { base } else { base + n_left };
     let (build_base, probe_base) = (side_base(build_left), side_base(!build_left));
-
-    // Key columns for one side: packed keys gathered in bulk (one virtual
-    // dispatch per column, not per row; positions extracted once per leaf),
-    // interned keys as one id column through a map both sides share.
-    let (build_keys, probe_keys) = match keys {
-        Keys::Packed(cols) => {
-            let side_keys = |batch: &PosBatch, side_base: usize, on_left: bool| {
-                let mut cache = ColCache::new(batch);
-                cols.iter()
-                    .map(|&(lk, rk)| {
-                        let (leaf, col) = if on_left { lk } else { rk };
-                        let mut vals = Vec::with_capacity(batch.len());
-                        col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
-                        vals
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let build_keys = side_keys(build, build_base, build_left);
-            (build_keys, side_keys(probe, probe_base, !build_left))
-        }
-        Keys::Interned(exprs) => {
-            let side = |on_left: bool| -> Vec<&PExpr> {
-                (exprs.iter())
-                    .map(|(l, r)| if on_left { l } else { r })
-                    .collect()
-            };
-            let mut ids = Interner::new(tables, par)?;
-            let build_ids = ids.ids(Intern::Build, &side(build_left), build, build_base)?;
-            let probe_ids = ids.ids(Intern::Probe, &side(!build_left), probe, probe_base)?;
-            (vec![build_ids], vec![probe_ids])
-        }
+    let joiner = Joiner {
+        build,
+        probe,
+        build_left,
+        base,
+        residual,
+        tables,
     };
 
-    // Monomorphize on packed key width: u64 covers 1–2 key columns, u128
-    // covers 3–4.
-    let (out, n_out) = if build_keys.len() <= 2 {
-        join_flat(
-            build,
-            probe,
-            &pack_rows64(&build_keys, build.len()),
-            &pack_rows64(&probe_keys, probe.len()),
-            build_left,
-            base,
-            residual,
-            tables,
+    let (out, n_out) = if let Some((l, r)) = row_key {
+        let (build_leaf, probe_leaf) = if build_left { (l, r) } else { (r, l) };
+        join_rows(
+            &joiner,
+            build_leaf - build_base,
+            probe_leaf - probe_base,
+            tables[l],
             report,
             par,
-        )
+        )?
     } else {
-        join_flat(
-            build,
-            probe,
-            &pack_rows128(&build_keys, build.len()),
-            &pack_rows128(&probe_keys, probe.len()),
-            build_left,
-            base,
-            residual,
-            tables,
-            report,
-            par,
-        )
-    }?;
+        // Key columns for one side: packed keys gathered in bulk (one
+        // virtual dispatch per column, not per row; positions extracted
+        // once per leaf), interned keys as one id column through a map both
+        // sides share.
+        let (build_keys, probe_keys) = match keys {
+            Keys::Packed(cols) => {
+                let side_keys = |batch: &PosBatch, side_base: usize, on_left: bool| {
+                    let mut cache = ColCache::new(batch);
+                    cols.iter()
+                        .map(|&(lk, rk)| {
+                            let (leaf, col) = if on_left { lk } else { rk };
+                            let mut vals = Vec::with_capacity(batch.len());
+                            col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
+                            vals
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let build_keys = side_keys(build, build_base, build_left);
+                (build_keys, side_keys(probe, probe_base, !build_left))
+            }
+            Keys::Interned(exprs) => {
+                let side = |on_left: bool| -> Vec<&PExpr> {
+                    (exprs.iter())
+                        .map(|(l, r)| if on_left { l } else { r })
+                        .collect()
+                };
+                let mut ids = Interner::new(tables, par)?;
+                let build_ids = ids.ids(Intern::Build, &side(build_left), build, build_base)?;
+                let probe_ids = ids.ids(Intern::Probe, &side(!build_left), probe, probe_base)?;
+                (vec![build_ids], vec![probe_ids])
+            }
+        };
+        // Monomorphize on packed key width: u64 covers 1–2 key columns,
+        // u128 covers 3–4.
+        if build_keys.len() <= 2 {
+            join_flat(
+                &joiner,
+                &pack_rows64(&build_keys, build.len()),
+                &pack_rows64(&probe_keys, probe.len()),
+                report,
+                par,
+            )?
+        } else {
+            join_flat(
+                &joiner,
+                &pack_rows128(&build_keys, build.len()),
+                &pack_rows128(&probe_keys, probe.len()),
+                report,
+                par,
+            )?
+        }
+    };
     let stride = left.stride + right.stride;
     report.joins.push((build.len(), probe.len(), n_out));
     // The joined batch gets its own reservation; the input batches drop at
@@ -1415,25 +1505,205 @@ fn exec_join(
     })
 }
 
-/// The key-width-generic core of [`exec_join`]: build flat tables over the
-/// (possibly radix-partitioned) build side, then probe in row order.
-#[allow(clippy::too_many_arguments)]
-fn join_flat<K: JoinKey>(
-    build: &PosBatch,
-    probe: &PosBatch,
-    build_keys: &[K],
-    probe_keys: &[K],
+/// The two sides of one join and what turns a (build row, probe row)
+/// match into an output row — shared by both join paths.
+struct Joiner<'a> {
+    build: &'a PosBatch,
+    probe: &'a PosBatch,
     build_left: bool,
     base: usize,
-    residual: Option<&PExpr>,
-    tables: &[&dyn FactTable],
+    residual: Option<&'a PExpr>,
+    tables: &'a [&'a dyn FactTable],
+}
+
+impl Joiner<'_> {
+    /// Append build row `bi` joined to probe row `pi` (left side first) to
+    /// `out`, and take it back when the residual rejects it.
+    #[inline]
+    fn emit(&self, bi: usize, pi: usize, out: &mut Probed) {
+        let (bt, pt) = (self.build.row(bi), self.probe.row(pi));
+        let (lt, rt) = if self.build_left { (bt, pt) } else { (pt, bt) };
+        let at = out.rows.len();
+        out.rows.extend(lt.iter().chain(rt).copied());
+        if let Some(res) = self.residual {
+            if !res.eval_predicate(self.tables, self.base, &out.rows[at..]) {
+                out.rows.truncate(at);
+                return;
+            }
+        }
+        out.n += 1;
+    }
+}
+
+/// What a probe produced: joined rows stored flat, their count, and the
+/// probe rows the row-key bitmap rejected without a lookup.
+#[derive(Default)]
+struct Probed {
+    rows: Vec<u32>,
+    n: usize,
+    skipped: usize,
+}
+
+/// The probe phase both join paths share: `chunk` probes a range of probe
+/// rows in order (polling the interrupt itself); with an admission grant
+/// the rows split evenly across the pool as the `join-probe` phase and the
+/// chunks concatenate in order — the sequential probe order — else one
+/// chunk runs on the query's thread.
+fn probe_phase(
+    n_probe: usize,
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+    chunk: impl Fn(std::ops::Range<usize>) -> Probed + Sync,
+) -> Result<Probed> {
+    let Some(grant) = par.admit(n_probe) else {
+        let probed = chunk(0..n_probe);
+        par.check_interrupt()?;
+        return Ok(probed);
+    };
+    let chunks = split_even(n_probe, grant.granted());
+    let run = grant
+        .pool()
+        .run(chunks.len(), |ci| chunk(chunks[ci].clone()));
+    report.parallel.push(ParallelPhase {
+        phase: "join-probe".to_string(),
+        partitions: chunks.len(),
+        granted: grant.granted(),
+        worker_nanos: run.worker_nanos,
+    });
+    par.check_interrupt()?;
+    let mut all = Probed {
+        rows: Vec::with_capacity(run.results.iter().map(|p| p.rows.len()).sum()),
+        ..Probed::default()
+    };
+    for part in run.results {
+        all.rows.extend_from_slice(&part.rows);
+        all.n += part.n;
+        all.skipped += part.skipped;
+    }
+    Ok(all)
+}
+
+/// The row-key join (module docs, *Row-key joins*): build and probe rows
+/// meet on the row ordinal of one leaf per side (`build_leaf` and
+/// `probe_leaf`, subtree-local) in the row directory of `table`. The build
+/// side's ordinals set bits in a bitmap over the ordinal space, a per-word
+/// rank prefix numbers the distinct ones densely, and a
+/// [`Csr`](blend_storage::Csr) keyed by rank lists each ordinal's build rows
+/// ascending; a probe row tests its ordinal's bit and walks the run at its
+/// rank. No key is hashed, and the output is [`join_flat`]'s row for row.
+fn join_rows(
+    joiner: &Joiner<'_>,
+    build_leaf: usize,
+    probe_leaf: usize,
+    table: &dyn FactTable,
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<(Vec<u32>, usize)> {
+    let (build, probe) = (joiner.build, joiner.probe);
+    let n_build = build.len();
+    let build_span = blend_obs::span("join.build");
+    build_span.attr_u64("rows", n_build as u64);
+    build_span.attr_str("path", "rows");
+    let space = table
+        .row_ordinals(&[], &mut Vec::new())
+        .ok_or_else(|| executor_bug("row-keyed join over a table without a row directory"))?;
+    let words = space.div_ceil(64);
+    // Bitmap and rank prefix, the CSR's offsets (at most one list per build
+    // row) and items, the build ordinals, and the build leaf's positions
+    // where a wider batch copies them out — all of it priced before any is
+    // allocated. Nothing here depends on a width, so there is no ladder.
+    let _build_mem = par.memory().try_reserve(
+        "join_build",
+        words * 12 + (n_build.min(space) + 1) * 4 + n_build * 12,
+    )?;
+    let mut ordinals = Vec::with_capacity(n_build);
+    table.row_ordinals(ColCache::new(build).positions(build_leaf), &mut ordinals);
+    let mut bits = vec![0u64; words];
+    for &o in &ordinals {
+        bits[o as usize >> 6] |= 1 << (o & 63);
+    }
+    let mut rank = Vec::with_capacity(words);
+    let mut distinct = 0u32;
+    for &w in &bits {
+        rank.push(distinct);
+        distinct += w.count_ones();
+    }
+    // Rank of ordinal `o` whose bit is set in word `w`.
+    let rank_of = |o: u32, w: u64| rank[o as usize >> 6] + (w & ((1 << (o & 63)) - 1)).count_ones();
+    // Each build row's ordinal becomes its rank, i.e. its CSR list.
+    let mut runs = CsrBuilder::new(distinct as usize);
+    for o in ordinals.iter_mut() {
+        *o = rank_of(*o, bits[*o as usize >> 6]);
+        runs.count(*o);
+    }
+    runs.start_placing();
+    for (i, &r) in ordinals.iter().enumerate() {
+        runs.place(r, i as u32);
+    }
+    let runs = runs.finish();
+    drop(ordinals);
+    par.check_interrupt()?;
+    build_span.attr_u64("ordinals", distinct as u64);
+    drop(build_span);
+
+    let probe_span = blend_obs::span("join.probe");
+    probe_span.attr_u64("rows", probe.len() as u64);
+    probe_span.attr_str("path", "rows");
+    let intr = par.interrupt();
+    // Probe rows go a [`PROBE_BLOCK`] at a time: the block's positions of
+    // the probe leaf (borrowed from a one-leaf batch), then their ordinals
+    // in one gather.
+    let probed = probe_phase(probe.len(), report, par, |range| {
+        let mut out = Probed::default();
+        let mut strided = Vec::with_capacity(PROBE_BLOCK);
+        let mut block = Vec::with_capacity(PROBE_BLOCK);
+        for start in range.clone().step_by(PROBE_BLOCK) {
+            if intr.is_set() {
+                break;
+            }
+            let end = (start + PROBE_BLOCK).min(range.end);
+            let positions = if probe.stride == 1 {
+                &probe.data[start..end]
+            } else {
+                strided.clear();
+                strided.extend((start..end).map(|i| probe.row(i)[probe_leaf]));
+                &strided[..]
+            };
+            block.clear();
+            table.row_ordinals(positions, &mut block);
+            for (pi, &o) in (start..end).zip(&block) {
+                let w = bits[o as usize >> 6];
+                if w & (1 << (o & 63)) == 0 {
+                    out.skipped += 1;
+                    continue;
+                }
+                for &bi in runs.list(rank_of(o, w)) {
+                    joiner.emit(bi as usize, pi, &mut out);
+                }
+            }
+        }
+        out
+    })?;
+    probe_span.attr_u64("matched", probed.n as u64);
+    probe_span.attr_u64("skipped", probed.skipped as u64);
+    Ok((probed.rows, probed.n))
+}
+
+/// The hash path of [`exec_join`], generic over key width: build flat
+/// tables over the (possibly radix-partitioned) build side, then probe in
+/// row order.
+fn join_flat<K: JoinKey>(
+    joiner: &Joiner<'_>,
+    build_keys: &[K],
+    probe_keys: &[K],
     report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<(Vec<u32>, usize)> {
     let intr = par.interrupt();
-    let n_build = build.len();
+    let n_build = joiner.build.len();
     let build_span = blend_obs::span("join.build");
     build_span.attr_u64("rows", n_build as u64);
+    build_span.attr_str("path", "hash");
     let t0 = Instant::now();
     // The packed key arrays were allocated by the caller; account for them
     // for the duration of the join.
@@ -1515,17 +1785,14 @@ fn join_flat<K: JoinKey>(
         partitions: n_parts,
     });
 
-    let stride = build.stride + probe.stride;
     // Probe rows are consumed in [`PROBE_BLOCK`]-row blocks: each block's
     // keys are hashed by [`JoinKey::hash_block`] and the destination
     // buckets are prefetched (heads first, then the entry runs the heads
     // name) before any row walks its chain, so `matches_hashed` mostly hits
     // cache. Blocking never reorders anything: rows are still probed front
     // to back.
-    let probe_chunk = |range: std::ops::Range<usize>| -> (Vec<u32>, usize) {
-        let mut out: Vec<u32> = Vec::new();
-        let mut joined: Vec<u32> = vec![0; stride];
-        let mut n_out = 0usize;
+    let probe_chunk = |range: std::ops::Range<usize>| -> Probed {
+        let mut out = Probed::default();
         let mut hash_buf = [0u64; PROBE_BLOCK];
         let mut start = range.start;
         'blocks: while start < range.end {
@@ -1557,54 +1824,21 @@ fn join_flat<K: JoinKey>(
                 // (low bits) and, inside `matches_hashed`, the bucket
                 // (bits 32..).
                 let flat = &flat_tables[(hash & pmask) as usize];
-                let pt = probe.row(i);
                 for bi in flat.matches_hashed(build_keys, key, hash) {
-                    let bt = build.row(bi as usize);
-                    let (lt, rt) = if build_left { (bt, pt) } else { (pt, bt) };
-                    joined[..lt.len()].copy_from_slice(lt);
-                    joined[lt.len()..].copy_from_slice(rt);
-                    if let Some(res) = residual {
-                        if !res.eval_predicate(tables, base, &joined) {
-                            continue;
-                        }
-                    }
-                    out.extend_from_slice(&joined);
-                    n_out += 1;
+                    joiner.emit(bi as usize, i, &mut out);
                 }
             }
             start = end;
         }
-        (out, n_out)
+        out
     };
 
     let probe_span = blend_obs::span("join.probe");
-    probe_span.attr_u64("rows", probe.len() as u64);
-    let (out, n_out) = if let Some(grant) = par.admit(probe.len()) {
-        let chunks = split_even(probe.len(), grant.granted());
-        let run = grant
-            .pool()
-            .run(chunks.len(), |ci| probe_chunk(chunks[ci].clone()));
-        report.parallel.push(ParallelPhase {
-            phase: "join-probe".to_string(),
-            partitions: chunks.len(),
-            granted: grant.granted(),
-            worker_nanos: run.worker_nanos,
-        });
-        par.check_interrupt()?;
-        let mut out = Vec::with_capacity(run.results.iter().map(|(o, _)| o.len()).sum());
-        let mut n_out = 0usize;
-        for (local, local_n) in run.results {
-            out.extend_from_slice(&local);
-            n_out += local_n;
-        }
-        (out, n_out)
-    } else {
-        let result = probe_chunk(0..probe.len());
-        par.check_interrupt()?;
-        result
-    };
-    probe_span.attr_u64("matched", n_out as u64);
-    Ok((out, n_out))
+    probe_span.attr_u64("rows", joiner.probe.len() as u64);
+    probe_span.attr_str("path", "hash");
+    let probed = probe_phase(joiner.probe.len(), report, par, probe_chunk)?;
+    probe_span.attr_u64("matched", probed.n as u64);
+    Ok((probed.rows, probed.n))
 }
 
 // ---- aggregation -----------------------------------------------------------
@@ -2603,12 +2837,19 @@ mod tests {
             "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
              WHERE CellValue IN ('k0','k2','k4') AND RowId < 6 GROUP BY TableId, ColumnId \
              ORDER BY score DESC LIMIT 10",
-            // MC shape: parallel scans + parallel join build/probe.
+            // MC shape: parallel scans + parallel probe (a row-key join on
+            // the column store, a hash join on the row store).
             "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
              q0.CellValue AS v0, q1.CellValue AS v1 FROM \
              (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
              INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
              ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
+            // A join that hashes on both stores: parallel join build/probe.
+            "SELECT q0.TableId AS t0, q1.TableId AS t1, q0.RowId AS rid, \
+             q1.CellValue AS v1 FROM \
+             (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
+             INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
+             ON q0.RowId = q1.RowId",
             // C shape: integer-valued SUM keeps the parallel group exact.
             "SELECT keys.TableId AS t, keys.ColumnId AS kc, nums.ColumnId AS nc, \
              ABS((2 * SUM(((keys.CellValue IN ('k0','k1') AND nums.Quadrant = 0) OR \
@@ -2728,13 +2969,14 @@ mod tests {
     fn hash_table_telemetry_is_recorded() {
         let eng = engine(EngineKind::Column);
         // Join + group: one "join" and one "group" entry, sequential
-        // (single partition) at default tuning on this tiny input.
+        // (single partition) at default tuning on this tiny input. A join
+        // on `RowId` alone is not row-keyed, so it hashes.
         let (_, rep) = eng
             .execute_with_report(
                 "SELECT q0.TableId AS t, COUNT(*) AS n FROM \
                  (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
                  INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
-                 ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId \
+                 ON q0.RowId = q1.RowId \
                  GROUP BY q0.TableId",
             )
             .unwrap();

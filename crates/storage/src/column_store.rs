@@ -38,9 +38,18 @@ use crate::stats::FactStats;
 /// | `postings`     | per code, its ascending positions (CSR)               | `4 (d + 1) + 4 n`      |
 /// | `column-index` | per run its key; per code, its ascending runs ([`ColumnIndex`]) | `8 R + 4 (d + 1) + 4 E` |
 /// | `table-ranges` | per table id, its position range                      | `8 T`                  |
+/// | `row-directory` | per table id, the row ordinal of its `RowId` 0 (`row_base`) | `4 T`, or 0 without one |
 ///
 /// (`(2d)↑2` is the next power of two at or above `2d`, at least 2.) Plus
 /// the per-worker `scan-scratch` estimate both engines charge.
+///
+/// The row directory numbers the lake's rows densely: a cell's row ordinal
+/// is `row_base[TableId] + RowId`, so table `t` owns the ordinals
+/// `row_base[t] .. row_base[t] + max RowId + 1` and the ordinal space is
+/// `Σ (max RowId + 1)` over the tables. The store keeps one only when that
+/// space is at most `len()` — a bitmap over it then costs at most one bit
+/// per cell, and no ordinal overflows `u32` — and hands ordinals out
+/// through [`FactTable::row_ordinals`].
 pub struct ColumnStore {
     /// Distinct values; index = dictionary code.
     dict: Vec<Box<str>>,
@@ -58,6 +67,11 @@ pub struct ColumnStore {
     /// Value → (`TableId`, `ColumnId`) runs.
     column_index: ColumnIndex,
     ranges: Vec<(u32, u32)>,
+    /// Row directory: per table id, the row ordinal of its `RowId` 0;
+    /// `None` where the ordinal space would exceed `len()`.
+    row_base: Option<Vec<u32>>,
+    /// The row ordinal space, `Σ (max RowId + 1)` (0 without a directory).
+    row_space: usize,
     stats: FactStats,
 }
 
@@ -104,6 +118,8 @@ impl ColumnStore {
         dict.shrink_to_fit();
         let dict_index = CodeTable::build(&dict);
         let (postings, column_index) = index_codes(&codes, &tables, &columns, dict.len());
+        let (row_base, row_space) =
+            row_directory(&ranges, &rows).map_or((None, 0), |(b, s)| (Some(b), s));
 
         let n_tables = ranges.iter().filter(|(s, e)| e > s).count();
         let stats = FactStats::compute(
@@ -125,6 +141,8 @@ impl ColumnStore {
             postings,
             column_index,
             ranges,
+            row_base,
+            row_space,
             stats,
         }
     }
@@ -193,11 +211,30 @@ impl ColumnStore {
     }
 }
 
+/// The row directory of [`ColumnStore`] over its table ranges: per table
+/// id, the running sum of `max RowId + 1` before it, and the whole sum —
+/// or `None` as soon as that sum exceeds the number of cells.
+fn row_directory(ranges: &[(u32, u32)], rows: &[u32]) -> Option<(Vec<u32>, usize)> {
+    let mut base = Vec::with_capacity(ranges.len());
+    let mut space = 0usize;
+    for &(s, e) in ranges {
+        base.push(u32::try_from(space).ok()?);
+        space += rows[s as usize..e as usize]
+            .iter()
+            .max()
+            .map_or(0, |&r| r as usize + 1);
+        if space > rows.len() {
+            return None;
+        }
+    }
+    Some((base, space))
+}
+
 /// Compressed sparse rows over `u32` items: list `k` is
 /// `items[offsets[k]..offsets[k + 1]]`. Built by [`CsrBuilder`] in two
 /// passes, so both vectors are allocated once, at exact capacity.
 #[derive(Debug)]
-struct Csr {
+pub struct Csr {
     offsets: Vec<u32>,
     items: Vec<u32>,
 }
@@ -205,7 +242,7 @@ struct Csr {
 impl Csr {
     /// List `k` (empty past the last list).
     #[inline]
-    fn list(&self, k: u32) -> &[u32] {
+    pub fn list(&self, k: u32) -> &[u32] {
         match (
             self.offsets.get(k as usize),
             self.offsets.get(k as usize + 1),
@@ -224,34 +261,37 @@ impl Csr {
 /// [`start_placing`](Self::start_placing), then [`place`](Self::place) the
 /// same items in the same order. During placing `offsets[k]` is list `k`'s
 /// write cursor, so no cursor array is allocated.
-struct CsrBuilder {
+pub struct CsrBuilder {
     offsets: Vec<u32>,
     items: Vec<u32>,
 }
 
 impl CsrBuilder {
-    fn new(n_lists: usize) -> Self {
+    /// A builder of `n_lists` lists, all empty.
+    pub fn new(n_lists: usize) -> Self {
         CsrBuilder {
             offsets: vec![0; n_lists + 1],
             items: Vec::new(),
         }
     }
 
+    /// Count one item of `list`.
     #[inline]
-    fn count(&mut self, list: u32) {
+    pub fn count(&mut self, list: u32) {
         self.offsets[list as usize + 1] += 1;
     }
 
     /// Counts become list starts, and the item vector is allocated.
-    fn start_placing(&mut self) {
+    pub fn start_placing(&mut self) {
         for k in 1..self.offsets.len() {
             self.offsets[k] += self.offsets[k - 1];
         }
         self.items = vec![0; self.offsets.last().map_or(0, |&n| n as usize)];
     }
 
+    /// Append `item` to `list`, in counting order.
     #[inline]
-    fn place(&mut self, list: u32, item: u32) {
+    pub fn place(&mut self, list: u32, item: u32) {
         let at = &mut self.offsets[list as usize];
         self.items[*at as usize] = item;
         *at += 1;
@@ -259,7 +299,7 @@ impl CsrBuilder {
 
     /// Every cursor now sits at its list's end, i.e. the next list's start:
     /// shift them up one to restore the starts.
-    fn finish(mut self) -> Csr {
+    pub fn finish(mut self) -> Csr {
         let n_lists = self.offsets.len() - 1;
         self.offsets.copy_within(..n_lists, 1);
         self.offsets[0] = 0;
@@ -513,6 +553,15 @@ impl FactTable for ColumnStore {
         Some(&self.column_index)
     }
 
+    fn row_ordinals(&self, positions: &[u32], out: &mut Vec<u32>) -> Option<usize> {
+        let base = self.row_base.as_deref()?;
+        out.extend(positions.iter().map(|&p| {
+            let p = p as usize;
+            base[self.tables[p] as usize] + self.rows[p]
+        }));
+        Some(self.row_space)
+    }
+
     fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
         out.extend(positions.iter().map(|&p| self.tables[p as usize]));
     }
@@ -628,6 +677,10 @@ impl FactTable for ColumnStore {
                 ("postings", self.postings.heap_bytes()),
                 ("column-index", self.column_index.heap_bytes()),
                 ("table-ranges", self.ranges.capacity() * 8),
+                (
+                    "row-directory",
+                    self.row_base.as_ref().map_or(0, |b| b.capacity() * 4),
+                ),
                 scratch_component(self.len()),
             ],
         }
@@ -819,6 +872,38 @@ mod tests {
                 8 * index.runs() + 4 * (d + 1) + 4 * pairs
             );
             prop_assert_eq!(charged("table-ranges"), 8 * s.ranges.len());
+
+            // The row directory numbers the (table, row) pairs present
+            // one-to-one onto ordinals below `Σ (max RowId + 1)`.
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut ords = Vec::new();
+            let space = s.row_ordinals(&all, &mut ords);
+            let mut extent: FxHashMap<u32, usize> = FxHashMap::default();
+            for p in 0..n {
+                let e = extent.entry(s.table_at(p)).or_default();
+                *e = (*e).max(s.row_at(p) as usize + 1);
+            }
+            prop_assert_eq!(space, Some(extent.values().sum::<usize>()));
+            prop_assert_eq!(ords.len(), n);
+            let mut ord_of: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+            let mut pair_of: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
+            for (p, &ord) in ords.iter().enumerate() {
+                let pair = (s.table_at(p), s.row_at(p));
+                prop_assert!((ord as usize) < space.unwrap_or(0));
+                prop_assert_eq!(*ord_of.entry(pair).or_insert(ord), ord);
+                prop_assert_eq!(*pair_of.entry(ord).or_insert(pair), pair);
+            }
+            prop_assert_eq!(charged("row-directory"), 4 * s.ranges.len());
+
+            // One huge `RowId` makes the space outgrow the cells: no
+            // directory, nothing charged, nothing gathered.
+            let mut rows = sparse_rows(seed, n_tables, vocab);
+            rows.push(FactRow::new("v0", 0, 0, u32::MAX - 1, 0, None));
+            let sparse = ColumnStore::build(rows);
+            let mut untouched = vec![7u32];
+            prop_assert_eq!(sparse.row_ordinals(&[0], &mut untouched), None);
+            prop_assert_eq!(untouched, vec![7u32]);
+            prop_assert_eq!(sparse.memory_breakdown().get("row-directory"), Some(0));
         }
     }
 

@@ -183,6 +183,18 @@ pub trait FactTable: Send + Sync {
         false
     }
 
+    /// Batch accessor: append the *row ordinal* of each position to `out`
+    /// — `row_base[TableId] + RowId` through the store's row directory, a
+    /// dense numbering of the lake's (`TableId`, `RowId`) pairs, so two
+    /// positions share an ordinal exactly when they share both ids. Returns
+    /// the ordinal space (every ordinal is below it, and it is at most
+    /// [`len`](FactTable::len)). `None`, leaving `out` untouched, on
+    /// engines without a directory: the row store, and a column store
+    /// whose space `Σ (max RowId + 1)` would exceed its cell count.
+    fn row_ordinals(&self, _positions: &[u32], _out: &mut Vec<u32>) -> Option<usize> {
+        None
+    }
+
     /// Batch accessor: append `SuperKey` for each position to `out` — the
     /// projection path's wide gather (16 bytes per row), specialized by the
     /// column store into a straight slice-indexed loop.

@@ -252,12 +252,28 @@ fn flat_executor_is_byte_identical_across_stores_widths_and_threads() {
                         "{kind:?}/{label}/{threads}t telemetry drift"
                     ),
                 }
-                // Flat-table telemetry was recorded for every join and
-                // keyed group phase, with sane shapes.
-                let expect_join = label.starts_with("join");
+                // Flat-table telemetry was recorded for every hash join
+                // and keyed group phase, with sane shapes. `join-w2` is
+                // row-keyed on the column store: it matches row ordinals
+                // and builds no hash table.
+                let join_path = match (label, kind) {
+                    ("join-w2", EngineKind::Column) => Some("rows"),
+                    _ if label.starts_with("join") => Some("hash"),
+                    _ => None,
+                };
+                let profile = rep.profile.as_ref().expect("profile collected");
+                let build_path = profile
+                    .find("join.build")
+                    .and_then(|b| b.attr("path"))
+                    .map(ToString::to_string);
+                assert_eq!(
+                    build_path.as_deref(),
+                    join_path,
+                    "{kind:?}/{label}/{threads}t join path"
+                );
                 assert_eq!(
                     rep.hash_tables.iter().any(|h| h.phase == "join"),
-                    expect_join,
+                    join_path == Some("hash"),
                     "{kind:?}/{label}/{threads}t join stats"
                 );
                 assert!(

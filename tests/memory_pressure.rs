@@ -665,16 +665,12 @@ fn top_k_scratch_is_reserved_and_fails_typed() {
     );
 }
 
-/// The columnar entry in the accounting: an MC join (paper Listing 2) whose
-/// result outweighs its join state reserves the flat result columns only,
-/// so it peaks below the same query through `execute`, which builds — and
-/// reserves — a `SqlValue` row per joined row on top of them. Both entries
-/// walk the ladder with results byte-identical to the unbudgeted run.
-#[test]
-fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
-    use blend_parallel::Interrupt;
-
-    // Every row of every table holds ('a', 'b'): one joined row per fact row.
+/// The MC join of the two tests below (paper Listing 2): every row of
+/// 3 000 tables holds ('a', 'b'), so one joined row per fact row. With
+/// `sparse`, one more cell ('z', unmatched) sits at a `RowId` far past the
+/// cell count, so the store keeps no row directory and the join hashes;
+/// without it the join is row-keyed.
+fn mc_lake(sparse: bool) -> (Arc<dyn FactTable>, &'static str) {
     let mut rows = Vec::new();
     for t in 0..3_000u32 {
         for r in 0..8u32 {
@@ -683,12 +679,38 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
             rows.push(FactRow::new("b", t, 1, r, sk, None));
         }
     }
-    let fact = build_engine(EngineKind::Column, rows);
+    if sparse {
+        rows.push(FactRow::new("z", 0, 2, u32::MAX - 1, 0, None));
+    }
     let sql = "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
                q0.CellValue AS v0, q0.ColumnId AS c0, q1.CellValue AS v1, q1.ColumnId AS c1 \
                FROM (SELECT * FROM AllTables WHERE CellValue IN ('a')) AS q0 \
                INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('b')) AS q1 \
                ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId";
+    (build_engine(EngineKind::Column, rows), sql)
+}
+
+/// Which path the profile's `join.build` span names.
+fn join_path(report: &blend_sql::QueryReport) -> String {
+    let profile = report.profile.as_ref().expect("profile collected");
+    let build = profile.find("join.build").expect("join.build span");
+    build
+        .attr("path")
+        .map(ToString::to_string)
+        .unwrap_or_default()
+}
+
+/// The columnar entry in the accounting: an MC join whose result outweighs
+/// its join state reserves the flat result columns only, so it peaks below
+/// the same query through `execute`, which builds — and reserves — a
+/// `SqlValue` row per joined row on top of them. Both entries walk the
+/// ladder with results byte-identical to the unbudgeted run. The lake has
+/// no row directory, so the join hashes and its build has rungs to walk.
+#[test]
+fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
+    use blend_parallel::Interrupt;
+
+    let (fact, sql) = mc_lake(true);
 
     // One run through either entry: the rows and the profile root's peak.
     let run = |gov: &Arc<MemoryGovernor>, columnar: bool| {
@@ -699,6 +721,7 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
         } else {
             engine.execute_with_report(sql)?
         };
+        assert_eq!(join_path(&report), "hash");
         let peak = match report
             .profile
             .and_then(|p| p.root.attr("mem_peak_bytes").cloned())
@@ -745,4 +768,61 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
             "columnar {columnar}: ok {ok}, exceeded {exceeded}, degraded {degraded}"
         );
     }
+}
+
+/// The row-key join (the same MC query over a lake with a row directory)
+/// reserves its bitmap, rank, CSR and ordinals under `join_build` in one
+/// piece: there is no width to narrow, so a budget walk from 110 % of the
+/// row entry's peak down to 2 % ends every run `Ok` with the unbudgeted
+/// bytes or in a typed `MemoryExceeded` — at the build's own reservation
+/// somewhere in the walk — and leaves nothing reserved.
+#[test]
+fn row_key_join_walks_budgets_typed_and_drains() {
+    let (fact, sql) = mc_lake(false);
+    let unbounded = Arc::new(MemoryGovernor::unbounded());
+    let (want, report) = budgeted_engine(&fact, &unbounded)
+        .execute_with_report(sql)
+        .expect("unbudgeted run");
+    assert_eq!(want.len(), 24_000);
+    assert_eq!(join_path(&report), "rows");
+    assert!(report.hash_tables.is_empty(), "{:?}", report.hash_tables);
+    let peak = match report
+        .profile
+        .as_ref()
+        .and_then(|p| p.root.attr("mem_peak_bytes"))
+    {
+        Some(blend_obs::AttrValue::U64(peak)) => *peak as usize,
+        other => panic!("no mem_peak_bytes on the profile root: {other:?}"),
+    };
+
+    let (mut ok, mut at_build) = (0usize, 0usize);
+    for percent in [110usize, 80, 60, 40, 30, 20, 10, 5, 2] {
+        let budget = peak / 100 * percent;
+        let gov = Arc::new(MemoryGovernor::with_budget(budget));
+        match budgeted_engine(&fact, &gov).execute(sql) {
+            Ok(rs) => {
+                ok += 1;
+                assert_eq!(
+                    rs, want,
+                    "budget {budget}: diverged from the unbudgeted run"
+                );
+            }
+            Err(BlendError::MemoryExceeded(msg)) => {
+                at_build += usize::from(msg.starts_with("join_build"));
+            }
+            Err(other) => panic!("budget {budget}: untyped outcome {other}"),
+        }
+        assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
+        let stats = gov.stats();
+        assert_eq!(
+            stats.narrowed + stats.sequential_fallbacks,
+            0,
+            "no rung to walk"
+        );
+    }
+    assert!(ok > 0, "the unbudgeted peak must suffice");
+    assert!(
+        at_build > 0,
+        "no budget failed at the join build's reservation"
+    );
 }
