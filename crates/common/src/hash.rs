@@ -95,7 +95,7 @@ pub fn combine(a: u64, b: u64) -> u64 {
 
 /// A cheap deterministic 64→64 bit mixer (splitmix64 finalizer). Handy when a
 /// second independent hash of an already-hashed key is required, and the
-/// per-key hash of the flat join/group tables (one packed `u64` key per row,
+/// per-key hash of the executor's keyed phase (one packed `u64` key per row,
 /// no `Hasher` state to thread through).
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -106,7 +106,7 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 /// Mix a packed 128-bit key down to 64 well-distributed bits: the wide-key
-/// counterpart of [`mix64`] used by the flat join/group tables when 3–4 u32
+/// counterpart of [`mix64`] used by the executor's keyed phase when 3–4 u32
 /// key columns are packed into one `u128`. Both halves go through the
 /// splitmix finalizer so every input bit reaches every output bit.
 #[inline]

@@ -136,10 +136,10 @@ impl Profile {
     ///
     /// ```text
     /// query  [1.2ms]  (path=positional)
-    ///   ├─ scan:a  [310.0µs]  (rows=4000, partitions=4)
-    ///   ├─ join.build  [400.2µs]  (buckets=8192, max_chain=3)
-    ///   ├─ join.probe  [350.1µs]  (partitions=4)
-    ///   └─ group  [140.9µs]  (groups=20)
+    ///   ├─ scan:a  [310.0µs]  (scanned=4000, rows=4000)
+    ///   ├─ join.build  [400.2µs]  (rows=4000, path=hash, buckets=8192, max_chain=3, partitions=1)
+    ///   ├─ join.probe  [350.1µs]  (rows=5000, path=hash, matched=4200, skipped=800)
+    ///   └─ group  [140.9µs]  (rows=4200, path=hash, groups=20, partitions=1)
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();

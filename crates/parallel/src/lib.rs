@@ -129,16 +129,14 @@
 //! * [`memory`] — [`MemoryGovernor`] / [`QueryMemory`] /
 //!   [`MemoryReservation`], the byte budget and its RAII grants, plus
 //!   [`reserve_laddered`] (the width-scaled degradation ladder).
-//! * [`morsel`] — [`morselize`](morsel::morselize) (segment → morsel
-//!   splitting), [`split_even`](morsel::split_even) (row-count-balanced
-//!   contiguous ranges), and [`balanced_chunks`](morsel::balanced_chunks)
-//!   (greedy LPT bin-packing for unequal work items, used by the index
-//!   builder).
-//! * [`radix`] — [`radix_partition`](radix::radix_partition) (two-pass
-//!   counting sort grouping items by partition id, ascending within each
-//!   partition) and [`partition_count`](radix::partition_count) (the
-//!   worker-count → radix-fanout policy), used by the flat join/group
-//!   operators.
+//! * [`morsel`] — [`morselize`] (segment → morsel splitting),
+//!   [`split_even`] (row-count-balanced contiguous ranges), and
+//!   [`balanced_chunks`] (greedy LPT bin-packing for unequal work items,
+//!   used by the index builder).
+//! * [`radix`] — [`radix_partition`] (two-pass counting sort grouping
+//!   items by partition id, ascending within each partition) and
+//!   [`partition_count`] (the worker-count → radix-fanout policy), used by
+//!   the executor's keyed phase and join CSRs.
 //! * [`settings`] — `BLEND_THREADS` and `BLEND_MEMORY_BUDGET`, the only
 //!   environment the workspace reads, parsed in one function.
 

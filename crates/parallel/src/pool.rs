@@ -12,7 +12,7 @@
 //! expressions, position batches): the batch is bridged to the long-lived
 //! workers through a lifetime-erased job pointer, and `run` does not return
 //! until every worker that touched the batch has left it (a scoped handoff
-//! — see the safety notes on [`JobRef`]).
+//! — see the safety notes on `JobRef`).
 //!
 //! Inside a batch, workers claim task indices dynamically from a shared
 //! atomic cursor — morsel-driven scheduling — so unequal task costs balance

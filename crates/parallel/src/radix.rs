@@ -1,11 +1,12 @@
 //! Radix partitioning: counting-sort items into disjoint partitions.
 //!
-//! The flat join/group operators hand each pool worker a **disjoint key
-//! partition** (rows whose key hashes share the low partition bits), so
-//! per-worker hash tables never hold overlapping keys and the old
-//! merge-maps-in-chunk-order step disappears. The partition step itself is
-//! a two-pass counting sort — count occupancy, prefix-sum, scatter — the
-//! same idiom the flat join table uses for its buckets.
+//! The executor's keyed phase (GROUP BY and the join on packed keys) hands
+//! each pool worker a **disjoint key partition** (rows whose key hashes
+//! share the low partition bits), so per-worker indexes never hold
+//! overlapping keys and the old merge-maps-in-chunk-order step disappears.
+//! The partition step itself is a two-pass counting sort — count
+//! occupancy, prefix-sum, scatter — and the same pass lists each join key
+//! id's build rows.
 //!
 //! The invariant everything downstream leans on: within each partition,
 //! item indices come back **in ascending input order** (the scatter pass
@@ -29,6 +30,7 @@ impl RadixPartitions {
     }
 
     /// Item indices of partition `p`, in ascending input order.
+    #[inline]
     pub fn part(&self, p: usize) -> &[u32] {
         let lo = self.offsets[p] as usize;
         let hi = self.offsets[p + 1] as usize;
@@ -43,12 +45,6 @@ impl RadixPartitions {
     /// All item indices, grouped by partition.
     pub fn items(&self) -> &[u32] {
         &self.items
-    }
-
-    /// Decompose into `(offsets, items)` — for consumers that store the
-    /// CSR arrays directly (e.g. the flat join table's bucket layout).
-    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>) {
-        (self.offsets, self.items)
     }
 }
 
@@ -70,8 +66,12 @@ pub fn radix_partition(parts: &[u32], n_parts: usize) -> blend_common::Result<Ra
     // vector path — see `blend_simd::hist`), prefix-summed into offsets.
     let mut offsets = blend_common::try_zeroed_vec::<u32>(n_parts + 1, "radix_offsets")?;
     blend_simd::count_parts(parts, &mut offsets[1..]);
-    for p in 0..n_parts {
-        offsets[p + 1] += offsets[p];
+    // A running sum over the slice: an indexed `offsets[p + 1] +=
+    // offsets[p]` loop costs several times more on CSR-sized counts.
+    let mut start = 0;
+    for o in offsets.iter_mut() {
+        start += *o;
+        *o = start;
     }
     // Pass 2: scatter item indices; walking items in input order keeps each
     // partition's slice ascending (the shared kernel preserves exactly

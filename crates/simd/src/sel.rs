@@ -245,7 +245,7 @@ pub fn extend_range_scalar(
 /// Block-mask range filter over *positions*: the predicate sees the
 /// position itself (engines that must chase a pointer per candidate — the
 /// row store — use this form). Survivor blocks append through
-/// [`push_survivors`]; nothing is written for rejected candidates and no
+/// `push_survivors`; nothing is written for rejected candidates and no
 /// window is pre-zeroed.
 pub fn extend_range_blocks(
     sel: &mut Vec<u32>,
@@ -449,7 +449,7 @@ fn keep_mask_in8_sse2(vals: &[u32], n: &[u32; 8]) -> u64 {
 /// Portable SWAR form of [`keep_mask_in8`] (and the oracle the intrinsic
 /// paths are differentially tested against): every shift is a compile-time
 /// constant — eight hits land as 0/1 bytes in one `u64` and a single
-/// multiply ([`PACK8`]) packs them into the mask byte.
+/// multiply (`PACK8`) packs them into the mask byte.
 #[inline]
 pub fn keep_mask_in8_swar(vals: &[u32], n: &[u32; 8]) -> u64 {
     debug_assert!(vals.len() <= BLOCK);
@@ -512,7 +512,7 @@ pub fn extend_range_in8_scalar(
 }
 
 /// Block form of the small-IN-list range filter: [`keep_mask_in8`] per 64
-/// codes, survivors through [`push_survivors`]. See [`extend_range_in8`].
+/// codes, survivors through `push_survivors`. See [`extend_range_in8`].
 pub fn extend_range_in8_blocks(
     sel: &mut Vec<u32>,
     lo: usize,

@@ -2,16 +2,16 @@
 //!
 //! Every production entry runs the positional executor
 //! ([`crate::exec_positional`]). What stays here is the tuple-at-a-time
-//! interpreter it is checked against, [`execute_reference`]: it
+//! interpreter it is checked against, `execute_reference`: it
 //! materializes the six-column tuple of every position a scan keeps, joins
 //! and groups on `Vec<SqlValue>` keys, and sorts decorated rows —
 //! sequentially, with no span, no memory reservation and no interrupt poll.
 //! It is the parity suites' oracle (`SqlEngine::execute_reference`), not a
 //! path a query can take.
 //!
-//! `ORDER BY … LIMIT` has one implementation, [`select_top`], a bounded
+//! `ORDER BY … LIMIT` has one implementation, `select_top`, a bounded
 //! selection over row ordinals. The reference reaches it through
-//! [`finish_decorated`]; both tails of the positional executor call it over
+//! `finish_decorated`; both tails of the positional executor call it over
 //! flat columns, and build no row at all.
 
 use std::cmp::Ordering;
@@ -77,29 +77,31 @@ pub struct ParallelPhase {
     pub worker_nanos: Vec<u64>,
 }
 
-/// Flat hash-table telemetry for one join or GROUP BY phase of the
-/// positional executor (see `blend_sql::hashtable`): how the table was
-/// built and how healthy its key distribution is. Printed by the bench
-/// harness alongside [`memory_breakdown`].
+/// Hash-index telemetry for one keyed phase of the positional executor —
+/// a GROUP BY, or a join on packed keys (see `blend_sql::hashtable`): how
+/// its [`GroupIndex`](crate::hashtable::GroupIndex)es were built and how
+/// healthy the key distribution is. Row-keyed and interned joins build no
+/// index and record none. Printed by the bench harness alongside
+/// [`memory_breakdown`].
 ///
 /// [`memory_breakdown`]: blend_storage::FactTable::memory_breakdown
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashTableStats {
     /// Phase label: `"join"` or `"group"`.
     pub phase: String,
-    /// Wall-clock nanos spent building the flat structure. For joins this
-    /// covers radix partitioning plus the counting/scatter table builds
-    /// (probing is excluded — it is the separately-timed phase output).
-    /// For GROUP BY it covers the whole fused grouping phase: the
-    /// group-id index pass *and* the aggregate accumulation passes, which
-    /// have no separable "probe" side — so join and group nanos are not
-    /// directly comparable.
+    /// Wall-clock nanos of the keyed phase. For a join this is numbering
+    /// the build keys, radix partitioning included; listing each id's
+    /// build rows and probing are in the `join.build` / `join.probe` spans.
+    /// For GROUP BY it is the group-id pass *and* the aggregate
+    /// accumulation passes, which have no separable "probe" side — so join
+    /// and group nanos are not directly comparable.
     pub build_nanos: u64,
-    /// Total buckets (join) / index slots (group) across all radix
-    /// partitions.
+    /// Index slots across all radix partitions
+    /// ([`GroupIndex::slot_count`](crate::hashtable::GroupIndex::slot_count)).
     pub buckets: usize,
-    /// Fullest bucket run (join) / longest probe sequence (group) across
-    /// all radix partitions.
+    /// Longest probe sequence any insert walked, across all radix
+    /// partitions
+    /// ([`GroupIndex::max_probe`](crate::hashtable::GroupIndex::max_probe)).
     pub max_chain: usize,
     /// Radix partition count (1 = the sequential, unpartitioned path).
     pub partitions: usize,

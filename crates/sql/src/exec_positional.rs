@@ -16,36 +16,28 @@
 //! * scans emit compact `Vec<u32>` position lists — predicates run as
 //!   **batched filter kernels** straight against the [`FactTable`], no
 //!   tuple is built (see *Selection-vector scans* below);
-//! * the seeker self-joins (`q0.TableId = qN.TableId AND q0.RowId =
-//!   qN.RowId`) match **row ordinals** where the column store numbers its
-//!   rows: a bitmap over the ordinal space and a rank-keyed CSR, no hash
-//!   (see *Row-key joins* below);
-//! * every other equi-join is a **flat hash join**: 1–2 integer key
-//!   columns pack into a `u64` (3–4 into a `u128`) and probe a CSR
-//!   [`JoinTable`](crate::hashtable::JoinTable) built with two counting
-//!   passes — zero per-key allocations, one hash per row (see *Flat
-//!   join/group tables* below);
+//! * every equi-join runs on **dense key ids** — the seeker self-joins
+//!   (`q0.TableId = qN.TableId AND q0.RowId = qN.RowId`) on **row
+//!   ordinals**, with no hash (see *Joins on dense ids* below);
 //! * `GROUP BY` over integer fact columns maps packed keys to **dense
-//!   group ids** through an open-addressing
-//!   [`GroupIndex`](crate::hashtable::GroupIndex), with aggregate state in
-//!   struct-of-arrays vectors and `COUNT(DISTINCT CellValue)` counted by
-//!   per-group sort-unique over gathered dictionary codes (column store)
-//!   or dense string ids (row store) — never an owned `SqlValue`, never a
-//!   per-group hash set — except where the store's value → column index
-//!   already answers the query (the SC/KW seekers: see *Column-index
-//!   grouping* below);
+//!   group ids** through an open-addressing [`GroupIndex`], with
+//!   aggregate state in struct-of-arrays vectors and `COUNT(DISTINCT
+//!   CellValue)` counted by per-group sort-unique over gathered dictionary
+//!   codes (column store) or dense string ids (row store) — never an owned
+//!   `SqlValue`, never a per-group hash set — except where the store's
+//!   value → column index already answers the query (the SC/KW seekers:
+//!   see *Column-index grouping* below);
 //! * `ORDER BY … LIMIT k` runs over **flat columns**, on both tails (see
 //!   *Top-k before materialization* below);
-//! * no tail builds a `SqlValue` row. The output is
-//!   [`ResultColumns`](crate::columns::ResultColumns): integer fact columns
-//!   as `u32`, super keys as `u128`, `CellValue` as dictionary ids (the
-//!   column store's own codes, dense per-result ids on the row store), and
-//!   only computed or NULL-able expressions as `SqlValue`s. Rows are a view
-//!   a caller asks the engine for
+//! * no tail builds a `SqlValue` row. The output is [`ResultColumns`]:
+//!   integer fact columns as `u32`, super keys as `u128`, `CellValue` as
+//!   dictionary ids (the column store's own codes, dense per-result ids on
+//!   the row store), and only computed or NULL-able expressions as
+//!   `SqlValue`s. Rows are a view a caller asks the engine for
 //!   ([`ResultColumns::to_result_set`](crate::columns::ResultColumns::to_result_set),
 //!   the one place that builds them); the seekers never do.
 //!
-//! [`plan_positional`] compiles every plan the planner emits; what it
+//! `plan_positional` compiles every plan the planner emits; what it
 //! cannot compile is an executor bug and a typed `SqlExec` error. The
 //! parity suites (`exec_parity` and the rest) hold its results to the
 //! reference's, byte for byte; [`QueryReport::path`] says `positional`.
@@ -57,12 +49,12 @@
 //! `Quadrant`, `SuperKey`, an expression, five keys or more — is compiled as
 //! positional expressions and *interned*: each row's key tuple is evaluated
 //! once and mapped through one `FxHashMap<Vec<SqlValue>, u32>` per operator
-//! to a dense id, and that single id column runs through the same packing,
-//! [`JoinTable`](crate::hashtable::JoinTable) and
-//! [`GroupIndex`](crate::hashtable::GroupIndex) as any packed key. The
-//! semantics are the reference's: the join's build side assigns ids and the
-//! probe side only looks up; a join key tuple holding NULL never matches
-//! (build and probe get two different out-of-range ids); GROUP BY groups by
+//! to a dense id. A GROUP BY runs that single id column through the same
+//! keyed phase as a packed key; a join uses the ids as they are, with
+//! nothing packed or hashed (*Joins on dense ids*). The semantics are the
+//! reference's: the join's build side assigns ids and the probe side only
+//! looks up; a join key tuple holding NULL never matches (its build rows go
+//! to a list no probe names, its probe rows find no id); GROUP BY groups by
 //! `SqlValue`'s `Eq` — NULL with NULL, `Int(1)` with `Float(1.0)` — and an
 //! interned key's output is its expressions evaluated at the group's
 //! first-seen row. The map is charged to the `key_intern` site as it grows,
@@ -72,13 +64,12 @@
 //! ## Selection-vector scans
 //!
 //! The planner hands every scan two things, and both executors use them
-//! as they are: the scan's cheap predicates as one
-//! [`FilterKernel`](blend_storage::FilterKernel) (`ScanPlan::kernel`:
-//! `CellValue IN` as dictionary codes on the column store, `TableId IN /
-//! NOT IN` as sorted slices or dense bitmaps), and its visit order as
-//! `ScanPlan::segments` — the driving values' postings, the driving tables'
-//! ranges, or the whole table. The scan cuts the segments into morsels and
-//! filters each through `ScanPlan::filter`, i.e. the engine's
+//! as they are: the scan's cheap predicates as one [`FilterKernel`]
+//! (`ScanPlan::kernel`: `CellValue IN` as dictionary codes on the column
+//! store, `TableId IN / NOT IN` as sorted slices or dense bitmaps), and its
+//! visit order as `ScanPlan::segments` — the driving values' postings, the
+//! driving tables' ranges, or the whole table. The scan cuts the segments
+//! into morsels and filters each through `ScanPlan::filter`, i.e. the engine's
 //! [`FactTable::filter_batch`] (postings) or [`FactTable::filter_range`]
 //! (ranges), which write survivors into a **selection vector** with
 //! branch-free compaction passes — the column store indexes its contiguous
@@ -89,35 +80,52 @@
 //! so parallel scans reuse selection-vector capacity across every morsel a
 //! worker claims instead of allocating per morsel.
 //!
-//! ## Flat join/group tables
+//! ## Flat group tables
 //!
-//! Join and GROUP BY used to pay one `FxHashMap` operation per row — the
-//! join built `FxHashMap<u64, Vec<u32>>` (a heap `Vec` per distinct key),
-//! grouping kept an `FxHashSet` per group for distinct counting. Both
-//! phases now run on the flat operators in [`crate::hashtable`]:
+//! GROUP BY runs the **keyed phase** (`keyed`), which joins on packed keys
+//! share: admission, the memory ladder, radix partitioning by key hash, and
+//! per partition one [`GroupIndex`] (open addressing, linear probing) that
+//! assigns dense ids in first-seen order, rows upserting a [`PROBE_BLOCK`]
+//! at a time (hashed by [`JoinKey::hash_block`], the only code that looks
+//! at SIMD dispatch; slots prefetched once the index outgrows cache). Per
+//! partition GROUP BY then runs `aggregate`, column-at-a-time over `(row,
+//! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
+//! ...)` by radix-grouping the gathered code column by group id and
+//! sort-uniquing each group's run, any other aggregate in the reference's
+//! `AggState`. A global (ungrouped) aggregate is the zero-key case: one
+//! group, which exists even over zero input rows. Each keyed phase records
+//! [`HashTableStats`] in [`QueryReport::hash_tables`].
 //!
-//! * **Join** — build-side keys pack once into a contiguous array; a
-//!   [`JoinTable`](crate::hashtable::JoinTable) (CSR bucket runs over a
-//!   power-of-two bucket array, two counting passes) serves match runs in
-//!   ascending build-row order. The probe loop hashes each packed probe
-//!   key once and walks one bucket run.
-//! * **GROUP BY** — a [`GroupIndex`](crate::hashtable::GroupIndex)
-//!   (open addressing, linear probing) assigns dense group ids in
-//!   first-seen order; aggregates then run column-at-a-time over
-//!   `(row, group id)` pairs into flat vectors — counts in `Vec<i64>`,
-//!   `COUNT(DISTINCT ...)` by radix-grouping the gathered code column by
-//!   group id and sort-uniquing each group's contiguous run, and every
-//!   other aggregate (SUM, AVG, MIN, MAX) in the [`AggState`] the reference
-//!   folds with. A global (ungrouped) aggregate is the zero-key case:
-//!   one group, which exists even over zero input rows.
+//! ## Joins on dense ids
 //!
-//! Both loops hash a [`PROBE_BLOCK`] of keys at a time through
-//! [`JoinKey::hash_block`] and prefetch the block's destinations before
-//! walking them. Only the hash kernel looks at SIMD dispatch; the loops
-//! run the same way on either path.
+//! Every equi-join numbers its build side's distinct keys `0..n`, lists
+//! each id's build rows in one CSR (`radix_partition` over the per-row ids,
+//! so each list ascends), and maps each probe row, a [`PROBE_BLOCK`] at a
+//! time, to an id or "no match" and walks that id's list. The ids come from:
 //!
-//! Each build records [`HashTableStats`] (build nanos, bucket count, max
-//! chain, radix partition count) in [`QueryReport::hash_tables`].
+//! * **the row directory** on row-keyed joins (*Row-key joins* below): the
+//!   build ordinals set bits in a bitmap over the ordinal space, and an
+//!   ordinal's id is its rank (a per-word prefix); no key is hashed;
+//! * **the keyed phase** on packed keys, with nothing run per partition:
+//!   its indexes hold every build key, so they never grow, and a
+//!   partition's ids are offset past those before it. The probe hashes a
+//!   block of packed keys and looks each up in its partition's index
+//!   ([`GroupIndex::get_hashed`]);
+//! * **the interner** on interned keys, whose ids are dense already:
+//!   nothing is packed or hashed, and build rows whose key holds NULL go to
+//!   one list past the last id, which no probe names.
+//!
+//! Build-side choice (the smaller input), the residual, probe order and
+//! ascending build matches are the reference's `hash_join`, so the bytes
+//! are its; partitioned builds are partition-count-invariant. One probe
+//! loop (`Joiner::probe_ids`) serves all three, split evenly over the pool
+//! under an admission grant (the `join-probe` [`ParallelPhase`]) and
+//! concatenated in order. Spans `join.build` / `join.probe` say `path`
+//! `rows` or `hash` (packed and interned keys); a rows build adds
+//! `ordinals`, a packed build `buckets`, `max_chain` and `partitions`, and
+//! every probe `matched` and `skipped` (rows whose lookup found no id).
+//! Keys are gathered and packed, or interned, inside the span of their
+//! side. Only a packed join records [`HashTableStats`] (phase `join`).
 //!
 //! ## Row-key joins
 //!
@@ -134,31 +142,7 @@
 //! `ColumnId`), both leaves scan the same table `Arc`, and that table has
 //! a directory. Every MC arity qualifies (each join keys `q0` against
 //! `qN`), and so does C. The row store, a column store whose space would
-//! exceed its cells (a huge `RowId`), and every other join keep the hash
-//! path.
-//!
-//! `join_rows` keeps the hash path's build-side choice, residual and output
-//! order — probe order, each probe row's build matches ascending — so the
-//! bytes are the reference's:
-//!
-//! * **build** — gather the build leaf's ordinals, set them in a bitmap over
-//!   the space, and keep a per-word rank prefix, which numbers the distinct
-//!   ordinals densely; then place the build rows in a
-//!   [`Csr`](blend_storage::Csr) keyed by rank, in ascending build-row
-//!   order, with the two counting passes of
-//!   [`CsrBuilder`](blend_storage::CsrBuilder). The bitmap, ranks, CSR and
-//!   ordinals are reserved in one piece under `join_build` before any is
-//!   allocated; nothing depends on a width, so there is no ladder rung;
-//! * **probe** — a [`PROBE_BLOCK`] of probe rows at a time, gather the
-//!   block's ordinals, test each one's bit and walk the run at its rank. The
-//!   probe shares `probe_phase` with the hash path: admission, even chunks
-//!   concatenated in order, interrupt polling, the `join-probe`
-//!   [`ParallelPhase`].
-//!
-//! The spans keep their names, `join.build` and `join.probe`, with `path`
-//! (`rows` | `hash`); a row-key build adds `ordinals` (distinct build
-//! ordinals) and its probe `skipped` (probe rows the bitmap rejected). The
-//! row-key path records no [`HashTableStats`].
+//! exceed its cells (a huge `RowId`), and every other join hash.
 //!
 //! ## Column-index grouping
 //!
@@ -191,7 +175,7 @@
 //! `COUNT(*)` beside the distinct count, `ColumnId` or `RowId` keys — takes
 //! the hash path.
 //!
-//! The output is the hash path's [`GroupCols`], with a group's first touch
+//! The output is the hash path's `GroupCols`, with a group's first touch
 //! as a running ordinal of the entries kept. Each kept entry stands for
 //! the contiguous postings of one value in one run, in the order the
 //! value-index scan would have emitted them, so that ordinal is monotone
@@ -211,7 +195,7 @@
 //! columns (`Vec<i64>` for counts and distinct counts, `Vec<SqlValue>` for
 //! the rest) — no tuple per group. `finish_groups` orders group *ordinals*
 //! with the one selection routine both executors share
-//! ([`exec::select_top`]: `select_nth_unstable` then a sort of the k
+//! (`exec::select_top`: `select_nth_unstable` then a sort of the k
 //! survivors; a full sort without LIMIT), comparing plain key and
 //! aggregate references straight off the columns (as integers where they
 //! are counts or keys), and evaluates the projection for the survivors
@@ -259,13 +243,13 @@
 //!
 //! * scans split postings/table ranges into morsels and concatenate the
 //!   per-morsel position lists in morsel order;
-//! * hash joins **radix-partition the build side by key hash** (low hash bits;
-//!   see `blend_parallel::radix`), so each worker builds a flat table over
-//!   a disjoint key set and no merge is needed — a key's whole match list
-//!   lives in one partition, ascending because partition scatter preserves
-//!   input order (a row-key join builds on the query's thread). On both
-//!   paths the probe side is chunked in row order and emitted in chunk
-//!   order;
+//! * joins on packed keys run the keyed phase on their build side, which
+//!   **radix-partitions it by key hash** (low hash bits; see
+//!   `blend_parallel::radix`), so each worker numbers a disjoint key set
+//!   and no merge is needed — a key's whole list lives in one partition,
+//!   ascending because partition scatter preserves input order (row-keyed
+//!   and interned joins build on the query's thread). Every join's probe
+//!   side is chunked in row order and emitted in chunk order;
 //! * GROUP BY on the hash path radix-partitions rows by group-key hash
 //!   (column-index grouping stays on the query's thread), so each worker owns
 //!   its groups outright: every group's aggregate state sees **exactly the
@@ -293,22 +277,25 @@
 //! `blend_parallel::memory` crate docs for the reservation protocol and
 //! degradation ladder):
 //!
-//! * each intermediate [`PosBatch`] **carries the reservation covering its
+//! * each intermediate `PosBatch` **carries the reservation covering its
 //!   position data** — consuming a batch (a join input, a filtered
 //!   rebuild) or abandoning it on an error drops the reservation with it,
 //!   so accounting follows batch lifetime with no explicit release;
-//! * the hash join build and group index reserve through
-//!   [`blend_parallel::reserve_laddered`] with a width-parameterized cost
-//!   (`JoinTable::estimate_bytes` / `GroupIndex::estimate_bytes` plus
-//!   radix scratch): on failure the phase retries at half width, then
-//!   sequentially, and the chosen width feeds the partition math — the
+//! * the keyed phase reserves through
+//!   [`blend_parallel::reserve_laddered`] with a width-parameterized cost:
+//!   packed keys, per-row ids, the indexes
+//!   ([`GroupIndex::estimate_bytes`] — a join's sized for every build key
+//!   being distinct, a GROUP BY's at its initial size, its growth charged
+//!   as it happens) and a join's CSR, plus radix scratch on partitions. On
+//!   failure the phase retries at half width, then sequentially, and the
+//!   chosen width feeds the partition math — the
 //!   byte-identical-across-widths contract above is what makes ladder
 //!   narrowing invisible in results;
-//! * column-index grouping and the row-key join build have no width to
-//!   narrow: they reserve their counters and group slots
-//!   (`group_columns`), or bitmap, ranks, CSR and ordinals (`join_rows`),
-//!   up front, and a failed reservation resolves `MemoryExceeded` like any
-//!   other;
+//! * column-index grouping, the row-key join build and the interned join
+//!   build have no width to narrow: they reserve their counters and group
+//!   slots (`group_columns`), bitmap, ranks, ordinals and CSR
+//!   (`join_rows`), or ids and CSR (interned keys) up front, and a failed
+//!   reservation resolves `MemoryExceeded` like any other;
 //! * scratch (per-worker selection vectors, radix arrays, gathered key and
 //!   aggregate columns, the top-k histogram and tie band: `sort_scratch`)
 //!   and outputs — the flat group columns
@@ -321,18 +308,20 @@
 //!   machinery discards partials via `Drop`.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use blend_common::{FxHashMap, FxHashSet};
+use blend_obs::SpanGuard;
 use blend_parallel::{
     morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
-    Interrupt, MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
+    MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
 };
-use blend_storage::{CsrBuilder, FactTable, FilterKernel, ScanScratch, ValuePred};
+use blend_storage::{FactTable, FilterKernel, ScanScratch, ValuePred};
 
 use crate::exec::HashTableStats;
-use crate::hashtable::{GroupIndex, JoinKey, JoinTable, PROBE_BLOCK};
+use crate::hashtable::{GroupIndex, JoinKey, PROBE_BLOCK};
 
 use crate::ast::{AggFunc, BinOp, UnaryOp};
 use crate::columns::{ResultColumn, ResultColumns, TextColumn};
@@ -348,9 +337,9 @@ use blend_common::{BlendError, Result};
 /// Width of the canonical fact tuple.
 const FACT_WIDTH: usize = 6;
 
-/// Slot-count floor below which the group upsert skips slot prefetching:
-/// a table this small lives in cache already, so the prefetch would be
-/// pure overhead.
+/// Slot-count floor below which the keyed phase's upserts and a join's
+/// lookups skip slot prefetching: an index this small lives in cache
+/// already, so the prefetch would be pure overhead.
 const PREFETCH_MIN_SLOTS: usize = 1 << 14;
 
 /// The three u32-valued fact columns usable as join/group keys.
@@ -1301,17 +1290,16 @@ enum Intern {
     /// GROUP BY: every tuple gets an id; NULL is a value like any other.
     Group,
     /// A join's build side: new tuples get ids, one holding NULL gets
-    /// [`BUILD_NULL`].
+    /// [`NO_MATCH`] (the join lists those rows past the last id).
     Build,
     /// A join's probe side: lookups only; a tuple holding NULL, or one the
-    /// build side never saw, gets [`PROBE_MISS`].
+    /// build side never saw, gets [`NO_MATCH`].
     Probe,
 }
 
-/// Out-of-range ids of join key tuples that match nothing. Build and probe
-/// get different ones, so a NULL key never meets another.
-const BUILD_NULL: u32 = u32::MAX;
-const PROBE_MISS: u32 = u32::MAX - 1;
+/// The interned id of a join key tuple that matches nothing: one holding
+/// NULL, or a probe tuple the build side never saw.
+const NO_MATCH: u32 = u32::MAX;
 
 /// Dense `u32` ids for the key tuples of one join or GROUP BY whose keys do
 /// not pack (module docs, *Interned keys*): one map per operator, which
@@ -1360,12 +1348,11 @@ impl<'a> Interner<'a> {
             let null = key.iter().any(SqlValue::is_null);
             let next = self.ids.len() as u32;
             out.push(match mode {
-                Intern::Build if null => BUILD_NULL,
-                Intern::Probe if null => PROBE_MISS,
-                Intern::Probe => self.ids.get(&key).copied().unwrap_or(PROBE_MISS),
+                Intern::Build | Intern::Probe if null => NO_MATCH,
+                Intern::Probe => self.ids.get(&key).copied().unwrap_or(NO_MATCH),
                 Intern::Group | Intern::Build => match self.ids.entry(key) {
                     Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(_) if next >= PROBE_MISS => {
+                    Entry::Vacant(_) if next == NO_MATCH => {
                         return Err(executor_bug("more distinct keys than ids"))
                     }
                     Entry::Vacant(e) => {
@@ -1386,19 +1373,11 @@ impl<'a> Interner<'a> {
     }
 }
 
-/// Positional equi-join: a row-keyed join matches row ordinals through
-/// [`join_rows`], any other joins packed `u64`/`u128` keys (or an interned
-/// key's id) through the flat [`JoinTable`] in [`join_flat`]. Build/probe
-/// side selection and output row order mirror the reference's `hash_join`
-/// on both paths, so the two executors produce byte-identical results.
-///
-/// On large inputs the hash path's build side is **radix-partitioned by key
-/// hash** (low hash bits), so each pool worker builds a flat table over a
-/// disjoint key set — no partial-map merge exists; a key's whole match run
-/// lives in one partition and stays ascending because partition scatter
-/// preserves input order. On both paths the probe side is chunked in row
-/// order with outputs concatenated in chunk order — the sequential probe
-/// order ([`probe_phase`]).
+/// Positional equi-join on dense key ids (module docs, *Joins on dense
+/// ids*): the row directory's ranks ([`join_rows`]), the keyed phase's ids
+/// ([`join_packed`]) or the interner's number the build keys, and
+/// [`Joiner::probe_ids`] lists and probes them. Build-side choice and
+/// output order mirror the reference's `hash_join`, so the bytes are its.
 #[allow(clippy::too_many_arguments)]
 fn exec_join(
     left: PosBatch,
@@ -1429,68 +1408,73 @@ fn exec_join(
         residual,
         tables,
     };
+    let build_span = blend_obs::span("join.build");
+    build_span.attr_u64("rows", build.len() as u64);
+    build_span.attr_str("path", if row_key.is_some() { "rows" } else { "hash" });
 
-    let (out, n_out) = if let Some((l, r)) = row_key {
-        let (build_leaf, probe_leaf) = if build_left { (l, r) } else { (r, l) };
-        join_rows(
-            &joiner,
-            build_leaf - build_base,
-            probe_leaf - probe_base,
-            tables[l],
-            report,
-            par,
-        )?
-    } else {
-        // Key columns for one side: packed keys gathered in bulk (one
-        // virtual dispatch per column, not per row; positions extracted
-        // once per leaf), interned keys as one id column through a map both
-        // sides share.
-        let (build_keys, probe_keys) = match keys {
-            Keys::Packed(cols) => {
-                let side_keys = |batch: &PosBatch, side_base: usize, on_left: bool| {
-                    let mut cache = ColCache::new(batch);
-                    cols.iter()
-                        .map(|&(lk, rk)| {
-                            let (leaf, col) = if on_left { lk } else { rk };
-                            let mut vals = Vec::with_capacity(batch.len());
-                            col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
-                            vals
-                        })
-                        .collect::<Vec<_>>()
+    let (out, n_out) = match (row_key, keys) {
+        (Some((l, r)), _) => {
+            let (build_leaf, probe_leaf) = if build_left { (l, r) } else { (r, l) };
+            let leaves = (build_leaf - build_base, probe_leaf - probe_base);
+            join_rows(&joiner, build_span, leaves, tables[l], report, par)?
+        }
+        (None, Keys::Packed(cols)) => {
+            // One side's key columns (`true`: the build side's), gathered in
+            // bulk: one virtual dispatch per column, not per row, and
+            // positions extracted once per leaf.
+            let side_cols = |on_build: bool| {
+                let (batch, side_base) = if on_build {
+                    (build, build_base)
+                } else {
+                    (probe, probe_base)
                 };
-                let build_keys = side_keys(build, build_base, build_left);
-                (build_keys, side_keys(probe, probe_base, !build_left))
+                let mut cache = ColCache::new(batch);
+                (cols.iter())
+                    .map(|&(lk, rk)| {
+                        let (leaf, col) = if on_build == build_left { lk } else { rk };
+                        let mut vals = Vec::with_capacity(batch.len());
+                        col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
+                        vals
+                    })
+                    .collect::<Vec<_>>()
+            };
+            // Monomorphize on packed key width: u64 covers 1–2 key columns,
+            // u128 covers 3–4.
+            if cols.len() <= 2 {
+                join_packed(&joiner, build_span, side_cols, pack_rows64, report, par)?
+            } else {
+                join_packed(&joiner, build_span, side_cols, pack_rows128, report, par)?
             }
-            Keys::Interned(exprs) => {
-                let side = |on_left: bool| -> Vec<&PExpr> {
-                    (exprs.iter())
-                        .map(|(l, r)| if on_left { l } else { r })
-                        .collect()
+        }
+        (None, Keys::Interned(exprs)) => {
+            // The interner's ids are dense already: nothing to pack or hash.
+            let side = |on_left: bool| -> Vec<&PExpr> {
+                (exprs.iter())
+                    .map(|(l, r)| if on_left { l } else { r })
+                    .collect()
+            };
+            // The build ids and the CSR: at most a list per build row, and
+            // one past the last id for rows whose key holds NULL, which no
+            // probe names.
+            let n_build = build.len();
+            let bytes = n_build * 4 + radix_scratch_bytes(n_build, n_build + 1);
+            let _build_mem = par.memory().try_reserve("join_build", bytes)?;
+            let mut interner = Interner::new(tables, par)?;
+            let mut ids = interner.ids(Intern::Build, &side(build_left), build, build_base)?;
+            let n_ids = interner.ids.len();
+            for id in ids.iter_mut().filter(|id| **id == NO_MATCH) {
+                *id = n_ids as u32;
+            }
+            let _probe_mem = par.memory().try_reserve("join_keys", probe.len() * 4)?;
+            let lookup = || {
+                let ids = interner.ids(Intern::Probe, &side(!build_left), probe, probe_base)?;
+                let hits_of = move |range: Range<usize>, _: &mut Vec<u32>, hits: &mut Hits| {
+                    let found = range.map(|pi| (pi as u32, ids[pi]));
+                    hits.extend(found.filter(|&(_, id)| id != NO_MATCH))
                 };
-                let mut ids = Interner::new(tables, par)?;
-                let build_ids = ids.ids(Intern::Build, &side(build_left), build, build_base)?;
-                let probe_ids = ids.ids(Intern::Probe, &side(!build_left), probe, probe_base)?;
-                (vec![build_ids], vec![probe_ids])
-            }
-        };
-        // Monomorphize on packed key width: u64 covers 1–2 key columns,
-        // u128 covers 3–4.
-        if build_keys.len() <= 2 {
-            join_flat(
-                &joiner,
-                &pack_rows64(&build_keys, build.len()),
-                &pack_rows64(&probe_keys, probe.len()),
-                report,
-                par,
-            )?
-        } else {
-            join_flat(
-                &joiner,
-                &pack_rows128(&build_keys, build.len()),
-                &pack_rows128(&probe_keys, probe.len()),
-                report,
-                par,
-            )?
+                Ok(hits_of)
+            };
+            joiner.probe_ids(build_span, (ids, n_ids + 1), "hash", lookup, report, par)?
         }
     };
     let stride = left.stride + right.stride;
@@ -1506,7 +1490,7 @@ fn exec_join(
 }
 
 /// The two sides of one join and what turns a (build row, probe row)
-/// match into an output row — shared by both join paths.
+/// match into an output row.
 struct Joiner<'a> {
     build: &'a PosBatch,
     probe: &'a PosBatch,
@@ -1533,10 +1517,87 @@ impl Joiner<'_> {
         }
         out.n += 1;
     }
+
+    /// The end of every join's build and its one probe loop: one CSR lists
+    /// each id's build rows (`ids`: each build row's id, below `n_ids`), then
+    /// `lookup` runs inside `join.probe` and maps blocks of probe rows to their
+    /// [`Hits`] (with a scratch buffer to gather into), and each hit walks its
+    /// id's list. Under an admission grant the probe rows split evenly over the
+    /// pool (`join-probe`) and the chunks concatenate in order, the sequential
+    /// probe order.
+    fn probe_ids<L: Fn(Range<usize>, &mut Vec<u32>, &mut Hits) + Sync>(
+        &self,
+        build_span: SpanGuard,
+        (ids, n_ids): (Vec<u32>, usize),
+        path: &'static str,
+        lookup: impl FnOnce() -> Result<L>,
+        report: &mut QueryReport,
+        par: &ParallelCtx,
+    ) -> Result<(Vec<u32>, usize)> {
+        let lists = radix_partition(&ids, n_ids)?;
+        drop(ids);
+        par.check_interrupt()?;
+        drop(build_span);
+
+        let n_probe = self.probe.len();
+        let span = blend_obs::span("join.probe");
+        span.attr_u64("rows", n_probe as u64);
+        span.attr_str("path", path);
+        let lookup = lookup()?;
+        let intr = par.interrupt();
+        let chunk = |range: Range<usize>| {
+            let mut out = Probed::default();
+            let (mut scratch, mut hits) = (Vec::new(), Vec::with_capacity(PROBE_BLOCK));
+            for start in range.clone().step_by(PROBE_BLOCK) {
+                if poll_every(start - range.start) && intr.is_set() {
+                    break;
+                }
+                let end = (start + PROBE_BLOCK).min(range.end);
+                hits.clear();
+                lookup(start..end, &mut scratch, &mut hits);
+                out.skipped += end - start - hits.len();
+                for &(pi, id) in &hits {
+                    for &bi in lists.part(id as usize) {
+                        self.emit(bi as usize, pi as usize, &mut out);
+                    }
+                }
+            }
+            out
+        };
+        let probed = match par.admit(n_probe) {
+            None => chunk(0..n_probe),
+            Some(grant) => {
+                let chunks = split_even(n_probe, grant.granted());
+                let run = grant
+                    .pool()
+                    .run(chunks.len(), |ci| chunk(chunks[ci].clone()));
+                report.parallel.push(ParallelPhase {
+                    phase: "join-probe".to_string(),
+                    partitions: chunks.len(),
+                    granted: grant.granted(),
+                    worker_nanos: run.worker_nanos,
+                });
+                let mut all = Probed {
+                    rows: Vec::with_capacity(run.results.iter().map(|p| p.rows.len()).sum()),
+                    ..Probed::default()
+                };
+                for part in run.results {
+                    all.rows.extend_from_slice(&part.rows);
+                    all.n += part.n;
+                    all.skipped += part.skipped;
+                }
+                all
+            }
+        };
+        par.check_interrupt()?;
+        span.attr_u64("matched", probed.n as u64);
+        span.attr_u64("skipped", probed.skipped as u64);
+        Ok((probed.rows, probed.n))
+    }
 }
 
 /// What a probe produced: joined rows stored flat, their count, and the
-/// probe rows the row-key bitmap rejected without a lookup.
+/// probe rows whose key had no id.
 #[derive(Default)]
 struct Probed {
     rows: Vec<u32>,
@@ -1544,82 +1605,41 @@ struct Probed {
     skipped: usize,
 }
 
-/// The probe phase both join paths share: `chunk` probes a range of probe
-/// rows in order (polling the interrupt itself); with an admission grant
-/// the rows split evenly across the pool as the `join-probe` phase and the
-/// chunks concatenate in order — the sequential probe order — else one
-/// chunk runs on the query's thread.
-fn probe_phase(
-    n_probe: usize,
-    report: &mut QueryReport,
-    par: &ParallelCtx,
-    chunk: impl Fn(std::ops::Range<usize>) -> Probed + Sync,
-) -> Result<Probed> {
-    let Some(grant) = par.admit(n_probe) else {
-        let probed = chunk(0..n_probe);
-        par.check_interrupt()?;
-        return Ok(probed);
-    };
-    let chunks = split_even(n_probe, grant.granted());
-    let run = grant
-        .pool()
-        .run(chunks.len(), |ci| chunk(chunks[ci].clone()));
-    report.parallel.push(ParallelPhase {
-        phase: "join-probe".to_string(),
-        partitions: chunks.len(),
-        granted: grant.granted(),
-        worker_nanos: run.worker_nanos,
-    });
-    par.check_interrupt()?;
-    let mut all = Probed {
-        rows: Vec::with_capacity(run.results.iter().map(|p| p.rows.len()).sum()),
-        ..Probed::default()
-    };
-    for part in run.results {
-        all.rows.extend_from_slice(&part.rows);
-        all.n += part.n;
-        all.skipped += part.skipped;
-    }
-    Ok(all)
-}
+/// A block's probe rows whose key has an id, as (probe row, id) pairs in
+/// probe order; the rows left out are the block's `skipped`.
+type Hits = Vec<(u32, u32)>;
 
-/// The row-key join (module docs, *Row-key joins*): build and probe rows
-/// meet on the row ordinal of one leaf per side (`build_leaf` and
-/// `probe_leaf`, subtree-local) in the row directory of `table`. The build
-/// side's ordinals set bits in a bitmap over the ordinal space, a per-word
-/// rank prefix numbers the distinct ones densely, and a
-/// [`Csr`](blend_storage::Csr) keyed by rank lists each ordinal's build rows
-/// ascending; a probe row tests its ordinal's bit and walks the run at its
-/// rank. No key is hashed, and the output is [`join_flat`]'s row for row.
+/// The row-key join: build and probe rows meet on the row ordinal of one
+/// leaf per side (`leaves`: build leaf, probe leaf, subtree-local) in the
+/// row directory of `table`, and a build ordinal's id is its rank in a
+/// bitmap over the ordinal space. On the query's thread, under one
+/// reservation.
 fn join_rows(
     joiner: &Joiner<'_>,
-    build_leaf: usize,
-    probe_leaf: usize,
+    build_span: SpanGuard,
+    (build_leaf, probe_leaf): (usize, usize),
     table: &dyn FactTable,
     report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<(Vec<u32>, usize)> {
     let (build, probe) = (joiner.build, joiner.probe);
     let n_build = build.len();
-    let build_span = blend_obs::span("join.build");
-    build_span.attr_u64("rows", n_build as u64);
-    build_span.attr_str("path", "rows");
     let space = table
         .row_ordinals(&[], &mut Vec::new())
         .ok_or_else(|| executor_bug("row-keyed join over a table without a row directory"))?;
     let words = space.div_ceil(64);
-    // Bitmap and rank prefix, the CSR's offsets (at most one list per build
-    // row) and items, the build ordinals, and the build leaf's positions
-    // where a wider batch copies them out — all of it priced before any is
-    // allocated. Nothing here depends on a width, so there is no ladder.
+    // Bitmap and rank prefix, the build ordinals (then ids), the build
+    // leaf's positions where a wider batch copies them out, and the CSR —
+    // all of it priced before any is allocated; the probe leaf's positions
+    // under `join_keys`.
     let _build_mem = par.memory().try_reserve(
         "join_build",
-        words * 12 + (n_build.min(space) + 1) * 4 + n_build * 12,
+        words * 12 + n_build * 8 + radix_scratch_bytes(n_build, n_build.min(space)),
     )?;
-    let mut ordinals = Vec::with_capacity(n_build);
-    table.row_ordinals(ColCache::new(build).positions(build_leaf), &mut ordinals);
+    let mut ids = Vec::with_capacity(n_build);
+    table.row_ordinals(ColCache::new(build).positions(build_leaf), &mut ids);
     let mut bits = vec![0u64; words];
-    for &o in &ordinals {
+    for &o in &ids {
         bits[o as usize >> 6] |= 1 << (o & 63);
     }
     let mut rank = Vec::with_capacity(words);
@@ -1628,217 +1648,108 @@ fn join_rows(
         rank.push(distinct);
         distinct += w.count_ones();
     }
-    // Rank of ordinal `o` whose bit is set in word `w`.
+    // The rank of ordinal `o`, whose bit word is `w`: its id.
     let rank_of = |o: u32, w: u64| rank[o as usize >> 6] + (w & ((1 << (o & 63)) - 1)).count_ones();
-    // Each build row's ordinal becomes its rank, i.e. its CSR list.
-    let mut runs = CsrBuilder::new(distinct as usize);
-    for o in ordinals.iter_mut() {
-        *o = rank_of(*o, bits[*o as usize >> 6]);
-        runs.count(*o);
-    }
-    runs.start_placing();
-    for (i, &r) in ordinals.iter().enumerate() {
-        runs.place(r, i as u32);
-    }
-    let runs = runs.finish();
-    drop(ordinals);
-    par.check_interrupt()?;
+    ids.iter_mut()
+        .for_each(|o| *o = rank_of(*o, bits[*o as usize >> 6]));
     build_span.attr_u64("ordinals", distinct as u64);
-    drop(build_span);
-
-    let probe_span = blend_obs::span("join.probe");
-    probe_span.attr_u64("rows", probe.len() as u64);
-    probe_span.attr_str("path", "rows");
-    let intr = par.interrupt();
-    // Probe rows go a [`PROBE_BLOCK`] at a time: the block's positions of
-    // the probe leaf (borrowed from a one-leaf batch), then their ordinals
-    // in one gather.
-    let probed = probe_phase(probe.len(), report, par, |range| {
-        let mut out = Probed::default();
-        let mut strided = Vec::with_capacity(PROBE_BLOCK);
-        let mut block = Vec::with_capacity(PROBE_BLOCK);
-        for start in range.clone().step_by(PROBE_BLOCK) {
-            if intr.is_set() {
-                break;
-            }
-            let end = (start + PROBE_BLOCK).min(range.end);
-            let positions = if probe.stride == 1 {
-                &probe.data[start..end]
-            } else {
-                strided.clear();
-                strided.extend((start..end).map(|i| probe.row(i)[probe_leaf]));
-                &strided[..]
-            };
-            block.clear();
-            table.row_ordinals(positions, &mut block);
-            for (pi, &o) in (start..end).zip(&block) {
+    // The probe leaf's positions (borrowed from a one-leaf batch), then a
+    // block's ordinals in one gather; an ordinal whose bit is set hits.
+    let _probe_mem = par.memory().try_reserve("join_keys", probe.len() * 4)?;
+    let lookup = || {
+        let positions = match probe.stride {
+            1 => Cow::Borrowed(&probe.data[..]),
+            _ => Cow::Owned(probe.col(probe_leaf)),
+        };
+        let hits_of = move |range: Range<usize>, ords: &mut Vec<u32>, hits: &mut Hits| {
+            ords.clear();
+            table.row_ordinals(&positions[range.clone()], ords);
+            for (pi, &o) in range.zip(ords.iter()) {
                 let w = bits[o as usize >> 6];
-                if w & (1 << (o & 63)) == 0 {
-                    out.skipped += 1;
-                    continue;
-                }
-                for &bi in runs.list(rank_of(o, w)) {
-                    joiner.emit(bi as usize, pi, &mut out);
+                if w & (1 << (o & 63)) != 0 {
+                    hits.push((pi as u32, rank_of(o, w)));
                 }
             }
-        }
-        out
-    })?;
-    probe_span.attr_u64("matched", probed.n as u64);
-    probe_span.attr_u64("skipped", probed.skipped as u64);
-    Ok((probed.rows, probed.n))
+        };
+        Ok(hits_of)
+    };
+    let n_ids = distinct as usize;
+    joiner.probe_ids(build_span, (ids, n_ids), "rows", lookup, report, par)
 }
 
-/// The hash path of [`exec_join`], generic over key width: build flat
-/// tables over the (possibly radix-partitioned) build side, then probe in
-/// row order.
-fn join_flat<K: JoinKey>(
+/// The join on packed keys: the keyed phase numbers the build keys
+/// (`side_cols(true)`, packed by `pack`), one index per radix partition,
+/// and a partition's ids are offset past the partitions before it. The
+/// probe packs its side's keys, hashes a block at a time and looks each key
+/// up in its partition's index.
+fn join_packed<K: JoinKey>(
     joiner: &Joiner<'_>,
-    build_keys: &[K],
-    probe_keys: &[K],
+    build_span: SpanGuard,
+    side_cols: impl Fn(bool) -> Vec<Vec<u32>>,
+    pack: fn(&[Vec<u32>], usize) -> Vec<K>,
     report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<(Vec<u32>, usize)> {
-    let intr = par.interrupt();
     let n_build = joiner.build.len();
-    let build_span = blend_obs::span("join.build");
-    build_span.attr_u64("rows", n_build as u64);
-    build_span.attr_str("path", "hash");
-    let t0 = Instant::now();
-    // The packed key arrays were allocated by the caller; account for them
-    // for the duration of the join.
-    let _key_mem = par.memory().try_reserve(
-        "join_keys",
-        (build_keys.len() + probe_keys.len()) * std::mem::size_of::<K>(),
-    )?;
-    // Admission for the build phase: the radix fanout is sized from the
-    // *granted* worker count, so a degraded grant builds fewer partitions
-    // (the output is partition-count-invariant either way). The grant is
-    // released when `build_grant` drops, before the probe phase asks for
-    // its own.
-    //
-    // Memory ladder: price the build at the granted width (the parallel
-    // path additionally hashes every row and radix-scatters it); under
-    // pressure retry at half width, then the sequential single-table path,
-    // and only then resolve `MemoryExceeded`. Output stays byte-identical
-    // at every width because the merge is partition-count-invariant.
-    let build_grant = par.admit(n_build);
-    let desired = build_grant.as_ref().map_or(1, |g| g.granted());
-    let (_build_mem, build_width, _rung) =
-        reserve_laddered(par.memory(), "join_build", desired, |w| {
-            let mut bytes = JoinTable::estimate_bytes(n_build);
-            if w > 1 {
-                bytes += n_build * 12 + radix_scratch_bytes(n_build, partition_count(w, n_build));
+    let keys = pack(&side_cols(true), n_build);
+    let built = keyed(KeyedOp::Join, &keys, report, par, |ix, _, _, ids| {
+        Ok((ix, ids))
+    })?;
+    // The build grant goes before the probe asks for its own.
+    drop(built.grant);
+    let (indexes, part_ids): (Vec<GroupIndex<K>>, Vec<Vec<u32>>) = built.parts.into_iter().unzip();
+    let mut offsets = Vec::with_capacity(indexes.len());
+    let mut n_ids = 0;
+    for index in &indexes {
+        offsets.push(n_ids as u32);
+        n_ids += index.len();
+    }
+    // Each build row's id, in build-row order, as one partition's are.
+    let ids = match &built.rows {
+        None => part_ids.into_iter().next().unwrap_or_default(),
+        Some(rp) => {
+            let mut ids = blend_common::try_zeroed_vec(n_build, "join_ids")?;
+            for (p, part_ids) in part_ids.iter().enumerate() {
+                for (&r, &id) in rp.part(p).iter().zip(part_ids) {
+                    ids[r as usize] = offsets[p] + id;
+                }
             }
-            bytes
-        })?;
-    let build_grant = build_grant
-        .filter(|_| build_width > 1)
-        .map(|g| g.narrowed(build_width));
-    let n_parts = build_grant
-        .as_ref()
-        .map_or(1, |_| partition_count(build_width, n_build));
-    let pmask = (n_parts - 1) as u64;
-
-    let flat_tables: Vec<JoinTable> = match build_grant.as_ref().filter(|_| n_parts > 1) {
-        None => vec![JoinTable::build(build_keys, None)?],
-        Some(grant) => {
-            // Radix-partition build rows by the low hash bits; each partition's
-            // row list is ascending, so per-key match runs stay ascending.
-            let hashes: Vec<u64> = K::hash_all(build_keys, "join_build_hashes")?;
-            let parts: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
-            let rp = radix_partition(&parts, n_parts)?;
-            // Workers poll the interrupt per partition: an interrupted build
-            // produces empty tables, which the check below throws away. A
-            // worker whose table build fails its allocation surfaces the typed
-            // error here, discarding every partial the same way.
-            let run = grant.pool().run(n_parts, |p| {
-                let part = if intr.is_set() { &[][..] } else { rp.part(p) };
-                JoinTable::build_prehashed(&hashes, Some(part))
-            });
-            report.parallel.push(ParallelPhase {
-                phase: "join-build".to_string(),
-                partitions: n_parts,
-                granted: build_width,
-                worker_nanos: run.worker_nanos,
-            });
-            run.results.into_iter().collect::<Result<Vec<_>>>()?
+            ids
         }
     };
-    drop(build_grant);
-    par.check_interrupt()?;
-    let buckets: usize = flat_tables.iter().map(JoinTable::buckets).sum();
-    let max_chain = flat_tables
-        .iter()
-        .map(JoinTable::max_chain)
-        .max()
-        .unwrap_or(0);
-    build_span.attr_u64("buckets", buckets as u64);
-    build_span.attr_u64("max_chain", max_chain as u64);
-    build_span.attr_u64("partitions", n_parts as u64);
-    drop(build_span);
-    report.hash_tables.push(HashTableStats {
-        phase: "join".to_string(),
-        build_nanos: t0.elapsed().as_nanos() as u64,
-        buckets,
-        max_chain,
-        partitions: n_parts,
-    });
+    let slots: usize = indexes.iter().map(GroupIndex::slot_count).sum();
+    let max_probe = indexes.iter().map(GroupIndex::max_probe).max();
+    build_span.attr_u64("buckets", slots as u64);
+    build_span.attr_u64("max_chain", max_probe.unwrap_or(0) as u64);
+    build_span.attr_u64("partitions", indexes.len() as u64);
 
-    // Probe rows are consumed in [`PROBE_BLOCK`]-row blocks: each block's
-    // keys are hashed by [`JoinKey::hash_block`] and the destination
-    // buckets are prefetched (heads first, then the entry runs the heads
-    // name) before any row walks its chain, so `matches_hashed` mostly hits
-    // cache. Blocking never reorders anything: rows are still probed front
-    // to back.
-    let probe_chunk = |range: std::ops::Range<usize>| -> Probed {
-        let mut out = Probed::default();
-        let mut hash_buf = [0u64; PROBE_BLOCK];
-        let mut start = range.start;
-        'blocks: while start < range.end {
-            let end = (start + PROBE_BLOCK).min(range.end);
-            let keys = &probe_keys[start..end];
+    let n_probe = joiner.probe.len();
+    let _probe_mem = (par.memory()).try_reserve("join_keys", n_probe * std::mem::size_of::<K>())?;
+    let pmask = (indexes.len() - 1) as u64;
+    let lookup = || {
+        let keys = pack(&side_cols(false), n_probe);
+        let hits_of = move |range: Range<usize>, _: &mut Vec<u32>, hits: &mut Hits| {
+            let keys = &keys[range.clone()];
+            let mut hash_buf = [0u64; PROBE_BLOCK];
             let hashes = &mut hash_buf[..keys.len()];
             K::hash_block(keys, hashes);
-            if n_parts == 1 {
-                let flat = &flat_tables[0];
+            // The low hash bits pick the partition, bits 32.. the slot.
+            let part = |h: u64| (h & pmask) as usize;
+            if slots >= PREFETCH_MIN_SLOTS {
                 for &h in hashes.iter() {
-                    flat.prefetch(h);
-                }
-                for &h in hashes.iter() {
-                    flat.prefetch_entries(h);
-                }
-            } else {
-                // Partitioned tables are small; pulling just the bucket
-                // heads ahead of the walk is the win here.
-                for &h in hashes.iter() {
-                    flat_tables[(h & pmask) as usize].prefetch(h);
+                    indexes[part(h)].prefetch_slot(h);
                 }
             }
-            for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
-                let i = start + j;
-                if poll_every(i) && intr.is_set() {
-                    break 'blocks;
-                }
-                // One hash per probe row selects both the radix partition
-                // (low bits) and, inside `matches_hashed`, the bucket
-                // (bits 32..).
-                let flat = &flat_tables[(hash & pmask) as usize];
-                for bi in flat.matches_hashed(build_keys, key, hash) {
-                    joiner.emit(bi as usize, i, &mut out);
+            for ((pi, &key), &h) in range.zip(keys).zip(hashes.iter()) {
+                let p = part(h);
+                if let Some(id) = indexes[p].get_hashed(key, h) {
+                    hits.push((pi as u32, offsets[p] + id));
                 }
             }
-            start = end;
-        }
-        out
+        };
+        Ok(hits_of)
     };
-
-    let probe_span = blend_obs::span("join.probe");
-    probe_span.attr_u64("rows", joiner.probe.len() as u64);
-    probe_span.attr_str("path", "hash");
-    let probed = probe_phase(joiner.probe.len(), report, par, probe_chunk)?;
-    probe_span.attr_u64("matched", probed.n as u64);
-    Ok((probed.rows, probed.n))
+    joiner.probe_ids(build_span, (ids, n_ids), "hash", lookup, report, par)
 }
 
 // ---- aggregation -----------------------------------------------------------
@@ -2208,9 +2119,9 @@ impl<'a> GroupInput<'a> {
 
 /// Positional GROUP BY on the hash path (a [`column_grouped`] plan never
 /// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns, or
-/// an interned key's id) or a `u128` (3–4 columns, the C shape); a flat
-/// [`GroupIndex`] assigns dense
-/// group ids in first-seen order and [`aggregate`] accumulates
+/// an interned key's id) or a `u128` (3–4 columns, the C shape); the
+/// keyed phase ([`keyed`]) assigns dense group ids in first-seen order
+/// and [`aggregate`] accumulates
 /// column-at-a-time into struct-of-arrays state, which is also the phase's
 /// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
 /// projects.
@@ -2246,6 +2157,7 @@ fn exec_group(
     // The gathered input columns (and their reservations) live for the
     // grouping phase only; selection and projection run without them.
     let input = GroupInput::gather(shape, batch, tables, par)?;
+    let agg = |rows: Option<&[u32]>, first, ids: Vec<u32>| aggregate(&input, rows, first, &ids);
     // Monomorphize on packed key width.
     let (parts, grant) = match input.key_cols.len() {
         0 => {
@@ -2256,8 +2168,20 @@ fn exec_group(
             par.check_interrupt()?;
             (vec![groups], None)
         }
-        1 | 2 => group_keyed(&pack_rows64(&input.key_cols, n_rows), &input, report, par)?,
-        _ => group_keyed(&pack_rows128(&input.key_cols, n_rows), &input, report, par)?,
+        1 | 2 => {
+            let packed = pack_rows64(&input.key_cols, n_rows);
+            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
+                agg(r, f, i)
+            })?;
+            (k.parts, k.grant)
+        }
+        _ => {
+            let packed = pack_rows128(&input.key_cols, n_rows);
+            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
+                agg(r, f, i)
+            })?;
+            (k.parts, k.grant)
+        }
     };
     drop(input);
     span.attr_u64(
@@ -2388,156 +2312,179 @@ fn group_columns(
     finish_groups(plan, vec![groups], None, report, par)
 }
 
-/// The key-width-generic core of the keyed GROUP BY: one [`GroupCols`] per
-/// radix partition (one in all on the sequential path), plus the phase
-/// grant the partitions ran under, for the selection that follows.
-fn group_keyed<K: JoinKey>(
+/// The operator running the keyed phase, which names its memory site and
+/// labels and sizes its indexes: a join's hold every build key, so they
+/// never grow; a GROUP BY's start at a quarter of its rows (at most 64 Ki
+/// groups) and grow with its groups, each growth charged as it happens.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum KeyedOp {
+    Group,
+    Join,
+}
+
+/// What the keyed phase leaves: each radix partition's output (`hash &
+/// (parts.len() - 1)` names a key's partition), the rows of each partition
+/// (`None`: one partition of every row, in order), the phase grant, for
+/// what runs next, and the reservation pricing the phase's state.
+struct Keyed<T> {
+    parts: Vec<T>,
+    rows: Option<RadixPartitions>,
+    grant: Option<PhaseGrant>,
+    _mem: MemoryReservation,
+}
+
+/// The keyed phase GROUP BY and the join on packed keys share (module
+/// docs, *Flat group tables*): number the distinct keys of `packed` densely
+/// through one [`GroupIndex`] per radix partition, then hand each
+/// partition's `per_part(index, rows, first_rows, row_ids)` — `rows` its
+/// ascending rows (`None`: all of them), `first_rows[id]` the row that
+/// opened id `id`, `row_ids[i]` the id of the partition's `i`-th row.
+///
+/// Large inputs radix-partition rows by key hash (low bits) so each pool
+/// worker owns its keys outright, and within a partition rows keep
+/// ascending global order: every group's aggregates see the exact
+/// sequential update sequence, and a key's build rows stay ascending.
+/// Rows upsert a [`PROBE_BLOCK`] at a time, hashed by
+/// [`JoinKey::hash_block`] (or the radix pass), with the block's slots
+/// prefetched once the index has outgrown cache; insert order — and with it
+/// id assignment and first-seen rows — is untouched.
+fn keyed<K: JoinKey, T: Send>(
+    op: KeyedOp,
     packed: &[K],
-    input: &GroupInput<'_>,
     report: &mut QueryReport,
     par: &ParallelCtx,
-) -> Result<(Vec<GroupCols>, Option<PhaseGrant>)> {
-    let intr = par.interrupt();
-    let n_rows = packed.len();
+    per_part: impl Fn(GroupIndex<K>, Option<&[u32]>, Vec<u32>, Vec<u32>) -> Result<T> + Sync,
+) -> Result<Keyed<T>> {
+    let n = packed.len();
     let t0 = Instant::now();
-    // Admission for the grouping phase: fanout follows the granted worker
-    // count; an empty grant takes the single-partition sequential path.
+    let (site, phase, label, capacity): (_, _, _, fn(usize) -> usize) = match op {
+        KeyedOp::Group => ("group_build", "group", "group", |n| (n / 4).min(1 << 16)),
+        KeyedOp::Join => ("join_build", "join", "join-build", |n| n),
+    };
+    // Admission: fanout follows the granted worker count; an empty grant
+    // takes the single-partition sequential path.
     //
-    // Memory ladder: price the group state (row→gid map, group index,
-    // packed keys) at the granted width — the parallel path additionally
-    // hashes every row and radix-scatters it — narrowing to half width and
-    // then the sequential single-partition loop under pressure. Group
-    // output is partition-count-invariant, so degraded widths stay
-    // byte-identical.
-    let grant = par.admit(n_rows);
+    // Memory ladder: price the phase's state at the granted width — packed
+    // keys, per-row ids, the indexes and, for a join, the CSR (on
+    // partitions with the ids put back in row order); the parallel path
+    // also hashes every row and radix-scatters it — narrowing to half width
+    // and then the sequential single-partition loop under pressure. Output
+    // is partition-count-invariant, so degraded widths stay byte-identical.
+    let grant = par.admit(n);
     let desired = grant.as_ref().map_or(1, |g| g.granted());
-    let (_group_mem, group_width, _rung) =
-        reserve_laddered(par.memory(), "group_build", desired, |w| {
-            let mut bytes = n_rows * (4 + std::mem::size_of::<K>())
-                + GroupIndex::<K>::estimate_bytes((n_rows / 4).min(1 << 16));
-            if w > 1 {
-                bytes += n_rows * 12 + radix_scratch_bytes(n_rows, partition_count(w, n_rows));
-            }
-            bytes
-        })?;
-    let n_parts = partition_count(group_width, n_rows);
+    let key_bytes = std::mem::size_of_val(packed);
+    let (mem, width, _rung) = reserve_laddered(par.memory(), site, desired, |w| {
+        let parts = partition_count(w, n);
+        // A join's indexes hold every build key; split over partitions, a
+        // bound for any split (at most four slots per row, at least 16).
+        let index = match (op, parts) {
+            (KeyedOp::Join, 2..) => (4 * n + 16 * parts) * 4 + key_bytes,
+            _ => GroupIndex::<K>::estimate_bytes(capacity(n)),
+        };
+        let csr = match op {
+            KeyedOp::Join => radix_scratch_bytes(n, n) + (parts > 1) as usize * n * 4,
+            KeyedOp::Group => 0,
+        };
+        let radix = (parts > 1) as usize * (n * 12 + radix_scratch_bytes(n, parts));
+        n * 4 + key_bytes + index + csr + radix
+    })?;
+    let n_parts = partition_count(width, n);
     // The grant survives only where the phase really fans out.
     let grant = grant
-        .filter(|_| group_width > 1 && n_parts > 1)
-        .map(|g| g.narrowed(group_width));
+        .filter(|_| width > 1 && n_parts > 1)
+        .map(|g| g.narrowed(width));
 
-    let partitions: Vec<Result<GroupedPartition>> = match &grant {
-        None => vec![group_partition(packed, None, input, intr)],
+    // One partition (`part`: the radix pass's hashes and its rows; `None`:
+    // every row). Index growth past its priced size is charged once a
+    // block, until `per_part` has consumed the index.
+    let number = |part: Option<(&[u64], &[u32])>| -> Result<(usize, usize, T)> {
+        let rows = part.map(|(_, rows)| rows);
+        let part_n = rows.map_or(n, <[u32]>::len);
+        let mut index = GroupIndex::with_capacity(capacity(part_n))?;
+        let priced = index.heap_bytes();
+        let mut grown = par.memory().try_reserve(site, 0)?;
+        let mut first_rows: Vec<u32> = Vec::new();
+        let mut row_ids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "keyed_row_ids")?;
+        let mut hash_buf = [0u64; PROBE_BLOCK];
+        for start in (0..part_n).step_by(PROBE_BLOCK) {
+            // An interrupted partition ends typed; the check after the run
+            // discards every partial.
+            if poll_every(start) {
+                par.check_interrupt()?;
+            }
+            let end = (start + PROBE_BLOCK).min(part_n);
+            let hashes = &mut hash_buf[..end - start];
+            match part {
+                Some((all, rows)) => {
+                    for (h, &r) in hashes.iter_mut().zip(&rows[start..end]) {
+                        *h = all[r as usize];
+                    }
+                }
+                None => K::hash_block(&packed[start..end], hashes),
+            }
+            // An upsert below may grow the index mid-block, turning the
+            // rest of the block's prefetches stale — merely useless.
+            if index.slot_count() >= PREFETCH_MIN_SLOTS {
+                for &h in hashes.iter() {
+                    index.prefetch_slot(h);
+                }
+            }
+            for (idx, &h) in (start..end).zip(hashes.iter()) {
+                let i = rows.map_or(idx, |r| r[idx] as usize);
+                let before = index.len();
+                row_ids.push(index.insert_or_get_hashed(packed[i], h)?);
+                if index.len() != before {
+                    first_rows.push(i as u32);
+                }
+            }
+            let over = index.heap_bytes().saturating_sub(priced + grown.bytes());
+            if over > 0 {
+                grown.grow(over)?;
+            }
+        }
+        par.check_interrupt()?;
+        let (slots, max_probe) = (index.slot_count(), index.max_probe());
+        let out = per_part(index, rows, first_rows, row_ids)?;
+        Ok((slots, max_probe, out))
+    };
+
+    let (parts, rows) = match &grant {
+        None => (vec![number(None)], None),
         Some(grant) => {
-            // Radix-partition rows by key hash (low bits): each worker owns
-            // its groups outright, and within a partition rows keep
-            // ascending global order, so every group's aggregates see the
-            // exact sequential update sequence.
+            let mut hashes = blend_common::try_zeroed_vec(n, "keyed_hashes")?;
+            K::hash_block(packed, &mut hashes);
             let pmask = (n_parts - 1) as u64;
-            let hashes: Vec<u64> = K::hash_all(packed, "group_hashes")?;
             let part_of: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
             let rp = radix_partition(&part_of, n_parts)?;
-            let run = grant.pool().run(n_parts, |p| {
-                group_partition(packed, Some((&hashes, rp.part(p))), input, intr)
-            });
+            let run = grant
+                .pool()
+                .run(n_parts, |p| number(Some((&hashes, rp.part(p)))));
             report.parallel.push(ParallelPhase {
-                phase: "group".to_string(),
+                phase: label.to_string(),
                 partitions: n_parts,
-                granted: group_width,
+                granted: width,
                 worker_nanos: run.worker_nanos,
             });
-            run.results
+            (run.results, Some(rp))
         }
     };
     par.check_interrupt()?;
-    let mut slots = 0usize;
-    let mut max_probe = 0usize;
-    let mut parts = Vec::with_capacity(partitions.len());
-    for part in partitions {
-        // A partition whose index growth failed its allocation surfaces
-        // the typed error here; every other partial is discarded with it.
-        let (cols, part_slots, part_probe) = part?;
-        slots += part_slots;
-        max_probe = max_probe.max(part_probe);
-        parts.push(cols);
-    }
+    // A partition whose allocation or reservation failed surfaces the typed
+    // error here; every other partial is discarded with it.
+    let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
     report.hash_tables.push(HashTableStats {
-        phase: "group".to_string(),
+        phase: phase.to_string(),
         build_nanos: t0.elapsed().as_nanos() as u64,
-        buckets: slots,
-        max_chain: max_probe,
+        buckets: parts.iter().map(|p| p.0).sum(),
+        max_chain: parts.iter().map(|p| p.1).max().unwrap_or(0),
         partitions: parts.len(),
     });
-    Ok((parts, grant))
-}
-
-/// One partition's grouped output plus the group index's slot count and
-/// max probe length (telemetry).
-type GroupedPartition = (GroupCols, usize, usize);
-
-/// Group one partition's rows: assign dense group ids through a flat
-/// [`GroupIndex`], then [`aggregate`]. `part` is the radix pass's per-row
-/// hashes and this partition's ascending rows; `None` groups every row and
-/// hashes them here. Returns one [`GroupedPartition`] in first-seen order.
-fn group_partition<K: JoinKey>(
-    packed: &[K],
-    part: Option<(&[u64], &[u32])>,
-    input: &GroupInput<'_>,
-    intr: &Interrupt,
-) -> Result<GroupedPartition> {
-    let rows = part.map(|(_, rows)| rows);
-    let part_n = rows.map_or(packed.len(), <[u32]>::len);
-
-    // Dense group ids in first-seen order + first row per group. Rows
-    // upsert in [`PROBE_BLOCK`]-row blocks: each block's hashes come from
-    // [`JoinKey::hash_block`] (or the radix pass, which already hashed
-    // every key to pick partitions), and the destination slots are
-    // prefetched before any upsert runs, so the open-addressing walk mostly
-    // hits cache. Insert order — and with it gid assignment and first-seen
-    // rows — is untouched: rows still upsert front to back.
-    let mut index: GroupIndex<K> = GroupIndex::with_capacity((part_n / 4).min(1 << 16))?;
-    let mut first_rows: Vec<u32> = Vec::new();
-    let mut row_gids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "group_row_gids")?;
-    let mut hash_buf = [0u64; PROBE_BLOCK];
-    for start in (0..part_n).step_by(PROBE_BLOCK) {
-        let end = (start + PROBE_BLOCK).min(part_n);
-        let hashes = &mut hash_buf[..end - start];
-        match part {
-            Some((all, rows)) => {
-                for (h, &r) in hashes.iter_mut().zip(&rows[start..end]) {
-                    *h = all[r as usize];
-                }
-            }
-            None => K::hash_block(&packed[start..end], hashes),
-        }
-        // Only worth priming once the table has outgrown cache. An upsert
-        // below may grow the table mid-block, turning the rest of the
-        // block's prefetches stale — merely useless, never wrong.
-        if index.slot_count() >= PREFETCH_MIN_SLOTS {
-            for &h in hashes.iter() {
-                index.prefetch_slot(h);
-            }
-        }
-        for (idx, &h) in (start..end).zip(hashes.iter()) {
-            // Cooperative bail: an interrupted partition returns no groups;
-            // the caller's post-run check discards every partial.
-            if poll_every(idx) && intr.is_set() {
-                return Ok((GroupCols::default(), 0, 0));
-            }
-            let i = rows.map_or(idx, |r| r[idx] as usize);
-            let before = index.len();
-            let gid = index.insert_or_get_hashed(packed[i], h)?;
-            if index.len() != before {
-                first_rows.push(i as u32);
-            }
-            row_gids.push(gid);
-        }
-    }
-    if intr.is_set() {
-        return Ok((GroupCols::default(), 0, 0));
-    }
-    let groups = aggregate(input, rows, first_rows, &row_gids)?;
-    Ok((groups, index.slot_count(), index.max_probe()))
+    Ok(Keyed {
+        parts: parts.into_iter().map(|p| p.2).collect(),
+        rows,
+        grant,
+        _mem: mem,
+    })
 }
 
 /// Accumulate each aggregate column-at-a-time into a flat vector indexed

@@ -1,33 +1,29 @@
-//! Flat, allocation-free hash operators for the positional executor.
+//! The one hash structure of the positional executor: [`GroupIndex`], an
+//! open-addressing table that numbers packed keys densely, `0..n` in
+//! first-seen order. A phase allocates a constant number of flat arrays,
+//! whatever the key cardinality: no heap `Vec` per distinct key, no hash
+//! set per group.
 //!
-//! The positional executor's join and GROUP BY phases used to run one
-//! `FxHashMap` operation per row: joins built an `FxHashMap<u64, Vec<u32>>`
-//! (one heap `Vec` per distinct key, `entry().or_default().push()` per
-//! build row), grouping built an `FxHashMap<u64/u128, u32>` index plus one
-//! `FxHashSet` per group for `COUNT(DISTINCT ...)`. This module replaces
-//! both with flat structures that allocate a constant number of arrays per
-//! phase, regardless of key cardinality:
+//! Both keyed operators run on it (`exec_positional`'s keyed phase):
 //!
-//! * [`JoinTable`] — a CSR bucket table over a power-of-two bucket array,
-//!   built with two counting passes (count bucket occupancy, prefix-sum,
-//!   scatter). Per-key match lists are contiguous *filtered runs* of a
-//!   bucket; ascending build-row order falls out of the in-order scatter.
-//! * [`GroupIndex`] — an open-addressing table mapping packed keys to
-//!   **dense group ids** (assigned in first-seen order), so aggregate
-//!   state lives in plain struct-of-arrays vectors indexed by group id —
-//!   counts in `Vec<i64>`, distinct counts via per-group sort-unique —
-//!   instead of one boxed state per map entry.
+//! * **GROUP BY** keeps aggregate state in struct-of-arrays vectors indexed
+//!   by group id — counts in `Vec<i64>`, distinct counts by per-group
+//!   sort-unique;
+//! * a **hash join** numbers its build side's distinct keys, lists each
+//!   id's build rows ascending in one CSR (`blend_parallel::radix_partition`
+//!   over the per-row ids), and maps each probe key to an id with the
+//!   lookup-only [`GroupIndex::get_hashed`].
 //!
 //! Keys are 1–2 u32 columns packed into a `u64` or 3–4 columns packed into
 //! a `u128`; the [`JoinKey`] trait abstracts the per-width hash
 //! ([`mix64`]/[`mix128`]). Hash bits are split by convention: the **low**
 //! bits select a radix partition (see `blend_parallel::radix`), bits 32 and
-//! up select the bucket/slot, so partitioning and bucketing stay
-//! independent for tables up to 2³² buckets.
+//! up select the slot, so partitioning and slot choice stay independent for
+//! tables up to 2³² slots.
 //!
-//! The unit tests below and `tests/join_group_parity.rs` pin the flat
-//! operators byte-for-byte to map-based references that share no code with
-//! them.
+//! The unit tests below, `tests/join_group_parity.rs` and
+//! `tests/simd_parity.rs` pin grouping and the id-keyed join byte-for-byte
+//! to map-based references that share no code with them.
 
 use blend_common::{mix128, mix128x8, mix64, mix64x8, MIX_LANES};
 
@@ -36,7 +32,7 @@ use blend_common::{mix128, mix128x8, mix64, mix64x8, MIX_LANES};
 /// and `u128` (3–4 columns).
 pub trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
     /// Mix the key to 64 well-distributed bits. Low bits select the radix
-    /// partition, bits 32.. select the bucket — both sides of that split
+    /// partition, bits 32.. select the slot — both sides of that split
     /// must be uniform.
     fn hash64(self) -> u64;
 
@@ -53,16 +49,6 @@ pub trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
         for (o, &k) in out.iter_mut().zip(keys) {
             *o = k.hash64();
         }
-    }
-
-    /// [`hash_block`](JoinKey::hash_block) into a fresh `Vec` — the
-    /// executor's drop-in for `keys.iter().map(hash64).collect()`, with a
-    /// typed allocation failure.
-    fn hash_all(keys: &[Self], label: &'static str) -> blend_common::Result<Vec<u64>> {
-        let mut out = blend_common::try_vec_with_capacity::<u64>(keys.len(), label)?;
-        out.resize(keys.len(), 0);
-        Self::hash_block(keys, &mut out);
-        Ok(out)
     }
 }
 
@@ -116,179 +102,19 @@ impl JoinKey for u128 {
     }
 }
 
-/// Bucket index of a hash: bits 32.. so the low bits stay free for radix
-/// partition selection.
+/// Slot a hash's probe sequence starts at: bits 32.. so the low bits stay
+/// free for radix partition selection.
 #[inline]
-fn bucket_of(hash: u64, mask: u64) -> usize {
-    ((hash >> 32) & mask) as usize
+fn slot_of(hash: u64, mask: usize) -> usize {
+    (hash >> 32) as usize & mask
 }
 
 /// Keys per batched probe/upsert block: hashes land in one stack buffer,
-/// and the block's bucket heads are prefetched before the first key walks
-/// its chain. Sized so a block of independent accesses outlasts a
+/// and the block's slots are prefetched before the first key walks its
+/// probe sequence. Sized so a block of independent accesses outlasts a
 /// last-level-cache miss while the per-block stack buffer stays within a
 /// few cache lines' worth of stack.
 pub const PROBE_BLOCK: usize = 64;
-
-/// Flat hash join table: CSR bucket runs over a power-of-two bucket array.
-///
-/// Built with two counting passes over the build rows — no per-key
-/// allocation, no entry API, each row's hash computed exactly once. The
-/// table stores only row ids; the caller keeps the packed key array and
-/// passes it back at probe time (build and probe share it, and the radix
-/// path builds several tables over slices of one global key array).
-///
-/// Matches for a probe key are the entries of one bucket filtered by key
-/// equality — a contiguous run scan, no pointer chasing — and come back in
-/// ascending build-row order (the scatter pass preserves input order),
-/// which is what the executor's byte-identical-output contract needs.
-#[derive(Debug, Clone)]
-pub struct JoinTable {
-    /// Power-of-two bucket count minus one.
-    mask: u64,
-    /// CSR bucket offsets: bucket `b` owns `entries[heads[b]..heads[b+1]]`.
-    heads: Vec<u32>,
-    /// Build-row ids grouped by bucket, ascending within each bucket.
-    entries: Vec<u32>,
-}
-
-impl JoinTable {
-    /// Build over `rows` (`None` = all of `keys`, `Some` = a radix
-    /// partition's ascending row-id slice; ids index into `keys`). Buckets
-    /// are sized to ~0.5 load factor. Fails typed
-    /// (`BlendError::MemoryExceeded`) if the scratch/CSR arrays cannot be
-    /// allocated.
-    pub fn build<K: JoinKey>(keys: &[K], rows: Option<&[u32]>) -> blend_common::Result<JoinTable> {
-        Self::build_inner(|r| keys[r].hash64(), keys.len(), rows)
-    }
-
-    /// [`build`](JoinTable::build) over precomputed per-row hashes — the
-    /// radix path already hashed every key to pick partitions, so partition
-    /// builds must not pay a second hash per row.
-    pub fn build_prehashed(
-        hashes: &[u64],
-        rows: Option<&[u32]>,
-    ) -> blend_common::Result<JoinTable> {
-        Self::build_inner(|r| hashes[r], hashes.len(), rows)
-    }
-
-    /// Resident bytes a [`build`](JoinTable::build) over `n_rows` rows
-    /// allocates (hash scratch + CSR bucket arrays) — the costing primitive
-    /// the executor's join-build reservations use.
-    pub fn estimate_bytes(n_rows: usize) -> usize {
-        let buckets = n_rows.saturating_mul(2).next_power_of_two().max(1);
-        n_rows * 4 + blend_parallel::radix_scratch_bytes(n_rows, buckets)
-    }
-
-    fn build_inner(
-        hash_of: impl Fn(usize) -> u64,
-        n_keys: usize,
-        rows: Option<&[u32]>,
-    ) -> blend_common::Result<JoinTable> {
-        let n = rows.map_or(n_keys, <[u32]>::len);
-        let row_at = |idx: usize| -> u32 {
-            match rows {
-                Some(r) => r[idx],
-                None => idx as u32,
-            }
-        };
-        let buckets = n.saturating_mul(2).next_power_of_two().max(1);
-        let mask = (buckets - 1) as u64;
-
-        // Hash every build row once; the counting sort reuses it.
-        let mut bucket_ids: Vec<u32> = blend_common::try_vec_with_capacity(n, "join_bucket_ids")?;
-        for idx in 0..n {
-            let h = hash_of(row_at(idx) as usize);
-            bucket_ids.push(bucket_of(h, mask) as u32);
-        }
-        // The bucket layout IS a radix partition by bucket id: the shared
-        // two-pass counting sort yields CSR offsets (heads) and in-order
-        // items — ascending within each bucket, the invariant probes need.
-        let (heads, mut entries) =
-            blend_parallel::radix_partition(&bucket_ids, buckets)?.into_parts();
-        if rows.is_some() {
-            // Map partition-local indices back to the caller's row ids.
-            for e in &mut entries {
-                *e = row_at(*e as usize);
-            }
-        }
-        Ok(JoinTable {
-            mask,
-            heads,
-            entries,
-        })
-    }
-
-    /// Build rows matching `key`, in ascending build-row order. `keys` must
-    /// be the array the table was built over.
-    #[inline]
-    pub fn matches<'t, K: JoinKey>(
-        &'t self,
-        keys: &'t [K],
-        key: K,
-    ) -> impl Iterator<Item = u32> + 't {
-        self.matches_hashed(keys, key, key.hash64())
-    }
-
-    /// [`matches`](JoinTable::matches) with the key's hash precomputed (the
-    /// probe loop already computed it to pick the radix partition).
-    #[inline]
-    pub fn matches_hashed<'t, K: JoinKey>(
-        &'t self,
-        keys: &'t [K],
-        key: K,
-        hash: u64,
-    ) -> impl Iterator<Item = u32> + 't {
-        let b = bucket_of(hash, self.mask);
-        let lo = self.heads[b] as usize;
-        let hi = self.heads[b + 1] as usize;
-        self.entries[lo..hi]
-            .iter()
-            .copied()
-            .filter(move |&r| keys[r as usize] == key)
-    }
-
-    /// Best-effort prefetch of the CSR bucket bounds a probe with this
-    /// hash will read. Batched probe loops issue this a block ahead so the
-    /// bucket-head cache miss overlaps the hashing of later keys.
-    #[inline]
-    pub fn prefetch(&self, hash: u64) {
-        blend_simd::prefetch_read(&self.heads, bucket_of(hash, self.mask));
-    }
-
-    /// Best-effort prefetch of the first entry of this hash's bucket run
-    /// (reads the — by now resident — bucket head to find it).
-    #[inline]
-    pub fn prefetch_entries(&self, hash: u64) {
-        let b = bucket_of(hash, self.mask);
-        blend_simd::prefetch_read(&self.entries, self.heads[b] as usize);
-    }
-
-    /// Number of build rows in the table.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no build row was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Bucket count (a power of two).
-    pub fn buckets(&self) -> usize {
-        self.heads.len() - 1
-    }
-
-    /// Occupancy of the fullest bucket — the worst-case probe run length
-    /// (telemetry).
-    pub fn max_chain(&self) -> usize {
-        self.heads
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-}
 
 /// Slot sentinel: no group occupies this slot.
 const EMPTY: u32 = u32::MAX;
@@ -352,7 +178,7 @@ impl<K: JoinKey> GroupIndex<K> {
         if self.keys.len() * 2 >= self.slots.len() {
             self.grow()?;
         }
-        let mut slot = ((hash >> 32) as usize) & self.mask;
+        let mut slot = slot_of(hash, self.mask);
         let mut probe = 1usize;
         loop {
             let id = self.slots[slot];
@@ -375,6 +201,31 @@ impl<K: JoinKey> GroupIndex<K> {
         }
     }
 
+    /// The dense id of `key`, or `None` where no insert saw it — the probe
+    /// side of a join, which looks its keys up and never inserts. `hash` is
+    /// `key.hash64()` (the probe hashes a [`PROBE_BLOCK`] at a time).
+    #[inline]
+    pub fn get_hashed(&self, key: K, hash: u64) -> Option<u32> {
+        let mut slot = slot_of(hash, self.mask);
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                return None;
+            }
+            if self.keys[id as usize] == key {
+                return Some(id);
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// Resident bytes of the slot array and key storage now — what
+    /// [`estimate_bytes`](GroupIndex::estimate_bytes) priced at creation,
+    /// until an insert grows the index.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * 4 + self.keys.capacity() * std::mem::size_of::<K>()
+    }
+
     /// Double the slot array and re-scatter the dense ids. The doubled
     /// array is allocated fallibly *before* the old one is released, so a
     /// failed grow leaves the index intact (the caller's groups survive and
@@ -386,7 +237,7 @@ impl<K: JoinKey> GroupIndex<K> {
         self.mask = new_len - 1;
         self.slots = slots;
         for (id, key) in self.keys.iter().enumerate() {
-            let mut slot = ((key.hash64() >> 32) as usize) & self.mask;
+            let mut slot = slot_of(key.hash64(), self.mask);
             let mut probe = 1usize;
             while self.slots[slot] != EMPTY {
                 slot = (slot + 1) & self.mask;
@@ -405,7 +256,7 @@ impl<K: JoinKey> GroupIndex<K> {
     /// callers gate on [`slot_count`](GroupIndex::slot_count).
     #[inline]
     pub fn prefetch_slot(&self, hash: u64) {
-        blend_simd::prefetch_read(&self.slots, ((hash >> 32) as usize) & self.mask);
+        blend_simd::prefetch_read(&self.slots, slot_of(hash, self.mask));
     }
 
     /// Number of distinct groups.
@@ -483,78 +334,66 @@ mod tests {
         }
     }
 
-    fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
-        let table = JoinTable::build(build, None).unwrap();
+    /// The join `exec_positional` runs on packed keys: number the build
+    /// keys through a [`GroupIndex`] sized for every key being distinct,
+    /// list each id's build rows ascending with `radix_partition`, then
+    /// probe a [`PROBE_BLOCK`] at a time — hash the block
+    /// ([`JoinKey::hash_block`] dispatches on the forced SIMD path),
+    /// prefetch its slots, look each key up with
+    /// [`get_hashed`](GroupIndex::get_hashed) and walk its id's list.
+    fn dense_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+        let mut index: GroupIndex<K> = GroupIndex::with_capacity(build.len()).unwrap();
+        let ids: Vec<u32> = (build.iter())
+            .map(|&k| index.insert_or_get(k).unwrap())
+            .collect();
+        let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
         let mut out = Vec::new();
-        for (i, &k) in probe.iter().enumerate() {
-            for b in table.matches(build, k) {
-                out.push((i as u32, b));
+        let mut hash_buf = [0u64; PROBE_BLOCK];
+        for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
+            let hashes = &mut hash_buf[..keys.len()];
+            K::hash_block(keys, hashes);
+            for &h in hashes.iter() {
+                index.prefetch_slot(h);
+            }
+            for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
+                for &b in index
+                    .get_hashed(key, hash)
+                    .map_or(&[][..], |id| lists.part(id as usize))
+                {
+                    out.push(((blk * PROBE_BLOCK + j) as u32, b));
+                }
             }
         }
         out
     }
 
     #[test]
-    fn join_table_matches_oracle_u64() {
+    fn dense_join_matches_oracle_u64() {
         let build: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
         let probe: Vec<u64> = vec![5, 5, 7, 1, 3, 0];
         assert_eq!(
-            flat_pairs(&build, &probe),
+            dense_pairs(&build, &probe),
             oracle::join_pairs(&build, &probe)
         );
     }
 
     #[test]
-    fn join_table_matches_oracle_u128() {
+    fn dense_join_matches_oracle_u128() {
         let build: Vec<u128> = (0..64u128).map(|i| (i % 7) << 96 | (i % 3)).collect();
         let probe: Vec<u128> = (0..32u128).map(|i| (i % 9) << 96 | (i % 3)).collect();
         assert_eq!(
-            flat_pairs(&build, &probe),
+            dense_pairs(&build, &probe),
             oracle::join_pairs(&build, &probe)
         );
     }
 
     #[test]
-    fn join_table_over_partition_slice() {
-        let keys: Vec<u64> = vec![10, 20, 10, 30, 20, 10];
-        // A "partition" owning rows {0, 2, 4, 5}.
-        let rows = [0u32, 2, 4, 5];
-        let table = JoinTable::build(&keys, Some(&rows)).unwrap();
-        assert_eq!(table.len(), 4);
-        let m10: Vec<u32> = table.matches(&keys, 10).collect();
-        assert_eq!(m10, vec![0, 2, 5]);
-        let m20: Vec<u32> = table.matches(&keys, 20).collect();
-        assert_eq!(m20, vec![4]);
-        assert!(table.matches(&keys, 30).next().is_none()); // row 3 not in partition
-    }
-
-    #[test]
-    fn empty_join_table() {
-        let keys: Vec<u64> = Vec::new();
-        let table = JoinTable::build(&keys, None).unwrap();
-        assert!(table.is_empty());
-        assert_eq!(table.max_chain(), 0);
-        assert!(table.matches(&keys, 42).next().is_none());
-    }
-
-    #[test]
-    fn join_table_telemetry_is_consistent() {
-        let keys: Vec<u64> = (0..1000).map(|i| i % 37).collect();
-        let table = JoinTable::build(&keys, None).unwrap();
-        assert!(table.buckets().is_power_of_two());
-        assert!(table.buckets() >= 1000);
-        // 37 distinct keys over 1000 rows: the fullest bucket holds at
-        // least one whole key's run.
-        assert!(table.max_chain() >= 1000 / 37);
-        // The CSR build lost and duplicated nothing: bucket occupancies
-        // sum to the row count and every row id appears exactly once.
-        let total: usize = (0..table.buckets())
-            .map(|b| (table.heads[b + 1] - table.heads[b]) as usize)
-            .sum();
-        assert_eq!(total, 1000);
-        let mut all = table.entries.clone();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000u32).collect::<Vec<_>>());
+    fn empty_build_matches_nothing() {
+        let probe: Vec<u64> = vec![42, 0, 42];
+        assert!(dense_pairs(&[], &probe).is_empty());
+        let index: GroupIndex<u64> = GroupIndex::with_capacity(0).unwrap();
+        assert_eq!(index.get_hashed(42, 42u64.hash64()), None);
+        assert_eq!(index.max_probe(), 0);
     }
 
     #[test]
@@ -579,6 +418,12 @@ mod tests {
         assert_eq!(first_rows, want_first);
         assert_eq!(index.keys(), &[7, 3, 9, 11]);
         assert!(index.max_probe() >= 1);
+        // The lookup names the same ids and inserts nothing.
+        for (&k, &g) in keys.iter().zip(&gids) {
+            assert_eq!(index.get_hashed(k, k.hash64()), Some(g));
+        }
+        assert_eq!(index.get_hashed(8, 8u64.hash64()), None);
+        assert_eq!(index.len(), 4);
     }
 
     /// Serializes the tests that flip the process-global `blend_simd`
@@ -607,42 +452,15 @@ mod tests {
         blend_simd::force(None);
     }
 
-    /// The probe loop `exec_positional::join_flat` runs: hash one
-    /// [`PROBE_BLOCK`] of keys ([`JoinKey::hash_block`] dispatches on the
-    /// forced SIMD path), prefetch the block's buckets, then walk each key
-    /// with `matches_hashed`.
-    fn blocked_pairs<K: JoinKey>(table: &JoinTable, build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        let mut hash_buf = [0u64; PROBE_BLOCK];
-        for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
-            let hashes = &mut hash_buf[..keys.len()];
-            K::hash_block(keys, hashes);
-            for &h in hashes.iter() {
-                table.prefetch(h);
-            }
-            for &h in hashes.iter() {
-                table.prefetch_entries(h);
-            }
-            for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
-                for b in table.matches_hashed(build, key, hash) {
-                    out.push(((blk * PROBE_BLOCK + j) as u32, b));
-                }
-            }
-        }
-        out
-    }
-
     #[test]
     fn blocked_probe_matches_oracle_on_both_paths() {
         let _g = FORCE_LOCK.lock().unwrap();
         let build: Vec<u64> = (0..500u64).map(|i| i % 91).collect();
         let probe: Vec<u64> = (0..333u64).map(|i| i % 131).collect();
         let want = oracle::join_pairs(&build, &probe);
-        let table = JoinTable::build(&build, None).unwrap();
         for forced in [Some(false), Some(true)] {
             blend_simd::force(forced);
-            let got = blocked_pairs(&table, &build, &probe);
-            assert_eq!(got, want, "forced={forced:?}");
+            assert_eq!(dense_pairs(&build, &probe), want, "forced={forced:?}");
         }
         blend_simd::force(None);
     }
@@ -660,11 +478,9 @@ mod tests {
             .map(|i| i.wrapping_mul(0x85eb) % 90_001)
             .collect();
         let want = oracle::join_pairs(&build, &probe);
-        let table = JoinTable::build(&build, None).unwrap();
         for forced in [Some(false), Some(true)] {
             blend_simd::force(forced);
-            let got = blocked_pairs(&table, &build, &probe);
-            assert_eq!(got, want, "forced={forced:?}");
+            assert_eq!(dense_pairs(&build, &probe), want, "forced={forced:?}");
         }
         blend_simd::force(None);
     }

@@ -46,7 +46,7 @@ pub use columns::{ResultColumn, ResultColumns, TextColumn};
 pub use engine::{Database, SqlEngine};
 pub use exec::{HashTableStats, ParallelPhase, QueryReport, ResultSet, ScanReport, ServingStats};
 pub use fingerprint::{fingerprint_query, fingerprint_sql, QueryFingerprint};
-pub use hashtable::{GroupIndex, JoinKey, JoinTable};
+pub use hashtable::{GroupIndex, JoinKey};
 pub use value::SqlValue;
 
 pub use blend_parallel::ParallelCtx;

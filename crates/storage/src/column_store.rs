@@ -234,7 +234,7 @@ fn row_directory(ranges: &[(u32, u32)], rows: &[u32]) -> Option<(Vec<u32>, usize
 /// `items[offsets[k]..offsets[k + 1]]`. Built by [`CsrBuilder`] in two
 /// passes, so both vectors are allocated once, at exact capacity.
 #[derive(Debug)]
-pub struct Csr {
+pub(crate) struct Csr {
     offsets: Vec<u32>,
     items: Vec<u32>,
 }
@@ -261,7 +261,7 @@ impl Csr {
 /// [`start_placing`](Self::start_placing), then [`place`](Self::place) the
 /// same items in the same order. During placing `offsets[k]` is list `k`'s
 /// write cursor, so no cursor array is allocated.
-pub struct CsrBuilder {
+pub(crate) struct CsrBuilder {
     offsets: Vec<u32>,
     items: Vec<u32>,
 }

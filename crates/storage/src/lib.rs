@@ -41,7 +41,7 @@ pub mod filter;
 pub mod row_store;
 pub mod stats;
 
-pub use column_store::{ColumnIndex, ColumnStore, Csr, CsrBuilder};
+pub use column_store::{ColumnIndex, ColumnStore};
 pub use fact::{
     decode_quadrant, FactRow, FactTable, MemoryBreakdown, QUADRANT_NULL, QUADRANT_ONE,
     QUADRANT_ZERO,

@@ -193,7 +193,7 @@ impl FactTable for RowStore {
     }
 
     /// Single fused pass (an empty kernel copies): every predicate is
-    /// evaluated in one tuple check per candidate (see [`keep_fact_row`]) — one pointer chase to the
+    /// evaluated in one tuple check per candidate (see `keep_fact_row`) — one pointer chase to the
     /// `FactRow`, all fields adjacent, instead of one virtual accessor
     /// call per predicate — streamed through the `blend_simd` candidate
     /// kernel (block keep-masks on the vector path, write-all/advance-on-

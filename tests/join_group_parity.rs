@@ -1,5 +1,8 @@
-//! Flat join/group parity: the positional executor's flat operators
-//! (`blend_sql::hashtable`) must reproduce map-based references
+//! Flat join/group parity: the positional executor's keyed operators —
+//! grouping through `blend_sql::hashtable::GroupIndex`, and the join on
+//! dense key ids (build keys numbered by a `GroupIndex`, each id's build
+//! rows listed by `radix_partition`, probe keys looked up with
+//! `GroupIndex::get_hashed`) — must reproduce map-based references
 //! **byte-for-byte** — at the operator level against this file's
 //! `oracle::{join_pairs, group_ids}` over random key arrays, and
 //! end-to-end against the reference executor across both storage engines ×
@@ -11,7 +14,7 @@
 //! sorting on first-seen rows — so results (and logical telemetry) must be
 //! identical at every thread count, including for float aggregates.
 
-use blend_sql::hashtable::{GroupIndex, JoinKey, JoinTable};
+use blend_sql::hashtable::{GroupIndex, JoinKey};
 use blend_sql::{ParallelCtx, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
@@ -62,13 +65,20 @@ mod oracle {
     }
 }
 
-/// Flat-table join: (probe row, build row) pairs in probe order.
+/// Join on dense key ids, as the executor runs it on packed keys: the
+/// build keys numbered by a [`GroupIndex`], each id's build rows listed
+/// ascending by `radix_partition`, and each probe key looked up with
+/// `get_hashed`. (probe row, build row) pairs in probe order.
 fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
-    let table = JoinTable::build(build, None).unwrap();
+    let mut index: GroupIndex<K> = GroupIndex::with_capacity(build.len()).unwrap();
+    let ids: Vec<u32> = (build.iter())
+        .map(|&k| index.insert_or_get(k).unwrap())
+        .collect();
+    let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
     let mut out = Vec::new();
     for (i, &k) in probe.iter().enumerate() {
-        for b in table.matches(build, k) {
-            out.push((i as u32, b));
+        if let Some(id) = index.get_hashed(k, k.hash64()) {
+            out.extend(lists.part(id as usize).iter().map(|&b| (i as u32, b)));
         }
     }
     out

@@ -826,3 +826,53 @@ fn row_key_join_walks_budgets_typed_and_drains() {
         "no budget failed at the join build's reservation"
     );
 }
+
+/// A GROUP BY's reservation covers what its keyed phase holds. Over 100 000
+/// distinct (`TableId`, `RowId`) keys the group index grows far past the
+/// quarter of its rows it starts at, and every growth is charged, so the
+/// query's peak covers the gathered key columns, the packed `u64` keys, the
+/// per-row group ids, the index's slots (`HashTableStats::buckets`) and one
+/// `u64` key per group, all live at the phase's end.
+#[test]
+fn group_reservation_covers_the_grown_index() {
+    use blend_parallel::Interrupt;
+
+    const TABLES: u32 = 20;
+    const ROWS: u32 = 5_000;
+    let mut rows = Vec::new();
+    for t in 0..TABLES {
+        for r in 0..ROWS {
+            let sk = ((t as u128) << 64) | r as u128;
+            rows.push(FactRow::new(&format!("v{}", r % 7), t, 0, r, sk, None));
+        }
+    }
+    let ctx = ParallelCtx::sequential().with_governor(Arc::new(MemoryGovernor::unbounded()));
+    let engine = SqlEngine::with_alltables(build_engine(EngineKind::Column, rows))
+        .with_parallel(Arc::new(ctx));
+    let sql = "SELECT TableId, RowId, COUNT(*) AS n FROM AllTables \
+               GROUP BY TableId, RowId ORDER BY n DESC, TableId, RowId LIMIT 10";
+    let (cols, report) = engine
+        .execute_columns_interruptible(sql, Interrupt::never())
+        .expect("unbudgeted run");
+    assert_eq!(cols.to_result_set().len(), 10);
+    let group = (report.hash_tables.iter())
+        .find(|h| h.phase == "group")
+        .expect("the group hashes");
+    assert_eq!(group.partitions, 1);
+    // Every row is its own group.
+    let n = (TABLES * ROWS) as usize;
+    let live = n * 2 * 4 + n * 8 + n * 4 + group.buckets * 4 + n * 8;
+    let peak = match report
+        .profile
+        .as_ref()
+        .and_then(|p| p.root.attr("mem_peak_bytes"))
+    {
+        Some(blend_obs::AttrValue::U64(peak)) => *peak as usize,
+        other => panic!("no mem_peak_bytes on the profile root: {other:?}"),
+    };
+    assert!(
+        peak >= live,
+        "peak {peak} B under the phase's live {live} B ({} slots)",
+        group.buckets
+    );
+}

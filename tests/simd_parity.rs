@@ -12,10 +12,11 @@
 //!    tails, misaligned starts, and — every case also reruns with the
 //!    degenerate all-keep and all-drop bounds — saturated masks.
 //! 2. **Dispatching consumers** under `blend_simd::force`: batched key
-//!    hashing and the blocked `JoinTable` probe, forced down both paths in
-//!    one process. Force flips are process-global, so those tests
-//!    serialize on a mutex and restore env dispatch on exit (panic
-//!    included).
+//!    hashing and the blocked probe of a join on packed keys (a block of
+//!    keys hashed, each looked up in a `GroupIndex` and its id's build
+//!    rows walked), forced down both paths in one process. Force flips are
+//!    process-global, so those tests serialize on a mutex and restore env
+//!    dispatch on exit (panic included).
 //! 3. **End-to-end SQL**: full queries covering each wired kernel, forced
 //!    down both paths across storage engines × thread counts {1, 4, 8},
 //!    must return byte-identical `ResultSet`s.
@@ -26,7 +27,7 @@ use blend_common::{mix128, mix128x8, mix64, mix64x8};
 use blend_parallel::ParallelCtx;
 use blend_simd as simd;
 use blend_sql::hashtable::PROBE_BLOCK;
-use blend_sql::{JoinKey, JoinTable, SqlEngine};
+use blend_sql::{GroupIndex, JoinKey, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
 
@@ -259,7 +260,11 @@ proptest! {
         probe in proptest::collection::vec(0u64..50, 0..150),
     ) {
         let _scope = force_scope();
-        let table = JoinTable::build(&build, None).unwrap();
+        // The build side as the executor numbers it: dense ids from a
+        // `GroupIndex`, each id's build rows listed ascending.
+        let mut index: GroupIndex<u64> = GroupIndex::with_capacity(build.len()).unwrap();
+        let ids: Vec<u32> = build.iter().map(|&k| index.insert_or_get(k).unwrap()).collect();
+        let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
         // Oracle: every (probe, build) key equality, probe-major, build
         // ascending within a probe row — the executor's output contract.
         let mut want: Vec<(u32, u32)> = Vec::new();
@@ -270,9 +275,10 @@ proptest! {
                 }
             }
         }
-        // The loop `join_flat` runs: hash a PROBE_BLOCK of keys, then walk
-        // each key with `matches_hashed` (the prefetches in between touch
-        // no result; `hashtable`'s unit tests run them).
+        // The packed-key probe the executor runs: hash a PROBE_BLOCK of
+        // keys, look each one up with `get_hashed` and walk its id's list
+        // (the slot prefetches in between touch no result; `hashtable`'s
+        // unit tests run them).
         for mode in [false, true] {
             simd::force(Some(mode));
             let mut got: Vec<(u32, u32)> = Vec::new();
@@ -281,7 +287,7 @@ proptest! {
                 let hashes = &mut hash_buf[..keys.len()];
                 u64::hash_block(keys, hashes);
                 for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
-                    for b in table.matches_hashed(&build, key, hash) {
+                    for &b in index.get_hashed(key, hash).map_or(&[][..], |id| lists.part(id as usize)) {
                         got.push(((blk * PROBE_BLOCK + j) as u32, b));
                     }
                 }
