@@ -121,7 +121,7 @@ pub const MIX_LANES: usize = 8;
 /// stage-by-stage across the whole array — four short independent loops —
 /// so the auto-vectorizer can widen each stage instead of fighting the
 /// cross-stage dependency of the fused scalar form. Produces exactly
-/// `x.map(mix64)`; the batched hash entry points in `blend_sql::hashtable`
+/// `x.map(mix64)`; the batched hash entry points in `blend_storage::hashtable`
 /// rely on that equivalence for parity.
 #[inline]
 pub fn mix64x8(mut x: [u64; 8]) -> [u64; 8] {

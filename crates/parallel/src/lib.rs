@@ -104,11 +104,11 @@
 //!
 //! * **Scan** — morsels over postings/ranges, per-morsel position lists,
 //!   concatenated in morsel order.
-//! * **Hash join** — the build side is [radix-partitioned](radix) by key
-//!   hash so each worker builds a flat table over a *disjoint* key set (no
-//!   merge step; per-key match lists stay ascending because partition
-//!   scatter preserves input order); the probe side is chunked and emitted
-//!   in chunk order.
+//! * **Hash join** — the build side is radix-partitioned by key hash
+//!   ([`partition_count`] partitions) so each worker numbers a *disjoint*
+//!   key set (no merge step; per-key match lists stay ascending because
+//!   partition scatter preserves input order); the probe side is chunked
+//!   and emitted in chunk order.
 //! * **GROUP BY** — rows are radix-partitioned by group-key hash so each
 //!   worker owns its groups outright; per-group aggregate states see
 //!   exactly the sequential update sequence, and sorting the finished
@@ -130,13 +130,11 @@
 //!   [`MemoryReservation`], the byte budget and its RAII grants, plus
 //!   [`reserve_laddered`] (the width-scaled degradation ladder).
 //! * [`morsel`] — [`morselize`] (segment → morsel splitting),
-//!   [`split_even`] (row-count-balanced contiguous ranges), and
+//!   [`split_even`] (row-count-balanced contiguous ranges),
 //!   [`balanced_chunks`] (greedy LPT bin-packing for unequal work items,
-//!   used by the index builder).
-//! * [`radix`] — [`radix_partition`] (two-pass counting sort grouping
-//!   items by partition id, ascending within each partition) and
-//!   [`partition_count`] (the worker-count → radix-fanout policy), used by
-//!   the executor's keyed phase and join CSRs.
+//!   used by the index builder), and [`partition_count`] (the worker-count
+//!   → radix-fanout policy of the executor's keyed phase, whose counting
+//!   sort is `blend_storage::radix`).
 //! * [`settings`] — `BLEND_THREADS` and `BLEND_MEMORY_BUDGET`, the only
 //!   environment the workspace reads, parsed in one function.
 
@@ -146,7 +144,6 @@ pub mod ctx;
 pub mod memory;
 pub mod morsel;
 pub mod pool;
-pub mod radix;
 pub mod settings;
 
 pub use admission::{Admission, AdmissionGrant};
@@ -156,7 +153,6 @@ pub use memory::{
     reserve_laddered, GovernorStats, LadderRung, MemoryGovernor, MemoryReclaimer,
     MemoryReservation, QueryMemory,
 };
-pub use morsel::{balanced_chunks, morselize, split_even, Morsel};
+pub use morsel::{balanced_chunks, morselize, partition_count, split_even, Morsel};
 pub use pool::{PoolRun, WorkerPool};
-pub use radix::{partition_count, radix_partition, radix_scratch_bytes, RadixPartitions};
 pub use settings::{MEMORY_ENV, THREADS_ENV};

@@ -70,7 +70,7 @@
 //! ## Fault injection
 //!
 //! [`MemoryGovernor::set_alloc_fail_every`] (which the serving tier calls
-//! for an `alloc:fail[@every]` fault rule) makes every `every`-th
+//! for a `FailAlloc` fault rule) makes every `every`-th
 //! reservation attempt fail synthetically — reclaim cannot rescue it, so
 //! the storm suite can prove each ladder rung fires without needing a
 //! precisely tuned real budget.

@@ -108,6 +108,33 @@ pub fn balanced_chunks(weights: &[usize], bins: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Radix partition count for a pool of `threads` workers over `items`
+/// rows: 4× the thread count rounded up to a power of two (the partition
+/// selector is a hash mask), capped so per-partition fixed costs stay
+/// negligible. The 4× over-decomposition lets the pool's dynamic task
+/// claiming balance skewed key distributions — with exactly one partition
+/// per worker, the worker that draws the hottest keys would serialize the
+/// phase.
+///
+/// Degenerate inputs shrink the count instead of emitting zero-sized CSR
+/// buckets: a width-1 grant has no workers to balance across (one
+/// partition), and fewer rows than partitions would leave most buckets
+/// empty while still paying the full offsets/cursor allocation per
+/// bucket — so the count halves until every partition can hold at least
+/// one row. Shrinking (rather than collapsing straight to one) keeps
+/// small-but-parallel inputs on the pool: a 12-row group at 4 threads
+/// still fans out across 8 partitions instead of silently serializing.
+pub fn partition_count(threads: usize, items: usize) -> usize {
+    if threads <= 1 || items < 2 {
+        return 1;
+    }
+    let mut parts = threads.saturating_mul(4).next_power_of_two().clamp(1, 256);
+    while parts > 1 && items < parts {
+        parts >>= 1;
+    }
+    parts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,5 +234,37 @@ mod tests {
         let bins = balanced_chunks(&[5], 3);
         assert_eq!(bins[0], vec![0]);
         assert!(bins[1].is_empty() && bins[2].is_empty());
+    }
+
+    #[test]
+    fn partition_count_is_a_bounded_power_of_two() {
+        const MANY: usize = 1 << 20;
+        assert_eq!(partition_count(2, MANY), 8);
+        assert_eq!(partition_count(3, MANY), 16);
+        assert_eq!(partition_count(8, MANY), 32);
+        assert_eq!(partition_count(1000, MANY), 256);
+        for t in 0..100 {
+            assert!(partition_count(t, MANY).is_power_of_two());
+        }
+    }
+
+    #[test]
+    fn partition_count_shrinks_degenerate_inputs() {
+        const MANY: usize = 1 << 20;
+        // Width-1 grants (and the no-grant width 0) have no workers to
+        // balance across.
+        assert_eq!(partition_count(0, MANY), 1);
+        assert_eq!(partition_count(1, MANY), 1);
+        // Empty and single-row inputs collapse all the way to one.
+        assert_eq!(partition_count(8, 0), 1);
+        assert_eq!(partition_count(8, 1), 1);
+        // Fewer rows than the 4×-thread fanout halves the count until
+        // every bucket can hold a row — small inputs stay parallel.
+        assert_eq!(partition_count(8, 31), 16);
+        assert_eq!(partition_count(8, 16), 16);
+        assert_eq!(partition_count(8, 15), 8);
+        assert_eq!(partition_count(8, 2), 2);
+        // At or above `parts` rows the full fanout survives.
+        assert_eq!(partition_count(8, 32), 32);
     }
 }

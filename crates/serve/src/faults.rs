@@ -28,27 +28,16 @@
 //! (panic at the site; the serving thread catches it and resolves the
 //! ticket with an `Internal` error).
 //!
-//! Plans are built in code, rule by rule ([`FaultPlan::with`]) or from a
-//! spec string ([`FaultPlan::parse`]). The spec grammar is comma-separated
-//! rules:
-//!
-//! ```text
-//! site:action[:millis][@every]
-//! ```
-//!
-//! e.g. `"dequeue:delay:20@2,exec:cancel@5,exec:poison@7"` delays every
-//! 2nd dequeue by 20 ms, cancels every 5th request at the exec site, and
-//! poisons every 7th. `@every` defaults to 1 (always).
-//! The special rule `alloc:fail[@every]` (site [`SITE_ALLOC`]) takes no
-//! millis and injects synthetic memory-reservation failures via the
+//! Plans are built in code, rule by rule ([`FaultPlan::with`]): e.g.
+//! `FaultPlan::none().with(SITE_DEQUEUE, FaultAction::Delay(20 ms), 2)`
+//! delays every 2nd dequeue by 20 ms. A [`FaultAction::FailAlloc`] rule at
+//! [`SITE_ALLOC`] injects synthetic memory-reservation failures via the
 //! engine's memory governor instead of firing at a pipeline site.
 //! Rule counters are per-site-visit and atomic, so concurrent serving
 //! threads see a deterministic *rate* of faults.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-use blend_common::{BlendError, Result};
 
 /// Fault site: a serving thread popped a request off the queue.
 pub const SITE_DEQUEUE: &str = "dequeue";
@@ -127,40 +116,10 @@ impl FaultPlan {
         self
     }
 
-    /// Parse a comma-separated spec: `site:action[:millis][@every]`. A
-    /// malformed rule is an error, so a typo fails loudly instead of
-    /// silently disabling the faults.
-    pub fn parse(spec: &str) -> Result<FaultPlan> {
-        let mut plan = FaultPlan::none();
-        for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {
-            let bad = || BlendError::InvalidInput(format!("bad fault rule `{rule}`"));
-            let (body, every) = match rule.split_once('@') {
-                Some((body, n)) => (body, n.parse::<usize>().map_err(|_| bad())?),
-                None => (rule, 1),
-            };
-            let mut parts = body.split(':');
-            let site = parts.next().filter(|s| !s.is_empty()).ok_or_else(bad)?;
-            let action = match parts.next().ok_or_else(bad)? {
-                "delay" => {
-                    let ms: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                    FaultAction::Delay(Duration::from_millis(ms))
-                }
-                "cancel" => FaultAction::Cancel,
-                "poison" => FaultAction::Poison,
-                "fail" if site == SITE_ALLOC => FaultAction::FailAlloc,
-                _ => return Err(bad()),
-            };
-            if parts.next().is_some() {
-                return Err(bad());
-            }
-            plan = plan.with(site, action, every);
-        }
-        Ok(plan)
-    }
-
-    /// The `every` rate of the first `alloc:fail` rule, if any. The
-    /// serving tier uses this to arm the engine's memory governor rather
-    /// than firing the rule at a pipeline site.
+    /// The `every` rate of the first [`FaultAction::FailAlloc`] rule at
+    /// [`SITE_ALLOC`], if any. The serving tier uses this to arm the
+    /// engine's memory governor rather than firing the rule at a pipeline
+    /// site.
     pub fn alloc_fail_every(&self) -> Option<usize> {
         self.rules
             .iter()
@@ -182,49 +141,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_full_grammar() {
-        let plan = FaultPlan::parse("dequeue:delay:20@2, exec:cancel@5,exec:poison").unwrap();
-        assert_eq!(plan.rules.len(), 3);
-        assert_eq!(
-            plan.rules[0].action,
-            FaultAction::Delay(Duration::from_millis(20))
-        );
-        assert_eq!(plan.rules[0].every, 2);
-        assert_eq!(plan.rules[1].action, FaultAction::Cancel);
-        assert_eq!(plan.rules[2].every, 1);
-    }
-
-    #[test]
-    fn rejects_malformed_rules() {
-        for bad in [
-            "dequeue",
-            "dequeue:delay:xx",
-            "x:cancel@y",
-            ":cancel",
-            "a:b",
-            "exec:fail",      // `fail` only parses at the alloc site
-            "alloc:fail:20",  // no millis on alloc:fail
-            "alloc:fail@2@3", // nonsense every
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad} should not parse");
-        }
-    }
-
-    #[test]
-    fn alloc_fail_rule_parses_and_reports_rate() {
-        let plan = FaultPlan::parse("exec:cancel@5,alloc:fail@7").unwrap();
+    fn alloc_fail_rule_reports_rate() {
+        let plan = FaultPlan::none()
+            .with(SITE_EXEC, FaultAction::Cancel, 5)
+            .with(SITE_ALLOC, FaultAction::FailAlloc, 7);
         assert_eq!(plan.alloc_fail_every(), Some(7));
         // The alloc rule does not leak into the pipeline sites.
         assert!(plan
             .fire(SITE_EXEC)
             .iter()
             .all(|a| *a != FaultAction::FailAlloc));
-        let plan = FaultPlan::parse("alloc:fail").unwrap();
-        assert_eq!(plan.alloc_fail_every(), Some(1));
-        assert_eq!(
-            FaultPlan::parse("exec:poison").unwrap().alloc_fail_every(),
-            None
-        );
+        let poison = FaultPlan::none().with(SITE_EXEC, FaultAction::Poison, 1);
+        assert_eq!(poison.alloc_fail_every(), None);
     }
 
     #[test]

@@ -170,7 +170,7 @@
 //! (panicking) requests at named serving sites, built in code or parsed
 //! from a spec string. Serving threads wrap execution in `catch_unwind`, so
 //! a poisoned request resolves its own ticket with `Err(SqlExec)` and the
-//! thread lives on. An `alloc:fail[@every]` rule ([`SITE_ALLOC`]) arms the
+//! thread lives on. A `FailAlloc` rule at [`SITE_ALLOC`] arms the
 //! memory governor with synthetic reservation failures instead of firing
 //! at a pipeline site, so storms can prove every ladder rung fires without
 //! a precisely tuned byte budget. The storm test drives 2× queue-depth

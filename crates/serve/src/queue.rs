@@ -294,7 +294,7 @@ impl ServeQueue {
     /// Spawn the serving threads for `engine` with the given config. The
     /// result cache charges the engine's memory governor (its byte pool is
     /// a child of that governor's budget) and registers as its
-    /// reclaimer; an `alloc:fail` rule in the fault plan arms the governor
+    /// reclaimer; a `FailAlloc` rule in the fault plan arms the governor
     /// with synthetic reservation failures.
     pub fn new(engine: Arc<SqlEngine>, config: ServeConfig) -> ServeQueue {
         let governor = engine.parallel_ctx().governor().clone();

@@ -74,7 +74,7 @@ pub fn count_parts_striped(parts: &[u32], counts: &mut [u32]) {
 /// Scatter pass of the counting sort: item index `i` lands at
 /// `items[cursor[parts[i]]]`, advancing that partition's cursor — input
 /// order within each partition is preserved, which is the load-bearing
-/// invariant of `blend_parallel::radix`. Single-cursor by necessity (see
+/// invariant of `blend_storage::radix`. Single-cursor by necessity (see
 /// the module docs); shared by both dispatch paths.
 #[inline]
 pub fn scatter_parts(parts: &[u32], cursor: &mut [u32], items: &mut [u32]) {

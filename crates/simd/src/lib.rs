@@ -41,7 +41,7 @@
 //! in-process via [`force`] — mirroring `blend_obs::set_enabled` — and
 //! `force(None)` returns to the vector path. Only kernels read
 //! [`enabled`] — the wrappers here and the batched hash of
-//! `blend_sql::hashtable::JoinKey::hash_block`; executors never branch on
+//! `blend_storage::DenseKey::hash_block`; executors never branch on
 //! it, so both paths run the same operator loops and differ only inside a
 //! kernel. Kernels never dispatch per element: they check once per batch,
 //! so the scalar path costs one predictable branch per batch, not per row.

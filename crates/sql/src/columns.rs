@@ -18,8 +18,8 @@ use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
-use blend_storage::FactTable;
+use blend_common::{BlendError, FxHashSet, Result};
+use blend_storage::{FactTable, GroupIndex};
 
 use crate::exec::{ResultSet, Tuple};
 use crate::value::SqlValue;
@@ -30,20 +30,20 @@ enum TextDict {
     /// The column store's own dictionary; ids are its codes.
     Store(Arc<dyn FactTable>),
     /// Every distinct string once; ids are dense, in first-seen order.
-    Dense {
-        strs: Vec<Arc<str>>,
-        ids: FxHashMap<Arc<str>, u32>,
-    },
+    Dense(GroupIndex<Arc<str>>),
 }
 
 impl std::fmt::Debug for TextDict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TextDict::Store(_) => write!(f, "Store"),
-            TextDict::Dense { strs, .. } => write!(f, "Dense({} strings)", strs.len()),
+            TextDict::Dense(strs) => write!(f, "Dense({} strings)", strs.len()),
         }
     }
 }
+
+/// Why numbering a result's own strings cannot fail short of the heap.
+const DICT_FITS: &str = "a result's text dictionary fits in memory";
 
 /// A dictionary-coded text column: equal ids are equal strings. Every id
 /// resolves in the column's dictionary (dense ids by construction, store
@@ -56,22 +56,18 @@ pub struct TextColumn {
 
 impl TextColumn {
     /// Dictionary-code `cells`, assigning dense ids in first-seen order.
-    pub(crate) fn dense<'a>(cells: impl Iterator<Item = &'a str>) -> TextColumn {
-        let mut ids: FxHashMap<Arc<str>, u32> = FxHashMap::default();
-        let mut strs: Vec<Arc<str>> = Vec::new();
-        let coded = cells
+    pub(crate) fn dense<'a>(cells: impl Iterator<Item = &'a str>) -> Result<TextColumn> {
+        let mut strs = GroupIndex::with_capacity(0)?;
+        let ids = cells
             .map(|s| {
-                ids.get(s).copied().unwrap_or_else(|| {
-                    strs.push(Arc::from(s));
-                    ids.insert(strs[strs.len() - 1].clone(), strs.len() as u32 - 1);
-                    strs.len() as u32 - 1
-                })
+                strs.get(s)
+                    .map_or_else(|| strs.insert_or_get(Arc::from(s)), Ok)
             })
-            .collect();
-        TextColumn {
-            ids: coded,
-            dict: TextDict::Dense { strs, ids },
-        }
+            .collect::<Result<_>>()?;
+        Ok(TextColumn {
+            ids,
+            dict: TextDict::Dense(strs),
+        })
     }
 
     /// Codes gathered from a dictionary-encoded `table`.
@@ -89,29 +85,30 @@ impl TextColumn {
         if let TextDict::Store(_) = self.dict {
             let (ids, strs) = self.shared();
             let (ids, strs) = (ids.into_owned(), strs.into_owned());
-            self.dict = TextDict::Dense {
-                ids: strs.iter().cloned().zip(0..).collect(),
-                strs,
-            };
+            let mut dict = GroupIndex::with_capacity(strs.len()).expect(DICT_FITS);
+            for s in strs {
+                dict.insert_or_get(s).expect(DICT_FITS);
+            }
+            self.dict = TextDict::Dense(dict);
             self.ids = ids;
         }
     }
 
     /// The rows as indexes into one `Arc<str>` per distinct id: dense ids
-    /// index `strs`; store codes are remapped once, in first-seen order.
+    /// index the dictionary's keys; store codes are numbered once, in
+    /// first-seen order.
     fn shared(&self) -> (Cow<'_, [u32]>, Cow<'_, [Arc<str>]>) {
         let table = match &self.dict {
-            TextDict::Dense { strs, .. } => return (self.ids[..].into(), strs[..].into()),
+            TextDict::Dense(strs) => return (self.ids[..].into(), strs.keys().into()),
             TextDict::Store(table) => table,
         };
-        let (mut local, mut strs) = (FxHashMap::default(), Vec::new());
-        let mut remap = |code| {
-            *local.entry(code).or_insert_with(|| {
-                strs.push(Arc::from(table.value_of_code(code).unwrap_or_default()));
-                strs.len() as u32 - 1
-            })
-        };
-        let ids: Vec<u32> = self.ids.iter().map(|&code| remap(code)).collect();
+        let mut codes = GroupIndex::with_capacity(0).expect(DICT_FITS);
+        let ids: Vec<u32> = (self.ids.iter())
+            .map(|&code| codes.insert_or_get(code).expect(DICT_FITS))
+            .collect();
+        let strs = (codes.keys().iter())
+            .map(|&code| Arc::from(table.value_of_code(code).unwrap_or_default()))
+            .collect::<Vec<_>>();
         (ids.into(), strs.into())
     }
 
@@ -124,7 +121,7 @@ impl TextColumn {
     pub fn str_of(&self, id: u32) -> &str {
         match &self.dict {
             TextDict::Store(table) => table.value_of_code(id).unwrap_or_default(),
-            TextDict::Dense { strs, .. } => strs.get(id as usize).map_or("", |s| s),
+            TextDict::Dense(strs) => strs.keys().get(id as usize).map_or("", |s| s),
         }
     }
 
@@ -133,7 +130,7 @@ impl TextColumn {
     pub fn id_of(&self, s: &str) -> Option<u32> {
         match &self.dict {
             TextDict::Store(table) => table.code_of_value(s),
-            TextDict::Dense { ids, .. } => ids.get(s).copied(),
+            TextDict::Dense(strs) => strs.get(s),
         }
     }
 }
@@ -236,19 +233,10 @@ impl ResultColumn {
             ResultColumn::Text(c) => {
                 let dict = match &c.dict {
                     TextDict::Store(_) => 0,
-                    // Every string once behind its Arc's two counts, a fat
-                    // pointer in `strs`, and the map's table: 8/7 of its
-                    // capacity in buckets of a (pointer, id) pair and a
-                    // control byte, and one more group of control bytes.
-                    TextDict::Dense { strs, ids } => {
-                        let buckets = match ids.capacity() {
-                            cap if cap < 8 => cap + 1,
-                            cap => cap / 7 * 8,
-                        };
-                        strs.iter().map(|s| 16 + s.len()).sum::<usize>()
-                            + strs.capacity() * size_of::<Arc<str>>()
-                            + buckets * (size_of::<(Arc<str>, u32)>() + 1)
-                            + 16
+                    // Every string once behind its Arc's two counts, and
+                    // the index's fat pointers and slots.
+                    TextDict::Dense(strs) => {
+                        strs.keys().iter().map(|s| 16 + s.len()).sum::<usize>() + strs.heap_bytes()
                     }
                 };
                 c.ids.capacity() * 4 + dict
@@ -379,7 +367,7 @@ impl ResultColumns {
             bytes += match col {
                 ResultColumn::Text(c) => (c.ids.iter().copied().collect::<FxHashSet<u32>>())
                     .into_iter()
-                    .map(|id| count(c.str_of(id), matches!(c.dict, TextDict::Dense { .. })))
+                    .map(|id| count(c.str_of(id), matches!(c.dict, TextDict::Dense(_))))
                     .sum(),
                 ResultColumn::Val(c) => c
                     .iter()
@@ -435,7 +423,7 @@ mod tests {
                 n,
                 pick: pick[..n].to_vec(),
                 store: store_text(table, pick, n),
-                dense: TextColumn::dense((0..n).map(word)),
+                dense: TextColumn::dense((0..n).map(word)).unwrap(),
                 shared: WORDS.iter().map(|&w| Arc::from(w)).collect(),
             }
         }
@@ -538,10 +526,10 @@ mod tests {
             };
             detached.detach();
             let Some(d) = detached.columns[0].as_text() else { panic!("detach keeps text") };
-            prop_assert!(matches!(d.dict, TextDict::Dense { .. }));
+            prop_assert!(matches!(d.dict, TextDict::Dense(_)));
             // Dense ids in first-seen order, as `dense` assigns them.
             let strs: Vec<&str> = col.ids().iter().map(|&id| col.str_of(id)).collect();
-            prop_assert_eq!(d.ids(), TextColumn::dense(strs.iter().copied()).ids());
+            prop_assert_eq!(d.ids(), TextColumn::dense(strs.iter().copied()).unwrap().ids());
             for (i, s) in strs.iter().enumerate() {
                 prop_assert_eq!(d.str_of(d.ids()[i]), *s);
                 prop_assert_eq!(d.id_of(s), Some(d.ids()[i]));
@@ -552,7 +540,7 @@ mod tests {
 
     #[test]
     fn dense_dictionary_looks_ids_up_by_string() {
-        let col = TextColumn::dense(["b", "a", "b", "c", "a"].into_iter());
+        let col = TextColumn::dense(["b", "a", "b", "c", "a"].into_iter()).unwrap();
         assert_eq!(col.ids(), &[0, 1, 0, 2, 1]);
         for (id, s) in ["b", "a", "c"].into_iter().enumerate() {
             assert_eq!(col.id_of(s), Some(id as u32));
@@ -572,7 +560,7 @@ mod tests {
         let mut key = ResultColumn::Key(vec![7]);
         let err = key.append(ResultColumn::Int(vec![8])).unwrap_err();
         assert!(matches!(err, BlendError::SqlExec(_)), "{err}");
-        let text = |s| ResultColumn::Text(TextColumn::dense([s].into_iter()));
+        let text = |s| ResultColumn::Text(TextColumn::dense([s].into_iter()).unwrap());
         let mut col = text("a");
         assert!(col.append(text("b")).is_err());
         assert_eq!((key.len(), col.len()), (1, 1));

@@ -78,10 +78,10 @@ pub struct ParallelPhase {
 }
 
 /// Hash-index telemetry for one keyed phase of the positional executor —
-/// a GROUP BY, or a join on packed keys (see `blend_sql::hashtable`): how
-/// its [`GroupIndex`](crate::hashtable::GroupIndex)es were built and how
-/// healthy the key distribution is. Row-keyed and interned joins build no
-/// index and record none. Printed by the bench harness alongside
+/// a GROUP BY, or a join on packed keys (see `blend_storage::hashtable`): how
+/// its [`GroupIndex`](blend_storage::GroupIndex)es were built and how
+/// healthy the key distribution is. Row-keyed and interned joins record
+/// none. Printed by the bench harness alongside
 /// [`memory_breakdown`].
 ///
 /// [`memory_breakdown`]: blend_storage::FactTable::memory_breakdown
@@ -97,11 +97,11 @@ pub struct HashTableStats {
     /// and group nanos are not directly comparable.
     pub build_nanos: u64,
     /// Index slots across all radix partitions
-    /// ([`GroupIndex::slot_count`](crate::hashtable::GroupIndex::slot_count)).
+    /// ([`GroupIndex::slot_count`](blend_storage::GroupIndex::slot_count)).
     pub buckets: usize,
     /// Longest probe sequence any insert walked, across all radix
     /// partitions
-    /// ([`GroupIndex::max_probe`](crate::hashtable::GroupIndex::max_probe)).
+    /// ([`GroupIndex::max_probe`](blend_storage::GroupIndex::max_probe)).
     pub max_chain: usize,
     /// Radix partition count (1 = the sequential, unpartitioned path).
     pub partitions: usize,

@@ -48,8 +48,8 @@
 //! them into one `u64`/`u128` per row. Any other key list — `CellValue`,
 //! `Quadrant`, `SuperKey`, an expression, five keys or more — is compiled as
 //! positional expressions and *interned*: each row's key tuple is evaluated
-//! once and mapped through one `FxHashMap<Vec<SqlValue>, u32>` per operator
-//! to a dense id. A GROUP BY runs that single id column through the same
+//! once and numbered by one [`GroupIndex`] over `Vec<SqlValue>` keys per
+//! operator. A GROUP BY runs that single id column through the same
 //! keyed phase as a packed key; a join uses the ids as they are, with
 //! nothing packed or hashed (*Joins on dense ids*). The semantics are the
 //! reference's: the join's build side assigns ids and the probe side only
@@ -57,7 +57,7 @@
 //! to a list no probe names, its probe rows find no id); GROUP BY groups by
 //! `SqlValue`'s `Eq` — NULL with NULL, `Int(1)` with `Float(1.0)` — and an
 //! interned key's output is its expressions evaluated at the group's
-//! first-seen row. The map is charged to the `key_intern` site as it grows,
+//! first-seen row. The index is charged to the `key_intern` site as it grows,
 //! and the loop polls the interrupt every `INTERRUPT_STRIDE` rows. No
 //! workload's SQL has such keys; there is no fast path for them.
 //!
@@ -84,10 +84,11 @@
 //!
 //! GROUP BY runs the **keyed phase** (`keyed`), which joins on packed keys
 //! share: admission, the memory ladder, radix partitioning by key hash, and
-//! per partition one [`GroupIndex`] (open addressing, linear probing) that
-//! assigns dense ids in first-seen order, rows upserting a [`PROBE_BLOCK`]
-//! at a time (hashed by [`JoinKey::hash_block`], the only code that looks
-//! at SIMD dispatch; slots prefetched once the index outgrows cache). Per
+//! per partition one [`GroupIndex`] (`blend_storage`'s one dense-id index:
+//! open addressing, linear probing) that assigns dense ids in first-seen
+//! order, rows upserting a [`PROBE_BLOCK`] at a time (hashed by
+//! [`DenseKey::hash_block`], the only code that looks at SIMD dispatch;
+//! slots prefetched once the index outgrows cache). Per
 //! partition GROUP BY then runs `aggregate`, column-at-a-time over `(row,
 //! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
 //! ...)` by radix-grouping the gathered code column by group id and
@@ -245,7 +246,7 @@
 //!   per-morsel position lists in morsel order;
 //! * joins on packed keys run the keyed phase on their build side, which
 //!   **radix-partitions it by key hash** (low hash bits; see
-//!   `blend_parallel::radix`), so each worker numbers a disjoint key set
+//!   `blend_storage::radix`), so each worker numbers a disjoint key set
 //!   and no merge is needed — a key's whole list lives in one partition,
 //!   ascending because partition scatter preserves input order (row-keyed
 //!   and interned joins build on the query's thread). Every join's probe
@@ -312,16 +313,18 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use blend_common::{FxHashMap, FxHashSet};
+use blend_common::FxHashSet;
 use blend_obs::SpanGuard;
 use blend_parallel::{
-    morselize, partition_count, radix_partition, radix_scratch_bytes, reserve_laddered, split_even,
-    MemoryReservation, Morsel, ParallelCtx, PhaseGrant, QueryMemory, RadixPartitions,
+    morselize, partition_count, reserve_laddered, split_even, MemoryReservation, Morsel,
+    ParallelCtx, PhaseGrant, QueryMemory,
 };
-use blend_storage::{FactTable, FilterKernel, ScanScratch, ValuePred};
+use blend_storage::{
+    radix_partition, radix_scratch_bytes, DenseKey, FactTable, FilterKernel, GroupIndex,
+    RadixPartitions, ScanScratch, ValuePred, PROBE_BLOCK,
+};
 
 use crate::exec::HashTableStats;
-use crate::hashtable::{GroupIndex, JoinKey, PROBE_BLOCK};
 
 use crate::ast::{AggFunc, BinOp, UnaryOp};
 use crate::columns::{ResultColumn, ResultColumns, TextColumn};
@@ -976,7 +979,7 @@ fn exec_project(
                     let strs = positions
                         .iter()
                         .map(|&p| tables[*leaf].value_at(p as usize));
-                    TextColumn::dense(strs)
+                    TextColumn::dense(strs)?
                 })
             }
             PExpr::Quadrant(leaf) => {
@@ -1302,11 +1305,11 @@ enum Intern {
 const NO_MATCH: u32 = u32::MAX;
 
 /// Dense `u32` ids for the key tuples of one join or GROUP BY whose keys do
-/// not pack (module docs, *Interned keys*): one map per operator, which
+/// not pack (module docs, *Interned keys*): one index per operator, which
 /// both join sides share.
 struct Interner<'a> {
-    ids: FxHashMap<Vec<SqlValue>, u32>,
-    /// The map's entries, charged to `key_intern` as they are added.
+    index: GroupIndex<Vec<SqlValue>>,
+    /// The index's keys, charged to `key_intern` as they are added.
     mem: MemoryReservation,
     tables: &'a [&'a dyn FactTable],
     par: &'a ParallelCtx,
@@ -1315,7 +1318,7 @@ struct Interner<'a> {
 impl<'a> Interner<'a> {
     fn new(tables: &'a [&'a dyn FactTable], par: &'a ParallelCtx) -> Result<Self> {
         Ok(Interner {
-            ids: FxHashMap::default(),
+            index: GroupIndex::with_capacity(0)?,
             mem: par.memory().try_reserve("key_intern", 0)?,
             tables,
             par,
@@ -1324,7 +1327,7 @@ impl<'a> Interner<'a> {
 
     /// The id of every row of `batch` (whose first leaf is global leaf
     /// `base`), keyed on the values of `exprs`. Every [`INTERRUPT_STRIDE`]
-    /// rows the loop polls the interrupt and charges the entries it added.
+    /// rows the loop polls the interrupt and charges the keys it added.
     fn ids(
         &mut self,
         mode: Intern,
@@ -1332,7 +1335,6 @@ impl<'a> Interner<'a> {
         batch: &PosBatch,
         base: usize,
     ) -> Result<Vec<u32>> {
-        use std::collections::hash_map::Entry;
         let mut out = blend_common::try_vec_with_capacity(batch.len(), "key_intern")?;
         let mut added = 0;
         for i in 0..batch.len() {
@@ -1346,26 +1348,27 @@ impl<'a> Interner<'a> {
                 .map(|e| e.eval(self.tables, base, row))
                 .collect();
             let null = key.iter().any(SqlValue::is_null);
-            let next = self.ids.len() as u32;
             out.push(match mode {
                 Intern::Build | Intern::Probe if null => NO_MATCH,
-                Intern::Probe => self.ids.get(&key).copied().unwrap_or(NO_MATCH),
-                Intern::Group | Intern::Build => match self.ids.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(_) if next == NO_MATCH => {
-                        return Err(executor_bug("more distinct keys than ids"))
+                Intern::Probe => self.index.get(&key).unwrap_or(NO_MATCH),
+                Intern::Group | Intern::Build => {
+                    let next = self.index.len();
+                    if next == NO_MATCH as usize {
+                        return Err(executor_bug("more distinct keys than ids"));
                     }
-                    Entry::Vacant(e) => {
-                        // The entry, its control byte, and the key's values
-                        // and strings.
-                        let text = e.key().iter().filter_map(SqlValue::as_str);
-                        added += std::mem::size_of::<(Vec<SqlValue>, u32)>()
-                            + 1
-                            + e.key().capacity() * std::mem::size_of::<SqlValue>()
+                    let id = self.index.insert_or_get(key)?;
+                    if id as usize == next {
+                        // Its key slot and at most two index slots, then
+                        // the key's values and strings.
+                        let key = &self.index.keys()[next];
+                        let text = key.iter().filter_map(SqlValue::as_str);
+                        added += std::mem::size_of::<Vec<SqlValue>>()
+                            + 8
+                            + key.capacity() * std::mem::size_of::<SqlValue>()
                             + text.map(|s| 16 + s.len()).sum::<usize>();
-                        *e.insert(next)
                     }
-                },
+                    id
+                }
             });
         }
         self.mem.grow(added)?;
@@ -1461,7 +1464,7 @@ fn exec_join(
             let _build_mem = par.memory().try_reserve("join_build", bytes)?;
             let mut interner = Interner::new(tables, par)?;
             let mut ids = interner.ids(Intern::Build, &side(build_left), build, build_base)?;
-            let n_ids = interner.ids.len();
+            let n_ids = interner.index.len();
             for id in ids.iter_mut().filter(|id| **id == NO_MATCH) {
                 *id = n_ids as u32;
             }
@@ -1682,7 +1685,7 @@ fn join_rows(
 /// and a partition's ids are offset past the partitions before it. The
 /// probe packs its side's keys, hashes a block at a time and looks each key
 /// up in its partition's index.
-fn join_packed<K: JoinKey>(
+fn join_packed<K: DenseKey + Copy + Send + Sync>(
     joiner: &Joiner<'_>,
     build_span: SpanGuard,
     side_cols: impl Fn(bool) -> Vec<Vec<u32>>,
@@ -1742,7 +1745,7 @@ fn join_packed<K: JoinKey>(
             }
             for ((pi, &key), &h) in range.zip(keys).zip(hashes.iter()) {
                 let p = part(h);
-                if let Some(id) = indexes[p].get_hashed(key, h) {
+                if let Some(id) = indexes[p].get_hashed(&key, h) {
                     hits.push((pi as u32, offsets[p] + id));
                 }
             }
@@ -2345,10 +2348,10 @@ struct Keyed<T> {
 /// ascending global order: every group's aggregates see the exact
 /// sequential update sequence, and a key's build rows stay ascending.
 /// Rows upsert a [`PROBE_BLOCK`] at a time, hashed by
-/// [`JoinKey::hash_block`] (or the radix pass), with the block's slots
+/// [`DenseKey::hash_block`] (or the radix pass), with the block's slots
 /// prefetched once the index has outgrown cache; insert order — and with it
 /// id assignment and first-seen rows — is untouched.
-fn keyed<K: JoinKey, T: Send>(
+fn keyed<K: DenseKey + Copy + Send + Sync, T: Send>(
     op: KeyedOp,
     packed: &[K],
     report: &mut QueryReport,
@@ -2540,17 +2543,15 @@ fn aggregate(
                 ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
             }
             (PosAggSpec::DistinctValue { leaf }, SpecData::Positions(positions)) => {
-                // Dense string ids: one map per partition, never per group.
-                // Ids are bijective with distinct strings within the
+                // Dense string ids: one index per partition, never per
+                // group. Ids are bijective with distinct strings within the
                 // partition, so sort-unique over ids counts strings.
-                let mut ids: FxHashMap<&str, u32> = FxHashMap::default();
-                let str_ids: Vec<u32> = (0..row_gids.len())
+                let mut ids: GroupIndex<&str> = GroupIndex::with_capacity(0)?;
+                let str_ids = (0..row_gids.len())
                     .map(|idx| {
-                        let s = tables[*leaf].value_at(positions[row_at(idx)] as usize);
-                        let next = ids.len() as u32;
-                        *ids.entry(s).or_insert(next)
+                        ids.insert_or_get(tables[*leaf].value_at(positions[row_at(idx)] as usize))
                     })
-                    .collect();
+                    .collect::<Result<Vec<u32>>>()?;
                 let csr = match &mut gid_csr {
                     Some(c) => c,
                     none => none.insert(radix_partition(row_gids, n_groups)?),

@@ -35,7 +35,6 @@ pub mod exec;
 pub mod exec_positional;
 pub mod expr;
 pub mod fingerprint;
-pub mod hashtable;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
@@ -46,7 +45,6 @@ pub use columns::{ResultColumn, ResultColumns, TextColumn};
 pub use engine::{Database, SqlEngine};
 pub use exec::{HashTableStats, ParallelPhase, QueryReport, ResultSet, ScanReport, ServingStats};
 pub use fingerprint::{fingerprint_query, fingerprint_sql, QueryFingerprint};
-pub use hashtable::{GroupIndex, JoinKey};
 pub use value::SqlValue;
 
 pub use blend_parallel::ParallelCtx;

@@ -804,7 +804,10 @@ fn classify_conjunct(e: &Expr) -> Classified {
             op: BinOp::Le,
             right,
         } => match (unqualified_fact_col(left), u32_literal(right)) {
-            (Some("rowid"), Some(n)) => Classified::RowIdLt(n.saturating_add(1)),
+            // `RowId <= u32::MAX` has no `u32` strict bound: a residual.
+            (Some("rowid"), Some(n)) => n
+                .checked_add(1)
+                .map_or(Classified::Other, Classified::RowIdLt),
             _ => Classified::Other,
         },
         Expr::IsNull { expr, negated } => match unqualified_fact_col(expr) {

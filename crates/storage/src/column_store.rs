@@ -1,22 +1,22 @@
 //! Dictionary-encoded columnar engine — the commercial column store
 //! analogue.
 
-use blend_common::hash::hash_str;
-use blend_common::FxHashMap;
-
 use crate::fact::{
     canonical_sort, decode_quadrant, scratch_component, table_ranges, FactRow, FactTable,
     MemoryBreakdown, QUADRANT_NULL,
 };
 use crate::filter::{compact_by, extend_filtered_range, FilterKernel, IdSet, ValuePred};
+use crate::hashtable::{DenseKey, GroupIndex};
+use crate::radix::{radix_partition, RadixPartitions};
 use crate::stats::FactStats;
 
 /// Column-store implementation of [`FactTable`].
 ///
 /// `CellValue` is dictionary-encoded: the distinct normalized strings live
-/// once in `dict`, and the column itself is a `Vec<u32>` of codes. The other
-/// five attributes are plain column vectors (`Quadrant` packed into one
-/// byte). Compared to [`crate::RowStore`] this
+/// once in `dict`, a [`GroupIndex`] whose ids are the codes, and the column
+/// itself is a `Vec<u32>` of codes. The other five attributes are plain
+/// column vectors (`Quadrant` packed into one byte). Compared to
+/// [`crate::RowStore`] this
 ///
 /// * shrinks the footprint (duplicated strings stored once — web-table lakes
 ///   are extremely repetitive), and
@@ -32,10 +32,10 @@ use crate::stats::FactStats;
 ///
 /// | component      | contents                                              | bytes                  |
 /// |----------------|-------------------------------------------------------|------------------------|
-/// | `dict-strings` | `dict`: one `Box<str>` per distinct value              | `16 d + Σ len`         |
-/// | `dict-index`   | `dict_index`: `u32` codes by string hash, ≤ half full | `4 · (2d)↑2`           |
+/// | `dict-strings` | `dict`'s keys: one `Box<str>` per distinct value      | `16 d + Σ len`         |
+/// | `dict-index`   | `dict`'s slots: `u32` codes by string hash, ≤ half full | `4 · (2d)↑2`         |
 /// | `columns`      | codes, tables, columns, rows (`u32`), super keys (`u128`), quadrants (`u8`) | `33 n` |
-/// | `postings`     | per code, its ascending positions (CSR)               | `4 (d + 1) + 4 n`      |
+/// | `postings`     | per code, its ascending positions ([`RadixPartitions`]) | `4 (d + 1) + 4 n`    |
 /// | `column-index` | per run its key; per code, its ascending runs ([`ColumnIndex`]) | `8 R + 4 (d + 1) + 4 E` |
 /// | `table-ranges` | per table id, its position range                      | `8 T`                  |
 /// | `row-directory` | per table id, the row ordinal of its `RowId` 0 (`row_base`) | `4 T`, or 0 without one |
@@ -51,10 +51,9 @@ use crate::stats::FactStats;
 /// per cell, and no ordinal overflows `u32` — and hands ordinals out
 /// through [`FactTable::row_ordinals`].
 pub struct ColumnStore {
-    /// Distinct values; index = dictionary code.
-    dict: Vec<Box<str>>,
-    /// Value lookup: string → code, comparing against `dict`.
-    dict_index: CodeTable,
+    /// Distinct values numbered by first sight in canonical order: id =
+    /// dictionary code, and `&str` lookups find the code.
+    dict: GroupIndex<Box<str>>,
     /// Per-position dictionary codes.
     codes: Vec<u32>,
     tables: Vec<u32>,
@@ -63,7 +62,7 @@ pub struct ColumnStore {
     superkeys: Vec<u128>,
     quadrants: Vec<u8>,
     /// Inverted index keyed by dictionary code: ascending positions.
-    postings: Csr,
+    postings: RadixPartitions,
     /// Value → (`TableId`, `ColumnId`) runs.
     column_index: ColumnIndex,
     ranges: Vec<(u32, u32)>,
@@ -77,18 +76,19 @@ pub struct ColumnStore {
 
 impl ColumnStore {
     /// Build the store: canonical sort, dictionary, then postings and the
-    /// column index in two passes over canonical order, then statistics.
+    /// column index counting-sorted by code, then statistics.
     ///
-    /// The fact rows and the string → code map that borrows from them are
-    /// dropped before the postings passes, so the build's high-water mark
-    /// is the rows plus the plain columns, never the rows beside the
-    /// indexes.
+    /// The dictionary copies each value at its first sight, so its strings
+    /// lie in code order. The fact rows are dropped before the indexes are
+    /// sorted, so the build's high-water mark is the rows plus the plain
+    /// columns, never the rows beside the indexes.
     pub fn build(mut fact_rows: Vec<FactRow>) -> Self {
         canonical_sort(&mut fact_rows);
         let ranges = table_ranges(&fact_rows);
         let n = fact_rows.len();
 
-        let mut dict: Vec<Box<str>> = Vec::new();
+        let fits = "the dictionary fits in memory";
+        let mut dict = GroupIndex::with_capacity(0).expect(fits);
         let mut codes = Vec::with_capacity(n);
         let mut tables = Vec::with_capacity(n);
         let mut columns = Vec::with_capacity(n);
@@ -97,13 +97,14 @@ impl ColumnStore {
         let mut quadrants = Vec::with_capacity(n);
         let mut numeric_rows = 0usize;
 
-        let mut code_of: FxHashMap<&str, u32> = FxHashMap::default();
         for r in &fact_rows {
-            let code = *code_of.entry(&r.value).or_insert_with(|| {
-                dict.push(r.value.clone());
-                dict.len() as u32 - 1
+            let hash = r.value.hash64();
+            codes.push(match dict.get_hashed(&*r.value, hash) {
+                Some(code) => code,
+                None => dict
+                    .insert_or_get_hashed(r.value.clone(), hash)
+                    .expect(fits),
             });
-            codes.push(code);
             tables.push(r.table);
             columns.push(r.column);
             rows.push(r.row);
@@ -113,10 +114,8 @@ impl ColumnStore {
                 numeric_rows += 1;
             }
         }
-        drop(code_of);
         drop(fact_rows);
         dict.shrink_to_fit();
-        let dict_index = CodeTable::build(&dict);
         let (postings, column_index) = index_codes(&codes, &tables, &columns, dict.len());
         let (row_base, row_space) =
             row_directory(&ranges, &rows).map_or((None, 0), |(b, s)| (Some(b), s));
@@ -125,13 +124,12 @@ impl ColumnStore {
         let stats = FactStats::compute(
             n,
             n_tables,
-            (0..dict.len()).map(|c| postings.list(c as u32).len()),
+            (0..dict.len()).map(|c| postings.part(c).len()),
             numeric_rows,
         );
 
         ColumnStore {
             dict,
-            dict_index,
             codes,
             tables,
             columns,
@@ -230,86 +228,6 @@ fn row_directory(ranges: &[(u32, u32)], rows: &[u32]) -> Option<(Vec<u32>, usize
     Some((base, space))
 }
 
-/// Compressed sparse rows over `u32` items: list `k` is
-/// `items[offsets[k]..offsets[k + 1]]`. Built by [`CsrBuilder`] in two
-/// passes, so both vectors are allocated once, at exact capacity.
-#[derive(Debug)]
-pub(crate) struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    /// List `k` (empty past the last list).
-    #[inline]
-    pub fn list(&self, k: u32) -> &[u32] {
-        match (
-            self.offsets.get(k as usize),
-            self.offsets.get(k as usize + 1),
-        ) {
-            (Some(&s), Some(&e)) => &self.items[s as usize..e as usize],
-            _ => &[],
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.items.capacity()) * 4
-    }
-}
-
-/// Two-pass [`Csr`] construction: [`count`](Self::count) every item's list,
-/// [`start_placing`](Self::start_placing), then [`place`](Self::place) the
-/// same items in the same order. During placing `offsets[k]` is list `k`'s
-/// write cursor, so no cursor array is allocated.
-pub(crate) struct CsrBuilder {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl CsrBuilder {
-    /// A builder of `n_lists` lists, all empty.
-    pub fn new(n_lists: usize) -> Self {
-        CsrBuilder {
-            offsets: vec![0; n_lists + 1],
-            items: Vec::new(),
-        }
-    }
-
-    /// Count one item of `list`.
-    #[inline]
-    pub fn count(&mut self, list: u32) {
-        self.offsets[list as usize + 1] += 1;
-    }
-
-    /// Counts become list starts, and the item vector is allocated.
-    pub fn start_placing(&mut self) {
-        for k in 1..self.offsets.len() {
-            self.offsets[k] += self.offsets[k - 1];
-        }
-        self.items = vec![0; self.offsets.last().map_or(0, |&n| n as usize)];
-    }
-
-    /// Append `item` to `list`, in counting order.
-    #[inline]
-    pub fn place(&mut self, list: u32, item: u32) {
-        let at = &mut self.offsets[list as usize];
-        self.items[*at as usize] = item;
-        *at += 1;
-    }
-
-    /// Every cursor now sits at its list's end, i.e. the next list's start:
-    /// shift them up one to restore the starts.
-    pub fn finish(mut self) -> Csr {
-        let n_lists = self.offsets.len() - 1;
-        self.offsets.copy_within(..n_lists, 1);
-        self.offsets[0] = 0;
-        Csr {
-            offsets: self.offsets,
-            items: self.items,
-        }
-    }
-}
-
 /// Value → column index of the column store: the set-overlap index the SC
 /// and KW seekers ask (how many query values does each column, or table,
 /// hold).
@@ -325,7 +243,7 @@ pub struct ColumnIndex {
     /// (`TableId`, `ColumnId`) per run ordinal.
     keys: Vec<(u32, u32)>,
     /// Per dictionary code, its ascending run ordinals.
-    runs_of: Csr,
+    runs_of: RadixPartitions,
 }
 
 impl ColumnIndex {
@@ -344,7 +262,10 @@ impl ColumnIndex {
     /// (empty for an unknown code).
     #[inline]
     pub fn ordinals(&self, code: u32) -> &[u32] {
-        self.runs_of.list(code)
+        match code as usize {
+            c if c < self.runs_of.n_parts() => self.runs_of.part(c),
+            _ => &[],
+        }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -352,110 +273,45 @@ impl ColumnIndex {
     }
 }
 
-/// Postings and the column index, both keyed by dictionary code, in two
-/// sequential passes over canonical order: the first counts each code's
-/// positions and distinct runs (a per-code "last run" marks the first cell
-/// of a value in a run), the second places them.
+/// Postings and the column index, both keyed by dictionary code and both
+/// counting-sorted by it ([`radix_partition`]): the column index sorts one
+/// (code, run) pair per value's first cell in each run — found in one pass
+/// over canonical order with a per-code "last run" — and keeps the runs;
+/// the postings sort every position. The pairs (at most one per position)
+/// are dropped before the postings are sorted, so the build never holds
+/// both.
 fn index_codes(
     codes: &[u32],
     tables: &[u32],
     columns: &[u32],
     n_codes: usize,
-) -> (Csr, ColumnIndex) {
-    /// Visit every position with its run ordinal and whether it heads its
-    /// run.
-    fn walk(tables: &[u32], columns: &[u32], mut f: impl FnMut(usize, u32, bool)) {
-        let mut run = 0u32;
-        for p in 0..tables.len() {
-            let head = p == 0 || (tables[p], columns[p]) != (tables[p - 1], columns[p - 1]);
-            run += (head && p > 0) as u32;
-            f(p, run, head);
+) -> (RadixPartitions, ColumnIndex) {
+    let fits = "the store's indexes fit in memory";
+    let mut keys: Vec<(u32, u32)> = Vec::new();
+    let mut pair_codes = Vec::with_capacity(codes.len());
+    let mut pair_runs = Vec::with_capacity(codes.len());
+    let mut last_run = vec![u32::MAX; n_codes];
+    for (p, &code) in codes.iter().enumerate() {
+        let key = (tables[p], columns[p]);
+        if keys.last() != Some(&key) {
+            keys.push(key);
+        }
+        let run = keys.len() as u32 - 1;
+        if std::mem::replace(&mut last_run[code as usize], run) != run {
+            pair_codes.push(code);
+            pair_runs.push(run);
         }
     }
-    let mut postings = CsrBuilder::new(n_codes);
-    let mut runs_of = CsrBuilder::new(n_codes);
-    let mut last_run = vec![u32::MAX; n_codes];
-    let mut n_runs = 0usize;
-    walk(tables, columns, |p, run, head| {
-        let code = codes[p];
-        postings.count(code);
-        if std::mem::replace(&mut last_run[code as usize], run) != run {
-            runs_of.count(code);
-        }
-        n_runs += head as usize;
-    });
-    postings.start_placing();
-    runs_of.start_placing();
-    last_run.fill(u32::MAX);
-    let mut keys = Vec::with_capacity(n_runs);
-    walk(tables, columns, |p, run, head| {
-        let code = codes[p];
-        postings.place(code, p as u32);
-        if std::mem::replace(&mut last_run[code as usize], run) != run {
-            runs_of.place(code, run);
-        }
-        if head {
-            keys.push((tables[p], columns[p]));
-        }
-    });
+    drop(last_run);
+    keys.shrink_to_fit();
+    let runs_of = radix_partition(&pair_codes, n_codes).expect(fits);
+    drop(pair_codes);
     let index = ColumnIndex {
         keys,
-        runs_of: runs_of.finish(),
+        runs_of: runs_of.map_items(&pair_runs),
     };
-    (postings.finish(), index)
-}
-
-/// The dictionary's string → code lookup without a second copy of the
-/// strings: an open-addressing table of codes, at most half full, probed
-/// linearly from the high bits of a multiplicative mix of the string's Fx
-/// hash (`FxHasher::finish` returns the raw state, whose low bits are
-/// weak), each occupied slot compared against `dict`.
-struct CodeTable {
-    slots: Vec<u32>,
-    shift: u32,
-}
-
-impl CodeTable {
-    const EMPTY: u32 = u32::MAX;
-
-    fn build(dict: &[Box<str>]) -> Self {
-        let n_slots = (dict.len() * 2).next_power_of_two().max(2);
-        let mut table = CodeTable {
-            slots: vec![Self::EMPTY; n_slots],
-            shift: 64 - n_slots.trailing_zeros(),
-        };
-        let mask = n_slots - 1;
-        for (code, s) in dict.iter().enumerate() {
-            let mut i = table.home(s);
-            while table.slots[i] != Self::EMPTY {
-                i = (i + 1) & mask;
-            }
-            table.slots[i] = code as u32;
-        }
-        table
-    }
-
-    #[inline]
-    fn home(&self, s: &str) -> usize {
-        (hash_str(s).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Code of `s`: a table at most half full always holds an empty slot,
-    /// so the probe ends.
-    fn get(&self, dict: &[Box<str>], s: &str) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(s);
-        loop {
-            let code = self.slots[i];
-            if code == Self::EMPTY {
-                return None;
-            }
-            if *dict[code as usize] == *s {
-                return Some(code);
-            }
-            i = (i + 1) & mask;
-        }
-    }
+    drop(pair_runs);
+    (radix_partition(codes, n_codes).expect(fits), index)
 }
 
 /// Which predicate a range pass already evaluated (so the compaction
@@ -485,7 +341,7 @@ impl FactTable for ColumnStore {
 
     #[inline]
     fn value_at(&self, pos: usize) -> &str {
-        &self.dict[self.codes[pos] as usize]
+        &self.dict.keys()[self.codes[pos] as usize]
     }
 
     #[inline]
@@ -515,7 +371,7 @@ impl FactTable for ColumnStore {
 
     fn postings(&self, value: &str) -> &[u32] {
         match self.code_of_value(value) {
-            Some(code) => self.postings.list(code),
+            Some(code) => self.postings.part(code as usize),
             None => &[],
         }
     }
@@ -542,11 +398,11 @@ impl FactTable for ColumnStore {
     }
 
     fn code_of_value(&self, value: &str) -> Option<u32> {
-        self.dict_index.get(&self.dict, value)
+        self.dict.get(value)
     }
 
     fn value_of_code(&self, code: u32) -> Option<&str> {
-        self.dict.get(code as usize).map(|s| &**s)
+        self.dict.keys().get(code as usize).map(|s| &**s)
     }
 
     fn column_index(&self) -> Option<&ColumnIndex> {
@@ -659,8 +515,8 @@ impl FactTable for ColumnStore {
     /// The capacities held, per component of the layout table on
     /// [`ColumnStore`].
     fn memory_breakdown(&self) -> MemoryBreakdown {
-        let dict_strings = self.dict.capacity() * std::mem::size_of::<Box<str>>()
-            + self.dict.iter().map(|s| s.len()).sum::<usize>();
+        let dict_strings = self.dict.key_capacity() * std::mem::size_of::<Box<str>>()
+            + self.dict.keys().iter().map(|s| s.len()).sum::<usize>();
         let columns = (self.codes.capacity()
             + self.tables.capacity()
             + self.columns.capacity()
@@ -672,7 +528,7 @@ impl FactTable for ColumnStore {
             engine: "Column",
             components: vec![
                 ("dict-strings", dict_strings),
-                ("dict-index", self.dict_index.slots.capacity() * 4),
+                ("dict-index", self.dict.slot_count() * 4),
                 ("columns", columns),
                 ("postings", self.postings.heap_bytes()),
                 ("column-index", self.column_index.heap_bytes()),
@@ -691,6 +547,7 @@ impl FactTable for ColumnStore {
 mod tests {
     use super::*;
     use crate::test_support::sample_rows;
+    use blend_common::FxHashMap;
     use proptest::prelude::*;
 
     #[test]
@@ -780,7 +637,7 @@ mod tests {
     /// cell, and a generated table may have none either), sparse
     /// `ColumnId`s, and values from a vocabulary of `vocab` — repeated
     /// inside a column and across columns, and, at the larger sizes, far
-    /// more distinct values than a small code table holds without its
+    /// more distinct values than a small dictionary index holds without its
     /// probes colliding.
     fn sparse_rows(seed: u64, n_tables: u32, vocab: u64) -> Vec<FactRow> {
         let mut state = seed | 1;
@@ -807,7 +664,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// CSR postings, the column index and the code table against a
+        /// CSR postings, the column index and the dictionary against a
         /// brute-force reading of the store's own columns, and the memory
         /// breakdown against the capacities the store holds.
         #[test]
@@ -848,13 +705,12 @@ mod tests {
             prop_assert!(index.ordinals(s.dict_len() as u32).is_empty());
 
             // Exact capacity: the build leaves no growth slack behind.
+            let csr_len = |c: &RadixPartitions| 4 * (c.offsets().len() + c.items().len());
             for (len, cap) in [
-                (s.postings.offsets.len(), s.postings.offsets.capacity()),
-                (s.postings.items.len(), s.postings.items.capacity()),
-                (index.runs_of.offsets.len(), index.runs_of.offsets.capacity()),
-                (index.runs_of.items.len(), index.runs_of.items.capacity()),
+                (csr_len(&s.postings), s.postings.heap_bytes()),
+                (csr_len(&index.runs_of), index.runs_of.heap_bytes()),
                 (index.keys.len(), index.keys.capacity()),
-                (s.dict.len(), s.dict.capacity()),
+                (s.dict.len(), s.dict.key_capacity()),
             ] {
                 prop_assert_eq!(len, cap);
             }

@@ -1,61 +1,80 @@
-//! The one hash structure of the positional executor: [`GroupIndex`], an
-//! open-addressing table that numbers packed keys densely, `0..n` in
-//! first-seen order. A phase allocates a constant number of flat arrays,
-//! whatever the key cardinality: no heap `Vec` per distinct key, no hash
-//! set per group.
+//! The one dense-id index of the workspace: [`GroupIndex`], an
+//! open-addressing table that numbers keys densely, `0..n` in first-seen
+//! order. Keys live once, in id order, in one flat array; the slot array
+//! holds only ids (4 bytes each), at most half full. An index allocates
+//! two arrays whatever its key count: no heap node per key.
 //!
-//! Both keyed operators run on it (`exec_positional`'s keyed phase):
+//! Every "number these keys" of the engine is this index, and its callers
+//! differ only by key type:
 //!
-//! * **GROUP BY** keeps aggregate state in struct-of-arrays vectors indexed
-//!   by group id — counts in `Vec<i64>`, distinct counts by per-group
-//!   sort-unique;
-//! * a **hash join** numbers its build side's distinct keys, lists each
-//!   id's build rows ascending in one CSR (`blend_parallel::radix_partition`
-//!   over the per-row ids), and maps each probe key to an id with the
-//!   lookup-only [`GroupIndex::get_hashed`].
+//! * the column store's **dictionary** (`Box<str>`): a value's code is its
+//!   id, and `&str` lookups probe the owned keys (see [`crate::ColumnStore`]);
+//! * the SQL executor's **keyed phase** — GROUP BY, and the hash join that
+//!   numbers its build keys and looks its probe keys up with
+//!   [`GroupIndex::get_hashed`] — over 1–2 `u32` columns packed into a
+//!   `u64` or 3–4 packed into a `u128`;
+//! * the executor's **interned key tuples** (`Vec<SqlValue>`), the row
+//!   store's distinct-count string ids (`&str`), and result text
+//!   dictionaries (`Arc<str>`, and store codes as `u32`).
 //!
-//! Keys are 1–2 u32 columns packed into a `u64` or 3–4 columns packed into
-//! a `u128`; the [`JoinKey`] trait abstracts the per-width hash
-//! ([`mix64`]/[`mix128`]). Hash bits are split by convention: the **low**
-//! bits select a radix partition (see `blend_parallel::radix`), bits 32 and
-//! up select the slot, so partitioning and slot choice stay independent for
-//! tables up to 2³² slots.
+//! [`DenseKey`] gives each key type its 64-bit hash. The packed keys stay
+//! `Copy` and monomorphized, hashed a [`PROBE_BLOCK`] at a time by
+//! [`DenseKey::hash_block`] ([`mix64`]/[`mix128`], batched on the vector
+//! path). A borrowed form hashes as its owner does — `Box`, `Arc` and `&`
+//! forward to the pointee — so a `&str` finds its `Box<str>`. Hash bits are
+//! split by convention: the **low** bits select a radix partition (see
+//! [`crate::radix`]), bits 32 and up select the slot, so partitioning and
+//! slot choice stay independent for tables up to 2³² slots.
 //!
 //! The unit tests below, `tests/join_group_parity.rs` and
-//! `tests/simd_parity.rs` pin grouping and the id-keyed join byte-for-byte
-//! to map-based references that share no code with them.
+//! `tests/simd_parity.rs` pin grouping, the id-keyed join and string keys
+//! to map-based references that share no code with the index.
 
-use blend_common::{mix128, mix128x8, mix64, mix64x8, MIX_LANES};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// A packed join/group key: `Copy`, comparable, and hashable to 64 bits
-/// without `Hasher` state. Implemented for `u64` (1–2 packed u32 columns)
-/// and `u128` (3–4 columns).
-pub trait JoinKey: Copy + Eq + std::hash::Hash + Send + Sync {
+use blend_common::hash::hash_str;
+use blend_common::{mix128, mix128x8, mix64, mix64x8, FxHasher, MIX_LANES};
+
+/// A key [`GroupIndex`] numbers: comparable, and hashable to 64 bits
+/// without `Hasher` state.
+pub trait DenseKey: Eq {
     /// Mix the key to 64 well-distributed bits. Low bits select the radix
     /// partition, bits 32.. select the slot — both sides of that split
     /// must be uniform.
-    fn hash64(self) -> u64;
+    fn hash64(&self) -> u64;
 
     /// Hash a block of keys into `out` (`out.len() == keys.len()`): the one
     /// hash source of the executor's join probe and group upsert loops,
     /// which call it on either SIMD dispatch path. This kernel is where
-    /// dispatch is decided: the per-width impls run [`MIX_LANES`] keys per
+    /// dispatch is decided: the packed-key impls run [`MIX_LANES`] keys per
     /// call through the batched mixers on the vector path; the default (and
     /// the scalar path) is the per-key loop. Values are identical either
     /// way — the batched mixers are exact stage-by-stage restatements of
     /// `hash64`.
-    fn hash_block(keys: &[Self], out: &mut [u64]) {
+    fn hash_block(keys: &[Self], out: &mut [u64])
+    where
+        Self: Sized,
+    {
         debug_assert_eq!(keys.len(), out.len());
-        for (o, &k) in out.iter_mut().zip(keys) {
+        for (o, k) in out.iter_mut().zip(keys) {
             *o = k.hash64();
         }
     }
 }
 
-impl JoinKey for u64 {
+impl DenseKey for u32 {
     #[inline]
-    fn hash64(self) -> u64 {
-        mix64(self)
+    fn hash64(&self) -> u64 {
+        mix64(*self as u64)
+    }
+}
+
+impl DenseKey for u64 {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        mix64(*self)
     }
 
     fn hash_block(keys: &[u64], out: &mut [u64]) {
@@ -77,10 +96,10 @@ impl JoinKey for u64 {
     }
 }
 
-impl JoinKey for u128 {
+impl DenseKey for u128 {
     #[inline]
-    fn hash64(self) -> u64 {
-        mix128(self)
+    fn hash64(&self) -> u64 {
+        mix128(*self)
     }
 
     fn hash_block(keys: &[u128], out: &mut [u64]) {
@@ -102,11 +121,56 @@ impl JoinKey for u128 {
     }
 }
 
+/// The Fx hash of the bytes, mixed: `FxHasher::finish` returns the raw
+/// state, whose bits 32.. alone would pick the slot.
+impl DenseKey for str {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        mix64(hash_str(self))
+    }
+}
+
+/// Key tuples, hashed through their `Hash` impl (which agrees with `Eq`).
+impl<T: Hash + Eq> DenseKey for Vec<T> {
+    fn hash64(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash(&mut h);
+        mix64(h.finish())
+    }
+}
+
+impl<T: DenseKey + ?Sized> DenseKey for &T {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        (**self).hash64()
+    }
+}
+
+impl<T: DenseKey + ?Sized> DenseKey for Box<T> {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        (**self).hash64()
+    }
+}
+
+impl<T: DenseKey + ?Sized> DenseKey for Arc<T> {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        (**self).hash64()
+    }
+}
+
 /// Slot a hash's probe sequence starts at: bits 32.. so the low bits stay
 /// free for radix partition selection.
 #[inline]
 fn slot_of(hash: u64, mask: usize) -> usize {
     (hash >> 32) as usize & mask
+}
+
+/// Slot-array length that holds `keys` keys at most half full: `(2 ·
+/// keys)↑2`, the next power of two at or above twice the keys, at least 2.
+fn slots_for(keys: usize) -> usize {
+    keys.saturating_mul(2).next_power_of_two().max(2)
 }
 
 /// Keys per batched probe/upsert block: hashes land in one stack buffer,
@@ -116,20 +180,21 @@ fn slot_of(hash: u64, mask: usize) -> usize {
 /// few cache lines' worth of stack.
 pub const PROBE_BLOCK: usize = 64;
 
-/// Slot sentinel: no group occupies this slot.
+/// Slot sentinel: no key occupies this slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Open-addressing index from packed group keys to dense group ids.
+/// Open-addressing index from keys to dense ids.
 ///
 /// Ids are assigned in first-seen order, so id order *is* the sequential
-/// group output order and aggregate state can live in flat vectors indexed
-/// by id. Linear probing over a power-of-two slot array; the slot array
-/// holds only ids (4 bytes each), keys live densely in insertion order.
+/// group output order and per-id state can live in flat vectors indexed by
+/// id. Linear probing over a power-of-two slot array that a new key doubles
+/// once it would be more than half full, so an index of `d` keys grown from
+/// [`with_capacity(0)`](GroupIndex::with_capacity) holds `(2d)↑2` slots.
 #[derive(Debug, Clone)]
-pub struct GroupIndex<K: JoinKey> {
-    /// Slot array: [`EMPTY`] or a dense group id.
+pub struct GroupIndex<K> {
+    /// Slot array: [`EMPTY`] or a dense id.
     slots: Vec<u32>,
-    /// Dense key storage: `keys[id]` is the key of group `id`.
+    /// Dense key storage: `keys[id]` is the key of id `id`.
     keys: Vec<K>,
     mask: usize,
     /// Longest probe sequence seen (telemetry: the open-addressing
@@ -137,36 +202,35 @@ pub struct GroupIndex<K: JoinKey> {
     max_probe: usize,
 }
 
-impl<K: JoinKey> GroupIndex<K> {
-    /// Index pre-sized for an expected group count. Fails typed
-    /// (`BlendError::MemoryExceeded`) if the slot/key arrays cannot be
-    /// allocated.
-    pub fn with_capacity(groups: usize) -> blend_common::Result<Self> {
-        let slots_len = groups.saturating_mul(2).next_power_of_two().max(16);
+impl<K: DenseKey> GroupIndex<K> {
+    /// Index pre-sized for an expected key count, which it holds without
+    /// growing. Fails typed (`BlendError::MemoryExceeded`) if the slot/key
+    /// arrays cannot be allocated.
+    pub fn with_capacity(keys: usize) -> blend_common::Result<Self> {
+        let slots_len = slots_for(keys);
         let mut slots = blend_common::try_vec_with_capacity::<u32>(slots_len, "group_slots")?;
         slots.resize(slots_len, EMPTY);
-        let keys = blend_common::try_vec_with_capacity::<K>(groups, "group_keys")?;
         Ok(GroupIndex {
             slots,
-            keys,
+            keys: blend_common::try_vec_with_capacity::<K>(keys, "group_keys")?,
             mask: slots_len - 1,
             max_probe: 0,
         })
     }
 
-    /// Resident bytes an index sized for `groups` groups over key type `K`
-    /// holds (slot array + dense key storage) — the costing primitive the
-    /// executor's group-state reservations use.
-    pub fn estimate_bytes(groups: usize) -> usize {
-        let slots = groups.saturating_mul(2).next_power_of_two().max(16);
-        slots * 4 + groups * std::mem::size_of::<K>()
+    /// Resident bytes an index sized for `keys` keys holds (slot array +
+    /// dense key storage) — the costing primitive the executor's
+    /// group-state reservations use.
+    pub fn estimate_bytes(keys: usize) -> usize {
+        slots_for(keys) * 4 + keys * std::mem::size_of::<K>()
     }
 
-    /// The dense id of `key`, inserting a fresh group (id = current
+    /// The dense id of `key`, inserting it (id = current
     /// [`len`](GroupIndex::len)) on first sight.
     #[inline]
     pub fn insert_or_get(&mut self, key: K) -> blend_common::Result<u32> {
-        self.insert_or_get_hashed(key, key.hash64())
+        let hash = key.hash64();
+        self.insert_or_get_hashed(key, hash)
     }
 
     /// [`insert_or_get`](GroupIndex::insert_or_get) with the key's hash
@@ -175,23 +239,12 @@ impl<K: JoinKey> GroupIndex<K> {
     /// inserts below the load-factor threshold never allocate.
     #[inline]
     pub fn insert_or_get_hashed(&mut self, key: K, hash: u64) -> blend_common::Result<u32> {
-        if self.keys.len() * 2 >= self.slots.len() {
-            self.grow()?;
-        }
         let mut slot = slot_of(hash, self.mask);
         let mut probe = 1usize;
         loop {
             let id = self.slots[slot];
             if id == EMPTY {
-                let gid = self.keys.len() as u32;
-                if self.keys.len() == self.keys.capacity() {
-                    let extra = self.keys.capacity().max(16);
-                    blend_common::try_reserve(&mut self.keys, extra, "group_keys")?;
-                }
-                self.slots[slot] = gid;
-                self.keys.push(key);
-                self.max_probe = self.max_probe.max(probe);
-                return Ok(gid);
+                break;
             }
             if self.keys[id as usize] == key {
                 return Ok(id);
@@ -199,36 +252,67 @@ impl<K: JoinKey> GroupIndex<K> {
             slot = (slot + 1) & self.mask;
             probe += 1;
         }
+        let id = self.keys.len() as u32;
+        if self.keys.len() == self.keys.capacity() {
+            let extra = self.keys.capacity().max(16);
+            blend_common::try_reserve(&mut self.keys, extra, "group_keys")?;
+        }
+        if (self.keys.len() + 1) * 2 > self.slots.len() {
+            self.grow()?;
+            self.place(hash, id);
+        } else {
+            self.slots[slot] = id;
+            self.max_probe = self.max_probe.max(probe);
+        }
+        self.keys.push(key);
+        Ok(id)
     }
 
-    /// The dense id of `key`, or `None` where no insert saw it — the probe
-    /// side of a join, which looks its keys up and never inserts. `hash` is
-    /// `key.hash64()` (the probe hashes a [`PROBE_BLOCK`] at a time).
+    /// The dense id of `key`, or `None` where no insert saw it.
     #[inline]
-    pub fn get_hashed(&self, key: K, hash: u64) -> Option<u32> {
+    pub fn get<Q: DenseKey + ?Sized>(&self, key: &Q) -> Option<u32>
+    where
+        K: Borrow<Q>,
+    {
+        self.get_hashed(key, key.hash64())
+    }
+
+    /// [`get`](GroupIndex::get) with the key's hash precomputed — the probe
+    /// side of a join, which looks its keys up a [`PROBE_BLOCK`] at a time
+    /// and never inserts.
+    #[inline]
+    pub fn get_hashed<Q: Eq + ?Sized>(&self, key: &Q, hash: u64) -> Option<u32>
+    where
+        K: Borrow<Q>,
+    {
         let mut slot = slot_of(hash, self.mask);
         loop {
             let id = self.slots[slot];
             if id == EMPTY {
                 return None;
             }
-            if self.keys[id as usize] == key {
+            if self.keys[id as usize].borrow() == key {
                 return Some(id);
             }
             slot = (slot + 1) & self.mask;
         }
     }
 
-    /// Resident bytes of the slot array and key storage now — what
-    /// [`estimate_bytes`](GroupIndex::estimate_bytes) priced at creation,
-    /// until an insert grows the index.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * 4 + self.keys.capacity() * std::mem::size_of::<K>()
+    /// Put `id` in the first empty slot of `hash`'s probe sequence.
+    fn place(&mut self, hash: u64, id: u32) {
+        let mut slot = slot_of(hash, self.mask);
+        let mut probe = 1usize;
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & self.mask;
+            probe += 1;
+        }
+        self.slots[slot] = id;
+        self.max_probe = self.max_probe.max(probe);
     }
 
     /// Double the slot array and re-scatter the dense ids. The doubled
     /// array is allocated fallibly *before* the old one is released, so a
-    /// failed grow leaves the index intact (the caller's groups survive and
+    /// failed grow leaves the index intact (the caller's ids survive and
     /// the error propagates typed).
     fn grow(&mut self) -> blend_common::Result<()> {
         let new_len = self.slots.len() * 2;
@@ -236,17 +320,24 @@ impl<K: JoinKey> GroupIndex<K> {
         slots.resize(new_len, EMPTY);
         self.mask = new_len - 1;
         self.slots = slots;
-        for (id, key) in self.keys.iter().enumerate() {
-            let mut slot = slot_of(key.hash64(), self.mask);
-            let mut probe = 1usize;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & self.mask;
-                probe += 1;
-            }
-            self.slots[slot] = id as u32;
-            self.max_probe = self.max_probe.max(probe);
+        for id in 0..self.keys.len() {
+            let hash = self.keys[id].hash64();
+            self.place(hash, id as u32);
         }
         Ok(())
+    }
+
+    /// Release the key array's growth slack, so it holds exactly
+    /// [`len`](GroupIndex::len) keys; the slot array keeps its size.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+    }
+
+    /// Resident bytes of the slot array and key storage now — what
+    /// [`estimate_bytes`](GroupIndex::estimate_bytes) priced at creation,
+    /// until an insert grows the index. Heap a key owns is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * 4 + self.keys.capacity() * std::mem::size_of::<K>()
     }
 
     /// Best-effort prefetch of the slot this hash's probe sequence starts
@@ -259,7 +350,7 @@ impl<K: JoinKey> GroupIndex<K> {
         blend_simd::prefetch_read(&self.slots, slot_of(hash, self.mask));
     }
 
-    /// Number of distinct groups.
+    /// Number of distinct keys.
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -274,31 +365,38 @@ impl<K: JoinKey> GroupIndex<K> {
         &self.keys
     }
 
+    /// Keys the key array holds room for.
+    pub(crate) fn key_capacity(&self) -> usize {
+        self.keys.capacity()
+    }
+
     /// Slot-array length (the "bucket count" telemetry of the index).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
-    /// Longest probe sequence any insert/lookup walked.
+    /// Longest probe sequence any insert walked.
     pub fn max_probe(&self) -> usize {
         self.max_probe
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::radix_partition;
+    use blend_common::FxHashMap;
+    use proptest::prelude::*;
 
     /// Map-based reference implementations the flat operators are pinned to:
     /// per-key `Vec` match lists in ascending build order, dense group ids in
     /// first-seen order.
     mod oracle {
-        use super::JoinKey;
         use blend_common::FxHashMap;
+        use std::hash::Hash;
 
         /// Map-based join: `(probe row, build row)` pairs in probe-row order,
         /// each probe row's matches ascending.
-        pub fn join_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+        pub fn join_pairs<K: Copy + Eq + Hash>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
             let mut table: FxHashMap<K, Vec<u32>> = FxHashMap::default();
             for (i, &k) in build.iter().enumerate() {
                 table.entry(k).or_default().push(i as u32);
@@ -316,7 +414,7 @@ mod tests {
 
         /// Map-based grouping: `(group id per row, first row per group)` with
         /// ids dense in first-seen order.
-        pub fn group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
+        pub fn group_ids<K: Copy + Eq + Hash>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
             let mut index: FxHashMap<K, u32> = FxHashMap::default();
             let mut first_rows: Vec<u32> = Vec::new();
             let gids = keys
@@ -334,19 +432,19 @@ mod tests {
         }
     }
 
-    /// The join `exec_positional` runs on packed keys: number the build
+    /// The join the SQL executor runs on packed keys: number the build
     /// keys through a [`GroupIndex`] sized for every key being distinct,
-    /// list each id's build rows ascending with `radix_partition`, then
+    /// list each id's build rows ascending with [`radix_partition`], then
     /// probe a [`PROBE_BLOCK`] at a time — hash the block
-    /// ([`JoinKey::hash_block`] dispatches on the forced SIMD path),
+    /// ([`DenseKey::hash_block`] dispatches on the forced SIMD path),
     /// prefetch its slots, look each key up with
     /// [`get_hashed`](GroupIndex::get_hashed) and walk its id's list.
-    fn dense_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+    fn dense_pairs<K: DenseKey + Copy>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
         let mut index: GroupIndex<K> = GroupIndex::with_capacity(build.len()).unwrap();
         let ids: Vec<u32> = (build.iter())
             .map(|&k| index.insert_or_get(k).unwrap())
             .collect();
-        let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
+        let lists = radix_partition(&ids, index.len()).unwrap();
         let mut out = Vec::new();
         let mut hash_buf = [0u64; PROBE_BLOCK];
         for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
@@ -357,7 +455,7 @@ mod tests {
             }
             for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
                 for &b in index
-                    .get_hashed(key, hash)
+                    .get_hashed(&key, hash)
                     .map_or(&[][..], |id| lists.part(id as usize))
                 {
                     out.push(((blk * PROBE_BLOCK + j) as u32, b));
@@ -392,7 +490,7 @@ mod tests {
         let probe: Vec<u64> = vec![42, 0, 42];
         assert!(dense_pairs(&[], &probe).is_empty());
         let index: GroupIndex<u64> = GroupIndex::with_capacity(0).unwrap();
-        assert_eq!(index.get_hashed(42, 42u64.hash64()), None);
+        assert_eq!(index.get_hashed(&42, 42u64.hash64()), None);
         assert_eq!(index.max_probe(), 0);
     }
 
@@ -420,9 +518,9 @@ mod tests {
         assert!(index.max_probe() >= 1);
         // The lookup names the same ids and inserts nothing.
         for (&k, &g) in keys.iter().zip(&gids) {
-            assert_eq!(index.get_hashed(k, k.hash64()), Some(g));
+            assert_eq!(index.get_hashed(&k, k.hash64()), Some(g));
         }
-        assert_eq!(index.get_hashed(8, 8u64.hash64()), None);
+        assert_eq!(index.get_hashed(&8, 8u64.hash64()), None);
         assert_eq!(index.len(), 4);
     }
 
@@ -499,5 +597,59 @@ mod tests {
             assert_eq!(index.insert_or_get(i << 64 | 1).unwrap(), i as u32);
         }
         assert_eq!(index.len(), 5000);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// String keys against an `FxHashMap` oracle, numbered as the column
+        /// store's dictionary numbers them (look up, insert when absent):
+        /// first-seen ids, `&str` lookups against the owned `Box<str>`
+        /// keys, misses for absent strings, growth from the smallest index
+        /// through several doublings, and the end state the dictionary
+        /// relies on — `(2d)↑2` slots, and keys at exact capacity once
+        /// shrunk.
+        #[test]
+        fn string_keys_match_a_map_oracle(
+            words in proptest::collection::vec(0u32..4000, 0..3000),
+            absent in proptest::collection::vec(0u32..4000, 0..50),
+        ) {
+            let mut index: GroupIndex<Box<str>> = GroupIndex::with_capacity(0).unwrap();
+            let mut oracle: FxHashMap<String, u32> = FxHashMap::default();
+            let mut first_seen: Vec<String> = Vec::new();
+            for w in &words {
+                let s = format!("w{w}");
+                let next = oracle.len() as u32;
+                let want = *oracle.entry(s.clone()).or_insert_with(|| {
+                    first_seen.push(s.clone());
+                    next
+                });
+                let got = match index.get(s.as_str()) {
+                    Some(id) => id,
+                    None => index.insert_or_get(s.into_boxed_str()).unwrap(),
+                };
+                prop_assert_eq!(got, want);
+            }
+            let d = oracle.len();
+            prop_assert_eq!(index.len(), d);
+            let keys: Vec<&str> = index.keys().iter().map(|k| &**k).collect();
+            prop_assert_eq!(keys, first_seen.iter().map(String::as_str).collect::<Vec<_>>());
+            for (s, &id) in &oracle {
+                prop_assert_eq!(index.get(s.as_str()), Some(id));
+            }
+            for a in &absent {
+                let s = format!("x{a}");
+                prop_assert_eq!(index.get(s.as_str()), None);
+            }
+            prop_assert_eq!(index.get(""), None);
+            prop_assert_eq!(index.slot_count(), (2 * d).next_power_of_two().max(2));
+            index.shrink_to_fit();
+            prop_assert_eq!(index.key_capacity(), d);
+            prop_assert_eq!(index.heap_bytes(), 4 * index.slot_count() + 16 * d);
+            // Shrinking moves no id.
+            for (s, &id) in &oracle {
+                prop_assert_eq!(index.get(s.as_str()), Some(id));
+            }
+        }
     }
 }

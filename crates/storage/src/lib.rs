@@ -34,10 +34,18 @@
 //! dictionary-code probes on the column store, fused tuple checks on the
 //! row store — through their only two evaluators,
 //! [`FactTable::filter_batch`] and [`FactTable::filter_range`].
+//!
+//! Two structures serve every layer above: [`GroupIndex`] ([`hashtable`]),
+//! the one index that numbers keys densely — the column store's dictionary,
+//! and the SQL executor's GROUP BY, joins, interned keys and result text —
+//! and [`RadixPartitions`] ([`radix`]), the one CSR — the postings, the
+//! column index, and the executor's partitions and per-id row lists.
 
 pub mod column_store;
 pub mod fact;
 pub mod filter;
+pub mod hashtable;
+pub mod radix;
 pub mod row_store;
 pub mod stats;
 
@@ -47,6 +55,8 @@ pub use fact::{
     QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
+pub use hashtable::{DenseKey, GroupIndex, PROBE_BLOCK};
+pub use radix::{radix_partition, radix_scratch_bytes, RadixPartitions};
 pub use row_store::RowStore;
 pub use stats::FactStats;
 

@@ -1,12 +1,18 @@
-//! Radix partitioning: counting-sort items into disjoint partitions.
+//! The one CSR of the workspace: [`RadixPartitions`], built by
+//! [`radix_partition`], a two-pass counting sort of item indices by
+//! partition id over `blend_simd`'s count and scatter kernels.
 //!
-//! The executor's keyed phase (GROUP BY and the join on packed keys) hands
-//! each pool worker a **disjoint key partition** (rows whose key hashes
-//! share the low partition bits), so per-worker indexes never hold
-//! overlapping keys and the old merge-maps-in-chunk-order step disappears.
-//! The partition step itself is a two-pass counting sort — count
-//! occupancy, prefix-sum, scatter — and the same pass lists each join key
-//! id's build rows.
+//! Its users:
+//!
+//! * the column store's **postings** (per dictionary code, its ascending
+//!   positions) and its value → column index (per code, its ascending run
+//!   ordinals; see [`crate::ColumnIndex`]), both sorted once at build;
+//! * the SQL executor's **keyed phase** (GROUP BY and the join on packed
+//!   keys), which hands each pool worker a disjoint key partition (rows
+//!   whose key hashes share the low partition bits), so per-worker indexes
+//!   never hold overlapping keys and nothing merges;
+//! * every join's per-id build row lists, and the per-group rows of
+//!   `COUNT(DISTINCT …)`.
 //!
 //! The invariant everything downstream leans on: within each partition,
 //! item indices come back **in ascending input order** (the scatter pass
@@ -17,6 +23,7 @@
 
 /// Items grouped by partition in CSR form: partition `p` owns
 /// `items[offsets[p]..offsets[p + 1]]`, ascending within each partition.
+/// Both arrays are allocated once, at exact capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RadixPartitions {
     offsets: Vec<u32>,
@@ -45,6 +52,20 @@ impl RadixPartitions {
     /// All item indices, grouped by partition.
     pub fn items(&self) -> &[u32] {
         &self.items
+    }
+
+    /// Replace every item index `i` by `values[i]`: the lists of the values
+    /// themselves, each partition's in input order.
+    pub(crate) fn map_items(mut self, values: &[u32]) -> Self {
+        for item in &mut self.items {
+            *item = values[*item as usize];
+        }
+        self
+    }
+
+    /// Resident bytes of both arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.items.capacity()) * 4
     }
 }
 
@@ -81,33 +102,6 @@ pub fn radix_partition(parts: &[u32], n_parts: usize) -> blend_common::Result<Ra
     let mut items = blend_common::try_zeroed_vec::<u32>(parts.len(), "radix_scatter")?;
     blend_simd::scatter_parts(parts, &mut cursor, &mut items);
     Ok(RadixPartitions { offsets, items })
-}
-
-/// Radix partition count for a pool of `threads` workers over `items`
-/// rows: 4× the thread count rounded up to a power of two (the partition
-/// selector is a hash mask), capped so per-partition fixed costs stay
-/// negligible. The 4× over-decomposition lets the pool's dynamic task
-/// claiming balance skewed key distributions — with exactly one partition
-/// per worker, the worker that draws the hottest keys would serialize the
-/// phase.
-///
-/// Degenerate inputs shrink the count instead of emitting zero-sized CSR
-/// buckets: a width-1 grant has no workers to balance across (one
-/// partition), and fewer rows than partitions would leave most buckets
-/// empty while still paying the full offsets/cursor allocation per
-/// bucket — so the count halves until every partition can hold at least
-/// one row. Shrinking (rather than collapsing straight to one) keeps
-/// small-but-parallel inputs on the pool: a 12-row group at 4 threads
-/// still fans out across 8 partitions instead of silently serializing.
-pub fn partition_count(threads: usize, items: usize) -> usize {
-    if threads <= 1 || items < 2 {
-        return 1;
-    }
-    let mut parts = threads.saturating_mul(4).next_power_of_two().clamp(1, 256);
-    while parts > 1 && items < parts {
-        parts >>= 1;
-    }
-    parts
 }
 
 #[cfg(test)]
@@ -149,49 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn partition_count_is_a_bounded_power_of_two() {
-        const MANY: usize = 1 << 20;
-        assert_eq!(partition_count(2, MANY), 8);
-        assert_eq!(partition_count(3, MANY), 16);
-        assert_eq!(partition_count(8, MANY), 32);
-        assert_eq!(partition_count(1000, MANY), 256);
-        for t in 0..100 {
-            assert!(partition_count(t, MANY).is_power_of_two());
-        }
-    }
-
-    #[test]
-    fn partition_count_shrinks_degenerate_inputs() {
-        const MANY: usize = 1 << 20;
-        // Width-1 grants (and the no-grant width 0) have no workers to
-        // balance across.
-        assert_eq!(partition_count(0, MANY), 1);
-        assert_eq!(partition_count(1, MANY), 1);
-        // Empty and single-row inputs collapse all the way to one.
-        assert_eq!(partition_count(8, 0), 1);
-        assert_eq!(partition_count(8, 1), 1);
-        // Fewer rows than the 4×-thread fanout halves the count until
-        // every bucket can hold a row — small inputs stay parallel.
-        assert_eq!(partition_count(8, 31), 16);
-        assert_eq!(partition_count(8, 16), 16);
-        assert_eq!(partition_count(8, 15), 8);
-        assert_eq!(partition_count(8, 2), 2);
-        // At or above `parts` rows the full fanout survives.
-        assert_eq!(partition_count(8, 32), 32);
-    }
-
-    #[test]
     fn radix_partition_degenerate_single_partition_shapes() {
         // Single row, one partition: one bucket holding item 0.
         let rp = radix_partition(&[0], 1).unwrap();
         assert_eq!(rp.n_parts(), 1);
         assert_eq!(rp.part(0), &[0]);
         assert_eq!(rp.offsets(), &[0, 1]);
-        // The collapsed count (`partition_count(1, _)` / rows < parts)
-        // composes with `radix_partition` into the identity layout.
+        // The collapsed count (one partition: a single thread, or fewer
+        // rows than partitions) is the identity layout.
         let n = 9usize;
         let parts = vec![0u32; n];
-        let rp = radix_partition(&parts, partition_count(1, n)).unwrap();
+        let rp = radix_partition(&parts, 1).unwrap();
         assert_eq!(rp.n_parts(), 1);
         assert_eq!(rp.part(0), (0..n as u32).collect::<Vec<_>>().as_slice());
     }

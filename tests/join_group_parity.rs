@@ -1,7 +1,7 @@
 //! Flat join/group parity: the positional executor's keyed operators —
-//! grouping through `blend_sql::hashtable::GroupIndex`, and the join on
+//! grouping through `blend_storage::hashtable::GroupIndex`, and the join on
 //! dense key ids (build keys numbered by a `GroupIndex`, each id's build
-//! rows listed by `radix_partition`, probe keys looked up with
+//! rows listed by `blend_storage::radix_partition`, probe keys looked up with
 //! `GroupIndex::get_hashed`) — must reproduce map-based references
 //! **byte-for-byte** — at the operator level against this file's
 //! `oracle::{join_pairs, group_ids}` over random key arrays, and
@@ -14,9 +14,8 @@
 //! sorting on first-seen rows — so results (and logical telemetry) must be
 //! identical at every thread count, including for float aggregates.
 
-use blend_sql::hashtable::{GroupIndex, JoinKey};
 use blend_sql::{ParallelCtx, SqlEngine};
-use blend_storage::{build_engine, EngineKind, FactRow};
+use blend_storage::{build_engine, radix_partition, DenseKey, EngineKind, FactRow, GroupIndex};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,12 +27,12 @@ const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 /// `Vec` match lists in ascending build order, dense group ids in
 /// first-seen order.
 mod oracle {
-    use blend_sql::hashtable::JoinKey;
     use std::collections::HashMap;
+    use std::hash::Hash;
 
     /// `(probe row, build row)` pairs in probe-row order, each probe row's
     /// matches ascending.
-    pub fn join_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+    pub fn join_pairs<K: Copy + Eq + Hash>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
         let mut table: HashMap<K, Vec<u32>> = HashMap::new();
         for (i, &k) in build.iter().enumerate() {
             table.entry(k).or_default().push(i as u32);
@@ -48,7 +47,7 @@ mod oracle {
     }
 
     /// `(group id per row, first row per group)`.
-    pub fn group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
+    pub fn group_ids<K: Copy + Eq + Hash>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
         let mut index: HashMap<K, u32> = HashMap::new();
         let mut first_rows: Vec<u32> = Vec::new();
         let gids = keys
@@ -69,15 +68,15 @@ mod oracle {
 /// build keys numbered by a [`GroupIndex`], each id's build rows listed
 /// ascending by `radix_partition`, and each probe key looked up with
 /// `get_hashed`. (probe row, build row) pairs in probe order.
-fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
+fn flat_pairs<K: DenseKey + Copy>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
     let mut index: GroupIndex<K> = GroupIndex::with_capacity(build.len()).unwrap();
     let ids: Vec<u32> = (build.iter())
         .map(|&k| index.insert_or_get(k).unwrap())
         .collect();
-    let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
+    let lists = radix_partition(&ids, index.len()).unwrap();
     let mut out = Vec::new();
     for (i, &k) in probe.iter().enumerate() {
-        if let Some(id) = index.get_hashed(k, k.hash64()) {
+        if let Some(id) = index.get_hashed(&k, k.hash64()) {
             out.extend(lists.part(id as usize).iter().map(|&b| (i as u32, b)));
         }
     }
@@ -85,7 +84,7 @@ fn flat_pairs<K: JoinKey>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
 }
 
 /// Flat group index: (gid per row, first row per group) like the oracle.
-fn flat_group_ids<K: JoinKey>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
+fn flat_group_ids<K: DenseKey + Copy>(keys: &[K]) -> (Vec<u32>, Vec<u32>) {
     let mut index: GroupIndex<K> = GroupIndex::with_capacity(8).unwrap();
     let mut first_rows = Vec::new();
     let gids = keys

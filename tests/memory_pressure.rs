@@ -15,7 +15,7 @@
 //!    zero after every query, and the serving tier's outcome conservation
 //!    identity extends with `mem_exceeded`.
 //! 4. **Ladder coverage** — full → narrowed → sequential → typed shed all
-//!    fire: real budgets exercise rungs 2–3, injected `alloc:fail` faults
+//!    fire: real budgets exercise rungs 2–3, injected `FailAlloc` faults
 //!    exercise rung 4 deterministically.
 
 use std::sync::{mpsc, Arc};
@@ -25,7 +25,7 @@ use blend_common::BlendError;
 use blend_parallel::{
     reserve_laddered, Deadline, LadderRung, MemoryGovernor, ParallelCtx, QueryMemory,
 };
-use blend_serve::{FaultPlan, ServeConfig, ServeQueue};
+use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_ALLOC};
 use blend_sql::{ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
@@ -313,7 +313,7 @@ fn storm_under_memory_budget_resolves_typed_with_conservation() {
     );
 }
 
-/// Injected `alloc:fail` faults (rung-4 forcing: reclaim cannot rescue a
+/// Injected `FailAlloc` faults (rung-4 forcing: reclaim cannot rescue a
 /// synthetic failure) drive typed `MemoryExceeded` outcomes through the
 /// serving tier without any real budget, the conservation identity holds,
 /// and the engine recovers to full service once disarmed.
@@ -328,8 +328,8 @@ fn alloc_fault_storm_sheds_typed_and_recovers() {
 
     let gov = Arc::new(MemoryGovernor::unbounded());
     let engine = budgeted_engine(&fact, &gov);
-    // The spec grammar and the rate the queue arms the governor with agree.
-    let faults = FaultPlan::parse("alloc:fail@7").unwrap();
+    // The rule and the rate the queue arms the governor with agree.
+    let faults = FaultPlan::none().with(SITE_ALLOC, FaultAction::FailAlloc, 7);
     assert_eq!(faults.alloc_fail_every(), Some(7));
     let queue = Arc::new(ServeQueue::new(
         engine,

@@ -4,7 +4,8 @@
 use blend::{tasks, Blend, Combiner, Plan, Seeker};
 use blend_common::{Column, Table, TableId, Value};
 use blend_lake::DataLake;
-use blend_storage::EngineKind;
+use blend_sql::SqlEngine;
+use blend_storage::{build_engine, EngineKind, FactRow};
 
 fn small_lake() -> DataLake {
     let mk = |id: u32, vals: Vec<&str>, nums: Vec<i64>| {
@@ -209,4 +210,28 @@ fn row_engine_handles_all_tasks_too() {
     .unwrap();
     let hits = s.execute(&plan).unwrap();
     assert_eq!(hits[0].table, TableId(0));
+}
+
+/// `RowId <= 4294967295` keeps every cell, the one whose `RowId` is
+/// `u32::MAX` too: the bound has no strict `u32` form, so it runs as a
+/// residual, not as a `RowId <` kernel bound that would drop that cell.
+#[test]
+fn rowid_upper_bound_at_u32_max_keeps_every_cell() {
+    let sql = "SELECT RowId AS r FROM AllTables WHERE RowId <= 4294967295";
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let rows = vec![
+            FactRow::new("a", 0, 0, 0, 0, None),
+            FactRow::new("b", 0, 0, 7, 0, None),
+            FactRow::new("c", 1, 0, u32::MAX, 0, None),
+        ];
+        let engine = SqlEngine::with_alltables(build_engine(kind, rows));
+        for rs in [
+            engine.execute(sql),
+            engine.execute_reference(sql).map(|r| r.0),
+        ] {
+            let mut ids = rs.unwrap().column_u32("r");
+            ids.sort_unstable();
+            assert_eq!(ids, vec![0, 7, u32::MAX], "{kind:?}");
+        }
+    }
 }

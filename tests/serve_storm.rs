@@ -260,15 +260,6 @@ fn storm_with_injected_faults_stays_live() {
     storm_once("faults", faults, true);
 }
 
-/// The fault plan parsed from its spec grammar drives the same storm as
-/// the plan built rule by rule above.
-#[test]
-fn fault_plan_env_grammar_matches_programmatic_plan() {
-    let parsed = FaultPlan::parse("dequeue:delay:5@3,exec:cancel@7,exec:poison@11").unwrap();
-    assert!(!parsed.is_empty());
-    storm_once("env-faults", parsed, true);
-}
-
 /// Coalesced-group leader failure: a burst of fingerprint-equal requests
 /// forms one in-flight group, the leader is killed mid-execution, and the
 /// contract is that **every waiter still resolves typed** — the earliest

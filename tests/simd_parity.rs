@@ -26,9 +26,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use blend_common::{mix128, mix128x8, mix64, mix64x8};
 use blend_parallel::ParallelCtx;
 use blend_simd as simd;
-use blend_sql::hashtable::PROBE_BLOCK;
-use blend_sql::{GroupIndex, JoinKey, SqlEngine};
-use blend_storage::{build_engine, EngineKind, FactRow};
+use blend_sql::SqlEngine;
+use blend_storage::{
+    build_engine, radix_partition, DenseKey, EngineKind, FactRow, GroupIndex, PROBE_BLOCK,
+};
 use proptest::prelude::*;
 
 /// Serializes tests that flip the process-global dispatch override, and
@@ -264,7 +265,7 @@ proptest! {
         // `GroupIndex`, each id's build rows listed ascending.
         let mut index: GroupIndex<u64> = GroupIndex::with_capacity(build.len()).unwrap();
         let ids: Vec<u32> = build.iter().map(|&k| index.insert_or_get(k).unwrap()).collect();
-        let lists = blend_parallel::radix_partition(&ids, index.len()).unwrap();
+        let lists = radix_partition(&ids, index.len()).unwrap();
         // Oracle: every (probe, build) key equality, probe-major, build
         // ascending within a probe row — the executor's output contract.
         let mut want: Vec<(u32, u32)> = Vec::new();
@@ -287,7 +288,7 @@ proptest! {
                 let hashes = &mut hash_buf[..keys.len()];
                 u64::hash_block(keys, hashes);
                 for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
-                    for &b in index.get_hashed(key, hash).map_or(&[][..], |id| lists.part(id as usize)) {
+                    for &b in index.get_hashed(&key, hash).map_or(&[][..], |id| lists.part(id as usize)) {
                         got.push(((blk * PROBE_BLOCK + j) as u32, b));
                     }
                 }
