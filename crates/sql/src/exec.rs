@@ -471,10 +471,19 @@ fn hash_join(
 pub(crate) enum AggState {
     Count(i64),
     CountDistinct(FxHashSet<SqlValue>),
-    Sum { acc: f64, all_int: bool, seen: bool },
+    /// SUM before its first number.
+    SumNone,
+    /// SUM while every number was an integer (a `Bool` counts 0 or 1):
+    /// exact, and wrapping like `+`.
+    SumInt(i64),
+    /// SUM once a `Float` arrived.
+    SumFloat(f64),
     Min(Option<SqlValue>),
     Max(Option<SqlValue>),
-    Avg { sum: f64, n: i64 },
+    Avg {
+        sum: f64,
+        n: i64,
+    },
 }
 
 impl AggState {
@@ -482,11 +491,7 @@ impl AggState {
         match (plan.func, plan.distinct) {
             (AggFunc::Count, true) => AggState::CountDistinct(FxHashSet::default()),
             (AggFunc::Count, false) => AggState::Count(0),
-            (AggFunc::Sum, _) => AggState::Sum {
-                acc: 0.0,
-                all_int: true,
-                seen: false,
-            },
+            (AggFunc::Sum, _) => AggState::SumNone,
             (AggFunc::Min, _) => AggState::Min(None),
             (AggFunc::Max, _) => AggState::Max(None),
             (AggFunc::Avg, _) => AggState::Avg { sum: 0.0, n: 0 },
@@ -498,66 +503,53 @@ impl AggState {
     }
 
     /// Fold one already-evaluated argument (`None` = no argument, i.e.
-    /// `COUNT(*)`). The positional executor evaluates arguments from
-    /// storage positions and feeds them here.
+    /// `COUNT(*)`). The positional executor's typed columns fold through
+    /// [`add_int`](Self::add_int) and [`add_float`](Self::add_float), which
+    /// this defers to.
     pub(crate) fn update_value(&mut self, arg: Option<SqlValue>) {
+        let keep = |cur: &mut Option<SqlValue>, v: SqlValue, want: Ordering| {
+            if cur.as_ref().is_none_or(|c| v.order_cmp(c) == want) {
+                *cur = Some(v);
+            }
+        };
+        match (self, arg) {
+            (AggState::Count(n), None) => *n += 1,
+            (_, None | Some(SqlValue::Null)) => {}
+            (AggState::Count(n), Some(_)) => *n += 1,
+            (AggState::CountDistinct(set), Some(v)) => drop(set.insert(v)),
+            (AggState::Min(cur), Some(v)) => keep(cur, v, Ordering::Less),
+            (AggState::Max(cur), Some(v)) => keep(cur, v, Ordering::Greater),
+            // SUM and AVG: numbers only.
+            (s, Some(SqlValue::Int(i))) => s.add_int(i),
+            (s, Some(SqlValue::Bool(b))) => s.add_int(b as i64),
+            (s, Some(SqlValue::Float(f))) => s.add_float(f),
+            (_, Some(_)) => {}
+        }
+    }
+
+    /// Fold a non-NULL `Int`.
+    #[inline]
+    pub(crate) fn add_int(&mut self, i: i64) {
         match self {
-            AggState::Count(n) => match &arg {
-                // COUNT(*) counts rows; COUNT(x) counts non-null x.
-                None => *n += 1,
-                Some(v) if !v.is_null() => *n += 1,
-                _ => {}
-            },
-            AggState::CountDistinct(set) => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        set.insert(v);
-                    }
-                }
-            }
-            AggState::Sum { acc, all_int, seen } => {
-                if let Some(v) = arg {
-                    if let Some(f) = v.as_f64() {
-                        *acc += f;
-                        *seen = true;
-                        if matches!(v, SqlValue::Float(_)) {
-                            *all_int = false;
-                        }
-                    }
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        let replace = match cur {
-                            None => true,
-                            Some(c) => v.order_cmp(c).is_lt(),
-                        };
-                        if replace {
-                            *cur = Some(v);
-                        }
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        let replace = match cur {
-                            None => true,
-                            Some(c) => v.order_cmp(c).is_gt(),
-                        };
-                        if replace {
-                            *cur = Some(v);
-                        }
-                    }
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if let Some(f) = arg.and_then(|v| v.as_f64()) {
-                    *sum += f;
-                    *n += 1;
-                }
-            }
+            AggState::SumNone => *self = AggState::SumInt(i),
+            AggState::SumInt(acc) => *acc = acc.wrapping_add(i),
+            AggState::SumFloat(acc) => *acc += i as f64,
+            AggState::Avg { sum, n } => (*sum, *n) = (*sum + i as f64, *n + 1),
+            AggState::Count(n) => *n += 1,
+            _ => self.update_value(Some(SqlValue::Int(i))),
+        }
+    }
+
+    /// Fold a non-NULL `Float`.
+    #[inline]
+    pub(crate) fn add_float(&mut self, f: f64) {
+        match self {
+            AggState::SumNone => *self = AggState::SumFloat(0.0 + f),
+            AggState::SumInt(acc) => *self = AggState::SumFloat(*acc as f64 + f),
+            AggState::SumFloat(acc) => *acc += f,
+            AggState::Avg { sum, n } => (*sum, *n) = (*sum + f, *n + 1),
+            AggState::Count(n) => *n += 1,
+            _ => self.update_value(Some(SqlValue::Float(f))),
         }
     }
 
@@ -565,15 +557,9 @@ impl AggState {
         match self {
             AggState::Count(n) => SqlValue::Int(n),
             AggState::CountDistinct(set) => SqlValue::Int(set.len() as i64),
-            AggState::Sum { acc, all_int, seen } => {
-                if !seen {
-                    SqlValue::Null
-                } else if all_int {
-                    SqlValue::Int(acc as i64)
-                } else {
-                    SqlValue::Float(acc)
-                }
-            }
+            AggState::SumNone => SqlValue::Null,
+            AggState::SumInt(acc) => SqlValue::Int(acc),
+            AggState::SumFloat(acc) => SqlValue::Float(acc),
             AggState::Min(v) | AggState::Max(v) => v.unwrap_or(SqlValue::Null),
             AggState::Avg { sum, n } => {
                 if n == 0 {

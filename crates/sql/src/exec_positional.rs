@@ -27,6 +27,10 @@
 //!   `SqlValue`, never a per-group hash set — except where the store's
 //!   value → column index already answers the query (the SC/KW seekers:
 //!   see *Column-index grouping* below);
+//! * every expression — scan and join residuals, the post-join filter,
+//!   computed select items, interned keys, aggregate arguments — runs **a
+//!   batch at a time** through one typed evaluator (see *Batch expressions*
+//!   below);
 //! * `ORDER BY … LIMIT k` runs over **flat columns**, on both tails (see
 //!   *Top-k before materialization* below);
 //! * no tail builds a `SqlValue` row. The output is [`ResultColumns`]:
@@ -48,18 +52,34 @@
 //! them into one `u64`/`u128` per row. Any other key list — `CellValue`,
 //! `Quadrant`, `SuperKey`, an expression, five keys or more — is compiled as
 //! positional expressions and *interned*: each row's key tuple is evaluated
-//! once and numbered by one [`GroupIndex`] over `Vec<SqlValue>` keys per
-//! operator. A GROUP BY runs that single id column through the same
-//! keyed phase as a packed key; a join uses the ids as they are, with
-//! nothing packed or hashed (*Joins on dense ids*). The semantics are the
+//! (a morsel of rows at a time) and numbered by one [`GroupIndex`] over
+//! `Vec<SqlValue>` keys per operator. A GROUP BY runs that single id column
+//! through the same keyed phase as a packed key; a join uses the ids as they
+//! are, with nothing packed or hashed (*Joins on dense ids*). The semantics are the
 //! reference's: the join's build side assigns ids and the probe side only
 //! looks up; a join key tuple holding NULL never matches (its build rows go
 //! to a list no probe names, its probe rows find no id); GROUP BY groups by
 //! `SqlValue`'s `Eq` — NULL with NULL, `Int(1)` with `Float(1.0)` — and an
 //! interned key's output is its expressions evaluated at the group's
 //! first-seen row. The index is charged to the `key_intern` site as it grows,
-//! and the loop polls the interrupt every `INTERRUPT_STRIDE` rows. No
-//! workload's SQL has such keys; there is no fast path for them.
+//! and each morsel polls the interrupt. No workload's SQL has such keys;
+//! there is no fast path for them.
+//!
+//! ## Batch expressions
+//!
+//! A residual, filter, computed select item, interned key or aggregate
+//! argument is a `PExpr`, evaluated by `crate::pexpr` over a batch of
+//! positional rows: its leaves gather their fact columns in bulk and every
+//! operator is a loop over typed vectors, one dispatch per operator and
+//! batch (that module's docs give the kernels and their semantics). A batch
+//! is a scan morsel's selection, a [`PROBE_BLOCK`] of joined pairs (which
+//! the join's residual compacts), a keyed partition's rows, or a morsel of
+//! the post-join batch, the projection or an interner's input. Its scratch
+//! is reserved under `expr_scratch` first, and each batch polls the
+//! interrupt once. The C seeker (paper Listing 3) scores `SUM(((k IN k0 AND
+//! q = 0) OR (k IN k1 AND q = 1))::int)` this way: per partition, two code
+//! gathers tested against bitmaps, a quadrant gather, and a few byte loops
+//! folded into one exact integer sum per group.
 //!
 //! ## Selection-vector scans
 //!
@@ -93,8 +113,10 @@
 //! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
 //! ...)` by radix-grouping the gathered code column by group id and
 //! sort-uniquing each group's run, any other aggregate in the reference's
-//! `AggState`. A global (ungrouped) aggregate is the zero-key case: one
-//! group, which exists even over zero input rows. Each keyed phase records
+//! `AggState`, its argument evaluated over the partition's rows (*Batch
+//! expressions*) and folded typed (`AggState::add_int` / `add_float`). A
+//! global (ungrouped) aggregate is the zero-key case: one group, which
+//! exists even over zero input rows. Each keyed phase records
 //! [`HashTableStats`] in [`QueryReport::hash_tables`].
 //!
 //! ## Joins on dense ids
@@ -297,8 +319,9 @@
 //!   slots (`group_columns`), bitmap, ranks, ordinals and CSR
 //!   (`join_rows`), or ids and CSR (interned keys) up front, and a failed
 //!   reservation resolves `MemoryExceeded` like any other;
-//! * scratch (per-worker selection vectors, radix arrays, gathered key and
-//!   aggregate columns, the top-k histogram and tie band: `sort_scratch`)
+//! * scratch (per-worker selection vectors, expression batches:
+//!   `expr_scratch`, radix arrays, gathered key and aggregate columns, the
+//!   top-k histogram and tie band: `sort_scratch`)
 //!   and outputs — the flat group columns
 //!   (`group_out`) and, beside them, the survivors' output columns
 //!   (`group_project`) here; in the engine (`result_rows`) the result as the
@@ -313,7 +336,6 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use blend_common::FxHashSet;
 use blend_obs::SpanGuard;
 use blend_parallel::{
     morselize, partition_count, reserve_laddered, split_even, MemoryReservation, Morsel,
@@ -321,208 +343,24 @@ use blend_parallel::{
 };
 use blend_storage::{
     radix_partition, radix_scratch_bytes, DenseKey, FactTable, FilterKernel, GroupIndex,
-    RadixPartitions, ScanScratch, ValuePred, PROBE_BLOCK,
+    RadixPartitions, ScanScratch, PROBE_BLOCK,
 };
 
 use crate::exec::HashTableStats;
 
-use crate::ast::{AggFunc, BinOp, UnaryOp};
+use crate::ast::AggFunc;
 use crate::columns::{ResultColumn, ResultColumns, TextColumn};
 use crate::exec::{self, AggState, ParallelPhase, QueryReport, ScanReport, Tuple};
-use crate::expr::{
-    combine_and, combine_or, eval_abs_value, eval_cast_int_value, eval_cmp_arith, eval_unary_value,
-    CExpr,
-};
+use crate::expr::CExpr;
+use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
 use crate::plan::{AccessPath, AggPlan, QueryPlan, ScanPlan, Seg, Tree};
 use crate::value::SqlValue;
 use blend_common::{BlendError, Result};
-
-/// Width of the canonical fact tuple.
-const FACT_WIDTH: usize = 6;
 
 /// Slot-count floor below which the keyed phase's upserts and a join's
 /// lookups skip slot prefetching: an index this small lives in cache
 /// already, so the prefetch would be pure overhead.
 const PREFETCH_MIN_SLOTS: usize = 1 << 14;
-
-/// The three u32-valued fact columns usable as join/group keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntCol {
-    Table,
-    Column,
-    Row,
-}
-
-impl IntCol {
-    fn from_offset(off: usize) -> Option<IntCol> {
-        match off {
-            1 => Some(IntCol::Table),
-            2 => Some(IntCol::Column),
-            3 => Some(IntCol::Row),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn at(self, table: &dyn FactTable, pos: u32) -> u32 {
-        match self {
-            IntCol::Table => table.table_at(pos as usize),
-            IntCol::Column => table.column_at(pos as usize),
-            IntCol::Row => table.row_at(pos as usize),
-        }
-    }
-
-    fn gather(self, table: &dyn FactTable, positions: &[u32], out: &mut Vec<u32>) {
-        match self {
-            IntCol::Table => table.gather_tables(positions, out),
-            IntCol::Column => table.gather_columns(positions, out),
-            IntCol::Row => table.gather_rows(positions, out),
-        }
-    }
-}
-
-/// A compiled positional expression: like [`CExpr`], but column references
-/// fetch directly from a leaf's storage position instead of a materialized
-/// tuple, and constant `CellValue IN (...)` lists are specialized into
-/// engine [`ValuePred`]s (dictionary-code comparisons on the column store).
-enum PExpr {
-    Const(SqlValue),
-    /// `CellValue` of a leaf — the only variant that allocates.
-    Value(usize),
-    /// An integer fact column of a leaf.
-    Int(usize, IntCol),
-    Superkey(usize),
-    Quadrant(usize),
-    /// `CellValue IN (constant strings)`, pre-compiled as an engine probe.
-    InProbe {
-        leaf: usize,
-        probe: ValuePred,
-        negated: bool,
-    },
-    InSet(Box<PExpr>, Arc<FxHashSet<SqlValue>>, bool),
-    IsNull(Box<PExpr>, bool),
-    Unary(UnaryOp, Box<PExpr>),
-    Binary(Box<PExpr>, BinOp, Box<PExpr>),
-    CastInt(Box<PExpr>),
-    Abs(Box<PExpr>),
-}
-
-impl PExpr {
-    /// Evaluate over a positional row. `row[g - base]` is the storage
-    /// position of global leaf `g`; `tables` is indexed by global leaf.
-    fn eval(&self, tables: &[&dyn FactTable], base: usize, row: &[u32]) -> SqlValue {
-        match self {
-            PExpr::Const(v) => v.clone(),
-            PExpr::Value(leaf) => {
-                let pos = row[*leaf - base] as usize;
-                SqlValue::Text(Arc::from(tables[*leaf].value_at(pos)))
-            }
-            PExpr::Int(leaf, col) => SqlValue::Int(col.at(tables[*leaf], row[*leaf - base]) as i64),
-            PExpr::Superkey(leaf) => {
-                SqlValue::U128(tables[*leaf].superkey_at(row[*leaf - base] as usize))
-            }
-            PExpr::Quadrant(leaf) => match tables[*leaf].quadrant_at(row[*leaf - base] as usize) {
-                None => SqlValue::Null,
-                Some(b) => SqlValue::Int(b as i64),
-            },
-            PExpr::InProbe {
-                leaf,
-                probe,
-                negated,
-            } => {
-                // CellValue is never NULL, so this mirrors InSet on a
-                // non-null text value exactly.
-                let contained = tables[*leaf].probe_at(row[*leaf - base] as usize, probe);
-                SqlValue::Bool(contained != *negated)
-            }
-            PExpr::InSet(e, set, negated) => {
-                let v = e.eval(tables, base, row);
-                if v.is_null() {
-                    return SqlValue::Null;
-                }
-                SqlValue::Bool(set.contains(&v) != *negated)
-            }
-            PExpr::IsNull(e, negated) => {
-                SqlValue::Bool(e.eval(tables, base, row).is_null() != *negated)
-            }
-            PExpr::Unary(op, e) => eval_unary_value(*op, e.eval(tables, base, row)),
-            PExpr::Binary(l, op, r) => match op {
-                BinOp::And => {
-                    let lv = l.eval(tables, base, row);
-                    if matches!(lv, SqlValue::Bool(false)) {
-                        return SqlValue::Bool(false);
-                    }
-                    combine_and(lv, r.eval(tables, base, row))
-                }
-                BinOp::Or => {
-                    let lv = l.eval(tables, base, row);
-                    if matches!(lv, SqlValue::Bool(true)) {
-                        return SqlValue::Bool(true);
-                    }
-                    combine_or(lv, r.eval(tables, base, row))
-                }
-                _ => eval_cmp_arith(*op, l.eval(tables, base, row), r.eval(tables, base, row)),
-            },
-            PExpr::CastInt(e) => eval_cast_int_value(e.eval(tables, base, row)),
-            PExpr::Abs(e) => eval_abs_value(e.eval(tables, base, row)),
-        }
-    }
-
-    /// Predicate view (NULL ⇒ false), mirroring `CExpr::eval_predicate`.
-    #[inline]
-    fn eval_predicate(&self, tables: &[&dyn FactTable], base: usize, row: &[u32]) -> bool {
-        self.eval(tables, base, row).truthy()
-    }
-}
-
-/// Compile a tuple expression into a positional one. `base` is the global
-/// index of the first leaf in the schema the expression was compiled
-/// against.
-fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Result<PExpr> {
-    Ok(match e {
-        CExpr::Const(v) => PExpr::Const(v.clone()),
-        CExpr::Col(i) => {
-            let leaf = base + i / FACT_WIDTH;
-            if leaf >= leaves.len() {
-                return Err(executor_bug("a column outside the plan's scans"));
-            }
-            match (i % FACT_WIDTH, IntCol::from_offset(i % FACT_WIDTH)) {
-                (0, _) => PExpr::Value(leaf),
-                (4, _) => PExpr::Superkey(leaf),
-                (5, _) => PExpr::Quadrant(leaf),
-                (_, col) => PExpr::Int(leaf, col.ok_or_else(|| executor_bug("a fact offset"))?),
-            }
-        }
-        CExpr::Unary(op, inner) => PExpr::Unary(*op, Box::new(compile_pexpr(inner, base, leaves)?)),
-        CExpr::Binary(l, op, r) => PExpr::Binary(
-            Box::new(compile_pexpr(l, base, leaves)?),
-            *op,
-            Box::new(compile_pexpr(r, base, leaves)?),
-        ),
-        CExpr::InSet(inner, set, negated) => {
-            let compiled = compile_pexpr(inner, base, leaves)?;
-            if let PExpr::Value(leaf) = compiled {
-                // Constant IN-list over CellValue: translate once into an
-                // engine probe (dictionary codes on the column store).
-                // Non-text constants can never equal a text cell, so
-                // dropping them preserves the reference's semantics.
-                let texts: Vec<&str> = set.iter().filter_map(SqlValue::as_str).collect();
-                PExpr::InProbe {
-                    leaf,
-                    probe: leaves[leaf].table.make_probe(&texts),
-                    negated: *negated,
-                }
-            } else {
-                PExpr::InSet(Box::new(compiled), Arc::clone(set), *negated)
-            }
-        }
-        CExpr::IsNull(inner, negated) => {
-            PExpr::IsNull(Box::new(compile_pexpr(inner, base, leaves)?), *negated)
-        }
-        CExpr::CastInt(inner) => PExpr::CastInt(Box::new(compile_pexpr(inner, base, leaves)?)),
-        CExpr::Abs(inner) => PExpr::Abs(Box::new(compile_pexpr(inner, base, leaves)?)),
-    })
-}
 
 /// A positional join/group key column: an integer fact column of a leaf.
 type PosCol = (usize, IntCol);
@@ -585,7 +423,7 @@ enum PosAggSpec<'p> {
     /// codes (column store) or dense string ids (row store).
     DistinctValue { leaf: usize },
     /// Anything else (SUM, AVG, MIN, MAX, `COUNT(x)`): evaluate the
-    /// argument positionally and fold it into the reference's
+    /// argument a batch at a time and fold it into the reference's
     /// [`AggState`].
     Generic {
         plan: &'p AggPlan,
@@ -844,15 +682,9 @@ impl PosBatch {
         &self.data[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// One column (positions of a single leaf, subtree-local index).
-    fn col(&self, local: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut i = local;
-        while i < self.data.len() {
-            out.push(self.data[i]);
-            i += self.stride;
-        }
-        out
+    /// Its rows, the first of whose leaves is global leaf `base`.
+    fn rows(&self, base: usize) -> Rows<'_> {
+        Rows::all(&self.data, self.stride, base)
     }
 }
 
@@ -861,7 +693,7 @@ impl PosBatch {
 /// is too small (or the pool has one thread).
 /// How often (in rows) sequential inner loops poll the interrupt. A
 /// power-of-two mask keeps the poll to one branch + one relaxed load per
-/// `INTERRUPT_STRIDE` rows — unmeasurable against per-row expression work.
+/// `INTERRUPT_STRIDE` rows.
 const INTERRUPT_STRIDE: usize = 4096;
 
 #[inline]
@@ -886,34 +718,32 @@ pub(crate) fn execute(
     let mut batch = exec_node(&pos.root, pos, &tables, report, par)?;
 
     if let Some(f) = &pos.post_filter {
-        let mut data = Vec::with_capacity(batch.data.len());
-        for i in 0..batch.len() {
-            if poll_every(i) {
-                par.check_interrupt()?;
-            }
-            let row = batch.row(i);
-            if f.eval_predicate(&tables, 0, row) {
-                data.extend_from_slice(row);
-            }
-        }
+        let (mut pass, before) = (Vec::with_capacity(batch.len()), batch.data.len());
+        f.eval_morsels(&tables, batch.rows(0), par, |_, c| pass.extend(c.truthy()))?;
+        retain_rows(&mut batch.data, batch.stride, 0, &pass);
         // The surviving rows fit under the input batch's reservation;
         // shrink it to the compacted size instead of re-reserving.
-        let dropped = batch.data.len() - data.len();
-        let mut mem = batch.mem.take();
-        if let Some(m) = &mut mem {
-            m.shrink(dropped * 4);
+        if let Some(m) = &mut batch.mem {
+            m.shrink((before - batch.data.len()) * 4);
         }
-        batch = PosBatch {
-            stride: batch.stride,
-            data,
-            mem,
-        };
     }
 
     match &pos.tail {
         PosTail::Group(shape) => exec_group(plan, shape, &batch, &tables, report, par),
         PosTail::Project(project) => exec_project(plan, pos, project, &batch, &tables, report, par),
     }
+}
+
+/// Keep the rows of `data` (`stride` positions each) from row `from` on
+/// whose `pass` flag is set, compacted in place.
+fn retain_rows(data: &mut Vec<u32>, stride: usize, from: usize, pass: &[bool]) {
+    let mut kept = from;
+    for (i, _) in pass.iter().enumerate().filter(|(_, &p)| p) {
+        let at = (from + i) * stride;
+        data.copy_within(at..at + stride, kept * stride);
+        kept += 1;
+    }
+    data.truncate(kept * stride);
 }
 
 /// Compare rows `a` and `b` on `keys` — (column, descending) pairs, most
@@ -935,7 +765,7 @@ fn cmp_keys<'c>(
 /// The non-grouped query tail: gather the select list into flat columns —
 /// fact columns through the tables' bulk `gather_*` kernels (one virtual
 /// dispatch per column, sequential reads on the column store), `CellValue`
-/// as dictionary ids, anything computed row at a time — and run
+/// as dictionary ids, anything computed by the batch evaluator — and run
 /// `ORDER BY … LIMIT` over row ordinals with the shared
 /// [`exec::select_top`], comparing the flat columns. No `SqlValue` row is
 /// built here.
@@ -956,7 +786,7 @@ fn exec_project(
     };
     let span = blend_obs::span("project");
     span.attr_u64("rows", n as u64);
-    let mut cache = ColCache::new(batch);
+    let mut cache = Leaves::new(batch.rows(0));
     let mut column = |e: &PExpr| -> Result<ResultColumn> {
         par.check_interrupt()?;
         Ok(match e {
@@ -982,20 +812,10 @@ fn exec_project(
                     TextColumn::dense(strs)?
                 })
             }
-            PExpr::Quadrant(leaf) => {
-                let mut v = Vec::with_capacity(n);
-                tables[*leaf].gather_quadrants(&cache.positions(*leaf)[..n], &mut v);
-                let value = |q: Option<bool>| q.map_or(SqlValue::Null, |b| SqlValue::Int(b as i64));
-                ResultColumn::Val(v.into_iter().map(value).collect())
-            }
             _ => {
                 let mut v = Vec::with_capacity(n);
-                for i in 0..n {
-                    if poll_every(i) {
-                        par.check_interrupt()?;
-                    }
-                    v.push(e.eval(tables, 0, batch.row(i)));
-                }
+                let rows = batch.rows(0).slice(0..n);
+                e.eval_morsels(tables, rows, par, |_, c| v.extend(c.into_values()))?;
                 ResultColumn::Val(v)
             }
         })
@@ -1139,11 +959,9 @@ fn scan_morsels(
         };
         scan.filter(segs[m.segment], m.start, m.end, dst);
         if let Some(res) = residual {
-            for &pos in &scratch.sel {
-                if res.eval_predicate(tables, leaf, std::slice::from_ref(&pos)) {
-                    out.push(pos);
-                }
-            }
+            let pass = res.eval(tables, Rows::all(&scratch.sel, 1, leaf)).truthy();
+            let kept = scratch.sel.iter().zip(pass).filter(|&(_, p)| p);
+            out.extend(kept.map(|(&pos, _)| pos));
         }
     };
 
@@ -1163,6 +981,8 @@ fn scan_morsels(
     let _scratch_mem = par
         .memory()
         .try_reserve("scan_scratch", scratch_width * par.morsel_len() * 4)?;
+    let residual_bytes = residual.map_or(0, |r| r.scratch_bytes(par.morsel_len()));
+    let _expr_mem = (par.memory()).try_reserve("expr_scratch", scratch_width * residual_bytes)?;
     let mut out = Vec::new();
     match admitted {
         Some(grant) => {
@@ -1260,33 +1080,6 @@ fn pack_rows128(cols: &[Vec<u32>], n: usize) -> Vec<u128> {
     }
 }
 
-/// Per-leaf position columns of a batch, extracted at most once. The MC
-/// join keys (TableId, RowId) and the SC group keys (TableId, ColumnId)
-/// both reference one leaf twice — without the cache every key column
-/// would re-copy the same strided positions. Stride-1 batches borrow the
-/// batch's data directly, copying nothing.
-struct ColCache<'b> {
-    batch: &'b PosBatch,
-    cols: Vec<Option<Vec<u32>>>,
-}
-
-impl<'b> ColCache<'b> {
-    fn new(batch: &'b PosBatch) -> Self {
-        ColCache {
-            batch,
-            cols: vec![None; batch.stride],
-        }
-    }
-
-    /// Positions of the (subtree-local) leaf column.
-    fn positions(&mut self, local: usize) -> &[u32] {
-        if self.batch.stride == 1 {
-            return &self.batch.data;
-        }
-        self.cols[local].get_or_insert_with(|| self.batch.col(local))
-    }
-}
-
 /// How [`Interner::ids`] maps a row's key tuple.
 #[derive(Clone, Copy)]
 enum Intern {
@@ -1326,8 +1119,9 @@ impl<'a> Interner<'a> {
     }
 
     /// The id of every row of `batch` (whose first leaf is global leaf
-    /// `base`), keyed on the values of `exprs`. Every [`INTERRUPT_STRIDE`]
-    /// rows the loop polls the interrupt and charges the keys it added.
+    /// `base`), keyed on the values of `exprs`, evaluated a morsel of rows
+    /// at a time. Each morsel polls the interrupt and charges the keys it
+    /// added.
     fn ids(
         &mut self,
         mode: Intern,
@@ -1335,43 +1129,45 @@ impl<'a> Interner<'a> {
         batch: &PosBatch,
         base: usize,
     ) -> Result<Vec<u32>> {
-        let mut out = blend_common::try_vec_with_capacity(batch.len(), "key_intern")?;
-        let mut added = 0;
-        for i in 0..batch.len() {
-            if poll_every(i) {
-                self.par.check_interrupt()?;
-                self.mem.grow(std::mem::take(&mut added))?;
-            }
-            let row = batch.row(i);
-            let key: Vec<SqlValue> = exprs
-                .iter()
-                .map(|e| e.eval(self.tables, base, row))
+        let (n, chunk) = (batch.len(), self.par.morsel_len());
+        let mut out = blend_common::try_vec_with_capacity(n, "key_intern")?;
+        let scratch = exprs.iter().map(|e| e.scratch_bytes(chunk.min(n))).sum();
+        let _scratch = self.par.memory().try_reserve("expr_scratch", scratch)?;
+        for start in (0..n).step_by(chunk) {
+            self.par.check_interrupt()?;
+            let rows = batch.rows(base).slice(start..(start + chunk).min(n));
+            let mut cols: Vec<_> = (exprs.iter())
+                .map(|e| e.eval(self.tables, rows).into_values().into_iter())
                 .collect();
-            let null = key.iter().any(SqlValue::is_null);
-            out.push(match mode {
-                Intern::Build | Intern::Probe if null => NO_MATCH,
-                Intern::Probe => self.index.get(&key).unwrap_or(NO_MATCH),
-                Intern::Group | Intern::Build => {
-                    let next = self.index.len();
-                    if next == NO_MATCH as usize {
-                        return Err(executor_bug("more distinct keys than ids"));
+            let mut added = 0;
+            for _ in 0..rows.len() {
+                let key: Vec<SqlValue> = cols.iter_mut().filter_map(Iterator::next).collect();
+                let null = key.iter().any(SqlValue::is_null);
+                out.push(match mode {
+                    Intern::Build | Intern::Probe if null => NO_MATCH,
+                    Intern::Probe => self.index.get(&key).unwrap_or(NO_MATCH),
+                    Intern::Group | Intern::Build => {
+                        let next = self.index.len();
+                        if next == NO_MATCH as usize {
+                            return Err(executor_bug("more distinct keys than ids"));
+                        }
+                        let id = self.index.insert_or_get(key)?;
+                        if id as usize == next {
+                            // Its key slot and at most two index slots, then
+                            // the key's values and strings.
+                            let key = &self.index.keys()[next];
+                            let text = key.iter().filter_map(SqlValue::as_str);
+                            added += std::mem::size_of::<Vec<SqlValue>>()
+                                + 8
+                                + key.capacity() * std::mem::size_of::<SqlValue>()
+                                + text.map(|s| 16 + s.len()).sum::<usize>();
+                        }
+                        id
                     }
-                    let id = self.index.insert_or_get(key)?;
-                    if id as usize == next {
-                        // Its key slot and at most two index slots, then
-                        // the key's values and strings.
-                        let key = &self.index.keys()[next];
-                        let text = key.iter().filter_map(SqlValue::as_str);
-                        added += std::mem::size_of::<Vec<SqlValue>>()
-                            + 8
-                            + key.capacity() * std::mem::size_of::<SqlValue>()
-                            + text.map(|s| 16 + s.len()).sum::<usize>();
-                    }
-                    id
-                }
-            });
+                });
+            }
+            self.mem.grow(added)?;
         }
-        self.mem.grow(added)?;
         Ok(out)
     }
 }
@@ -1431,12 +1227,12 @@ fn exec_join(
                 } else {
                     (probe, probe_base)
                 };
-                let mut cache = ColCache::new(batch);
+                let mut cache = Leaves::new(batch.rows(side_base));
                 (cols.iter())
                     .map(|&(lk, rk)| {
                         let (leaf, col) = if on_build == build_left { lk } else { rk };
                         let mut vals = Vec::with_capacity(batch.len());
-                        col.gather(tables[leaf], cache.positions(leaf - side_base), &mut vals);
+                        col.gather(tables[leaf], cache.positions(leaf), &mut vals);
                         vals
                     })
                     .collect::<Vec<_>>()
@@ -1505,28 +1301,30 @@ struct Joiner<'a> {
 
 impl Joiner<'_> {
     /// Append build row `bi` joined to probe row `pi` (left side first) to
-    /// `out`, and take it back when the residual rejects it.
+    /// `out`.
     #[inline]
-    fn emit(&self, bi: usize, pi: usize, out: &mut Probed) {
+    fn emit(&self, bi: usize, pi: usize, out: &mut Vec<u32>) {
         let (bt, pt) = (self.build.row(bi), self.probe.row(pi));
         let (lt, rt) = if self.build_left { (bt, pt) } else { (pt, bt) };
-        let at = out.rows.len();
-        out.rows.extend(lt.iter().chain(rt).copied());
-        if let Some(res) = self.residual {
-            if !res.eval_predicate(self.tables, self.base, &out.rows[at..]) {
-                out.rows.truncate(at);
-                return;
-            }
-        }
-        out.n += 1;
+        out.extend(lt.iter().chain(rt).copied());
+    }
+
+    /// Keep the joined rows of `out` from row `from` on that pass the
+    /// residual, compacted in place: one batch evaluation.
+    fn filter(&self, res: &PExpr, out: &mut Vec<u32>, from: usize) {
+        let stride = self.build.stride + self.probe.stride;
+        let rows = Rows::all(&out[from * stride..], stride, self.base);
+        let pass = res.eval(self.tables, rows).truthy();
+        retain_rows(out, stride, from, &pass);
     }
 
     /// The end of every join's build and its one probe loop: one CSR lists
     /// each id's build rows (`ids`: each build row's id, below `n_ids`), then
     /// `lookup` runs inside `join.probe` and maps blocks of probe rows to their
     /// [`Hits`] (with a scratch buffer to gather into), and each hit walks its
-    /// id's list. Under an admission grant the probe rows split evenly over the
-    /// pool (`join-probe`) and the chunks concatenate in order, the sequential
+    /// id's list. The residual runs on every [`PROBE_BLOCK`] of joined pairs.
+    /// Under an admission grant the probe rows split evenly over the pool
+    /// (`join-probe`) and the chunks concatenate in order, the sequential
     /// probe order.
     fn probe_ids<L: Fn(Range<usize>, &mut Vec<u32>, &mut Hits) + Sync>(
         &self,
@@ -1548,9 +1346,13 @@ impl Joiner<'_> {
         span.attr_str("path", path);
         let lookup = lookup()?;
         let intr = par.interrupt();
+        let stride = self.build.stride + self.probe.stride;
+        let block = PROBE_BLOCK * stride;
         let chunk = |range: Range<usize>| {
             let mut out = Probed::default();
             let (mut scratch, mut hits) = (Vec::new(), Vec::with_capacity(PROBE_BLOCK));
+            // Joined rows before `from` have passed the residual.
+            let mut from = 0;
             for start in range.clone().step_by(PROBE_BLOCK) {
                 if poll_every(start - range.start) && intr.is_set() {
                     break;
@@ -1561,13 +1363,25 @@ impl Joiner<'_> {
                 out.skipped += end - start - hits.len();
                 for &(pi, id) in &hits {
                     for &bi in lists.part(id as usize) {
-                        self.emit(bi as usize, pi as usize, &mut out);
+                        self.emit(bi as usize, pi as usize, &mut out.rows);
+                        if let Some(res) = self.residual.filter(|_| out.rows.len() - from >= block)
+                        {
+                            self.filter(res, &mut out.rows, from / stride);
+                            from = out.rows.len();
+                        }
                     }
                 }
             }
+            if let Some(res) = self.residual {
+                self.filter(res, &mut out.rows, from / stride);
+            }
             out
         };
-        let probed = match par.admit(n_probe) {
+        let admitted = par.admit(n_probe);
+        let width = admitted.as_ref().map_or(1, PhaseGrant::granted);
+        let scratch = self.residual.map_or(0, |r| r.scratch_bytes(PROBE_BLOCK));
+        let _expr_mem = par.memory().try_reserve("expr_scratch", width * scratch)?;
+        let probed = match admitted {
             None => chunk(0..n_probe),
             Some(grant) => {
                 let chunks = split_even(n_probe, grant.granted());
@@ -1586,25 +1400,24 @@ impl Joiner<'_> {
                 };
                 for part in run.results {
                     all.rows.extend_from_slice(&part.rows);
-                    all.n += part.n;
                     all.skipped += part.skipped;
                 }
                 all
             }
         };
         par.check_interrupt()?;
-        span.attr_u64("matched", probed.n as u64);
+        let matched = probed.rows.len() / stride;
+        span.attr_u64("matched", matched as u64);
         span.attr_u64("skipped", probed.skipped as u64);
-        Ok((probed.rows, probed.n))
+        Ok((probed.rows, matched))
     }
 }
 
-/// What a probe produced: joined rows stored flat, their count, and the
-/// probe rows whose key had no id.
+/// What a probe produced: joined rows stored flat and the probe rows whose
+/// key had no id.
 #[derive(Default)]
 struct Probed {
     rows: Vec<u32>,
-    n: usize,
     skipped: usize,
 }
 
@@ -1640,7 +1453,7 @@ fn join_rows(
         words * 12 + n_build * 8 + radix_scratch_bytes(n_build, n_build.min(space)),
     )?;
     let mut ids = Vec::with_capacity(n_build);
-    table.row_ordinals(ColCache::new(build).positions(build_leaf), &mut ids);
+    table.row_ordinals(&build.rows(0).positions(build_leaf), &mut ids);
     let mut bits = vec![0u64; words];
     for &o in &ids {
         bits[o as usize >> 6] |= 1 << (o & 63);
@@ -1660,10 +1473,7 @@ fn join_rows(
     // block's ordinals in one gather; an ordinal whose bit is set hits.
     let _probe_mem = par.memory().try_reserve("join_keys", probe.len() * 4)?;
     let lookup = || {
-        let positions = match probe.stride {
-            1 => Cow::Borrowed(&probe.data[..]),
-            _ => Cow::Owned(probe.col(probe_leaf)),
-        };
+        let positions = probe.rows(0).positions(probe_leaf);
         let hits_of = move |range: Range<usize>, ords: &mut Vec<u32>, hits: &mut Hits| {
             ords.clear();
             table.row_ordinals(&positions[range.clone()], ords);
@@ -2057,6 +1867,7 @@ struct GroupInput<'a> {
     tables: &'a [&'a dyn FactTable],
     key_cols: Vec<Vec<u32>>,
     spec_data: Vec<SpecData>,
+    par: &'a ParallelCtx,
     _mem: MemoryReservation,
 }
 
@@ -2068,10 +1879,10 @@ impl<'a> GroupInput<'a> {
         shape: &'a PosGroup<'a>,
         batch: &'a PosBatch,
         tables: &'a [&'a dyn FactTable],
-        par: &ParallelCtx,
+        par: &'a ParallelCtx,
     ) -> Result<Self> {
         let n_rows = batch.len();
-        let mut cache = ColCache::new(batch);
+        let mut cache = Leaves::new(batch.rows(0));
         let key_cols: Vec<Vec<u32>> = match &shape.keys {
             Keys::Packed(cols) => cols
                 .iter()
@@ -2115,6 +1926,7 @@ impl<'a> GroupInput<'a> {
             tables,
             key_cols,
             spec_data,
+            par,
             _mem: par.memory().try_reserve("group_gather", gather_bytes)?,
         })
     }
@@ -2507,10 +2319,16 @@ fn aggregate(
         tables,
         key_cols,
         spec_data,
+        par,
         ..
     } = input;
     let n_groups = first_rows.len();
     let row_at = |idx: usize| rows.map_or(idx, |r| r[idx] as usize);
+    // The batch's rows `sel` picks (every row when `None`).
+    let picked = |sel| Rows {
+        sel,
+        ..batch.rows(0)
+    };
     // Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
     // Key values read at each group's first-seen row — interned keys'
@@ -2521,10 +2339,12 @@ fn aggregate(
             .collect(),
         Keys::Interned(exprs) => (exprs.iter())
             .map(|e| {
-                let at = |&r: &u32| e.eval(tables, 0, batch.row(r as usize));
-                ResultColumn::Val(first_rows.iter().map(at).collect())
+                let mut v = Vec::with_capacity(n_groups);
+                let at_first = picked(Some(&first_rows));
+                e.eval_morsels(tables, at_first, par, |_, c| v.extend(c.into_values()))?;
+                Ok(ResultColumn::Val(v))
             })
-            .collect(),
+            .collect::<Result<_>>()?,
     };
     for (spec, data) in shape.aggs.iter().zip(spec_data) {
         cols.push(match (spec, data) {
@@ -2561,9 +2381,11 @@ fn aggregate(
             (PosAggSpec::Generic { plan, arg }, _) => {
                 let mut states: Vec<AggState> =
                     (0..n_groups).map(|_| AggState::new(plan)).collect();
-                for (idx, &g) in row_gids.iter().enumerate() {
-                    let row = batch.row(row_at(idx));
-                    states[g as usize].update_value(arg.as_ref().map(|e| e.eval(tables, 0, row)));
+                match arg {
+                    None => (row_gids.iter()).for_each(|&g| states[g as usize].update_value(None)),
+                    Some(e) => e.eval_morsels(tables, picked(rows), par, |range, c| {
+                        c.fold(&row_gids[range], &mut states)
+                    })?,
                 }
                 ResultColumn::Val(states.into_iter().map(AggState::finish).collect())
             }
@@ -2603,7 +2425,7 @@ fn distinct_counts(
 
 /// A state the planner never produces (`what` names it): an executor bug,
 /// reported typed instead of panicking.
-fn executor_bug(what: &str) -> BlendError {
+pub(crate) fn executor_bug(what: &str) -> BlendError {
     BlendError::SqlExec(format!("positional executor: unexpected {what}"))
 }
 

@@ -233,9 +233,10 @@ fn eval_binary(l: &CExpr, op: BinOp, r: &CExpr, tuple: &[SqlValue]) -> SqlValue 
     }
 }
 
-// The value-level operator semantics below are shared by the tuple
-// evaluator above and the positional evaluator in `exec_positional`, so
-// the two executors cannot drift apart.
+// The value-level operator semantics below are the tuple evaluator's. The
+// positional executor's batch evaluator (`crate::pexpr`) restates each as a
+// typed kernel and calls them for the type mixes no kernel covers;
+// `tests/expr_parity.rs` holds the two to the same bytes.
 
 /// Three-valued AND over both evaluated operands (callers short-circuit on
 /// a FALSE left side before evaluating the right).
@@ -298,8 +299,6 @@ pub(crate) fn eval_abs_value(v: SqlValue) -> SqlValue {
 }
 
 /// Apply a non-logical binary operator to already-evaluated operands.
-/// Shared by the tuple evaluator above and the positional evaluator in
-/// `exec_positional` (which computes operands from storage positions).
 pub(crate) fn eval_cmp_arith(op: BinOp, lv: SqlValue, rv: SqlValue) -> SqlValue {
     match op {
         BinOp::And | BinOp::Or => {

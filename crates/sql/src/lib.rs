@@ -37,6 +37,7 @@ pub mod expr;
 pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
+mod pexpr;
 pub mod plan;
 pub mod value;
 

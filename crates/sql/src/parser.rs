@@ -30,12 +30,12 @@ impl Parser {
         self.tokens.get(self.pos)
     }
 
+    /// Consume the current token. Nothing reads a consumed token again, so
+    /// it is moved out, not cloned.
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let t = std::mem::replace(self.tokens.get_mut(self.pos)?, Token::Comma);
+        self.pos += 1;
+        Some(t)
     }
 
     /// Is the current token the given keyword (case-insensitive)?

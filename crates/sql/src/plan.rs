@@ -262,8 +262,8 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
     }
 
     // 2. Plan inputs left-deep.
-    let leaf = |item: &FromItem, i: usize| -> Result<Tree> {
-        let scan = plan_input(item, Expr::and_all(pushed[i].clone()), catalog)?;
+    let mut leaf = |item: &FromItem, i: usize| -> Result<Tree> {
+        let scan = plan_input(item, Expr::and_all(std::mem::take(&mut pushed[i])), catalog)?;
         Ok(Tree::Leaf(Box::new(scan)))
     };
     let mut tree = leaf(&q.from, 0)?;
@@ -893,16 +893,16 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
     if src_est > MAX_SOURCE_POSITIONS || src_est * 2 > dst_est {
         return;
     }
+    // The destination check first: collecting the source's table ids walks
+    // every source posting.
     if !matches!(
         src.access,
         AccessPath::ValueIndex { .. } | AccessPath::TableIndex { .. }
-    ) {
+    ) || !matches!(dst.access, AccessPath::SeqScan { .. })
+    {
         return;
     }
     let ids = scan_table_ids(src);
-    if !matches!(dst.access, AccessPath::SeqScan { .. }) {
-        return;
-    }
     let new_est: usize = ids.iter().map(|&t| dst.table.table_postings(t).len()).sum();
     if new_est >= dst.access.estimated() {
         return;

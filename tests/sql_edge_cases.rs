@@ -345,3 +345,27 @@ fn integer_overflow_never_panics() {
         }
     }
 }
+
+/// An integer `SUM` is exact above 2^53 and wraps like `+`, on both stores
+/// and on the reference; a `Float` turns the rest of the sum to `f64`.
+#[test]
+fn integer_sum_is_exact_above_2_pow_53() {
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let e = SqlEngine::with_alltables(build_engine(
+            kind,
+            (0..3)
+                .map(|r| FactRow::new(&format!("v{r}"), 0, 0, r, 0, None))
+                .collect(),
+        ));
+        let run = |sql: &str| -> [ResultSet; 2] {
+            [e.execute(sql).unwrap(), e.execute_reference(sql).unwrap().0]
+        };
+        for rs in run("SELECT SUM(9007199254740993) AS s, \
+                       SUM(9223372036854775807) AS w, SUM(RowId + 0.5) AS f FROM AllTables")
+        {
+            assert_eq!(rs.i64(0, "s"), Some(27021597764222979), "{kind:?}");
+            assert_eq!(rs.i64(0, "w"), Some(9223372036854775805), "{kind:?}");
+            assert_eq!(rs.f64(0, "f"), Some(4.5), "{kind:?}");
+        }
+    }
+}
