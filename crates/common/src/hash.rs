@@ -114,50 +114,6 @@ pub fn mix128(x: u128) -> u64 {
     mix64(x as u64 ^ mix64((x >> 64) as u64))
 }
 
-/// Batch width of [`mix64x8`]/[`mix128x8`].
-pub const MIX_LANES: usize = 8;
-
-/// [`mix64`] over 8 packed keys at once. The finalizer is applied
-/// stage-by-stage across the whole array — four short independent loops —
-/// so the auto-vectorizer can widen each stage instead of fighting the
-/// cross-stage dependency of the fused scalar form. Produces exactly
-/// `x.map(mix64)`; the batched hash entry points in `blend_storage::hashtable`
-/// rely on that equivalence for parity.
-#[inline]
-pub fn mix64x8(mut x: [u64; 8]) -> [u64; 8] {
-    for v in &mut x {
-        *v = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    }
-    for v in &mut x {
-        *v = (*v ^ (*v >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    }
-    for v in &mut x {
-        *v = (*v ^ (*v >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    }
-    for v in &mut x {
-        *v ^= *v >> 31;
-    }
-    x
-}
-
-/// [`mix128`] over 8 packed keys at once: both halves run through
-/// [`mix64x8`], preserving `x.map(mix128)` exactly.
-#[inline]
-pub fn mix128x8(x: [u128; 8]) -> [u64; 8] {
-    let mut hi = [0u64; 8];
-    let mut lo = [0u64; 8];
-    for i in 0..8 {
-        hi[i] = (x[i] >> 64) as u64;
-        lo[i] = x[i] as u64;
-    }
-    let h = mix64x8(hi);
-    let mut t = [0u64; 8];
-    for i in 0..8 {
-        t[i] = lo[i] ^ h[i];
-    }
-    mix64x8(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,22 +161,5 @@ mod tests {
     #[test]
     fn combine_is_order_sensitive() {
         assert_ne!(combine(1, 2), combine(2, 1));
-    }
-
-    #[test]
-    fn batched_mixers_match_scalar_exactly() {
-        let xs64: [u64; 8] = [0, 1, u64::MAX, 42, 1 << 63, 0x9e37, 7, u64::MAX - 1];
-        assert_eq!(mix64x8(xs64), xs64.map(mix64));
-        let xs128: [u128; 8] = [
-            0,
-            1,
-            u128::MAX,
-            42 << 64,
-            1 << 127,
-            (7u128 << 64) | 9,
-            u64::MAX as u128,
-            u128::MAX - 1,
-        ];
-        assert_eq!(mix128x8(xs128), xs128.map(mix128));
     }
 }

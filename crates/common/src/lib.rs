@@ -30,6 +30,6 @@ pub mod zipf;
 
 pub use alloc::{try_reserve, try_reserve_exact, try_vec_with_capacity, try_zeroed_vec};
 pub use error::{BlendError, Result};
-pub use hash::{mix128, mix128x8, mix64, mix64x8, FxHashMap, FxHashSet, FxHasher, MIX_LANES};
+pub use hash::{mix128, mix64, FxHashMap, FxHashSet, FxHasher};
 pub use table::{Column, ColumnId, ColumnType, RowId, Table, TableId};
 pub use value::Value;

@@ -670,16 +670,6 @@ impl WorkerPool {
             worker_nanos,
         }
     }
-
-    /// Parallel map over a slice, preserving element order.
-    pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        F: Fn(&I) -> T + Sync,
-        T: Send,
-    {
-        self.run(items.len(), |i| f(&items[i])).results
-    }
 }
 
 #[cfg(test)]
@@ -700,10 +690,8 @@ mod tests {
     #[test]
     fn workers_borrow_caller_state() {
         let data: Vec<u64> = (0..1000).collect();
-        let sums = WorkerPool::new(4).map(&[0usize, 250, 500, 750], |&lo| {
-            data[lo..lo + 250].iter().sum::<u64>()
-        });
-        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+        let sums = WorkerPool::new(4).run(4, |i| data[i * 250..(i + 1) * 250].iter().sum::<u64>());
+        assert_eq!(sums.results.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
     #[test]

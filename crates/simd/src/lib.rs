@@ -1,72 +1,40 @@
-//! Portable data-parallel microkernels for the flat hot loops.
+//! The two data-parallel kernels that beat their scalar twins, and the
+//! switch between the forms.
 //!
-//! The executor's inner loops — selection-vector compaction, radix
-//! counting, batched hashing, hash-bucket probing — are all flat passes
-//! over contiguous arrays, deliberately shaped (PRs 3–4) so a vector
-//! engine can chew through them. This crate is that engine: a small set of
-//! **block-at-a-time kernels** with word-level (SWAR) data parallelism,
-//! written so the auto-vectorizer can widen them further on targets with
-//! real vector units. The stable toolchain has no `std::simd`, so the
-//! vector path is the u64-word bitmap/SWAR fallback the design anticipated:
+//! A kernel keeps a vector form here only while that form never loses to
+//! its scalar twin on the measured shapes and wins by at least 2x on one
+//! of them (one thread, 16 Ki-element inputs, the forms alternated; the
+//! figures below are from an x86_64 Xeon with AVX2). Two do:
 //!
-//! * **Selection kernels** ([`sel`]) evaluate a predicate over blocks of 64
-//!   candidates into one `u64` keep-mask, then emit survivors by bit
-//!   iteration — an empty mask skips the block without a single store, a
-//!   full mask bulk-copies it. The scalar twin is the branch-free
-//!   write-all/advance-on-keep loop the engines used before; the mask path
-//!   wins on selective scans precisely because it elides the stores (and
-//!   the `resize` memset) the scalar form pays per candidate.
-//! * **Histogram kernels** ([`hist`]) stripe radix counting across four
-//!   independent count arrays to break the store-to-load dependency chain
-//!   on hot partitions; the scatter pass stays a single-cursor loop (its
-//!   per-partition cursors make it inherently serial) but lives here so
-//!   both passes share one home and one parity suite.
-//! * **Prefetch** ([`prefetch_read`]) issues a best-effort cache-line
-//!   prefetch on x86_64 (a no-op elsewhere) so batched hash probes can
-//!   overlap bucket-head misses a block ahead.
+//! * **The small-IN-list range filter** ([`extend_range_in8`]) compares 64
+//!   dictionary codes against a padded block of 8 needles into one
+//!   keep-mask: AVX2 after cached runtime detection, the SSE2 baseline on
+//!   other x86_64 CPUs, a portable SWAR form elsewhere. About 3x its scalar
+//!   twin on sparse hits, 2x with 8 needles over a 32-code domain.
+//! * **Radix counting** ([`count_parts`]) stripes partition counts across
+//!   four histograms, breaking the store-to-load chain of a skewed input
+//!   (about 3.5x there, 1.05-1.3x on uniform input). The scatter pass
+//!   ([`scatter_parts`]) is serial by construction and has one form.
 //!
-//! `unsafe` in this crate is confined to two places: `_mm_prefetch` (never
-//! faults, reads nothing architecturally) and the x86_64 compare kernels
-//! behind [`sel::keep_mask_in8`] (SSE2 is the x86_64 baseline; the AVX2
-//! form runs only after cached runtime detection). Every intrinsic path is
-//! differentially tested against its portable SWAR twin.
+//! Every other selection loop (compaction, candidate and range filtering)
+//! and the packed-key hash of a block lost or tied their A/Bs and have one
+//! scalar form, in `blend_storage`. [`prefetch_read`] has one form too; it
+//! is advisory and not dispatched.
 //!
-//! Batched hash mixing (`mix64x8`/`mix128x8`) lives in `blend_common::hash`
-//! next to its scalar forms; the kernels here are the ones that need a
-//! dispatch seam.
+//! `unsafe` in this crate is confined to `_mm_prefetch` (never faults,
+//! reads nothing architecturally) and the x86_64 compare kernels behind
+//! [`sel::keep_mask_in8`], each differentially tested against the
+//! portable SWAR form.
 //!
-//! # Dispatch rules
+//! # Dispatch
 //!
-//! Unforced dispatch is the vector path. Benches and tests flip paths
-//! in-process via [`force`] — mirroring `blend_obs::set_enabled` — and
-//! `force(None)` returns to the vector path. Only kernels read
-//! [`enabled`] — the wrappers here and the batched hash of
-//! `blend_storage::DenseKey::hash_block`; executors never branch on
-//! it, so both paths run the same operator loops and differ only inside a
-//! kernel. Kernels never dispatch per element: they check once per batch,
-//! so the scalar path costs one predictable branch per batch, not per row.
-//!
-//! # Scalar-oracle contract
-//!
-//! Every kernel keeps its scalar twin `pub` (`*_scalar`) and **both paths
-//! must produce byte-identical output** — same survivors in the same
-//! order, same counts, same scatter layout — for every input, including
-//! non-multiple-of-64 tails, `start` offsets landing mid-word, and
-//! all-keep/all-drop masks. `tests/simd_parity.rs` fuzzes each pair
-//! differentially, and the SQL-level parity suites (`tests/config_matrix.rs`
-//! among them) pin end-to-end results under both forced paths; perf work
-//! may change *how* a kernel computes, never *what*.
-//!
-//! # Adding a kernel
-//!
-//! 1. Land the scalar form first and name it `<kernel>_scalar`; it is the
-//!    oracle, so keep it obvious rather than fast.
-//! 2. Add the block/SWAR form as `<kernel>_blocks` and a thin dispatching
-//!    wrapper `<kernel>` that checks [`enabled`] once.
-//! 3. Extend `tests/simd_parity.rs` with a differential proptest covering
-//!    tails, offsets, and degenerate (empty/full) inputs.
-//! 4. Read its effect off the benchmark's traced run: `simd.off_on_ratio`
-//!    is a pass with the scalar path [`force`]d over the default dispatch.
+//! Unforced dispatch is the vector path; [`force`] flips it in-process and
+//! `force(None)` restores it. Only the two dispatching kernels here read
+//! [`enabled`], once per call. Both forms produce byte-identical output,
+//! which `tests/simd_parity.rs` fuzzes and the SQL-level parity suites
+//! check end to end under both forced paths. `force` and `enabled` stay
+//! while the benchmark's `simd.off_on_ratio` probe calls them; they go
+//! with the benchmark change that drops that probe.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -75,10 +43,8 @@ pub mod sel;
 
 pub use hist::{count_parts, count_parts_scalar, count_parts_striped, scatter_parts};
 pub use sel::{
-    compact, compact_blocks, compact_scalar, extend_filtered, extend_filtered_blocks,
-    extend_filtered_scalar, extend_range, extend_range_blocks, extend_range_in8,
-    extend_range_in8_blocks, extend_range_in8_scalar, extend_range_over, extend_range_over_blocks,
-    extend_range_over_scalar, extend_range_scalar, keep_mask_in8, keep_mask_in8_swar,
+    extend_range_in8, extend_range_in8_blocks, extend_range_in8_scalar, keep_mask_in8,
+    keep_mask_in8_swar,
 };
 
 /// Process-wide override: 0 = unforced, 1 = force scalar, 2 = force vector.
@@ -93,7 +59,7 @@ pub fn enabled() -> bool {
 
 /// Force the dispatch verdict in-process: `Some(true)` selects the vector
 /// path, `Some(false)` the scalar path, `None` restores the unforced
-/// default (vector). For A/B benches and differential tests; not
+/// default (vector). For A/B runs and differential tests; not
 /// thread-isolated, so flip it only around single-threaded
 /// measurement/assert sections.
 pub fn force(mode: Option<bool>) {

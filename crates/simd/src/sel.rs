@@ -1,9 +1,9 @@
-//! Selection-vector kernels: block keep-masks with scalar twins.
+//! The small-IN-list range filter: codes compared against a padded block
+//! of 8 needles, 64 at a time, into a keep-mask, with a scalar twin.
 //!
-//! Both families preserve the engines' contract exactly: `sel[..start]`
-//! is never touched, survivors keep ascending candidate order, and
-//! degenerate inputs (`lo >= hi`, empty tails, `start == sel.len()`)
-//! append nothing. See the crate docs for the dispatch and oracle rules.
+//! Both forms keep the engines' selection contract: the existing prefix of
+//! `sel` is never touched, survivors keep ascending position order, and
+//! `lo >= hi` appends nothing. See the crate docs for the dispatch rule.
 
 /// Candidates per keep-mask word.
 pub const BLOCK: usize = 64;
@@ -14,30 +14,6 @@ pub const BLOCK: usize = 64;
 fn full_mask(len: usize) -> u64 {
     debug_assert!((1..=BLOCK).contains(&len));
     u64::MAX >> (BLOCK - len)
-}
-
-/// Evaluate `keep` over up to 64 values into a keep-mask (bit `j` set when
-/// `vals[j]` survives). Four independent accumulators break the OR
-/// dependency chain so the predicate lanes can retire in parallel.
-#[inline]
-pub fn keep_mask<T: Copy>(vals: &[T], mut keep: impl FnMut(T) -> bool) -> u64 {
-    debug_assert!(vals.len() <= BLOCK);
-    let mut acc = [0u64; 4];
-    let mut chunks = vals.chunks_exact(4);
-    let mut j = 0u32;
-    for c in &mut chunks {
-        acc[0] |= (keep(c[0]) as u64) << j;
-        acc[1] |= (keep(c[1]) as u64) << (j + 1);
-        acc[2] |= (keep(c[2]) as u64) << (j + 2);
-        acc[3] |= (keep(c[3]) as u64) << (j + 3);
-        j += 4;
-    }
-    let mut m = acc[0] | acc[1] | acc[2] | acc[3];
-    for &v in chunks.remainder() {
-        m |= (keep(v) as u64) << j;
-        j += 1;
-    }
-    m
 }
 
 /// Append the surviving positions of one block: `base + j` for every set
@@ -71,263 +47,6 @@ fn push_survivors(sel: &mut Vec<u32>, base: u32, mut m: u64, len: usize) {
         }
     }
 }
-
-// ---- in-place compaction ---------------------------------------------------
-
-/// Stable in-place compaction of `sel[start..]`, dispatching on
-/// [`crate::enabled`]: survivors of `keep` slide to the front, order
-/// preserved, `sel[..start]` untouched.
-#[inline]
-pub fn compact(sel: &mut Vec<u32>, start: usize, keep: impl FnMut(u32) -> bool) {
-    if crate::enabled() {
-        compact_blocks(sel, start, keep);
-    } else {
-        compact_scalar(sel, start, keep);
-    }
-}
-
-/// Scalar twin of [`compact_blocks`] (the oracle): writes every element
-/// back unconditionally and advances the cursor by the predicate's
-/// boolean — no data-dependent branch, one store per candidate.
-#[inline]
-pub fn compact_scalar(sel: &mut Vec<u32>, start: usize, mut keep: impl FnMut(u32) -> bool) {
-    let mut n = start;
-    for i in start..sel.len() {
-        let p = sel[i];
-        sel[n] = p;
-        n += keep(p) as usize;
-    }
-    sel.truncate(n);
-}
-
-/// Block-mask compaction: evaluate `keep` over 64 candidates into one
-/// keep-mask, then move only survivors. An all-drop block costs zero
-/// stores; an all-keep block is one `copy_within` (elided entirely while
-/// the vector is still dense, i.e. `n == i`).
-///
-/// In-place safety: the write cursor `n` never passes the read cursor —
-/// at every block `n <= i`, and within a mixed block the `k`-th survivor
-/// writes `sel[n + k]` with `n + k <= i + j` for source bit `j >= k`.
-pub fn compact_blocks(sel: &mut Vec<u32>, start: usize, mut keep: impl FnMut(u32) -> bool) {
-    let len = sel.len();
-    let mut n = start;
-    let mut i = start;
-    while i < len {
-        let bl = (len - i).min(BLOCK);
-        let m = keep_mask(&sel[i..i + bl], &mut keep);
-        if m == 0 {
-            i += bl;
-            continue;
-        }
-        if m == full_mask(bl) {
-            if n != i {
-                sel.copy_within(i..i + bl, n);
-            }
-            n += bl;
-        } else if m.count_ones() as usize * 2 >= bl {
-            // Dense mixed block: write-all/advance-on-keep beats the
-            // branchy bit loop once most candidates survive. In-place safe
-            // for the same reason as the sparse arm: the write cursor
-            // `n + k` never passes the read cursor `i + j` (k <= j).
-            for j in 0..bl {
-                let v = sel[i + j];
-                sel[n] = v;
-                n += (m >> j & 1) as usize;
-            }
-        } else {
-            let mut mm = m;
-            while mm != 0 {
-                let j = mm.trailing_zeros() as usize;
-                sel[n] = sel[i + j];
-                n += 1;
-                mm &= mm - 1;
-            }
-        }
-        i += bl;
-    }
-    sel.truncate(n);
-}
-
-// ---- candidate-list filtering ----------------------------------------------
-
-/// Append the survivors of the candidate list `cands` to `sel` (order
-/// preserved, `sel`'s existing prefix untouched), dispatching on
-/// [`crate::enabled`]. The position-batch (`filter_batch`) shape.
-#[inline]
-pub fn extend_filtered(sel: &mut Vec<u32>, cands: &[u32], keep: impl FnMut(u32) -> bool) {
-    if crate::enabled() {
-        extend_filtered_blocks(sel, cands, keep);
-    } else {
-        extend_filtered_scalar(sel, cands, keep);
-    }
-}
-
-/// Scalar twin of [`extend_filtered_blocks`] (the oracle): `resize` the
-/// append window once, then write-all/advance-on-keep.
-#[inline]
-pub fn extend_filtered_scalar(
-    sel: &mut Vec<u32>,
-    cands: &[u32],
-    mut keep: impl FnMut(u32) -> bool,
-) {
-    let start = sel.len();
-    sel.resize(start + cands.len(), 0);
-    let mut n = start;
-    for &p in cands {
-        sel[n] = p;
-        n += keep(p) as usize;
-    }
-    sel.truncate(n);
-}
-
-/// Block-mask candidate filter: keep-mask per 64 candidates, survivors
-/// appended by bit iteration — no pre-zeroed window, no store for
-/// rejected candidates.
-pub fn extend_filtered_blocks(
-    sel: &mut Vec<u32>,
-    cands: &[u32],
-    mut keep: impl FnMut(u32) -> bool,
-) {
-    sel.reserve(cands.len());
-    let mut i = 0;
-    while i < cands.len() {
-        let bl = (cands.len() - i).min(BLOCK);
-        let w = &cands[i..i + bl];
-        let mut m = keep_mask(w, &mut keep);
-        if m == full_mask(bl) {
-            sel.extend_from_slice(w);
-        } else {
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                sel.push(w[j]);
-                m &= m - 1;
-            }
-        }
-        i += bl;
-    }
-}
-
-// ---- contiguous-range filtering --------------------------------------------
-
-/// Append the survivors of the position range `lo..hi` to `sel`,
-/// dispatching on [`crate::enabled`]. `lo >= hi` appends nothing.
-#[inline]
-pub fn extend_range(sel: &mut Vec<u32>, lo: usize, hi: usize, keep: impl FnMut(u32) -> bool) {
-    if crate::enabled() {
-        extend_range_blocks(sel, lo, hi, keep);
-    } else {
-        extend_range_scalar(sel, lo, hi, keep);
-    }
-}
-
-/// Scalar twin of [`extend_range_blocks`] (the oracle): `resize` the
-/// append window once, then the write-all/advance-on-keep pattern of
-/// [`compact_scalar`]. The `resize` zero-fill is the memset the mask path
-/// exists to elide.
-#[inline]
-pub fn extend_range_scalar(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    mut keep: impl FnMut(u32) -> bool,
-) {
-    let start = sel.len();
-    sel.resize(start + hi.saturating_sub(lo), 0);
-    let mut n = start;
-    for pos in lo..hi {
-        let p = pos as u32;
-        sel[n] = p;
-        n += keep(p) as usize;
-    }
-    sel.truncate(n);
-}
-
-/// Block-mask range filter over *positions*: the predicate sees the
-/// position itself (engines that must chase a pointer per candidate — the
-/// row store — use this form). Survivor blocks append through
-/// `push_survivors`; nothing is written for rejected candidates and no
-/// window is pre-zeroed.
-pub fn extend_range_blocks(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    mut keep: impl FnMut(u32) -> bool,
-) {
-    if hi <= lo {
-        return;
-    }
-    sel.reserve(hi - lo);
-    let mut base = lo;
-    while base < hi {
-        let bl = (hi - base).min(BLOCK);
-        let mut m = 0u64;
-        for j in 0..bl as u32 {
-            m |= (keep((base as u32) + j) as u64) << j;
-        }
-        if m != 0 {
-            push_survivors(sel, base as u32, m, bl);
-        }
-        base += bl;
-    }
-}
-
-/// Append the survivors of `lo..hi` judged by their *values* in a
-/// contiguous column (`keep(vals[pos])`), dispatching on
-/// [`crate::enabled`]. The column-store form: block loads come straight
-/// off the column slice, so the mask build is the auto-vectorizer's
-/// favorite shape. Requires `hi <= vals.len()` (checked by the slice
-/// index); `lo >= hi` appends nothing.
-#[inline]
-pub fn extend_range_over<T: Copy>(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    vals: &[T],
-    keep: impl FnMut(T) -> bool,
-) {
-    if crate::enabled() {
-        extend_range_over_blocks(sel, lo, hi, vals, keep);
-    } else {
-        extend_range_over_scalar(sel, lo, hi, vals, keep);
-    }
-}
-
-/// Scalar twin of [`extend_range_over_blocks`] (the oracle).
-#[inline]
-pub fn extend_range_over_scalar<T: Copy>(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    vals: &[T],
-    mut keep: impl FnMut(T) -> bool,
-) {
-    extend_range_scalar(sel, lo, hi, |p| keep(vals[p as usize]));
-}
-
-/// Block-mask range filter over column values: see [`extend_range_over`].
-pub fn extend_range_over_blocks<T: Copy>(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    vals: &[T],
-    mut keep: impl FnMut(T) -> bool,
-) {
-    if hi <= lo {
-        return;
-    }
-    sel.reserve(hi - lo);
-    let mut base = lo;
-    while base < hi {
-        let bl = (hi - base).min(BLOCK);
-        let m = keep_mask(&vals[base..base + bl], &mut keep);
-        if m != 0 {
-            push_survivors(sel, base as u32, m, bl);
-        }
-        base += bl;
-    }
-}
-
-// ---- fixed-width IN-list probing -------------------------------------------
 
 /// SWAR bit-pack multiplier: eight 0/1 bytes in a `u64` collapse to the
 /// corresponding 8-bit mask in the product's top byte (byte `j` carries
@@ -478,11 +197,10 @@ pub fn keep_mask_in8_swar(vals: &[u32], n: &[u32; 8]) -> u64 {
 /// Append the survivors of `lo..hi` whose code in `vals` matches any of
 /// the 8 padded `needles`, dispatching on [`crate::enabled`].
 ///
-/// The small-IN-list specialization of [`extend_range_over`]: engines that
-/// compiled a tiny membership set (at most 8 ids, padded by repeating one
-/// of them) hand the needles directly so the vector path can run the
-/// constant-shift broadcast-compare kernel instead of a per-element set
-/// probe. `lo >= hi` appends nothing; requires `hi <= vals.len()`.
+/// Engines that compiled a tiny membership set (at most 8 ids, padded by
+/// repeating one of them) hand the needles directly, so the vector path
+/// runs the broadcast-compare kernel instead of a per-element set probe.
+/// `lo >= hi` appends nothing; requires `hi <= vals.len()`.
 #[inline]
 pub fn extend_range_in8(
     sel: &mut Vec<u32>,
@@ -498,8 +216,9 @@ pub fn extend_range_in8(
     }
 }
 
-/// Scalar twin of [`extend_range_in8_blocks`] (the oracle): the generic
-/// scalar range filter with the same 8-needle membership per element.
+/// Scalar twin of [`extend_range_in8_blocks`] (the oracle): one 8-needle
+/// membership per position, written unconditionally, the cursor advanced
+/// on a hit.
 #[inline]
 pub fn extend_range_in8_scalar(
     sel: &mut Vec<u32>,
@@ -508,7 +227,17 @@ pub fn extend_range_in8_scalar(
     vals: &[u32],
     needles: &[u32; 8],
 ) {
-    extend_range_scalar(sel, lo, hi, |p| hit_in8(needles, vals[p as usize]));
+    if hi <= lo {
+        return;
+    }
+    let start = sel.len();
+    sel.resize(start + (hi - lo), 0);
+    let mut n = start;
+    for (pos, &c) in (lo..).zip(&vals[lo..hi]) {
+        sel[n] = pos as u32;
+        n += hit_in8(needles, c) as usize;
+    }
+    sel.truncate(n);
 }
 
 /// Block form of the small-IN-list range filter: [`keep_mask_in8`] per 64
@@ -539,57 +268,21 @@ pub fn extend_range_in8_blocks(
 mod tests {
     use super::*;
 
-    #[test]
-    fn keep_mask_matches_naive_bits() {
-        let vals: Vec<u32> = (0..61).collect();
-        let m = keep_mask(&vals, |v| v % 3 == 0);
-        for (j, &v) in vals.iter().enumerate() {
-            assert_eq!((m >> j) & 1 == 1, v % 3 == 0);
+    /// Bit `j` set when `vals[j]` is one of the needles.
+    fn naive_mask(vals: &[u32], needles: &[u32; 8]) -> u64 {
+        let mut m = 0;
+        for (j, v) in vals.iter().enumerate() {
+            m |= (needles.contains(v) as u64) << j;
         }
-        assert_eq!(m >> vals.len(), 0);
-        assert_eq!(keep_mask(&vals, |_| true), full_mask(61));
-        assert_eq!(keep_mask::<u32>(&[], |_| true), 0);
+        m
     }
 
     #[test]
-    fn compact_paths_agree_and_preserve_prefix() {
-        for len in [0usize, 1, 3, 63, 64, 65, 130, 257] {
-            for start in [0usize, 1, 7] {
-                let base: Vec<u32> = (0..(start + len) as u32).map(|i| i * 3 % 97).collect();
-                for keep in [
-                    (|p: u32| !p.is_multiple_of(5)) as fn(u32) -> bool,
-                    |_| true,
-                    |_| false,
-                ] {
-                    let mut a = base.clone();
-                    let mut b = base.clone();
-                    compact_scalar(&mut a, start.min(base.len()), keep);
-                    compact_blocks(&mut b, start.min(base.len()), keep);
-                    assert_eq!(a, b, "len={len} start={start}");
-                    assert_eq!(&b[..start.min(b.len())], &base[..start.min(b.len())]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extend_range_paths_agree_on_degenerate_ranges() {
-        for (lo, hi) in [(0usize, 0usize), (5, 5), (7, 3), (0, 64), (3, 200)] {
-            let mut a = vec![42u32];
-            let mut b = vec![42u32];
-            extend_range_scalar(&mut a, lo, hi, |p| p % 2 == 0);
-            extend_range_blocks(&mut b, lo, hi, |p| p % 2 == 0);
-            assert_eq!(a, b);
-            assert_eq!(a[0], 42);
-        }
-    }
-
-    #[test]
-    fn keep_mask_in8_matches_generic_mask() {
+    fn keep_mask_in8_matches_naive_bits() {
         let needles = [3u32, 7, 7, 7, 11, 900, 7, 7]; // padded, duplicated
         for len in [0usize, 1, 7, 8, 9, 15, 16, 63, 64] {
             let vals: Vec<u32> = (0..len as u32).map(|i| i * 3 % 17).collect();
-            let want = keep_mask(&vals, |c| needles.contains(&c));
+            let want = naive_mask(&vals, &needles);
             assert_eq!(keep_mask_in8(&vals, &needles), want, "len={len}");
             assert_eq!(keep_mask_in8_swar(&vals, &needles), want, "swar len={len}");
         }
@@ -664,18 +357,6 @@ mod tests {
                 .chain((0..len as u32).filter(|j| m >> j & 1 == 1).map(|j| 100 + j))
                 .collect();
             assert_eq!(got, want, "m={m:#x} len={len}");
-        }
-    }
-
-    #[test]
-    fn extend_range_over_paths_agree() {
-        let vals: Vec<u32> = (0..300u32).map(|i| i * 7 % 31).collect();
-        for (lo, hi) in [(0usize, 300usize), (13, 13), (13, 77), (250, 300)] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            extend_range_over_scalar(&mut a, lo, hi, &vals, |v| v < 11);
-            extend_range_over_blocks(&mut b, lo, hi, &vals, |v| v < 11);
-            assert_eq!(a, b);
         }
     }
 }

@@ -107,8 +107,8 @@
 //! per partition one [`GroupIndex`] (`blend_storage`'s one dense-id index:
 //! open addressing, linear probing) that assigns dense ids in first-seen
 //! order, rows upserting a [`PROBE_BLOCK`] at a time (hashed by
-//! [`DenseKey::hash_block`], the only code that looks at SIMD dispatch;
-//! slots prefetched once the index outgrows cache). Per
+//! [`DenseKey::hash_block`], one `hash64` per key; slots prefetched once
+//! the index outgrows cache). Per
 //! partition GROUP BY then runs `aggregate`, column-at-a-time over `(row,
 //! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
 //! ...)` by radix-grouping the gathered code column by group id and

@@ -9,8 +9,9 @@ use blend_common::{BlendError, Result};
 pub enum Token {
     /// Identifier or keyword, original case preserved.
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Unsigned integer literal. The parser checks the range, so that
+    /// `-9223372036854775808` can stand for `i64::MIN`.
+    Int(u64),
     /// Float literal.
     Float(f64),
     /// String literal (unescaped).
@@ -231,7 +232,7 @@ fn lex_number(sql: &str, start: usize) -> Result<(Token, usize)> {
             .map_err(|_| BlendError::SqlParse(format!("bad number `{text}`")))?;
         Ok((Token::Float(f), i))
     } else {
-        let n: i64 = text
+        let n: u64 = text
             .parse()
             .map_err(|_| BlendError::SqlParse(format!("bad integer `{text}`")))?;
         Ok((Token::Int(n), i))

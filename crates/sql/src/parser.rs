@@ -148,7 +148,7 @@ impl Parser {
         }
         let limit = if self.eat_kw("LIMIT") {
             match self.next() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as usize),
+                Some(Token::Int(n)) => Some(int_literal(n)? as usize),
                 other => {
                     return Err(BlendError::SqlParse(format!(
                         "expected LIMIT count, found {other:?}"
@@ -387,9 +387,14 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         match self.next() {
-            Some(Token::Int(n)) => Ok(Expr::Int(n)),
+            Some(Token::Int(n)) => Ok(Expr::Int(int_literal(n)?)),
             Some(Token::Float(f)) => Ok(Expr::Float(f)),
             Some(Token::Str(s)) => Ok(Expr::Str(s)),
+            // The one literal whose magnitude is not an `i64`.
+            Some(Token::Minus) if self.peek() == Some(&Token::Int(i64::MIN.unsigned_abs())) => {
+                self.next();
+                Ok(Expr::Int(i64::MIN))
+            }
             Some(Token::Minus) => {
                 let inner = self.primary()?;
                 Ok(Expr::Unary {
@@ -477,6 +482,12 @@ impl Parser {
             ))),
         }
     }
+}
+
+/// An unsigned integer literal as an `i64`, or the lexer's error for a
+/// magnitude past `i64::MAX`.
+fn int_literal(n: u64) -> Result<i64> {
+    i64::try_from(n).map_err(|_| BlendError::SqlParse(format!("bad integer `{n}`")))
 }
 
 fn is_clause_keyword(s: &str) -> bool {

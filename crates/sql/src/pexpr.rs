@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use blend_common::{FxHashSet, Result};
 use blend_parallel::ParallelCtx;
-use blend_storage::{FactTable, IdSet, ValuePred};
+use blend_storage::{FactTable, ValuePred};
 
 use crate::ast::{BinOp, UnaryOp};
 use crate::exec::AggState;
@@ -75,12 +75,6 @@ pub(crate) enum PExpr {
         leaf: usize,
         probe: ValuePred,
         negated: bool,
-        /// The probe's dictionary codes less the first, `lo`, as their own
-        /// [`IdSet`] (`None` on a store without codes): a query's literals
-        /// tend to sit close together in the dictionary, so where a set
-        /// sized from code 0 would search a sorted list, this one is a
-        /// bitmap.
-        codes: Option<(u32, IdSet)>,
     },
     InSet(Box<PExpr>, Arc<FxHashSet<SqlValue>>, bool),
     IsNull(Box<PExpr>, bool),
@@ -120,7 +114,12 @@ pub(crate) fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Res
             // preserves the reference's semantics.
             PExpr::Value(leaf) => {
                 let texts: Vec<&str> = set.iter().filter_map(SqlValue::as_str).collect();
-                in_probe(leaf, leaves[leaf].table.make_probe(&texts), *negated)
+                let probe = leaves[leaf].table.make_probe(&texts);
+                PExpr::InProbe {
+                    leaf,
+                    probe,
+                    negated: *negated,
+                }
             }
             compiled => PExpr::InSet(Box::new(compiled), Arc::clone(set), *negated),
         },
@@ -128,24 +127,6 @@ pub(crate) fn compile_pexpr(e: &CExpr, base: usize, leaves: &[&ScanPlan]) -> Res
         CExpr::CastInt(inner) => PExpr::CastInt(sub(inner)?),
         CExpr::Abs(inner) => PExpr::Abs(sub(inner)?),
     })
-}
-
-/// `CellValue IN` over `leaf`, through the table's `probe`.
-fn in_probe(leaf: usize, probe: ValuePred, negated: bool) -> PExpr {
-    let codes = match &probe {
-        ValuePred::Codes(IdSet::Sorted(c)) => {
-            let lo = c.first().copied().unwrap_or(0);
-            Some((lo, IdSet::build(c.iter().map(|&code| code - lo))))
-        }
-        ValuePred::Codes(set) => Some((0, set.clone())),
-        ValuePred::Strings(_) => None,
-    };
-    PExpr::InProbe {
-        leaf,
-        probe,
-        negated,
-        codes,
-    }
 }
 
 /// The rows a batch evaluates over: `stride` storage positions per row, the
@@ -520,20 +501,17 @@ impl PExpr {
                 leaf,
                 probe,
                 negated,
-                codes,
             } => {
                 // CellValue is never NULL: this is InSet on a non-null text.
                 let (table, hit) = (tables[*leaf], |yes: bool| tri(yes != *negated));
                 let mut gathered = Vec::new();
-                let by_code = codes
-                    .as_ref()
-                    .filter(|_| table.gather_value_codes(l.positions(*leaf), &mut gathered));
-                Col::Bool(match by_code {
-                    Some((lo, set)) => {
-                        let at = |&c: &u32| hit(set.contains(c.wrapping_sub(*lo)));
-                        gathered.iter().map(at).collect()
+                Col::Bool(match probe {
+                    ValuePred::Codes(set)
+                        if table.gather_value_codes(l.positions(*leaf), &mut gathered) =>
+                    {
+                        gathered.iter().map(|&c| hit(set.contains(c))).collect()
                     }
-                    None => (l.positions(*leaf).iter())
+                    _ => (l.positions(*leaf).iter())
                         .map(|&p| hit(table.probe_at(p as usize, probe)))
                         .collect(),
                 })
@@ -588,11 +566,12 @@ impl PExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blend_storage::{build_engine, EngineKind, FactRow};
+    use blend_storage::{build_engine, EngineKind, FactRow, IdSet};
 
     /// Literals whose dictionary codes sit far from code 0 but close to each
-    /// other get a bitmap over their own range, and it answers as the
-    /// engine's own probe does — on a miss below, inside and above the range.
+    /// other get an engine probe that is a bitmap over their own range, and
+    /// the expression answers as the probe does — on a miss below, inside
+    /// and above the range.
     #[test]
     fn in_probe_over_distant_codes_matches_the_engine_probe() {
         let rows = (0..9000u32)
@@ -601,18 +580,15 @@ mod tests {
         let table = build_engine(EngineKind::Column, rows);
         let texts = ["v08500", "v08503", "v08650"];
         let probe = table.make_probe(&texts);
-        assert!(matches!(&probe, ValuePred::Codes(IdSet::Sorted(_))));
+        assert!(matches!(&probe, ValuePred::Codes(IdSet::Bitmap { .. })));
         let positions: Vec<u32> = (0..table.len() as u32).collect();
         let tables = [table.as_ref()];
         for negated in [false, true] {
-            let e = in_probe(0, table.make_probe(&texts), negated);
-            assert!(matches!(
-                &e,
-                PExpr::InProbe {
-                    codes: Some((_, IdSet::Bitmap { .. })),
-                    ..
-                }
-            ));
+            let e = PExpr::InProbe {
+                leaf: 0,
+                probe: table.make_probe(&texts),
+                negated,
+            };
             let got = e.eval(&tables, Rows::all(&positions, 1, 0)).truthy();
             let want: Vec<bool> = (positions.iter())
                 .map(|&p| table.probe_at(p as usize, &probe) != negated)

@@ -5,7 +5,7 @@ use crate::fact::{
     canonical_sort, decode_quadrant, scratch_component, table_ranges, FactRow, FactTable,
     MemoryBreakdown, QUADRANT_NULL,
 };
-use crate::filter::{compact_by, extend_filtered_range, FilterKernel, IdSet, ValuePred};
+use crate::filter::{compact, extend_range, FilterKernel, IdSet, ValuePred};
 use crate::hashtable::{DenseKey, GroupIndex};
 use crate::radix::{radix_partition, RadixPartitions};
 use crate::stats::FactStats;
@@ -151,35 +151,33 @@ impl ColumnStore {
     }
 
     /// Run the remaining predicates of a kernel as compaction passes over
-    /// `sel[start..]`, one tight loop per predicate, each indexing its
-    /// contiguous column array directly — dispatched through the
-    /// `blend_simd` block-mask kernels ([`compact_by`] keeps the scalar
-    /// twin alive as the parity oracle). `skip` names the predicate a
-    /// range pass already consumed (see [`FactTable::filter_range`]);
-    /// [`Pass::None`] runs them all.
+    /// `sel[start..]`, one tight [`compact`] loop per predicate, each
+    /// indexing its contiguous column array directly. `skip` names the
+    /// predicate a range pass already consumed (see
+    /// [`FactTable::filter_range`]); [`Pass::None`] runs them all.
     fn kernel_passes(&self, kernel: &FilterKernel, skip: Pass, sel: &mut Vec<u32>, start: usize) {
         if let Some(bound) = kernel.rowid_lt {
             if skip != Pass::RowId {
                 let rows = &self.rows;
-                compact_by(sel, start, |p| rows[p as usize] < bound);
+                compact(sel, start, |p| rows[p as usize] < bound);
             }
         }
         if let Some(set) = &kernel.table_in {
             if skip != Pass::TableIn {
                 let tables = &self.tables;
-                compact_by(sel, start, |p| set.contains(tables[p as usize]));
+                compact(sel, start, |p| set.contains(tables[p as usize]));
             }
         }
         if let Some(set) = &kernel.table_not_in {
             if skip != Pass::TableNotIn {
                 let tables = &self.tables;
-                compact_by(sel, start, |p| !set.contains(tables[p as usize]));
+                compact(sel, start, |p| !set.contains(tables[p as usize]));
             }
         }
         if let Some(want_null) = kernel.quadrant_null {
             if skip != Pass::Quadrant {
                 let quads = &self.quadrants;
-                compact_by(sel, start, |p| {
+                compact(sel, start, |p| {
                     (quads[p as usize] == QUADRANT_NULL) == want_null
                 });
             }
@@ -189,12 +187,12 @@ impl ColumnStore {
                 None => {}
                 Some(ValuePred::Codes(set)) => {
                     let codes = &self.codes;
-                    compact_by(sel, start, |p| set.contains(codes[p as usize]));
+                    compact(sel, start, |p| set.contains(codes[p as usize]));
                 }
                 Some(ValuePred::Strings(set)) => {
                     // Cross-engine probe (slow path; the SQL layer always
                     // builds probes via the same engine).
-                    compact_by(sel, start, |p| set.contains(self.value_at(p as usize)));
+                    compact(sel, start, |p| set.contains(self.value_at(p as usize)));
                 }
             }
         }
@@ -470,21 +468,23 @@ impl FactTable for ColumnStore {
         }
         let start = sel.len();
         // The first active predicate streams survivors straight off its
-        // column slice through the value-form kernel (`extend_range_over`):
-        // block loads come off the contiguous array, the keep-mask build
-        // auto-vectorizes, and rejected candidates cost no store at all.
+        // column slice, and the rest compact them.
         let first = if let Some(bound) = kernel.rowid_lt {
-            blend_simd::extend_range_over(sel, lo, hi, &self.rows, |r| r < bound);
+            let rows = &self.rows;
+            extend_range(sel, lo, hi, |p| rows[p as usize] < bound);
             Pass::RowId
         } else if let Some(set) = &kernel.table_in {
-            blend_simd::extend_range_over(sel, lo, hi, &self.tables, |t| set.contains(t));
+            let tables = &self.tables;
+            extend_range(sel, lo, hi, |p| set.contains(tables[p as usize]));
             Pass::TableIn
         } else if let Some(set) = &kernel.table_not_in {
-            blend_simd::extend_range_over(sel, lo, hi, &self.tables, |t| !set.contains(t));
+            let tables = &self.tables;
+            extend_range(sel, lo, hi, |p| !set.contains(tables[p as usize]));
             Pass::TableNotIn
         } else if let Some(want_null) = kernel.quadrant_null {
-            blend_simd::extend_range_over(sel, lo, hi, &self.quadrants, |q| {
-                (q == QUADRANT_NULL) == want_null
+            let quads = &self.quadrants;
+            extend_range(sel, lo, hi, |p| {
+                (quads[p as usize] == QUADRANT_NULL) == want_null
             });
             Pass::Quadrant
         } else if let Some(set) = Self::code_set(kernel) {
@@ -494,11 +494,12 @@ impl FactTable for ColumnStore {
             if let Some(needles) = set.small_needles() {
                 blend_simd::extend_range_in8(sel, lo, hi, &self.codes, &needles);
             } else {
-                blend_simd::extend_range_over(sel, lo, hi, &self.codes, |c| set.contains(c));
+                let codes = &self.codes;
+                extend_range(sel, lo, hi, |p| set.contains(codes[p as usize]));
             }
             Pass::Value
         } else if let Some(ValuePred::Strings(set)) = &kernel.value {
-            extend_filtered_range(sel, lo, hi, |p| set.contains(self.value_at(p as usize)));
+            extend_range(sel, lo, hi, |p| set.contains(self.value_at(p as usize)));
             Pass::Value
         } else {
             // Empty kernel: the range itself is the selection.

@@ -30,17 +30,20 @@ use blend_common::FxHashSet;
 /// A compiled membership set over u32 ids (table ids or dictionary codes).
 ///
 /// Built once per scan; probed once per candidate position. The
-/// representation is chosen at build time: a dense bitmap when it costs at
-/// most ~4× the sorted slice (bitmap probes are one shift/mask, branch-free
-/// and O(1)), otherwise a sorted slice probed by binary search — or a
-/// linear OR-fold when tiny, which the compiler unrolls.
+/// representation is chosen at build time: a dense bitmap over the ids'
+/// own range when it costs at most ~4× the sorted slice (bitmap probes are
+/// one subtract, shift and mask, branch-free and O(1)), otherwise a sorted
+/// slice probed by binary search — or a linear OR-fold when tiny, which
+/// the compiler unrolls.
 #[derive(Debug, Clone)]
 pub enum IdSet {
     /// Sorted, deduplicated ids.
     Sorted(Box<[u32]>),
-    /// Dense bitmap over `0..=max_id`; `len` distinct ids are set.
+    /// Dense bitmap over `base..=max_id`; `len` distinct ids are set.
     Bitmap {
-        /// One bit per id in `0..words.len() * 64`.
+        /// The smallest id; bit `i` stands for id `base + i`.
+        base: u32,
+        /// One bit per id in `base..base + words.len() * 64`.
         words: Box<[u64]>,
         /// Number of distinct ids in the set.
         len: usize,
@@ -57,19 +60,21 @@ impl IdSet {
         let mut v: Vec<u32> = ids.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        let Some(&max) = v.last() else {
+        let (Some(&base), Some(&max)) = (v.first(), v.last()) else {
             return IdSet::Sorted(Box::from([]));
         };
-        let n_words = (max as usize >> 6) + 1;
+        let n_words = ((max - base) as usize >> 6) + 1;
         // Bitmap when its footprint is within ~4x of the sorted slice (with
-        // a 1 KiB floor so small id domains — table ids, dictionary codes of
+        // a 1 KiB floor so narrow id ranges — table ids, dictionary codes of
         // short IN-lists — always get the O(1) probe).
         if n_words * 8 <= (v.len() * 16).max(1024) {
             let mut words = vec![0u64; n_words];
             for &id in &v {
-                words[(id >> 6) as usize] |= 1 << (id & 63);
+                let off = id - base;
+                words[(off >> 6) as usize] |= 1 << (off & 63);
             }
             IdSet::Bitmap {
+                base,
                 words: words.into_boxed_slice(),
                 len: v.len(),
             }
@@ -90,11 +95,12 @@ impl IdSet {
                 hit
             }
             IdSet::Sorted(s) => s.binary_search(&id).is_ok(),
-            IdSet::Bitmap { words, .. } => {
-                let w = (id >> 6) as usize;
+            IdSet::Bitmap { base, words, .. } => {
+                // An id below `base` wraps to an offset past every set bit.
+                let off = id.wrapping_sub(*base);
                 words
-                    .get(w)
-                    .is_some_and(|&word| (word >> (id & 63)) & 1 == 1)
+                    .get((off >> 6) as usize)
+                    .is_some_and(|&word| (word >> (off & 63)) & 1 == 1)
             }
         }
     }
@@ -102,8 +108,8 @@ impl IdSet {
     /// The set's ids padded to a fixed 8-lane probe block (the first id
     /// repeated into unused lanes, so duplicate lanes never change the OR
     /// of the compares), when the set is small enough (1..=8 ids) for the
-    /// `blend_simd` unrolled broadcast-compare kernel. Empty and larger
-    /// sets return `None` and take the generic per-element probe.
+    /// `blend_simd` broadcast-compare kernel. Empty and larger sets return
+    /// `None` and take the generic per-element probe.
     pub fn small_needles(&self) -> Option<[u32; 8]> {
         if self.is_empty() || self.len() > LINEAR_PROBE_MAX {
             return None;
@@ -117,11 +123,11 @@ impl IdSet {
                     n += 1;
                 }
             }
-            IdSet::Bitmap { words, .. } => {
+            IdSet::Bitmap { base, words, .. } => {
                 for (w, &word) in words.iter().enumerate() {
                     let mut word = word;
                     while word != 0 {
-                        out[n] = (w as u32) * 64 + word.trailing_zeros();
+                        out[n] = base + (w as u32) * 64 + word.trailing_zeros();
                         n += 1;
                         word &= word - 1;
                     }
@@ -252,32 +258,49 @@ impl FilterKernel {
     }
 }
 
+// ---- selection loops -------------------------------------------------------
+//
+// The engines' selection vectors are written by three loops, each the
+// branch-free write-all/advance-on-keep form: every candidate is stored,
+// and the write cursor advances by the predicate's verdict. All three leave
+// the existing prefix of `sel` untouched and keep survivors in candidate
+// order. A column-value predicate indexes its column inside `keep`.
+
 /// Stable in-place compaction of `sel[start..]`: survivors of `keep` slide
-/// to the front, order preserved, `sel[..start]` untouched. Dispatches
-/// through the `blend_simd` kernel layer: the vector path evaluates the
-/// predicate into 64-wide keep-masks and moves only survivors (all-drop
-/// blocks cost zero stores), the scalar twin is the branch-free
-/// write-all/advance-on-keep loop — byte-identical output either way,
-/// pinned by `tests/simd_parity.rs`.
+/// to the front, order preserved, `sel[..start]` untouched. In-place safe:
+/// the write cursor never passes the read cursor.
 #[inline]
-pub fn compact_by(sel: &mut Vec<u32>, start: usize, keep: impl FnMut(u32) -> bool) {
-    blend_simd::compact(sel, start, keep);
+pub fn compact(sel: &mut Vec<u32>, start: usize, mut keep: impl FnMut(u32) -> bool) {
+    let mut n = start;
+    for i in start..sel.len() {
+        let p = sel[i];
+        sel[n] = p;
+        n += keep(p) as usize;
+    }
+    sel.truncate(n);
+}
+
+/// Append the survivors of the candidate list `cands` to `sel`.
+#[inline]
+pub fn extend_filtered(sel: &mut Vec<u32>, cands: &[u32], keep: impl FnMut(u32) -> bool) {
+    let start = sel.len();
+    sel.extend_from_slice(cands);
+    compact(sel, start, keep);
 }
 
 /// Append the survivors of the contiguous position range `lo..hi` to `sel`
-/// without ever materializing the candidate list. Dispatches through
-/// `blend_simd`: the vector path builds 64-wide keep-masks and appends
-/// only survivors — eliding both the per-candidate stores and the `resize`
-/// memset the scalar twin pays up front. `lo >= hi` appends nothing and
-/// `sel[..start]` is never touched on either path.
+/// without materializing the candidate list. `lo >= hi` appends nothing.
 #[inline]
-pub fn extend_filtered_range(
-    sel: &mut Vec<u32>,
-    lo: usize,
-    hi: usize,
-    keep: impl FnMut(u32) -> bool,
-) {
-    blend_simd::extend_range(sel, lo, hi, keep);
+pub fn extend_range(sel: &mut Vec<u32>, lo: usize, hi: usize, mut keep: impl FnMut(u32) -> bool) {
+    let start = sel.len();
+    sel.resize(start + hi.saturating_sub(lo), 0);
+    let mut n = start;
+    for pos in lo..hi {
+        let p = pos as u32;
+        sel[n] = p;
+        n += keep(p) as usize;
+    }
+    sel.truncate(n);
 }
 
 /// Per-worker reusable scan buffers.
@@ -308,6 +331,9 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
+    /// A low edge of dense ids far from 0.
+    const FAR: u32 = 3_000_000_000;
+
     #[test]
     fn idset_picks_bitmap_for_dense_small_domains() {
         let set = IdSet::build([1u32, 3, 5, 7, 900]);
@@ -316,6 +342,18 @@ mod tests {
         for id in 0..1100u32 {
             assert_eq!(set.contains(id), [1, 3, 5, 7, 900].contains(&id));
         }
+        // A narrow range far from 0 gets a bitmap over its own range.
+        let far = [FAR + 2, FAR + 70, FAR + 900];
+        let set = IdSet::build(far);
+        assert!(matches!(set, IdSet::Bitmap { base, .. } if base == FAR + 2));
+        assert_eq!(set.memory_bytes(), 15 * 8);
+        for id in (FAR - 100..FAR + 1100).chain([0, u32::MAX]) {
+            assert_eq!(set.contains(id), far.contains(&id), "id {id}");
+        }
+        assert_eq!(
+            set.small_needles(),
+            Some([far[0], far[1], far[2], far[0], far[0], far[0], far[0], far[0]])
+        );
     }
 
     #[test]
@@ -358,20 +396,24 @@ mod tests {
         /// `contains`, `len` and `small_needles` against a `HashSet` over
         /// lists that hold 0, `u32::MAX`, duplicates or nothing, with sizes
         /// on both sides of `LINEAR_PROBE_MAX` and ids dense enough for the
-        /// bitmap or sparse enough for the sorted slice.
+        /// bitmap or sparse enough for the sorted slice — the dense ones
+        /// near 0, far from it, or just below `u32::MAX`, probed on both
+        /// sides of their range.
         #[test]
         fn idset_membership_matches_a_hash_set(
             raw in proptest::collection::vec((0u32..5, any::<u32>()), 0..150),
             small in proptest::option::of(0usize..12),
             dup in any::<bool>(),
+            region in 0usize..3,
         ) {
+            let low = [0, FAR, u32::MAX - 20_100][region];
             let mut ids: Vec<u32> = raw
                 .iter()
                 .map(|&(kind, x)| match kind {
-                    0 => 0,
+                    0 => low,
                     1 => u32::MAX,
-                    2 => x % 64,
-                    3 => x % 20_000,
+                    2 => low + x % 64,
+                    3 => low + x % 20_000,
                     _ => x,
                 })
                 .take(small.unwrap_or(usize::MAX))
@@ -386,7 +428,21 @@ mod tests {
             for id in ids.iter().flat_map(|&i| [i.wrapping_sub(1), i, i.wrapping_add(1)]) {
                 prop_assert_eq!(set.contains(id), want.contains(&id), "id {}", id);
             }
-            for id in [0, 1, 63, 64, 65, 4095, 4096, u32::MAX - 1, u32::MAX] {
+            for id in [
+                0,
+                1,
+                63,
+                64,
+                65,
+                4095,
+                4096,
+                FAR - 1,
+                FAR,
+                FAR + 64,
+                u32::MAX - 20_101,
+                u32::MAX - 1,
+                u32::MAX,
+            ] {
                 prop_assert_eq!(set.contains(id), want.contains(&id), "id {}", id);
             }
             let needles = set.small_needles();
@@ -441,24 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn compact_by_is_stable() {
+    fn compact_is_stable() {
         let mut sel = vec![9, 1, 2, 3, 4, 5];
-        compact_by(&mut sel, 1, |p| p % 2 == 1);
+        compact(&mut sel, 1, |p| p % 2 == 1);
         assert_eq!(sel, vec![9, 1, 3, 5]);
-        compact_by(&mut sel, 0, |_| false);
+        compact(&mut sel, 0, |_| false);
         assert!(sel.is_empty());
     }
 
     #[test]
-    fn extend_filtered_range_appends_survivors() {
+    fn extend_range_appends_survivors() {
         let mut sel = vec![7];
-        extend_filtered_range(&mut sel, 10, 20, |p| p % 3 == 0);
+        extend_range(&mut sel, 10, 20, |p| p % 3 == 0);
         assert_eq!(sel, vec![7, 12, 15, 18]);
         // Degenerate and empty ranges are no-ops.
-        extend_filtered_range(&mut sel, 5, 5, |_| true);
+        extend_range(&mut sel, 5, 5, |_| true);
         #[allow(clippy::reversed_empty_ranges)]
-        extend_filtered_range(&mut sel, 5, 3, |_| true);
+        extend_range(&mut sel, 5, 3, |_| true);
         assert_eq!(sel, vec![7, 12, 15, 18]);
+        extend_filtered(&mut sel, &[3, 4, 6], |p| p != 4);
+        assert_eq!(sel, vec![7, 12, 15, 18, 3, 6]);
     }
 
     #[test]

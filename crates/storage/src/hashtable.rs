@@ -19,9 +19,9 @@
 //!
 //! [`DenseKey`] gives each key type its 64-bit hash. The packed keys stay
 //! `Copy` and monomorphized, hashed a [`PROBE_BLOCK`] at a time by
-//! [`DenseKey::hash_block`] ([`mix64`]/[`mix128`], batched on the vector
-//! path). A borrowed form hashes as its owner does — `Box`, `Arc` and `&`
-//! forward to the pointee — so a `&str` finds its `Box<str>`. Hash bits are
+//! [`DenseKey::hash_block`] ([`mix64`]/[`mix128`] per key). A borrowed
+//! form hashes as its owner does — `Box`, `Arc` and `&` forward to the
+//! pointee — so a `&str` finds its `Box<str>`. Hash bits are
 //! split by convention: the **low** bits select a radix partition (see
 //! [`crate::radix`]), bits 32 and up select the slot, so partitioning and
 //! slot choice stay independent for tables up to 2³² slots.
@@ -35,7 +35,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use blend_common::hash::hash_str;
-use blend_common::{mix128, mix128x8, mix64, mix64x8, FxHasher, MIX_LANES};
+use blend_common::{mix128, mix64, FxHasher};
 
 /// A key [`GroupIndex`] numbers: comparable, and hashable to 64 bits
 /// without `Hasher` state.
@@ -45,14 +45,9 @@ pub trait DenseKey: Eq {
     /// must be uniform.
     fn hash64(&self) -> u64;
 
-    /// Hash a block of keys into `out` (`out.len() == keys.len()`): the one
-    /// hash source of the executor's join probe and group upsert loops,
-    /// which call it on either SIMD dispatch path. This kernel is where
-    /// dispatch is decided: the packed-key impls run [`MIX_LANES`] keys per
-    /// call through the batched mixers on the vector path; the default (and
-    /// the scalar path) is the per-key loop. Values are identical either
-    /// way — the batched mixers are exact stage-by-stage restatements of
-    /// `hash64`.
+    /// Hash a block of keys into `out` (`out.len() == keys.len()`), one
+    /// [`hash64`](DenseKey::hash64) per key: the one hash source of the
+    /// executor's join probe and group upsert loops.
     fn hash_block(keys: &[Self], out: &mut [u64])
     where
         Self: Sized,
@@ -76,48 +71,12 @@ impl DenseKey for u64 {
     fn hash64(&self) -> u64 {
         mix64(*self)
     }
-
-    fn hash_block(keys: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(keys.len(), out.len());
-        if blend_simd::enabled() {
-            let mut kc = keys.chunks_exact(MIX_LANES);
-            let mut oc = out.chunks_exact_mut(MIX_LANES);
-            for (k, o) in (&mut kc).zip(&mut oc) {
-                o.copy_from_slice(&mix64x8(k.try_into().expect("exact chunk")));
-            }
-            for (o, &k) in oc.into_remainder().iter_mut().zip(kc.remainder()) {
-                *o = mix64(k);
-            }
-        } else {
-            for (o, &k) in out.iter_mut().zip(keys) {
-                *o = mix64(k);
-            }
-        }
-    }
 }
 
 impl DenseKey for u128 {
     #[inline]
     fn hash64(&self) -> u64 {
         mix128(*self)
-    }
-
-    fn hash_block(keys: &[u128], out: &mut [u64]) {
-        debug_assert_eq!(keys.len(), out.len());
-        if blend_simd::enabled() {
-            let mut kc = keys.chunks_exact(MIX_LANES);
-            let mut oc = out.chunks_exact_mut(MIX_LANES);
-            for (k, o) in (&mut kc).zip(&mut oc) {
-                o.copy_from_slice(&mix128x8(k.try_into().expect("exact chunk")));
-            }
-            for (o, &k) in oc.into_remainder().iter_mut().zip(kc.remainder()) {
-                *o = mix128(k);
-            }
-        } else {
-            for (o, &k) in out.iter_mut().zip(keys) {
-                *o = mix128(k);
-            }
-        }
     }
 }
 
@@ -436,9 +395,8 @@ mod tests {
     /// keys through a [`GroupIndex`] sized for every key being distinct,
     /// list each id's build rows ascending with [`radix_partition`], then
     /// probe a [`PROBE_BLOCK`] at a time — hash the block
-    /// ([`DenseKey::hash_block`] dispatches on the forced SIMD path),
-    /// prefetch its slots, look each key up with
-    /// [`get_hashed`](GroupIndex::get_hashed) and walk its id's list.
+    /// ([`DenseKey::hash_block`]), prefetch its slots, look each key up
+    /// with [`get_hashed`](GroupIndex::get_hashed) and walk its id's list.
     fn dense_pairs<K: DenseKey + Copy>(build: &[K], probe: &[K]) -> Vec<(u32, u32)> {
         let mut index: GroupIndex<K> = GroupIndex::with_capacity(build.len()).unwrap();
         let ids: Vec<u32> = (build.iter())
@@ -524,43 +482,31 @@ mod tests {
         assert_eq!(index.len(), 4);
     }
 
-    /// Serializes the tests that flip the process-global `blend_simd`
-    /// dispatch override, so each one deterministically covers both paths.
-    static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn hash_block_matches_per_key_hash64_on_both_paths() {
-        let _g = FORCE_LOCK.lock().unwrap();
+    fn hash_block_matches_per_key_hash64() {
         let k64: Vec<u64> = (0..100u64).map(|i| i.wrapping_mul(0x9e37)).collect();
         let k128: Vec<u128> = (0..100u128).map(|i| (i << 93) | i).collect();
-        for forced in [Some(false), Some(true)] {
-            blend_simd::force(forced);
-            let mut h64 = vec![0u64; k64.len()];
-            u64::hash_block(&k64, &mut h64);
-            assert_eq!(h64, k64.iter().map(|&k| k.hash64()).collect::<Vec<_>>());
-            let mut h128 = vec![0u64; k128.len()];
-            u128::hash_block(&k128, &mut h128);
-            assert_eq!(h128, k128.iter().map(|&k| k.hash64()).collect::<Vec<_>>());
-            // Short (sub-lane) and empty blocks.
-            let mut h3 = vec![0u64; 3];
-            u64::hash_block(&k64[..3], &mut h3);
-            assert_eq!(h3, k64[..3].iter().map(|&k| k.hash64()).collect::<Vec<_>>());
-            u64::hash_block(&[], &mut []);
-        }
-        blend_simd::force(None);
+        let mut h64 = vec![0u64; k64.len()];
+        u64::hash_block(&k64, &mut h64);
+        assert_eq!(h64, k64.iter().map(|&k| k.hash64()).collect::<Vec<_>>());
+        let mut h128 = vec![0u64; k128.len()];
+        u128::hash_block(&k128, &mut h128);
+        assert_eq!(h128, k128.iter().map(|&k| k.hash64()).collect::<Vec<_>>());
+        // Short and empty blocks.
+        let mut h3 = vec![0u64; 3];
+        u64::hash_block(&k64[..3], &mut h3);
+        assert_eq!(h3, k64[..3].iter().map(|&k| k.hash64()).collect::<Vec<_>>());
+        u64::hash_block(&[], &mut []);
     }
 
     #[test]
-    fn blocked_probe_matches_oracle_on_both_paths() {
-        let _g = FORCE_LOCK.lock().unwrap();
+    fn blocked_probe_matches_oracle() {
         let build: Vec<u64> = (0..500u64).map(|i| i % 91).collect();
         let probe: Vec<u64> = (0..333u64).map(|i| i % 131).collect();
-        let want = oracle::join_pairs(&build, &probe);
-        for forced in [Some(false), Some(true)] {
-            blend_simd::force(forced);
-            assert_eq!(dense_pairs(&build, &probe), want, "forced={forced:?}");
-        }
-        blend_simd::force(None);
+        assert_eq!(
+            dense_pairs(&build, &probe),
+            oracle::join_pairs(&build, &probe)
+        );
     }
 
     #[test]
@@ -568,19 +514,16 @@ mod tests {
         // A build side past the private caches, so the prefetches land on
         // lines that are not resident. Probe keys include misses,
         // multi-match runs, and a non-block-multiple tail.
-        let _g = FORCE_LOCK.lock().unwrap();
         let build: Vec<u64> = (0..150_000u64)
             .map(|i| i.wrapping_mul(0x9e37) % 70_001)
             .collect();
         let probe: Vec<u64> = (0..10_037u64)
             .map(|i| i.wrapping_mul(0x85eb) % 90_001)
             .collect();
-        let want = oracle::join_pairs(&build, &probe);
-        for forced in [Some(false), Some(true)] {
-            blend_simd::force(forced);
-            assert_eq!(dense_pairs(&build, &probe), want, "forced={forced:?}");
-        }
-        blend_simd::force(None);
+        assert_eq!(
+            dense_pairs(&build, &probe),
+            oracle::join_pairs(&build, &probe)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use blend_common::{FxHashMap, FxHashSet};
 use crate::fact::{
     canonical_sort, scratch_component, table_ranges, FactRow, FactTable, MemoryBreakdown,
 };
-use crate::filter::{extend_filtered_range, FilterKernel, ValuePred};
+use crate::filter::{extend_filtered, extend_range, FilterKernel, ValuePred};
 use crate::stats::FactStats;
 
 /// Row-store implementation of [`FactTable`].
@@ -195,9 +195,7 @@ impl FactTable for RowStore {
     /// Single fused pass (an empty kernel copies): every predicate is
     /// evaluated in one tuple check per candidate (see `keep_fact_row`) — one pointer chase to the
     /// `FactRow`, all fields adjacent, instead of one virtual accessor
-    /// call per predicate — streamed through the `blend_simd` candidate
-    /// kernel (block keep-masks on the vector path, write-all/advance-on-
-    /// keep on the scalar twin; byte-identical either way).
+    /// call per predicate — streamed through [`extend_filtered`].
     fn filter_batch(&self, kernel: &FilterKernel, positions: &[u32], sel: &mut Vec<u32>) {
         if kernel.never_matches() {
             return;
@@ -206,7 +204,7 @@ impl FactTable for RowStore {
             return sel.extend_from_slice(positions);
         }
         let rows = &self.rows;
-        blend_simd::extend_filtered(sel, positions, |p| keep_fact_row(kernel, &rows[p as usize]));
+        extend_filtered(sel, positions, |p| keep_fact_row(kernel, &rows[p as usize]));
     }
 
     fn filter_range(&self, kernel: &FilterKernel, lo: usize, hi: usize, sel: &mut Vec<u32>) {
@@ -217,7 +215,7 @@ impl FactTable for RowStore {
             return sel.extend((lo..hi).map(|p| p as u32));
         }
         let rows = &self.rows;
-        extend_filtered_range(sel, lo, hi, |p| keep_fact_row(kernel, &rows[p as usize]));
+        extend_range(sel, lo, hi, |p| keep_fact_row(kernel, &rows[p as usize]));
     }
 
     fn stats(&self) -> &FactStats {

@@ -57,23 +57,6 @@ impl FactStats {
             },
         }
     }
-
-    /// Estimated positions matched by an IN-list, given the exact posting
-    /// lengths of its members (they are disjoint, so the estimate is a sum —
-    /// and exact).
-    pub fn in_list_cardinality(&self, member_posting_lens: impl Iterator<Item = usize>) -> usize {
-        member_posting_lens.sum()
-    }
-
-    /// Selectivity of one equality predicate on `CellValue` under the
-    /// uniform assumption, used when a probe value is unknown.
-    pub fn default_value_selectivity(&self) -> f64 {
-        if self.n_rows == 0 || self.n_distinct_values == 0 {
-            0.0
-        } else {
-            1.0 / self.n_distinct_values as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +77,6 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = FactStats::compute(0, 0, std::iter::empty(), 0);
         assert_eq!(s.avg_value_frequency, 0.0);
-        assert_eq!(s.default_value_selectivity(), 0.0);
         assert_eq!(s.numeric_fraction, 0.0);
-    }
-
-    #[test]
-    fn in_list_cardinality_sums() {
-        let s = FactStats::compute(100, 5, [10usize, 1].into_iter(), 0);
-        assert_eq!(s.in_list_cardinality([10usize, 1].into_iter()), 11);
     }
 }

@@ -9,9 +9,15 @@
 //! The oracle ([`Preds::keeps`]) reads cells through the point accessors
 //! and compares them with the value strings, id lists, bound and null flag
 //! as written: it shares no set type and no probe with the kernels.
+//!
+//! The three selection loops under every engine kernel (`blend_storage::
+//! filter`'s `compact`, `extend_filtered` and `extend_range`) are held to
+//! `iter().filter()` on their own, over random lengths, prefixes and
+//! offsets, degenerate ranges and all-keep / all-drop predicates.
 
 use blend_parallel::{morselize, WorkerPool};
 use blend_sql::SqlEngine;
+use blend_storage::filter::{compact, extend_filtered, extend_range};
 use blend_storage::{
     build_engine, EngineKind, FactRow, FactTable, FilterKernel, IdSet, ScanScratch,
 };
@@ -220,10 +226,97 @@ proptest! {
     }
 }
 
-/// The two scan shapes of the seekers at a size where every block kernel
-/// runs whole blocks plus a tail: a selective `CellValue IN` list (~0.5 % of
-/// rows) and a non-selective quadrant + table + rowid mix (~half of them),
-/// on both engines, with the SIMD block kernels and their scalar twins each
+/// A keep-bound over values in `0..1000` plus its saturated edges: 0 drops
+/// every value, 1000 keeps every one.
+fn bounds(sampled: u32) -> [u32; 3] {
+    [0, 1000, sampled]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `compact` keeps `sel[..start]` as it was and slides the survivors
+    /// of the rest to the front in order.
+    #[test]
+    fn compaction_matches_a_filter(
+        vals in proptest::collection::vec(0u32..1000, 0..300),
+        start_seed in any::<u64>(),
+        b_raw in 1u32..1000,
+    ) {
+        let start = start_seed as usize % (vals.len() + 1);
+        for b in bounds(b_raw) {
+            let mut sel = vals.clone();
+            compact(&mut sel, start, |v| v < b);
+            let kept = vals[start..].iter().copied().filter(|&v| v < b);
+            let want: Vec<u32> = vals[..start].iter().copied().chain(kept).collect();
+            prop_assert_eq!(sel, want, "start {} bound {}", start, b);
+        }
+    }
+
+    /// `extend_filtered` appends the survivors of a candidate list.
+    #[test]
+    fn candidate_filtering_matches_a_filter(
+        prefix in proptest::collection::vec(any::<u32>(), 0..8),
+        cands in proptest::collection::vec(0u32..1000, 0..300),
+        b_raw in 1u32..1000,
+    ) {
+        for b in bounds(b_raw) {
+            let mut sel = prefix.clone();
+            extend_filtered(&mut sel, &cands, |v| v < b);
+            let kept = cands.iter().copied().filter(|&v| v < b);
+            let want: Vec<u32> = prefix.iter().copied().chain(kept).collect();
+            prop_assert_eq!(sel, want, "bound {}", b);
+        }
+    }
+
+    /// `extend_range` with a predicate on the position itself (the row
+    /// store's form); `span == 0` gives `lo == hi` and `reversed` `hi < lo`.
+    #[test]
+    fn position_range_filtering_matches_a_filter(
+        prefix in proptest::collection::vec(any::<u32>(), 0..8),
+        lo in 0usize..200,
+        span in 0usize..300,
+        reversed in any::<bool>(),
+        b_raw in 1u32..1000,
+    ) {
+        let (lo, hi) = if reversed { (lo + span, lo) } else { (lo, lo + span) };
+        for b in bounds(b_raw) {
+            let keep = |p: u32| p.wrapping_mul(0x9E37_79B9) % 1000 < b;
+            let mut sel = prefix.clone();
+            extend_range(&mut sel, lo, hi, keep);
+            let kept = (lo..hi).map(|p| p as u32).filter(|&p| keep(p));
+            let want: Vec<u32> = prefix.iter().copied().chain(kept).collect();
+            prop_assert_eq!(sel, want, "{}..{} bound {}", lo, hi, b);
+        }
+    }
+
+    /// `extend_range` with a predicate on a column's value at the position
+    /// (the column store's form), over sub-ranges of the column that may
+    /// be empty, inverted or whole.
+    #[test]
+    fn column_value_range_filtering_matches_a_filter(
+        prefix in proptest::collection::vec(any::<u32>(), 0..8),
+        vals in proptest::collection::vec(0u32..1000, 0..300),
+        lo_seed in any::<u64>(),
+        hi_seed in any::<u64>(),
+        b_raw in 1u32..1000,
+    ) {
+        let lo = lo_seed as usize % (vals.len() + 1);
+        let hi = hi_seed as usize % (vals.len() + 1);
+        for b in bounds(b_raw) {
+            let mut sel = prefix.clone();
+            extend_range(&mut sel, lo, hi, |p| vals[p as usize] < b);
+            let kept = (lo..hi).filter(|&p| vals[p] < b).map(|p| p as u32);
+            let want: Vec<u32> = prefix.iter().copied().chain(kept).collect();
+            prop_assert_eq!(sel, want, "{}..{} bound {}", lo, hi, b);
+        }
+    }
+}
+
+/// The two scan shapes of the seekers at a size where the IN-8 kernel runs
+/// whole 64-code blocks plus a tail: a selective `CellValue IN` list (~0.5 %
+/// of rows) and a non-selective quadrant + table + rowid mix (~half of
+/// them), on both engines, with the IN-8 kernel and its scalar twin each
 /// forced in turn.
 #[test]
 fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {

@@ -1,29 +1,24 @@
-//! SIMD/scalar kernel parity: every kernel in the `blend_simd` layer (and
-//! every dispatching consumer above it) must reproduce its scalar twin
-//! **byte-for-byte** — the scalar-oracle contract the kernel layer's
-//! module docs promise.
+//! SIMD/scalar kernel parity: both dispatching kernels of the
+//! `blend_simd` layer must reproduce their scalar twins **byte-for-byte**,
+//! and the hash and probe loops the executor runs above them must match
+//! their oracles.
 //!
 //! Three tiers of coverage:
 //!
 //! 1. **Kernel pairs**, called explicitly (no global dispatch involved):
-//!    selection-vector compaction/extension, the fixed-width IN-list
-//!    (`in8`) mask/extend pair, striped partition counting, and the
-//!    batched hash mixers, over random lengths including non-lane-multiple
-//!    tails, misaligned starts, and — every case also reruns with the
-//!    degenerate all-keep and all-drop bounds — saturated masks.
-//! 2. **Dispatching consumers** under `blend_simd::force`: batched key
-//!    hashing and the blocked probe of a join on packed keys (a block of
-//!    keys hashed, each looked up in a `GroupIndex` and its id's build
-//!    rows walked), forced down both paths in one process. Force flips are
-//!    process-global, so those tests serialize on a mutex and restore env
-//!    dispatch on exit (panic included).
+//!    the fixed-width IN-list (`in8`) mask/extend pair and striped
+//!    partition counting, over random lengths including non-lane-multiple
+//!    tails, misaligned and inverted ranges, and saturated masks.
+//! 2. **Consumers**: block key hashing and the blocked probe of a join on
+//!    packed keys (a block of keys hashed, each looked up in a
+//!    `GroupIndex` and its id's build rows walked), against per-key
+//!    hashing and a nested-loop oracle.
 //! 3. **End-to-end SQL**: full queries covering each wired kernel, forced
 //!    down both paths across storage engines × thread counts {1, 4, 8},
 //!    must return byte-identical `ResultSet`s.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use blend_common::{mix128, mix128x8, mix64, mix64x8};
 use blend_parallel::ParallelCtx;
 use blend_simd as simd;
 use blend_sql::SqlEngine;
@@ -32,112 +27,20 @@ use blend_storage::{
 };
 use proptest::prelude::*;
 
-/// Serializes tests that flip the process-global dispatch override, and
-/// restores env-driven dispatch when the scope ends — even on a failed
-/// assertion, so one failure cannot poison unrelated tests.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
+/// Restores the unforced dispatch when dropped — even on a failed
+/// assertion, so one failure cannot leave the process forced.
+struct Unforce;
 
-struct ForceScope(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for ForceScope {
+impl Drop for Unforce {
     fn drop(&mut self) {
         simd::force(None);
     }
-}
-
-fn force_scope() -> ForceScope {
-    ForceScope(FORCE_LOCK.lock().unwrap_or_else(|p| p.into_inner()))
-}
-
-/// Every sampled keep-bound plus the saturated edges: 0 drops every value
-/// in `0..1000`, 1001 keeps every one — the all-drop / all-keep masks the
-/// block kernels special-case.
-fn bounds(sampled: u32) -> [u32; 3] {
-    [0, 1001, sampled]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // ---- tier 1: kernel pairs --------------------------------------------
-
-    #[test]
-    fn compact_paths_agree(
-        vals in proptest::collection::vec(0u32..1000, 0..300),
-        start_seed in any::<u64>(),
-        b_raw in 1u32..1000,
-    ) {
-        // Misaligned starts: any prefix length, not just block multiples.
-        let start = start_seed as usize % (vals.len() + 1);
-        for b in bounds(b_raw) {
-            let mut scalar = vals.clone();
-            let mut blocks = vals.clone();
-            simd::compact_scalar(&mut scalar, start, |v| v < b);
-            simd::compact_blocks(&mut blocks, start, |v| v < b);
-            prop_assert_eq!(&scalar, &blocks);
-            // The dispatching wrapper lands on one of the two (whichever
-            // the environment selects) — both agree, so it must match too.
-            let mut auto = vals.clone();
-            simd::compact(&mut auto, start, |v| v < b);
-            prop_assert_eq!(&scalar, &auto);
-        }
-    }
-
-    #[test]
-    fn extend_filtered_paths_agree(
-        prefix in proptest::collection::vec(any::<u32>(), 0..8),
-        cands in proptest::collection::vec(0u32..1000, 0..300),
-        b_raw in 1u32..1000,
-    ) {
-        for b in bounds(b_raw) {
-            let mut scalar = prefix.clone();
-            let mut blocks = prefix.clone();
-            simd::extend_filtered_scalar(&mut scalar, &cands, |v| v < b);
-            simd::extend_filtered_blocks(&mut blocks, &cands, |v| v < b);
-            prop_assert_eq!(scalar, blocks);
-        }
-    }
-
-    #[test]
-    fn extend_range_paths_agree(
-        prefix in proptest::collection::vec(any::<u32>(), 0..8),
-        lo in 0usize..200,
-        span in 0usize..300,
-        reversed in any::<bool>(),
-        b_raw in 1u32..1000,
-    ) {
-        // Degenerate ranges ride along: span == 0 gives lo == hi, and
-        // `reversed` hands the kernels hi < lo.
-        let (lo, hi) = if reversed { (lo + span, lo) } else { (lo, lo + span) };
-        for b in bounds(b_raw) {
-            let keep = |p: u32| p.wrapping_mul(0x9E37_79B9) >> 22 < b;
-            let mut scalar = prefix.clone();
-            let mut blocks = prefix.clone();
-            simd::extend_range_scalar(&mut scalar, lo, hi, keep);
-            simd::extend_range_blocks(&mut blocks, lo, hi, keep);
-            prop_assert_eq!(scalar, blocks);
-        }
-    }
-
-    #[test]
-    fn extend_range_over_paths_agree(
-        prefix in proptest::collection::vec(any::<u32>(), 0..8),
-        vals in proptest::collection::vec(0u32..1000, 0..300),
-        lo_seed in any::<u64>(),
-        hi_seed in any::<u64>(),
-        b_raw in 1u32..1000,
-    ) {
-        // Sub-ranges of the value slice, including empty and full spans.
-        let lo = lo_seed as usize % (vals.len() + 1);
-        let hi = hi_seed as usize % (vals.len() + 1);
-        for b in bounds(b_raw) {
-            let mut scalar = prefix.clone();
-            let mut blocks = prefix.clone();
-            simd::extend_range_over_scalar(&mut scalar, lo, hi, &vals, |v| v < b);
-            simd::extend_range_over_blocks(&mut blocks, lo, hi, &vals, |v| v < b);
-            prop_assert_eq!(scalar, blocks);
-        }
-    }
 
     #[test]
     fn keep_mask_in8_paths_agree(
@@ -212,23 +115,7 @@ proptest! {
         prop_assert_eq!(&scalar, &auto);
     }
 
-    #[test]
-    fn batched_mixers_match_scalar(
-        xs in proptest::collection::vec(any::<u64>(), 8),
-        ys in proptest::collection::vec((any::<u64>(), any::<u64>()), 8),
-    ) {
-        let xs: [u64; 8] = xs.try_into().unwrap();
-        let ys: [u128; 8] = ys
-            .into_iter()
-            .map(|(hi, lo)| ((hi as u128) << 64) | lo as u128)
-            .collect::<Vec<_>>()
-            .try_into()
-            .unwrap();
-        prop_assert_eq!(mix64x8(xs), xs.map(mix64));
-        prop_assert_eq!(mix128x8(ys), ys.map(mix128));
-    }
-
-    // ---- tier 2: dispatching consumers under force -----------------------
+    // ---- tier 2: consumers ----------------------------------------------
 
     #[test]
     fn hash_block_is_dispatch_invariant(
@@ -239,19 +126,15 @@ proptest! {
             .into_iter()
             .map(|(hi, lo)| ((hi as u128) << 64) | lo as u128)
             .collect();
-        let _scope = force_scope();
-        for mode in [false, true] {
-            simd::force(Some(mode));
-            let mut out = vec![0u64; keys64.len()];
-            u64::hash_block(&keys64, &mut out);
-            for (o, k) in out.iter().zip(&keys64) {
-                prop_assert_eq!(*o, k.hash64(), "u64 path, vector={}", mode);
-            }
-            let mut out = vec![0u64; keys128.len()];
-            u128::hash_block(&keys128, &mut out);
-            for (o, k) in out.iter().zip(&keys128) {
-                prop_assert_eq!(*o, k.hash64(), "u128 path, vector={}", mode);
-            }
+        let mut out = vec![0u64; keys64.len()];
+        u64::hash_block(&keys64, &mut out);
+        for (o, k) in out.iter().zip(&keys64) {
+            prop_assert_eq!(*o, k.hash64(), "u64");
+        }
+        let mut out = vec![0u64; keys128.len()];
+        u128::hash_block(&keys128, &mut out);
+        for (o, k) in out.iter().zip(&keys128) {
+            prop_assert_eq!(*o, k.hash64(), "u128");
         }
     }
 
@@ -260,7 +143,6 @@ proptest! {
         build in proptest::collection::vec(0u64..50, 0..150),
         probe in proptest::collection::vec(0u64..50, 0..150),
     ) {
-        let _scope = force_scope();
         // The build side as the executor numbers it: dense ids from a
         // `GroupIndex`, each id's build rows listed ascending.
         let mut index: GroupIndex<u64> = GroupIndex::with_capacity(build.len()).unwrap();
@@ -280,21 +162,18 @@ proptest! {
         // keys, look each one up with `get_hashed` and walk its id's list
         // (the slot prefetches in between touch no result; `hashtable`'s
         // unit tests run them).
-        for mode in [false, true] {
-            simd::force(Some(mode));
-            let mut got: Vec<(u32, u32)> = Vec::new();
-            let mut hash_buf = [0u64; PROBE_BLOCK];
-            for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
-                let hashes = &mut hash_buf[..keys.len()];
-                u64::hash_block(keys, hashes);
-                for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
-                    for &b in index.get_hashed(&key, hash).map_or(&[][..], |id| lists.part(id as usize)) {
-                        got.push(((blk * PROBE_BLOCK + j) as u32, b));
-                    }
+        let mut got: Vec<(u32, u32)> = Vec::new();
+        let mut hash_buf = [0u64; PROBE_BLOCK];
+        for (blk, keys) in probe.chunks(PROBE_BLOCK).enumerate() {
+            let hashes = &mut hash_buf[..keys.len()];
+            u64::hash_block(keys, hashes);
+            for (j, (&key, &hash)) in keys.iter().zip(hashes.iter()).enumerate() {
+                for &b in index.get_hashed(&key, hash).map_or(&[][..], |id| lists.part(id as usize)) {
+                    got.push(((blk * PROBE_BLOCK + j) as u32, b));
                 }
             }
-            prop_assert_eq!(&got, &want, "vector={}", mode);
         }
+        prop_assert_eq!(&got, &want);
     }
 }
 
@@ -367,7 +246,7 @@ fn sql_suite() -> Vec<(&'static str, &'static str)> {
 
 #[test]
 fn sql_results_are_identical_across_dispatch_and_thread_counts() {
-    let _scope = force_scope();
+    let _unforce = Unforce;
     let rows = fact_rows(5, 24, 6, 0xB1E5D);
     for kind in [EngineKind::Row, EngineKind::Column] {
         let fact = build_engine(kind, rows.clone());

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use blend_sql::{ResultSet, SqlEngine, SqlValue};
+use blend_sql::{BlendError, ResultSet, SqlEngine, SqlValue};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 /// Mini index: two tables. Table 0 has text col 0 and numeric col 1
@@ -342,6 +342,51 @@ fn integer_overflow_never_panics() {
         let filter = format!("SELECT RowId FROM AllTables WHERE {min} % -1 = 0 AND -{min} < 0");
         for rs in run(&filter) {
             assert_eq!(rs.len(), 2, "{kind:?}");
+        }
+    }
+}
+
+/// `-9223372036854775808` is the literal `i64::MIN` wherever a literal may
+/// stand — a select item, a WHERE comparison, an IN list — on both stores
+/// and on the reference. Its magnitude alone, and one past it, stay parse
+/// errors.
+#[test]
+fn i64_min_literal_parses() {
+    let min = "-9223372036854775808";
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let e = SqlEngine::with_alltables(build_engine(
+            kind,
+            vec![
+                FactRow::new("a", 0, 0, 0, 0, None),
+                FactRow::new("b", 0, 0, 1, 0, None),
+            ],
+        ));
+        let run = |sql: &str| -> [ResultSet; 2] {
+            [e.execute(sql).unwrap(), e.execute_reference(sql).unwrap().0]
+        };
+        for rs in run(&format!(
+            "SELECT {min} AS x, {min} + 1 AS y FROM AllTables LIMIT 1"
+        )) {
+            assert_eq!(rs.i64(0, "x"), Some(i64::MIN), "{kind:?}");
+            assert_eq!(rs.i64(0, "y"), Some(i64::MIN + 1), "{kind:?}");
+        }
+        for rs in run(&format!("SELECT RowId FROM AllTables WHERE RowId > {min}")) {
+            assert_eq!(rs.len(), 2, "{kind:?}");
+        }
+        for rs in run(&format!(
+            "SELECT RowId AS r FROM AllTables WHERE RowId IN ({min}, 1)"
+        )) {
+            assert_eq!(rs.len(), 1, "{kind:?}");
+            assert_eq!(rs.i64(0, "r"), Some(1), "{kind:?}");
+        }
+        for bad in ["9223372036854775808", "-9223372036854775809"] {
+            let sql = format!("SELECT {bad} AS x FROM AllTables");
+            assert!(
+                matches!(e.execute(&sql), Err(BlendError::SqlParse(_))),
+                "{sql}"
+            );
+            let reference = e.execute_reference(&sql);
+            assert!(matches!(reference, Err(BlendError::SqlParse(_))), "{sql}");
         }
     }
 }
