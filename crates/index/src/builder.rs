@@ -198,16 +198,11 @@ impl IndexBuilder {
         all
     }
 
-    /// Index a lake directly into a storage engine.
-    ///
-    /// Every build advances the process-wide store generation
-    /// ([`blend_storage::bump_store_generation`]): a rebuild produces a new
-    /// `AllTables`, so any result memoized against the previous generation
-    /// must stop matching the moment the new table can be installed.
+    /// Index a lake directly into a storage engine. Installing the result
+    /// in a catalog (`SqlEngine::replace_table`) advances that catalog's
+    /// generation; the build itself does not.
     pub fn build(&self, tables: &[Table], kind: EngineKind) -> Arc<dyn FactTable> {
-        let fact = build_engine(kind, self.index_lake(tables));
-        blend_storage::bump_store_generation();
-        fact
+        build_engine(kind, self.index_lake(tables))
     }
 }
 

@@ -30,9 +30,10 @@
 //! * Keys compare the **full canonical text**, not just the 64-bit hash:
 //!   a hash collision can put two queries in the same shard but can never
 //!   serve one query's bytes for another.
-//! * The key's `generation` is the store generation observed **before**
-//!   the cached execution began. Index/lake rebuilds and catalog swaps
-//!   bump the process-wide generation, so post-rebuild lookups (which use
+//! * The key's `generation` is the engine's catalog generation
+//!   ([`SqlEngine::generation`](blend_sql::SqlEngine::generation)) observed
+//!   **before** the cached execution began. Index/lake rebuilds swap the
+//!   catalog, which advances it, so post-rebuild lookups (which use
 //!   the new generation) can never match pre-rebuild entries — even when
 //!   the rebuild lands while the entry's execution is still in flight.
 //!   Each shard also purges entries from superseded generations the first

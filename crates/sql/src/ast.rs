@@ -123,55 +123,101 @@ impl Expr {
     }
 
     /// Rebuild a conjunction from conjuncts; `None` if empty.
-    pub fn and_all(mut exprs: Vec<Expr>) -> Option<Expr> {
-        let first = if exprs.is_empty() {
-            return None;
-        } else {
-            exprs.remove(0)
-        };
-        Some(exprs.into_iter().fold(first, |acc, e| Expr::Binary {
+    pub fn and_all(exprs: Vec<Expr>) -> Option<Expr> {
+        exprs.into_iter().reduce(|acc, e| Expr::Binary {
             left: Box::new(acc),
             op: BinOp::And,
             right: Box::new(e),
-        }))
+        })
+    }
+
+    /// The direct children of this node, in source order: the one child
+    /// traversal every recursion over expressions goes through.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (first, second, rest): (Option<&Expr>, Option<&Expr>, &[Expr]) = match self {
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Abs(expr)
+            | Expr::CastInt(expr) => (Some(expr), None, &[]),
+            Expr::Binary { left, right, .. } => (Some(left), Some(right), &[]),
+            Expr::InList { expr, list, .. } => (Some(expr), None, list),
+            Expr::Agg { arg, .. } => (arg.as_deref(), None, &[]),
+            Expr::Column { .. }
+            | Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Bool(_)
+            | Expr::Null
+            | Expr::Star => (None, None, &[]),
+        };
+        first.into_iter().chain(second).chain(rest)
+    }
+
+    /// This node rebuilt over its children mapped through `f`, in the order
+    /// [`children`](Self::children) visits them; the first error ends it.
+    pub(crate) fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&Expr) -> std::result::Result<Expr, E>,
+    ) -> std::result::Result<Expr, E> {
+        Ok(match self {
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: Box::new(f(expr)?),
+            },
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(f(left)?),
+                op: *op,
+                right: Box::new(f(right)?),
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: Box::new(f(expr)?),
+                list: {
+                    let mut items = Vec::with_capacity(list.len());
+                    for e in list {
+                        items.push(f(e)?);
+                    }
+                    items
+                },
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(f(expr)?),
+                negated: *negated,
+            },
+            Expr::Agg {
+                func,
+                distinct,
+                arg,
+            } => Expr::Agg {
+                func: *func,
+                distinct: *distinct,
+                arg: match arg {
+                    Some(a) => Some(Box::new(f(a)?)),
+                    None => None,
+                },
+            },
+            Expr::Abs(expr) => Expr::Abs(Box::new(f(expr)?)),
+            Expr::CastInt(expr) => Expr::CastInt(Box::new(f(expr)?)),
+            leaf => leaf.clone(),
+        })
     }
 
     /// Does this subtree contain an aggregate call?
     pub fn contains_agg(&self) -> bool {
-        match self {
-            Expr::Agg { .. } => true,
-            Expr::Unary { expr, .. } | Expr::Abs(expr) | Expr::CastInt(expr) => expr.contains_agg(),
-            Expr::Binary { left, right, .. } => left.contains_agg() || right.contains_agg(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_agg() || list.iter().any(Expr::contains_agg)
-            }
-            Expr::IsNull { expr, .. } => expr.contains_agg(),
-            _ => false,
-        }
+        matches!(self, Expr::Agg { .. }) || self.children().any(Expr::contains_agg)
     }
 
     /// Collect every distinct aggregate call in the subtree, in first-seen
-    /// order.
+    /// order. An aggregate's argument is not searched.
     pub fn collect_aggs<'a>(&'a self, out: &mut Vec<&'a Expr>) {
         match self {
-            Expr::Agg { .. } if !out.contains(&self) => {
-                out.push(self);
-            }
-            Expr::Unary { expr, .. } | Expr::Abs(expr) | Expr::CastInt(expr) => {
-                expr.collect_aggs(out)
-            }
-            Expr::Binary { left, right, .. } => {
-                left.collect_aggs(out);
-                right.collect_aggs(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_aggs(out);
-                for e in list {
-                    e.collect_aggs(out);
-                }
-            }
-            Expr::IsNull { expr, .. } => expr.collect_aggs(out),
-            _ => {}
+            Expr::Agg { .. } if !out.contains(&self) => out.push(self),
+            Expr::Agg { .. } => {}
+            _ => self.children().for_each(|c| c.collect_aggs(out)),
         }
     }
 }
@@ -230,6 +276,7 @@ pub struct Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blend_common::FxHashSet;
 
     #[test]
     fn conjuncts_flatten_nested_ands() {
@@ -264,6 +311,147 @@ mod tests {
         // Also collect the same agg from another expression — deduped.
         agg.collect_aggs(&mut aggs);
         assert_eq!(aggs.len(), 1);
+    }
+
+    /// The six recursions over expressions on one tree holding every
+    /// variant, qualified columns in every child position (an `IN` list
+    /// item, under `IS NULL`, `ABS`, a cast and `NOT`, both sides of a
+    /// comparison, an aggregate's argument). They part ways at `Agg`:
+    /// `contains_agg` stops there, `collect_aggs` collects it without
+    /// searching its argument, `collect_qualifiers` enters the argument,
+    /// `strip_qualifier` keeps the call as it is, `substitute_agg` replaces
+    /// a listed call and keeps any other, and `fold_safe` refuses it.
+    #[test]
+    fn the_six_recursions_over_one_tree_of_every_variant() {
+        use crate::fingerprint::fold_safe;
+        use crate::plan::{collect_qualifiers, strip_qualifier, substitute_agg};
+        let nested = Expr::Agg {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        };
+        let agg = Expr::Agg {
+            func: AggFunc::Sum,
+            distinct: false,
+            arg: Some(Box::new(Expr::Binary {
+                left: Box::new(Expr::qcol("c", "w")),
+                op: BinOp::Add,
+                right: Box::new(nested.clone()),
+            })),
+        };
+        let literals = vec![
+            Expr::Int(1),
+            Expr::Float(2.5),
+            Expr::Str("s".into()),
+            Expr::Bool(true),
+            Expr::Null,
+            Expr::Star,
+        ];
+        let in_list = |lhs: Expr, item: Expr| Expr::InList {
+            expr: Box::new(lhs),
+            list: [vec![item], literals.clone()].concat(),
+            negated: true,
+        };
+        let under_is_null = |e: Expr| Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(Expr::IsNull {
+                expr: Box::new(Expr::Abs(Box::new(Expr::CastInt(Box::new(e))))),
+                negated: false,
+            }),
+        };
+        let tree = |x: Expr, y: Expr, z: Expr, v: Expr, sum: Expr| Expr::Binary {
+            left: Box::new(in_list(x, y)),
+            op: BinOp::Or,
+            right: Box::new(Expr::Binary {
+                left: Box::new(under_is_null(z)),
+                op: BinOp::And,
+                right: Box::new(Expr::Binary {
+                    left: Box::new(v),
+                    op: BinOp::Gt,
+                    right: Box::new(sum),
+                }),
+            }),
+        };
+        let e = tree(
+            Expr::qcol("a", "x"),
+            Expr::qcol("a", "y"),
+            Expr::qcol("b", "z"),
+            Expr::col("v"),
+            agg.clone(),
+        );
+
+        assert!(e.contains_agg());
+        assert!(!in_list(Expr::col("x"), Expr::col("y")).contains_agg());
+        let mut aggs = Vec::new();
+        e.collect_aggs(&mut aggs);
+        assert_eq!(aggs, vec![&agg], "the nested COUNT(*) is not collected");
+
+        let mut quals = FxHashSet::default();
+        collect_qualifiers(&e, &mut quals);
+        let mut quals: Vec<&str> = quals.into_iter().collect();
+        quals.sort_unstable();
+        assert_eq!(quals, ["\0unqualified", "a", "b", "c"]);
+
+        let stripped = tree(
+            Expr::col("x"),
+            Expr::col("y"),
+            Expr::qcol("b", "z"),
+            Expr::col("v"),
+            agg.clone(),
+        );
+        assert_eq!(strip_qualifier(&e, "a"), stripped);
+        assert_eq!(strip_qualifier(&e, "c"), e, "an aggregate is not entered");
+
+        let groups = [
+            Expr::qcol("a", "x"),
+            Expr::qcol("a", "y"),
+            Expr::qcol("b", "z"),
+            Expr::col("v"),
+        ];
+        let substituted = tree(
+            Expr::col("__g0"),
+            Expr::col("__g1"),
+            Expr::col("__g2"),
+            Expr::col("__g3"),
+            Expr::col("__a0"),
+        );
+        let listed = [agg.clone()];
+        assert_eq!(substitute_agg(&e, &groups, &listed), Some(substituted));
+        let kept = tree(
+            Expr::col("__g0"),
+            Expr::col("__g1"),
+            Expr::col("__g2"),
+            Expr::col("__g3"),
+            agg.clone(),
+        );
+        assert_eq!(substitute_agg(&e, &groups, &[]), Some(kept));
+        assert_eq!(substitute_agg(&e, &groups[..3], &listed), None);
+
+        assert!(!fold_safe(&e));
+        assert!(!fold_safe(&agg));
+        let literal = tree(
+            Expr::Int(1),
+            Expr::Int(2),
+            Expr::Null,
+            Expr::Bool(false),
+            Expr::Float(0.5),
+        );
+        assert!(!fold_safe(&literal), "ABS, a cast and `*` never fold");
+        let foldable = Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(Expr::InList {
+                expr: Box::new(Expr::Int(1)),
+                list: vec![Expr::Str("s".into()), Expr::Null],
+                negated: false,
+            }),
+        };
+        assert!(fold_safe(&foldable));
+        let arithmetic = Expr::Binary {
+            left: Box::new(Expr::Int(1)),
+            op: BinOp::Add,
+            right: Box::new(Expr::Int(1)),
+        };
+        assert!(!fold_safe(&arithmetic));
     }
 
     #[test]

@@ -99,11 +99,11 @@ impl Catalog for Database {
 /// Parse → plan → execute pipeline over a [`Database`].
 pub struct SqlEngine {
     db: Database,
-    /// This engine's catalog generation. Seeded from the process-wide
-    /// store generation at construction and advanced by
-    /// [`replace_table`](Self::replace_table); engine-local so one
-    /// deployment's rebuilds don't invalidate another engine's memoized
-    /// results (and so tests sharing a process stay independent).
+    /// This engine's catalog generation: 1 at construction (0 is the "never
+    /// observed" sentinel) and advanced by [`replace_table`](Self::replace_table).
+    /// Engine-local, so one deployment's rebuilds don't invalidate another
+    /// engine's memoized results (and tests sharing a process stay
+    /// independent).
     generation: std::sync::atomic::AtomicU64,
     /// Shared worker-pool context the positional executor rides. Defaults
     /// to [`ParallelCtx::shared_from_env`] (width from `BLEND_THREADS`):
@@ -119,7 +119,7 @@ impl SqlEngine {
     pub fn new(db: Database) -> Self {
         SqlEngine {
             db,
-            generation: std::sync::atomic::AtomicU64::new(blend_storage::store_generation()),
+            generation: std::sync::atomic::AtomicU64::new(1),
             parallel: ParallelCtx::shared_from_env(),
         }
     }
@@ -159,8 +159,7 @@ impl SqlEngine {
     }
 
     /// Swap a catalog table for a rebuilt one and advance this engine's
-    /// generation (and the process-wide store generation, for observers of
-    /// [`blend_storage::store_generation`]). In-flight queries finish
+    /// generation. In-flight queries finish
     /// against the snapshot they planned with; queries planned after this
     /// call see the new table, and memoized results from before it stop
     /// matching — the generation bump is ordered *after* the catalog swap,
@@ -168,7 +167,6 @@ impl SqlEngine {
     /// table.
     pub fn replace_table(&self, name: &str, table: Arc<dyn FactTable>) {
         self.db.register(name, table);
-        blend_storage::bump_store_generation();
         self.generation
             .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
     }
@@ -262,8 +260,7 @@ impl SqlEngine {
                 path: "positional".to_string(),
                 ..QueryReport::default()
             };
-            let pos = crate::exec_positional::plan_positional(&plan)?;
-            let cols = crate::exec_positional::execute(&plan, &pos, &mut report, &par)?;
+            let cols = crate::exec_positional::execute(&plan, &mut report, &par)?;
             // Charge the result as the executor left it. Rows are priced
             // from the columns (`rows_bytes`) and charged on top before they
             // are built; a result too large for the remaining budget

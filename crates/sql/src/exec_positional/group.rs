@@ -1,0 +1,1096 @@
+//! Positional GROUP BY, and the keyed phase that joins on packed keys share.
+//!
+//! ## Flat group tables
+//!
+//! GROUP BY runs the **keyed phase** (`keyed`), which joins on packed keys
+//! share: admission, the memory ladder, radix partitioning by key hash, and
+//! per partition one [`GroupIndex`] (`blend_storage`'s one dense-id index:
+//! open addressing, linear probing) that assigns dense ids in first-seen
+//! order, rows upserting a [`PROBE_BLOCK`] at a time (hashed by
+//! [`DenseKey::hash_block`], one `hash64` per key; slots prefetched once
+//! the index outgrows cache). Per
+//! partition GROUP BY then runs `aggregate`, column-at-a-time over `(row,
+//! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
+//! ...)` by radix-grouping the gathered code column by group id and
+//! sort-uniquing each group's run, any other aggregate in the reference's
+//! `AggState`, its argument evaluated over the partition's rows
+//! (`exec_positional` docs, *Batch expressions*) and folded typed (`AggState::add_int` / `add_float`). A
+//! global (ungrouped) aggregate is the zero-key case: one group, which
+//! exists even over zero input rows. Each keyed phase records
+//! [`HashTableStats`] in [`QueryReport::hash_tables`].
+//!
+//! ## Column-index grouping
+//!
+//! The SC and KW seekers (paper Listing 1) are `WHERE CellValue IN (…)
+//! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`: how many
+//! query values each column (KW: each table) holds — a set-overlap question
+//! whose natural index is value → columns. The column store keeps exactly
+//! that ([`FactTable::column_index`]): the (`TableId`, `ColumnId`) runs of
+//! canonical order numbered `0..R`, and per value the ascending ordinals of
+//! the runs holding it. `group_columns` answers from it without a scan:
+//! it walks each driving value's ordinals in the scan's driving order
+//! (sorted, deduplicated literals), skips tables the kernel's `TableId IN`
+//! / `NOT IN` sets reject, and bumps a dense counter per ordinal (SC) or
+//! per table at each table change inside a value's list (KW: a table's
+//! ordinals are contiguous) — each (value, column) pair once, however often
+//! the value repeats in the column. No cell is visited, no key gathered, no
+//! hash table built; the phase is O(entries), sequential on the query's
+//! thread. A run's (`TableId`, `ColumnId`) key is read per entry only where
+//! the walk needs the table: KW, which counts per table, and SC behind a
+//! `TableId IN` / `NOT IN` set. SC without one counts the ordinal itself
+//! and reads keys once per group, for its output columns.
+//!
+//! The check is a plan property, `column_grouped`: the group input is one
+//! value-index scan with no residual, no post-filter and no kernel
+//! predicate but the `TableId` sets; the keys are `{TableId}` or `{TableId,
+//! ColumnId}` of that scan in either order; every aggregate is
+//! `COUNT(DISTINCT CellValue)` of that scan; and its table has a column
+//! index. Everything else — the row store, `RowId`/`Quadrant` filters,
+//! residuals, C's three-key join shape, `TableIndex`/`SeqScan` drives,
+//! `COUNT(*)` beside the distinct count, `ColumnId` or `RowId` keys — takes
+//! the hash path.
+//!
+//! The output is the hash path's `GroupCols`, with a group's first touch
+//! as a running ordinal of the entries kept. Each kept entry stands for
+//! the contiguous postings of one value in one run, in the order the
+//! value-index scan would have emitted them, so that ordinal is monotone
+//! with the group's first-seen batch row on the hash path: `finish_groups`
+//! orders groups by (order keys, projection, first-seen row), so ordering,
+//! top-k and tie-breaks — and the result bytes — are the hash path's. The
+//! `group` span's `path` attr says which path ran (`columns` | `hash`); the
+//! column path records no [`HashTableStats`], and in place of the scan that
+//! never ran a [`ScanReport`] with access `column-index`, scanned = entries
+//! visited and emitted = entries kept.
+
+use std::time::Instant;
+
+use blend_parallel::{
+    partition_count, reserve_laddered, MemoryReservation, ParallelCtx, PhaseGrant,
+};
+use blend_storage::{
+    radix_partition, radix_scratch_bytes, DenseKey, FactTable, FilterKernel, GroupIndex,
+    RadixPartitions,
+};
+
+use super::select::{finish_groups, GroupCols};
+use super::{
+    executor_bug, int_col, pack_rows128, pack_rows64, poll_every, Intern, Interner, Keys, PosBatch,
+    PosCol, PREFETCH_MIN_SLOTS, PROBE_BLOCK,
+};
+use crate::ast::AggFunc;
+use crate::columns::ResultColumn;
+use crate::columns::ResultColumns;
+use crate::exec::{AggState, HashTableStats, ParallelPhase, QueryReport, ScanReport};
+use crate::expr::CExpr;
+use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
+use crate::plan::{AccessPath, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree};
+use blend_common::{BlendError, Result};
+
+/// One aggregate of the positional GROUP BY.
+enum PosAggSpec<'p> {
+    /// `COUNT(*)` — a plain counter.
+    CountStar,
+    /// `COUNT(DISTINCT CellValue)` over a leaf — sort-uniques dictionary
+    /// codes (column store) or dense string ids (row store).
+    DistinctValue { leaf: usize },
+    /// Anything else (SUM, AVG, MIN, MAX, `COUNT(x)`): evaluate the
+    /// argument a batch at a time and fold it into the reference's
+    /// [`AggState`].
+    Generic {
+        plan: &'p AggPlan,
+        arg: Option<PExpr>,
+    },
+}
+
+/// A GROUP BY compiled over the plan's leaves: its keys, packed or interned
+/// (`exec_positional` docs, *Interned keys*), and its aggregates.
+pub(super) struct PosGroup<'p> {
+    keys: Keys<PosCol, PExpr>,
+    aggs: Vec<PosAggSpec<'p>>,
+}
+
+impl<'p> PosGroup<'p> {
+    pub(super) fn compile(group: &'p GroupPlan, leaves: &[&ScanPlan]) -> Result<Self> {
+        let keys = (group.group_exprs.iter())
+            .map(|e| compile_pexpr(e, 0, leaves))
+            .collect::<Result<Vec<_>>>()?;
+        let aggs = (group.aggs.iter()).map(|a| agg_spec(a, leaves));
+        Ok(PosGroup {
+            keys: Keys::of(keys, int_col),
+            aggs: aggs.collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// The scan a GROUP BY counts off its table's column index instead of
+/// running (module docs, *Column-index grouping*), where the plan property
+/// holds: the group input is a single value-index scan with no residual,
+/// no post-filter and no kernel predicate but the `TableId IN` / `NOT IN`
+/// sets; the keys are `{TableId}` or `{TableId, ColumnId}` of that scan,
+/// in either order; every aggregate is `COUNT(DISTINCT CellValue)` of that
+/// scan; and the scan's table has a column index.
+pub(super) fn column_grouped<'p>(
+    plan: &'p QueryPlan,
+    shape: &PosGroup<'_>,
+) -> Option<&'p ScanPlan> {
+    let (Tree::Leaf(scan), None, Keys::Packed(keys)) = (&plan.tree, &plan.post_filter, &shape.keys)
+    else {
+        return None;
+    };
+    let leaf = 0;
+    let FilterKernel {
+        value,
+        table_in: _,
+        table_not_in: _,
+        rowid_lt,
+        quadrant_null,
+    } = &scan.kernel;
+    let value_drive = matches!(scan.access, AccessPath::ValueIndex { .. })
+        && scan.residual.is_none()
+        && value.is_none()
+        && rowid_lt.is_none()
+        && quadrant_null.is_none();
+    let key_sorted = match keys.as_slice() {
+        [(a, IntCol::Table)] => *a == leaf,
+        [(a, x), (b, y)] => {
+            *a == leaf
+                && *b == leaf
+                && matches!(
+                    (x, y),
+                    (IntCol::Table, IntCol::Column) | (IntCol::Column, IntCol::Table)
+                )
+        }
+        _ => false,
+    };
+    let distinct_only = (shape.aggs.iter())
+        .all(|a| matches!(a, PosAggSpec::DistinctValue { leaf: l } if *l == leaf));
+    let grouped = value_drive && key_sorted && distinct_only;
+    (grouped && scan.table.column_index().is_some()).then_some(&**scan)
+}
+
+fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Result<PosAggSpec<'p>> {
+    Ok(match (plan.func, plan.distinct, &plan.arg) {
+        (AggFunc::Count, false, None) => PosAggSpec::CountStar,
+        (AggFunc::Count, true, Some(CExpr::Col(i)))
+            if i % FACT_WIDTH == 0 && i / FACT_WIDTH < leaves.len() =>
+        {
+            PosAggSpec::DistinctValue {
+                leaf: i / FACT_WIDTH,
+            }
+        }
+        (_, _, arg) => PosAggSpec::Generic {
+            plan,
+            arg: arg
+                .as_ref()
+                .map(|e| compile_pexpr(e, 0, leaves))
+                .transpose()?,
+        },
+    })
+}
+
+/// Pre-gathered input column of one aggregate spec (one bulk gather per
+/// spec, done once before any partitioning so every radix partition reads
+/// the same flat arrays).
+enum SpecData {
+    /// `COUNT(*)` / generic aggregates: nothing to pre-gather.
+    None,
+    /// Distinct via dictionary codes (column store), indexed by batch row.
+    Codes(Vec<u32>),
+    /// Distinct via strings (row store): the leaf's storage positions per
+    /// batch row; dense string ids are assigned per partition.
+    Positions(Vec<u32>),
+}
+
+/// What the grouping functions read: the GROUP BY shape, the batch, and
+/// the key and aggregate input columns gathered from it, with the
+/// reservation covering them.
+struct GroupInput<'a> {
+    shape: &'a PosGroup<'a>,
+    batch: &'a PosBatch,
+    tables: &'a [&'a dyn FactTable],
+    key_cols: Vec<Vec<u32>>,
+    spec_data: Vec<SpecData>,
+    par: &'a ParallelCtx,
+    _mem: MemoryReservation,
+}
+
+impl<'a> GroupInput<'a> {
+    /// Gather the key columns — packed keys' columns, or interned keys' one
+    /// id column — and the aggregates' argument columns in bulk (positions
+    /// extracted once per leaf).
+    fn gather(
+        shape: &'a PosGroup<'a>,
+        batch: &'a PosBatch,
+        tables: &'a [&'a dyn FactTable],
+        par: &'a ParallelCtx,
+    ) -> Result<Self> {
+        let n_rows = batch.len();
+        let mut cache = Leaves::new(batch.rows(0));
+        let key_cols: Vec<Vec<u32>> = match &shape.keys {
+            Keys::Packed(cols) => cols
+                .iter()
+                .map(|&(leaf, col)| {
+                    let mut vals = Vec::with_capacity(n_rows);
+                    col.gather(tables[leaf], cache.positions(leaf), &mut vals);
+                    vals
+                })
+                .collect(),
+            Keys::Interned(exprs) => {
+                let exprs: Vec<&PExpr> = exprs.iter().collect();
+                vec![Interner::new(tables, par)?.ids(Intern::Group, &exprs, batch, 0)?]
+            }
+        };
+        let spec_data: Vec<SpecData> = shape
+            .aggs
+            .iter()
+            .map(|spec| match spec {
+                PosAggSpec::DistinctValue { leaf } => {
+                    let positions = cache.positions(*leaf);
+                    let mut codes = Vec::new();
+                    match tables[*leaf].gather_value_codes(positions, &mut codes) {
+                        true => SpecData::Codes(codes),
+                        false => SpecData::Positions(positions.to_vec()),
+                    }
+                }
+                _ => SpecData::None,
+            })
+            .collect();
+        let gather_bytes = key_cols.iter().map(|c| c.len() * 4).sum::<usize>()
+            + spec_data
+                .iter()
+                .map(|d| match d {
+                    SpecData::None => 0,
+                    SpecData::Codes(v) | SpecData::Positions(v) => v.len() * 4,
+                })
+                .sum::<usize>();
+        Ok(GroupInput {
+            shape,
+            batch,
+            tables,
+            key_cols,
+            spec_data,
+            par,
+            _mem: par.memory().try_reserve("group_gather", gather_bytes)?,
+        })
+    }
+}
+
+/// Positional GROUP BY on the hash path (a [`column_grouped`] plan never
+/// scans: [`group_columns`]). Group keys pack into a `u64` (≤2 columns, or
+/// an interned key's id) or a `u128` (3–4 columns, the C shape); the
+/// keyed phase ([`keyed`]) assigns dense group ids in first-seen order
+/// and [`aggregate`] accumulates
+/// column-at-a-time into struct-of-arrays state, which is also the phase's
+/// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
+/// projects.
+///
+/// Large keyed inputs radix-partition rows by key hash so each pool worker
+/// owns its groups outright — per-group update order is exactly the
+/// sequential ascending row order (no merge), and ordering finished groups
+/// by first-seen row recovers the sequential output order.
+///
+/// A global (ungrouped) aggregate is the zero-key case: one group, which
+/// exists even over zero input rows, and group id 0 for every row. It needs
+/// no index, so it groups on the query's thread without an admission
+/// request and records no [`HashTableStats`]; its span is `group.global`.
+///
+/// The `group` span covers the whole phase, gathers and key packing
+/// included; its `path` attr says `hash`.
+pub(super) fn exec_group(
+    plan: &QueryPlan,
+    shape: &PosGroup<'_>,
+    batch: &PosBatch,
+    tables: &[&dyn FactTable],
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<ResultColumns> {
+    par.check_interrupt()?;
+    let n_rows = batch.len();
+    let global = matches!(&shape.keys, Keys::Packed(cols) if cols.is_empty());
+    let span = blend_obs::span(if global { "group.global" } else { "group" });
+    span.attr_u64("rows", n_rows as u64);
+    if !global {
+        span.attr_str("path", "hash");
+    }
+    // The gathered input columns (and their reservations) live for the
+    // grouping phase only; selection and projection run without them.
+    let input = GroupInput::gather(shape, batch, tables, par)?;
+    let agg = |rows: Option<&[u32]>, first, ids: Vec<u32>| aggregate(&input, rows, first, &ids);
+    // Monomorphize on packed key width.
+    let (parts, grant) = match input.key_cols.len() {
+        0 => {
+            // The gid column, reserved like the keyed path's.
+            let _gid_mem = par.memory().try_reserve("group_build", n_rows * 4)?;
+            let row_gids = blend_common::try_zeroed_vec(n_rows, "group_row_gids")?;
+            let groups = aggregate(&input, None, vec![0], &row_gids)?;
+            par.check_interrupt()?;
+            (vec![groups], None)
+        }
+        1 | 2 => {
+            let packed = pack_rows64(&input.key_cols, n_rows);
+            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
+                agg(r, f, i)
+            })?;
+            (k.parts, k.grant)
+        }
+        _ => {
+            let packed = pack_rows128(&input.key_cols, n_rows);
+            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
+                agg(r, f, i)
+            })?;
+            (k.parts, k.grant)
+        }
+    };
+    drop(input);
+    span.attr_u64(
+        "groups",
+        parts.iter().map(GroupCols::len).sum::<usize>() as u64,
+    );
+    span.attr_u64("partitions", parts.len() as u64);
+    drop(span);
+    finish_groups(plan, parts, grant.as_ref(), report, par)
+}
+
+/// `COUNT(DISTINCT CellValue) GROUP BY TableId[, ColumnId]` off the scan
+/// table's column index (module docs, *Column-index grouping*), the scan
+/// itself never run: walk each driving value's run ordinals in driving
+/// order, skip tables the kernel rejects, and bump a dense counter per
+/// ordinal (`ColumnId` a key) or per table at each table change. A run's
+/// key is read only where the walk needs its table — KW, or a `TableId`
+/// set to test; SC without one counts ordinals alone. A group's first
+/// touch records the running count of entries kept as its first-seen row.
+/// Sequential on the query's thread, with counters and group slots
+/// reserved up front.
+pub(super) fn group_columns(
+    plan: &QueryPlan,
+    scan: &ScanPlan,
+    shape: &PosGroup<'_>,
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+) -> Result<ResultColumns> {
+    let table = scan.table.as_ref();
+    let (Some(index), Keys::Packed(keys)) = (table.column_index(), &shape.keys) else {
+        return Err(executor_bug("column-index grouping without a column index"));
+    };
+    let span = blend_obs::span("group");
+    span.attr_str("path", "columns");
+    let by_column = keys.len() == 2;
+    let lists: Vec<&[u32]> = scan
+        .driving_values
+        .iter()
+        .filter_map(|v| table.code_of_value(v).map(|code| index.ordinals(code)))
+        .collect();
+    let visited: usize = lists.iter().map(|l| l.len()).sum();
+    let n_slots = if by_column {
+        index.runs()
+    } else {
+        table.n_tables() as usize
+    };
+    let outside =
+        |slot: u32| BlendError::SqlExec(format!("column index: slot {slot} of {n_slots}"));
+    let (table_in, table_not_in) = (&scan.kernel.table_in, &scan.kernel.table_not_in);
+    let keep = |t: u32| {
+        table_in.as_ref().is_none_or(|s| s.contains(t))
+            && !table_not_in.as_ref().is_some_and(|s| s.contains(t))
+    };
+    // SC with no table set counts per ordinal and never asks which table a
+    // run belongs to.
+    let keys_unread = by_column && table_in.is_none() && table_not_in.is_none();
+    let (groups, kept) = {
+        let max_groups = visited.min(n_slots);
+        let _mem = par
+            .memory()
+            .try_reserve("group_columns", n_slots * 4 + max_groups * 8)?;
+        let mut counts: Vec<u32> = blend_common::try_zeroed_vec(n_slots, "group_columns")?;
+        // Per group, in first-touch order: its counter slot and first-seen
+        // entry.
+        let mut slots: Vec<u32> = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
+        let mut first_rows = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
+        let (mut walked, mut kept) = (0usize, 0u32);
+        let mut bump = |slot: u32, kept: u32| -> Result<()> {
+            let count = counts.get_mut(slot as usize).ok_or_else(|| outside(slot))?;
+            if *count == 0 {
+                slots.push(slot);
+                first_rows.push(kept);
+            }
+            *count += 1;
+            Ok(())
+        };
+        for ordinals in &lists {
+            let mut prev_table = u32::MAX;
+            for &ordinal in *ordinals {
+                if poll_every(walked) {
+                    par.check_interrupt()?;
+                }
+                walked += 1;
+                if keys_unread {
+                    bump(ordinal, kept)?;
+                    kept += 1;
+                    continue;
+                }
+                let (t, _) = index.key(ordinal);
+                if !keep(t) {
+                    continue;
+                }
+                if by_column || t != prev_table {
+                    bump(if by_column { ordinal } else { t }, kept)?;
+                }
+                prev_table = t;
+                kept += 1;
+            }
+        }
+        // Key values of each group's slot, then one count column per
+        // aggregate (all of them `COUNT(DISTINCT CellValue)`).
+        let key = |slot: u32, col: IntCol| match (by_column, col) {
+            (false, _) => slot,
+            (true, IntCol::Table) => index.key(slot).0,
+            (true, _) => index.key(slot).1,
+        };
+        let mut cols: Vec<ResultColumn> = keys
+            .iter()
+            .map(|&(_, col)| ResultColumn::Key(slots.iter().map(|&s| key(s, col)).collect()))
+            .collect();
+        let distinct: Vec<i64> = slots.iter().map(|&s| counts[s as usize] as i64).collect();
+        cols.extend(
+            shape
+                .aggs
+                .iter()
+                .map(|_| ResultColumn::Int(distinct.clone())),
+        );
+        (GroupCols { first_rows, cols }, kept as usize)
+    };
+    span.attr_u64("rows", kept as u64);
+    span.attr_u64("groups", groups.len() as u64);
+    span.attr_u64("partitions", 1);
+    drop(span);
+    report.scans.push(ScanReport {
+        access: "column-index".to_string(),
+        ..ScanReport::new(scan, visited, kept)
+    });
+    finish_groups(plan, vec![groups], None, report, par)
+}
+
+/// The operator running the keyed phase, which names its memory site and
+/// labels and sizes its indexes: a join's hold every build key, so they
+/// never grow; a GROUP BY's start at a quarter of its rows (at most 64 Ki
+/// groups) and grow with its groups, each growth charged as it happens.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum KeyedOp {
+    Group,
+    Join,
+}
+
+/// What the keyed phase leaves: each radix partition's output (`hash &
+/// (parts.len() - 1)` names a key's partition), the rows of each partition
+/// (`None`: one partition of every row, in order), the phase grant, for
+/// what runs next, and the reservation pricing the phase's state.
+pub(super) struct Keyed<T> {
+    pub(super) parts: Vec<T>,
+    pub(super) rows: Option<RadixPartitions>,
+    pub(super) grant: Option<PhaseGrant>,
+    _mem: MemoryReservation,
+}
+
+/// The keyed phase GROUP BY and the join on packed keys share (module
+/// docs, *Flat group tables*): number the distinct keys of `packed` densely
+/// through one [`GroupIndex`] per radix partition, then hand each
+/// partition's `per_part(index, rows, first_rows, row_ids)` — `rows` its
+/// ascending rows (`None`: all of them), `first_rows[id]` the row that
+/// opened id `id`, `row_ids[i]` the id of the partition's `i`-th row.
+///
+/// Large inputs radix-partition rows by key hash (low bits) so each pool
+/// worker owns its keys outright, and within a partition rows keep
+/// ascending global order: every group's aggregates see the exact
+/// sequential update sequence, and a key's build rows stay ascending.
+/// Rows upsert a [`PROBE_BLOCK`] at a time, hashed by
+/// [`DenseKey::hash_block`] (or the radix pass), with the block's slots
+/// prefetched once the index has outgrown cache; insert order — and with it
+/// id assignment and first-seen rows — is untouched.
+pub(super) fn keyed<K: DenseKey + Copy + Send + Sync, T: Send>(
+    op: KeyedOp,
+    packed: &[K],
+    report: &mut QueryReport,
+    par: &ParallelCtx,
+    per_part: impl Fn(GroupIndex<K>, Option<&[u32]>, Vec<u32>, Vec<u32>) -> Result<T> + Sync,
+) -> Result<Keyed<T>> {
+    let n = packed.len();
+    let t0 = Instant::now();
+    let (site, phase, label, capacity): (_, _, _, fn(usize) -> usize) = match op {
+        KeyedOp::Group => ("group_build", "group", "group", |n| (n / 4).min(1 << 16)),
+        KeyedOp::Join => ("join_build", "join", "join-build", |n| n),
+    };
+    // Admission: fanout follows the granted worker count; an empty grant
+    // takes the single-partition sequential path.
+    //
+    // Memory ladder: price the phase's state at the granted width — packed
+    // keys, per-row ids, the indexes and, for a join, the CSR (on
+    // partitions with the ids put back in row order); the parallel path
+    // also hashes every row and radix-scatters it — narrowing to half width
+    // and then the sequential single-partition loop under pressure. Output
+    // is partition-count-invariant, so degraded widths stay byte-identical.
+    let grant = par.admit(n);
+    let desired = grant.as_ref().map_or(1, |g| g.granted());
+    let key_bytes = std::mem::size_of_val(packed);
+    let (mem, width, _rung) = reserve_laddered(par.memory(), site, desired, |w| {
+        let parts = partition_count(w, n);
+        // A join's indexes hold every build key; split over partitions, a
+        // bound for any split (at most four slots per row, at least 16).
+        let index = match (op, parts) {
+            (KeyedOp::Join, 2..) => (4 * n + 16 * parts) * 4 + key_bytes,
+            _ => GroupIndex::<K>::estimate_bytes(capacity(n)),
+        };
+        let csr = match op {
+            KeyedOp::Join => radix_scratch_bytes(n, n) + (parts > 1) as usize * n * 4,
+            KeyedOp::Group => 0,
+        };
+        let radix = (parts > 1) as usize * (n * 12 + radix_scratch_bytes(n, parts));
+        n * 4 + key_bytes + index + csr + radix
+    })?;
+    let n_parts = partition_count(width, n);
+    // The grant survives only where the phase really fans out.
+    let grant = grant
+        .filter(|_| width > 1 && n_parts > 1)
+        .map(|g| g.narrowed(width));
+
+    // One partition (`part`: the radix pass's hashes and its rows; `None`:
+    // every row). Index growth past its priced size is charged once a
+    // block, until `per_part` has consumed the index.
+    let number = |part: Option<(&[u64], &[u32])>| -> Result<(usize, usize, T)> {
+        let rows = part.map(|(_, rows)| rows);
+        let part_n = rows.map_or(n, <[u32]>::len);
+        let mut index = GroupIndex::with_capacity(capacity(part_n))?;
+        let priced = index.heap_bytes();
+        let mut grown = par.memory().try_reserve(site, 0)?;
+        let mut first_rows: Vec<u32> = Vec::new();
+        let mut row_ids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "keyed_row_ids")?;
+        let mut hash_buf = [0u64; PROBE_BLOCK];
+        for start in (0..part_n).step_by(PROBE_BLOCK) {
+            // An interrupted partition ends typed; the check after the run
+            // discards every partial.
+            if poll_every(start) {
+                par.check_interrupt()?;
+            }
+            let end = (start + PROBE_BLOCK).min(part_n);
+            let hashes = &mut hash_buf[..end - start];
+            match part {
+                Some((all, rows)) => {
+                    for (h, &r) in hashes.iter_mut().zip(&rows[start..end]) {
+                        *h = all[r as usize];
+                    }
+                }
+                None => K::hash_block(&packed[start..end], hashes),
+            }
+            // An upsert below may grow the index mid-block, turning the
+            // rest of the block's prefetches stale — merely useless.
+            if index.slot_count() >= PREFETCH_MIN_SLOTS {
+                for &h in hashes.iter() {
+                    index.prefetch_slot(h);
+                }
+            }
+            for (idx, &h) in (start..end).zip(hashes.iter()) {
+                let i = rows.map_or(idx, |r| r[idx] as usize);
+                let before = index.len();
+                row_ids.push(index.insert_or_get_hashed(packed[i], h)?);
+                if index.len() != before {
+                    first_rows.push(i as u32);
+                }
+            }
+            let over = index.heap_bytes().saturating_sub(priced + grown.bytes());
+            if over > 0 {
+                grown.grow(over)?;
+            }
+        }
+        par.check_interrupt()?;
+        let (slots, max_probe) = (index.slot_count(), index.max_probe());
+        let out = per_part(index, rows, first_rows, row_ids)?;
+        Ok((slots, max_probe, out))
+    };
+
+    let (parts, rows) = match &grant {
+        None => (vec![number(None)], None),
+        Some(grant) => {
+            let mut hashes = blend_common::try_zeroed_vec(n, "keyed_hashes")?;
+            K::hash_block(packed, &mut hashes);
+            let pmask = (n_parts - 1) as u64;
+            let part_of: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
+            let rp = radix_partition(&part_of, n_parts)?;
+            let run = grant
+                .pool()
+                .run(n_parts, |p| number(Some((&hashes, rp.part(p)))));
+            report.parallel.push(ParallelPhase {
+                phase: label.to_string(),
+                partitions: n_parts,
+                granted: width,
+                worker_nanos: run.worker_nanos,
+            });
+            (run.results, Some(rp))
+        }
+    };
+    par.check_interrupt()?;
+    // A partition whose allocation or reservation failed surfaces the typed
+    // error here; every other partial is discarded with it.
+    let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
+    report.hash_tables.push(HashTableStats {
+        phase: phase.to_string(),
+        build_nanos: t0.elapsed().as_nanos() as u64,
+        buckets: parts.iter().map(|p| p.0).sum(),
+        max_chain: parts.iter().map(|p| p.1).max().unwrap_or(0),
+        partitions: parts.len(),
+    });
+    Ok(Keyed {
+        parts: parts.into_iter().map(|p| p.2).collect(),
+        rows,
+        grant,
+        _mem: mem,
+    })
+}
+
+/// Accumulate each aggregate column-at-a-time into a flat vector indexed
+/// by group id — the output column itself for the counts — behind the key
+/// columns read at each group's first-seen row. `row_gids[idx]` is the
+/// group id of batch row `rows[idx]` (`rows` = `None`: of row `idx`);
+/// `first_rows[g]` is the batch row that opened group `g`.
+fn aggregate(
+    input: &GroupInput<'_>,
+    rows: Option<&[u32]>,
+    first_rows: Vec<u32>,
+    row_gids: &[u32],
+) -> Result<GroupCols> {
+    let GroupInput {
+        shape,
+        batch,
+        tables,
+        key_cols,
+        spec_data,
+        par,
+        ..
+    } = input;
+    let n_groups = first_rows.len();
+    let row_at = |idx: usize| rows.map_or(idx, |r| r[idx] as usize);
+    // The batch's rows `sel` picks (every row when `None`).
+    let picked = |sel| Rows {
+        sel,
+        ..batch.rows(0)
+    };
+    // Distinct specs share one gid-grouping CSR.
+    let mut gid_csr: Option<RadixPartitions> = None;
+    // Key values read at each group's first-seen row — interned keys'
+    // expressions evaluated there — then the aggregates.
+    let mut cols: Vec<ResultColumn> = match &shape.keys {
+        Keys::Packed(_) => (key_cols.iter())
+            .map(|col| ResultColumn::Key(first_rows.iter().map(|&r| col[r as usize]).collect()))
+            .collect(),
+        Keys::Interned(exprs) => (exprs.iter())
+            .map(|e| {
+                let mut v = Vec::with_capacity(n_groups);
+                let at_first = picked(Some(&first_rows));
+                e.eval_morsels(tables, at_first, par, |_, c| v.extend(c.into_values()))?;
+                Ok(ResultColumn::Val(v))
+            })
+            .collect::<Result<_>>()?,
+    };
+    for (spec, data) in shape.aggs.iter().zip(spec_data) {
+        cols.push(match (spec, data) {
+            (PosAggSpec::CountStar, _) => {
+                let mut counts = vec![0i64; n_groups];
+                for &g in row_gids {
+                    counts[g as usize] += 1;
+                }
+                ResultColumn::Int(counts)
+            }
+            (PosAggSpec::DistinctValue { .. }, SpecData::Codes(codes)) => {
+                let csr = match &mut gid_csr {
+                    Some(c) => c,
+                    none => none.insert(radix_partition(row_gids, n_groups)?),
+                };
+                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
+            }
+            (PosAggSpec::DistinctValue { leaf }, SpecData::Positions(positions)) => {
+                // Dense string ids: one index per partition, never per
+                // group. Ids are bijective with distinct strings within the
+                // partition, so sort-unique over ids counts strings.
+                let mut ids: GroupIndex<&str> = GroupIndex::with_capacity(0)?;
+                let str_ids = (0..row_gids.len())
+                    .map(|idx| {
+                        ids.insert_or_get(tables[*leaf].value_at(positions[row_at(idx)] as usize))
+                    })
+                    .collect::<Result<Vec<u32>>>()?;
+                let csr = match &mut gid_csr {
+                    Some(c) => c,
+                    none => none.insert(radix_partition(row_gids, n_groups)?),
+                };
+                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| str_ids[idx]))
+            }
+            (PosAggSpec::Generic { plan, arg }, _) => {
+                let mut states: Vec<AggState> =
+                    (0..n_groups).map(|_| AggState::new(plan)).collect();
+                match arg {
+                    None => (row_gids.iter()).for_each(|&g| states[g as usize].update_value(None)),
+                    Some(e) => e.eval_morsels(tables, picked(rows), par, |range, c| {
+                        c.fold(&row_gids[range], &mut states)
+                    })?,
+                }
+                ResultColumn::Val(states.into_iter().map(AggState::finish).collect())
+            }
+            _ => return Err(executor_bug("aggregate input column")),
+        });
+    }
+    Ok(GroupCols { first_rows, cols })
+}
+
+/// `COUNT(DISTINCT ...)` over pre-gathered u32 codes: the code column is
+/// radix-grouped by dense group id (`csr`), then each group's contiguous
+/// run is sort-uniqued in place — no per-group hash set, and the counting
+/// passes stream at memory speed.
+fn distinct_counts(
+    csr: &RadixPartitions,
+    n_groups: usize,
+    code_of: impl Fn(usize) -> u32,
+) -> Vec<i64> {
+    let mut codes: Vec<u32> = csr.items().iter().map(|&it| code_of(it as usize)).collect();
+    let offsets = csr.offsets();
+    (0..n_groups)
+        .map(|g| {
+            let run = &mut codes[offsets[g] as usize..offsets[g + 1] as usize];
+            run.sort_unstable();
+            let mut distinct = 0i64;
+            let mut prev = None;
+            for &c in run.iter() {
+                if prev != Some(c) {
+                    distinct += 1;
+                    prev = Some(c);
+                }
+            }
+            distinct
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{both_paths, engine, forced_parallel_engine};
+    use crate::engine::SqlEngine;
+    use crate::exec::QueryReport;
+    use crate::value::SqlValue;
+    use blend_storage::{build_engine, EngineKind};
+
+    #[test]
+    fn sc_shape_is_admitted_on_both_engines() {
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let eng = engine(kind);
+            let (a, path, b) = both_paths(
+                &eng,
+                "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+                 WHERE CellValue IN ('k0','k2','k4') GROUP BY TableId, ColumnId \
+                 ORDER BY score DESC LIMIT 10",
+            );
+            assert_eq!(path, "positional");
+            assert_eq!(a, b);
+            assert!(!a.is_empty());
+        }
+    }
+
+    #[test]
+    fn correlation_shape_with_residual_and_three_group_keys() {
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let eng = engine(kind);
+            let (a, path, b) = both_paths(
+                &eng,
+                "SELECT keys.TableId AS t, keys.ColumnId AS kc, nums.ColumnId AS nc, \
+                 ABS((2 * SUM(((keys.CellValue IN ('k0','k1') AND nums.Quadrant = 0) OR \
+                 (keys.CellValue IN ('k2','k3','k4') AND nums.Quadrant = 1))::int) - COUNT(*)) \
+                 / COUNT(*)) AS score, COUNT(*) AS n \
+                 FROM (SELECT * FROM AllTables WHERE RowId < 6 AND \
+                 CellValue IN ('k0','k1','k2','k3','k4')) keys \
+                 INNER JOIN (SELECT * FROM AllTables WHERE RowId < 6 AND \
+                 Quadrant IS NOT NULL) nums \
+                 ON keys.TableId = nums.TableId AND keys.RowId = nums.RowId \
+                 AND keys.ColumnId <> nums.ColumnId \
+                 GROUP BY keys.TableId, nums.ColumnId, keys.ColumnId \
+                 ORDER BY score DESC",
+            );
+            assert_eq!(path, "positional");
+            assert_eq!(a, b);
+            assert!(!a.is_empty());
+        }
+    }
+
+    /// A global aggregate is the zero-key GROUP BY: one group, which exists
+    /// even over an empty drive, grouped on the query's thread with no
+    /// group hash table — on both engines, sequentially and on a forced
+    /// pool, with the reference's bytes (NULL for SUM, AVG, MIN and
+    /// MAX over nothing).
+    #[test]
+    fn global_aggregate_emits_one_row_even_when_empty() {
+        let eng = engine(EngineKind::Column);
+        let (a, path, b) = both_paths(
+            &eng,
+            "SELECT COUNT(*) AS n FROM AllTables WHERE CellValue IN ('no-such-value')",
+        );
+        assert_eq!(path, "positional");
+        assert_eq!(a, b);
+        assert_eq!(a.i64(0, "n"), Some(0));
+
+        let select = "SELECT COUNT(*) AS n, COUNT(DISTINCT CellValue) AS d, SUM(RowId) AS s, \
+                      SUM(RowId / 2) AS h, AVG(RowId) AS a, MIN(RowId) AS lo, \
+                      MAX(TableId) AS hi FROM AllTables";
+        let empty = format!("{select} WHERE CellValue IN ('no-such-value')");
+        let cases = [
+            (empty.clone(), 1),
+            (format!("{select} WHERE CellValue IN ('k0','k2','10')"), 1),
+            (
+                format!("{select} WHERE CellValue IN ('k0','k2') ORDER BY n DESC LIMIT 0"),
+                0,
+            ),
+        ];
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+                for (sql, rows) in &cases {
+                    let (got, rep) = eng.execute_with_report(sql).unwrap();
+                    assert_eq!(rep.path, "positional", "{kind:?}: {sql}");
+                    assert_eq!(got.len(), *rows, "{kind:?}: {sql}");
+                    assert!(rep.hash_tables.is_empty(), "{kind:?}: {sql}");
+                    assert!(rep.parallel.iter().all(|p| p.phase != "group"));
+                    let (want, _) = eng.execute_reference(sql).unwrap();
+                    assert_eq!(
+                        format!("{:?}", got.rows),
+                        format!("{:?}", want.rows),
+                        "{kind:?}: {sql}"
+                    );
+                }
+            }
+            let (rs, _) = engine(kind).execute_with_report(&empty).unwrap();
+            assert_eq!(rs.i64(0, "n"), Some(0));
+            assert_eq!(rs.i64(0, "d"), Some(0));
+            assert!(rs.rows[0][2..].iter().all(SqlValue::is_null), "{kind:?}");
+        }
+    }
+
+    /// An expression key is interned, and stays on this executor with the
+    /// reference's bytes.
+    #[test]
+    fn expression_group_keys_fall_back() {
+        let eng = engine(EngineKind::Column);
+        let (a, path, b) = both_paths(
+            &eng,
+            "SELECT TableId + 1 AS t1, COUNT(*) AS n FROM AllTables GROUP BY TableId + 1",
+        );
+        assert_eq!(path, "positional");
+        assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn keyed_float_sums_group_in_parallel_bit_identically() {
+        // `SUM(RowId / 2)` produces non-integer values — a chunk-merge
+        // would not be bit-exact, but the radix-partitioned keyed path
+        // owns each group outright, so per-group f64 accumulation order is
+        // exactly sequential and the parallel group phase stays admitted.
+        let eng = forced_parallel_engine(EngineKind::Column, 4);
+        let sql = "SELECT TableId AS t, SUM(RowId / 2) AS s FROM AllTables GROUP BY TableId";
+        let (got, rep) = eng.execute_with_report(sql).unwrap();
+        assert!(
+            rep.parallel.iter().any(|p| p.phase == "group"),
+            "keyed float SUM should group in parallel via radix partitions"
+        );
+        let (want, _) = eng.execute_reference(sql).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn global_float_sums_fall_back_to_sequential_grouping() {
+        // A global aggregate has a single group, so there is nothing to
+        // partition: it groups on the query's thread, and its one f64 sum
+        // accumulates in sequential row order.
+        let eng = forced_parallel_engine(EngineKind::Column, 4);
+        let sql = "SELECT SUM(RowId / 2) AS s FROM AllTables";
+        let (got, rep) = eng.execute_with_report(sql).unwrap();
+        assert!(
+            rep.parallel.iter().all(|p| p.phase != "group"),
+            "global float SUM must not group in parallel"
+        );
+        let (want, _) = eng.execute_reference(sql).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn hash_table_telemetry_is_recorded() {
+        let eng = engine(EngineKind::Column);
+        // Join + group: one "join" and one "group" entry, sequential
+        // (single partition) at default tuning on this tiny input. A join
+        // on `RowId` alone is not row-keyed, so it hashes.
+        let (_, rep) = eng
+            .execute_with_report(
+                "SELECT q0.TableId AS t, COUNT(*) AS n FROM \
+                 (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
+                 INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
+                 ON q0.RowId = q1.RowId \
+                 GROUP BY q0.TableId",
+            )
+            .unwrap();
+        assert_eq!(rep.path, "positional");
+        let phases: Vec<&str> = rep.hash_tables.iter().map(|h| h.phase.as_str()).collect();
+        assert_eq!(phases, vec!["join", "group"]);
+        for h in &rep.hash_tables {
+            assert_eq!(h.partitions, 1);
+            assert!(h.buckets >= 1);
+            assert!(h.buckets.is_power_of_two());
+            assert!(h.max_chain >= 1);
+        }
+
+        // Forced-parallel run: radix partition counts land in telemetry. A
+        // sequential scan is a hash-path drive, whatever the aggregate.
+        let eng = forced_parallel_engine(EngineKind::Column, 4);
+        let (_, rep) = eng
+            .execute_with_report(
+                "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
+                 GROUP BY TableId, ColumnId",
+            )
+            .unwrap();
+        assert_eq!(group_path(&rep), "hash");
+        let group = rep
+            .hash_tables
+            .iter()
+            .find(|h| h.phase == "group")
+            .expect("group stats recorded");
+        assert!(group.partitions > 1);
+        assert!(group.partitions.is_power_of_two());
+
+        // The same aggregate over a value-index drive builds no hash table.
+        let (_, rep) = eng
+            .execute_with_report(
+                "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
+                 WHERE CellValue IN ('k0','k1') GROUP BY TableId, ColumnId",
+            )
+            .unwrap();
+        assert_eq!(group_path(&rep), "columns");
+        assert!(rep.hash_tables.is_empty());
+    }
+
+    /// Which grouping path ran. The column path records no group hash
+    /// table and a `column-index` scan report, the hash path a group hash
+    /// table; where profiles are collected, the `group` span's `path` attr
+    /// must say the same.
+    fn group_path(rep: &QueryReport) -> &'static str {
+        let path = match rep.hash_tables.iter().any(|h| h.phase == "group") {
+            true => "hash",
+            false => "columns",
+        };
+        let column_index = rep.scans.iter().any(|s| s.access == "column-index");
+        assert_eq!(column_index, path == "columns", "{:?}", rep.scans);
+        if let Some(span) = rep.profile.as_ref().and_then(|p| p.find("group")) {
+            let attr = span.attr("path").map(ToString::to_string);
+            assert_eq!(attr.as_deref(), Some(path));
+        }
+        path
+    }
+
+    /// Distinct counts over a value-index drive count off the column
+    /// store's column index — with every key order, behind `TableId IN` /
+    /// `NOT IN` sets, sequentially and on a forced pool — and every near
+    /// miss, and every shape on the row store, takes the hash path. Both
+    /// give the reference's bytes at every LIMIT.
+    #[test]
+    fn distinct_counts_group_over_the_column_index_and_near_misses_hash() {
+        // Values in both columns, an absent one and a duplicated literal.
+        let values = "WHERE CellValue IN ('k0','k2','k4','0','10','50','absent','k2')";
+        let query = |select: &str, filter: &str, group: &str| {
+            format!(
+                "SELECT {select}, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+                 {filter} GROUP BY {group}"
+            )
+        };
+        let (t, tc) = ("TableId AS t", "TableId, ColumnId");
+        let filtered = |filter: &str| format!("{values} AND {filter}");
+        let cases = [
+            (query(t, values, "TableId"), "columns"),
+            (query(t, values, tc), "columns"),
+            (
+                query("ColumnId AS c, TableId AS t", values, "ColumnId, TableId"),
+                "columns",
+            ),
+            (query(t, &filtered("TableId IN (0, 2, 3)"), tc), "columns"),
+            (
+                query(t, &filtered("TableId NOT IN (1)"), "TableId"),
+                "columns",
+            ),
+            // Near misses: a table-index drive, a key that is not a table's
+            // run, a second aggregate, a RowId key, a sequential drive, and
+            // a value drive behind a RowId bound, a Quadrant test and a
+            // residual.
+            (query(t, &filtered("TableId IN (1)"), tc), "hash"),
+            (query("ColumnId AS c", values, "ColumnId"), "hash"),
+            (
+                query("TableId AS t, COUNT(*) AS n", values, "TableId"),
+                "hash",
+            ),
+            (query(t, values, "TableId, RowId"), "hash"),
+            (query(t, "", "TableId"), "hash"),
+            (query(t, "WHERE RowId < 3", tc), "hash"),
+            (query(t, &filtered("RowId < 4"), "TableId"), "hash"),
+            (query(t, &filtered("Quadrant IS NULL"), tc), "hash"),
+            (query(t, &filtered("ColumnId = 0"), tc), "hash"),
+        ];
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+                for (sql, want_path) in &cases {
+                    let want_path = if kind == EngineKind::Column {
+                        want_path
+                    } else {
+                        "hash"
+                    };
+                    for limit in [
+                        "",
+                        " ORDER BY score DESC LIMIT 0",
+                        " ORDER BY score DESC LIMIT 1",
+                        " ORDER BY score DESC LIMIT 3",
+                        " ORDER BY score DESC LIMIT 40",
+                    ] {
+                        let sql = format!("{sql}{limit}");
+                        let (got, rep) = eng.execute_with_report(&sql).unwrap();
+                        assert_eq!(rep.path, "positional", "{sql}");
+                        assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
+                        let (want, _) = eng.execute_reference(&sql).unwrap();
+                        assert_eq!(
+                            format!("{:?}", got.rows),
+                            format!("{:?}", want.rows),
+                            "{kind:?}: {sql}"
+                        );
+                    }
+                }
+            }
+            // The table-index near miss really is one.
+            let (_, rep) = engine(kind).execute_with_report(&cases[5].0).unwrap();
+            assert_eq!(rep.scans[0].access, "table-index");
+        }
+    }
+
+    #[test]
+    fn sparse_column_ids_stay_on_the_column_index() {
+        // Table 0's ColumnIds jump to a million: the column index numbers
+        // runs, not ColumnIds, so SC and KW both count off it — with the
+        // reference's bytes — and the row store groups by hash.
+        let sc = "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
+                  WHERE CellValue IN ('a','b') GROUP BY TableId, ColumnId ORDER BY score DESC";
+        let kw = sc.replace(", ColumnId", "");
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let rows = vec![
+                blend_storage::FactRow::new("a", 0, 0, 0, 0, None),
+                blend_storage::FactRow::new("a", 0, 1_000_000, 1, 1, None),
+                blend_storage::FactRow::new("b", 1, 0, 0, 2, None),
+            ];
+            let eng = SqlEngine::with_alltables(build_engine(kind, rows));
+            let want_path = if kind == EngineKind::Column {
+                "columns"
+            } else {
+                "hash"
+            };
+            for sql in [sc, kw.as_str()] {
+                let (got, rep) = eng.execute_with_report(sql).unwrap();
+                assert_eq!(group_path(&rep), want_path, "{kind:?}: {sql}");
+                let (want, _) = eng.execute_reference(sql).unwrap();
+                assert_eq!(got, want, "{kind:?}: {sql}");
+            }
+        }
+    }
+}

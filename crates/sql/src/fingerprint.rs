@@ -269,24 +269,19 @@ fn try_fold(e: &Expr) -> Option<SqlValue> {
     Some(compiled.eval(&[]))
 }
 
-fn fold_safe(e: &Expr) -> bool {
-    match e {
-        Expr::Binary { left, op, right } => {
-            !matches!(
-                op,
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-            ) && fold_safe(left)
-                && fold_safe(right)
-        }
-        Expr::Unary { expr, .. } => fold_safe(expr),
-        Expr::InList { expr, list, .. } => fold_safe(expr) && list.iter().all(fold_safe),
-        Expr::IsNull { expr, .. } => fold_safe(expr),
+pub(crate) fn fold_safe(e: &Expr) -> bool {
+    let here = match e {
+        Expr::Binary { op, .. } => !matches!(
+            op,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
+        ),
         Expr::Agg { .. } | Expr::Star | Expr::Abs(_) | Expr::CastInt(_) => false,
         // A column can never compile against the empty schema; saying so
         // here spares every enclosing subtree a doomed compile attempt.
         Expr::Column { .. } => false,
         _ => true,
-    }
+    };
+    here && e.children().all(fold_safe)
 }
 
 /// Columns that can never hold NULL in a base fact table: the storage

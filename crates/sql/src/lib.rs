@@ -20,6 +20,11 @@
 //! * `ORDER BY ... [ASC|DESC]` over select aliases or expressions
 //!   (including aggregates), `LIMIT`
 //! * scalar `ABS`
+//! * nesting at most [`parser::MAX_DEPTH`] (128) levels deep: each
+//!   parenthesis, prefix operator, function call, `IN` list, subquery,
+//!   join and link of an operator chain is one level, and a deeper query
+//!   is a `SqlParse` error (every stage recurses over the tree, so the
+//!   bound is what keeps a query within a default 2 MiB thread stack)
 //!
 //! The planner performs the in-DB optimization the paper leans on: it
 //! inspects scan predicates, asks the storage engine's catalog for exact

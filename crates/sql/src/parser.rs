@@ -5,11 +5,23 @@ use blend_common::{BlendError, Result};
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
 
+/// The deepest nesting a query may reach. Each parenthesis, prefix
+/// operator (`NOT`, `-`), function call, `IN` list, subquery, join and link
+/// of an operator chain (`AND`, `OR`, arithmetic, `::int`) is one level.
+/// Every stage after the parser recurses over the tree it builds, so the
+/// bound keeps a query's stack use within a default 2 MiB thread stack, on
+/// the serving tier's and the pool's threads alike.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one query (a trailing `;` is tolerated and ignored).
 pub fn parse(sql: &str) -> Result<Query> {
     let sql = sql.trim().trim_end_matches(';');
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return Err(BlendError::SqlParse(format!(
@@ -23,6 +35,8 @@ pub fn parse(sql: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered so far (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -84,6 +98,25 @@ impl Parser {
         }
     }
 
+    /// Enter one more nesting level, refusing the query past [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Result<()> {
+        self.depth += 1;
+        match self.depth > MAX_DEPTH {
+            true => Err(BlendError::SqlParse(format!(
+                "query nested deeper than {MAX_DEPTH} levels"
+            ))),
+            false => Ok(()),
+        }
+    }
+
+    /// Parse with `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deeper()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn ident(&mut self) -> Result<String> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s.to_lowercase()),
@@ -101,9 +134,11 @@ impl Parser {
         self.expect_kw("FROM")?;
         let from = self.parse_from_item()?;
         let mut joins = Vec::new();
+        let depth = self.depth;
         loop {
             let inner = self.eat_kw("INNER");
             if self.eat_kw("JOIN") {
+                self.deeper()?;
                 let item = self.parse_from_item()?;
                 self.expect_kw("ON")?;
                 let on = self.expr()?;
@@ -114,6 +149,7 @@ impl Parser {
                 break;
             }
         }
+        self.depth = depth;
         let where_clause = if self.eat_kw("WHERE") {
             Some(self.expr()?)
         } else {
@@ -199,7 +235,7 @@ impl Parser {
 
     fn parse_from_item(&mut self) -> Result<FromItem> {
         let source = if self.eat(&Token::LParen) {
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&Token::RParen)?;
             TableSource::Subquery(Box::new(q))
         } else {
@@ -222,53 +258,60 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::Or,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    /// The binary operator at the current token and its binding level:
+    /// `OR` 0, `AND` 1, `+ -` 3, `* / %` 4 (level 2 is `NOT` and the
+    /// comparisons, which [`comparison`](Self::comparison) parses).
+    fn binary_op(&self) -> Option<(BinOp, u8)> {
+        Some(match self.peek()? {
+            Token::Ident(s) if s.eq_ignore_ascii_case("OR") => (BinOp::Or, 0),
+            Token::Ident(s) if s.eq_ignore_ascii_case("AND") => (BinOp::And, 1),
+            Token::Plus => (BinOp::Add, 3),
+            Token::Minus => (BinOp::Sub, 3),
+            Token::Star => (BinOp::Mul, 4),
+            Token::Slash => (BinOp::Div, 4),
+            Token::Percent => (BinOp::Mod, 4),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
-        while self.at_kw("AND") {
+    /// Left-associative chains of the binary operators binding at level
+    /// `min` or tighter (precedence climbing), over comparisons below level
+    /// 3 and casts from there on; each link is one nesting level deeper.
+    fn binary(&mut self, min: u8) -> Result<Expr> {
+        let depth = self.depth;
+        let mut left = match min {
+            0..=2 => self.comparison()?,
+            _ => self.cast_expr()?,
+        };
+        while let Some((op, level)) = self.binary_op().filter(|&(_, l)| l >= min) {
             self.pos += 1;
-            let right = self.not_expr()?;
+            self.deeper()?;
+            let right = self.binary(level + 1)?;
             left = Expr::Binary {
                 left: Box::new(left),
-                op: BinOp::And,
+                op,
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
+    /// `NOT` (binding looser than comparisons), then at most one comparison,
+    /// `IS [NOT] NULL` or `[NOT] IN (...)` over arithmetic.
+    fn comparison(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
-            Ok(Expr::Unary {
+            let inner = self.nested(Self::comparison)?;
+            return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
-            })
-        } else {
-            self.cmp_expr()
+            });
         }
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let left = self.add_expr()?;
-        // IS [NOT] NULL
-        if self.at_kw("IS") {
-            self.pos += 1;
+        let left = self.binary(3)?;
+        if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
             self.expect_kw("NULL")?;
             return Ok(Expr::IsNull {
@@ -276,102 +319,53 @@ impl Parser {
                 negated,
             });
         }
-        // [NOT] IN (...)
-        let negated_in = if self.at_kw("NOT") {
-            // lookahead: NOT IN
-            if matches!(self.tokens.get(self.pos + 1), Some(Token::Ident(s)) if s.eq_ignore_ascii_case("IN"))
-            {
-                self.pos += 2;
-                true
-            } else {
-                return Ok(left); // leave `NOT` for caller (shouldn't happen)
-            }
-        } else if self.eat_kw("IN") {
-            false
-        } else {
-            // plain comparison?
-            let op = match self.peek() {
-                Some(Token::Eq) => Some(BinOp::Eq),
-                Some(Token::Neq) => Some(BinOp::Neq),
-                Some(Token::Lt) => Some(BinOp::Lt),
-                Some(Token::Le) => Some(BinOp::Le),
-                Some(Token::Gt) => Some(BinOp::Gt),
-                Some(Token::Ge) => Some(BinOp::Ge),
-                _ => None,
-            };
-            return match op {
-                Some(op) => {
-                    self.pos += 1;
-                    let right = self.add_expr()?;
-                    Ok(Expr::Binary {
-                        left: Box::new(left),
-                        op,
-                        right: Box::new(right),
-                    })
+        let next_is_in = |p: &Self, at: usize| matches!(p.tokens.get(at), Some(Token::Ident(s)) if s.eq_ignore_ascii_case("IN"));
+        let negated = self.at_kw("NOT") && next_is_in(self, self.pos + 1);
+        if negated || next_is_in(self, self.pos) {
+            self.pos += 1 + negated as usize;
+            self.expect(&Token::LParen)?;
+            let list = self.nested(|p| {
+                let mut list = Vec::new();
+                if !p.eat(&Token::RParen) {
+                    loop {
+                        list.push(p.expr()?);
+                        if !p.eat(&Token::Comma) {
+                            break;
+                        }
+                    }
+                    p.expect(&Token::RParen)?;
                 }
-                None => Ok(left),
-            };
-        };
-        self.expect(&Token::LParen)?;
-        let mut list = Vec::new();
-        if !self.eat(&Token::RParen) {
-            loop {
-                list.push(self.expr()?);
-                if !self.eat(&Token::Comma) {
-                    break;
-                }
-            }
-            self.expect(&Token::RParen)?;
+                Ok(list)
+            })?;
+            return Ok(Expr::InList {
+                expr: Box::new(left),
+                list,
+                negated,
+            });
         }
-        Ok(Expr::InList {
-            expr: Box::new(left),
-            list,
-            negated: negated_in,
+        let op = match self.peek() {
+            Some(Token::Eq) => BinOp::Eq,
+            Some(Token::Neq) => BinOp::Neq,
+            Some(Token::Lt) => BinOp::Lt,
+            Some(Token::Le) => BinOp::Le,
+            Some(Token::Gt) => BinOp::Gt,
+            Some(Token::Ge) => BinOp::Ge,
+            _ => return Ok(left),
+        };
+        self.pos += 1;
+        let right = self.binary(3)?;
+        Ok(Expr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
         })
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.mul_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut left = self.cast_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.cast_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
     fn cast_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.primary()?;
         while self.eat(&Token::DoubleColon) {
+            self.deeper()?;
             let ty = self.ident()?;
             match ty.as_str() {
                 "int" | "integer" | "int4" | "int8" => e = Expr::CastInt(Box::new(e)),
@@ -382,6 +376,7 @@ impl Parser {
                 }
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -396,14 +391,16 @@ impl Parser {
                 Ok(Expr::Int(i64::MIN))
             }
             Some(Token::Minus) => {
-                let inner = self.primary()?;
+                let inner = self.nested(Self::primary)?;
                 Ok(Expr::Unary {
                     op: UnaryOp::Neg,
                     expr: Box::new(inner),
                 })
             }
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                self.deeper()?;
+                let e = self.binary(0)?;
+                self.depth -= 1;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -463,7 +460,7 @@ impl Parser {
                 });
             }
             let distinct = self.eat_kw("DISTINCT");
-            let arg = self.expr()?;
+            let arg = self.nested(Self::expr)?;
             self.expect(&Token::RParen)?;
             return Ok(Expr::Agg {
                 func,
@@ -473,7 +470,7 @@ impl Parser {
         }
         match func {
             "ABS" => {
-                let arg = self.expr()?;
+                let arg = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(Expr::Abs(Box::new(arg)))
             }

@@ -15,6 +15,7 @@
 //!    deduplicated and computed once per group; outer expressions are
 //!    rewritten to reference them.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
@@ -169,6 +170,14 @@ impl Tree {
         match self {
             Tree::Leaf(scan) => &scan.schema,
             Tree::Join { schema, .. } => schema,
+        }
+    }
+
+    /// Its scans, left to right.
+    pub(crate) fn scans(&self) -> Vec<&ScanPlan> {
+        match self {
+            Tree::Leaf(scan) => vec![scan],
+            Tree::Join { left, right, .. } => [left.scans(), right.scans()].concat(),
         }
     }
 }
@@ -501,64 +510,30 @@ fn sole_input(e: &Expr, aliases: &[String]) -> Option<usize> {
     aliases.iter().position(|a| a == q)
 }
 
-fn collect_qualifiers<'a>(e: &'a Expr, out: &mut FxHashSet<&'a str>) {
+pub(crate) fn collect_qualifiers<'a>(e: &'a Expr, out: &mut FxHashSet<&'a str>) {
     match e {
+        // Unqualified columns poison pushdown (can't attribute them).
         Expr::Column { qualifier, .. } => {
-            // Unqualified columns poison pushdown (can't attribute them).
             out.insert(qualifier.as_deref().unwrap_or("\0unqualified"));
         }
-        Expr::Unary { expr, .. } | Expr::Abs(expr) | Expr::CastInt(expr) => {
-            collect_qualifiers(expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_qualifiers(left, out);
-            collect_qualifiers(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_qualifiers(expr, out);
-            for i in list {
-                collect_qualifiers(i, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_qualifiers(expr, out),
-        Expr::Agg { arg: Some(a), .. } => collect_qualifiers(a, out),
-        _ => {}
+        _ => e.children().for_each(|c| collect_qualifiers(c, out)),
     }
 }
 
 /// Remove a qualifier from column references so a pushed-down predicate
-/// compiles inside the single-input context.
-fn strip_qualifier(e: &Expr, alias: &str) -> Expr {
+/// compiles inside the single-input context. An aggregate is kept as it is.
+pub(crate) fn strip_qualifier(e: &Expr, alias: &str) -> Expr {
     match e {
         Expr::Column { qualifier, name } if qualifier.as_deref() == Some(alias) => Expr::Column {
             qualifier: None,
             name: name.clone(),
         },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(strip_qualifier(expr, alias)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(strip_qualifier(left, alias)),
-            op: *op,
-            right: Box::new(strip_qualifier(right, alias)),
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(strip_qualifier(expr, alias)),
-            list: list.iter().map(|i| strip_qualifier(i, alias)).collect(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(strip_qualifier(expr, alias)),
-            negated: *negated,
-        },
-        Expr::Abs(inner) => Expr::Abs(Box::new(strip_qualifier(inner, alias))),
-        Expr::CastInt(inner) => Expr::CastInt(Box::new(strip_qualifier(inner, alias))),
-        other => other.clone(),
+        Expr::Agg { .. } => e.clone(),
+        _ => {
+            let stripped = e.try_map_children(|c| Ok::<_, Infallible>(strip_qualifier(c, alias)));
+            let Ok(stripped) = stripped;
+            stripped
+        }
     }
 }
 
@@ -626,8 +601,8 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
     if let Some(pred) = &predicate {
         for c in pred.conjuncts() {
             match classify_conjunct(c) {
-                Classified::ValueIn(vs) => merge_value_list(&mut value_list, vs),
-                Classified::TableIn(ts) => merge_table_list(&mut table_list, ts),
+                Classified::ValueIn(vs) => merge_list(&mut value_list, vs),
+                Classified::TableIn(ts) => merge_list(&mut table_list, ts),
                 Classified::TableNotIn(ts) => {
                     table_not_list.get_or_insert_with(Vec::new).extend(ts)
                 }
@@ -675,24 +650,17 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
             .sum::<usize>()
     });
 
+    // The cheaper index drives; values win a tie.
     let access = match (value_card, table_card) {
-        (Some(vc), Some(tc)) if vc <= tc => AccessPath::ValueIndex {
+        (Some(vc), tc) if tc.is_none_or(|tc| vc <= tc) => AccessPath::ValueIndex {
             n_values: value_list.as_ref().map_or(0, Vec::len),
             estimated: vc,
         },
-        (Some(_), Some(tc)) => AccessPath::TableIndex {
+        (_, Some(tc)) => AccessPath::TableIndex {
             n_tables: table_list.as_ref().map_or(0, Vec::len),
             estimated: tc,
         },
-        (Some(vc), None) => AccessPath::ValueIndex {
-            n_values: value_list.as_ref().map_or(0, Vec::len),
-            estimated: vc,
-        },
-        (None, Some(tc)) => AccessPath::TableIndex {
-            n_tables: table_list.as_ref().map_or(0, Vec::len),
-            estimated: tc,
-        },
-        (None, None) => AccessPath::SeqScan { estimated: n_rows },
+        _ => AccessPath::SeqScan { estimated: n_rows },
     };
 
     // Whichever candidate is not driving becomes a kernel predicate.
@@ -831,34 +799,28 @@ fn u32_literal(e: &Expr) -> Option<u32> {
     }
 }
 
-/// Column name if `e` is a (possibly alias-qualified) fact column.
+/// Column name if `e` is an unqualified fact column. Pushdown has already
+/// stripped the scan's own alias, so a column still qualified names another
+/// input (or none): it stays in the residual, whose compile reports it.
 fn unqualified_fact_col(e: &Expr) -> Option<&str> {
     match e {
-        Expr::Column { name, .. } if FACT_COLUMNS.contains(&name.as_str()) => Some(name.as_str()),
+        Expr::Column {
+            qualifier: None,
+            name,
+        } if FACT_COLUMNS.contains(&name.as_str()) => Some(name.as_str()),
         _ => None,
     }
 }
 
-fn merge_value_list(acc: &mut Option<Vec<String>>, vs: Vec<String>) {
-    match acc {
-        // Two CellValue IN conjuncts intersect; keep the smaller for the
-        // access path (the other is re-checked by residual anyway — but we
-        // conservatively keep the intersection).
-        Some(existing) => {
-            let set: FxHashSet<&str> = vs.iter().map(String::as_str).collect();
-            existing.retain(|v| set.contains(v.as_str()));
-        }
-        None => *acc = Some(vs),
-    }
-}
-
-fn merge_table_list(acc: &mut Option<Vec<u32>>, ts: Vec<u32>) {
+/// Two `IN` conjuncts on one column intersect: the first list keeps the
+/// items the second also holds, in its own order.
+fn merge_list<T: Eq + std::hash::Hash>(acc: &mut Option<Vec<T>>, items: Vec<T>) {
     match acc {
         Some(existing) => {
-            let set: FxHashSet<u32> = ts.into_iter().collect();
+            let set: FxHashSet<T> = items.into_iter().collect();
             existing.retain(|t| set.contains(t));
         }
-        None => *acc = Some(ts),
+        None => *acc = Some(items),
     }
 }
 
@@ -984,15 +946,8 @@ fn as_equi_key(e: &Expr, left: &Schema, right: &Schema) -> Option<(usize, usize)
     None
 }
 
-fn fold_cexpr_and(mut es: Vec<CExpr>) -> Option<CExpr> {
-    let first = if es.is_empty() {
-        return None;
-    } else {
-        es.remove(0)
-    };
-    Some(es.into_iter().fold(first, |acc, e| {
-        CExpr::Binary(Box::new(acc), BinOp::And, Box::new(e))
-    }))
+fn fold_cexpr_and(es: Vec<CExpr>) -> Option<CExpr> {
+    (es.into_iter()).reduce(|acc, e| CExpr::Binary(Box::new(acc), BinOp::And, Box::new(e)))
 }
 
 /// Expand the select list; `*` becomes one item per input column.
@@ -1019,42 +974,20 @@ fn expand_select(items: &[SelectItem], input: &Schema) -> Result<Vec<(Option<Str
 
 /// Rewrite an expression onto the post-aggregation schema: group-by
 /// subtrees become `__gN`, aggregate calls become `__aM`. Returns `None`
-/// if a bare column survives (i.e. is neither grouped nor aggregated).
-fn substitute_agg(e: &Expr, groups: &[Expr], aggs: &[Expr]) -> Option<Expr> {
+/// if a bare column survives (i.e. is neither grouped nor aggregated); an
+/// aggregate not in `aggs` is kept as it is.
+pub(crate) fn substitute_agg(e: &Expr, groups: &[Expr], aggs: &[Expr]) -> Option<Expr> {
     if let Some(i) = groups.iter().position(|g| g == e) {
         return Some(Expr::col(&format!("__g{i}")));
     }
     if let Some(i) = aggs.iter().position(|a| a == e) {
         return Some(Expr::col(&format!("__a{i}")));
     }
-    Some(match e {
-        Expr::Column { .. } => return None,
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_agg(expr, groups, aggs)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_agg(left, groups, aggs)?),
-            op: *op,
-            right: Box::new(substitute_agg(right, groups, aggs)?),
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_agg(expr, groups, aggs)?),
-            list: list.clone(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_agg(expr, groups, aggs)?),
-            negated: *negated,
-        },
-        Expr::Abs(inner) => Expr::Abs(Box::new(substitute_agg(inner, groups, aggs)?)),
-        Expr::CastInt(inner) => Expr::CastInt(Box::new(substitute_agg(inner, groups, aggs)?)),
-        leaf => leaf.clone(),
-    })
+    match e {
+        Expr::Column { .. } => None,
+        Expr::Agg { .. } => Some(e.clone()),
+        _ => (e.try_map_children(|c| substitute_agg(c, groups, aggs).ok_or(()))).ok(),
+    }
 }
 
 /// Materialize the 6-column tuple for a physical position.

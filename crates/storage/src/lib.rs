@@ -60,27 +60,7 @@ pub use radix::{radix_partition, radix_scratch_bytes, RadixPartitions};
 pub use row_store::RowStore;
 pub use stats::FactStats;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide store generation, bumped whenever an index/lake rebuild
-/// installs a new fact table (see [`bump_store_generation`]). Layers that
-/// memoize query results key their entries on the generation observed when
-/// the result was produced: after a rebuild the counter has moved on, so
-/// stale entries can never match a post-rebuild lookup. Starts at 1 so 0
-/// can serve as a "never observed" sentinel.
-static STORE_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// The current store generation.
-pub fn store_generation() -> u64 {
-    STORE_GENERATION.load(Ordering::Acquire)
-}
-
-/// Advance the store generation (called on index/lake rebuild and catalog
-/// swaps) and return the new value.
-pub fn bump_store_generation() -> u64 {
-    STORE_GENERATION.fetch_add(1, Ordering::AcqRel) + 1
-}
 
 /// Which engine to build — row store (PostgreSQL analogue) or column store
 /// (commercial column store analogue).

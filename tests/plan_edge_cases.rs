@@ -235,3 +235,36 @@ fn rowid_upper_bound_at_u32_max_keeps_every_cell() {
         }
     }
 }
+
+/// A conjunct naming an alias the query does not have is a typed planning
+/// error on both stores, through the positional executor and the
+/// reference alike (it was pushed to the scan and filtered as if
+/// unqualified). The scan's own alias still classifies into an index probe.
+#[test]
+fn a_conjunct_naming_an_unknown_alias_is_a_plan_error() {
+    let rows: Vec<FactRow> = (0..3u32)
+        .flat_map(|t| (0..2u32).map(move |r| FactRow::new("v", t, 0, r, 0, None)))
+        .collect();
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let e = SqlEngine::with_alltables(build_engine(kind, rows.clone()));
+        for sql in [
+            "SELECT TableId FROM AllTables WHERE bogus.TableId = 1",
+            "SELECT TableId FROM AllTables WHERE bogus.TableId + 0 = 1",
+            "SELECT TableId FROM AllTables a WHERE b.TableId = 1",
+            "SELECT TableId FROM (SELECT * FROM AllTables WHERE zz.TableId = 1) q",
+            "SELECT TableId FROM (SELECT * FROM AllTables) q WHERE zz.TableId = 1",
+        ] {
+            for got in [e.execute(sql).map(drop), e.execute_reference(sql).map(drop)] {
+                assert!(
+                    matches!(got, Err(blend_common::BlendError::SqlPlan(_))),
+                    "{kind:?}: {sql}: {got:?}"
+                );
+            }
+        }
+        let sql = "SELECT TableId FROM AllTables a WHERE a.TableId = 1";
+        let (got, report) = e.execute_with_report(sql).unwrap();
+        assert_eq!(report.scans[0].access, "table-index", "{kind:?}");
+        assert_eq!(got.len(), 2, "{kind:?}");
+        assert_eq!(got, e.execute_reference(sql).unwrap().0, "{kind:?}");
+    }
+}

@@ -414,3 +414,57 @@ fn integer_sum_is_exact_above_2_pow_53() {
         }
     }
 }
+
+/// Nesting past `parser::MAX_DEPTH` is a typed parse error wherever SQL
+/// enters — `execute`, the reference, fingerprinting and the serving queue
+/// — instead of a stack overflow that aborts the process, and queries at
+/// the bound (an `AND` chain, nested `NOT`s, nested parentheses) return
+/// the reference's rows. All of it on a spawned thread with the default
+/// 2 MiB stack, the stack of serving threads and pool workers.
+#[test]
+fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
+    use blend_parallel::Deadline;
+    use blend_serve::{ServeConfig, ServeQueue};
+    use blend_sql::{fingerprint_sql, parser::MAX_DEPTH};
+
+    let run = std::thread::spawn(|| {
+        let e = Arc::new(engine());
+        let queue = ServeQueue::new(e.clone(), ServeConfig::default());
+        let served = |sql: &str| queue.submit(sql, Deadline::none())?.wait();
+        let select = "SELECT TableId, RowId FROM AllTables WHERE ";
+        let chain = |links: usize| format!("{select}RowId < 3{}", " AND TableId = 0".repeat(links));
+        let nested = |open: &str, close: &str, n: usize| {
+            format!(
+                "{select}{}RowId < 3{} AND TableId = 0",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        for sql in [nested("(", ")", 2000), chain(MAX_DEPTH + 1)] {
+            let parse_error = |r: blend_sql::Result<()>| matches!(r, Err(BlendError::SqlParse(_)));
+            assert!(parse_error(e.execute(&sql).map(drop)));
+            assert!(parse_error(e.execute_reference(&sql).map(drop)));
+            assert!(parse_error(fingerprint_sql(&sql).map(drop)));
+            assert!(parse_error(served(&sql).map(drop)));
+        }
+        for sql in [
+            chain(MAX_DEPTH),
+            // Pairs of NOTs keep the predicate; `MAX_DEPTH` is even.
+            nested("NOT NOT ", "", MAX_DEPTH / 2),
+            nested("(", ")", MAX_DEPTH),
+        ] {
+            let (want, _) = e.execute_reference(&sql).unwrap();
+            assert_eq!(want.len(), 6, "{sql}");
+            assert_eq!(
+                format!("{:?}", e.execute(&sql).unwrap()),
+                format!("{want:?}")
+            );
+            fingerprint_sql(&sql).unwrap();
+            assert_eq!(
+                format!("{:?}", served(&sql).unwrap().0),
+                format!("{want:?}")
+            );
+        }
+    });
+    run.join().expect("the nesting checks pass");
+}
