@@ -167,21 +167,22 @@ fn eval(ctx: &mut Ctx<'_>, id: &str, injected: Option<Injected>) -> Result<Vec<T
             return Ok(hit.clone());
         }
     }
-    let node = ctx
-        .plan
+    // Borrowed from the plan, not from `ctx`: the seekers' value lists are
+    // read in place, never copied per evaluation.
+    let plan = ctx.plan;
+    let node = plan
         .node(id)
-        .ok_or_else(|| blend_common::BlendError::PlanInvalid(format!("unknown node `{id}`")))?
-        .clone();
+        .ok_or_else(|| blend_common::BlendError::PlanInvalid(format!("unknown node `{id}`")))?;
 
-    let hits = match node {
-        Node::Seeker { seeker, k } => {
+    let hits = match *node {
+        Node::Seeker { ref seeker, k } => {
             let span = blend_obs::span_owned(format!("seeker:{}", seeker.label()));
             span.attr_str("node", id);
             if injected.is_some() {
                 span.attr_str("injected", "true");
             }
             let start = Instant::now();
-            let run = seekers::run(ctx.blend, &seeker, k, injected.as_ref(), &ctx.interrupt)?;
+            let run = seekers::run(ctx.blend, seeker, k, injected.as_ref(), &ctx.interrupt)?;
             span.attr_u64("results", run.hits.len() as u64);
             drop(span);
             ctx.report.ops.push(OpExecution {
@@ -198,14 +199,14 @@ fn eval(ctx: &mut Ctx<'_>, id: &str, injected: Option<Injected>) -> Result<Vec<T
         Node::Combiner {
             combiner,
             k,
-            inputs,
+            ref inputs,
         } => {
             let results = if ctx.blend.options().optimize {
-                eval_inputs_optimized(ctx, combiner, &inputs)?
+                eval_inputs_optimized(ctx, combiner, inputs)?
             } else {
                 // B-NO: independent evaluation in plan order.
                 let mut rs = Vec::with_capacity(inputs.len());
-                for i in &inputs {
+                for i in inputs {
                     rs.push(eval(ctx, i, None)?);
                 }
                 rs

@@ -1,18 +1,28 @@
 //! Seeker implementations (paper Section VI): SQL generation over
 //! `AllTables` plus the application-level phases of MC and C.
 //!
-//! Every seeker reads its SQL result as flat columns
-//! (`SqlEngine::execute_columns_interruptible`); no `SqlValue` row is built
-//! for any of them. The MC application phase runs in *code space*: table,
+//! **The bound path.** [`run`] normalizes each value list once and
+//! deduplicates it on the normalized `&str`s, then executes its listing
+//! with a `$n` slot per list and `AND TableId [NOT] IN ($n)` for the
+//! injected ids, the lists bound
+//! (`SqlEngine::execute_bound_columns_interruptible`): no value is quoted,
+//! lexed or parsed. The same lists quoted into the same listing are
+//! [`SeekerRun::sql`], the text of [`seeker_sql`], which the served
+//! workloads, Table III and `tests/bound_parity.rs` read.
+//!
+//! Every seeker reads its SQL result as flat columns; no `SqlValue` row is
+//! built for any of them. The MC application phase runs in *code space*: table,
 //! row and column ids are `u32` slices, super keys a `u128` slice, and each
 //! `v{c}` cell value is its id in the column's dictionary, so the super-key
 //! filter is one mask test per query row and exact validation is id-tuple
 //! equality — no string is hashed, compared or allocated per joined row.
 
+use std::borrow::Cow;
+
 use blend_common::{stats::mean, text, FxHashMap, FxHashSet, Result, TableId};
 use blend_index::xash_value;
 use blend_parallel::Interrupt;
-use blend_sql::{ResultColumn, ResultColumns, TextColumn};
+use blend_sql::{Param, ResultColumn, ResultColumns, TextColumn};
 
 use crate::combiners::TableHit;
 use crate::plan::Seeker;
@@ -34,67 +44,85 @@ pub enum Injected {
 impl Injected {
     /// Render the SQL fragment replacing [`TID_PLACEHOLDER`].
     pub fn fragment(&self) -> String {
+        self.spell(|ids| ids.iter().map(u32::to_string).collect::<Vec<_>>().join(","))
+    }
+
+    /// The fragment with its ids as the slot `$n` that `run` binds them to.
+    fn slot_fragment(&self, n: usize) -> String {
+        self.spell(|_| format!("${n}"))
+    }
+
+    /// The fragment with its id list spelled by `list`.
+    fn spell(&self, list: impl FnOnce(&[u32]) -> String) -> String {
         match self {
             // An empty intersection can never match; `run()` short-circuits
             // before rendering, but the fragment must still be valid SQL
             // (`IN ()` is not), so render a never-true predicate.
             Injected::In(ids) if ids.is_empty() => "AND 1 = 0".to_string(),
-            Injected::In(ids) => format!("AND TableId IN ({})", join_ids(ids)),
+            Injected::In(ids) => format!("AND TableId IN ({})", list(ids)),
             Injected::NotIn(ids) if ids.is_empty() => String::new(),
-            Injected::NotIn(ids) => format!("AND TableId NOT IN ({})", join_ids(ids)),
+            Injected::NotIn(ids) => format!("AND TableId NOT IN ({})", list(ids)),
         }
     }
 }
 
-fn join_ids(ids: &[u32]) -> String {
-    let mut s = String::with_capacity(ids.len() * 4);
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&id.to_string());
-    }
-    s
-}
-
-/// Append an already-normalized value as a SQL string literal with `'`
-/// escaping (normalization matches the indexer's cell normalization).
-fn push_quoted(out: &mut String, norm: &str) {
-    out.reserve(norm.len() + 2);
-    out.push('\'');
-    for c in norm.chars() {
-        if c == '\'' {
-            out.push('\'');
-        }
-        out.push(c);
-    }
-    out.push('\'');
-}
-
-fn join_values(values: &[String]) -> String {
-    // Deduplicate on the normalized value and render the quoted literal
-    // straight into the output — one allocation per distinct value instead
-    // of a rendered literal plus a seen-set clone per input.
-    let mut s = String::new();
-    let mut seen: FxHashSet<String> = FxHashSet::default();
+/// A list as SQL string literals: quoted with `''` escaping and
+/// comma-separated.
+fn join_values(values: &[&str]) -> String {
+    let mut s = String::with_capacity(values.iter().map(|v| v.len() + 3).sum());
     for v in values {
-        let norm = text::normalize(v);
-        if seen.contains(&norm) {
-            continue;
+        s.push_str(if s.is_empty() { "'" } else { ",'" });
+        for (i, part) in v.split('\'').enumerate() {
+            s.push_str(if i > 0 { "''" } else { "" });
+            s.push_str(part);
         }
-        if !s.is_empty() {
-            s.push(',');
-        }
-        push_quoted(&mut s, &norm);
-        seen.insert(norm);
+        s.push('\'');
     }
     s
+}
+
+/// A seeker's value lists in the order its template reads them, each
+/// value normalized as the indexer normalizes cells: SC/KW's one list,
+/// MC's one per query column, C's `k0`, `k1` and all keys.
+fn normalized_lists(seeker: &Seeker) -> Vec<Vec<Cow<'_, str>>> {
+    fn norm<'s>(vs: impl Iterator<Item = &'s String>) -> Vec<Cow<'s, str>> {
+        vs.map(|v| text::normalize_cow(v)).collect()
+    }
+    match seeker {
+        Seeker::Sc { values } => vec![norm(values.iter())],
+        Seeker::Kw { keywords } => vec![norm(keywords.iter())],
+        // The first row sets the arity; `run` rejects anything else
+        // (`Seeker::validate`), and rendering it must not panic.
+        Seeker::Mc { rows } => (0..rows.first().map_or(0, Vec::len))
+            .map(|c| norm(rows.iter().filter_map(|r| r.get(c))))
+            .collect(),
+        // The `k0`/`k1` key split happens here, before query generation,
+        // exactly as the paper describes.
+        Seeker::C { keys, target } => {
+            let m = mean(target).unwrap_or(0.0);
+            let split = |low: bool| {
+                let pairs = keys.iter().zip(target);
+                norm(pairs.filter(|(_, t)| (**t < m) == low).map(|(k, _)| k))
+            };
+            vec![split(true), split(false), norm(keys.iter())]
+        }
+    }
+}
+
+/// The distinct values of a list, first occurrence kept.
+fn distinct<'v>(list: &'v [Cow<'_, str>]) -> Vec<&'v str> {
+    let mut seen: FxHashSet<&str> = FxHashSet::default();
+    seen.reserve(list.len());
+    list.iter()
+        .map(|v| &**v)
+        .filter(|v| seen.insert(v))
+        .collect()
 }
 
 /// One executed seeker: its SQL, hits, and MC bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SeekerRun {
-    /// The SQL sent to the engine (post-rewriting).
+    /// The SQL, post-rewriting, that returns what the bound run returned.
     pub sql: String,
     /// Ranked results.
     pub hits: Vec<TableHit>,
@@ -127,18 +155,26 @@ impl McStats {
 /// Render the SQL template(s) of a seeker (pre-injection). Exposed for the
 /// documentation tests and the LOC experiment.
 pub fn seeker_sql(seeker: &Seeker, k: usize, h: usize) -> String {
+    let lists = normalized_lists(seeker);
+    let literals: Vec<String> = lists.iter().map(|l| join_values(&distinct(l))).collect();
+    render(seeker, k, h, &literals, TID_PLACEHOLDER)
+}
+
+/// A seeker's SQL with `lists[i]` spelling the items of its `i`-th list
+/// ([`normalized_lists`]) and `tid` in place of [`TID_PLACEHOLDER`].
+fn render(seeker: &Seeker, k: usize, h: usize, lists: &[String], tid: &str) -> String {
     match seeker {
-        Seeker::Sc { values } => sc_sql(values, k, false),
-        Seeker::Kw { keywords } => sc_sql(keywords, k, true),
-        Seeker::Mc { rows } => mc_sql(rows),
-        Seeker::C { keys, target } => c_sql(keys, target, h),
+        Seeker::Sc { .. } => sc_sql(&lists[0], tid, k, false),
+        Seeker::Kw { .. } => sc_sql(&lists[0], tid, k, true),
+        Seeker::Mc { .. } => mc_sql(lists, tid),
+        Seeker::C { .. } => c_sql(&lists[0], &lists[1], &lists[2], tid, h),
     }
 }
 
 /// Listing 1 (extended with an explicit score column and table-granularity
 /// over-fetch; see module docs). `table_wide` drops ColumnId from GROUP BY,
 /// turning SC into KW.
-fn sc_sql(values: &[String], k: usize, table_wide: bool) -> String {
+fn sc_sql(vals: &str, tid: &str, k: usize, table_wide: bool) -> String {
     let group = if table_wide {
         "TableId"
     } else {
@@ -148,26 +184,17 @@ fn sc_sql(values: &[String], k: usize, table_wide: bool) -> String {
     let fetch = k.saturating_mul(4).saturating_add(8);
     format!(
         "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
-         WHERE CellValue IN ({vals}) {TID_PLACEHOLDER} \
+         WHERE CellValue IN ({vals}) {tid} \
          GROUP BY {group} \
          ORDER BY score DESC \
          LIMIT {fetch}",
-        vals = join_values(values),
     )
 }
 
 /// Listing 2, generalized to any arity, with explicit projection so the
 /// application phase can read values/columns/super keys by label.
-fn mc_sql(rows: &[Vec<String>]) -> String {
-    let arity = rows.first().map_or(0, Vec::len);
-    // Per-column value lists. The first row sets the arity; `run` rejects
-    // anything else (`Seeker::validate`), and rendering it must not panic.
-    let mut col_values: Vec<Vec<String>> = vec![Vec::new(); arity];
-    for row in rows {
-        for (vals, v) in col_values.iter_mut().zip(row) {
-            vals.push(v.clone());
-        }
-    }
+fn mc_sql(lists: &[String], tid: &str) -> String {
+    let arity = lists.len();
     let mut proj = vec![
         "q0.TableId AS tid".to_string(),
         "q0.RowId AS rid".to_string(),
@@ -177,54 +204,38 @@ fn mc_sql(rows: &[Vec<String>]) -> String {
         proj.push(format!("q{c}.CellValue AS v{c}"));
         proj.push(format!("q{c}.ColumnId AS c{c}"));
     }
-    let q0_values = col_values.first().map(|v| join_values(v));
     let mut sql = format!(
-        "SELECT {} FROM (SELECT * FROM AllTables WHERE CellValue IN ({}) {TID_PLACEHOLDER}) AS q0",
+        "SELECT {} FROM (SELECT * FROM AllTables WHERE CellValue IN ({}) {tid}) AS q0",
         proj.join(", "),
-        q0_values.unwrap_or_default(),
+        lists.first().map_or("", String::as_str),
     );
-    for (c, vals) in col_values.iter().enumerate().skip(1) {
+    for (c, vals) in lists.iter().enumerate().skip(1) {
         sql.push_str(&format!(
-            " INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ({})) AS q{c} \
+            " INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ({vals})) AS q{c} \
              ON q0.TableId = q{c}.TableId AND q0.RowId = q{c}.RowId",
-            join_values(vals),
         ));
     }
     sql
 }
 
 /// Listing 3: the correlation seeker with the in-SQL QCR score
-/// `ABS((2*SUM(concordant)-COUNT(*))/COUNT(*))`. The `k0`/`k1` key split
-/// happens here, before query generation, exactly as the paper describes.
-fn c_sql(keys: &[String], target: &[f64], h: usize) -> String {
-    let m = mean(target).unwrap_or(0.0);
-    let mut k0 = Vec::new();
-    let mut k1 = Vec::new();
-    for (k, t) in keys.iter().zip(target) {
-        if *t < m {
-            k0.push(k.clone());
-        } else {
-            k1.push(k.clone());
-        }
-    }
+/// `ABS((2*SUM(concordant)-COUNT(*))/COUNT(*))` ([`normalized_lists`]).
+fn c_sql(k0: &str, k1: &str, all: &str, tid: &str, h: usize) -> String {
     format!(
         "SELECT keys.TableId AS t, keys.ColumnId AS kc, nums.ColumnId AS nc, \
          ABS((2 * SUM(((keys.CellValue IN ({k0}) AND nums.Quadrant = 0) OR \
          (keys.CellValue IN ({k1}) AND nums.Quadrant = 1))::int) - COUNT(*)) / COUNT(*)) AS score, \
          COUNT(*) AS n \
-         FROM (SELECT * FROM AllTables WHERE RowId < {h} AND CellValue IN ({all}) {TID_PLACEHOLDER}) keys \
+         FROM (SELECT * FROM AllTables WHERE RowId < {h} AND CellValue IN ({all}) {tid}) keys \
          INNER JOIN (SELECT * FROM AllTables WHERE RowId < {h} AND Quadrant IS NOT NULL) nums \
          ON keys.TableId = nums.TableId AND keys.RowId = nums.RowId \
          AND keys.ColumnId <> nums.ColumnId \
          GROUP BY keys.TableId, nums.ColumnId, keys.ColumnId \
          ORDER BY score DESC",
-        k0 = join_values(&k0),
-        k1 = join_values(&k1),
-        all = join_values(keys),
     )
 }
 
-/// Execute a seeker against the BLEND engine.
+/// Execute a seeker against the BLEND engine (module docs).
 pub fn run(
     blend: &Blend,
     seeker: &Seeker,
@@ -243,32 +254,53 @@ pub fn run(
             });
         }
     }
-    let template = seeker_sql(seeker, k, blend.options().h);
+    let h = blend.options().h;
+    let bind = blend_obs::span("bind");
+    let norm = normalized_lists(seeker);
+    let lists: Vec<Vec<&str>> = norm.iter().map(|l| distinct(l)).collect();
+    let slots: Vec<String> = (0..lists.len()).map(|i| format!("${i}")).collect();
+    let tid = injected.map(|inj| inj.slot_fragment(lists.len()));
+    let template = render(seeker, k, h, &slots, tid.as_deref().unwrap_or_default());
+    let literals: Vec<String> = lists.iter().map(|l| join_values(l)).collect();
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
-    let sql = template.replace(TID_PLACEHOLDER, &fragment);
+    let sql = render(seeker, k, h, &literals, &fragment);
+    let mut params: Vec<Param> = lists.iter().map(|l| Param::Text(l)).collect();
+    params.extend(injected.map(|(Injected::In(ids) | Injected::NotIn(ids))| Param::Ids(ids)));
+    drop(bind);
 
-    let (cols, _) = blend
-        .engine()
-        .execute_columns_interruptible(&sql, interrupt.clone())?;
-    let (hits, mc_stats) = match seeker {
-        Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(&cols, k), None),
-        Seeker::Mc { rows } => {
-            let (hits, stats) = postprocess(&cols, || mc_postprocess(&cols, rows, k));
-            (hits, Some(stats))
-        }
-        Seeker::C { .. } => {
-            let min_matches = blend.options().corr_min_matches;
-            (
-                postprocess(&cols, || c_postprocess(&cols, k, min_matches)).0,
-                None,
-            )
-        }
-    };
+    let (cols, _) = blend.engine().execute_bound_columns_interruptible(
+        &template,
+        &params,
+        interrupt.clone(),
+    )?;
+    let (hits, mc_stats) = apply(blend, seeker, k, &cols);
     Ok(SeekerRun {
         sql,
         hits,
         mc_stats,
     })
+}
+
+/// The application phase over `seeker`'s SQL result `cols`: the ranked
+/// hits, and MC's filter statistics.
+pub fn apply(
+    blend: &Blend,
+    seeker: &Seeker,
+    k: usize,
+    cols: &ResultColumns,
+) -> (Vec<TableHit>, Option<McStats>) {
+    match seeker {
+        Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(cols, k), None),
+        Seeker::Mc { rows } => {
+            let (hits, stats) = postprocess(cols, || mc_postprocess(cols, rows, k));
+            (hits, Some(stats))
+        }
+        Seeker::C { .. } => {
+            let min_matches = blend.options().corr_min_matches;
+            let phase = || c_postprocess(cols, k, min_matches);
+            (postprocess(cols, phase).0, None)
+        }
+    }
 }
 
 /// Run an application phase under its `postprocess` span: the SQL rows it
@@ -634,7 +666,8 @@ mod tests {
                 let blend = Blend::from_lake(&lake, kind);
                 for arity in [2usize, 3] {
                     let rows = planted_rows(&lake, arity, seed);
-                    let sql = mc_sql(&rows).replace(TID_PLACEHOLDER, "");
+                    let seeker = Seeker::mc(rows.clone());
+                    let sql = seeker_sql(&seeker, 10, 64).replace(TID_PLACEHOLDER, "");
                     let (cols, _) = blend
                         .engine()
                         .execute_columns_interruptible(&sql, Interrupt::never())
@@ -802,11 +835,8 @@ mod tests {
 
     #[test]
     fn values_are_normalized_escaped_and_deduped() {
-        let sql = sc_sql(
-            &["O'Brien".into(), "  O'BRIEN ".into(), "x".into()],
-            5,
-            false,
-        );
+        let seeker = Seeker::sc(vec!["O'Brien".into(), "  O'BRIEN ".into(), "x".into()]);
+        let sql = seeker_sql(&seeker, 5, 64);
         assert!(sql.contains("'o''brien'"), "{sql}");
         // Deduplicated after normalization.
         assert_eq!(sql.matches("o''brien").count(), 1);
@@ -814,8 +844,8 @@ mod tests {
 
     #[test]
     fn kw_groups_table_wide() {
-        let sc = sc_sql(&["a".into()], 5, false);
-        let kw = sc_sql(&["a".into()], 5, true);
+        let sc = seeker_sql(&Seeker::sc(vec!["a".into()]), 5, 64);
+        let kw = seeker_sql(&Seeker::kw(vec!["a".into()]), 5, 64);
         assert!(sc.contains("GROUP BY TableId, ColumnId"));
         assert!(kw.contains("GROUP BY TableId "));
         assert!(!kw.contains("ColumnId"));
@@ -823,10 +853,11 @@ mod tests {
 
     #[test]
     fn mc_sql_joins_per_column() {
-        let sql = mc_sql(&[
+        let seeker = Seeker::mc(vec![
             vec!["hr".into(), "firenze".into()],
             vec!["it".into(), "riddle".into()],
         ]);
+        let sql = seeker_sql(&seeker, 10, 64);
         assert!(sql.contains("AS q0"));
         assert!(sql.contains("AS q1"));
         assert!(sql.contains("q0.RowId = q1.RowId"));
@@ -840,7 +871,8 @@ mod tests {
     #[test]
     fn c_sql_splits_keys_by_target_mean() {
         // mean = 2.0: k below -> k0, k at/above -> k1.
-        let sql = c_sql(&["low".into(), "high".into()], &[1.0, 3.0], 128);
+        let seeker = Seeker::c(vec!["low".into(), "high".into()], vec![1.0, 3.0]);
+        let sql = seeker_sql(&seeker, 10, 128);
         let k0_pos = sql.find("'low'").unwrap();
         let k1_pos = sql.find("'high'").unwrap();
         let q0 = sql.find("Quadrant = 0").unwrap();

@@ -1,15 +1,17 @@
 //! The database facade: catalog + parse/plan/execute entry points.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use blend_common::{FxHashMap, Result};
 use blend_parallel::{Interrupt, ParallelCtx, QueryMemory};
 use blend_storage::FactTable;
 
+use crate::ast::Query;
 use crate::columns::ResultColumns;
 use crate::exec::{QueryReport, ResultSet, ServingStats};
-use crate::parser::parse;
-use crate::plan::{plan_query, Catalog, CatalogSnapshot};
+use crate::parser::{parse, parse_template};
+use crate::plan::{plan_query, plan_query_bound, Catalog, CatalogSnapshot, Param};
 
 /// Engine-level metric cells (`blend_sql_*`). Queries are labeled by the
 /// executor that ran them, which is always the positional one.
@@ -201,9 +203,8 @@ impl SqlEngine {
         sql: &str,
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
-        self.run(&parse_counted(sql)?, interrupt, true, |cols| {
-            cols.to_result_set()
-        })
+        let ast = || spanned("parse", || parse(sql)).map(Cow::Owned);
+        self.run(ast, &[], interrupt, true, |cols| cols.to_result_set())
     }
 
     /// Execute an already-parsed query and return the result as flat
@@ -214,10 +215,11 @@ impl SqlEngine {
     /// itself ([`ResultColumns::to_result_set`]).
     pub fn execute_parsed_interruptible(
         &self,
-        ast: &crate::ast::Query,
+        ast: &Query,
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
-        self.run(ast, interrupt, false, |cols| cols)
+        let parsed = || Ok(Cow::Borrowed(ast));
+        self.run(parsed, &[], interrupt, false, |cols| cols)
     }
 
     /// [`execute_parsed_interruptible`](Self::execute_parsed_interruptible)
@@ -227,16 +229,33 @@ impl SqlEngine {
         sql: &str,
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
-        self.execute_parsed_interruptible(&parse_counted(sql)?, interrupt)
+        let ast = || spanned("parse", || parse(sql)).map(Cow::Owned);
+        self.run(ast, &[], interrupt, false, |cols| cols)
     }
 
-    /// Plan `ast` and run it on the positional executor — the one path under
+    /// [`execute_columns_interruptible`](Self::execute_columns_interruptible)
+    /// of a template (`parser::parse_template`) with `params[n]` bound to its
+    /// slot `$n`: the seekers' entry, whose lists are never lexed.
+    pub fn execute_bound_columns_interruptible(
+        &self,
+        template: &str,
+        params: &[Param<'_>],
+        interrupt: Interrupt,
+    ) -> Result<(ResultColumns, QueryReport)> {
+        let ast = || spanned("parse", || parse_template(template)).map(Cow::Owned);
+        self.run(ast, params, interrupt, false, |cols| cols)
+    }
+
+    /// Inside the query's root span: take the query from `ast` (SQL text is
+    /// parsed there, under a `parse` span), plan it with `params` under
+    /// `plan` and run it on the positional executor — the one path under
     /// every entry — then `finish` its flat columns into what the caller
     /// asked for (rows when `rows`, else the columns as they are) under the
-    /// `materialize` span, the last child of the query's root span.
-    fn run<T>(
+    /// `materialize` span, the last child of the root.
+    fn run<'q, T>(
         &self,
-        ast: &crate::ast::Query,
+        ast: impl FnOnce() -> Result<Cow<'q, Query>>,
+        params: &[Param<'_>],
         interrupt: Interrupt,
         rows: bool,
         finish: impl FnOnce(ResultColumns) -> T,
@@ -251,7 +270,8 @@ impl SqlEngine {
         // reservation) on any exit path returns the bytes.
         let memory = Arc::new(QueryMemory::new(self.parallel.governor().clone()));
         let outcome = (|| {
-            let plan = plan_query(ast, &self.db)?;
+            let ast = ast()?;
+            let plan = spanned("plan", || plan_query_bound(&ast, &self.db, params))?;
             let par = self
                 .parallel
                 .with_interrupt(interrupt)
@@ -308,9 +328,10 @@ impl SqlEngine {
     }
 }
 
-/// Parse `sql`, counting a failure as a query error.
-fn parse_counted(sql: &str) -> Result<crate::ast::Query> {
-    parse(sql).inspect_err(|_| sql_metrics().errors.inc())
+/// `f` under a span named `name`.
+fn spanned<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = blend_obs::span(name);
+    f()
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ use crate::columns::ResultColumns;
 use crate::exec::{AggState, HashTableStats, ParallelPhase, QueryReport, ScanReport};
 use crate::expr::CExpr;
 use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
-use crate::plan::{AccessPath, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree};
+use crate::plan::{AccessPath, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree, ValueList};
 use blend_common::{BlendError, Result};
 
 /// One aggregate of the positional GROUP BY.
@@ -369,17 +369,15 @@ pub(super) fn group_columns(
     par: &ParallelCtx,
 ) -> Result<ResultColumns> {
     let table = scan.table.as_ref();
-    let (Some(index), Keys::Packed(keys)) = (table.column_index(), &shape.keys) else {
+    let (Some(index), ValueList::Codes(codes), Keys::Packed(keys)) =
+        (table.column_index(), &scan.driving_values, &shape.keys)
+    else {
         return Err(executor_bug("column-index grouping without a column index"));
     };
     let span = blend_obs::span("group");
     span.attr_str("path", "columns");
     let by_column = keys.len() == 2;
-    let lists: Vec<&[u32]> = scan
-        .driving_values
-        .iter()
-        .filter_map(|v| table.code_of_value(v).map(|code| index.ordinals(code)))
-        .collect();
+    let lists: Vec<&[u32]> = codes.iter().map(|&code| index.ordinals(code)).collect();
     let visited: usize = lists.iter().map(|l| l.len()).sum();
     let n_slots = if by_column {
         index.runs()

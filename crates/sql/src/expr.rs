@@ -10,6 +10,7 @@ use std::sync::Arc;
 use blend_common::{BlendError, FxHashSet, Result};
 
 use crate::ast::{BinOp, Expr, UnaryOp};
+use crate::plan::{Items, Param};
 use crate::value::SqlValue;
 
 /// A named output column of an operator.
@@ -125,10 +126,11 @@ pub enum CExpr {
     Abs(Box<CExpr>),
 }
 
-/// Compile an AST expression against a schema. Aggregate calls are
-/// rejected — the planner substitutes them with column references before
-/// calling this.
-pub fn compile(expr: &Expr, schema: &Schema) -> Result<CExpr> {
+/// Compile an AST expression against a schema, an `IN ($n)` slot bound to
+/// `params[n]`. Aggregate calls are rejected — the planner substitutes
+/// them with column references before calling this.
+pub fn compile(expr: &Expr, schema: &Schema, params: &[Param<'_>]) -> Result<CExpr> {
+    let compile = |e: &Expr| compile(e, schema, params);
     Ok(match expr {
         Expr::Column { qualifier, name } => CExpr::Col(schema.resolve(qualifier.as_deref(), name)?),
         Expr::Int(i) => CExpr::Const(SqlValue::Int(*i)),
@@ -136,17 +138,15 @@ pub fn compile(expr: &Expr, schema: &Schema) -> Result<CExpr> {
         Expr::Str(s) => CExpr::Const(SqlValue::Text(Arc::from(s.as_str()))),
         Expr::Bool(b) => CExpr::Const(SqlValue::Bool(*b)),
         Expr::Null => CExpr::Const(SqlValue::Null),
-        Expr::Star => {
+        Expr::Star | Expr::Param(_) => {
             return Err(BlendError::SqlPlan(
-                "`*` is only valid in COUNT(*) or as a select item".into(),
+                "`*` is only valid in COUNT(*) or as a select item, `$n` in an IN list".into(),
             ))
         }
-        Expr::Unary { op, expr } => CExpr::Unary(*op, Box::new(compile(expr, schema)?)),
-        Expr::Binary { left, op, right } => CExpr::Binary(
-            Box::new(compile(left, schema)?),
-            *op,
-            Box::new(compile(right, schema)?),
-        ),
+        Expr::Unary { op, expr } => CExpr::Unary(*op, Box::new(compile(expr)?)),
+        Expr::Binary { left, op, right } => {
+            CExpr::Binary(Box::new(compile(left)?), *op, Box::new(compile(right)?))
+        }
         Expr::InList {
             expr,
             list,
@@ -155,28 +155,38 @@ pub fn compile(expr: &Expr, schema: &Schema) -> Result<CExpr> {
             // Constant lists become hash sets; non-constant members are not
             // produced by any BLEND operator and are rejected for clarity.
             let mut set = FxHashSet::default();
-            for item in list {
-                match compile(item, schema)? {
-                    CExpr::Const(v) => {
-                        set.insert(v);
-                    }
-                    _ => {
-                        return Err(BlendError::SqlPlan(
-                            "IN lists must contain constants".into(),
-                        ))
+            match Items::of(list, params)? {
+                Items::Bound(Param::Text(texts)) => {
+                    set.extend(texts.iter().map(|&s| SqlValue::Text(Arc::from(s))))
+                }
+                Items::Bound(Param::Ids(ids)) => {
+                    set.extend(ids.iter().map(|&i| SqlValue::Int(i as i64)))
+                }
+                Items::Literals(list) => {
+                    for item in list {
+                        match compile(item)? {
+                            CExpr::Const(v) => {
+                                set.insert(v);
+                            }
+                            _ => {
+                                return Err(BlendError::SqlPlan(
+                                    "IN lists must contain constants".into(),
+                                ))
+                            }
+                        }
                     }
                 }
             }
-            CExpr::InSet(Box::new(compile(expr, schema)?), Arc::new(set), *negated)
+            CExpr::InSet(Box::new(compile(expr)?), Arc::new(set), *negated)
         }
-        Expr::IsNull { expr, negated } => CExpr::IsNull(Box::new(compile(expr, schema)?), *negated),
+        Expr::IsNull { expr, negated } => CExpr::IsNull(Box::new(compile(expr)?), *negated),
         Expr::Agg { .. } => {
             return Err(BlendError::SqlPlan(
                 "aggregate call outside GROUP BY context".into(),
             ))
         }
-        Expr::Abs(e) => CExpr::Abs(Box::new(compile(e, schema)?)),
-        Expr::CastInt(e) => CExpr::CastInt(Box::new(compile(e, schema)?)),
+        Expr::Abs(e) => CExpr::Abs(Box::new(compile(e)?)),
+        Expr::CastInt(e) => CExpr::CastInt(Box::new(compile(e)?)),
     })
 }
 
@@ -368,7 +378,7 @@ mod tests {
 
     fn compile_where(sql_where: &str, schema: &Schema) -> CExpr {
         let q = parse(&format!("SELECT * FROM x WHERE {sql_where}")).unwrap();
-        compile(&q.where_clause.unwrap(), schema).unwrap()
+        compile(&q.where_clause.unwrap(), schema, &[]).unwrap()
     }
 
     #[test]
@@ -457,7 +467,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        let e = compile(&item, &s).unwrap();
+        let e = compile(&item, &s, &[]).unwrap();
         assert_eq!(
             e.eval(&[SqlValue::Int(1), SqlValue::Null, SqlValue::Null]),
             SqlValue::Int(1)
@@ -476,7 +486,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        let e = compile(&item, &s).unwrap();
+        let e = compile(&item, &s, &[]).unwrap();
         assert_eq!(
             e.eval(&[SqlValue::Int(-5), SqlValue::Null, SqlValue::Null]),
             SqlValue::Int(5)
@@ -491,7 +501,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        assert!(compile(&item, &s).is_err());
+        assert!(compile(&item, &s, &[]).is_err());
     }
 
     #[test]

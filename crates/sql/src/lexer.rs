@@ -16,6 +16,9 @@ pub enum Token {
     Float(f64),
     /// String literal (unescaped).
     Str(String),
+    /// `$n`: a list slot of a template (`parser::parse_template`). A `$`
+    /// without digits, or with more than a `usize` holds, is a lex error.
+    Param(usize),
     LParen,
     RParen,
     Comma,
@@ -139,7 +142,14 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 out.push(tok);
                 i = next;
             }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
+            '$' => {
+                let digits = sql[i + 1..].split(|c: char| !c.is_ascii_digit()).next();
+                let digits = digits.unwrap_or_default();
+                let bad = |_| BlendError::SqlParse(format!("bad slot `${digits}` at byte {i}"));
+                out.push(Token::Param(digits.parse().map_err(bad)?));
+                i += 1 + digits.len();
+            }
+            c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
                 while i < bytes.len() {
                     let Some(b) = sql[i..].chars().next() else {
@@ -304,6 +314,17 @@ mod tests {
                 Token::Int(2)
             ]
         );
+    }
+
+    #[test]
+    fn dollar_digits_lex_as_a_slot() {
+        let toks = tokenize("IN ($0, $12) a$b").unwrap();
+        assert_eq!(toks[2], Token::Param(0));
+        assert_eq!(toks[4], Token::Param(12));
+        assert_eq!(toks[6], Token::Ident("a$b".into()));
+        for bad in ["$99999999999999999999", "$", "$x", "($)"] {
+            assert!(tokenize(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -10,17 +10,29 @@ use crate::lexer::{tokenize, Token};
 /// of an operator chain (`AND`, `OR`, arithmetic, `::int`) is one level.
 /// Every stage after the parser recurses over the tree it builds, so the
 /// bound keeps a query's stack use within a default 2 MiB thread stack, on
-/// the serving tier's and the pool's threads alike.
-pub const MAX_DEPTH: usize = 128;
+/// the serving tier's and the pool's threads alike (crate docs).
+pub const MAX_DEPTH: usize = 64;
 
-/// Parse one query (a trailing `;` is tolerated and ignored).
+/// Parse one query (a trailing `;` is tolerated and ignored); a `$n` slot
+/// is an error.
 pub fn parse(sql: &str) -> Result<Query> {
+    parse_with(sql, false)
+}
+
+/// Parse a template: [`parse`], but an `IN` list may be one slot, `IN ($n)`,
+/// bound by `plan::plan_query_bound`.
+pub fn parse_template(sql: &str) -> Result<Query> {
+    parse_with(sql, true)
+}
+
+fn parse_with(sql: &str, slots: bool) -> Result<Query> {
     let sql = sql.trim().trim_end_matches(';');
     let tokens = tokenize(sql)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         depth: 0,
+        slots,
     };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
@@ -37,6 +49,8 @@ struct Parser {
     pos: usize,
     /// Nesting levels entered so far (see [`MAX_DEPTH`]).
     depth: usize,
+    /// Whether `IN ($n)` slots are allowed ([`parse_template`]).
+    slots: bool,
 }
 
 impl Parser {
@@ -117,9 +131,13 @@ impl Parser {
         Ok(out)
     }
 
+    /// An identifier, lowercased in place (identifiers are ASCII).
     fn ident(&mut self) -> Result<String> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(s.to_lowercase()),
+            Some(Token::Ident(mut s)) => {
+                s.make_ascii_lowercase();
+                Ok(s)
+            }
             other => Err(BlendError::SqlParse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -326,7 +344,11 @@ impl Parser {
             self.expect(&Token::LParen)?;
             let list = self.nested(|p| {
                 let mut list = Vec::new();
-                if !p.eat(&Token::RParen) {
+                if let (true, Some(&Token::Param(n))) = (p.slots, p.peek()) {
+                    p.pos += 1;
+                    p.expect(&Token::RParen)?;
+                    list.push(Expr::Param(n));
+                } else if !p.eat(&Token::RParen) {
                     loop {
                         list.push(p.expr()?);
                         if !p.eat(&Token::Comma) {
@@ -405,6 +427,10 @@ impl Parser {
                 Ok(e)
             }
             Some(Token::Ident(id)) => self.ident_tail(id),
+            Some(Token::Param(n)) => Err(BlendError::SqlParse(match self.slots {
+                true => format!("slot `${n}` must be the sole item of an IN list"),
+                false => format!("slot `${n}` in SQL text: slots are bound only in templates"),
+            })),
             other => Err(BlendError::SqlParse(format!(
                 "unexpected token in expression: {other:?}"
             ))),
@@ -413,28 +439,32 @@ impl Parser {
 
     /// Continue parsing after an identifier: literal keywords, function
     /// calls, or (qualified) column references.
-    fn ident_tail(&mut self, id: String) -> Result<Expr> {
-        let upper = id.to_uppercase();
-        match upper.as_str() {
-            "NULL" => return Ok(Expr::Null),
-            "TRUE" => return Ok(Expr::Bool(true)),
-            "FALSE" => return Ok(Expr::Bool(false)),
-            _ => {}
+    fn ident_tail(&mut self, mut id: String) -> Result<Expr> {
+        for (kw, literal) in [
+            ("NULL", Expr::Null),
+            ("TRUE", Expr::Bool(true)),
+            ("FALSE", Expr::Bool(false)),
+        ] {
+            if id.eq_ignore_ascii_case(kw) {
+                return Ok(literal);
+            }
         }
         if self.peek() == Some(&Token::LParen) {
             self.pos += 1; // consume (
-            return self.call_tail(&upper);
+            id.make_ascii_uppercase();
+            return self.call_tail(&id);
         }
+        id.make_ascii_lowercase();
         if self.eat(&Token::Dot) {
             let name = self.ident()?;
             return Ok(Expr::Column {
-                qualifier: Some(id.to_lowercase()),
+                qualifier: Some(id),
                 name,
             });
         }
         Ok(Expr::Column {
             qualifier: None,
-            name: id.to_lowercase(),
+            name: id,
         })
     }
 
@@ -488,28 +518,12 @@ fn int_literal(n: u64) -> Result<i64> {
 }
 
 fn is_clause_keyword(s: &str) -> bool {
-    matches!(
-        s.to_uppercase().as_str(),
-        "FROM"
-            | "WHERE"
-            | "GROUP"
-            | "ORDER"
-            | "LIMIT"
-            | "INNER"
-            | "JOIN"
-            | "ON"
-            | "AND"
-            | "OR"
-            | "NOT"
-            | "IN"
-            | "IS"
-            | "AS"
-            | "BY"
-            | "ASC"
-            | "DESC"
-            | "SELECT"
-            | "UNION"
-    )
+    [
+        "FROM", "WHERE", "GROUP", "ORDER", "LIMIT", "INNER", "JOIN", "ON", "AND", "OR", "NOT",
+        "IN", "IS", "AS", "BY", "ASC", "DESC", "SELECT", "UNION",
+    ]
+    .iter()
+    .any(|kw| s.eq_ignore_ascii_case(kw))
 }
 
 #[cfg(test)]

@@ -14,12 +14,22 @@
 //! 3. **Aggregate extraction** — aggregate calls in SELECT/ORDER BY are
 //!    deduplicated and computed once per group; outer expressions are
 //!    rewritten to reference them.
+//!
+//! SQL text ([`plan_query`]) and templates with `$n` list slots
+//! ([`plan_query_bound`]) share every step: an `IN` list's [`Items`] are
+//! borrowed from its literals or from the [`Param`] bound to its slot.
+//! **One resolution per scan:** a scan's `CellValue IN` lists become one
+//! list of `&str`s, sorted and deduplicated once in string order (the
+//! postings' visit order, so rows never depend on spelling), then looked
+//! up once as dictionary codes ([`ValueList`]) for the cardinality, the
+//! driving postings, the probe and the column-index grouping alike; the
+//! row store, with no dictionary, finds postings by string.
 
 use std::convert::Infallible;
 use std::sync::Arc;
 
 use blend_common::{BlendError, FxHashMap, FxHashSet, Result};
-use blend_storage::{FactTable, FilterKernel, IdSet};
+use blend_storage::{FactTable, FilterKernel, IdSet, ValuePred};
 
 use crate::ast::*;
 use crate::expr::{compile, CExpr, ColInfo, Schema};
@@ -75,8 +85,8 @@ pub struct ScanPlan {
     /// Alias used to qualify output columns.
     pub alias: String,
     pub access: AccessPath,
-    /// Driving values (for `ValueIndex`).
-    pub driving_values: Vec<String>,
+    /// Driving values (for `ValueIndex`), resolved against `table`.
+    pub driving_values: ValueList,
     /// Driving table ids (for `TableIndex`).
     pub driving_tables: Vec<u32>,
     /// The scan's cheap per-position predicates, built once by the planner
@@ -118,10 +128,8 @@ impl ScanPlan {
     pub(crate) fn segments(&self) -> Vec<Seg<'_>> {
         let table = self.table.as_ref();
         match &self.access {
-            AccessPath::ValueIndex { .. } => self
-                .driving_values
-                .iter()
-                .map(|v| Seg::Postings(table.postings(v)))
+            AccessPath::ValueIndex { .. } => (self.driving_values.postings(table).into_iter())
+                .map(Seg::Postings)
                 .collect(),
             AccessPath::TableIndex { .. } => self
                 .driving_tables
@@ -145,6 +153,95 @@ impl ScanPlan {
         match seg {
             Seg::Postings(p) => table.filter_batch(kernel, &p[start..end], sel),
             Seg::Range(lo, _) => table.filter_range(kernel, lo + start, lo + end, sel),
+        }
+    }
+}
+
+/// A scan's `CellValue IN` list, distinct and in canonical order, looked
+/// up once (module docs).
+#[derive(Debug, Clone)]
+pub enum ValueList {
+    /// The codes of the values in the dictionary (the column store).
+    Codes(Vec<u32>),
+    /// The values (the row store, which has no dictionary).
+    Strings(Vec<Box<str>>),
+}
+
+impl ValueList {
+    /// `values` (sorted, distinct) as `table` reads them.
+    fn resolve(table: &dyn FactTable, values: &[&str]) -> ValueList {
+        let code = |v: &&str| table.code_of_value(v);
+        match table.has_dictionary() {
+            true => ValueList::Codes(values.iter().filter_map(code).collect()),
+            false => ValueList::Strings(values.iter().map(|&v| Box::from(v)).collect()),
+        }
+    }
+
+    /// Each value's postings in `table`, in list order.
+    pub(crate) fn postings<'t>(&'t self, table: &'t dyn FactTable) -> Vec<&'t [u32]> {
+        match self {
+            ValueList::Codes(codes) => codes.iter().map(|&c| table.code_postings(c)).collect(),
+            ValueList::Strings(strings) => strings.iter().map(|s| table.postings(s)).collect(),
+        }
+    }
+
+    /// The engine's probe for the list ([`FactTable::make_probe`]).
+    fn into_probe(self, table: &dyn FactTable) -> ValuePred {
+        match self {
+            ValueList::Codes(codes) => ValuePred::Codes(IdSet::build(codes)),
+            ValueList::Strings(vs) => {
+                table.make_probe(&vs.iter().map(|v| &**v).collect::<Vec<_>>())
+            }
+        }
+    }
+}
+
+/// The list bound to a template's `$n` slot (`parser::parse_template`).
+#[derive(Debug, Clone, Copy)]
+pub enum Param<'a> {
+    /// Text values, as `'…'` literals spell them.
+    Text(&'a [&'a str]),
+    /// Integer ids, as integer literals spell them.
+    Ids(&'a [u32]),
+}
+
+/// An `IN` list's items, borrowed: its literals, or its slot's list.
+#[derive(Clone, Copy)]
+pub(crate) enum Items<'a> {
+    Literals(&'a [Expr]),
+    Bound(Param<'a>),
+}
+
+impl<'a> Items<'a> {
+    /// Read `list` against `params`; an unbound slot is a planning error.
+    pub(crate) fn of(list: &'a [Expr], params: &[Param<'a>]) -> Result<Self> {
+        match list {
+            [Expr::Param(n)] => (params.get(*n).map(|&p| Items::Bound(p)))
+                .ok_or_else(|| BlendError::SqlPlan(format!("slot `${n}` has no bound list"))),
+            _ => Ok(Items::Literals(list)),
+        }
+    }
+
+    /// The items as strings, if every one is a string.
+    fn texts(self) -> Option<Vec<&'a str>> {
+        match self {
+            Items::Literals(list) => (list.iter())
+                .map(|item| match item {
+                    Expr::Str(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect(),
+            Items::Bound(Param::Text(texts)) => Some(texts.to_vec()),
+            Items::Bound(Param::Ids(_)) => None,
+        }
+    }
+
+    /// The items as `u32` ids, if every one is one ([`u32_literal`]).
+    fn ids(self) -> Option<Vec<u32>> {
+        match self {
+            Items::Literals(list) => list.iter().map(u32_literal).collect(),
+            Items::Bound(Param::Ids(ids)) => Some(ids.to_vec()),
+            Items::Bound(Param::Text(_)) => None,
         }
     }
 }
@@ -244,6 +341,16 @@ pub const FACT_COLUMNS: [&str; 6] = [
 
 /// Plan a parsed query against one snapshot of a catalog.
 pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
+    plan_query_bound(q, catalog, &[])
+}
+
+/// Plan a template (`parser::parse_template`) with `params[n]` bound to its
+/// slot `$n`, as [`plan_query`] plans the query spelling them as literals.
+pub fn plan_query_bound(
+    q: &Query,
+    catalog: &dyn Catalog,
+    params: &[Param<'_>],
+) -> Result<QueryPlan> {
     let catalog = &catalog.snapshot();
     // 1. Distribute top-level WHERE conjuncts: single-input conjuncts are
     //    pushed to their input, the rest stays as a post-filter.
@@ -272,7 +379,7 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
 
     // 2. Plan inputs left-deep.
     let mut leaf = |item: &FromItem, i: usize| -> Result<Tree> {
-        let scan = plan_input(item, Expr::and_all(std::mem::take(&mut pushed[i])), catalog)?;
+        let scan = plan_input(item, std::mem::take(&mut pushed[i]), catalog, params)?;
         Ok(Tree::Leaf(Box::new(scan)))
     };
     let mut tree = leaf(&q.from, 0)?;
@@ -285,7 +392,7 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
         for c in join.on.conjuncts() {
             match as_equi_key(c, tree.schema(), right.schema()) {
                 Some(k) => keys.push(k),
-                None => residuals.push(compile(c, &schema)?),
+                None => residuals.push(compile(c, &schema, params)?),
             }
         }
         if keys.is_empty() {
@@ -307,7 +414,7 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
 
     let input_schema = tree.schema().clone();
     let post_filter = match Expr::and_all(post) {
-        Some(e) => Some(compile(&e, &input_schema)?),
+        Some(e) => Some(compile(&e, &input_schema, params)?),
         None => None,
     };
 
@@ -344,7 +451,7 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
         let group_exprs: Vec<CExpr> = q
             .group_by
             .iter()
-            .map(|g| compile(g, &input_schema))
+            .map(|g| compile(g, &input_schema, params))
             .collect::<Result<_>>()?;
         let aggs: Vec<AggPlan> = agg_asts
             .iter()
@@ -364,7 +471,7 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
                         distinct: *distinct,
                         arg: arg
                             .as_ref()
-                            .map(|e| compile(e, &input_schema))
+                            .map(|e| compile(e, &input_schema, params))
                             .transpose()?,
                     })
                 }
@@ -439,13 +546,13 @@ pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
         .collect();
     let mut projection = Vec::new();
     for (info, (_, e)) in out_infos.iter().zip(select_final.iter()) {
-        projection.push((info.clone(), compile(e, &current_schema)?));
+        projection.push((info.clone(), compile(e, &current_schema, params)?));
     }
 
     // 5. Compile ORDER BY (aliases were resolved up front).
     let mut order_by = Vec::new();
     for (e, desc) in order_final {
-        order_by.push((compile(&e, &current_schema)?, desc));
+        order_by.push((compile(&e, &current_schema, params)?, desc));
     }
 
     Ok(QueryPlan {
@@ -554,14 +661,19 @@ fn fact_schema(alias: &str) -> Schema {
 /// WHERE ahead of `extra`, and its columns qualified by the outer alias. The
 /// scan keeps `t`'s alias for its reports. Any other derived table is a
 /// planning error.
-fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> Result<ScanPlan> {
+fn plan_input(
+    f: &FromItem,
+    extra: Vec<Expr>,
+    catalog: &CatalogSnapshot,
+    params: &[Param<'_>],
+) -> Result<ScanPlan> {
     let alias = item_alias(f);
     match &f.source {
         TableSource::Named(name) => {
             let table = catalog
                 .get(&name.to_lowercase())
                 .ok_or_else(|| BlendError::SqlPlan(format!("unknown table `{name}` in catalog")))?;
-            plan_scan(table.clone(), &alias, extra)
+            plan_scan(table.clone(), &alias, &extra, params)
         }
         TableSource::Subquery(sub) => {
             let plain = sub.select == [SelectItem::Wildcard]
@@ -576,11 +688,11 @@ fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> R
                 )));
             }
             let inner_alias = item_alias(&sub.from);
-            let conjuncts = sub.where_clause.iter().chain(&extra);
-            let predicate = (conjuncts.flat_map(Expr::conjuncts))
+            let conjuncts = sub.where_clause.iter().flat_map(Expr::conjuncts);
+            let predicate = (conjuncts.chain(&extra))
                 .map(|c| strip_qualifier(c, &inner_alias))
                 .collect();
-            let mut scan = plan_input(&sub.from, Expr::and_all(predicate), catalog)?;
+            let mut scan = plan_input(&sub.from, predicate, catalog, params)?;
             scan.schema = fact_schema(&alias);
             Ok(scan)
         }
@@ -589,37 +701,38 @@ fn plan_input(f: &FromItem, extra: Option<Expr>, catalog: &CatalogSnapshot) -> R
 
 /// Plan a base-table scan: classify predicate conjuncts, choose the access
 /// path by exact cardinality, and compile what remains as residual.
-fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) -> Result<ScanPlan> {
+fn plan_scan(
+    table: Arc<dyn FactTable>,
+    alias: &str,
+    predicate: &[Expr],
+    params: &[Param<'_>],
+) -> Result<ScanPlan> {
     let schema = fact_schema(alias);
 
     let mut kernel = FilterKernel::empty();
-    let mut value_list: Option<Vec<String>> = None;
+    let mut value_list: Option<Vec<&str>> = None;
     let mut table_list: Option<Vec<u32>> = None;
     let mut table_not_list: Option<Vec<u32>> = None;
     let mut generic: Vec<Expr> = Vec::new();
 
-    if let Some(pred) = &predicate {
-        for c in pred.conjuncts() {
-            match classify_conjunct(c) {
-                Classified::ValueIn(vs) => merge_list(&mut value_list, vs),
-                Classified::TableIn(ts) => merge_list(&mut table_list, ts),
-                Classified::TableNotIn(ts) => {
-                    table_not_list.get_or_insert_with(Vec::new).extend(ts)
-                }
-                Classified::RowIdLt(n) => {
-                    let bound = kernel.rowid_lt.get_or_insert(n);
-                    *bound = (*bound).min(n);
-                }
-                Classified::QuadrantNull(want_null) => match kernel.quadrant_null {
-                    // `Quadrant IS NULL AND Quadrant IS NOT NULL` is
-                    // unsatisfiable; an impossible row-id bound makes the
-                    // scan match nothing (last-conjunct-wins would silently
-                    // drop one side and depend on predicate order).
-                    Some(prev) if prev != want_null => kernel.rowid_lt = Some(0),
-                    _ => kernel.quadrant_null = Some(want_null),
-                },
-                Classified::Other => generic.push(c.clone()),
+    for c in predicate {
+        match classify_conjunct(c, params) {
+            Classified::ValueIn(vs) => merge_list(&mut value_list, vs),
+            Classified::TableIn(ts) => merge_list(&mut table_list, ts),
+            Classified::TableNotIn(ts) => table_not_list.get_or_insert_with(Vec::new).extend(ts),
+            Classified::RowIdLt(n) => {
+                let bound = kernel.rowid_lt.get_or_insert(n);
+                *bound = (*bound).min(n);
             }
+            Classified::QuadrantNull(want_null) => match kernel.quadrant_null {
+                // `Quadrant IS NULL AND Quadrant IS NOT NULL` is
+                // unsatisfiable; an impossible row-id bound makes the
+                // scan match nothing (last-conjunct-wins would silently
+                // drop one side and depend on predicate order).
+                Some(prev) if prev != want_null => kernel.rowid_lt = Some(0),
+                _ => kernel.quadrant_null = Some(want_null),
+            },
+            Classified::Other => generic.push(c.clone()),
         }
     }
     kernel.table_not_in = table_not_list.map(IdSet::build);
@@ -641,9 +754,9 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
 
     // Exact cardinalities from the engine's catalog.
     let n_rows = table.len();
-    let value_card = value_list
-        .as_ref()
-        .map(|vs| vs.iter().map(|v| table.posting_len(v)).sum::<usize>());
+    let values = value_list.map(|vs| (vs.len(), ValueList::resolve(&*table, &vs)));
+    let value_card =
+        (values.as_ref()).map(|(_, list)| list.postings(&*table).iter().map(|p| p.len()).sum());
     let table_card = table_list.as_ref().map(|ts| {
         ts.iter()
             .map(|t| table.table_postings(*t).len())
@@ -653,7 +766,7 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
     // The cheaper index drives; values win a tie.
     let access = match (value_card, table_card) {
         (Some(vc), tc) if tc.is_none_or(|tc| vc <= tc) => AccessPath::ValueIndex {
-            n_values: value_list.as_ref().map_or(0, Vec::len),
+            n_values: values.as_ref().map_or(0, |(n, _)| *n),
             estimated: vc,
         },
         (_, Some(tc)) => AccessPath::TableIndex {
@@ -664,29 +777,26 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
     };
 
     // Whichever candidate is not driving becomes a kernel predicate.
-    let mut driving_values = Vec::new();
+    let mut driving_values = ValueList::Codes(Vec::new());
     let mut driving_tables = Vec::new();
-    let value_pred = |vs: Vec<String>| {
-        let refs: Vec<&str> = vs.iter().map(String::as_str).collect();
-        table.make_probe(&refs)
-    };
+    let values = values.map(|(_, list)| list);
     match &access {
         AccessPath::ValueIndex { .. } => {
-            driving_values = value_list.unwrap_or_default();
+            driving_values = values.unwrap_or(driving_values);
             kernel.table_in = table_list.map(IdSet::build);
         }
         AccessPath::TableIndex { .. } => {
             driving_tables = table_list.unwrap_or_default();
-            kernel.value = value_list.map(value_pred);
+            kernel.value = values.map(|list| list.into_probe(&*table));
         }
         AccessPath::SeqScan { .. } => {
-            kernel.value = value_list.map(value_pred);
+            kernel.value = values.map(|list| list.into_probe(&*table));
             kernel.table_in = table_list.map(IdSet::build);
         }
     }
 
     let residual = match Expr::and_all(generic) {
-        Some(e) => Some(compile(&e, &schema)?),
+        Some(e) => Some(compile(&e, &schema, params)?),
         None => None,
     };
 
@@ -702,8 +812,8 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: Option<Expr>) ->
     })
 }
 
-enum Classified {
-    ValueIn(Vec<String>),
+enum Classified<'a> {
+    ValueIn(Vec<&'a str>),
     TableIn(Vec<u32>),
     TableNotIn(Vec<u32>),
     RowIdLt(u32),
@@ -711,40 +821,27 @@ enum Classified {
     Other,
 }
 
-fn classify_conjunct(e: &Expr) -> Classified {
+/// What a scan conjunct is, its lists borrowed from the literals or the
+/// bound slot. A slot with no bound list stays a residual, whose compile
+/// reports it.
+fn classify_conjunct<'a>(e: &'a Expr, params: &[Param<'a>]) -> Classified<'a> {
     match e {
         Expr::InList {
             expr,
             list,
             negated,
-        } => match unqualified_fact_col(expr) {
-            Some("cellvalue") if !negated => {
-                let mut vs = Vec::with_capacity(list.len());
-                // Only string literals: a number never equals a text cell
-                // (`CellValue IN (1)` matches nothing), so a list holding
-                // one stays a residual.
-                for item in list {
-                    match item {
-                        Expr::Str(s) => vs.push(s.clone()),
-                        _ => return Classified::Other,
-                    }
-                }
-                Classified::ValueIn(vs)
+        } => match (unqualified_fact_col(expr), Items::of(list, params)) {
+            // Only strings: a number never equals a text cell (`CellValue
+            // IN (1)` matches nothing), so a list holding one stays a
+            // residual.
+            (Some("cellvalue"), Ok(items)) if !negated => {
+                items.texts().map_or(Classified::Other, Classified::ValueIn)
             }
-            Some("tableid") => {
-                let mut ts = Vec::with_capacity(list.len());
-                for item in list {
-                    match u32_literal(item) {
-                        Some(t) => ts.push(t),
-                        None => return Classified::Other,
-                    }
-                }
-                if *negated {
-                    Classified::TableNotIn(ts)
-                } else {
-                    Classified::TableIn(ts)
-                }
-            }
+            (Some("tableid"), Ok(items)) => match (items.ids(), negated) {
+                (Some(ts), true) => Classified::TableNotIn(ts),
+                (Some(ts), false) => Classified::TableIn(ts),
+                (None, _) => Classified::Other,
+            },
             _ => Classified::Other,
         },
         Expr::Binary {
@@ -753,7 +850,7 @@ fn classify_conjunct(e: &Expr) -> Classified {
             right,
         } => match (unqualified_fact_col(left), u32_literal(right)) {
             (Some("cellvalue"), _) => match right.as_ref() {
-                Expr::Str(s) => Classified::ValueIn(vec![s.clone()]),
+                Expr::Str(s) => Classified::ValueIn(vec![s.as_str()]),
                 _ => Classified::Other,
             },
             (Some("tableid"), Some(t)) => Classified::TableIn(vec![t]),
@@ -887,10 +984,9 @@ fn scan_table_ids(scan: &ScanPlan) -> Vec<u32> {
     let mut ids: FxHashSet<u32> = FxHashSet::default();
     match &scan.access {
         AccessPath::ValueIndex { .. } => {
-            for v in &scan.driving_values {
-                for &pos in scan.table.postings(v) {
-                    ids.insert(scan.table.table_at(pos as usize));
-                }
+            let table = scan.table.as_ref();
+            for postings in scan.driving_values.postings(table) {
+                ids.extend(postings.iter().map(|&pos| table.table_at(pos as usize)));
             }
         }
         AccessPath::TableIndex { .. } => {

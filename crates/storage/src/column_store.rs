@@ -368,9 +368,18 @@ impl FactTable for ColumnStore {
     }
 
     fn postings(&self, value: &str) -> &[u32] {
-        match self.code_of_value(value) {
-            Some(code) => self.postings.part(code as usize),
-            None => &[],
+        self.code_of_value(value)
+            .map_or(&[], |code| self.code_postings(code))
+    }
+
+    fn has_dictionary(&self) -> bool {
+        true
+    }
+
+    fn code_postings(&self, code: u32) -> &[u32] {
+        match (code as usize) < self.dict.len() {
+            true => self.postings.part(code as usize),
+            false => &[],
         }
     }
 

@@ -123,6 +123,24 @@ pub trait FactTable: Send + Sync {
         self.postings(value).len()
     }
 
+    /// Whether `CellValue` is dictionary-encoded: [`code_of_value`] finds
+    /// every value the table holds, and [`code_postings`] reads a code's
+    /// postings without a second lookup.
+    ///
+    /// [`code_of_value`]: FactTable::code_of_value
+    /// [`code_postings`]: FactTable::code_postings
+    fn has_dictionary(&self) -> bool {
+        false
+    }
+
+    /// The postings of the value whose dictionary code is `code`: what
+    /// [`postings`](FactTable::postings) returns for it, with no string
+    /// lookup. Empty for an unknown code and on engines without a
+    /// dictionary.
+    fn code_postings(&self, _code: u32) -> &[u32] {
+        &[]
+    }
+
     /// In-DB table index: the contiguous position range of a table,
     /// returned as positions for uniformity.
     fn table_postings(&self, table: u32) -> std::ops::Range<usize>;

@@ -418,9 +418,10 @@ fn integer_sum_is_exact_above_2_pow_53() {
 /// Nesting past `parser::MAX_DEPTH` is a typed parse error wherever SQL
 /// enters — `execute`, the reference, fingerprinting and the serving queue
 /// — instead of a stack overflow that aborts the process, and queries at
-/// the bound (an `AND` chain, nested `NOT`s, nested parentheses) return
-/// the reference's rows. All of it on a spawned thread with the default
-/// 2 MiB stack, the stack of serving threads and pool workers.
+/// the bound (an `AND` chain, nested `NOT`s, parentheses, `ABS` calls and
+/// `::int` casts) return the reference's rows. All of it on a spawned
+/// thread with the default 2 MiB stack, the stack of serving threads and
+/// pool workers.
 #[test]
 fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
     use blend_parallel::Deadline;
@@ -440,7 +441,19 @@ fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
                 close.repeat(n)
             )
         };
-        for sql in [nested("(", ")", 2000), chain(MAX_DEPTH + 1)] {
+        let wrapped = |open: &str, close: &str, n: usize| {
+            format!(
+                "{select}{}RowId{} < 3 AND TableId = 0",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        for sql in [
+            nested("(", ")", 2000),
+            chain(MAX_DEPTH + 1),
+            wrapped("ABS(", ")", MAX_DEPTH + 1),
+            wrapped("", "::int", MAX_DEPTH + 1),
+        ] {
             let parse_error = |r: blend_sql::Result<()>| matches!(r, Err(BlendError::SqlParse(_)));
             assert!(parse_error(e.execute(&sql).map(drop)));
             assert!(parse_error(e.execute_reference(&sql).map(drop)));
@@ -452,6 +465,8 @@ fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
             // Pairs of NOTs keep the predicate; `MAX_DEPTH` is even.
             nested("NOT NOT ", "", MAX_DEPTH / 2),
             nested("(", ")", MAX_DEPTH),
+            wrapped("ABS(", ")", MAX_DEPTH),
+            wrapped("", "::int", MAX_DEPTH),
         ] {
             let (want, _) = e.execute_reference(&sql).unwrap();
             assert_eq!(want.len(), 6, "{sql}");
@@ -467,4 +482,63 @@ fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
         }
     });
     run.join().expect("the nesting checks pass");
+}
+
+/// `$n` list slots bind only through the seekers' entry,
+/// `SqlEngine::execute_bound_columns_interruptible`. In SQL text — a slot
+/// in an `IN` list or as a select item, a slot past `usize`, a bare `$` —
+/// each is a typed error wherever text enters: `execute`, the reference,
+/// fingerprinting and the serving queue; none panics and none leaves a
+/// cache entry. Through the bound entry a slot with no list is a `SqlPlan`
+/// error, one anywhere but alone in an `IN` list a `SqlParse` error, and a
+/// bound query returns what its literal spelling returns.
+#[test]
+fn hostile_slots_are_typed_errors_through_every_entry() {
+    use blend_parallel::{Deadline, Interrupt};
+    use blend_serve::{ServeConfig, ServeQueue};
+    use blend_sql::{fingerprint_sql, Param};
+
+    let e = Arc::new(engine());
+    let queue = ServeQueue::new(e.clone(), ServeConfig::default());
+    let typed = |r: blend_sql::Result<()>| {
+        matches!(r, Err(BlendError::SqlParse(_) | BlendError::SqlPlan(_)))
+    };
+    for sql in [
+        "SELECT TableId FROM AllTables WHERE CellValue IN ($0)",
+        "SELECT $0 FROM AllTables",
+        "SELECT TableId FROM AllTables WHERE TableId IN ($99999999999999999999)",
+        "SELECT TableId FROM AllTables WHERE CellValue IN ($)",
+        "SELECT $ FROM AllTables",
+    ] {
+        assert!(typed(e.execute(sql).map(drop)), "{sql}");
+        assert!(typed(e.execute_reference(sql).map(drop)), "{sql}");
+        assert!(typed(fingerprint_sql(sql).map(drop)), "{sql}");
+        let served = queue.submit(sql, Deadline::none()).and_then(|t| t.wait());
+        assert!(typed(served.map(drop)), "{sql}");
+    }
+    assert_eq!(queue.cached_results(), 0);
+
+    let bound = |sql: &str, params: &[Param]| {
+        e.execute_bound_columns_interruptible(sql, params, Interrupt::never())
+    };
+    let (alpha, ids) = (["alpha", "delta", "omega"], [1, 2]);
+    let sql = "SELECT TableId, RowId FROM AllTables WHERE CellValue IN ($0) AND TableId IN ($1)";
+    let unbound = bound(sql, &[Param::Text(&alpha)]).map(drop);
+    assert!(
+        matches!(unbound, Err(BlendError::SqlPlan(_))),
+        "{unbound:?}"
+    );
+    let (cols, _) = bound(sql, &[Param::Text(&alpha), Param::Ids(&ids)]).unwrap();
+    let text = "SELECT TableId, RowId FROM AllTables \
+                WHERE CellValue IN ('alpha','delta','omega') AND TableId IN (1,2)";
+    assert_eq!(cols.to_result_set(), e.execute(text).unwrap());
+    assert_eq!(cols.len(), 3);
+    for sql in [
+        "SELECT $0 FROM AllTables",
+        "SELECT TableId FROM AllTables WHERE CellValue IN ($0, 'alpha')",
+        "SELECT TableId FROM AllTables WHERE CellValue IN ($)",
+    ] {
+        let r = bound(sql, &[Param::Text(&alpha)]).map(drop);
+        assert!(matches!(r, Err(BlendError::SqlParse(_))), "{sql}: {r:?}");
+    }
 }
