@@ -39,6 +39,7 @@
 
 pub mod combiners;
 pub mod exec;
+mod mc;
 pub mod optimizer;
 pub mod plan;
 pub mod seekers;

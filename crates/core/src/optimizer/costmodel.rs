@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use blend_common::stats::ols;
 use blend_common::text;
 use blend_lake::DataLake;
+use blend_storage::FactTable;
 
 use crate::plan::Seeker;
 use crate::seekers;
@@ -86,36 +87,25 @@ impl CostModelSet {
 /// Compute features against the installed index (exact frequencies from
 /// the engine's catalog — postings lengths).
 pub fn features(blend: &Blend, seeker: &Seeker) -> SeekerFeatures {
-    let fact = blend.fact_table();
-    let freq_of = |values: &[String]| -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        let total: usize = values
-            .iter()
-            .map(|v| fact.posting_len(&text::normalize(v)))
-            .sum();
-        total as f64 / values.len() as f64
-    };
+    let fact = &*blend.fact_table();
     match seeker {
         Seeker::Sc { values } => SeekerFeatures {
             cardinality: values.len() as f64,
             n_cols: 1.0,
-            avg_freq: freq_of(values),
+            avg_freq: freq_of(fact, values.iter()),
         },
         Seeker::Kw { keywords } => SeekerFeatures {
             cardinality: keywords.len() as f64,
             n_cols: 1.0,
-            avg_freq: freq_of(keywords),
+            avg_freq: freq_of(fact, keywords.iter()),
         },
         Seeker::Mc { rows } => {
             let arity = rows.first().map_or(0, Vec::len);
             let mut freq_product = 1.0f64;
             for c in 0..arity {
-                let col: Vec<String> = rows.iter().map(|r| r[c].clone()).collect();
                 // The SQL joins per-column index hits, so frequencies
                 // multiply (paper §VII-B).
-                freq_product *= freq_of(&col).max(1e-3);
+                freq_product *= freq_of(fact, rows.iter().map(|r| &r[c])).max(1e-3);
             }
             SeekerFeatures {
                 cardinality: (rows.len() * arity) as f64,
@@ -126,9 +116,22 @@ pub fn features(blend: &Blend, seeker: &Seeker) -> SeekerFeatures {
         Seeker::C { keys, .. } => SeekerFeatures {
             cardinality: keys.len() as f64,
             n_cols: 2.0,
-            avg_freq: freq_of(keys),
+            avg_freq: freq_of(fact, keys.iter()),
         },
     }
+}
+
+/// Mean postings length of `values`, each normalized in place (copied only
+/// where normalizing changes it).
+fn freq_of<'v>(fact: &dyn FactTable, values: impl ExactSizeIterator<Item = &'v String>) -> f64 {
+    let n = values.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let total: usize = values
+        .map(|v| fact.posting_len(&text::normalize_cow(v)))
+        .sum();
+    total as f64 / n as f64
 }
 
 /// Estimated relative runtime of a seeker: trained model when available,

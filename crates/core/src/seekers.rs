@@ -1,28 +1,42 @@
 //! Seeker implementations (paper Section VI): SQL generation over
-//! `AllTables` plus the application-level phases of MC and C.
+//! `AllTables`, the application phases of SC, KW and C, and the MC
+//! seeker's operator.
 //!
 //! **The bound path.** [`run`] normalizes each value list once and
-//! deduplicates it on the normalized `&str`s, then executes its listing
-//! with a `$n` slot per list and `AND TableId [NOT] IN ($n)` for the
-//! injected ids, the lists bound
+//! deduplicates it on the normalized `&str`s. SC, KW and C then execute
+//! their listing with a `$n` slot per list and `AND TableId [NOT] IN ($n)`
+//! for the injected ids, the lists bound
 //! (`SqlEngine::execute_bound_columns_interruptible`): no value is quoted,
 //! lexed or parsed. The same lists quoted into the same listing are
 //! [`SeekerRun::sql`], the text of [`seeker_sql`], which the served
-//! workloads, Table III and `tests/bound_parity.rs` read.
+//! workloads, Table III and `tests/bound_parity.rs` read. SC, KW and C
+//! read their SQL result as flat columns; no `SqlValue` row is built.
 //!
-//! Every seeker reads its SQL result as flat columns; no `SqlValue` row is
-//! built for any of them. The MC application phase runs in *code space*: table,
-//! row and column ids are `u32` slices, super keys a `u128` slice, and each
-//! `v{c}` cell value is its id in the column's dictionary, so the super-key
-//! filter is one mask test per query row and exact validation is id-tuple
-//! equality — no string is hashed, compared or allocated per joined row.
+//! **The MC operator.** MC executes no SQL. Listing 2 joins each query
+//! column's index hits on (`TableId`, `RowId`), and its application phase
+//! then keeps the joined rows whose columns are distinct and whose values
+//! form a query row. Neither step needs anything a relational plan adds:
+//! the cells are the postings of the lists' values, and two cells share a
+//! row exactly when they share (`TableId`, `RowId`). So one operator over the
+//! `FactTable` snapshot (`crate::mc`) reads the postings, numbers the lake
+//! rows from the rarest column in MATE's order (the paper's Table V
+//! baseline, `blend_baselines::mate`), validates each row's combinations
+//! of cells — (position, list index) pairs, where distinct positions of a
+//! row are distinct columns — against per-value bitsets of query rows, and
+//! reads each pair row's super key once. Nothing is projected, and no
+//! value string is compared per cell. Its hits and [`McStats`] are those
+//! of Listing 2's SQL ([`SeekerRun::sql`], still rendered) followed by the
+//! paper's two filter steps; `tests/mc_operator_parity.rs` holds it to
+//! that SQL through the reference interpreter. An injection cuts every
+//! query column's postings to the allowed tables, not only `q0`'s as the
+//! SQL text does: a joined row lies in one table, so no result changes.
 
 use std::borrow::Cow;
 
-use blend_common::{stats::mean, text, FxHashMap, FxHashSet, Result, TableId};
-use blend_index::xash_value;
+use blend_common::{stats::mean, text, BlendError, FxHashMap, FxHashSet, Result, TableId};
+use blend_obs::SpanGuard;
 use blend_parallel::Interrupt;
-use blend_sql::{Param, ResultColumn, ResultColumns, TextColumn};
+use blend_sql::{Param, ResultColumns};
 
 use crate::combiners::TableHit;
 use crate::plan::Seeker;
@@ -258,12 +272,24 @@ pub fn run(
     let bind = blend_obs::span("bind");
     let norm = normalized_lists(seeker);
     let lists: Vec<Vec<&str>> = norm.iter().map(|l| distinct(l)).collect();
-    let slots: Vec<String> = (0..lists.len()).map(|i| format!("${i}")).collect();
-    let tid = injected.map(|inj| inj.slot_fragment(lists.len()));
-    let template = render(seeker, k, h, &slots, tid.as_deref().unwrap_or_default());
     let literals: Vec<String> = lists.iter().map(|l| join_values(l)).collect();
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
     let sql = render(seeker, k, h, &literals, &fragment);
+    if let Seeker::Mc { .. } = seeker {
+        drop(bind);
+        let governor = blend.engine().parallel_ctx().governor();
+        let fact = blend.fact_table();
+        let (hits, stats) =
+            crate::mc::run(&*fact, &norm, &lists, injected, k, interrupt, governor)?;
+        return Ok(SeekerRun {
+            sql,
+            hits,
+            mc_stats: Some(stats),
+        });
+    }
+    let slots: Vec<String> = (0..lists.len()).map(|i| format!("${i}")).collect();
+    let tid = injected.map(|inj| inj.slot_fragment(lists.len()));
+    let template = render(seeker, k, h, &slots, tid.as_deref().unwrap_or_default());
     let mut params: Vec<Param> = lists.iter().map(|l| Param::Text(l)).collect();
     params.extend(injected.map(|(Injected::In(ids) | Injected::NotIn(ids))| Param::Ids(ids)));
     drop(bind);
@@ -273,48 +299,43 @@ pub fn run(
         &params,
         interrupt.clone(),
     )?;
-    let (hits, mc_stats) = apply(blend, seeker, k, &cols);
     Ok(SeekerRun {
         sql,
-        hits,
-        mc_stats,
+        hits: apply(blend, seeker, k, &cols)?,
+        mc_stats: None,
     })
 }
 
-/// The application phase over `seeker`'s SQL result `cols`: the ranked
-/// hits, and MC's filter statistics.
+/// The application phase of an SC, KW or C seeker over its SQL result
+/// `cols`: the ranked hits. MC has none; its operator reads the index
+/// (module docs), so an MC seeker is an `InvalidInput` error here.
 pub fn apply(
     blend: &Blend,
     seeker: &Seeker,
     k: usize,
     cols: &ResultColumns,
-) -> (Vec<TableHit>, Option<McStats>) {
+) -> Result<Vec<TableHit>> {
     match seeker {
-        Seeker::Sc { .. } | Seeker::Kw { .. } => (dedup_table_scores(cols, k), None),
-        Seeker::Mc { rows } => {
-            let (hits, stats) = postprocess(cols, || mc_postprocess(cols, rows, k));
-            (hits, Some(stats))
-        }
+        Seeker::Sc { .. } | Seeker::Kw { .. } => Ok(dedup_table_scores(cols, k)),
+        Seeker::Mc { .. } => Err(BlendError::InvalidInput(
+            "MC has no SQL application phase: `seekers::run` runs its operator".into(),
+        )),
         Seeker::C { .. } => {
+            let span = blend_obs::span("postprocess");
+            span.attr_u64("rows_in", cols.len() as u64);
             let min_matches = blend.options().corr_min_matches;
-            let phase = || c_postprocess(cols, k, min_matches);
-            (postprocess(cols, phase).0, None)
+            let (hits, stats) = c_postprocess(cols, k, min_matches);
+            note_filter(&span, stats);
+            Ok(hits)
         }
     }
 }
 
-/// Run an application phase under its `postprocess` span: the SQL rows it
-/// read, the candidates its filter kept, and those that validated.
-fn postprocess(
-    cols: &ResultColumns,
-    phase: impl FnOnce() -> (Vec<TableHit>, McStats),
-) -> (Vec<TableHit>, McStats) {
-    let span = blend_obs::span("postprocess");
-    span.attr_u64("rows_in", cols.len() as u64);
-    let (hits, stats) = phase();
+/// Record what an application phase's filter kept on its `postprocess`
+/// span: the candidates, and those that validated.
+pub(crate) fn note_filter(span: &SpanGuard, stats: McStats) {
     span.attr_u64("candidates", stats.candidates as u64);
     span.attr_u64("validated", stats.validated as u64);
-    (hits, stats)
 }
 
 /// Keep the best score per table, preserving descending order; cut to `k`.
@@ -339,115 +360,6 @@ fn dedup_table_scores(cols: &ResultColumns, k: usize) -> Vec<TableHit> {
         }
     }
     out
-}
-
-/// MC application phase, per the paper's two steps: (1) the super key of
-/// each candidate row prunes rows that cannot hold any full query row
-/// (bloom subset test, no value comparisons); (2) exact match validation
-/// checks that a matched value combination is an actual query row
-/// (alignment). TP/FP are counted per candidate row (Table V).
-///
-/// Both steps run on integers. A query row becomes one xash mask (the OR
-/// of its values' hashes: a super key may hold the row iff it has every
-/// bit) and the tuple of its values' ids in the `v{c}` columns'
-/// dictionaries; one pass over the result's flat columns then tests ids
-/// only. A malformed result (a missing label, a column of another type or
-/// length) yields no hits rather than a panic.
-fn mc_postprocess(
-    cols: &ResultColumns,
-    rows: &[Vec<String>],
-    k: usize,
-) -> (Vec<TableHit>, McStats) {
-    let arity = rows.first().map_or(0, Vec::len);
-    let n = cols.len();
-    let ids = |label: &str| {
-        let col = cols.col(label).and_then(ResultColumn::as_u32s);
-        col.filter(|c| c.len() == n)
-    };
-    let texts = |c: usize| -> Option<&TextColumn> {
-        let col = cols.col(&format!("v{c}")).and_then(ResultColumn::as_text);
-        col.filter(|t| t.ids().len() == n)
-    };
-    let sk = cols.col("sk").and_then(ResultColumn::as_u128s);
-    let sk = sk.filter(|s| s.len() == n);
-    let ccols: Option<Vec<_>> = (0..arity).map(|c| ids(&format!("c{c}"))).collect();
-    let vcols: Option<Vec<&TextColumn>> = (0..arity).map(texts).collect();
-    let (Some(tid), Some(rid), Some(sk), Some(ccols), Some(vcols)) =
-        (ids("tid"), ids("rid"), sk, ccols, vcols)
-    else {
-        return (Vec::new(), McStats::default());
-    };
-
-    // Per query row: its mask, and its id tuple unless some value is in no
-    // row of its column — such a row can never validate.
-    let mut masks: Vec<u128> = Vec::with_capacity(rows.len());
-    let mut query_ids: FxHashSet<Vec<u32>> = FxHashSet::default();
-    for row in rows.iter().filter(|r| r.len() == arity) {
-        let norm: Vec<String> = row.iter().map(|v| text::normalize(v)).collect();
-        masks.push(norm.iter().fold(0, |m, v| m | xash_value(v)));
-        let tuple: Option<Vec<u32>> = norm
-            .iter()
-            .zip(&vcols)
-            .map(|(v, col)| col.id_of(v))
-            .collect();
-        query_ids.extend(tuple);
-    }
-
-    // One pass over the joined rows, keyed by (TableId, RowId): the candidate
-    // row's first joined row (its super key is read there), and whether any
-    // of its matched value combinations is a query row. The key stays a
-    // pair: `FxHasher` has no final mix, so one packed `u64` would pick its
-    // bucket from the low bits of `RowId` alone (measured 3x slower here).
-    let mut candidates: FxHashMap<(u32, u32), (u32, bool)> = FxHashMap::default();
-    let ccols: Vec<&[u32]> = ccols.iter().map(|c| &**c).collect();
-    let vids: Vec<&[u32]> = vcols.iter().map(|v| v.ids()).collect();
-    let mut combo = vec![0u32; arity];
-    'rows: for i in 0..n {
-        // Alignment needs the values to come from distinct columns.
-        for (a, ca) in ccols.iter().enumerate() {
-            if ccols[..a].iter().any(|cb| cb[i] == ca[i]) {
-                continue 'rows;
-            }
-        }
-        let key = (tid[i], rid[i]);
-        let (_, valid) = candidates.entry(key).or_insert((i as u32, false));
-        if !*valid {
-            combo.iter_mut().zip(&vids).for_each(|(id, v)| *id = v[i]);
-            *valid = query_ids.contains(combo.as_slice());
-        }
-    }
-
-    let mut stats = McStats::default();
-    let mut joinable: FxHashMap<u32, usize> = FxHashMap::default();
-    for ((table, _), (first, valid)) in candidates {
-        // Super-key bloom filter: some full query row may be present.
-        let superkey = sk[first as usize];
-        if !masks.iter().any(|m| superkey & m == *m) {
-            continue;
-        }
-        stats.candidates += 1;
-        // Exact match validation on the aligned combinations.
-        if valid {
-            stats.validated += 1;
-            *joinable.entry(table).or_default() += 1;
-        }
-    }
-
-    let mut topk = blend_common::topk::TopK::new(k);
-    for (t, rows) in joinable {
-        topk.push(
-            rows as f64,
-            t as u64,
-            TableHit {
-                table: TableId(t),
-                score: rows as f64,
-            },
-        );
-    }
-    (
-        topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
-        stats,
-    )
 }
 
 /// C application phase: drop under-supported triplets, keep the best
@@ -497,10 +409,8 @@ fn c_postprocess(cols: &ResultColumns, k: usize, min_matches: usize) -> (Vec<Tab
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blend_index::Xash;
     use blend_lake::web::{generate, WebLakeConfig};
     use blend_lake::DataLake;
-    use blend_sql::{ResultSet, SqlValue};
     use blend_storage::EngineKind;
 
     #[test]
@@ -534,93 +444,6 @@ mod tests {
         assert_eq!(Injected::In(vec![]).fragment(), "AND 1 = 0");
     }
 
-    /// The row-based MC application phase this module had before the
-    /// columnar one, kept as its oracle: per joined row a column set, a
-    /// `Vec<String>` of values and a hash-map entry; per candidate a
-    /// re-hash of every query value.
-    fn mc_postprocess_rows(
-        rs: &ResultSet,
-        rows: &[Vec<String>],
-        k: usize,
-    ) -> (Vec<TableHit>, McStats) {
-        let arity = rows.first().map_or(0, Vec::len);
-        let query_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| r.iter().map(|v| text::normalize(v)).collect())
-            .collect();
-        let query_row_set: FxHashSet<&[String]> = query_rows.iter().map(Vec::as_slice).collect();
-        let (Some(tid), Some(rid), Some(sk)) = (rs.col("tid"), rs.col("rid"), rs.col("sk")) else {
-            return (Vec::new(), McStats::default());
-        };
-        let vcols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("v{c}"))).collect();
-        let ccols: Option<Vec<usize>> = (0..arity).map(|c| rs.col(&format!("c{c}"))).collect();
-        let (Some(vcols), Some(ccols)) = (vcols, ccols) else {
-            return (Vec::new(), McStats::default());
-        };
-        struct Candidate {
-            superkey: u128,
-            combos: Vec<Vec<String>>,
-        }
-        let mut candidates: FxHashMap<(u32, u32), Candidate> = FxHashMap::default();
-        'tuples: for row in &rs.rows {
-            let (Some(t), Some(r)) = (row[tid].as_i64(), row[rid].as_i64()) else {
-                continue;
-            };
-            let mut cset = FxHashSet::default();
-            for &c in &ccols {
-                let Some(cid) = row[c].as_i64() else {
-                    continue 'tuples;
-                };
-                if !cset.insert(cid) {
-                    continue 'tuples;
-                }
-            }
-            let values: Vec<String> = vcols.iter().map(|&c| row[c].to_string()).collect();
-            let SqlValue::U128(superkey) = row[sk] else {
-                continue;
-            };
-            candidates
-                .entry((t as u32, r as u32))
-                .or_insert_with(|| Candidate {
-                    superkey,
-                    combos: Vec::new(),
-                })
-                .combos
-                .push(values);
-        }
-        let mut stats = McStats::default();
-        let mut joinable: FxHashMap<u32, FxHashSet<u32>> = FxHashMap::default();
-        for ((t, r), cand) in candidates {
-            let passes = query_rows
-                .iter()
-                .any(|qr| Xash::may_contain_all(cand.superkey, qr.iter().map(String::as_str)));
-            if !passes {
-                continue;
-            }
-            stats.candidates += 1;
-            if cand
-                .combos
-                .iter()
-                .any(|combo| query_row_set.contains(combo.as_slice()))
-            {
-                stats.validated += 1;
-                joinable.entry(t).or_default().insert(r);
-            }
-        }
-        let mut topk = blend_common::topk::TopK::new(k);
-        for (t, rows) in joinable {
-            let hit = TableHit {
-                table: TableId(t),
-                score: rows.len() as f64,
-            };
-            topk.push(hit.score, t as u64, hit);
-        }
-        (
-            topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
-            stats,
-        )
-    }
-
     /// Lakes with a small vocabulary, so values repeat across the columns
     /// of a row and across tables.
     fn repetitive_lake(seed: u64) -> DataLake {
@@ -635,116 +458,6 @@ mod tests {
             null_ratio: 0.05,
             seed,
         })
-    }
-
-    /// Query rows of `arity` read off the lake's own rows (planted
-    /// overlaps), one row that repeats a value (only the distinct-column
-    /// check keeps a cell from matching itself) and one no table holds.
-    fn planted_rows(lake: &DataLake, arity: usize, seed: u64) -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for t in lake.tables.iter().skip(seed as usize % 3).step_by(3) {
-            let cells: Vec<String> = t
-                .row(seed as usize % t.n_rows().max(1))
-                .filter_map(|v| v.normalized().map(|n| n.into_owned()))
-                .collect();
-            if cells.len() >= arity {
-                rows.push(cells[..arity].to_vec());
-            }
-        }
-        if let Some(first) = rows.first().cloned() {
-            rows.push(vec![first[0].clone(); arity]);
-        }
-        rows.push((0..arity).map(|c| format!("absent-{c}")).collect());
-        rows
-    }
-
-    #[test]
-    fn columnar_mc_phase_matches_the_row_oracle_on_every_path() {
-        for seed in 0..6u64 {
-            let lake = repetitive_lake(seed);
-            for kind in [EngineKind::Row, EngineKind::Column] {
-                let blend = Blend::from_lake(&lake, kind);
-                for arity in [2usize, 3] {
-                    let rows = planted_rows(&lake, arity, seed);
-                    let seeker = Seeker::mc(rows.clone());
-                    let sql = seeker_sql(&seeker, 10, 64).replace(TID_PLACEHOLDER, "");
-                    let (cols, _) = blend
-                        .engine()
-                        .execute_columns_interruptible(&sql, Interrupt::never())
-                        .unwrap();
-                    let got = mc_postprocess(&cols, &rows, 10);
-                    let want = mc_postprocess_rows(&cols.to_result_set(), &rows, 10);
-                    assert_eq!(got, want, "seed {seed} {kind:?} arity {arity}");
-                    let (reference, _) = blend.engine().execute_reference(&sql).unwrap();
-                    let want = mc_postprocess_rows(&reference, &rows, 10);
-                    assert_eq!(got, want, "seed {seed} {kind:?} arity {arity}: reference");
-                    assert!(
-                        arity > 2 || got.1.validated > 0,
-                        "seed {seed}: planted rows must validate"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mc_postprocess_tolerates_malformed_results() {
-        let rows = vec![vec!["a".to_string(), "b".to_string()]];
-        let ids = || ResultColumn::Key(vec![1]);
-        // A one-row text column, as the engine hands one out.
-        let text = |s: &str| {
-            let fact = vec![blend_storage::FactRow::new(s, 0, 0, 0, 0, None)];
-            let engine = blend_sql::SqlEngine::with_alltables(blend_storage::build_engine(
-                EngineKind::Row,
-                fact,
-            ));
-            let sql = "SELECT CellValue FROM AllTables";
-            let (mut cols, _) = engine
-                .execute_columns_interruptible(sql, Interrupt::never())
-                .unwrap();
-            cols.columns.remove(0)
-        };
-        let labels = ["tid", "rid", "sk", "v0", "c0", "v1", "c1"];
-        let well_formed = || {
-            vec![
-                ids(),
-                ids(),
-                ResultColumn::U128(vec![u128::MAX]),
-                text("a"),
-                ResultColumn::Key(vec![0]),
-                text("b"),
-                ids(),
-            ]
-        };
-        let run = |labels: &[&str], columns: Vec<ResultColumn>| {
-            let cols = ResultColumns {
-                labels: labels.iter().map(|l| l.to_string()).collect(),
-                columns,
-            };
-            mc_postprocess(&cols, &rows, 10)
-        };
-        let (hits, stats) = run(&labels, well_formed());
-        assert_eq!((hits.len(), stats.validated), (1, 1));
-
-        let empty = (Vec::new(), McStats::default());
-        // Missing the v/c projections, then missing the id columns.
-        assert_eq!(run(&labels[..3], well_formed()[..3].to_vec()), empty);
-        assert_eq!(run(&labels[3..], well_formed()[3..].to_vec()), empty);
-        // A column of the wrong type under each label in turn.
-        for i in 0..labels.len() {
-            let mut columns = well_formed();
-            columns[i] = ResultColumn::Val(vec![SqlValue::Null]);
-            assert_eq!(
-                run(&labels, columns),
-                empty,
-                "wrong type under {}",
-                labels[i]
-            );
-        }
-        // A column of the wrong length.
-        let mut columns = well_formed();
-        columns[4] = ResultColumn::Key(vec![]);
-        assert_eq!(run(&labels, columns), empty);
     }
 
     #[test]

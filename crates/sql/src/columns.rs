@@ -124,15 +124,6 @@ impl TextColumn {
             TextDict::Dense(strs) => strs.keys().get(id as usize).map_or("", |s| s),
         }
     }
-
-    /// The id `s` has in this column's dictionary, one hash lookup on
-    /// either kind. `None` means no row of the column holds `s`.
-    pub fn id_of(&self, s: &str) -> Option<u32> {
-        match &self.dict {
-            TextDict::Store(table) => table.code_of_value(s),
-            TextDict::Dense(strs) => strs.get(s),
-        }
-    }
 }
 
 /// One flat output column: a value per output row. The grouped and the
@@ -181,24 +172,6 @@ impl ResultColumn {
             ResultColumn::U128(c) => SqlValue::U128(c[i]),
             ResultColumn::Text(c) => SqlValue::Text(Arc::from(c.str_of(c.ids[i]))),
             ResultColumn::Val(c) => c[i].clone(),
-        }
-    }
-
-    /// An integer column as `u32` ids (lossy on purpose, like
-    /// [`ResultSet::column_u32`]: ids are u32 everywhere).
-    pub fn as_u32s(&self) -> Option<std::borrow::Cow<'_, [u32]>> {
-        match self {
-            ResultColumn::Key(c) => Some(c.into()),
-            ResultColumn::Int(c) => Some(c.iter().map(|&v| v as u32).collect()),
-            _ => None,
-        }
-    }
-
-    /// A super-key column.
-    pub fn as_u128s(&self) -> Option<&[u128]> {
-        match self {
-            ResultColumn::U128(c) => Some(c),
-            _ => None,
         }
     }
 
@@ -532,28 +505,24 @@ mod tests {
             prop_assert_eq!(d.ids(), TextColumn::dense(strs.iter().copied()).unwrap().ids());
             for (i, s) in strs.iter().enumerate() {
                 prop_assert_eq!(d.str_of(d.ids()[i]), *s);
-                prop_assert_eq!(d.id_of(s), Some(d.ids()[i]));
             }
-            prop_assert_eq!(d.id_of("no such string"), None);
         }
     }
 
     #[test]
-    fn dense_dictionary_looks_ids_up_by_string() {
+    fn dense_dictionary_numbers_strings_in_first_seen_order() {
         let col = TextColumn::dense(["b", "a", "b", "c", "a"].into_iter()).unwrap();
         assert_eq!(col.ids(), &[0, 1, 0, 2, 1]);
         for (id, s) in ["b", "a", "c"].into_iter().enumerate() {
-            assert_eq!(col.id_of(s), Some(id as u32));
             assert_eq!(col.str_of(id as u32), s);
         }
-        assert_eq!(col.id_of("d"), None);
     }
 
     #[test]
     fn append_extends_like_columns_and_rejects_the_rest() {
         let mut sk = ResultColumn::U128(vec![1, 2]);
         sk.append(ResultColumn::U128(vec![3])).unwrap();
-        assert_eq!(sk.as_u128s(), Some(&[1, 2, 3][..]));
+        assert!(matches!(&sk, ResultColumn::U128(v) if v == &[1, 2, 3]));
 
         // Another type, and text: typed errors that
         // leave the column as it was.

@@ -7,9 +7,10 @@
 //! so each list ascends), and maps each probe row, a [`PROBE_BLOCK`] at a
 //! time, to an id or "no match" and walks that id's list. The ids come from:
 //!
-//! * **the row directory** on row-keyed joins (*Row-key joins* below): the
-//!   build ordinals set bits in a bitmap over the ordinal space, and an
-//!   ordinal's id is its rank (a per-word prefix); no key is hashed;
+//! * **the row directory** on row-keyed joins (*Row-key joins* below): an
+//!   ordinal's id is its rank among the build ordinals ([`OrdinalRank`], a
+//!   bitmap over the ordinal space with a per-word prefix, which the MC
+//!   seeker's operator shares); no key is hashed;
 //! * **the keyed phase** on packed keys, with nothing run per partition:
 //!   its indexes hold every build key, so they never grow, and a
 //!   partition's ids are offset past those before it. The probe hashes a
@@ -53,7 +54,9 @@ use std::sync::Arc;
 
 use blend_obs::SpanGuard;
 use blend_parallel::{split_even, ParallelCtx, PhaseGrant};
-use blend_storage::{radix_partition, radix_scratch_bytes, DenseKey, FactTable, GroupIndex};
+use blend_storage::{
+    radix_partition, radix_scratch_bytes, DenseKey, FactTable, GroupIndex, OrdinalRank,
+};
 
 use super::group::{keyed, KeyedOp};
 use super::{
@@ -378,31 +381,20 @@ fn join_rows(
     let space = table
         .row_ordinals(&[], &mut Vec::new())
         .ok_or_else(|| executor_bug("row-keyed join over a table without a row directory"))?;
-    let words = space.div_ceil(64);
-    // Bitmap and rank prefix, the build ordinals (then ids), the build
-    // leaf's positions where a wider batch copies them out, and the CSR —
-    // all of it priced before any is allocated; the probe leaf's positions
-    // under `join_keys`.
+    // The rank, the build ordinals (then ids), the build leaf's positions
+    // where a wider batch copies them out, and the CSR — all of it priced
+    // before any is allocated; the probe leaf's positions under `join_keys`.
     let _build_mem = par.memory().try_reserve(
         "join_build",
-        words * 12 + n_build * 8 + radix_scratch_bytes(n_build, n_build.min(space)),
+        OrdinalRank::estimate_bytes(space)
+            + n_build * 8
+            + radix_scratch_bytes(n_build, n_build.min(space)),
     )?;
     let mut ids = Vec::with_capacity(n_build);
     table.row_ordinals(&build.rows(0).positions(build_leaf), &mut ids);
-    let mut bits = vec![0u64; words];
-    for &o in &ids {
-        bits[o as usize >> 6] |= 1 << (o & 63);
-    }
-    let mut rank = Vec::with_capacity(words);
-    let mut distinct = 0u32;
-    for &w in &bits {
-        rank.push(distinct);
-        distinct += w.count_ones();
-    }
-    // The rank of ordinal `o`, whose bit word is `w`: its id.
-    let rank_of = |o: u32, w: u64| rank[o as usize >> 6] + (w & ((1 << (o & 63)) - 1)).count_ones();
-    ids.iter_mut()
-        .for_each(|o| *o = rank_of(*o, bits[*o as usize >> 6]));
+    let rank = OrdinalRank::build(space, &ids);
+    rank.rank_members(&mut ids);
+    let distinct = rank.len();
     build_span.attr_u64("ordinals", distinct as u64);
     // The probe leaf's positions (borrowed from a one-leaf batch), then a
     // block's ordinals in one gather; an ordinal whose bit is set hits.
@@ -412,17 +404,14 @@ fn join_rows(
         let hits_of = move |range: Range<usize>, ords: &mut Vec<u32>, hits: &mut Hits| {
             ords.clear();
             table.row_ordinals(&positions[range.clone()], ords);
-            for (pi, &o) in range.zip(ords.iter()) {
-                let w = bits[o as usize >> 6];
-                if w & (1 << (o & 63)) != 0 {
-                    hits.push((pi as u32, rank_of(o, w)));
-                }
-            }
+            let found = range
+                .zip(ords.iter())
+                .map(|(pi, &o)| (pi as u32, rank.rank(o)));
+            hits.extend(found.filter_map(|(pi, id)| Some((pi, id?))));
         };
         Ok(hits_of)
     };
-    let n_ids = distinct as usize;
-    joiner.probe_ids(build_span, (ids, n_ids), "rows", lookup, report, par)
+    joiner.probe_ids(build_span, (ids, distinct), "rows", lookup, report, par)
 }
 
 /// The join on packed keys: the keyed phase numbers the build keys

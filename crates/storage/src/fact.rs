@@ -255,6 +255,75 @@ pub trait FactTable: Send + Sync {
     }
 }
 
+/// A set of row ordinals ([`FactTable::row_ordinals`]) numbered densely by
+/// rank: a bitmap over the ordinal space and, per 64-bit word, the members
+/// below it. A member's id is its rank, so ids ascend with ordinals and no
+/// key is hashed. The SQL executor's row-key join and the MC seeker's
+/// operator number rows through it.
+#[derive(Debug, Clone)]
+pub struct OrdinalRank {
+    bits: Vec<u64>,
+    prefix: Vec<u32>,
+    len: usize,
+}
+
+impl OrdinalRank {
+    /// Resident bytes of a rank over an ordinal space of `space`.
+    pub fn estimate_bytes(space: usize) -> usize {
+        space.div_ceil(64) * 12
+    }
+
+    /// The rank of `ordinals` (each below `space`; repeats allowed).
+    pub fn build(space: usize, ordinals: &[u32]) -> Self {
+        let mut bits = vec![0u64; space.div_ceil(64)];
+        for &o in ordinals {
+            bits[o as usize >> 6] |= 1 << (o & 63);
+        }
+        let mut prefix = Vec::with_capacity(bits.len());
+        let mut len = 0u32;
+        for &w in &bits {
+            prefix.push(len);
+            len += w.count_ones();
+        }
+        OrdinalRank {
+            bits,
+            prefix,
+            len: len as usize,
+        }
+    }
+
+    /// Number of distinct members: their ids are `0..len()`.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set has no member.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The id of `ordinal`, or `None` when it is not a member.
+    #[inline]
+    pub fn rank(&self, ordinal: u32) -> Option<u32> {
+        let w = *self.bits.get(ordinal as usize >> 6)?;
+        (w & (1 << (ordinal & 63)) != 0).then(|| self.rank_in(ordinal, w))
+    }
+
+    /// Replace each ordinal by its id; every one must be a member (the
+    /// ordinals the rank was built from).
+    pub fn rank_members(&self, ordinals: &mut [u32]) {
+        for o in ordinals {
+            *o = self.rank_in(*o, self.bits[*o as usize >> 6]);
+        }
+    }
+
+    #[inline]
+    fn rank_in(&self, ordinal: u32, word: u64) -> u32 {
+        let below = word & ((1 << (ordinal & 63)) - 1);
+        self.prefix[ordinal as usize >> 6] + below.count_ones()
+    }
+}
+
 /// Per-component resident-memory estimate of an engine (the
 /// [`FactTable::memory_breakdown`] debug report).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -396,5 +465,23 @@ mod tests {
             FactRow::new("a", 0, 0, 0, 0, None),
         ];
         let _ = table_ranges(&rows);
+    }
+
+    #[test]
+    fn ordinal_rank_numbers_members_in_ordinal_order() {
+        // Repeats, word boundaries and the last ordinal of the space.
+        let ordinals = [130u32, 3, 64, 3, 63, 199, 130];
+        let rank = OrdinalRank::build(200, &ordinals);
+        assert_eq!(rank.len(), 5);
+        let members = [3u32, 63, 64, 130, 199];
+        for o in 0..200u32 {
+            let want = members.iter().position(|&m| m == o).map(|i| i as u32);
+            assert_eq!(rank.rank(o), want, "ordinal {o}");
+        }
+        assert_eq!(rank.rank(200), None);
+        let mut ids = ordinals.to_vec();
+        rank.rank_members(&mut ids);
+        assert_eq!(ids, [3, 0, 2, 0, 1, 4, 3]);
+        assert!(OrdinalRank::build(0, &[]).is_empty());
     }
 }

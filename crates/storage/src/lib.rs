@@ -40,6 +40,8 @@
 //! and the SQL executor's GROUP BY, joins, interned keys and result text —
 //! and [`RadixPartitions`] ([`radix`]), the one CSR — the postings, the
 //! column index, and the executor's partitions and per-id row lists.
+//! Rows of a store with a row directory are numbered by [`OrdinalRank`],
+//! which the executor's row-key join and the MC seeker's operator share.
 
 pub mod column_store;
 pub mod fact;
@@ -51,7 +53,7 @@ pub mod stats;
 
 pub use column_store::{ColumnIndex, ColumnStore};
 pub use fact::{
-    decode_quadrant, FactRow, FactTable, MemoryBreakdown, QUADRANT_NULL, QUADRANT_ONE,
+    decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank, QUADRANT_NULL, QUADRANT_ONE,
     QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};

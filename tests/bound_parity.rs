@@ -1,12 +1,13 @@
-//! The bound path against the text path. `seekers::run` parses each
-//! seeker's template once with `$n` slots and binds its deduplicated value
-//! lists and the injected table ids into them
-//! (`SqlEngine::execute_bound_columns_interruptible`); it also reports the
-//! SQL text that spells every list as literals (`SeekerRun::sql`). Its hits
-//! and MC statistics must be what that text gives: run through the
-//! engine's text entry, whose rows equal the reference interpreter's
-//! (`execute_reference`), and then the application phase
-//! (`seekers::apply`).
+//! The bound path against the text path. `seekers::run` parses each SC,
+//! KW and C seeker's template once with `$n` slots and binds its
+//! deduplicated value lists and the injected table ids into them
+//! (`SqlEngine::execute_bound_columns_interruptible`); MC runs its operator
+//! over the index. Each reports the SQL text that spells every list as
+//! literals (`SeekerRun::sql`). Its hits and MC statistics must be what
+//! that text gives: run through the engine's text entry, whose rows equal
+//! the reference interpreter's (`execute_reference`), and then the
+//! application phase (`seekers::apply`, or for MC the row oracle of
+//! `common/mc_oracle.rs`).
 //!
 //! Every seeker kind, MC arity 2–4, both stores, 1 and 4 threads, and
 //! `In` / `NotIn` / no injection; the lists hold values that need escaping
@@ -14,6 +15,9 @@
 //! from the dictionary, and one-value lists. The golden strings at the end
 //! pin `SeekerRun::sql` to the text the served workloads' templates have
 //! always had.
+
+#[path = "common/mc_oracle.rs"]
+mod mc_oracle;
 
 use std::sync::Arc;
 
@@ -159,7 +163,13 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
                         .unwrap();
                     let (reference, _) = engine.execute_reference(&run.sql).unwrap();
                     assert_eq!(text.to_result_set(), reference, "{what}");
-                    let (hits, mc_stats) = seekers::apply(&blend, seeker, K, &text);
+                    let (hits, mc_stats) = match seeker {
+                        Seeker::Mc { rows } => {
+                            let (hits, stats) = mc_oracle::mc_postprocess_rows(&reference, rows, K);
+                            (hits, Some(stats))
+                        }
+                        _ => (seekers::apply(&blend, seeker, K, &text).unwrap(), None),
+                    };
                     assert_eq!(run.hits, hits, "{what}");
                     assert_eq!(run.mc_stats, mc_stats, "{what}");
                     let fragment = injected.as_ref().map_or(String::new(), Injected::fragment);

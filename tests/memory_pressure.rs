@@ -876,3 +876,50 @@ fn group_reservation_covers_the_grown_index() {
         group.buckets
     );
 }
+
+/// The MC operator over a high fan-out seeker — every row of `mc_lake`'s
+/// 3 000 tables holds the query row — resolves typed on both numbering
+/// paths (the row directory, and hashing where a far `RowId` leaves none):
+/// a cancelled interrupt is `Cancelled`, an expired deadline `Timeout`, a
+/// 64 KiB governor `MemoryExceeded` at the operator's reservation. Nothing
+/// panics, and nothing stays reserved.
+#[test]
+fn mc_operator_is_typed_under_interrupts_and_budgets() {
+    use blend::{seekers, Blend, Seeker};
+    use blend_parallel::{CancellationToken, Interrupt};
+
+    let seeker = Seeker::mc(vec![vec!["a".into(), "b".into()]]);
+    for sparse in [false, true] {
+        let (fact, _) = mc_lake(sparse);
+        let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
+            let mut blend = Blend::new(fact.clone());
+            let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+            blend.set_parallel(Arc::new(ctx));
+            seekers::run(&blend, &seeker, 10, None, interrupt)
+        };
+        let unbounded = Arc::new(MemoryGovernor::unbounded());
+        run(&unbounded, &Interrupt::never()).expect("unbudgeted run");
+        assert_eq!(unbounded.reserved_bytes(), 0, "sparse {sparse}");
+
+        let token = CancellationToken::new();
+        token.cancel();
+        let cancelled = Interrupt::new(token, Deadline::none());
+        let expired = Interrupt::new(CancellationToken::new(), Deadline::after(Duration::ZERO));
+        match run(&unbounded, &cancelled) {
+            Err(BlendError::Cancelled(_)) => {}
+            other => panic!("sparse {sparse}: cancelled run gave {other:?}"),
+        }
+        match run(&unbounded, &expired) {
+            Err(BlendError::Timeout(_)) => {}
+            other => panic!("sparse {sparse}: expired run gave {other:?}"),
+        }
+        assert_eq!(unbounded.reserved_bytes(), 0, "sparse {sparse}");
+
+        let small = Arc::new(MemoryGovernor::with_budget(64 << 10));
+        match run(&small, &Interrupt::never()) {
+            Err(BlendError::MemoryExceeded(msg)) => assert!(msg.starts_with("mc "), "{msg}"),
+            other => panic!("sparse {sparse}: 64 KiB run gave {other:?}"),
+        }
+        assert_eq!(small.reserved_bytes(), 0, "sparse {sparse}: must drain");
+    }
+}
