@@ -1,0 +1,216 @@
+//! The C seeker's operator: Listing 3's self-join, grouping and score in
+//! one pass of quadrant reads over the index (`seekers` module docs).
+//!
+//! 1. **Keys** (span `c.keys`): each distinct key's postings, cut to the
+//!    tables an injection allows ([`crate::postings`]) and to `RowId < h`,
+//!    in canonical order — by table, key column, then row — each cell
+//!    tagged with whether its key is in `k0`, `k1` or both.
+//! 2. **Pairs** (span `c.pairs`): per table t, its column runs are found
+//!    by binary search. For the key cells of one key column kc and each
+//!    other column nc of t, [`FactTable::locate`] finds the cells at
+//!    (t, nc, r) for the key cells' rows r. Each numeric one (quadrant q)
+//!    adds 1 to the (kc, nc) pair's count, and 1 to its concordant count
+//!    when `(k0 ∧ q = 0) ∨ (k1 ∧ q = 1)`. A pair with a count is one group
+//!    of the SQL's `GROUP BY keys.TableId, nums.ColumnId, keys.ColumnId`.
+//! 3. **Score** (span `postprocess`): a group of `n` pairs, `conc` of them
+//!    concordant, scores `|(2·conc − n) / n|` — the SQL's
+//!    `ABS((2*SUM(…) - COUNT(*)) / COUNT(*))` with the engine's float
+//!    division. Groups under `corr_min_matches` pairs are dropped, each
+//!    table keeps its best, and the top `k` tables are the hits.
+//!
+//! No hash, `SqlValue` or value string is touched per cell. The operator
+//! runs on the query's thread, prices each buffer before allocating it
+//! (reservation site `c`), and polls the interrupt every [`POLL`] key cells
+//! and every [`POLL`] lookups.
+
+use std::sync::Arc;
+
+use blend_common::topk::TopK;
+use blend_common::{BlendError, FxHashMap, Result, TableId};
+use blend_parallel::{Interrupt, MemoryGovernor, MemoryReservation, QueryMemory};
+use blend_storage::{partition_point, FactTable};
+
+use crate::combiners::TableHit;
+use crate::postings::{allowed_ranges, fetch};
+use crate::seekers::{Injected, McStats};
+use crate::BlendOptions;
+
+/// Key cells or lookups between two polls of the interrupt.
+const POLL: usize = 4096;
+
+/// One C seeker over `fact`: `lists` are its distinct `k0`, `k1` and all
+/// keys (the SQL's `$0`, `$1`, `$2`). The hits are the top `k` tables by
+/// their best (key column, numeric column) score.
+pub(crate) fn run(
+    fact: &dyn FactTable,
+    lists: &[Vec<&str>],
+    injected: Option<&Injected>,
+    k: usize,
+    options: &BlendOptions,
+    interrupt: &Interrupt,
+    governor: &Arc<MemoryGovernor>,
+) -> Result<Vec<TableHit>> {
+    interrupt.check()?;
+    let mut mem = Arc::new(QueryMemory::new(Arc::clone(governor))).try_reserve("c", 0)?;
+
+    let span = blend_obs::span("c.keys");
+    let (cells, rows) = key_cells(fact, lists, injected, options.h, interrupt, &mut mem)?;
+    span.attr_u64("cells", cells.len() as u64);
+    drop(span);
+
+    let span = blend_obs::span("c.pairs");
+    let (groups, lookups, matched) = groups(fact, &cells, &rows, interrupt, &mut mem)?;
+    span.attr_u64("lookups", lookups as u64);
+    span.attr_u64("matched", matched as u64);
+    drop(span);
+
+    let span = blend_obs::span("postprocess");
+    span.attr_u64("rows_in", groups.len() as u64);
+    let min_matches = options.corr_min_matches;
+    let mut stats = McStats::default();
+    let mut topk = TopK::new(k);
+    for table in groups.chunk_by(|a, b| a.0 == b.0) {
+        let mut best: Option<f64> = None;
+        for &(_, n, conc) in table.iter().filter(|g| g.1 as usize >= min_matches) {
+            stats.candidates += 1;
+            let score = ((2 * conc as i64 - n as i64) as f64 / n as f64).abs();
+            best = Some(best.map_or(score, |b| b.max(score)));
+        }
+        if let Some(score) = best {
+            stats.validated += 1;
+            let table = TableId(table[0].0);
+            topk.push(score, table.0 as u64, TableHit { table, score });
+        }
+    }
+    crate::seekers::note_filter(&span, stats);
+    Ok(topk.into_sorted().into_iter().map(|(_, h)| h).collect())
+}
+
+/// The key cells left by the injection and the `h` cut, in canonical
+/// order, each packed as `position << 2 | tag` (bit 0: the key is in `k0`,
+/// bit 1: in `k1`), and their `RowId`s.
+fn key_cells(
+    fact: &dyn FactTable,
+    lists: &[Vec<&str>],
+    injected: Option<&Injected>,
+    h: usize,
+    interrupt: &Interrupt,
+    mem: &mut MemoryReservation,
+) -> Result<(Vec<u64>, Vec<u32>)> {
+    let [k0, k1, all] = lists else {
+        return Err(BlendError::InvalidInput("C binds three key lists".into()));
+    };
+    // Per distinct key, its tag: a hash per key, none per cell.
+    mem.grow(all.len() * 32)?;
+    let mut tag_of: FxHashMap<&str, u64> = FxHashMap::default();
+    for (tag, list) in [(1, k0), (2, k1)] {
+        for &v in list {
+            *tag_of.entry(v).or_default() |= tag;
+        }
+    }
+    let allowed = injected.and_then(|inj| allowed_ranges(fact, inj));
+    let postings = fetch(fact, all, allowed.as_deref());
+    let mut cells = Vec::new();
+    room(mem, &mut cells, postings.iter().map(|(_, p)| p.len()).sum())?;
+    for &(i, postings) in &postings {
+        let tag = tag_of.get(all[i as usize]).copied().unwrap_or(0);
+        cells.extend(postings.iter().map(|&p| (p as u64) << 2 | tag));
+    }
+    interrupt.check()?;
+    cells.sort_unstable();
+
+    let (mut rows, mut block) = (Vec::new(), Vec::new());
+    room(mem, &mut rows, cells.len())?;
+    room(mem, &mut block, POLL.min(cells.len()))?;
+    for chunk in cells.chunks(POLL) {
+        interrupt.check()?;
+        block.clear();
+        block.extend(chunk.iter().map(|&c| (c >> 2) as u32));
+        fact.gather_rows(&block, &mut rows);
+    }
+    let mut kept = 0;
+    for i in 0..cells.len() {
+        if (rows[i] as usize) < h {
+            (cells[kept], rows[kept]) = (cells[i], rows[i]);
+            kept += 1;
+        }
+    }
+    cells.truncate(kept);
+    rows.truncate(kept);
+    Ok((cells, rows))
+}
+
+/// A (table, key column, numeric column) group: `TableId`, its pairs and
+/// its concordant pairs.
+type Group = (u32, u32, u32);
+
+/// The groups of the tables holding the key `cells` (with their `rows`),
+/// in table order; and the cells looked up and found numeric.
+fn groups(
+    fact: &dyn FactTable,
+    cells: &[u64],
+    rows: &[u32],
+    interrupt: &Interrupt,
+    mem: &mut MemoryReservation,
+) -> Result<(Vec<Group>, usize, usize)> {
+    let (mut groups, mut runs, mut located) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut lookups, mut matched, mut since_poll) = (0, 0, 0);
+    let pos = |i: usize| (cells[i] >> 2) as u32;
+    let mut at = 0;
+    while at < cells.len() {
+        // The table's column runs: (`ColumnId`, end position).
+        let t = fact.table_at(pos(at) as usize);
+        let range = fact.table_postings(t);
+        runs.clear();
+        let mut p = range.start;
+        while p < range.end {
+            let c = fact.column_at(p);
+            p = partition_point(p..range.end, |q| fact.column_at(q) <= c);
+            room(mem, &mut runs, 1)?;
+            runs.push((c, p as u32));
+        }
+        // One key column's cells at a time.
+        while at < cells.len() && (pos(at) as usize) < range.end {
+            let (kc, end) = runs[runs.partition_point(|&(_, end)| end <= pos(at))];
+            let len = cells[at..].partition_point(|&c| c >> 2 < end as u64);
+            let (tags, rows) = (&cells[at..at + len], &rows[at..at + len]);
+            located.clear();
+            room(mem, &mut located, len)?;
+            for &(nc, _) in runs.iter().filter(|&&(nc, _)| nc != kc) {
+                since_poll += len;
+                if since_poll >= POLL {
+                    interrupt.check()?;
+                    since_poll = 0;
+                }
+                located.clear();
+                fact.locate(t, nc, rows, &mut located);
+                let (mut n, mut conc) = (0, 0);
+                for (p, &tag) in located.iter().zip(tags) {
+                    if let Some(q) = p.and_then(|p| fact.quadrant_at(p as usize)) {
+                        n += 1;
+                        conc += (tag >> u8::from(q)) as u32 & 1;
+                    }
+                }
+                (lookups, matched) = (lookups + len, matched + n as usize);
+                if n > 0 {
+                    room(mem, &mut groups, 1)?;
+                    groups.push((t, n, conc));
+                }
+            }
+            at += len;
+        }
+    }
+    Ok((groups, lookups, matched))
+}
+
+/// Make room for `additional` more items in `v`, reserving their bytes
+/// first; capacity at least doubles, so the reservation grows rarely.
+fn room<T>(mem: &mut MemoryReservation, v: &mut Vec<T>, additional: usize) -> Result<()> {
+    let need = v.len() + additional;
+    if need > v.capacity() {
+        let cap = need.max(2 * v.capacity());
+        mem.grow((cap - v.capacity()) * std::mem::size_of::<T>())?;
+        v.reserve_exact(cap - v.len());
+    }
+    Ok(())
+}

@@ -6,16 +6,20 @@
 //!
 //! * **Seekers** ([`plan::Seeker`]) — atomic search operators returning
 //!   top-k tables: single-column join (`SC`), keyword (`KW`), multi-column
-//!   join (`MC`), and correlation (`C`). Every seeker compiles to SQL over
-//!   the `AllTables` fact table (paper Listings 1–3).
+//!   join (`MC`), and correlation (`C`), each defined by its SQL over the
+//!   `AllTables` fact table (paper Listings 1–3). SC and KW execute that
+//!   SQL with their value lists bound; MC and C run as operators over the
+//!   index that return what their SQL returns, and their SQL text is
+//!   rendered for reports and runs as text on the served path
+//!   ([`seekers`] module docs).
 //! * **Combiners** ([`plan::Combiner`]) — set operators over seeker
 //!   results: intersection, union, difference, counter.
 //! * **The optimizer** ([`optimizer`]) — identifies reorderable execution
 //!   groups, ranks seekers with complexity rules plus a learned per-type
 //!   cost model, and **rewrites** later seekers' SQL with the table ids
 //!   produced by earlier ones (`TableId [NOT] IN (...)`), letting the
-//!   database engine's access-path selection exploit the shrunken search
-//!   space.
+//!   database engine's access-path selection — or the MC and C operators'
+//!   cut of their postings — exploit the shrunken search space.
 //!
 //! ```
 //! use blend::{Blend, Plan, Seeker, Combiner};
@@ -37,11 +41,13 @@
 //! # let _ = hits;
 //! ```
 
+mod c;
 pub mod combiners;
 pub mod exec;
 mod mc;
 pub mod optimizer;
 pub mod plan;
+mod postings;
 pub mod seekers;
 pub mod tasks;
 

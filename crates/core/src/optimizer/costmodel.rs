@@ -103,8 +103,8 @@ pub fn features(blend: &Blend, seeker: &Seeker) -> SeekerFeatures {
             let arity = rows.first().map_or(0, Vec::len);
             let mut freq_product = 1.0f64;
             for c in 0..arity {
-                // The SQL joins per-column index hits, so frequencies
-                // multiply (paper §VII-B).
+                // Every column's postings are read and combined per row,
+                // so frequencies multiply (paper §VII-B).
                 freq_product *= freq_of(fact, rows.iter().map(|r| &r[c])).max(1e-3);
             }
             SeekerFeatures {

@@ -2,10 +2,11 @@
 //!
 //! * **Rule 1** — the keyword operator always executes first: one index
 //!   scan, tiny `|Q|` (`O(n·|Q|)` with the smallest `|Q|`).
-//! * **Rule 2** — the MC seeker always executes last: `x` index scans plus
-//!   `x−1` hash joins plus application-level validation.
-//! * **Rule 3** — SC is prioritized over C: C adds a second scan for the
-//!   numeric candidates and a join (`O(3·n·|Q|)` vs `O(n·|Q|)`).
+//! * **Rule 2** — the MC seeker always executes last: `x` postings reads
+//!   plus per-row validation of cell combinations (the MC operator).
+//! * **Rule 3** — SC is prioritized over C: C reads, besides its keys'
+//!   postings, one cell per key cell and other column of its table (the C
+//!   operator), against SC's one walk of the value → column index.
 
 use crate::plan::Seeker;
 

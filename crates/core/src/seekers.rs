@@ -1,16 +1,17 @@
 //! Seeker implementations (paper Section VI): SQL generation over
-//! `AllTables`, the application phases of SC, KW and C, and the MC
-//! seeker's operator.
+//! `AllTables`, the application phase of SC and KW, and the MC and C
+//! seekers' operators.
 //!
 //! **The bound path.** [`run`] normalizes each value list once and
-//! deduplicates it on the normalized `&str`s. SC, KW and C then execute
-//! their listing with a `$n` slot per list and `AND TableId [NOT] IN ($n)`
-//! for the injected ids, the lists bound
+//! deduplicates it on the normalized `&str`s. SC and KW then execute their
+//! listing with a `$n` slot per list and `AND TableId [NOT] IN ($n)` for
+//! the injected ids, the lists bound
 //! (`SqlEngine::execute_bound_columns_interruptible`): no value is quoted,
-//! lexed or parsed. The same lists quoted into the same listing are
+//! lexed or parsed, and their result is read as flat columns, with no
+//! `SqlValue` row built. The same lists quoted into the same listing are
 //! [`SeekerRun::sql`], the text of [`seeker_sql`], which the served
-//! workloads, Table III and `tests/bound_parity.rs` read. SC, KW and C
-//! read their SQL result as flat columns; no `SqlValue` row is built.
+//! workloads, Table III and `tests/bound_parity.rs` read; it is rendered
+//! for every kind.
 //!
 //! **The MC operator.** MC executes no SQL. Listing 2 joins each query
 //! column's index hits on (`TableId`, `RowId`), and its application phase
@@ -30,10 +31,21 @@
 //! that SQL through the reference interpreter. An injection cuts every
 //! query column's postings to the allowed tables, not only `q0`'s as the
 //! SQL text does: a joined row lies in one table, so no result changes.
+//!
+//! **The C operator.** C executes no SQL either. Listing 3 joins key cells
+//! with the numeric cells of their rows and scores each (table, key
+//! column, numeric column) group's quadrant concordance; the exact QCR
+//! needs only the keys' postings and, per key cell, the other cells of its
+//! row. So one operator (`crate::c`) reads the postings (cut as MC's,
+//! `crate::postings`, and to `RowId < h`), finds each partner with
+//! `FactTable::locate` and scores the groups with the engine's arithmetic.
+//! `tests/c_operator_parity.rs` holds it to Listing 3's SQL through the
+//! reference interpreter. The SQL text itself runs, unchanged, wherever it
+//! is submitted as text (the served path).
 
 use std::borrow::Cow;
 
-use blend_common::{stats::mean, text, BlendError, FxHashMap, FxHashSet, Result, TableId};
+use blend_common::{stats::mean, text, BlendError, FxHashSet, Result, TableId};
 use blend_obs::SpanGuard;
 use blend_parallel::Interrupt;
 use blend_sql::{Param, ResultColumns};
@@ -275,16 +287,25 @@ pub fn run(
     let literals: Vec<String> = lists.iter().map(|l| join_values(l)).collect();
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
     let sql = render(seeker, k, h, &literals, &fragment);
-    if let Seeker::Mc { .. } = seeker {
+    if let Seeker::Mc { .. } | Seeker::C { .. } = seeker {
         drop(bind);
-        let governor = blend.engine().parallel_ctx().governor();
-        let fact = blend.fact_table();
-        let (hits, stats) =
-            crate::mc::run(&*fact, &norm, &lists, injected, k, interrupt, governor)?;
+        let (fact, governor) = (blend.fact_table(), blend.engine().parallel_ctx().governor());
+        let (hits, mc_stats) = match seeker {
+            Seeker::Mc { .. } => {
+                let run = crate::mc::run(&*fact, &norm, &lists, injected, k, interrupt, governor)?;
+                (run.0, Some(run.1))
+            }
+            _ => {
+                let options = blend.options();
+                let hits =
+                    crate::c::run(&*fact, &lists, injected, k, options, interrupt, governor)?;
+                (hits, None)
+            }
+        };
         return Ok(SeekerRun {
             sql,
             hits,
-            mc_stats: Some(stats),
+            mc_stats,
         });
     }
     let slots: Vec<String> = (0..lists.len()).map(|i| format!("${i}")).collect();
@@ -301,33 +322,21 @@ pub fn run(
     )?;
     Ok(SeekerRun {
         sql,
-        hits: apply(blend, seeker, k, &cols)?,
+        hits: apply(seeker, k, &cols)?,
         mc_stats: None,
     })
 }
 
-/// The application phase of an SC, KW or C seeker over its SQL result
-/// `cols`: the ranked hits. MC has none; its operator reads the index
-/// (module docs), so an MC seeker is an `InvalidInput` error here.
-pub fn apply(
-    blend: &Blend,
-    seeker: &Seeker,
-    k: usize,
-    cols: &ResultColumns,
-) -> Result<Vec<TableHit>> {
+/// The application phase of an SC or KW seeker over its SQL result `cols`:
+/// the ranked hits. MC and C have none; their operators read the index
+/// (module docs), so an MC or C seeker is an `InvalidInput` error here.
+pub fn apply(seeker: &Seeker, k: usize, cols: &ResultColumns) -> Result<Vec<TableHit>> {
     match seeker {
         Seeker::Sc { .. } | Seeker::Kw { .. } => Ok(dedup_table_scores(cols, k)),
-        Seeker::Mc { .. } => Err(BlendError::InvalidInput(
-            "MC has no SQL application phase: `seekers::run` runs its operator".into(),
-        )),
-        Seeker::C { .. } => {
-            let span = blend_obs::span("postprocess");
-            span.attr_u64("rows_in", cols.len() as u64);
-            let min_matches = blend.options().corr_min_matches;
-            let (hits, stats) = c_postprocess(cols, k, min_matches);
-            note_filter(&span, stats);
-            Ok(hits)
-        }
+        Seeker::Mc { .. } | Seeker::C { .. } => Err(BlendError::InvalidInput(format!(
+            "{} has no SQL application phase: `seekers::run` runs its operator",
+            seeker.label()
+        ))),
     }
 }
 
@@ -360,50 +369,6 @@ fn dedup_table_scores(cols: &ResultColumns, k: usize) -> Vec<TableHit> {
         }
     }
     out
-}
-
-/// C application phase: drop under-supported triplets, keep the best
-/// |QCR| per table, cut to `k`. The stats count the supported triplets
-/// (candidates) and the tables they leave (validated).
-fn c_postprocess(cols: &ResultColumns, k: usize, min_matches: usize) -> (Vec<TableHit>, McStats) {
-    let (Some(t), Some(s), Some(n)) = (cols.col("t"), cols.col("score"), cols.col("n")) else {
-        return (Vec::new(), McStats::default());
-    };
-    let mut stats = McStats::default();
-    let mut best: FxHashMap<u32, f64> = FxHashMap::default();
-    for i in 0..t.len().min(s.len()).min(n.len()) {
-        let (Some(table), Some(score), Some(support)) = (
-            t.value(i).as_i64(),
-            s.value(i).as_f64(),
-            n.value(i).as_i64(),
-        ) else {
-            continue;
-        };
-        if (support as usize) < min_matches {
-            continue;
-        }
-        stats.candidates += 1;
-        let e = best.entry(table as u32).or_insert(f64::MIN);
-        if score > *e {
-            *e = score;
-        }
-    }
-    stats.validated = best.len();
-    let mut topk = blend_common::topk::TopK::new(k);
-    for (table, score) in best {
-        topk.push(
-            score,
-            table as u64,
-            TableHit {
-                table: TableId(table),
-                score,
-            },
-        );
-    }
-    (
-        topk.into_sorted().into_iter().map(|(_, h)| h).collect(),
-        stats,
-    )
 }
 
 #[cfg(test)]

@@ -34,10 +34,12 @@
 //!
 //! ## Row-key joins
 //!
-//! The MC seeker (paper Listing 2) joins its per-column value scans on
-//! `(TableId, RowId)`, and the C seeker (Listing 3) joins its key and
+//! The MC seeker's SQL (paper Listing 2) joins its per-column value scans
+//! on `(TableId, RowId)`, and the C seeker's (Listing 3) joins its key and
 //! number scans on the same pair, with `keys.ColumnId <> nums.ColumnId` as
-//! a residual. Where the column store keeps a row directory
+//! a residual. `seekers::run` runs neither (both seekers are operators over
+//! the index in `blend::seekers`); these joins serve their SQL text on the
+//! served path and in the parity oracles. Where the column store keeps a row directory
 //! ([`FactTable::row_ordinals`]: `row_base[TableId] + RowId`, dense over
 //! the lake's rows, its space at most one per cell), two cells share a row
 //! exactly when they share a row ordinal, so the join needs no hash.

@@ -928,9 +928,10 @@ fn merge_list<T: Eq + std::hash::Hash>(acc: &mut Option<Vec<T>>, items: Vec<T>) 
 /// index instead.
 ///
 /// This is what a real column store's optimizer does with join bloom
-/// filters / zone maps, and it is the reason the paper's correlation seeker
-/// (Listing 3) is viable: the `Quadrant IS NOT NULL` side would otherwise
-/// scan the whole lake index for every query.
+/// filters / zone maps, and it is what keeps the correlation seeker's SQL
+/// text (Listing 3, run on the served path; `seekers::run` reads the index
+/// instead) viable: the `Quadrant IS NOT NULL` side would otherwise scan
+/// the whole lake index for every query.
 fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)]) {
     // TableId lives at offset 1 in the canonical fact-tuple layout; both
     // sides must be scans.

@@ -425,6 +425,23 @@ impl FactTable for ColumnStore {
         Some(self.row_space)
     }
 
+    /// The column's run found in the table's `columns` slice; a run without
+    /// gaps holds `RowId` r at offset r, any other is searched.
+    fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
+        let range = self.table_postings(table);
+        let columns = &self.columns[range.clone()];
+        let lo = range.start + columns.partition_point(|&c| c < column);
+        let run = &self.rows[lo..range.start + columns.partition_point(|&c| c <= column)];
+        let dense = run.last().is_some_and(|&r| r as usize + 1 == run.len());
+        out.extend(rows.iter().map(|&r| {
+            let at = match dense && (r as usize) < run.len() {
+                true => Ok(r as usize),
+                false => run.binary_search(&r),
+            };
+            at.ok().map(|i| (lo + i) as u32)
+        }));
+    }
+
     fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
         out.extend(positions.iter().map(|&p| self.tables[p as usize]));
     }
@@ -770,6 +787,43 @@ mod tests {
             prop_assert_eq!(sparse.row_ordinals(&[0], &mut untouched), None);
             prop_assert_eq!(untouched, vec![7u32]);
             prop_assert_eq!(sparse.memory_breakdown().get("row-directory"), Some(0));
+        }
+
+        /// `locate` against a scan of the store, on both stores: sparse
+        /// column ids, runs with and without gaps, table ids with no cell,
+        /// a far `RowId`, rows asked out of order and rows absent.
+        #[test]
+        fn locate_matches_a_scan_on_both_stores(
+            seed in any::<u64>(),
+            n_tables in 0u32..8,
+            vocab in 1u64..50,
+        ) {
+            let mut rows = sparse_rows(seed, n_tables, vocab);
+            rows.retain(|r| (r.row + r.column + seed as u32) % 4 != 3);
+            rows.push(FactRow::new("v0", 0, 7, u32::MAX - 1, 0, None));
+            let stores: [Box<dyn FactTable>; 2] = [
+                Box::new(ColumnStore::build(rows.clone())),
+                Box::new(crate::RowStore::build(rows)),
+            ];
+            let asked: Vec<u32> = vec![5, 0, 3, 1, 4, 2, 9, u32::MAX - 1, u32::MAX];
+            for s in &stores {
+                let cells: Vec<(u32, u32, u32)> =
+                    (0..s.len()).map(|p| (s.table_at(p), s.column_at(p), s.row_at(p))).collect();
+                let mut columns: Vec<u32> = cells.iter().map(|c| c.1).chain([1, 999_999]).collect();
+                columns.sort_unstable();
+                columns.dedup();
+                for table in 0..3 * n_tables + 2 {
+                    for &column in &columns {
+                        let mut got = vec![Some(7)];
+                        s.locate(table, column, &asked, &mut got);
+                        let want = asked.iter().map(|&r| {
+                            cells.iter().position(|&c| c == (table, column, r)).map(|p| p as u32)
+                        });
+                        let want: Vec<Option<u32>> = std::iter::once(Some(7)).chain(want).collect();
+                        prop_assert_eq!(got, want, "{} t{} c{}", s.engine(), table, column);
+                    }
+                }
+            }
         }
     }
 

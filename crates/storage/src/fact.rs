@@ -226,6 +226,22 @@ pub trait FactTable: Send + Sync {
         out.extend(positions.iter().map(|&p| self.quadrant_at(p as usize)));
     }
 
+    /// Batch lookup: for each of `rows`, append to `out` the position of
+    /// the cell at (`table`, `column`, row), or `None` where the table holds
+    /// no such cell (a null cell is not indexed). Canonical order sorts a
+    /// table's [`table_postings`](FactTable::table_postings) by (`ColumnId`,
+    /// `RowId`), so each is a binary search there — over the point
+    /// accessors here, over the column slices on the column store.
+    fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
+        let range = self.table_postings(table);
+        let lo = partition_point(range.clone(), |p| self.column_at(p) < column);
+        let run = lo..partition_point(lo..range.end, |p| self.column_at(p) <= column);
+        out.extend(rows.iter().map(|&r| {
+            let p = partition_point(run.clone(), |p| self.row_at(p) < r);
+            (p < run.end && self.row_at(p) == r).then_some(p as u32)
+        }));
+    }
+
     /// Batched filter: append the subset of `positions` passing `kernel` to
     /// the selection vector `sel`, preserving input order. One virtual
     /// dispatch per batch; each engine evaluates it as per-predicate passes
@@ -253,6 +269,21 @@ pub trait FactTable: Send + Sync {
     fn size_bytes(&self) -> usize {
         self.memory_breakdown().total()
     }
+}
+
+/// The first index of `range` where `pred` turns false (`range.end` if it
+/// never does); `pred` must hold on a prefix of `range`, as for
+/// [`slice::partition_point`].
+pub fn partition_point(
+    range: std::ops::Range<usize>,
+    mut pred: impl FnMut(usize) -> bool,
+) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end.max(range.start));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        (lo, hi) = if pred(mid) { (mid + 1, hi) } else { (lo, mid) };
+    }
+    lo
 }
 
 /// A set of row ordinals ([`FactTable::row_ordinals`]) numbered densely by

@@ -53,8 +53,8 @@ pub mod stats;
 
 pub use column_store::{ColumnIndex, ColumnStore};
 pub use fact::{
-    decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank, QUADRANT_NULL, QUADRANT_ONE,
-    QUADRANT_ZERO,
+    decode_quadrant, partition_point, FactRow, FactTable, MemoryBreakdown, OrdinalRank,
+    QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
 pub use hashtable::{DenseKey, GroupIndex, PROBE_BLOCK};

@@ -1,13 +1,14 @@
-//! The bound path against the text path. `seekers::run` parses each SC,
-//! KW and C seeker's template once with `$n` slots and binds its
+//! The bound path against the text path. `seekers::run` parses each SC
+//! and KW seeker's template once with `$n` slots and binds its
 //! deduplicated value lists and the injected table ids into them
-//! (`SqlEngine::execute_bound_columns_interruptible`); MC runs its operator
-//! over the index. Each reports the SQL text that spells every list as
-//! literals (`SeekerRun::sql`). Its hits and MC statistics must be what
+//! (`SqlEngine::execute_bound_columns_interruptible`); MC and C run their
+//! operators over the index. Each reports the SQL text that spells every
+//! list as literals (`SeekerRun::sql`). Its hits and MC statistics must be what
 //! that text gives: run through the engine's text entry, whose rows equal
 //! the reference interpreter's (`execute_reference`), and then the
-//! application phase (`seekers::apply`, or for MC the row oracle of
-//! `common/mc_oracle.rs`).
+//! application phase (`seekers::apply` for SC and KW; for MC and C, whose
+//! operators run no SQL, the oracles of `common/mc_oracle.rs` and
+//! `common/c_oracle.rs`).
 //!
 //! Every seeker kind, MC arity 2–4, both stores, 1 and 4 threads, and
 //! `In` / `NotIn` / no injection; the lists hold values that need escaping
@@ -16,6 +17,8 @@
 //! pin `SeekerRun::sql` to the text the served workloads' templates have
 //! always had.
 
+#[path = "common/c_oracle.rs"]
+mod c_oracle;
 #[path = "common/mc_oracle.rs"]
 mod mc_oracle;
 
@@ -168,7 +171,11 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
                             let (hits, stats) = mc_oracle::mc_postprocess_rows(&reference, rows, K);
                             (hits, Some(stats))
                         }
-                        _ => (seekers::apply(&blend, seeker, K, &text).unwrap(), None),
+                        Seeker::C { .. } => {
+                            let min_matches = blend.options().corr_min_matches;
+                            (c_oracle::c_postprocess(&text, K, min_matches).0, None)
+                        }
+                        _ => (seekers::apply(seeker, K, &text).unwrap(), None),
                     };
                     assert_eq!(run.hits, hits, "{what}");
                     assert_eq!(run.mc_stats, mc_stats, "{what}");

@@ -923,3 +923,58 @@ fn mc_operator_is_typed_under_interrupts_and_budgets() {
         assert_eq!(small.reserved_bytes(), 0, "sparse {sparse}: must drain");
     }
 }
+
+/// The C operator over a seeker whose keys fill every row of 3 000 tables
+/// (key column 0, numeric column 1) resolves typed on both stores: a
+/// cancelled interrupt is `Cancelled`, an expired deadline `Timeout`, a
+/// 64 KiB governor `MemoryExceeded` at the operator's reservation. Nothing
+/// panics, and nothing stays reserved.
+#[test]
+fn c_operator_is_typed_under_interrupts_and_budgets() {
+    use blend::{seekers, Blend, Seeker};
+    use blend_parallel::{CancellationToken, Interrupt};
+
+    let seeker = Seeker::c(vec!["a".into(), "b".into()], vec![1.0, 9.0]);
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let mut rows = Vec::new();
+        for t in 0..3_000u32 {
+            for r in 0..8u32 {
+                let key = if r % 2 == 0 { "a" } else { "b" };
+                rows.push(FactRow::new(key, t, 0, r, 0, None));
+                rows.push(FactRow::new(&r.to_string(), t, 1, r, 0, Some(r >= 4)));
+            }
+        }
+        let fact = build_engine(kind, rows);
+        let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
+            let mut blend = Blend::new(fact.clone());
+            let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+            blend.set_parallel(Arc::new(ctx));
+            seekers::run(&blend, &seeker, 10, None, interrupt)
+        };
+        let unbounded = Arc::new(MemoryGovernor::unbounded());
+        let hits = run(&unbounded, &Interrupt::never()).expect("unbudgeted run");
+        assert_eq!(hits.hits.len(), 10, "{kind:?}");
+        assert_eq!(unbounded.reserved_bytes(), 0, "{kind:?}");
+
+        let token = CancellationToken::new();
+        token.cancel();
+        let cancelled = Interrupt::new(token, Deadline::none());
+        let expired = Interrupt::new(CancellationToken::new(), Deadline::after(Duration::ZERO));
+        match run(&unbounded, &cancelled) {
+            Err(BlendError::Cancelled(_)) => {}
+            other => panic!("{kind:?}: cancelled run gave {other:?}"),
+        }
+        match run(&unbounded, &expired) {
+            Err(BlendError::Timeout(_)) => {}
+            other => panic!("{kind:?}: expired run gave {other:?}"),
+        }
+        assert_eq!(unbounded.reserved_bytes(), 0, "{kind:?}");
+
+        let small = Arc::new(MemoryGovernor::with_budget(64 << 10));
+        match run(&small, &Interrupt::never()) {
+            Err(BlendError::MemoryExceeded(msg)) => assert!(msg.starts_with("c "), "{msg}"),
+            other => panic!("{kind:?}: 64 KiB run gave {other:?}"),
+        }
+        assert_eq!(small.reserved_bytes(), 0, "{kind:?}: must drain");
+    }
+}
