@@ -85,7 +85,6 @@ pub fn run(scale: f64) -> String {
         let shuffled_fact = blend_index::IndexBuilder::with_options(blend_index::IndexOptions {
             shuffle_rows: true,
             seed: 0x7AB7,
-            ..Default::default()
         })
         .build(&bench.lake.tables, EngineKind::Column);
         let rand_variant = Blend::with_options(shuffled_fact, opts);

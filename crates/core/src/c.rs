@@ -31,7 +31,7 @@ use blend_parallel::{Interrupt, MemoryGovernor, MemoryReservation, QueryMemory};
 use blend_storage::{partition_point, FactTable};
 
 use crate::combiners::TableHit;
-use crate::postings::{allowed_ranges, fetch};
+use crate::postings::{allowed_ranges, fetch, room};
 use crate::seekers::{Injected, McStats};
 use crate::BlendOptions;
 
@@ -201,16 +201,4 @@ fn groups(
         }
     }
     Ok((groups, lookups, matched))
-}
-
-/// Make room for `additional` more items in `v`, reserving their bytes
-/// first; capacity at least doubles, so the reservation grows rarely.
-fn room<T>(mem: &mut MemoryReservation, v: &mut Vec<T>, additional: usize) -> Result<()> {
-    let need = v.len() + additional;
-    if need > v.capacity() {
-        let cap = need.max(2 * v.capacity());
-        mem.grow((cap - v.capacity()) * std::mem::size_of::<T>())?;
-        v.reserve_exact(cap - v.len());
-    }
-    Ok(())
 }

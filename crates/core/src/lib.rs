@@ -7,10 +7,9 @@
 //! * **Seekers** ([`plan::Seeker`]) — atomic search operators returning
 //!   top-k tables: single-column join (`SC`), keyword (`KW`), multi-column
 //!   join (`MC`), and correlation (`C`), each defined by its SQL over the
-//!   `AllTables` fact table (paper Listings 1–3). SC and KW execute that
-//!   SQL with their value lists bound; MC and C run as operators over the
-//!   index that return what their SQL returns, and their SQL text is
-//!   rendered for reports and runs as text on the served path
+//!   `AllTables` fact table (paper Listings 1–3). Each runs as one
+//!   operator over the index that returns what its SQL returns; the SQL
+//!   text is rendered for reports and runs as text on the served path
 //!   ([`seekers`] module docs).
 //! * **Combiners** ([`plan::Combiner`]) — set operators over seeker
 //!   results: intersection, union, difference, counter.
@@ -18,8 +17,8 @@
 //!   groups, ranks seekers with complexity rules plus a learned per-type
 //!   cost model, and **rewrites** later seekers' SQL with the table ids
 //!   produced by earlier ones (`TableId [NOT] IN (...)`), letting the
-//!   database engine's access-path selection — or the MC and C operators'
-//!   cut of their postings — exploit the shrunken search space.
+//!   operators' cut of what they read — or, for SQL text, the database
+//!   engine's access-path selection — exploit the shrunken search space.
 //!
 //! ```
 //! use blend::{Blend, Plan, Seeker, Combiner};
@@ -48,6 +47,7 @@ mod mc;
 pub mod optimizer;
 pub mod plan;
 mod postings;
+mod sc;
 pub mod seekers;
 pub mod tasks;
 
@@ -168,7 +168,6 @@ impl Blend {
         let builder = blend_index::IndexBuilder::with_options(blend_index::IndexOptions {
             shuffle_rows: true,
             seed,
-            ..Default::default()
         });
         Blend::new(builder.build(&lake.tables, kind))
     }

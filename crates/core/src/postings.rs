@@ -1,9 +1,12 @@
-//! The index reads the MC and C operators share: a value list's postings,
-//! cut by binary search to the tables an injection allows.
+//! The index reads the seekers' operators share: a value list's postings,
+//! cut by binary search to the tables an injection allows, and buffers
+//! that grow inside the operator's memory reservation.
 
 use std::ops::Range;
 
-use blend_storage::FactTable;
+use blend_common::Result;
+use blend_parallel::MemoryReservation;
+use blend_storage::{cut_to_ranges, FactTable};
 
 use crate::seekers::Injected;
 
@@ -45,28 +48,24 @@ pub(crate) fn fetch<'f>(
         let postings = fact.postings(v);
         match allowed {
             None => out.extend((!postings.is_empty()).then_some((i as u32, postings))),
-            Some(ranges) => cut(postings, ranges, |part| out.push((i as u32, part))),
+            Some(ranges) => cut_to_ranges(postings, ranges, |part| out.push((i as u32, part))),
         }
     }
     out
 }
 
-/// Emit the runs of the ascending `postings` that lie in the ascending,
-/// disjoint `ranges`, each bound found by binary search. Every round
-/// consumes a range, and one that holds no posting moves the postings
-/// past it, so the rounds are at most about twice the smaller input.
-fn cut<'p>(postings: &'p [u32], ranges: &[Range<u32>], mut emit: impl FnMut(&'p [u32])) {
-    let (mut p, mut r) = (postings, ranges);
-    while let Some(&first) = p.first() {
-        r = &r[r.partition_point(|x| x.end <= first)..];
-        let Some(range) = r.first() else {
-            break;
-        };
-        let lo = p.partition_point(|&x| x < range.start);
-        let hi = lo + p[lo..].partition_point(|&x| x < range.end);
-        if hi > lo {
-            emit(&p[lo..hi]);
-        }
-        (p, r) = (&p[hi..], &r[1..]);
+/// Make room for `additional` more items in `v`, reserving their bytes
+/// first; capacity at least doubles, so the reservation grows rarely.
+pub(crate) fn room<T>(
+    mem: &mut MemoryReservation,
+    v: &mut Vec<T>,
+    additional: usize,
+) -> Result<()> {
+    let need = v.len() + additional;
+    if need > v.capacity() {
+        let cap = need.max(2 * v.capacity());
+        mem.grow((cap - v.capacity()) * std::mem::size_of::<T>())?;
+        v.reserve_exact(cap - v.len());
     }
+    Ok(())
 }

@@ -1,54 +1,40 @@
-//! Seeker implementations (paper Section VI): SQL generation over
-//! `AllTables`, the application phase of SC and KW, and the MC and C
-//! seekers' operators.
+//! Seeker implementations (paper Section VI): each seeker's SQL over
+//! `AllTables` (Listings 1–3), and the four operators that answer it.
 //!
-//! **The bound path.** [`run`] normalizes each value list once and
-//! deduplicates it on the normalized `&str`s. SC and KW then execute their
-//! listing with a `$n` slot per list and `AND TableId [NOT] IN ($n)` for
-//! the injected ids, the lists bound
-//! (`SqlEngine::execute_bound_columns_interruptible`): no value is quoted,
-//! lexed or parsed, and their result is read as flat columns, with no
-//! `SqlValue` row built. The same lists quoted into the same listing are
-//! [`SeekerRun::sql`], the text of [`seeker_sql`], which the served
-//! workloads, Table III and `tests/bound_parity.rs` read; it is rendered
-//! for every kind.
+//! **Four operators, one model.** No seeker runs SQL: each listing is a
+//! question one operator over the `FactTable` snapshot answers directly,
+//! returning what the SQL and its application phase return. [`run`]
+//! normalizes each value list once and deduplicates it on the normalized
+//! `&str`s; an injection cuts what the operator reads to the allowed
+//! tables (`crate::postings`). The SQL text ([`SeekerRun::sql`], the text
+//! of [`seeker_sql`] with the injected fragment) is still rendered, and
+//! runs, unchanged, wherever it is submitted as text (the served path).
 //!
-//! **The MC operator.** MC executes no SQL. Listing 2 joins each query
-//! column's index hits on (`TableId`, `RowId`), and its application phase
-//! then keeps the joined rows whose columns are distinct and whose values
-//! form a query row. Neither step needs anything a relational plan adds:
-//! the cells are the postings of the lists' values, and two cells share a
-//! row exactly when they share (`TableId`, `RowId`). So one operator over the
-//! `FactTable` snapshot (`crate::mc`) reads the postings, numbers the lake
-//! rows from the rarest column in MATE's order (the paper's Table V
-//! baseline, `blend_baselines::mate`), validates each row's combinations
-//! of cells — (position, list index) pairs, where distinct positions of a
-//! row are distinct columns — against per-value bitsets of query rows, and
-//! reads each pair row's super key once. Nothing is projected, and no
-//! value string is compared per cell. Its hits and [`McStats`] are those
-//! of Listing 2's SQL ([`SeekerRun::sql`], still rendered) followed by the
-//! paper's two filter steps; `tests/mc_operator_parity.rs` holds it to
-//! that SQL through the reference interpreter. An injection cuts every
-//! query column's postings to the allowed tables, not only `q0`'s as the
-//! SQL text does: a joined row lies in one table, so no result changes.
+//! * **SC and KW** (`crate::sc`) count each (table, column) group's
+//!   distinct query values (KW: each table's) off the value → column
+//!   index, through the walk the SQL executor's column-index grouping also
+//!   runs, and rank by score, then `TableId`.
+//! * **MC** (`crate::mc`) reads the lists' postings, numbers the lake rows
+//!   from the rarest column in MATE's order (the Table V baseline,
+//!   `blend_baselines::mate`) and validates each row's (position, list
+//!   index) pairs against per-value bitsets of query rows, reading each
+//!   pair row's super key once: Listing 2's join and the paper's two
+//!   filter steps ([`McStats`]). It cuts every query column's postings,
+//!   not only `q0`'s as the SQL does: a joined row lies in one table.
+//! * **C** (`crate::c`) reads the keys' postings (cut to `RowId < h`),
+//!   finds each key cell's row partners with `FactTable::locate` and
+//!   scores each (table, key column, numeric column) group's quadrant
+//!   concordance with the engine's arithmetic (Listing 3).
 //!
-//! **The C operator.** C executes no SQL either. Listing 3 joins key cells
-//! with the numeric cells of their rows and scores each (table, key
-//! column, numeric column) group's quadrant concordance; the exact QCR
-//! needs only the keys' postings and, per key cell, the other cells of its
-//! row. So one operator (`crate::c`) reads the postings (cut as MC's,
-//! `crate::postings`, and to `RowId < h`), finds each partner with
-//! `FactTable::locate` and scores the groups with the engine's arithmetic.
-//! `tests/c_operator_parity.rs` holds it to Listing 3's SQL through the
-//! reference interpreter. The SQL text itself runs, unchanged, wherever it
-//! is submitted as text (the served path).
+//! `tests/bound_parity.rs` holds every kind to its SQL text through the
+//! reference interpreter, with the replaced application phases as oracles
+//! (`tests/common/`).
 
 use std::borrow::Cow;
 
-use blend_common::{stats::mean, text, BlendError, FxHashSet, Result, TableId};
+use blend_common::{stats::mean, text, FxHashSet, Result};
 use blend_obs::SpanGuard;
 use blend_parallel::Interrupt;
-use blend_sql::{Param, ResultColumns};
 
 use crate::combiners::TableHit;
 use crate::plan::Seeker;
@@ -70,16 +56,7 @@ pub enum Injected {
 impl Injected {
     /// Render the SQL fragment replacing [`TID_PLACEHOLDER`].
     pub fn fragment(&self) -> String {
-        self.spell(|ids| ids.iter().map(u32::to_string).collect::<Vec<_>>().join(","))
-    }
-
-    /// The fragment with its ids as the slot `$n` that `run` binds them to.
-    fn slot_fragment(&self, n: usize) -> String {
-        self.spell(|_| format!("${n}"))
-    }
-
-    /// The fragment with its id list spelled by `list`.
-    fn spell(&self, list: impl FnOnce(&[u32]) -> String) -> String {
+        let list = |ids: &[u32]| ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
         match self {
             // An empty intersection can never match; `run()` short-circuits
             // before rendering, but the fragment must still be valid SQL
@@ -148,7 +125,7 @@ fn distinct<'v>(list: &'v [Cow<'_, str>]) -> Vec<&'v str> {
 /// One executed seeker: its SQL, hits, and MC bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SeekerRun {
-    /// The SQL, post-rewriting, that returns what the bound run returned.
+    /// The SQL, post-rewriting, that returns what the operator returned.
     pub sql: String,
     /// Ranked results.
     pub hits: Vec<TableHit>,
@@ -280,64 +257,35 @@ pub fn run(
             });
         }
     }
-    let h = blend.options().h;
+    let options = blend.options();
     let bind = blend_obs::span("bind");
     let norm = normalized_lists(seeker);
     let lists: Vec<Vec<&str>> = norm.iter().map(|l| distinct(l)).collect();
     let literals: Vec<String> = lists.iter().map(|l| join_values(l)).collect();
     let fragment = injected.map(Injected::fragment).unwrap_or_default();
-    let sql = render(seeker, k, h, &literals, &fragment);
-    if let Seeker::Mc { .. } | Seeker::C { .. } = seeker {
-        drop(bind);
-        let (fact, governor) = (blend.fact_table(), blend.engine().parallel_ctx().governor());
-        let (hits, mc_stats) = match seeker {
-            Seeker::Mc { .. } => {
-                let run = crate::mc::run(&*fact, &norm, &lists, injected, k, interrupt, governor)?;
-                (run.0, Some(run.1))
-            }
-            _ => {
-                let options = blend.options();
-                let hits =
-                    crate::c::run(&*fact, &lists, injected, k, options, interrupt, governor)?;
-                (hits, None)
-            }
-        };
-        return Ok(SeekerRun {
-            sql,
-            hits,
-            mc_stats,
-        });
-    }
-    let slots: Vec<String> = (0..lists.len()).map(|i| format!("${i}")).collect();
-    let tid = injected.map(|inj| inj.slot_fragment(lists.len()));
-    let template = render(seeker, k, h, &slots, tid.as_deref().unwrap_or_default());
-    let mut params: Vec<Param> = lists.iter().map(|l| Param::Text(l)).collect();
-    params.extend(injected.map(|(Injected::In(ids) | Injected::NotIn(ids))| Param::Ids(ids)));
+    let sql = render(seeker, k, options.h, &literals, &fragment);
     drop(bind);
-
-    let (cols, _) = blend.engine().execute_bound_columns_interruptible(
-        &template,
-        &params,
-        interrupt.clone(),
-    )?;
+    let (fact, governor) = (blend.fact_table(), blend.engine().parallel_ctx().governor());
+    let fact = &*fact;
+    let sc =
+        |per_table| crate::sc::run(fact, &lists[0], per_table, injected, k, interrupt, governor);
+    let (hits, mc_stats) = match seeker {
+        Seeker::Sc { .. } => (sc(false)?, None),
+        Seeker::Kw { .. } => (sc(true)?, None),
+        Seeker::Mc { .. } => {
+            let run = crate::mc::run(fact, &norm, &lists, injected, k, interrupt, governor)?;
+            (run.0, Some(run.1))
+        }
+        Seeker::C { .. } => {
+            let hits = crate::c::run(fact, &lists, injected, k, options, interrupt, governor)?;
+            (hits, None)
+        }
+    };
     Ok(SeekerRun {
         sql,
-        hits: apply(seeker, k, &cols)?,
-        mc_stats: None,
+        hits,
+        mc_stats,
     })
-}
-
-/// The application phase of an SC or KW seeker over its SQL result `cols`:
-/// the ranked hits. MC and C have none; their operators read the index
-/// (module docs), so an MC or C seeker is an `InvalidInput` error here.
-pub fn apply(seeker: &Seeker, k: usize, cols: &ResultColumns) -> Result<Vec<TableHit>> {
-    match seeker {
-        Seeker::Sc { .. } | Seeker::Kw { .. } => Ok(dedup_table_scores(cols, k)),
-        Seeker::Mc { .. } | Seeker::C { .. } => Err(BlendError::InvalidInput(format!(
-            "{} has no SQL application phase: `seekers::run` runs its operator",
-            seeker.label()
-        ))),
-    }
 }
 
 /// Record what an application phase's filter kept on its `postprocess`
@@ -345,30 +293,6 @@ pub fn apply(seeker: &Seeker, k: usize, cols: &ResultColumns) -> Result<Vec<Tabl
 pub(crate) fn note_filter(span: &SpanGuard, stats: McStats) {
     span.attr_u64("candidates", stats.candidates as u64);
     span.attr_u64("validated", stats.validated as u64);
-}
-
-/// Keep the best score per table, preserving descending order; cut to `k`.
-fn dedup_table_scores(cols: &ResultColumns, k: usize) -> Vec<TableHit> {
-    let (Some(t), Some(s)) = (cols.col("t"), cols.col("score")) else {
-        return Vec::new();
-    };
-    let mut seen: FxHashSet<u32> = FxHashSet::default();
-    let mut out = Vec::new();
-    for i in 0..t.len().min(s.len()) {
-        let (Some(table), Some(score)) = (t.value(i).as_i64(), s.value(i).as_f64()) else {
-            continue;
-        };
-        if seen.insert(table as u32) {
-            out.push(TableHit {
-                table: TableId(table as u32),
-                score,
-            });
-            if out.len() >= k {
-                break;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use blend_common::{Table, Value};
+use blend_parallel::ParallelCtx;
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 use crate::quadrant::column_quadrants;
@@ -43,8 +44,6 @@ pub struct IndexOptions {
     pub shuffle_rows: bool,
     /// Seed for the shuffle.
     pub seed: u64,
-    /// Number of worker threads for the parallel build (1 = sequential).
-    pub threads: usize,
 }
 
 impl Default for IndexOptions {
@@ -52,27 +51,35 @@ impl Default for IndexOptions {
         IndexOptions {
             shuffle_rows: false,
             seed: 0x51ED,
-            threads: 4,
         }
     }
 }
 
-/// Builds `AllTables` from lake tables.
+/// Builds `AllTables` from lake tables on a [`ParallelCtx`]'s pool, by
+/// default the process-wide one ([`ParallelCtx::shared_from_env`]).
 pub struct IndexBuilder {
     options: IndexOptions,
+    parallel: Arc<ParallelCtx>,
 }
 
 impl IndexBuilder {
     /// Builder with default options.
     pub fn new() -> Self {
-        IndexBuilder {
-            options: IndexOptions::default(),
-        }
+        IndexBuilder::with_options(IndexOptions::default())
     }
 
     /// Builder with explicit options.
     pub fn with_options(options: IndexOptions) -> Self {
-        IndexBuilder { options }
+        IndexBuilder {
+            options,
+            parallel: ParallelCtx::shared_from_env(),
+        }
+    }
+
+    /// Build on `parallel`'s pool instead of the process-wide one.
+    pub fn with_parallel(mut self, parallel: Arc<ParallelCtx>) -> Self {
+        self.parallel = parallel;
+        self
     }
 
     /// Index one table into fact rows.
@@ -158,7 +165,8 @@ impl IndexBuilder {
     }
 
     fn index_lake_inner(&self, tables: &[Table]) -> Vec<FactRow> {
-        let threads = self.options.threads.max(1);
+        let pool = self.parallel.pool();
+        let threads = pool.threads();
         if threads == 1 || tables.len() < 2 {
             let mut all = Vec::new();
             for t in tables {
@@ -173,10 +181,6 @@ impl IndexBuilder {
             .filter(|bin| !bin.is_empty())
             .collect();
 
-        // Ride the process-global persistent pool (capped at this build's
-        // thread budget) instead of spawning a dedicated pool per build —
-        // index builds and query serving share one worker set.
-        let pool = blend_parallel::WorkerPool::shared(threads);
         let run = pool.run(bins.len(), |b| {
             bins[b]
                 .iter()
@@ -294,7 +298,6 @@ mod tests {
         let opts = IndexOptions {
             shuffle_rows: true,
             seed: 7,
-            threads: 1,
         };
         let rows = IndexBuilder::with_options(opts).index_table(&t);
         assert_eq!(rows.len(), t.non_null_cells());
@@ -320,7 +323,6 @@ mod tests {
             IndexBuilder::with_options(IndexOptions {
                 shuffle_rows: true,
                 seed,
-                threads: 1,
             })
             .index_table(&t)
         };
@@ -335,11 +337,9 @@ mod tests {
         // every thread count.
         let tables: Vec<Table> = (0..9).map(staff_table).collect();
         let build = |threads| {
-            IndexBuilder::with_options(IndexOptions {
-                threads,
-                ..Default::default()
-            })
-            .index_lake(&tables)
+            IndexBuilder::new()
+                .with_parallel(Arc::new(ParallelCtx::new(threads)))
+                .index_lake(&tables)
         };
         let seq = build(1);
         for threads in [2, 4, 8, 16] {
@@ -361,11 +361,9 @@ mod tests {
         let mut tables = vec![Table::new(TableId(0), "giant", big_cols).unwrap()];
         tables.extend((1..8).map(staff_table));
         let build = |threads| {
-            IndexBuilder::with_options(IndexOptions {
-                threads,
-                ..Default::default()
-            })
-            .index_lake(&tables)
+            IndexBuilder::new()
+                .with_parallel(Arc::new(ParallelCtx::new(threads)))
+                .index_lake(&tables)
         };
         let seq = build(1);
         assert_eq!(

@@ -61,10 +61,6 @@ pub enum Expr {
         op: BinOp,
         right: Box<Expr>,
     },
-    /// `$n`: a list slot, valid only as the sole item of an `IN` list of a
-    /// template (`parser::parse_template`); the planner reads the list bound
-    /// to slot `n` in its place (`plan::Param`).
-    Param(usize),
     /// `expr [NOT] IN (e1, e2, ...)`.
     InList {
         expr: Box<Expr>,
@@ -152,7 +148,6 @@ impl Expr {
             | Expr::Str(_)
             | Expr::Bool(_)
             | Expr::Null
-            | Expr::Param(_)
             | Expr::Star => (None, None, &[]),
         };
         first.into_iter().chain(second).chain(rest)

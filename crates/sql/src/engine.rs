@@ -10,8 +10,8 @@ use blend_storage::FactTable;
 use crate::ast::Query;
 use crate::columns::ResultColumns;
 use crate::exec::{QueryReport, ResultSet, ServingStats};
-use crate::parser::{parse, parse_template};
-use crate::plan::{plan_query, plan_query_bound, Catalog, CatalogSnapshot, Param};
+use crate::parser::parse;
+use crate::plan::{plan_query, Catalog, CatalogSnapshot};
 
 /// Engine-level metric cells (`blend_sql_*`). Queries are labeled by the
 /// executor that ran them, which is always the positional one.
@@ -204,7 +204,7 @@ impl SqlEngine {
         interrupt: Interrupt,
     ) -> Result<(ResultSet, QueryReport)> {
         let ast = || spanned("parse", || parse(sql)).map(Cow::Owned);
-        self.run(ast, &[], interrupt, true, |cols| cols.to_result_set())
+        self.run(ast, interrupt, true, |cols| cols.to_result_set())
     }
 
     /// Execute an already-parsed query and return the result as flat
@@ -219,7 +219,7 @@ impl SqlEngine {
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
         let parsed = || Ok(Cow::Borrowed(ast));
-        self.run(parsed, &[], interrupt, false, |cols| cols)
+        self.run(parsed, interrupt, false, |cols| cols)
     }
 
     /// [`execute_parsed_interruptible`](Self::execute_parsed_interruptible)
@@ -230,32 +230,17 @@ impl SqlEngine {
         interrupt: Interrupt,
     ) -> Result<(ResultColumns, QueryReport)> {
         let ast = || spanned("parse", || parse(sql)).map(Cow::Owned);
-        self.run(ast, &[], interrupt, false, |cols| cols)
-    }
-
-    /// [`execute_columns_interruptible`](Self::execute_columns_interruptible)
-    /// of a template (`parser::parse_template`) with `params[n]` bound to its
-    /// slot `$n`: the seekers' entry, whose lists are never lexed.
-    pub fn execute_bound_columns_interruptible(
-        &self,
-        template: &str,
-        params: &[Param<'_>],
-        interrupt: Interrupt,
-    ) -> Result<(ResultColumns, QueryReport)> {
-        let ast = || spanned("parse", || parse_template(template)).map(Cow::Owned);
-        self.run(ast, params, interrupt, false, |cols| cols)
+        self.run(ast, interrupt, false, |cols| cols)
     }
 
     /// Inside the query's root span: take the query from `ast` (SQL text is
-    /// parsed there, under a `parse` span), plan it with `params` under
-    /// `plan` and run it on the positional executor — the one path under
+    /// parsed there, under a `parse` span), plan it under `plan` and run it on the positional executor — the one path under
     /// every entry — then `finish` its flat columns into what the caller
     /// asked for (rows when `rows`, else the columns as they are) under the
     /// `materialize` span, the last child of the root.
     fn run<'q, T>(
         &self,
         ast: impl FnOnce() -> Result<Cow<'q, Query>>,
-        params: &[Param<'_>],
         interrupt: Interrupt,
         rows: bool,
         finish: impl FnOnce(ResultColumns) -> T,
@@ -271,7 +256,7 @@ impl SqlEngine {
         let memory = Arc::new(QueryMemory::new(self.parallel.governor().clone()));
         let outcome = (|| {
             let ast = ast()?;
-            let plan = spanned("plan", || plan_query_bound(&ast, &self.db, params))?;
+            let plan = spanned("plan", || plan_query(&ast, &self.db))?;
             let par = self
                 .parallel
                 .with_interrupt(interrupt)

@@ -21,24 +21,23 @@
 //!
 //! ## Column-index grouping
 //!
-//! The SC and KW seekers (paper Listing 1) are `WHERE CellValue IN (…)
+//! The SC and KW seekers' SQL (paper Listing 1) is `WHERE CellValue IN (…)
 //! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`: how many
 //! query values each column (KW: each table) holds — a set-overlap question
 //! whose natural index is value → columns. The column store keeps exactly
 //! that ([`FactTable::column_index`]): the (`TableId`, `ColumnId`) runs of
 //! canonical order numbered `0..R`, and per value the ascending ordinals of
-//! the runs holding it. `group_columns` answers from it without a scan:
-//! it walks each driving value's ordinals in the scan's driving order
-//! (sorted, deduplicated literals), skips tables the kernel's `TableId IN`
-//! / `NOT IN` sets reject, and bumps a dense counter per ordinal (SC) or
-//! per table at each table change inside a value's list (KW: a table's
-//! ordinals are contiguous) — each (value, column) pair once, however often
-//! the value repeats in the column. No cell is visited, no key gathered, no
+//! the runs holding it. `group_columns` answers from it without a scan,
+//! through the walk the SC and KW seekers' operator also runs
+//! (`blend_storage::ColumnIndex::walk`): each driving value's ordinals, in
+//! the scan's driving order (sorted, deduplicated literals), kept to the
+//! kernel's `TableId IN` tables (a long list cut by binary search), less
+//! entries of tables in its `NOT IN` set, bump a dense counter per ordinal
+//! (SC) or per table at each table change inside a value's list (KW) —
+//! each (value, column) pair once. No cell is visited, no key gathered, no
 //! hash table built; the phase is O(entries), sequential on the query's
-//! thread. A run's (`TableId`, `ColumnId`) key is read per entry only where
-//! the walk needs the table: KW, which counts per table, and SC behind a
-//! `TableId IN` / `NOT IN` set. SC without one counts the ordinal itself
-//! and reads keys once per group, for its output columns.
+//! thread. A run's key is read per entry only where the walk needs the
+//! table (KW, or SC behind a `TableId` set); otherwise once per group.
 //!
 //! The check is a plan property, `column_grouped`: the group input is one
 //! value-index scan with no residual, no post-filter and no kernel
@@ -84,7 +83,7 @@ use crate::exec::{AggState, HashTableStats, ParallelPhase, QueryReport, ScanRepo
 use crate::expr::CExpr;
 use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
 use crate::plan::{AccessPath, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree, ValueList};
-use blend_common::{BlendError, Result};
+use blend_common::Result;
 
 /// One aggregate of the positional GROUP BY.
 enum PosAggSpec<'p> {
@@ -353,14 +352,11 @@ pub(super) fn exec_group(
 
 /// `COUNT(DISTINCT CellValue) GROUP BY TableId[, ColumnId]` off the scan
 /// table's column index (module docs, *Column-index grouping*), the scan
-/// itself never run: walk each driving value's run ordinals in driving
-/// order, skip tables the kernel rejects, and bump a dense counter per
-/// ordinal (`ColumnId` a key) or per table at each table change. A run's
-/// key is read only where the walk needs its table — KW, or a `TableId`
-/// set to test; SC without one counts ordinals alone. A group's first
-/// touch records the running count of entries kept as its first-seen row.
-/// Sequential on the query's thread, with counters and group slots
-/// reserved up front.
+/// itself never run: [`ColumnIndex::walk`](blend_storage::ColumnIndex::walk)
+/// over the driving codes' ordinal lists, the kernel's `TableId` sets its
+/// cut and its rejected set. A group's first touch records the running
+/// count of entries kept as its first-seen row. Sequential on the query's
+/// thread, with counters and group slots reserved up front.
 pub(super) fn group_columns(
     plan: &QueryPlan,
     scan: &ScanPlan,
@@ -384,59 +380,19 @@ pub(super) fn group_columns(
     } else {
         table.n_tables() as usize
     };
-    let outside =
-        |slot: u32| BlendError::SqlExec(format!("column index: slot {slot} of {n_slots}"));
-    let (table_in, table_not_in) = (&scan.kernel.table_in, &scan.kernel.table_not_in);
-    let keep = |t: u32| {
-        table_in.as_ref().is_none_or(|s| s.contains(t))
-            && !table_not_in.as_ref().is_some_and(|s| s.contains(t))
-    };
-    // SC with no table set counts per ordinal and never asks which table a
-    // run belongs to.
-    let keys_unread = by_column && table_in.is_none() && table_not_in.is_none();
     let (groups, kept) = {
         let max_groups = visited.min(n_slots);
         let _mem = par
             .memory()
             .try_reserve("group_columns", n_slots * 4 + max_groups * 8)?;
-        let mut counts: Vec<u32> = blend_common::try_zeroed_vec(n_slots, "group_columns")?;
-        // Per group, in first-touch order: its counter slot and first-seen
-        // entry.
-        let mut slots: Vec<u32> = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
-        let mut first_rows = blend_common::try_vec_with_capacity(max_groups, "group_columns")?;
-        let (mut walked, mut kept) = (0usize, 0u32);
-        let mut bump = |slot: u32, kept: u32| -> Result<()> {
-            let count = counts.get_mut(slot as usize).ok_or_else(|| outside(slot))?;
-            if *count == 0 {
-                slots.push(slot);
-                first_rows.push(kept);
-            }
-            *count += 1;
-            Ok(())
-        };
-        for ordinals in &lists {
-            let mut prev_table = u32::MAX;
-            for &ordinal in *ordinals {
-                if poll_every(walked) {
-                    par.check_interrupt()?;
-                }
-                walked += 1;
-                if keys_unread {
-                    bump(ordinal, kept)?;
-                    kept += 1;
-                    continue;
-                }
-                let (t, _) = index.key(ordinal);
-                if !keep(t) {
-                    continue;
-                }
-                if by_column || t != prev_table {
-                    bump(if by_column { ordinal } else { t }, kept)?;
-                }
-                prev_table = t;
-                kept += 1;
-            }
-        }
+        let walk = index.walk(
+            &lists,
+            !by_column,
+            scan.kernel.table_in.as_ref(),
+            scan.kernel.table_not_in.as_ref(),
+            n_slots,
+            || par.check_interrupt(),
+        )?;
         // Key values of each group's slot, then one count column per
         // aggregate (all of them `COUNT(DISTINCT CellValue)`).
         let key = |slot: u32, col: IntCol| match (by_column, col) {
@@ -446,16 +402,19 @@ pub(super) fn group_columns(
         };
         let mut cols: Vec<ResultColumn> = keys
             .iter()
-            .map(|&(_, col)| ResultColumn::Key(slots.iter().map(|&s| key(s, col)).collect()))
+            .map(|&(_, col)| ResultColumn::Key(walk.slots.iter().map(|&s| key(s, col)).collect()))
             .collect();
-        let distinct: Vec<i64> = slots.iter().map(|&s| counts[s as usize] as i64).collect();
+        let distinct: Vec<i64> = (walk.slots.iter())
+            .map(|&s| walk.counts[s as usize] as i64)
+            .collect();
         cols.extend(
             shape
                 .aggs
                 .iter()
                 .map(|_| ResultColumn::Int(distinct.clone())),
         );
-        (GroupCols { first_rows, cols }, kept as usize)
+        let first_rows = walk.first;
+        (GroupCols { first_rows, cols }, walk.kept)
     };
     span.attr_u64("rows", kept as u64);
     span.attr_u64("groups", groups.len() as u64);

@@ -28,8 +28,8 @@
 //!   CellValue)` counted by per-group sort-unique over gathered dictionary
 //!   codes (column store) or dense string ids (row store) — never an owned
 //!   `SqlValue`, never a per-group hash set — except where the store's
-//!   value → column index already answers the query (the SC/KW seekers:
-//!   `group`, *Column-index grouping*);
+//!   value → column index already answers the query (the SC/KW seekers'
+//!   SQL: `group`, *Column-index grouping*);
 //! * every expression — scan and join residuals, the post-join filter,
 //!   computed select items, interned keys, aggregate arguments — runs **a
 //!   batch at a time** through one typed evaluator (see *Batch expressions*
@@ -42,7 +42,7 @@
 //!   the row store), and only computed or NULL-able expressions as
 //!   `SqlValue`s. Rows are a view a caller asks the engine for
 //!   ([`ResultColumns::to_result_set`](crate::columns::ResultColumns::to_result_set),
-//!   the one place that builds them); the seekers never do.
+//!   the one place that builds them).
 //!
 //! The executor runs the planner's [`QueryPlan`] as it is: it walks
 //! `plan.tree` (a scan per leaf, a join per inner node, leaves numbered left

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use blend_common::{BlendError, FxHashSet, Result};
 
 use crate::ast::{BinOp, Expr, UnaryOp};
-use crate::plan::{Items, Param};
 use crate::value::SqlValue;
 
 /// A named output column of an operator.
@@ -126,11 +125,11 @@ pub enum CExpr {
     Abs(Box<CExpr>),
 }
 
-/// Compile an AST expression against a schema, an `IN ($n)` slot bound to
-/// `params[n]`. Aggregate calls are rejected — the planner substitutes
-/// them with column references before calling this.
-pub fn compile(expr: &Expr, schema: &Schema, params: &[Param<'_>]) -> Result<CExpr> {
-    let compile = |e: &Expr| compile(e, schema, params);
+/// Compile an AST expression against a schema. Aggregate calls are
+/// rejected — the planner substitutes them with column references before
+/// calling this.
+pub fn compile(expr: &Expr, schema: &Schema) -> Result<CExpr> {
+    let compile = |e: &Expr| compile(e, schema);
     Ok(match expr {
         Expr::Column { qualifier, name } => CExpr::Col(schema.resolve(qualifier.as_deref(), name)?),
         Expr::Int(i) => CExpr::Const(SqlValue::Int(*i)),
@@ -138,9 +137,9 @@ pub fn compile(expr: &Expr, schema: &Schema, params: &[Param<'_>]) -> Result<CEx
         Expr::Str(s) => CExpr::Const(SqlValue::Text(Arc::from(s.as_str()))),
         Expr::Bool(b) => CExpr::Const(SqlValue::Bool(*b)),
         Expr::Null => CExpr::Const(SqlValue::Null),
-        Expr::Star | Expr::Param(_) => {
+        Expr::Star => {
             return Err(BlendError::SqlPlan(
-                "`*` is only valid in COUNT(*) or as a select item, `$n` in an IN list".into(),
+                "`*` is only valid in COUNT(*) or as a select item".into(),
             ))
         }
         Expr::Unary { op, expr } => CExpr::Unary(*op, Box::new(compile(expr)?)),
@@ -155,25 +154,15 @@ pub fn compile(expr: &Expr, schema: &Schema, params: &[Param<'_>]) -> Result<CEx
             // Constant lists become hash sets; non-constant members are not
             // produced by any BLEND operator and are rejected for clarity.
             let mut set = FxHashSet::default();
-            match Items::of(list, params)? {
-                Items::Bound(Param::Text(texts)) => {
-                    set.extend(texts.iter().map(|&s| SqlValue::Text(Arc::from(s))))
-                }
-                Items::Bound(Param::Ids(ids)) => {
-                    set.extend(ids.iter().map(|&i| SqlValue::Int(i as i64)))
-                }
-                Items::Literals(list) => {
-                    for item in list {
-                        match compile(item)? {
-                            CExpr::Const(v) => {
-                                set.insert(v);
-                            }
-                            _ => {
-                                return Err(BlendError::SqlPlan(
-                                    "IN lists must contain constants".into(),
-                                ))
-                            }
-                        }
+            for item in list {
+                match compile(item)? {
+                    CExpr::Const(v) => {
+                        set.insert(v);
+                    }
+                    _ => {
+                        return Err(BlendError::SqlPlan(
+                            "IN lists must contain constants".into(),
+                        ))
                     }
                 }
             }
@@ -378,7 +367,7 @@ mod tests {
 
     fn compile_where(sql_where: &str, schema: &Schema) -> CExpr {
         let q = parse(&format!("SELECT * FROM x WHERE {sql_where}")).unwrap();
-        compile(&q.where_clause.unwrap(), schema, &[]).unwrap()
+        compile(&q.where_clause.unwrap(), schema).unwrap()
     }
 
     #[test]
@@ -467,7 +456,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        let e = compile(&item, &s, &[]).unwrap();
+        let e = compile(&item, &s).unwrap();
         assert_eq!(
             e.eval(&[SqlValue::Int(1), SqlValue::Null, SqlValue::Null]),
             SqlValue::Int(1)
@@ -486,7 +475,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        let e = compile(&item, &s, &[]).unwrap();
+        let e = compile(&item, &s).unwrap();
         assert_eq!(
             e.eval(&[SqlValue::Int(-5), SqlValue::Null, SqlValue::Null]),
             SqlValue::Int(5)
@@ -501,7 +490,7 @@ mod tests {
             crate::ast::SelectItem::Expr { expr, .. } => expr.clone(),
             _ => panic!(),
         };
-        assert!(compile(&item, &s, &[]).is_err());
+        assert!(compile(&item, &s).is_err());
     }
 
     #[test]

@@ -265,7 +265,7 @@ fn try_fold(e: &Expr) -> Option<SqlValue> {
     if !fold_safe(e) {
         return None;
     }
-    let compiled = compile(e, &Schema::default(), &[]).ok()?;
+    let compiled = compile(e, &Schema::default()).ok()?;
     Some(compiled.eval(&[]))
 }
 
@@ -276,10 +276,9 @@ pub(crate) fn fold_safe(e: &Expr) -> bool {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
         ),
         Expr::Agg { .. } | Expr::Star | Expr::Abs(_) | Expr::CastInt(_) => false,
-        // A column can never compile against the empty schema, nor a slot
-        // without its list; saying so here spares every enclosing subtree a
-        // doomed compile attempt.
-        Expr::Column { .. } | Expr::Param(_) => false,
+        // A column can never compile against the empty schema; saying so
+        // here spares every enclosing subtree a doomed compile attempt.
+        Expr::Column { .. } => false,
         _ => true,
     };
     here && e.children().all(fold_safe)
@@ -310,7 +309,6 @@ fn canon_expr(e: &Expr, fold: bool) -> String {
         Expr::Str(s) => canon_value(&SqlValue::Text(Arc::from(s.as_str()))),
         Expr::Bool(b) => canon_value(&SqlValue::Bool(*b)),
         Expr::Null => NULL.to_string(),
-        Expr::Param(n) => format!("${n}"),
         Expr::Star => "*".to_string(),
         Expr::Unary { op, expr } => {
             let inner = canon_expr(expr, fold);

@@ -16,9 +16,6 @@ pub enum Token {
     Float(f64),
     /// String literal (unescaped).
     Str(String),
-    /// `$n`: a list slot of a template (`parser::parse_template`). A `$`
-    /// without digits, or with more than a `usize` holds, is a lex error.
-    Param(usize),
     LParen,
     RParen,
     Comma,
@@ -141,13 +138,6 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 let (tok, next) = lex_number(sql, i)?;
                 out.push(tok);
                 i = next;
-            }
-            '$' => {
-                let digits = sql[i + 1..].split(|c: char| !c.is_ascii_digit()).next();
-                let digits = digits.unwrap_or_default();
-                let bad = |_| BlendError::SqlParse(format!("bad slot `${digits}` at byte {i}"));
-                out.push(Token::Param(digits.parse().map_err(bad)?));
-                i += 1 + digits.len();
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -317,12 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn dollar_digits_lex_as_a_slot() {
-        let toks = tokenize("IN ($0, $12) a$b").unwrap();
-        assert_eq!(toks[2], Token::Param(0));
-        assert_eq!(toks[4], Token::Param(12));
-        assert_eq!(toks[6], Token::Ident("a$b".into()));
-        for bad in ["$99999999999999999999", "$", "$x", "($)"] {
+    fn a_dollar_only_continues_an_identifier() {
+        let toks = tokenize("IN (a$b)").unwrap();
+        assert_eq!(toks[2], Token::Ident("a$b".into()));
+        for bad in ["$0", "$99999999999999999999", "$", "$x", "($)"] {
             assert!(tokenize(bad).is_err(), "{bad}");
         }
     }

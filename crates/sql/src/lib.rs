@@ -27,11 +27,7 @@
 //!   bound keeps a query within a default 2 MiB thread stack: nested
 //!   `ABS(` calls, the deepest per level, abort there past about 176
 //!   levels in a debug build and 1170 in release (2.7× and 18× the bound);
-//!   the deepest seeker template is 8 levels
-//! * `$n` list slots, `x [NOT] IN ($n)`, in templates only
-//!   ([`parser::parse_template`]), bound by the seekers' entry
-//!   [`SqlEngine::execute_bound_columns_interruptible`]; in SQL text a
-//!   slot is a `SqlParse` error, and an unbound one a `SqlPlan` error
+//!   the deepest seeker listing is 8 levels
 //!
 //! The planner performs the in-DB optimization the paper leans on: it
 //! inspects scan predicates, asks the storage engine's catalog for exact
@@ -58,7 +54,6 @@ pub use columns::{ResultColumn, ResultColumns, TextColumn};
 pub use engine::{Database, SqlEngine};
 pub use exec::{HashTableStats, ParallelPhase, QueryReport, ResultSet, ScanReport, ServingStats};
 pub use fingerprint::{fingerprint_query, fingerprint_sql, QueryFingerprint};
-pub use plan::Param;
 pub use value::SqlValue;
 
 pub use blend_parallel::ParallelCtx;

@@ -13,26 +13,14 @@ use crate::lexer::{tokenize, Token};
 /// the serving tier's and the pool's threads alike (crate docs).
 pub const MAX_DEPTH: usize = 64;
 
-/// Parse one query (a trailing `;` is tolerated and ignored); a `$n` slot
-/// is an error.
+/// Parse one query (a trailing `;` is tolerated and ignored).
 pub fn parse(sql: &str) -> Result<Query> {
-    parse_with(sql, false)
-}
-
-/// Parse a template: [`parse`], but an `IN` list may be one slot, `IN ($n)`,
-/// bound by `plan::plan_query_bound`.
-pub fn parse_template(sql: &str) -> Result<Query> {
-    parse_with(sql, true)
-}
-
-fn parse_with(sql: &str, slots: bool) -> Result<Query> {
     let sql = sql.trim().trim_end_matches(';');
     let tokens = tokenize(sql)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         depth: 0,
-        slots,
     };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
@@ -49,8 +37,6 @@ struct Parser {
     pos: usize,
     /// Nesting levels entered so far (see [`MAX_DEPTH`]).
     depth: usize,
-    /// Whether `IN ($n)` slots are allowed ([`parse_template`]).
-    slots: bool,
 }
 
 impl Parser {
@@ -344,11 +330,7 @@ impl Parser {
             self.expect(&Token::LParen)?;
             let list = self.nested(|p| {
                 let mut list = Vec::new();
-                if let (true, Some(&Token::Param(n))) = (p.slots, p.peek()) {
-                    p.pos += 1;
-                    p.expect(&Token::RParen)?;
-                    list.push(Expr::Param(n));
-                } else if !p.eat(&Token::RParen) {
+                if !p.eat(&Token::RParen) {
                     loop {
                         list.push(p.expr()?);
                         if !p.eat(&Token::Comma) {
@@ -427,10 +409,6 @@ impl Parser {
                 Ok(e)
             }
             Some(Token::Ident(id)) => self.ident_tail(id),
-            Some(Token::Param(n)) => Err(BlendError::SqlParse(match self.slots {
-                true => format!("slot `${n}` must be the sole item of an IN list"),
-                false => format!("slot `${n}` in SQL text: slots are bound only in templates"),
-            })),
             other => Err(BlendError::SqlParse(format!(
                 "unexpected token in expression: {other:?}"
             ))),

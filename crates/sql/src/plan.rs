@@ -15,9 +15,6 @@
 //!    deduplicated and computed once per group; outer expressions are
 //!    rewritten to reference them.
 //!
-//! SQL text ([`plan_query`]) and templates with `$n` list slots
-//! ([`plan_query_bound`]) share every step: an `IN` list's [`Items`] are
-//! borrowed from its literals or from the [`Param`] bound to its slot.
 //! **One resolution per scan:** a scan's `CellValue IN` lists become one
 //! list of `&str`s, sorted and deduplicated once in string order (the
 //! postings' visit order, so rows never depend on spelling), then looked
@@ -196,56 +193,6 @@ impl ValueList {
     }
 }
 
-/// The list bound to a template's `$n` slot (`parser::parse_template`).
-#[derive(Debug, Clone, Copy)]
-pub enum Param<'a> {
-    /// Text values, as `'…'` literals spell them.
-    Text(&'a [&'a str]),
-    /// Integer ids, as integer literals spell them.
-    Ids(&'a [u32]),
-}
-
-/// An `IN` list's items, borrowed: its literals, or its slot's list.
-#[derive(Clone, Copy)]
-pub(crate) enum Items<'a> {
-    Literals(&'a [Expr]),
-    Bound(Param<'a>),
-}
-
-impl<'a> Items<'a> {
-    /// Read `list` against `params`; an unbound slot is a planning error.
-    pub(crate) fn of(list: &'a [Expr], params: &[Param<'a>]) -> Result<Self> {
-        match list {
-            [Expr::Param(n)] => (params.get(*n).map(|&p| Items::Bound(p)))
-                .ok_or_else(|| BlendError::SqlPlan(format!("slot `${n}` has no bound list"))),
-            _ => Ok(Items::Literals(list)),
-        }
-    }
-
-    /// The items as strings, if every one is a string.
-    fn texts(self) -> Option<Vec<&'a str>> {
-        match self {
-            Items::Literals(list) => (list.iter())
-                .map(|item| match item {
-                    Expr::Str(s) => Some(s.as_str()),
-                    _ => None,
-                })
-                .collect(),
-            Items::Bound(Param::Text(texts)) => Some(texts.to_vec()),
-            Items::Bound(Param::Ids(_)) => None,
-        }
-    }
-
-    /// The items as `u32` ids, if every one is one ([`u32_literal`]).
-    fn ids(self) -> Option<Vec<u32>> {
-        match self {
-            Items::Literals(list) => list.iter().map(u32_literal).collect(),
-            Items::Bound(Param::Ids(ids)) => Some(ids.to_vec()),
-            Items::Bound(Param::Text(_)) => None,
-        }
-    }
-}
-
 /// A left-deep join tree over fact-table scans (a FROM subquery is inlined
 /// into the scan it reads: `plan_input`).
 pub enum Tree {
@@ -341,16 +288,6 @@ pub const FACT_COLUMNS: [&str; 6] = [
 
 /// Plan a parsed query against one snapshot of a catalog.
 pub fn plan_query(q: &Query, catalog: &dyn Catalog) -> Result<QueryPlan> {
-    plan_query_bound(q, catalog, &[])
-}
-
-/// Plan a template (`parser::parse_template`) with `params[n]` bound to its
-/// slot `$n`, as [`plan_query`] plans the query spelling them as literals.
-pub fn plan_query_bound(
-    q: &Query,
-    catalog: &dyn Catalog,
-    params: &[Param<'_>],
-) -> Result<QueryPlan> {
     let catalog = &catalog.snapshot();
     // 1. Distribute top-level WHERE conjuncts: single-input conjuncts are
     //    pushed to their input, the rest stays as a post-filter.
@@ -379,7 +316,7 @@ pub fn plan_query_bound(
 
     // 2. Plan inputs left-deep.
     let mut leaf = |item: &FromItem, i: usize| -> Result<Tree> {
-        let scan = plan_input(item, std::mem::take(&mut pushed[i]), catalog, params)?;
+        let scan = plan_input(item, std::mem::take(&mut pushed[i]), catalog)?;
         Ok(Tree::Leaf(Box::new(scan)))
     };
     let mut tree = leaf(&q.from, 0)?;
@@ -392,7 +329,7 @@ pub fn plan_query_bound(
         for c in join.on.conjuncts() {
             match as_equi_key(c, tree.schema(), right.schema()) {
                 Some(k) => keys.push(k),
-                None => residuals.push(compile(c, &schema, params)?),
+                None => residuals.push(compile(c, &schema)?),
             }
         }
         if keys.is_empty() {
@@ -414,7 +351,7 @@ pub fn plan_query_bound(
 
     let input_schema = tree.schema().clone();
     let post_filter = match Expr::and_all(post) {
-        Some(e) => Some(compile(&e, &input_schema, params)?),
+        Some(e) => Some(compile(&e, &input_schema)?),
         None => None,
     };
 
@@ -451,7 +388,7 @@ pub fn plan_query_bound(
         let group_exprs: Vec<CExpr> = q
             .group_by
             .iter()
-            .map(|g| compile(g, &input_schema, params))
+            .map(|g| compile(g, &input_schema))
             .collect::<Result<_>>()?;
         let aggs: Vec<AggPlan> = agg_asts
             .iter()
@@ -471,7 +408,7 @@ pub fn plan_query_bound(
                         distinct: *distinct,
                         arg: arg
                             .as_ref()
-                            .map(|e| compile(e, &input_schema, params))
+                            .map(|e| compile(e, &input_schema))
                             .transpose()?,
                     })
                 }
@@ -546,13 +483,13 @@ pub fn plan_query_bound(
         .collect();
     let mut projection = Vec::new();
     for (info, (_, e)) in out_infos.iter().zip(select_final.iter()) {
-        projection.push((info.clone(), compile(e, &current_schema, params)?));
+        projection.push((info.clone(), compile(e, &current_schema)?));
     }
 
     // 5. Compile ORDER BY (aliases were resolved up front).
     let mut order_by = Vec::new();
     for (e, desc) in order_final {
-        order_by.push((compile(&e, &current_schema, params)?, desc));
+        order_by.push((compile(&e, &current_schema)?, desc));
     }
 
     Ok(QueryPlan {
@@ -661,19 +598,14 @@ fn fact_schema(alias: &str) -> Schema {
 /// WHERE ahead of `extra`, and its columns qualified by the outer alias. The
 /// scan keeps `t`'s alias for its reports. Any other derived table is a
 /// planning error.
-fn plan_input(
-    f: &FromItem,
-    extra: Vec<Expr>,
-    catalog: &CatalogSnapshot,
-    params: &[Param<'_>],
-) -> Result<ScanPlan> {
+fn plan_input(f: &FromItem, extra: Vec<Expr>, catalog: &CatalogSnapshot) -> Result<ScanPlan> {
     let alias = item_alias(f);
     match &f.source {
         TableSource::Named(name) => {
             let table = catalog
                 .get(&name.to_lowercase())
                 .ok_or_else(|| BlendError::SqlPlan(format!("unknown table `{name}` in catalog")))?;
-            plan_scan(table.clone(), &alias, &extra, params)
+            plan_scan(table.clone(), &alias, &extra)
         }
         TableSource::Subquery(sub) => {
             let plain = sub.select == [SelectItem::Wildcard]
@@ -692,7 +624,7 @@ fn plan_input(
             let predicate = (conjuncts.chain(&extra))
                 .map(|c| strip_qualifier(c, &inner_alias))
                 .collect();
-            let mut scan = plan_input(&sub.from, predicate, catalog, params)?;
+            let mut scan = plan_input(&sub.from, predicate, catalog)?;
             scan.schema = fact_schema(&alias);
             Ok(scan)
         }
@@ -701,12 +633,7 @@ fn plan_input(
 
 /// Plan a base-table scan: classify predicate conjuncts, choose the access
 /// path by exact cardinality, and compile what remains as residual.
-fn plan_scan(
-    table: Arc<dyn FactTable>,
-    alias: &str,
-    predicate: &[Expr],
-    params: &[Param<'_>],
-) -> Result<ScanPlan> {
+fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: &[Expr]) -> Result<ScanPlan> {
     let schema = fact_schema(alias);
 
     let mut kernel = FilterKernel::empty();
@@ -716,7 +643,7 @@ fn plan_scan(
     let mut generic: Vec<Expr> = Vec::new();
 
     for c in predicate {
-        match classify_conjunct(c, params) {
+        match classify_conjunct(c) {
             Classified::ValueIn(vs) => merge_list(&mut value_list, vs),
             Classified::TableIn(ts) => merge_list(&mut table_list, ts),
             Classified::TableNotIn(ts) => table_not_list.get_or_insert_with(Vec::new).extend(ts),
@@ -796,7 +723,7 @@ fn plan_scan(
     }
 
     let residual = match Expr::and_all(generic) {
-        Some(e) => Some(compile(&e, &schema, params)?),
+        Some(e) => Some(compile(&e, &schema)?),
         None => None,
     };
 
@@ -821,23 +748,25 @@ enum Classified<'a> {
     Other,
 }
 
-/// What a scan conjunct is, its lists borrowed from the literals or the
-/// bound slot. A slot with no bound list stays a residual, whose compile
-/// reports it.
-fn classify_conjunct<'a>(e: &'a Expr, params: &[Param<'a>]) -> Classified<'a> {
+/// What a scan conjunct is, its lists borrowed from the literals.
+fn classify_conjunct(e: &Expr) -> Classified<'_> {
     match e {
         Expr::InList {
             expr,
             list,
             negated,
-        } => match (unqualified_fact_col(expr), Items::of(list, params)) {
+        } => match unqualified_fact_col(expr) {
             // Only strings: a number never equals a text cell (`CellValue
             // IN (1)` matches nothing), so a list holding one stays a
             // residual.
-            (Some("cellvalue"), Ok(items)) if !negated => {
-                items.texts().map_or(Classified::Other, Classified::ValueIn)
-            }
-            (Some("tableid"), Ok(items)) => match (items.ids(), negated) {
+            Some("cellvalue") if !negated => (list.iter())
+                .map(|item| match item {
+                    Expr::Str(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect::<Option<_>>()
+                .map_or(Classified::Other, Classified::ValueIn),
+            Some("tableid") => match (list.iter().map(u32_literal).collect(), negated) {
                 (Some(ts), true) => Classified::TableNotIn(ts),
                 (Some(ts), false) => Classified::TableIn(ts),
                 (None, _) => Classified::Other,

@@ -1,9 +1,13 @@
 //! Dictionary-encoded columnar engine — the commercial column store
 //! analogue.
 
+use std::ops::Range;
+
+use blend_common::{try_vec_with_capacity, try_zeroed_vec, BlendError, Result};
+
 use crate::fact::{
-    canonical_sort, decode_quadrant, scratch_component, table_ranges, FactRow, FactTable,
-    MemoryBreakdown, QUADRANT_NULL,
+    canonical_sort, cut_to_ranges, decode_quadrant, scratch_component, table_ranges, FactRow,
+    FactTable, MemoryBreakdown, QUADRANT_NULL,
 };
 use crate::filter::{compact, extend_range, FilterKernel, IdSet, ValuePred};
 use crate::hashtable::{DenseKey, GroupIndex};
@@ -266,9 +270,106 @@ impl ColumnIndex {
         }
     }
 
+    /// Count, per run ordinal (`per_table`: per `TableId`), the values whose
+    /// ordinal `lists` ([`ordinals`](Self::ordinals), one per value) its
+    /// group holds: the one walk of the SC/KW operator and the SQL
+    /// executor's column-index grouping. A list 32 times as long as the
+    /// `allowed` tables is cut to their runs by binary search, a shorter
+    /// one tests each entry's table; an entry of a table `rejected` holds
+    /// is skipped; each other is *kept* and counts once per (value, group)
+    /// pair. A run's key is read only where the walk needs its table.
+    /// `poll` runs every 4,096 entries. Allocates `4 n_slots + 8
+    /// min(entries, n_slots)` bytes, which callers reserve first; a slot
+    /// past `n_slots` is a `SqlExec` error.
+    pub fn walk(
+        &self,
+        lists: &[&[u32]],
+        per_table: bool,
+        allowed: Option<&IdSet>,
+        rejected: Option<&IdSet>,
+        n_slots: usize,
+        mut poll: impl FnMut() -> Result<()>,
+    ) -> Result<Walk> {
+        let ranges: Option<Vec<Range<u32>>> = allowed.map(|set| {
+            let runs =
+                |t: u32, last: bool| self.keys.partition_point(|k| k.0 < t || last && k.0 == t);
+            set.ids()
+                .map(|t| runs(t, false) as u32..runs(t, true) as u32)
+                .collect()
+        });
+        let rejected = rejected.filter(|set| !set.is_empty());
+        let groups = lists.iter().map(|l| l.len()).sum::<usize>().min(n_slots);
+        let site = "column index walk";
+        let mut out = Walk {
+            counts: try_zeroed_vec(n_slots, site)?,
+            slots: try_vec_with_capacity(groups, site)?,
+            first: try_vec_with_capacity(groups, site)?,
+            kept: 0,
+        };
+        let (mut walked, mut parts) = (0usize, Vec::new());
+        let keys_unread = !per_table && rejected.is_none() && allowed.is_none();
+        for &list in lists {
+            parts.clear();
+            let cut = ranges.as_ref().filter(|r| r.len() * 32 <= list.len());
+            match cut {
+                Some(r) => cut_to_ranges(list, r, |part| parts.push(part)),
+                None => parts.push(list),
+            }
+            let test = if cut.is_some() { None } else { allowed };
+            let mut prev_table = None;
+            for &part in &parts {
+                for &ordinal in part {
+                    if walked % 4096 == 0 {
+                        poll()?;
+                    }
+                    walked += 1;
+                    let slot = if keys_unread {
+                        ordinal
+                    } else {
+                        let t = self.keys[ordinal as usize].0;
+                        if !test.is_none_or(|set| set.contains(t))
+                            || rejected.is_some_and(|set| set.contains(t))
+                        {
+                            continue;
+                        }
+                        if per_table && prev_table.replace(t) == Some(t) {
+                            out.kept += 1;
+                            continue;
+                        }
+                        match per_table {
+                            true => t,
+                            false => ordinal,
+                        }
+                    };
+                    let count = (out.counts.get_mut(slot as usize)).ok_or_else(|| {
+                        BlendError::SqlExec(format!("column index: slot {slot} of {n_slots}"))
+                    })?;
+                    if *count == 0 {
+                        out.slots.push(slot);
+                        out.first.push(out.kept as u32);
+                    }
+                    *count += 1;
+                    out.kept += 1;
+                }
+            }
+        }
+        Ok(out)
+    }
+
     fn heap_bytes(&self) -> usize {
         self.keys.capacity() * 8 + self.runs_of.heap_bytes()
     }
+}
+
+/// What [`ColumnIndex::walk`] counted: per slot its count, the touched
+/// slots in first-touch order, the entries kept before each one's first,
+/// and the entries kept.
+#[derive(Debug)]
+pub struct Walk {
+    pub counts: Vec<u32>,
+    pub slots: Vec<u32>,
+    pub first: Vec<u32>,
+    pub kept: usize,
 }
 
 /// Postings and the column index, both keyed by dictionary code and both

@@ -286,6 +286,30 @@ pub fn partition_point(
     lo
 }
 
+/// Emit the runs of the ascending `items` that lie in the ascending,
+/// disjoint `ranges`, each bound found by binary search. Every round
+/// consumes a range, and one that holds no item moves the items past it,
+/// so the rounds are at most about twice the smaller input.
+pub fn cut_to_ranges<'p>(
+    items: &'p [u32],
+    ranges: &[std::ops::Range<u32>],
+    mut emit: impl FnMut(&'p [u32]),
+) {
+    let (mut p, mut r) = (items, ranges);
+    while let Some(&first) = p.first() {
+        r = &r[r.partition_point(|x| x.end <= first)..];
+        let Some(range) = r.first() else {
+            break;
+        };
+        let lo = p.partition_point(|&x| x < range.start);
+        let hi = lo + p[lo..].partition_point(|&x| x < range.end);
+        if hi > lo {
+            emit(&p[lo..hi]);
+        }
+        (p, r) = (&p[hi..], &r[1..]);
+    }
+}
+
 /// A set of row ordinals ([`FactTable::row_ordinals`]) numbered densely by
 /// rank: a bitmap over the ordinal space and, per 64-bit word, the members
 /// below it. A member's id is its rank, so ids ascend with ordinals and no

@@ -115,28 +115,27 @@ impl IdSet {
             return None;
         }
         let mut out = [0u32; 8];
-        let mut n = 0usize;
-        match self {
-            IdSet::Sorted(s) => {
-                for &id in s.iter() {
-                    out[n] = id;
-                    n += 1;
-                }
-            }
-            IdSet::Bitmap { base, words, .. } => {
-                for (w, &word) in words.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        out[n] = base + (w as u32) * 64 + word.trailing_zeros();
-                        n += 1;
-                        word &= word - 1;
-                    }
-                }
-            }
+        for (lane, id) in out.iter_mut().zip(self.ids()) {
+            *lane = id;
         }
         let first = out[0];
-        out[n..].fill(first);
+        out[self.len()..].fill(first);
         Some(out)
+    }
+
+    /// The ids, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let (sorted, base, words): (&[u32], u32, &[u64]) = match self {
+            IdSet::Sorted(s) => (s, 0, &[]),
+            IdSet::Bitmap { base, words, .. } => (&[], *base, words),
+        };
+        let bits = words.iter().enumerate().flat_map(move |(w, &word)| {
+            let set = std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)));
+            let at = base + w as u32 * 64;
+            set.take_while(|&x| x != 0)
+                .map(move |x| at + x.trailing_zeros())
+        });
+        sorted.iter().copied().chain(bits)
     }
 
     /// Number of distinct ids.
@@ -393,7 +392,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `contains`, `len` and `small_needles` against a `HashSet` over
+        /// `contains`, `len`, `ids` and `small_needles` against a `HashSet` over
         /// lists that hold 0, `u32::MAX`, duplicates or nothing, with sizes
         /// on both sides of `LINEAR_PROBE_MAX` and ids dense enough for the
         /// bitmap or sparse enough for the sorted slice — the dense ones
@@ -425,6 +424,9 @@ mod tests {
             let want: HashSet<u32> = ids.iter().copied().collect();
             prop_assert_eq!(set.len(), want.len());
             prop_assert_eq!(set.is_empty(), want.is_empty());
+            let mut sorted: Vec<u32> = want.iter().copied().collect();
+            sorted.sort_unstable();
+            prop_assert_eq!(set.ids().collect::<Vec<_>>(), sorted);
             for id in ids.iter().flat_map(|&i| [i.wrapping_sub(1), i, i.wrapping_add(1)]) {
                 prop_assert_eq!(set.contains(id), want.contains(&id), "id {}", id);
             }

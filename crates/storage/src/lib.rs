@@ -51,10 +51,10 @@ pub mod radix;
 pub mod row_store;
 pub mod stats;
 
-pub use column_store::{ColumnIndex, ColumnStore};
+pub use column_store::{ColumnIndex, ColumnStore, Walk};
 pub use fact::{
-    decode_quadrant, partition_point, FactRow, FactTable, MemoryBreakdown, OrdinalRank,
-    QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
+    cut_to_ranges, decode_quadrant, partition_point, FactRow, FactTable, MemoryBreakdown,
+    OrdinalRank, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
 pub use hashtable::{DenseKey, GroupIndex, PROBE_BLOCK};

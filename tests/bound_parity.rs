@@ -1,26 +1,25 @@
-//! The bound path against the text path. `seekers::run` parses each SC
-//! and KW seeker's template once with `$n` slots and binds its
-//! deduplicated value lists and the injected table ids into them
-//! (`SqlEngine::execute_bound_columns_interruptible`); MC and C run their
-//! operators over the index. Each reports the SQL text that spells every
-//! list as literals (`SeekerRun::sql`). Its hits and MC statistics must be what
-//! that text gives: run through the engine's text entry, whose rows equal
-//! the reference interpreter's (`execute_reference`), and then the
-//! application phase (`seekers::apply` for SC and KW; for MC and C, whose
-//! operators run no SQL, the oracles of `common/mc_oracle.rs` and
-//! `common/c_oracle.rs`).
+//! Every seeker's operator against its SQL text. `seekers::run` answers
+//! each kind with one operator over the index (SC and KW `crate::sc`, MC
+//! `crate::mc`, C `crate::c`) and reports the SQL text that spells every
+//! list as literals (`SeekerRun::sql`). Its hits and MC statistics must be
+//! what that text gives: run through the engine's text entry, whose rows
+//! equal the reference interpreter's (`execute_reference`), and then the
+//! application phase the operator replaced (the oracles of
+//! `common/sc_oracle.rs`, `common/mc_oracle.rs` and `common/c_oracle.rs`).
 //!
 //! Every seeker kind, MC arity 2–4, both stores, 1 and 4 threads, and
 //! `In` / `NotIn` / no injection; the lists hold values that need escaping
 //! (`O'Brien`), duplicates before and after normalization, values absent
-//! from the dictionary, and one-value lists. The golden strings at the end
-//! pin `SeekerRun::sql` to the text the served workloads' templates have
-//! always had.
+//! from the dictionary, and one-value lists. Listing 1's edges have a test
+//! of their own. The golden strings at the end pin `SeekerRun::sql` to the
+//! text the served workloads' templates have always had.
 
 #[path = "common/c_oracle.rs"]
 mod c_oracle;
 #[path = "common/mc_oracle.rs"]
 mod mc_oracle;
+#[path = "common/sc_oracle.rs"]
+mod sc_oracle;
 
 use std::sync::Arc;
 
@@ -175,7 +174,7 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
                             let min_matches = blend.options().corr_min_matches;
                             (c_oracle::c_postprocess(&text, K, min_matches).0, None)
                         }
-                        _ => (seekers::apply(seeker, K, &text).unwrap(), None),
+                        _ => (sc_oracle::sc_postprocess(&text, K), None),
                     };
                     assert_eq!(run.hits, hits, "{what}");
                     assert_eq!(run.mc_stats, mc_stats, "{what}");
@@ -192,6 +191,107 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
         hits_seen * 2 > seekers.len() * 12,
         "{hits_seen} runs with hits"
     );
+}
+
+/// Listing 1's edges, SC and KW on both stores at 1 and 4 threads, each
+/// run equal to the oracle over its SQL text's rows (which equal the
+/// reference's). The lake: table 0 holds `a`, `b` and `c` in each of its
+/// 20 columns; tables 1–6 hold two query values in column 0 and one in
+/// column 1, table 6 also the value that sorts first, so it is touched
+/// first; table 7 spells `a` and `b` in a way that normalizes to them;
+/// tables 8–207 hold `a` once. So at `k = 2` table 0's columns fill the
+/// whole `4k + 8` window and one table comes back; at `k = 5` tables 1–6
+/// tie at 2 and `TableId` breaks the tie; KW ties tables 0–6 at 3.
+#[test]
+fn listing_1_edges_match_the_sql_text() {
+    let col = |name: String, vals: &[&str]| Column::new(name, vals.to_vec());
+    let mut tables = vec![Table::new(
+        TableId(0),
+        "wide",
+        (0..20)
+            .map(|c| col(format!("w{c}"), &["a", "b", "c"]))
+            .collect(),
+    )
+    .unwrap()];
+    for t in 1..=6u32 {
+        let first = if t == 6 { "0first" } else { "b" };
+        tables.push(
+            Table::new(
+                TableId(t),
+                format!("tie-{t}"),
+                vec![
+                    col("k".into(), &[first, "a", "x"]),
+                    col("v".into(), &["c", "y", "z"]),
+                ],
+            )
+            .unwrap(),
+        );
+    }
+    tables.push(
+        Table::new(
+            TableId(7),
+            "spelled",
+            vec![col("k".into(), &["  A ", "B", "q"])],
+        )
+        .unwrap(),
+    );
+    for t in 8..208u32 {
+        let name = format!("filler-{t}");
+        tables.push(Table::new(TableId(t), name, vec![col("k".into(), &["a", "f"])]).unwrap());
+    }
+    let lake = DataLake::new("listing-1-edges", tables);
+    let values: Vec<String> = ["a", " B", "c", "C ", "b", "0first", "absent", "A"]
+        .map(String::from)
+        .to_vec();
+    let n = lake.tables.len() as u32;
+    let injections = [
+        None,
+        Some(Injected::In(vec![])),
+        Some(Injected::NotIn(vec![])),
+        Some(Injected::In(vec![6, 2, 9])),
+        Some(Injected::NotIn(
+            (0..n).filter(|t| ![3, 5, 7].contains(t)).collect(),
+        )),
+    ];
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let mut blend = Blend::from_lake(&lake, kind);
+        for threads in [1usize, 4] {
+            blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+            for seeker in [Seeker::sc(values.clone()), Seeker::kw(values.clone())] {
+                for k in [1, 2, 5, 10] {
+                    for injected in &injections {
+                        let what = format!("{seeker:?} k={k} {kind:?} {threads}t {injected:?}");
+                        let never = Interrupt::never();
+                        let run = seekers::run(&blend, &seeker, k, injected.as_ref(), &never);
+                        let run = run.unwrap();
+                        if injected == &Some(Injected::In(vec![])) {
+                            assert!(run.sql.is_empty() && run.hits.is_empty(), "{what}");
+                            continue;
+                        }
+                        let engine = blend.engine();
+                        let text = engine.execute_columns_interruptible(&run.sql, never);
+                        let (text, _) = text.unwrap();
+                        let (reference, _) = engine.execute_reference(&run.sql).unwrap();
+                        assert_eq!(text.to_result_set(), reference, "{what}");
+                        assert_eq!(run.hits, sc_oracle::sc_postprocess(&text, k), "{what}");
+                    }
+                }
+            }
+            let hits = |seeker: &Seeker, k: usize| {
+                let run = seekers::run(&blend, seeker, k, None, &Interrupt::never()).unwrap();
+                (run.hits.iter())
+                    .map(|h| (h.table.0, h.score))
+                    .collect::<Vec<_>>()
+            };
+            let sc = Seeker::sc(values.clone());
+            assert_eq!(hits(&sc, 2), [(0, 3.0)], "{kind:?}");
+            assert_eq!(hits(&sc, 1), [(0, 3.0)], "{kind:?}");
+            let want = [(0, 3.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 2.0)];
+            assert_eq!(hits(&sc, 5), want, "{kind:?}");
+            let kw = Seeker::kw(values.clone());
+            assert_eq!(hits(&kw, 3), [(0, 3.0), (1, 3.0), (2, 3.0)], "{kind:?}");
+        }
+    }
 }
 
 /// `SeekerRun::sql` of one seeker of each kind, with injection, as the

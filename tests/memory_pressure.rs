@@ -978,3 +978,61 @@ fn c_operator_is_typed_under_interrupts_and_budgets() {
         assert_eq!(small.reserved_bytes(), 0, "{kind:?}: must drain");
     }
 }
+
+/// The SC and KW operator over seekers whose values fill both columns of
+/// 10 000 tables resolves typed on both stores (the column-index walk,
+/// and the postings walk of the row store): a cancelled interrupt is
+/// `Cancelled`, an expired deadline `Timeout`, a 64 KiB governor
+/// `MemoryExceeded` at the operator's reservation. Nothing panics, and
+/// nothing stays reserved.
+#[test]
+fn sc_and_kw_operator_is_typed_under_interrupts_and_budgets() {
+    use blend::{seekers, Blend, Seeker};
+    use blend_parallel::{CancellationToken, Interrupt};
+
+    let values = vec!["a".to_string(), "b".to_string()];
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let mut rows = Vec::new();
+        for t in 0..10_000u32 {
+            for r in 0..2u32 {
+                rows.push(FactRow::new(["a", "b"][r as usize], t, 0, r, 0, None));
+                rows.push(FactRow::new(["b", "a"][r as usize], t, 1, r, 0, None));
+            }
+        }
+        let fact = build_engine(kind, rows);
+        for seeker in [Seeker::sc(values.clone()), Seeker::kw(values.clone())] {
+            let what = format!("{kind:?} {}", seeker.label());
+            let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
+                let mut blend = Blend::new(fact.clone());
+                let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+                blend.set_parallel(Arc::new(ctx));
+                seekers::run(&blend, &seeker, 10, None, interrupt)
+            };
+            let unbounded = Arc::new(MemoryGovernor::unbounded());
+            let hits = run(&unbounded, &Interrupt::never()).expect("unbudgeted run");
+            assert_eq!(hits.hits.len(), 10, "{what}");
+            assert_eq!(unbounded.reserved_bytes(), 0, "{what}");
+
+            let token = CancellationToken::new();
+            token.cancel();
+            let cancelled = Interrupt::new(token, Deadline::none());
+            let expired = Interrupt::new(CancellationToken::new(), Deadline::after(Duration::ZERO));
+            match run(&unbounded, &cancelled) {
+                Err(BlendError::Cancelled(_)) => {}
+                other => panic!("{what}: cancelled run gave {other:?}"),
+            }
+            match run(&unbounded, &expired) {
+                Err(BlendError::Timeout(_)) => {}
+                other => panic!("{what}: expired run gave {other:?}"),
+            }
+            assert_eq!(unbounded.reserved_bytes(), 0, "{what}");
+
+            let small = Arc::new(MemoryGovernor::with_budget(64 << 10));
+            match run(&small, &Interrupt::never()) {
+                Err(BlendError::MemoryExceeded(msg)) => assert!(msg.starts_with("sc "), "{msg}"),
+                other => panic!("{what}: 64 KiB run gave {other:?}"),
+            }
+            assert_eq!(small.reserved_bytes(), 0, "{what}: must drain");
+        }
+    }
+}

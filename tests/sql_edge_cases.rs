@@ -484,25 +484,20 @@ fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
     run.join().expect("the nesting checks pass");
 }
 
-/// `$n` list slots bind only through the seekers' entry,
-/// `SqlEngine::execute_bound_columns_interruptible`. In SQL text — a slot
-/// in an `IN` list or as a select item, a slot past `usize`, a bare `$` —
-/// each is a typed error wherever text enters: `execute`, the reference,
-/// fingerprinting and the serving queue; none panics and none leaves a
-/// cache entry. Through the bound entry a slot with no list is a `SqlPlan`
-/// error, one anywhere but alone in an `IN` list a `SqlParse` error, and a
-/// bound query returns what its literal spelling returns.
+/// A `$` outside an identifier is no token of the dialect: `$n` in an
+/// `IN` list or as a select item, a `$n` past `usize`, a bare `$` — each
+/// is a typed `SqlParse` error wherever text enters: `execute`, the
+/// reference, fingerprinting and the serving queue; none panics and none
+/// leaves a cache entry.
 #[test]
 fn hostile_slots_are_typed_errors_through_every_entry() {
-    use blend_parallel::{Deadline, Interrupt};
+    use blend_parallel::Deadline;
     use blend_serve::{ServeConfig, ServeQueue};
-    use blend_sql::{fingerprint_sql, Param};
+    use blend_sql::fingerprint_sql;
 
     let e = Arc::new(engine());
     let queue = ServeQueue::new(e.clone(), ServeConfig::default());
-    let typed = |r: blend_sql::Result<()>| {
-        matches!(r, Err(BlendError::SqlParse(_) | BlendError::SqlPlan(_)))
-    };
+    let typed = |r: blend_sql::Result<()>| matches!(r, Err(BlendError::SqlParse(_)));
     for sql in [
         "SELECT TableId FROM AllTables WHERE CellValue IN ($0)",
         "SELECT $0 FROM AllTables",
@@ -517,28 +512,4 @@ fn hostile_slots_are_typed_errors_through_every_entry() {
         assert!(typed(served.map(drop)), "{sql}");
     }
     assert_eq!(queue.cached_results(), 0);
-
-    let bound = |sql: &str, params: &[Param]| {
-        e.execute_bound_columns_interruptible(sql, params, Interrupt::never())
-    };
-    let (alpha, ids) = (["alpha", "delta", "omega"], [1, 2]);
-    let sql = "SELECT TableId, RowId FROM AllTables WHERE CellValue IN ($0) AND TableId IN ($1)";
-    let unbound = bound(sql, &[Param::Text(&alpha)]).map(drop);
-    assert!(
-        matches!(unbound, Err(BlendError::SqlPlan(_))),
-        "{unbound:?}"
-    );
-    let (cols, _) = bound(sql, &[Param::Text(&alpha), Param::Ids(&ids)]).unwrap();
-    let text = "SELECT TableId, RowId FROM AllTables \
-                WHERE CellValue IN ('alpha','delta','omega') AND TableId IN (1,2)";
-    assert_eq!(cols.to_result_set(), e.execute(text).unwrap());
-    assert_eq!(cols.len(), 3);
-    for sql in [
-        "SELECT $0 FROM AllTables",
-        "SELECT TableId FROM AllTables WHERE CellValue IN ($0, 'alpha')",
-        "SELECT TableId FROM AllTables WHERE CellValue IN ($)",
-    ] {
-        let r = bound(sql, &[Param::Text(&alpha)]).map(drop);
-        assert!(matches!(r, Err(BlendError::SqlParse(_))), "{sql}: {r:?}");
-    }
 }
