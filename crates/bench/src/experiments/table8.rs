@@ -34,18 +34,9 @@ pub fn measure(lake: &DataLake) -> (usize, usize, Vec<(String, usize)>) {
     (blend_size, combined, parts)
 }
 
-/// Run across the lake families.
-pub fn run(scale: f64) -> String {
-    let mut t = TextTable::new(&[
-        "Data lake",
-        "BLEND",
-        "Combination of S.O.T.A.",
-        "BLEND/combined",
-        "breakdown",
-    ]);
-    let mut total_blend = 0usize;
-    let mut total_combined = 0usize;
-    let lakes: Vec<(&str, DataLake)> = vec![
+/// The six lake families at `scale`, labelled.
+fn lakes(scale: f64) -> Vec<(&'static str, DataLake)> {
+    vec![
         (
             "Gittables-like",
             web::generate(&WebLakeConfig::gittables_like(scale)),
@@ -67,8 +58,21 @@ pub fn run(scale: f64) -> String {
             "NYC-like",
             corr_bench::generate(&CorrBenchConfig::nyc_cat_like(scale)).lake,
         ),
-    ];
-    for (label, lake) in &lakes {
+    ]
+}
+
+/// Run across the lake families.
+pub fn run(scale: f64) -> String {
+    let mut t = TextTable::new(&[
+        "Data lake",
+        "BLEND",
+        "Combination of S.O.T.A.",
+        "BLEND/combined",
+        "breakdown",
+    ]);
+    let mut total_blend = 0usize;
+    let mut total_combined = 0usize;
+    for (label, lake) in &lakes(scale) {
         let (blend_size, combined, parts) = measure(lake);
         total_blend += blend_size;
         total_combined += combined;
@@ -99,14 +103,15 @@ pub fn run(scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn blend_is_smaller_than_combination() {
-        let lake = blend_lake::web::generate(&blend_lake::WebLakeConfig::gittables_like(0.02));
-        let (blend_size, combined, parts) = super::measure(&lake);
-        assert!(blend_size > 0);
-        assert_eq!(parts.len(), 4);
-        assert!(
-            blend_size < combined,
-            "unified index {blend_size} !< combined {combined}"
-        );
+    fn blend_is_smaller_than_combination_on_every_lake() {
+        for (label, lake) in super::lakes(0.02) {
+            let (blend_size, combined, parts) = super::measure(&lake);
+            assert!(blend_size > 0, "{label}");
+            assert_eq!(parts.len(), 4, "{label}");
+            assert!(
+                blend_size < combined,
+                "{label}: unified index {blend_size} !< combined {combined}"
+            );
+        }
     }
 }

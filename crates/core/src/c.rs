@@ -5,10 +5,10 @@
 //!    tables an injection allows ([`crate::postings`]) and to `RowId < h`,
 //!    in canonical order — by table, key column, then row — each cell
 //!    tagged with whether its key is in `k0`, `k1` or both.
-//! 2. **Pairs** (span `c.pairs`): per table t, its column runs are found
-//!    by binary search. For the key cells of one key column kc and each
-//!    other column nc of t, [`FactTable::locate`] finds the cells at
-//!    (t, nc, r) for the key cells' rows r. Each numeric one (quadrant q)
+//! 2. **Pairs** (span `c.pairs`): per table t, its column runs come from
+//!    [`FactTable::column_runs`]. For the key cells of one key column kc
+//!    and each other column nc of t, [`FactTable::locate`] finds the cells
+//!    at (t, nc, r) for the key cells' rows r. Each numeric one (quadrant q)
 //!    adds 1 to the (kc, nc) pair's count, and 1 to its concordant count
 //!    when `(k0 ∧ q = 0) ∨ (k1 ∧ q = 1)`. A pair with a count is one group
 //!    of the SQL's `GROUP BY keys.TableId, nums.ColumnId, keys.ColumnId`.
@@ -20,15 +20,16 @@
 //!
 //! No hash, `SqlValue` or value string is touched per cell. The operator
 //! runs on the query's thread, prices each buffer before allocating it
-//! (reservation site `c`), and polls the interrupt every [`POLL`] key cells
-//! and every [`POLL`] lookups.
+//! (reservation site `c`; a table's few column runs are priced as they
+//! arrive), and polls the interrupt every [`POLL`] key cells and every
+//! [`POLL`] lookups.
 
 use std::sync::Arc;
 
 use blend_common::topk::TopK;
 use blend_common::{BlendError, FxHashMap, Result, TableId};
 use blend_parallel::{Interrupt, MemoryGovernor, MemoryReservation, QueryMemory};
-use blend_storage::{partition_point, FactTable};
+use blend_storage::FactTable;
 
 use crate::combiners::TableHit;
 use crate::postings::{allowed_ranges, fetch, room};
@@ -162,13 +163,9 @@ fn groups(
         let t = fact.table_at(pos(at) as usize);
         let range = fact.table_postings(t);
         runs.clear();
-        let mut p = range.start;
-        while p < range.end {
-            let c = fact.column_at(p);
-            p = partition_point(p..range.end, |q| fact.column_at(q) <= c);
-            room(mem, &mut runs, 1)?;
-            runs.push((c, p as u32));
-        }
+        let held = runs.capacity();
+        fact.column_runs(t, &mut runs);
+        mem.grow((runs.capacity() - held) * std::mem::size_of::<(u32, u32)>())?;
         // One key column's cells at a time.
         while at < cells.len() && (pos(at) as usize) < range.end {
             let (kc, end) = runs[runs.partition_point(|&(_, end)| end <= pos(at))];

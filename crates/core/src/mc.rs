@@ -7,10 +7,10 @@
 //! 2. **Rows, in MATE's order** (span `mc.rows`): the column with the
 //!    fewest cells drives. Its rows are numbered — row directory ordinals
 //!    ranked through [`OrdinalRank`], or packed (`TableId`, `RowId`) pairs
-//!    through a [`GroupIndex`] where the store has no directory — and its
-//!    cells listed per row as (position, list index) pairs. Each further
-//!    column but the last keeps the cells of rows every column before it
-//!    holds, listed the same way.
+//!    through a [`GroupIndex`] on the row store, which has no directory —
+//!    and its cells listed per row as (position, list index) pairs. Each
+//!    further column but the last keeps the cells of rows every column
+//!    before it holds, listed the same way.
 //! 3. **Validation** (span `postprocess`): each surviving cell of the last
 //!    column joins one cell per other column from its row's lists; each
 //!    such combination is one row of the SQL join. With pairwise-distinct

@@ -45,8 +45,9 @@ pub fn encode_rows(rows: &[FactRow]) -> Bytes {
 
 /// Deserialize fact rows from a byte buffer. Corrupt input of any shape —
 /// truncated, oversized counts or lengths, bad UTF-8, unknown quadrant
-/// codes, trailing bytes — is a typed [`BlendError::Index`], never a panic;
-/// whatever decodes re-encodes to exactly the input bytes.
+/// codes, two super keys for one (`TableId`, `RowId`), trailing bytes — is
+/// a typed [`BlendError::Index`], never a panic; whatever decodes
+/// re-encodes to exactly the input bytes.
 pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     let err = |m: &str| BlendError::Index(format!("index file corrupt: {m}"));
     if buf.remaining() < 16 {
@@ -67,6 +68,19 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     // The count is untrusted: reserve no more rows than the bytes left can
     // hold, so a header claiming 2^40 rows reserves nothing.
     let mut rows = Vec::with_capacity((buf.remaining() / MIN_ROW_BYTES).min(n as usize));
+    // A super key belongs to its row (the column store keeps one per row).
+    // Cells in (`TableId`, `RowId`) order, as `IndexBuilder` writes them, are
+    // each checked against the one before; any other order is sorted by
+    // row once at the end.
+    let row_key = |table: u32, row: u32| (table as u64) << 32 | row as u64;
+    let two_keys = |key: u64| {
+        err(&format!(
+            "two super keys for table {} row {}",
+            key >> 32,
+            key as u32
+        ))
+    };
+    let (mut prev, mut in_order) = (None, true);
     for _ in 0..n {
         if buf.remaining() < 4 {
             return Err(err("truncated value length"));
@@ -83,6 +97,14 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
         let column = buf.get_u32_le();
         let row = buf.get_u32_le();
         let superkey = buf.get_u128_le();
+        let key = row_key(table, row);
+        if let Some((k, sk)) = prev {
+            if k == key && sk != superkey {
+                return Err(two_keys(key));
+            }
+            in_order &= k <= key;
+        }
+        prev = Some((key, superkey));
         let quadrant = match buf.get_u8() {
             code @ (QUADRANT_NULL | QUADRANT_ZERO | QUADRANT_ONE) => decode_quadrant(code),
             code => return Err(err(&format!("invalid quadrant code {code}"))),
@@ -98,6 +120,15 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     }
     if buf.has_remaining() {
         return Err(err("trailing bytes"));
+    }
+    if !in_order {
+        let mut keys: Vec<(u64, u128)> = (rows.iter())
+            .map(|r| (row_key(r.table, r.row), r.superkey))
+            .collect();
+        keys.sort_unstable_by_key(|k| k.0);
+        if let Some(w) = (keys.windows(2)).find(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1) {
+            return Err(two_keys(w[0].0));
+        }
     }
     Ok(rows)
 }
@@ -198,6 +229,26 @@ mod tests {
             let err = decode_rows(&encoded).unwrap_err();
             assert!(
                 matches!(&err, BlendError::Index(m) if m.contains("quadrant")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_two_super_keys_for_one_row() {
+        // Cells of one (table, row) apart and adjacent; the same row id in
+        // another table may differ.
+        let mut rows = sample();
+        rows.push(FactRow::new("gamma", 2, 1, 0, 0, None));
+        rows.push(FactRow::new("beta", 0, 3, 0, 0xDEAD_BEEF, None));
+        rows.push(FactRow::new("delta", 1, 0, 0, 5, None));
+        assert_eq!(decode_rows(&encode_rows(&rows)).unwrap(), rows);
+        for (i, sk) in [(3, 1), (2, 1), (4, 0xDEAD_BEEE)] {
+            let mut bad = rows.clone();
+            bad[i].superkey = sk;
+            let err = decode_rows(&encode_rows(&bad)).unwrap_err();
+            assert!(
+                matches!(&err, BlendError::Index(m) if m.contains("super keys")),
                 "{err}"
             );
         }

@@ -39,17 +39,18 @@
 //! number scans on the same pair, with `keys.ColumnId <> nums.ColumnId` as
 //! a residual. `seekers::run` runs neither (both seekers are operators over
 //! the index in `blend::seekers`); these joins serve their SQL text on the
-//! served path and in the parity oracles. Where the column store keeps a row directory
-//! ([`FactTable::row_ordinals`]: `row_base[TableId] + RowId`, dense over
-//! the lake's rows, its space at most one per cell), two cells share a row
-//! exactly when they share a row ordinal, so the join needs no hash.
+//! served path and in the parity oracles. On the column store's row
+//! directory ([`FactTable::row_ordinals`]: `row_base[TableId]` plus the
+//! `RowId`'s rank among the table's, dense over the lake's rows, its space
+//! at most one per cell), two cells share a row exactly when they share a
+//! row ordinal, so the join needs no hash.
 //!
 //! The check is a plan property, `row_keyed`: the join's packed keys are
 //! exactly `{TableId, RowId}` of one leaf per side (repeats allowed, no
 //! `ColumnId`), both leaves scan the same table `Arc`, and that table has
 //! a directory. Every MC arity qualifies (each join keys `q0` against
-//! `qN`), and so does C. The row store, a column store whose space would
-//! exceed its cells (a huge `RowId`), and every other join hash.
+//! `qN`), and so does C. The row store, which has no directory, and every
+//! other join hash.
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -18,9 +18,12 @@ use crate::stats::FactStats;
 ///
 /// `CellValue` is dictionary-encoded: the distinct normalized strings live
 /// once in `dict`, a [`GroupIndex`] whose ids are the codes, and the column
-/// itself is a `Vec<u32>` of codes. The other five attributes are plain
-/// column vectors (`Quadrant` packed into one byte). Compared to
-/// [`crate::RowStore`] this
+/// itself is a `Vec<u32>` of codes. Every other attribute is stored once
+/// per thing it belongs to: `Quadrant` per cell (one byte), `RowId` and
+/// `SuperKey` per row (a super key is the XASH of its row), and `TableId`
+/// and `ColumnId` per (`TableId`, `ColumnId`) run of canonical order. A
+/// cell keeps its run ordinal and its row ordinal to reach them. Compared
+/// to [`crate::RowStore`] this
 ///
 /// * shrinks the footprint (duplicated strings stored once — web-table lakes
 ///   are extremely repetitive), and
@@ -30,62 +33,65 @@ use crate::stats::FactStats;
 /// runtime figures.
 ///
 /// Layout, as [`memory_breakdown`](FactTable::memory_breakdown) charges it
-/// — `n` cells, `d` distinct values, `R` (`TableId`, `ColumnId`) runs of
-/// canonical order, `E` distinct (value, run) pairs, `T` table ids; every
-/// vector is held at exact capacity:
+/// — `n` cells, `r` rows (distinct (`TableId`, `RowId`) pairs), `d`
+/// distinct values, `R` runs, `E` distinct (value, run) pairs, `T` table
+/// ids; every vector is held at exact capacity:
 ///
 /// | component      | contents                                              | bytes                  |
 /// |----------------|-------------------------------------------------------|------------------------|
 /// | `dict-strings` | `dict`'s keys: one `Box<str>` per distinct value      | `16 d + Σ len`         |
 /// | `dict-index`   | `dict`'s slots: `u32` codes by string hash, ≤ half full | `4 · (2d)↑2`         |
-/// | `columns`      | codes, tables, columns, rows (`u32`), super keys (`u128`), quadrants (`u8`) | `33 n` |
+/// | `cells`        | per cell: code, run ordinal, row ordinal (`u32`), quadrant (`u8`) | `13 n`     |
+/// | `rows`         | per row ordinal: `RowId` (`u32`), super key (`u128`)   | `20 r`                 |
+/// | `runs`         | per run: (`TableId`, `ColumnId`) and first position, then `n` | `12 R + 4`      |
 /// | `postings`     | per code, its ascending positions ([`RadixPartitions`]) | `4 (d + 1) + 4 n`    |
-/// | `column-index` | per run its key; per code, its ascending runs ([`ColumnIndex`]) | `8 R + 4 (d + 1) + 4 E` |
+/// | `column-index` | per code, its ascending runs ([`ColumnIndex`])         | `4 (d + 1) + 4 E`     |
 /// | `table-ranges` | per table id, its position range                      | `8 T`                  |
-/// | `row-directory` | per table id, the row ordinal of its `RowId` 0 (`row_base`) | `4 T`, or 0 without one |
+/// | `row-directory` | per table id, its first row ordinal, then `r` (`row_base`) | `4 (T + 1)`      |
 ///
 /// (`(2d)↑2` is the next power of two at or above `2d`, at least 2.) Plus
 /// the per-worker `scan-scratch` estimate both engines charge.
 ///
-/// The row directory numbers the lake's rows densely: a cell's row ordinal
-/// is `row_base[TableId] + RowId`, so table `t` owns the ordinals
-/// `row_base[t] .. row_base[t] + max RowId + 1` and the ordinal space is
-/// `Σ (max RowId + 1)` over the tables. The store keeps one only when that
-/// space is at most `len()` — a bitmap over it then costs at most one bit
-/// per cell, and no ordinal overflows `u32` — and hands ordinals out
-/// through [`FactTable::row_ordinals`].
+/// The row directory numbers the lake's rows densely: table `t` owns the
+/// row ordinals `row_base[t] .. row_base[t + 1]`, one per distinct `RowId`
+/// of its cells, in `RowId` order — a cell's ordinal is `row_base[t]` plus
+/// the rank of its `RowId` among them. So ordinals ascend with
+/// (`TableId`, `RowId`), the ordinal space is the row count (at most one
+/// per cell), and [`FactTable::row_ordinals`] hands them out.
 pub struct ColumnStore {
     /// Distinct values numbered by first sight in canonical order: id =
     /// dictionary code, and `&str` lookups find the code.
     dict: GroupIndex<Box<str>>,
-    /// Per-position dictionary codes.
+    /// Per position: dictionary code, run ordinal, row ordinal, quadrant.
     codes: Vec<u32>,
-    tables: Vec<u32>,
-    columns: Vec<u32>,
-    rows: Vec<u32>,
-    superkeys: Vec<u128>,
+    runs: Vec<u32>,
+    ords: Vec<u32>,
     quadrants: Vec<u8>,
+    /// Per row ordinal: `RowId` and super key.
+    row_ids: Vec<u32>,
+    superkeys: Vec<u128>,
     /// Inverted index keyed by dictionary code: ascending positions.
     postings: RadixPartitions,
-    /// Value → (`TableId`, `ColumnId`) runs.
+    /// The runs (key and first position) and value → runs.
     column_index: ColumnIndex,
     ranges: Vec<(u32, u32)>,
-    /// Row directory: per table id, the row ordinal of its `RowId` 0;
-    /// `None` where the ordinal space would exceed `len()`.
-    row_base: Option<Vec<u32>>,
-    /// The row ordinal space, `Σ (max RowId + 1)` (0 without a directory).
-    row_space: usize,
+    /// Row directory: per table id, its first row ordinal; then `r`.
+    row_base: Vec<u32>,
     stats: FactStats,
 }
 
 impl ColumnStore {
-    /// Build the store: canonical sort, dictionary, then postings and the
-    /// column index counting-sorted by code, then statistics.
+    /// Build the store: canonical sort, then one pass over canonical order
+    /// that fills the dictionary, the per-cell, per-row and per-run arrays,
+    /// then postings and the column index counting-sorted by code, then
+    /// statistics.
     ///
     /// The dictionary copies each value at its first sight, so its strings
-    /// lie in code order. The fact rows are dropped before the indexes are
-    /// sorted, so the build's high-water mark is the rows plus the plain
-    /// columns, never the rows beside the indexes.
+    /// lie in code order. A table's row ordinals are its sorted distinct
+    /// `RowId`s, read off its cells before they are visited. The fact rows
+    /// are dropped before the indexes are sorted, so the build's high-water
+    /// mark is the rows plus the plain arrays, never the rows beside the
+    /// indexes.
     pub fn build(mut fact_rows: Vec<FactRow>) -> Self {
         canonical_sort(&mut fact_rows);
         let ranges = table_ranges(&fact_rows);
@@ -94,35 +100,75 @@ impl ColumnStore {
         let fits = "the dictionary fits in memory";
         let mut dict = GroupIndex::with_capacity(0).expect(fits);
         let mut codes = Vec::with_capacity(n);
-        let mut tables = Vec::with_capacity(n);
-        let mut columns = Vec::with_capacity(n);
-        let mut rows = Vec::with_capacity(n);
-        let mut superkeys = Vec::with_capacity(n);
+        let mut runs = Vec::with_capacity(n);
+        let mut ords = Vec::with_capacity(n);
         let mut quadrants = Vec::with_capacity(n);
-        let mut numeric_rows = 0usize;
+        let (mut row_ids, mut superkeys) = (Vec::new(), Vec::new());
+        let mut row_base = Vec::with_capacity(ranges.len() + 1);
+        let (mut keys, mut starts) = (Vec::new(), Vec::new());
+        let (mut table_rows, mut seen, mut numeric_rows) = (Vec::new(), Vec::new(), 0usize);
 
-        for r in &fact_rows {
-            let hash = r.value.hash64();
-            codes.push(match dict.get_hashed(&*r.value, hash) {
-                Some(code) => code,
-                None => dict
-                    .insert_or_get_hashed(r.value.clone(), hash)
-                    .expect(fits),
-            });
-            tables.push(r.table);
-            columns.push(r.column);
-            rows.push(r.row);
-            superkeys.push(r.superkey);
-            quadrants.push(r.quadrant_code());
-            if r.quadrant.is_some() {
-                numeric_rows += 1;
+        for &(s, e) in &ranges {
+            let cells = &fact_rows[s as usize..e as usize];
+            table_rows.clear();
+            let max = cells.iter().map(|r| r.row as usize).max().unwrap_or(0);
+            if max < cells.len() {
+                // Every `RowId` below the cell count: mark them, no sort.
+                seen.clear();
+                seen.resize(max + 1, false);
+                cells.iter().for_each(|r| seen[r.row as usize] = true);
+                table_rows.extend((0..=max as u32).filter(|&r| seen[r as usize]));
+            } else {
+                table_rows.extend(cells.iter().map(|r| r.row));
+                table_rows.sort_unstable();
+                table_rows.dedup();
+            }
+            let base = row_ids.len();
+            row_base.push(base as u32);
+            row_ids.extend_from_slice(&table_rows);
+            superkeys.resize(row_ids.len(), 0);
+            let dense = table_rows
+                .last()
+                .is_some_and(|&r| r as usize + 1 == table_rows.len());
+            for (p, r) in (s as usize..).zip(cells) {
+                let hash = r.value.hash64();
+                codes.push(match dict.get_hashed(&*r.value, hash) {
+                    Some(code) => code,
+                    None => dict
+                        .insert_or_get_hashed(r.value.clone(), hash)
+                        .expect(fits),
+                });
+                if keys.last() != Some(&(r.table, r.column)) {
+                    keys.push((r.table, r.column));
+                    starts.push(p as u32);
+                }
+                runs.push(keys.len() as u32 - 1);
+                let rank = match dense {
+                    true => r.row as usize,
+                    false => table_rows.partition_point(|&x| x < r.row),
+                };
+                ords.push((base + rank) as u32);
+                superkeys[base + rank] = r.superkey;
+                quadrants.push(r.quadrant_code());
+                if r.quadrant.is_some() {
+                    numeric_rows += 1;
+                }
             }
         }
+        row_base.push(row_ids.len() as u32);
+        starts.push(n as u32);
         drop(fact_rows);
         dict.shrink_to_fit();
-        let (postings, column_index) = index_codes(&codes, &tables, &columns, dict.len());
-        let (row_base, row_space) =
-            row_directory(&ranges, &rows).map_or((None, 0), |(b, s)| (Some(b), s));
+        keys.shrink_to_fit();
+        starts.shrink_to_fit();
+        row_ids.shrink_to_fit();
+        superkeys.shrink_to_fit();
+        let (postings, runs_of) = index_codes(&codes, &runs, dict.len());
+        let column_index = ColumnIndex {
+            keys,
+            starts,
+            runs_of,
+        };
 
         let n_tables = ranges.iter().filter(|(s, e)| e > s).count();
         let stats = FactStats::compute(
@@ -135,16 +181,15 @@ impl ColumnStore {
         ColumnStore {
             dict,
             codes,
-            tables,
-            columns,
-            rows,
-            superkeys,
+            runs,
+            ords,
             quadrants,
+            row_ids,
+            superkeys,
             postings,
             column_index,
             ranges,
             row_base,
-            row_space,
             stats,
         }
     }
@@ -154,28 +199,36 @@ impl ColumnStore {
         self.dict.len()
     }
 
+    /// The run ordinals of `table`: from its first cell's run to its last
+    /// cell's (empty for a table without cells).
+    fn table_runs(&self, table: u32) -> Range<usize> {
+        let cells = self.table_postings(table);
+        match cells.is_empty() {
+            true => 0..0,
+            false => self.runs[cells.start] as usize..self.runs[cells.end - 1] as usize + 1,
+        }
+    }
+
     /// Run the remaining predicates of a kernel as compaction passes over
     /// `sel[start..]`, one tight [`compact`] loop per predicate, each
-    /// indexing its contiguous column array directly. `skip` names the
+    /// reading its attribute through the cell's array (and, for `RowId`
+    /// and `TableId`, the row's or the run's). `skip` names the
     /// predicate a range pass already consumed (see
     /// [`FactTable::filter_range`]); [`Pass::None`] runs them all.
     fn kernel_passes(&self, kernel: &FilterKernel, skip: Pass, sel: &mut Vec<u32>, start: usize) {
         if let Some(bound) = kernel.rowid_lt {
             if skip != Pass::RowId {
-                let rows = &self.rows;
-                compact(sel, start, |p| rows[p as usize] < bound);
+                compact(sel, start, |p| self.row_at(p as usize) < bound);
             }
         }
         if let Some(set) = &kernel.table_in {
             if skip != Pass::TableIn {
-                let tables = &self.tables;
-                compact(sel, start, |p| set.contains(tables[p as usize]));
+                compact(sel, start, |p| set.contains(self.table_at(p as usize)));
             }
         }
         if let Some(set) = &kernel.table_not_in {
             if skip != Pass::TableNotIn {
-                let tables = &self.tables;
-                compact(sel, start, |p| !set.contains(tables[p as usize]));
+                compact(sel, start, |p| !set.contains(self.table_at(p as usize)));
             }
         }
         if let Some(want_null) = kernel.quadrant_null {
@@ -211,39 +264,23 @@ impl ColumnStore {
     }
 }
 
-/// The row directory of [`ColumnStore`] over its table ranges: per table
-/// id, the running sum of `max RowId + 1` before it, and the whole sum —
-/// or `None` as soon as that sum exceeds the number of cells.
-fn row_directory(ranges: &[(u32, u32)], rows: &[u32]) -> Option<(Vec<u32>, usize)> {
-    let mut base = Vec::with_capacity(ranges.len());
-    let mut space = 0usize;
-    for &(s, e) in ranges {
-        base.push(u32::try_from(space).ok()?);
-        space += rows[s as usize..e as usize]
-            .iter()
-            .max()
-            .map_or(0, |&r| r as usize + 1);
-        if space > rows.len() {
-            return None;
-        }
-    }
-    Some((base, space))
-}
-
 /// Value → column index of the column store: the set-overlap index the SC
 /// and KW seekers ask (how many query values does each column, or table,
 /// hold).
 ///
 /// The (`TableId`, `ColumnId`) runs of canonical order — maximal stretches
 /// of positions sharing both — are numbered `0..R` in order, so ordinals
-/// ascend with (table, column) and a table's ordinals are contiguous. Per
-/// dictionary code the index lists, ascending, the ordinals of the runs
+/// ascend with (table, column) and a table's ordinals are contiguous; each
+/// run keeps its key and its first position (the store's run directory).
+/// Per dictionary code the index lists, ascending, the ordinals of the runs
 /// that hold the value: each (value, column) pair once, however often the
 /// value repeats inside the column.
 #[derive(Debug)]
 pub struct ColumnIndex {
     /// (`TableId`, `ColumnId`) per run ordinal.
     keys: Vec<(u32, u32)>,
+    /// First position per run ordinal, then the store's length.
+    starts: Vec<u32>,
     /// Per dictionary code, its ascending run ordinals.
     runs_of: RadixPartitions,
 }
@@ -355,10 +392,6 @@ impl ColumnIndex {
         }
         Ok(out)
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * 8 + self.runs_of.heap_bytes()
-    }
 }
 
 /// What [`ColumnIndex::walk`] counted: per slot its count, the touched
@@ -372,45 +405,30 @@ pub struct Walk {
     pub kept: usize,
 }
 
-/// Postings and the column index, both keyed by dictionary code and both
-/// counting-sorted by it ([`radix_partition`]): the column index sorts one
-/// (code, run) pair per value's first cell in each run — found in one pass
-/// over canonical order with a per-code "last run" — and keeps the runs;
-/// the postings sort every position. The pairs (at most one per position)
-/// are dropped before the postings are sorted, so the build never holds
-/// both.
-fn index_codes(
-    codes: &[u32],
-    tables: &[u32],
-    columns: &[u32],
-    n_codes: usize,
-) -> (RadixPartitions, ColumnIndex) {
+/// Postings and the column index's runs per code, both keyed by dictionary
+/// code and both counting-sorted by it ([`radix_partition`]): the column
+/// index sorts one (code, run) pair per value's first cell in each run —
+/// found in one pass over the cells' runs with a per-code "last run" — and
+/// keeps the runs; the postings sort every position. The pairs (at most one
+/// per position) are dropped before the postings are sorted, so the build
+/// never holds both.
+fn index_codes(codes: &[u32], runs: &[u32], n_codes: usize) -> (RadixPartitions, RadixPartitions) {
     let fits = "the store's indexes fit in memory";
-    let mut keys: Vec<(u32, u32)> = Vec::new();
     let mut pair_codes = Vec::with_capacity(codes.len());
     let mut pair_runs = Vec::with_capacity(codes.len());
     let mut last_run = vec![u32::MAX; n_codes];
-    for (p, &code) in codes.iter().enumerate() {
-        let key = (tables[p], columns[p]);
-        if keys.last() != Some(&key) {
-            keys.push(key);
-        }
-        let run = keys.len() as u32 - 1;
+    for (&code, &run) in codes.iter().zip(runs) {
         if std::mem::replace(&mut last_run[code as usize], run) != run {
             pair_codes.push(code);
             pair_runs.push(run);
         }
     }
     drop(last_run);
-    keys.shrink_to_fit();
     let runs_of = radix_partition(&pair_codes, n_codes).expect(fits);
     drop(pair_codes);
-    let index = ColumnIndex {
-        keys,
-        runs_of: runs_of.map_items(&pair_runs),
-    };
+    let runs_of = runs_of.map_items(&pair_runs);
     drop(pair_runs);
-    (radix_partition(codes, n_codes).expect(fits), index)
+    (radix_partition(codes, n_codes).expect(fits), runs_of)
 }
 
 /// Which predicate a range pass already evaluated (so the compaction
@@ -445,22 +463,22 @@ impl FactTable for ColumnStore {
 
     #[inline]
     fn table_at(&self, pos: usize) -> u32 {
-        self.tables[pos]
+        self.column_index.keys[self.runs[pos] as usize].0
     }
 
     #[inline]
     fn column_at(&self, pos: usize) -> u32 {
-        self.columns[pos]
+        self.column_index.keys[self.runs[pos] as usize].1
     }
 
     #[inline]
     fn row_at(&self, pos: usize) -> u32 {
-        self.rows[pos]
+        self.row_ids[self.ords[pos] as usize]
     }
 
     #[inline]
     fn superkey_at(&self, pos: usize) -> u128 {
-        self.superkeys[pos]
+        self.superkeys[self.ords[pos] as usize]
     }
 
     #[inline]
@@ -518,41 +536,47 @@ impl FactTable for ColumnStore {
     }
 
     fn row_ordinals(&self, positions: &[u32], out: &mut Vec<u32>) -> Option<usize> {
-        let base = self.row_base.as_deref()?;
-        out.extend(positions.iter().map(|&p| {
-            let p = p as usize;
-            base[self.tables[p] as usize] + self.rows[p]
-        }));
-        Some(self.row_space)
+        out.extend(positions.iter().map(|&p| self.ords[p as usize]));
+        Some(self.row_ids.len())
     }
 
-    /// The column's run found in the table's `columns` slice; a run without
-    /// gaps holds `RowId` r at offset r, any other is searched.
+    fn column_runs(&self, table: u32, out: &mut Vec<(u32, u32)>) {
+        let ix = &self.column_index;
+        out.extend(
+            self.table_runs(table)
+                .map(|run| (ix.keys[run].1, ix.starts[run + 1])),
+        );
+    }
+
+    /// The run found among the table's keys in the run directory; a row
+    /// is its rank among the table's `RowId`s (the `RowId` itself when they
+    /// are `0..rows`), and its cell in the run is at that rank when the run
+    /// holds every row, or searched by row ordinal.
     fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
-        let range = self.table_postings(table);
-        let columns = &self.columns[range.clone()];
-        let lo = range.start + columns.partition_point(|&c| c < column);
-        let run = &self.rows[lo..range.start + columns.partition_point(|&c| c <= column)];
-        let dense = run.last().is_some_and(|&r| r as usize + 1 == run.len());
+        let ix = &self.column_index;
+        let runs = self.table_runs(table);
+        let Ok(i) = ix.keys[runs.clone()].binary_search_by_key(&column, |k| k.1) else {
+            return out.extend(rows.iter().map(|_| None));
+        };
+        let (lo, hi) = (ix.starts[runs.start + i], ix.starts[runs.start + i + 1]);
+        let base = self.row_base[table as usize];
+        let table_rows = &self.row_ids[base as usize..self.row_base[table as usize + 1] as usize];
+        let dense = table_rows
+            .last()
+            .is_some_and(|&r| r as usize + 1 == table_rows.len());
+        let run = &self.ords[lo as usize..hi as usize];
+        let full = run.len() == table_rows.len();
         out.extend(rows.iter().map(|&r| {
-            let at = match dense && (r as usize) < run.len() {
-                true => Ok(r as usize),
-                false => run.binary_search(&r),
-            };
-            at.ok().map(|i| (lo + i) as u32)
+            let rank = match dense {
+                true => (r < table_rows.len() as u32).then_some(r),
+                false => table_rows.binary_search(&r).ok().map(|i| i as u32),
+            }?;
+            let at = match full {
+                true => Some(rank as usize),
+                false => run.binary_search(&(base + rank)).ok(),
+            }?;
+            Some(lo + at as u32)
         }));
-    }
-
-    fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.tables[p as usize]));
-    }
-
-    fn gather_columns(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.columns[p as usize]));
-    }
-
-    fn gather_rows(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize]));
     }
 
     fn gather_value_codes(&self, positions: &[u32], out: &mut Vec<u32>) -> bool {
@@ -560,23 +584,11 @@ impl FactTable for ColumnStore {
         true
     }
 
-    fn gather_superkeys(&self, positions: &[u32], out: &mut Vec<u128>) {
-        out.extend(positions.iter().map(|&p| self.superkeys[p as usize]));
-    }
-
-    fn gather_quadrants(&self, positions: &[u32], out: &mut Vec<Option<bool>>) {
-        out.extend(
-            positions
-                .iter()
-                .map(|&p| decode_quadrant(self.quadrants[p as usize])),
-        );
-    }
-
     /// Column-at-a-time kernel evaluation: candidates land in the selection
     /// vector once, then each predicate compacts it with a branch-free pass
-    /// indexing the contiguous `rows`/`tables`/`quadrants`/`codes` arrays
-    /// directly — no virtual calls, no string compares (value probes are
-    /// dictionary-code [`IdSet`] tests).
+    /// over the cells' `codes`/`quadrants` arrays, or their row and run
+    /// ordinals' `RowId`s and `TableId`s — no virtual calls, no string
+    /// compares (value probes are dictionary-code [`IdSet`] tests).
     fn filter_batch(&self, kernel: &FilterKernel, positions: &[u32], sel: &mut Vec<u32>) {
         if kernel.never_matches() {
             return;
@@ -597,16 +609,13 @@ impl FactTable for ColumnStore {
         // The first active predicate streams survivors straight off its
         // column slice, and the rest compact them.
         let first = if let Some(bound) = kernel.rowid_lt {
-            let rows = &self.rows;
-            extend_range(sel, lo, hi, |p| rows[p as usize] < bound);
+            extend_range(sel, lo, hi, |p| self.row_at(p as usize) < bound);
             Pass::RowId
         } else if let Some(set) = &kernel.table_in {
-            let tables = &self.tables;
-            extend_range(sel, lo, hi, |p| set.contains(tables[p as usize]));
+            extend_range(sel, lo, hi, |p| set.contains(self.table_at(p as usize)));
             Pass::TableIn
         } else if let Some(set) = &kernel.table_not_in {
-            let tables = &self.tables;
-            extend_range(sel, lo, hi, |p| !set.contains(tables[p as usize]));
+            extend_range(sel, lo, hi, |p| !set.contains(self.table_at(p as usize)));
             Pass::TableNotIn
         } else if let Some(want_null) = kernel.quadrant_null {
             let quads = &self.quadrants;
@@ -645,26 +654,24 @@ impl FactTable for ColumnStore {
     fn memory_breakdown(&self) -> MemoryBreakdown {
         let dict_strings = self.dict.key_capacity() * std::mem::size_of::<Box<str>>()
             + self.dict.keys().iter().map(|s| s.len()).sum::<usize>();
-        let columns = (self.codes.capacity()
-            + self.tables.capacity()
-            + self.columns.capacity()
-            + self.rows.capacity())
-            * 4
-            + self.superkeys.capacity() * 16
+        let ix = &self.column_index;
+        let cells = (self.codes.capacity() + self.runs.capacity() + self.ords.capacity()) * 4
             + self.quadrants.capacity();
         MemoryBreakdown {
             engine: "Column",
             components: vec![
                 ("dict-strings", dict_strings),
                 ("dict-index", self.dict.slot_count() * 4),
-                ("columns", columns),
-                ("postings", self.postings.heap_bytes()),
-                ("column-index", self.column_index.heap_bytes()),
-                ("table-ranges", self.ranges.capacity() * 8),
+                ("cells", cells),
                 (
-                    "row-directory",
-                    self.row_base.as_ref().map_or(0, |b| b.capacity() * 4),
+                    "rows",
+                    self.row_ids.capacity() * 4 + self.superkeys.capacity() * 16,
                 ),
+                ("runs", ix.keys.capacity() * 8 + ix.starts.capacity() * 4),
+                ("postings", self.postings.heap_bytes()),
+                ("column-index", ix.runs_of.heap_bytes()),
+                ("table-ranges", self.ranges.capacity() * 8),
+                ("row-directory", self.row_base.capacity() * 4),
                 scratch_component(self.len()),
             ],
         }
@@ -675,7 +682,6 @@ impl FactTable for ColumnStore {
 mod tests {
     use super::*;
     use crate::test_support::sample_rows;
-    use blend_common::FxHashMap;
     use proptest::prelude::*;
 
     #[test]
@@ -789,11 +795,27 @@ mod tests {
         rows
     }
 
+    /// Fact rows for the accessor test: table ids with gaps (`3t`, and a
+    /// generated table may hold no cell), sparse `ColumnId`s, null gaps (a
+    /// cell in four is dropped), a super key per (table, row), a one-cell
+    /// table past the others and, in table 0, a cell at `RowId`
+    /// `u32::MAX - 1`.
+    fn gapped_rows(seed: u64, n_tables: u32, vocab: u64) -> Vec<FactRow> {
+        let mut rows = sparse_rows(seed, n_tables, vocab);
+        rows.retain(|r| (r.row + r.column + seed as u32) % 4 != 3);
+        rows.push(FactRow::new("v0", 0, 7, u32::MAX - 1, 0, None));
+        rows.push(FactRow::new("one", 3 * n_tables + 1, 5, 2, 0, Some(true)));
+        for r in &mut rows {
+            r.superkey = (r.table as u128) << 64 | r.row as u128 ^ seed as u128;
+        }
+        rows
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// CSR postings, the column index and the dictionary against a
-        /// brute-force reading of the store's own columns, and the memory
+        /// brute-force reading of the store's own accessors, and the memory
         /// breakdown against the capacities the store holds.
         #[test]
         fn indexes_match_brute_force_and_are_charged_exactly(
@@ -838,107 +860,134 @@ mod tests {
                 (csr_len(&s.postings), s.postings.heap_bytes()),
                 (csr_len(&index.runs_of), index.runs_of.heap_bytes()),
                 (index.keys.len(), index.keys.capacity()),
+                (index.starts.len(), index.starts.capacity()),
+                (s.row_ids.len(), s.row_ids.capacity()),
+                (s.superkeys.len(), s.superkeys.capacity()),
                 (s.dict.len(), s.dict.key_capacity()),
             ] {
                 prop_assert_eq!(len, cap);
             }
             let (d, n) = (s.dict_len(), s.len());
-            let pairs: usize = (0..d as u32).map(|c| index.ordinals(c).len()).sum();
+            let mut pairs: Vec<(u32, u32)> = (0..n).map(|p| (s.table_at(p), s.row_at(p))).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let entries: usize = (0..d as u32).map(|c| index.ordinals(c).len()).sum();
             let strings: usize = (0..d as u32).map(|c| s.value_of_code(c).map_or(0, str::len)).sum();
             let breakdown = s.memory_breakdown();
             let charged = |name: &str| breakdown.get(name).expect("component");
             prop_assert_eq!(charged("dict-strings"), 16 * d + strings);
             prop_assert_eq!(charged("dict-index"), 4 * (2 * d).next_power_of_two().max(2));
-            prop_assert_eq!(charged("columns"), 33 * n);
+            prop_assert_eq!(charged("cells"), 13 * n);
+            prop_assert_eq!(charged("rows"), 20 * pairs.len());
+            prop_assert_eq!(charged("runs"), 12 * index.runs() + 4);
             prop_assert_eq!(charged("postings"), 4 * (d + 1) + 4 * n);
-            prop_assert_eq!(
-                charged("column-index"),
-                8 * index.runs() + 4 * (d + 1) + 4 * pairs
-            );
+            prop_assert_eq!(charged("column-index"), 4 * (d + 1) + 4 * entries);
             prop_assert_eq!(charged("table-ranges"), 8 * s.ranges.len());
-
-            // The row directory numbers the (table, row) pairs present
-            // one-to-one onto ordinals below `Σ (max RowId + 1)`.
-            let all: Vec<u32> = (0..n as u32).collect();
-            let mut ords = Vec::new();
-            let space = s.row_ordinals(&all, &mut ords);
-            let mut extent: FxHashMap<u32, usize> = FxHashMap::default();
-            for p in 0..n {
-                let e = extent.entry(s.table_at(p)).or_default();
-                *e = (*e).max(s.row_at(p) as usize + 1);
-            }
-            prop_assert_eq!(space, Some(extent.values().sum::<usize>()));
-            prop_assert_eq!(ords.len(), n);
-            let mut ord_of: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-            let mut pair_of: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
-            for (p, &ord) in ords.iter().enumerate() {
-                let pair = (s.table_at(p), s.row_at(p));
-                prop_assert!((ord as usize) < space.unwrap_or(0));
-                prop_assert_eq!(*ord_of.entry(pair).or_insert(ord), ord);
-                prop_assert_eq!(*pair_of.entry(ord).or_insert(pair), pair);
-            }
-            prop_assert_eq!(charged("row-directory"), 4 * s.ranges.len());
-
-            // One huge `RowId` makes the space outgrow the cells: no
-            // directory, nothing charged, nothing gathered.
-            let mut rows = sparse_rows(seed, n_tables, vocab);
-            rows.push(FactRow::new("v0", 0, 0, u32::MAX - 1, 0, None));
-            let sparse = ColumnStore::build(rows);
-            let mut untouched = vec![7u32];
-            prop_assert_eq!(sparse.row_ordinals(&[0], &mut untouched), None);
-            prop_assert_eq!(untouched, vec![7u32]);
-            prop_assert_eq!(sparse.memory_breakdown().get("row-directory"), Some(0));
+            prop_assert_eq!(charged("row-directory"), 4 * (s.ranges.len() + 1));
         }
 
-        /// `locate` against a scan of the store, on both stores: sparse
-        /// column ids, runs with and without gaps, table ids with no cell,
-        /// a far `RowId`, rows asked out of order and rows absent.
+        /// Every accessor of both stores against a scan of the input rows in
+        /// canonical order: the point accessors, every gather, the column
+        /// runs, `locate` (rows asked out of order, absent, far) and, on the
+        /// column store, the row ordinals — a bijection of the present
+        /// (table, row) pairs onto `0..rows` that ascends with them.
         #[test]
-        fn locate_matches_a_scan_on_both_stores(
+        fn accessors_match_a_scan_of_the_input_on_both_stores(
             seed in any::<u64>(),
             n_tables in 0u32..8,
             vocab in 1u64..50,
         ) {
-            let mut rows = sparse_rows(seed, n_tables, vocab);
-            rows.retain(|r| (r.row + r.column + seed as u32) % 4 != 3);
-            rows.push(FactRow::new("v0", 0, 7, u32::MAX - 1, 0, None));
+            let mut want = gapped_rows(seed, n_tables, vocab);
+            canonical_sort(&mut want);
             let stores: [Box<dyn FactTable>; 2] = [
-                Box::new(ColumnStore::build(rows.clone())),
-                Box::new(crate::RowStore::build(rows)),
+                Box::new(ColumnStore::build(want.clone())),
+                Box::new(crate::RowStore::build(want.clone())),
             ];
+            let n = want.len();
+            let mut positions: Vec<u32> = (0..n as u32).rev().collect();
+            positions.extend((0..n as u32).filter(|p| p % 3 == seed as u32 % 3));
+            let picked = |f: &dyn Fn(&FactRow) -> u32| -> Vec<u32> {
+                positions.iter().map(|&p| f(&want[p as usize])).collect()
+            };
             let asked: Vec<u32> = vec![5, 0, 3, 1, 4, 2, 9, u32::MAX - 1, u32::MAX];
+            let mut columns: Vec<u32> = want.iter().map(|r| r.column).chain([1, 999_999]).collect();
+            columns.sort_unstable();
+            columns.dedup();
             for s in &stores {
-                let cells: Vec<(u32, u32, u32)> =
-                    (0..s.len()).map(|p| (s.table_at(p), s.column_at(p), s.row_at(p))).collect();
-                let mut columns: Vec<u32> = cells.iter().map(|c| c.1).chain([1, 999_999]).collect();
-                columns.sort_unstable();
-                columns.dedup();
-                for table in 0..3 * n_tables + 2 {
+                let engine = s.engine();
+                prop_assert_eq!(s.len(), n);
+                for (p, r) in want.iter().enumerate() {
+                    prop_assert_eq!(s.value_at(p), &*r.value, "{} {}", engine, p);
+                    prop_assert_eq!(s.table_at(p), r.table, "{} {}", engine, p);
+                    prop_assert_eq!(s.column_at(p), r.column, "{} {}", engine, p);
+                    prop_assert_eq!(s.row_at(p), r.row, "{} {}", engine, p);
+                    prop_assert_eq!(s.superkey_at(p), r.superkey, "{} {}", engine, p);
+                    prop_assert_eq!(s.quadrant_at(p), r.quadrant, "{} {}", engine, p);
+                }
+                let mut got = vec![7u32];
+                s.gather_tables(&positions, &mut got);
+                prop_assert_eq!(&got[1..], &picked(&|r| r.table)[..], "{}", engine);
+                got.truncate(1);
+                s.gather_columns(&positions, &mut got);
+                prop_assert_eq!(&got[1..], &picked(&|r| r.column)[..], "{}", engine);
+                got.truncate(1);
+                s.gather_rows(&positions, &mut got);
+                prop_assert_eq!(&got[1..], &picked(&|r| r.row)[..], "{}", engine);
+                got.truncate(1);
+                if s.gather_value_codes(&positions, &mut got) {
+                    for (&code, &p) in got[1..].iter().zip(&positions) {
+                        prop_assert_eq!(s.value_of_code(code), Some(&*want[p as usize].value));
+                    }
+                } else {
+                    prop_assert_eq!(&got, &[7u32]);
+                }
+                let mut superkeys = vec![7u128];
+                s.gather_superkeys(&positions, &mut superkeys);
+                let sks: Vec<u128> = positions.iter().map(|&p| want[p as usize].superkey).collect();
+                prop_assert_eq!(&superkeys[1..], &sks[..], "{}", engine);
+                let mut quadrants = vec![None];
+                s.gather_quadrants(&positions, &mut quadrants);
+                let qs: Vec<Option<bool>> = positions.iter().map(|&p| want[p as usize].quadrant).collect();
+                prop_assert_eq!(&quadrants[1..], &qs[..], "{}", engine);
+
+                for table in 0..3 * n_tables + 3 {
+                    let mut runs = vec![(7, 7)];
+                    s.column_runs(table, &mut runs);
+                    let mut scan: Vec<(u32, u32)> = Vec::new();
+                    for p in (0..n).filter(|&p| want[p].table == table) {
+                        match scan.last_mut() {
+                            Some(last) if last.0 == want[p].column => last.1 = p as u32 + 1,
+                            _ => scan.push((want[p].column, p as u32 + 1)),
+                        }
+                    }
+                    prop_assert_eq!(&runs[..1], &[(7, 7)]);
+                    prop_assert_eq!(&runs[1..], &scan[..], "{} t{}", engine, table);
                     for &column in &columns {
                         let mut got = vec![Some(7)];
                         s.locate(table, column, &asked, &mut got);
-                        let want = asked.iter().map(|&r| {
-                            cells.iter().position(|&c| c == (table, column, r)).map(|p| p as u32)
+                        let found = asked.iter().map(|&r| {
+                            (want.iter().position(|w| (w.table, w.column, w.row) == (table, column, r)))
+                                .map(|p| p as u32)
                         });
-                        let want: Vec<Option<u32>> = std::iter::once(Some(7)).chain(want).collect();
-                        prop_assert_eq!(got, want, "{} t{} c{}", s.engine(), table, column);
+                        let found: Vec<Option<u32>> = std::iter::once(Some(7)).chain(found).collect();
+                        prop_assert_eq!(got, found, "{} t{} c{}", engine, table, column);
                     }
                 }
             }
-        }
-    }
 
-    #[test]
-    fn gather_superkeys_and_quadrants_match_scalar_accessors() {
-        let s = ColumnStore::build(sample_rows());
-        let positions: Vec<u32> = (0..s.len() as u32).rev().collect();
-        let mut sks = Vec::new();
-        s.gather_superkeys(&positions, &mut sks);
-        let mut quads = Vec::new();
-        s.gather_quadrants(&positions, &mut quads);
-        for (i, &p) in positions.iter().enumerate() {
-            assert_eq!(sks[i], s.superkey_at(p as usize));
-            assert_eq!(quads[i], s.quadrant_at(p as usize));
+            prop_assert_eq!(stores[1].row_ordinals(&positions, &mut Vec::new()), None);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut ords = vec![7];
+            let space = stores[0].row_ordinals(&all, &mut ords);
+            let mut pairs: Vec<(u32, u32)> = want.iter().map(|r| (r.table, r.row)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            prop_assert_eq!(space, Some(pairs.len()));
+            prop_assert_eq!(ords[0], 7);
+            for (p, &ord) in ords[1..].iter().enumerate() {
+                let pair = (want[p].table, want[p].row);
+                prop_assert_eq!(pairs.binary_search(&pair), Ok(ord as usize), "position {}", p);
+            }
         }
     }
 }

@@ -202,13 +202,12 @@ pub trait FactTable: Send + Sync {
     }
 
     /// Batch accessor: append the *row ordinal* of each position to `out`
-    /// — `row_base[TableId] + RowId` through the store's row directory, a
-    /// dense numbering of the lake's (`TableId`, `RowId`) pairs, so two
+    /// — through the store's row directory, a dense numbering of the
+    /// lake's (`TableId`, `RowId`) pairs that ascends with them, so two
     /// positions share an ordinal exactly when they share both ids. Returns
-    /// the ordinal space (every ordinal is below it, and it is at most
-    /// [`len`](FactTable::len)). `None`, leaving `out` untouched, on
-    /// engines without a directory: the row store, and a column store
-    /// whose space `Σ (max RowId + 1)` would exceed its cell count.
+    /// the ordinal space, the number of rows (every ordinal is below it, and
+    /// it is at most [`len`](FactTable::len)). `None`, leaving `out`
+    /// untouched, on engines without a directory: the row store.
     fn row_ordinals(&self, _positions: &[u32], _out: &mut Vec<u32>) -> Option<usize> {
         None
     }
@@ -226,12 +225,26 @@ pub trait FactTable: Send + Sync {
         out.extend(positions.iter().map(|&p| self.quadrant_at(p as usize)));
     }
 
+    /// The column runs of `table` in canonical order, appended to `out`:
+    /// per run its `ColumnId` and its end position. Found by binary search
+    /// over the point accessors here, read off the run directory on the
+    /// column store.
+    fn column_runs(&self, table: u32, out: &mut Vec<(u32, u32)>) {
+        let range = self.table_postings(table);
+        let mut p = range.start;
+        while p < range.end {
+            let c = self.column_at(p);
+            p = partition_point(p..range.end, |q| self.column_at(q) <= c);
+            out.push((c, p as u32));
+        }
+    }
+
     /// Batch lookup: for each of `rows`, append to `out` the position of
     /// the cell at (`table`, `column`, row), or `None` where the table holds
     /// no such cell (a null cell is not indexed). Canonical order sorts a
     /// table's [`table_postings`](FactTable::table_postings) by (`ColumnId`,
-    /// `RowId`), so each is a binary search there — over the point
-    /// accessors here, over the column slices on the column store.
+    /// `RowId`), so each is a binary search there over the point accessors;
+    /// the column store finds the run in its run directory instead.
     fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
         let range = self.table_postings(table);
         let lo = partition_point(range.clone(), |p| self.column_at(p) < column);

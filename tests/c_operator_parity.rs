@@ -7,8 +7,9 @@
 //! interpreter's (`execute_reference`); the span's `rows_in` must be the
 //! SQL's row count and `c.pairs`' `matched` the sum of its `n` column.
 //!
-//! Covered: both stores, 1 and 4 threads, and a column store whose last
-//! table's `RowId`s sit near `u32::MAX` (no row directory); no injection,
+//! Covered: both stores, 1 and 4 threads, and stores whose last table's
+//! `RowId`s sit near `u32::MAX` (ranked row ordinals on the column store,
+//! a binary search over the point accessors on the row store); no injection,
 //! `In`, `NotIn` and an empty `NotIn`; keys at `RowId` h − 1 and h, null
 //! and non-numeric cells in a numeric column, a numeric key column, a key
 //! in two columns of one row, a key in both `k0` and `k1`, duplicate keys
@@ -108,8 +109,8 @@ fn keys(lake: &DataLake, n: usize, pick: usize) -> (Vec<String>, Vec<f64>) {
 }
 
 /// The lake's index with the last table's `RowId`s moved up to just below
-/// `u32::MAX`: its ordinal space would exceed the cell count, so a column
-/// store keeps no row directory.
+/// `u32::MAX`: a column store's `locate` then ranks each asked `RowId`
+/// among the table's instead of reading it as an offset.
 fn far_row_ids(lake: &DataLake, kind: EngineKind) -> Arc<dyn FactTable> {
     let mut rows = IndexBuilder::new().index_lake(&lake.tables);
     let last = rows.iter().map(|r| r.table).max().unwrap_or(0);

@@ -8,9 +8,10 @@
 //! Covered: arity 2–4, both stores, 1 and 4 threads; no injection, `In`
 //! over a few tables and over most, `NotIn` and an empty `NotIn`; a value
 //! in several columns of a row, a value shared by two query columns,
-//! absent values and duplicate query rows; and a column store holding a
-//! `RowId` near `u32::MAX`, which keeps no row directory, so the operator
-//! numbers rows by hashing (`mc.rows` span, `path=hashed`).
+//! absent values and duplicate query rows; and a store holding `RowId`s
+//! near `u32::MAX`, which the column store's row directory numbers by rank
+//! (`mc.rows` span, `path=directory`) and the row store, which has no
+//! directory, by hashing (`path=hashed`).
 
 #[path = "common/mc_oracle.rs"]
 mod mc_oracle;
@@ -78,8 +79,8 @@ fn query_rows(lake: &DataLake, arity: usize, pick: usize) -> Vec<Vec<String>> {
 }
 
 /// The lake's index with the last table's `RowId`s moved up to just below
-/// `u32::MAX`: its ordinal space would exceed the cell count, so a column
-/// store keeps no row directory.
+/// `u32::MAX`: a column store's row ordinals are then ranks far from the
+/// `RowId`s.
 fn far_row_ids(lake: &DataLake, kind: EngineKind) -> Arc<dyn FactTable> {
     let mut rows = IndexBuilder::new().index_lake(&lake.tables);
     let last = rows.iter().map(|r| r.table).max().unwrap_or(0);
@@ -245,8 +246,8 @@ fn a_value_in_several_columns_of_a_row() {
     }
 }
 
-/// The column store numbers rows through its row directory; the row store,
-/// and a column store whose `RowId`s overflow the ordinal space, hash.
+/// The column store numbers rows through its row directory, far `RowId`s
+/// included; the row store hashes.
 #[test]
 fn numbering_path_follows_the_row_directory() {
     let lake = lake(7, 10, 10);
@@ -256,5 +257,6 @@ fn numbering_path_follows_the_row_directory() {
     assert_eq!(path(column), "directory");
     let row = IndexBuilder::new().build(&lake.tables, EngineKind::Row);
     assert_eq!(path(row), "hashed");
-    assert_eq!(path(far_row_ids(&lake, EngineKind::Column)), "hashed");
+    assert_eq!(path(far_row_ids(&lake, EngineKind::Column)), "directory");
+    assert_eq!(path(far_row_ids(&lake, EngineKind::Row)), "hashed");
 }

@@ -668,9 +668,10 @@ fn top_k_scratch_is_reserved_and_fails_typed() {
 /// The MC join of the two tests below (paper Listing 2): every row of
 /// 3 000 tables holds ('a', 'b'), so one joined row per fact row. With
 /// `sparse`, one more cell ('z', unmatched) sits at a `RowId` far past the
-/// cell count, so the store keeps no row directory and the join hashes;
-/// without it the join is row-keyed.
-fn mc_lake(sparse: bool) -> (Arc<dyn FactTable>, &'static str) {
+/// cell count, which the column store's row directory ranks. The join is
+/// row-keyed on the column store and hashes on the row store, which has no
+/// directory.
+fn mc_lake(sparse: bool, kind: EngineKind) -> (Arc<dyn FactTable>, &'static str) {
     let mut rows = Vec::new();
     for t in 0..3_000u32 {
         for r in 0..8u32 {
@@ -687,7 +688,7 @@ fn mc_lake(sparse: bool) -> (Arc<dyn FactTable>, &'static str) {
                FROM (SELECT * FROM AllTables WHERE CellValue IN ('a')) AS q0 \
                INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('b')) AS q1 \
                ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId";
-    (build_engine(EngineKind::Column, rows), sql)
+    (build_engine(kind, rows), sql)
 }
 
 /// Which path the profile's `join.build` span names.
@@ -704,13 +705,14 @@ fn join_path(report: &blend_sql::QueryReport) -> String {
 /// its join state reserves the flat result columns only, so it peaks below
 /// the same query through `execute`, which builds — and reserves — a
 /// `SqlValue` row per joined row on top of them. Both entries walk the
-/// ladder with results byte-identical to the unbudgeted run. The lake has
-/// no row directory, so the join hashes and its build has rungs to walk.
+/// ladder with results byte-identical to the unbudgeted run. The lake is
+/// a row store, which has no row directory, so the join hashes and its
+/// build has rungs to walk.
 #[test]
 fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     use blend_parallel::Interrupt;
 
-    let (fact, sql) = mc_lake(true);
+    let (fact, sql) = mc_lake(true, EngineKind::Row);
 
     // One run through either entry: the rows and the profile root's peak.
     let run = |gov: &Arc<MemoryGovernor>, columnar: bool| {
@@ -770,15 +772,22 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     }
 }
 
-/// The row-key join (the same MC query over a lake with a row directory)
-/// reserves its bitmap, rank, CSR and ordinals under `join_build` in one
-/// piece: there is no width to narrow, so a budget walk from 110 % of the
-/// row entry's peak down to 2 % ends every run `Ok` with the unbudgeted
-/// bytes or in a typed `MemoryExceeded` — at the build's own reservation
-/// somewhere in the walk — and leaves nothing reserved.
+/// The row-key join (the same MC query over a column store, with and
+/// without the far `RowId`) reserves its bitmap, rank, CSR and ordinals
+/// under `join_build` in one piece: there is no width to narrow, so a
+/// budget walk from 110 % of the row entry's peak down to 2 % ends every
+/// run `Ok` with the unbudgeted bytes or in a typed `MemoryExceeded` — at
+/// the build's own reservation somewhere in the walk — and leaves nothing
+/// reserved.
 #[test]
 fn row_key_join_walks_budgets_typed_and_drains() {
-    let (fact, sql) = mc_lake(false);
+    for sparse in [false, true] {
+        row_key_join_walks_budgets(sparse);
+    }
+}
+
+fn row_key_join_walks_budgets(sparse: bool) {
+    let (fact, sql) = mc_lake(sparse, EngineKind::Column);
     let unbounded = Arc::new(MemoryGovernor::unbounded());
     let (want, report) = budgeted_engine(&fact, &unbounded)
         .execute_with_report(sql)
@@ -879,7 +888,8 @@ fn group_reservation_covers_the_grown_index() {
 
 /// The MC operator over a high fan-out seeker — every row of `mc_lake`'s
 /// 3 000 tables holds the query row — resolves typed on both numbering
-/// paths (the row directory, and hashing where a far `RowId` leaves none):
+/// paths (the column store's row directory, with and without a far
+/// `RowId`, and the row store's hashing):
 /// a cancelled interrupt is `Cancelled`, an expired deadline `Timeout`, a
 /// 64 KiB governor `MemoryExceeded` at the operator's reservation. Nothing
 /// panics, and nothing stays reserved.
@@ -889,8 +899,12 @@ fn mc_operator_is_typed_under_interrupts_and_budgets() {
     use blend_parallel::{CancellationToken, Interrupt};
 
     let seeker = Seeker::mc(vec![vec!["a".into(), "b".into()]]);
-    for sparse in [false, true] {
-        let (fact, _) = mc_lake(sparse);
+    for (sparse, kind) in [
+        (false, EngineKind::Column),
+        (true, EngineKind::Column),
+        (true, EngineKind::Row),
+    ] {
+        let (fact, _) = mc_lake(sparse, kind);
         let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
             let mut blend = Blend::new(fact.clone());
             let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
@@ -899,7 +913,7 @@ fn mc_operator_is_typed_under_interrupts_and_budgets() {
         };
         let unbounded = Arc::new(MemoryGovernor::unbounded());
         run(&unbounded, &Interrupt::never()).expect("unbudgeted run");
-        assert_eq!(unbounded.reserved_bytes(), 0, "sparse {sparse}");
+        assert_eq!(unbounded.reserved_bytes(), 0, "{kind:?} sparse {sparse}");
 
         let token = CancellationToken::new();
         token.cancel();
@@ -907,20 +921,24 @@ fn mc_operator_is_typed_under_interrupts_and_budgets() {
         let expired = Interrupt::new(CancellationToken::new(), Deadline::after(Duration::ZERO));
         match run(&unbounded, &cancelled) {
             Err(BlendError::Cancelled(_)) => {}
-            other => panic!("sparse {sparse}: cancelled run gave {other:?}"),
+            other => panic!("{kind:?} sparse {sparse}: cancelled run gave {other:?}"),
         }
         match run(&unbounded, &expired) {
             Err(BlendError::Timeout(_)) => {}
-            other => panic!("sparse {sparse}: expired run gave {other:?}"),
+            other => panic!("{kind:?} sparse {sparse}: expired run gave {other:?}"),
         }
-        assert_eq!(unbounded.reserved_bytes(), 0, "sparse {sparse}");
+        assert_eq!(unbounded.reserved_bytes(), 0, "{kind:?} sparse {sparse}");
 
         let small = Arc::new(MemoryGovernor::with_budget(64 << 10));
         match run(&small, &Interrupt::never()) {
             Err(BlendError::MemoryExceeded(msg)) => assert!(msg.starts_with("mc "), "{msg}"),
-            other => panic!("sparse {sparse}: 64 KiB run gave {other:?}"),
+            other => panic!("{kind:?} sparse {sparse}: 64 KiB run gave {other:?}"),
         }
-        assert_eq!(small.reserved_bytes(), 0, "sparse {sparse}: must drain");
+        assert_eq!(
+            small.reserved_bytes(),
+            0,
+            "{kind:?} sparse {sparse}: must drain"
+        );
     }
 }
 

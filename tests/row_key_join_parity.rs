@@ -10,10 +10,11 @@
 //! injection, at one thread and on a forced four-thread pool, under both
 //! SIMD dispatch paths:
 //!
-//! * on a column store with a row directory every `join.build` span says
-//!   `path=rows` and no join hash table is recorded;
-//! * on the row store, and on a column store whose one huge `RowId` leaves
-//!   it without a directory, every join says `path=hash`;
+//! * on a column store every `join.build` span says `path=rows` and no
+//!   join hash table is recorded — also where one huge `RowId` sits far
+//!   past the others, which the store's ranked ordinals absorb;
+//! * on the row store, which has no row directory, every join says
+//!   `path=hash`;
 //!
 //! and every result is byte-identical to `execute_reference`.
 
@@ -52,9 +53,7 @@ impl Rng {
 }
 
 /// A lake of `n_tables` tables at ids `0, 3, 6, …` (every fourth one
-/// empty). Row `r` sits at `RowId` `2r` or `2r + 1`, so the ids have gaps
-/// yet a table never spans more ordinals than it has cells in its first
-/// two columns (always present): the store keeps its row directory.
+/// empty). Row `r` sits at `RowId` `2r` or `2r + 1`, so the ids have gaps.
 /// Column 1 is numeric, with quadrant bits; the text columns draw from
 /// `w0 … w{vocab}`, and column 2 repeats column 0's value one time in
 /// three.
@@ -205,10 +204,15 @@ proptest! {
         let stores: [(&str, Arc<dyn FactTable>, &str); 3] = [
             ("column", Arc::new(ColumnStore::build(rows.clone())), "rows"),
             ("row", Arc::new(RowStore::build(rows.clone())), "hash"),
-            ("sparse", Arc::new(ColumnStore::build(sparse)), "hash"),
+            ("sparse", Arc::new(ColumnStore::build(sparse)), "rows"),
         ];
-        prop_assert!(stores[0].1.row_ordinals(&[], &mut Vec::new()).is_some());
-        prop_assert!(stores[2].1.row_ordinals(&[], &mut Vec::new()).is_none());
+        let ordinals = |s: &dyn FactTable| s.row_ordinals(&[], &mut Vec::new());
+        let mut pairs: Vec<(u32, u32)> = rows.iter().map(|r| (r.table, r.row)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        prop_assert_eq!(ordinals(&*stores[0].1), Some(pairs.len()));
+        prop_assert_eq!(ordinals(&*stores[1].1), None);
+        prop_assert_eq!(ordinals(&*stores[2].1), Some(pairs.len() + 1));
 
         for (store, fact, path) in &stores {
             let reference = SqlEngine::with_alltables(fact.clone())
