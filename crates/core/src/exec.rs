@@ -18,11 +18,12 @@
 //! once, un-rewritten, and is memoized. With the optimizer disabled
 //! ("B-NO") every input is evaluated independently in plan order.
 //!
-//! Every seeker executed from a plan shares the system's one
-//! [`ParallelCtx`](crate::ParallelCtx) (handed down through
-//! [`Blend::engine`]): seekers run sequentially in EG order — their SQL is
-//! data-dependent on earlier results — while each seeker's scan, join, and
-//! GROUP BY phases fan out across the shared worker pool.
+//! Every seeker executed from a plan reserves against the system's one
+//! [`ParallelCtx`](crate::ParallelCtx) ([`Blend::set_parallel`]). Seekers
+//! run sequentially in EG order, since each one's injection depends on
+//! earlier results, and each seeker's operator runs on the query's thread.
+//! Only a caller that receives the [`ExecutionReport`] gets each seeker's
+//! SQL text ([`OpExecution::sql`]); [`Blend::execute`] renders none.
 
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,8 @@ pub struct OpExecution {
     pub op: String,
     /// Wall-clock runtime of this operator.
     pub runtime: Duration,
-    /// Executed SQL (seekers only, post-rewriting).
+    /// The seeker's SQL text, post-rewriting (`""` where an empty `In`
+    /// injection short-circuited the seeker; `None` for combiners).
     pub sql: Option<String>,
     /// Whether an intermediate-result predicate was injected.
     pub injected: bool,
@@ -62,7 +64,8 @@ pub struct ExecutionReport {
     pub optimized: bool,
     /// Span-tree profile of the whole plan: one child per executed
     /// operator (`seeker:SC`, `combine:Intersect`, ...), with each
-    /// seeker's SQL execution tree (scan → join → group) nested inside.
+    /// seeker's operator spans (`bind`, `sc.walk`, `mc.rows`, ...) nested
+    /// inside.
     /// `None` when observability is disabled ([`blend_obs::enabled`]).
     pub profile: Option<blend_obs::Profile>,
 }
@@ -96,26 +99,24 @@ struct Ctx<'a> {
     /// Consumer counts: nodes with >1 consumer are never injected.
     consumers: FxHashMap<String, usize>,
     memo: FxHashMap<String, Vec<TableHit>>,
-    report: ExecutionReport,
+    /// Built only for callers that receive it.
+    report: Option<ExecutionReport>,
     interrupt: Interrupt,
 }
 
-/// Execute a validated plan.
-pub fn execute(blend: &Blend, plan: &Plan) -> Result<(Vec<TableHit>, ExecutionReport)> {
-    execute_interruptible(blend, plan, Interrupt::never())
-}
-
-/// Execute a validated plan under a cancellation/deadline [`Interrupt`].
+/// Execute a validated plan under a cancellation/deadline [`Interrupt`],
+/// building the report (and each seeker's SQL text) only if `report`.
 ///
 /// The interrupt is checked at every seeker boundary (before each plan node
-/// evaluates) and is threaded into every seeker's SQL execution, so a
+/// evaluates) and is threaded into every seeker's operator, so a
 /// cancelled or expired plan unwinds with a typed
 /// `BlendError::{Cancelled, Timeout}` and no partial hit list.
-pub fn execute_interruptible(
+pub(crate) fn run(
     blend: &Blend,
     plan: &Plan,
     interrupt: Interrupt,
-) -> Result<(Vec<TableHit>, ExecutionReport)> {
+    report: bool,
+) -> Result<(Vec<TableHit>, Option<ExecutionReport>)> {
     let sink = plan.validate()?.to_string();
     let consumers: FxHashMap<String, usize> = plan
         .consumers()
@@ -127,17 +128,20 @@ pub fn execute_interruptible(
         plan,
         consumers,
         memo: FxHashMap::default(),
-        report: ExecutionReport {
+        report: report.then(|| ExecutionReport {
             optimized: blend.options().optimize,
             ..Default::default()
-        },
+        }),
         interrupt,
     };
     let trace = blend_obs::trace_begin("plan");
     let start = Instant::now();
     let hits = eval(&mut ctx, &sink, None)?;
-    ctx.report.total = start.elapsed();
-    ctx.report.profile = trace.finish();
+    let profile = trace.finish();
+    if let Some(report) = &mut ctx.report {
+        report.total = start.elapsed();
+        report.profile = profile;
+    }
     Ok((hits, ctx.report))
 }
 
@@ -185,15 +189,19 @@ fn eval(ctx: &mut Ctx<'_>, id: &str, injected: Option<Injected>) -> Result<Vec<T
             let run = seekers::run(ctx.blend, seeker, k, injected.as_ref(), &ctx.interrupt)?;
             span.attr_u64("results", run.hits.len() as u64);
             drop(span);
-            ctx.report.ops.push(OpExecution {
-                id: id.to_string(),
-                op: seeker.label().to_string(),
-                runtime: start.elapsed(),
-                sql: Some(run.sql),
-                injected: injected.is_some(),
-                n_results: run.hits.len(),
-                mc_stats: run.mc_stats,
-            });
+            if let Some(report) = &mut ctx.report {
+                let h = ctx.blend.options().h;
+                report.ops.push(OpExecution {
+                    id: id.to_string(),
+                    op: seeker.label().to_string(),
+                    // Taken before the text renders: fields evaluate in order.
+                    runtime: start.elapsed(),
+                    sql: Some(seekers::executed_sql(seeker, k, h, injected.as_ref())),
+                    injected: injected.is_some(),
+                    n_results: run.hits.len(),
+                    mc_stats: run.mc_stats,
+                });
+            }
             run.hits
         }
         Node::Combiner {
@@ -217,15 +225,17 @@ fn eval(ctx: &mut Ctx<'_>, id: &str, injected: Option<Injected>) -> Result<Vec<T
             let combined = combiners::apply(combiner, &results, k);
             span.attr_u64("results", combined.len() as u64);
             drop(span);
-            ctx.report.ops.push(OpExecution {
-                id: id.to_string(),
-                op: combiner.label().to_string(),
-                runtime: start.elapsed(),
-                sql: None,
-                injected: false,
-                n_results: combined.len(),
-                mc_stats: None,
-            });
+            if let Some(report) = &mut ctx.report {
+                report.ops.push(OpExecution {
+                    id: id.to_string(),
+                    op: combiner.label().to_string(),
+                    runtime: start.elapsed(),
+                    sql: None,
+                    injected: false,
+                    n_results: combined.len(),
+                    mc_stats: None,
+                });
+            }
             combined
         }
     };

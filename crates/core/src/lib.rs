@@ -8,17 +8,17 @@
 //!   top-k tables: single-column join (`SC`), keyword (`KW`), multi-column
 //!   join (`MC`), and correlation (`C`), each defined by its SQL over the
 //!   `AllTables` fact table (paper Listings 1–3). Each runs as one
-//!   operator over the index that returns what its SQL returns; the SQL
-//!   text is rendered for reports and runs as text on the served path
+//!   operator over the index that returns what its SQL returns; no SQL
+//!   engine runs inside BLEND. The SQL text is rendered only for an
+//!   [`ExecutionReport`], and runs as text on the served path
 //!   ([`seekers`] module docs).
 //! * **Combiners** ([`plan::Combiner`]) — set operators over seeker
 //!   results: intersection, union, difference, counter.
 //! * **The optimizer** ([`optimizer`]) — identifies reorderable execution
 //!   groups, ranks seekers with complexity rules plus a learned per-type
 //!   cost model, and **rewrites** later seekers' SQL with the table ids
-//!   produced by earlier ones (`TableId [NOT] IN (...)`), letting the
-//!   operators' cut of what they read — or, for SQL text, the database
-//!   engine's access-path selection — exploit the shrunken search space.
+//!   produced by earlier ones (`TableId [NOT] IN (...)`), letting each
+//!   operator cut what it reads to the shrunken search space.
 //!
 //! ```
 //! use blend::{Blend, Plan, Seeker, Combiner};
@@ -55,7 +55,6 @@ use std::sync::Arc;
 
 use blend_common::Result;
 use blend_lake::DataLake;
-use blend_sql::SqlEngine;
 use blend_storage::{EngineKind, FactTable};
 
 pub use combiners::TableHit;
@@ -102,14 +101,15 @@ impl Default for BlendOptions {
     }
 }
 
-/// The BLEND system: SQL engine over `AllTables` + optimizer state.
+/// The BLEND system: the `AllTables` index, the worker-pool context its
+/// operators run with, and the optimizer's state.
 pub struct Blend {
-    engine: SqlEngine,
+    fact: Arc<dyn FactTable>,
     options: BlendOptions,
     cost_models: parking_lot::RwLock<CostModelSet>,
-    /// Shared worker-pool context. One `Arc` serves the whole system: plan
-    /// execution hands it (through the SQL engine) to every seeker query,
-    /// so all seekers of a plan draw from a single thread budget.
+    /// Shared worker-pool context. One `Arc` serves the whole system: every
+    /// seeker of a plan reserves against its governor, so all seekers of a
+    /// plan draw from a single budget.
     parallel: Arc<ParallelCtx>,
 }
 
@@ -121,20 +121,17 @@ impl Blend {
 
     /// Attach with explicit options.
     pub fn with_options(fact: Arc<dyn FactTable>, options: BlendOptions) -> Self {
-        // The engine already carries the process-shared context
-        // (`ParallelCtx::shared_from_env`); reuse its Arc rather than
-        // constructing a second one — exactly one pool exists per process.
-        let engine = SqlEngine::with_alltables(fact);
-        let parallel = engine.parallel_ctx().clone();
         Blend {
-            engine,
+            fact,
             options,
             cost_models: parking_lot::RwLock::new(CostModelSet::default()),
-            parallel,
+            // The process-shared context: exactly one pool exists per
+            // process.
+            parallel: ParallelCtx::shared_from_env(),
         }
     }
 
-    /// The shared parallel-execution context seeker queries run with.
+    /// The shared parallel-execution context every seeker reserves against.
     pub fn parallel_ctx(&self) -> Arc<ParallelCtx> {
         self.parallel.clone()
     }
@@ -142,25 +139,13 @@ impl Blend {
     /// Install a different parallel-execution context (e.g. a fixed thread
     /// budget for benchmarks, or [`ParallelCtx::sequential`]).
     pub fn set_parallel(&mut self, ctx: Arc<ParallelCtx>) {
-        self.parallel = ctx.clone();
-        self.engine.set_parallel(ctx);
+        self.parallel = ctx;
     }
 
     /// Index a lake (offline phase, Fig. 2e) and attach to it.
     pub fn from_lake(lake: &DataLake, kind: EngineKind) -> Self {
         let fact = blend_index::IndexBuilder::new().build(&lake.tables, kind);
         Blend::new(fact)
-    }
-
-    /// Re-index a (possibly changed) lake and swap the rebuilt `AllTables`
-    /// into the live catalog. In-flight queries finish against the
-    /// snapshot they planned with; every query planned after the swap sees
-    /// the new table. The swap advances the engine's catalog generation,
-    /// so serving-tier result caches keyed on `SqlEngine::generation` can
-    /// never serve a pre-rebuild result to a post-rebuild query.
-    pub fn rebuild_from_lake(&self, lake: &DataLake, kind: EngineKind) {
-        let fact = blend_index::IndexBuilder::new().build(&lake.tables, kind);
-        self.engine.replace_table("alltables", fact);
     }
 
     /// Index a lake with pre-shuffled rows — the "BLEND (rand)" variant.
@@ -172,17 +157,9 @@ impl Blend {
         Blend::new(builder.build(&lake.tables, kind))
     }
 
-    /// The underlying SQL engine (tests, experiments).
-    pub fn engine(&self) -> &SqlEngine {
-        &self.engine
-    }
-
     /// The `AllTables` handle.
     pub fn fact_table(&self) -> Arc<dyn FactTable> {
-        self.engine
-            .database()
-            .alltables()
-            .expect("BLEND always registers AllTables")
+        self.fact.clone()
     }
 
     /// Current options.
@@ -217,24 +194,27 @@ impl Blend {
         self.set_cost_models(models);
     }
 
-    /// Execute a plan, returning the sink node's top-k tables.
+    /// Execute a plan, returning the sink node's top-k tables. Builds no
+    /// [`ExecutionReport`] and renders no SQL text.
     pub fn execute(&self, plan: &Plan) -> Result<Vec<TableHit>> {
-        self.execute_with_report(plan).map(|(h, _)| h)
+        exec::run(self, plan, Interrupt::never(), false).map(|(hits, _)| hits)
     }
 
     /// Execute a plan with per-operator telemetry.
     pub fn execute_with_report(&self, plan: &Plan) -> Result<(Vec<TableHit>, ExecutionReport)> {
-        exec::execute(self, plan)
+        self.execute_interruptible(plan, Interrupt::never())
     }
 
     /// Execute a plan under a cancellation/deadline [`Interrupt`]. Checked
-    /// at every seeker boundary and inside every SQL phase; an interrupted
-    /// plan returns `BlendError::{Cancelled, Timeout}` with no partial hits.
+    /// at every seeker boundary and inside every seeker's operator; an
+    /// interrupted plan returns `BlendError::{Cancelled, Timeout}` with no
+    /// partial hits.
     pub fn execute_interruptible(
         &self,
         plan: &Plan,
         interrupt: Interrupt,
     ) -> Result<(Vec<TableHit>, ExecutionReport)> {
-        exec::execute_interruptible(self, plan, interrupt)
+        let (hits, report) = exec::run(self, plan, interrupt, true)?;
+        Ok((hits, report.unwrap_or_default()))
     }
 }

@@ -231,10 +231,8 @@ fn to_model(w: Vec<f64>) -> LinearModel {
 fn measure(blend: &Blend, seeker: &Seeker) -> Option<(SeekerFeatures, f64)> {
     let f = features(blend, seeker);
     let start = Instant::now();
-    let run = seekers::run(blend, seeker, 10, None, &blend_parallel::Interrupt::never()).ok()?;
-    let micros = start.elapsed().as_secs_f64() * 1e6;
-    let _ = run;
-    Some((f, micros))
+    seekers::run(blend, seeker, 10, None, &blend_parallel::Interrupt::never()).ok()?;
+    Some((f, start.elapsed().as_secs_f64() * 1e6))
 }
 
 /// Extract an aligned (categorical keys, numeric target) pair from a table.

@@ -6,9 +6,9 @@
 //! returning what the SQL and its application phase return. [`run`]
 //! normalizes each value list once and deduplicates it on the normalized
 //! `&str`s; an injection cuts what the operator reads to the allowed
-//! tables (`crate::postings`). The SQL text ([`SeekerRun::sql`], the text
-//! of [`seeker_sql`] with the injected fragment) is still rendered, and
-//! runs, unchanged, wherever it is submitted as text (the served path).
+//! tables (`crate::postings`). The SQL text ([`seeker_sql`] with the
+//! injected fragment) is rendered only for a report (`OpExecution::sql`),
+//! and runs, unchanged, wherever it is submitted as text (the served path).
 //!
 //! * **SC and KW** (`crate::sc`) count each (table, column) group's
 //!   distinct query values (KW: each table's) off the value → column
@@ -122,11 +122,9 @@ fn distinct<'v>(list: &'v [Cow<'_, str>]) -> Vec<&'v str> {
         .collect()
 }
 
-/// One executed seeker: its SQL, hits, and MC bookkeeping.
+/// One executed seeker: its hits and MC bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SeekerRun {
-    /// The SQL, post-rewriting, that returns what the operator returned.
-    pub sql: String,
     /// Ranked results.
     pub hits: Vec<TableHit>,
     /// MC filter-phase statistics (None for other seekers): candidate rows
@@ -138,7 +136,7 @@ pub struct SeekerRun {
 /// MC candidate bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct McStats {
-    /// Candidate rows emitted by the SQL phase + super-key filter.
+    /// Candidate rows the postings join and the super-key filter emit.
     pub candidates: usize,
     /// Candidates passing exact alignment validation (true positives).
     pub validated: usize,
@@ -158,18 +156,34 @@ impl McStats {
 /// Render the SQL template(s) of a seeker (pre-injection). Exposed for the
 /// documentation tests and the LOC experiment.
 pub fn seeker_sql(seeker: &Seeker, k: usize, h: usize) -> String {
-    let lists = normalized_lists(seeker);
-    let literals: Vec<String> = lists.iter().map(|l| join_values(&distinct(l))).collect();
-    render(seeker, k, h, &literals, TID_PLACEHOLDER)
+    render(seeker, k, h, TID_PLACEHOLDER)
 }
 
-/// A seeker's SQL with `lists[i]` spelling the items of its `i`-th list
-/// ([`normalized_lists`]) and `tid` in place of [`TID_PLACEHOLDER`].
-fn render(seeker: &Seeker, k: usize, h: usize, lists: &[String], tid: &str) -> String {
+/// The SQL text a [`run`] with `injected` answers: [`seeker_sql`] with the
+/// injected fragment, or `""` for a run an empty `In` short-circuits.
+pub(crate) fn executed_sql(
+    seeker: &Seeker,
+    k: usize,
+    h: usize,
+    injected: Option<&Injected>,
+) -> String {
+    let fragment = injected.map_or(String::new(), Injected::fragment);
+    match injected {
+        Some(Injected::In(ids)) if ids.is_empty() => String::new(),
+        _ => render(seeker, k, h, &fragment),
+    }
+}
+
+/// A seeker's SQL with each of its lists ([`normalized_lists`]) spelled
+/// distinct, and `tid` in place of [`TID_PLACEHOLDER`].
+fn render(seeker: &Seeker, k: usize, h: usize, tid: &str) -> String {
+    let lists: Vec<String> = (normalized_lists(seeker).iter())
+        .map(|l| join_values(&distinct(l)))
+        .collect();
     match seeker {
         Seeker::Sc { .. } => sc_sql(&lists[0], tid, k, false),
         Seeker::Kw { .. } => sc_sql(&lists[0], tid, k, true),
-        Seeker::Mc { .. } => mc_sql(lists, tid),
+        Seeker::Mc { .. } => mc_sql(&lists, tid),
         Seeker::C { .. } => c_sql(&lists[0], &lists[1], &lists[2], tid, h),
     }
 }
@@ -251,7 +265,6 @@ pub fn run(
     if let Some(Injected::In(ids)) = injected {
         if ids.is_empty() {
             return Ok(SeekerRun {
-                sql: String::new(),
                 hits: Vec::new(),
                 mc_stats: matches!(seeker, Seeker::Mc { .. }).then(McStats::default),
             });
@@ -261,12 +274,8 @@ pub fn run(
     let bind = blend_obs::span("bind");
     let norm = normalized_lists(seeker);
     let lists: Vec<Vec<&str>> = norm.iter().map(|l| distinct(l)).collect();
-    let literals: Vec<String> = lists.iter().map(|l| join_values(l)).collect();
-    let fragment = injected.map(Injected::fragment).unwrap_or_default();
-    let sql = render(seeker, k, options.h, &literals, &fragment);
     drop(bind);
-    let (fact, governor) = (blend.fact_table(), blend.engine().parallel_ctx().governor());
-    let fact = &*fact;
+    let (fact, governor) = (&*blend.fact, blend.parallel.governor());
     let sc =
         |per_table| crate::sc::run(fact, &lists[0], per_table, injected, k, interrupt, governor);
     let (hits, mc_stats) = match seeker {
@@ -281,11 +290,7 @@ pub fn run(
             (hits, None)
         }
     };
-    Ok(SeekerRun {
-        sql,
-        hits,
-        mc_stats,
-    })
+    Ok(SeekerRun { hits, mc_stats })
 }
 
 /// Record what an application phase's filter kept on its `postprocess`
@@ -363,7 +368,7 @@ mod tests {
         ];
         for rows in invalid {
             let seeker = Seeker::Mc { rows };
-            // Rendering is total; `run` rejects before it renders.
+            // Rendering is total, and `run` rejects the seeker.
             let _ = seeker_sql(&seeker, 10, 64);
             let err = run(&blend, &seeker, 10, None, &Interrupt::never()).unwrap_err();
             assert!(

@@ -89,10 +89,11 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
         if buf.remaining() < len.saturating_add(MIN_ROW_BYTES - 4) {
             return Err(err("truncated row"));
         }
-        let value_bytes = buf.copy_to_bytes(len);
-        let value = std::str::from_utf8(&value_bytes)
+        // One copy per value: boxed straight from the validated slice.
+        let value: Box<str> = (std::str::from_utf8(&buf[..len]))
             .map_err(|_| err("non-UTF8 value"))?
-            .to_string();
+            .into();
+        buf.advance(len);
         let table = buf.get_u32_le();
         let column = buf.get_u32_le();
         let row = buf.get_u32_le();
@@ -110,7 +111,7 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
             code => return Err(err(&format!("invalid quadrant code {code}"))),
         };
         rows.push(FactRow {
-            value: value.into(),
+            value,
             table,
             column,
             row,
@@ -217,6 +218,32 @@ mod tests {
         let mut encoded = encode_rows(&sample()).to_vec();
         encoded.push(0);
         assert!(decode_rows(&encoded).is_err());
+    }
+
+    #[test]
+    fn rejects_non_utf8_values_and_names_truncations() {
+        // Header (16 bytes), then the first row's value length (4 bytes)
+        // and its value.
+        let mut encoded = encode_rows(&sample()).to_vec();
+        encoded[20] = 0xFF;
+        let err = decode_rows(&encoded).unwrap_err();
+        assert!(
+            matches!(&err, BlendError::Index(m) if m.contains("non-UTF8 value")),
+            "{err}"
+        );
+        let encoded = encode_rows(&sample());
+        for (cut, what) in [(8, "truncated header"), (18, "truncated value length")] {
+            let err = decode_rows(&encoded[..cut]).unwrap_err();
+            assert!(
+                matches!(&err, BlendError::Index(m) if m.contains(what)),
+                "{err}"
+            );
+        }
+        let err = decode_rows(&encoded[..encoded.len() - 1]).unwrap_err();
+        assert!(
+            matches!(&err, BlendError::Index(m) if m.contains("truncated row")),
+            "{err}"
+        );
     }
 
     #[test]

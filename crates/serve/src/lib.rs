@@ -84,11 +84,9 @@
 //! default 32 MiB, `0` disables; an entry costs its columnar heap: flat
 //! column bytes, each dictionary string once, labels, report,
 //! bookkeeping).
-//! *Invalidation contract*: rebuilding the
-//! index or swapping the catalog
-//! ([`SqlEngine::replace_table`](blend_sql::SqlEngine::replace_table),
-//! `Blend::rebuild_from_lake`) advances the engine generation **after**
-//! the swap; lookups key on the generation observed at dequeue, so a
+//! *Invalidation contract*: swapping a rebuilt index into the catalog
+//! ([`SqlEngine::replace_table`](blend_sql::SqlEngine::replace_table))
+//! advances the engine generation **after** the swap; lookups key on the generation observed at dequeue, so a
 //! post-rebuild request can never match — or be served — a pre-rebuild
 //! entry, and each shard purges superseded generations the first time it
 //! observes a newer one.

@@ -110,9 +110,8 @@ pub struct SqlEngine {
     /// Shared worker-pool context the positional executor rides. Defaults
     /// to [`ParallelCtx::shared_from_env`] (width from `BLEND_THREADS`):
     /// every engine in the process shares **one** persistent pool and
-    /// admission budget, so concurrent queries — across engines and,
-    /// through [`Blend`](https://docs.rs/blend), across every seeker of a
-    /// plan — draw from a single machine-wide thread allotment.
+    /// admission budget with the index builds, so concurrent queries across
+    /// engines draw from a single machine-wide thread allotment.
     parallel: Arc<ParallelCtx>,
 }
 

@@ -3,9 +3,11 @@
 //! The root package exists to own the runnable examples (`/examples`) and
 //! the cross-crate integration tests (`/tests`). It re-exports the crates
 //! that make up BLEND itself — the discovery system (`blend`), its index,
-//! storage, SQL, parallel and SIMD layers, and the lake generators — so one
-//! `blend_repro::...` path reaches all of them. Library users should
-//! depend on the individual crates (`blend`, `blend-lake`, ...) directly.
+//! storage, parallel and SIMD layers, and the lake generators — and the
+//! SQL engine (`blend-sql`) that runs the seekers' SQL text on the served
+//! path (`blend-serve`) and in the parity suites, so one `blend_repro::...`
+//! path reaches all of them. Library users should depend on the individual
+//! crates (`blend`, `blend-lake`, ...) directly.
 //!
 //! The systems the paper compares against (JOSIE, MATE, QCR, Starmie,
 //! DeepJoin and their embedding/HNSW stack) are not part of BLEND and are

@@ -1,8 +1,9 @@
 //! Every seeker's operator against its SQL text. `seekers::run` answers
 //! each kind with one operator over the index (SC and KW `crate::sc`, MC
-//! `crate::mc`, C `crate::c`) and reports the SQL text that spells every
-//! list as literals (`SeekerRun::sql`). Its hits and MC statistics must be
-//! what that text gives: run through the engine's text entry, whose rows
+//! `crate::mc`, C `crate::c`) and renders no text; a plan's report carries
+//! the SQL text that spells every list as literals (`OpExecution::sql`,
+//! spelled here by `common/seeker_text.rs`). Its hits and MC statistics
+//! must be what that text gives: run through the engine's text entry, whose rows
 //! equal the reference interpreter's (`execute_reference`), and then the
 //! application phase the operator replaced (the oracles of
 //! `common/sc_oracle.rs`, `common/mc_oracle.rs` and `common/c_oracle.rs`).
@@ -11,8 +12,9 @@
 //! `In` / `NotIn` / no injection; the lists hold values that need escaping
 //! (`O'Brien`), duplicates before and after normalization, values absent
 //! from the dictionary, and one-value lists. Listing 1's edges have a test
-//! of their own. The golden strings at the end pin `SeekerRun::sql` to the
-//! text the served workloads' templates have always had.
+//! of their own. The golden strings at the end pin `seeker_sql` and
+//! `OpExecution::sql` to the text the served workloads' templates have
+//! always had.
 
 #[path = "common/c_oracle.rs"]
 mod c_oracle;
@@ -20,16 +22,19 @@ mod c_oracle;
 mod mc_oracle;
 #[path = "common/sc_oracle.rs"]
 mod sc_oracle;
+#[path = "common/seeker_text.rs"]
+mod seeker_text;
 
 use std::sync::Arc;
 
 use blend::seekers::{self, seeker_sql, Injected, TID_PLACEHOLDER};
-use blend::{Blend, BlendOptions, Seeker};
+use blend::{Blend, BlendOptions, Plan, Seeker};
 use blend_common::{Column, Table, TableId};
 use blend_lake::web::{generate, WebLakeConfig};
 use blend_lake::DataLake;
 use blend_parallel::{Interrupt, ParallelCtx};
 use blend_storage::EngineKind;
+use seeker_text::{engine, sql_text};
 
 const K: usize = 10;
 
@@ -159,11 +164,10 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
                     let what = format!("{name} {kind:?} {threads}t {injected:?}");
                     let never = Interrupt::never();
                     let run = seekers::run(&blend, seeker, K, injected.as_ref(), &never).unwrap();
-                    let engine = blend.engine();
-                    let (text, _) = engine
-                        .execute_columns_interruptible(&run.sql, never)
-                        .unwrap();
-                    let (reference, _) = engine.execute_reference(&run.sql).unwrap();
+                    let sql = sql_text(&blend, seeker, K, injected.as_ref());
+                    let engine = engine(&blend);
+                    let (text, _) = engine.execute_columns_interruptible(&sql, never).unwrap();
+                    let (reference, _) = engine.execute_reference(&sql).unwrap();
                     assert_eq!(text.to_result_set(), reference, "{what}");
                     let (hits, mc_stats) = match seeker {
                         Seeker::Mc { rows } => {
@@ -180,7 +184,7 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
                     assert_eq!(run.mc_stats, mc_stats, "{what}");
                     let fragment = injected.as_ref().map_or(String::new(), Injected::fragment);
                     let template = seeker_sql(seeker, K, blend.options().h);
-                    assert_eq!(run.sql, template.replace(TID_PLACEHOLDER, &fragment));
+                    assert_eq!(sql, template.replace(TID_PLACEHOLDER, &fragment));
                     hits_seen += usize::from(!run.hits.is_empty());
                 }
             }
@@ -264,14 +268,15 @@ fn listing_1_edges_match_the_sql_text() {
                         let never = Interrupt::never();
                         let run = seekers::run(&blend, &seeker, k, injected.as_ref(), &never);
                         let run = run.unwrap();
+                        let sql = sql_text(&blend, &seeker, k, injected.as_ref());
                         if injected == &Some(Injected::In(vec![])) {
-                            assert!(run.sql.is_empty() && run.hits.is_empty(), "{what}");
+                            assert!(sql.is_empty() && run.hits.is_empty(), "{what}");
                             continue;
                         }
-                        let engine = blend.engine();
-                        let text = engine.execute_columns_interruptible(&run.sql, never);
+                        let engine = engine(&blend);
+                        let text = engine.execute_columns_interruptible(&sql, never);
                         let (text, _) = text.unwrap();
-                        let (reference, _) = engine.execute_reference(&run.sql).unwrap();
+                        let (reference, _) = engine.execute_reference(&sql).unwrap();
                         assert_eq!(text.to_result_set(), reference, "{what}");
                         assert_eq!(run.hits, sc_oracle::sc_postprocess(&text, k), "{what}");
                     }
@@ -294,8 +299,9 @@ fn listing_1_edges_match_the_sql_text() {
     }
 }
 
-/// `SeekerRun::sql` of one seeker of each kind, with injection, as the
-/// served workloads' templates and Table III's line count read it.
+/// The SQL text of one seeker of each kind, with injection, as the served
+/// workloads' templates and Table III's line count read it, and as a
+/// plan's report carries it (where a one-seeker plan injects nothing).
 #[test]
 fn seeker_sql_is_pinned() {
     let s = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<String>>();
@@ -335,6 +341,12 @@ fn seeker_sql_is_pinned() {
         let template = seeker_sql(&seeker, k, 64);
         assert_eq!(template.replace(TID_PLACEHOLDER, &injected.fragment()), sql);
         let run = seekers::run(&blend, &seeker, k, Some(&injected), &Interrupt::never());
-        assert_eq!(run.unwrap().sql, sql);
+        assert_eq!(sql_text(&blend, &seeker, k, Some(&injected)), sql);
+        assert!(run.is_ok(), "{seeker:?}");
+        let mut plan = Plan::new();
+        plan.add_seeker("s", seeker, k).unwrap();
+        let (_, report) = blend.execute_with_report(&plan).unwrap();
+        let plain = template.replace(TID_PLACEHOLDER, "");
+        assert_eq!(report.ops[0].sql.as_deref(), Some(plain.as_str()));
     }
 }

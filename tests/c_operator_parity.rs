@@ -1,7 +1,8 @@
 //! The C operator against Listing 3's SQL. `seekers::run` answers a C
 //! seeker with one operator over the index, not with SQL; its hits, and
 //! the candidates and validated tables its `postprocess` span reports,
-//! must be what the seeker's SQL text (`SeekerRun::sql`) gives under the
+//! must be what the seeker's SQL text (`OpExecution::sql`, spelled by
+//! `common/seeker_text.rs`) gives under the
 //! application phase of `common/c_oracle.rs`. The text runs through the
 //! engine's columnar entry, whose rows must equal the reference
 //! interpreter's (`execute_reference`); the span's `rows_in` must be the
@@ -18,6 +19,8 @@
 
 #[path = "common/c_oracle.rs"]
 mod c_oracle;
+#[path = "common/seeker_text.rs"]
+mod seeker_text;
 
 use std::sync::Arc;
 
@@ -32,6 +35,7 @@ use blend_parallel::{Interrupt, ParallelCtx};
 use blend_storage::{build_engine, EngineKind, FactTable};
 use c_oracle::c_postprocess;
 use proptest::prelude::*;
+use seeker_text::{engine, sql_text};
 
 const K: usize = 10;
 
@@ -151,9 +155,9 @@ fn check(
     let run = seekers::run(blend, seeker, K, injected, &Interrupt::never()).unwrap();
     let profile = trace.finish().expect("instrumentation is on");
     assert_eq!(run.mc_stats, None, "{what}");
-    let engine = blend.engine();
-    let (text, _) = (engine.execute_columns_interruptible(&run.sql, Interrupt::never())).unwrap();
-    let (reference, _) = engine.execute_reference(&run.sql).unwrap();
+    let (engine, sql) = (engine(blend), sql_text(blend, seeker, K, injected));
+    let (text, _) = (engine.execute_columns_interruptible(&sql, Interrupt::never())).unwrap();
+    let (reference, _) = engine.execute_reference(&sql).unwrap();
     assert_eq!(text.to_result_set(), reference, "{what}");
     let (hits, stats) = c_postprocess(&text, K, blend.options().corr_min_matches);
     assert_eq!(run.hits, hits, "{what}");

@@ -1,7 +1,7 @@
 //! The application phase of the C seeker over the rows of Listing 3's SQL
 //! (labels `t`, `score`, `n`): drop the (table, key column, numeric
 //! column) groups under `corr_min_matches` pairs, keep each table's best
-//! |QCR|, cut to `k`. Applied to the SQL text's result (`SeekerRun::sql`),
+//! |QCR|, cut to `k`. Applied to the SQL text's result (`OpExecution::sql`),
 //! it is what `seekers::run` must return.
 
 use blend::seekers::McStats;

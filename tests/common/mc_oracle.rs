@@ -2,7 +2,8 @@
 //! rows of Listing 2's SQL, one `SqlValue` row at a time — per joined row a
 //! column set, a `Vec<String>` of values and a hash-map entry; per
 //! candidate a re-hash of every query value. Applied to
-//! `execute_reference(run.sql)`, it is what `seekers::run` must return.
+//! `execute_reference` of the seeker's SQL text, it is what `seekers::run`
+//! must return.
 
 use blend::seekers::McStats;
 use blend::TableHit;

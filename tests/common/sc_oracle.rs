@@ -1,7 +1,7 @@
 //! The application phase of the SC and KW seekers over the rows of
 //! Listing 1's SQL (labels `t`, `score`): walk the groups in the SQL's
 //! order, keep each table's first (its best score), stop at `k` tables.
-//! Applied to the SQL text's result (`SeekerRun::sql`), it is what
+//! Applied to the SQL text's result (`OpExecution::sql`), it is what
 //! `seekers::run` must return.
 
 use blend::TableHit;

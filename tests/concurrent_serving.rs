@@ -260,7 +260,8 @@ fn concurrent_end_to_end_seeker_runs_match_sequential() {
         .map(|(label, s)| {
             let run = seekers::run(&reference, s, 10, None, &blend::Interrupt::never())
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-            (run.sql.clone(), hits(&run))
+            let sql = seekers::seeker_sql(s, 10, reference.options().h);
+            (sql, hits(&run))
         })
         .collect();
 
@@ -281,7 +282,8 @@ fn concurrent_end_to_end_seeker_runs_match_sequential() {
                         let got =
                             seekers::run(shared, seeker, 10, None, &blend::Interrupt::never())
                                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-                        assert_eq!(got.sql, want[si].0, "{label}: generated SQL diverged");
+                        let sql = seekers::seeker_sql(seeker, 10, shared.options().h);
+                        assert_eq!(sql, want[si].0, "{label}: generated SQL diverged");
                         assert_eq!(
                             hits(&got),
                             want[si].1,

@@ -206,3 +206,100 @@ fn shuffled_index_preserves_seeker_semantics() {
             .collect::<Vec<_>>()
     );
 }
+
+/// `Blend::execute` renders no SQL text and builds no report, yet returns
+/// what `execute_with_report` returns; the report carries each seeker's
+/// text: its template with the injected fragment, or `""` where an empty
+/// intersection short-circuited it. The five `tasks` plans, both stores,
+/// the optimizer on and off.
+#[test]
+fn execute_returns_the_reported_hits_and_the_report_carries_each_seekers_text() {
+    use blend::plan::Node;
+    use blend::seekers::{seeker_sql, Injected, TID_PLACEHOLDER};
+
+    let lake = test_lake();
+    let qt = &lake.tables[3];
+    let norm_col = |c: usize| -> Vec<String> {
+        (qt.columns[c].values.iter())
+            .filter_map(|v| v.normalized().map(|n| n.into_owned()))
+            .collect()
+    };
+    let pair_rows = |t: &blend_common::Table| -> Vec<Vec<String>> {
+        (0..t.n_rows().min(6))
+            .map(|r| {
+                (t.row(r).take(2))
+                    .filter_map(|v| v.normalized().map(|n| n.into_owned()))
+                    .collect::<Vec<String>>()
+            })
+            .filter(|r| r.len() == 2)
+            .collect()
+    };
+    let keys = norm_col(0);
+    let target: Vec<f64> = (0..keys.len()).map(|i| i as f64).collect();
+    let f1: Vec<f64> = target.iter().map(|t| t * 0.9 + 0.1).collect();
+    let f2: Vec<f64> = (0..keys.len()).map(|i| ((i * 7) % 5) as f64).collect();
+    let imputation = workloads::imputation_workload(&lake, 1, 5, 21).remove(0);
+    let keywords: Vec<String> = keys.iter().take(5).cloned().collect();
+    let plans = [
+        tasks::union_search(qt, 10, 60),
+        tasks::imputation(&imputation.examples, &imputation.queries, 10),
+        tasks::negative_examples(&pair_rows(qt), &pair_rows(&lake.tables[7]), 10),
+        tasks::feature_discovery(&keys, &target, &[f1, f2], 10),
+        tasks::multi_objective(&keywords, qt, &keys, &target, 10, 60),
+    ]
+    .map(|p| p.unwrap());
+
+    let (mut texts, mut injected) = (0, 0);
+    for kind in [EngineKind::Row, EngineKind::Column] {
+        let mut system = Blend::from_lake(&lake, kind);
+        for optimize in [true, false] {
+            system.set_optimize(optimize);
+            for (i, plan) in plans.iter().enumerate() {
+                let what = format!("plan {i} {kind:?} optimize={optimize}");
+                let hits = system.execute(plan).unwrap();
+                let (reported, report) = system.execute_with_report(plan).unwrap();
+                assert_eq!(hits, reported, "{what}");
+                for op in &report.ops {
+                    let Some(Node::Seeker { seeker, k }) = plan.node(&op.id) else {
+                        assert_eq!(op.sql, None, "{what}: {}", op.id);
+                        continue;
+                    };
+                    let sql = op.sql.as_deref().unwrap();
+                    if sql.is_empty() {
+                        assert!(op.injected && op.n_results == 0, "{what}: {}", op.id);
+                        continue;
+                    }
+                    // The fragment sits where the template has the
+                    // placeholder; it must be what `Injected` renders.
+                    let template = seeker_sql(seeker, *k, system.options().h);
+                    let (head, tail) = template.split_once(TID_PLACEHOLDER).unwrap();
+                    let fragment = (sql.strip_prefix(head))
+                        .and_then(|s| s.strip_suffix(tail))
+                        .unwrap_or_else(|| panic!("{what}: {sql}"));
+                    let ids = |list: &str| -> Vec<u32> {
+                        let list = list.strip_suffix(')').unwrap();
+                        list.split(',').map(|t| t.parse().unwrap()).collect()
+                    };
+                    let inject = if let Some(l) = fragment.strip_prefix("AND TableId IN (") {
+                        Some(Injected::In(ids(l)))
+                    } else if let Some(l) = fragment.strip_prefix("AND TableId NOT IN (") {
+                        Some(Injected::NotIn(ids(l)))
+                    } else {
+                        assert_eq!(fragment, "", "{what}: {}", op.id);
+                        None
+                    };
+                    let fragment = inject.as_ref().map_or(String::new(), Injected::fragment);
+                    assert_eq!(sql, template.replace(TID_PLACEHOLDER, &fragment), "{what}");
+                    // An empty `NotIn` renders no fragment.
+                    assert!(op.injected || inject.is_none(), "{what}: {}", op.id);
+                    texts += 1;
+                    injected += usize::from(inject.is_some());
+                }
+            }
+        }
+    }
+    assert!(
+        texts > 40 && injected > 4,
+        "{texts} texts, {injected} injected"
+    );
+}

@@ -8,6 +8,8 @@
 //! built in one place.
 
 mod common;
+#[path = "common/seeker_text.rs"]
+mod seeker_text;
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -20,6 +22,7 @@ use blend_storage::EngineKind;
 use blend_storage::{build_engine, FactRow};
 use common::{fragments, lake, render, seeker_suite};
 use proptest::prelude::*;
+use seeker_text::{engine, sql_text};
 
 /// The scan report of the column-index path (`exec_positional`'s
 /// *Column-index grouping*) for an SC/KW query over `values` on the column
@@ -77,12 +80,10 @@ fn positional_path_is_selected_and_identical_for_all_seeker_shapes() {
             };
             for (frag_label, injected) in fragments() {
                 let sql = render(&template, &injected);
-                let (rs_auto, rep_auto) = blend
-                    .engine()
+                let (rs_auto, rep_auto) = engine(&blend)
                     .execute_with_report(&sql)
                     .unwrap_or_else(|e| panic!("{label}/{frag_label} auto: {e}"));
-                let (rs_tuple, rep_tuple) = blend
-                    .engine()
+                let (rs_tuple, rep_tuple) = engine(&blend)
                     .execute_reference(&sql)
                     .unwrap_or_else(|e| panic!("{label}/{frag_label} tuple: {e}"));
 
@@ -126,8 +127,8 @@ fn engines_agree_under_the_positional_path() {
     let col = Blend::from_lake(&lake, EngineKind::Column);
     for (label, seeker) in seeker_suite(&lake) {
         let sql = seekers::seeker_sql(&seeker, 10, 64).replace(TID_PLACEHOLDER, "");
-        let (a, ra) = row.engine().execute_with_report(&sql).unwrap();
-        let (b, rb) = col.engine().execute_with_report(&sql).unwrap();
+        let (a, ra) = engine(&row).execute_with_report(&sql).unwrap();
+        let (b, rb) = engine(&col).execute_with_report(&sql).unwrap();
         assert_eq!(ra.path, "positional", "{label}");
         assert_eq!(rb.path, "positional", "{label}");
         assert_eq!(a, b, "{label}: row and column stores disagree");
@@ -142,10 +143,10 @@ fn unrecognized_shapes_fall_back_to_tuple() {
     let lake = lake();
     let blend = Blend::from_lake(&lake, EngineKind::Column);
     let sql = "SELECT TableId % 7, COUNT(*) AS n FROM AllTables GROUP BY TableId % 7";
-    let (rs, report) = blend.engine().execute_with_report(sql).unwrap();
+    let (rs, report) = engine(&blend).execute_with_report(sql).unwrap();
     assert_eq!(report.path, "positional");
     assert!(!rs.is_empty());
-    let (want, _) = blend.engine().execute_reference(sql).unwrap();
+    let (want, _) = engine(&blend).execute_reference(sql).unwrap();
     assert_eq!(bytes_of(&rs), bytes_of(&want));
 }
 
@@ -156,10 +157,12 @@ fn seeker_runs_match_direct_sql_results() {
     let lake = lake();
     let blend = Blend::from_lake(&lake, EngineKind::Column);
     for (label, seeker) in seeker_suite(&lake) {
-        let run = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
-        // The SQL recorded on the run, re-executed on both executors, agrees.
-        let (a, _) = blend.engine().execute_with_report(&run.sql).unwrap();
-        let (b, _) = blend.engine().execute_reference(&run.sql).unwrap();
+        let run = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never());
+        assert!(run.is_ok(), "{label}");
+        // The run's SQL text, executed on both executors, agrees.
+        let sql = sql_text(&blend, &seeker, 10, None);
+        let (a, _) = engine(&blend).execute_with_report(&sql).unwrap();
+        let (b, _) = engine(&blend).execute_reference(&sql).unwrap();
         assert_eq!(a, b, "{label}");
     }
 }
@@ -223,7 +226,7 @@ fn columnar_entry_builds_the_row_entries_rows_byte_for_byte() {
     }
     for kind in [EngineKind::Row, EngineKind::Column] {
         let blend = Blend::from_lake(&lake, kind);
-        let engine = blend.engine();
+        let engine = engine(&blend);
         let check = |sql: &str| {
             let (want, _) = engine
                 .execute_reference(sql)
@@ -304,7 +307,7 @@ fn engines() -> &'static [Blend] {
 /// random select lists and both engines, with 0, 1 and many rows.
 fn check_built_rows(sql: &str) {
     for blend in engines() {
-        let engine = blend.engine();
+        let engine = engine(blend);
         let (cols, _) = engine
             .execute_columns_interruptible(sql, blend::Interrupt::never())
             .unwrap_or_else(|e| panic!("{e}: {sql}"));

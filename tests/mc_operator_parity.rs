@@ -1,7 +1,7 @@
 //! The MC operator against Listing 2's SQL. `seekers::run` answers an MC
 //! seeker with one operator over the index, not with SQL; its hits and
-//! `McStats` must be what the seeker's SQL text (`SeekerRun::sql`, run
-//! through the reference interpreter, `execute_reference`) gives under the
+//! `McStats` must be what the seeker's SQL text (`OpExecution::sql`, spelled
+//! by `common/seeker_text.rs` and run through the reference interpreter, `execute_reference`) gives under the
 //! paper's two filter steps, as the row oracle of `common/mc_oracle.rs`
 //! applies them.
 //!
@@ -15,6 +15,8 @@
 
 #[path = "common/mc_oracle.rs"]
 mod mc_oracle;
+#[path = "common/seeker_text.rs"]
+mod seeker_text;
 
 use std::sync::Arc;
 
@@ -28,6 +30,7 @@ use blend_parallel::{Interrupt, ParallelCtx};
 use blend_storage::{build_engine, EngineKind, FactTable};
 use mc_oracle::mc_postprocess_rows;
 use proptest::prelude::*;
+use seeker_text::{engine, sql_text};
 
 const K: usize = 10;
 
@@ -102,18 +105,19 @@ fn injections(n_tables: u32) -> Vec<Option<Injected>> {
     ]
 }
 
-/// `seekers::run` equals the row oracle over `execute_reference(run.sql)`;
+/// `seekers::run` equals the row oracle over `execute_reference` of its text;
 /// returns the validated count.
 fn check(blend: &Blend, rows: &[Vec<String>], injected: Option<&Injected>, what: &str) -> usize {
     let seeker = Seeker::mc(rows.to_vec());
     let run = seekers::run(blend, &seeker, K, injected, &Interrupt::never()).unwrap();
-    if let Some(Injected::In(ids)) = injected.filter(|_| run.sql.is_empty()) {
-        // An empty intersection returns before rendering any SQL.
+    let sql = sql_text(blend, &seeker, K, injected);
+    if let Some(Injected::In(ids)) = injected.filter(|_| sql.is_empty()) {
+        // An empty intersection returns before reading the index.
         assert!(ids.is_empty() && run.hits.is_empty(), "{what}");
         assert_eq!(run.mc_stats, Some(Default::default()), "{what}");
         return 0;
     }
-    let (reference, _) = blend.engine().execute_reference(&run.sql).unwrap();
+    let (reference, _) = engine(blend).execute_reference(&sql).unwrap();
     let (hits, stats) = mc_postprocess_rows(&reference, rows, K);
     assert_eq!(run.hits, hits, "{what}");
     assert_eq!(run.mc_stats, Some(stats), "{what}");
@@ -180,8 +184,9 @@ fn columnar_mc_phase_matches_the_row_oracle_on_every_path() {
                 let validated = check(&blend, &rows, None, &what);
                 let seeker = Seeker::mc(rows.clone());
                 let run = seekers::run(&blend, &seeker, K, None, &Interrupt::never()).unwrap();
-                let (text, _) = (blend.engine())
-                    .execute_columns_interruptible(&run.sql, Interrupt::never())
+                let sql = sql_text(&blend, &seeker, K, None);
+                let (text, _) = (engine(&blend))
+                    .execute_columns_interruptible(&sql, Interrupt::never())
                     .unwrap();
                 let want = mc_postprocess_rows(&text.to_result_set(), &rows, K);
                 assert_eq!((run.hits, run.mc_stats), (want.0, Some(want.1)), "{what}");

@@ -180,7 +180,8 @@ fn end_to_end_seeker_hits_are_thread_count_invariant() {
             let mut blend = blend::Blend::new(fact.clone());
             blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
             let got = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
-            assert_eq!(got.sql, want.sql, "{label}/{threads}t");
+            let text = |b: &blend::Blend| seekers::seeker_sql(&seeker, 10, b.options().h);
+            assert_eq!(text(&blend), text(&reference), "{label}/{threads}t");
             assert_eq!(got.mc_stats, want.mc_stats, "{label}/{threads}t");
             let hits = |run: &seekers::SeekerRun| -> Vec<(u32, f64)> {
                 run.hits.iter().map(|h| (h.table.0, h.score)).collect()
