@@ -6,10 +6,11 @@
 //!    in canonical order — by table, key column, then row — each cell
 //!    tagged with whether its key is in `k0`, `k1` or both.
 //! 2. **Pairs** (span `c.pairs`): per table t, its column runs come from
-//!    [`FactTable::column_runs`]. For the key cells of one key column kc
-//!    and each other column nc of t, [`FactTable::locate`] finds the cells
-//!    at (t, nc, r) for the key cells' rows r. Each numeric one (quadrant q)
-//!    adds 1 to the (kc, nc) pair's count, and 1 to its concordant count
+//!    the store's [`Directory`](blend_storage::Directory). For the key
+//!    cells of one key column kc and each other column nc of t, its
+//!    `locate` finds the cells at (t, nc, r) for the key cells' rows r.
+//!    Each numeric one (quadrant q) adds 1 to the (kc, nc) pair's count,
+//!    and 1 to its concordant count
 //!    when `(k0 ∧ q = 0) ∨ (k1 ∧ q = 1)`. A pair with a count is one group
 //!    of the SQL's `GROUP BY keys.TableId, nums.ColumnId, keys.ColumnId`.
 //! 3. **Score** (span `postprocess`): a group of `n` pairs, `conc` of them
@@ -154,6 +155,7 @@ fn groups(
     interrupt: &Interrupt,
     mem: &mut MemoryReservation,
 ) -> Result<(Vec<Group>, usize, usize)> {
+    let dir = fact.directory();
     let (mut groups, mut runs, mut located) = (Vec::new(), Vec::new(), Vec::new());
     let (mut lookups, mut matched, mut since_poll) = (0, 0, 0);
     let pos = |i: usize| (cells[i] >> 2) as u32;
@@ -161,10 +163,10 @@ fn groups(
     while at < cells.len() {
         // The table's column runs: (`ColumnId`, end position).
         let t = fact.table_at(pos(at) as usize);
-        let range = fact.table_postings(t);
+        let range = dir.table_postings(t);
         runs.clear();
         let held = runs.capacity();
-        fact.column_runs(t, &mut runs);
+        dir.column_runs(t, &mut runs);
         mem.grow((runs.capacity() - held) * std::mem::size_of::<(u32, u32)>())?;
         // One key column's cells at a time.
         while at < cells.len() && (pos(at) as usize) < range.end {
@@ -180,7 +182,7 @@ fn groups(
                     since_poll = 0;
                 }
                 located.clear();
-                fact.locate(t, nc, rows, &mut located);
+                dir.locate(t, nc, rows, &mut located);
                 let (mut n, mut conc) = (0, 0);
                 for (p, &tag) in located.iter().zip(tags) {
                     if let Some(q) = p.and_then(|p| fact.quadrant_at(p as usize)) {

@@ -246,12 +246,17 @@ fn eval(ctx: &mut Ctx<'_>, id: &str, injected: Option<Injected>) -> Result<Vec<T
     Ok(hits)
 }
 
-/// Can this node receive an injected predicate? Single-consumer seekers
-/// only.
-fn injectable(ctx: &Ctx<'_>, id: &str) -> bool {
-    matches!(ctx.plan.node(id), Some(Node::Seeker { .. }))
-        && ctx.consumers.get(id).copied().unwrap_or(0) <= 1
-        && !ctx.memo.contains_key(id)
+/// The seeker of this node if it can receive an injected predicate:
+/// single-consumer seekers only.
+fn injectable<'p>(ctx: &Ctx<'p>, id: &str) -> Option<&'p Seeker> {
+    match ctx.plan.node(id) {
+        Some(Node::Seeker { seeker, .. })
+            if ctx.consumers.get(id).copied().unwrap_or(0) <= 1 && !ctx.memo.contains_key(id) =>
+        {
+            Some(seeker)
+        }
+        _ => None,
+    }
 }
 
 /// Optimized evaluation of one combiner's inputs. Returns results aligned
@@ -265,26 +270,20 @@ fn eval_inputs_optimized(
     match combiner {
         Combiner::Intersect => {
             // Dependencies (combiners, shared nodes) first...
-            let mut results: Vec<Option<Vec<TableHit>>> = vec![None; inputs.len()];
+            let mut results: Vec<Vec<TableHit>> = vec![Vec::new(); inputs.len()];
             let mut acc: Option<Vec<u32>> = None;
-            let mut pending: Vec<usize> = Vec::new();
+            let (mut pending, mut seekers) = (Vec::new(), Vec::new());
             for (i, input) in inputs.iter().enumerate() {
-                if injectable(ctx, input) {
+                if let Some(seeker) = injectable(ctx, input) {
                     pending.push(i);
+                    seekers.push(seeker);
                 } else {
                     let r = eval(ctx, input, None)?;
                     acc = Some(intersect_sets(acc, &r));
-                    results[i] = Some(r);
+                    results[i] = r;
                 }
             }
             // ...then ranked seekers, each filtered by everything finished.
-            let seekers: Vec<&Seeker> = pending
-                .iter()
-                .map(|&i| match ctx.plan.node(&inputs[i]) {
-                    Some(Node::Seeker { seeker, .. }) => seeker,
-                    _ => unreachable!("injectable() checked the node kind"),
-                })
-                .collect();
             let order = match ctx.blend.options().ordering {
                 crate::OrderingMode::Ranked => optimizer::rank_execution_group(ctx.blend, &seekers),
                 // Rewriting without reordering (Table IV's "Rand" arm when
@@ -296,17 +295,14 @@ fn eval_inputs_optimized(
                 let inject = acc.clone().map(Injected::In);
                 let r = eval(ctx, &inputs[input_idx], inject)?;
                 acc = Some(intersect_sets(acc, &r));
-                results[input_idx] = Some(r);
+                results[input_idx] = r;
             }
-            Ok(results
-                .into_iter()
-                .map(|r| r.expect("all filled"))
-                .collect())
+            Ok(results)
         }
         Combiner::Difference => {
             // Subtrahend first; minuend gets NOT IN (paper Example 1).
             let sub = eval(ctx, &inputs[1], None)?;
-            let minuend = if injectable(ctx, &inputs[0]) {
+            let minuend = if injectable(ctx, &inputs[0]).is_some() {
                 eval(ctx, &inputs[0], Some(Injected::NotIn(tables_of(&sub))))?
             } else {
                 eval(ctx, &inputs[0], None)?

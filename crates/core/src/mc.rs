@@ -5,9 +5,8 @@
 //!    postings, tagged with each value's list index and cut by binary
 //!    search to the tables an injection allows.
 //! 2. **Rows, in MATE's order** (span `mc.rows`): the column with the
-//!    fewest cells drives. Its rows are numbered — row directory ordinals
-//!    ranked through [`OrdinalRank`], or packed (`TableId`, `RowId`) pairs
-//!    through a [`GroupIndex`] on the row store, which has no directory —
+//!    fewest cells drives. Its rows are numbered — the ranks of their row
+//!    ordinals in the store's [`Directory`], through an [`OrdinalRank`] —
 //!    and its cells listed per row as (position, list index) pairs. Each
 //!    further column but the last keeps the cells of rows every column
 //!    before it holds, listed the same way.
@@ -36,7 +35,7 @@ use blend_common::{FxHashMap, Result, TableId};
 use blend_index::xash_value;
 use blend_parallel::{Interrupt, MemoryGovernor, QueryMemory};
 use blend_storage::{
-    radix_partition, radix_scratch_bytes, FactTable, GroupIndex, OrdinalRank, RadixPartitions,
+    radix_partition, radix_scratch_bytes, Directory, FactTable, OrdinalRank, RadixPartitions,
 };
 
 use crate::combiners::TableHit;
@@ -45,9 +44,6 @@ use crate::seekers::{Injected, McStats};
 
 /// Cells, rows or enumeration steps between two polls of the interrupt.
 const POLL: usize = 4096;
-
-/// The id of a cell whose row the numbering does not hold.
-const NO_ROW: u32 = u32::MAX;
 
 /// Row flags: some combination has pairwise-distinct cells, and some such
 /// combination is a query row.
@@ -85,26 +81,21 @@ pub(crate) fn run(
     order.sort_by_key(|&c| counts[c]);
     let (listed, last) = order.split_at(order.len() - 1);
     let n_driving = counts[order[0]];
-    let space = fact.row_ordinals(&[], &mut Vec::new());
-    // Priced before any is allocated: the numbering; per listed cell its
+    let dir = fact.directory();
+    // Priced before any is allocated: the rank; per listed cell its
     // position or row id, its pair, its CSR slot and its pair in CSR order;
-    // per driving cell its packed key on the hashed path; per row its
-    // position, flags and list offsets; the query bitsets and block buffers.
-    let (numbering, keys) = match space {
-        Some(space) => (OrdinalRank::estimate_bytes(space), 0),
-        None => (GroupIndex::<u64>::estimate_bytes(n_driving), 16),
-    };
-    let bytes = numbering
+    // per row its position, flags and list offsets; the query bitsets and
+    // block buffers.
+    let bytes = OrdinalRank::estimate_bytes(dir.rows())
         + listed.iter().map(|&c| counts[c] * 28).sum::<usize>()
-        + n_driving * (keys + 9)
+        + n_driving * 9
         + listed.len() * radix_scratch_bytes(0, n_driving)
         + query.heap_bytes()
         + POLL * 64;
     let _mem = Arc::new(QueryMemory::new(Arc::clone(governor))).try_reserve("mc", bytes)?;
 
     let span = blend_obs::span("mc.rows");
-    span.attr_str("path", space.map_or("hashed", |_| "directory"));
-    let (mut rows, driving) = Rows::number(fact, &cells[order[0]], space, interrupt)?;
+    let (mut rows, driving) = Rows::number(dir, &cells[order[0]], interrupt)?;
     let mut lists = vec![driving];
     for &c in &listed[1..] {
         let (mut ids, mut pairs) = (Vec::new(), Vec::new());
@@ -233,76 +224,44 @@ impl QueryRows {
     }
 }
 
-/// The lake rows the driving column holds, numbered `0..rep.len()`: ranks
-/// of the row directory's ordinals, or packed (`TableId`, `RowId`) pairs in
-/// first-seen order. `rep[id]` is one position of the row, where its super
-/// key and table are read. The rest are gather buffers.
+/// The lake rows the driving column holds, numbered `0..rep.len()` by the
+/// ranks of their row ordinals. `rep[id]` is one position of the row, where
+/// its super key and table are read; `ords` is a gather buffer.
 struct Rows<'f> {
-    fact: &'f dyn FactTable,
+    dir: &'f Directory,
     interrupt: &'f Interrupt,
-    rank: Option<OrdinalRank>,
-    index: GroupIndex<u64>,
+    rank: OrdinalRank,
     rep: Vec<u32>,
     ords: Vec<u32>,
-    row_ids: Vec<u32>,
-    keys: Vec<u64>,
 }
 
 impl<'f> Rows<'f> {
-    /// Number the driving column's rows (`space`: the row directory's, if
-    /// the store has one) and list its `cells` per row.
+    /// Number the driving column's rows and list its `cells` per row.
     fn number(
-        fact: &'f dyn FactTable,
+        dir: &'f Directory,
         cells: &[(u32, &[u32])],
-        space: Option<usize>,
         interrupt: &'f Interrupt,
     ) -> Result<(Self, RowLists)> {
         let positions: Vec<u32> = cells.iter().flat_map(|(_, p)| p.iter().copied()).collect();
-        let mut rows = Rows {
-            fact,
-            interrupt,
-            rank: None,
-            index: GroupIndex::with_capacity(if space.is_some() { 0 } else { positions.len() })?,
-            rep: Vec::new(),
-            ords: Vec::new(),
-            row_ids: Vec::new(),
-            keys: Vec::new(),
-        };
         let mut ids = Vec::with_capacity(positions.len());
-        if let Some(space) = space {
-            fact.row_ordinals(&positions, &mut ids);
-            let rank = OrdinalRank::build(space, &ids);
-            rank.rank_members(&mut ids);
-            rows.rank = Some(rank);
-        } else {
-            rows.pack(&positions);
-            for &key in &rows.keys {
-                ids.push(rows.index.insert_or_get(key)?);
-            }
-        }
-        let n_rows = rows
-            .rank
-            .as_ref()
-            .map_or(rows.index.len(), OrdinalRank::len);
-        rows.rep = vec![0; n_rows];
+        let space = dir.row_ordinals(&positions, &mut ids);
+        let rank = OrdinalRank::build(space, &ids);
+        rank.rank_members(&mut ids);
+        let mut rep = vec![0; rank.len()];
         for (&id, &p) in ids.iter().zip(&positions) {
-            rows.rep[id as usize] = p;
+            rep[id as usize] = p;
         }
         let idx = (cells.iter()).flat_map(|&(i, p)| std::iter::repeat_n(i, p.len()));
         let pairs: Vec<[u32; 2]> = positions.iter().zip(idx).map(|(&p, i)| [p, i]).collect();
-        let lists = RowLists::new(&ids, &pairs, n_rows)?;
+        let lists = RowLists::new(&ids, &pairs, rank.len())?;
+        let rows = Rows {
+            dir,
+            interrupt,
+            rank,
+            rep,
+            ords: Vec::new(),
+        };
         Ok((rows, lists))
-    }
-
-    /// The packed (`TableId`, `RowId`) pair of each position, in `keys`.
-    fn pack(&mut self, positions: &[u32]) {
-        self.ords.clear();
-        self.row_ids.clear();
-        self.keys.clear();
-        self.fact.gather_tables(positions, &mut self.ords);
-        self.fact.gather_rows(positions, &mut self.row_ids);
-        let pairs = self.ords.iter().zip(&self.row_ids);
-        (self.keys).extend(pairs.map(|(&t, &r)| (t as u64) << 32 | r as u64));
     }
 
     /// Number a column's `cells` a block at a time and hand each cell whose
@@ -314,23 +273,15 @@ impl<'f> Rows<'f> {
         live: impl Fn(u32) -> bool,
         each: &mut impl FnMut(u32, [u32; 2]) -> Result<()>,
     ) -> Result<()> {
-        let mut ids = Vec::new();
         for &(idx, postings) in cells {
             for block in postings.chunks(POLL) {
                 self.interrupt.check()?;
-                ids.clear();
-                if let Some(rank) = &self.rank {
-                    self.ords.clear();
-                    self.fact.row_ordinals(block, &mut self.ords);
-                    ids.extend(self.ords.iter().map(|&o| rank.rank(o).unwrap_or(NO_ROW)));
-                } else {
-                    self.pack(block);
-                    let found = self.keys.iter().map(|k| self.index.get(k));
-                    ids.extend(found.map(|id| id.unwrap_or(NO_ROW)));
-                }
-                for (&pos, &row) in block.iter().zip(&ids) {
-                    if row != NO_ROW && live(row) {
-                        each(row, [pos, idx])?;
+                self.ords.clear();
+                self.dir.row_ordinals(block, &mut self.ords);
+                for (&pos, &ord) in block.iter().zip(&self.ords) {
+                    match self.rank.rank(ord) {
+                        Some(row) if live(row) => each(row, [pos, idx])?,
+                        _ => {}
                     }
                 }
             }

@@ -18,7 +18,7 @@ pub(crate) fn allowed_ranges(fact: &dyn FactTable, injected: &Injected) -> Optio
     let mut ids = ids.clone();
     ids.sort_unstable();
     ids.dedup();
-    let tables = (ids.iter().map(|&t| fact.table_postings(t)))
+    let tables = (ids.iter().map(|&t| fact.directory().table_postings(t)))
         .filter(|r| !r.is_empty())
         .map(|r| r.start as u32..r.end as u32);
     match injected {

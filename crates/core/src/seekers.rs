@@ -11,18 +11,20 @@
 //! and runs, unchanged, wherever it is submitted as text (the served path).
 //!
 //! * **SC and KW** (`crate::sc`) count each (table, column) group's
-//!   distinct query values (KW: each table's) off the value → column
-//!   index, through the walk the SQL executor's column-index grouping also
-//!   runs, and rank by score, then `TableId`.
+//!   distinct query values (KW: each table's) off each value's run list —
+//!   the column index's, or its postings mapped to their runs — through the
+//!   walk the SQL executor's column-index grouping also runs, and rank by
+//!   score, then `TableId`.
 //! * **MC** (`crate::mc`) reads the lists' postings, numbers the lake rows
-//!   from the rarest column in MATE's order (the Table V baseline,
+//!   by their row ordinals in the store's directory, from the rarest
+//!   column in MATE's order (the Table V baseline,
 //!   `blend_baselines::mate`) and validates each row's (position, list
 //!   index) pairs against per-value bitsets of query rows, reading each
 //!   pair row's super key once: Listing 2's join and the paper's two
 //!   filter steps ([`McStats`]). It cuts every query column's postings,
 //!   not only `q0`'s as the SQL does: a joined row lies in one table.
 //! * **C** (`crate::c`) reads the keys' postings (cut to `RowId < h`),
-//!   finds each key cell's row partners with `FactTable::locate` and
+//!   finds each key cell's row partners with the directory's `locate` and
 //!   scores each (table, key column, numeric column) group's quadrant
 //!   concordance with the engine's arithmetic (Listing 3).
 //!

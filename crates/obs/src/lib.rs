@@ -88,13 +88,27 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Take the lock that serializes this crate's unit tests around the
+/// process-global enable flag, then set it to `on`: a test that flips the
+/// flag or records with it on holds the guard throughout, so no other test
+/// thread sees the flag change under it.
+#[cfg(test)]
+pub(crate) fn test_gate(on: bool) -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_enabled(on);
+    guard
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enable_gate_round_trips() {
-        set_enabled(true);
+        let _gate = test_gate(true);
         assert!(enabled());
         set_enabled(false);
         assert!(!enabled());

@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn counter_sums_across_shards() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let c = Counter::default();
         for _ in 0..100 {
             c.inc();
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_up_and_down() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let g = Gauge::default();
         g.add(5);
         g.dec();
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_conserve_count() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let h = Histogram::default();
         for v in [0u64, 1, 2, 3, 1000, 1_000_000, u64::MAX] {
             h.record(v);
@@ -407,7 +407,7 @@ mod tests {
         // `record(0)` must hit the first bucket and `record(u64::MAX)` the
         // last — the bit-length bucket map has no shift that could
         // overflow at either end, and this pins that.
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let h = Histogram::default();
         h.record(0);
         h.record(u64::MAX);
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn quantiles_from_log_buckets() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let h = Histogram::default();
         for _ in 0..99 {
             h.record(10);
@@ -455,14 +455,14 @@ mod tests {
         let r = MetricsRegistry::default();
         let a = r.counter("x_total");
         let b = r.counter("x_total");
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         a.inc();
         assert_eq!(b.get(), 1);
     }
 
     #[test]
     fn prometheus_render_shape() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let r = MetricsRegistry::default();
         r.counter("a_total{k=\"v\"}").add(3);
         r.gauge("g").set(7);
@@ -484,7 +484,7 @@ mod tests {
     fn disabled_records_nothing() {
         let c = Counter::default();
         let h = Histogram::default();
-        crate::set_enabled(false);
+        let _gate = crate::test_gate(false);
         c.inc();
         h.record(42);
         crate::set_enabled(true);

@@ -251,14 +251,14 @@ mod tests {
 
     #[test]
     fn spans_without_trace_are_inert() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let g = span("orphan");
         assert!(g.idx.is_none());
     }
 
     #[test]
     fn trace_collects_nested_tree() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let trace = trace_begin("query");
         trace.attr_str("path", "positional");
         {
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn nested_traces_each_get_their_subtree() {
-        crate::set_enabled(true);
+        let _gate = crate::test_gate(true);
         let outer = trace_begin("plan");
         let _s = span("seeker:sc");
         let inner = trace_begin("query");
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_is_inert() {
-        crate::set_enabled(false);
+        let _gate = crate::test_gate(false);
         let t = trace_begin("query");
         let g = span("scan");
         assert!(g.idx.is_none());

@@ -21,15 +21,18 @@
 //!
 //! ## Column-index grouping
 //!
-//! The SC and KW seekers' SQL (paper Listing 1) is `WHERE CellValue IN (…)
-//! GROUP BY TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`: how many
-//! query values each column (KW: each table) holds — a set-overlap question
-//! whose natural index is value → columns. The column store keeps exactly
-//! that ([`FactTable::column_index`]): the (`TableId`, `ColumnId`) runs of
-//! canonical order numbered `0..R`, and per value the ascending ordinals of
-//! the runs holding it. `group_columns` answers from it without a scan,
-//! through the walk the SC and KW seekers' operator also runs
-//! (`blend_storage::ColumnIndex::walk`): each driving value's ordinals, in
+//! The SC and KW seekers' SQL text (paper Listing 1; the seekers
+//! themselves run as operators over the index, this text serves the served
+//! path and the parity oracles) is `WHERE CellValue IN (…) GROUP BY
+//! TableId[, ColumnId]` with `COUNT(DISTINCT CellValue)`: how many query
+//! values each column (KW: each table) holds — a set-overlap question whose
+//! natural index is value → columns. The column store keeps exactly that
+//! ([`FactTable::column_index`]): per value the ascending ordinals of the
+//! store directory's (`TableId`, `ColumnId`) runs that hold it.
+//! `group_columns` answers from it without a scan, through the walk the SC
+//! and KW seekers' operator also runs
+//! ([`Directory::walk`](blend_storage::Directory::walk)): each driving
+//! value's ordinals, in
 //! the scan's driving order (sorted, deduplicated literals), kept to the
 //! kernel's `TableId IN` tables (a long list cut by binary search), less
 //! entries of tables in its `NOT IN` set, bump a dense counter per ordinal
@@ -352,7 +355,7 @@ pub(super) fn exec_group(
 
 /// `COUNT(DISTINCT CellValue) GROUP BY TableId[, ColumnId]` off the scan
 /// table's column index (module docs, *Column-index grouping*), the scan
-/// itself never run: [`ColumnIndex::walk`](blend_storage::ColumnIndex::walk)
+/// itself never run: [`Directory::walk`](blend_storage::Directory::walk)
 /// over the driving codes' ordinal lists, the kernel's `TableId` sets its
 /// cut and its rejected set. A group's first touch records the running
 /// count of entries kept as its first-seen row. Sequential on the query's
@@ -372,11 +375,12 @@ pub(super) fn group_columns(
     };
     let span = blend_obs::span("group");
     span.attr_str("path", "columns");
+    let dir = table.directory();
     let by_column = keys.len() == 2;
     let lists: Vec<&[u32]> = codes.iter().map(|&code| index.ordinals(code)).collect();
     let visited: usize = lists.iter().map(|l| l.len()).sum();
     let n_slots = if by_column {
-        index.runs()
+        dir.runs()
     } else {
         table.n_tables() as usize
     };
@@ -385,7 +389,7 @@ pub(super) fn group_columns(
         let _mem = par
             .memory()
             .try_reserve("group_columns", n_slots * 4 + max_groups * 8)?;
-        let walk = index.walk(
+        let walk = dir.walk(
             &lists,
             !by_column,
             scan.kernel.table_in.as_ref(),
@@ -397,8 +401,8 @@ pub(super) fn group_columns(
         // aggregate (all of them `COUNT(DISTINCT CellValue)`).
         let key = |slot: u32, col: IntCol| match (by_column, col) {
             (false, _) => slot,
-            (true, IntCol::Table) => index.key(slot).0,
-            (true, _) => index.key(slot).1,
+            (true, IntCol::Table) => dir.key(slot).0,
+            (true, _) => dir.key(slot).1,
         };
         let mut cols: Vec<ResultColumn> = keys
             .iter()

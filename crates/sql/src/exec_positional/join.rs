@@ -30,27 +30,28 @@
 //! `ordinals`, a packed build `buckets`, `max_chain` and `partitions`, and
 //! every probe `matched` and `skipped` (rows whose lookup found no id).
 //! Keys are gathered and packed, or interned, inside the span of their
-//! side. Only a packed join records [`HashTableStats`] (phase `join`).
+//! side. Only a packed join records
+//! [`HashTableStats`](crate::exec::HashTableStats) (phase `join`).
 //!
 //! ## Row-key joins
 //!
-//! The MC seeker's SQL (paper Listing 2) joins its per-column value scans
-//! on `(TableId, RowId)`, and the C seeker's (Listing 3) joins its key and
-//! number scans on the same pair, with `keys.ColumnId <> nums.ColumnId` as
-//! a residual. `seekers::run` runs neither (both seekers are operators over
-//! the index in `blend::seekers`); these joins serve their SQL text on the
-//! served path and in the parity oracles. On the column store's row
-//! directory ([`FactTable::row_ordinals`]: `row_base[TableId]` plus the
-//! `RowId`'s rank among the table's, dense over the lake's rows, its space
-//! at most one per cell), two cells share a row exactly when they share a
-//! row ordinal, so the join needs no hash.
+//! The MC seeker's SQL text (paper Listing 2) joins its per-column value
+//! scans on `(TableId, RowId)`, and the C seeker's (Listing 3) joins its
+//! key and number scans on the same pair, with `keys.ColumnId <>
+//! nums.ColumnId` as a residual. No seeker runs SQL (each is an operator
+//! over the index in `blend`); these joins serve the seekers' SQL text on
+//! the served path and in the parity oracles. Through the store's row
+//! directory ([`Directory::row_ordinals`](blend_storage::Directory::row_ordinals):
+//! `row_base[TableId]` plus the `RowId`'s rank among the table's, dense
+//! over the lake's rows, its space at most one per cell), two cells share
+//! a row exactly when they share a row ordinal, so the join needs no hash.
 //!
 //! The check is a plan property, `row_keyed`: the join's packed keys are
 //! exactly `{TableId, RowId}` of one leaf per side (repeats allowed, no
-//! `ColumnId`), both leaves scan the same table `Arc`, and that table has
-//! a directory. Every MC arity qualifies (each join keys `q0` against
-//! `qN`), and so does C. The row store, which has no directory, and every
-//! other join hash.
+//! `ColumnId`), and both leaves scan the same table `Arc` — one directory
+//! numbers both sides. Every MC arity qualifies (each join keys `q0`
+//! against `qN`), and so does C, on either store. Every other join
+//! hashes.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -77,8 +78,7 @@ type JoinKeys = Keys<(PosCol, PosCol), (PExpr, PExpr)>;
 
 /// The (left, right) leaves of a row-keyed join (module docs, *Row-key
 /// joins*): its packed keys are exactly `TableId` and `RowId` of one leaf
-/// per side, both leaves scan the same table, and that table has a row
-/// directory.
+/// per side, and both leaves scan the same table.
 fn row_keyed(keys: &JoinKeys, leaves: &[&ScanPlan]) -> Option<(usize, usize)> {
     let Keys::Packed(cols) = keys else {
         return None;
@@ -88,10 +88,7 @@ fn row_keyed(keys: &JoinKeys, leaves: &[&ScanPlan]) -> Option<(usize, usize)> {
     let same_leaves = (cols.iter()).all(|&((a, x), (b, y))| a == l && b == r && x == y);
     let table = &leaves[l].table;
     let shape = same_leaves && on(IntCol::Table) && on(IntCol::Row) && !on(IntCol::Column);
-    (shape
-        && Arc::ptr_eq(table, &leaves[r].table)
-        && table.row_ordinals(&[], &mut Vec::new()).is_some())
-    .then_some((l, r))
+    (shape && Arc::ptr_eq(table, &leaves[r].table)).then_some((l, r))
 }
 
 /// Positional equi-join on dense key ids (module docs, *Joins on dense
@@ -381,9 +378,8 @@ fn join_rows(
 ) -> Result<(Vec<u32>, usize)> {
     let (build, probe) = (joiner.build, joiner.probe);
     let n_build = build.len();
-    let space = table
-        .row_ordinals(&[], &mut Vec::new())
-        .ok_or_else(|| executor_bug("row-keyed join over a table without a row directory"))?;
+    let dir = table.directory();
+    let space = dir.rows();
     // The rank, the build ordinals (then ids), the build leaf's positions
     // where a wider batch copies them out, and the CSR — all of it priced
     // before any is allocated; the probe leaf's positions under `join_keys`.
@@ -394,7 +390,7 @@ fn join_rows(
             + radix_scratch_bytes(n_build, n_build.min(space)),
     )?;
     let mut ids = Vec::with_capacity(n_build);
-    table.row_ordinals(&build.rows(0).positions(build_leaf), &mut ids);
+    dir.row_ordinals(&build.rows(0).positions(build_leaf), &mut ids);
     let rank = OrdinalRank::build(space, &ids);
     rank.rank_members(&mut ids);
     let distinct = rank.len();
@@ -406,7 +402,7 @@ fn join_rows(
         let positions = probe.rows(0).positions(probe_leaf);
         let hits_of = move |range: Range<usize>, ords: &mut Vec<u32>, hits: &mut Hits| {
             ords.clear();
-            table.row_ordinals(&positions[range.clone()], ords);
+            dir.row_ordinals(&positions[range.clone()], ords);
             let found = range
                 .zip(ords.iter())
                 .map(|(pi, &o)| (pi as u32, rank.rank(o)));

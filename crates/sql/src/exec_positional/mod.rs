@@ -4,11 +4,13 @@
 //! The reference interpreter in [`crate::exec`] materializes a 6-wide
 //! `Vec<SqlValue>` — including an `Arc<str>` clone of the cell value — for
 //! every position a scan visits, clones whole tuples through joins, and
-//! hashes `Vec<SqlValue>` keys in joins and GROUP BY. For the four seeker
-//! templates (`SC`/`KW`/`MC`/`C`) all of that work is wasted: predicates,
-//! join keys, and grouping keys only ever touch the integer fact columns,
-//! and `COUNT(DISTINCT CellValue)` only needs value *identity*, not value
-//! contents. Keys that are not integer fact columns are the exception, and
+//! hashes `Vec<SqlValue>` keys in joins and GROUP BY. For the SQL text of
+//! the four seeker kinds (`SC`/`KW`/`MC`/`C`, which the seekers themselves
+//! answer as operators over the index, not as SQL; the text runs on the
+//! served path and in the parity oracles) all of that work is wasted:
+//! predicates, join keys, and grouping keys only ever touch the integer
+//! fact columns, and `COUNT(DISTINCT CellValue)` only needs value
+//! *identity*, not value contents. Keys that are not integer fact columns are the exception, and
 //! they intern (see *Interned keys* below).
 //!
 //! This module executes those shapes positionally, one submodule per
@@ -17,10 +19,10 @@
 //! * scans emit compact `Vec<u32>` position lists — predicates run as
 //!   **batched filter kernels** straight against the [`FactTable`], no
 //!   tuple is built (`scan`, *Selection-vector scans*);
-//! * every equi-join runs on **dense key ids** — the seeker self-joins
-//!   (`q0.TableId = qN.TableId AND q0.RowId = qN.RowId`) on **row
-//!   ordinals**, with no hash (`join`, *Joins on dense ids* and *Row-key
-//!   joins*);
+//! * every equi-join runs on **dense key ids** — the self-joins of the MC
+//!   and C text (`q0.TableId = qN.TableId AND q0.RowId = qN.RowId`) on the
+//!   store's **row ordinals**, with no hash (`join`, *Joins on dense ids*
+//!   and *Row-key joins*);
 //! * `GROUP BY` over integer fact columns maps packed keys to **dense
 //!   group ids** through an open-addressing [`GroupIndex`] (`group`, *Flat
 //!   group tables*), with
@@ -28,8 +30,8 @@
 //!   CellValue)` counted by per-group sort-unique over gathered dictionary
 //!   codes (column store) or dense string ids (row store) — never an owned
 //!   `SqlValue`, never a per-group hash set — except where the store's
-//!   value → column index already answers the query (the SC/KW seekers'
-//!   SQL: `group`, *Column-index grouping*);
+//!   value → column index already answers the query (the SC/KW text:
+//!   `group`, *Column-index grouping*);
 //! * every expression — scan and join residuals, the post-join filter,
 //!   computed select items, interned keys, aggregate arguments — runs **a
 //!   batch at a time** through one typed evaluator (see *Batch expressions*
@@ -82,7 +84,7 @@
 //! the join's residual compacts), a keyed partition's rows, or a morsel of
 //! the post-join batch, the projection or an interner's input. Its scratch
 //! is reserved under `expr_scratch` first, and each batch polls the
-//! interrupt once. The C seeker (paper Listing 3) scores `SUM(((k IN k0 AND
+//! interrupt once. The C text (paper Listing 3) scores `SUM(((k IN k0 AND
 //! q = 0) OR (k IN k1 AND q = 1))::int)` this way: per partition, two code
 //! gathers tested against bitmaps, a quadrant gather, and a few byte loops
 //! folded into one exact integer sum per group.

@@ -3,8 +3,10 @@
 //!
 //! ## Top-k before materialization
 //!
-//! The SC and KW seekers are `GROUP BY … ORDER BY score DESC LIMIT k` over
-//! tens of thousands of groups. The grouping phase's output is
+//! The SC and KW seekers' SQL text (which serves the served path and the
+//! parity oracles; the seekers themselves run as operators over the index)
+//! is `GROUP BY … ORDER BY score DESC LIMIT k` over tens of thousands of
+//! groups. The grouping phase's output is
 //! `GroupCols`: first-seen rows, key columns (`Vec<u32>`) and aggregate
 //! columns (`Vec<i64>` for counts and distinct counts, `Vec<SqlValue>` for
 //! the rest) — no tuple per group. `finish_groups` orders group *ordinals*
@@ -38,7 +40,7 @@
 //! `sort_scratch`.
 //!
 //! The non-grouped tail
-//! (`exec_project`, the MC seeker's) is the same selection over the
+//! (`exec_project`, the MC text's) is the same selection over the
 //! gathered output columns, with the row ordinal as the last key; without
 //! ORDER BY it gathers the first LIMIT rows and nothing else. Spans: `group`
 //! is grouping plus aggregation, `sort` the selection — `rows_in`, `k`,

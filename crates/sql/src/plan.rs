@@ -132,7 +132,7 @@ impl ScanPlan {
                 .driving_tables
                 .iter()
                 .map(|&t| {
-                    let r = table.table_postings(t);
+                    let r = table.directory().table_postings(t);
                     Seg::Range(r.start, r.end)
                 })
                 .collect(),
@@ -686,7 +686,7 @@ fn plan_scan(table: Arc<dyn FactTable>, alias: &str, predicate: &[Expr]) -> Resu
         (values.as_ref()).map(|(_, list)| list.postings(&*table).iter().map(|p| p.len()).sum());
     let table_card = table_list.as_ref().map(|ts| {
         ts.iter()
-            .map(|t| table.table_postings(*t).len())
+            .map(|t| table.directory().table_postings(*t).len())
             .sum::<usize>()
     });
 
@@ -892,7 +892,8 @@ fn sideways_pushdown(left: &mut Tree, right: &mut Tree, keys: &[(usize, usize)])
         return;
     }
     let ids = scan_table_ids(src);
-    let new_est: usize = ids.iter().map(|&t| dst.table.table_postings(t).len()).sum();
+    let dir = dst.table.directory();
+    let new_est: usize = ids.iter().map(|&t| dir.table_postings(t).len()).sum();
     if new_est >= dst.access.estimated() {
         return;
     }

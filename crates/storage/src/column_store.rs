@@ -1,13 +1,9 @@
 //! Dictionary-encoded columnar engine — the commercial column store
 //! analogue.
 
-use std::ops::Range;
-
-use blend_common::{try_vec_with_capacity, try_zeroed_vec, BlendError, Result};
-
+use crate::directory::Directory;
 use crate::fact::{
-    canonical_sort, cut_to_ranges, decode_quadrant, scratch_component, table_ranges, FactRow,
-    FactTable, MemoryBreakdown, QUADRANT_NULL,
+    decode_quadrant, scratch_component, FactRow, FactTable, MemoryBreakdown, QUADRANT_NULL,
 };
 use crate::filter::{compact, extend_range, FilterKernel, IdSet, ValuePred};
 use crate::hashtable::{DenseKey, GroupIndex};
@@ -19,11 +15,10 @@ use crate::stats::FactStats;
 /// `CellValue` is dictionary-encoded: the distinct normalized strings live
 /// once in `dict`, a [`GroupIndex`] whose ids are the codes, and the column
 /// itself is a `Vec<u32>` of codes. Every other attribute is stored once
-/// per thing it belongs to: `Quadrant` per cell (one byte), `RowId` and
-/// `SuperKey` per row (a super key is the XASH of its row), and `TableId`
-/// and `ColumnId` per (`TableId`, `ColumnId`) run of canonical order. A
-/// cell keeps its run ordinal and its row ordinal to reach them. Compared
-/// to [`crate::RowStore`] this
+/// per thing it belongs to: `Quadrant` per cell (one byte), `SuperKey` per
+/// row (a super key is the XASH of its row), and `TableId`, `ColumnId` and
+/// `RowId` in the [`Directory`] — per run and per row, which a cell reaches
+/// through its run and row ordinals. Compared to [`crate::RowStore`] this
 ///
 /// * shrinks the footprint (duplicated strings stored once — web-table lakes
 ///   are extremely repetitive), and
@@ -34,162 +29,90 @@ use crate::stats::FactStats;
 ///
 /// Layout, as [`memory_breakdown`](FactTable::memory_breakdown) charges it
 /// — `n` cells, `r` rows (distinct (`TableId`, `RowId`) pairs), `d`
-/// distinct values, `R` runs, `E` distinct (value, run) pairs, `T` table
-/// ids; every vector is held at exact capacity:
+/// distinct values, `E` distinct (value, run) pairs; every vector is held
+/// at exact capacity:
 ///
 /// | component      | contents                                              | bytes                  |
 /// |----------------|-------------------------------------------------------|------------------------|
 /// | `dict-strings` | `dict`'s keys: one `Box<str>` per distinct value      | `16 d + Σ len`         |
 /// | `dict-index`   | `dict`'s slots: `u32` codes by string hash, ≤ half full | `4 · (2d)↑2`         |
-/// | `cells`        | per cell: code, run ordinal, row ordinal (`u32`), quadrant (`u8`) | `13 n`     |
-/// | `rows`         | per row ordinal: `RowId` (`u32`), super key (`u128`)   | `20 r`                 |
-/// | `runs`         | per run: (`TableId`, `ColumnId`) and first position, then `n` | `12 R + 4`      |
+/// | `cells`        | per cell: code (`u32`), quadrant (`u8`)               | `5 n`                  |
+/// | `superkeys`    | per row ordinal: super key (`u128`)                   | `16 r`                 |
 /// | `postings`     | per code, its ascending positions ([`RadixPartitions`]) | `4 (d + 1) + 4 n`    |
 /// | `column-index` | per code, its ascending runs ([`ColumnIndex`])         | `4 (d + 1) + 4 E`     |
-/// | `table-ranges` | per table id, its position range                      | `8 T`                  |
-/// | `row-directory` | per table id, its first row ordinal, then `r` (`row_base`) | `4 (T + 1)`      |
 ///
 /// (`(2d)↑2` is the next power of two at or above `2d`, at least 2.) Plus
-/// the per-worker `scan-scratch` estimate both engines charge.
-///
-/// The row directory numbers the lake's rows densely: table `t` owns the
-/// row ordinals `row_base[t] .. row_base[t + 1]`, one per distinct `RowId`
-/// of its cells, in `RowId` order — a cell's ordinal is `row_base[t]` plus
-/// the rank of its `RowId` among them. So ordinals ascend with
-/// (`TableId`, `RowId`), the ordinal space is the row count (at most one
-/// per cell), and [`FactTable::row_ordinals`] hands them out.
+/// the [`Directory`]'s components (`8 n + 12 R + 4 r + 12 T + 8` over `R`
+/// runs and `T` table ids) and the per-worker `scan-scratch` estimate both
+/// engines charge.
 pub struct ColumnStore {
     /// Distinct values numbered by first sight in canonical order: id =
     /// dictionary code, and `&str` lookups find the code.
     dict: GroupIndex<Box<str>>,
-    /// Per position: dictionary code, run ordinal, row ordinal, quadrant.
+    /// Per position: dictionary code and quadrant.
     codes: Vec<u32>,
-    runs: Vec<u32>,
-    ords: Vec<u32>,
     quadrants: Vec<u8>,
-    /// Per row ordinal: `RowId` and super key.
-    row_ids: Vec<u32>,
+    /// Per row ordinal: super key.
     superkeys: Vec<u128>,
     /// Inverted index keyed by dictionary code: ascending positions.
     postings: RadixPartitions,
-    /// The runs (key and first position) and value → runs.
+    /// Per dictionary code, its runs.
     column_index: ColumnIndex,
-    ranges: Vec<(u32, u32)>,
-    /// Row directory: per table id, its first row ordinal; then `r`.
-    row_base: Vec<u32>,
+    dir: Directory,
     stats: FactStats,
 }
 
 impl ColumnStore {
-    /// Build the store: canonical sort, then one pass over canonical order
-    /// that fills the dictionary, the per-cell, per-row and per-run arrays,
-    /// then postings and the column index counting-sorted by code, then
+    /// Build the store: the [`Directory`]'s one pass over canonical order
+    /// fills the dictionary and the per-cell and per-row arrays beside it,
+    /// then postings and the column index are counting-sorted by code, then
     /// statistics.
     ///
     /// The dictionary copies each value at its first sight, so its strings
-    /// lie in code order. A table's row ordinals are its sorted distinct
-    /// `RowId`s, read off its cells before they are visited. The fact rows
-    /// are dropped before the indexes are sorted, so the build's high-water
-    /// mark is the rows plus the plain arrays, never the rows beside the
-    /// indexes.
+    /// lie in code order. The fact rows are dropped before the indexes are
+    /// sorted, so the build's high-water mark is the rows plus the plain
+    /// arrays, never the rows beside the indexes.
     pub fn build(mut fact_rows: Vec<FactRow>) -> Self {
-        canonical_sort(&mut fact_rows);
-        let ranges = table_ranges(&fact_rows);
         let n = fact_rows.len();
-
         let fits = "the dictionary fits in memory";
         let mut dict = GroupIndex::with_capacity(0).expect(fits);
         let mut codes = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        let mut ords = Vec::with_capacity(n);
         let mut quadrants = Vec::with_capacity(n);
-        let (mut row_ids, mut superkeys) = (Vec::new(), Vec::new());
-        let mut row_base = Vec::with_capacity(ranges.len() + 1);
-        let (mut keys, mut starts) = (Vec::new(), Vec::new());
-        let (mut table_rows, mut seen, mut numeric_rows) = (Vec::new(), Vec::new(), 0usize);
-
-        for &(s, e) in &ranges {
-            let cells = &fact_rows[s as usize..e as usize];
-            table_rows.clear();
-            let max = cells.iter().map(|r| r.row as usize).max().unwrap_or(0);
-            if max < cells.len() {
-                // Every `RowId` below the cell count: mark them, no sort.
-                seen.clear();
-                seen.resize(max + 1, false);
-                cells.iter().for_each(|r| seen[r.row as usize] = true);
-                table_rows.extend((0..=max as u32).filter(|&r| seen[r as usize]));
-            } else {
-                table_rows.extend(cells.iter().map(|r| r.row));
-                table_rows.sort_unstable();
-                table_rows.dedup();
+        let (mut superkeys, mut numeric_rows) = (Vec::new(), 0usize);
+        let dir = Directory::build(&mut fact_rows, |r, ord| {
+            let hash = r.value.hash64();
+            codes.push(match dict.get_hashed(&*r.value, hash) {
+                Some(code) => code,
+                None => dict
+                    .insert_or_get_hashed(r.value.clone(), hash)
+                    .expect(fits),
+            });
+            let ord = ord as usize;
+            if ord >= superkeys.len() {
+                superkeys.resize(ord + 1, 0);
             }
-            let base = row_ids.len();
-            row_base.push(base as u32);
-            row_ids.extend_from_slice(&table_rows);
-            superkeys.resize(row_ids.len(), 0);
-            let dense = table_rows
-                .last()
-                .is_some_and(|&r| r as usize + 1 == table_rows.len());
-            for (p, r) in (s as usize..).zip(cells) {
-                let hash = r.value.hash64();
-                codes.push(match dict.get_hashed(&*r.value, hash) {
-                    Some(code) => code,
-                    None => dict
-                        .insert_or_get_hashed(r.value.clone(), hash)
-                        .expect(fits),
-                });
-                if keys.last() != Some(&(r.table, r.column)) {
-                    keys.push((r.table, r.column));
-                    starts.push(p as u32);
-                }
-                runs.push(keys.len() as u32 - 1);
-                let rank = match dense {
-                    true => r.row as usize,
-                    false => table_rows.partition_point(|&x| x < r.row),
-                };
-                ords.push((base + rank) as u32);
-                superkeys[base + rank] = r.superkey;
-                quadrants.push(r.quadrant_code());
-                if r.quadrant.is_some() {
-                    numeric_rows += 1;
-                }
-            }
-        }
-        row_base.push(row_ids.len() as u32);
-        starts.push(n as u32);
+            superkeys[ord] = r.superkey;
+            quadrants.push(r.quadrant_code());
+            numeric_rows += usize::from(r.quadrant.is_some());
+        });
         drop(fact_rows);
         dict.shrink_to_fit();
-        keys.shrink_to_fit();
-        starts.shrink_to_fit();
-        row_ids.shrink_to_fit();
         superkeys.shrink_to_fit();
-        let (postings, runs_of) = index_codes(&codes, &runs, dict.len());
-        let column_index = ColumnIndex {
-            keys,
-            starts,
-            runs_of,
-        };
-
-        let n_tables = ranges.iter().filter(|(s, e)| e > s).count();
+        let (postings, runs_of) = index_codes(&codes, &dir, dict.len());
         let stats = FactStats::compute(
             n,
-            n_tables,
+            dir.present_tables(),
             (0..dict.len()).map(|c| postings.part(c).len()),
             numeric_rows,
         );
-
         ColumnStore {
             dict,
             codes,
-            runs,
-            ords,
             quadrants,
-            row_ids,
             superkeys,
             postings,
-            column_index,
-            ranges,
-            row_base,
+            column_index: ColumnIndex { runs_of },
+            dir,
             stats,
         }
     }
@@ -197,16 +120,6 @@ impl ColumnStore {
     /// Dictionary size (distinct values).
     pub fn dict_len(&self) -> usize {
         self.dict.len()
-    }
-
-    /// The run ordinals of `table`: from its first cell's run to its last
-    /// cell's (empty for a table without cells).
-    fn table_runs(&self, table: u32) -> Range<usize> {
-        let cells = self.table_postings(table);
-        match cells.is_empty() {
-            true => 0..0,
-            false => self.runs[cells.start] as usize..self.runs[cells.end - 1] as usize + 1,
-        }
     }
 
     /// Run the remaining predicates of a kernel as compaction passes over
@@ -266,37 +179,16 @@ impl ColumnStore {
 
 /// Value → column index of the column store: the set-overlap index the SC
 /// and KW seekers ask (how many query values does each column, or table,
-/// hold).
-///
-/// The (`TableId`, `ColumnId`) runs of canonical order — maximal stretches
-/// of positions sharing both — are numbered `0..R` in order, so ordinals
-/// ascend with (table, column) and a table's ordinals are contiguous; each
-/// run keeps its key and its first position (the store's run directory).
-/// Per dictionary code the index lists, ascending, the ordinals of the runs
-/// that hold the value: each (value, column) pair once, however often the
-/// value repeats inside the column.
+/// hold). Per dictionary code it lists, ascending, the ordinals of the
+/// [`Directory`]'s runs that hold the value: each (value, column) pair
+/// once, however often the value repeats inside the column.
 #[derive(Debug)]
 pub struct ColumnIndex {
-    /// (`TableId`, `ColumnId`) per run ordinal.
-    keys: Vec<(u32, u32)>,
-    /// First position per run ordinal, then the store's length.
-    starts: Vec<u32>,
     /// Per dictionary code, its ascending run ordinals.
     runs_of: RadixPartitions,
 }
 
 impl ColumnIndex {
-    /// Number of (`TableId`, `ColumnId`) runs, `R`.
-    pub fn runs(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// (`TableId`, `ColumnId`) of run `ordinal` (`ordinal < runs()`).
-    #[inline]
-    pub fn key(&self, ordinal: u32) -> (u32, u32) {
-        self.keys[ordinal as usize]
-    }
-
     /// Ascending ordinals of the runs holding dictionary code `code`
     /// (empty for an unknown code).
     #[inline]
@@ -306,118 +198,25 @@ impl ColumnIndex {
             _ => &[],
         }
     }
-
-    /// Count, per run ordinal (`per_table`: per `TableId`), the values whose
-    /// ordinal `lists` ([`ordinals`](Self::ordinals), one per value) its
-    /// group holds: the one walk of the SC/KW operator and the SQL
-    /// executor's column-index grouping. A list 32 times as long as the
-    /// `allowed` tables is cut to their runs by binary search, a shorter
-    /// one tests each entry's table; an entry of a table `rejected` holds
-    /// is skipped; each other is *kept* and counts once per (value, group)
-    /// pair. A run's key is read only where the walk needs its table.
-    /// `poll` runs every 4,096 entries. Allocates `4 n_slots + 8
-    /// min(entries, n_slots)` bytes, which callers reserve first; a slot
-    /// past `n_slots` is a `SqlExec` error.
-    pub fn walk(
-        &self,
-        lists: &[&[u32]],
-        per_table: bool,
-        allowed: Option<&IdSet>,
-        rejected: Option<&IdSet>,
-        n_slots: usize,
-        mut poll: impl FnMut() -> Result<()>,
-    ) -> Result<Walk> {
-        let ranges: Option<Vec<Range<u32>>> = allowed.map(|set| {
-            let runs =
-                |t: u32, last: bool| self.keys.partition_point(|k| k.0 < t || last && k.0 == t);
-            set.ids()
-                .map(|t| runs(t, false) as u32..runs(t, true) as u32)
-                .collect()
-        });
-        let rejected = rejected.filter(|set| !set.is_empty());
-        let groups = lists.iter().map(|l| l.len()).sum::<usize>().min(n_slots);
-        let site = "column index walk";
-        let mut out = Walk {
-            counts: try_zeroed_vec(n_slots, site)?,
-            slots: try_vec_with_capacity(groups, site)?,
-            first: try_vec_with_capacity(groups, site)?,
-            kept: 0,
-        };
-        let (mut walked, mut parts) = (0usize, Vec::new());
-        let keys_unread = !per_table && rejected.is_none() && allowed.is_none();
-        for &list in lists {
-            parts.clear();
-            let cut = ranges.as_ref().filter(|r| r.len() * 32 <= list.len());
-            match cut {
-                Some(r) => cut_to_ranges(list, r, |part| parts.push(part)),
-                None => parts.push(list),
-            }
-            let test = if cut.is_some() { None } else { allowed };
-            let mut prev_table = None;
-            for &part in &parts {
-                for &ordinal in part {
-                    if walked % 4096 == 0 {
-                        poll()?;
-                    }
-                    walked += 1;
-                    let slot = if keys_unread {
-                        ordinal
-                    } else {
-                        let t = self.keys[ordinal as usize].0;
-                        if !test.is_none_or(|set| set.contains(t))
-                            || rejected.is_some_and(|set| set.contains(t))
-                        {
-                            continue;
-                        }
-                        if per_table && prev_table.replace(t) == Some(t) {
-                            out.kept += 1;
-                            continue;
-                        }
-                        match per_table {
-                            true => t,
-                            false => ordinal,
-                        }
-                    };
-                    let count = (out.counts.get_mut(slot as usize)).ok_or_else(|| {
-                        BlendError::SqlExec(format!("column index: slot {slot} of {n_slots}"))
-                    })?;
-                    if *count == 0 {
-                        out.slots.push(slot);
-                        out.first.push(out.kept as u32);
-                    }
-                    *count += 1;
-                    out.kept += 1;
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// What [`ColumnIndex::walk`] counted: per slot its count, the touched
-/// slots in first-touch order, the entries kept before each one's first,
-/// and the entries kept.
-#[derive(Debug)]
-pub struct Walk {
-    pub counts: Vec<u32>,
-    pub slots: Vec<u32>,
-    pub first: Vec<u32>,
-    pub kept: usize,
 }
 
 /// Postings and the column index's runs per code, both keyed by dictionary
 /// code and both counting-sorted by it ([`radix_partition`]): the column
 /// index sorts one (code, run) pair per value's first cell in each run —
-/// found in one pass over the cells' runs with a per-code "last run" — and
-/// keeps the runs; the postings sort every position. The pairs (at most one
-/// per position) are dropped before the postings are sorted, so the build
-/// never holds both.
-fn index_codes(codes: &[u32], runs: &[u32], n_codes: usize) -> (RadixPartitions, RadixPartitions) {
+/// found in one pass over the directory's per-cell runs with a per-code
+/// "last run" — and keeps the runs; the postings sort every position. The
+/// pairs (at most one per position) are dropped before the postings are
+/// sorted, so the build never holds both.
+fn index_codes(
+    codes: &[u32],
+    dir: &Directory,
+    n_codes: usize,
+) -> (RadixPartitions, RadixPartitions) {
     let fits = "the store's indexes fit in memory";
     let mut pair_codes = Vec::with_capacity(codes.len());
     let mut pair_runs = Vec::with_capacity(codes.len());
     let mut last_run = vec![u32::MAX; n_codes];
-    for (&code, &run) in codes.iter().zip(runs) {
+    for (&code, &run) in codes.iter().zip(dir.cell_run_ordinals()) {
         if std::mem::replace(&mut last_run[code as usize], run) != run {
             pair_codes.push(code);
             pair_runs.push(run);
@@ -448,12 +247,8 @@ impl FactTable for ColumnStore {
         "Column"
     }
 
-    fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn n_tables(&self) -> u32 {
-        self.ranges.len() as u32
+    fn directory(&self) -> &Directory {
+        &self.dir
     }
 
     #[inline]
@@ -463,22 +258,22 @@ impl FactTable for ColumnStore {
 
     #[inline]
     fn table_at(&self, pos: usize) -> u32 {
-        self.column_index.keys[self.runs[pos] as usize].0
+        self.dir.key_at(pos).0
     }
 
     #[inline]
     fn column_at(&self, pos: usize) -> u32 {
-        self.column_index.keys[self.runs[pos] as usize].1
+        self.dir.key_at(pos).1
     }
 
     #[inline]
     fn row_at(&self, pos: usize) -> u32 {
-        self.row_ids[self.ords[pos] as usize]
+        self.dir.row_at(pos)
     }
 
     #[inline]
     fn superkey_at(&self, pos: usize) -> u128 {
-        self.superkeys[self.ords[pos] as usize]
+        self.superkeys[self.dir.row_ordinal_at(pos) as usize]
     }
 
     #[inline]
@@ -499,13 +294,6 @@ impl FactTable for ColumnStore {
         match (code as usize) < self.dict.len() {
             true => self.postings.part(code as usize),
             false => &[],
-        }
-    }
-
-    fn table_postings(&self, table: u32) -> std::ops::Range<usize> {
-        match self.ranges.get(table as usize) {
-            Some(&(s, e)) => s as usize..e as usize,
-            None => 0..0,
         }
     }
 
@@ -535,50 +323,6 @@ impl FactTable for ColumnStore {
         Some(&self.column_index)
     }
 
-    fn row_ordinals(&self, positions: &[u32], out: &mut Vec<u32>) -> Option<usize> {
-        out.extend(positions.iter().map(|&p| self.ords[p as usize]));
-        Some(self.row_ids.len())
-    }
-
-    fn column_runs(&self, table: u32, out: &mut Vec<(u32, u32)>) {
-        let ix = &self.column_index;
-        out.extend(
-            self.table_runs(table)
-                .map(|run| (ix.keys[run].1, ix.starts[run + 1])),
-        );
-    }
-
-    /// The run found among the table's keys in the run directory; a row
-    /// is its rank among the table's `RowId`s (the `RowId` itself when they
-    /// are `0..rows`), and its cell in the run is at that rank when the run
-    /// holds every row, or searched by row ordinal.
-    fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
-        let ix = &self.column_index;
-        let runs = self.table_runs(table);
-        let Ok(i) = ix.keys[runs.clone()].binary_search_by_key(&column, |k| k.1) else {
-            return out.extend(rows.iter().map(|_| None));
-        };
-        let (lo, hi) = (ix.starts[runs.start + i], ix.starts[runs.start + i + 1]);
-        let base = self.row_base[table as usize];
-        let table_rows = &self.row_ids[base as usize..self.row_base[table as usize + 1] as usize];
-        let dense = table_rows
-            .last()
-            .is_some_and(|&r| r as usize + 1 == table_rows.len());
-        let run = &self.ords[lo as usize..hi as usize];
-        let full = run.len() == table_rows.len();
-        out.extend(rows.iter().map(|&r| {
-            let rank = match dense {
-                true => (r < table_rows.len() as u32).then_some(r),
-                false => table_rows.binary_search(&r).ok().map(|i| i as u32),
-            }?;
-            let at = match full {
-                true => Some(rank as usize),
-                false => run.binary_search(&(base + rank)).ok(),
-            }?;
-            Some(lo + at as u32)
-        }));
-    }
-
     fn gather_value_codes(&self, positions: &[u32], out: &mut Vec<u32>) -> bool {
         out.extend(positions.iter().map(|&p| self.codes[p as usize]));
         true
@@ -586,8 +330,8 @@ impl FactTable for ColumnStore {
 
     /// Column-at-a-time kernel evaluation: candidates land in the selection
     /// vector once, then each predicate compacts it with a branch-free pass
-    /// over the cells' `codes`/`quadrants` arrays, or their row and run
-    /// ordinals' `RowId`s and `TableId`s — no virtual calls, no string
+    /// over the cells' `codes`/`quadrants` arrays, or the directory's
+    /// `RowId`s and `TableId`s — no virtual calls, no string
     /// compares (value probes are dictionary-code [`IdSet`] tests).
     fn filter_batch(&self, kernel: &FilterKernel, positions: &[u32], sel: &mut Vec<u32>) {
         if kernel.never_matches() {
@@ -654,26 +398,22 @@ impl FactTable for ColumnStore {
     fn memory_breakdown(&self) -> MemoryBreakdown {
         let dict_strings = self.dict.key_capacity() * std::mem::size_of::<Box<str>>()
             + self.dict.keys().iter().map(|s| s.len()).sum::<usize>();
-        let ix = &self.column_index;
-        let cells = (self.codes.capacity() + self.runs.capacity() + self.ords.capacity()) * 4
-            + self.quadrants.capacity();
+        let mut components = vec![
+            ("dict-strings", dict_strings),
+            ("dict-index", self.dict.slot_count() * 4),
+            (
+                "cells",
+                self.codes.capacity() * 4 + self.quadrants.capacity(),
+            ),
+            ("superkeys", self.superkeys.capacity() * 16),
+            ("postings", self.postings.heap_bytes()),
+            ("column-index", self.column_index.runs_of.heap_bytes()),
+        ];
+        components.extend(self.dir.components());
+        components.push(scratch_component(self.len()));
         MemoryBreakdown {
             engine: "Column",
-            components: vec![
-                ("dict-strings", dict_strings),
-                ("dict-index", self.dict.slot_count() * 4),
-                ("cells", cells),
-                (
-                    "rows",
-                    self.row_ids.capacity() * 4 + self.superkeys.capacity() * 16,
-                ),
-                ("runs", ix.keys.capacity() * 8 + ix.starts.capacity() * 4),
-                ("postings", self.postings.heap_bytes()),
-                ("column-index", ix.runs_of.heap_bytes()),
-                ("table-ranges", self.ranges.capacity() * 8),
-                ("row-directory", self.row_base.capacity() * 4),
-                scratch_component(self.len()),
-            ],
+            components,
         }
     }
 }
@@ -681,6 +421,7 @@ impl FactTable for ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fact::canonical_sort;
     use crate::test_support::sample_rows;
     use proptest::prelude::*;
 
@@ -824,6 +565,7 @@ mod tests {
             vocab in 1u64..300,
         ) {
             let s = ColumnStore::build(sparse_rows(seed, n_tables, vocab));
+            let dir = s.directory();
             let keys: Vec<(u32, u32)> = (0..s.len()).map(|p| (s.table_at(p), s.column_at(p))).collect();
             // Run ordinal of every position: canonical order, numbered at
             // each key change.
@@ -833,7 +575,7 @@ mod tests {
                 run_of.push(if p > 0 && keys[p] != keys[p - 1] { run + 1 } else { run });
             }
             let index = s.column_index().expect("the column store has a column index");
-            prop_assert_eq!(index.runs(), run_of.last().map_or(0, |&r| r as usize + 1));
+            prop_assert_eq!(dir.runs(), run_of.last().map_or(0, |&r| r as usize + 1));
             for code in 0..s.dict_len() as u32 {
                 let value = s.value_of_code(code).expect("dictionary code");
                 prop_assert_eq!(s.code_of_value(value), Some(code));
@@ -845,7 +587,7 @@ mod tests {
                 runs.dedup();
                 prop_assert_eq!(index.ordinals(code), &runs[..]);
                 for &p in &want {
-                    prop_assert_eq!(index.key(run_of[p as usize]), keys[p as usize]);
+                    prop_assert_eq!(dir.key(run_of[p as usize]), keys[p as usize]);
                 }
             }
             for absent in ["", "v", "absent", "v-1", &format!("v{vocab}")] {
@@ -854,20 +596,18 @@ mod tests {
             }
             prop_assert!(index.ordinals(s.dict_len() as u32).is_empty());
 
-            // Exact capacity: the build leaves no growth slack behind.
+            // Exact capacity: the build leaves no growth slack behind (the
+            // directory's components are pinned to their lengths below).
             let csr_len = |c: &RadixPartitions| 4 * (c.offsets().len() + c.items().len());
             for (len, cap) in [
                 (csr_len(&s.postings), s.postings.heap_bytes()),
                 (csr_len(&index.runs_of), index.runs_of.heap_bytes()),
-                (index.keys.len(), index.keys.capacity()),
-                (index.starts.len(), index.starts.capacity()),
-                (s.row_ids.len(), s.row_ids.capacity()),
                 (s.superkeys.len(), s.superkeys.capacity()),
                 (s.dict.len(), s.dict.key_capacity()),
             ] {
                 prop_assert_eq!(len, cap);
             }
-            let (d, n) = (s.dict_len(), s.len());
+            let (d, n, t) = (s.dict_len(), s.len(), s.n_tables() as usize);
             let mut pairs: Vec<(u32, u32)> = (0..n).map(|p| (s.table_at(p), s.row_at(p))).collect();
             pairs.sort_unstable();
             pairs.dedup();
@@ -877,20 +617,22 @@ mod tests {
             let charged = |name: &str| breakdown.get(name).expect("component");
             prop_assert_eq!(charged("dict-strings"), 16 * d + strings);
             prop_assert_eq!(charged("dict-index"), 4 * (2 * d).next_power_of_two().max(2));
-            prop_assert_eq!(charged("cells"), 13 * n);
-            prop_assert_eq!(charged("rows"), 20 * pairs.len());
-            prop_assert_eq!(charged("runs"), 12 * index.runs() + 4);
+            prop_assert_eq!(charged("cells"), 5 * n);
+            prop_assert_eq!(charged("superkeys"), 16 * pairs.len());
             prop_assert_eq!(charged("postings"), 4 * (d + 1) + 4 * n);
             prop_assert_eq!(charged("column-index"), 4 * (d + 1) + 4 * entries);
-            prop_assert_eq!(charged("table-ranges"), 8 * s.ranges.len());
-            prop_assert_eq!(charged("row-directory"), 4 * (s.ranges.len() + 1));
+            prop_assert_eq!(charged("table-ranges"), 8 * t);
+            prop_assert_eq!(charged("runs"), 12 * dir.runs() + 4);
+            prop_assert_eq!(charged("row-directory"), 4 * (t + 1) + 4 * pairs.len());
+            prop_assert_eq!(charged("cell-ordinals"), 8 * n);
         }
 
         /// Every accessor of both stores against a scan of the input rows in
-        /// canonical order: the point accessors, every gather, the column
-        /// runs, `locate` (rows asked out of order, absent, far) and, on the
-        /// column store, the row ordinals — a bijection of the present
-        /// (table, row) pairs onto `0..rows` that ascends with them.
+        /// canonical order: the point accessors, every gather, and the
+        /// directory — both stores build equal ones, whose column runs,
+        /// `locate` (rows asked out of order, absent, far) and row ordinals
+        /// (a bijection of the present (table, row) pairs onto `0..rows`
+        /// that ascends with them) each store answers alike.
         #[test]
         fn accessors_match_a_scan_of_the_input_on_both_stores(
             seed in any::<u64>(),
@@ -903,6 +645,7 @@ mod tests {
                 Box::new(ColumnStore::build(want.clone())),
                 Box::new(crate::RowStore::build(want.clone())),
             ];
+            prop_assert_eq!(stores[0].directory(), stores[1].directory());
             let n = want.len();
             let mut positions: Vec<u32> = (0..n as u32).rev().collect();
             positions.extend((0..n as u32).filter(|p| p % 3 == seed as u32 % 3));
@@ -913,6 +656,9 @@ mod tests {
             let mut columns: Vec<u32> = want.iter().map(|r| r.column).chain([1, 999_999]).collect();
             columns.sort_unstable();
             columns.dedup();
+            let mut pairs: Vec<(u32, u32)> = want.iter().map(|r| (r.table, r.row)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
             for s in &stores {
                 let engine = s.engine();
                 prop_assert_eq!(s.len(), n);
@@ -950,9 +696,10 @@ mod tests {
                 let qs: Vec<Option<bool>> = positions.iter().map(|&p| want[p as usize].quadrant).collect();
                 prop_assert_eq!(&quadrants[1..], &qs[..], "{}", engine);
 
+                let dir = s.directory();
                 for table in 0..3 * n_tables + 3 {
                     let mut runs = vec![(7, 7)];
-                    s.column_runs(table, &mut runs);
+                    dir.column_runs(table, &mut runs);
                     let mut scan: Vec<(u32, u32)> = Vec::new();
                     for p in (0..n).filter(|&p| want[p].table == table) {
                         match scan.last_mut() {
@@ -964,7 +711,7 @@ mod tests {
                     prop_assert_eq!(&runs[1..], &scan[..], "{} t{}", engine, table);
                     for &column in &columns {
                         let mut got = vec![Some(7)];
-                        s.locate(table, column, &asked, &mut got);
+                        dir.locate(table, column, &asked, &mut got);
                         let found = asked.iter().map(|&r| {
                             (want.iter().position(|w| (w.table, w.column, w.row) == (table, column, r)))
                                 .map(|p| p as u32)
@@ -973,20 +720,39 @@ mod tests {
                         prop_assert_eq!(got, found, "{} t{} c{}", engine, table, column);
                     }
                 }
-            }
 
-            prop_assert_eq!(stores[1].row_ordinals(&positions, &mut Vec::new()), None);
-            let all: Vec<u32> = (0..n as u32).collect();
-            let mut ords = vec![7];
-            let space = stores[0].row_ordinals(&all, &mut ords);
-            let mut pairs: Vec<(u32, u32)> = want.iter().map(|r| (r.table, r.row)).collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            prop_assert_eq!(space, Some(pairs.len()));
-            prop_assert_eq!(ords[0], 7);
-            for (p, &ord) in ords[1..].iter().enumerate() {
-                let pair = (want[p].table, want[p].row);
-                prop_assert_eq!(pairs.binary_search(&pair), Ok(ord as usize), "position {}", p);
+                let all: Vec<u32> = (0..n as u32).collect();
+                let mut ords = vec![7];
+                let space = dir.row_ordinals(&all, &mut ords);
+                prop_assert_eq!(space, pairs.len(), "{}", engine);
+                prop_assert_eq!(ords[0], 7);
+                for (p, &ord) in ords[1..].iter().enumerate() {
+                    let pair = (want[p].table, want[p].row);
+                    prop_assert_eq!(pairs.binary_search(&pair), Ok(ord as usize), "{} {}", engine, p);
+                }
+            }
+        }
+
+        /// Each value's postings on the row store, mapped to their runs
+        /// ([`Directory::cell_runs`]), are its column-index list on the
+        /// column store — the run lists the SC/KW walk reads on each.
+        #[test]
+        fn postings_derived_runs_are_the_column_index_lists(
+            seed in any::<u64>(),
+            n_tables in 0u32..12,
+            vocab in 1u64..300,
+        ) {
+            let rows = gapped_rows(seed, n_tables, vocab);
+            let column = ColumnStore::build(rows.clone());
+            let row = crate::RowStore::build(rows);
+            prop_assert!(row.column_index().is_none());
+            let index = column.column_index().expect("the column store has a column index");
+            let mut runs = Vec::new();
+            for code in 0..=column.dict_len() as u32 {
+                let value = column.value_of_code(code).unwrap_or("absent");
+                runs.clear();
+                row.directory().cell_runs(row.postings(value), &mut runs);
+                prop_assert_eq!(&runs[..], index.ordinals(code), "{}", value);
             }
         }
     }

@@ -2,6 +2,7 @@
 //! trait.
 
 use crate::column_store::ColumnIndex;
+use crate::directory::Directory;
 use crate::filter::{FilterKernel, ScanScratch, ValuePred};
 use crate::stats::FactStats;
 
@@ -77,23 +78,32 @@ pub fn decode_quadrant(code: u8) -> Option<bool> {
 
 /// Engine-neutral interface to the `AllTables` fact table.
 ///
-/// Positions (`pos`) are dense `0..len()` physical offsets. Rows are
-/// clustered by `TableId` (both engines sort on build), so the in-DB table
-/// index can hand out contiguous ranges.
+/// Positions (`pos`) are dense `0..len()` physical offsets in the canonical
+/// order both engines sort into on build ([`canonical_sort`]). Where a
+/// table's cells, column runs and rows lie in that order is the store's
+/// [`Directory`]: the table index's ranges, the column runs, `locate` and
+/// the row ordinals are read there, the same on either store.
 pub trait FactTable: Send + Sync {
     /// `"Row"` or `"Column"`, for experiment labels.
     fn engine(&self) -> &'static str;
 
+    /// The canonical-order directory: table ranges, column runs, rows.
+    fn directory(&self) -> &Directory;
+
     /// Number of index rows (= non-null cells in the lake).
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.directory().len()
+    }
 
     /// True when the index is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Number of distinct lake tables.
-    fn n_tables(&self) -> u32;
+    /// Number of table ids: one past the largest that holds a cell.
+    fn n_tables(&self) -> u32 {
+        self.directory().n_tables()
+    }
 
     /// `CellValue` at a position.
     fn value_at(&self, pos: usize) -> &str;
@@ -141,10 +151,6 @@ pub trait FactTable: Send + Sync {
         &[]
     }
 
-    /// In-DB table index: the contiguous position range of a table,
-    /// returned as positions for uniformity.
-    fn table_postings(&self, table: u32) -> std::ops::Range<usize>;
-
     /// Compile an IN-list into this engine's value predicate: dictionary
     /// codes on the column store, owned strings on the row store. Values
     /// absent from the table vanish (they can never match).
@@ -169,11 +175,11 @@ pub trait FactTable: Send + Sync {
 
     /// The value → column index, keyed by the dictionary codes of
     /// [`code_of_value`](FactTable::code_of_value): per value, the
-    /// (`TableId`, `ColumnId`) runs of canonical order that hold it. It
-    /// answers `COUNT(DISTINCT CellValue) … GROUP BY TableId[, ColumnId]`
-    /// over a value list (the SC and KW seekers) without visiting a cell.
-    /// `None` on engines without one — the row store stays the literal
-    /// relation.
+    /// [`Directory`]'s runs that hold it. It answers `COUNT(DISTINCT
+    /// CellValue) … GROUP BY TableId[, ColumnId]` over a value list (the
+    /// SC and KW seekers) without visiting a cell. `None` on engines
+    /// without one: the row store derives a value's runs from its postings
+    /// ([`Directory::cell_runs`]).
     fn column_index(&self) -> Option<&ColumnIndex> {
         None
     }
@@ -201,20 +207,8 @@ pub trait FactTable: Send + Sync {
         false
     }
 
-    /// Batch accessor: append the *row ordinal* of each position to `out`
-    /// — through the store's row directory, a dense numbering of the
-    /// lake's (`TableId`, `RowId`) pairs that ascends with them, so two
-    /// positions share an ordinal exactly when they share both ids. Returns
-    /// the ordinal space, the number of rows (every ordinal is below it, and
-    /// it is at most [`len`](FactTable::len)). `None`, leaving `out`
-    /// untouched, on engines without a directory: the row store.
-    fn row_ordinals(&self, _positions: &[u32], _out: &mut Vec<u32>) -> Option<usize> {
-        None
-    }
-
     /// Batch accessor: append `SuperKey` for each position to `out` — the
-    /// projection path's wide gather (16 bytes per row), specialized by the
-    /// column store into a straight slice-indexed loop.
+    /// projection path's wide gather (16 bytes per row).
     fn gather_superkeys(&self, positions: &[u32], out: &mut Vec<u128>) {
         out.extend(positions.iter().map(|&p| self.superkey_at(p as usize)));
     }
@@ -223,36 +217,6 @@ pub trait FactTable: Send + Sync {
     /// position to `out`.
     fn gather_quadrants(&self, positions: &[u32], out: &mut Vec<Option<bool>>) {
         out.extend(positions.iter().map(|&p| self.quadrant_at(p as usize)));
-    }
-
-    /// The column runs of `table` in canonical order, appended to `out`:
-    /// per run its `ColumnId` and its end position. Found by binary search
-    /// over the point accessors here, read off the run directory on the
-    /// column store.
-    fn column_runs(&self, table: u32, out: &mut Vec<(u32, u32)>) {
-        let range = self.table_postings(table);
-        let mut p = range.start;
-        while p < range.end {
-            let c = self.column_at(p);
-            p = partition_point(p..range.end, |q| self.column_at(q) <= c);
-            out.push((c, p as u32));
-        }
-    }
-
-    /// Batch lookup: for each of `rows`, append to `out` the position of
-    /// the cell at (`table`, `column`, row), or `None` where the table holds
-    /// no such cell (a null cell is not indexed). Canonical order sorts a
-    /// table's [`table_postings`](FactTable::table_postings) by (`ColumnId`,
-    /// `RowId`), so each is a binary search there over the point accessors;
-    /// the column store finds the run in its run directory instead.
-    fn locate(&self, table: u32, column: u32, rows: &[u32], out: &mut Vec<Option<u32>>) {
-        let range = self.table_postings(table);
-        let lo = partition_point(range.clone(), |p| self.column_at(p) < column);
-        let run = lo..partition_point(lo..range.end, |p| self.column_at(p) <= column);
-        out.extend(rows.iter().map(|&r| {
-            let p = partition_point(run.clone(), |p| self.row_at(p) < r);
-            (p < run.end && self.row_at(p) == r).then_some(p as u32)
-        }));
     }
 
     /// Batched filter: append the subset of `positions` passing `kernel` to
@@ -284,21 +248,6 @@ pub trait FactTable: Send + Sync {
     }
 }
 
-/// The first index of `range` where `pred` turns false (`range.end` if it
-/// never does); `pred` must hold on a prefix of `range`, as for
-/// [`slice::partition_point`].
-pub fn partition_point(
-    range: std::ops::Range<usize>,
-    mut pred: impl FnMut(usize) -> bool,
-) -> usize {
-    let (mut lo, mut hi) = (range.start, range.end.max(range.start));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        (lo, hi) = if pred(mid) { (mid + 1, hi) } else { (lo, mid) };
-    }
-    lo
-}
-
 /// Emit the runs of the ascending `items` that lie in the ascending,
 /// disjoint `ranges`, each bound found by binary search. Every round
 /// consumes a range, and one that holds no item moves the items past it,
@@ -323,7 +272,7 @@ pub fn cut_to_ranges<'p>(
     }
 }
 
-/// A set of row ordinals ([`FactTable::row_ordinals`]) numbered densely by
+/// A set of row ordinals ([`Directory::row_ordinals`]) numbered densely by
 /// rank: a bitmap over the ordinal space and, per 64-bit word, the members
 /// below it. A member's id is its rank, so ids ascend with ordinals and no
 /// key is hashed. The SQL executor's row-key join and the MC seeker's
@@ -440,46 +389,16 @@ pub(crate) fn scratch_component(n_rows: usize) -> (&'static str, usize) {
 /// is what makes the `TableId` index a range; column-major order within a
 /// table gives scans the locality a real column store would have.
 ///
-/// This order is an **invariant** downstream code relies on:
-/// [`table_ranges`] requires it (and `debug_assert`s it) to hand out
-/// contiguous per-table ranges, and the parallel executor's
+/// This order is an **invariant** downstream code relies on: the
+/// [`Directory`] built over it (which sorts first) hands out contiguous
+/// per-table ranges and column runs, and the parallel executor's
 /// order-preserving merges assume both engines share one physical order.
-/// Every engine build must call this before deriving ranges.
 pub fn canonical_sort(rows: &mut [FactRow]) {
     rows.sort_by(|a, b| {
         (a.table, a.column, a.row)
             .cmp(&(b.table, b.column, b.row))
             .then_with(|| a.value.cmp(&b.value))
     });
-}
-
-/// Compute per-table contiguous ranges. Index in the returned vec = table
-/// id; tables absent from the index get an empty range.
-///
-/// **Requires** `rows` to be in [`canonical_sort`] order — each table's
-/// rows must form one contiguous run. The invariant is `debug_assert`ed
-/// here (release builds skip the O(n) check); violating it would silently
-/// truncate ranges to a table's *last* run and corrupt every table-index
-/// scan built on top.
-pub fn table_ranges(rows: &[FactRow]) -> Vec<(u32, u32)> {
-    debug_assert!(
-        rows.windows(2).all(|w| {
-            (w[0].table, w[0].column, w[0].row) <= (w[1].table, w[1].column, w[1].row)
-        }),
-        "table_ranges requires rows in canonical_sort order"
-    );
-    let max_table = rows.iter().map(|r| r.table).max().map_or(0, |t| t + 1);
-    let mut ranges = vec![(0u32, 0u32); max_table as usize];
-    let mut i = 0usize;
-    while i < rows.len() {
-        let t = rows[i].table;
-        let start = i;
-        while i < rows.len() && rows[i].table == t {
-            i += 1;
-        }
-        ranges[t as usize] = (start as u32, i as u32);
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -505,34 +424,6 @@ mod tests {
         canonical_sort(&mut rows);
         let order: Vec<(u32, u32, u32)> = rows.iter().map(|r| (r.table, r.column, r.row)).collect();
         assert_eq!(order, vec![(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]);
-    }
-
-    #[test]
-    fn table_ranges_cover_and_handle_gaps() {
-        let mut rows = vec![
-            FactRow::new("a", 0, 0, 0, 0, None),
-            FactRow::new("b", 2, 0, 0, 0, None),
-            FactRow::new("c", 2, 0, 1, 0, None),
-        ];
-        canonical_sort(&mut rows);
-        let ranges = table_ranges(&rows);
-        assert_eq!(ranges, vec![(0, 1), (0, 0), (1, 3)]);
-    }
-
-    #[test]
-    fn empty_rows_have_no_ranges() {
-        assert!(table_ranges(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "canonical_sort order")]
-    #[cfg(debug_assertions)]
-    fn unsorted_rows_trip_the_invariant_assert() {
-        let rows = vec![
-            FactRow::new("b", 1, 0, 0, 0, None),
-            FactRow::new("a", 0, 0, 0, 0, None),
-        ];
-        let _ = table_ranges(&rows);
     }
 
     #[test]

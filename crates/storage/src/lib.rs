@@ -22,8 +22,11 @@
 //! Both engines maintain the two *in-database indexes* the paper creates on
 //! `AllTables` (Section V): an inverted index on `CellValue` (value →
 //! positions) and an index on `TableId` (table → contiguous position range).
-//! The column store adds a value → column index ([`ColumnIndex`]) that the
-//! SC/KW seekers' distinct counts read instead of scanning.
+//! Both hold their cells in one canonical order and own its [`Directory`]:
+//! the table ranges, the (`TableId`, `ColumnId`) runs, the rows numbered
+//! densely, and each cell's run and row ordinal. The column store adds a
+//! value → runs index ([`ColumnIndex`]); the SC/KW seekers' distinct
+//! counts walk run lists ([`Directory::walk`]) instead of scanning.
 //! They also expose exact cardinality statistics, which the SQL layer's
 //! access-path chooser uses the way a DBMS optimizer uses its catalog.
 //!
@@ -40,10 +43,11 @@
 //! and the SQL executor's GROUP BY, joins, interned keys and result text —
 //! and [`RadixPartitions`] ([`radix`]), the one CSR — the postings, the
 //! column index, and the executor's partitions and per-id row lists.
-//! Rows of a store with a row directory are numbered by [`OrdinalRank`],
-//! which the executor's row-key join and the MC seeker's operator share.
+//! Row ordinals are numbered densely by [`OrdinalRank`], which the
+//! executor's row-key join and the MC seeker's operator share.
 
 pub mod column_store;
+pub mod directory;
 pub mod fact;
 pub mod filter;
 pub mod hashtable;
@@ -51,10 +55,11 @@ pub mod radix;
 pub mod row_store;
 pub mod stats;
 
-pub use column_store::{ColumnIndex, ColumnStore, Walk};
+pub use column_store::{ColumnIndex, ColumnStore};
+pub use directory::{Directory, Walk};
 pub use fact::{
-    cut_to_ranges, decode_quadrant, partition_point, FactRow, FactTable, MemoryBreakdown,
-    OrdinalRank, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
+    cut_to_ranges, decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank,
+    QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
 pub use hashtable::{DenseKey, GroupIndex, PROBE_BLOCK};
@@ -165,7 +170,10 @@ mod tests {
             assert_eq!(row.quadrant_at(pos), col.quadrant_at(pos));
         }
         assert_eq!(row.postings("berlin"), col.postings("berlin"));
-        assert_eq!(row.table_postings(1), col.table_postings(1));
+        assert_eq!(
+            row.directory().table_postings(1),
+            col.directory().table_postings(1)
+        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use blend_common::{FxHashMap, FxHashSet};
 
-use crate::fact::{
-    canonical_sort, scratch_component, table_ranges, FactRow, FactTable, MemoryBreakdown,
-};
+use crate::directory::Directory;
+use crate::fact::{scratch_component, FactRow, FactTable, MemoryBreakdown};
 use crate::filter::{extend_filtered, extend_range, FilterKernel, ValuePred};
 use crate::stats::FactStats;
 
@@ -12,23 +11,22 @@ use crate::stats::FactStats;
 ///
 /// Tuples live in one contiguous `Vec<FactRow>` with their string values
 /// inline (each cell value owns an allocation — exactly the redundancy a
-/// heap-file row store pays). The two in-DB indexes are a hash inverted
-/// index on `CellValue` and a per-table range directory.
+/// heap-file row store pays). The in-DB indexes are a hash inverted index
+/// on `CellValue` and the canonical-order [`Directory`] both stores own
+/// (the per-table ranges, the column runs and the row ordinals).
 pub struct RowStore {
     rows: Vec<FactRow>,
     /// Inverted index: value → ascending positions.
     inverted: FxHashMap<Box<str>, Vec<u32>>,
-    /// Table id → (start, end) position range.
-    ranges: Vec<(u32, u32)>,
+    dir: Directory,
     stats: FactStats,
     string_bytes: usize,
 }
 
 impl RowStore {
-    /// Build the store: canonical sort, postings, ranges, statistics.
+    /// Build the store: canonical sort and directory, postings, statistics.
     pub fn build(mut rows: Vec<FactRow>) -> Self {
-        canonical_sort(&mut rows);
-        let ranges = table_ranges(&rows);
+        let dir = Directory::build(&mut rows, |_, _| {});
         let mut inverted: FxHashMap<Box<str>, Vec<u32>> = FxHashMap::default();
         let mut numeric_rows = 0usize;
         let mut string_bytes = 0usize;
@@ -42,17 +40,16 @@ impl RowStore {
             }
             string_bytes += r.value.len();
         }
-        let n_tables = ranges.iter().filter(|(s, e)| e > s).count();
         let stats = FactStats::compute(
             rows.len(),
-            n_tables,
+            dir.present_tables(),
             inverted.values().map(Vec::len),
             numeric_rows,
         );
         RowStore {
             rows,
             inverted,
-            ranges,
+            dir,
             stats,
             string_bytes,
         }
@@ -104,12 +101,8 @@ impl FactTable for RowStore {
         "Row"
     }
 
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn n_tables(&self) -> u32 {
-        self.ranges.len() as u32
+    fn directory(&self) -> &Directory {
+        &self.dir
     }
 
     #[inline]
@@ -146,13 +139,6 @@ impl FactTable for RowStore {
         self.inverted.get(value).map_or(&[], Vec::as_slice)
     }
 
-    fn table_postings(&self, table: u32) -> std::ops::Range<usize> {
-        match self.ranges.get(table as usize) {
-            Some(&(s, e)) => s as usize..e as usize,
-            None => 0..0,
-        }
-    }
-
     fn make_probe(&self, values: &[&str]) -> ValuePred {
         // The row store has no dictionary: keep (deduplicated) owned strings
         // and hash-compare per position.
@@ -170,26 +156,6 @@ impl FactTable for RowStore {
             ValuePred::Strings(set) => set.contains(self.rows[pos].value.as_ref()),
             ValuePred::Codes(_) => codes_on_a_row_store(),
         }
-    }
-
-    fn gather_tables(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize].table));
-    }
-
-    fn gather_columns(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize].column));
-    }
-
-    fn gather_rows(&self, positions: &[u32], out: &mut Vec<u32>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize].row));
-    }
-
-    fn gather_superkeys(&self, positions: &[u32], out: &mut Vec<u128>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize].superkey));
-    }
-
-    fn gather_quadrants(&self, positions: &[u32], out: &mut Vec<Option<bool>>) {
-        out.extend(positions.iter().map(|&p| self.rows[p as usize].quadrant));
     }
 
     /// Single fused pass (an empty kernel copies): every predicate is
@@ -233,14 +199,12 @@ impl FactTable for RowStore {
             .iter()
             .map(|(k, v)| k.len() + std::mem::size_of::<Box<str>>() + v.capacity() * 4 + 48)
             .sum();
+        let mut components = vec![("tuples", tuples), ("inverted-index", inverted)];
+        components.extend(self.dir.components());
+        components.push(scratch_component(self.len()));
         MemoryBreakdown {
             engine: "Row",
-            components: vec![
-                ("tuples", tuples),
-                ("inverted-index", inverted),
-                ("table-ranges", self.ranges.len() * 8),
-                scratch_component(self.len()),
-            ],
+            components,
         }
     }
 }
@@ -266,12 +230,12 @@ mod tests {
     fn table_ranges_contain_only_their_table() {
         let s = RowStore::build(sample_rows());
         for t in 0..s.n_tables() {
-            for pos in s.table_postings(t) {
+            for pos in s.directory().table_postings(t) {
                 assert_eq!(s.table_at(pos), t);
             }
         }
         // Out-of-range table id yields an empty range, not a panic.
-        assert!(s.table_postings(99).is_empty());
+        assert!(s.directory().table_postings(99).is_empty());
     }
 
     #[test]
@@ -302,7 +266,9 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.n_tables(), 0);
         assert!(s.postings("x").is_empty());
-        assert_eq!(s.size_bytes(), 0);
+        // Only the directory's end markers: the first row ordinal and the
+        // first position past the last run.
+        assert_eq!(s.size_bytes(), 8);
     }
 
     #[test]

@@ -263,10 +263,10 @@ fn flat_executor_is_byte_identical_across_stores_widths_and_threads() {
                 }
                 // Flat-table telemetry was recorded for every hash join
                 // and keyed group phase, with sane shapes. `join-w2` is
-                // row-keyed on the column store: it matches row ordinals
-                // and builds no hash table.
-                let join_path = match (label, kind) {
-                    ("join-w2", EngineKind::Column) => Some("rows"),
+                // row-keyed on either store: it matches row ordinals and
+                // builds no hash table.
+                let join_path = match label {
+                    "join-w2" => Some("rows"),
                     _ if label.starts_with("join") => Some("hash"),
                     _ => None,
                 };

@@ -9,9 +9,8 @@
 //! over a few tables and over most, `NotIn` and an empty `NotIn`; a value
 //! in several columns of a row, a value shared by two query columns,
 //! absent values and duplicate query rows; and a store holding `RowId`s
-//! near `u32::MAX`, which the column store's row directory numbers by rank
-//! (`mc.rows` span, `path=directory`) and the row store, which has no
-//! directory, by hashing (`path=hashed`).
+//! near `u32::MAX`, which either store's row directory numbers by rank
+//! (the `mc.rows` span's `rows`, alike on both stores).
 
 #[path = "common/mc_oracle.rs"]
 mod mc_oracle;
@@ -125,14 +124,19 @@ fn check(blend: &Blend, rows: &[Vec<String>], injected: Option<&Injected>, what:
 }
 
 /// The numbering path the operator's `mc.rows` span names for `rows`.
-fn numbering_path(blend: &Blend, rows: &[Vec<String>]) -> String {
+fn numbered_rows(blend: &Blend, rows: &[Vec<String>]) -> u64 {
     let mut plan = Plan::new();
     plan.add_seeker("mc", Seeker::mc(rows.to_vec()), K).unwrap();
     let (_, report) = blend.execute_with_report(&plan).unwrap();
     let profile = report.profile.expect("profile collected");
-    match profile.find("mc.rows").and_then(|s| s.attr("path")) {
-        Some(AttrValue::Str(path)) => path.clone(),
-        other => panic!("mc.rows path = {other:?}\n{}", profile.render()),
+    let span = profile.find("mc.rows");
+    assert!(
+        span.is_some_and(|s| s.attr("path").is_none()),
+        "one numbering"
+    );
+    match span.and_then(|s| s.attr("rows")) {
+        Some(AttrValue::U64(rows)) => *rows,
+        other => panic!("mc.rows rows = {other:?}\n{}", profile.render()),
     }
 }
 
@@ -151,7 +155,7 @@ proptest! {
         let rows = query_rows(&lake, arity, pick);
         for kind in [EngineKind::Row, EngineKind::Column] {
             let facts = [
-                ("directory", IndexBuilder::new().build(&lake.tables, kind)),
+                ("dense rows", IndexBuilder::new().build(&lake.tables, kind)),
                 ("far rows", far_row_ids(&lake, kind)),
             ];
             for (layout, fact) in facts {
@@ -251,17 +255,18 @@ fn a_value_in_several_columns_of_a_row() {
     }
 }
 
-/// The column store numbers rows through its row directory, far `RowId`s
-/// included; the row store hashes.
+/// Both stores number rows through their row directory, far `RowId`s
+/// included: the `mc.rows` span carries no path, and every store numbers
+/// the same rows.
 #[test]
 fn numbering_path_follows_the_row_directory() {
     let lake = lake(7, 10, 10);
     let rows = query_rows(&lake, 2, 0);
-    let path = |fact| numbering_path(&Blend::new(fact), &rows);
-    let column = IndexBuilder::new().build(&lake.tables, EngineKind::Column);
-    assert_eq!(path(column), "directory");
-    let row = IndexBuilder::new().build(&lake.tables, EngineKind::Row);
-    assert_eq!(path(row), "hashed");
-    assert_eq!(path(far_row_ids(&lake, EngineKind::Column)), "directory");
-    assert_eq!(path(far_row_ids(&lake, EngineKind::Row)), "hashed");
+    let numbered = |fact| numbered_rows(&Blend::new(fact), &rows);
+    let column = numbered(IndexBuilder::new().build(&lake.tables, EngineKind::Column));
+    assert!(column > 0, "planted rows are numbered");
+    let row = numbered(IndexBuilder::new().build(&lake.tables, EngineKind::Row));
+    assert_eq!(row, column);
+    assert_eq!(numbered(far_row_ids(&lake, EngineKind::Column)), column);
+    assert_eq!(numbered(far_row_ids(&lake, EngineKind::Row)), column);
 }

@@ -668,9 +668,9 @@ fn top_k_scratch_is_reserved_and_fails_typed() {
 /// The MC join of the two tests below (paper Listing 2): every row of
 /// 3 000 tables holds ('a', 'b'), so one joined row per fact row. With
 /// `sparse`, one more cell ('z', unmatched) sits at a `RowId` far past the
-/// cell count, which the column store's row directory ranks. The join is
-/// row-keyed on the column store and hashes on the row store, which has no
-/// directory.
+/// cell count, which the store's row directory ranks. The join is
+/// row-keyed on either store; it hashes where one side reads a second
+/// catalog table (`twin`).
 fn mc_lake(sparse: bool, kind: EngineKind) -> (Arc<dyn FactTable>, &'static str) {
     let mut rows = Vec::new();
     for t in 0..3_000u32 {
@@ -706,22 +706,26 @@ fn join_path(report: &blend_sql::QueryReport) -> String {
 /// the same query through `execute`, which builds — and reserves — a
 /// `SqlValue` row per joined row on top of them. Both entries walk the
 /// ladder with results byte-identical to the unbudgeted run. The lake is
-/// a row store, which has no row directory, so the join hashes and its
-/// build has rungs to walk.
+/// a row store whose first scan reads `Twin`, a second catalog table built
+/// from the same rows: the two sides share no directory, so the join
+/// hashes and its build has rungs to walk.
 #[test]
 fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     use blend_parallel::Interrupt;
 
     let (fact, sql) = mc_lake(true, EngineKind::Row);
+    let (twin, _) = mc_lake(true, EngineKind::Row);
+    let sql = sql.replacen("FROM AllTables", "FROM Twin", 1);
 
     // One run through either entry: the rows and the profile root's peak.
     let run = |gov: &Arc<MemoryGovernor>, columnar: bool| {
         let engine = budgeted_engine(&fact, gov);
+        engine.database().register("Twin", twin.clone());
         let (rs, report) = if columnar {
-            let (cols, report) = engine.execute_columns_interruptible(sql, Interrupt::never())?;
+            let (cols, report) = engine.execute_columns_interruptible(&sql, Interrupt::never())?;
             (cols.to_result_set(), report)
         } else {
-            engine.execute_with_report(sql)?
+            engine.execute_with_report(&sql)?
         };
         assert_eq!(join_path(&report), "hash");
         let peak = match report
@@ -887,9 +891,9 @@ fn group_reservation_covers_the_grown_index() {
 }
 
 /// The MC operator over a high fan-out seeker — every row of `mc_lake`'s
-/// 3 000 tables holds the query row — resolves typed on both numbering
-/// paths (the column store's row directory, with and without a far
-/// `RowId`, and the row store's hashing):
+/// 3 000 tables holds the query row — resolves typed on both stores'
+/// row directories (the column store's with and without a far `RowId`,
+/// the row store's with it):
 /// a cancelled interrupt is `Cancelled`, an expired deadline `Timeout`, a
 /// 64 KiB governor `MemoryExceeded` at the operator's reservation. Nothing
 /// panics, and nothing stays reserved.
@@ -998,8 +1002,9 @@ fn c_operator_is_typed_under_interrupts_and_budgets() {
 }
 
 /// The SC and KW operator over seekers whose values fill both columns of
-/// 10 000 tables resolves typed on both stores (the column-index walk,
-/// and the postings walk of the row store): a cancelled interrupt is
+/// 10 000 tables resolves typed on both stores (the walk over the column
+/// index's run lists, and over the row store's, derived from postings and
+/// priced before they are built): a cancelled interrupt is
 /// `Cancelled`, an expired deadline `Timeout`, a 64 KiB governor
 /// `MemoryExceeded` at the operator's reservation. Nothing panics, and
 /// nothing stays reserved.

@@ -1,6 +1,6 @@
 //! Row-key join parity: the MC (paper Listing 2) and C (Listing 3) seeker
-//! joins on (`TableId`, `RowId`) match row ordinals through the column
-//! store's row directory, and return the reference executor's bytes.
+//! joins on (`TableId`, `RowId`) match row ordinals through the store's
+//! row directory, and return the reference executor's bytes.
 //!
 //! The lakes are built to make the row numbering matter: table ids with
 //! gaps (and tables without a cell), `RowId`s with gaps, and a small
@@ -10,11 +10,12 @@
 //! injection, at one thread and on a forced four-thread pool, under both
 //! SIMD dispatch paths:
 //!
-//! * on a column store every `join.build` span says `path=rows` and no
-//!   join hash table is recorded — also where one huge `RowId` sits far
-//!   past the others, which the store's ranked ordinals absorb;
-//! * on the row store, which has no row directory, every join says
-//!   `path=hash`;
+//! * on either store every `join.build` span says `path=rows` and no join
+//!   hash table is recorded — also where one huge `RowId` sits far past
+//!   the others, which the store's ranked ordinals absorb;
+//! * where the first scan reads a second catalog table built from the same
+//!   rows (`Twin`), the two sides' ordinals are not one directory's, so
+//!   every join says `path=hash`;
 //!
 //! and every result is byte-identical to `execute_reference`.
 
@@ -201,34 +202,48 @@ proptest! {
         let queries = queries(&rows, &mut Rng(seed ^ 0x5EED));
         let mut sparse = rows.clone();
         sparse.push(FactRow::new("w0", 0, 9, u32::MAX - 1, 0, None));
-        let stores: [(&str, Arc<dyn FactTable>, &str); 3] = [
+        let row: Arc<dyn FactTable> = Arc::new(RowStore::build(rows.clone()));
+        let twin: Arc<dyn FactTable> = Arc::new(RowStore::build(rows.clone()));
+        let stores: [(&str, Arc<dyn FactTable>, &str); 4] = [
             ("column", Arc::new(ColumnStore::build(rows.clone())), "rows"),
-            ("row", Arc::new(RowStore::build(rows.clone())), "hash"),
+            ("row", row.clone(), "rows"),
             ("sparse", Arc::new(ColumnStore::build(sparse)), "rows"),
+            ("twin", row, "hash"),
         ];
-        let ordinals = |s: &dyn FactTable| s.row_ordinals(&[], &mut Vec::new());
+        let ordinals = |s: &dyn FactTable| s.directory().rows();
         let mut pairs: Vec<(u32, u32)> = rows.iter().map(|r| (r.table, r.row)).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        prop_assert_eq!(ordinals(&*stores[0].1), Some(pairs.len()));
-        prop_assert_eq!(ordinals(&*stores[1].1), None);
-        prop_assert_eq!(ordinals(&*stores[2].1), Some(pairs.len() + 1));
+        prop_assert_eq!(ordinals(&*stores[0].1), pairs.len());
+        prop_assert_eq!(ordinals(&*stores[1].1), pairs.len());
+        prop_assert_eq!(ordinals(&*stores[2].1), pairs.len() + 1);
 
         for (store, fact, path) in &stores {
-            let reference = SqlEngine::with_alltables(fact.clone())
-                .with_parallel(Arc::new(ParallelCtx::sequential()));
+            // The twin arm's first scan reads `Twin`, the others `AllTables`.
+            let with_twin = *store == "twin";
+            let engine = |ctx: ParallelCtx| {
+                let eng = SqlEngine::with_alltables(fact.clone()).with_parallel(Arc::new(ctx));
+                if with_twin {
+                    eng.database().register("Twin", twin.clone());
+                }
+                eng
+            };
+            let reference = engine(ParallelCtx::sequential());
             for (label, sql) in &queries {
-                let (want, _) = reference.execute_reference(sql).unwrap();
+                let sql = match with_twin {
+                    true => sql.replacen("FROM AllTables", "FROM Twin", 1),
+                    false => sql.clone(),
+                };
+                let (want, _) = reference.execute_reference(&sql).unwrap();
                 if label == "mc2/bare" {
                     prop_assert!(!want.is_empty(), "{store}: planted MC rows must join");
                 }
                 for threads in [1usize, 4] {
-                    let eng = SqlEngine::with_alltables(fact.clone())
-                        .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                    let eng = engine(ParallelCtx::with_tuning(threads, 1, 5));
                     for simd in [false, true] {
                         blend_simd::force(Some(simd));
                         let what = format!("{store}/{label}/{threads}t/simd={simd}");
-                        let (got, report) = eng.execute_with_report(sql).unwrap();
+                        let (got, report) = eng.execute_with_report(&sql).unwrap();
                         prop_assert_eq!(
                             format!("{:?}", got),
                             format!("{:?}", want),
