@@ -111,7 +111,7 @@ fn key_cells(
         }
     }
     let allowed = injected.and_then(|inj| allowed_ranges(fact, inj));
-    let postings = fetch(fact, all, allowed.as_deref());
+    let postings = fetch(fact, all, allowed.as_deref(), "c.resolve", interrupt)?;
     let mut cells = Vec::new();
     room(mem, &mut cells, postings.iter().map(|(_, p)| p.len()).sum())?;
     for &(i, postings) in &postings {

@@ -68,8 +68,8 @@ pub(crate) fn run(
     let span = blend_obs::span("mc.cells");
     let allowed = injected.and_then(|inj| allowed_ranges(fact, inj));
     let cells: Vec<Vec<(u32, &[u32])>> = (lists.iter())
-        .map(|list| fetch(fact, list, allowed.as_deref()))
-        .collect();
+        .map(|list| fetch(fact, list, allowed.as_deref(), "mc.resolve", interrupt))
+        .collect::<Result<_>>()?;
     let counts: Vec<usize> = (cells.iter())
         .map(|c| c.iter().map(|(_, p)| p.len()).sum())
         .collect();

@@ -8,6 +8,7 @@
 //! runtimes, and fits ordinary least squares. Untrained types fall back to
 //! an analytic heuristic so ranking always works.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
@@ -121,16 +122,18 @@ pub fn features(blend: &Blend, seeker: &Seeker) -> SeekerFeatures {
     }
 }
 
-/// Mean postings length of `values`, each normalized in place (copied only
-/// where normalizing changes it).
+/// Mean postings length of `values`, each normalized (copied only where
+/// normalizing changes it) and all looked up in one batch.
 fn freq_of<'v>(fact: &dyn FactTable, values: impl ExactSizeIterator<Item = &'v String>) -> f64 {
     let n = values.len();
     if n == 0 {
         return 0.0;
     }
-    let total: usize = values
-        .map(|v| fact.posting_len(&text::normalize_cow(v)))
-        .sum();
+    let norm: Vec<Cow<'_, str>> = values.map(|v| text::normalize_cow(v)).collect();
+    let norm: Vec<&str> = norm.iter().map(|v| &**v).collect();
+    let mut resolved = Vec::with_capacity(n);
+    fact.resolve(&norm, &mut resolved);
+    let total: usize = resolved.iter().map(|v| v.postings.len()).sum();
     total as f64 / n as f64
 }
 

@@ -1,12 +1,12 @@
-//! The index reads the seekers' operators share: a value list's postings,
-//! cut by binary search to the tables an injection allows, and buffers
-//! that grow inside the operator's memory reservation.
+//! The index reads the seekers' operators share: a value list resolved in
+//! one batch, its postings cut by binary search to the tables an injection
+//! allows, and buffers that grow inside the operator's memory reservation.
 
 use std::ops::Range;
 
 use blend_common::Result;
-use blend_parallel::MemoryReservation;
-use blend_storage::{cut_to_ranges, FactTable};
+use blend_parallel::{Interrupt, MemoryReservation};
+use blend_storage::{cut_to_ranges, FactTable, Resolved};
 
 use crate::seekers::Injected;
 
@@ -36,22 +36,43 @@ pub(crate) fn allowed_ranges(fact: &dyn FactTable, injected: &Injected) -> Optio
     }
 }
 
+/// `values` looked up in `fact` in one batch ([`FactTable::resolve`]), in
+/// order, under the operator's span `span` (attr `values`), polling the
+/// interrupt every 4,096 values.
+pub(crate) fn resolve<'f>(
+    fact: &'f dyn FactTable,
+    values: &[&str],
+    span: &'static str,
+    interrupt: &Interrupt,
+) -> Result<Vec<Resolved<'f>>> {
+    let span = blend_obs::span(span);
+    span.attr_u64("values", values.len() as u64);
+    let mut out = Vec::with_capacity(values.len());
+    for chunk in values.chunks(4096) {
+        interrupt.check()?;
+        fact.resolve(chunk, &mut out);
+    }
+    Ok(out)
+}
+
 /// A value list's cells: each value's postings tagged with its list index,
-/// cut to `allowed`.
+/// cut to `allowed`; the list is resolved under span `span`.
 pub(crate) fn fetch<'f>(
     fact: &'f dyn FactTable,
     list: &[&str],
     allowed: Option<&[Range<u32>]>,
-) -> Vec<(u32, &'f [u32])> {
+    span: &'static str,
+    interrupt: &Interrupt,
+) -> Result<Vec<(u32, &'f [u32])>> {
     let mut out = Vec::new();
-    for (i, v) in list.iter().enumerate() {
-        let postings = fact.postings(v);
+    let resolved = resolve(fact, list, span, interrupt)?;
+    for (i, postings) in resolved.into_iter().map(|v| v.postings).enumerate() {
         match allowed {
             None => out.extend((!postings.is_empty()).then_some((i as u32, postings))),
             Some(ranges) => cut_to_ranges(postings, ranges, |part| out.push((i as u32, part))),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Make room for `additional` more items in `v`, reserving their bytes

@@ -1,5 +1,7 @@
 //! The SC and KW seekers' operator: Listing 1 over the index (`seekers`
-//! module docs). Its walk (span `sc.walk`) counts each (table, column)
+//! module docs). Its values are looked up in one batch (span `sc.resolve`,
+//! [`FactTable::resolve`]). Its walk (span `sc.walk`, attrs `entries` and
+//! `groups`) counts each (table, column)
 //! group's distinct query values (KW: each table's) through
 //! [`Directory::walk`](blend_storage::Directory::walk), the SQL executor's
 //! column-index walk, over each value's ascending run list: its
@@ -21,6 +23,7 @@ use blend_parallel::{Interrupt, MemoryGovernor, MemoryReservation, QueryMemory};
 use blend_storage::{FactTable, IdSet};
 
 use crate::combiners::TableHit;
+use crate::postings::resolve;
 use crate::seekers::Injected;
 
 /// A group: its count of query values and its `TableId`.
@@ -39,10 +42,7 @@ pub(crate) fn run(
 ) -> Result<Vec<TableHit>> {
     interrupt.check()?;
     let mut mem = Arc::new(QueryMemory::new(Arc::clone(governor))).try_reserve("sc", 0)?;
-    let span = blend_obs::span("sc.walk");
     let mut groups = walk_groups(fact, values, per_table, injected, interrupt, &mut mem)?;
-    span.attr_u64("groups", groups.len() as u64);
-    drop(span);
 
     let _span = blend_obs::span("sc.rank");
     let order = |&(count, table): &Group| (Reverse(count), table);
@@ -62,7 +62,7 @@ pub(crate) fn run(
     Ok(best.take(k.max(1)).map(hit).collect())
 }
 
-/// The groups off the values' run lists, in first-touch order.
+/// The groups off the values' run lists, in ascending slot order.
 fn walk_groups(
     fact: &dyn FactTable,
     values: &[&str],
@@ -72,25 +72,26 @@ fn walk_groups(
     mem: &mut MemoryReservation,
 ) -> Result<Vec<Group>> {
     let dir = fact.directory();
-    // The values' run lists, and the table set: its sorted copy and a
-    // bitmap at most 4x that, or the allowed tables' ranges.
+    // The values, their run lists, and the table set: its sorted copy and
+    // a bitmap at most 4x that, or the allowed tables' ranges.
     let ids = injected.map_or(0, |(Injected::In(ids) | Injected::NotIn(ids))| ids.len());
-    mem.grow(values.len() * 16 + ids * 20 + 1024)?;
+    mem.grow(values.len() * 40 + ids * 20 + 1024)?;
+    let resolved = resolve(fact, values, "sc.resolve", interrupt)?;
+    let span = blend_obs::span("sc.walk");
     let mut derived = Vec::new();
     let lists: Vec<&[u32]> = match fact.column_index() {
-        Some(index) => {
-            let list = |v: &&str| fact.code_of_value(v).map(|c| index.ordinals(c));
-            values.iter().filter_map(list).collect()
-        }
+        Some(index) => (resolved.iter())
+            .filter_map(|v| v.code.map(|c| index.ordinals(c)))
+            .collect(),
         None => {
             // At most one run per cell, each list's end beside it.
-            let cells: usize = values.iter().map(|v| fact.posting_len(v)).sum();
+            let cells: usize = resolved.iter().map(|v| v.postings.len()).sum();
             mem.grow(cells * 4)?;
             derived.reserve_exact(cells);
             let mut ends = Vec::with_capacity(values.len());
-            for v in values {
+            for v in &resolved {
                 interrupt.check()?;
-                dir.cell_runs(fact.postings(v), &mut derived);
+                dir.cell_runs(v.postings, &mut derived);
                 ends.push(derived.len());
             }
             let starts = std::iter::once(0).chain(ends.iter().copied());
@@ -108,7 +109,8 @@ fn walk_groups(
         false => dir.runs(),
     };
     let entries: usize = lists.iter().map(|l| l.len()).sum();
-    mem.grow(n_slots * 4 + entries.min(n_slots) * 16)?;
+    span.attr_u64("entries", entries as u64);
+    mem.grow(n_slots * 4 + n_slots.div_ceil(64) * 8 + entries.min(n_slots) * 12)?;
     let poll = || interrupt.check();
     let walk = dir.walk(
         &lists,
@@ -119,6 +121,7 @@ fn walk_groups(
         poll,
     )?;
     let table = |slot: u32| if per_table { slot } else { dir.key(slot).0 };
+    span.attr_u64("groups", walk.slots.len() as u64);
     let groups = (walk.slots.iter()).map(|&s| (walk.counts[s as usize], table(s)));
     Ok(groups.collect())
 }

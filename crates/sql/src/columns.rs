@@ -373,8 +373,15 @@ mod tests {
 
     /// `n` store codes of `WORDS`, drawn from `pick`.
     fn store_text(table: &Arc<dyn FactTable>, pick: &[u32], n: usize) -> TextColumn {
-        let code = |i: usize| table.code_of_value(WORDS[pick[i] as usize % WORDS.len()]);
-        TextColumn::store((0..n).map(|i| code(i).unwrap()).collect(), table.clone())
+        let words: Vec<&str> = (0..n)
+            .map(|i| WORDS[pick[i] as usize % WORDS.len()])
+            .collect();
+        let mut found = Vec::new();
+        table.resolve(&words, &mut found);
+        TextColumn::store(
+            found.iter().map(|v| v.code.unwrap()).collect(),
+            table.clone(),
+        )
     }
 
     /// What a case's columns are cut from: `n` rows drawn from `pick`, one

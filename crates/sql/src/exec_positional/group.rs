@@ -52,11 +52,14 @@
 //! `COUNT(*)` beside the distinct count, `ColumnId` or `RowId` keys — takes
 //! the hash path.
 //!
-//! The output is the hash path's `GroupCols`, with a group's first touch
-//! as a running ordinal of the entries kept. Each kept entry stands for
-//! the contiguous postings of one value in one run, in the order the
-//! value-index scan would have emitted them, so that ordinal is monotone
-//! with the group's first-seen batch row on the hash path: `finish_groups`
+//! The output is the hash path's `GroupCols`, its groups in the walk's
+//! ascending slot order, a group's first-seen row the first value whose
+//! list holds it (the walk counts without that order; a second pass over
+//! the lists, last first, recovers it). Each kept entry stands for the
+//! contiguous postings of one value in one run, in the order the
+//! value-index scan would have emitted them, and a value's slots ascend,
+//! so (first value, slot) is monotone with the group's first-seen batch
+//! row on the hash path: `finish_groups`
 //! orders groups by (order keys, projection, first-seen row), so ordering,
 //! top-k and tie-breaks — and the result bytes — are the hash path's. The
 //! `group` span's `path` attr says which path ran (`columns` | `hash`); the
@@ -357,9 +360,9 @@ pub(super) fn exec_group(
 /// table's column index (module docs, *Column-index grouping*), the scan
 /// itself never run: [`Directory::walk`](blend_storage::Directory::walk)
 /// over the driving codes' ordinal lists, the kernel's `TableId` sets its
-/// cut and its rejected set. A group's first touch records the running
-/// count of entries kept as its first-seen row. Sequential on the query's
-/// thread, with counters and group slots reserved up front.
+/// cut and its rejected set; a group's first-seen row is the first value
+/// holding it. Sequential on the query's thread, with counters and group
+/// slots reserved up front.
 pub(super) fn group_columns(
     plan: &QueryPlan,
     scan: &ScanPlan,
@@ -386,10 +389,11 @@ pub(super) fn group_columns(
     };
     let (groups, kept) = {
         let max_groups = visited.min(n_slots);
-        let _mem = par
-            .memory()
-            .try_reserve("group_columns", n_slots * 4 + max_groups * 8)?;
-        let walk = dir.walk(
+        let _mem = par.memory().try_reserve(
+            "group_columns",
+            n_slots * 4 + n_slots.div_ceil(64) * 8 + max_groups * 4,
+        )?;
+        let mut walk = dir.walk(
             &lists,
             !by_column,
             scan.kernel.table_in.as_ref(),
@@ -417,7 +421,29 @@ pub(super) fn group_columns(
                 .iter()
                 .map(|_| ResultColumn::Int(distinct.clone())),
         );
-        let first_rows = walk.first;
+        // First-touch order (module docs): each list, last first, writes its
+        // index over its slots' counts, so a touched slot keeps its first
+        // list (skipped entries hit only untouched slots). A list holds a
+        // run once, so polling between lists is every ~4,096 entries.
+        let (firsts, mut unpolled) = (&mut walk.counts, 0);
+        for (i, &list) in lists.iter().enumerate().rev() {
+            if unpolled >= 4096 {
+                par.check_interrupt()?;
+                unpolled = 0;
+            }
+            unpolled += list.len();
+            for &ordinal in list {
+                let slot = match by_column {
+                    true => ordinal,
+                    false => dir.key(ordinal).0,
+                };
+                if let Some(first) = firsts.get_mut(slot as usize) {
+                    *first = i as u32;
+                }
+            }
+        }
+        (walk.slots.iter_mut()).for_each(|s| *s = walk.counts[*s as usize]);
+        let first_rows = walk.slots;
         (GroupCols { first_rows, cols }, walk.kept)
     };
     span.attr_u64("rows", kept as u64);

@@ -178,9 +178,9 @@ pub(super) fn exec_project(
 /// [`finish_groups`] gathers the output columns of the groups that survive
 /// `ORDER BY … LIMIT`.
 ///
-/// A group's first-seen row is unique, and ascending first-seen rows are
-/// the sequential (and the reference's) group order, so it is the last sort
-/// key wherever groups meet — which also merges radix partitions.
+/// Ascending (first-seen row, group ordinal) is the sequential (and the
+/// reference's) group order, so it ends the sort keys wherever groups meet
+/// — which also merges radix partitions.
 #[derive(Default)]
 pub(super) struct GroupCols {
     pub(super) first_rows: Vec<u32>,
@@ -235,8 +235,8 @@ impl GroupCols {
     /// The groups that survive the plan's `ORDER BY … LIMIT`, in output
     /// order, through the shared [`exec::select_top`]. The comparator is
     /// the tuple tail's — order keys, then the projected values — read off
-    /// the flat columns, and ends with the first-seen row; with no ORDER BY
-    /// that last key alone restores first-seen order.
+    /// the flat columns, and ends with the first-seen row and the group
+    /// ordinal; with no ORDER BY those alone restore first-seen order.
     ///
     /// Under a LIMIT led by a flat integer key, [`threshold_band`] first
     /// counts that key and hands the comparator only the groups at or
@@ -255,6 +255,7 @@ impl GroupCols {
             let (a, b) = (a as usize, b as usize);
             cmp_keys(keys.iter().map(|(col, desc)| (&**col, *desc)), a, b)
                 .then_with(|| self.first_rows[a].cmp(&self.first_rows[b]))
+                .then(a.cmp(&b))
         };
         let band = match (plan.limit, keys.first()) {
             (Some(k), Some((col, desc))) => match &**col {

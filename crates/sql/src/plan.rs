@@ -167,9 +167,12 @@ pub enum ValueList {
 impl ValueList {
     /// `values` (sorted, distinct) as `table` reads them.
     fn resolve(table: &dyn FactTable, values: &[&str]) -> ValueList {
-        let code = |v: &&str| table.code_of_value(v);
+        let mut found = Vec::with_capacity(values.len());
         match table.has_dictionary() {
-            true => ValueList::Codes(values.iter().filter_map(code).collect()),
+            true => {
+                table.resolve(values, &mut found);
+                ValueList::Codes(found.iter().filter_map(|v| v.code).collect())
+            }
             false => ValueList::Strings(values.iter().map(|&v| Box::from(v)).collect()),
         }
     }

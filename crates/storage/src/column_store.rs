@@ -3,7 +3,8 @@
 
 use crate::directory::Directory;
 use crate::fact::{
-    decode_quadrant, scratch_component, FactRow, FactTable, MemoryBreakdown, QUADRANT_NULL,
+    decode_quadrant, scratch_component, FactRow, FactTable, MemoryBreakdown, Resolved,
+    QUADRANT_NULL,
 };
 use crate::filter::{compact, extend_range, FilterKernel, IdSet, ValuePred};
 use crate::hashtable::{DenseKey, GroupIndex};
@@ -282,8 +283,14 @@ impl FactTable for ColumnStore {
     }
 
     fn postings(&self, value: &str) -> &[u32] {
-        self.code_of_value(value)
-            .map_or(&[], |code| self.code_postings(code))
+        self.dict.get(value).map_or(&[], |c| self.code_postings(c))
+    }
+
+    fn resolve<'a>(&'a self, values: &[&str], out: &mut Vec<Resolved<'a>>) {
+        self.dict.get_batch(values, |code| {
+            let postings = code.map_or(&[][..], |c| self.postings.part(c as usize));
+            out.push(Resolved { code, postings });
+        });
     }
 
     fn has_dictionary(&self) -> bool {
@@ -299,7 +306,7 @@ impl FactTable for ColumnStore {
 
     fn make_probe(&self, values: &[&str]) -> ValuePred {
         ValuePred::Codes(IdSet::build(
-            values.iter().filter_map(|v| self.code_of_value(v)),
+            values.iter().filter_map(|v| self.dict.get(*v)),
         ))
     }
 
@@ -309,10 +316,6 @@ impl FactTable for ColumnStore {
             ValuePred::Codes(set) => set.contains(self.codes[pos]),
             ValuePred::Strings(set) => set.contains(self.value_at(pos)),
         }
-    }
-
-    fn code_of_value(&self, value: &str) -> Option<u32> {
-        self.dict.get(value)
     }
 
     fn value_of_code(&self, code: u32) -> Option<&str> {
@@ -431,9 +434,9 @@ mod tests {
         // "berlin" and "rome" appear twice each but are stored once.
         let n_values = sample_rows().len();
         assert!(s.dict_len() < n_values);
-        let berlin = s.code_of_value("berlin").expect("berlin is indexed");
+        let berlin = s.dict.get("berlin").expect("berlin is indexed");
         assert_eq!(s.value_of_code(berlin), Some("berlin"));
-        assert!(s.code_of_value("ghost").is_none());
+        assert!(s.dict.get("ghost").is_none());
         assert!(s.value_of_code(s.dict_len() as u32).is_none());
     }
 
@@ -578,7 +581,7 @@ mod tests {
             prop_assert_eq!(dir.runs(), run_of.last().map_or(0, |&r| r as usize + 1));
             for code in 0..s.dict_len() as u32 {
                 let value = s.value_of_code(code).expect("dictionary code");
-                prop_assert_eq!(s.code_of_value(value), Some(code));
+                prop_assert_eq!(s.dict.get(value), Some(code));
                 let want: Vec<u32> = (0..s.len() as u32)
                     .filter(|&p| s.value_at(p as usize) == value)
                     .collect();
@@ -591,7 +594,7 @@ mod tests {
                 }
             }
             for absent in ["", "v", "absent", "v-1", &format!("v{vocab}")] {
-                prop_assert_eq!(s.code_of_value(absent), None);
+                prop_assert_eq!(s.dict.get(absent), None);
                 prop_assert!(s.postings(absent).is_empty());
             }
             prop_assert!(index.ordinals(s.dict_len() as u32).is_empty());

@@ -272,10 +272,13 @@ impl Directory {
     /// A list 32 times as long as the `allowed` tables is cut to their runs
     /// by binary search, a shorter one tests each entry's table; an entry of
     /// a table `rejected` holds is skipped; each other is *kept* and counts
-    /// once per (value, group) pair. A run's key is read only where the walk
-    /// needs its table. `poll` runs every 4,096 entries. Allocates `4
-    /// n_slots + 8 min(entries, n_slots)` bytes, which callers reserve
-    /// first; a slot past `n_slots` is a `SqlExec` error.
+    /// once per (value, group) pair: each entry adds its 0 or 1 and marks a
+    /// bitmap of touched slots, with no branch, and the bitmap then lists
+    /// them ascending. A run's key is read only where the walk needs its
+    /// table. `poll` runs every 4,096 entries or so. Allocates `4 n_slots +
+    /// 8 ⌈n_slots / 64⌉ + 4 min(entries, n_slots)` bytes, which callers
+    /// reserve first; an entry whose slot is past `n_slots` is a `SqlExec`
+    /// error.
     pub fn walk(
         &self,
         lists: &[&[u32]],
@@ -293,15 +296,10 @@ impl Directory {
                 .collect()
         });
         let rejected = rejected.filter(|set| !set.is_empty());
-        let groups = lists.iter().map(|l| l.len()).sum::<usize>().min(n_slots);
         let site = "run list walk";
-        let mut out = Walk {
-            counts: try_zeroed_vec(n_slots, site)?,
-            slots: try_vec_with_capacity(groups, site)?,
-            first: try_vec_with_capacity(groups, site)?,
-            kept: 0,
-        };
-        let (mut walked, mut parts) = (0usize, Vec::new());
+        let mut counts = try_zeroed_vec::<u32>(n_slots, site)?;
+        let mut touched = try_zeroed_vec::<u64>(n_slots.div_ceil(64), site)?;
+        let (mut kept, mut walked, mut polled, mut parts) = (0, 0, 0, Vec::new());
         let keys_unread = !per_table && rejected.is_none() && allowed.is_none();
         for &list in lists {
             parts.clear();
@@ -311,44 +309,52 @@ impl Directory {
                 None => parts.push(list),
             }
             let test = if cut.is_some() { None } else { allowed };
-            let mut prev_table = None;
-            for &part in &parts {
-                for &ordinal in part {
-                    if walked % 4096 == 0 {
-                        poll()?;
-                    }
-                    walked += 1;
-                    let slot = if keys_unread {
-                        ordinal
+            // A value's entries of one table are adjacent: KW counts the
+            // first of them.
+            let mut prev_table = u32::MAX;
+            for chunk in parts.iter().flat_map(|part| part.chunks(4096)) {
+                if walked >= polled {
+                    poll()?;
+                    polled = walked + 4096;
+                }
+                walked += chunk.len();
+                for &ordinal in chunk {
+                    let (slot, keep, add) = if keys_unread {
+                        (ordinal, true, true)
                     } else {
                         let t = self.keys[ordinal as usize].0;
-                        if !test.is_none_or(|set| set.contains(t))
-                            || rejected.is_some_and(|set| set.contains(t))
-                        {
-                            continue;
-                        }
-                        if per_table && prev_table.replace(t) == Some(t) {
-                            out.kept += 1;
-                            continue;
-                        }
+                        let keep = test.is_none_or(|set| set.contains(t))
+                            & !rejected.is_some_and(|set| set.contains(t));
+                        let first = prev_table != t;
+                        prev_table = t;
                         match per_table {
-                            true => t,
-                            false => ordinal,
+                            true => (t, keep, keep & first),
+                            false => (ordinal, keep, keep),
                         }
                     };
-                    let count = (out.counts.get_mut(slot as usize)).ok_or_else(|| {
+                    let count = counts.get_mut(slot as usize).ok_or_else(|| {
                         BlendError::SqlExec(format!("run list walk: slot {slot} of {n_slots}"))
                     })?;
-                    if *count == 0 {
-                        out.slots.push(slot);
-                        out.first.push(out.kept as u32);
-                    }
-                    *count += 1;
-                    out.kept += 1;
+                    *count += add as u32;
+                    touched[slot as usize / 64] |= (add as u64) << (slot % 64);
+                    kept += keep as usize;
                 }
             }
         }
-        Ok(out)
+        let groups = touched.iter().map(|w| w.count_ones() as usize).sum();
+        let mut slots = try_vec_with_capacity(groups, site)?;
+        for (w, &word) in touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                slots.push(w as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        Ok(Walk {
+            counts,
+            slots,
+            kept,
+        })
     }
 
     /// The capacities held, per component of the layout table on
@@ -374,19 +380,155 @@ impl Directory {
 }
 
 /// What [`Directory::walk`] counted: per slot its count, the touched slots
-/// in first-touch order, the entries kept before each one's first, and the
-/// entries kept.
+/// in ascending order, and the entries kept.
 #[derive(Debug)]
 pub struct Walk {
     pub counts: Vec<u32>,
     pub slots: Vec<u32>,
-    pub first: Vec<u32>,
     pub kept: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// A directory with `cols[t]` columns in table `t` (none: a table id
+    /// that holds no cell), `ColumnId`s spaced two apart.
+    fn tables(cols: &[u32]) -> Directory {
+        let mut rows: Vec<FactRow> = (cols.iter().enumerate())
+            .flat_map(|(t, &n)| (0..n).map(move |c| FactRow::new("v", t as u32, 2 * c, 0, 0, None)))
+            .collect();
+        Directory::build(&mut rows, |_, _| {})
+    }
+
+    /// [`Directory::walk`] against a count that visits every entry of every
+    /// list and tests its table against `allowed` and `rejected` as plain
+    /// id lists: the counts, the touched slots, the entries kept, and how
+    /// the order in which entries first touch the groups is read back.
+    fn check_walk(
+        dir: &Directory,
+        lists: &[&[u32]],
+        per_table: bool,
+        allowed: Option<&[u32]>,
+        rejected: Option<&[u32]>,
+    ) {
+        let n_slots = match per_table {
+            true => dir.n_tables() as usize,
+            false => dir.runs(),
+        };
+        let (mut counts, mut seen, mut order, mut kept) =
+            (vec![0u32; n_slots], HashSet::new(), Vec::new(), 0);
+        let (mut first_list, mut skipped) = (vec![u32::MAX; n_slots], Vec::new());
+        for (i, list) in lists.iter().enumerate() {
+            for &ordinal in *list {
+                let t = dir.key(ordinal).0;
+                let slot = if per_table { t } else { ordinal };
+                if !allowed.is_none_or(|ids| ids.contains(&t))
+                    || rejected.is_some_and(|ids| ids.contains(&t))
+                {
+                    skipped.push(slot);
+                    continue;
+                }
+                kept += 1;
+                if seen.insert((i, slot)) {
+                    if counts[slot as usize] == 0 {
+                        order.push(slot);
+                        first_list[slot as usize] = i as u32;
+                    }
+                    counts[slot as usize] += 1;
+                }
+            }
+        }
+        let set = |ids: &[u32]| IdSet::build(ids.iter().copied());
+        let (keep, skip) = (allowed.map(set), rejected.map(set));
+        let case = format!("per_table {per_table}, in {allowed:?}, not in {rejected:?}");
+        let walk = dir.walk(
+            lists,
+            per_table,
+            keep.as_ref(),
+            skip.as_ref(),
+            n_slots,
+            || Ok(()),
+        );
+        let walk = walk.expect("every slot is in range");
+        assert_eq!(walk.counts, counts, "{case}");
+        assert_eq!(walk.kept, kept, "{case}");
+        let mut touched = order.clone();
+        touched.sort_unstable();
+        assert_eq!(walk.slots, touched, "{case}");
+        // What the SQL executor's column-index grouping relies on to recover
+        // first-touch order from the walk: no skipped entry's slot is
+        // touched, and the touched slots ordered by (first list holding
+        // them, slot) are in first-touch order.
+        assert!(skipped.iter().all(|s| counts[*s as usize] == 0), "{case}");
+        let mut by_first = walk.slots.clone();
+        by_first.sort_by_key(|&s| (first_list[s as usize], s));
+        assert_eq!(by_first, order, "{case}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random directories, ascending run lists up to every run, and
+        /// `TableId` sets (ids with no cell and past the last included):
+        /// long lists against small `In` sets take the range cut, the
+        /// rest test each entry.
+        #[test]
+        fn walk_matches_a_brute_force_count(
+            cols in proptest::collection::vec(0u32..10, 1..12),
+            raw in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..160), 0..6),
+            allowed in proptest::option::of(proptest::collection::vec(0u32..14, 0..4)),
+            rejected in proptest::option::of(proptest::collection::vec(0u32..14, 0..4)),
+            per_table in any::<bool>(),
+        ) {
+            let dir = tables(&cols);
+            let runs = dir.runs() as u32;
+            let lists: Vec<Vec<u32>> = (raw.into_iter())
+                .map(|l| {
+                    let mut l: Vec<u32> = l.into_iter().filter_map(|o| o.checked_rem(runs)).collect();
+                    l.sort_unstable();
+                    l.dedup();
+                    l
+                })
+                .collect();
+            let lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+            check_walk(&dir, &lists, per_table, allowed.as_deref(), rejected.as_deref());
+        }
+    }
+
+    /// Each branch of the walk at least once: the range cut (a list 32
+    /// times as long as the `In` set) and the per-entry test of `In`, and
+    /// `NotIn` beside each, with `per_table` on and off; then an entry past
+    /// `n_slots` and a failing poll, each typed.
+    #[test]
+    fn walk_branches_and_errors() {
+        let dir = tables(&[8, 0, 8, 8, 8, 8]);
+        let all: Vec<u32> = (0..dir.runs() as u32).collect();
+        let short: Vec<u32> = all.iter().copied().step_by(3).collect();
+        let lists: [&[u32]; 3] = [&all, &short, &all[4..20]];
+        for per_table in [false, true] {
+            for (allowed, rejected) in [
+                (Some(&[2][..]), None),
+                (Some(&[0, 2, 3, 4, 5][..]), None),
+                (Some(&[2][..]), Some(&[2, 3][..])),
+                (None, Some(&[0, 4][..])),
+                (Some(&[][..]), Some(&[][..])),
+                (None, None),
+            ] {
+                check_walk(&dir, &lists, per_table, allowed, rejected);
+            }
+        }
+        let last = [dir.runs() as u32 - 1];
+        for (per_table, n_slots) in [(false, dir.runs() - 1), (true, dir.n_tables() as usize - 1)] {
+            let err = dir.walk(&[&last], per_table, None, None, n_slots, || Ok(()));
+            assert!(matches!(err, Err(BlendError::SqlExec(_))), "{err:?}");
+        }
+        let cancelled = || Err(BlendError::Cancelled("poll".into()));
+        let err = dir.walk(&[&all], false, None, None, dir.runs(), cancelled);
+        assert!(matches!(err, Err(BlendError::Cancelled(_))), "{err:?}");
+    }
 
     #[test]
     fn table_ranges_cover_and_handle_gaps() {

@@ -76,6 +76,15 @@ pub fn decode_quadrant(code: u8) -> Option<bool> {
     }
 }
 
+/// A normalized value looked up by [`FactTable::resolve`]: its dictionary
+/// code (`None` for a value the store does not hold, and on engines without
+/// a dictionary) and its postings, ascending (empty when absent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolved<'a> {
+    pub code: Option<u32>,
+    pub postings: &'a [u32],
+}
+
 /// Engine-neutral interface to the `AllTables` fact table.
 ///
 /// Positions (`pos`) are dense `0..len()` physical offsets in the canonical
@@ -127,17 +136,21 @@ pub trait FactTable: Send + Sync {
     /// in ascending position order. Empty slice when absent.
     fn postings(&self, value: &str) -> &[u32];
 
-    /// Length of the postings list without materializing it (catalog
-    /// statistic used for cost estimates).
-    fn posting_len(&self, value: &str) -> usize {
-        self.postings(value).len()
+    /// Look `values` up, appending each one's [`Resolved`] to `out`: value
+    /// by value here, a block at a time on the column store
+    /// ([`GroupIndex::get_batch`](crate::GroupIndex::get_batch)).
+    fn resolve<'a>(&'a self, values: &[&str], out: &mut Vec<Resolved<'a>>) {
+        out.extend(values.iter().map(|v| Resolved {
+            code: None,
+            postings: self.postings(v),
+        }));
     }
 
-    /// Whether `CellValue` is dictionary-encoded: [`code_of_value`] finds
-    /// every value the table holds, and [`code_postings`] reads a code's
-    /// postings without a second lookup.
+    /// Whether `CellValue` is dictionary-encoded: [`resolve`] finds the
+    /// code of every value the table holds, and [`code_postings`] reads a
+    /// code's postings without a second lookup.
     ///
-    /// [`code_of_value`]: FactTable::code_of_value
+    /// [`resolve`]: FactTable::resolve
     /// [`code_postings`]: FactTable::code_postings
     fn has_dictionary(&self) -> bool {
         false
@@ -160,21 +173,15 @@ pub trait FactTable: Send + Sync {
     /// [`make_probe`](FactTable::make_probe).
     fn probe_at(&self, pos: usize, probe: &ValuePred) -> bool;
 
-    /// Dictionary code of a value — the inverse of
-    /// [`value_of_code`](FactTable::value_of_code). `None` when the value
-    /// is not in the table, and on engines without a dictionary.
-    fn code_of_value(&self, _value: &str) -> Option<u32> {
-        None
-    }
-
-    /// The value a dictionary code stands for (`None` for an unknown code,
+    /// The value a dictionary code stands for — the inverse of
+    /// [`resolve`](FactTable::resolve)'s codes (`None` for an unknown code,
     /// and on engines without a dictionary).
     fn value_of_code(&self, _code: u32) -> Option<&str> {
         None
     }
 
     /// The value → column index, keyed by the dictionary codes of
-    /// [`code_of_value`](FactTable::code_of_value): per value, the
+    /// [`resolve`](FactTable::resolve): per value, the
     /// [`Directory`]'s runs that hold it. It answers `COUNT(DISTINCT
     /// CellValue) … GROUP BY TableId[, ColumnId]` over a value list (the
     /// SC and KW seekers) without visiting a cell. `None` on engines

@@ -339,6 +339,39 @@ impl<K: DenseKey> GroupIndex<K> {
         self.max_probe
     }
 }
+
+impl GroupIndex<Box<str>> {
+    /// [`get`](GroupIndex::get) of each of `keys`, in order, handed to
+    /// `each`, a [`PROBE_BLOCK`] at a time: hash every key and prefetch its
+    /// slot, read the slots and prefetch their keys, prefetch those keys'
+    /// bytes, then compare (walking on past the first slot as `get` does).
+    pub fn get_batch(&self, keys: &[&str], mut each: impl FnMut(Option<u32>)) {
+        let (mut hashes, mut ids) = ([0u64; PROBE_BLOCK], [EMPTY; PROBE_BLOCK]);
+        for block in keys.chunks(PROBE_BLOCK) {
+            for (h, key) in hashes.iter_mut().zip(block) {
+                *h = key.hash64();
+                self.prefetch_slot(*h);
+            }
+            for (id, &h) in ids.iter_mut().zip(&hashes[..block.len()]) {
+                *id = self.slots[slot_of(h, self.mask)];
+                blend_simd::prefetch_read(&self.keys, *id as usize);
+            }
+            for key in ids[..block.len()]
+                .iter()
+                .filter_map(|&id| self.keys.get(id as usize))
+            {
+                blend_simd::prefetch_read(key.as_bytes(), 0);
+            }
+            for ((key, &h), &id) in block.iter().zip(&hashes).zip(&ids) {
+                each(match id {
+                    EMPTY => None,
+                    id if *self.keys[id as usize] == **key => Some(id),
+                    _ => self.get_hashed(*key, h),
+                });
+            }
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

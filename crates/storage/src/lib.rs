@@ -58,7 +58,7 @@ pub mod stats;
 pub use column_store::{ColumnIndex, ColumnStore};
 pub use directory::{Directory, Walk};
 pub use fact::{
-    cut_to_ranges, decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank,
+    cut_to_ranges, decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank, Resolved,
     QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
@@ -241,6 +241,53 @@ mod tests {
                 assert_eq!(row_ids[i], t.row_at(p as usize));
                 if has_codes {
                     assert_eq!(t.value_of_code(codes[i]), Some(t.value_at(p as usize)));
+                }
+            }
+        }
+    }
+
+    /// [`FactTable::resolve`] against each value's own lookup on both
+    /// stores: its postings, and on the column store the code its cells
+    /// hold (`None` on a miss and on the row store). Value lists mix hits,
+    /// misses, `""` and duplicates, at lengths on both sides of each
+    /// [`PROBE_BLOCK`] boundary; the resolved values are appended after
+    /// what `out` held.
+    #[test]
+    fn resolve_matches_the_per_value_lookup_on_both_stores() {
+        let rows: Vec<FactRow> = (0..3_000u32)
+            .map(|i| FactRow::new(&format!("v{}", i % 1_500), i % 7, i % 3, i, 0, None))
+            .collect();
+        let words: Vec<String> = (0..2_000)
+            .map(|i| match i % 5 {
+                0 => format!("miss{i}"),
+                1 => String::new(),
+                2 => "v7".to_string(),
+                _ => format!("v{}", i * 7 % 1_600),
+            })
+            .collect();
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let t = build_engine(kind, rows.clone());
+            for n in [0, 1, 63, 64, 65, 129, 1_000] {
+                let values: Vec<&str> = words[..n].iter().map(String::as_str).collect();
+                let sentinel = Resolved {
+                    code: Some(9),
+                    postings: &[],
+                };
+                let mut got = vec![sentinel];
+                t.resolve(&values, &mut got);
+                assert_eq!(got.len(), n + 1);
+                assert_eq!(got[0], sentinel);
+                for (v, r) in values.iter().zip(&got[1..]) {
+                    let mut code = Vec::new();
+                    t.gather_value_codes(&t.postings(v)[..t.postings(v).len().min(1)], &mut code);
+                    let want = Resolved {
+                        code: code.first().copied(),
+                        postings: t.postings(v),
+                    };
+                    assert_eq!(*r, want, "{kind:?} n {n} value {v:?}");
+                    if let Some(c) = r.code {
+                        assert_eq!(t.value_of_code(c), Some(*v));
+                    }
                 }
             }
         }

@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(s.stats().n_rows, s.len());
         assert_eq!(s.stats().n_tables, 3);
         assert!(s.stats().numeric_fraction > 0.0);
-        assert_eq!(s.posting_len("berlin"), 2);
+        assert_eq!(s.postings("berlin").len(), 2);
     }
 
     #[test]
