@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use blend_common::topk::TopK;
-use blend_common::{BlendError, FxHashMap, Result, TableId};
+use blend_common::{Result, TableId};
 use blend_parallel::{Interrupt, MemoryGovernor, MemoryReservation, QueryMemory};
 use blend_storage::FactTable;
 
@@ -40,12 +40,18 @@ use crate::BlendOptions;
 /// Key cells or lookups between two polls of the interrupt.
 const POLL: usize = 4096;
 
-/// One C seeker over `fact`: `lists` are its distinct `k0`, `k1` and all
-/// keys (the SQL's `$0`, `$1`, `$2`). The hits are the top `k` tables by
-/// their best (key column, numeric column) score.
+/// A C seeker's distinct keys, and per key the lists that hold it (bit 0:
+/// `k0`, bit 1: `k1`).
+pub(crate) struct Keys<'k> {
+    pub values: &'k [&'k str],
+    pub tags: &'k [u8],
+}
+
+/// One C seeker over `fact` and its `keys`. The hits are the top `k`
+/// tables by their best (key column, numeric column) score.
 pub(crate) fn run(
     fact: &dyn FactTable,
-    lists: &[Vec<&str>],
+    keys: Keys<'_>,
     injected: Option<&Injected>,
     k: usize,
     options: &BlendOptions,
@@ -56,7 +62,7 @@ pub(crate) fn run(
     let mut mem = Arc::new(QueryMemory::new(Arc::clone(governor))).try_reserve("c", 0)?;
 
     let span = blend_obs::span("c.keys");
-    let (cells, rows) = key_cells(fact, lists, injected, options.h, interrupt, &mut mem)?;
+    let (cells, rows) = key_cells(fact, keys, injected, options.h, interrupt, &mut mem)?;
     span.attr_u64("cells", cells.len() as u64);
     drop(span);
 
@@ -89,38 +95,31 @@ pub(crate) fn run(
 }
 
 /// The key cells left by the injection and the `h` cut, in canonical
-/// order, each packed as `position << 2 | tag` (bit 0: the key is in `k0`,
-/// bit 1: in `k1`), and their `RowId`s.
+/// order (span `c.sort`), each packed as `position << 2 | tag` (its key's
+/// tag), and their `RowId`s (span `c.rows`).
 fn key_cells(
     fact: &dyn FactTable,
-    lists: &[Vec<&str>],
+    keys: Keys<'_>,
     injected: Option<&Injected>,
     h: usize,
     interrupt: &Interrupt,
     mem: &mut MemoryReservation,
 ) -> Result<(Vec<u64>, Vec<u32>)> {
-    let [k0, k1, all] = lists else {
-        return Err(BlendError::InvalidInput("C binds three key lists".into()));
-    };
-    // Per distinct key, its tag: a hash per key, none per cell.
-    mem.grow(all.len() * 32)?;
-    let mut tag_of: FxHashMap<&str, u64> = FxHashMap::default();
-    for (tag, list) in [(1, k0), (2, k1)] {
-        for &v in list {
-            *tag_of.entry(v).or_default() |= tag;
-        }
-    }
     let allowed = injected.and_then(|inj| allowed_ranges(fact, inj));
-    let postings = fetch(fact, all, allowed.as_deref(), "c.resolve", interrupt)?;
+    let (values, allowed) = (keys.values, allowed.as_deref());
+    let postings = fetch(fact, values, allowed, "c.resolve", interrupt)?;
     let mut cells = Vec::new();
     room(mem, &mut cells, postings.iter().map(|(_, p)| p.len()).sum())?;
     for &(i, postings) in &postings {
-        let tag = tag_of.get(all[i as usize]).copied().unwrap_or(0);
+        let tag = keys.tags.get(i as usize).map_or(0, |&t| t as u64 & 3);
         cells.extend(postings.iter().map(|&p| (p as u64) << 2 | tag));
     }
     interrupt.check()?;
+    let span = blend_obs::span("c.sort");
     cells.sort_unstable();
+    drop(span);
 
+    let _span = blend_obs::span("c.rows");
     let (mut rows, mut block) = (Vec::new(), Vec::new());
     room(mem, &mut rows, cells.len())?;
     room(mem, &mut block, POLL.min(cells.len()))?;

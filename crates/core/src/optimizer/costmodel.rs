@@ -132,7 +132,7 @@ fn freq_of<'v>(fact: &dyn FactTable, values: impl ExactSizeIterator<Item = &'v S
     let norm: Vec<Cow<'_, str>> = values.map(|v| text::normalize_cow(v)).collect();
     let norm: Vec<&str> = norm.iter().map(|v| &**v).collect();
     let mut resolved = Vec::with_capacity(n);
-    fact.resolve(&norm, &mut resolved);
+    fact.resolve(&norm, true, &mut resolved);
     let total: usize = resolved.iter().map(|v| v.postings.len()).sum();
     total as f64 / n as f64
 }

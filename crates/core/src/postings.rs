@@ -36,12 +36,14 @@ pub(crate) fn allowed_ranges(fact: &dyn FactTable, injected: &Injected) -> Optio
     }
 }
 
-/// `values` looked up in `fact` in one batch ([`FactTable::resolve`]), in
-/// order, under the operator's span `span` (attr `values`), polling the
-/// interrupt every 4,096 values.
+/// `values` looked up in `fact` in one batch ([`FactTable::resolve`]; with
+/// their postings or, on a store with a dictionary, without), in order,
+/// under the operator's span `span` (attr `values`), polling the interrupt
+/// every 4,096 values.
 pub(crate) fn resolve<'f>(
     fact: &'f dyn FactTable,
     values: &[&str],
+    postings: bool,
     span: &'static str,
     interrupt: &Interrupt,
 ) -> Result<Vec<Resolved<'f>>> {
@@ -50,7 +52,7 @@ pub(crate) fn resolve<'f>(
     let mut out = Vec::with_capacity(values.len());
     for chunk in values.chunks(4096) {
         interrupt.check()?;
-        fact.resolve(chunk, &mut out);
+        fact.resolve(chunk, postings, &mut out);
     }
     Ok(out)
 }
@@ -65,7 +67,7 @@ pub(crate) fn fetch<'f>(
     interrupt: &Interrupt,
 ) -> Result<Vec<(u32, &'f [u32])>> {
     let mut out = Vec::new();
-    let resolved = resolve(fact, list, span, interrupt)?;
+    let resolved = resolve(fact, list, true, span, interrupt)?;
     for (i, postings) in resolved.into_iter().map(|v| v.postings).enumerate() {
         match allowed {
             None => out.extend((!postings.is_empty()).then_some((i as u32, postings))),

@@ -76,10 +76,13 @@ fn walk_groups(
     // a bitmap at most 4x that, or the allowed tables' ranges.
     let ids = injected.map_or(0, |(Injected::In(ids) | Injected::NotIn(ids))| ids.len());
     mem.grow(values.len() * 40 + ids * 20 + 1024)?;
-    let resolved = resolve(fact, values, "sc.resolve", interrupt)?;
+    // The column index is read by code; only a store without one needs the
+    // postings.
+    let index = fact.column_index();
+    let resolved = resolve(fact, values, index.is_none(), "sc.resolve", interrupt)?;
     let span = blend_obs::span("sc.walk");
     let mut derived = Vec::new();
-    let lists: Vec<&[u32]> = match fact.column_index() {
+    let lists: Vec<&[u32]> = match index {
         Some(index) => (resolved.iter())
             .filter_map(|v| v.code.map(|c| index.ordinals(c)))
             .collect(),

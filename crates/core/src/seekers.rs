@@ -34,7 +34,7 @@
 
 use std::borrow::Cow;
 
-use blend_common::{stats::mean, text, FxHashSet, Result};
+use blend_common::{stats::mean, text, FxHashMap, Result};
 use blend_obs::SpanGuard;
 use blend_parallel::Interrupt;
 
@@ -86,9 +86,9 @@ fn join_values(values: &[&str]) -> String {
     s
 }
 
-/// A seeker's value lists in the order its template reads them, each
+/// A seeker's value lists in the order its operator reads them, each
 /// value normalized as the indexer normalizes cells: SC/KW's one list,
-/// MC's one per query column, C's `k0`, `k1` and all keys.
+/// MC's one per query column, C's keys (split by [`in_k0`]).
 fn normalized_lists(seeker: &Seeker) -> Vec<Vec<Cow<'_, str>>> {
     fn norm<'s>(vs: impl Iterator<Item = &'s String>) -> Vec<Cow<'s, str>> {
         vs.map(|v| text::normalize_cow(v)).collect()
@@ -101,27 +101,31 @@ fn normalized_lists(seeker: &Seeker) -> Vec<Vec<Cow<'_, str>>> {
         Seeker::Mc { rows } => (0..rows.first().map_or(0, Vec::len))
             .map(|c| norm(rows.iter().filter_map(|r| r.get(c))))
             .collect(),
-        // The `k0`/`k1` key split happens here, before query generation,
-        // exactly as the paper describes.
-        Seeker::C { keys, target } => {
-            let m = mean(target).unwrap_or(0.0);
-            let split = |low: bool| {
-                let pairs = keys.iter().zip(target);
-                norm(pairs.filter(|(_, t)| (**t < m) == low).map(|(k, _)| k))
-            };
-            vec![split(true), split(false), norm(keys.iter())]
-        }
+        Seeker::C { keys, .. } => vec![norm(keys.iter())],
     }
 }
 
-/// The distinct values of a list, first occurrence kept.
-fn distinct<'v>(list: &'v [Cow<'_, str>]) -> Vec<&'v str> {
-    let mut seen: FxHashSet<&str> = FxHashSet::default();
+/// Per C key, whether it is in `k0` (its target below the targets' mean)
+/// rather than `k1`: the split happens before query generation, exactly as
+/// the paper describes.
+fn in_k0(target: &[f64]) -> impl Iterator<Item = bool> + '_ {
+    let m = mean(target).unwrap_or(0.0);
+    target.iter().map(move |t| *t < m)
+}
+
+/// The distinct values of a list, first occurrence kept, and each entry's
+/// index among them.
+fn distinct<'v>(list: &'v [Cow<'_, str>]) -> (Vec<&'v str>, Vec<u32>) {
+    let mut seen: FxHashMap<&str, u32> = FxHashMap::default();
     seen.reserve(list.len());
-    list.iter()
-        .map(|v| &**v)
-        .filter(|v| seen.insert(v))
-        .collect()
+    let (mut values, mut ids) = (Vec::new(), Vec::with_capacity(list.len()));
+    for v in list {
+        ids.push(*seen.entry(v).or_insert_with(|| {
+            values.push(&**v);
+            values.len() as u32 - 1
+        }));
+    }
+    (values, ids)
 }
 
 /// One executed seeker: its hits and MC bookkeeping.
@@ -176,17 +180,24 @@ pub(crate) fn executed_sql(
     }
 }
 
-/// A seeker's SQL with each of its lists ([`normalized_lists`]) spelled
-/// distinct, and `tid` in place of [`TID_PLACEHOLDER`].
+/// A seeker's SQL with each of its lists ([`normalized_lists`]; C's keys
+/// also split into `k0` and `k1`) spelled distinct, and `tid` in place of
+/// [`TID_PLACEHOLDER`].
 fn render(seeker: &Seeker, k: usize, h: usize, tid: &str) -> String {
-    let lists: Vec<String> = (normalized_lists(seeker).iter())
-        .map(|l| join_values(&distinct(l)))
-        .collect();
+    let norm = normalized_lists(seeker);
+    let spell = |list: &[Cow<'_, str>]| join_values(&distinct(list).0);
+    let lists: Vec<String> = norm.iter().map(|l| spell(l)).collect();
     match seeker {
         Seeker::Sc { .. } => sc_sql(&lists[0], tid, k, false),
         Seeker::Kw { .. } => sc_sql(&lists[0], tid, k, true),
         Seeker::Mc { .. } => mc_sql(&lists, tid),
-        Seeker::C { .. } => c_sql(&lists[0], &lists[1], &lists[2], tid, h),
+        Seeker::C { target, .. } => {
+            let split = |k0: bool| {
+                let keys = norm[0].iter().zip(in_k0(target)).filter(|k| k.1 == k0);
+                spell(&keys.map(|k| k.0.clone()).collect::<Vec<_>>())
+            };
+            c_sql(&split(true), &split(false), &lists[0], tid, h)
+        }
     }
 }
 
@@ -275,7 +286,15 @@ pub fn run(
     let options = blend.options();
     let bind = blend_obs::span("bind");
     let norm = normalized_lists(seeker);
-    let lists: Vec<Vec<&str>> = norm.iter().map(|l| distinct(l)).collect();
+    let (lists, ids): (Vec<Vec<&str>>, Vec<Vec<u32>>) = norm.iter().map(|l| distinct(l)).unzip();
+    // Per distinct C key, the lists that hold it: bit 0 `k0`, bit 1 `k1`.
+    let mut tags = Vec::new();
+    if let Seeker::C { target, .. } = seeker {
+        tags.resize(lists[0].len(), 0);
+        for (&i, k0) in ids[0].iter().zip(in_k0(target)) {
+            tags[i as usize] |= if k0 { 1 } else { 2 };
+        }
+    }
     drop(bind);
     let (fact, governor) = (&*blend.fact, blend.parallel.governor());
     let sc =
@@ -288,7 +307,11 @@ pub fn run(
             (run.0, Some(run.1))
         }
         Seeker::C { .. } => {
-            let hits = crate::c::run(fact, &lists, injected, k, options, interrupt, governor)?;
+            let keys = crate::c::Keys {
+                values: &lists[0],
+                tags: &tags,
+            };
+            let hits = crate::c::run(fact, keys, injected, k, options, interrupt, governor)?;
             (hits, None)
         }
     };

@@ -2,15 +2,17 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use blend_common::{Table, Value};
+use blend_common::Table;
+use blend_obs::SpanGuard;
 use blend_parallel::ParallelCtx;
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 use crate::quadrant::column_quadrants;
-use crate::xash::Xash;
+use crate::xash::xash_value;
 
 /// Index-build metric cells (`blend_index_*`), resolved once per process.
 struct IndexMetrics {
@@ -82,80 +84,95 @@ impl IndexBuilder {
         self
     }
 
-    /// Index one table into fact rows.
+    /// Index one table into fact rows, in canonical order: column by
+    /// column, each column in `RowId` order (with `shuffle_rows`, the order
+    /// of the shuffled rows' new ids).
     ///
-    /// Per row: compute the XASH super key over all non-null normalized
-    /// values; per cell: emit `(value, tid, cid, rid, superkey, quadrant)`.
+    /// Per row: the XASH super key over all non-null normalized values;
+    /// per cell: `(value, tid, cid, rid, superkey, quadrant)`.
     pub fn index_table(&self, table: &Table) -> Vec<FactRow> {
-        let n_rows = table.n_rows();
-        let n_cols = table.n_cols();
+        let mut rows = Vec::new();
+        self.emit(table, &mut rows);
+        fill_superkeys(&mut rows, &mut Vec::new());
+        rows
+    }
 
-        // Row order: identity or shuffled (per-table deterministic seed).
-        let mut order: Vec<usize> = (0..n_rows).collect();
+    /// Append `table`'s cells to `out` in canonical order, each value
+    /// normalized straight into its row, whose super key is left 0 for
+    /// [`fill_superkeys`].
+    fn emit(&self, table: &Table, out: &mut Vec<FactRow>) {
+        // New `RowId` → row: identity or shuffled (per-table deterministic seed).
+        let mut order: Vec<usize> = (0..table.n_rows()).collect();
         if self.options.shuffle_rows {
             let mut rng = rand::rngs::StdRng::seed_from_u64(
                 self.options.seed ^ (table.id.0 as u64).wrapping_mul(0x9E37_79B9),
             );
             order.shuffle(&mut rng);
         }
-
-        // Pre-normalize cells column-major and compute quadrant bits.
-        let mut normalized: Vec<Vec<Option<String>>> = Vec::with_capacity(n_cols);
-        let mut quadrants = Vec::with_capacity(n_cols);
-        for col in &table.columns {
-            normalized.push(
-                col.values
-                    .iter()
-                    .map(|v: &Value| v.normalized().map(|c| c.into_owned()))
-                    .collect(),
-            );
-            quadrants.push(column_quadrants(col));
-        }
-
-        // Super keys per physical row.
-        let mut superkeys = vec![0u128; n_rows];
-        for (r, sk) in superkeys.iter_mut().enumerate() {
-            let mut x = Xash::new();
-            for col in normalized.iter() {
-                if let Some(v) = &col[r] {
-                    x.add(v);
-                }
-            }
-            *sk = x.finish();
-        }
-
-        let mut rows = Vec::with_capacity(n_rows * n_cols);
-        for (new_rid, &orig_r) in order.iter().enumerate() {
-            for c in 0..n_cols {
-                if let Some(v) = &normalized[c][orig_r] {
-                    rows.push(FactRow::new(
-                        v,
-                        table.id.0,
-                        c as u32,
-                        new_rid as u32,
-                        superkeys[orig_r],
-                        quadrants[c].bits[orig_r],
-                    ));
+        for (c, col) in table.columns.iter().enumerate() {
+            let quadrants = column_quadrants(col);
+            for (rid, &r) in order.iter().enumerate() {
+                if let Some(value) = col.values[r].normalized() {
+                    out.push(FactRow {
+                        value: value.into_owned().into_boxed_str(),
+                        table: table.id.0,
+                        column: c as u32,
+                        row: rid as u32,
+                        superkey: 0,
+                        quadrant: quadrants[r],
+                    });
                 }
             }
         }
-        rows
     }
 
-    /// Index a whole lake into fact rows, in parallel across tables.
+    /// Index a whole lake into fact rows on the builder's pool: in
+    /// canonical order when the tables come in ascending `TableId` order,
+    /// as a lake holds them.
     ///
-    /// Tables are assigned to workers by greedy size-aware chunking
-    /// ([`blend_parallel::balanced_chunks`], weighted by cell count), so
-    /// one huge table no longer serializes the build the way the old
-    /// static `i % threads` striping did — the giant gets a bin of its
-    /// own while the remaining workers share everything else. Output is
-    /// reassembled in input-table order, making the result identical at
-    /// every thread count.
+    /// The tables are cut into contiguous ranges of about equal cell count,
+    /// four per worker, claimed dynamically. One pass over each range emits
+    /// its rows with their values normalized (span `index.emit`), a second
+    /// gives each table's rows their super keys (`index.xash`); then the
+    /// ranges' rows are concatenated in range order (`index.concat`) onto
+    /// the first range's `Vec`, each freed as it is moved, so the rows are
+    /// never held twice and the output is the same at every thread count.
     pub fn index_lake(&self, tables: &[Table]) -> Vec<FactRow> {
         let span = blend_obs::span("index.build");
+        self.lake_rows(tables, &span)
+    }
+
+    /// [`index_lake`](Self::index_lake) under `span`, metered.
+    fn lake_rows(&self, tables: &[Table], span: &SpanGuard) -> Vec<FactRow> {
         span.attr_u64("tables", tables.len() as u64);
         let t0 = Instant::now();
-        let all = self.index_lake_inner(tables);
+        let pool = self.parallel.pool();
+        let ranges = weighted_ranges(tables, pool.threads() * 4);
+        let phase = blend_obs::span("index.emit");
+        let parts = (pool.run(ranges.len(), |i| {
+            let tables = &tables[ranges[i].clone()];
+            let mut rows = Vec::with_capacity(tables.iter().map(cells).sum());
+            tables.iter().for_each(|t| self.emit(t, &mut rows));
+            Mutex::new(rows)
+        }))
+        .results;
+        drop(phase);
+        let phase = blend_obs::span("index.xash");
+        pool.run(parts.len(), |i| {
+            let mut rows = parts[i].lock().expect("no task panics holding a range");
+            let mut keys = Vec::new();
+            (rows.chunk_by_mut(|a, b| a.table == b.table))
+                .for_each(|t| fill_superkeys(t, &mut keys));
+        });
+        drop(phase);
+        let _phase = blend_obs::span("index.concat");
+        let mut parts = parts
+            .into_iter()
+            .map(|p| p.into_inner().expect("no task panics holding a range"));
+        let mut all = parts.next().unwrap_or_default();
+        let rest: Vec<Vec<FactRow>> = parts.collect();
+        all.reserve_exact(rest.iter().map(Vec::len).sum());
+        rest.into_iter().for_each(|mut part| all.append(&mut part));
         let m = index_metrics();
         m.tables.add(tables.len() as u64);
         m.rows.add(all.len() as u64);
@@ -164,50 +181,48 @@ impl IndexBuilder {
         all
     }
 
-    fn index_lake_inner(&self, tables: &[Table]) -> Vec<FactRow> {
-        let pool = self.parallel.pool();
-        let threads = pool.threads();
-        if threads == 1 || tables.len() < 2 {
-            let mut all = Vec::new();
-            for t in tables {
-                all.extend(self.index_table(t));
-            }
-            return all;
-        }
-
-        let weights: Vec<usize> = tables.iter().map(|t| t.n_rows() * t.n_cols()).collect();
-        let bins: Vec<Vec<usize>> = blend_parallel::balanced_chunks(&weights, threads)
-            .into_iter()
-            .filter(|bin| !bin.is_empty())
-            .collect();
-
-        let run = pool.run(bins.len(), |b| {
-            bins[b]
-                .iter()
-                .map(|&ti| (ti, self.index_table(&tables[ti])))
-                .collect::<Vec<(usize, Vec<FactRow>)>>()
-        });
-
-        let mut per_table: Vec<Vec<FactRow>> = vec![Vec::new(); tables.len()];
-        for bin in run.results {
-            for (ti, rows) in bin {
-                per_table[ti] = rows;
-            }
-        }
-        let total: usize = per_table.iter().map(Vec::len).sum();
-        let mut all = Vec::with_capacity(total);
-        for rows in per_table {
-            all.extend(rows);
-        }
-        all
-    }
-
-    /// Index a lake directly into a storage engine. Installing the result
-    /// in a catalog (`SqlEngine::replace_table`) advances that catalog's
-    /// generation; the build itself does not.
+    /// Index a lake directly into a storage engine, all under the
+    /// `index.build` span. Installing the result in a catalog
+    /// (`SqlEngine::replace_table`) advances that catalog's generation; the
+    /// build itself does not.
     pub fn build(&self, tables: &[Table], kind: EngineKind) -> Arc<dyn FactTable> {
-        build_engine(kind, self.index_lake(tables))
+        let span = blend_obs::span("index.build");
+        build_engine(kind, self.lake_rows(tables, &span))
     }
+}
+
+/// Give each of one table's `cells` its row's XASH super key: the OR of
+/// the patterns of the row's values, gathered by `RowId` in `keys`.
+fn fill_superkeys(cells: &mut [FactRow], keys: &mut Vec<u128>) {
+    let rows = cells.iter().map(|c| c.row as usize + 1).max();
+    keys.clear();
+    keys.resize(rows.unwrap_or(0), 0);
+    for c in cells.iter() {
+        keys[c.row as usize] |= xash_value(&c.value);
+    }
+    for c in cells.iter_mut() {
+        c.superkey = keys[c.row as usize];
+    }
+}
+
+/// A table's cells, nulls included.
+fn cells(table: &Table) -> usize {
+    table.n_rows() * table.n_cols()
+}
+
+/// `tables` cut into contiguous ranges of about equal [`cells`], about
+/// `parts` of them; a table larger than a share is a range of its own.
+fn weighted_ranges(tables: &[Table], parts: usize) -> Vec<Range<usize>> {
+    let share = tables.iter().map(cells).sum::<usize>().div_ceil(parts);
+    let (mut ranges, mut start, mut held) = (Vec::new(), 0, 0);
+    for (i, t) in tables.iter().enumerate() {
+        held += cells(t);
+        if held >= share || i + 1 == tables.len() {
+            ranges.push(start..i + 1);
+            (start, held) = (i + 1, 0);
+        }
+    }
+    ranges
 }
 
 impl Default for IndexBuilder {
@@ -219,7 +234,8 @@ impl Default for IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blend_common::{Column, TableId};
+    use crate::xash::Xash;
+    use blend_common::{Column, TableId, Value};
 
     fn staff_table(id: u32) -> Table {
         Table::new(
@@ -347,9 +363,23 @@ mod tests {
         }
     }
 
+    /// One giant table, then many small ones.
+    fn skewed_lake() -> Vec<Table> {
+        let mut big_cols = Vec::new();
+        for c in 0..4 {
+            let vals: Vec<Value> = (0..200)
+                .map(|r| Value::Int((c * 1000 + r) as i64))
+                .collect();
+            big_cols.push(Column::new(format!("c{c}"), vals));
+        }
+        let mut tables = vec![Table::new(TableId(0), "giant", big_cols).unwrap()];
+        tables.extend((1..8).map(staff_table));
+        tables
+    }
+
     #[test]
     fn skewed_lakes_build_identically() {
-        // One giant table plus many small ones: greedy size-aware chunking
+        // One giant table plus many small ones: the weighted table ranges
         // must still cover every table exactly once, in input order.
         let mut big_cols = Vec::new();
         for c in 0..4 {
@@ -373,6 +403,85 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(seq, build(threads), "threads={threads}");
         }
+    }
+
+    /// The lake's rows strictly ascend in (`TableId`, `ColumnId`, `RowId`)
+    /// at every thread count, shuffled or not, on the skewed lake too.
+    #[test]
+    fn lake_rows_come_in_canonical_order() {
+        let staff: Vec<Table> = (0..9).map(staff_table).collect();
+        for tables in [staff, skewed_lake()] {
+            for (threads, shuffle_rows) in
+                [1, 2, 4].into_iter().flat_map(|t| [(t, false), (t, true)])
+            {
+                let options = IndexOptions {
+                    shuffle_rows,
+                    seed: 3,
+                };
+                let rows = IndexBuilder::with_options(options)
+                    .with_parallel(Arc::new(ParallelCtx::new(threads)))
+                    .index_lake(&tables);
+                assert_eq!(
+                    rows.len(),
+                    tables.iter().map(Table::non_null_cells).sum::<usize>()
+                );
+                let key = |r: &FactRow| (r.table, r.column, r.row);
+                assert!(
+                    rows.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "threads {threads}, shuffle {shuffle_rows}"
+                );
+            }
+        }
+    }
+
+    /// Both stores built from the builder's order equal the stores built
+    /// from a shuffled copy of its rows, which they sort: the directory,
+    /// every cell's dictionary code and value, and every value's postings.
+    #[test]
+    fn stores_from_canonical_rows_equal_stores_from_shuffled_rows() {
+        let options = IndexOptions {
+            shuffle_rows: true,
+            seed: 11,
+        };
+        let rows = IndexBuilder::with_options(options).index_lake(&skewed_lake());
+        let mut shuffled = rows.clone();
+        shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(5));
+        assert_ne!(rows, shuffled);
+        let positions: Vec<u32> = (0..rows.len() as u32).collect();
+        for kind in [EngineKind::Row, EngineKind::Column] {
+            let (a, b) = (
+                build_engine(kind, rows.clone()),
+                build_engine(kind, shuffled.clone()),
+            );
+            assert_eq!(a.directory(), b.directory(), "{kind:?}");
+            let (mut codes_a, mut codes_b) = (Vec::new(), Vec::new());
+            a.gather_value_codes(&positions, &mut codes_a);
+            b.gather_value_codes(&positions, &mut codes_b);
+            assert_eq!(codes_a, codes_b, "{kind:?}");
+            for (p, r) in rows.iter().enumerate() {
+                assert_eq!((a.value_at(p), b.value_at(p)), (&*r.value, &*r.value));
+                assert_eq!(a.postings(&r.value), b.postings(&r.value), "{kind:?}");
+            }
+        }
+    }
+
+    /// A traced build records each phase under `index.build`: the lake's
+    /// three, then the store's directory pass and postings.
+    #[test]
+    fn build_phases_are_spans_under_index_build() {
+        let tables: Vec<Table> = (0..3).map(staff_table).collect();
+        let trace = blend_obs::trace_begin("setup");
+        IndexBuilder::new().build(&tables, EngineKind::Column);
+        let profile = trace.finish().expect("instrumentation is on");
+        let build = profile.find("index.build").expect("index.build span");
+        let names: Vec<&str> = build.children.iter().map(|c| c.name.as_str()).collect();
+        let lake = ["index.emit", "index.xash", "index.concat"];
+        let store = ["index.directory", "index.postings"];
+        assert_eq!(names, [&lake[..], &store[..]].concat());
+        assert_eq!(
+            build.attr("rows").map(ToString::to_string),
+            Some("24".into())
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!    into SQL aggregation.
 //!
 //! [`builder::IndexBuilder`] runs the pipeline, optionally in parallel
-//! (the shared `blend-parallel` worker pool, tables bin-packed across
-//! workers by cell count) and optionally with
+//! (the shared `blend-parallel` worker pool, over contiguous table ranges
+//! of about equal cell count), emitting the rows in the canonical order
+//! the stores keep, and optionally with
 //! *pre-shuffled row order* — the "BLEND (rand)" configuration of Table VII,
 //! which converts the correlation seeker's `RowId < h` convenience sample
 //! into a random sample.

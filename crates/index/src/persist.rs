@@ -68,19 +68,6 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     // The count is untrusted: reserve no more rows than the bytes left can
     // hold, so a header claiming 2^40 rows reserves nothing.
     let mut rows = Vec::with_capacity((buf.remaining() / MIN_ROW_BYTES).min(n as usize));
-    // A super key belongs to its row (the column store keeps one per row).
-    // Cells in (`TableId`, `RowId`) order, as `IndexBuilder` writes them, are
-    // each checked against the one before; any other order is sorted by
-    // row once at the end.
-    let row_key = |table: u32, row: u32| (table as u64) << 32 | row as u64;
-    let two_keys = |key: u64| {
-        err(&format!(
-            "two super keys for table {} row {}",
-            key >> 32,
-            key as u32
-        ))
-    };
-    let (mut prev, mut in_order) = (None, true);
     for _ in 0..n {
         if buf.remaining() < 4 {
             return Err(err("truncated value length"));
@@ -93,20 +80,15 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
         let value: Box<str> = (std::str::from_utf8(&buf[..len]))
             .map_err(|_| err("non-UTF8 value"))?
             .into();
-        buf.advance(len);
-        let table = buf.get_u32_le();
-        let column = buf.get_u32_le();
-        let row = buf.get_u32_le();
-        let superkey = buf.get_u128_le();
-        let key = row_key(table, row);
-        if let Some((k, sk)) = prev {
-            if k == key && sk != superkey {
-                return Err(two_keys(key));
-            }
-            in_order &= k <= key;
-        }
-        prev = Some((key, superkey));
-        let quadrant = match buf.get_u8() {
+        // The row's fixed fields, read off one array.
+        let fields: &[u8; MIN_ROW_BYTES - 4];
+        (fields, buf) = buf[len..]
+            .split_first_chunk()
+            .expect("length checked above");
+        let word = |i: usize| u32::from_le_bytes(*fields[i..].first_chunk().expect("4 bytes"));
+        let (table, column, row) = (word(0), word(4), word(8));
+        let superkey = u128::from_le_bytes(*fields[12..].first_chunk().expect("16 bytes"));
+        let quadrant = match fields[28] {
             code @ (QUADRANT_NULL | QUADRANT_ZERO | QUADRANT_ONE) => decode_quadrant(code),
             code => return Err(err(&format!("invalid quadrant code {code}"))),
         };
@@ -122,16 +104,49 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
     if buf.has_remaining() {
         return Err(err("trailing bytes"));
     }
-    if !in_order {
-        let mut keys: Vec<(u64, u128)> = (rows.iter())
-            .map(|r| (row_key(r.table, r.row), r.superkey))
-            .collect();
-        keys.sort_unstable_by_key(|k| k.0);
-        if let Some(w) = (keys.windows(2)).find(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1) {
-            return Err(two_keys(w[0].0));
-        }
+    // A super key belongs to its row (the column store keeps one per row).
+    match two_super_keys(&rows) {
+        Some((table, row)) => Err(err(&format!("two super keys for table {table} row {row}"))),
+        None => Ok(rows),
     }
-    Ok(rows)
+}
+
+/// The first (`TableId`, `RowId`) whose cells carry two super keys. Where
+/// each table's cells are one block and the blocks ascend by `TableId` (as
+/// `IndexBuilder` writes them), each block is checked alone: by `RowId`
+/// where its ids lie below its cell count, by sorting its cells otherwise.
+/// Other input is sorted whole.
+fn two_super_keys(rows: &[FactRow]) -> Option<(u32, u32)> {
+    let blocks: Vec<&[FactRow]> = rows.chunk_by(|a, b| a.table == b.table).collect();
+    if !blocks.windows(2).all(|w| w[0][0].table < w[1][0].table) {
+        return sorted_conflict(rows);
+    }
+    let mut marks = Vec::new();
+    blocks.into_iter().find_map(|cells| {
+        if cells.iter().any(|c| c.row as usize >= cells.len()) {
+            return sorted_conflict(cells);
+        }
+        marks.clear();
+        marks.resize(cells.len(), None);
+        let mut clash = cells
+            .iter()
+            .filter(|c| *marks[c.row as usize].get_or_insert(c.superkey) != c.superkey);
+        clash.next().map(|c| (c.table, c.row))
+    })
+}
+
+/// The first (`TableId`, `RowId`) of `cells` that carries two super keys,
+/// by sorting them.
+fn sorted_conflict(cells: &[FactRow]) -> Option<(u32, u32)> {
+    let mut keys: Vec<_> = cells
+        .iter()
+        .map(|c| ((c.table, c.row), c.superkey))
+        .collect();
+    keys.sort_unstable_by_key(|k| k.0);
+    let mut clash = keys
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+    clash.next().map(|w| w[0].0)
 }
 
 /// Write fact rows to a file.
@@ -278,6 +293,42 @@ mod tests {
                 matches!(&err, BlendError::Index(m) if m.contains("super keys")),
                 "{err}"
             );
+        }
+    }
+
+    /// Canonical order — each table's cells column by column — with a
+    /// row's super key wrong only in its table's last column: as the builder
+    /// writes it (ids below the cell count) and with far `RowId`s, and
+    /// across tables that are not contiguous.
+    #[test]
+    fn rejects_two_super_keys_in_canonical_order() {
+        let canonical = |rows: &[u32]| -> Vec<FactRow> {
+            (0..2u32)
+                .flat_map(|t| (0..6).flat_map(move |c| rows.iter().map(move |&r| (t, c, r))))
+                .map(|(t, c, r)| FactRow::new("v", t, c, r, (t * 100 + r) as u128, None))
+                .collect()
+        };
+        for rows in [vec![0, 1, 2, 3], vec![4, 90, 1_000_000]] {
+            let good = canonical(&rows);
+            assert_eq!(decode_rows(&encode_rows(&good)).unwrap(), good);
+            let mut swapped = good.clone();
+            swapped.swap(0, good.len() - 1);
+            assert_eq!(decode_rows(&encode_rows(&swapped)).unwrap(), swapped);
+            // Table 0's last column, its second row; then the same cell
+            // with the tables out of order.
+            let mut bad = good.clone();
+            bad[5 * rows.len() + 1].superkey ^= 1;
+            let want = format!("two super keys for table 0 row {}", rows[1]);
+            for input in [bad.clone(), {
+                bad.swap(0, good.len() - 1);
+                bad
+            }] {
+                let err = decode_rows(&encode_rows(&input)).unwrap_err();
+                assert!(
+                    matches!(&err, BlendError::Index(m) if m.contains(&want)),
+                    "{err}"
+                );
+            }
         }
     }
 

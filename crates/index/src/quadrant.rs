@@ -10,38 +10,20 @@
 
 use blend_common::{Column, ColumnType};
 
-/// Per-column quadrant assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnQuadrants {
-    /// `None` for non-numeric columns (all cells NULL).
-    pub mean: Option<f64>,
-    /// One entry per row: `None` = NULL.
-    pub bits: Vec<Option<bool>>,
-}
-
-/// Compute quadrant bits for one column.
+/// Quadrant bits for one column: one entry per row, `None` = NULL.
 ///
 /// A column participates only when its inferred type is numeric; numeric
 /// *cells* inside categorical columns stay NULL, matching the paper's
 /// column-typed treatment (the correlation seeker joins categorical keys
 /// against numeric target columns).
-pub fn column_quadrants(col: &Column) -> ColumnQuadrants {
-    if col.column_type() != ColumnType::Numeric {
-        return ColumnQuadrants {
-            mean: None,
-            bits: vec![None; col.values.len()],
-        };
-    }
-    let mean = col.numeric_mean();
-    let bits = match mean {
+pub fn column_quadrants(col: &Column) -> Vec<Option<bool>> {
+    let numeric = col.column_type() == ColumnType::Numeric;
+    match numeric.then(|| col.numeric_mean()).flatten() {
         None => vec![None; col.values.len()],
-        Some(m) => col
-            .values
-            .iter()
+        Some(m) => (col.values.iter())
             .map(|v| v.as_f64().map(|f| f >= m))
             .collect(),
-    };
-    ColumnQuadrants { mean, bits }
+    }
 }
 
 #[cfg(test)]
@@ -53,11 +35,7 @@ mod tests {
     fn numeric_column_splits_on_mean() {
         let col = Column::new("n", vec![1i64, 2, 3, 10]);
         let q = column_quadrants(&col);
-        assert_eq!(q.mean, Some(4.0));
-        assert_eq!(
-            q.bits,
-            vec![Some(false), Some(false), Some(false), Some(true)]
-        );
+        assert_eq!(q, vec![Some(false), Some(false), Some(false), Some(true)]);
     }
 
     #[test]
@@ -65,7 +43,7 @@ mod tests {
         // value == mean -> bit 1, per the paper ("larger than or equal").
         let col = Column::new("n", vec![2i64, 2, 2]);
         let q = column_quadrants(&col);
-        assert_eq!(q.bits, vec![Some(true); 3]);
+        assert_eq!(q, vec![Some(true); 3]);
     }
 
     #[test]
@@ -79,16 +57,14 @@ mod tests {
             ],
         );
         let q = column_quadrants(&col);
-        assert_eq!(q.mean, None);
-        assert!(q.bits.iter().all(Option::is_none));
+        assert!(q.iter().all(Option::is_none));
     }
 
     #[test]
     fn nulls_inside_numeric_column_stay_null() {
         let col = Column::new("n", vec![Value::Int(1), Value::Null, Value::Int(3)]);
         let q = column_quadrants(&col);
-        assert_eq!(q.mean, Some(2.0));
-        assert_eq!(q.bits, vec![Some(false), None, Some(true)]);
+        assert_eq!(q, vec![Some(false), None, Some(true)]);
     }
 
     #[test]
@@ -99,7 +75,6 @@ mod tests {
             vec![Value::Text("10".into()), Value::Text("30".into())],
         );
         let q = column_quadrants(&col);
-        assert_eq!(q.mean, Some(20.0));
-        assert_eq!(q.bits, vec![Some(false), Some(true)]);
+        assert_eq!(q, vec![Some(false), Some(true)]);
     }
 }

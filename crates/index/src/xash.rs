@@ -30,13 +30,22 @@ const LEN_BITS: u32 = 32;
 /// character selection.
 const FREQ_ORDER: &[u8] = b"etaoinsrhldcumfpgwybvkxjqz0123456789";
 
-fn char_rarity(c: u8) -> u32 {
-    let lower = c.to_ascii_lowercase();
-    match FREQ_ORDER.iter().position(|&f| f == lower) {
-        Some(i) => i as u32,
-        None => FREQ_ORDER.len() as u32 + lower as u32,
+/// Per byte, its rarity: its position in `FREQ_ORDER` (either case), or
+/// past the table's end by its lowercased value.
+const RARITY: [u32; 256] = {
+    let (mut table, mut b) = ([0; 256], 0);
+    while b < 256 {
+        table[b] = (FREQ_ORDER.len() + (b as u8).to_ascii_lowercase() as usize) as u32;
+        b += 1;
     }
-}
+    let mut i = 0;
+    while i < FREQ_ORDER.len() {
+        table[FREQ_ORDER[i] as usize] = i as u32;
+        table[FREQ_ORDER[i].to_ascii_uppercase() as usize] = i as u32;
+        i += 1;
+    }
+    table
+};
 
 /// Compute the XASH bit pattern of one (normalized) cell value.
 ///
@@ -62,7 +71,7 @@ pub fn xash_value(value: &str) -> u128 {
         if b == b' ' {
             continue;
         }
-        let rarity = char_rarity(b);
+        let rarity = RARITY[b as usize];
         if n_picked < N_CHARS {
             picked[n_picked] = (rarity, pos, b);
             n_picked += 1;
@@ -200,6 +209,49 @@ mod tests {
         }
         let rate = fps as f64 / tests as f64;
         assert!(rate < 0.35, "XASH FP rate degenerate: {rate}");
+    }
+
+    /// The rarity table against the linear scan of `FREQ_ORDER` it
+    /// replaced, for every byte.
+    #[test]
+    fn rarity_table_equals_the_linear_scan() {
+        for b in 0..=255u8 {
+            let lower = b.to_ascii_lowercase();
+            let scan = match FREQ_ORDER.iter().position(|&f| f == lower) {
+                Some(i) => i as u32,
+                None => FREQ_ORDER.len() as u32 + lower as u32,
+            };
+            assert_eq!(RARITY[b as usize], scan, "byte {b}");
+        }
+    }
+
+    /// Patterns and a super key pinned from the linear-scan version: empty,
+    /// upper case, digits, punctuation, spaces, multi-byte UTF-8 and a
+    /// value longer than `LEN_BITS`.
+    #[test]
+    fn patterns_are_pinned() {
+        let golden: [(&str, u128); 12] = [
+            ("", 0x00000001000000000000000000000000),
+            ("berlin", 0x00000040004080004000000000000000),
+            ("Tom Riddle", 0x00000400000000000000000040080000),
+            ("tom riddle", 0x00000400000000000000000040080000),
+            ("2022", 0x00000010000000000000000000034000),
+            ("universität 42", 0x00008000c00080000000000000000000),
+            ("zebra", 0x00000020000100008000004000000000),
+            ("a b", 0x00000008000000010000000080000000),
+            ("-3.25", 0x00000020000800000008000000004000),
+            ("QUIXOTIC w8xk", 0x00002000000001000000800000000800),
+            ("\u{7f}~!@#", 0x00000020000000040000000000000002),
+            (
+                "verylongvaluewithmanychars-0423zz",
+                0x00000002000080000041000000000000,
+            ),
+        ];
+        for (v, want) in golden {
+            assert_eq!(xash_value(v), want, "{v:?}");
+        }
+        let row = row_superkey(["tom riddle", "2022", "it"]);
+        assert_eq!(row, 0x000004140080000000004000400b4000);
     }
 
     #[test]

@@ -130,9 +130,8 @@
 //!   [`MemoryReservation`], the byte budget and its RAII grants, plus
 //!   [`reserve_laddered`] (the width-scaled degradation ladder).
 //! * [`morsel`] — [`morselize`] (segment → morsel splitting),
-//!   [`split_even`] (row-count-balanced contiguous ranges),
-//!   [`balanced_chunks`] (greedy LPT bin-packing for unequal work items,
-//!   used by the index builder), and [`partition_count`] (the worker-count
+//!   [`split_even`] (row-count-balanced contiguous ranges), and
+//!   [`partition_count`] (the worker-count
 //!   → radix-fanout policy of the executor's keyed phase, whose counting
 //!   sort is `blend_storage::radix`).
 //! * [`settings`] — `BLEND_THREADS` and `BLEND_MEMORY_BUDGET`, the only
@@ -153,6 +152,6 @@ pub use memory::{
     reserve_laddered, GovernorStats, LadderRung, MemoryGovernor, MemoryReclaimer,
     MemoryReservation, QueryMemory,
 };
-pub use morsel::{balanced_chunks, morselize, partition_count, split_even, Morsel};
+pub use morsel::{morselize, partition_count, split_even, Morsel};
 pub use pool::{PoolRun, WorkerPool};
 pub use settings::{MEMORY_ENV, THREADS_ENV};

@@ -1,5 +1,5 @@
-//! Partitioning arithmetic: morsels, even range splitting, and greedy
-//! size-aware bin-packing.
+//! Partitioning arithmetic: morsels, even range splitting, and the radix
+//! fanout.
 
 use std::ops::Range;
 
@@ -72,39 +72,6 @@ pub fn split_even(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     debug_assert_eq!(start, len);
-    out
-}
-
-/// Greedy size-aware chunking (longest-processing-time bin-packing): assign
-/// item indices to `bins` bins so per-bin total weight stays balanced even
-/// under heavy skew — the fix for static `i % bins` striping, where one
-/// huge item serializes a whole phase.
-///
-/// Items are placed heaviest-first into the currently lightest bin; each
-/// bin's indices are returned in ascending order and bins may be empty when
-/// there are fewer items than bins. Deterministic: ties break on the lower
-/// bin index, equal weights on the lower item index.
-pub fn balanced_chunks(weights: &[usize], bins: usize) -> Vec<Vec<usize>> {
-    let bins = bins.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    // Stable sort: equal weights keep ascending item order.
-    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]));
-
-    let mut totals = vec![0usize; bins];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); bins];
-    for idx in order {
-        let lightest = totals
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, t)| *t)
-            .map(|(b, _)| b)
-            .expect("at least one bin");
-        totals[lightest] += weights[idx];
-        out[lightest].push(idx);
-    }
-    for bin in &mut out {
-        bin.sort_unstable();
-    }
     out
 }
 
@@ -202,38 +169,6 @@ mod tests {
                 assert!(max - min <= 1);
             }
         }
-    }
-
-    #[test]
-    fn balanced_chunks_spread_skewed_weights() {
-        // One huge item (100) + nine small (1): static i % 4 striping would
-        // put items 0,4,8 (102 weight) in bin 0; LPT isolates the giant.
-        let weights = [100, 1, 1, 1, 1, 1, 1, 1, 1, 1];
-        let bins = balanced_chunks(&weights, 4);
-        assert_eq!(bins.len(), 4);
-        let totals: Vec<usize> = bins
-            .iter()
-            .map(|b| b.iter().map(|&i| weights[i]).sum())
-            .collect();
-        // The giant sits alone; the nine small items share the other bins.
-        assert!(totals.contains(&100));
-        assert_eq!(totals.iter().sum::<usize>(), 109);
-        assert_eq!(*totals.iter().filter(|&&t| t != 100).max().unwrap(), 3);
-        // Every index appears exactly once, ascending within its bin.
-        let mut all: Vec<usize> = bins.iter().flatten().copied().collect();
-        assert!(bins.iter().all(|b| b.windows(2).all(|w| w[0] < w[1])));
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn balanced_chunks_deterministic_under_ties() {
-        let weights = [2, 2, 2, 2];
-        assert_eq!(balanced_chunks(&weights, 2), balanced_chunks(&weights, 2));
-        // More bins than items leaves trailing bins empty.
-        let bins = balanced_chunks(&[5], 3);
-        assert_eq!(bins[0], vec![0]);
-        assert!(bins[1].is_empty() && bins[2].is_empty());
     }
 
     #[test]

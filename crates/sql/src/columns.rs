@@ -377,7 +377,7 @@ mod tests {
             .map(|i| WORDS[pick[i] as usize % WORDS.len()])
             .collect();
         let mut found = Vec::new();
-        table.resolve(&words, &mut found);
+        table.resolve(&words, false, &mut found);
         TextColumn::store(
             found.iter().map(|v| v.code.unwrap()).collect(),
             table.clone(),

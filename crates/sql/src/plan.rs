@@ -170,7 +170,7 @@ impl ValueList {
         let mut found = Vec::with_capacity(values.len());
         match table.has_dictionary() {
             true => {
-                table.resolve(values, &mut found);
+                table.resolve(values, false, &mut found);
                 ValueList::Codes(found.iter().filter_map(|v| v.code).collect())
             }
             false => ValueList::Strings(values.iter().map(|&v| Box::from(v)).collect()),

@@ -66,8 +66,8 @@ pub struct ColumnStore {
 impl ColumnStore {
     /// Build the store: the [`Directory`]'s one pass over canonical order
     /// fills the dictionary and the per-cell and per-row arrays beside it,
-    /// then postings and the column index are counting-sorted by code, then
-    /// statistics.
+    /// then postings and the column index are counting-sorted by code (span
+    /// `index.postings`), then statistics.
     ///
     /// The dictionary copies each value at its first sight, so its strings
     /// lie in code order. The fact rows are dropped before the indexes are
@@ -99,7 +99,9 @@ impl ColumnStore {
         drop(fact_rows);
         dict.shrink_to_fit();
         superkeys.shrink_to_fit();
+        let span = blend_obs::span("index.postings");
         let (postings, runs_of) = index_codes(&codes, &dir, dict.len());
+        drop(span);
         let stats = FactStats::compute(
             n,
             dir.present_tables(),
@@ -286,9 +288,12 @@ impl FactTable for ColumnStore {
         self.dict.get(value).map_or(&[], |c| self.code_postings(c))
     }
 
-    fn resolve<'a>(&'a self, values: &[&str], out: &mut Vec<Resolved<'a>>) {
+    fn resolve<'a>(&'a self, values: &[&str], postings: bool, out: &mut Vec<Resolved<'a>>) {
         self.dict.get_batch(values, |code| {
-            let postings = code.map_or(&[][..], |c| self.postings.part(c as usize));
+            let postings = match (code, postings) {
+                (Some(c), true) => self.postings.part(c as usize),
+                _ => &[],
+            };
             out.push(Resolved { code, postings });
         });
     }

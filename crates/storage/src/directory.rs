@@ -51,15 +51,18 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Sort `rows` into canonical order, then build their directory in one
-    /// pass over them, handing each cell to `each` with its row ordinal —
-    /// where a store fills what it keeps per cell or per row.
+    /// Put `rows` in canonical order (a check, and a sort only where it
+    /// fails: the index builder's rows come in that order), then build their
+    /// directory in one pass over them, handing each cell to `each` with its
+    /// row ordinal — where a store fills what it keeps per cell or per row.
+    /// The whole pass is the span `index.directory`.
     ///
     /// A table's row ordinals are its sorted distinct `RowId`s, read off its
     /// cells before they are visited (marked in a bitmap where every one is
     /// below the cell count, sorted otherwise); a cell's is the rank of its
     /// `RowId` among them — the `RowId` itself when they are `0..rows`.
     pub fn build(rows: &mut [FactRow], mut each: impl FnMut(&FactRow, u32)) -> Self {
+        let _span = blend_obs::span("index.directory");
         canonical_sort(rows);
         let (n, n_tables) = (rows.len(), rows.last().map_or(0, |r| r.table as usize + 1));
         let mut ranges = vec![(0, 0); n_tables];

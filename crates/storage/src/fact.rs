@@ -88,7 +88,7 @@ pub struct Resolved<'a> {
 /// Engine-neutral interface to the `AllTables` fact table.
 ///
 /// Positions (`pos`) are dense `0..len()` physical offsets in the canonical
-/// order both engines sort into on build ([`canonical_sort`]). Where a
+/// order both engines hold, put in on build ([`canonical_sort`]). Where a
 /// table's cells, column runs and rows lie in that order is the store's
 /// [`Directory`]: the table index's ranges, the column runs, `locate` and
 /// the row ordinals are read there, the same on either store.
@@ -138,8 +138,10 @@ pub trait FactTable: Send + Sync {
 
     /// Look `values` up, appending each one's [`Resolved`] to `out`: value
     /// by value here, a block at a time on the column store
-    /// ([`GroupIndex::get_batch`](crate::GroupIndex::get_batch)).
-    fn resolve<'a>(&'a self, values: &[&str], out: &mut Vec<Resolved<'a>>) {
+    /// ([`GroupIndex::get_batch`](crate::GroupIndex::get_batch)). Without
+    /// `postings` a store with a dictionary reads only the codes and
+    /// leaves each value's postings empty.
+    fn resolve<'a>(&'a self, values: &[&str], _postings: bool, out: &mut Vec<Resolved<'a>>) {
         out.extend(values.iter().map(|v| Resolved {
             code: None,
             postings: self.postings(v),
@@ -371,17 +373,6 @@ impl MemoryBreakdown {
             .find(|(n, _)| *n == name)
             .map(|(_, b)| *b)
     }
-
-    /// Multi-line human-readable report (bench-harness output).
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!("{} store memory breakdown:\n", self.engine);
-        for (name, bytes) in &self.components {
-            let _ = writeln!(out, "  {name:<16} {bytes:>12} B");
-        }
-        let _ = write!(out, "  {:<16} {:>12} B", "total", self.total());
-        out
-    }
 }
 
 /// Estimated per-worker scan-scratch component shared by both engines'
@@ -397,15 +388,21 @@ pub(crate) fn scratch_component(n_rows: usize) -> (&'static str, usize) {
 /// table gives scans the locality a real column store would have.
 ///
 /// This order is an **invariant** downstream code relies on: the
-/// [`Directory`] built over it (which sorts first) hands out contiguous
-/// per-table ranges and column runs, and the parallel executor's
+/// [`Directory`] built over it (which puts its rows in it first) hands out
+/// contiguous per-table ranges and column runs, and the parallel executor's
 /// order-preserving merges assume both engines share one physical order.
+///
+/// Rows already in that order (the index builder's) cost one pass that
+/// checks it; only other input is sorted.
 pub fn canonical_sort(rows: &mut [FactRow]) {
-    rows.sort_by(|a, b| {
+    let order = |a: &FactRow, b: &FactRow| {
         (a.table, a.column, a.row)
             .cmp(&(b.table, b.column, b.row))
             .then_with(|| a.value.cmp(&b.value))
-    });
+    };
+    if !rows.is_sorted_by(|a, b| order(a, b).is_le()) {
+        rows.sort_by(order);
+    }
 }
 
 #[cfg(test)]

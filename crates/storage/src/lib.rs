@@ -247,11 +247,11 @@ mod tests {
     }
 
     /// [`FactTable::resolve`] against each value's own lookup on both
-    /// stores: its postings, and on the column store the code its cells
-    /// hold (`None` on a miss and on the row store). Value lists mix hits,
-    /// misses, `""` and duplicates, at lengths on both sides of each
-    /// [`PROBE_BLOCK`] boundary; the resolved values are appended after
-    /// what `out` held.
+    /// stores: its postings (on the column store, only when asked for), and
+    /// on the column store the code its cells hold (`None` on a miss and on
+    /// the row store). Value lists mix hits, misses, `""` and duplicates, at
+    /// lengths on both sides of each [`PROBE_BLOCK`] boundary; the resolved
+    /// values are appended after what `out` held.
     #[test]
     fn resolve_matches_the_per_value_lookup_on_both_stores() {
         let rows: Vec<FactRow> = (0..3_000u32)
@@ -267,24 +267,26 @@ mod tests {
             .collect();
         for kind in [EngineKind::Row, EngineKind::Column] {
             let t = build_engine(kind, rows.clone());
-            for n in [0, 1, 63, 64, 65, 129, 1_000] {
+            let cases = [0, 1, 63, 64, 65, 129, 1_000].into_iter();
+            for (n, postings) in cases.flat_map(|n| [(n, true), (n, false)]) {
                 let values: Vec<&str> = words[..n].iter().map(String::as_str).collect();
                 let sentinel = Resolved {
                     code: Some(9),
                     postings: &[],
                 };
                 let mut got = vec![sentinel];
-                t.resolve(&values, &mut got);
+                t.resolve(&values, postings, &mut got);
                 assert_eq!(got.len(), n + 1);
                 assert_eq!(got[0], sentinel);
                 for (v, r) in values.iter().zip(&got[1..]) {
                     let mut code = Vec::new();
                     t.gather_value_codes(&t.postings(v)[..t.postings(v).len().min(1)], &mut code);
+                    let read = postings || kind == EngineKind::Row;
                     let want = Resolved {
                         code: code.first().copied(),
-                        postings: t.postings(v),
+                        postings: if read { t.postings(v) } else { &[] },
                     };
-                    assert_eq!(*r, want, "{kind:?} n {n} value {v:?}");
+                    assert_eq!(*r, want, "{kind:?} n {n} postings {postings} value {v:?}");
                     if let Some(c) = r.code {
                         assert_eq!(t.value_of_code(c), Some(*v));
                     }

@@ -24,9 +24,11 @@ pub struct RowStore {
 }
 
 impl RowStore {
-    /// Build the store: canonical sort and directory, postings, statistics.
+    /// Build the store: canonical order and directory, postings (span
+    /// `index.postings`), statistics.
     pub fn build(mut rows: Vec<FactRow>) -> Self {
         let dir = Directory::build(&mut rows, |_, _| {});
+        let span = blend_obs::span("index.postings");
         let mut inverted: FxHashMap<Box<str>, Vec<u32>> = FxHashMap::default();
         let mut numeric_rows = 0usize;
         let mut string_bytes = 0usize;
@@ -40,6 +42,7 @@ impl RowStore {
             }
             string_bytes += r.value.len();
         }
+        drop(span);
         let stats = FactStats::compute(
             rows.len(),
             dir.present_tables(),

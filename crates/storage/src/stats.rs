@@ -24,7 +24,7 @@ pub struct FactStats {
 }
 
 impl FactStats {
-    /// Compute stats from the canonical-sorted fact rows plus the finished
+    /// Compute stats from the canonical-order fact rows plus the finished
     /// postings directory sizes.
     pub fn compute(
         n_rows: usize,
