@@ -8,6 +8,8 @@
 //! systems; [`embed`] (hashed column embeddings) and [`hnsw`] (the graph
 //! index) are the retrieval stack the two semantic baselines share.
 
+#![forbid(unsafe_code)]
+
 pub mod deepjoin;
 pub mod embed;
 pub mod hnsw;

@@ -8,6 +8,8 @@
 //! itself come from the repository's benchmark (`benchmark/`,
 //! `BENCHMARK.json`), not from this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod federated;
 pub mod harness;
 pub mod loc;

@@ -34,10 +34,10 @@ pub enum BlendError {
     Cancelled(String),
     /// The serving tier shed the request: the bounded queue was full.
     Overloaded(String),
-    /// A memory reservation failed after the full degradation ladder
-    /// (cache reclaim → narrowed parallelism → sequential) was exhausted,
-    /// or an OS-level allocation failed. The request's partials were
-    /// discarded; the engine stays serviceable.
+    /// A memory reservation failed even after the governor reclaimed what
+    /// registered pools (the serving result cache) could give back, or an
+    /// OS-level allocation failed. The request's partials were discarded;
+    /// the engine stays serviceable.
     MemoryExceeded(String),
 }
 

@@ -18,6 +18,8 @@
 //! * [`zipf`] — a seeded Zipf sampler for the synthetic lake generators.
 //! * [`error`] — the shared [`error::BlendError`] type.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod error;
 pub mod hash;

@@ -40,6 +40,8 @@
 //! # let _ = hits;
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod c;
 pub mod combiners;
 pub mod exec;
@@ -101,13 +103,13 @@ impl Default for BlendOptions {
     }
 }
 
-/// The BLEND system: the `AllTables` index, the worker-pool context its
+/// The BLEND system: the `AllTables` index, the execution context its
 /// operators run with, and the optimizer's state.
 pub struct Blend {
     fact: Arc<dyn FactTable>,
     options: BlendOptions,
     cost_models: parking_lot::RwLock<CostModelSet>,
-    /// Shared worker-pool context. One `Arc` serves the whole system: every
+    /// Shared execution context. One `Arc` serves the whole system: every
     /// seeker of a plan reserves against its governor, so all seekers of a
     /// plan draw from a single budget.
     parallel: Arc<ParallelCtx>,
@@ -125,19 +127,18 @@ impl Blend {
             fact,
             options,
             cost_models: parking_lot::RwLock::new(CostModelSet::default()),
-            // The process-shared context: exactly one pool exists per
-            // process.
+            // The process-shared context, with its one admission budget.
             parallel: ParallelCtx::shared_from_env(),
         }
     }
 
-    /// The shared parallel-execution context every seeker reserves against.
+    /// The shared execution context every seeker reserves against.
     pub fn parallel_ctx(&self) -> Arc<ParallelCtx> {
         self.parallel.clone()
     }
 
-    /// Install a different parallel-execution context (e.g. a fixed thread
-    /// budget for benchmarks, or [`ParallelCtx::sequential`]).
+    /// Install a different execution context (e.g. a private memory
+    /// governor for tests, or [`ParallelCtx::sequential`]).
     pub fn set_parallel(&mut self, ctx: Arc<ParallelCtx>) {
         self.parallel = ctx;
     }

@@ -3,12 +3,12 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use blend_common::Table;
 use blend_obs::SpanGuard;
-use blend_parallel::ParallelCtx;
+use blend_parallel::{fork_join, ParallelCtx};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 
 use crate::quadrant::column_quadrants;
@@ -57,8 +57,8 @@ impl Default for IndexOptions {
     }
 }
 
-/// Builds `AllTables` from lake tables on a [`ParallelCtx`]'s pool, by
-/// default the process-wide one ([`ParallelCtx::shared_from_env`]).
+/// Builds `AllTables` from lake tables at a [`ParallelCtx`]'s thread width,
+/// by default the process-wide one's ([`ParallelCtx::shared_from_env`]).
 pub struct IndexBuilder {
     options: IndexOptions,
     parallel: Arc<ParallelCtx>,
@@ -78,7 +78,7 @@ impl IndexBuilder {
         }
     }
 
-    /// Build on `parallel`'s pool instead of the process-wide one.
+    /// Build at `parallel`'s width instead of the process-wide one's.
     pub fn with_parallel(mut self, parallel: Arc<ParallelCtx>) -> Self {
         self.parallel = parallel;
         self
@@ -126,7 +126,7 @@ impl IndexBuilder {
         }
     }
 
-    /// Index a whole lake into fact rows on the builder's pool: in
+    /// Index a whole lake into fact rows at the builder's width: in
     /// canonical order when the tables come in ascending `TableId` order,
     /// as a lake holds them.
     ///
@@ -146,29 +146,25 @@ impl IndexBuilder {
     fn lake_rows(&self, tables: &[Table], span: &SpanGuard) -> Vec<FactRow> {
         span.attr_u64("tables", tables.len() as u64);
         let t0 = Instant::now();
-        let pool = self.parallel.pool();
-        let ranges = weighted_ranges(tables, pool.threads() * 4);
+        let threads = self.parallel.threads();
+        let ranges = weighted_ranges(tables, threads * 4);
         let phase = blend_obs::span("index.emit");
-        let parts = (pool.run(ranges.len(), |i| {
-            let tables = &tables[ranges[i].clone()];
+        let mut parts = fork_join(threads, ranges, |range| {
+            let tables = &tables[range];
             let mut rows = Vec::with_capacity(tables.iter().map(cells).sum());
             tables.iter().for_each(|t| self.emit(t, &mut rows));
-            Mutex::new(rows)
-        }))
-        .results;
+            rows
+        });
         drop(phase);
         let phase = blend_obs::span("index.xash");
-        pool.run(parts.len(), |i| {
-            let mut rows = parts[i].lock().expect("no task panics holding a range");
+        fork_join(threads, parts.iter_mut(), |rows| {
             let mut keys = Vec::new();
             (rows.chunk_by_mut(|a, b| a.table == b.table))
                 .for_each(|t| fill_superkeys(t, &mut keys));
         });
         drop(phase);
         let _phase = blend_obs::span("index.concat");
-        let mut parts = parts
-            .into_iter()
-            .map(|p| p.into_inner().expect("no task panics holding a range"));
+        let mut parts = parts.into_iter();
         let mut all = parts.next().unwrap_or_default();
         let rest: Vec<Vec<FactRow>> = parts.collect();
         all.reserve_exact(rest.iter().map(Vec::len).sum());

@@ -13,12 +13,15 @@
 //!    into SQL aggregation.
 //!
 //! [`builder::IndexBuilder`] runs the pipeline, optionally in parallel
-//! (the shared `blend-parallel` worker pool, over contiguous table ranges
-//! of about equal cell count), emitting the rows in the canonical order
+//! (`blend_parallel::fork_join` at the context's width, over contiguous
+//! table ranges of about equal cell count), emitting the rows in the
+//! canonical order
 //! the stores keep, and optionally with
 //! *pre-shuffled row order* — the "BLEND (rand)" configuration of Table VII,
 //! which converts the correlation seeker's `RowId < h` convenience sample
 //! into a random sample.
+
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod persist;

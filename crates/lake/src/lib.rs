@@ -24,6 +24,8 @@
 //! Everything is deterministic under a seed and a scale factor (`repro_all
 //! --scale`).
 
+#![forbid(unsafe_code)]
+
 pub mod corr_bench;
 pub mod ground_truth;
 pub mod lake;

@@ -1,7 +1,7 @@
 //! # blend-obs — the unified observability layer
 //!
 //! Every layer of the BLEND reproduction — serving queue, admission
-//! control, worker pool, SQL executors, plan executor, index builder —
+//! control, memory governor, SQL executors, plan executor, index builder —
 //! reports into this one dependency-free crate. It provides three views
 //! of the running system plus a logging facade, all built on `std` atomics
 //! with no external crates (not even the vendored stubs), so it can sit
@@ -26,7 +26,7 @@
 //! ## Naming conventions
 //!
 //! Metric names are `snake_case`, prefixed with the owning subsystem:
-//! `blend_serve_*`, `blend_admission_*`, `blend_pool_*`, `blend_sql_*`,
+//! `blend_serve_*`, `blend_admission_*`, `blend_mem_*`, `blend_sql_*`,
 //! `blend_index_*`. Counters end in `_total`; durations are nanoseconds
 //! and end in `_nanos`. Labels are rendered into the registered name
 //! (`blend_sql_queries_total{path="positional"}`); the registry treats
@@ -56,6 +56,8 @@
 //! traced run and reports the enabled/disabled ratio as
 //! `obs.overhead_ratio`, so a regression in this contract shows up there
 //! rather than silently taxing every query.
+
+#![forbid(unsafe_code)]
 
 pub mod log;
 pub mod metrics;

@@ -1,9 +1,9 @@
 //! The workspace's one log macro, replacing bare `eprintln!` diagnostics.
 //!
-//! `blend_obs::warn!("worker {} exited early", id)` writes one line,
+//! `blend_obs::warn!("{name} is malformed")` writes one line,
 //! `[WARN module::path] message`, to stderr. It has no level filter: the
-//! workspace logs only conditions someone should read (a worker pool that
-//! did not shut down cleanly, a malformed setting).
+//! workspace logs only conditions someone should read (a malformed
+//! setting).
 
 /// Write a warning line to stderr, tagged with the calling module.
 #[macro_export]

@@ -12,11 +12,10 @@
 //! traces in the SQL engine. Finishing an inner trace clones its subtree
 //! out (the spans also remain part of the enclosing trace's tree).
 //!
-//! The collector is thread-local on purpose: a query's orchestration —
-//! phase boundaries, hash-table builds, merges — runs on the thread that
-//! called the engine, while pool workers only execute leaf morsel
-//! closures, which are far too fine-grained to span (see the overhead
-//! contract in the crate docs).
+//! The collector is thread-local on purpose: a query runs on the thread
+//! that called the engine, and the index build's fork-join tasks are
+//! spanned as whole phases on the thread that forked them (see the
+//! overhead contract in the crate docs).
 
 use std::borrow::Cow;
 use std::cell::RefCell;

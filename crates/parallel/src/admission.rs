@@ -1,34 +1,28 @@
-//! Admission control: a machine-wide budget of worker tokens.
+//! Admission control: a machine-wide budget of execution tokens.
 //!
-//! The persistent pool makes workers shared; admission control makes them
-//! *rationed*. An [`Admission`] controller holds a fixed budget of tokens,
-//! each standing for one pool worker a query phase may enlist beyond its
-//! own calling thread. Every parallel phase acquires a grant before fanning
-//! out and releases it (by dropping the [`AdmissionGrant`]) when the phase
-//! ends, so N concurrent queries share one thread allotment instead of
-//! oversubscribing the machine N-fold.
-//!
-//! Two acquisition modes:
-//!
-//! * [`try_acquire`](Admission::try_acquire) — never blocks; returns
-//!   whatever is available, down to an empty grant. Query phases use this:
-//!   an empty grant means "run sequentially on your own thread", which is
-//!   graceful degradation rather than queuing (the calling thread exists
-//!   anyway, so total thread pressure stays bounded by callers + budget).
-//! * [`acquire_within`](Admission::acquire_within) — blocks until at least
-//!   one token is free, or the [`Interrupt`] fires (`Interrupt::never()`
-//!   waits for the token). The serving queue uses it: it prefers queuing
-//!   over degradation. The concurrency suite's proptest pins its liveness:
-//!   random grant/release sequences never exceed the budget and always
-//!   drain.
+//! An [`Admission`] controller holds a fixed budget of tokens. The serving
+//! tier takes one per request for the whole of its execution
+//! ([`acquire_within`](Admission::acquire_within)) and returns it by
+//! dropping the [`AdmissionGrant`], so at most `budget` requests execute
+//! at once however many clients submit. `acquire_within` blocks until a
+//! token is free, or the [`Interrupt`] fires (`Interrupt::never()` waits
+//! for the token): the queue prefers queuing over oversubscription. The
+//! concurrency suite's proptest pins its liveness: random grant/release
+//! sequences never exceed the budget and always drain.
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use blend_common::Result;
 
 use crate::cancel::Interrupt;
-use crate::pool::lock_clean;
+
+/// Lock a mutex, recovering from poisoning: no code panics while holding
+/// the controller's lock, and recovery keeps the budget serviceable even if
+/// that ever changed.
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Admission metric cells (`blend_admission_*`), resolved once and shared
 /// by every controller in the process.
@@ -37,8 +31,7 @@ struct AdmissionMetrics {
     tokens_in_use: Arc<blend_obs::Gauge>,
     /// Non-empty grants handed out.
     grants: Arc<blend_obs::Counter>,
-    /// Time spent blocked in `acquire_within` (the non-blocking
-    /// `try_acquire` never waits and is not recorded).
+    /// Time spent in `acquire_within`.
     acquire_wait: Arc<blend_obs::Histogram>,
 }
 
@@ -54,9 +47,9 @@ fn admission_metrics() -> &'static AdmissionMetrics {
     })
 }
 
-/// A token-bucket admission controller. Cheap to share (`Arc`); one
-/// instance per thread budget — the process-shared context owns one of
-/// `threads - 1` tokens, tests build their own to force contention.
+/// A token-bucket admission controller. Cheap to share (`Arc`); the
+/// process-shared context owns one of `threads - 1` tokens, tests build
+/// their own to force contention.
 #[derive(Debug)]
 pub struct Admission {
     budget: usize,
@@ -85,27 +78,6 @@ impl Admission {
         *lock_clean(&self.available)
     }
 
-    /// Take up to `desired` tokens without blocking. The grant may be
-    /// empty; callers must then fall back to sequential execution.
-    pub fn try_acquire(self: &Arc<Self>, desired: usize) -> AdmissionGrant {
-        if desired == 0 || self.budget == 0 {
-            return AdmissionGrant::empty();
-        }
-        let mut available = lock_clean(&self.available);
-        let tokens = (*available).min(desired);
-        *available -= tokens;
-        drop(available);
-        if tokens > 0 {
-            let m = admission_metrics();
-            m.tokens_in_use.add(tokens as i64);
-            m.grants.inc();
-        }
-        AdmissionGrant {
-            admission: (tokens > 0).then(|| self.clone()),
-            tokens,
-        }
-    }
-
     /// Take up to `desired` tokens, blocking until at least one is free,
     /// the deadline expires, or the token is cancelled — whichever comes
     /// first. Returns the typed
@@ -113,8 +85,8 @@ impl Admission {
     /// never holds tokens on the error path (the grant is only assembled
     /// after a successful wait, so nothing can leak).
     ///
-    /// Like the other modes, `desired == 0` or a zero budget returns an
-    /// empty grant immediately — a degenerate controller must not turn
+    /// `desired == 0` or a zero budget returns an empty grant
+    /// immediately — a degenerate controller must not turn
     /// every request into a timeout.
     pub fn acquire_within(
         self: &Arc<Self>,
@@ -169,13 +141,13 @@ impl Admission {
         debug_assert!(*available <= self.budget, "token over-release");
         drop(available);
         // Wake every waiter: a release of k tokens may satisfy several
-        // blocked acquires, and waking all of them (rather than one) is
-        // what rules out lost wakeups when waiters race a try_acquire.
+        // blocked acquires, and waking all of them (rather than one) rules
+        // out lost wakeups.
         self.released.notify_all();
     }
 }
 
-/// RAII token grant: holds `tokens` helper-worker tokens until dropped.
+/// RAII token grant: holds `tokens` tokens until dropped.
 #[derive(Debug)]
 pub struct AdmissionGrant {
     /// `None` for empty grants, which hold nothing and release nothing.
@@ -184,7 +156,7 @@ pub struct AdmissionGrant {
 }
 
 impl AdmissionGrant {
-    /// A grant of zero tokens (the sequential-fallback signal).
+    /// A grant of zero tokens (what a zero budget hands out).
     pub fn empty() -> AdmissionGrant {
         AdmissionGrant {
             admission: None,
@@ -192,7 +164,7 @@ impl AdmissionGrant {
         }
     }
 
-    /// Number of helper-worker tokens held.
+    /// Number of tokens held.
     pub fn tokens(&self) -> usize {
         self.tokens
     }
@@ -216,24 +188,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_acquire_degrades_to_empty() {
+    fn grants_share_the_budget_and_return_on_drop() {
         let adm = Admission::new(3);
-        let g1 = adm.try_acquire(2);
+        let never = Interrupt::never();
+        let g1 = adm.acquire_within(2, &never).unwrap();
         assert_eq!(g1.tokens(), 2);
-        let g2 = adm.try_acquire(2);
+        let g2 = adm.acquire_within(2, &never).unwrap();
         assert_eq!(g2.tokens(), 1, "partial grant under pressure");
-        let g3 = adm.try_acquire(2);
-        assert!(g3.is_empty(), "exhausted budget grants nothing");
+        assert_eq!(adm.available(), 0);
         drop(g1);
         assert_eq!(adm.available(), 2);
-        drop((g2, g3));
+        drop(g2);
         assert_eq!(adm.available(), 3);
     }
 
     #[test]
     fn zero_budget_never_blocks() {
         let adm = Admission::new(0);
-        assert!(adm.try_acquire(4).is_empty());
         let never = Interrupt::never();
         let grant = adm.acquire_within(4, &never).unwrap();
         assert!(grant.is_empty(), "acquire on zero budget returns");

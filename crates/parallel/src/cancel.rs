@@ -4,25 +4,22 @@
 //! running: a client-driven **cancellation token** (the client went away,
 //! or an operator killed the request) and a **deadline** (the request's
 //! latency budget expired). Both are *cooperative*: nothing preempts a
-//! worker mid-morsel. Instead an [`Interrupt`] — the pair of token and
+//! query mid-chunk. Instead an [`Interrupt`] — the pair of token and
 //! deadline — rides on the `ParallelCtx` handed down to the executor, and
 //! well-known sites poll it:
 //!
 //! * `Admission::acquire_within` re-checks before and during every blocked
 //!   wait, so a queued request can never sleep past its deadline.
 //! * The positional executor calls [`Interrupt::check`] at every phase
-//!   boundary (scan → join build → probe → group → global agg) and inside
-//!   every morsel / partition / probe-chunk loop, both on the sequential
-//!   path and inside pool-run closures.
+//!   boundary (scan → join build → probe → group → global agg) and once
+//!   per chunk inside every scan, probe, group and expression loop.
 //! * The plan executor checks between seekers.
 //!
-//! Pool closures cannot return `Result` (their partials are merged
-//! positionally), so inside a fan-out workers poll [`Interrupt::is_set`]
-//! and bail early with whatever partial they have; the *caller* then calls
-//! `check()?` right after the run and discards every partial on `Err`.
-//! That yields the **no-partial-results guarantee**: a query either
-//! completes and returns byte-identical output, or it returns a typed
-//! `BlendError::{Cancelled, Timeout}` and nothing else escapes.
+//! A check that fires returns a typed `BlendError::{Cancelled, Timeout}`
+//! through the operator's `Result`, and every partial output is dropped on
+//! the way out: the **no-partial-results guarantee**. A query either
+//! completes and returns the same output as an uninterrupted run, or
+//! returns the typed error and nothing else escapes.
 //!
 //! `Interrupt::default()` never fires and costs one relaxed atomic load
 //! per poll, so the non-serving paths (tests, benches, embedders calling
@@ -130,13 +127,6 @@ impl Interrupt {
         self.deadline
     }
 
-    /// Fast poll for fan-out inner loops: true once the query should stop.
-    /// Workers that see `true` bail early; the caller turns the condition
-    /// into a typed error via [`check`](Interrupt::check).
-    pub fn is_set(&self) -> bool {
-        self.token.is_cancelled() || self.deadline.expired()
-    }
-
     /// Turn the current state into a typed error: `Err(Cancelled)` wins
     /// over `Err(Timeout)` when both hold (an explicit cancel is the more
     /// specific signal), `Ok(())` otherwise. This is the phase-boundary
@@ -159,7 +149,6 @@ mod tests {
     #[test]
     fn default_interrupt_never_fires() {
         let i = Interrupt::never();
-        assert!(!i.is_set());
         assert!(i.check().is_ok());
         assert!(!i.deadline().is_some());
         assert_eq!(i.deadline().remaining(), None);
@@ -170,9 +159,8 @@ mod tests {
         let t = CancellationToken::new();
         let i = Interrupt::new(t.clone(), Deadline::none());
         let peer = i.clone();
-        assert!(!peer.is_set());
+        assert!(peer.check().is_ok());
         t.cancel();
-        assert!(peer.is_set());
         assert!(matches!(peer.check(), Err(BlendError::Cancelled(_))));
         t.cancel(); // idempotent
         assert!(t.is_cancelled());
@@ -184,7 +172,6 @@ mod tests {
         assert!(d.expired());
         assert_eq!(d.remaining(), Some(Duration::ZERO));
         let i = Interrupt::new(CancellationToken::new(), d);
-        assert!(i.is_set());
         assert!(matches!(i.check(), Err(BlendError::Timeout(_))));
     }
 

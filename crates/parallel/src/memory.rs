@@ -8,7 +8,7 @@
 //! process-global [`MemoryGovernor`] holds a byte budget
 //! (`BLEND_MEMORY_BUDGET`, see [`settings`]; unset/0 =
 //! unbounded) and hands out hierarchical RAII reservations, so memory
-//! pressure degrades queries *gracefully* — shrink, serialize, shed; never
+//! pressure degrades queries *gracefully* — reclaim, then shed; never
 //! crash.
 //!
 //! ## The reservation protocol (who reserves, where it's checked)
@@ -29,27 +29,23 @@
 //!   including a cancellation or a later `MemoryExceeded` — can never leak
 //!   reserved bytes.
 //!
-//! ## The four-rung degradation ladder
+//! ## The degradation ladder
 //!
-//! On reservation failure the system degrades in order, resolving typed
-//! only when every rung is exhausted:
+//! On reservation failure the system degrades in order:
 //!
 //! 1. **Reclaim** — the governor invokes registered
 //!    [`MemoryReclaimer`]s (the serving result cache registers itself; its
-//!    byte pool is a *child* of this budget) to
-//!    evict reclaimable bytes, then retries. This happens inside
-//!    [`QueryMemory::try_reserve`], so every call site benefits.
-//! 2. **Narrow** — parallel operators retry their reservation at half the
-//!    granted worker width (fewer radix partitions, smaller per-worker
-//!    scratch) via [`reserve_laddered`].
-//! 3. **Serialize** — retry at width 1: the sequential path with minimal
-//!    scratch.
-//! 4. **Shed** — resolve the request with
-//!    `BlendError::MemoryExceeded`. Cooperative, like cancellation: the
-//!    reservation failure propagates as a typed `Err` through the same
-//!    no-partial-results machinery, partials are discarded by `Drop`, and
-//!    the engine stays fully serviceable.
+//!    byte pool is a *child* of this budget) to evict reclaimable bytes,
+//!    then retries once. This happens inside [`QueryMemory::try_reserve`],
+//!    so every call site benefits.
+//! 2. **Shed** — resolve the request with `BlendError::MemoryExceeded`.
+//!    Cooperative, like cancellation: the reservation failure propagates as
+//!    a typed `Err` through the same no-partial-results machinery, partials
+//!    are discarded by `Drop`, and the engine stays fully serviceable.
 //!
+//! Every operator reserves once, for the footprint of its sequential run
+//! on the query's thread; there is no narrower width to retry at.
+
 //! ## Interaction with cancellation
 //!
 //! Reservations and interrupts compose but never interfere: a reservation
@@ -65,14 +61,14 @@
 //! `blend_mem_reservation_fail_total`, `blend_mem_exceeded_total`,
 //! `blend_mem_reclaims_total`, and `blend_mem_reclaimed_bytes`
 //! (histogram of bytes freed per reclaim pass). [`GovernorStats`] exposes
-//! the same numbers plus per-rung ladder counters for tests.
+//! the same numbers for tests.
 //!
 //! ## Fault injection
 //!
 //! [`MemoryGovernor::set_alloc_fail_every`] (which the serving tier calls
 //! for a `FailAlloc` fault rule) makes every `every`-th
 //! reservation attempt fail synthetically — reclaim cannot rescue it, so
-//! the storm suite can prove each ladder rung fires without needing a
+//! the storm suite can prove every operator sheds typed without needing a
 //! precisely tuned real budget.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -122,11 +118,8 @@ pub struct GovernorStats {
     pub reservation_fails: u64,
     /// Reclaim passes run (rung 1 firings).
     pub reclaims: u64,
-    /// Operators that succeeded at narrowed width (rung 2 firings).
-    pub narrowed: u64,
-    /// Operators that fell back to the sequential path (rung 3 firings).
-    pub sequential_fallbacks: u64,
-    /// Reservations that exhausted the ladder (rung 4 firings).
+    /// Reservations and growths that failed typed with `MemoryExceeded`
+    /// (rung 2 firings).
     pub exceeded: u64,
 }
 
@@ -146,8 +139,6 @@ pub struct MemoryGovernor {
     // Ladder counters.
     fails: AtomicU64,
     reclaims: AtomicU64,
-    narrowed: AtomicU64,
-    seq_fallbacks: AtomicU64,
     exceeded: AtomicU64,
 }
 
@@ -176,8 +167,6 @@ impl MemoryGovernor {
             fault_hits: AtomicUsize::new(0),
             fails: AtomicU64::new(0),
             reclaims: AtomicU64::new(0),
-            narrowed: AtomicU64::new(0),
-            seq_fallbacks: AtomicU64::new(0),
             exceeded: AtomicU64::new(0),
         }
     }
@@ -224,7 +213,7 @@ impl MemoryGovernor {
 
     /// Arm synthetic reservation failure: every `every`-th attempt fails
     /// (0 disarms). Reclaim cannot rescue an injected failure, so the
-    /// ladder's later rungs are exercised deterministically.
+    /// shed rung is exercised deterministically.
     pub fn set_alloc_fail_every(&self, every: usize) {
         self.fail_every.store(every, Ordering::Relaxed);
     }
@@ -244,8 +233,6 @@ impl MemoryGovernor {
             reserved: self.reserved_bytes(),
             reservation_fails: self.fails.load(Ordering::Relaxed),
             reclaims: self.reclaims.load(Ordering::Relaxed),
-            narrowed: self.narrowed.load(Ordering::Relaxed),
-            sequential_fallbacks: self.seq_fallbacks.load(Ordering::Relaxed),
             exceeded: self.exceeded.load(Ordering::Relaxed),
         }
     }
@@ -330,18 +317,15 @@ impl MemoryGovernor {
         self.reclaims_in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    // Test-only rung bumps come through `reserve_laddered`.
-    fn count_narrowed(&self) {
-        self.narrowed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_sequential(&self) {
-        self.seq_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_exceeded(&self) {
+    /// A typed, counted `MemoryExceeded` (rung 2) describing `what`.
+    fn exceeded(&self, what: std::fmt::Arguments<'_>) -> BlendError {
         self.exceeded.fetch_add(1, Ordering::Relaxed);
         mem_metrics().exceeded.inc();
+        BlendError::MemoryExceeded(format!(
+            "{what}; budget {} B, reserved {} B",
+            self.budget,
+            self.reserved_bytes()
+        ))
     }
 }
 
@@ -382,19 +366,15 @@ impl QueryMemory {
 
     /// Reserve `bytes` for the operator at `site`. A zero-byte request
     /// always succeeds. On failure (after the governor's internal reclaim
-    /// retry) returns `MemoryExceeded` naming the site — callers either
-    /// ladder down ([`reserve_laddered`]) or propagate.
+    /// retry) returns `MemoryExceeded` naming the site, which callers
+    /// propagate.
     pub fn try_reserve(
         self: &Arc<Self>,
         site: &'static str,
         bytes: usize,
     ) -> Result<MemoryReservation> {
         if !self.gov.try_charge(bytes) {
-            return Err(BlendError::MemoryExceeded(format!(
-                "{site} needs {bytes} B; budget {} B, reserved {} B",
-                self.gov.budget(),
-                self.gov.reserved_bytes()
-            )));
+            return Err(self.gov.exceeded(format_args!("{site} needs {bytes} B")));
         }
         self.note_acquired(bytes);
         Ok(MemoryReservation {
@@ -435,12 +415,11 @@ impl MemoryReservation {
     /// the up-front estimate). On failure the original grant is untouched.
     pub fn grow(&mut self, delta: usize) -> Result<()> {
         if !self.qm.gov.try_charge(delta) {
-            return Err(BlendError::MemoryExceeded(format!(
-                "{} grow needs {delta} B; budget {} B, reserved {} B",
-                self.site,
-                self.qm.gov.budget(),
-                self.qm.gov.reserved_bytes()
-            )));
+            let site = self.site;
+            return Err(self
+                .qm
+                .gov
+                .exceeded(format_args!("{site} grow needs {delta} B")));
         }
         self.qm.note_acquired(delta);
         self.bytes += delta;
@@ -459,61 +438,6 @@ impl Drop for MemoryReservation {
     fn drop(&mut self) {
         self.qm.note_released(self.bytes);
     }
-}
-
-/// Which rung of the ladder a reservation succeeded at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderRung {
-    /// Full requested width.
-    Full,
-    /// Half width (rung 2).
-    Narrowed,
-    /// Width 1, the sequential path (rung 3).
-    Sequential,
-}
-
-/// Reserve memory for a width-scalable operator, walking the degradation
-/// ladder: full width → half width → sequential. `cost(w)` prices the
-/// operator's allocations at worker width `w`. Returns the reservation,
-/// the width it was granted at, and the rung that succeeded; errors with
-/// `MemoryExceeded` only when even the sequential footprint does not fit
-/// (rung 4).
-pub fn reserve_laddered(
-    qm: &Arc<QueryMemory>,
-    site: &'static str,
-    desired_width: usize,
-    cost: impl Fn(usize) -> usize,
-) -> Result<(MemoryReservation, usize, LadderRung)> {
-    let desired = desired_width.max(1);
-    let mut rungs = [(desired, LadderRung::Full), (0, LadderRung::Narrowed)];
-    let mut n = 1;
-    if desired / 2 > 1 {
-        rungs[1] = (desired / 2, LadderRung::Narrowed);
-        n = 2;
-    }
-    let mut last_err = None;
-    for &(w, rung) in &rungs[..n] {
-        match qm.try_reserve(site, cost(w)) {
-            Ok(res) => {
-                if rung == LadderRung::Narrowed {
-                    qm.governor().count_narrowed();
-                }
-                return Ok((res, w, rung));
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if desired > 1 {
-        // Rung 3: the sequential path.
-        if let Ok(res) = qm.try_reserve(site, cost(1)) {
-            qm.governor().count_sequential();
-            return Ok((res, 1, LadderRung::Sequential));
-        }
-    }
-    qm.governor().count_exceeded();
-    Err(last_err.unwrap_or_else(|| {
-        BlendError::MemoryExceeded(format!("{site}: sequential footprint over budget"))
-    }))
 }
 
 #[cfg(test)]
@@ -566,31 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn ladder_narrows_then_serializes_then_sheds() {
-        // cost(w) = w * 100: full width 8 → 800, half 4 → 400, seq → 100.
-        let cost = |w: usize| w * 100;
-
-        let qm = scope(1000);
-        let (r, w, rung) = reserve_laddered(&qm, "join", 8, cost).unwrap();
-        assert_eq!((w, rung), (8, LadderRung::Full));
-        drop(r);
-
+    fn a_failed_reservation_sheds_typed_and_is_counted() {
         let qm = scope(500);
-        let (r, w, rung) = reserve_laddered(&qm, "join", 8, cost).unwrap();
-        assert_eq!((w, rung), (4, LadderRung::Narrowed));
-        assert_eq!(qm.governor().stats().narrowed, 1);
+        let err = qm.try_reserve("join", 800).unwrap_err();
+        assert!(matches!(&err, BlendError::MemoryExceeded(m) if m.contains("join needs 800 B")));
+        let mut r = qm.try_reserve("join", 400).unwrap();
+        assert!(r.grow(200).is_err());
+        assert_eq!(qm.governor().stats().exceeded, 2);
         drop(r);
-
-        let qm = scope(150);
-        let (r, w, rung) = reserve_laddered(&qm, "join", 8, cost).unwrap();
-        assert_eq!((w, rung), (1, LadderRung::Sequential));
-        assert_eq!(qm.governor().stats().sequential_fallbacks, 1);
-        drop(r);
-
-        let qm = scope(50);
-        let err = reserve_laddered(&qm, "join", 8, cost).unwrap_err();
-        assert!(matches!(err, BlendError::MemoryExceeded(_)));
-        assert_eq!(qm.governor().stats().exceeded, 1);
         assert_eq!(qm.governor().reserved_bytes(), 0, "nothing leaked");
     }
 

@@ -3,7 +3,7 @@
 //!
 //! | Variable | Effect |
 //! |---|---|
-//! | `BLEND_THREADS` | Width of the process-wide worker pool ([`ParallelCtx::shared_from_env`](crate::ParallelCtx::shared_from_env)); unset means the machine's available parallelism, `1` the sequential fallback everywhere. |
+//! | `BLEND_THREADS` | Width of the process-wide context ([`ParallelCtx::shared_from_env`](crate::ParallelCtx::shared_from_env)): the index build's fork-join width and, less one, the admission budget; unset means the machine's available parallelism, `1` a build on the calling thread and no admission tokens. |
 //! | `BLEND_MEMORY_BUDGET` | Byte budget of the process-wide [`MemoryGovernor`](crate::MemoryGovernor::global); unset or `0` means unbounded. |
 //!
 //! Both are unsigned integers. A value that is not one (`64MiB`, `-1`,

@@ -3,9 +3,9 @@
 //! BLEND is an interactive discovery system: many users issue seeker
 //! queries concurrently, and the paper's unified-SQL design funnels all of
 //! them through one executor. The crates below this one make a single
-//! query fast ([`blend_sql`]) and make concurrent queries share one worker
-//! pool fairly ([`blend_parallel`]); this crate makes the *front door*
-//! resilient. A [`ServeQueue`] accepts requests into a bounded queue,
+//! query fast ([`blend_sql`]) and ration concurrent executions through one
+//! admission budget ([`blend_parallel`]); this crate makes the *front
+//! door* resilient. A [`ServeQueue`] accepts requests into a bounded queue,
 //! sheds load when the bound is hit, enforces per-request deadlines,
 //! supports cooperative cancellation, and survives injected faults — so an
 //! overloaded or misbehaving workload degrades into typed errors instead
@@ -34,8 +34,9 @@
 //! 4. **Execute** — the engine runs the SQL with the request's interrupt
 //!    scoped onto the shared [`ParallelCtx`](blend_parallel::ParallelCtx)
 //!    (`SqlEngine::execute_parsed_interruptible`) and returns flat columns
-//!    ([`blend_sql::ResultColumns`]). Executors check at phase boundaries
-//!    and inside morsel/partition loops; see below.
+//!    ([`blend_sql::ResultColumns`]) on the serving thread. Executors
+//!    check at phase boundaries and once per chunk of their loops; see
+//!    below.
 //! 5. **Resolve** — every accepted request resolves exactly once: with the
 //!    execution's columns, shared (see *Results stay columnar*), or one
 //!    typed `BlendError::{Timeout, Cancelled, Overloaded, ...}`. Requests
@@ -129,14 +130,13 @@
 //!   interruptibly in admission (step 3).
 //! * **Plan executor** (`blend` core) — checks at every seeker boundary.
 //! * **SQL executors** (`blend_sql`) — check before each phase (scan, join
-//!   build/probe, group, global agg) and every few thousand rows inside
-//!   sequential loops; parallel closures poll per morsel/partition/chunk
-//!   and bail with truncated partials.
-//! * **No-partial-results guarantee** — pool tasks never unwind; the
-//!   *caller* re-checks the interrupt right after each parallel run and
-//!   discards all partials on `Err`. A request therefore either completes
-//!   byte-identically to a sequential run or returns exactly one typed
-//!   error and no data.
+//!   build/probe, group, global agg) and once per chunk of a few thousand
+//!   rows inside their loops.
+//! * **No-partial-results guarantee** — a check that fires returns its
+//!   typed error through the operator's `Result`, dropping every partial
+//!   on the way out. A request therefore either completes byte-identically
+//!   to an uninterrupted run or returns exactly one typed error and no
+//!   data.
 //!
 //! ## Memory pressure
 //!
@@ -156,8 +156,8 @@
 //!   halves the effective queue depth, so new work queues or sheds
 //!   instead of piling onto a system that is actively giving bytes back.
 //! * **`mem_exceeded` is a first-class outcome.** A request whose
-//!   execution exhausts the ladder (narrowed parallelism → sequential →
-//!   still over budget) resolves `Err(BlendError::MemoryExceeded)`,
+//!   execution exhausts the ladder (a reservation still over budget after
+//!   reclaim) resolves `Err(BlendError::MemoryExceeded)`,
 //!   counted separately from generic failures in [`ServeStats`] and the
 //!   `blend_serve_outcomes_total` family so the conservation identity
 //!   above stays exact under memory storms.
@@ -175,6 +175,8 @@
 //! load through an undersized queue with faults enabled and asserts
 //! liveness: no deadlock, every ticket resolves, deadline overshoot stays
 //! bounded, and `Ok` results are byte-identical to sequential references.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod faults;

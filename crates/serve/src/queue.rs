@@ -791,7 +791,7 @@ fn serve_one(
 
     // The execution slot: one admission token held for the whole request,
     // acquired under the request's own deadline. Under overload this is
-    // where queued requests time out instead of piling onto the pool.
+    // where queued requests time out instead of piling onto the cores.
     // Cache hits and coalesced waiters never reach this point — a group of
     // N fingerprint-equal requests costs one admission grant.
     //

@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use blend_common::{BlendError, FxHashSet, Result};
+use blend_common::{FxHashSet, Result};
 use blend_storage::{FactTable, GroupIndex};
 
 use crate::exec::{ResultSet, Tuple};
@@ -236,24 +236,6 @@ impl ResultColumn {
             }),
             ResultColumn::Val(c) => ResultColumn::Val(pick(c, ords)),
         }
-    }
-
-    /// Append a radix partition's column of the same plan. Partitions run
-    /// one plan, so their columns agree; a pair that does not is an error,
-    /// never a silent drop — and so is text, which no partitioned phase
-    /// puts out and which would need its dictionaries reconciled.
-    pub(crate) fn append(&mut self, other: ResultColumn) -> Result<()> {
-        match (self, other) {
-            (ResultColumn::Key(d), ResultColumn::Key(s)) => d.extend(s),
-            (ResultColumn::Int(d), ResultColumn::Int(s)) => d.extend(s),
-            (ResultColumn::U128(d), ResultColumn::U128(s)) => d.extend(s),
-            (ResultColumn::Val(d), ResultColumn::Val(s)) => d.extend(s),
-            _ => {
-                let what = "partitions disagree on an output column's type, or it is text";
-                return Err(BlendError::SqlExec(what.to_string()));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -523,22 +505,5 @@ mod tests {
         for (id, s) in ["b", "a", "c"].into_iter().enumerate() {
             assert_eq!(col.str_of(id as u32), s);
         }
-    }
-
-    #[test]
-    fn append_extends_like_columns_and_rejects_the_rest() {
-        let mut sk = ResultColumn::U128(vec![1, 2]);
-        sk.append(ResultColumn::U128(vec![3])).unwrap();
-        assert!(matches!(&sk, ResultColumn::U128(v) if v == &[1, 2, 3]));
-
-        // Another type, and text: typed errors that
-        // leave the column as it was.
-        let mut key = ResultColumn::Key(vec![7]);
-        let err = key.append(ResultColumn::Int(vec![8])).unwrap_err();
-        assert!(matches!(err, BlendError::SqlExec(_)), "{err}");
-        let text = |s| ResultColumn::Text(TextColumn::dense([s].into_iter()).unwrap());
-        let mut col = text("a");
-        assert!(col.append(text("b")).is_err());
-        assert_eq!((key.len(), col.len()), (1, 1));
     }
 }

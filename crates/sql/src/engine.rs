@@ -107,11 +107,11 @@ pub struct SqlEngine {
     /// engine's memoized results (and tests sharing a process stay
     /// independent).
     generation: std::sync::atomic::AtomicU64,
-    /// Shared worker-pool context the positional executor rides. Defaults
-    /// to [`ParallelCtx::shared_from_env`] (width from `BLEND_THREADS`):
-    /// every engine in the process shares **one** persistent pool and
-    /// admission budget with the index builds, so concurrent queries across
-    /// engines draw from a single machine-wide thread allotment.
+    /// The context every query runs under: its interrupt, memory scope and
+    /// chunk length. Defaults to [`ParallelCtx::shared_from_env`] (width
+    /// from `BLEND_THREADS`): every engine in the process shares **one**
+    /// admission budget, so serving queues across engines draw from a
+    /// single machine-wide allotment.
     parallel: Arc<ParallelCtx>,
 }
 

@@ -57,21 +57,17 @@ impl ScanReport {
     }
 }
 
-/// Parallel-execution telemetry for one positional-executor phase that ran
-/// on the worker pool. Sequential fallbacks record nothing, so a
-/// single-threaded context — or a phase denied by admission control under
-/// concurrent load — leaves no entry here.
+/// Telemetry for one executor phase that ran on more than one thread.
+/// Every phase runs on the query's thread, so no query records one:
+/// [`QueryReport::parallel`] is always empty, and the type stays for the
+/// readers of that field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelPhase {
-    /// Phase label: `scan:<alias>`, `join-build`, `join-probe`, `group`,
-    /// `sort` (the partitions' local top-k under a LIMIT).
+    /// Phase label.
     pub phase: String,
-    /// Number of work partitions (morsels or contiguous chunks).
+    /// Number of work partitions.
     pub partitions: usize,
-    /// Workers the admission controller granted this phase, **including
-    /// the calling thread**. Equals the context's thread budget when the
-    /// machine is idle; smaller under concurrent load (the machine-wide
-    /// token budget is shared by every in-flight query).
+    /// Threads the phase ran on, the calling thread included.
     pub granted: usize,
     /// Busy wall-clock time per participating worker, in nanoseconds.
     pub worker_nanos: Vec<u64>,
@@ -138,7 +134,8 @@ pub struct QueryReport {
     /// Executor that ran the query: `"positional"` on every production
     /// entry, `"reference"` from `SqlEngine::execute_reference`.
     pub path: String,
-    /// Pool-backed phases of the positional executor, in execution order.
+    /// Phases that ran on more than one thread: none, since every query
+    /// runs on its caller's thread (see [`ParallelPhase`]).
     pub parallel: Vec<ParallelPhase>,
     /// Flat join/group hash-table builds, in execution order.
     pub hash_tables: Vec<HashTableStats>,
@@ -174,10 +171,10 @@ impl QueryReport {
     /// Logical-telemetry equality: same scans, join cardinalities, result
     /// rows, and executor path. Ignores [`QueryReport::parallel`],
     /// [`QueryReport::hash_tables`], [`QueryReport::serving`], and
-    /// [`QueryReport::profile`], whose partition counts, table sizing, and
-    /// timings legitimately vary with the thread count and serving
-    /// conditions — everything else must be byte-identical at every thread
-    /// count (the parity suite's contract).
+    /// [`QueryReport::profile`], whose table sizing and timings
+    /// legitimately vary with chunk length and serving conditions —
+    /// everything else must be byte-identical (the parity suites'
+    /// contract).
     pub fn logical_eq(&self, other: &QueryReport) -> bool {
         self.scans == other.scans
             && self.joins == other.joins

@@ -3,21 +3,21 @@
 //! ## Flat group tables
 //!
 //! GROUP BY runs the **keyed phase** (`keyed`), which joins on packed keys
-//! share: admission, the memory ladder, radix partitioning by key hash, and
-//! per partition one [`GroupIndex`] (`blend_storage`'s one dense-id index:
-//! open addressing, linear probing) that assigns dense ids in first-seen
-//! order, rows upserting a [`PROBE_BLOCK`] at a time (hashed by
-//! [`DenseKey::hash_block`], one `hash64` per key; slots prefetched once
-//! the index outgrows cache). Per
-//! partition GROUP BY then runs `aggregate`, column-at-a-time over `(row,
-//! group id)` pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT
-//! ...)` by radix-grouping the gathered code column by group id and
+//! share: one reservation for the phase's state, then one [`GroupIndex`]
+//! (`blend_storage`'s one dense-id index: open addressing, linear probing)
+//! that assigns dense ids in first-seen order, rows upserting a
+//! [`PROBE_BLOCK`] at a time (hashed by [`DenseKey::hash_block`], one
+//! `hash64` per key; slots prefetched once the index outgrows cache).
+//! GROUP BY then runs `aggregate`, column-at-a-time over `(row, group id)`
+//! pairs into flat vectors: counts in `Vec<i64>`, `COUNT(DISTINCT ...)` by
+//! radix-grouping the gathered code column by group id (a CSR) and
 //! sort-uniquing each group's run, any other aggregate in the reference's
-//! `AggState`, its argument evaluated over the partition's rows
-//! (`exec_positional` docs, *Batch expressions*) and folded typed (`AggState::add_int` / `add_float`). A
-//! global (ungrouped) aggregate is the zero-key case: one group, which
-//! exists even over zero input rows. Each keyed phase records
-//! [`HashTableStats`] in [`QueryReport::hash_tables`].
+//! `AggState`, its argument evaluated over the batch's rows
+//! (`exec_positional` docs, *Batch expressions*) and folded typed
+//! (`AggState::add_int` / `add_float`) in row order. A global (ungrouped)
+//! aggregate is the zero-key case: one group, which exists even over zero
+//! input rows. Each keyed phase records [`HashTableStats`] (one partition)
+//! in [`QueryReport::hash_tables`].
 //!
 //! ## Column-index grouping
 //!
@@ -69,9 +69,7 @@
 
 use std::time::Instant;
 
-use blend_parallel::{
-    partition_count, reserve_laddered, MemoryReservation, ParallelCtx, PhaseGrant,
-};
+use blend_parallel::{MemoryReservation, ParallelCtx};
 use blend_storage::{
     radix_partition, radix_scratch_bytes, DenseKey, FactTable, FilterKernel, GroupIndex,
     RadixPartitions,
@@ -85,7 +83,7 @@ use super::{
 use crate::ast::AggFunc;
 use crate::columns::ResultColumn;
 use crate::columns::ResultColumns;
-use crate::exec::{AggState, HashTableStats, ParallelPhase, QueryReport, ScanReport};
+use crate::exec::{AggState, HashTableStats, QueryReport, ScanReport};
 use crate::expr::CExpr;
 use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
 use crate::plan::{AccessPath, AggPlan, GroupPlan, QueryPlan, ScanPlan, Tree, ValueList};
@@ -194,15 +192,14 @@ fn agg_spec<'p>(plan: &'p AggPlan, leaves: &[&ScanPlan]) -> Result<PosAggSpec<'p
 }
 
 /// Pre-gathered input column of one aggregate spec (one bulk gather per
-/// spec, done once before any partitioning so every radix partition reads
-/// the same flat arrays).
+/// spec, done before the keyed phase).
 enum SpecData {
     /// `COUNT(*)` / generic aggregates: nothing to pre-gather.
     None,
     /// Distinct via dictionary codes (column store), indexed by batch row.
     Codes(Vec<u32>),
     /// Distinct via strings (row store): the leaf's storage positions per
-    /// batch row; dense string ids are assigned per partition.
+    /// batch row, numbered by dense string ids in `aggregate`.
     Positions(Vec<u32>),
 }
 
@@ -289,15 +286,10 @@ impl<'a> GroupInput<'a> {
 /// output ([`GroupCols`]). [`finish_groups`] then orders, limits and
 /// projects.
 ///
-/// Large keyed inputs radix-partition rows by key hash so each pool worker
-/// owns its groups outright — per-group update order is exactly the
-/// sequential ascending row order (no merge), and ordering finished groups
-/// by first-seen row recovers the sequential output order.
-///
 /// A global (ungrouped) aggregate is the zero-key case: one group, which
 /// exists even over zero input rows, and group id 0 for every row. It needs
-/// no index, so it groups on the query's thread without an admission
-/// request and records no [`HashTableStats`]; its span is `group.global`.
+/// no index, so it records no [`HashTableStats`]; its span is
+/// `group.global`.
 ///
 /// The `group` span covers the whole phase, gathers and key packing
 /// included; its `path` attr says `hash`.
@@ -320,40 +312,32 @@ pub(super) fn exec_group(
     // The gathered input columns (and their reservations) live for the
     // grouping phase only; selection and projection run without them.
     let input = GroupInput::gather(shape, batch, tables, par)?;
-    let agg = |rows: Option<&[u32]>, first, ids: Vec<u32>| aggregate(&input, rows, first, &ids);
     // Monomorphize on packed key width.
-    let (parts, grant) = match input.key_cols.len() {
+    let groups = match input.key_cols.len() {
         0 => {
             // The gid column, reserved like the keyed path's.
             let _gid_mem = par.memory().try_reserve("group_build", n_rows * 4)?;
             let row_gids = blend_common::try_zeroed_vec(n_rows, "group_row_gids")?;
-            let groups = aggregate(&input, None, vec![0], &row_gids)?;
+            let groups = aggregate(&input, vec![0], &row_gids)?;
             par.check_interrupt()?;
-            (vec![groups], None)
+            groups
         }
         1 | 2 => {
             let packed = pack_rows64(&input.key_cols, n_rows);
-            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
-                agg(r, f, i)
-            })?;
-            (k.parts, k.grant)
+            let agg = |_, first, ids: Vec<u32>| aggregate(&input, first, &ids);
+            keyed(KeyedOp::Group, &packed, report, par, agg)?.out
         }
         _ => {
             let packed = pack_rows128(&input.key_cols, n_rows);
-            let k = keyed(KeyedOp::Group, &packed, report, par, |_, r, f, i| {
-                agg(r, f, i)
-            })?;
-            (k.parts, k.grant)
+            let agg = |_, first, ids: Vec<u32>| aggregate(&input, first, &ids);
+            keyed(KeyedOp::Group, &packed, report, par, agg)?.out
         }
     };
     drop(input);
-    span.attr_u64(
-        "groups",
-        parts.iter().map(GroupCols::len).sum::<usize>() as u64,
-    );
-    span.attr_u64("partitions", parts.len() as u64);
+    span.attr_u64("groups", groups.len() as u64);
+    span.attr_u64("partitions", 1);
     drop(span);
-    finish_groups(plan, parts, grant.as_ref(), report, par)
+    finish_groups(plan, groups, report, par)
 }
 
 /// `COUNT(DISTINCT CellValue) GROUP BY TableId[, ColumnId]` off the scan
@@ -454,195 +438,112 @@ pub(super) fn group_columns(
         access: "column-index".to_string(),
         ..ScanReport::new(scan, visited, kept)
     });
-    finish_groups(plan, vec![groups], None, report, par)
+    finish_groups(plan, groups, report, par)
 }
 
 /// The operator running the keyed phase, which names its memory site and
-/// labels and sizes its indexes: a join's hold every build key, so they
-/// never grow; a GROUP BY's start at a quarter of its rows (at most 64 Ki
-/// groups) and grow with its groups, each growth charged as it happens.
+/// its [`HashTableStats`] phase and sizes its index: a join's holds every
+/// build key, so it never grows; a GROUP BY's starts at a quarter of its
+/// rows (at most 64 Ki groups) and grows with its groups, each growth
+/// charged as it happens.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(super) enum KeyedOp {
     Group,
     Join,
 }
 
-/// What the keyed phase leaves: each radix partition's output (`hash &
-/// (parts.len() - 1)` names a key's partition), the rows of each partition
-/// (`None`: one partition of every row, in order), the phase grant, for
-/// what runs next, and the reservation pricing the phase's state.
+/// What the keyed phase leaves: `per_index`'s output, and the reservation
+/// pricing the phase's state.
 pub(super) struct Keyed<T> {
-    pub(super) parts: Vec<T>,
-    pub(super) rows: Option<RadixPartitions>,
-    pub(super) grant: Option<PhaseGrant>,
+    pub(super) out: T,
     _mem: MemoryReservation,
 }
 
 /// The keyed phase GROUP BY and the join on packed keys share (module
 /// docs, *Flat group tables*): number the distinct keys of `packed` densely
-/// through one [`GroupIndex`] per radix partition, then hand each
-/// partition's `per_part(index, rows, first_rows, row_ids)` — `rows` its
-/// ascending rows (`None`: all of them), `first_rows[id]` the row that
-/// opened id `id`, `row_ids[i]` the id of the partition's `i`-th row.
+/// through one [`GroupIndex`], then hand `per_index(index, first_rows,
+/// row_ids)` — `first_rows[id]` the row that opened id `id`, `row_ids[i]`
+/// the id of row `i`.
 ///
-/// Large inputs radix-partition rows by key hash (low bits) so each pool
-/// worker owns its keys outright, and within a partition rows keep
-/// ascending global order: every group's aggregates see the exact
-/// sequential update sequence, and a key's build rows stay ascending.
 /// Rows upsert a [`PROBE_BLOCK`] at a time, hashed by
-/// [`DenseKey::hash_block`] (or the radix pass), with the block's slots
-/// prefetched once the index has outgrown cache; insert order — and with it
-/// id assignment and first-seen rows — is untouched.
-pub(super) fn keyed<K: DenseKey + Copy + Send + Sync, T: Send>(
+/// [`DenseKey::hash_block`], with the block's slots prefetched once the
+/// index has outgrown cache; insert order — and with it id assignment and
+/// first-seen rows — is row order.
+///
+/// One reservation prices the phase's state before it runs: packed keys,
+/// per-row ids, the index at its initial size and, for a join, the CSR. A
+/// GROUP BY's index growth past that size is charged once a block; a
+/// failed reservation resolves `MemoryExceeded`.
+pub(super) fn keyed<K: DenseKey + Copy, T>(
     op: KeyedOp,
     packed: &[K],
     report: &mut QueryReport,
     par: &ParallelCtx,
-    per_part: impl Fn(GroupIndex<K>, Option<&[u32]>, Vec<u32>, Vec<u32>) -> Result<T> + Sync,
+    per_index: impl FnOnce(GroupIndex<K>, Vec<u32>, Vec<u32>) -> Result<T>,
 ) -> Result<Keyed<T>> {
     let n = packed.len();
     let t0 = Instant::now();
-    let (site, phase, label, capacity): (_, _, _, fn(usize) -> usize) = match op {
-        KeyedOp::Group => ("group_build", "group", "group", |n| (n / 4).min(1 << 16)),
-        KeyedOp::Join => ("join_build", "join", "join-build", |n| n),
+    let (site, phase, capacity) = match op {
+        KeyedOp::Group => ("group_build", "group", (n / 4).min(1 << 16)),
+        KeyedOp::Join => ("join_build", "join", n),
     };
-    // Admission: fanout follows the granted worker count; an empty grant
-    // takes the single-partition sequential path.
-    //
-    // Memory ladder: price the phase's state at the granted width — packed
-    // keys, per-row ids, the indexes and, for a join, the CSR (on
-    // partitions with the ids put back in row order); the parallel path
-    // also hashes every row and radix-scatters it — narrowing to half width
-    // and then the sequential single-partition loop under pressure. Output
-    // is partition-count-invariant, so degraded widths stay byte-identical.
-    let grant = par.admit(n);
-    let desired = grant.as_ref().map_or(1, |g| g.granted());
-    let key_bytes = std::mem::size_of_val(packed);
-    let (mem, width, _rung) = reserve_laddered(par.memory(), site, desired, |w| {
-        let parts = partition_count(w, n);
-        // A join's indexes hold every build key; split over partitions, a
-        // bound for any split (at most four slots per row, at least 16).
-        let index = match (op, parts) {
-            (KeyedOp::Join, 2..) => (4 * n + 16 * parts) * 4 + key_bytes,
-            _ => GroupIndex::<K>::estimate_bytes(capacity(n)),
-        };
-        let csr = match op {
-            KeyedOp::Join => radix_scratch_bytes(n, n) + (parts > 1) as usize * n * 4,
-            KeyedOp::Group => 0,
-        };
-        let radix = (parts > 1) as usize * (n * 12 + radix_scratch_bytes(n, parts));
-        n * 4 + key_bytes + index + csr + radix
-    })?;
-    let n_parts = partition_count(width, n);
-    // The grant survives only where the phase really fans out.
-    let grant = grant
-        .filter(|_| width > 1 && n_parts > 1)
-        .map(|g| g.narrowed(width));
+    let csr = match op {
+        KeyedOp::Join => radix_scratch_bytes(n, n),
+        KeyedOp::Group => 0,
+    };
+    let bytes = n * 4 + std::mem::size_of_val(packed) + GroupIndex::<K>::estimate_bytes(capacity);
+    let mem = par.memory().try_reserve(site, bytes + csr)?;
 
-    // One partition (`part`: the radix pass's hashes and its rows; `None`:
-    // every row). Index growth past its priced size is charged once a
-    // block, until `per_part` has consumed the index.
-    let number = |part: Option<(&[u64], &[u32])>| -> Result<(usize, usize, T)> {
-        let rows = part.map(|(_, rows)| rows);
-        let part_n = rows.map_or(n, <[u32]>::len);
-        let mut index = GroupIndex::with_capacity(capacity(part_n))?;
-        let priced = index.heap_bytes();
-        let mut grown = par.memory().try_reserve(site, 0)?;
-        let mut first_rows: Vec<u32> = Vec::new();
-        let mut row_ids: Vec<u32> = blend_common::try_vec_with_capacity(part_n, "keyed_row_ids")?;
-        let mut hash_buf = [0u64; PROBE_BLOCK];
-        for start in (0..part_n).step_by(PROBE_BLOCK) {
-            // An interrupted partition ends typed; the check after the run
-            // discards every partial.
-            if poll_every(start) {
-                par.check_interrupt()?;
-            }
-            let end = (start + PROBE_BLOCK).min(part_n);
-            let hashes = &mut hash_buf[..end - start];
-            match part {
-                Some((all, rows)) => {
-                    for (h, &r) in hashes.iter_mut().zip(&rows[start..end]) {
-                        *h = all[r as usize];
-                    }
-                }
-                None => K::hash_block(&packed[start..end], hashes),
-            }
-            // An upsert below may grow the index mid-block, turning the
-            // rest of the block's prefetches stale — merely useless.
-            if index.slot_count() >= PREFETCH_MIN_SLOTS {
-                for &h in hashes.iter() {
-                    index.prefetch_slot(h);
-                }
-            }
-            for (idx, &h) in (start..end).zip(hashes.iter()) {
-                let i = rows.map_or(idx, |r| r[idx] as usize);
-                let before = index.len();
-                row_ids.push(index.insert_or_get_hashed(packed[i], h)?);
-                if index.len() != before {
-                    first_rows.push(i as u32);
-                }
-            }
-            let over = index.heap_bytes().saturating_sub(priced + grown.bytes());
-            if over > 0 {
-                grown.grow(over)?;
+    let mut index = GroupIndex::with_capacity(capacity)?;
+    let priced = index.heap_bytes();
+    let mut grown = par.memory().try_reserve(site, 0)?;
+    let mut first_rows: Vec<u32> = Vec::new();
+    let mut row_ids: Vec<u32> = blend_common::try_vec_with_capacity(n, "keyed_row_ids")?;
+    let mut hash_buf = [0u64; PROBE_BLOCK];
+    for start in (0..n).step_by(PROBE_BLOCK) {
+        if poll_every(start) {
+            par.check_interrupt()?;
+        }
+        let end = (start + PROBE_BLOCK).min(n);
+        let hashes = &mut hash_buf[..end - start];
+        K::hash_block(&packed[start..end], hashes);
+        // An upsert below may grow the index mid-block, turning the rest of
+        // the block's prefetches stale — merely useless.
+        if index.slot_count() >= PREFETCH_MIN_SLOTS {
+            hashes.iter().for_each(|&h| index.prefetch_slot(h));
+        }
+        for (i, &h) in (start..end).zip(hashes.iter()) {
+            let before = index.len();
+            row_ids.push(index.insert_or_get_hashed(packed[i], h)?);
+            if index.len() != before {
+                first_rows.push(i as u32);
             }
         }
-        par.check_interrupt()?;
-        let (slots, max_probe) = (index.slot_count(), index.max_probe());
-        let out = per_part(index, rows, first_rows, row_ids)?;
-        Ok((slots, max_probe, out))
-    };
-
-    let (parts, rows) = match &grant {
-        None => (vec![number(None)], None),
-        Some(grant) => {
-            let mut hashes = blend_common::try_zeroed_vec(n, "keyed_hashes")?;
-            K::hash_block(packed, &mut hashes);
-            let pmask = (n_parts - 1) as u64;
-            let part_of: Vec<u32> = hashes.iter().map(|&h| (h & pmask) as u32).collect();
-            let rp = radix_partition(&part_of, n_parts)?;
-            let run = grant
-                .pool()
-                .run(n_parts, |p| number(Some((&hashes, rp.part(p)))));
-            report.parallel.push(ParallelPhase {
-                phase: label.to_string(),
-                partitions: n_parts,
-                granted: width,
-                worker_nanos: run.worker_nanos,
-            });
-            (run.results, Some(rp))
+        let over = index.heap_bytes().saturating_sub(priced + grown.bytes());
+        if over > 0 {
+            grown.grow(over)?;
         }
-    };
+    }
     par.check_interrupt()?;
-    // A partition whose allocation or reservation failed surfaces the typed
-    // error here; every other partial is discarded with it.
-    let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
+    let (buckets, max_chain) = (index.slot_count(), index.max_probe());
+    let out = per_index(index, first_rows, row_ids)?;
+    drop(grown);
     report.hash_tables.push(HashTableStats {
         phase: phase.to_string(),
         build_nanos: t0.elapsed().as_nanos() as u64,
-        buckets: parts.iter().map(|p| p.0).sum(),
-        max_chain: parts.iter().map(|p| p.1).max().unwrap_or(0),
-        partitions: parts.len(),
+        buckets,
+        max_chain,
+        partitions: 1,
     });
-    Ok(Keyed {
-        parts: parts.into_iter().map(|p| p.2).collect(),
-        rows,
-        grant,
-        _mem: mem,
-    })
+    Ok(Keyed { out, _mem: mem })
 }
 
 /// Accumulate each aggregate column-at-a-time into a flat vector indexed
 /// by group id — the output column itself for the counts — behind the key
-/// columns read at each group's first-seen row. `row_gids[idx]` is the
-/// group id of batch row `rows[idx]` (`rows` = `None`: of row `idx`);
-/// `first_rows[g]` is the batch row that opened group `g`.
-fn aggregate(
-    input: &GroupInput<'_>,
-    rows: Option<&[u32]>,
-    first_rows: Vec<u32>,
-    row_gids: &[u32],
-) -> Result<GroupCols> {
+/// columns read at each group's first-seen row. `row_gids[i]` is the group
+/// id of batch row `i`; `first_rows[g]` is the batch row that opened group
+/// `g`.
+fn aggregate(input: &GroupInput<'_>, first_rows: Vec<u32>, row_gids: &[u32]) -> Result<GroupCols> {
     let GroupInput {
         shape,
         batch,
@@ -653,12 +554,6 @@ fn aggregate(
         ..
     } = input;
     let n_groups = first_rows.len();
-    let row_at = |idx: usize| rows.map_or(idx, |r| r[idx] as usize);
-    // The batch's rows `sel` picks (every row when `None`).
-    let picked = |sel| Rows {
-        sel,
-        ..batch.rows(0)
-    };
     // Distinct specs share one gid-grouping CSR.
     let mut gid_csr: Option<RadixPartitions> = None;
     // Key values read at each group's first-seen row — interned keys'
@@ -670,7 +565,10 @@ fn aggregate(
         Keys::Interned(exprs) => (exprs.iter())
             .map(|e| {
                 let mut v = Vec::with_capacity(n_groups);
-                let at_first = picked(Some(&first_rows));
+                let at_first = Rows {
+                    sel: Some(&first_rows),
+                    ..batch.rows(0)
+                };
                 e.eval_morsels(tables, at_first, par, |_, c| v.extend(c.into_values()))?;
                 Ok(ResultColumn::Val(v))
             })
@@ -690,17 +588,15 @@ fn aggregate(
                     Some(c) => c,
                     none => none.insert(radix_partition(row_gids, n_groups)?),
                 };
-                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[row_at(idx)]))
+                ResultColumn::Int(distinct_counts(csr, n_groups, |idx| codes[idx]))
             }
             (PosAggSpec::DistinctValue { leaf }, SpecData::Positions(positions)) => {
-                // Dense string ids: one index per partition, never per
-                // group. Ids are bijective with distinct strings within the
-                // partition, so sort-unique over ids counts strings.
+                // Dense string ids: one index, never one per group. Ids are
+                // bijective with distinct strings, so sort-unique over ids
+                // counts strings.
                 let mut ids: GroupIndex<&str> = GroupIndex::with_capacity(0)?;
-                let str_ids = (0..row_gids.len())
-                    .map(|idx| {
-                        ids.insert_or_get(tables[*leaf].value_at(positions[row_at(idx)] as usize))
-                    })
+                let str_ids = (positions.iter())
+                    .map(|&p| ids.insert_or_get(tables[*leaf].value_at(p as usize)))
                     .collect::<Result<Vec<u32>>>()?;
                 let csr = match &mut gid_csr {
                     Some(c) => c,
@@ -713,7 +609,7 @@ fn aggregate(
                     (0..n_groups).map(|_| AggState::new(plan)).collect();
                 match arg {
                     None => (row_gids.iter()).for_each(|&g| states[g as usize].update_value(None)),
-                    Some(e) => e.eval_morsels(tables, picked(rows), par, |range, c| {
+                    Some(e) => e.eval_morsels(tables, batch.rows(0), par, |range, c| {
                         c.fold(&row_gids[range], &mut states)
                     })?,
                 }
@@ -755,7 +651,7 @@ fn distinct_counts(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{both_paths, engine, forced_parallel_engine};
+    use super::super::tests::{both_paths, engine, small_chunk_engine};
     use crate::engine::SqlEngine;
     use crate::exec::QueryReport;
     use crate::value::SqlValue;
@@ -804,8 +700,8 @@ mod tests {
 
     /// A global aggregate is the zero-key GROUP BY: one group, which exists
     /// even over an empty drive, grouped on the query's thread with no
-    /// group hash table — on both engines, sequentially and on a forced
-    /// pool, with the reference's bytes (NULL for SUM, AVG, MIN and
+    /// group hash table — on both engines, at default and three-row
+    /// chunks, with the reference's bytes (NULL for SUM, AVG, MIN and
     /// MAX over nothing).
     #[test]
     fn global_aggregate_emits_one_row_even_when_empty() {
@@ -831,13 +727,12 @@ mod tests {
             ),
         ];
         for kind in [EngineKind::Row, EngineKind::Column] {
-            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+            for eng in [engine(kind), small_chunk_engine(kind)] {
                 for (sql, rows) in &cases {
                     let (got, rep) = eng.execute_with_report(sql).unwrap();
                     assert_eq!(rep.path, "positional", "{kind:?}: {sql}");
                     assert_eq!(got.len(), *rows, "{kind:?}: {sql}");
                     assert!(rep.hash_tables.is_empty(), "{kind:?}: {sql}");
-                    assert!(rep.parallel.iter().all(|p| p.phase != "group"));
                     let (want, _) = eng.execute_reference(sql).unwrap();
                     assert_eq!(
                         format!("{:?}", got.rows),
@@ -868,44 +763,26 @@ mod tests {
     }
 
     #[test]
-    fn keyed_float_sums_group_in_parallel_bit_identically() {
-        // `SUM(RowId / 2)` produces non-integer values — a chunk-merge
-        // would not be bit-exact, but the radix-partitioned keyed path
-        // owns each group outright, so per-group f64 accumulation order is
-        // exactly sequential and the parallel group phase stays admitted.
-        let eng = forced_parallel_engine(EngineKind::Column, 4);
-        let sql = "SELECT TableId AS t, SUM(RowId / 2) AS s FROM AllTables GROUP BY TableId";
-        let (got, rep) = eng.execute_with_report(sql).unwrap();
-        assert!(
-            rep.parallel.iter().any(|p| p.phase == "group"),
-            "keyed float SUM should group in parallel via radix partitions"
-        );
-        let (want, _) = eng.execute_reference(sql).unwrap();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn global_float_sums_fall_back_to_sequential_grouping() {
-        // A global aggregate has a single group, so there is nothing to
-        // partition: it groups on the query's thread, and its one f64 sum
-        // accumulates in sequential row order.
-        let eng = forced_parallel_engine(EngineKind::Column, 4);
-        let sql = "SELECT SUM(RowId / 2) AS s FROM AllTables";
-        let (got, rep) = eng.execute_with_report(sql).unwrap();
-        assert!(
-            rep.parallel.iter().all(|p| p.phase != "group"),
-            "global float SUM must not group in parallel"
-        );
-        let (want, _) = eng.execute_reference(sql).unwrap();
-        assert_eq!(got, want);
+    fn float_sums_accumulate_in_row_order() {
+        // `SUM(RowId / 2)` produces non-integer values, so only the
+        // reference's row-order accumulation gives its bits: keyed (one
+        // state per group) and global (one state) alike, across chunks.
+        let eng = small_chunk_engine(EngineKind::Column);
+        for sql in [
+            "SELECT TableId AS t, SUM(RowId / 2) AS s FROM AllTables GROUP BY TableId",
+            "SELECT SUM(RowId / 2) AS s FROM AllTables",
+        ] {
+            let (got, _) = eng.execute_with_report(sql).unwrap();
+            let (want, _) = eng.execute_reference(sql).unwrap();
+            assert_eq!(got, want, "{sql}");
+        }
     }
 
     #[test]
     fn hash_table_telemetry_is_recorded() {
         let eng = engine(EngineKind::Column);
-        // Join + group: one "join" and one "group" entry, sequential
-        // (single partition) at default tuning on this tiny input. A join
-        // on `RowId` alone is not row-keyed, so it hashes.
+        // Join + group: one "join" and one "group" entry, one partition
+        // each. A join on `RowId` alone is not row-keyed, so it hashes.
         let (_, rep) = eng
             .execute_with_report(
                 "SELECT q0.TableId AS t, COUNT(*) AS n FROM \
@@ -925,9 +802,9 @@ mod tests {
             assert!(h.max_chain >= 1);
         }
 
-        // Forced-parallel run: radix partition counts land in telemetry. A
-        // sequential scan is a hash-path drive, whatever the aggregate.
-        let eng = forced_parallel_engine(EngineKind::Column, 4);
+        // A sequential scan is a hash-path drive, whatever the aggregate;
+        // its one index is one partition.
+        let eng = small_chunk_engine(EngineKind::Column);
         let (_, rep) = eng
             .execute_with_report(
                 "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS s FROM AllTables \
@@ -940,8 +817,7 @@ mod tests {
             .iter()
             .find(|h| h.phase == "group")
             .expect("group stats recorded");
-        assert!(group.partitions > 1);
-        assert!(group.partitions.is_power_of_two());
+        assert_eq!(group.partitions, 1);
 
         // The same aggregate over a value-index drive builds no hash table.
         let (_, rep) = eng
@@ -974,7 +850,7 @@ mod tests {
 
     /// Distinct counts over a value-index drive count off the column
     /// store's column index — with every key order, behind `TableId IN` /
-    /// `NOT IN` sets, sequentially and on a forced pool — and every near
+    /// `NOT IN` sets, at default and three-row chunks — and every near
     /// miss, and every shape on the row store, takes the hash path. Both
     /// give the reference's bytes at every LIMIT.
     #[test]
@@ -1019,7 +895,7 @@ mod tests {
             (query(t, &filtered("ColumnId = 0"), tc), "hash"),
         ];
         for kind in [EngineKind::Row, EngineKind::Column] {
-            for eng in [engine(kind), forced_parallel_engine(kind, 4)] {
+            for eng in [engine(kind), small_chunk_engine(kind)] {
                 for (sql, want_path) in &cases {
                     let want_path = if kind == EngineKind::Column {
                         want_path

@@ -11,23 +11,20 @@
 //!   ordinal's id is its rank among the build ordinals ([`OrdinalRank`], a
 //!   bitmap over the ordinal space with a per-word prefix, which the MC
 //!   seeker's operator shares); no key is hashed;
-//! * **the keyed phase** on packed keys, with nothing run per partition:
-//!   its indexes hold every build key, so they never grow, and a
-//!   partition's ids are offset past those before it. The probe hashes a
-//!   block of packed keys and looks each up in its partition's index
-//!   ([`GroupIndex::get_hashed`]);
+//! * **the keyed phase** on packed keys: its index holds every build key,
+//!   so it never grows. The probe hashes a block of packed keys and looks
+//!   each up in the index
+//!   ([`GroupIndex::get_hashed`](blend_storage::GroupIndex::get_hashed));
 //! * **the interner** on interned keys, whose ids are dense already:
 //!   nothing is packed or hashed, and build rows whose key holds NULL go to
 //!   one list past the last id, which no probe names.
 //!
 //! Build-side choice (the smaller input), the residual, probe order and
 //! ascending build matches are the reference's `hash_join`, so the bytes
-//! are its; partitioned builds are partition-count-invariant. One probe
-//! loop (`Joiner::probe_ids`) serves all three, split evenly over the pool
-//! under an admission grant (the `join-probe` [`ParallelPhase`]) and
-//! concatenated in order. Spans `join.build` / `join.probe` say `path`
-//! `rows` or `hash` (packed and interned keys); a rows build adds
-//! `ordinals`, a packed build `buckets`, `max_chain` and `partitions`, and
+//! are its. One probe loop (`Joiner::probe_ids`) serves all three, on the
+//! query's thread. Spans `join.build` / `join.probe` say `path` `rows` or
+//! `hash` (packed and interned keys); a rows build adds `ordinals`, a
+//! packed build `buckets`, `max_chain` and `partitions` (always 1), and
 //! every probe `matched` and `skipped` (rows whose lookup found no id).
 //! Keys are gathered and packed, or interned, inside the span of their
 //! side. Only a packed join records
@@ -57,17 +54,15 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use blend_obs::SpanGuard;
-use blend_parallel::{split_even, ParallelCtx, PhaseGrant};
-use blend_storage::{
-    radix_partition, radix_scratch_bytes, DenseKey, FactTable, GroupIndex, OrdinalRank,
-};
+use blend_parallel::ParallelCtx;
+use blend_storage::{radix_partition, radix_scratch_bytes, DenseKey, FactTable, OrdinalRank};
 
 use super::group::{keyed, KeyedOp};
 use super::{
     executor_bug, int_col, pack_rows128, pack_rows64, poll_every, retain_rows, Intern, Interner,
     Keys, PosBatch, PosCol, NO_MATCH, PREFETCH_MIN_SLOTS, PROBE_BLOCK,
 };
-use crate::exec::{ParallelPhase, QueryReport};
+use crate::exec::QueryReport;
 use crate::expr::CExpr;
 use crate::pexpr::{compile_pexpr, IntCol, Leaves, PExpr, Rows, FACT_WIDTH};
 use crate::plan::ScanPlan;
@@ -153,7 +148,7 @@ pub(super) fn exec_join(
         (Some((l, r)), _) => {
             let (build_leaf, probe_leaf) = if build_left { (l, r) } else { (r, l) };
             let local = (build_leaf - build_base, probe_leaf - probe_base);
-            join_rows(&joiner, build_span, local, tables[l], report, par)?
+            join_rows(&joiner, build_span, local, tables[l], par)?
         }
         (None, Keys::Packed(cols)) => {
             // One side's key columns (`true`: the build side's), gathered in
@@ -211,7 +206,7 @@ pub(super) fn exec_join(
                 };
                 Ok(hits_of)
             };
-            joiner.probe_ids(build_span, (ids, n_ids + 1), "hash", lookup, report, par)?
+            joiner.probe_ids(build_span, (ids, n_ids + 1), "hash", lookup, par)?
         }
     };
     let stride = left.stride + right.stride;
@@ -260,17 +255,14 @@ impl Joiner<'_> {
     /// each id's build rows (`ids`: each build row's id, below `n_ids`), then
     /// `lookup` runs inside `join.probe` and maps blocks of probe rows to their
     /// [`Hits`] (with a scratch buffer to gather into), and each hit walks its
-    /// id's list. The residual runs on every [`PROBE_BLOCK`] of joined pairs.
-    /// Under an admission grant the probe rows split evenly over the pool
-    /// (`join-probe`) and the chunks concatenate in order, the sequential
-    /// probe order.
-    fn probe_ids<L: Fn(Range<usize>, &mut Vec<u32>, &mut Hits) + Sync>(
+    /// id's list in probe order. The residual runs on every [`PROBE_BLOCK`]
+    /// of joined pairs.
+    fn probe_ids<L: Fn(Range<usize>, &mut Vec<u32>, &mut Hits)>(
         &self,
         build_span: SpanGuard,
         (ids, n_ids): (Vec<u32>, usize),
         path: &'static str,
         lookup: impl FnOnce() -> Result<L>,
-        report: &mut QueryReport,
         par: &ParallelCtx,
     ) -> Result<(Vec<u32>, usize)> {
         let lists = radix_partition(&ids, n_ids)?;
@@ -283,80 +275,41 @@ impl Joiner<'_> {
         span.attr_u64("rows", n_probe as u64);
         span.attr_str("path", path);
         let lookup = lookup()?;
-        let intr = par.interrupt();
+        let scratch = self.residual.map_or(0, |r| r.scratch_bytes(PROBE_BLOCK));
+        let _expr_mem = par.memory().try_reserve("expr_scratch", scratch)?;
         let stride = self.build.stride + self.probe.stride;
         let block = PROBE_BLOCK * stride;
-        let chunk = |range: Range<usize>| {
-            let mut out = Probed::default();
-            let (mut scratch, mut hits) = (Vec::new(), Vec::with_capacity(PROBE_BLOCK));
-            // Joined rows before `from` have passed the residual.
-            let mut from = 0;
-            for start in range.clone().step_by(PROBE_BLOCK) {
-                if poll_every(start - range.start) && intr.is_set() {
-                    break;
-                }
-                let end = (start + PROBE_BLOCK).min(range.end);
-                hits.clear();
-                lookup(start..end, &mut scratch, &mut hits);
-                out.skipped += end - start - hits.len();
-                for &(pi, id) in &hits {
-                    for &bi in lists.part(id as usize) {
-                        self.emit(bi as usize, pi as usize, &mut out.rows);
-                        if let Some(res) = self.residual.filter(|_| out.rows.len() - from >= block)
-                        {
-                            self.filter(res, &mut out.rows, from / stride);
-                            from = out.rows.len();
-                        }
+        let (mut rows, mut skipped) = (Vec::new(), 0);
+        let (mut scratch, mut hits) = (Vec::new(), Vec::with_capacity(PROBE_BLOCK));
+        // Joined rows before `from` have passed the residual.
+        let mut from = 0;
+        for start in (0..n_probe).step_by(PROBE_BLOCK) {
+            if poll_every(start) {
+                par.check_interrupt()?;
+            }
+            let end = (start + PROBE_BLOCK).min(n_probe);
+            hits.clear();
+            lookup(start..end, &mut scratch, &mut hits);
+            skipped += end - start - hits.len();
+            for &(pi, id) in &hits {
+                for &bi in lists.part(id as usize) {
+                    self.emit(bi as usize, pi as usize, &mut rows);
+                    if let Some(res) = self.residual.filter(|_| rows.len() - from >= block) {
+                        self.filter(res, &mut rows, from / stride);
+                        from = rows.len();
                     }
                 }
             }
-            if let Some(res) = self.residual {
-                self.filter(res, &mut out.rows, from / stride);
-            }
-            out
-        };
-        let admitted = par.admit(n_probe);
-        let width = admitted.as_ref().map_or(1, PhaseGrant::granted);
-        let scratch = self.residual.map_or(0, |r| r.scratch_bytes(PROBE_BLOCK));
-        let _expr_mem = par.memory().try_reserve("expr_scratch", width * scratch)?;
-        let probed = match admitted {
-            None => chunk(0..n_probe),
-            Some(grant) => {
-                let chunks = split_even(n_probe, grant.granted());
-                let run = grant
-                    .pool()
-                    .run(chunks.len(), |ci| chunk(chunks[ci].clone()));
-                report.parallel.push(ParallelPhase {
-                    phase: "join-probe".to_string(),
-                    partitions: chunks.len(),
-                    granted: grant.granted(),
-                    worker_nanos: run.worker_nanos,
-                });
-                let mut all = Probed {
-                    rows: Vec::with_capacity(run.results.iter().map(|p| p.rows.len()).sum()),
-                    ..Probed::default()
-                };
-                for part in run.results {
-                    all.rows.extend_from_slice(&part.rows);
-                    all.skipped += part.skipped;
-                }
-                all
-            }
-        };
+        }
+        if let Some(res) = self.residual {
+            self.filter(res, &mut rows, from / stride);
+        }
         par.check_interrupt()?;
-        let matched = probed.rows.len() / stride;
+        let matched = rows.len() / stride;
         span.attr_u64("matched", matched as u64);
-        span.attr_u64("skipped", probed.skipped as u64);
-        Ok((probed.rows, matched))
+        span.attr_u64("skipped", skipped as u64);
+        Ok((rows, matched))
     }
-}
-
-/// What a probe produced: joined rows stored flat and the probe rows whose
-/// key had no id.
-#[derive(Default)]
-struct Probed {
-    rows: Vec<u32>,
-    skipped: usize,
 }
 
 /// A block's probe rows whose key has an id, as (probe row, id) pairs in
@@ -373,7 +326,6 @@ fn join_rows(
     build_span: SpanGuard,
     (build_leaf, probe_leaf): (usize, usize),
     table: &dyn FactTable,
-    report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<(Vec<u32>, usize)> {
     let (build, probe) = (joiner.build, joiner.probe);
@@ -410,15 +362,13 @@ fn join_rows(
         };
         Ok(hits_of)
     };
-    joiner.probe_ids(build_span, (ids, distinct), "rows", lookup, report, par)
+    joiner.probe_ids(build_span, (ids, distinct), "rows", lookup, par)
 }
 
 /// The join on packed keys: the keyed phase numbers the build keys
-/// (`side_cols(true)`, packed by `pack`), one index per radix partition,
-/// and a partition's ids are offset past the partitions before it. The
-/// probe packs its side's keys, hashes a block at a time and looks each key
-/// up in its partition's index.
-fn join_packed<K: DenseKey + Copy + Send + Sync>(
+/// (`side_cols(true)`, packed by `pack`) through one index, and the probe
+/// packs its side's keys, hashes a block at a time and looks each key up.
+fn join_packed<K: DenseKey + Copy>(
     joiner: &Joiner<'_>,
     build_span: SpanGuard,
     side_cols: impl Fn(bool) -> Vec<Vec<u32>>,
@@ -428,40 +378,18 @@ fn join_packed<K: DenseKey + Copy + Send + Sync>(
 ) -> Result<(Vec<u32>, usize)> {
     let n_build = joiner.build.len();
     let keys = pack(&side_cols(true), n_build);
-    let built = keyed(KeyedOp::Join, &keys, report, par, |ix, _, _, ids| {
+    let built = keyed(KeyedOp::Join, &keys, report, par, |ix, _, ids| {
         Ok((ix, ids))
     })?;
-    // The build grant goes before the probe asks for its own.
-    drop(built.grant);
-    let (indexes, part_ids): (Vec<GroupIndex<K>>, Vec<Vec<u32>>) = built.parts.into_iter().unzip();
-    let mut offsets = Vec::with_capacity(indexes.len());
-    let mut n_ids = 0;
-    for index in &indexes {
-        offsets.push(n_ids as u32);
-        n_ids += index.len();
-    }
-    // Each build row's id, in build-row order, as one partition's are.
-    let ids = match &built.rows {
-        None => part_ids.into_iter().next().unwrap_or_default(),
-        Some(rp) => {
-            let mut ids = blend_common::try_zeroed_vec(n_build, "join_ids")?;
-            for (p, part_ids) in part_ids.iter().enumerate() {
-                for (&r, &id) in rp.part(p).iter().zip(part_ids) {
-                    ids[r as usize] = offsets[p] + id;
-                }
-            }
-            ids
-        }
-    };
-    let slots: usize = indexes.iter().map(GroupIndex::slot_count).sum();
-    let max_probe = indexes.iter().map(GroupIndex::max_probe).max();
+    let (index, ids) = built.out;
+    let slots = index.slot_count();
     build_span.attr_u64("buckets", slots as u64);
-    build_span.attr_u64("max_chain", max_probe.unwrap_or(0) as u64);
-    build_span.attr_u64("partitions", indexes.len() as u64);
+    build_span.attr_u64("max_chain", index.max_probe() as u64);
+    build_span.attr_u64("partitions", 1);
 
     let n_probe = joiner.probe.len();
     let _probe_mem = (par.memory()).try_reserve("join_keys", n_probe * std::mem::size_of::<K>())?;
-    let pmask = (indexes.len() - 1) as u64;
+    let n_ids = index.len();
     let lookup = || {
         let keys = pack(&side_cols(false), n_probe);
         let hits_of = move |range: Range<usize>, _: &mut Vec<u32>, hits: &mut Hits| {
@@ -469,23 +397,18 @@ fn join_packed<K: DenseKey + Copy + Send + Sync>(
             let mut hash_buf = [0u64; PROBE_BLOCK];
             let hashes = &mut hash_buf[..keys.len()];
             K::hash_block(keys, hashes);
-            // The low hash bits pick the partition, bits 32.. the slot.
-            let part = |h: u64| (h & pmask) as usize;
             if slots >= PREFETCH_MIN_SLOTS {
-                for &h in hashes.iter() {
-                    indexes[part(h)].prefetch_slot(h);
-                }
+                hashes.iter().for_each(|&h| index.prefetch_slot(h));
             }
             for ((pi, &key), &h) in range.zip(keys).zip(hashes.iter()) {
-                let p = part(h);
-                if let Some(id) = indexes[p].get_hashed(&key, h) {
-                    hits.push((pi as u32, offsets[p] + id));
+                if let Some(id) = index.get_hashed(&key, h) {
+                    hits.push((pi as u32, id));
                 }
             }
         };
         Ok(hits_of)
     };
-    joiner.probe_ids(build_span, (ids, n_ids), "hash", lookup, report, par)
+    joiner.probe_ids(build_span, (ids, n_ids), "hash", lookup, par)
 }
 
 #[cfg(test)]

@@ -80,79 +80,47 @@
 //! positional rows: its leaves gather their fact columns in bulk and every
 //! operator is a loop over typed vectors, one dispatch per operator and
 //! batch (that module's docs give the kernels and their semantics). A batch
-//! is a scan morsel's selection, a [`PROBE_BLOCK`] of joined pairs (which
-//! the join's residual compacts), a keyed partition's rows, or a morsel of
-//! the post-join batch, the projection or an interner's input. Its scratch
+//! is a scan chunk's selection, a [`PROBE_BLOCK`] of joined pairs (which
+//! the join's residual compacts), or a chunk of a GROUP BY's input, the
+//! post-join batch, the projection or an interner's input. Its scratch
 //! is reserved under `expr_scratch` first, and each batch polls the
 //! interrupt once. The C text (paper Listing 3) scores `SUM(((k IN k0 AND
-//! q = 0) OR (k IN k1 AND q = 1))::int)` this way: per partition, two code
+//! q = 0) OR (k IN k1 AND q = 1))::int)` this way: per chunk, two code
 //! gathers tested against bitmaps, a quadrant gather, and a few byte loops
 //! folded into one exact integer sum per group.
 //!
-//! ## Parallel execution
+//! ## One thread per query
 //!
-//! All three phases ride the **persistent shared worker pool** through
-//! admission-controlled per-phase grants ([`ParallelCtx::admit`]; see the
-//! `blend-parallel` crate docs), each with an order-preserving strategy
-//! that makes parallel output **byte-identical** to the sequential path at
-//! every thread count and under every grant size:
-//!
-//! * scans split postings/table ranges into morsels and concatenate the
-//!   per-morsel position lists in morsel order;
-//! * joins on packed keys run the keyed phase on their build side, which
-//!   **radix-partitions it by key hash** (low hash bits; see
-//!   `blend_storage::radix`), so each worker numbers a disjoint key set
-//!   and no merge is needed — a key's whole list lives in one partition,
-//!   ascending because partition scatter preserves input order (row-keyed
-//!   and interned joins build on the query's thread). Every join's probe
-//!   side is chunked in row order and emitted in chunk order;
-//! * GROUP BY on the hash path radix-partitions rows by group-key hash
-//!   (column-index grouping stays on the query's thread), so each worker owns
-//!   its groups outright: every group's aggregate state sees **exactly the
-//!   sequential update sequence** (which is why even float SUM/AVG group in
-//!   parallel bit-identically). Under a LIMIT every partition then selects
-//!   its own top-k on the pool, so at most k groups per partition reach the
-//!   merge; the first-seen row as last sort key reproduces the sequential
-//!   order among them (without a LIMIT, among all groups). A global
-//!   (zero-key) aggregate has one group to own, so it groups on the
-//!   query's thread and nothing ever merges aggregate state.
-//!
-//! With `threads == 1`, inputs under the morsel threshold, or the
-//! admission budget exhausted by other in-flight queries, every phase takes
-//! its plain sequential loop on the query's own thread — concurrent load
-//! degrades worker counts gracefully instead of oversubscribing, and
-//! partitioning follows the *granted* width, which the order-preserving
-//! merges make invisible in the output. Pool-backed phases record
-//! partition counts, granted workers, and per-worker timings in
-//! [`QueryReport::parallel`].
+//! Every phase runs on the query's own thread: concurrency comes from
+//! serving many queries at once (the serving tier admits one execution
+//! per token, `blend_parallel::Admission`), not from splitting one query.
+//! Loops run a chunk at a time ([`ParallelCtx::morsel_len`] rows: scan
+//! segments, expression batches, interner input) or a [`PROBE_BLOCK`] at a
+//! time (keyed upserts, join probes), and poll the interrupt once per
+//! chunk or every `INTERRUPT_STRIDE` rows; a fired interrupt returns its
+//! typed error and drops every partial. [`QueryReport::parallel`] stays in
+//! the report and is always empty.
 //!
 //! ## Memory governance
 //!
 //! Every allocation-heavy site reserves bytes from the query's
 //! [`blend_parallel::QueryMemory`] scope *before* allocating (see the
-//! `blend_parallel::memory` crate docs for the reservation protocol and
-//! degradation ladder):
+//! `blend_parallel::memory` docs for the reservation protocol: reclaim,
+//! then a typed `MemoryExceeded`):
 //!
 //! * each intermediate `PosBatch` **carries the reservation covering its
 //!   position data** — consuming a batch (a join input, a filtered
 //!   rebuild) or abandoning it on an error drops the reservation with it,
 //!   so accounting follows batch lifetime with no explicit release;
-//! * the keyed phase reserves through
-//!   [`blend_parallel::reserve_laddered`] with a width-parameterized cost:
-//!   packed keys, per-row ids, the indexes
-//!   ([`GroupIndex::estimate_bytes`] — a join's sized for every build key
-//!   being distinct, a GROUP BY's at its initial size, its growth charged
-//!   as it happens) and a join's CSR, plus radix scratch on partitions. On
-//!   failure the phase retries at half width, then sequentially, and the
-//!   chosen width feeds the partition math — the
-//!   byte-identical-across-widths contract above is what makes ladder
-//!   narrowing invisible in results;
+//! * the keyed phase reserves once, before it runs: packed keys, per-row
+//!   ids, the index ([`GroupIndex::estimate_bytes`] — a join's sized for
+//!   every build key being distinct, a GROUP BY's at its initial size, its
+//!   growth charged as it happens) and a join's CSR;
 //! * column-index grouping, the row-key join build and the interned join
-//!   build have no width to narrow: they reserve their counters and group
-//!   slots (`group_columns`), bitmap, ranks, ordinals and CSR
-//!   (`join_rows`), or ids and CSR (interned keys) up front, and a failed
-//!   reservation resolves `MemoryExceeded` like any other;
-//! * scratch (per-worker selection vectors, expression batches:
+//!   build reserve their counters and group slots (`group_columns`),
+//!   bitmap, ranks, ordinals and CSR (`join_rows`), or ids and CSR
+//!   (interned keys) up front;
+//! * scratch (the scan's selection vector, expression batches:
 //!   `expr_scratch`, radix arrays, gathered key and aggregate columns, the
 //!   top-k histogram and tie band: `sort_scratch`)
 //!   and outputs — the flat group columns
@@ -263,9 +231,8 @@ fn poll_every(i: usize) -> bool {
     i & (INTERRUPT_STRIDE - 1) == 0
 }
 
-/// Execute a plan. `par` is the shared worker-pool context; every phase
-/// falls back to its sequential loop when `par` says an input is too small
-/// (or the pool has one thread).
+/// Execute a plan on the calling thread under `par`'s interrupt, memory
+/// scope and chunk length.
 pub(crate) fn execute(
     plan: &QueryPlan,
     report: &mut QueryReport,
@@ -546,36 +513,35 @@ mod tests {
         (a, ra.path, b)
     }
 
-    /// Engine with parallel tuning forced low enough that every phase of
-    /// every query in this module rides the pool.
-    pub(super) fn forced_parallel_engine(kind: EngineKind, threads: usize) -> SqlEngine {
+    /// Engine whose chunks are three rows long, so every loop of every
+    /// query in this module crosses chunk boundaries.
+    pub(super) fn small_chunk_engine(kind: EngineKind) -> SqlEngine {
         let mut eng = engine(kind);
-        eng.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 3)));
+        eng.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 3)));
         eng
     }
 
     #[test]
-    fn forced_parallel_execution_is_byte_identical() {
+    fn small_chunks_are_byte_identical() {
         let queries = [
-            // SC shape behind a RowId filter: parallel scan, then the
+            // SC shape behind a RowId filter: a filtered scan, then the
             // hash-path group.
             "SELECT TableId AS t, COUNT(DISTINCT CellValue) AS score FROM AllTables \
              WHERE CellValue IN ('k0','k2','k4') AND RowId < 6 GROUP BY TableId, ColumnId \
              ORDER BY score DESC LIMIT 10",
-            // MC shape: parallel scans + parallel probe (a row-key join on
-            // the column store, a hash join on the row store).
+            // MC shape: a row-key join on either store.
             "SELECT q0.TableId AS tid, q0.RowId AS rid, q0.SuperKey AS sk, \
              q0.CellValue AS v0, q1.CellValue AS v1 FROM \
              (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
              INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
              ON q0.TableId = q1.TableId AND q0.RowId = q1.RowId",
-            // A join that hashes on both stores: parallel join build/probe.
+            // A join that hashes on both stores.
             "SELECT q0.TableId AS t0, q1.TableId AS t1, q0.RowId AS rid, \
              q1.CellValue AS v1 FROM \
              (SELECT * FROM AllTables WHERE CellValue IN ('k1','k3')) AS q0 \
              INNER JOIN (SELECT * FROM AllTables WHERE CellValue IN ('10','30')) AS q1 \
              ON q0.RowId = q1.RowId",
-            // C shape: integer-valued SUM keeps the parallel group exact.
+            // C shape: a residual join, then an integer-valued SUM.
             "SELECT keys.TableId AS t, keys.ColumnId AS kc, nums.ColumnId AS nc, \
              ABS((2 * SUM(((keys.CellValue IN ('k0','k1') AND nums.Quadrant = 0) OR \
              (keys.CellValue IN ('k2','k3','k4') AND nums.Quadrant = 1))::int) - COUNT(*)) \
@@ -594,40 +560,17 @@ mod tests {
         ];
         for kind in [EngineKind::Row, EngineKind::Column] {
             let reference = engine(kind);
+            let eng = small_chunk_engine(kind);
             for sql in queries {
                 let (want, want_rep) = reference.execute_with_report(sql).unwrap();
                 assert_eq!(want_rep.path, "positional", "{sql}");
-                for threads in [2, 4, 8] {
-                    let eng = forced_parallel_engine(kind, threads);
-                    let (got, rep) = eng.execute_with_report(sql).unwrap();
-                    assert_eq!(got, want, "{kind:?}/{threads}t: {sql}");
-                    assert!(
-                        rep.logical_eq(&want_rep),
-                        "{kind:?}/{threads}t telemetry: {sql}"
-                    );
-                    // The pool actually ran: phases were recorded, with
-                    // more than one partition and bounded worker counts.
-                    assert!(!rep.parallel.is_empty(), "{kind:?}/{threads}t: {sql}");
-                    for phase in &rep.parallel {
-                        assert!(phase.partitions > 1, "{}: {sql}", phase.phase);
-                        assert!(!phase.worker_nanos.is_empty());
-                        assert!(phase.worker_nanos.len() <= threads);
-                    }
-                }
+                let (got, rep) = eng.execute_with_report(sql).unwrap();
+                assert_eq!(got, want, "{kind:?}: {sql}");
+                assert!(rep.logical_eq(&want_rep), "{kind:?} telemetry: {sql}");
+                assert!(rep.parallel.is_empty(), "{kind:?}: {sql}");
+                let (reference_rows, _) = eng.execute_reference(sql).unwrap();
+                assert_eq!(got, reference_rows, "{kind:?} vs the reference: {sql}");
             }
         }
-    }
-
-    #[test]
-    fn sequential_ctx_records_no_parallel_phases() {
-        let mut eng = engine(EngineKind::Column);
-        eng.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 1, 3)));
-        let (_, rep) = eng
-            .execute_with_report(
-                "SELECT TableId AS t, COUNT(*) AS n FROM AllTables GROUP BY TableId",
-            )
-            .unwrap();
-        assert_eq!(rep.path, "positional");
-        assert!(rep.parallel.is_empty());
     }
 }

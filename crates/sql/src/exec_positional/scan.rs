@@ -15,26 +15,24 @@
 //! branch-free compaction passes — the column store indexes its contiguous
 //! `tables`/`rows`/`codes` arrays directly and evaluates range segments
 //! straight off the column slices, never materializing the candidate
-//! position list; the row store runs one fused check per tuple. Per-worker
-//! [`ScanScratch`] buffers ride the morsel path via `WorkerPool::run_with`,
-//! so parallel scans reuse selection-vector capacity across every morsel a
-//! worker claims instead of allocating per morsel.
+//! position list; the row store runs one fused check per tuple. A filtered
+//! scan walks each segment a chunk ([`ParallelCtx::morsel_len`]
+//! positions) at a time, polling the interrupt per chunk, and reuses one
+//! [`ScanScratch`] selection vector for the residual pass across chunks.
 
-use blend_parallel::{morselize, Morsel, ParallelCtx, PhaseGrant};
+use blend_parallel::ParallelCtx;
 use blend_storage::{FactTable, ScanScratch};
 
 use super::PosBatch;
-use crate::exec::{ParallelPhase, QueryReport, ScanReport};
+use crate::exec::{QueryReport, ScanReport};
 use crate::pexpr::{compile_pexpr, PExpr, Rows};
 use crate::plan::{ScanPlan, Seg};
 use blend_common::Result;
 
 /// Positional scan: emit surviving positions; no tuple is materialized.
 /// Visits the plan's segments in the reference's order and reports
-/// the same telemetry. Large filtered scans are morsel-partitioned across
-/// the pool; per-morsel position lists concatenate in morsel order, so the
-/// emitted batch is identical at every thread count. The scan is global
-/// leaf `leaf`, whose residual compiles here.
+/// the same telemetry. The scan is global leaf `leaf`, whose residual
+/// compiles here.
 pub(super) fn exec_scan(
     scan: &ScanPlan,
     leaf: usize,
@@ -61,7 +59,7 @@ pub(super) fn exec_scan(
         }
         out
     } else {
-        scan_morsels(scan, &segs, leaf, residual, tables, report, par)?
+        scan_chunks(scan, &segs, leaf, residual, tables, par)?
     };
     span.attr_u64("scanned", scanned as u64);
     span.attr_u64("rows", out.len() as u64);
@@ -69,92 +67,40 @@ pub(super) fn exec_scan(
     PosBatch::scanned(out, par)
 }
 
-/// The filtered scan: the segments cut into morsels, each one batched
-/// kernel evaluation ([`ScanPlan::filter`]) plus the residual, on the pool
-/// when admission grants workers and inline otherwise.
-fn scan_morsels(
+/// The filtered scan: each segment a chunk at a time, one batched kernel
+/// evaluation ([`ScanPlan::filter`]) plus the residual per chunk. Kernel
+/// survivors concatenate exactly as whole-segment calls would, and a
+/// deadline is observed mid-segment, not only between segments.
+fn scan_chunks(
     scan: &ScanPlan,
     segs: &[Seg<'_>],
     leaf: usize,
     residual: Option<&PExpr>,
     tables: &[&dyn FactTable],
-    report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<Vec<u32>> {
-    // Kernel survivors land either straight in `out` (no residual — the
-    // common case) or in the worker's reusable selection-vector scratch for
-    // the scalar residual pass.
-    let scan_morsel = |m: &Morsel, scratch: &mut ScanScratch, out: &mut Vec<u32>| {
-        scratch.sel.clear();
-        let dst: &mut Vec<u32> = if residual.is_some() {
-            &mut scratch.sel
-        } else {
-            &mut *out
-        };
-        scan.filter(segs[m.segment], m.start, m.end, dst);
-        if let Some(res) = residual {
+    let chunk = par.morsel_len();
+    // One chunk-sized selection vector (for the residual) and its
+    // expression scratch, held for the duration of the scan.
+    let _scratch_mem = par.memory().try_reserve("scan_scratch", chunk * 4)?;
+    let residual_bytes = residual.map_or(0, |r| r.scratch_bytes(chunk));
+    let _expr_mem = par.memory().try_reserve("expr_scratch", residual_bytes)?;
+    let (mut out, mut scratch) = (Vec::new(), ScanScratch::default());
+    for &seg in segs {
+        for start in (0..seg.len()).step_by(chunk) {
+            par.check_interrupt()?;
+            let end = (start + chunk).min(seg.len());
+            // Kernel survivors land straight in `out` without a residual
+            // (the common case), else in the selection vector first.
+            let Some(res) = residual else {
+                scan.filter(seg, start, end, &mut out);
+                continue;
+            };
+            scratch.sel.clear();
+            scan.filter(seg, start, end, &mut scratch.sel);
             let pass = res.eval(tables, Rows::all(&scratch.sel, 1, leaf)).truthy();
             let kept = scratch.sel.iter().zip(pass).filter(|&(_, p)| p);
             out.extend(kept.map(|(&pos, _)| pos));
-        }
-    };
-
-    let lens: Vec<usize> = segs.iter().map(Seg::len).collect();
-    let morsels = morselize(&lens, par.morsel_len());
-    // Admission: a multi-morsel scan asks the controller for workers; an
-    // empty grant (threads == 1, tiny input, or the budget held by other
-    // in-flight queries) means the scan runs inline on the calling thread.
-    // A single morsel would run inline anyway, so its grant is returned
-    // immediately.
-    let admitted = par.admit(lens.iter().sum()).filter(|_| morsels.len() > 1);
-    let intr = par.interrupt();
-    // Selection-vector scratch: one morsel-sized vector per participating
-    // worker (or one total on the sequential path). Held only for the
-    // duration of the scan.
-    let scratch_width = admitted.as_ref().map_or(1, PhaseGrant::granted);
-    let _scratch_mem = par
-        .memory()
-        .try_reserve("scan_scratch", scratch_width * par.morsel_len() * 4)?;
-    let residual_bytes = residual.map_or(0, |r| r.scratch_bytes(par.morsel_len()));
-    let _expr_mem = (par.memory()).try_reserve("expr_scratch", scratch_width * residual_bytes)?;
-    let mut out = Vec::new();
-    match admitted {
-        Some(grant) => {
-            // Per-worker scratch: selection-vector capacity is allocated
-            // once per worker, not once per morsel. Workers poll the
-            // interrupt per morsel and bail with an empty partial; the
-            // check after the run discards everything on Err (the
-            // no-partial-results guarantee).
-            let run = grant
-                .pool()
-                .run_with(morsels.len(), ScanScratch::default, |scratch, i| {
-                    let mut local = Vec::new();
-                    if !intr.is_set() {
-                        scan_morsel(&morsels[i], scratch, &mut local);
-                    }
-                    local
-                });
-            par.check_interrupt()?;
-            out.reserve(run.results.iter().map(Vec::len).sum());
-            for local in run.results {
-                out.extend_from_slice(&local);
-            }
-            report.parallel.push(ParallelPhase {
-                phase: format!("scan:{}", scan.alias),
-                partitions: morsels.len(),
-                granted: grant.granted(),
-                worker_nanos: run.worker_nanos,
-            });
-        }
-        None => {
-            // The sequential loop visits the same morsels (kernel survivors
-            // concatenate identically to whole-segment calls) so a deadline
-            // is observed mid-segment, not only between segments.
-            let mut scratch = ScanScratch::default();
-            for m in &morsels {
-                par.check_interrupt()?;
-                scan_morsel(m, &mut scratch, &mut out);
-            }
         }
     }
     Ok(out)

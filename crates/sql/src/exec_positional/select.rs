@@ -52,12 +52,12 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use blend_parallel::{MemoryReservation, ParallelCtx, PhaseGrant, QueryMemory};
+use blend_parallel::{MemoryReservation, ParallelCtx, QueryMemory};
 use blend_storage::FactTable;
 
 use super::PosBatch;
 use crate::columns::{ResultColumn, ResultColumns, TextColumn};
-use crate::exec::{self, ParallelPhase, QueryReport, Tuple};
+use crate::exec::{self, QueryReport, Tuple};
 use crate::expr::CExpr;
 use crate::pexpr::{compile_pexpr, Leaves, PExpr};
 use crate::plan::{QueryPlan, ScanPlan};
@@ -178,10 +178,8 @@ pub(super) fn exec_project(
 /// [`finish_groups`] gathers the output columns of the groups that survive
 /// `ORDER BY … LIMIT`.
 ///
-/// Ascending (first-seen row, group ordinal) is the sequential (and the
-/// reference's) group order, so it ends the sort keys wherever groups meet
-/// — which also merges radix partitions.
-#[derive(Default)]
+/// Ascending (first-seen row, group ordinal) is the reference's group
+/// order, so it ends the sort keys.
 pub(super) struct GroupCols {
     pub(super) first_rows: Vec<u32>,
     pub(super) cols: Vec<ResultColumn>,
@@ -194,19 +192,6 @@ impl GroupCols {
 
     fn bytes(&self) -> usize {
         self.len() * 4 + self.cols.iter().map(ResultColumn::bytes).sum::<usize>()
-    }
-
-    fn gather(&self, ords: &[u32]) -> GroupCols {
-        GroupCols {
-            first_rows: ords.iter().map(|&g| self.first_rows[g as usize]).collect(),
-            cols: self.cols.iter().map(|c| c.gather(ords)).collect(),
-        }
-    }
-
-    fn append(&mut self, other: GroupCols) -> Result<()> {
-        self.first_rows.extend(other.first_rows);
-        let mut cols = self.cols.iter_mut().zip(other.cols);
-        cols.try_for_each(|(dst, src)| dst.append(src))
     }
 
     /// Group `g` as the post-aggregation tuple.
@@ -354,66 +339,28 @@ fn threshold_band<S: Copy + Into<i64>>(
 }
 
 /// The grouped query tail: select the surviving groups, then gather the
-/// select list's flat columns for those alone. `parts` holds one [`GroupCols`] per
-/// radix partition; under a LIMIT and a `grant`, every partition first
-/// selects its own top-k on the pool, so the merge sees at most k groups
-/// per partition instead of all of them.
+/// select list's flat columns for those alone.
 ///
-/// The `sort` span's `path` says whether a counting threshold narrowed any
-/// selection (`threshold`) or the comparator ranked every group it saw
-/// (`compare`); `candidates` counts the groups that reached the comparator
-/// — in the partitions' own selections where they ran, since the merge
-/// ranks only their survivors.
+/// The `sort` span's `path` says whether a counting threshold narrowed the
+/// selection (`threshold`) or the comparator ranked every group
+/// (`compare`); `candidates` counts the groups that reached the
+/// comparator.
 pub(super) fn finish_groups(
     plan: &QueryPlan,
-    mut parts: Vec<GroupCols>,
-    grant: Option<&PhaseGrant>,
+    groups: GroupCols,
     report: &mut QueryReport,
     par: &ParallelCtx,
 ) -> Result<ResultColumns> {
     let span = blend_obs::span("sort");
-    let rows_in: usize = parts.iter().map(GroupCols::len).sum();
+    let rows_in = groups.len();
     span.attr_u64("rows_in", rows_in as u64);
     span.attr_u64("k", plan.limit.unwrap_or(rows_in) as u64);
     let mem = par.memory();
-    let _cols_mem = mem.try_reserve("group_out", parts.iter().map(GroupCols::bytes).sum())?;
-    // A pool round only where some partition has groups to drop.
-    let prune = plan.limit.filter(|k| parts.iter().any(|p| p.len() > *k));
-    let (mut candidates, mut counted) = (None, false);
-    if let (Some(grant), Some(_)) = (grant, prune) {
-        let run = grant.pool().run(parts.len(), |p| -> Result<_> {
-            let top = parts[p].top(plan, mem)?;
-            Ok((parts[p].gather(&top.ords), top.candidates, top.counted))
-        });
-        report.parallel.push(ParallelPhase {
-            phase: "sort".to_string(),
-            partitions: parts.len(),
-            granted: grant.pool().threads(),
-            worker_nanos: run.worker_nanos,
-        });
-        par.check_interrupt()?;
-        let mut ranked = 0;
-        parts = Vec::with_capacity(run.results.len());
-        for result in run.results {
-            let (part, part_candidates, part_counted) = result?;
-            parts.push(part);
-            ranked += part_candidates;
-            counted |= part_counted;
-        }
-        candidates = Some(ranked);
-    }
-    let mut parts = parts.into_iter();
-    let mut groups = parts.next().unwrap_or_default();
-    parts.try_for_each(|part| groups.append(part))?;
+    let _cols_mem = mem.try_reserve("group_out", groups.bytes())?;
     let top = groups.top(plan, mem)?;
     let ords = top.ords;
-    let path = if counted || top.counted {
-        "threshold"
-    } else {
-        "compare"
-    };
-    span.attr_str("path", path);
-    span.attr_u64("candidates", candidates.unwrap_or(top.candidates) as u64);
+    span.attr_str("path", if top.counted { "threshold" } else { "compare" });
+    span.attr_u64("candidates", top.candidates as u64);
     span.attr_u64("selected", ords.len() as u64);
     drop(span);
 

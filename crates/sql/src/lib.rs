@@ -36,6 +36,8 @@
 //! This is why BLEND's rewrites (`TableId IN (...)` injections) actually
 //! speed queries up rather than just shrinking result sets.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod columns;
 pub mod engine;

@@ -10,7 +10,7 @@ use crate::lexer::{tokenize, Token};
 /// of an operator chain (`AND`, `OR`, arithmetic, `::int`) is one level.
 /// Every stage after the parser recurses over the tree it builds, so the
 /// bound keeps a query's stack use within a default 2 MiB thread stack, on
-/// the serving tier's and the pool's threads alike (crate docs).
+/// the serving tier's threads and any caller's alike (crate docs).
 pub const MAX_DEPTH: usize = 64;
 
 /// Parse one query (a trailing `;` is tolerated and ignored).

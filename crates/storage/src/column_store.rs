@@ -44,7 +44,7 @@ use crate::stats::FactStats;
 ///
 /// (`(2d)↑2` is the next power of two at or above `2d`, at least 2.) Plus
 /// the [`Directory`]'s components (`8 n + 12 R + 4 r + 12 T + 8` over `R`
-/// runs and `T` table ids) and the per-worker `scan-scratch` estimate both
+/// runs and `T` table ids) and the `scan-scratch` estimate both
 /// engines charge.
 pub struct ColumnStore {
     /// Distinct values numbered by first sight in canonical order: id =

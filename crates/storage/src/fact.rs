@@ -244,7 +244,7 @@ pub trait FactTable: Send + Sync {
 
     /// Structured estimate of resident bytes — the debug report the bench
     /// harness prints (per-component: dictionary payload, column vectors,
-    /// in-DB indexes, per-worker scan scratch, ...). [`size_bytes`] is its
+    /// in-DB indexes, scan scratch, ...). [`size_bytes`] is its
     /// total.
     ///
     /// [`size_bytes`]: FactTable::size_bytes
@@ -375,7 +375,7 @@ impl MemoryBreakdown {
     }
 }
 
-/// Estimated per-worker scan-scratch component shared by both engines'
+/// Estimated scan-scratch component shared by both engines'
 /// breakdowns: the selection-vector high-water mark of a scan over a table
 /// with `n_rows` positions.
 pub(crate) fn scratch_component(n_rows: usize) -> (&'static str, usize) {

@@ -302,11 +302,11 @@ pub fn extend_range(sel: &mut Vec<u32>, lo: usize, hi: usize, mut keep: impl FnM
     sel.truncate(n);
 }
 
-/// Per-worker reusable scan buffers.
+/// Reusable scan buffers.
 ///
-/// The morsel-partitioned scan path hands one `ScanScratch` to each pool
-/// worker (via `WorkerPool::run_with`), so the selection vector's capacity
-/// is paid once per worker per query instead of once per morsel.
+/// The filtered scan keeps one `ScanScratch` across all of its chunks, so
+/// the selection vector's capacity is paid once per scan instead of once
+/// per chunk.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Selection vector: surviving positions of the current batch.
@@ -314,11 +314,10 @@ pub struct ScanScratch {
 }
 
 impl ScanScratch {
-    /// Per-worker scratch high-water bound for scans of a table with
-    /// `n_rows` positions, used by the engines' memory breakdowns. The
-    /// worst case is a non-morselized sequential scan, which streams the
-    /// whole position range through one selection-vector batch — morselized
-    /// parallel scans stay far below this (one morsel per batch).
+    /// Scratch high-water bound for scans of a table with `n_rows`
+    /// positions, used by the engines' memory breakdowns. The worst case
+    /// streams the whole position range through one selection-vector
+    /// batch; a chunked scan stays far below it (one chunk per batch).
     pub fn estimate_bytes(n_rows: usize) -> usize {
         n_rows * 4
     }

@@ -46,6 +46,8 @@
 //! Row ordinals are numbered densely by [`OrdinalRank`], which the
 //! executor's row-key join and the MC seeker's operator share.
 
+#![forbid(unsafe_code)]
+
 pub mod column_store;
 pub mod directory;
 pub mod fact;

@@ -7,10 +7,6 @@
 //! * the column store's **postings** (per dictionary code, its ascending
 //!   positions) and its value → column index (per code, its ascending run
 //!   ordinals; see [`crate::ColumnIndex`]), both sorted once at build;
-//! * the SQL executor's **keyed phase** (GROUP BY and the join on packed
-//!   keys), which hands each pool worker a disjoint key partition (rows
-//!   whose key hashes share the low partition bits), so per-worker indexes
-//!   never hold overlapping keys and nothing merges;
 //! * every join's per-id build row lists, and the per-group rows of
 //!   `COUNT(DISTINCT …)`.
 //!
@@ -18,8 +14,8 @@
 //! item indices come back **in ascending input order** (the scatter pass
 //! walks items in order and appends). A consumer that processes one
 //! partition's items front to back therefore sees exactly the subsequence
-//! a sequential pass would have seen, which is what keeps radix-partitioned
-//! execution byte-identical to sequential execution.
+//! a pass over all items would have seen: a join's build matches ascend,
+//! and a group's rows come in input order.
 
 /// Items grouped by partition in CSR form: partition `p` owns
 /// `items[offsets[p]..offsets[p + 1]]`, ascending within each partition.

@@ -15,6 +15,8 @@
 //! reproduction bins (`blend-bench`), `tests/baseline_parity.rs` and
 //! `examples/union_search.rs` depend on.
 
+#![forbid(unsafe_code)]
+
 pub use blend;
 pub use blend_common;
 pub use blend_index;

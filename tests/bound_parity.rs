@@ -8,7 +8,7 @@
 //! application phase the operator replaced (the oracles of
 //! `common/sc_oracle.rs`, `common/mc_oracle.rs` and `common/c_oracle.rs`).
 //!
-//! Every seeker kind, MC arity 2–4, both stores, 1 and 4 threads, and
+//! Every seeker kind, MC arity 2–4, both stores, five-row chunks, and
 //! `In` / `NotIn` / no injection; the lists hold values that need escaping
 //! (`O'Brien`), duplicates before and after normalization, values absent
 //! from the dictionary, and one-value lists. Listing 1's edges have a test
@@ -156,48 +156,47 @@ fn bound_runs_equal_their_sql_text_through_the_reference() {
     let mut hits_seen = 0;
     for kind in [EngineKind::Row, EngineKind::Column] {
         let mut blend = Blend::from_lake(&lake, kind);
-        for threads in [1usize, 4] {
-            // min_parallel 1, morsels of 5 rows: every phase fans out.
-            blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-            for (name, seeker) in &seekers {
-                for injected in &injections {
-                    let what = format!("{name} {kind:?} {threads}t {injected:?}");
-                    let never = Interrupt::never();
-                    let run = seekers::run(&blend, seeker, K, injected.as_ref(), &never).unwrap();
-                    let sql = sql_text(&blend, seeker, K, injected.as_ref());
-                    let engine = engine(&blend);
-                    let (text, _) = engine.execute_columns_interruptible(&sql, never).unwrap();
-                    let (reference, _) = engine.execute_reference(&sql).unwrap();
-                    assert_eq!(text.to_result_set(), reference, "{what}");
-                    let (hits, mc_stats) = match seeker {
-                        Seeker::Mc { rows } => {
-                            let (hits, stats) = mc_oracle::mc_postprocess_rows(&reference, rows, K);
-                            (hits, Some(stats))
-                        }
-                        Seeker::C { .. } => {
-                            let min_matches = blend.options().corr_min_matches;
-                            (c_oracle::c_postprocess(&text, K, min_matches).0, None)
-                        }
-                        _ => (sc_oracle::sc_postprocess(&text, K), None),
-                    };
-                    assert_eq!(run.hits, hits, "{what}");
-                    assert_eq!(run.mc_stats, mc_stats, "{what}");
-                    let fragment = injected.as_ref().map_or(String::new(), Injected::fragment);
-                    let template = seeker_sql(seeker, K, blend.options().h);
-                    assert_eq!(sql, template.replace(TID_PLACEHOLDER, &fragment));
-                    hits_seen += usize::from(!run.hits.is_empty());
-                }
+        // Chunks of 5 rows: every loop crosses chunk boundaries.
+        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
+        for (name, seeker) in &seekers {
+            for injected in &injections {
+                let what = format!("{name} {kind:?} {injected:?}");
+                let never = Interrupt::never();
+                let run = seekers::run(&blend, seeker, K, injected.as_ref(), &never).unwrap();
+                let sql = sql_text(&blend, seeker, K, injected.as_ref());
+                let engine = engine(&blend);
+                let (text, _) = engine.execute_columns_interruptible(&sql, never).unwrap();
+                let (reference, _) = engine.execute_reference(&sql).unwrap();
+                assert_eq!(text.to_result_set(), reference, "{what}");
+                let (hits, mc_stats) = match seeker {
+                    Seeker::Mc { rows } => {
+                        let (hits, stats) = mc_oracle::mc_postprocess_rows(&reference, rows, K);
+                        (hits, Some(stats))
+                    }
+                    Seeker::C { .. } => {
+                        let min_matches = blend.options().corr_min_matches;
+                        (c_oracle::c_postprocess(&text, K, min_matches).0, None)
+                    }
+                    _ => (sc_oracle::sc_postprocess(&text, K), None),
+                };
+                assert_eq!(run.hits, hits, "{what}");
+                assert_eq!(run.mc_stats, mc_stats, "{what}");
+                let fragment = injected.as_ref().map_or(String::new(), Injected::fragment);
+                let template = seeker_sql(seeker, K, blend.options().h);
+                assert_eq!(sql, template.replace(TID_PLACEHOLDER, &fragment));
+                hits_seen += usize::from(!run.hits.is_empty());
             }
         }
     }
-    // Most runs find something: the parity is not between empty results.
+    // Most runs (two stores × three injections a seeker) find something:
+    // the parity is not between empty results.
     assert!(
-        hits_seen * 2 > seekers.len() * 12,
+        hits_seen * 2 > seekers.len() * 6,
         "{hits_seen} runs with hits"
     );
 }
 
-/// Listing 1's edges, SC and KW on both stores at 1 and 4 threads, each
+/// Listing 1's edges, SC and KW on both stores at five-row chunks, each
 /// run equal to the oracle over its SQL text's rows (which equal the
 /// reference's). The lake: table 0 holds `a`, `b` and `c` in each of its
 /// 20 columns; tables 1–6 hold two query values in column 0 and one in
@@ -259,43 +258,41 @@ fn listing_1_edges_match_the_sql_text() {
     ];
     for kind in [EngineKind::Row, EngineKind::Column] {
         let mut blend = Blend::from_lake(&lake, kind);
-        for threads in [1usize, 4] {
-            blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-            for seeker in [Seeker::sc(values.clone()), Seeker::kw(values.clone())] {
-                for k in [1, 2, 5, 10] {
-                    for injected in &injections {
-                        let what = format!("{seeker:?} k={k} {kind:?} {threads}t {injected:?}");
-                        let never = Interrupt::never();
-                        let run = seekers::run(&blend, &seeker, k, injected.as_ref(), &never);
-                        let run = run.unwrap();
-                        let sql = sql_text(&blend, &seeker, k, injected.as_ref());
-                        if injected == &Some(Injected::In(vec![])) {
-                            assert!(sql.is_empty() && run.hits.is_empty(), "{what}");
-                            continue;
-                        }
-                        let engine = engine(&blend);
-                        let text = engine.execute_columns_interruptible(&sql, never);
-                        let (text, _) = text.unwrap();
-                        let (reference, _) = engine.execute_reference(&sql).unwrap();
-                        assert_eq!(text.to_result_set(), reference, "{what}");
-                        assert_eq!(run.hits, sc_oracle::sc_postprocess(&text, k), "{what}");
+        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
+        for seeker in [Seeker::sc(values.clone()), Seeker::kw(values.clone())] {
+            for k in [1, 2, 5, 10] {
+                for injected in &injections {
+                    let what = format!("{seeker:?} k={k} {kind:?} {injected:?}");
+                    let never = Interrupt::never();
+                    let run = seekers::run(&blend, &seeker, k, injected.as_ref(), &never);
+                    let run = run.unwrap();
+                    let sql = sql_text(&blend, &seeker, k, injected.as_ref());
+                    if injected == &Some(Injected::In(vec![])) {
+                        assert!(sql.is_empty() && run.hits.is_empty(), "{what}");
+                        continue;
                     }
+                    let engine = engine(&blend);
+                    let text = engine.execute_columns_interruptible(&sql, never);
+                    let (text, _) = text.unwrap();
+                    let (reference, _) = engine.execute_reference(&sql).unwrap();
+                    assert_eq!(text.to_result_set(), reference, "{what}");
+                    assert_eq!(run.hits, sc_oracle::sc_postprocess(&text, k), "{what}");
                 }
             }
-            let hits = |seeker: &Seeker, k: usize| {
-                let run = seekers::run(&blend, seeker, k, None, &Interrupt::never()).unwrap();
-                (run.hits.iter())
-                    .map(|h| (h.table.0, h.score))
-                    .collect::<Vec<_>>()
-            };
-            let sc = Seeker::sc(values.clone());
-            assert_eq!(hits(&sc, 2), [(0, 3.0)], "{kind:?}");
-            assert_eq!(hits(&sc, 1), [(0, 3.0)], "{kind:?}");
-            let want = [(0, 3.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 2.0)];
-            assert_eq!(hits(&sc, 5), want, "{kind:?}");
-            let kw = Seeker::kw(values.clone());
-            assert_eq!(hits(&kw, 3), [(0, 3.0), (1, 3.0), (2, 3.0)], "{kind:?}");
         }
+        let hits = |seeker: &Seeker, k: usize| {
+            let run = seekers::run(&blend, seeker, k, None, &Interrupt::never()).unwrap();
+            (run.hits.iter())
+                .map(|h| (h.table.0, h.score))
+                .collect::<Vec<_>>()
+        };
+        let sc = Seeker::sc(values.clone());
+        assert_eq!(hits(&sc, 2), [(0, 3.0)], "{kind:?}");
+        assert_eq!(hits(&sc, 1), [(0, 3.0)], "{kind:?}");
+        let want = [(0, 3.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 2.0)];
+        assert_eq!(hits(&sc, 5), want, "{kind:?}");
+        let kw = Seeker::kw(values.clone());
+        assert_eq!(hits(&kw, 3), [(0, 3.0), (1, 3.0), (2, 3.0)], "{kind:?}");
     }
 }
 

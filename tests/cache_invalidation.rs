@@ -77,7 +77,7 @@ fn rebuild_mid_storm_never_serves_stale_results() {
 
     let engine = Arc::new(
         SqlEngine::with_alltables(generation_fact("old"))
-            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
+            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 32, 2))),
     );
     let queue = Arc::new(ServeQueue::new(
         engine.clone(),

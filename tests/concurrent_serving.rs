@@ -1,20 +1,17 @@
 //! Concurrent multi-query serving: stress & parity.
 //!
-//! The persistent worker pool serves many in-flight queries from one
-//! machine-wide thread budget (admission control). This suite pins the two
-//! contracts that design must never break:
+//! Many in-flight queries share one engine, each on its caller's thread,
+//! and the serving tier rations execution through one machine-wide token
+//! budget (admission control). This suite pins the contracts that design
+//! must never break:
 //!
 //! 1. **Parity under concurrency** — M OS threads firing K mixed
 //!    seeker/SQL queries against one shared engine produce results
-//!    **byte-identical** to each query's sequential single-query run, at
-//!    every thread count and under admission budgets smaller than the
-//!    offered load (phases silently degrade to fewer workers or the
-//!    sequential fallback; the order-preserving merges make that invisible
-//!    in the output).
+//!    **byte-identical** to each query's sequential single-query run,
+//!    whatever the context's width and admission budget.
 //! 2. **Liveness and accounting** — random grant/release sequences never
 //!    exceed the token budget and always drain (no lost wakeups, no
-//!    deadlock), every recorded phase stays within its grant, and the
-//!    budget is fully returned once the storm ends.
+//!    deadlock), and the budget is fully returned once the storm ends.
 //! 3. **One result, however it is delivered** — through the serving tier a
 //!    result is shared flat columns, and the rows a client reads from a
 //!    fresh execution, a cache hit or a coalesced execution are the direct
@@ -26,7 +23,9 @@ use std::time::{Duration, Instant};
 
 use blend::plan::Seeker;
 use blend::seekers::{self, TID_PLACEHOLDER};
-use blend_parallel::{Admission, Deadline, ParallelCtx};
+use blend_parallel::{
+    Admission, AdmissionGrant, CancellationToken, Deadline, Interrupt, ParallelCtx,
+};
 use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_EXEC};
 use blend_sql::{QueryReport, ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow};
@@ -123,51 +122,39 @@ fn reference_results(
 /// Fire the whole query mix from `IN_FLIGHT` OS threads (each thread
 /// rotates through the mix `ROUNDS` times starting at a different offset)
 /// and assert every result byte-identical to its sequential reference.
-/// Returns every recorded parallel phase's granted width for invariant
-/// checks.
 fn storm(
     engine: &SqlEngine,
     queries: &[(&'static str, String)],
     want: &[(ResultSet, QueryReport)],
     context: &str,
-) -> Vec<usize> {
-    let grants = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..IN_FLIGHT)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut grants = Vec::new();
-                    for round in 0..ROUNDS {
-                        for qi in 0..queries.len() {
-                            // Offset per worker/round so different queries
-                            // genuinely overlap in time.
-                            let qi = (qi + worker + round) % queries.len();
-                            let (label, sql) = &queries[qi];
-                            let (got, rep) = engine
-                                .execute_with_report(sql)
-                                .unwrap_or_else(|e| panic!("{context}/{label}: {e}"));
-                            let (want_rs, want_rep) = &want[qi];
-                            assert_eq!(
-                                &got, want_rs,
-                                "{context}/{label}: concurrent result diverged from \
-                                 the sequential single-query run"
-                            );
-                            assert!(
-                                rep.logical_eq(want_rep),
-                                "{context}/{label}: logical telemetry diverged"
-                            );
-                            grants.extend(rep.parallel.iter().map(|p| p.granted));
-                        }
+) {
+    std::thread::scope(|scope| {
+        for worker in 0..IN_FLIGHT {
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for qi in 0..queries.len() {
+                        // Offset per worker/round so different queries
+                        // genuinely overlap in time.
+                        let qi = (qi + worker + round) % queries.len();
+                        let (label, sql) = &queries[qi];
+                        let (got, rep) = engine
+                            .execute_with_report(sql)
+                            .unwrap_or_else(|e| panic!("{context}/{label}: {e}"));
+                        let (want_rs, want_rep) = &want[qi];
+                        assert_eq!(
+                            &got, want_rs,
+                            "{context}/{label}: concurrent result diverged from \
+                             the sequential single-query run"
+                        );
+                        assert!(
+                            rep.logical_eq(want_rep),
+                            "{context}/{label}: logical telemetry diverged"
+                        );
                     }
-                    grants
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("storm worker panicked"))
-            .collect::<Vec<usize>>()
+                }
+            });
+        }
     });
-    grants
 }
 
 #[test]
@@ -179,48 +166,27 @@ fn concurrent_mixed_queries_match_sequential_across_thread_counts_and_budgets() 
         let want = reference_results(&fact, &queries);
 
         for threads in [1usize, 2, 8] {
-            // Budgets strictly smaller than the offered load: IN_FLIGHT
-            // concurrent queries each ask for `threads - 1` tokens per
-            // phase, so even the full-pool budget is contended.
+            // Budgets below the IN_FLIGHT concurrent queries, down to none.
             let budgets: &[usize] = match threads {
                 1 => &[0],
                 2 => &[1],
                 _ => &[1, 2, 7],
             };
             for &budget in budgets {
-                // Thresholds forced to 1 so the pool engages on
-                // property-sized inputs (as in tests/parallel_parity.rs).
-                let ctx = Arc::new(ParallelCtx::with_admission(threads, 1, 5, budget));
+                // Five-row chunks, so property-sized inputs cross chunk
+                // boundaries.
+                let ctx = Arc::new(ParallelCtx::with_admission(threads, 5, budget));
                 let engine = SqlEngine::with_alltables(fact.clone()).with_parallel(ctx.clone());
                 let context = format!("{kind:?}/{threads}t/budget{budget}");
 
-                let grants = storm(&engine, &queries, &want, &context);
+                storm(&engine, &queries, &want, &context);
 
-                for &granted in &grants {
-                    assert!(
-                        granted >= 2 && granted <= budget + 1 && granted <= threads,
-                        "{context}: phase granted {granted} workers outside \
-                         [2, min(budget+1, threads)]"
-                    );
-                }
-                if threads == 1 || budget == 0 {
-                    assert!(
-                        grants.is_empty(),
-                        "{context}: sequential config must record no pool phases"
-                    );
-                }
-
-                // The storm drained: every token returned, workers parked
-                // (not leaked), pool still serves a fresh query.
+                // The storm drained: every token is free and the engine
+                // still serves a fresh query.
                 assert_eq!(
                     ctx.admission().available(),
                     budget,
                     "{context}: outstanding admission tokens after drain"
-                );
-                assert_eq!(
-                    ctx.pool().live_workers(),
-                    threads - 1,
-                    "{context}: parked worker count changed"
                 );
                 let (rs, _) = engine.execute_with_report(&queries[0].1).unwrap();
                 assert_eq!(rs, want[0].0, "{context}: engine unusable after storm");
@@ -265,10 +231,10 @@ fn concurrent_end_to_end_seeker_runs_match_sequential() {
         })
         .collect();
 
-    // Shared system: 4 threads, admission budget 2 — less than the
-    // IN_FLIGHT * 3 tokens of offered load.
+    // Shared system: 4 threads wide, an admission budget of 2, five-row
+    // chunks.
     let mut shared = blend::Blend::new(fact);
-    shared.set_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 5, 2)));
+    shared.set_parallel(Arc::new(ParallelCtx::with_admission(4, 5, 2)));
     std::thread::scope(|scope| {
         for worker in 0..IN_FLIGHT {
             let shared = &shared;
@@ -298,21 +264,20 @@ fn concurrent_end_to_end_seeker_runs_match_sequential() {
 }
 
 /// Engines built with default configuration share **one** process-wide
-/// context (pool + admission budget of `threads - 1`), and serving through
-/// it concurrently stays byte-identical to sequential runs. The width is
-/// the machine's (or `BLEND_THREADS`); forced contention — 4 threads, 2
-/// tokens — runs on private contexts above and in `config_matrix`.
+/// context (admission budget of `threads - 1`), and serving through it
+/// concurrently stays byte-identical to sequential runs. The width is the
+/// machine's (or `BLEND_THREADS`); forced contention — 4 threads, 2 tokens
+/// — runs on private contexts above and in `config_matrix`.
 #[test]
 fn default_engines_share_one_process_pool_and_serve_consistently() {
-    // Larger lake so default thresholds (min_parallel = 4096) still let
-    // grouped phases reach the pool on a multi-core machine.
+    // Groups past the default chunk length.
     let rows = fact_rows(8, 450, 10, 0x5EED);
     for kind in [EngineKind::Row, EngineKind::Column] {
         let fact = build_engine(kind, rows.clone());
         let engine = SqlEngine::with_alltables(fact.clone());
         let peer = SqlEngine::with_alltables(fact.clone());
-        // Exactly one pool per process: default construction always hands
-        // back the same shared context.
+        // Exactly one context per process: default construction always
+        // hands back the same shared one.
         assert!(
             Arc::ptr_eq(engine.parallel_ctx(), peer.parallel_ctx()),
             "default engines must share the process context"
@@ -324,11 +289,8 @@ fn default_engines_share_one_process_pool_and_serve_consistently() {
 
         let queries = mixed_queries(10);
         let want = reference_results(&fact, &queries);
-        let grants = storm(&engine, &queries, &want, &format!("{kind:?}/default"));
+        storm(&engine, &queries, &want, &format!("{kind:?}/default"));
         let budget = engine.parallel_ctx().admission().budget();
-        for &granted in &grants {
-            assert!(granted <= budget + 1);
-        }
         assert_eq!(engine.parallel_ctx().admission().available(), budget);
     }
 }
@@ -364,7 +326,7 @@ fn every_delivery_kind_reads_the_direct_engines_rows() {
         // A context of its own: the process-wide one is another test's to
         // count tokens on.
         let fact = build_engine(kind, fact_rows(8, 60, 10, 0xD15C));
-        let ctx = Arc::new(ParallelCtx::with_admission(4, 1, 5, 2));
+        let ctx = Arc::new(ParallelCtx::with_admission(4, 5, 2));
         let engine = Arc::new(SqlEngine::with_alltables(fact).with_parallel(ctx));
         for (class, seeker) in &classes {
             let sql = seekers::seeker_sql(seeker, 10, 8).replace(TID_PLACEHOLDER, "");
@@ -440,11 +402,16 @@ proptest! {
                     };
                     for _ in 0..ops {
                         let desired = (next() as usize % (budget + 2)) + 1;
+                        // A blocking acquire, or one under a deadline that
+                        // may pass first (then it holds nothing).
                         let grant = if next() % 2 == 0 {
                             let never = blend::Interrupt::never();
                             admission.acquire_within(desired, &never).unwrap()
                         } else {
-                            admission.try_acquire(desired)
+                            let soon = Deadline::after(Duration::from_micros(next() % 200));
+                            let within = Interrupt::new(CancellationToken::new(), soon);
+                            (admission.acquire_within(desired, &within))
+                                .unwrap_or_else(|_| AdmissionGrant::empty())
                         };
                         let now = outstanding.fetch_add(grant.tokens(), Ordering::SeqCst)
                             + grant.tokens();
@@ -484,12 +451,10 @@ proptest! {
         racing_release in any::<bool>(),
         expiry_micros in 0u64..500,
     ) {
-        use blend_parallel::{CancellationToken, Deadline, Interrupt};
-
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let admission = Admission::new(budget);
-            let held = admission.try_acquire(budget);
+            let held = (admission.acquire_within(budget, &Interrupt::never())).unwrap();
             assert_eq!(held.tokens(), budget, "failed to exhaust the budget");
 
             // A release racing the expired-deadline acquire must not let a
@@ -497,8 +462,8 @@ proptest! {
             let releaser = racing_release.then(|| {
                 let admission = admission.clone();
                 std::thread::spawn(move || {
-                    let refill = admission.try_acquire(0); // no-op grant
-                    drop(refill);
+                    let refill = admission.acquire_within(0, &Interrupt::never());
+                    drop(refill); // a no-op grant
                     std::thread::yield_now();
                 })
             });

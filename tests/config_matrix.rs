@@ -1,5 +1,5 @@
 //! Every configuration a deployment or a test can give the engine, in one
-//! process: pool width × admission budget, forced SIMD dispatch, an
+//! process: context width × admission budget, forced SIMD dispatch, an
 //! unbounded or a 64 MiB memory governor, and the row or column store.
 //!
 //! The corpus is `exec_parity`'s — the four seeker shapes under every
@@ -26,8 +26,9 @@ use blend_serve::{ServeConfig, ServeQueue, Ticket};
 use blend_sql::SqlEngine;
 use blend_storage::EngineKind;
 
-/// `(threads, admission budget)`: sequential; the whole pool; a budget
-/// smaller than the pool, so concurrent phases degrade.
+/// `(threads, admission budget)`: sequential; `threads - 1` tokens, as a
+/// deployment's shared context has; fewer tokens than that, so the served
+/// pass queues on admission.
 const POOLS: [(usize, usize); 3] = [(1, 0), (4, 3), (4, 2)];
 
 const ZERO_KEY_AGGREGATE: &str =
@@ -96,8 +97,7 @@ fn every_configuration_returns_the_sequential_tuple_bytes() {
                         MemoryGovernor::unbounded()
                     });
                     let engine = engine_on(
-                        ParallelCtx::with_admission(threads, 1, 32, budget)
-                            .with_governor(gov.clone()),
+                        ParallelCtx::with_admission(threads, 32, budget).with_governor(gov.clone()),
                     );
                     for ((sql, _), want) in corpus.iter().zip(&want) {
                         let (rs, report) = engine

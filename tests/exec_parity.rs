@@ -361,8 +361,9 @@ proptest! {
 }
 
 /// A small fact table with repeated cell values, numeric cells with and
-/// without a quadrant, and text cells (NULL quadrant) in every table.
-fn interning_engine(kind: EngineKind, threads: usize) -> SqlEngine {
+/// without a quadrant, and text cells (NULL quadrant) in every table,
+/// executed in three-row chunks.
+fn interning_engine(kind: EngineKind) -> SqlEngine {
     let mut rows = Vec::new();
     for t in 0..4u32 {
         for r in 0..8u32 {
@@ -387,13 +388,13 @@ fn interning_engine(kind: EngineKind, threads: usize) -> SqlEngine {
             rows.push(FactRow::new(&format!("k{}", r % 3), t, 2, r, sk, None));
         }
     }
-    let ctx = Arc::new(ParallelCtx::with_tuning(threads, 1, 3));
+    let ctx = Arc::new(ParallelCtx::with_tuning(1, 3));
     SqlEngine::with_alltables(build_engine(kind, rows)).with_parallel(ctx)
 }
 
 /// Join and GROUP BY keys that do not pack into at most four integer fact
-/// columns are interned and stay on the positional executor — sequentially
-/// and on a forced four-thread pool, on both stores — with the reference's
+/// columns are interned and stay on the positional executor — over
+/// three-row chunks, on both stores — with the reference's
 /// bytes and telemetry: NULL join keys never match, GROUP BY keeps one NULL
 /// group. Nested `SELECT *` subqueries inline into one scan that keeps the
 /// innermost alias; every other derived table is a planning error on both
@@ -428,36 +429,30 @@ fn interned_keys_run_positionally_and_derived_tables_are_plan_errors() {
          ON a.TableId = b.TableId) x",
     ];
     for kind in [EngineKind::Row, EngineKind::Column] {
-        for threads in [1, 4] {
-            let engine = interning_engine(kind, threads);
-            for sql in cases {
-                let (got, report) = engine.execute_with_report(sql).unwrap();
-                let (want, reference) = engine.execute_reference(sql).unwrap();
-                assert_eq!(report.path, "positional", "{kind:?}/{threads}t: {sql}");
-                assert_eq!(
-                    bytes_of(&got),
-                    bytes_of(&want),
-                    "{kind:?}/{threads}t: {sql}"
-                );
-                assert_eq!(report.scans, reference.scans, "{kind:?}/{threads}t: {sql}");
-                assert_eq!(report.joins, reference.joins, "{kind:?}/{threads}t: {sql}");
-                assert!(!got.is_empty(), "{kind:?}/{threads}t: {sql}");
-                assert!(report
-                    .scans
-                    .iter()
-                    .all(|s| s.alias != "x" && s.alias != "y"));
-            }
-            // NULL never joins NULL; GROUP BY Quadrant has one NULL group.
-            let (joined, _) = engine.execute_with_report(cases[1]).unwrap();
-            assert!(joined.rows.iter().all(|r| !r[0].is_null()));
-            let (grouped, _) = engine.execute_with_report(cases[4]).unwrap();
-            assert_eq!(grouped.rows.iter().filter(|r| r[0].is_null()).count(), 1);
-            for sql in derived {
-                let err = engine.execute(sql).unwrap_err();
-                assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
-                let err = engine.execute_reference(sql).unwrap_err();
-                assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
-            }
+        let engine = interning_engine(kind);
+        for sql in cases {
+            let (got, report) = engine.execute_with_report(sql).unwrap();
+            let (want, reference) = engine.execute_reference(sql).unwrap();
+            assert_eq!(report.path, "positional", "{kind:?}: {sql}");
+            assert_eq!(bytes_of(&got), bytes_of(&want), "{kind:?}: {sql}");
+            assert_eq!(report.scans, reference.scans, "{kind:?}: {sql}");
+            assert_eq!(report.joins, reference.joins, "{kind:?}: {sql}");
+            assert!(!got.is_empty(), "{kind:?}: {sql}");
+            assert!(report
+                .scans
+                .iter()
+                .all(|s| s.alias != "x" && s.alias != "y"));
+        }
+        // NULL never joins NULL; GROUP BY Quadrant has one NULL group.
+        let (joined, _) = engine.execute_with_report(cases[1]).unwrap();
+        assert!(joined.rows.iter().all(|r| !r[0].is_null()));
+        let (grouped, _) = engine.execute_with_report(cases[4]).unwrap();
+        assert_eq!(grouped.rows.iter().filter(|r| r[0].is_null()).count(), 1);
+        for sql in derived {
+            let err = engine.execute(sql).unwrap_err();
+            assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
+            let err = engine.execute_reference(sql).unwrap_err();
+            assert!(matches!(err, BlendError::SqlPlan(_)), "{sql}: {err}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //! (`FactTable::filter_batch` / `filter_range`) must reproduce a brute
 //! force over the raw predicate inputs **byte-for-byte** — for random
 //! predicate sets, on both storage engines, over position lists and
-//! contiguous ranges, through the morsel-partitioned pool at thread counts
-//! {1, 4}, and, for the two seeker scan shapes, on both forced SIMD
+//! contiguous ranges, chunk by chunk as the executor's scan runs them,
+//! and, for the two seeker scan shapes, on both forced SIMD
 //! dispatch paths.
 //!
 //! The oracle ([`Preds::keeps`]) reads cells through the point accessors
@@ -15,7 +15,6 @@
 //! `iter().filter()` on their own, over random lengths, prefixes and
 //! offsets, degenerate ranges and all-keep / all-drop predicates.
 
-use blend_parallel::{morselize, WorkerPool};
 use blend_sql::SqlEngine;
 use blend_storage::filter::{compact, extend_filtered, extend_range};
 use blend_storage::{
@@ -23,8 +22,6 @@ use blend_storage::{
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Deterministic fact rows: `n_tables` tables × `rows_per` rows × 3 columns
 /// (text key, numeric with quadrant bits, extra text), vocabulary `w0..wV`.
@@ -206,22 +203,17 @@ proptest! {
             table.filter_batch(&kernel, postings, &mut sel);
             prop_assert_eq!(&sel, &want_postings, "{:?} filter_batch(postings)", kind);
 
-            // Morsel-partitioned through the worker pool at 1 and 4
-            // threads, with per-worker ScanScratch: concatenating the
-            // per-morsel selection vectors in morsel order must reproduce
-            // the sequential oracle list exactly.
-            let morsels = morselize(&[n], 7);
-            for threads in THREAD_COUNTS {
-                let pool = WorkerPool::new(threads);
-                let run = pool.run_with(morsels.len(), ScanScratch::default, |scratch, i| {
-                    let m = &morsels[i];
-                    scratch.sel.clear();
-                    table.filter_range(&kernel, m.start, m.end, &mut scratch.sel);
-                    scratch.sel.clone()
-                });
-                let merged: Vec<u32> = run.results.into_iter().flatten().collect();
-                prop_assert_eq!(&merged, &want, "{:?} pooled {}t", kind, threads);
+            // Seven-position chunks through one reused ScanScratch, as the
+            // executor's filtered scan runs: concatenating the per-chunk
+            // selection vectors in order must reproduce the oracle list
+            // exactly.
+            let (mut merged, mut scratch) = (Vec::new(), ScanScratch::default());
+            for start in (0..n).step_by(7) {
+                scratch.sel.clear();
+                table.filter_range(&kernel, start, (start + 7).min(n), &mut scratch.sel);
+                merged.extend_from_slice(&scratch.sel);
             }
+            prop_assert_eq!(&merged, &want, "{:?} chunked", kind);
         }
     }
 }
@@ -354,7 +346,7 @@ fn seeker_scan_shapes_match_the_scalar_oracle_on_both_simd_paths() {
 
 /// End-to-end: a query exercising every kernel predicate at once runs
 /// through the kernelized scan on both engines and both executor paths, at
-/// thread counts {1, 4}, with identical results.
+/// default and three-row chunks, with identical results.
 #[test]
 fn kernelized_scans_are_engine_path_and_thread_invariant() {
     let rows = fact_rows(6, 24, 8, 0xB1E4D);
@@ -363,15 +355,15 @@ fn kernelized_scans_are_engine_path_and_thread_invariant() {
                AND RowId < 20 GROUP BY TableId, ColumnId ORDER BY score DESC, t";
     for kind in [EngineKind::Row, EngineKind::Column] {
         let reference = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
-            .with_parallel(Arc::new(blend_sql::ParallelCtx::with_tuning(1, 1, 3)));
+            .with_parallel(Arc::new(blend_sql::ParallelCtx::sequential()));
         let (want, want_rep) = reference.execute_reference(sql).unwrap();
-        for threads in THREAD_COUNTS {
-            let eng = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
-                .with_parallel(Arc::new(blend_sql::ParallelCtx::with_tuning(threads, 1, 3)));
+        let eng = SqlEngine::with_alltables(build_engine(kind, rows.clone()))
+            .with_parallel(Arc::new(blend_sql::ParallelCtx::with_tuning(1, 3)));
+        for eng in [&reference, &eng] {
             let (got, rep) = eng.execute_with_report(sql).unwrap();
-            assert_eq!(rep.path, "positional", "{kind:?}/{threads}t");
-            assert_eq!(got, want, "{kind:?}/{threads}t diverged from the reference");
-            assert_eq!(rep.scans, want_rep.scans, "{kind:?}/{threads}t telemetry");
+            assert_eq!(rep.path, "positional", "{kind:?}");
+            assert_eq!(got, want, "{kind:?} diverged from the reference");
+            assert_eq!(rep.scans, want_rep.scans, "{kind:?} telemetry");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! paper's two filter steps, as the row oracle of `common/mc_oracle.rs`
 //! applies them.
 //!
-//! Covered: arity 2–4, both stores, 1 and 4 threads; no injection, `In`
+//! Covered: arity 2–4, both stores, five-row chunks; no injection, `In`
 //! over a few tables and over most, `NotIn` and an empty `NotIn`; a value
 //! in several columns of a row, a value shared by two query columns,
 //! absent values and duplicate query rows; and a store holding `RowId`s
@@ -160,13 +160,11 @@ proptest! {
             ];
             for (layout, fact) in facts {
                 let mut blend = Blend::new(fact);
-                for threads in [1usize, 4] {
-                    blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                    blend.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
                     for injected in injections(n_tables as u32) {
-                        let what = format!("{kind:?} {layout} {threads}t {injected:?} {rows:?}");
+                        let what = format!("{kind:?} {layout} {injected:?} {rows:?}");
                         check(&blend, &rows, injected.as_ref(), &what);
                     }
-                }
             }
         }
     }

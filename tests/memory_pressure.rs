@@ -7,24 +7,20 @@
 //! 1. **Typed outcomes** — under any byte budget, a query either completes
 //!    or resolves `Err(BlendError::MemoryExceeded)`; nothing aborts, no
 //!    partial results escape.
-//! 2. **Invisible degradation** — results produced at narrowed or
-//!    sequential ladder rungs are byte-identical to an unbudgeted run
-//!    (the executor's partition-count invariance makes width changes
-//!    unobservable in output).
+//! 2. **Invisible budgets** — a query that completes under a budget is
+//!    byte-identical to an unbudgeted run.
 //! 3. **Accounting** — reserved bytes never exceed the budget, drain to
 //!    zero after every query, and the serving tier's outcome conservation
 //!    identity extends with `mem_exceeded`.
-//! 4. **Ladder coverage** — full → narrowed → sequential → typed shed all
-//!    fire: real budgets exercise rungs 2–3, injected `FailAlloc` faults
-//!    exercise rung 4 deterministically.
+//! 4. **Ladder coverage** — reclaim, then typed shed, both fire: real
+//!    budgets walked down from an operator's peak shed at its own
+//!    reservation, and injected `FailAlloc` faults shed deterministically.
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use blend_common::BlendError;
-use blend_parallel::{
-    reserve_laddered, Deadline, LadderRung, MemoryGovernor, ParallelCtx, QueryMemory,
-};
+use blend_parallel::{Deadline, MemoryGovernor, MemoryReclaimer, ParallelCtx, QueryMemory};
 use blend_serve::{FaultAction, FaultPlan, ServeConfig, ServeQueue, SITE_ALLOC};
 use blend_sql::{ResultSet, SqlEngine};
 use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
@@ -57,9 +53,8 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 
 /// Query mix covering the allocation-heavy phases: scan output, join
 /// build + probe output, and grouped aggregation state. The first (KW)
-/// query counts off the column index, which has no ladder; the join
-/// and the two-key `COUNT(*)` group are the hash-path shapes whose builds
-/// walk it.
+/// query counts off the column index; the join and the two-key `COUNT(*)`
+/// group are hash-path shapes with a keyed build.
 fn queries(vocab: u32) -> Vec<String> {
     let in_list: Vec<String> = (0..4).map(|i| format!("'w{}'", i % vocab)).collect();
     vec![
@@ -101,47 +96,52 @@ fn references(fact: &Arc<dyn FactTable>, queries: &[String]) -> Vec<ResultSet> {
 /// Engine charging a private governor (the global governor is shared by
 /// every test in the process, so budgets under test must be private).
 fn budgeted_engine(fact: &Arc<dyn FactTable>, gov: &Arc<MemoryGovernor>) -> Arc<SqlEngine> {
-    let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+    let ctx = ParallelCtx::with_admission(4, 32, 2).with_governor(gov.clone());
     Arc::new(SqlEngine::with_alltables(fact.clone()).with_parallel(Arc::new(ctx)))
 }
 
-/// Rungs 1–4 fire deterministically at the reservation API: full width,
-/// narrowed, sequential, typed shed — with nothing leaked at any rung.
+/// Both rungs fire deterministically at the reservation API: a reclaim
+/// that frees enough rescues the reservation, and where nothing is left to
+/// reclaim it sheds typed — with nothing leaked at either rung.
 #[test]
 fn every_ladder_rung_fires() {
-    // cost(w) = w KiB: full 8 → 8 KiB, narrowed 4 → 4 KiB, seq → 1 KiB.
-    let cost = |w: usize| w * 1024;
-    let rungs = [
-        (16 * 1024, 8, LadderRung::Full),
-        (5 * 1024, 4, LadderRung::Narrowed),
-        (2 * 1024, 1, LadderRung::Sequential),
-    ];
-    for (budget, want_width, want_rung) in rungs {
-        let gov = Arc::new(MemoryGovernor::with_budget(budget));
-        let qm = Arc::new(QueryMemory::new(gov.clone()));
-        let (res, width, rung) = reserve_laddered(&qm, "storm_op", 8, cost).unwrap();
-        assert_eq!(
-            (width, rung),
-            (want_width, want_rung),
-            "budget {budget} should land on {want_rung:?}"
-        );
-        drop(res);
-        assert_eq!(gov.reserved_bytes(), 0, "rung {want_rung:?} leaked bytes");
+    struct Pool {
+        gov: Arc<MemoryGovernor>,
+        held: std::sync::Mutex<usize>,
     }
-    // Rung 4: even the sequential footprint does not fit.
-    let gov = Arc::new(MemoryGovernor::with_budget(512));
+    impl MemoryReclaimer for Pool {
+        fn reclaim(&self, _needed: usize) -> usize {
+            let freed = std::mem::take(&mut *self.held.lock().unwrap());
+            self.gov.release(freed);
+            freed
+        }
+    }
+    let gov = Arc::new(MemoryGovernor::with_budget(8 * 1024));
+    assert!(gov.try_charge(6 * 1024));
+    let pool = Arc::new(Pool {
+        gov: gov.clone(),
+        held: std::sync::Mutex::new(6 * 1024),
+    });
+    gov.register_reclaimer(Arc::downgrade(&pool) as std::sync::Weak<dyn MemoryReclaimer>);
     let qm = Arc::new(QueryMemory::new(gov.clone()));
-    let err = reserve_laddered(&qm, "storm_op", 8, cost).unwrap_err();
+
+    // Rung 1: 4 KiB fits only once the pool gives its 6 KiB back.
+    let res = qm.try_reserve("storm_op", 4 * 1024).unwrap();
+    assert_eq!(gov.stats().reclaims, 1);
+    drop(res);
+    assert_eq!(gov.reserved_bytes(), 0, "reclaim rung leaked bytes");
+
+    // Rung 2: more than the budget, and nothing left to reclaim.
+    let err = qm.try_reserve("storm_op", 16 * 1024).unwrap_err();
     assert!(matches!(err, BlendError::MemoryExceeded(_)));
-    assert_eq!(gov.stats().exceeded, 1);
+    assert_eq!((gov.stats().reclaims, gov.stats().exceeded), (2, 1));
     assert_eq!(gov.reserved_bytes(), 0, "shed rung leaked bytes");
 }
 
 /// Sweep budgets from comfortable to impossible at the engine level:
 /// every run resolves typed, `Ok` results are byte-identical to the
 /// unbudgeted reference, reservations drain to zero after every query,
-/// and somewhere in the sweep the ladder demonstrably degraded
-/// (narrowed or sequential) before budgets small enough to shed.
+/// and budgets small enough shed.
 #[test]
 fn budget_sweep_degrades_gracefully_with_parity() {
     let fact = storm_fact();
@@ -150,7 +150,6 @@ fn budget_sweep_degrades_gracefully_with_parity() {
 
     let mut ok_under_budget = 0usize;
     let mut exceeded = 0usize;
-    let mut degraded = false;
     for shift in [22usize, 16, 15, 14, 13, 12, 11, 10, 9, 8] {
         let budget = 1usize << shift;
         let gov = Arc::new(MemoryGovernor::with_budget(budget));
@@ -177,17 +176,9 @@ fn budget_sweep_degrades_gracefully_with_parity() {
                 "budget {budget}: reservations must drain after each query"
             );
         }
-        let stats = gov.stats();
-        if stats.narrowed > 0 || stats.sequential_fallbacks > 0 {
-            degraded = true;
-        }
     }
     assert!(ok_under_budget > 0, "no query succeeded under any budget");
     assert!(exceeded > 0, "no budget was small enough to shed");
-    assert!(
-        degraded,
-        "no budget exercised the narrowed/sequential rungs"
-    );
 }
 
 /// The serving-tier storm under a tight byte budget: mixed waves through
@@ -200,7 +191,7 @@ fn budget_sweep_degrades_gracefully_with_parity() {
 fn storm_under_memory_budget_resolves_typed_with_conservation() {
     const DEPTH: usize = 4;
     const WAVES: usize = 4;
-    // Below the sequential-rung footprint of the widest query in the mix
+    // Below the footprint of the widest query in the mix
     // (the two-key GROUP BY needs ~12 KiB even at width 1), above what
     // every other query needs alone: the storm must both shed and serve.
     const BUDGET: usize = 8 * 1024;
@@ -313,7 +304,7 @@ fn storm_under_memory_budget_resolves_typed_with_conservation() {
     );
 }
 
-/// Injected `FailAlloc` faults (rung-4 forcing: reclaim cannot rescue a
+/// Injected `FailAlloc` faults (shed-rung forcing: reclaim cannot rescue a
 /// synthetic failure) drive typed `MemoryExceeded` outcomes through the
 /// serving tier without any real budget, the conservation identity holds,
 /// and the engine recovers to full service once disarmed.
@@ -483,8 +474,8 @@ fn peak_of(fact: &Arc<dyn FactTable>, sql: &str, group_path: &str) -> (ResultSet
 /// Top-k pushdown in the accounting: an SC query (paper Listing 1) with
 /// LIMIT 48 over 52 000 groups reserves its flat group columns plus 48
 /// rows, never a row per group, and the same query with `COUNT(*)` beside
-/// the distinct count — a hash-path shape — still walks the ladder with
-/// results byte-identical to the unbudgeted run.
+/// the distinct count — a hash-path shape — walks budgets from its peak
+/// down to shedding with results byte-identical to the unbudgeted run.
 ///
 /// "Less than before" has two readings, and both are asserted. The old
 /// executor built one `(u32, Vec<SqlValue>)` per group before it sorted —
@@ -547,12 +538,12 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
         "four columns: LIMIT-48 peak {peak_wide_limited} B, all groups {peak_wide} B"
     );
 
-    // The ladder, on the hash path (the column path has no rung to walk:
+    // Budgets on the hash path (the column path's own walk is
     // `column_grouping_fails_typed_with_no_partial_result`): from the
-    // full-width footprint down to nothing.
-    let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
+    // footprint down to nothing.
+    let (mut ok, mut exceeded) = (0usize, 0usize);
     for percent in [100usize, 90, 80, 70, 60, 50, 25, 5] {
-        let budget = peak_wide_limited / 100 * percent;
+        let budget = peak_wide_limited * percent / 100;
         let gov = Arc::new(MemoryGovernor::with_budget(budget));
         match budgeted_engine(&fact, &gov).execute(&wide_limited) {
             Ok(rs) => {
@@ -570,18 +561,12 @@ fn limit_48_over_50k_groups_reserves_k_rows_and_walks_the_ladder() {
             0,
             "budget {budget}: reservations must drain"
         );
-        let stats = gov.stats();
-        degraded |= stats.narrowed > 0 || stats.sequential_fallbacks > 0;
     }
     assert!(ok > 0 && exceeded > 0, "ok {ok}, exceeded {exceeded}");
-    assert!(
-        degraded,
-        "no budget exercised the narrowed/sequential rungs"
-    );
 }
 
 /// The column path (SC distinct counts off the column store's column
-/// index) runs sequentially and has no ladder: under a budget sweep it
+/// index) reserves its counters up front: under a budget sweep it
 /// either completes byte-identical to the unbudgeted run or fails
 /// `MemoryExceeded` — at its own reservation somewhere in the sweep — with
 /// no partial result and nothing left charged.
@@ -608,12 +593,6 @@ fn column_grouping_fails_typed_with_no_partial_result() {
             Err(other) => panic!("budget {budget}: untyped outcome {other}"),
         }
         assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
-        let stats = gov.stats();
-        assert_eq!(
-            stats.narrowed + stats.sequential_fallbacks,
-            0,
-            "no rung to walk"
-        );
     }
     assert!(ok > 0, "the unbudgeted peak must suffice");
     assert!(
@@ -704,11 +683,11 @@ fn join_path(report: &blend_sql::QueryReport) -> String {
 /// The columnar entry in the accounting: an MC join whose result outweighs
 /// its join state reserves the flat result columns only, so it peaks below
 /// the same query through `execute`, which builds — and reserves — a
-/// `SqlValue` row per joined row on top of them. Both entries walk the
-/// ladder with results byte-identical to the unbudgeted run. The lake is
-/// a row store whose first scan reads `Twin`, a second catalog table built
-/// from the same rows: the two sides share no directory, so the join
-/// hashes and its build has rungs to walk.
+/// `SqlValue` row per joined row on top of them. Both entries walk budgets
+/// down to shedding with results byte-identical to the unbudgeted run. The
+/// lake is a row store whose first scan reads `Twin`, a second catalog
+/// table built from the same rows: the two sides share no directory, so
+/// the join hashes.
 #[test]
 fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     use blend_parallel::Interrupt;
@@ -748,9 +727,9 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
     );
 
     for columnar in [false, true] {
-        let (mut ok, mut exceeded, mut degraded) = (0usize, 0usize, false);
-        // The row entry's peak is its last reservation, the rows, which no
-        // rung can narrow: it needs its whole peak.
+        let (mut ok, mut exceeded) = (0usize, 0usize);
+        // The row entry's peak is its last reservation, the rows: it needs
+        // its whole peak.
         for percent in [110usize, 80, 60, 40, 30, 20, 10, 2] {
             let budget = peak_rows / 100 * percent;
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
@@ -766,20 +745,17 @@ fn columnar_entry_peaks_below_the_row_entry_and_walks_the_ladder() {
                 Err(other) => panic!("budget {budget}: untyped outcome {other}"),
             }
             assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
-            let stats = gov.stats();
-            degraded |= stats.narrowed > 0 || stats.sequential_fallbacks > 0;
         }
         assert!(
-            ok > 0 && exceeded > 0 && degraded,
-            "columnar {columnar}: ok {ok}, exceeded {exceeded}, degraded {degraded}"
+            ok > 0 && exceeded > 0,
+            "columnar {columnar}: ok {ok}, exceeded {exceeded}"
         );
     }
 }
 
 /// The row-key join (the same MC query over a column store, with and
 /// without the far `RowId`) reserves its bitmap, rank, CSR and ordinals
-/// under `join_build` in one piece: there is no width to narrow, so a
-/// budget walk from 110 % of the row entry's peak down to 2 % ends every
+/// under `join_build` in one piece, so a budget walk from 110 % of the row entry's peak down to 2 % ends every
 /// run `Ok` with the unbudgeted bytes or in a typed `MemoryExceeded` — at
 /// the build's own reservation somewhere in the walk — and leaves nothing
 /// reserved.
@@ -826,12 +802,6 @@ fn row_key_join_walks_budgets(sparse: bool) {
             Err(other) => panic!("budget {budget}: untyped outcome {other}"),
         }
         assert_eq!(gov.reserved_bytes(), 0, "budget {budget}: must drain");
-        let stats = gov.stats();
-        assert_eq!(
-            stats.narrowed + stats.sequential_fallbacks,
-            0,
-            "no rung to walk"
-        );
     }
     assert!(ok > 0, "the unbudgeted peak must suffice");
     assert!(
@@ -911,7 +881,7 @@ fn mc_operator_is_typed_under_interrupts_and_budgets() {
         let (fact, _) = mc_lake(sparse, kind);
         let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
             let mut blend = Blend::new(fact.clone());
-            let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+            let ctx = ParallelCtx::with_admission(4, 32, 2).with_governor(gov.clone());
             blend.set_parallel(Arc::new(ctx));
             seekers::run(&blend, &seeker, 10, None, interrupt)
         };
@@ -969,7 +939,7 @@ fn c_operator_is_typed_under_interrupts_and_budgets() {
         let fact = build_engine(kind, rows);
         let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
             let mut blend = Blend::new(fact.clone());
-            let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+            let ctx = ParallelCtx::with_admission(4, 32, 2).with_governor(gov.clone());
             blend.set_parallel(Arc::new(ctx));
             seekers::run(&blend, &seeker, 10, None, interrupt)
         };
@@ -1027,7 +997,7 @@ fn sc_and_kw_operator_is_typed_under_interrupts_and_budgets() {
             let what = format!("{kind:?} {}", seeker.label());
             let run = |gov: &Arc<MemoryGovernor>, interrupt: &Interrupt| {
                 let mut blend = Blend::new(fact.clone());
-                let ctx = ParallelCtx::with_admission(4, 1, 32, 2).with_governor(gov.clone());
+                let ctx = ParallelCtx::with_admission(4, 32, 2).with_governor(gov.clone());
                 blend.set_parallel(Arc::new(ctx));
                 seekers::run(&blend, &seeker, 10, None, interrupt)
             };

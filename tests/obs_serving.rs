@@ -1,6 +1,6 @@
 //! Post-storm metrics snapshot validation: after an overload storm through
 //! the serving tier, the process-global registry must expose the serving,
-//! admission, pool, and SQL metric families, and the serving counters must
+//! admission, and SQL metric families, and the serving counters must
 //! satisfy the conservation identity
 //!
 //! ```text
@@ -47,11 +47,11 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     const WAVES: usize = 4;
 
     let fact = build_engine(EngineKind::Column, fact_rows());
-    // morsel_len 32 on a few-hundred-row table: scan/join/group phases
-    // fan out, so admission grants and pool tasks actually happen.
+    // Chunks of 32 rows on a few-hundred-row table, and two admission
+    // tokens for the two serving threads.
     let engine = Arc::new(
         SqlEngine::with_alltables(fact)
-            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
+            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 32, 2))),
     );
     let queue = Arc::new(ServeQueue::new(
         engine,
@@ -106,11 +106,7 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
     storm.join().expect("storm thread");
     assert_eq!(resolved, WAVES * 2 * DEPTH);
 
-    // One cold request on the now idle tier. During the storm both serving
-    // threads execute at once and each holds one of the two admission
-    // tokens, so whether any phase was granted a pool worker depended on
-    // how the requests happened to overlap; alone, a request leaves a
-    // token for its own phases.
+    // One cold request on the now idle tier.
     let lone = "SELECT TableId, COUNT(*) AS n FROM AllTables GROUP BY TableId ORDER BY TableId";
     let (rs, fresh) = queue
         .submit(lone, Deadline::none())
@@ -217,7 +213,7 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
         "queue depth gauge must drain to zero"
     );
 
-    // Family presence: serving histograms, admission, pool, and SQL cells
+    // Family presence: serving histograms, admission, and SQL cells
     // all moved during the storm.
     for hist in ["blend_serve_queue_wait_nanos", "blend_serve_exec_nanos"] {
         let h = snap
@@ -236,10 +232,6 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
         "admission tokens must drain back"
     );
     assert!(
-        snap.counter("blend_pool_tasks_total") > 0,
-        "no pool tasks recorded"
-    );
-    assert!(
         snap.counter("blend_sql_queries_total{path=\"positional\"}")
             + snap.counter("blend_sql_queries_total{path=\"tuple\"}")
             > 0,
@@ -255,7 +247,6 @@ fn post_storm_snapshot_exposes_families_and_counter_identity() {
         "# TYPE blend_serve_queue_wait_nanos histogram",
         "# TYPE blend_serve_exec_nanos histogram",
         "# TYPE blend_admission_grants_total counter",
-        "# TYPE blend_pool_tasks_total counter",
     ] {
         assert!(rendered.contains(family), "rendering lost `{family}`");
     }

@@ -1,12 +1,8 @@
-//! Parallel/sequential parity: the morsel-partitioned positional executor
-//! must produce **byte-identical results and logical telemetry** at every
-//! thread count — for both storage engines and all four seeker SQL shapes.
-//!
-//! Thread counts {1, 2, 4, 8} are exercised with the parallel thresholds
-//! forced to 1 so even property-sized inputs ride the pool; `threads == 1`
-//! covers the sequential fallback. Wall-clock telemetry
-//! (`QueryReport::parallel`) legitimately varies with the thread count and
-//! is excluded via `QueryReport::logical_eq`.
+//! Context parity: every query runs on its caller's thread, so a context's
+//! width and chunk length must not show in the output. A four-thread
+//! context with five-row chunks produces **byte-identical results and
+//! logical telemetry** to the sequential context — for both storage
+//! engines and all four seeker SQL shapes — and records no parallel phase.
 
 use std::sync::Arc;
 
@@ -16,8 +12,6 @@ use blend_parallel::ParallelCtx;
 use blend_sql::SqlEngine;
 use blend_storage::{build_engine, EngineKind, FactRow};
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Deterministic random-ish fact rows: `n_tables` tables, each with one
 /// text key column, one numeric column with quadrant bits, and one extra
@@ -50,8 +44,8 @@ fn fact_rows(n_tables: u32, rows_per: u32, vocab: u32, seed: u64) -> Vec<FactRow
 /// SQL with the rewriter placeholder dropped — and SC/KW once more with an
 /// injected `TableId NOT IN` filter, which keeps the value-index drive.
 /// Each comes with whether it is SC/KW: on the column store those count
-/// off the column index, sequential by design and reported as such; on the
-/// row store they scan and group by hash on the pool, like MC and C.
+/// off the column index and reported as such; on the row store they scan
+/// and group by hash, like MC and C.
 fn seeker_sqls(vocab: u32) -> Vec<(&'static str, String, bool)> {
     let w = |i: u32| format!("w{}", i % vocab);
     let vals: Vec<String> = (0..6).map(w).collect();
@@ -117,43 +111,30 @@ proptest! {
                 }
                 prop_assert_eq!(&want_rep.joins, &tuple_rep.joins);
 
-                // Every thread count, thresholds forced to 1 so the pool
-                // actually runs even on property-sized inputs.
-                for threads in THREAD_COUNTS {
-                    let eng = SqlEngine::with_alltables(fact.clone())
-                        .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-                    let (got, rep) = eng
-                        .execute_with_report(&sql)
-                        .unwrap_or_else(|e| panic!("{label}/{threads}t: {e}"));
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{}/{:?}/{}t: results must be byte-identical", label, kind, threads
-                    );
-                    prop_assert!(
-                        rep.logical_eq(&want_rep),
-                        "{}/{:?}/{}t: logical telemetry must match", label, kind, threads
-                    );
-                    if threads > 1 && !by_columns {
-                        // The pool really ran: phases recorded with a
-                        // bounded worker count.
-                        prop_assert!(!rep.parallel.is_empty(), "{}/{}t", label, threads);
-                        for phase in &rep.parallel {
-                            prop_assert!(!phase.worker_nanos.is_empty());
-                            prop_assert!(phase.worker_nanos.len() <= threads);
-                            prop_assert!(phase.partitions >= 1);
-                        }
-                    } else {
-                        prop_assert!(rep.parallel.is_empty());
-                    }
-                }
+                // A wide context with chunks of 5 rows, so every loop of
+                // even property-sized inputs crosses chunk boundaries.
+                let eng = SqlEngine::with_alltables(fact.clone())
+                    .with_parallel(Arc::new(ParallelCtx::with_tuning(4, 5)));
+                let (got, rep) = eng
+                    .execute_with_report(&sql)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                prop_assert_eq!(
+                    &got, &want,
+                    "{}/{:?}: results must be byte-identical", label, kind
+                );
+                prop_assert!(
+                    rep.logical_eq(&want_rep),
+                    "{}/{:?}: logical telemetry must match", label, kind
+                );
+                prop_assert!(rep.parallel.is_empty());
             }
         }
     }
 }
 
 /// Full seeker runs (SQL generation + application phases) through a `Blend`
-/// system agree across thread counts — the end-to-end view of the same
-/// invariant.
+/// system agree between the sequential and a four-thread, five-row-chunk
+/// context — the end-to-end view of the same invariant.
 #[test]
 fn end_to_end_seeker_hits_are_thread_count_invariant() {
     let rows = fact_rows(5, 30, 8, 0xB1EBD);
@@ -176,17 +157,15 @@ fn end_to_end_seeker_hits_are_thread_count_invariant() {
     reference.set_parallel(Arc::new(ParallelCtx::sequential()));
     for (label, seeker) in seekers_under_test {
         let want = seekers::run(&reference, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
-        for threads in THREAD_COUNTS {
-            let mut blend = blend::Blend::new(fact.clone());
-            blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-            let got = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
-            let text = |b: &blend::Blend| seekers::seeker_sql(&seeker, 10, b.options().h);
-            assert_eq!(text(&blend), text(&reference), "{label}/{threads}t");
-            assert_eq!(got.mc_stats, want.mc_stats, "{label}/{threads}t");
-            let hits = |run: &seekers::SeekerRun| -> Vec<(u32, f64)> {
-                run.hits.iter().map(|h| (h.table.0, h.score)).collect()
-            };
-            assert_eq!(hits(&got), hits(&want), "{label}/{threads}t");
-        }
+        let mut blend = blend::Blend::new(fact.clone());
+        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(4, 5)));
+        let got = seekers::run(&blend, &seeker, 10, None, &blend::Interrupt::never()).unwrap();
+        let text = |b: &blend::Blend| seekers::seeker_sql(&seeker, 10, b.options().h);
+        assert_eq!(text(&blend), text(&reference), "{label}");
+        assert_eq!(got.mc_stats, want.mc_stats, "{label}");
+        let hits = |run: &seekers::SeekerRun| -> Vec<(u32, f64)> {
+            run.hits.iter().map(|h| (h.table.0, h.score)).collect()
+        };
+        assert_eq!(hits(&got), hits(&want), "{label}");
     }
 }

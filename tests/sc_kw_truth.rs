@@ -2,7 +2,7 @@
 //! single-column join (paper Listing 1) and for a keyword search (the same
 //! query grouped by table) are what a brute-force reading of the lake gives
 //! (`blend_lake::ground_truth::{exact_sc_topk, exact_kw_topk}`), on every
-//! engine, thread count and SIMD dispatch — and so are the hits under the
+//! engine and SIMD dispatch — and so are the hits under the
 //! optimizer's injected `TableId IN` / `NOT IN` fragments, the truth
 //! restricted to the tables the fragment keeps.
 //!
@@ -158,10 +158,9 @@ proptest! {
                 let mut blend = index(&lake, kind, sparse);
                 for vector in [false, true] {
                     blend_simd::force(Some(vector));
-                    for threads in [1usize, 2, 4, 8] {
-                        // min_parallel 1, morsels of 5 rows: every pooled
-                        // phase fans out.
-                        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                        // Chunks of 5 rows: every loop crosses chunk
+                        // boundaries.
+                        blend.set_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
                         for injected in &fragments {
                             let hits = match injected {
                                 None => blend.execute(&plan).unwrap(),
@@ -180,20 +179,19 @@ proptest! {
                             let got: Vec<usize> = hits.iter().map(|h| h.score as usize).collect();
                             prop_assert_eq!(
                                 &got, &want,
-                                "{}/{:?}/{}t/vector={}/sparse={}/{:?}: {:?}",
-                                label, kind, threads, vector, sparse, injected, values
+                                "{}/{:?}/vector={}/sparse={}/{:?}: {:?}",
+                                label, kind, vector, sparse, injected, values
                             );
                             for h in &hits {
                                 prop_assert!(keeps(injected, h.table), "{:?}: {:?}", injected, h.table);
                                 prop_assert_eq!(
                                     exact.get(&h.table).copied(),
                                     Some(h.score as usize),
-                                    "{}/{:?}/{}t/vector={}/sparse={}: overlap of {:?}",
-                                    label, kind, threads, vector, sparse, h.table
+                                    "{}/{:?}/vector={}/sparse={}: overlap of {:?}",
+                                    label, kind, vector, sparse, h.table
                                 );
                             }
                         }
-                    }
                 }
             }
         }

@@ -94,11 +94,11 @@ fn storm_once(context: &str, faults: FaultPlan, tiny_deadlines: bool) {
         .map(|sql| reference.execute(sql).expect("reference run"))
         .collect();
 
-    // Undersized serving tier: 4-deep queue, 2 serving threads, 4 pool
-    // threads with an admission budget of 2 — far less than offered load —
+    // Undersized serving tier: 4-deep queue, 2 serving threads, a 4-wide
+    // context with an admission budget of 2 — far less than offered load —
     // charging a private 64 MiB governor, in front of a 64 KiB result
     // cache so CLOCK eviction churns mid-storm.
-    let ctx = ParallelCtx::with_admission(4, 1, 32, 2)
+    let ctx = ParallelCtx::with_admission(4, 32, 2)
         .with_governor(Arc::new(MemoryGovernor::with_budget(64 << 20)));
     let engine = Arc::new(SqlEngine::with_alltables(fact).with_parallel(Arc::new(ctx)));
     let queue = Arc::new(ServeQueue::new(
@@ -113,7 +113,7 @@ fn storm_once(context: &str, faults: FaultPlan, tiny_deadlines: bool) {
     ));
 
     // Run the whole storm behind a watchdog channel; a deadlock anywhere
-    // (queue, admission, pool, ticket wait) trips the timeout below.
+    // (queue, admission, ticket wait) trips the timeout below.
     let (tx, rx) = mpsc::channel();
     let storm_queue = queue.clone();
     let storm_queries = queries.clone();
@@ -290,7 +290,7 @@ fn leader_failure_storm(context: &str, leader_fault: FaultAction) {
         .with(SITE_EXEC, leader_fault, 1_000_000);
     let engine = Arc::new(
         SqlEngine::with_alltables(fact)
-            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
+            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 32, 2))),
     );
     let queue = Arc::new(ServeQueue::new(
         engine,
@@ -381,7 +381,7 @@ fn unread_and_failed_waiters_hold_no_share_of_the_columns() {
     let sql = queries(6)[2].clone();
     let engine = Arc::new(
         SqlEngine::with_alltables(fact)
-            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 1, 32, 2))),
+            .with_parallel(Arc::new(ParallelCtx::with_admission(4, 32, 2))),
     );
     let queue = ServeQueue::new(
         engine.clone(),

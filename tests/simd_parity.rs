@@ -14,8 +14,8 @@
 //!    `GroupIndex` and its id's build rows walked), against per-key
 //!    hashing and a nested-loop oracle.
 //! 3. **End-to-end SQL**: full queries covering each wired kernel, forced
-//!    down both paths across storage engines × thread counts {1, 4, 8},
-//!    must return byte-identical `ResultSet`s.
+//!    down both paths across storage engines, in five-row chunks, must
+//!    return byte-identical `ResultSet`s.
 
 use std::sync::Arc;
 
@@ -251,7 +251,7 @@ fn sql_results_are_identical_across_dispatch_and_thread_counts() {
     for kind in [EngineKind::Row, EngineKind::Column] {
         let fact = build_engine(kind, rows.clone());
         for (label, sql) in sql_suite() {
-            // Reference: scalar dispatch, sequential execution.
+            // Reference: scalar dispatch, default chunks.
             simd::force(Some(false));
             let reference = SqlEngine::with_alltables(fact.clone())
                 .with_parallel(Arc::new(ParallelCtx::sequential()));
@@ -260,17 +260,15 @@ fn sql_results_are_identical_across_dispatch_and_thread_counts() {
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             for vector in [false, true] {
                 simd::force(Some(vector));
-                for threads in [1usize, 4, 8] {
-                    let eng = SqlEngine::with_alltables(fact.clone())
-                        .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
-                    let (got, _) = eng
-                        .execute_with_report(sql)
-                        .unwrap_or_else(|e| panic!("{label}/{threads}t: {e}"));
-                    assert_eq!(
-                        got, want,
-                        "{kind:?}/{label}: vector={vector}/{threads}t diverged from scalar/seq"
-                    );
-                }
+                let eng = SqlEngine::with_alltables(fact.clone())
+                    .with_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
+                let (got, _) = eng
+                    .execute_with_report(sql)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(
+                    got, want,
+                    "{kind:?}/{label}: vector={vector} in five-row chunks diverged from scalar"
+                );
             }
         }
     }

@@ -420,8 +420,7 @@ fn integer_sum_is_exact_above_2_pow_53() {
 /// — instead of a stack overflow that aborts the process, and queries at
 /// the bound (an `AND` chain, nested `NOT`s, parentheses, `ABS` calls and
 /// `::int` casts) return the reference's rows. All of it on a spawned
-/// thread with the default 2 MiB stack, the stack of serving threads and
-/// pool workers.
+/// thread with the default 2 MiB stack, the stack of serving threads.
 #[test]
 fn nesting_past_the_bound_is_a_parse_error_on_a_default_stack() {
     use blend_parallel::Deadline;

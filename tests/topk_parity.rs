@@ -1,5 +1,5 @@
 //! `ORDER BY … LIMIT k` as a bounded selection must be invisible: every
-//! engine, executor, thread count and SIMD dispatch returns, byte for byte,
+//! engine, executor and SIMD dispatch returns, byte for byte,
 //! what sorting *all* rows stably and truncating returned before.
 //!
 //! The oracle lives here and shares no code with the engine's selection. It
@@ -400,29 +400,16 @@ fn tie_band_limits(base: &ResultSet, width: usize, desc: &[bool]) -> Vec<usize> 
         .collect()
 }
 
-/// Where a LIMIT runs: (SIMD dispatch, pool width) pairs of the positional
-/// executor, and whether the reference runs it too.
-type Runs = (&'static [(bool, usize)], bool);
+/// Where a LIMIT runs: the SIMD dispatches of the positional executor,
+/// and whether the reference runs it too.
+type Runs = (&'static [bool], bool);
 
-/// The fixed LIMITs run every pair, and the reference.
-const EVERY_RUN: Runs = (
-    &[
-        (false, 1),
-        (false, 2),
-        (false, 4),
-        (false, 8),
-        (true, 1),
-        (true, 2),
-        (true, 4),
-        (true, 8),
-    ],
-    true,
-);
+/// The fixed LIMITs run both dispatches, and the reference.
+const EVERY_RUN: Runs = (&[false, true], true);
 
 /// The tie-band LIMITs aim at the positional executor's counting
-/// selection — the reference never counts — sequentially (the merge-only
-/// selection) and partitioned (per-partition selections).
-const TIE_BAND_RUNS: Runs = (&[(false, 1), (true, 4)], false);
+/// selection; the reference never counts.
+const TIE_BAND_RUNS: Runs = (&[false, true], false);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -510,12 +497,12 @@ proptest! {
                             "{:?}/reference: {}", kind, sql
                         );
                     }
-                    for &(vector, threads) in configs {
+                    for &vector in configs {
                         simd::force(Some(vector));
-                        // min_parallel 1, morsels of 5 rows: every phase
-                        // of even these small inputs fans out.
+                        // Chunks of 5 rows: every loop of even these small
+                        // inputs crosses chunk boundaries.
                         let eng = SqlEngine::with_alltables(fact.clone())
-                            .with_parallel(Arc::new(ParallelCtx::with_tuning(threads, 1, 5)));
+                            .with_parallel(Arc::new(ParallelCtx::with_tuning(1, 5)));
                         let (got, report) = eng
                             .execute_with_report(&sql)
                             .unwrap_or_else(|e| panic!("{}: {e}: {sql}", shape.label));
@@ -530,8 +517,8 @@ proptest! {
                         prop_assert_eq!(
                             format!("{:?}", got.rows),
                             format!("{:?}", want),
-                            "{:?}/{}t/vector={}: {}",
-                            kind, threads, vector, sql
+                            "{:?}/vector={}: {}",
+                            kind, vector, sql
                         );
                         // The columnar entry, asked for rows afterwards.
                         let (cols, _) = eng
@@ -540,8 +527,8 @@ proptest! {
                         prop_assert_eq!(
                             format!("{:?}", cols.to_result_set().rows),
                             format!("{:?}", want),
-                            "{:?}/columns/{}t/vector={}: {}",
-                            kind, threads, vector, sql
+                            "{:?}/columns/vector={}: {}",
+                            kind, vector, sql
                         );
                     }
                 }
