@@ -9,33 +9,41 @@ use std::borrow::Cow;
 /// Returns a borrowed slice when the input is already normalized, avoiding an
 /// allocation on the (common) clean-data path.
 pub fn normalize_cow(s: &str) -> Cow<'_, str> {
-    let trimmed = s.trim();
-    let needs_work = trimmed
-        .chars()
-        .any(|c| c.is_ascii_uppercase() || c.is_whitespace() && c != ' ')
-        || trimmed.contains("  ")
-        || trimmed.len() != s.len();
-    if !needs_work {
-        return Cow::Borrowed(trimmed);
+    match is_normalized(s) {
+        true => Cow::Borrowed(s),
+        false => Cow::Owned(normalize_in(s, &mut String::new()).to_owned()),
     }
-    let mut out = String::with_capacity(trimmed.len());
+}
+
+/// [`normalize_cow`] with the owned form written into `buf` (cleared
+/// first): `s` itself when it is already normalized, `buf` otherwise.
+pub fn normalize_in<'a>(s: &'a str, buf: &'a mut String) -> &'a str {
+    if is_normalized(s) {
+        return s;
+    }
+    buf.clear();
     let mut last_space = false;
-    for c in trimmed.chars() {
+    for c in s.trim().chars() {
         if c.is_whitespace() {
             if !last_space {
-                out.push(' ');
+                buf.push(' ');
                 last_space = true;
             }
         } else {
             last_space = false;
-            if c.is_ascii_uppercase() {
-                out.push(c.to_ascii_lowercase());
-            } else {
-                out.push(c);
-            }
+            buf.push(c.to_ascii_lowercase());
         }
     }
-    Cow::Owned(out)
+    buf
+}
+
+/// True when `s` is trimmed, has no ASCII uppercase, and no whitespace but
+/// single spaces.
+fn is_normalized(s: &str) -> bool {
+    let trimmed = s.trim();
+    trimmed.len() == s.len()
+        && !trimmed.contains("  ")
+        && !(trimmed.chars()).any(|c| c.is_ascii_uppercase() || c.is_whitespace() && c != ' ')
 }
 
 /// Owned convenience wrapper over [`normalize_cow`].

@@ -89,11 +89,26 @@ impl Value {
     pub fn normalized(&self) -> Option<Cow<'_, str>> {
         match self {
             Value::Null => None,
-            Value::Int(i) => Some(Cow::Owned(i.to_string())),
-            Value::Float(f) => Some(Cow::Owned(fmt_float(*f))),
+            Value::Int(_) | Value::Float(_) => Some(Cow::Owned(self.to_string())),
             Value::Bool(b) => Some(Cow::Borrowed(if *b { "true" } else { "false" })),
             Value::Text(s) => Some(crate::text::normalize_cow(s)),
         }
+    }
+
+    /// [`normalized`](Self::normalized) with no allocation of its own: a
+    /// form not borrowed from the value is written into `buf` (cleared
+    /// first), so a caller that reuses `buf` allocates only as it grows.
+    pub fn normalized_in<'a>(&'a self, buf: &'a mut String) -> Option<&'a str> {
+        use fmt::Write;
+        buf.clear();
+        match self {
+            Value::Null => return None,
+            Value::Bool(b) => return Some(if *b { "true" } else { "false" }),
+            Value::Text(s) => return Some(crate::text::normalize_in(s, buf)),
+            // Writing into a `String` cannot fail.
+            Value::Int(_) | Value::Float(_) => _ = write!(buf, "{self}"),
+        }
+        Some(buf)
     }
 
     /// Total ordering used by ORDER BY and sorting ground truths: NULLs
@@ -120,22 +135,15 @@ impl Value {
     }
 }
 
-/// Canonical float formatting: integral floats render without the fraction
-/// (matching how `42.0` appears as `"42"` in a lake CSV).
-fn fmt_float(f: f64) -> String {
-    if f.fract() == 0.0 && f.abs() < 1e15 {
-        format!("{}", f as i64)
-    } else {
-        format!("{f}")
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{}", fmt_float(*x)),
+            // Canonical float form: integral floats render without the
+            // fraction (matching how `42.0` appears as `"42"` in a lake CSV).
+            Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{}", *x as i64),
+            Value::Float(x) => write!(f, "{x}"),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Text(s) => write!(f, "{s}"),
         }
@@ -211,6 +219,29 @@ mod tests {
             "tom riddle"
         );
         assert!(Value::Null.normalized().is_none());
+    }
+
+    #[test]
+    fn normalized_in_equals_normalized_with_one_reused_buffer() {
+        let values = [
+            Value::Text("  Tom   Riddle ".into()),
+            Value::Int(-42),
+            Value::Text("clean".into()),
+            Value::Float(42.0),
+            Value::Float(2.5),
+            Value::Null,
+            Value::Bool(true),
+            Value::Text("Universität\tHannover".into()),
+            Value::Float(1e20),
+        ];
+        let mut buf = String::new();
+        for v in &values {
+            assert_eq!(
+                v.normalized_in(&mut buf),
+                v.normalized().as_deref(),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]

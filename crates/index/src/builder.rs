@@ -1,4 +1,8 @@
-//! The `AllTables` builder: lake tables → fact rows → storage engine.
+//! The `AllTables` builder: lake tables → dictionary-coded parts, one per
+//! range of tables, coded in parallel ([`CodedPart`]) → storage engine,
+//! which merges the parts' dictionaries ([`build_parts`]). Fact rows, as
+//! [`IndexBuilder::index_lake`] hands out and persisted files hold, are
+//! the parts' codes expanded ([`fact_rows`]).
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -6,10 +10,12 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use blend_common::Table;
+use blend_common::{mix64, FxHashMap, Table, Value};
 use blend_obs::SpanGuard;
 use blend_parallel::{fork_join, ParallelCtx};
-use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
+use blend_storage::{
+    build_parts, encode_quadrant, fact_rows, CodedCell, CodedPart, EngineKind, FactRow, FactTable,
+};
 
 use crate::quadrant::column_quadrants;
 use crate::xash::xash_value;
@@ -18,9 +24,10 @@ use crate::xash::xash_value;
 struct IndexMetrics {
     /// Lake tables indexed (cumulative across builds).
     tables: Arc<blend_obs::Counter>,
-    /// Fact rows emitted (cumulative across builds).
+    /// Fact rows (cells) indexed (cumulative across builds).
     rows: Arc<blend_obs::Counter>,
-    /// Wall time of whole-lake builds ([`IndexBuilder::index_lake`]).
+    /// Wall time of coding whole lakes, the parallel phase of
+    /// [`IndexBuilder::index_lake`] and [`IndexBuilder::build`].
     build_nanos: Arc<blend_obs::Histogram>,
 }
 
@@ -91,113 +98,120 @@ impl IndexBuilder {
     /// Per row: the XASH super key over all non-null normalized values;
     /// per cell: `(value, tid, cid, rid, superkey, quadrant)`.
     pub fn index_table(&self, table: &Table) -> Vec<FactRow> {
-        let mut rows = Vec::new();
-        self.emit(table, &mut rows);
-        fill_superkeys(&mut rows, &mut Vec::new());
-        rows
+        fact_rows(&[self.code(&[table])]).0
     }
 
-    /// Append `table`'s cells to `out` in canonical order, each value
-    /// normalized straight into its row, whose super key is left 0 for
-    /// [`fill_superkeys`].
-    fn emit(&self, table: &Table, out: &mut Vec<FactRow>) {
-        // New `RowId` → row: identity or shuffled (per-table deterministic seed).
-        let mut order: Vec<usize> = (0..table.n_rows()).collect();
-        if self.options.shuffle_rows {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                self.options.seed ^ (table.id.0 as u64).wrapping_mul(0x9E37_79B9),
-            );
-            order.shuffle(&mut rng);
-        }
-        for (c, col) in table.columns.iter().enumerate() {
-            let quadrants = column_quadrants(col);
-            for (rid, &r) in order.iter().enumerate() {
-                if let Some(value) = col.values[r].normalized() {
-                    out.push(FactRow {
-                        value: value.into_owned().into_boxed_str(),
+    /// Dictionary-code `tables`, in ascending `TableId` order, into one
+    /// part in canonical order: each value normalized into one reused
+    /// buffer and interned in the part's dictionary (only its first sight
+    /// allocates), each cell written as its code, and each distinct value's
+    /// XASH pattern computed once and ORed into its rows' super keys.
+    ///
+    /// Numbers repeat far more than they differ (the benchmark's lake holds
+    /// 470 k numeric cells and 17 k distinct numbers), so they are also
+    /// keyed by value: only a number's first sight in the part is
+    /// formatted and looked up as text.
+    fn code(&self, tables: &[&Table]) -> CodedPart {
+        let mut part = CodedPart {
+            cells: Vec::with_capacity(tables.iter().map(|t| cells(t)).sum()),
+            ..CodedPart::default()
+        };
+        let (mut patterns, mut keys, mut buf) = (Vec::new(), Vec::new(), String::new());
+        let mut numbers: FxHashMap<u128, u32> = FxHashMap::default();
+        for &table in tables {
+            // New `RowId` → row: identity or shuffled (per-table deterministic seed).
+            let mut order: Vec<usize> = (0..table.n_rows()).collect();
+            if self.options.shuffle_rows {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(
+                    self.options.seed ^ (table.id.0 as u64).wrapping_mul(0x9E37_79B9),
+                );
+                order.shuffle(&mut rng);
+            }
+            keys.clear();
+            keys.resize(order.len(), 0u128);
+            for (c, col) in table.columns.iter().enumerate() {
+                let quadrants = column_quadrants(col);
+                for (rid, &r) in order.iter().enumerate() {
+                    let value = &col.values[r];
+                    // Exact keys, well mixed: `mix64` is a bijection.
+                    let number = match *value {
+                        Value::Int(i) => Some(mix64(i as u64) as u128),
+                        Value::Float(f) => Some(1 << 64 | mix64(f.to_bits()) as u128),
+                        _ => None,
+                    };
+                    let code = match number.and_then(|n| numbers.get(&n)) {
+                        Some(&code) => code,
+                        None => {
+                            let Some(text) = value.normalized_in(&mut buf) else {
+                                continue;
+                            };
+                            let code = part.values.intern(text);
+                            if code as usize == patterns.len() {
+                                patterns.push(xash_value(text));
+                            }
+                            number.map(|n| numbers.insert(n, code));
+                            code
+                        }
+                    };
+                    keys[rid] |= patterns[code as usize];
+                    part.cells.push(CodedCell {
                         table: table.id.0,
                         column: c as u32,
                         row: rid as u32,
-                        superkey: 0,
-                        quadrant: quadrants[r],
+                        code,
+                        quadrant: encode_quadrant(quadrants[r]),
                     });
                 }
             }
+            // Every pattern sets a length bit, so a key is 0 only on a row
+            // that holds no cell, which has no super key.
+            part.superkeys.extend(keys.iter().filter(|&&k| k != 0));
         }
+        part
     }
 
-    /// Index a whole lake into fact rows at the builder's width: in
-    /// canonical order when the tables come in ascending `TableId` order,
-    /// as a lake holds them.
-    ///
-    /// The tables are cut into contiguous ranges of about equal cell count,
-    /// four per worker, claimed dynamically. One pass over each range emits
-    /// its rows with their values normalized (span `index.emit`), a second
-    /// gives each table's rows their super keys (`index.xash`); then the
-    /// ranges' rows are concatenated in range order (`index.concat`) onto
-    /// the first range's `Vec`, each freed as it is moved, so the rows are
-    /// never held twice and the output is the same at every thread count.
+    /// Index a whole lake into fact rows, in canonical order: the coded
+    /// parts of [`build`](Self::build), expanded. The same at every width.
     pub fn index_lake(&self, tables: &[Table]) -> Vec<FactRow> {
         let span = blend_obs::span("index.build");
-        self.lake_rows(tables, &span)
+        fact_rows(&self.lake_parts(tables, &span)).0
     }
 
-    /// [`index_lake`](Self::index_lake) under `span`, metered.
-    fn lake_rows(&self, tables: &[Table], span: &SpanGuard) -> Vec<FactRow> {
+    /// The lake's coded parts, under `span`, metered: the tables, in
+    /// `TableId` order (a lake's ids are unique), cut into contiguous
+    /// ranges of about equal cell count, four per worker, each coded
+    /// ([`code`](Self::code)) in one parallel phase (span `index.emit`,
+    /// attributes `cells` and `distinct`, summed over the parts).
+    fn lake_parts(&self, tables: &[Table], span: &SpanGuard) -> Vec<CodedPart> {
         span.attr_u64("tables", tables.len() as u64);
         let t0 = Instant::now();
         let threads = self.parallel.threads();
-        let ranges = weighted_ranges(tables, threads * 4);
+        let mut sorted: Vec<&Table> = tables.iter().collect();
+        sorted.sort_by_key(|t| t.id);
+        let ranges = weighted_ranges(&sorted, threads * 4);
         let phase = blend_obs::span("index.emit");
-        let mut parts = fork_join(threads, ranges, |range| {
-            let tables = &tables[range];
-            let mut rows = Vec::with_capacity(tables.iter().map(cells).sum());
-            tables.iter().for_each(|t| self.emit(t, &mut rows));
-            rows
-        });
+        let parts = fork_join(threads, ranges, |range| self.code(&sorted[range]));
+        let n = parts.iter().map(|p| p.cells.len()).sum::<usize>() as u64;
+        phase.attr_u64("cells", n);
+        let distinct = parts.iter().map(|p| p.values.len() as u64).sum();
+        phase.attr_u64("distinct", distinct);
         drop(phase);
-        let phase = blend_obs::span("index.xash");
-        fork_join(threads, parts.iter_mut(), |rows| {
-            let mut keys = Vec::new();
-            (rows.chunk_by_mut(|a, b| a.table == b.table))
-                .for_each(|t| fill_superkeys(t, &mut keys));
-        });
-        drop(phase);
-        let _phase = blend_obs::span("index.concat");
-        let mut parts = parts.into_iter();
-        let mut all = parts.next().unwrap_or_default();
-        let rest: Vec<Vec<FactRow>> = parts.collect();
-        all.reserve_exact(rest.iter().map(Vec::len).sum());
-        rest.into_iter().for_each(|mut part| all.append(&mut part));
         let m = index_metrics();
         m.tables.add(tables.len() as u64);
-        m.rows.add(all.len() as u64);
+        m.rows.add(n);
         m.build_nanos.record(t0.elapsed().as_nanos() as u64);
-        span.attr_u64("rows", all.len() as u64);
-        all
+        span.attr_u64("rows", n);
+        parts
     }
 
     /// Index a lake directly into a storage engine, all under the
-    /// `index.build` span. Installing the result in a catalog
+    /// `index.build` span: its coded parts, then the store's build from
+    /// them ([`build_parts`]). Installing the result in a catalog
     /// (`SqlEngine::replace_table`) advances that catalog's generation; the
     /// build itself does not.
     pub fn build(&self, tables: &[Table], kind: EngineKind) -> Arc<dyn FactTable> {
         let span = blend_obs::span("index.build");
-        build_engine(kind, self.lake_rows(tables, &span))
-    }
-}
-
-/// Give each of one table's `cells` its row's XASH super key: the OR of
-/// the patterns of the row's values, gathered by `RowId` in `keys`.
-fn fill_superkeys(cells: &mut [FactRow], keys: &mut Vec<u128>) {
-    let rows = cells.iter().map(|c| c.row as usize + 1).max();
-    keys.clear();
-    keys.resize(rows.unwrap_or(0), 0);
-    for c in cells.iter() {
-        keys[c.row as usize] |= xash_value(&c.value);
-    }
-    for c in cells.iter_mut() {
-        c.superkey = keys[c.row as usize];
+        build_parts(kind, self.lake_parts(tables, &span))
     }
 }
 
@@ -208,8 +222,9 @@ fn cells(table: &Table) -> usize {
 
 /// `tables` cut into contiguous ranges of about equal [`cells`], about
 /// `parts` of them; a table larger than a share is a range of its own.
-fn weighted_ranges(tables: &[Table], parts: usize) -> Vec<Range<usize>> {
-    let share = tables.iter().map(cells).sum::<usize>().div_ceil(parts);
+fn weighted_ranges(tables: &[&Table], parts: usize) -> Vec<Range<usize>> {
+    let total: usize = tables.iter().map(|t| cells(t)).sum();
+    let share = total.div_ceil(parts);
     let (mut ranges, mut start, mut held) = (Vec::new(), 0, 0);
     for (i, t) in tables.iter().enumerate() {
         held += cells(t);
@@ -230,8 +245,11 @@ impl Default for IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{load_rows, save_rows};
     use crate::xash::Xash;
-    use blend_common::{Column, TableId, Value};
+    use blend_common::{Column, TableId};
+    use blend_storage::build_engine;
+    use std::collections::HashMap;
 
     fn staff_table(id: u32) -> Table {
         Table::new(
@@ -462,22 +480,202 @@ mod tests {
     }
 
     /// A traced build records each phase under `index.build`: the lake's
-    /// three, then the store's directory pass and postings.
+    /// coding, then the store's dictionary merge, directory pass and
+    /// postings; `index.emit` counts the cells and the parts' distinct
+    /// values, `index.merge` the lake's.
     #[test]
     fn build_phases_are_spans_under_index_build() {
         let tables: Vec<Table> = (0..3).map(staff_table).collect();
         let trace = blend_obs::trace_begin("setup");
-        IndexBuilder::new().build(&tables, EngineKind::Column);
+        IndexBuilder::new()
+            .with_parallel(Arc::new(ParallelCtx::new(1)))
+            .build(&tables, EngineKind::Column);
         let profile = trace.finish().expect("instrumentation is on");
         let build = profile.find("index.build").expect("index.build span");
         let names: Vec<&str> = build.children.iter().map(|c| c.name.as_str()).collect();
-        let lake = ["index.emit", "index.xash", "index.concat"];
-        let store = ["index.directory", "index.postings"];
+        let lake = ["index.emit"];
+        let store = ["index.merge", "index.directory", "index.postings"];
         assert_eq!(names, [&lake[..], &store[..]].concat());
-        assert_eq!(
-            build.attr("rows").map(ToString::to_string),
-            Some("24".into())
-        );
+        let attr = |span: &str, name: &str| {
+            let node = profile.find(span).expect("span");
+            node.attr(name).map(ToString::to_string)
+        };
+        assert_eq!(attr("index.build", "rows"), Some("24".into()));
+        assert_eq!(attr("index.emit", "cells"), Some("24".into()));
+        // One table per part, each holding the same 8 distinct values.
+        assert_eq!(attr("index.emit", "distinct"), Some("24".into()));
+        assert_eq!(attr("index.merge", "distinct"), Some("8".into()));
+    }
+
+    /// Eight tables of three rows, each its own range at width 4: "every
+    /// where" in every table, "late value" first seen in table 5, one text
+    /// spelled by an integer, an integral float (0.0 and -0.0 in table 0)
+    /// and a text in each, row 2 of every table all null, and table 0's
+    /// last column all null.
+    fn ranged_lake() -> Vec<Table> {
+        (0..8u32)
+            .map(|t| {
+                let late = match t {
+                    5.. => Value::Text("Late  Value".into()),
+                    _ => Value::Int(t as i64),
+                };
+                let mut columns = vec![
+                    Column::new(
+                        "every",
+                        vec![
+                            Value::Text("Every Where".into()),
+                            Value::Text(format!("t{t}")),
+                            Value::Null,
+                        ],
+                    ),
+                    Column::new(
+                        "late",
+                        vec![late, Value::Float(t as f64 + 0.5), Value::Null],
+                    ),
+                    Column::new(
+                        "num",
+                        vec![
+                            Value::Float(-(t as f64)),
+                            Value::Text(format!("{t}")),
+                            Value::Null,
+                        ],
+                    ),
+                ];
+                if t == 0 {
+                    columns.push(Column::new("empty", vec![Value::Null; 3]));
+                }
+                Table::new(TableId(t), format!("ranged-{t}"), columns).unwrap()
+            })
+            .collect()
+    }
+
+    /// The lakes the build-equality tests cover, named.
+    fn lakes() -> Vec<(&'static str, Vec<Table>)> {
+        vec![
+            ("staff", (0..9).map(staff_table).collect()),
+            ("skewed", skewed_lake()),
+            ("single", vec![staff_table(0)]),
+            ("ranged", ranged_lake()),
+        ]
+    }
+
+    /// Each lake's builder at widths 1, 2 and 4, shuffled and not.
+    fn builders() -> impl Iterator<Item = (String, IndexBuilder)> {
+        [1, 2, 4].into_iter().flat_map(|threads| {
+            [false, true].map(|shuffle_rows| {
+                let options = IndexOptions {
+                    shuffle_rows,
+                    seed: 3,
+                };
+                let builder = IndexBuilder::with_options(options)
+                    .with_parallel(Arc::new(ParallelCtx::new(threads)));
+                (format!("threads {threads} shuffle {shuffle_rows}"), builder)
+            })
+        })
+    }
+
+    /// `a` and `b` are the same store: the directory, every cell (code,
+    /// value, super key, quadrant), the dictionary in code order, every
+    /// value's postings and column-index list, and the memory charged,
+    /// component by component.
+    fn assert_same_store(a: &dyn FactTable, b: &dyn FactTable, case: &str) {
+        fn cells(t: &dyn FactTable) -> impl PartialEq + std::fmt::Debug + '_ {
+            let all: Vec<u32> = (0..t.len() as u32).collect();
+            let (mut codes, mut superkeys, mut quadrants) = (Vec::new(), Vec::new(), Vec::new());
+            t.gather_value_codes(&all, &mut codes);
+            t.gather_superkeys(&all, &mut superkeys);
+            t.gather_quadrants(&all, &mut quadrants);
+            let values: Vec<&str> = (0..t.len()).map(|p| t.value_at(p)).collect();
+            let dict: Vec<&str> = (0..).map_while(|c| t.value_of_code(c)).collect();
+            (codes, values, superkeys, quadrants, dict)
+        }
+        assert_eq!(a.directory(), b.directory(), "{case}");
+        assert_eq!(cells(a), cells(b), "{case}");
+        for p in 0..a.len() {
+            let value = a.value_at(p);
+            assert_eq!(a.postings(value), b.postings(value), "{case} {value}");
+        }
+        match (a.column_index(), b.column_index()) {
+            (Some(x), Some(y)) => {
+                let codes = (0..).take_while(|&c| a.value_of_code(c).is_some());
+                for code in codes.chain([u32::MAX]) {
+                    assert_eq!(x.ordinals(code), y.ordinals(code), "{case} code {code}");
+                }
+            }
+            (x, y) => assert!(x.is_none() && y.is_none(), "{case}"),
+        }
+        let (ma, mb) = (a.memory_breakdown(), b.memory_breakdown());
+        assert_eq!(ma.components, mb.components, "{case}");
+        assert_eq!(a.size_bytes(), b.size_bytes(), "{case}");
+    }
+
+    /// The store [`IndexBuilder::build`] makes from its coded parts equals
+    /// the one `build_engine` makes from the builder's fact rows, and from
+    /// those rows saved and loaded, on both engines, every lake, width and
+    /// shuffle.
+    #[test]
+    fn built_stores_equal_stores_built_from_the_lake_rows() {
+        let dir = std::env::temp_dir().join("blend-builder-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("lake-{}.blnd", std::process::id()));
+        for (name, tables) in lakes() {
+            for (config, builder) in builders() {
+                let rows = builder.index_lake(&tables);
+                save_rows(&path, &rows).unwrap();
+                let loaded = load_rows(&path).unwrap();
+                assert_eq!(rows, loaded, "{name} {config}");
+                for kind in [EngineKind::Row, EngineKind::Column] {
+                    let built = builder.build(&tables, kind);
+                    let case = format!("{name} {config} {kind:?}");
+                    assert_same_store(&*built, &*build_engine(kind, rows.clone()), &case);
+                    assert_same_store(&*built, &*build_engine(kind, loaded.clone()), &case);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A super key built from per-value patterns is the OR of the patterns
+    /// of its row's cells, each hashed on its own, over `index_table`'s
+    /// cells; the lake's rows are each table's `index_table` rows, each
+    /// column's values are its cells' `Value::normalized`, and the column
+    /// store serves the same keys.
+    #[test]
+    fn superkeys_are_the_or_of_each_cells_pattern() {
+        for (name, tables) in lakes() {
+            for (config, builder) in builders() {
+                let lake = builder.index_lake(&tables);
+                let mut at = 0;
+                for t in &tables {
+                    let rows = builder.index_table(t);
+                    assert_eq!(rows[..], lake[at..at + rows.len()], "{name} {config}");
+                    at += rows.len();
+                    let mut want: HashMap<u32, u128> = HashMap::new();
+                    for r in &rows {
+                        *want.entry(r.row).or_default() |= xash_value(&r.value);
+                    }
+                    for r in &rows {
+                        assert_eq!(r.superkey, want[&r.row], "{name} {config} {r:?}");
+                    }
+                    for (c, col) in t.columns.iter().enumerate() {
+                        let mut got: Vec<&str> = (rows.iter())
+                            .filter(|r| r.column == c as u32)
+                            .map(|r| &*r.value)
+                            .collect();
+                        let mut want: Vec<_> =
+                            col.values.iter().flat_map(Value::normalized).collect();
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "{name} {config} table {} column {c}", t.id.0);
+                    }
+                }
+                assert_eq!(at, lake.len());
+                let store = builder.build(&tables, EngineKind::Column);
+                for (p, r) in lake.iter().enumerate() {
+                    assert_eq!(store.superkey_at(p), r.superkey, "{name} {config}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!
 //! [`builder::IndexBuilder`] runs the pipeline, optionally in parallel
 //! (`blend_parallel::fork_join` at the context's width, over contiguous
-//! table ranges of about equal cell count), emitting the rows in the
-//! canonical order
-//! the stores keep, and optionally with
+//! table ranges of about equal cell count), coding each range's cells
+//! against its own dictionary in the canonical order the stores keep
+//! (`blend_storage::CodedPart`), and optionally with
 //! *pre-shuffled row order* — the "BLEND (rand)" configuration of Table VII,
 //! which converts the correlation seeker's `RowId < h` convenience sample
 //! into a random sample.

@@ -16,7 +16,9 @@ use std::path::Path;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use blend_common::{BlendError, Result};
-use blend_storage::{decode_quadrant, FactRow, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO};
+use blend_storage::{
+    decode_quadrant, encode_quadrant, FactRow, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
+};
 
 const MAGIC: &[u8; 4] = b"BLND";
 const VERSION: u32 = 1;
@@ -38,7 +40,7 @@ pub fn encode_rows(rows: &[FactRow]) -> Bytes {
         buf.put_u32_le(r.column);
         buf.put_u32_le(r.row);
         buf.put_u128_le(r.superkey);
-        buf.put_u8(r.quadrant_code());
+        buf.put_u8(encode_quadrant(r.quadrant));
     }
     buf.freeze()
 }
@@ -73,22 +75,26 @@ pub fn decode_rows(mut buf: &[u8]) -> Result<Vec<FactRow>> {
             return Err(err("truncated value length"));
         }
         let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len.saturating_add(MIN_ROW_BYTES - 4) {
+        let Some((value, fields, rest)) = buf.split_at_checked(len).and_then(|(value, rest)| {
+            let (fields, rest) = rest.split_first_chunk::<{ MIN_ROW_BYTES - 4 }>()?;
+            Some((value, fields, rest))
+        }) else {
             return Err(err("truncated row"));
-        }
+        };
+        buf = rest;
         // One copy per value: boxed straight from the validated slice.
-        let value: Box<str> = (std::str::from_utf8(&buf[..len]))
+        let value: Box<str> = (std::str::from_utf8(value))
             .map_err(|_| err("non-UTF8 value"))?
             .into();
         // The row's fixed fields, read off one array.
-        let fields: &[u8; MIN_ROW_BYTES - 4];
-        (fields, buf) = buf[len..]
-            .split_first_chunk()
-            .expect("length checked above");
-        let word = |i: usize| u32::from_le_bytes(*fields[i..].first_chunk().expect("4 bytes"));
-        let (table, column, row) = (word(0), word(4), word(8));
-        let superkey = u128::from_le_bytes(*fields[12..].first_chunk().expect("16 bytes"));
-        let quadrant = match fields[28] {
+        let [t0, t1, t2, t3, c0, c1, c2, c3, r0, r1, r2, r3, superkey @ .., quadrant] = *fields;
+        let (table, column, row) = (
+            u32::from_le_bytes([t0, t1, t2, t3]),
+            u32::from_le_bytes([c0, c1, c2, c3]),
+            u32::from_le_bytes([r0, r1, r2, r3]),
+        );
+        let superkey = u128::from_le_bytes(superkey);
+        let quadrant = match quadrant {
             code @ (QUADRANT_NULL | QUADRANT_ZERO | QUADRANT_ONE) => decode_quadrant(code),
             code => return Err(err(&format!("invalid quadrant code {code}"))),
         };

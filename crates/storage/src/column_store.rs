@@ -1,13 +1,13 @@
 //! Dictionary-encoded columnar engine — the commercial column store
 //! analogue.
 
+use crate::coded::{merge, superkeys, CodedPart};
 use crate::directory::Directory;
 use crate::fact::{
-    decode_quadrant, scratch_component, FactRow, FactTable, MemoryBreakdown, Resolved,
-    QUADRANT_NULL,
+    decode_quadrant, scratch_component, FactTable, MemoryBreakdown, Resolved, QUADRANT_NULL,
 };
 use crate::filter::{compact, extend_range, FilterKernel, IdSet, ValuePred};
-use crate::hashtable::{DenseKey, GroupIndex};
+use crate::hashtable::GroupIndex;
 use crate::radix::{radix_partition, RadixPartitions};
 use crate::stats::FactStats;
 
@@ -64,41 +64,25 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
-    /// Build the store: the [`Directory`]'s one pass over canonical order
-    /// fills the dictionary and the per-cell and per-row arrays beside it,
-    /// then postings and the column index are counting-sorted by code (span
-    /// `index.postings`), then statistics.
-    ///
-    /// The dictionary copies each value at its first sight, so its strings
-    /// lie in code order. The fact rows are dropped before the indexes are
-    /// sorted, so the build's high-water mark is the rows plus the plain
-    /// arrays, never the rows beside the indexes.
-    pub fn build(mut fact_rows: Vec<FactRow>) -> Self {
-        let n = fact_rows.len();
-        let fits = "the dictionary fits in memory";
-        let mut dict = GroupIndex::with_capacity(0).expect(fits);
-        let mut codes = Vec::with_capacity(n);
-        let mut quadrants = Vec::with_capacity(n);
-        let (mut superkeys, mut numeric_rows) = (Vec::new(), 0usize);
-        let dir = Directory::build(&mut fact_rows, |r, ord| {
-            let hash = r.value.hash64();
-            codes.push(match dict.get_hashed(&*r.value, hash) {
-                Some(code) => code,
-                None => dict
-                    .insert_or_get_hashed(r.value.clone(), hash)
-                    .expect(fits),
-            });
-            let ord = ord as usize;
-            if ord >= superkeys.len() {
-                superkeys.resize(ord + 1, 0);
-            }
-            superkeys[ord] = r.superkey;
-            quadrants.push(r.quadrant_code());
-            numeric_rows += usize::from(r.quadrant.is_some());
+    /// Build the store from the lake's coded parts (fact rows are one part,
+    /// [`CodedPart::from_rows`]): their dictionaries merged into one, whose
+    /// codes number values by first sight in canonical order (span
+    /// `index.merge`); the [`Directory`]'s one pass over their cells, which
+    /// writes each cell's merged code and quadrant — no string is hashed or
+    /// copied per cell; the parts dropped; postings and the column index
+    /// counting-sorted by code (span `index.postings`); statistics.
+    pub fn build(mut parts: Vec<CodedPart>) -> Self {
+        let (dict, maps) = merge(&mut parts);
+        let superkeys = superkeys(&parts);
+        let n = parts.iter().map(|p| p.cells.len()).sum();
+        let (mut codes, mut quadrants) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut numeric_rows = 0usize;
+        let dir = Directory::build(&parts, |p, c, _| {
+            codes.push(maps[p][c.code as usize]);
+            quadrants.push(c.quadrant);
+            numeric_rows += usize::from(c.quadrant != QUADRANT_NULL);
         });
-        drop(fact_rows);
-        dict.shrink_to_fit();
-        superkeys.shrink_to_fit();
+        drop(parts);
         let span = blend_obs::span("index.postings");
         let (postings, runs_of) = index_codes(&codes, &dir, dict.len());
         drop(span);
@@ -429,13 +413,13 @@ impl FactTable for ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::canonical_sort;
-    use crate::test_support::sample_rows;
+    use crate::fact::{canonical_sort, FactRow};
+    use crate::test_support::{one_part, sample_rows};
     use proptest::prelude::*;
 
     #[test]
     fn dictionary_deduplicates() {
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         // "berlin" and "rome" appear twice each but are stored once.
         let n_values = sample_rows().len();
         assert!(s.dict_len() < n_values);
@@ -447,7 +431,7 @@ mod tests {
 
     #[test]
     fn postings_by_code_match_values() {
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         for &p in s.postings("rome") {
             assert_eq!(s.value_at(p as usize), "rome");
         }
@@ -456,7 +440,7 @@ mod tests {
 
     #[test]
     fn codes_probe_filters() {
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         let probe = s.make_probe(&["100", "200", "missing"]);
         assert!(matches!(&probe, ValuePred::Codes(set) if set.len() == 2));
         let hits = (0..s.len()).filter(|&p| s.probe_at(p, &probe)).count();
@@ -468,7 +452,7 @@ mod tests {
         // Cross-engine probes should still work (slow path) — the SQL layer
         // always builds probes via the same engine, but the contract is
         // total.
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         let mut set: blend_common::FxHashSet<Box<str>> = Default::default();
         set.insert("berlin".into());
         let hits = (0..s.len())
@@ -479,14 +463,14 @@ mod tests {
 
     #[test]
     fn quadrants_roundtrip() {
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         let numerics = (0..s.len()).filter(|&p| s.quadrant_at(p).is_some()).count();
         assert_eq!(numerics, 7); // 3 pop cells + 4 table-2 cells
     }
 
     #[test]
     fn empty_store() {
-        let s = ColumnStore::build(Vec::new());
+        let s = ColumnStore::build(one_part(Vec::new()));
         assert_eq!(s.len(), 0);
         assert_eq!(s.dict_len(), 0);
         assert!(s.postings("x").is_empty());
@@ -494,7 +478,7 @@ mod tests {
 
     #[test]
     fn filter_degenerate_ranges_append_nothing_and_keep_prefix() {
-        let s = ColumnStore::build(sample_rows());
+        let s = ColumnStore::build(one_part(sample_rows()));
         let kernel = FilterKernel {
             rowid_lt: Some(u32::MAX),
             ..FilterKernel::empty()
@@ -572,7 +556,7 @@ mod tests {
             n_tables in 0u32..12,
             vocab in 1u64..300,
         ) {
-            let s = ColumnStore::build(sparse_rows(seed, n_tables, vocab));
+            let s = ColumnStore::build(one_part(sparse_rows(seed, n_tables, vocab)));
             let dir = s.directory();
             let keys: Vec<(u32, u32)> = (0..s.len()).map(|p| (s.table_at(p), s.column_at(p))).collect();
             // Run ordinal of every position: canonical order, numbered at
@@ -650,8 +634,8 @@ mod tests {
             let mut want = gapped_rows(seed, n_tables, vocab);
             canonical_sort(&mut want);
             let stores: [Box<dyn FactTable>; 2] = [
-                Box::new(ColumnStore::build(want.clone())),
-                Box::new(crate::RowStore::build(want.clone())),
+                Box::new(ColumnStore::build(one_part(want.clone()))),
+                Box::new(crate::RowStore::build(one_part(want.clone()))),
             ];
             prop_assert_eq!(stores[0].directory(), stores[1].directory());
             let n = want.len();
@@ -751,8 +735,8 @@ mod tests {
             vocab in 1u64..300,
         ) {
             let rows = gapped_rows(seed, n_tables, vocab);
-            let column = ColumnStore::build(rows.clone());
-            let row = crate::RowStore::build(rows);
+            let column = ColumnStore::build(one_part(rows.clone()));
+            let row = crate::RowStore::build(one_part(rows));
             prop_assert!(row.column_index().is_none());
             let index = column.column_index().expect("the column store has a column index");
             let mut runs = Vec::new();

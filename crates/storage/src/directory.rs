@@ -1,12 +1,14 @@
 //! The canonical-order directory both stores own: where a table's cells,
 //! column runs and rows lie is a property of the (`TableId`, `ColumnId`,
-//! `RowId`) order both engines hold ([`canonical_sort`]), not of a layout.
+//! `RowId`) order both engines hold ([`canonical_sort`](crate::fact::canonical_sort)),
+//! not of a layout.
 
 use std::ops::Range;
 
 use blend_common::{try_vec_with_capacity, try_zeroed_vec, BlendError, Result};
 
-use crate::fact::{canonical_sort, cut_to_ranges, FactRow};
+use crate::coded::{CodedCell, CodedPart};
+use crate::fact::cut_to_ranges;
 use crate::filter::IdSet;
 
 /// The canonical-order directory of a store's `n` cells.
@@ -51,26 +53,29 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Put `rows` in canonical order (a check, and a sort only where it
-    /// fails: the index builder's rows come in that order), then build their
-    /// directory in one pass over them, handing each cell to `each` with its
-    /// row ordinal — where a store fills what it keeps per cell or per row.
-    /// The whole pass is the span `index.directory`.
+    /// Build the directory of the parts' cells, in canonical order end to
+    /// end, in one pass over them, handing each cell to `each` with its
+    /// part's index and its row ordinal — where a store fills what it keeps
+    /// per cell or per row. The whole pass is the span `index.directory`.
     ///
     /// A table's row ordinals are its sorted distinct `RowId`s, read off its
     /// cells before they are visited (marked in a bitmap where every one is
     /// below the cell count, sorted otherwise); a cell's is the rank of its
     /// `RowId` among them — the `RowId` itself when they are `0..rows`.
-    pub fn build(rows: &mut [FactRow], mut each: impl FnMut(&FactRow, u32)) -> Self {
+    pub fn build(parts: &[CodedPart], mut each: impl FnMut(usize, &CodedCell, u32)) -> Self {
         let _span = blend_obs::span("index.directory");
-        canonical_sort(rows);
-        let (n, n_tables) = (rows.len(), rows.last().map_or(0, |r| r.table as usize + 1));
+        let n = parts.iter().map(|p| p.cells.len()).sum();
+        let last = parts.iter().rev().find_map(|p| p.cells.last());
+        let n_tables = last.map_or(0, |c| c.table as usize + 1);
         let mut ranges = vec![(0, 0); n_tables];
         let (mut keys, mut starts, mut row_ids) = (Vec::new(), Vec::new(), Vec::new());
         let mut row_base = Vec::with_capacity(n_tables + 1);
         let (mut runs, mut ords) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let (mut table_rows, mut seen, mut s) = (Vec::new(), Vec::new(), 0);
-        for cells in rows.chunk_by(|a, b| a.table == b.table) {
+        let tables = parts.iter().enumerate().flat_map(|(p, part)| {
+            (part.cells.chunk_by(|a, b| a.table == b.table)).map(move |cells| (p, cells))
+        });
+        for (p, cells) in tables {
             let t = cells[0].table as usize;
             ranges[t] = (s, s + cells.len() as u32);
             table_rows.clear();
@@ -106,7 +111,7 @@ impl Directory {
                 };
                 let ord = (base + rank) as u32;
                 ords.push(ord);
-                each(r, ord);
+                each(p, r, ord);
             }
         }
         row_base.push(row_ids.len() as u32);
@@ -394,16 +399,22 @@ pub struct Walk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FactRow;
     use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The directory of fact rows, as the stores build theirs.
+    fn directory(rows: Vec<FactRow>) -> Directory {
+        Directory::build(&[CodedPart::from_rows(rows)], |_, _, _| {})
+    }
 
     /// A directory with `cols[t]` columns in table `t` (none: a table id
     /// that holds no cell), `ColumnId`s spaced two apart.
     fn tables(cols: &[u32]) -> Directory {
-        let mut rows: Vec<FactRow> = (cols.iter().enumerate())
+        let rows: Vec<FactRow> = (cols.iter().enumerate())
             .flat_map(|(t, &n)| (0..n).map(move |c| FactRow::new("v", t as u32, 2 * c, 0, 0, None)))
             .collect();
-        Directory::build(&mut rows, |_, _| {})
+        directory(rows)
     }
 
     /// [`Directory::walk`] against a count that visits every entry of every
@@ -535,12 +546,12 @@ mod tests {
 
     #[test]
     fn table_ranges_cover_and_handle_gaps() {
-        let mut rows = vec![
+        let rows = vec![
             FactRow::new("a", 0, 0, 0, 0, None),
             FactRow::new("b", 2, 0, 0, 0, None),
             FactRow::new("c", 2, 0, 1, 0, None),
         ];
-        let dir = Directory::build(&mut rows, |_, _| {});
+        let dir = directory(rows);
         assert_eq!(dir.ranges, vec![(0, 1), (0, 0), (1, 3)]);
         assert_eq!(dir.table_postings(1), 0..0);
         assert_eq!(dir.table_postings(2), 1..3);
@@ -549,7 +560,7 @@ mod tests {
 
     #[test]
     fn empty_rows_have_no_ranges() {
-        let dir = Directory::build(&mut [], |_, _| {});
+        let dir = directory(Vec::new());
         assert!(dir.is_empty() && dir.ranges.is_empty());
         assert_eq!((dir.runs(), dir.rows(), dir.n_tables()), (0, 0, 0));
     }
@@ -557,12 +568,12 @@ mod tests {
     #[test]
     fn cell_runs_list_each_run_once() {
         // Table 0: column 0 rows 0–2, column 1 rows 0–1; table 1: column 0.
-        let mut rows: Vec<FactRow> = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1)]
+        let rows: Vec<FactRow> = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1)]
             .into_iter()
             .chain([(1, 0, 0)])
             .map(|(t, c, r)| FactRow::new("v", t, c, r, 0, None))
             .collect();
-        let dir = Directory::build(&mut rows, |_, _| {});
+        let dir = directory(rows);
         let mut out = vec![9, 0];
         dir.cell_runs(&[0, 2, 3, 4, 5], &mut out);
         assert_eq!(out, [9, 0, 0, 1, 2]);

@@ -54,15 +54,15 @@ impl FactRow {
             quadrant,
         }
     }
+}
 
-    /// Encode the quadrant for compact columnar storage.
-    #[inline]
-    pub fn quadrant_code(&self) -> u8 {
-        match self.quadrant {
-            None => QUADRANT_NULL,
-            Some(false) => QUADRANT_ZERO,
-            Some(true) => QUADRANT_ONE,
-        }
+/// Encode a quadrant (`None` = SQL NULL) for compact columnar storage.
+#[inline]
+pub fn encode_quadrant(quadrant: Option<bool>) -> u8 {
+    match quadrant {
+        None => QUADRANT_NULL,
+        Some(false) => QUADRANT_ZERO,
+        Some(true) => QUADRANT_ONE,
     }
 }
 
@@ -413,7 +413,7 @@ mod tests {
     fn quadrant_encoding_roundtrips() {
         for q in [None, Some(false), Some(true)] {
             let r = FactRow::new("x", 0, 0, 0, 0, q);
-            assert_eq!(decode_quadrant(r.quadrant_code()), q);
+            assert_eq!(decode_quadrant(encode_quadrant(r.quadrant)), q);
         }
     }
 

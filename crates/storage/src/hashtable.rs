@@ -324,6 +324,11 @@ impl<K: DenseKey> GroupIndex<K> {
         &self.keys
     }
 
+    /// The keys in dense-id order, the slot array freed.
+    pub fn into_keys(self) -> Vec<K> {
+        self.keys
+    }
+
     /// Keys the key array holds room for.
     pub(crate) fn key_capacity(&self) -> usize {
         self.keys.capacity()
@@ -340,7 +345,31 @@ impl<K: DenseKey> GroupIndex<K> {
     }
 }
 
+/// An empty index of two slots, as [`with_capacity(0)`](GroupIndex::with_capacity).
+impl<K> Default for GroupIndex<K> {
+    fn default() -> Self {
+        let (slots, keys, mask, max_probe) = (vec![EMPTY; 2], Vec::new(), 1, 0);
+        GroupIndex {
+            slots,
+            keys,
+            mask,
+            max_probe,
+        }
+    }
+}
+
 impl GroupIndex<Box<str>> {
+    /// The id of `key`, numbering it on first sight: a probe per call, and
+    /// an allocation only where a borrowed key is new.
+    pub fn intern(&mut self, key: impl AsRef<str> + Into<Box<str>>) -> u32 {
+        let hash = key.as_ref().hash64();
+        match self.get_hashed(key.as_ref(), hash) {
+            Some(id) => id,
+            None => (self.insert_or_get_hashed(key.into(), hash))
+                .expect("the dictionary fits in memory"),
+        }
+    }
+
     /// [`get`](GroupIndex::get) of each of `keys`, in order, handed to
     /// `each`, a [`PROBE_BLOCK`] at a time: hash every key and prefetch its
     /// slot, read the slots and prefetch their keys, prefetch those keys'

@@ -29,6 +29,8 @@
 //! counts walk run lists ([`Directory::walk`]) instead of scanning.
 //! They also expose exact cardinality statistics, which the SQL layer's
 //! access-path chooser uses the way a DBMS optimizer uses its catalog.
+//! Both build from the lake dictionary-coded ([`coded`]): the index
+//! builder's [`CodedPart`]s, or fact rows coded as one ([`build_engine`]).
 //!
 //! Scan predicates evaluate through compiled [`FilterKernel`]s (see
 //! [`filter`]): the SQL planner builds one per scan — `TableId` lists as
@@ -48,6 +50,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod coded;
 pub mod column_store;
 pub mod directory;
 pub mod fact;
@@ -57,11 +60,12 @@ pub mod radix;
 pub mod row_store;
 pub mod stats;
 
+pub use coded::{fact_rows, CodedCell, CodedPart};
 pub use column_store::{ColumnIndex, ColumnStore};
 pub use directory::{Directory, Walk};
 pub use fact::{
-    cut_to_ranges, decode_quadrant, FactRow, FactTable, MemoryBreakdown, OrdinalRank, Resolved,
-    QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
+    cut_to_ranges, decode_quadrant, encode_quadrant, FactRow, FactTable, MemoryBreakdown,
+    OrdinalRank, Resolved, QUADRANT_NULL, QUADRANT_ONE, QUADRANT_ZERO,
 };
 pub use filter::{FilterKernel, IdSet, ScanScratch, ValuePred};
 pub use hashtable::{DenseKey, GroupIndex, PROBE_BLOCK};
@@ -92,17 +96,29 @@ impl EngineKind {
     }
 }
 
-/// Build a fact table with the chosen engine from raw index rows.
+/// Build a fact table with the chosen engine from raw index rows: the
+/// one-part case of [`build_parts`] ([`CodedPart::from_rows`]).
 pub fn build_engine(kind: EngineKind, rows: Vec<FactRow>) -> Arc<dyn FactTable> {
+    build_parts(kind, vec![CodedPart::from_rows(rows)])
+}
+
+/// Build a fact table with the chosen engine from the lake's coded parts,
+/// whose cells are in canonical order end to end.
+pub fn build_parts(kind: EngineKind, parts: Vec<CodedPart>) -> Arc<dyn FactTable> {
     match kind {
-        EngineKind::Row => Arc::new(RowStore::build(rows)),
-        EngineKind::Column => Arc::new(ColumnStore::build(rows)),
+        EngineKind::Row => Arc::new(RowStore::build(parts)),
+        EngineKind::Column => Arc::new(ColumnStore::build(parts)),
     }
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+
+    /// Fact rows coded as the one part the stores build from.
+    pub fn one_part(rows: Vec<FactRow>) -> Vec<CodedPart> {
+        vec![CodedPart::from_rows(rows)]
+    }
 
     /// A small, hand-checkable fact table used by both engine test suites:
     /// three tables, mixed text/numeric cells.

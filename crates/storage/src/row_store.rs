@@ -2,6 +2,7 @@
 
 use blend_common::{FxHashMap, FxHashSet};
 
+use crate::coded::{fact_rows, CodedPart};
 use crate::directory::Directory;
 use crate::fact::{scratch_component, FactRow, FactTable, MemoryBreakdown};
 use crate::filter::{extend_filtered, extend_range, FilterKernel, ValuePred};
@@ -24,10 +25,12 @@ pub struct RowStore {
 }
 
 impl RowStore {
-    /// Build the store: canonical order and directory, postings (span
-    /// `index.postings`), statistics.
-    pub fn build(mut rows: Vec<FactRow>) -> Self {
-        let dir = Directory::build(&mut rows, |_, _| {});
+    /// Build the store from the lake's coded parts: their cells expanded to
+    /// fact rows in canonical order ([`fact_rows`]) beside the directory,
+    /// postings (span `index.postings`), statistics.
+    pub fn build(parts: Vec<CodedPart>) -> Self {
+        let (rows, dir) = fact_rows(&parts);
+        drop(parts);
         let span = blend_obs::span("index.postings");
         let mut inverted: FxHashMap<Box<str>, Vec<u32>> = FxHashMap::default();
         let mut numeric_rows = 0usize;
@@ -215,11 +218,11 @@ impl FactTable for RowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::sample_rows;
+    use crate::test_support::{one_part, sample_rows};
 
     #[test]
     fn postings_are_sorted_positions_of_value() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         let ps = s.postings("berlin");
         assert_eq!(ps.len(), 2);
         assert!(ps.windows(2).all(|w| w[0] < w[1]));
@@ -231,7 +234,7 @@ mod tests {
 
     #[test]
     fn table_ranges_contain_only_their_table() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         for t in 0..s.n_tables() {
             for pos in s.directory().table_postings(t) {
                 assert_eq!(s.table_at(pos), t);
@@ -243,7 +246,7 @@ mod tests {
 
     #[test]
     fn probe_matches_in_list_semantics() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         let probe = s.make_probe(&["berlin", "rome", "ghost-value"]);
         // ghost-value filtered at probe build
         assert!(matches!(&probe, ValuePred::Strings(set) if set.len() == 2));
@@ -256,7 +259,7 @@ mod tests {
 
     #[test]
     fn stats_reflect_content() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         assert_eq!(s.stats().n_rows, s.len());
         assert_eq!(s.stats().n_tables, 3);
         assert!(s.stats().numeric_fraction > 0.0);
@@ -265,7 +268,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let s = RowStore::build(Vec::new());
+        let s = RowStore::build(one_part(Vec::new()));
         assert!(s.is_empty());
         assert_eq!(s.n_tables(), 0);
         assert!(s.postings("x").is_empty());
@@ -276,7 +279,7 @@ mod tests {
 
     #[test]
     fn filter_degenerate_ranges_append_nothing_and_keep_prefix() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         let kernel = FilterKernel {
             rowid_lt: Some(u32::MAX),
             ..FilterKernel::default()
@@ -300,7 +303,7 @@ mod tests {
 
     #[test]
     fn gather_superkeys_and_quadrants_match_scalar_accessors() {
-        let s = RowStore::build(sample_rows());
+        let s = RowStore::build(one_part(sample_rows()));
         let positions: Vec<u32> = (0..s.len() as u32).rev().collect();
         let mut sks = Vec::new();
         s.gather_superkeys(&positions, &mut sks);

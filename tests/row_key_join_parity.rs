@@ -25,7 +25,7 @@ use blend::Seeker;
 use blend_obs::ProfileNode;
 use blend_parallel::ParallelCtx;
 use blend_sql::{QueryReport, SqlEngine};
-use blend_storage::{ColumnStore, FactRow, FactTable, RowStore};
+use blend_storage::{build_engine, EngineKind, FactRow, FactTable};
 use proptest::prelude::*;
 
 /// Resets the process-global SIMD override when a case ends, pass or fail.
@@ -201,12 +201,12 @@ proptest! {
         let queries = queries(&rows, &mut Rng(seed ^ 0x5EED));
         let mut sparse = rows.clone();
         sparse.push(FactRow::new("w0", 0, 9, u32::MAX - 1, 0, None));
-        let row: Arc<dyn FactTable> = Arc::new(RowStore::build(rows.clone()));
-        let twin: Arc<dyn FactTable> = Arc::new(RowStore::build(rows.clone()));
+        let row = build_engine(EngineKind::Row, rows.clone());
+        let twin = build_engine(EngineKind::Row, rows.clone());
         let stores: [(&str, Arc<dyn FactTable>, &str); 4] = [
-            ("column", Arc::new(ColumnStore::build(rows.clone())), "rows"),
+            ("column", build_engine(EngineKind::Column, rows.clone()), "rows"),
             ("row", row.clone(), "rows"),
-            ("sparse", Arc::new(ColumnStore::build(sparse)), "rows"),
+            ("sparse", build_engine(EngineKind::Column, sparse), "rows"),
             ("twin", row, "hash"),
         ];
         let ordinals = |s: &dyn FactTable| s.directory().rows();
